@@ -32,15 +32,6 @@ fn bench_contraction(c: &mut Criterion) {
     let config = CoarseningConfig::default();
     let clustering = cluster(&graph, &config, 32, 3);
     let mut group = c.benchmark_group("contraction");
-    // Pre-change baseline: the seed's one-pass contraction with `Vec<Vec<_>>` buckets
-    // and freshly allocated atomic arrays per call.
-    group.bench_with_input(
-        BenchmarkId::from_parameter("seed_one_pass"),
-        &(),
-        |b, ()| {
-            b.iter(|| bench::seed_baseline::seed_contract_one_pass(&graph, &clustering, 256));
-        },
-    );
     for (name, algorithm) in [
         ("buffered", ContractionAlgorithm::Buffered),
         ("one_pass", ContractionAlgorithm::OnePass),

@@ -23,49 +23,28 @@ fn bench_lp_refinement(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         );
     });
-    // Seed full-sweep rounds vs frontier-driven rounds on the bench RMAT instance,
-    // starting from a projected-like (pre-refined) partition as mid-pipeline refinement
-    // does — the same comparison bench_pipeline records in BENCH_pipeline.json.
+    // Frontier-driven rounds on the bench RMAT instance, starting from a
+    // projected-like (pre-refined) partition as mid-pipeline refinement does.
     let rmat = gen::weblike(14, 12, 9);
     let mut projected = scrambled(&rmat, 8);
-    bench::seed_baseline::seed_lp_refine(&rmat, &mut projected, 2, 99);
-    let mut group = c.benchmark_group("lp_refine_rmat14_rounds5");
-    {
-        let (rmat, projected) = (&rmat, &projected);
-        group.bench_with_input(
-            BenchmarkId::from_parameter("seed_full_sweep"),
-            &(),
-            |b, ()| {
-                b.iter_batched(
-                    || projected.clone(),
-                    |mut p| bench::seed_baseline::seed_lp_refine(rmat, &mut p, 5, 1),
-                    criterion::BatchSize::SmallInput,
-                );
+    lp_refine(&rmat, &mut projected, 2, 99);
+    let mut scratch = terapart::HierarchyScratch::new();
+    c.bench_function("lp_refine_rmat14_rounds5/frontier", |b| {
+        b.iter_batched(
+            || projected.clone(),
+            |mut p| {
+                terapart::refinement::lp_refine_with_scratch(
+                    &rmat,
+                    &mut p,
+                    5,
+                    1,
+                    true,
+                    &mut scratch,
+                )
             },
+            criterion::BatchSize::SmallInput,
         );
-        let mut scratch = terapart::HierarchyScratch::new();
-        group.bench_with_input(
-            BenchmarkId::from_parameter("frontier"),
-            &(),
-            move |b, ()| {
-                b.iter_batched(
-                    || projected.clone(),
-                    |mut p| {
-                        terapart::refinement::lp_refine_with_scratch(
-                            rmat,
-                            &mut p,
-                            5,
-                            1,
-                            true,
-                            &mut scratch,
-                        )
-                    },
-                    criterion::BatchSize::SmallInput,
-                );
-            },
-        );
-    }
-    group.finish();
+    });
 }
 
 fn bench_fm_gain_tables(c: &mut Criterion) {

@@ -1,13 +1,13 @@
 //! Emits `BENCH_pipeline.json`: one full pipeline run on the bench RMAT instance
-//! (phase timings + cut + peak memory) plus micro-benchmark speedups of the hot paths
-//! against the frozen seed baseline (`bench::seed_baseline`). Run from the repo root:
+//! (phase timings + cut + peak memory), the streamed-ingest micro, the on-disk
+//! store ladder and the concurrent-sessions ladder. Run from the repo root:
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_pipeline
 //! ```
 //!
-//! The JSON is the perf trajectory anchor across PRs: the `micro_vs_seed_baseline`
-//! entries must stay well above 1.0x.
+//! The perf trajectory across PRs lives in `benchmark/` (see `BENCHMARK.json`); this
+//! file is the single-instance snapshot with the per-phase breakdown.
 //!
 //! To record the `wide-ids` overhead alongside the default width, run the wide build
 //! first and then merge its headline numbers into the default-width JSON:
@@ -20,36 +20,14 @@
 use std::path::{Path, PathBuf};
 
 use bench::harness::{
-    best_seconds, read_width_run, write_pipeline_json, ConcurrentSessionsRun, MicroComparison,
-    OndiskRun, StreamIngestRun,
+    best_seconds, read_width_run, write_pipeline_json, ConcurrentSessionsRun, OndiskRun,
+    StreamIngestRun,
 };
-use bench::seed_baseline::{seed_contract_one_pass, seed_initial_partition, seed_lp_refine};
 use graph::gen;
 use graph::store::StreamingTpgBuilder;
 use graph::traits::Graph;
 use memtrack::PhaseTracker;
-use terapart::coarsening::{self, cluster, contract_with_scratch};
-use terapart::context::{CoarseningConfig, ContractionAlgorithm};
-use terapart::partition::{BlockId, Partition};
-use terapart::refinement::lp_refine_with_scratch;
-use terapart::{
-    initial_partition_with_scratch, EngineConfig, HierarchyScratch, PartitionEngine,
-    PartitionRequest, PartitionerConfig,
-};
-
-/// Samples per micro-benchmark (the fastest sample is reported).
-const RUNS: usize = 25;
-
-/// Samples for the initial-partitioning micro (its seed baseline runs for hundreds of
-/// milliseconds per sample, so fewer samples keep the harness fast).
-const INITIAL_RUNS: usize = 5;
-
-fn scrambled(graph: &impl Graph, k: usize) -> Partition {
-    let assignment: Vec<BlockId> = (0..graph.n() as u32)
-        .map(|u| (u.wrapping_mul(2_654_435_761) >> 8) % k as u32)
-        .collect();
-    Partition::from_assignment(graph, k, 0.1, assignment)
-}
+use terapart::{EngineConfig, PartitionEngine, PartitionRequest, PartitionerConfig};
 
 fn main() {
     let path = std::env::args()
@@ -78,133 +56,8 @@ fn main() {
     let graph = gen::weblike(14, 12, 9);
     println!("instance {instance}: n={}, m={}", graph.n(), graph.m());
 
-    // ---- Micro: contraction, seed baseline vs live one-pass with scratch reuse. ----
-    let coarsening = CoarseningConfig::default();
-    let clustering = cluster(&graph, &coarsening, 32, 3);
-    let baseline_contract = best_seconds(
-        RUNS,
-        || (),
-        |()| seed_contract_one_pass(&graph, &clustering, 256),
-    );
-    let mut scratch = HierarchyScratch::new();
-    let optimized_contract = best_seconds(
-        RUNS,
-        || (),
-        |()| {
-            contract_with_scratch(
-                &graph,
-                &clustering,
-                ContractionAlgorithm::OnePass,
-                256,
-                &mut scratch,
-            )
-        },
-    );
-    let contraction = MicroComparison {
-        name: "contraction_one_pass".into(),
-        baseline_seconds: baseline_contract,
-        optimized_seconds: optimized_contract,
-    };
-    println!(
-        "contraction: seed {:.3} ms -> live {:.3} ms ({:.2}x)",
-        contraction.baseline_seconds * 1e3,
-        contraction.optimized_seconds * 1e3,
-        contraction.speedup()
-    );
-
-    // ---- Micro: LP refinement, full-sweep rounds (seed) vs frontier rounds. ----
-    // Mid-pipeline, refinement starts from a *projected* partition: locally good except
-    // near block boundaries. Emulate that by pre-refining a scrambled partition for two
-    // rounds; both variants then run the default five rounds from identical state.
-    let rounds = 5;
-    let mut projected = scrambled(&graph, 8);
-    seed_lp_refine(&graph, &mut projected, 2, 99);
-    let baseline_refine = best_seconds(
-        RUNS,
-        || projected.clone(),
-        |mut p| seed_lp_refine(&graph, &mut p, rounds, 1),
-    );
-    let mut frontier_scratch = HierarchyScratch::new();
-    let optimized_refine = best_seconds(
-        RUNS,
-        || projected.clone(),
-        |mut p| lp_refine_with_scratch(&graph, &mut p, rounds, 1, true, &mut frontier_scratch),
-    );
-    let refinement = MicroComparison {
-        name: "lp_refinement".into(),
-        baseline_seconds: baseline_refine,
-        optimized_seconds: optimized_refine,
-    };
-    println!(
-        "lp_refine: full-sweep {:.3} ms -> frontier {:.3} ms ({:.2}x)",
-        refinement.baseline_seconds * 1e3,
-        refinement.optimized_seconds * 1e3,
-        refinement.speedup()
-    );
-
-    // ---- Micro: initial partitioning on the real coarsest graph of the pipeline,
-    // seed baseline (sequential, builder-based, full FM gain recomputation) vs the live
-    // parallel scratch-backed engine. ----
-    let config = PartitionerConfig::terapart(16);
-    let coarsest = {
-        let tracker = PhaseTracker::new();
-        let mut scratch = HierarchyScratch::new();
-        let hierarchy = coarsening::coarsen_with_scratch(&graph, &config, &tracker, &mut scratch);
-        hierarchy
-            .coarsest()
-            .cloned()
-            .unwrap_or_else(|| graph.clone())
-    };
-    println!(
-        "coarsest graph for initial partitioning: n={}, m={}",
-        coarsest.n(),
-        coarsest.m()
-    );
-    let baseline_initial = best_seconds(
-        INITIAL_RUNS,
-        || (),
-        |()| {
-            seed_initial_partition(
-                &coarsest,
-                config.k,
-                config.epsilon,
-                config.initial.attempts,
-                config.initial.fm_passes,
-                config.seed,
-            )
-        },
-    );
-    let mut initial_scratch = HierarchyScratch::new();
-    let optimized_initial = best_seconds(
-        INITIAL_RUNS,
-        || (),
-        |()| {
-            initial_partition_with_scratch(
-                &coarsest,
-                config.k,
-                config.epsilon,
-                &config.initial,
-                config.seed,
-                &mut initial_scratch,
-            )
-        },
-    );
-    let initial = MicroComparison {
-        name: "initial_partition".into(),
-        baseline_seconds: baseline_initial,
-        optimized_seconds: optimized_initial,
-    };
-    println!(
-        "initial_partition: seed {:.3} ms -> live {:.3} ms ({:.2}x)",
-        initial.baseline_seconds * 1e3,
-        initial.optimized_seconds * 1e3,
-        initial.speedup()
-    );
-
     // ---- Micro: streamed .tpg ingest — the pipelined finish (flat bucket
-    // aggregation + packet-ordered commit) against the sequential reference on the
-    // identical spilled R-MAT stream. Both outputs are byte-identical; only the
-    // wall-clock differs. ----
+    // aggregation + packet-ordered commit) on a spilled R-MAT stream. ----
     let ingest_dir =
         std::env::temp_dir().join(format!("terapart_bench_ingest_{}", std::process::id()));
     std::fs::create_dir_all(&ingest_dir).expect("failed to create the ingest bench dir");
@@ -221,25 +74,15 @@ fn main() {
         });
         builder
     };
-    let seq_container = ingest_dir.join("ingest_seq.tpg");
     let mut ingest_spill = graph::store::SpillStats::default();
-    let sequential_seconds = best_seconds(
-        ingest_runs,
-        || spill_edges(&ingest_dir),
-        |builder| {
-            ingest_edges = builder.edges_added();
-            ingest_spill = builder.spill_stats();
-            builder
-                .finish_sequential(&seq_container, &graph::CompressionConfig::default())
-                .expect("sequential finish failed")
-        },
-    );
     let pipe_container = ingest_dir.join("ingest_pipe.tpg");
     let mut container_bytes = 0u64;
     let pipelined_seconds = best_seconds(
         ingest_runs,
         || spill_edges(&ingest_dir),
         |builder| {
+            ingest_edges = builder.edges_added();
+            ingest_spill = builder.spill_stats();
             let summary = builder
                 .finish(&pipe_container, &graph::CompressionConfig::default())
                 .expect("pipelined finish failed");
@@ -247,27 +90,19 @@ fn main() {
             summary
         },
     );
-    assert_eq!(
-        std::fs::read(&seq_container).unwrap(),
-        std::fs::read(&pipe_container).unwrap(),
-        "pipelined and sequential ingest containers diverged"
-    );
     std::fs::remove_dir_all(&ingest_dir).ok();
     let stream_ingest = StreamIngestRun {
         n: 1usize << ingest_scale,
         edges_added: ingest_edges,
         buckets: ingest_buckets,
         threads: ingest_threads,
-        sequential_seconds,
         pipelined_seconds,
         container_bytes,
         spill: ingest_spill,
     };
     println!(
-        "stream_ingest: sequential {:.1} ms -> pipelined {:.1} ms ({:.2}x, {:.0} edges/s)",
-        stream_ingest.sequential_seconds * 1e3,
+        "stream_ingest: pipelined {:.1} ms ({:.0} edges/s)",
         stream_ingest.pipelined_seconds * 1e3,
-        stream_ingest.speedup(),
         stream_ingest.edges_per_second()
     );
     println!(
@@ -280,6 +115,7 @@ fn main() {
     );
 
     // ---- Full pipeline with phase breakdown, recorded through the obs layer. ----
+    let config = PartitionerConfig::terapart(16);
     let tracker = PhaseTracker::new();
     memtrack::global().reset_peak();
     let (measurement, run_report) = {
@@ -342,121 +178,65 @@ fn main() {
     let tpg_path = ondisk_dir.join("rmat-14.tpg");
     graph::store::write_tpg_from_graph(&graph, &tpg_path, &graph::CompressionConfig::default())
         .expect("failed to write the bench container");
-    // The default writer path emits Elias-Fano offsets, so `tpg_path` is the EF
-    // container of the ladder.
-    let ef_meta = graph::store::read_tpg_meta(&tpg_path).expect("bench container unreadable");
+    let meta = graph::store::read_tpg_meta(&tpg_path).expect("bench container unreadable");
+    println!(
+        "offset index: elias-fano {} B ({:.2} B/node; plain u64s would take {} B)",
+        meta.offsets_len_bytes(),
+        meta.offsets_len_bytes() as f64 / graph.n() as f64,
+        8 * (graph.n() + 1),
+    );
     let csr_bytes = graph.size_in_bytes();
     let mut ondisk_runs = Vec::new();
     // 8 KiB pages: the rmat-14 data section spans enough pages that the cold-sweep
-    // hit rate (and the prefetch effect on it) is actually observable.
+    // hit rate is actually observable.
     let page_size = 8 * 1024usize;
     for page_budget in [128 * 1024usize, 2 * 1024 * 1024] {
-        for prefetch in [false, true] {
-            let mut ondisk_config = PartitionerConfig::terapart(16)
-                .with_page_budget(page_budget)
-                .with_prefetch(prefetch);
-            ondisk_config.ondisk.page_size = page_size;
-            let ondisk_tracker = PhaseTracker::new();
-            memtrack::global().reset_peak();
-            let result =
-                terapart::partition_ondisk_with_tracker(&tpg_path, &ondisk_config, &ondisk_tracker)
-                    .expect("on-disk bench run failed");
-            let peak = result.peak_memory_bytes.max(ondisk_tracker.overall_peak());
-            let cache = result.cache_stats;
-            println!(
-                "partition_ondisk @ {:>10} prefetch={:<5}: cut={} peak={} ({:.2}x of CSR) \
-                 time={:.2}s hit_rate={:.3} prefetched={}",
-                memtrack::format_bytes(page_budget),
-                prefetch,
-                result.edge_cut,
-                memtrack::format_bytes(peak),
-                peak as f64 / csr_bytes as f64,
-                result.total_time.as_secs_f64(),
-                cache.map(|c| c.hit_rate()).unwrap_or(0.0),
-                cache.map(|c| c.prefetched_pages).unwrap_or(0),
-            );
-            ondisk_runs.push(OndiskRun {
-                backend: "paged",
-                offsets: "ef",
-                offset_index_bytes: ef_meta.offsets_len_bytes(),
-                n: graph.n(),
-                page_budget_bytes: page_budget,
-                page_size_bytes: page_size,
-                prefetch,
-                time: result.total_time,
-                peak_memory_bytes: peak,
-                edge_cut: result.edge_cut,
-                csr_bytes,
-                phases: result.phase_reports,
-                cache,
-            });
-        }
+        let mut ondisk_config = PartitionerConfig::terapart(16).with_page_budget(page_budget);
+        ondisk_config.ondisk.page_size = page_size;
+        let ondisk_tracker = PhaseTracker::new();
+        memtrack::global().reset_peak();
+        let result =
+            terapart::partition_ondisk_with_tracker(&tpg_path, &ondisk_config, &ondisk_tracker)
+                .expect("on-disk bench run failed");
+        let peak = result.peak_memory_bytes.max(ondisk_tracker.overall_peak());
+        let cache = result.cache_stats;
+        println!(
+            "partition_ondisk @ {:>10}: cut={} peak={} ({:.2}x of CSR) time={:.2}s \
+             hit_rate={:.3}",
+            memtrack::format_bytes(page_budget),
+            result.edge_cut,
+            memtrack::format_bytes(peak),
+            peak as f64 / csr_bytes as f64,
+            result.total_time.as_secs_f64(),
+            cache.map(|c| c.hit_rate()).unwrap_or(0.0),
+        );
+        ondisk_runs.push(OndiskRun {
+            backend: "paged",
+            offset_index_bytes: meta.offsets_len_bytes(),
+            n: graph.n(),
+            page_budget_bytes: page_budget,
+            page_size_bytes: page_size,
+            prefetch: false,
+            time: result.total_time,
+            peak_memory_bytes: peak,
+            edge_cut: result.edge_cut,
+            csr_bytes,
+            phases: result.phase_reports,
+            cache,
+        });
     }
 
-    // ---- Store-backend ladder: the same instance through the mmap fast path, on the
-    // default Elias-Fano container and on a plain-offset re-encoding (proving the
-    // succinct index is backend-agnostic). Cuts must be bit-identical throughout. ----
-    let plain_path = ondisk_dir.join("rmat-14-plain.tpg");
-    graph::store::write_tpg_from_graph_plain(
-        &graph,
-        &plain_path,
-        &graph::CompressionConfig::default(),
-    )
-    .expect("failed to write the plain-offset bench container");
-    let plain_meta =
-        graph::store::read_tpg_meta(&plain_path).expect("plain bench container unreadable");
-    println!(
-        "offset index: plain {} B ({:.2} B/node) vs elias-fano {} B ({:.2} B/node)",
-        plain_meta.offsets_len_bytes(),
-        plain_meta.offsets_len_bytes() as f64 / graph.n() as f64,
-        ef_meta.offsets_len_bytes(),
-        ef_meta.offsets_len_bytes() as f64 / graph.n() as f64,
-    );
-    assert!(
-        ef_meta.offsets_len_bytes() < plain_meta.offsets_len_bytes(),
-        "Elias-Fano offsets not smaller than plain"
-    );
-    // Single-threaded (the reproducible regime), so the identical-cut assertion holds
-    // across the whole ladder; the paged/mmap wall-time comparison stays apples to
-    // apples. The 2 MiB budget is the "container fits in RAM" point — mmap's home turf.
+    // ---- Store-backend ladder: paged, paged with hint-driven readahead, and the mmap
+    // fast path on the same container. Single-threaded (the reproducible regime), so
+    // the cut must be identical throughout and the paged/mmap wall-time comparison
+    // stays apples to apples. The 2 MiB budget is the "container fits in RAM" point —
+    // mmap's home turf. ----
     let mut ladder_cut: Option<u64> = None;
     let mut ladder_times: Vec<(String, f64)> = Vec::new();
-    for (backend, ladder_path, offsets, meta, prefetch) in [
-        (
-            graph::store::OnDiskBackend::Paged,
-            &tpg_path,
-            "ef",
-            &ef_meta,
-            false,
-        ),
-        (
-            graph::store::OnDiskBackend::Paged,
-            &tpg_path,
-            "ef",
-            &ef_meta,
-            true,
-        ),
-        (
-            graph::store::OnDiskBackend::Mmap,
-            &tpg_path,
-            "ef",
-            &ef_meta,
-            false,
-        ),
-        (
-            graph::store::OnDiskBackend::Paged,
-            &plain_path,
-            "plain",
-            &plain_meta,
-            false,
-        ),
-        (
-            graph::store::OnDiskBackend::Mmap,
-            &plain_path,
-            "plain",
-            &plain_meta,
-            false,
-        ),
+    for (backend, prefetch) in [
+        (graph::store::OnDiskBackend::Paged, false),
+        (graph::store::OnDiskBackend::Paged, true),
+        (graph::store::OnDiskBackend::Mmap, false),
     ] {
         let is_mmap = backend == graph::store::OnDiskBackend::Mmap;
         let mut ladder_config = PartitionerConfig::terapart(16)
@@ -470,22 +250,21 @@ fn main() {
         let ladder_tracker = PhaseTracker::new();
         memtrack::global().reset_peak();
         let result =
-            terapart::partition_ondisk_with_tracker(ladder_path, &ladder_config, &ladder_tracker)
+            terapart::partition_ondisk_with_tracker(&tpg_path, &ladder_config, &ladder_tracker)
                 .expect("store-backend ladder run failed");
         let peak = result.peak_memory_bytes.max(ladder_tracker.overall_peak());
         match ladder_cut {
             None => ladder_cut = Some(result.edge_cut),
             Some(cut) => assert_eq!(
                 result.edge_cut, cut,
-                "{:?}/{} diverged from the ladder cut",
-                backend, offsets
+                "{:?} (prefetch {}) diverged from the ladder cut",
+                backend, prefetch
             ),
         }
         let label = format!(
-            "{}{}/{}",
+            "{}{}",
             if is_mmap { "mmap" } else { "paged" },
             if prefetch { "+prefetch" } else { "" },
-            offsets
         );
         println!(
             "partition_ondisk ladder {:<20}: cut={} peak={} ({:.2}x of CSR) time={:.2}s",
@@ -498,7 +277,6 @@ fn main() {
         ladder_times.push((label, result.total_time.as_secs_f64()));
         ondisk_runs.push(OndiskRun {
             backend: if is_mmap { "mmap" } else { "paged" },
-            offsets,
             offset_index_bytes: meta.offsets_len_bytes(),
             n: graph.n(),
             page_budget_bytes: if is_mmap { 0 } else { 2 * 1024 * 1024 },
@@ -512,13 +290,13 @@ fn main() {
             cache: result.cache_stats,
         });
     }
-    let paged_ef_seconds = ladder_times[0].1;
-    let mmap_ef_seconds = ladder_times[2].1;
+    let paged_seconds = ladder_times[0].1;
+    let mmap_seconds = ladder_times[2].1;
     println!(
         "store-backend ladder: mmap {:.2}s vs paged {:.2}s ({:.2}x) at identical cut {}",
-        mmap_ef_seconds,
-        paged_ef_seconds,
-        paged_ef_seconds / mmap_ef_seconds.max(1e-9),
+        mmap_seconds,
+        paged_seconds,
+        paged_seconds / mmap_seconds.max(1e-9),
         ladder_cut.unwrap_or(0),
     );
 
@@ -618,7 +396,6 @@ fn main() {
         &config,
         &tracker,
         &measurement,
-        &[contraction, refinement, initial],
         Some(&stream_ingest),
         &ondisk_runs,
         &concurrent_runs,

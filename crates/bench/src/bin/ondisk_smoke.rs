@@ -5,8 +5,9 @@
 //! balanced partition. Then exercise the concurrent external-memory path end to end:
 //! (d) the pipelined streamed ingest must reproduce the materialised container byte for
 //! byte, and (e) a prefetch-enabled run must stay complete, balanced and below the CSR
-//! size while the readahead worker actually installs pages. Exits non-zero on any
-//! violation, so CI fails loudly.
+//! size while hint-driven readahead actually installs pages; (f) paged, paged with
+//! readahead and mmap reach one identical cut on the one container format. Exits
+//! non-zero on any violation, so CI fails loudly.
 //!
 //! Usage: `ondisk_smoke [cache_dir]` (default: a fresh temp directory).
 
@@ -114,7 +115,7 @@ fn main() {
     println!("streamed ingest byte-identical to the materialised container");
 
     // ---- Prefetch-enabled run at the same starved budget: still complete, balanced
-    // and below the CSR size, with the readahead worker demonstrably active. ----
+    // and below the CSR size, with readahead demonstrably active. ----
     memtrack::global().reset_peak();
     let prefetch_result = partition_ondisk(&path, &config.clone().with_prefetch(true))
         .expect("prefetch-enabled on-disk run failed");
@@ -140,58 +141,39 @@ fn main() {
     );
     assert!(
         cache.prefetched_pages > 0,
-        "SMOKE FAIL: the readahead worker never installed a page"
+        "SMOKE FAIL: readahead never installed a page"
     );
     // ---- Store-backend ladder (single-threaded, the bit-reproducible regime):
-    // paged, paged+prefetch and mmap must all produce the *identical* cut, on the
-    // Elias-Fano-offset container (the writer default) and on a plain-offset
-    // re-encoding of it — and the succinct index must actually be smaller. ----
+    // paged, paged+readahead and mmap must all produce the *identical* cut — and the
+    // Elias-Fano offset index must undercut what plain u64 offsets would cost. ----
     use graph::store::OnDiskBackend;
-    let plain_container = cache_dir.join("smoke_plain.tpg");
-    graph::store::write_tpg_from_graph_plain(
-        &graph::store::read_tpg_compressed(&path).expect("re-read smoke container"),
-        &plain_container,
-        &graph::CompressionConfig::default(),
-    )
-    .expect("failed to write the plain-offset smoke container");
-    let ef_meta = graph::store::read_tpg_meta(&path).unwrap();
-    let plain_meta = graph::store::read_tpg_meta(&plain_container).unwrap();
+    let meta = graph::store::read_tpg_meta(&path).unwrap();
+    let plain_offset_bytes = 8 * (meta.n as u64 + 1);
     println!(
-        "offset index: elias-fano {} B (default) vs plain {} B",
-        ef_meta.offsets_len_bytes(),
-        plain_meta.offsets_len_bytes()
+        "offset index: elias-fano {} B vs {} B as plain u64s",
+        meta.offsets_len_bytes(),
+        plain_offset_bytes
     );
     assert!(
-        ef_meta.offsets_len_bytes() < plain_meta.offsets_len_bytes(),
-        "SMOKE FAIL: Elias-Fano offset index ({} B) is not smaller than plain ({} B)",
-        ef_meta.offsets_len_bytes(),
-        plain_meta.offsets_len_bytes()
+        meta.offsets_len_bytes() < plain_offset_bytes,
+        "SMOKE FAIL: Elias-Fano offset index ({} B) is not smaller than 8·(n+1) = {} B",
+        meta.offsets_len_bytes(),
+        plain_offset_bytes
     );
     let ladder_base = config.clone().with_threads(1);
     let mut ladder_cut: Option<u64> = None;
-    for (label, ladder_path, ladder_config) in [
-        ("paged/ef", &path, ladder_base.clone()),
+    for (label, ladder_config) in [
+        ("paged", ladder_base.clone()),
+        ("paged+readahead", ladder_base.clone().with_prefetch(true)),
         (
-            "paged+prefetch/ef",
-            &path,
-            ladder_base.clone().with_prefetch(true),
-        ),
-        (
-            "mmap/ef",
-            &path,
-            ladder_base.clone().with_store_backend(OnDiskBackend::Mmap),
-        ),
-        ("paged/plain", &plain_container, ladder_base.clone()),
-        (
-            "mmap/plain",
-            &plain_container,
+            "mmap",
             ladder_base.clone().with_store_backend(OnDiskBackend::Mmap),
         ),
     ] {
-        let run = partition_ondisk(ladder_path, &ladder_config)
+        let run = partition_ondisk(&path, &ladder_config)
             .unwrap_or_else(|e| panic!("SMOKE FAIL: ladder run {} failed: {}", label, e));
         println!(
-            "ladder {:<22}: cut={} time={:.2}s",
+            "ladder {:<16}: cut={} time={:.2}s",
             label,
             run.edge_cut,
             run.total_time.as_secs_f64()
@@ -211,7 +193,7 @@ fn main() {
         }
     }
     println!(
-        "store-backend ladder: identical cut {} across all five runs",
+        "store-backend ladder: identical cut {} across all three runs",
         ladder_cut.unwrap()
     );
 
@@ -307,7 +289,6 @@ fn main() {
     if std::env::args().nth(1).is_none() {
         std::fs::remove_dir_all(cache_dir).ok();
     } else {
-        std::fs::remove_file(&plain_container).ok();
         std::fs::remove_file(cache_dir.join("smoke_materialized.tpg")).ok();
     }
 }

@@ -4,8 +4,7 @@
 //! with harmonic means, and compares solution quality with performance profiles
 //! (Dolan–Moré). The same aggregations are provided here so the regenerated tables use
 //! the paper's methodology. [`write_pipeline_json`] additionally persists one pipeline
-//! run (phase timings, cut, peak memory, micro-benchmark speedups) as
-//! `BENCH_pipeline.json`, so the perf trajectory is tracked across PRs.
+//! run (phase timings, cut, peak memory) as `BENCH_pipeline.json`.
 
 use std::io::Write;
 use std::path::Path;
@@ -106,10 +105,7 @@ pub fn measure_run_reported(
 pub struct OndiskRun {
     /// Store backend of the run: `"paged"` or `"mmap"`.
     pub backend: &'static str,
-    /// Offset-index encoding of the container: `"plain"` (raw u64s) or `"ef"`
-    /// (Elias-Fano).
-    pub offsets: &'static str,
-    /// On-disk size of the container's offset index, in bytes.
+    /// On-disk size of the container's (Elias-Fano) offset index, in bytes.
     pub offset_index_bytes: u64,
     /// Vertices of the instance (for the offset-bytes-per-node metric).
     pub n: usize,
@@ -134,9 +130,9 @@ pub struct OndiskRun {
     pub cache: Option<graph::store::CacheStatsSnapshot>,
 }
 
-/// One measured streamed-ingest comparison: the pipelined
-/// [`StreamingTpgBuilder::finish`](graph::store::StreamingTpgBuilder::finish) against
-/// the sequential reference path on the identical spilled edge stream.
+/// One measured streamed ingest: the pipelined
+/// [`StreamingTpgBuilder::finish`](graph::store::StreamingTpgBuilder::finish) on a
+/// spilled edge stream.
 #[derive(Debug, Clone)]
 pub struct StreamIngestRun {
     /// Vertices of the streamed instance.
@@ -147,11 +143,9 @@ pub struct StreamIngestRun {
     pub buckets: usize,
     /// Worker threads of the pipelined finish.
     pub threads: usize,
-    /// Seconds of the sequential reference `finish_sequential`.
-    pub sequential_seconds: f64,
     /// Seconds of the pipelined `finish`.
     pub pipelined_seconds: f64,
-    /// Size of the produced container (byte-identical across both paths).
+    /// Size of the produced container.
     pub container_bytes: u64,
     /// Spill-file volume of the stream (unit-weight vs full-width records), the
     /// before/after evidence for the unit-weight spill-record format.
@@ -159,11 +153,6 @@ pub struct StreamIngestRun {
 }
 
 impl StreamIngestRun {
-    /// Sequential time over pipelined time; > 1 means the pipeline is faster.
-    pub fn speedup(&self) -> f64 {
-        self.sequential_seconds / self.pipelined_seconds.max(1e-12)
-    }
-
     /// Ingest throughput of the pipelined finish in edge records per second.
     pub fn edges_per_second(&self) -> f64 {
         self.edges_added as f64 / self.pipelined_seconds.max(1e-12)
@@ -202,24 +191,6 @@ impl ConcurrentSessionsRun {
     /// beat running them back to back.
     pub fn throughput_gain(&self) -> f64 {
         self.sequential_seconds / self.wall_seconds.max(1e-12)
-    }
-}
-
-/// One micro-benchmark comparison against the frozen seed baseline.
-#[derive(Debug, Clone)]
-pub struct MicroComparison {
-    /// Benchmark name, e.g. `"contraction_one_pass"`.
-    pub name: String,
-    /// Seconds of the pre-change (seed) implementation.
-    pub baseline_seconds: f64,
-    /// Seconds of the live implementation.
-    pub optimized_seconds: f64,
-}
-
-impl MicroComparison {
-    /// Baseline time over optimized time; > 1 means the live implementation is faster.
-    pub fn speedup(&self) -> f64 {
-        self.baseline_seconds / self.optimized_seconds.max(1e-12)
     }
 }
 
@@ -290,8 +261,8 @@ pub fn read_width_run(path: &Path) -> std::io::Result<WidthRun> {
 }
 
 /// Writes `BENCH_pipeline.json`: the phase timing/memory breakdown and headline numbers
-/// of one pipeline run, the micro-benchmark speedups over the seed baseline, and the
-/// `partition_ondisk` runs at their page budgets.
+/// of one pipeline run, the streamed-ingest micro and the `partition_ondisk` runs at
+/// their page budgets.
 #[allow(clippy::too_many_arguments)]
 pub fn write_pipeline_json(
     path: &Path,
@@ -300,7 +271,6 @@ pub fn write_pipeline_json(
     config: &PartitionerConfig,
     tracker: &PhaseTracker,
     measurement: &Measurement,
-    micro: &[MicroComparison],
     stream_ingest: Option<&StreamIngestRun>,
     ondisk: &[OndiskRun],
     concurrent_sessions: &[ConcurrentSessionsRun],
@@ -339,28 +309,14 @@ pub fn write_pipeline_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"micro_vs_seed_baseline\": [\n");
-    for (i, comparison) in micro.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_seconds\": {:.6}, \"optimized_seconds\": {:.6}, \"speedup\": {:.3}}}{}\n",
-            json_escape(&comparison.name),
-            comparison.baseline_seconds,
-            comparison.optimized_seconds,
-            comparison.speedup(),
-            if i + 1 < micro.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     match stream_ingest {
         Some(run) => out.push_str(&format!(
-            "  \"stream_ingest\": {{\"n\": {}, \"edges_added\": {}, \"buckets\": {}, \"threads\": {}, \"sequential_seconds\": {:.6}, \"pipelined_seconds\": {:.6}, \"ingest_speedup\": {:.3}, \"edges_per_second\": {:.0}, \"container_bytes\": {}, \"spill_unit_records\": {}, \"spill_weighted_records\": {}, \"spill_bytes\": {}, \"spill_full_width_bytes\": {}, \"spill_savings\": {:.4}}},\n",
+            "  \"stream_ingest\": {{\"n\": {}, \"edges_added\": {}, \"buckets\": {}, \"threads\": {}, \"pipelined_seconds\": {:.6}, \"edges_per_second\": {:.0}, \"container_bytes\": {}, \"spill_unit_records\": {}, \"spill_weighted_records\": {}, \"spill_bytes\": {}, \"spill_full_width_bytes\": {}, \"spill_savings\": {:.4}}},\n",
             run.n,
             run.edges_added,
             run.buckets,
             run.threads,
-            run.sequential_seconds,
             run.pipelined_seconds,
-            run.speedup(),
             run.edges_per_second(),
             run.container_bytes,
             run.spill.unit_records,
@@ -381,9 +337,8 @@ pub fn write_pipeline_json(
             .sum::<f64>();
         let cache = run.cache.unwrap_or_default();
         out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"offsets\": \"{}\", \"offset_index_bytes\": {}, \"offset_bytes_per_node\": {:.3}, \"page_budget_bytes\": {}, \"page_size_bytes\": {}, \"prefetch\": {}, \"seconds\": {:.6}, \"open_store_seconds\": {:.6}, \"peak_bytes\": {}, \"csr_bytes\": {}, \"peak_vs_csr\": {:.3}, \"edge_cut\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"prefetched_pages\": {}, \"retried_reads\": {}, \"checksum_failures\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"offset_index_bytes\": {}, \"offset_bytes_per_node\": {:.3}, \"page_budget_bytes\": {}, \"page_size_bytes\": {}, \"prefetch\": {}, \"seconds\": {:.6}, \"open_store_seconds\": {:.6}, \"peak_bytes\": {}, \"csr_bytes\": {}, \"peak_vs_csr\": {:.3}, \"edge_cut\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"prefetched_pages\": {}, \"retried_reads\": {}, \"checksum_failures\": {}}}{}\n",
             run.backend,
-            run.offsets,
             run.offset_index_bytes,
             run.offset_index_bytes as f64 / run.n.max(1) as f64,
             run.page_budget_bytes,

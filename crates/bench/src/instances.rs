@@ -80,7 +80,7 @@ impl GenSpec {
     }
 
     /// The cache file name encoding every parameter of the recipe — including the ID
-    /// width: containers written by a `wide-ids` build differ byte-wise (the `.tpg` v2
+    /// width: containers written by a `wide-ids` build differ byte-wise (the `.tpg`
     /// header records the writer's width), so wide builds use their own cache
     /// namespace while the default width keeps the historical names.
     pub fn cache_file_name(&self) -> String {
@@ -211,11 +211,17 @@ impl InstanceStore {
 
     /// Resolves a spec to its cached `.tpg` path, generating the container on a miss.
     /// Streamable families are generated with bounded memory straight into the
-    /// container; the rest are materialised once and written out.
+    /// container; the rest are materialised once and written out. A cached file whose
+    /// header this build rejects as a format (a container version or offset encoding
+    /// that no longer has a reader) counts as a miss and is regenerated in place.
     pub fn resolve(&self, spec: &GenSpec) -> Result<PathBuf, IoError> {
         let path = self.root.join(spec.cache_file_name());
         if path.exists() {
-            return Ok(path);
+            match read_tpg_meta(&path) {
+                Ok(_) => return Ok(path),
+                Err(IoError::Format(_)) => {}
+                Err(e) => return Err(e),
+            }
         }
         let config = CompressionConfig::default();
         // Generate into a process-unique temp name first: a crash never leaves a
@@ -350,6 +356,25 @@ mod tests {
             "rmat-s9-d6-x4.tpg\t"
         };
         assert!(manifest.starts_with(expected));
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn stale_format_cache_entries_are_regenerated() {
+        let store = scratch_store("stale");
+        let spec = GenSpec::Grid2d { rows: 9, cols: 7 };
+        let path = store.resolve(&spec).unwrap();
+        // Hand-stamp a version-3 header over the cached container, as a cache directory
+        // that outlived a format change would hold.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_tpg_meta(&path), Err(IoError::Format(_))));
+        assert_eq!(store.resolve(&spec).unwrap(), path);
+        let reference = spec.materialize();
+        let loaded = store.load_csr(&spec).unwrap();
+        assert_eq!(loaded.n(), reference.n());
+        assert_eq!(loaded.m(), reference.m());
         std::fs::remove_dir_all(store.root()).ok();
     }
 

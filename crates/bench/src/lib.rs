@@ -8,7 +8,6 @@
 pub mod golden;
 pub mod harness;
 pub mod instances;
-pub mod seed_baseline;
 pub mod setup;
 
 pub use golden::{golden_cut, golden_entries, golden_run, GoldenEntry};

@@ -1,4 +1,4 @@
-//! Streaming CRC-32 (IEEE 802.3 polynomial) used by the `.tpg` v3 container.
+//! Streaming CRC-32 (IEEE 802.3 polynomial) used by the `.tpg` container.
 //!
 //! The build environment has no cargo registry, so the checksum is implemented here
 //! rather than pulled from `crc32fast`. A single 256-entry table (built at compile

@@ -5,13 +5,12 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "TPGS"
-//! 4       4     version (u32, currently 4; v1–v3 files remain readable)
+//! 4       4     version (u32, always 4 — the reader accepts nothing else)
 //! 8       4     flags   (bit 0: edge weighted, bit 1: node weighted,
 //!                        bit 2: interval encoding, bit 3: compressed edge weights,
-//!                        bit 4: Elias-Fano offset index, v4 only)
-//! 12      1     id width in bytes the writer was built with (4 or 8; v1 files carry 0
-//!               here and imply 4)
-//! 13      1     v3+: log2 of the checksum block length (zero in v1/v2 files)
+//!                        bit 4: Elias-Fano offset index, always set)
+//! 12      1     id width in bytes the writer was built with (4 or 8)
+//! 13      1     log2 of the checksum block length B
 //! 14      2     reserved (zero)
 //! 16      8     n (vertices)
 //! 24      8     m (undirected edges)
@@ -24,16 +23,15 @@
 //! 80      8     data section length in bytes
 //! 88      —     data section: concatenated encoded neighbourhoods (identical byte
 //!               format to the in-memory CompressedGraph)
-//! …       —     offset index: n + 1 byte offsets into the data section — plain u64s,
-//!               or (flag bit 4, v4) the same monotone sequence Elias-Fano encoded as
-//!               whole little-endian u64 words, low-bits array then upper-bits array
-//!               (see `store::elias_fano`; both word counts derive from n and
-//!               data_len, so later sections stay locatable from the header alone)
+//! …       —     offset index: the n + 1 monotone byte offsets into the data section,
+//!               Elias-Fano encoded as whole little-endian u64 words, low-bits array
+//!               then upper-bits array (see `store::elias_fano`; both word counts
+//!               derive from n and data_len, so later sections stay locatable from
+//!               the header alone)
 //! …       —     node weights: n u64 values, present iff flag bit 1 is set
-//! …       —     v3 checksum footer:
+//! …       —     checksum footer:
 //!                 magic "TPGC" (4 bytes)
 //!                 per-block crc32 of the data section, ceil(data_len / B) u32 values
-//!                   where B = 1 << header byte 13
 //!                 crc32 of the offset index (4 bytes)
 //!                 crc32 of the node-weight section (4 bytes; crc of zero bytes when
 //!                   the section is absent)
@@ -48,17 +46,16 @@
 //! `O(n + max_degree + data_len / B)` bytes, never `O(m)` — which is what lets
 //! instances larger than RAM be produced and consumed on this machine.
 //!
-//! # Fault tolerance (v3)
+//! # Fault tolerance
 //!
-//! Every section of a v3 container is covered by a crc32: the data section at block
+//! Every section of a container is covered by a crc32: the data section at block
 //! granularity (so the paged reader can verify exactly the pages it touches), the
 //! offset index, the node weights and the header itself. Verification failures surface
 //! as [`IoError::Corrupt`] — never a panic and never a silently wrong graph. The
 //! writer is crash-safe: it streams into a hidden temp file in the destination
 //! directory and atomically renames it over the destination only after `fsync`
 //! succeeds, so a crashed or failed write can never leave a truncated `.tpg` under the
-//! destination name. v1/v2 files carry no checksums and are read with verification
-//! disabled.
+//! destination name.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -66,9 +63,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::checksum::{crc32, Crc32};
-use crate::compressed::{
-    decode_neighborhood, encode_neighborhood, CompressedGraph, CompressionConfig,
-};
+use crate::compressed::{encode_neighborhood, CompressedGraph, CompressionConfig};
 use crate::csr::CsrGraph;
 use crate::ids::{self, IdWidth};
 use crate::io::{
@@ -76,21 +71,20 @@ use crate::io::{
     read_exact_u64, IoError, BINARY_MAGIC,
 };
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
-use crate::store::elias_fano::{EliasFanoIndex, OffsetIndex};
+use crate::store::elias_fano::{ef_section_bytes, EliasFanoIndex};
 use crate::store::paged::RetryPolicy;
 use crate::traits::Graph;
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
 
 /// Magic bytes of the `.tpg` container.
 pub const TPG_MAGIC: &[u8; 4] = b"TPGS";
-/// Container format version. Version 2 added the explicit id-width byte in the
-/// previously reserved header field; version 3 added the crc32 checksum footer and the
-/// block-length byte; version 4 added the optional Elias-Fano offset index (flag
-/// bit 4). Version 1–3 files are still accepted by the reader.
+/// Container format version: the only one the writer emits and the reader accepts.
+/// No container outlives this repository's regenerable instance caches, so files
+/// stamped with an earlier version are rejected rather than upgraded.
 pub const TPG_VERSION: u32 = 4;
 /// Size of the fixed header in bytes.
 pub const TPG_HEADER_LEN: u64 = 88;
-/// Magic bytes of the v3 checksum footer.
+/// Magic bytes of the checksum footer.
 pub const TPG_FOOTER_MAGIC: &[u8; 4] = b"TPGC";
 /// Default checksum block length of the data section (64 KiB — the default page size
 /// of the paged reader, so page-granular reads verify exactly one block).
@@ -102,18 +96,16 @@ const FLAG_EDGE_WEIGHTED: u32 = 1 << 0;
 const FLAG_NODE_WEIGHTED: u32 = 1 << 1;
 const FLAG_INTERVALS: u32 = 1 << 2;
 const FLAG_COMPRESS_EDGE_WEIGHTS: u32 = 1 << 3;
-/// The offset index is Elias-Fano encoded (v4 only; rejected in older versions).
+/// The offset index is Elias-Fano encoded. Always set; a header without it is rejected.
 const FLAG_EF_OFFSETS: u32 = 1 << 4;
 
 /// Parsed `.tpg` header plus derived section positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpgMeta {
-    /// Format version the file was written with (1 through 4).
-    pub version: u32,
     /// ID width in bytes the writer was built with (4 or 8). Advisory: the data
     /// section is VarInt-encoded and therefore width-agnostic, so any file whose
     /// vertex count fits the active build's width can be read regardless of this
-    /// value. Version-1 files imply 4.
+    /// value.
     pub id_width: u8,
     /// Number of vertices.
     pub n: usize,
@@ -133,11 +125,8 @@ pub struct TpgMeta {
     pub config: CompressionConfig,
     /// Length of the encoded data section in bytes.
     pub data_len: u64,
-    /// Checksum block length of the data section (v3+ files), or `None` for v1/v2
-    /// files, which carry no checksums and are read with verification disabled.
-    pub checksum_block_len: Option<u32>,
-    /// Whether the offset index is Elias-Fano encoded (v4 files with flag bit 4).
-    pub ef_offsets: bool,
+    /// Checksum block length of the data section.
+    pub checksum_block_len: u32,
 }
 
 impl TpgMeta {
@@ -151,15 +140,11 @@ impl TpgMeta {
         TPG_HEADER_LEN + self.data_len
     }
 
-    /// Length of the offset-index section in bytes. For Elias-Fano indices the word
-    /// counts derive from `n` and `data_len` alone, which is what keeps the following
+    /// Length of the (Elias-Fano) offset-index section in bytes. The word counts
+    /// derive from `n` and `data_len` alone, which is what keeps the following
     /// sections locatable without decoding the index first.
     pub fn offsets_len_bytes(&self) -> u64 {
-        if self.ef_offsets {
-            crate::store::elias_fano::ef_section_bytes(self.n as u64 + 1, self.data_len)
-        } else {
-            8 * (self.n as u64 + 1)
-        }
+        ef_section_bytes(self.n as u64 + 1, self.data_len)
     }
 
     /// Byte offset of the node-weight section within the file (meaningful only when
@@ -168,15 +153,12 @@ impl TpgMeta {
         self.offsets_start() + self.offsets_len_bytes()
     }
 
-    /// Number of checksum blocks covering the data section (0 for v1/v2 files).
+    /// Number of checksum blocks covering the data section.
     pub fn checksum_block_count(&self) -> u64 {
-        match self.checksum_block_len {
-            Some(b) => self.data_len.div_ceil(u64::from(b)),
-            None => 0,
-        }
+        self.data_len.div_ceil(u64::from(self.checksum_block_len))
     }
 
-    /// Byte offset of the v3 checksum footer (== end of file for v1/v2 files).
+    /// Byte offset of the checksum footer.
     pub fn footer_start(&self) -> u64 {
         self.node_weights_start()
             + if self.node_weighted {
@@ -186,15 +168,12 @@ impl TpgMeta {
             }
     }
 
-    /// Length of the v3 checksum footer in bytes (0 for v1/v2 files).
+    /// Length of the checksum footer in bytes.
     pub fn footer_len(&self) -> u64 {
-        if self.checksum_block_len.is_none() {
-            return 0;
-        }
         4 + 4 * self.checksum_block_count() + 12
     }
 
-    /// Byte offset of the stored header crc32 (the last 4 bytes of the v3 footer).
+    /// Byte offset of the stored header crc32 (the last 4 bytes of the footer).
     pub(crate) fn header_crc_pos(&self) -> u64 {
         self.footer_start() + self.footer_len() - 4
     }
@@ -290,8 +269,6 @@ pub struct TpgWriter {
     block_crc: Crc32,
     /// Bytes absorbed into `block_crc` so far.
     block_fill: usize,
-    /// Whether to emit the offset index Elias-Fano encoded (v4 flag bit 4).
-    ef_offsets: bool,
 }
 
 impl TpgWriter {
@@ -358,26 +335,7 @@ impl TpgWriter {
             block_crcs: Vec::new(),
             block_crc: Crc32::new(),
             block_fill: 0,
-            // EF offsets are the default writer path: ~10x smaller offset index,
-            // readable by every v4-aware reader. `with_plain_offsets` opts out for
-            // containers that must stay readable by v3 tooling.
-            ef_offsets: true,
         })
-    }
-
-    /// Selects the offset-index encoding: Elias-Fano (the default) shrinks the index
-    /// from 8 bytes per vertex toward `2 + log2(data_len / n)` *bits* per vertex and
-    /// is readable by every v4-aware reader (both store backends and the eager
-    /// reader). Pass `false` for plain u64 offsets (see [`Self::with_plain_offsets`]).
-    pub fn with_ef_offsets(mut self, ef_offsets: bool) -> Self {
-        self.ef_offsets = ef_offsets;
-        self
-    }
-
-    /// Opts out of the Elias-Fano offset index and emits plain u64 offsets, keeping
-    /// the container readable by v3 tooling at 8 bytes per vertex.
-    pub fn with_plain_offsets(self) -> Self {
-        self.with_ef_offsets(false)
     }
 
     /// Overrides the checksum block length (must be a power of two in the format's
@@ -553,19 +511,11 @@ impl TpgWriter {
         }
         let offsets = std::mem::take(&mut self.offsets);
         let mut offsets_crc = Crc32::new();
-        if self.ef_offsets {
-            let ef = EliasFanoIndex::encode(&offsets, data_len);
-            for &word in ef.lower_words().iter().chain(ef.upper_words().iter()) {
-                let bytes = word.to_le_bytes();
-                offsets_crc.update(&bytes);
-                self.buffered_write(&bytes)?;
-            }
-        } else {
-            for &offset in &offsets {
-                let bytes = offset.to_le_bytes();
-                offsets_crc.update(&bytes);
-                self.buffered_write(&bytes)?;
-            }
+        let ef = EliasFanoIndex::encode(&offsets, data_len);
+        for &word in ef.lower_words().iter().chain(ef.upper_words().iter()) {
+            let bytes = word.to_le_bytes();
+            offsets_crc.update(&bytes);
+            self.buffered_write(&bytes)?;
         }
         let node_weighted = self.any_node_weight;
         let mut weights_crc = Crc32::new();
@@ -583,7 +533,7 @@ impl TpgWriter {
         } else {
             self.n as NodeWeight
         };
-        let mut flags = 0u32;
+        let mut flags = FLAG_EF_OFFSETS;
         if self.edge_weighted {
             flags |= FLAG_EDGE_WEIGHTED;
         }
@@ -596,15 +546,12 @@ impl TpgWriter {
         if self.config.compress_edge_weights {
             flags |= FLAG_COMPRESS_EDGE_WEIGHTS;
         }
-        if self.ef_offsets {
-            flags |= FLAG_EF_OFFSETS;
-        }
         let mut header = Vec::with_capacity(TPG_HEADER_LEN as usize);
         header.extend_from_slice(TPG_MAGIC);
         header.extend_from_slice(&TPG_VERSION.to_le_bytes());
         header.extend_from_slice(&flags.to_le_bytes());
-        // v3 reserved field: byte 0 the writer's id width, byte 1 the log2 of the
-        // checksum block length.
+        // Byte 0 the writer's id width, byte 1 the log2 of the checksum block length,
+        // two reserved zero bytes.
         let block_log2 = self.block_len.trailing_zeros() as u8;
         header.extend_from_slice(&[ids::NODE_ID_BYTES, block_log2, 0, 0]);
         header.extend_from_slice(&(self.n as u64).to_le_bytes());
@@ -792,32 +739,29 @@ impl SectionEncoder {
     }
 }
 
-/// Reads and validates the header of a `.tpg` file (including the stored header crc32
-/// for v3 files).
+/// Reads and validates the header of a `.tpg` file (including the stored header crc32).
 pub fn read_tpg_meta(path: impl AsRef<Path>) -> Result<TpgMeta, IoError> {
     let backend = FileBackend::open(path)?;
     read_tpg_meta_backend(&backend)
 }
 
-/// Backend-generic [`read_tpg_meta`]: parses the header and, for v3 files, verifies it
-/// against the crc32 stored in the checksum footer, so any flipped header bit —
-/// including one in the version or length fields the footer position itself is derived
-/// from — surfaces as a structured error rather than garbage section offsets.
+/// Backend-generic [`read_tpg_meta`]: parses the header and verifies it against the
+/// crc32 stored in the checksum footer, so any flipped header bit — including one in
+/// the version or length fields the footer position itself is derived from — surfaces
+/// as a structured error rather than garbage section offsets.
 pub fn read_tpg_meta_backend(backend: &dyn StorageBackend) -> Result<TpgMeta, IoError> {
     let mut header = [0u8; TPG_HEADER_LEN as usize];
     read_full_at(backend, &mut header, 0)?;
     let meta = read_meta_from(&mut &header[..])?;
-    if meta.checksum_block_len.is_some() {
-        let mut stored = [0u8; 4];
-        read_full_at(backend, &mut stored, meta.header_crc_pos())?;
-        let stored = u32::from_le_bytes(stored);
-        let computed = crc32(&header);
-        if computed != stored {
-            return Err(IoError::Corrupt(format!(
-                ".tpg header checksum mismatch: stored {:#010x}, computed {:#010x}",
-                stored, computed
-            )));
-        }
+    let mut stored = [0u8; 4];
+    read_full_at(backend, &mut stored, meta.header_crc_pos())?;
+    let stored = u32::from_le_bytes(stored);
+    let computed = crc32(&header);
+    if computed != stored {
+        return Err(IoError::Corrupt(format!(
+            ".tpg header checksum mismatch: stored {:#010x}, computed {:#010x}",
+            stored, computed
+        )));
     }
     Ok(meta)
 }
@@ -829,61 +773,44 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
         return Err(IoError::Format("bad .tpg magic".into()));
     }
     let version = read_exact_u32(r)?;
-    if version == 0 || version > TPG_VERSION {
+    if version != TPG_VERSION {
         return Err(IoError::Format(format!(
-            "unsupported .tpg version {}",
-            version
+            "unsupported .tpg version {} (this build reads version {} only; \
+             regenerate the container)",
+            version, TPG_VERSION
         )));
     }
     let flags = read_exact_u32(r)?;
+    if flags & FLAG_EF_OFFSETS == 0 {
+        return Err(IoError::Format(
+            ".tpg header lacks the Elias-Fano offset flag (this build reads no other \
+             offset encoding; regenerate the container)"
+                .into(),
+        ));
+    }
+    // Byte 0: the writer's id width; byte 1: log2 of the checksum block length; the
+    // remaining two bytes are reserved and must be zero.
     let reserved = read_exact_u32(r)?;
-    // v1 wrote a zero reserved field (implicit 32-bit ids); v2 stores the writer's id
-    // width in the low byte; v3 additionally stores the log2 of the checksum block
-    // length in the second byte. The remaining bytes stay reserved and must be zero.
-    let mut checksum_block_len = None;
-    let id_width = if version == 1 {
-        if reserved != 0 {
+    let id_width = match (reserved & 0xff) as u8 {
+        w @ (<u32 as IdWidth>::BYTES | <u64 as IdWidth>::BYTES) => w,
+        other => {
             return Err(IoError::Format(format!(
-                "non-zero reserved field {:#x} in a v1 .tpg header",
-                reserved
-            )));
-        }
-        <u32 as IdWidth>::BYTES
-    } else {
-        let reserved_tail = if version == 2 {
-            reserved >> 8
-        } else {
-            let block_log2 = (reserved >> 8) & 0xff;
-            if !TPG_BLOCK_LOG2_RANGE.contains(&block_log2) {
-                return Err(IoError::Format(format!(
-                    "unsupported .tpg checksum block length 2^{}",
-                    block_log2
-                )));
-            }
-            checksum_block_len = Some(1u32 << block_log2);
-            reserved >> 16
-        };
-        if reserved_tail != 0 {
-            return Err(IoError::Format(format!(
-                "non-zero reserved bytes {:#x} in a v{} .tpg header",
-                reserved_tail, version
-            )));
-        }
-        match (reserved & 0xff) as u8 {
-            w @ (<u32 as IdWidth>::BYTES | <u64 as IdWidth>::BYTES) => w,
-            other => {
-                return Err(IoError::Format(format!(
-                    "unsupported .tpg id width {} bytes",
-                    other
-                )))
-            }
+                "unsupported .tpg id width {} bytes",
+                other
+            )))
         }
     };
-    let ef_offsets = flags & FLAG_EF_OFFSETS != 0;
-    if ef_offsets && version < 4 {
+    let block_log2 = (reserved >> 8) & 0xff;
+    if !TPG_BLOCK_LOG2_RANGE.contains(&block_log2) {
         return Err(IoError::Format(format!(
-            "Elias-Fano offset flag set in a v{} .tpg header (requires v4)",
-            version
+            "unsupported .tpg checksum block length 2^{}",
+            block_log2
+        )));
+    }
+    if reserved >> 16 != 0 {
+        return Err(IoError::Format(format!(
+            "non-zero reserved bytes {:#x} in the .tpg header",
+            reserved >> 16
         )));
     }
     let n = read_exact_u64(r)? as usize;
@@ -899,7 +826,6 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
     let min_interval_len = read_exact_u64(r)? as usize;
     let data_len = read_exact_u64(r)?;
     Ok(TpgMeta {
-        version,
         id_width,
         n,
         m,
@@ -916,12 +842,11 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
             min_interval_len,
         },
         data_len,
-        checksum_block_len,
-        ef_offsets,
+        checksum_block_len: 1u32 << block_log2,
     })
 }
 
-/// The per-block data-section checksums of an open v3 container, held by readers that
+/// The per-block data-section checksums of an open container, held by readers that
 /// verify pages incrementally (the paged graph).
 #[derive(Debug, Clone)]
 pub(crate) struct TpgChecksums {
@@ -998,8 +923,34 @@ fn read_u32_section(
     Ok(out)
 }
 
-/// Offset index, node weights and (v3+ only) checksum footer of an open container.
-pub(crate) type TpgIndexParts = (OffsetIndex, Vec<NodeWeight>, Option<TpgChecksums>);
+/// Offset index, node weights and checksum footer of an open container.
+pub(crate) type TpgIndexParts = (EliasFanoIndex, Vec<NodeWeight>, TpgChecksums);
+
+/// Runs `op` under `retry`: a failure `is_transient` admits is re-attempted after an
+/// exponential backoff, up to `retry.max_retries` times, calling `on_retry` before
+/// each re-attempt. The one retry loop of the store layer — open-time section reads
+/// and page faults differ only in which errors they consider worth a second look.
+pub(crate) fn retry_with_backoff<T, E>(
+    retry: &RetryPolicy,
+    is_transient: impl Fn(&E) -> bool,
+    mut on_retry: impl FnMut(),
+    mut op: impl FnMut() -> Result<T, E>,
+) -> Result<T, E> {
+    let mut attempt = 0u32;
+    loop {
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(e) => {
+                if attempt >= retry.max_retries || !is_transient(&e) {
+                    return Err(e);
+                }
+                on_retry();
+                std::thread::sleep(retry.delay_for(attempt));
+                attempt += 1;
+            }
+        }
+    }
+}
 
 /// Runs one retryable unit of the open path under `retry`, re-attempting every
 /// failure [`open_error_is_retryable`] admits (transient I/O *and* checksum or
@@ -1008,27 +959,13 @@ pub(crate) type TpgIndexParts = (OffsetIndex, Vec<NodeWeight>, Option<TpgChecksu
 pub(crate) fn retry_section<T>(
     retry: &RetryPolicy,
     retries: &mut u64,
-    mut op: impl FnMut() -> Result<T, IoError>,
+    op: impl FnMut() -> Result<T, IoError>,
 ) -> Result<T, IoError> {
-    let mut attempt = 0u32;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if attempt >= retry.max_retries || !open_error_is_retryable(&e) {
-                    return Err(e);
-                }
-                *retries += 1;
-                std::thread::sleep(retry.delay_for(attempt));
-                attempt += 1;
-            }
-        }
-    }
+    retry_with_backoff(retry, open_error_is_retryable, || *retries += 1, op)
 }
 
-/// Reads the offset index, (optional) node weights and — for v3 files — the checksum
-/// footer of an open `.tpg` container, verifying the index and weight sections against
-/// their stored crcs.
+/// Reads the offset index, (optional) node weights and the checksum footer of an open
+/// `.tpg` container, verifying the index and weight sections against their stored crcs.
 ///
 /// Each section is read, verified and *retried* as its own unit (footer first, so the
 /// stored crcs are in hand when the sections they cover arrive): under a flaky
@@ -1042,58 +979,48 @@ pub(crate) fn read_tpg_index_backend(
     retry: &RetryPolicy,
     retries: &mut u64,
 ) -> Result<TpgIndexParts, IoError> {
-    // Footer first (v3): magic, per-block data crcs and the stored section crcs.
-    let footer = match meta.checksum_block_len {
-        None => None,
-        Some(block_len) => Some(retry_section(retry, retries, || {
-            let mut pos = meta.footer_start();
-            let mut magic = [0u8; 4];
-            read_full_at(backend, &mut magic, pos)?;
-            if &magic != TPG_FOOTER_MAGIC {
-                return Err(IoError::Format("missing .tpg v3 checksum footer".into()));
-            }
-            pos += 4;
-            let count = meta.checksum_block_count() as usize;
-            let blocks = read_u32_section(backend, pos, count)?;
-            pos += 4 * count as u64;
-            let mut tail = [0u8; 12];
-            read_full_at(backend, &mut tail, pos)?;
-            // tail[8..12] is the header crc, verified at meta-read time.
-            Ok((
-                TpgChecksums { block_len, blocks },
-                le_u32(&tail[0..]),
-                le_u32(&tail[4..]),
-            ))
-        })?),
-    };
-    let stored_offsets = footer.as_ref().map(|(_, offsets_crc, _)| *offsets_crc);
-    let stored_weights = footer.as_ref().map(|(_, _, weights_crc)| *weights_crc);
+    // Footer first: magic, per-block data crcs and the stored section crcs.
+    let (checksums, stored_offsets, stored_weights) = retry_section(retry, retries, || {
+        let mut pos = meta.footer_start();
+        let mut magic = [0u8; 4];
+        read_full_at(backend, &mut magic, pos)?;
+        if &magic != TPG_FOOTER_MAGIC {
+            return Err(IoError::Format("missing .tpg checksum footer".into()));
+        }
+        pos += 4;
+        let count = meta.checksum_block_count() as usize;
+        let blocks = read_u32_section(backend, pos, count)?;
+        pos += 4 * count as u64;
+        let mut tail = [0u8; 12];
+        read_full_at(backend, &mut tail, pos)?;
+        // tail[8..12] is the header crc, verified at meta-read time.
+        Ok((
+            TpgChecksums {
+                block_len: meta.checksum_block_len,
+                blocks,
+            },
+            le_u32(&tail[0..]),
+            le_u32(&tail[4..]),
+        ))
+    })?;
 
     let offsets = retry_section(retry, retries, || {
         let mut crc = Crc32::new();
-        // For an Elias-Fano index the stored unit is whole u64 words; the word count
-        // derives from the header, so the crc covers exactly the section bytes.
-        let count = if meta.ef_offsets {
-            (meta.offsets_len_bytes() / 8) as usize
-        } else {
-            meta.n + 1
-        };
+        // The stored unit is whole u64 words; the word count derives from the header,
+        // so the crc covers exactly the section bytes.
+        let count = (meta.offsets_len_bytes() / 8) as usize;
         let raw = read_u64_section(backend, meta.offsets_start(), count, &mut crc)?;
-        if let Some(stored) = stored_offsets {
-            let computed = crc.finalize();
-            if computed != stored {
-                return Err(IoError::Corrupt(format!(
-                    ".tpg offset index checksum mismatch: stored {:#010x}, computed {:#010x}",
-                    stored, computed
-                )));
-            }
+        let computed = crc.finalize();
+        if computed != stored_offsets {
+            return Err(IoError::Corrupt(format!(
+                ".tpg offset index checksum mismatch: stored {:#010x}, computed {:#010x}",
+                stored_offsets, computed
+            )));
         }
-        let index = if meta.ef_offsets {
-            OffsetIndex::EliasFano(EliasFanoIndex::from_words(meta.n + 1, meta.data_len, raw)?)
-        } else {
-            OffsetIndex::Plain(raw)
-        };
-        if index.last() != meta.data_len {
+        // `from_words` proves the sequence monotone within `[0, data_len]`; the final
+        // entry must additionally *reach* the end of the data section.
+        let index = EliasFanoIndex::from_words(meta.n + 1, meta.data_len, raw)?;
+        if index.get(meta.n) != meta.data_len {
             return Err(IoError::Format(
                 "offset index does not cover the data section".into(),
             ));
@@ -1108,19 +1035,17 @@ pub(crate) fn read_tpg_index_backend(
         } else {
             Vec::new()
         };
-        if let Some(stored) = stored_weights {
-            let computed = crc.finalize();
-            if computed != stored {
-                return Err(IoError::Corrupt(format!(
-                    ".tpg node-weight checksum mismatch: stored {:#010x}, computed {:#010x}",
-                    stored, computed
-                )));
-            }
+        let computed = crc.finalize();
+        if computed != stored_weights {
+            return Err(IoError::Corrupt(format!(
+                ".tpg node-weight checksum mismatch: stored {:#010x}, computed {:#010x}",
+                stored_weights, computed
+            )));
         }
         Ok(weights)
     })?;
 
-    Ok((offsets, node_weights, footer.map(|(ck, _, _)| ck)))
+    Ok((offsets, node_weights, checksums))
 }
 
 /// Verifies a fully materialised data section against its per-block crcs.
@@ -1186,7 +1111,7 @@ const DATA_VERIFY_CHUNK: usize = 1024 * 1024;
 pub(crate) fn verify_or_load_data(
     backend: &dyn StorageBackend,
     meta: &TpgMeta,
-    checksums: Option<&TpgChecksums>,
+    checksums: &TpgChecksums,
     retry: &RetryPolicy,
     retries: &mut u64,
     mut sink: Option<&mut Vec<u8>>,
@@ -1198,7 +1123,7 @@ pub(crate) fn verify_or_load_data(
     if meta.data_len == 0 {
         return Ok(());
     }
-    let block_len = checksums.map_or(DATA_VERIFY_CHUNK as u64, |ck| u64::from(ck.block_len));
+    let block_len = u64::from(checksums.block_len);
     let chunk_len = block_len * (DATA_VERIFY_CHUNK as u64 / block_len).max(1);
     let mut buf = vec![0u8; chunk_len.min(meta.data_len) as usize];
     let mut pos = 0u64;
@@ -1207,10 +1132,7 @@ pub(crate) fn verify_or_load_data(
         retry_section(retry, retries, || {
             let bytes = &mut buf[..take];
             read_full_at(backend, bytes, meta.data_start() + pos)?;
-            if let Some(ck) = checksums {
-                verify_data_blocks_at(bytes, pos, ck)?;
-            }
-            Ok(())
+            verify_data_blocks_at(bytes, pos, checksums)
         })?;
         if let Some(out) = sink.as_deref_mut() {
             out.extend_from_slice(&buf[..take]);
@@ -1222,49 +1144,12 @@ pub(crate) fn verify_or_load_data(
 
 /// Writes any [`Graph`] into a `.tpg` container. Neighbourhoods are sorted before
 /// encoding, so the container is canonical regardless of the source's iteration order.
-/// Emits the Elias-Fano offset index (the writer default); use
-/// [`write_tpg_from_graph_plain`] for containers that must stay readable by v3 tooling.
 pub fn write_tpg_from_graph(
     graph: &impl Graph,
     path: impl AsRef<Path>,
     config: &CompressionConfig,
 ) -> Result<TpgSummary, IoError> {
     let mut writer = TpgWriter::create(path, graph.n(), graph.is_edge_weighted(), config)?;
-    for u in 0..graph.n() as NodeId {
-        let mut nbrs = graph.neighbors_vec(u);
-        nbrs.sort_unstable_by_key(|&(v, _)| v);
-        writer.push_neighborhood(u, &nbrs, graph.node_weight(u))?;
-    }
-    writer.finish()
-}
-
-/// [`write_tpg_from_graph`] with the Elias-Fano offset index explicitly enabled.
-/// Identical to the default path now that EF is the writer default; kept for callers
-/// that want the encoding spelled out.
-pub fn write_tpg_from_graph_ef(
-    graph: &impl Graph,
-    path: impl AsRef<Path>,
-    config: &CompressionConfig,
-) -> Result<TpgSummary, IoError> {
-    let mut writer =
-        TpgWriter::create(path, graph.n(), graph.is_edge_weighted(), config)?.with_ef_offsets(true);
-    for u in 0..graph.n() as NodeId {
-        let mut nbrs = graph.neighbors_vec(u);
-        nbrs.sort_unstable_by_key(|&(v, _)| v);
-        writer.push_neighborhood(u, &nbrs, graph.node_weight(u))?;
-    }
-    writer.finish()
-}
-
-/// [`write_tpg_from_graph`] with the plain u64 offset index: identical data section,
-/// 8 bytes per vertex of offsets, readable by v3 tooling.
-pub fn write_tpg_from_graph_plain(
-    graph: &impl Graph,
-    path: impl AsRef<Path>,
-    config: &CompressionConfig,
-) -> Result<TpgSummary, IoError> {
-    let mut writer =
-        TpgWriter::create(path, graph.n(), graph.is_edge_weighted(), config)?.with_plain_offsets();
     for u in 0..graph.n() as NodeId {
         let mut nbrs = graph.neighbors_vec(u);
         nbrs.sort_unstable_by_key(|&(v, _)| v);
@@ -1428,8 +1313,8 @@ pub fn read_tpg_compressed(path: impl AsRef<Path>) -> Result<CompressedGraph, Io
     read_tpg_compressed_backend(&backend)
 }
 
-/// Backend-generic [`read_tpg_compressed`]; v3 containers have every section verified
-/// against the checksum footer before the graph is handed out.
+/// Backend-generic [`read_tpg_compressed`]; every section is verified against the
+/// checksum footer before the graph is handed out.
 pub fn read_tpg_compressed_backend(
     backend: &dyn StorageBackend,
 ) -> Result<CompressedGraph, IoError> {
@@ -1439,13 +1324,11 @@ pub fn read_tpg_compressed_backend(
         read_tpg_index_backend(backend, &meta, &RetryPolicy::disabled(), &mut 0)?;
     let mut data = vec![0u8; meta.data_len as usize];
     read_full_at(backend, &mut data, meta.data_start())?;
-    if let Some(ck) = &checksums {
-        verify_data_blocks(&data, ck)?;
-    }
+    verify_data_blocks(&data, &checksums)?;
     Ok(CompressedGraph::from_encoded_parts(
         meta.n,
         meta.m,
-        offsets.into_vec(),
+        (0..offsets.len()).map(|i| offsets.get(i)).collect(),
         data,
         node_weights,
         meta.edge_weighted,
@@ -1454,32 +1337,6 @@ pub fn read_tpg_compressed_backend(
         meta.max_degree,
         meta.config,
     ))
-}
-
-/// Decodes every neighbourhood of an in-memory data section sequentially, invoking
-/// `f(u, neighbor, weight)`. Shared by consistency checks and tests.
-#[allow(dead_code)]
-pub(crate) fn for_each_encoded_neighbor(
-    data: &[u8],
-    offsets: &[u64],
-    weighted: bool,
-    config: &CompressionConfig,
-    f: &mut dyn FnMut(NodeId, NodeId, EdgeWeight),
-) {
-    for (u, offset) in offsets
-        .iter()
-        .take(offsets.len().saturating_sub(1))
-        .enumerate()
-    {
-        decode_neighborhood(
-            data,
-            *offset as usize,
-            u as NodeId,
-            weighted,
-            config,
-            &mut |v, w| f(u as NodeId, v, w),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1613,80 +1470,7 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// Path of the checked-in version-1 fixture (written before the v2 header existed;
-    /// its reserved field is zero and its version field is 1).
-    fn v1_fixture() -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/v1-grid2d-13x9.tpg")
-    }
-
-    #[test]
-    fn v1_fixture_reads_through_the_v2_reader() {
-        let meta = read_tpg_meta(v1_fixture()).unwrap();
-        assert_eq!(meta.version, 1);
-        assert_eq!(meta.id_width, 4, "v1 files imply 32-bit ids");
-        let g = read_tpg(v1_fixture()).unwrap();
-        assert_graph_eq(&g, &gen::grid2d(13, 9));
-    }
-
-    #[test]
-    fn v1_fixture_round_trips_section_identically_through_the_v3_writer() {
-        // Re-encoding the fixture's graph with the current writer must reproduce every
-        // pre-footer section byte for byte; the fixed-size header may differ only in
-        // the version field and the reserved field (id width + checksum-block log2),
-        // and the only new bytes are the appended v3 checksum footer.
-        let g = read_tpg(v1_fixture()).unwrap();
-        let rewritten = tmp("v1_rewrite.tpg");
-        let meta = read_tpg_meta(v1_fixture()).unwrap();
-        // The fixture predates the EF offset index, so re-encode with plain offsets.
-        write_tpg_from_graph_plain(&g, &rewritten, &meta.config).unwrap();
-        let old_bytes = std::fs::read(v1_fixture()).unwrap();
-        let new_bytes = std::fs::read(&rewritten).unwrap();
-        let rewritten_meta = read_tpg_meta(&rewritten).unwrap();
-        assert_eq!(
-            new_bytes.len() as u64,
-            old_bytes.len() as u64 + rewritten_meta.footer_len(),
-            "v3 must only append the checksum footer"
-        );
-        let header = TPG_HEADER_LEN as usize;
-        assert_eq!(
-            old_bytes[header..],
-            new_bytes[header..old_bytes.len()],
-            "data/offset/node-weight sections must be byte-identical across versions"
-        );
-        assert_eq!(old_bytes[..4], new_bytes[..4], "magic");
-        assert_eq!(&old_bytes[4..8], &1u32.to_le_bytes(), "fixture is v1");
-        assert_eq!(&new_bytes[4..8], &TPG_VERSION.to_le_bytes());
-        assert_eq!(old_bytes[8..12], new_bytes[8..12], "flags");
-        assert_eq!(&old_bytes[12..16], &[0u8; 4], "v1 reserved field is zero");
-        assert_eq!(
-            &new_bytes[12..16],
-            &[
-                ids::NODE_ID_BYTES,
-                TPG_CHECKSUM_BLOCK_LEN.trailing_zeros() as u8,
-                0,
-                0
-            ],
-            "v3 records the writer's id width and checksum-block length"
-        );
-        assert_eq!(old_bytes[16..header], new_bytes[16..header], "counts");
-        assert_eq!(
-            &new_bytes[old_bytes.len()..old_bytes.len() + 4],
-            TPG_FOOTER_MAGIC,
-            "footer magic"
-        );
-        // And the v3 reader agrees with itself on the rewritten file.
-        assert_eq!(rewritten_meta.version, TPG_VERSION);
-        assert_eq!(rewritten_meta.id_width, ids::NODE_ID_BYTES);
-        assert_eq!(
-            rewritten_meta.checksum_block_len,
-            Some(TPG_CHECKSUM_BLOCK_LEN as u32)
-        );
-        assert_eq!(rewritten_meta.n, meta.n);
-        assert_eq!(rewritten_meta.m, meta.m);
-        std::fs::remove_file(rewritten).ok();
-    }
-
-    /// Recomputes and re-stamps the v3 header crc after the test patched header bytes,
+    /// Recomputes and re-stamps the header crc after the test patched header bytes,
     /// so the patch under test (not the checksum) decides the outcome.
     fn restamp_header_crc(bytes: &mut [u8], meta: &TpgMeta) {
         let crc = crate::checksum::crc32(&bytes[..TPG_HEADER_LEN as usize]);
@@ -1695,12 +1479,11 @@ mod tests {
     }
 
     #[test]
-    fn v3_headers_record_and_validate_the_id_width() {
+    fn headers_record_and_validate_the_id_width() {
         let g = gen::grid2d(5, 4);
         let path = tmp("width_byte.tpg");
         write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
         let meta = read_tpg_meta(&path).unwrap();
-        assert_eq!(meta.version, TPG_VERSION);
         assert_eq!(meta.id_width, ids::NODE_ID_BYTES);
         // A file claiming the *other* supported width stays readable: the data section
         // is VarInt-encoded, so the recorded width is advisory provenance.
@@ -1736,23 +1519,101 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// Path of the checked-in version-2 fixture (written by the pre-checksum writer:
-    /// id-width byte in `reserved`, no footer).
-    fn v2_fixture() -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/v2-grid2d-13x9.tpg")
+    #[test]
+    fn retired_versions_and_plain_offset_headers_are_format_errors() {
+        // Versions 1-3 and the plain-offset flavour of version 4 have no reader any
+        // more. Every entry point must say so with a structured `Format` error (crc
+        // re-stamped, so it is the version/flag check that decides) — never a panic,
+        // and never an attempt to interpret the sections under the wrong layout.
+        let g = gen::grid2d(6, 5);
+        let path = tmp("retired_headers.tpg");
+        write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
+        let meta = read_tpg_meta(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let mut stale = Vec::new();
+        for version in 1u32..TPG_VERSION {
+            let mut bytes = clean.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            stale.push((format!("v{}", version), bytes, "version"));
+        }
+        let mut plain = clean.clone();
+        plain[8] &= !(FLAG_EF_OFFSETS as u8);
+        stale.push(("v4 without the EF flag".into(), plain, "Elias-Fano"));
+        for (label, mut bytes, needle) in stale {
+            restamp_header_crc(&mut bytes, &meta);
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                read_tpg_meta(&path).unwrap_err(),
+                read_tpg_compressed(&path).unwrap_err(),
+                crate::store::PagedGraph::open(&path).unwrap_err(),
+                crate::store::MmapGraph::open(&path).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    matches!(&err, IoError::Format(msg) if msg.contains(needle)),
+                    "{}: unexpected error: {}",
+                    label,
+                    err
+                );
+            }
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn v2_fixture_reads_through_the_v3_reader() {
-        let meta = read_tpg_meta(v2_fixture()).unwrap();
-        assert_eq!(meta.version, 2);
-        assert_eq!(
-            meta.checksum_block_len, None,
-            "v2 files carry no checksums; verification must be disabled"
+    fn tampered_offset_index_is_rejected_at_open_by_every_reader() {
+        // A "bad writer": the Elias-Fano section is wrong but its crc vouches for it.
+        // Neither reader range-checks per access against anything but this index (the
+        // mmap one decodes in place), so it must be refused at open — as a structured
+        // error, not a panic and not an out-of-bounds read later.
+        let g = gen::grid2d(12, 12);
+        let path = tmp("tampered_offsets.tpg");
+        write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
+        let meta = read_tpg_meta(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let count = meta.n as u64 + 1;
+        let low_bits = crate::store::elias_fano::ef_low_bits(count, meta.data_len);
+        assert!(
+            low_bits >= 1,
+            "fixture too dense to carry explicit low bits"
         );
-        assert_eq!(meta.footer_len(), 0);
-        let g = read_tpg(v2_fixture()).unwrap();
-        assert_graph_eq(&g, &gen::grid2d(13, 9));
+        let lower_bytes = 8 * crate::store::elias_fano::ef_lower_words(count, meta.data_len);
+        let section = meta.offsets_start() as usize;
+        // (a) one flipped bit in the unary upper array changes the element count;
+        // (b) the lowest explicit bit of the final entry flipped moves it off
+        //     `data_len` — past the data section, or short of covering it.
+        let last_low_bit = meta.n * low_bits as usize;
+        let tampers = [
+            ("upper bit", section + lower_bytes as usize, 1u8 << 3),
+            (
+                "final entry",
+                section + last_low_bit / 8,
+                1u8 << (last_low_bit % 8),
+            ),
+        ];
+        for (label, pos, mask) in tampers {
+            let mut bytes = clean.clone();
+            bytes[pos] ^= mask;
+            let len = meta.offsets_len_bytes() as usize;
+            let crc = crc32(&bytes[section..section + len]);
+            let crc_pos = (meta.footer_start() + 4 + 4 * meta.checksum_block_count()) as usize;
+            bytes[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                read_tpg_compressed(&path).unwrap_err(),
+                crate::store::PagedGraph::open(&path).unwrap_err(),
+                crate::store::MmapGraph::open(&path).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    matches!(&err, IoError::Format(msg) if msg.contains("offset index")),
+                    "{}: unexpected error: {}",
+                    label,
+                    err
+                );
+            }
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1857,7 +1718,7 @@ mod tests {
         }
         writer.finish().unwrap();
         let meta = read_tpg_meta(&path).unwrap();
-        assert_eq!(meta.checksum_block_len, Some(64));
+        assert_eq!(meta.checksum_block_len, 64);
         assert!(meta.checksum_block_count() > 4, "expected many blocks");
         assert_graph_eq(&read_tpg(&path).unwrap(), &g);
         // Corrupt the final (short) block: it is covered too.

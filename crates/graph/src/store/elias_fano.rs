@@ -1,9 +1,9 @@
-//! Elias–Fano encoding of the `.tpg` offset index, and the [`OffsetIndex`] the
-//! store backends read neighbourhood byte ranges from.
+//! Elias–Fano encoding of the `.tpg` offset index: the [`EliasFanoIndex`] both store
+//! backends read neighbourhood byte ranges from.
 //!
 //! The offset index of a `.tpg` container is a monotone sequence of `n + 1` byte
-//! positions into the data section. Stored plainly it costs 8 bytes per vertex; the
-//! Elias–Fano representation stores the same sequence in roughly
+//! positions into the data section. Stored plainly it would cost 8 bytes per vertex;
+//! the Elias–Fano representation stores the same sequence in roughly
 //! `2 + log2(data_len / (n + 1))` bits per entry — within half a bit per element of
 //! the information-theoretic minimum for a monotone sequence (the webgraph idiom:
 //! memory-mapped adjacency plus a compressed offset index).
@@ -17,7 +17,7 @@
 //! value. Both word counts derive from `count` and `universe` alone, so a reader can
 //! locate every following container section from the header without decoding the
 //! index first (see [`ef_section_bytes`]). Lookups use a sampled `select1` over the
-//! upper bits: the position of every [`SELECT_QUANTUM`]-th set bit is kept, and a
+//! upper bits: the position of every `SELECT_QUANTUM`-th set bit is kept, and a
 //! query popcount-scans at most a few words from the preceding sample.
 
 use crate::io::IoError;
@@ -56,7 +56,7 @@ pub fn ef_upper_words(count: u64, universe: u64) -> u64 {
 /// On-disk size in bytes of the Elias–Fano section for `count` monotone values over
 /// `[0, universe]`. Derivable from the `.tpg` header alone (`count = n + 1`,
 /// `universe = data_len`), which is what keeps the node-weight and footer offsets of
-/// a v4 container computable without reading the index.
+/// a container computable without reading the index.
 pub fn ef_section_bytes(count: u64, universe: u64) -> u64 {
     8 * (ef_lower_words(count, universe) + ef_upper_words(count, universe))
 }
@@ -237,6 +237,11 @@ impl EliasFanoIndex {
         (hi << self.low_bits) | low
     }
 
+    /// The byte range `[get(i), get(i + 1))` of vertex `i`'s encoded neighbourhood.
+    pub(crate) fn pair(&self, i: usize) -> (u64, u64) {
+        (self.get(i), self.get(i + 1))
+    }
+
     /// The packed low-bits words, in storage order.
     pub fn lower_words(&self) -> &[u64] {
         &self.lower
@@ -250,97 +255,6 @@ impl EliasFanoIndex {
     /// In-memory footprint (stored words plus the select samples).
     pub fn size_in_bytes(&self) -> usize {
         (self.lower.len() + self.upper.len() + self.select.len()) * std::mem::size_of::<u64>()
-    }
-}
-
-/// The offset index of an open `.tpg` container: plain trailing u64s (v1–v3, and v4
-/// without the flag) or the Elias–Fano section of a v4 container. Both store backends
-/// resolve neighbourhood byte ranges through this one type, so the representation is
-/// invisible to everything above the store layer.
-#[derive(Debug, Clone)]
-pub enum OffsetIndex {
-    /// One u64 byte offset per vertex plus the terminating `data_len` entry.
-    Plain(Vec<u64>),
-    /// The same sequence, Elias–Fano encoded.
-    EliasFano(EliasFanoIndex),
-}
-
-impl OffsetIndex {
-    /// Number of entries (`n + 1` for an n-vertex container).
-    pub fn len(&self) -> usize {
-        match self {
-            OffsetIndex::Plain(v) => v.len(),
-            OffsetIndex::EliasFano(ef) => ef.len(),
-        }
-    }
-
-    /// Whether the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th byte offset.
-    pub fn get(&self, i: usize) -> u64 {
-        match self {
-            OffsetIndex::Plain(v) => v[i],
-            OffsetIndex::EliasFano(ef) => ef.get(i),
-        }
-    }
-
-    /// The byte range `[get(i), get(i + 1))` of vertex `i`'s encoded neighbourhood.
-    pub fn pair(&self, i: usize) -> (u64, u64) {
-        (self.get(i), self.get(i + 1))
-    }
-
-    /// The final entry (the data-section length), or 0 for an empty index.
-    pub fn last(&self) -> u64 {
-        match self.len() {
-            0 => 0,
-            len => self.get(len - 1),
-        }
-    }
-
-    /// In-memory footprint of the index.
-    pub fn size_in_bytes(&self) -> usize {
-        match self {
-            OffsetIndex::Plain(v) => v.len() * std::mem::size_of::<u64>(),
-            OffsetIndex::EliasFano(ef) => ef.size_in_bytes(),
-        }
-    }
-
-    /// Materialises the index as a plain vector (the eager reader's path).
-    pub fn into_vec(self) -> Vec<u64> {
-        match self {
-            OffsetIndex::Plain(v) => v,
-            OffsetIndex::EliasFano(ef) => (0..ef.len()).map(|i| ef.get(i)).collect(),
-        }
-    }
-
-    /// Validates monotonicity and that the final entry equals `data_len`. The
-    /// Elias–Fano variant is already validated at construction; a plain index read
-    /// from a v1/v2 container (no checksums) or stamped by a broken writer is not,
-    /// and the mmap backend — which decodes without per-access range checks — must
-    /// reject it at open.
-    pub(crate) fn check_monotone(&self, data_len: u64) -> Result<(), IoError> {
-        if let OffsetIndex::Plain(v) = self {
-            let mut prev = 0u64;
-            for (i, &offset) in v.iter().enumerate() {
-                if offset < prev || offset > data_len {
-                    return Err(IoError::Format(format!(
-                        ".tpg offset index is not monotone within the data section \
-                         at entry {}",
-                        i
-                    )));
-                }
-                prev = offset;
-            }
-        }
-        if self.last() != data_len {
-            return Err(IoError::Format(
-                "offset index does not cover the data section".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -424,28 +338,13 @@ mod tests {
         let upper_start = encoded.lower_words().len();
         flipped[upper_start] ^= 1 << 7;
         assert!(EliasFanoIndex::from_words(values.len(), universe, flipped).is_err());
-    }
-
-    #[test]
-    fn offset_index_variants_agree() {
-        let values: Vec<u64> = vec![0, 3, 3, 10, 64, 64, 128];
-        let universe = *values.last().unwrap();
-        let plain = OffsetIndex::Plain(values.clone());
-        let ef = OffsetIndex::EliasFano(EliasFanoIndex::encode(&values, universe));
-        assert_eq!(plain.len(), ef.len());
-        for i in 0..values.len() {
-            assert_eq!(plain.get(i), ef.get(i));
-            if i + 1 < values.len() {
-                assert_eq!(plain.pair(i), ef.pair(i));
-            }
-        }
-        assert_eq!(plain.last(), ef.last());
-        assert!(ef.size_in_bytes() < plain.size_in_bytes());
-        assert!(plain.check_monotone(universe).is_ok());
-        assert!(plain.check_monotone(universe + 1).is_err());
-        assert!(OffsetIndex::Plain(vec![5, 2, 9]).check_monotone(9).is_err());
-        assert_eq!(ef.clone().into_vec(), values);
-        assert_eq!(plain.into_vec(), values);
+        // A low bit cleared inside a run of equal values breaks monotonicity while the
+        // shape stays valid: [0, 5, 5, 9] over 9 stores one low bit per entry.
+        let run = EliasFanoIndex::encode(&[0, 5, 5, 9], 9);
+        assert_eq!(run.lower_words(), [0b1110]);
+        let mut words = vec![0b1010];
+        words.extend_from_slice(run.upper_words());
+        assert!(EliasFanoIndex::from_words(4, 9, words).is_err());
     }
 
     proptest! {

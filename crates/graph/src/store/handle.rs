@@ -110,14 +110,6 @@ impl StoreHandle {
     pub fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
         self.as_paged().map(|g| g.cache_stats())
     }
-
-    /// Blocks until queued prefetch hints have been processed (no-op for
-    /// representations without a prefetcher).
-    pub fn wait_prefetch_idle(&self) {
-        if let Some(g) = self.as_paged() {
-            g.wait_prefetch_idle();
-        }
-    }
 }
 
 macro_rules! forward_to_variant {

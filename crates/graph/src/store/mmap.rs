@@ -14,8 +14,8 @@
 //! Everything is verified *at open*, through [`StorageBackend::read_at`] — header
 //! crc, offset-index crc (plus monotonicity, so in-place decoding can never run out
 //! of the data section), node-weight crc, and the entire data section against the
-//! per-block crcs of a v3+ footer, chunk by chunk with the same per-section retry
-//! policy the paged open uses. Because every verification byte flows through the
+//! footer's per-block crcs, chunk by chunk with the same per-section retry policy the
+//! paged open uses. Because every verification byte flows through the
 //! backend trait, injected fault schedules ([`FaultyBackend`]) exercise this path
 //! exactly like the paged one: transient faults heal through retries, persistent
 //! corruption surfaces as a structured [`IoError`] from `open` — never a panic. After
@@ -38,7 +38,7 @@ use crate::store::backend::{FileBackend, StorageBackend};
 use crate::store::container::{
     read_tpg_index_backend, read_tpg_meta_backend, retry_section, verify_or_load_data, TpgMeta,
 };
-use crate::store::elias_fano::OffsetIndex;
+use crate::store::elias_fano::EliasFanoIndex;
 use crate::store::paged::PagedGraphOptions;
 use crate::traits::Graph;
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
@@ -202,7 +202,7 @@ impl Drop for Mapping {
 pub struct MmapGraph {
     meta: TpgMeta,
     path: PathBuf,
-    offsets: OffsetIndex,
+    offsets: EliasFanoIndex,
     node_weights: Vec<NodeWeight>,
     mapping: Mapping,
     /// Bytes charged to the global memory accounting, released on drop.
@@ -269,11 +269,8 @@ impl MmapGraph {
         })?;
         let (offsets, node_weights, checksums) =
             read_tpg_index_backend(backend.as_ref(), &meta, &options.retry, &mut open_retries)?;
-        // In-place decoding has no per-access range checks, so the offset index must
-        // be proven monotone-within-the-data-section here. (Elias-Fano indices are
-        // validated at construction; plain ones — including unchecksummed v1/v2 and
-        // crc-restamped corruption — are checked now.)
-        offsets.check_monotone(meta.data_len)?;
+        // In-place decoding has no per-access range checks; it relies on the index read
+        // above having been proven monotone within (and covering) the data section.
         // Verify the whole data section through the backend (block crcs, per-chunk
         // retry). For a plain-file backend the verified bytes are then mapped
         // zero-copy; anything else keeps the verified heap copy.
@@ -283,7 +280,7 @@ impl MmapGraph {
                 verify_or_load_data(
                     backend.as_ref(),
                     &meta,
-                    checksums.as_ref(),
+                    &checksums,
                     &options.retry,
                     &mut open_retries,
                     None,
@@ -298,7 +295,7 @@ impl MmapGraph {
                         verify_or_load_data(
                             backend.as_ref(),
                             &meta,
-                            checksums.as_ref(),
+                            &checksums,
                             &options.retry,
                             &mut open_retries,
                             Some(&mut data),
@@ -312,7 +309,7 @@ impl MmapGraph {
                 verify_or_load_data(
                     backend.as_ref(),
                     &meta,
-                    checksums.as_ref(),
+                    &checksums,
                     &options.retry,
                     &mut open_retries,
                     Some(&mut data),
@@ -492,9 +489,7 @@ mod tests {
     use super::*;
     use crate::compressed::CompressedGraph;
     use crate::gen;
-    use crate::store::container::{
-        write_tpg_from_graph, write_tpg_from_graph_ef, write_tpg_from_graph_plain,
-    };
+    use crate::store::container::write_tpg_from_graph;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -533,56 +528,25 @@ mod tests {
         );
         let config = CompressionConfig::default();
         let compressed = CompressedGraph::from_csr(&csr, &config);
-        for ef in [false, true] {
-            let path = tmp(&format!("identical_{}.tpg", ef));
-            if ef {
-                write_tpg_from_graph_ef(&csr, &path, &config).unwrap();
-            } else {
-                write_tpg_from_graph(&csr, &path, &config).unwrap();
-            }
-            let mmap = MmapGraph::open(&path).unwrap();
-            assert!(mmap.is_mmap() || cfg!(not(unix)));
-            assert_matches(&mmap, &compressed);
-            assert_eq!(mmap.first_edge(3), compressed.first_edge(3));
-            std::fs::remove_file(path).ok();
-        }
-    }
-
-    #[test]
-    fn memory_accounting_is_charged_and_released() {
-        let csr = gen::grid2d(40, 40);
-        let path = tmp("accounting.tpg");
-        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
-        let before = memtrack::global().current();
-        {
-            let mmap = MmapGraph::open(&path).unwrap();
-            assert!(mmap.accounted_bytes() > 0);
-            assert!(memtrack::global().current() >= before + mmap.accounted_bytes());
-        }
-        assert!(
-            memtrack::global().current() <= before,
-            "mmap graph charge not fully released"
-        );
+        let path = tmp("identical.tpg");
+        write_tpg_from_graph(&csr, &path, &config).unwrap();
+        let mmap = MmapGraph::open(&path).unwrap();
+        assert!(mmap.is_mmap() || cfg!(not(unix)));
+        assert_matches(&mmap, &compressed);
+        assert_eq!(mmap.first_edge(3), compressed.first_edge(3));
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn empty_graph_opens_and_decodes() {
         let csr = gen::grid2d(1, 1); // single vertex, no edges
-        let config = CompressionConfig::default();
-        for ef in [false, true] {
-            let path = tmp(&format!("empty_{}.tpg", ef));
-            if ef {
-                write_tpg_from_graph_ef(&csr, &path, &config).unwrap();
-            } else {
-                write_tpg_from_graph(&csr, &path, &config).unwrap();
-            }
-            let mmap = MmapGraph::open(&path).unwrap();
-            assert_eq!(mmap.n(), 1);
-            assert_eq!(mmap.degree(0), 0);
-            assert!(mmap.neighbors_vec(0).is_empty());
-            std::fs::remove_file(path).ok();
-        }
+        let path = tmp("empty.tpg");
+        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
+        let mmap = MmapGraph::open(&path).unwrap();
+        assert_eq!(mmap.n(), 1);
+        assert_eq!(mmap.degree(0), 0);
+        assert!(mmap.neighbors_vec(0).is_empty());
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -602,35 +566,6 @@ mod tests {
             metrics.get(obs::Counter::MmapMadviseHints),
             mmap.madvise_hints()
         );
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn corrupt_plain_offsets_are_rejected_at_open() {
-        // A crc-restamped non-monotone offset index (a "bad writer") must be caught
-        // by the open-time monotonicity check: the mmap path decodes in place and
-        // has no later bounds check to fall back on.
-        let csr = gen::grid2d(12, 12);
-        let path = tmp("corrupt_offsets.tpg");
-        // Plain offsets: the patch below rewrites fixed-width u64 entries in place.
-        write_tpg_from_graph_plain(&csr, &path, &CompressionConfig::default()).unwrap();
-        let meta = crate::store::read_tpg_meta(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        for (index, value) in [
-            (2u64, meta.data_len + (1 << 30)),
-            (3, meta.data_len + (1 << 30) + 8),
-        ] {
-            let entry = (meta.offsets_start() + 8 * index) as usize;
-            bytes[entry..entry + 8].copy_from_slice(&value.to_le_bytes());
-        }
-        let offsets_start = meta.offsets_start() as usize;
-        let offsets_len = 8 * (meta.n + 1);
-        let offsets_crc =
-            crate::checksum::crc32(&bytes[offsets_start..offsets_start + offsets_len]);
-        let crc_pos = (meta.footer_start() + 4 + 4 * meta.checksum_block_count()) as usize;
-        bytes[crc_pos..crc_pos + 4].copy_from_slice(&offsets_crc.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(MmapGraph::open(&path).is_err());
         std::fs::remove_file(path).ok();
     }
 }

@@ -26,8 +26,8 @@
 //! * [`mmap`] — [`MmapGraph`], the zero-copy fast path: the container is memory-mapped
 //!   read-only (after full open-time verification) and neighbourhoods decode in place —
 //!   no frame copies, no shard locks. Selected via [`OnDiskBackend`].
-//! * [`elias_fano`] — the quasi-succinct [`OffsetIndex`] shared by both backends: a
-//!   `.tpg` v4 container can store the per-vertex offsets Elias-Fano encoded
+//! * [`elias_fano`] — the quasi-succinct [`EliasFanoIndex`] shared by both backends:
+//!   the container stores the per-vertex offsets Elias-Fano encoded
 //!   (~`2 + log2(bytes/node)` bits per entry instead of 64).
 //! * [`stream`] — bounded-memory streaming instance generation: an external
 //!   bucket-spilling builder that accepts arbitrary edge streams and produces a `.tpg`
@@ -60,10 +60,9 @@ pub use backend::{
 };
 pub use container::{
     read_tpg, read_tpg_compressed, read_tpg_meta, write_tpg_from_binary, write_tpg_from_graph,
-    write_tpg_from_graph_ef, write_tpg_from_graph_plain, write_tpg_from_metis, EncodedSection,
-    SectionEncoder, TpgMeta, TpgSummary, TpgWriter,
+    write_tpg_from_metis, EncodedSection, SectionEncoder, TpgMeta, TpgSummary, TpgWriter,
 };
-pub use elias_fano::{ef_section_bytes, EliasFanoIndex, OffsetIndex};
+pub use elias_fano::{ef_section_bytes, EliasFanoIndex};
 pub use handle::{StoreHandle, StoreSession};
 pub use mmap::MmapGraph;
 pub use paged::{

@@ -151,32 +151,4 @@ mod tests {
         registry.prune();
         std::fs::remove_file(path).ok();
     }
-
-    #[test]
-    fn dedup_charges_memtrack_once_and_reopens_after_close() {
-        let csr = gen::grid2d(24, 24);
-        let path = tmp("charge_once.tpg");
-        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
-        let registry = StoreRegistry::new();
-        let options = PagedGraphOptions::default();
-        let before = memtrack::global().current();
-        let a = registry.open(&path, &options).unwrap();
-        let after_one = memtrack::global().current();
-        let b = registry.open(&path, &options).unwrap();
-        assert_eq!(
-            memtrack::global().current(),
-            after_one,
-            "the deduplicated open must not charge a second time"
-        );
-        drop((a, b));
-        assert!(
-            memtrack::global().current() <= before,
-            "closing the last handle must release the store's charge"
-        );
-        // A fresh open after the close works and is a new store.
-        let c = registry.open(&path, &options).unwrap();
-        assert_eq!(registry.open_count(), 1);
-        drop(c);
-        std::fs::remove_file(path).ok();
-    }
 }

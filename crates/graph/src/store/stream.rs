@@ -23,9 +23,9 @@
 //! 3. *commit* — encoded sections commit to the [`TpgWriter`] in bucket order through
 //!    its out-of-order commit path ([`TpgWriter::push_section`]).
 //!
-//! The output container is **byte-identical** to the sequential reference path
-//! ([`finish_sequential`]) for any thread count and bucket count. Peak memory grows
-//! from one aggregated bucket to at most `threads` aggregated buckets in flight.
+//! The output container is **byte-identical** for any thread count and bucket count
+//! (tested against a one-bucket-at-a-time, neighbourhood-by-neighbourhood oracle).
+//! Peak memory is at most `threads` aggregated buckets in flight.
 //!
 //! Whether the graph carries edge weights is a *global* property (duplicate unit-weight
 //! samples merge into weights > 1, matching the in-memory builder), so `finish` runs two
@@ -41,7 +41,6 @@
 //! sampler immediately instead of driving it to completion.
 //!
 //! [`finish`]: StreamingTpgBuilder::finish
-//! [`finish_sequential`]: StreamingTpgBuilder::finish_sequential
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -134,10 +133,6 @@ impl SpillStats {
         }
     }
 }
-
-/// Per-vertex visitor over a bucket's aggregated neighbourhoods; returning `Ok(false)`
-/// stops the bucket scan early.
-type VertexVisitor<'a> = dyn FnMut(NodeId, &[(NodeId, EdgeWeight)]) -> Result<bool, IoError> + 'a;
 
 /// External-memory `.tpg` builder fed by an edge stream (see the module docs).
 ///
@@ -529,31 +524,7 @@ impl StreamingTpgBuilder {
         Ok(found.load(Ordering::Relaxed))
     }
 
-    /// Streams one bucket's aggregated, sorted, duplicate-merged neighbourhoods in
-    /// vertex order to `f(u, neighbors)`. Returns `false` if the visitor stopped the
-    /// scan early. (Reference path used by [`finish_sequential`](Self::finish_sequential).)
-    fn for_each_bucket_vertex(
-        &self,
-        bucket: usize,
-        f: &mut VertexVisitor<'_>,
-    ) -> Result<bool, IoError> {
-        let (lo, hi) = self.bucket_range(bucket);
-        let mut adjacency: Vec<Vec<(NodeId, EdgeWeight)>> = vec![Vec::new(); hi - lo];
-        for (src, dst, weight) in self.read_bucket_records(bucket)? {
-            adjacency[src as usize - lo].push((dst, weight));
-        }
-        for (i, nbrs) in adjacency.iter_mut().enumerate() {
-            nbrs.sort_unstable_by_key(|&(v, _)| v);
-            crate::merge_sorted_duplicates(nbrs);
-            if !f(ids::nid(lo + i), nbrs)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Flushes and closes the spill writers (the common prologue of both finish paths),
-    /// exporting the final spill volume to the observability handle.
+    /// Flushes and closes the spill writers (the prologue of `finish`), exporting the final spill volume to the observability handle.
     fn seal_spill_files(&mut self) -> Result<(), IoError> {
         for w in &mut self.buckets {
             w.flush()?;
@@ -577,8 +548,7 @@ impl StreamingTpgBuilder {
 
     /// Aggregates the spill files and writes the final `.tpg` container to `path`,
     /// pipelining the buckets across one worker thread per available core (see the
-    /// module docs). The spill files are removed afterwards. The container is
-    /// byte-identical to [`finish_sequential`](Self::finish_sequential).
+    /// module docs). The spill files are removed afterwards.
     pub fn finish(
         self,
         path: impl AsRef<Path>,
@@ -717,38 +687,6 @@ impl StreamingTpgBuilder {
         self.remove_spill_files();
         Ok(summary)
     }
-
-    /// The sequential reference implementation of [`finish`](Self::finish): one bucket
-    /// at a time, aggregated into per-vertex vectors and pushed neighbourhood by
-    /// neighbourhood. Kept as the byte-identity baseline the pipelined path is tested
-    /// (and benchmarked) against.
-    pub fn finish_sequential(
-        mut self,
-        path: impl AsRef<Path>,
-        config: &CompressionConfig,
-    ) -> Result<TpgSummary, IoError> {
-        self.seal_spill_files()?;
-        let mut edge_weighted = self.saw_explicit_weight;
-        for bucket in 0..self.bucket_paths.len() {
-            if edge_weighted {
-                break;
-            }
-            let completed = self.for_each_bucket_vertex(bucket, &mut |_, nbrs| {
-                edge_weighted |= nbrs.iter().any(|&(_, w)| w != 1);
-                Ok(!edge_weighted)
-            })?;
-            debug_assert!(completed || edge_weighted);
-        }
-        let mut writer = TpgWriter::create(&path, self.n, edge_weighted, config)?;
-        for bucket in 0..self.bucket_paths.len() {
-            self.for_each_bucket_vertex(bucket, &mut |u, nbrs| {
-                writer.push_neighborhood(u, nbrs, 1).map(|()| true)
-            })?;
-        }
-        let summary = writer.finish()?;
-        self.remove_spill_files();
-        Ok(summary)
-    }
 }
 
 impl Drop for StreamingTpgBuilder {
@@ -866,6 +804,65 @@ mod tests {
     use crate::gen;
     use crate::store::container::{read_tpg, write_tpg_from_graph};
     use crate::traits::Graph;
+
+    /// Per-vertex visitor over a bucket's aggregated neighbourhoods; returning
+    /// `Ok(false)` stops the bucket scan early.
+    type VertexVisitor<'a> =
+        dyn FnMut(NodeId, &[(NodeId, EdgeWeight)]) -> Result<bool, IoError> + 'a;
+
+    /// The test oracle of [`StreamingTpgBuilder::finish`]: one bucket at a time,
+    /// aggregated into per-vertex vectors and pushed neighbourhood by neighbourhood.
+    impl StreamingTpgBuilder {
+        /// Streams one bucket's aggregated, sorted, duplicate-merged neighbourhoods in
+        /// vertex order to `f(u, neighbors)`; `Ok(false)` from `f` stops the scan.
+        fn for_each_bucket_vertex(
+            &self,
+            bucket: usize,
+            f: &mut VertexVisitor<'_>,
+        ) -> Result<bool, IoError> {
+            let (lo, hi) = self.bucket_range(bucket);
+            let mut adjacency: Vec<Vec<(NodeId, EdgeWeight)>> = vec![Vec::new(); hi - lo];
+            for (src, dst, weight) in self.read_bucket_records(bucket)? {
+                adjacency[src as usize - lo].push((dst, weight));
+            }
+            for (i, nbrs) in adjacency.iter_mut().enumerate() {
+                nbrs.sort_unstable_by_key(|&(v, _)| v);
+                crate::merge_sorted_duplicates(nbrs);
+                if !f(ids::nid(lo + i), nbrs)? {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        }
+
+        fn finish_sequential(
+            mut self,
+            path: impl AsRef<Path>,
+            config: &CompressionConfig,
+        ) -> Result<TpgSummary, IoError> {
+            self.seal_spill_files()?;
+            let mut edge_weighted = self.saw_explicit_weight;
+            for bucket in 0..self.bucket_paths.len() {
+                if edge_weighted {
+                    break;
+                }
+                let completed = self.for_each_bucket_vertex(bucket, &mut |_, nbrs| {
+                    edge_weighted |= nbrs.iter().any(|&(_, w)| w != 1);
+                    Ok(!edge_weighted)
+                })?;
+                debug_assert!(completed || edge_weighted);
+            }
+            let mut writer = TpgWriter::create(&path, self.n, edge_weighted, config)?;
+            for bucket in 0..self.bucket_paths.len() {
+                self.for_each_bucket_vertex(bucket, &mut |u, nbrs| {
+                    writer.push_neighborhood(u, nbrs, 1).map(|()| true)
+                })?;
+            }
+            let summary = writer.finish()?;
+            self.remove_spill_files();
+            Ok(summary)
+        }
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

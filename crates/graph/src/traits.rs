@@ -95,9 +95,9 @@ pub trait Graph: Sync {
     }
 
     /// Hints that the caller will soon iterate the neighbourhoods of `nodes`, in the
-    /// given order. Purely an optimisation hint: implementations may start readahead
-    /// (the [`PagedGraph`](crate::store::PagedGraph) hands the order to its page-cache
-    /// prefetcher), and the default for in-memory representations does nothing.
+    /// given order. Purely an optimisation hint: implementations may read ahead (the
+    /// [`PagedGraph`](crate::store::PagedGraph) faults one bounded window of the
+    /// covering pages), and the default for in-memory representations does nothing.
     /// Results of subsequent accesses are never affected.
     fn prefetch(&self, _nodes: &[NodeId]) {}
 

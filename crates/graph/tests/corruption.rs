@@ -1,16 +1,14 @@
-//! Corruption-robustness property tests of the checksummed (v3+) `.tpg` container.
+//! Corruption-robustness property tests of the `.tpg` container.
 //!
-//! Every byte of a checksummed container is covered by some crc32 — the header
-//! crc, the offset-index crc (plain *or* Elias-Fano encoded), the node-weight
-//! crc, or a per-block data crc (stored block crcs are themselves verified
+//! Every byte of a container is covered by some crc32 — the header crc, the
+//! (Elias-Fano) offset-index crc, the node-weight crc, or a per-block data crc (stored block crcs are themselves verified
 //! against the recomputed block on read, so a flip in the *stored* checksum is
 //! caught exactly like a flip in the data it covers). These properties assert
 //! the consequence: flipping any single byte of a valid container, or
 //! truncating it anywhere, yields a structured [`IoError`] — from the eager
 //! decode path, from the lazily verifying [`PagedGraph`], and from the
-//! everything-verified-at-open [`MmapGraph`] — and never a panic. They run over
-//! both offset-index encodings (v4 plain and v4 Elias-Fano) and at both id
-//! widths via the `wide-ids` feature.
+//! everything-verified-at-open [`MmapGraph`] — and never a panic. They run at both
+//! id widths via the `wide-ids` feature.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -68,7 +66,7 @@ impl StorageBackend for MemBackend {
     }
 }
 
-fn build_fixture(ef_offsets: bool) -> Vec<u8> {
+fn build_fixture() -> Vec<u8> {
     let g = gen::with_random_node_weights(&gen::weblike(9, 8, 5), 4, 2);
     let out = MemBackend::default();
     let mut writer = TpgWriter::create_with_backend(
@@ -78,8 +76,7 @@ fn build_fixture(ef_offsets: bool) -> Vec<u8> {
         &CompressionConfig::default(),
     )
     .unwrap()
-    .with_checksum_block_len(256)
-    .with_ef_offsets(ef_offsets);
+    .with_checksum_block_len(256);
     for u in 0..g.n() as NodeId {
         let mut nbrs = g.neighbors_vec(u);
         nbrs.sort_unstable_by_key(|&(v, _)| v);
@@ -93,18 +90,11 @@ fn build_fixture(ef_offsets: bool) -> Vec<u8> {
     bytes
 }
 
-/// A valid v4 container with plain offsets (node- and edge-weighted, 256-byte
-/// checksum blocks so the footer holds many block crcs), built once.
+/// A valid container (node- and edge-weighted, 256-byte checksum blocks so the
+/// footer holds many block crcs), built once.
 fn fixture() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| build_fixture(false))
-}
-
-/// The same graph with the Elias-Fano offset index: corruption of the succinct
-/// encoding must be just as detectable as corruption of plain offsets.
-fn fixture_ef() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| build_fixture(true))
+    BYTES.get_or_init(build_fixture)
 }
 
 /// Retries re-read the same corrupt bytes, so disable them to keep cases fast.
@@ -149,25 +139,24 @@ fn assert_mmap_detects(bytes: Vec<u8>, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Any single corrupted byte — header, data, offset index (plain or
-    // Elias-Fano), node weights or footer — turns every read path into an
-    // error, never a panic and never a silently wrong graph.
+    // Any single corrupted byte — header, data, offset index, node weights or
+    // footer — turns every read path into an error, never a panic and never a
+    // silently wrong graph.
     #[test]
     fn prop_single_byte_corruption_is_always_detected(
         pos_seed in any::<u64>(),
         mask in 1u32..256,
     ) {
-        for (clean, label) in [(fixture(), "plain"), (fixture_ef(), "ef")] {
-            let pos = (pos_seed % clean.len() as u64) as usize;
-            let mut bytes = clean.to_vec();
-            bytes[pos] ^= mask as u8;
-            let what = format!("[{}] flip of byte {} (mask {:#04x})", label, pos, mask);
+        let clean = fixture();
+        let pos = (pos_seed % clean.len() as u64) as usize;
+        let mut bytes = clean.to_vec();
+        bytes[pos] ^= mask as u8;
+        let what = format!("flip of byte {} (mask {:#04x})", pos, mask);
 
-            let eager = read_tpg_compressed_backend(&MemBackend::with_bytes(bytes.clone()));
-            prop_assert!(eager.is_err(), "{} decoded eagerly without error", what);
-            assert_paged_detects(bytes.clone(), &what);
-            assert_mmap_detects(bytes, &what);
-        }
+        let eager = read_tpg_compressed_backend(&MemBackend::with_bytes(bytes.clone()));
+        prop_assert!(eager.is_err(), "{} decoded eagerly without error", what);
+        assert_paged_detects(bytes.clone(), &what);
+        assert_mmap_detects(bytes, &what);
     }
 }
 
@@ -179,26 +168,25 @@ proptest! {
     // can no longer be read.
     #[test]
     fn prop_truncations_fail_to_open(cut_seed in any::<u64>()) {
-        for (clean, label) in [(fixture(), "plain"), (fixture_ef(), "ef")] {
-            let keep = (cut_seed % clean.len() as u64) as usize;
-            let bytes = clean[..keep].to_vec();
-            let what = format!("[{}] container truncated to {} of {} bytes", label, keep, clean.len());
+        let clean = fixture();
+        let keep = (cut_seed % clean.len() as u64) as usize;
+        let bytes = clean[..keep].to_vec();
+        let what = format!("container truncated to {} of {} bytes", keep, clean.len());
 
-            prop_assert!(
-                read_tpg_compressed_backend(&MemBackend::with_bytes(bytes.clone())).is_err(),
-                "{} decoded eagerly",
-                what
-            );
-            prop_assert!(
-                PagedGraph::open_with_backend(
-                    Box::new(MemBackend::with_bytes(bytes.clone())),
-                    &paged_options()
-                )
-                .is_err(),
-                "{} opened as a PagedGraph",
-                what
-            );
-            assert_mmap_detects(bytes, &what);
-        }
+        prop_assert!(
+            read_tpg_compressed_backend(&MemBackend::with_bytes(bytes.clone())).is_err(),
+            "{} decoded eagerly",
+            what
+        );
+        prop_assert!(
+            PagedGraph::open_with_backend(
+                Box::new(MemBackend::with_bytes(bytes.clone())),
+                &paged_options()
+            )
+            .is_err(),
+            "{} opened as a PagedGraph",
+            what
+        );
+        assert_mmap_detects(bytes, &what);
     }
 }

@@ -396,9 +396,9 @@ impl PartitionerConfig {
 
     /// Enables or disables LP-aware page readahead ([`OnDiskConfig::prefetch`]) of the
     /// on-disk entry point: the label propagation rounds hand their upcoming visit
-    /// order to the page cache, which faults the covered pages with batched positional
-    /// reads in the background. Results are bit-identical either way; only the
-    /// cold-sweep hit rate (and wall-clock) changes.
+    /// order to the page cache, which faults one bounded window of the covered pages
+    /// with batched positional reads before the round starts. Results are bit-identical
+    /// either way; only the cold-sweep hit rate changes.
     pub fn with_prefetch(mut self, prefetch: bool) -> Self {
         self.ondisk.prefetch = prefetch;
         self

@@ -495,20 +495,15 @@ impl PartitionEngine {
         let config = request.effective_config(&self.config);
         let obs = ObsSession::new(&config);
         let session = StoreSession::paged(graph);
-        let result = self.run_session(
-            &session,
-            &config,
-            tracker,
-            obs,
-            || graph.wait_prefetch_idle(),
-            || Some(graph.cache_stats()),
-        );
+        let result = self.run_session(&session, &config, tracker, obs, || {
+            Some(graph.cache_stats())
+        });
         self.enforce_budget(request);
         result
     }
 
-    /// Shared store-session run: session for `store`, pipeline, prefetch drain,
-    /// poison check, cache-stats snapshot.
+    /// Shared store-session run: session for `store`, pipeline, poison check,
+    /// cache-stats snapshot.
     fn run_store(
         &self,
         store: &StoreHandle,
@@ -517,14 +512,7 @@ impl PartitionEngine {
         obs: ObsSession,
     ) -> Result<PartitionResult, PartitionError> {
         let session = store.session();
-        self.run_session(
-            &session,
-            config,
-            tracker,
-            obs,
-            || store.wait_prefetch_idle(),
-            || store.cache_stats(),
-        )
+        self.run_session(&session, config, tracker, obs, || store.cache_stats())
     }
 
     /// Runs the pipeline against one [`StoreSession`]. The fault observer labels any
@@ -538,7 +526,6 @@ impl PartitionEngine {
         config: &PartitionerConfig,
         tracker: &PhaseTracker,
         obs: ObsSession,
-        wait_idle: impl FnOnce(),
         cache_stats: impl FnOnce() -> Option<CacheStatsSnapshot>,
     ) -> Result<PartitionResult, PartitionError> {
         let phases = tracker.phase_handle();
@@ -547,9 +534,6 @@ impl PartitionEngine {
             let mut scratch = self.pool.checkout();
             partition_with_session(session, config, tracker, obs, &mut scratch)
         };
-        // Let queued readahead hints drain so the snapshot's prefetch counters are
-        // settled (prefetch itself never affects results, only cache residency).
-        wait_idle();
         if let Some(fatal) = session.take_fatal_error() {
             return Err(PartitionError::new(
                 fatal.context,

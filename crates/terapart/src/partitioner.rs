@@ -50,7 +50,7 @@ pub struct PartitionResult {
     /// Aggregated refinement statistics over all levels.
     pub refinement: RefinementStats,
     /// Page-cache counters of the run — `Some` only for the on-disk entry points
-    /// ([`partition_ondisk`]), snapshotted after the prefetch queue drained.
+    /// ([`partition_ondisk`]), snapshotted when the pipeline returns.
     pub cache_stats: Option<graph::store::CacheStatsSnapshot>,
     /// Structured observability report: the `pipeline → level → phase → round` span
     /// tree with wall times and per-phase peak memory, plus the unified counter

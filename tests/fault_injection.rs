@@ -250,11 +250,11 @@ fn mmap_open_path_heals_transients_and_fails_outages_structurally() {
 }
 
 /// Readahead faults are advisory: a plan that fails every multi-page prefetch
-/// run (reads longer than the fault threshold) degrades the worker, while the
-/// foreground's single-page faults keep succeeding — the run completes
+/// run (reads longer than the fault threshold) costs the hints their effect, while
+/// the foreground's single-page faults keep succeeding — the run completes
 /// bit-identical to the fault-free reference.
 #[test]
-fn prefetch_worker_failures_degrade_without_corrupting_the_run() {
+fn readahead_failures_stay_advisory_without_corrupting_the_run() {
     let dir = scratch_dir("prefetch_degrade");
     let path = make_instance(&dir, 12_000, 32);
     let meta = read_tpg_meta(&path).unwrap();
@@ -265,7 +265,7 @@ fn prefetch_worker_failures_degrade_without_corrupting_the_run() {
         .with_prefetch(true);
     // 64 KiB pages match the checksum block length, so every foreground fault
     // reads exactly one page and stays below the threshold; the open-time index
-    // reads (8·(n+1) bytes) fit under it too. Only coalesced multi-page
+    // reads (under 8·(n+1) bytes) fit under it too. Only coalesced multi-page
     // readahead runs exceed it and draw the injected EIO.
     config.ondisk.page_size = 64 * 1024;
     config.ondisk.budget_bytes = 1024 * 1024;
@@ -293,7 +293,7 @@ fn prefetch_worker_failures_degrade_without_corrupting_the_run() {
     assert_eq!(
         run.partition.assignment(),
         reference.partition.assignment(),
-        "degraded-prefetch run diverged from the fault-free cut"
+        "run with failing readahead diverged from the fault-free cut"
     );
     assert_no_leaked_files(&dir, &["instance.tpg"]);
     std::fs::remove_dir_all(dir).ok();
