@@ -120,17 +120,17 @@ pub fn golden_entries() -> Vec<GoldenEntry> {
         cut_w64,
     };
     vec![
-        entry(Fast, "grid3d-16", 1208, 1208),
-        entry(Fast, "rgg2d-6k", 1187, 1187),
-        entry(Fast, "plc-6k", 21715, 21715),
-        entry(Fast, "rmat-14", 39383, 39383),
-        entry(Default, "grid3d-16", 1114, 1114),
-        entry(Default, "rgg2d-6k", 1080, 1080),
-        entry(Default, "plc-6k", 20832, 20832),
-        entry(Default, "rmat-14", 32530, 32530),
-        entry(Strong, "grid3d-16", 933, 933),
-        entry(Strong, "rgg2d-6k", 912, 912),
-        entry(Strong, "plc-6k", 20953, 20953),
-        entry(Strong, "rmat-14", 37610, 37610),
+        entry(Fast, "grid3d-16", 1042, 1042),
+        entry(Fast, "rgg2d-6k", 1062, 1062),
+        entry(Fast, "plc-6k", 21608, 21608),
+        entry(Fast, "rmat-14", 38889, 38889),
+        entry(Default, "grid3d-16", 963, 963),
+        entry(Default, "rgg2d-6k", 1029, 1029),
+        entry(Default, "plc-6k", 20868, 20868),
+        entry(Default, "rmat-14", 30422, 30422),
+        entry(Strong, "grid3d-16", 926, 926),
+        entry(Strong, "rgg2d-6k", 929, 929),
+        entry(Strong, "plc-6k", 20995, 20995),
+        entry(Strong, "rmat-14", 37617, 37617),
     ]
 }

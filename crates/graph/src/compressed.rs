@@ -205,19 +205,19 @@ fn encode_chunk(
     }
 }
 
-/// Decodes a single chunk, invoking `f(neighbor, weight)` for every neighbour.
-///
-/// Returns the byte position right after the chunk.
-fn decode_chunk(
+/// Decodes the id section of a chunk of `count` neighbours starting at `data[pos]`,
+/// streaming every neighbour id into `emit` as it is decoded: the members of the
+/// intervals first, then the residuals. Returns the position right after the section.
+#[inline]
+fn decode_ids(
     data: &[u8],
     mut pos: usize,
     u: NodeId,
     count: usize,
-    weighted: bool,
     config: &CompressionConfig,
-    f: &mut dyn FnMut(NodeId, EdgeWeight),
+    mut emit: impl FnMut(NodeId),
 ) -> usize {
-    let mut ids: Vec<NodeId> = Vec::with_capacity(count);
+    let mut in_intervals = 0usize;
     if config.enable_intervals {
         let (interval_count, p) = decode_varint(data, pos);
         pos = p;
@@ -235,15 +235,15 @@ fn decode_chunk(
             let (len_raw, p) = decode_varint(data, pos);
             pos = p;
             let len = len_raw as usize + config.min_interval_len;
-            for offset in 0..len {
-                ids.push((left + offset as i64) as NodeId);
+            for offset in 0..len as i64 {
+                emit((left + offset) as NodeId);
             }
+            in_intervals += len;
             prev_end = left + len as i64;
         }
     }
-    let residual_count = count - ids.len();
     let mut prev: i64 = sid(u);
-    for k in 0..residual_count {
+    for k in 0..count - in_intervals {
         let v = if k == 0 {
             let (delta, p) = decode_signed_varint(data, pos);
             pos = p;
@@ -253,23 +253,39 @@ fn decode_chunk(
             pos = p;
             prev + gap as i64 + 1
         };
-        ids.push(v as NodeId);
+        emit(v as NodeId);
         prev = v;
     }
-    if weighted {
-        let mut prev_weight: i64 = 0;
-        for &v in &ids {
-            let (delta, p) = decode_signed_varint(data, pos);
-            pos = p;
-            prev_weight += delta;
-            f(v, prev_weight as EdgeWeight);
-        }
-    } else {
-        for &v in &ids {
-            f(v, 1);
-        }
-    }
     pos
+}
+
+/// Decodes a single chunk, invoking `f(neighbor, weight)` for every neighbour in the
+/// order of [`decode_ids`], which is the order the weights were written in.
+///
+/// Nothing is buffered and nothing is allocated. A weighted chunk stores its weight
+/// deltas *after* the id section, so it is decoded with two cursors: one walk over the
+/// id section finds where the deltas begin, then ids and weights advance in lockstep.
+fn decode_chunk(
+    data: &[u8],
+    pos: usize,
+    u: NodeId,
+    count: usize,
+    weighted: bool,
+    config: &CompressionConfig,
+    f: &mut dyn FnMut(NodeId, EdgeWeight),
+) {
+    if !weighted {
+        decode_ids(data, pos, u, count, config, |v| f(v, 1));
+        return;
+    }
+    let mut weight_pos = decode_ids(data, pos, u, count, config, |_| {});
+    let mut prev_weight: i64 = 0;
+    decode_ids(data, pos, u, count, config, |v| {
+        let (delta, p) = decode_signed_varint(data, weight_pos);
+        weight_pos = p;
+        prev_weight += delta;
+        f(v, prev_weight as EdgeWeight);
+    });
 }
 
 /// Decodes the fixed header of an encoded neighbourhood: `(first_edge, degree, pos)`
@@ -304,19 +320,21 @@ pub(crate) fn decode_neighborhood(
         decode_chunk(data, pos, u, degree, weighted, config, f);
         return;
     }
+    // Two cursors again: `pos` walks the chunk-length header while `chunk_pos` walks the
+    // chunks behind it.
     let (num_chunks, p) = decode_varint(data, pos);
     pos = p;
-    let mut chunk_lens = Vec::with_capacity(num_chunks as usize);
+    let mut chunk_pos = pos;
+    for _ in 0..num_chunks {
+        chunk_pos = decode_varint(data, chunk_pos).1;
+    }
+    let mut remaining = degree;
     for _ in 0..num_chunks {
         let (len, p) = decode_varint(data, pos);
         pos = p;
-        chunk_lens.push(len as usize);
-    }
-    let mut remaining = degree;
-    for &len in &chunk_lens {
         let count = remaining.min(config.chunk_len);
-        decode_chunk(data, pos, u, count, weighted, config, f);
-        pos += len;
+        decode_chunk(data, chunk_pos, u, count, weighted, config, f);
+        chunk_pos += len as usize;
         remaining -= count;
     }
 }
@@ -662,19 +680,123 @@ mod tests {
         assert_same_graph(&weighted, &compressed);
     }
 
+    /// The decoder this module used before the streaming one: collects the ids of a
+    /// chunk into a `Vec`, then pairs them with the weights. Kept as the reference the
+    /// streaming decoder must equal in *sequence*, not just as a set.
+    fn reference_decode_chunk(
+        data: &[u8],
+        mut pos: usize,
+        u: NodeId,
+        count: usize,
+        weighted: bool,
+        config: &CompressionConfig,
+        out: &mut Vec<(NodeId, EdgeWeight)>,
+    ) {
+        let mut ids: Vec<NodeId> = Vec::with_capacity(count);
+        if config.enable_intervals {
+            let (interval_count, p) = decode_varint(data, pos);
+            pos = p;
+            let mut prev_end: i64 = sid(u);
+            for k in 0..interval_count {
+                let left = if k == 0 {
+                    let (delta, p) = decode_signed_varint(data, pos);
+                    pos = p;
+                    sid(u) + delta
+                } else {
+                    let (delta, p) = decode_varint(data, pos);
+                    pos = p;
+                    prev_end + delta as i64
+                };
+                let (len_raw, p) = decode_varint(data, pos);
+                pos = p;
+                let len = len_raw as usize + config.min_interval_len;
+                for offset in 0..len {
+                    ids.push((left + offset as i64) as NodeId);
+                }
+                prev_end = left + len as i64;
+            }
+        }
+        let residual_count = count - ids.len();
+        let mut prev: i64 = sid(u);
+        for k in 0..residual_count {
+            let v = if k == 0 {
+                let (delta, p) = decode_signed_varint(data, pos);
+                pos = p;
+                prev + delta
+            } else {
+                let (gap, p) = decode_varint(data, pos);
+                pos = p;
+                prev + gap as i64 + 1
+            };
+            ids.push(v as NodeId);
+            prev = v;
+        }
+        let mut prev_weight: i64 = 0;
+        for &v in &ids {
+            if weighted {
+                let (delta, p) = decode_signed_varint(data, pos);
+                pos = p;
+                prev_weight += delta;
+                out.push((v, prev_weight as EdgeWeight));
+            } else {
+                out.push((v, 1));
+            }
+        }
+    }
+
+    /// Reference decode of `u`'s whole neighbourhood (chunk framing included).
+    fn reference_neighbors(g: &CompressedGraph, u: NodeId) -> Vec<(NodeId, EdgeWeight)> {
+        let weighted = g.edge_weighted && g.config.compress_edge_weights;
+        let (degree, mut pos) = g.decode_header(u);
+        let mut out = Vec::new();
+        if degree == 0 {
+            return out;
+        }
+        if degree <= g.config.high_degree_threshold {
+            reference_decode_chunk(&g.data, pos, u, degree, weighted, &g.config, &mut out);
+            return out;
+        }
+        let (num_chunks, p) = decode_varint(&g.data, pos);
+        pos = p;
+        let mut chunk_lens = Vec::new();
+        for _ in 0..num_chunks {
+            let (len, p) = decode_varint(&g.data, pos);
+            pos = p;
+            chunk_lens.push(len as usize);
+        }
+        let mut remaining = degree;
+        for len in chunk_lens {
+            let count = remaining.min(g.config.chunk_len);
+            reference_decode_chunk(&g.data, pos, u, count, weighted, &g.config, &mut out);
+            pos += len;
+            remaining -= count;
+        }
+        out
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_compressed_equals_csr(
             n in 2usize..60,
-            edges in proptest::collection::vec((0u32..60, 0u32..60, 1u64..20), 0..200),
+            edges in proptest::collection::vec((0u32..60, 0u32..60, 1u64..20), 0..400),
             intervals in proptest::bool::ANY,
+            weighted in proptest::bool::ANY,
         ) {
+            // Degrees land on both sides of `high_degree_threshold` (8): up to 400 edges
+            // over fewer than 60 vertices. An unweighted case needs every merged weight to
+            // stay 1, so it drops parallel edges.
             let mut b = CsrGraphBuilder::new(n);
+            let mut seen = std::collections::HashSet::new();
             for (u, v, w) in edges {
                 let (u, v) = (NodeId::from(u % n as u32), NodeId::from(v % n as u32));
-                if u != v {
+                if u == v {
+                    continue;
+                }
+                if weighted {
                     b.add_edge(u, v, w);
+                } else if seen.insert((u.min(v), u.max(v))) {
+                    b.add_edge(u, v, 1);
                 }
             }
             let csr = b.build();
@@ -686,6 +808,13 @@ mod tests {
             };
             let compressed = CompressedGraph::from_csr(&csr, &config);
             assert_same_graph(&csr, &compressed);
+            for u in 0..n as NodeId {
+                prop_assert_eq!(
+                    compressed.neighbors_vec(u),
+                    reference_neighbors(&compressed, u),
+                    "streaming decoder left the reference sequence at vertex {}", u
+                );
+            }
         }
     }
 }

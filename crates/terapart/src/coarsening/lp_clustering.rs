@@ -28,6 +28,7 @@
 //! bitsets and the visit-order buffer live in the reusable [`HierarchyScratch`] arena.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use graph::ids;
 use graph::traits::Graph;
@@ -38,7 +39,7 @@ use rayon::prelude::*;
 
 use crate::context::{CoarseningConfig, EdgeRating, LabelPropagationMode};
 use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics};
-use crate::scratch::{AtomicBitset, HierarchyScratch};
+use crate::scratch::{AtomicBitset, HierarchyScratch, WorkerScratchPool};
 use crate::ClusterId;
 
 use super::rating_map::{AtomicSparseArray, FixedCapacityHashMap, SparseRatingMap};
@@ -248,25 +249,27 @@ fn mark_moved(graph: &impl Graph, frontier: Option<&AtomicBitset>, u: NodeId) {
 
 /// Applies the outcome of [`select_target`] for `u`: performs the move (marking the
 /// neighbourhood active) or, when the move lost a race against a concurrent one, keeps
-/// `u` alone in the frontier so the next round retries it.
+/// `u` alone in the frontier so the next round retries it. Returns whether `u` moved;
+/// callers count per chunk and publish once, not per move.
 #[inline]
 fn apply_selection(
     graph: &impl Graph,
     state: &ClusteringState,
     frontier: Option<&AtomicBitset>,
-    moved: &AtomicUsize,
     u: NodeId,
     node_weight: NodeWeight,
     target: Option<ClusterId>,
-) {
-    if let Some(target) = target {
-        if state.try_move(u, node_weight, target) {
-            moved.fetch_add(1, Ordering::Relaxed);
-            mark_moved(graph, frontier, u);
-        } else if let Some(bits) = frontier {
-            bits.set(u as usize);
-        }
+) -> bool {
+    let Some(target) = target else {
+        return false;
+    };
+    let moved = state.try_move(u, node_weight, target);
+    if moved {
+        mark_moved(graph, frontier, u);
+    } else if let Some(bits) = frontier {
+        bits.set(u as usize);
     }
+    moved
 }
 
 /// Runs label propagation clustering on `graph` with freshly allocated scratch memory.
@@ -359,8 +362,10 @@ pub fn cluster_with_scratch(
                 shared.memory_bytes()
                     + num_threads * FixedCapacityHashMap::new(config.bump_threshold).memory_bytes(),
             );
+            // Cloned out before the driver takes `&mut` of the whole arena.
+            let workers = Arc::clone(&scratch.workers);
             let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
-                run_round_two_phase(graph, &state, config, &shared, order, frontier)
+                run_round_two_phase(graph, &state, config, &shared, &workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
                 seed,
@@ -387,6 +392,7 @@ fn run_round_per_thread_maps(
     order.par_chunks(256).for_each(|chunk| {
         let thread = rayon::current_thread_index().unwrap_or(0) % maps.len();
         let mut map = maps[thread].lock();
+        let mut chunk_moves = 0usize;
         for &u in chunk {
             let node_weight = graph.node_weight(u);
             map.clear();
@@ -395,8 +401,11 @@ fn run_round_per_thread_maps(
             });
             let current = state.label(u);
             let target = select_target(map.iter(), current, node_weight, state);
-            apply_selection(graph, state, frontier, &moved, u, node_weight, target);
+            if apply_selection(graph, state, frontier, u, node_weight, target) {
+                chunk_moves += 1;
+            }
         }
+        moved.fetch_add(chunk_moves, Ordering::Relaxed);
     });
     moved.load(Ordering::Relaxed)
 }
@@ -407,6 +416,7 @@ fn run_round_two_phase(
     state: &ClusteringState,
     config: &CoarseningConfig,
     shared: &AtomicSparseArray,
+    workers: &WorkerScratchPool,
     order: &[NodeId],
     frontier: Option<&AtomicBitset>,
 ) -> usize {
@@ -415,8 +425,12 @@ fn run_round_two_phase(
     let bumped: Vec<NodeId> = order
         .par_chunks(256)
         .map(|chunk| {
-            let mut map = FixedCapacityHashMap::new(config.bump_threshold);
+            // The rating table comes from the arena's worker pool (as in LP refinement
+            // and contraction), not from the allocator once per chunk.
+            let mut worker = workers.checkout();
+            let map = worker.rating_table(config.bump_threshold);
             let mut bumped = Vec::new();
+            let mut chunk_moves = 0usize;
             for &u in chunk {
                 let node_weight = graph.node_weight(u);
                 map.clear();
@@ -434,8 +448,11 @@ fn run_round_two_phase(
                 }
                 let current = state.label(u);
                 let target = select_target(map.iter(), current, node_weight, state);
-                apply_selection(graph, state, frontier, &moved, u, node_weight, target);
+                if apply_selection(graph, state, frontier, u, node_weight, target) {
+                    chunk_moves += 1;
+                }
             }
+            moved.fetch_add(chunk_moves, Ordering::Relaxed);
             bumped
         })
         .reduce(Vec::new, |mut a, mut b| {
@@ -444,6 +461,7 @@ fn run_round_two_phase(
         });
 
     // ---- Second phase: bumped vertices sequentially, parallelism over their edges. ----
+    let mut bumped_moves = 0usize;
     for &u in &bumped {
         let node_weight = graph.node_weight(u);
         let neighbors = graph.neighbors_vec(u);
@@ -452,17 +470,18 @@ fn run_round_two_phase(
         let touched: Vec<NodeId> = neighbors
             .par_chunks(1024)
             .map(|chunk| {
-                let mut buffer = FixedCapacityHashMap::new(config.bump_threshold);
+                let mut worker = workers.checkout();
+                let buffer = worker.rating_table(config.bump_threshold);
                 let mut touched = Vec::new();
                 for &(v, w) in chunk {
                     let c = state.label(v);
                     let r = rate(config.edge_rating, graph, u, v, w);
                     if !buffer.add(c, r) {
-                        flush(&mut buffer, shared, &mut touched);
+                        flush(buffer, shared, &mut touched);
                         buffer.add(c, r);
                     }
                 }
-                flush(&mut buffer, shared, &mut touched);
+                flush(buffer, shared, &mut touched);
                 touched
             })
             .reduce(Vec::new, |mut a, mut b| {
@@ -477,9 +496,11 @@ fn run_round_two_phase(
             state,
         );
         shared.reset(&touched);
-        apply_selection(graph, state, frontier, &moved, u, node_weight, target);
+        if apply_selection(graph, state, frontier, u, node_weight, target) {
+            bumped_moves += 1;
+        }
     }
-    moved.load(Ordering::Relaxed)
+    moved.load(Ordering::Relaxed) + bumped_moves
 }
 
 /// Applies the entries of `buffer` to the shared array and records newly touched keys.

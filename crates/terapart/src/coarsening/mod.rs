@@ -94,103 +94,92 @@ pub fn coarsen_with_scratch(
     tracker: &PhaseTracker,
     scratch: &mut HierarchyScratch,
 ) -> Hierarchy {
-    let coarsening = &config.coarsening;
-    let stop_at = (coarsening.contraction_limit * config.k).max(1);
+    let stop_at = (config.coarsening.contraction_limit * config.k).max(1);
     let mut hierarchy = Hierarchy::default();
 
-    // Level 0 runs on the (possibly compressed) input graph; subsequent levels always run
-    // on the uncompressed coarse CSR graphs.
-    let mut level = 0usize;
-    let mut current: Option<CsrGraph> = None;
-    loop {
-        let (n, total_weight) = match &current {
-            None => (graph.n(), graph.total_node_weight()),
-            Some(g) => (g.n(), g.total_node_weight()),
+    // Level 0 runs on the (possibly compressed) input graph; subsequent levels run on a
+    // borrow of the previous level's uncompressed coarse CSR graph, which the hierarchy
+    // owns (and charges) exactly once.
+    // Safety valve: the hierarchy can never be deeper than log2(n) levels on sane inputs;
+    // stop after a generous bound to guarantee termination.
+    for level in 0..=64usize {
+        let next = match hierarchy.levels.last() {
+            None => coarsen_level(graph, config, tracker, scratch, level, stop_at),
+            Some(finer) => coarsen_level(&finer.coarse, config, tracker, scratch, level, stop_at),
         };
-        if n <= stop_at {
+        let Some(result) = next else {
             break;
-        }
-        let limit = max_cluster_weight(
-            total_weight,
-            config.k,
-            coarsening.contraction_limit,
-            coarsening.max_cluster_weight_fraction,
-        );
-        let seed = config.seed ^ ((level as u64 + 1) << 32);
-        let obs = scratch.obs.clone();
-        let mut level_span = obs.span_at(SpanKind::Level, "coarsen_level", level as u64);
-        level_span.attr("fine_nodes", n as u64);
-        let clustering = obs_phase(&obs, tracker, "cluster", level, || match &current {
-            None => {
-                let mut c =
-                    lp_clustering::cluster_with_scratch(graph, coarsening, limit, seed, scratch);
-                if coarsening.two_hop_clustering
-                    && c.num_clusters as f64 > coarsening.min_shrink_factor * n as f64
-                {
-                    two_hop_clustering(graph, &mut c, limit);
-                }
-                c
-            }
-            Some(g) => {
-                let mut c =
-                    lp_clustering::cluster_with_scratch(g, coarsening, limit, seed, scratch);
-                if coarsening.two_hop_clustering
-                    && c.num_clusters as f64 > coarsening.min_shrink_factor * n as f64
-                {
-                    two_hop_clustering(g, &mut c, limit);
-                }
-                c
-            }
-        });
-        // Stop if the clustering no longer shrinks the graph.
-        if clustering.num_clusters as f64 > coarsening.min_shrink_factor * n as f64 {
-            break;
-        }
-        let result = obs_phase(&obs, tracker, "contract", level, || match &current {
-            None => contract::contract_with_scratch(
-                graph,
-                &clustering,
-                coarsening.contraction,
-                coarsening.bump_threshold,
-                scratch,
-            ),
-            Some(g) => contract::contract_with_scratch(
-                g,
-                &clustering,
-                coarsening.contraction,
-                coarsening.bump_threshold,
-                scratch,
-            ),
-        });
-        level_span.attr("coarse_nodes", result.coarse.n() as u64);
-        level_span.attr("coarse_edges", result.coarse.m() as u64);
-        drop(level_span);
-        obs.add(Counter::CoarseningLevels, 1);
-        config.obs.progress.emit(&ProgressEvent::LevelCoarsened {
-            level,
-            fine_nodes: n,
-            coarse_nodes: result.coarse.n(),
-            coarse_edges: result.coarse.m(),
-        });
+        };
         hierarchy
             .charges
             .push(MemoryScope::charge_global(result.coarse.size_in_bytes()));
-        current = Some(result.coarse.clone());
         hierarchy.levels.push(Level {
             coarse: result.coarse,
             mapping: result.mapping,
         });
-        level += 1;
-        // Safety valve: the hierarchy can never be deeper than log2(n) levels on sane
-        // inputs; stop after a generous bound to guarantee termination.
-        if level > 64 {
-            break;
-        }
     }
     // Contraction was the only user of the over-reserved edge buffers; free them so the
     // remaining pipeline stages don't carry 2m of physically backed scratch.
     scratch.release_edges();
     hierarchy
+}
+
+/// Clusters and contracts one level of `graph`; `None` once `graph` is small enough or
+/// its clustering no longer shrinks it.
+fn coarsen_level(
+    graph: &impl Graph,
+    config: &PartitionerConfig,
+    tracker: &PhaseTracker,
+    scratch: &mut HierarchyScratch,
+    level: usize,
+    stop_at: usize,
+) -> Option<ContractionResult> {
+    let coarsening = &config.coarsening;
+    let n = graph.n();
+    if n <= stop_at {
+        return None;
+    }
+    let limit = max_cluster_weight(
+        graph.total_node_weight(),
+        config.k,
+        coarsening.contraction_limit,
+        coarsening.max_cluster_weight_fraction,
+    );
+    let seed = config.seed ^ ((level as u64 + 1) << 32);
+    let obs = scratch.obs.clone();
+    let mut level_span = obs.span_at(SpanKind::Level, "coarsen_level", level as u64);
+    level_span.attr("fine_nodes", n as u64);
+    let shrinks = |c: &Clustering| c.num_clusters as f64 <= coarsening.min_shrink_factor * n as f64;
+    let clustering = obs_phase(&obs, tracker, "cluster", level, || {
+        let mut c = lp_clustering::cluster_with_scratch(graph, coarsening, limit, seed, scratch);
+        if coarsening.two_hop_clustering && !shrinks(&c) {
+            two_hop_clustering(graph, &mut c, limit);
+        }
+        c
+    });
+    if !shrinks(&clustering) {
+        return None;
+    }
+    let result = obs_phase(&obs, tracker, "contract", level, || {
+        contract::contract_with_scratch(
+            graph,
+            &clustering,
+            coarsening.contraction,
+            coarsening.bump_threshold,
+            scratch,
+        )
+    });
+    level_span.attr("coarse_nodes", result.coarse.n() as u64);
+    level_span.attr("coarse_edges", result.coarse.m() as u64);
+    drop(level_span);
+    obs.add(Counter::CoarseningLevels, 1);
+    config.obs.progress.emit(&ProgressEvent::LevelCoarsened {
+        level,
+        fine_nodes: n,
+        coarse_nodes: result.coarse.n(),
+        coarse_edges: result.coarse.m(),
+    });
+    Some(result)
 }
 
 #[cfg(test)]

@@ -274,17 +274,8 @@ fn run_round(
             // Reuse a pooled worker's rating map across chunks (and across calls); the
             // lease returns it to the arena's pool when the chunk is done.
             let mut worker = workers.checkout();
-            let needs_new = match &worker.ratings {
-                Some(table) => table.limit() != table_limit,
-                None => true,
-            };
-            if needs_new {
-                worker.ratings = Some(FixedCapacityHashMap::new(table_limit));
-            }
-            let Some(ratings) = worker.ratings.as_mut() else {
-                unreachable!()
-            };
-            ratings.clear();
+            let ratings = worker.rating_table(table_limit);
+            let mut chunk_moves = 0usize;
             let mut blocked = Vec::new();
             for &u in chunk {
                 let current = state.block(u);
@@ -329,7 +320,7 @@ fn run_round(
                 match best {
                     Some((target, _)) => {
                         if state.try_move(u, node_weight, target) {
-                            moves.fetch_add(1, Ordering::Relaxed);
+                            chunk_moves += 1;
                             if let Some(bits) = frontier {
                                 bits.set(u as usize);
                                 graph.for_each_neighbor(u, &mut |v, _| bits.set(v as usize));
@@ -352,6 +343,7 @@ fn run_round(
                     }
                 }
             }
+            moves.fetch_add(chunk_moves, Ordering::Relaxed);
             blocked
         })
         .reduce(Vec::new, |mut a, mut b| {

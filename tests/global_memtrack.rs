@@ -8,7 +8,7 @@
 use graph::store::{read_tpg_compressed, read_tpg_meta, stream_rgg2d_to_tpg};
 use graph::traits::Graph;
 use graph::MmapGraph;
-use terapart::{partition, partition_ondisk, PartitionerConfig};
+use terapart::{partition, partition_ondisk, HierarchyScratch, PartitionerConfig};
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -25,6 +25,7 @@ fn global_counter_readers_run_alone_in_their_process() {
     ondisk_run_is_bit_identical_and_stays_below_csr_memory();
     mmap_view_accounts_its_mapping_and_agrees_with_materialized();
     reserve_commit_accounting_is_visible_globally();
+    scratch_charge_is_released_on_drop();
 }
 
 /// The tentpole acceptance test: a generated instance whose uncompressed CSR exceeds
@@ -117,4 +118,18 @@ fn reserve_commit_accounting_is_visible_globally() {
     assert!(reserved.committed_bytes() < reserved.reserved_bytes());
     drop(reserved);
     assert!(memtrack::global().current() <= before + 4096);
+}
+
+/// The scratch arena charges its node-indexed buffers for its lifetime and releases
+/// the charge when it drops. (Lived in `terapart::scratch`'s unit tests, where sibling
+/// tests that build arenas of their own made the balance flake.)
+fn scratch_charge_is_released_on_drop() {
+    let before = memtrack::global().current();
+    {
+        let mut scratch = HierarchyScratch::new();
+        scratch.ensure_buckets(4_096);
+        scratch.ensure_worklists(4_096);
+        assert!(memtrack::global().current() >= before + scratch.memory_bytes());
+    }
+    assert!(memtrack::global().current() <= before + 64);
 }
