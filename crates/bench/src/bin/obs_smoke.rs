@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use graph::gen;
 use graph::traits::Graph;
-use terapart::{PartitionerConfig, ProgressEvent};
+use obs::Counter;
+use terapart::{PartitionerConfig, Preset, ProgressEvent};
 
 /// One parsed `"ph": "X"` complete event of the trace file.
 #[derive(Debug)]
@@ -104,7 +105,8 @@ fn main() {
     );
     let progress_events = Arc::new(AtomicUsize::new(0));
     let progress_counter = progress_events.clone();
-    let config = PartitionerConfig::terapart(8)
+    // The `default` preset, so the trace also carries k-way FM's `fm_pass` rounds.
+    let config = PartitionerConfig::preset(Preset::Default, 8)
         .with_threads(2)
         .with_trace_path(&trace_path)
         .with_progress(move |_event: &ProgressEvent| {
@@ -125,6 +127,29 @@ fn main() {
     assert!(
         fired >= 2,
         "progress hook fired only {fired} times (expected coarsen + initial + refine events)"
+    );
+
+    // Refinement's moves tried vs. kept per second, read off the report alone.
+    let (tried, accepted, rolled_back) = (
+        report.counter(Counter::FmMovesTried),
+        report.counter(Counter::FmMovesAccepted),
+        report.counter(Counter::FmMovesRolledBack),
+    );
+    assert!(
+        accepted > 0 && tried >= accepted + rolled_back,
+        "fm counters inconsistent: {accepted} kept + {rolled_back} rolled back of {tried} tried"
+    );
+    let fm_seconds: f64 = report
+        .all_spans()
+        .iter()
+        .filter(|span| span.name == "fm_pass")
+        .map(|span| span.seconds())
+        .sum();
+    println!(
+        "fm: {accepted} kept of {tried} tried ({rolled_back} rolled back, {} gain queries) in {fm_seconds:.4} s — {:.0} tried/s, {:.0} kept/s",
+        report.counter(Counter::FmGainQueries),
+        tried as f64 / fm_seconds,
+        accepted as f64 / fm_seconds
     );
 
     // ---- Validate the Chrome trace. ----

@@ -49,6 +49,8 @@ counters! {
     (LpRefineMoves, "lp_refine_moves", Sum),
     // FM refinement (batched and priority-queue k-way).
     (FmPasses, "fm_passes", Sum),
+    (FmGainQueries, "fm_gain_queries", Sum),
+    (FmMovesTried, "fm_moves_tried", Sum),
     (FmMovesAccepted, "fm_moves_accepted", Sum),
     (FmMovesRolledBack, "fm_moves_rolled_back", Sum),
     (RebalanceMoves, "rebalance_moves", Sum),

@@ -12,7 +12,7 @@
 //! the space-efficient `O(m)` sparse table. Their memory is charged to the global memory
 //! accounting so the Figure 7 peak-memory comparison can be reproduced.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId};
@@ -27,7 +27,7 @@ use super::gain_table::GainCache;
 use super::lp_refine::AtomicPartition;
 
 /// Statistics of one FM refinement invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FmStats {
     /// Number of vertex moves applied.
     pub moves: usize,
@@ -98,12 +98,7 @@ pub(crate) fn fm_refine_obs(
 ) -> FmStats {
     let n = graph.n();
     if n == 0 || partition.k() <= 1 {
-        return FmStats {
-            moves: 0,
-            gain_table_bytes: 0,
-            passes: 0,
-            moves_rolled_back: 0,
-        };
+        return FmStats::default();
     }
     let epsilon = partition.epsilon();
     let k = partition.k();
@@ -129,49 +124,32 @@ pub(crate) fn fm_refine_obs(
         (0..n as NodeId)
             .into_par_iter()
             .filter_map(|u| {
+                let node_weight = graph.node_weight(u);
+                let admits = |to: BlockId| {
+                    state.block_weights[to as usize].load(Ordering::Relaxed) + node_weight
+                        <= state.max_block_weight
+                };
                 let from = state.block(u);
-                let mut adjacent_blocks: Vec<BlockId> = Vec::new();
-                graph.for_each_neighbor(u, &mut |v, _| {
-                    let b = state.block(v);
-                    if b != from && !adjacent_blocks.contains(&b) {
-                        adjacent_blocks.push(b);
-                    }
-                });
-                if adjacent_blocks.is_empty() {
-                    return None;
-                }
-                let from_affinity = cache.affinity(graph, &state.assignment, u, from) as i64;
-                let mut best: Option<(i64, BlockId)> = None;
-                for &to in &adjacent_blocks {
-                    let gain =
-                        cache.affinity(graph, &state.assignment, u, to) as i64 - from_affinity;
-                    best = match best {
-                        None => Some((gain, to)),
-                        Some((bg, _)) if gain > bg => Some((gain, to)),
-                        other => other,
-                    };
-                }
-                let (gain, to) = best?;
-                if gain > 0 {
-                    Some((gain, u, to))
-                } else {
-                    None
-                }
+                let (gain, to) = cache.best_move(graph, &state.assignment, u, from, admits)?;
+                (gain > 0).then_some((gain, u, to))
             })
             .collect_into_vec(candidates);
         pass_span.attr("candidates", candidates.len() as u64);
+        obs.add(Counter::FmGainQueries, n as u64);
         if candidates.is_empty() {
             break;
         }
         // Highest gains first: mimics FM's priority-queue ordering.
         candidates.par_sort_unstable_by_key(|&(gain, u, _)| (std::cmp::Reverse(gain), u));
         let limit = ((candidates.len() as f64) * fraction.clamp(0.0, 1.0)).ceil() as usize;
-        let moves = AtomicUsize::new(0);
+        let mut pass_moves = 0usize;
         // Moves are applied sequentially in gain order: gains are re-validated against
         // the current assignment right before each move, so every applied move strictly
         // decreases the cut (gain collection above is the parallel part; see DESIGN.md
         // for this simplification relative to the paper's localized parallel FM).
-        for &(_, u, to) in &candidates[..limit.min(candidates.len())] {
+        let tried = &candidates[..limit.min(candidates.len())];
+        obs.add(Counter::FmMovesTried, tried.len() as u64);
+        for &(_, u, to) in tried {
             let from = state.block(u);
             if from == to {
                 continue;
@@ -184,10 +162,10 @@ pub(crate) fn fm_refine_obs(
             let node_weight = graph.node_weight(u);
             if state.try_move(u, node_weight, to) {
                 cache.apply_move(graph, u, from, to);
-                moves.fetch_add(1, Ordering::Relaxed);
+                pass_moves += 1;
             }
         }
-        let pass_moves = moves.load(Ordering::Relaxed);
+        cache.debug_check_sample(graph, &state.assignment);
         pass_span.attr("moves", pass_moves as u64);
         obs.add(Counter::FmMovesAccepted, pass_moves as u64);
         total_moves += pass_moves;

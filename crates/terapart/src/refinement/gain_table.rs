@@ -7,17 +7,22 @@
 //!
 //! Three variants are provided, matching Figure 7 of the paper:
 //!
-//! * [`GainTableKind::None`] — no cache; affinities are recomputed from the graph on
-//!   every query (slow but `O(1)` extra memory).
-//! * [`GainTableKind::Dense`] — the standard table with `k` entries per vertex
-//!   (`O(nk)` memory), updated with atomic fetch-add.
-//! * [`GainTableKind::Sparse`] — the space-efficient table: vertices with
-//!   `deg(v) > k` keep a dense atomic row, low-degree vertices use a tiny fixed-capacity
-//!   linear-probing hash table of `Θ(deg(v))` slots protected by a spinlock; entries
-//!   whose value drops to zero are removed by backward-shift deletion, keeping probe
-//!   sequences intact (`O(m)` memory in total).
+//! * [`GainTableKind::None`] — no cache; every query accumulates the neighbourhood
+//!   into a pooled `k`-entry row (slow but `O(k)` extra memory per querying thread).
+//! * [`GainTableKind::Dense`] — the standard table: a row of `k` atomic affinities per
+//!   vertex (`O(nk)` memory), updated with fetch-add.
+//! * [`GainTableKind::Sparse`] — the space-efficient table: a vertex whose hash row
+//!   would need `k` or more slots (in particular every `deg(v) > k`) keeps the dense row;
+//!   every other vertex keeps a fixed-capacity linear-probing row of `deg(v) + 1` slots
+//!   rounded up to a power of two, each slot one word packing block id and affinity,
+//!   guarded by a per-vertex spinlock. Entries whose value drops to zero are removed by
+//!   backward-shift deletion, keeping probe sequences intact (`O(m)` memory in total).
+//!
+//! Both tables are one [`GainTable`] in the paper's flat layout (an offset array and a
+//! slot array carved into per-vertex rows), and [`GainCache::best_move`] — the one query
+//! FM asks — enumerates `u`'s row instead of `u`'s neighbourhood.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId};
@@ -29,12 +34,15 @@ use crate::partition::BlockId;
 /// A gain cache initialised for a specific graph and partition assignment.
 #[derive(Debug)]
 pub enum GainCache {
-    /// Gains recomputed from scratch on every query.
-    None,
-    /// Dense `n × k` affinity table.
-    Dense(DenseGainTable),
-    /// `O(m)` sparse affinity table.
-    Sparse(SparseGainTable),
+    /// Gains recomputed from the neighbourhood on every query, into one of `free`'s
+    /// zeroed `k`-entry rows: one per concurrently querying thread, allocated on first
+    /// use and returned zeroed.
+    None {
+        k: usize,
+        free: Mutex<Vec<Vec<EdgeWeight>>>,
+    },
+    /// Dense `n × k` or sparse `O(m)` affinity table.
+    Table(GainTable),
 }
 
 impl GainCache {
@@ -46,10 +54,58 @@ impl GainCache {
         k: usize,
     ) -> Self {
         match kind {
-            GainTableKind::None => GainCache::None,
-            GainTableKind::Dense => GainCache::Dense(DenseGainTable::new(graph, assignment, k)),
-            GainTableKind::Sparse => GainCache::Sparse(SparseGainTable::new(graph, assignment, k)),
+            GainTableKind::None => GainCache::None {
+                k,
+                free: Mutex::new(Vec::new()),
+            },
+            GainTableKind::Dense => GainCache::Table(GainTable::new(graph, assignment, k, false)),
+            GainTableKind::Sparse => GainCache::Table(GainTable::new(graph, assignment, k, true)),
         }
+    }
+
+    /// The best move of `u` out of block `from`: among the blocks `u` has a non-zero
+    /// affinity to and that `admits` accepts, the one with the highest gain (= highest
+    /// affinity, the source affinity being common to all targets), ties broken towards
+    /// the lower block id — a total order, so the result does not depend on the order in
+    /// which a row yields its entries. Returns `(gain, target)`, or `None` if no adjacent
+    /// block is admissible. Allocation-free; only the table-less variant reads `graph`.
+    pub fn best_move(
+        &self,
+        graph: &impl Graph,
+        assignment: &[AtomicU32],
+        u: NodeId,
+        from: BlockId,
+        admits: impl Fn(BlockId) -> bool,
+    ) -> Option<(i64, BlockId)> {
+        let mut from_affinity = 0;
+        let mut best: Option<(EdgeWeight, BlockId)> = None;
+        let mut visit = |block: BlockId, affinity: EdgeWeight| {
+            if affinity == 0 {
+                return; // an empty slot or a non-adjacent block, whatever id comes with it
+            }
+            if block == from {
+                from_affinity = affinity;
+            } else if best.is_none_or(|(a, b)| affinity > a || (affinity == a && block < b))
+                && admits(block)
+            {
+                best = Some((affinity, block));
+            }
+        };
+        match self {
+            GainCache::None { k, free } => {
+                let pooled = free.lock().pop();
+                let mut row = pooled.unwrap_or_else(|| vec![0; *k]);
+                graph.for_each_neighbor(u, &mut |v, w| {
+                    row[assignment[v as usize].load(Ordering::Relaxed) as usize] += w;
+                });
+                for (block, affinity) in row.iter_mut().enumerate() {
+                    visit(block as BlockId, std::mem::take(affinity));
+                }
+                free.lock().push(row);
+            }
+            GainCache::Table(table) => table.scan_row(u, visit),
+        }
+        best.map(|(affinity, to)| (affinity as i64 - from_affinity as i64, to))
     }
 
     /// Affinity of `u` towards `block` under the current `assignment`.
@@ -61,7 +117,7 @@ impl GainCache {
         block: BlockId,
     ) -> EdgeWeight {
         match self {
-            GainCache::None => {
+            GainCache::None { .. } => {
                 let mut total = 0;
                 graph.for_each_neighbor(u, &mut |v, w| {
                     if assignment[v as usize].load(Ordering::Relaxed) == block {
@@ -70,8 +126,7 @@ impl GainCache {
                 });
                 total
             }
-            GainCache::Dense(table) => table.affinity(u, block),
-            GainCache::Sparse(table) => table.affinity(u, block),
+            GainCache::Table(table) => table.affinity(u, block),
         }
     }
 
@@ -79,16 +134,33 @@ impl GainCache {
     /// neighbour `v` of `u`, `ω(v, from)` decreases and `ω(v, to)` increases by the
     /// connecting edge weight.
     pub fn apply_move(&self, graph: &impl Graph, u: NodeId, from: BlockId, to: BlockId) {
-        if from == to {
-            return;
-        }
-        match self {
-            GainCache::None => {}
-            GainCache::Dense(table) => {
+        if let GainCache::Table(table) = self {
+            if from != to {
                 graph.for_each_neighbor(u, &mut |v, w| table.update(v, from, to, w));
             }
-            GainCache::Sparse(table) => {
-                graph.for_each_neighbor(u, &mut |v, w| table.update(v, from, to, w));
+        }
+    }
+
+    /// Debug builds only: panics unless a sample of rows (every `⌈n/64⌉`-th vertex) holds
+    /// exactly the affinities recomputed from the graph. FM calls it after every pass.
+    pub(super) fn debug_check_sample(&self, graph: &impl Graph, assignment: &[AtomicU32]) {
+        let GainCache::Table(table) = self else {
+            return;
+        };
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut expected: Vec<EdgeWeight> = vec![0; table.k];
+        for u in (0..graph.n() as NodeId).step_by((graph.n() / 64).max(1)) {
+            graph.for_each_neighbor(u, &mut |v, w| {
+                expected[assignment[v as usize].load(Ordering::Relaxed) as usize] += w;
+            });
+            for (block, want) in expected.iter_mut().enumerate() {
+                assert_eq!(
+                    table.affinity(u, block as BlockId),
+                    std::mem::take(want),
+                    "gain table row of vertex {u} drifted from the graph at block {block}"
+                );
             }
         }
     }
@@ -96,242 +168,221 @@ impl GainCache {
     /// Number of heap bytes occupied by the cache (reported in Figure 7).
     pub fn memory_bytes(&self) -> usize {
         match self {
-            GainCache::None => 0,
-            GainCache::Dense(table) => table.memory_bytes(),
-            GainCache::Sparse(table) => table.memory_bytes(),
+            GainCache::None { .. } => 0,
+            GainCache::Table(table) => table.memory_bytes(),
         }
     }
 }
 
-/// The standard dense gain table: `k` atomic affinity entries per vertex.
+/// The flat affinity table behind both table kinds: three allocations for any `n`.
 #[derive(Debug)]
-pub struct DenseGainTable {
+pub struct GainTable {
     k: usize,
-    affinities: Vec<AtomicU64>,
+    /// Low bits of a hash-row slot that hold the affinity; the block id sits above them.
+    /// An all-zero word is an empty slot (stored affinities are never zero).
+    value_bits: u32,
+    /// Row `u` is `slots[offsets[u]..offsets[u + 1]]`: a dense row of `k` affinities iff
+    /// it has `k` slots, a hash row otherwise.
+    offsets: Vec<usize>,
+    slots: Vec<AtomicU64>,
+    /// Per-vertex spinlock around every access to a hash row (deletions shift entries).
+    /// Acquire on lock pairs with Release on unlock; slot accesses under it are relaxed.
+    locks: Vec<AtomicBool>,
 }
 
-impl DenseGainTable {
-    /// Builds the table from the current assignment.
-    pub fn new(graph: &impl Graph, assignment: &[AtomicU32], k: usize) -> Self {
+/// Unlocks a hash row on drop.
+struct RowGuard<'a>(&'a AtomicBool);
+
+impl Drop for RowGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+/// Home slot of `block` in a power-of-two row (masked by the caller).
+fn home_slot(block: BlockId) -> usize {
+    ((block as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize
+}
+
+impl GainTable {
+    /// Builds the table from the current assignment; `sparse` selects `Θ(deg)` hash rows
+    /// where they are smaller than the `k` slots every row of the dense table has.
+    pub fn new(graph: &impl Graph, assignment: &[AtomicU32], k: usize, sparse: bool) -> Self {
         let n = graph.n();
-        let mut affinities = Vec::with_capacity(n * k);
-        affinities.resize_with(n * k, || AtomicU64::new(0));
-        let table = Self { k, affinities };
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
         for u in 0..n as NodeId {
+            // A vertex is adjacent to at most deg(v) blocks, so deg(v) + 1 slots always
+            // leave the empty slot that ends a probe sequence; from k slots on, a dense
+            // row is no larger and needs no lock. Isolated vertices need no row.
+            let slots = match graph.degree(u) {
+                _ if !sparse => k,
+                0 => 0,
+                degree => (degree + 1).next_power_of_two().min(k),
+            };
+            offsets.push(offsets[u as usize] + slots);
+        }
+        let mut slots = Vec::with_capacity(offsets[n]);
+        slots.resize_with(offsets[n], || AtomicU64::new(0));
+        let mut locks = Vec::with_capacity(n);
+        locks.resize_with(n, || AtomicBool::new(false));
+        let key_bits = (usize::BITS - k.saturating_sub(1).leading_zeros()).max(1);
+        let table = Self {
+            k,
+            value_bits: u64::BITS - key_bits,
+            offsets,
+            slots,
+            locks,
+        };
+        for u in 0..n as NodeId {
+            let row = table.row(u);
             graph.for_each_neighbor(u, &mut |v, w| {
                 let block = assignment[v as usize].load(Ordering::Relaxed);
-                table.affinities[u as usize * k + block as usize].fetch_add(w, Ordering::Relaxed);
+                if row.len() == k {
+                    row[block as usize].fetch_add(w, Ordering::Relaxed);
+                } else {
+                    table.hash_add(row, block, w);
+                }
             });
         }
         table
     }
 
-    /// Affinity of `u` towards `block`.
-    pub fn affinity(&self, u: NodeId, block: BlockId) -> EdgeWeight {
-        self.affinities[u as usize * self.k + block as usize].load(Ordering::Relaxed)
+    fn row(&self, u: NodeId) -> &[AtomicU64] {
+        &self.slots[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
-    /// Applies the affinity delta for neighbour `v` after a move `from → to`.
-    pub fn update(&self, v: NodeId, from: BlockId, to: BlockId, weight: EdgeWeight) {
-        self.affinities[v as usize * self.k + from as usize].fetch_sub(weight, Ordering::Relaxed);
-        self.affinities[v as usize * self.k + to as usize].fetch_add(weight, Ordering::Relaxed);
-    }
-
-    /// Heap bytes used by the table.
-    pub fn memory_bytes(&self) -> usize {
-        self.affinities.len() * std::mem::size_of::<AtomicU64>()
-    }
-}
-
-/// Per-vertex storage of the sparse gain table.
-#[derive(Debug)]
-enum SparseRow {
-    /// Dense atomic row for vertices with `deg(v) > k`.
-    Dense(Vec<AtomicU64>),
-    /// Fixed-capacity linear-probing hash table for low-degree vertices, protected by a
-    /// spinlock because deletions shift entries.
-    Small(Mutex<SmallAffinityMap>),
-}
-
-/// A tiny open-addressing map from block IDs to affinities with backward-shift deletion.
-#[derive(Debug)]
-struct SmallAffinityMap {
-    keys: Vec<BlockId>,
-    values: Vec<EdgeWeight>,
-    len: usize,
-}
-
-const EMPTY_BLOCK: BlockId = BlockId::MAX;
-
-impl SmallAffinityMap {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.next_power_of_two().max(4);
-        Self {
-            keys: vec![EMPTY_BLOCK; capacity],
-            values: vec![0; capacity],
-            len: 0,
+    fn lock(&self, u: NodeId) -> RowGuard<'_> {
+        let lock = &self.locks[u as usize];
+        while lock
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            std::hint::spin_loop();
         }
+        RowGuard(lock)
     }
 
-    fn mask(&self) -> usize {
-        self.keys.len() - 1
+    fn unpack(&self, word: u64) -> (BlockId, EdgeWeight) {
+        let block = (word >> self.value_bits) as BlockId;
+        (block, word & ((1 << self.value_bits) - 1))
     }
 
-    fn slot_of(&self, key: BlockId) -> usize {
-        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize & self.mask()
+    /// Probes the hash `row` for `block`: the slot holding it, or the empty slot that
+    /// ends its probe sequence, with the slot's word.
+    fn probe(&self, row: &[AtomicU64], block: BlockId) -> (usize, u64) {
+        let mask = row.len() - 1;
+        let mut slot = home_slot(block) & mask;
+        for _ in 0..row.len() {
+            let word = row[slot].load(Ordering::Relaxed);
+            if word == 0 || self.unpack(word).0 == block {
+                return (slot, word);
+            }
+            slot = (slot + 1) & mask;
+        }
+        panic!("gain table row overflow: a vertex is adjacent to more blocks than its capacity");
     }
 
-    fn get(&self, key: BlockId) -> EdgeWeight {
-        let mut slot = self.slot_of(key);
+    fn hash_add(&self, row: &[AtomicU64], block: BlockId, weight: EdgeWeight) {
+        let (slot, word) = self.probe(row, block);
+        let affinity = self.unpack(word).1 + weight;
+        assert!(
+            affinity >> self.value_bits == 0,
+            "affinity {affinity} does not fit beside a block id of k = {}",
+            self.k
+        );
+        row[slot].store(
+            (block as u64) << self.value_bits | affinity,
+            Ordering::Relaxed,
+        );
+    }
+
+    fn hash_sub(&self, row: &[AtomicU64], block: BlockId, weight: EdgeWeight) {
+        let (slot, word) = self.probe(row, block);
+        if word == 0 {
+            // Only a table that no longer mirrors the assignment decrements an absent
+            // entry: fatal wherever assertions are on, tolerated in a release run.
+            if cfg!(any(test, debug_assertions)) {
+                panic!("gain table: decrement of absent block {block}");
+            }
+            return;
+        }
+        let affinity = (self.unpack(word).1)
+            .checked_sub(weight)
+            .expect("affinity must stay non-negative");
+        if affinity != 0 {
+            row[slot].store(word - weight, Ordering::Relaxed);
+            return;
+        }
+        // Backward-shift deletion (paper §V): later entries of the probe sequence move
+        // up into the hole unless their home slot lies cyclically within (hole, next].
+        let mask = row.len() - 1;
+        let (mut hole, mut next) = (slot, (slot + 1) & mask);
         loop {
-            if self.keys[slot] == key {
-                return self.values[slot];
+            let word = row[next].load(Ordering::Relaxed);
+            if word == 0 {
+                break;
             }
-            if self.keys[slot] == EMPTY_BLOCK {
-                return 0;
-            }
-            slot = (slot + 1) & self.mask();
-        }
-    }
-
-    fn add(&mut self, key: BlockId, delta: i64) {
-        let mut slot = self.slot_of(key);
-        loop {
-            if self.keys[slot] == key {
-                let new = self.values[slot] as i64 + delta;
-                debug_assert!(new >= 0, "affinity must stay non-negative");
-                if new == 0 {
-                    self.remove_at(slot);
-                } else {
-                    self.values[slot] = new as EdgeWeight;
-                }
-                return;
-            }
-            if self.keys[slot] == EMPTY_BLOCK {
-                if delta <= 0 {
-                    // Nothing to remove; negative deltas on absent keys are ignored
-                    // (they can only arise from rounding in callers, never from FM).
-                    return;
-                }
-                assert!(
-                    self.len < self.keys.len(),
-                    "sparse gain table row overflow: a vertex is adjacent to more blocks than its capacity"
-                );
-                self.keys[slot] = key;
-                self.values[slot] = delta as EdgeWeight;
-                self.len += 1;
-                return;
-            }
-            slot = (slot + 1) & self.mask();
-        }
-    }
-
-    /// Removes the entry at `slot`, shifting up later entries of the probe sequence to
-    /// keep lookups correct (backward-shift deletion, paper §V).
-    fn remove_at(&mut self, mut slot: usize) {
-        self.keys[slot] = EMPTY_BLOCK;
-        self.values[slot] = 0;
-        self.len -= 1;
-        let mask = self.mask();
-        let mut next = (slot + 1) & mask;
-        while self.keys[next] != EMPTY_BLOCK {
-            let ideal = self.slot_of(self.keys[next]);
-            // The entry at `next` may move up if its ideal slot is not within the
-            // (slot, next] range, i.e. it was displaced past `slot`.
-            let between = if slot < next {
-                ideal > slot && ideal <= next
-            } else {
-                ideal > slot || ideal <= next
-            };
-            if !between {
-                self.keys[slot] = self.keys[next];
-                self.values[slot] = self.values[next];
-                self.keys[next] = EMPTY_BLOCK;
-                self.values[next] = 0;
-                slot = next;
+            let home = home_slot(self.unpack(word).0);
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                row[hole].store(word, Ordering::Relaxed);
+                hole = next;
             }
             next = (next + 1) & mask;
         }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<BlockId>()
-            + self.values.len() * std::mem::size_of::<EdgeWeight>()
-    }
-}
-
-/// The space-efficient `O(m)` gain table.
-#[derive(Debug)]
-pub struct SparseGainTable {
-    rows: Vec<SparseRow>,
-    k: usize,
-}
-
-impl SparseGainTable {
-    /// Builds the table from the current assignment.
-    pub fn new(graph: &impl Graph, assignment: &[AtomicU32], k: usize) -> Self {
-        let n = graph.n();
-        let mut rows = Vec::with_capacity(n);
-        for u in 0..n as NodeId {
-            let degree = graph.degree(u);
-            if degree > k {
-                let mut row = Vec::with_capacity(k);
-                row.resize_with(k, || AtomicU64::new(0));
-                rows.push(SparseRow::Dense(row));
-            } else {
-                // Capacity Θ(deg(v)): the vertex can be adjacent to at most deg(v) blocks.
-                rows.push(SparseRow::Small(Mutex::new(SmallAffinityMap::new(
-                    2 * degree.max(1),
-                ))));
-            }
-        }
-        let table = Self { rows, k };
-        for u in 0..n as NodeId {
-            graph.for_each_neighbor(u, &mut |v, w| {
-                let block = assignment[v as usize].load(Ordering::Relaxed);
-                table.add(u, block, w as i64);
-            });
-        }
-        table
-    }
-
-    fn add(&self, u: NodeId, block: BlockId, delta: i64) {
-        match &self.rows[u as usize] {
-            SparseRow::Dense(row) => {
-                if delta >= 0 {
-                    row[block as usize].fetch_add(delta as u64, Ordering::Relaxed);
-                } else {
-                    row[block as usize].fetch_sub((-delta) as u64, Ordering::Relaxed);
-                }
-            }
-            SparseRow::Small(map) => map.lock().add(block, delta),
-        }
+        row[hole].store(0, Ordering::Relaxed);
     }
 
     /// Affinity of `u` towards `block`.
     pub fn affinity(&self, u: NodeId, block: BlockId) -> EdgeWeight {
-        match &self.rows[u as usize] {
-            SparseRow::Dense(row) => row[block as usize].load(Ordering::Relaxed),
-            SparseRow::Small(map) => map.lock().get(block),
+        let row = self.row(u);
+        if row.len() == self.k {
+            row[block as usize].load(Ordering::Relaxed)
+        } else if row.is_empty() {
+            0
+        } else {
+            let _guard = self.lock(u);
+            self.unpack(self.probe(row, block).1).1
         }
     }
 
-    /// Applies the affinity delta for neighbour `v` after a move `from → to`.
+    /// Applies the affinity delta for neighbour `v` after a move `from → to`, under one
+    /// acquisition of `v`'s row lock. Decrementing first keeps a hash row within the
+    /// `deg(v)` entries its capacity is sized for.
     pub fn update(&self, v: NodeId, from: BlockId, to: BlockId, weight: EdgeWeight) {
-        self.add(v, from, -(weight as i64));
-        self.add(v, to, weight as i64);
+        let row = self.row(v);
+        if row.len() == self.k {
+            row[from as usize].fetch_sub(weight, Ordering::Relaxed);
+            row[to as usize].fetch_add(weight, Ordering::Relaxed);
+        } else {
+            let _guard = self.lock(v);
+            self.hash_sub(row, from, weight);
+            self.hash_add(row, to, weight);
+        }
     }
 
-    /// Heap bytes used by the table.
+    /// Hands every slot of `u`'s row to `f` as `(block, affinity)`; empty slots and
+    /// absent blocks come out with affinity zero.
+    fn scan_row(&self, u: NodeId, mut f: impl FnMut(BlockId, EdgeWeight)) {
+        let row = self.row(u);
+        if row.len() == self.k {
+            for (block, affinity) in row.iter().enumerate() {
+                f(block as BlockId, affinity.load(Ordering::Relaxed));
+            }
+        } else {
+            let _guard = self.lock(u);
+            for slot in row {
+                let (block, affinity) = self.unpack(slot.load(Ordering::Relaxed));
+                f(block, affinity);
+            }
+        }
+    }
+
+    /// Heap bytes used by the table: offsets, slots and lock words.
     pub fn memory_bytes(&self) -> usize {
-        let _ = self.k;
-        self.rows
-            .iter()
-            .map(|row| match row {
-                SparseRow::Dense(r) => r.len() * std::mem::size_of::<AtomicU64>(),
-                SparseRow::Small(m) => m.lock().memory_bytes(),
-            })
-            .sum()
+        self.offsets.len() * std::mem::size_of::<usize>()
+            + self.slots.len() * std::mem::size_of::<AtomicU64>()
+            + self.locks.len() * std::mem::size_of::<AtomicBool>()
     }
 }
 
@@ -452,24 +503,94 @@ mod tests {
         check_all_affinities(&g, &atomics, &sparse, k);
     }
 
+    /// A star whose hub (deg 6 < k = 16) owns one 8-slot hash row; moving the leaves
+    /// around at random fills, collides and drains that row.
+    fn star_hub_row() -> (graph::CsrGraph, Vec<AtomicU32>, GainTable) {
+        let g = gen::star(7);
+        let atomics = atomic_assignment(&[0, 1, 2, 3, 4, 5, 6]);
+        let table = GainTable::new(&g, &atomics, 16, true);
+        assert_eq!(table.row(0).len(), 8);
+        (g, atomics, table)
+    }
+
     #[test]
-    fn small_map_backward_shift_deletion_keeps_lookups_correct() {
-        let mut map = SmallAffinityMap::new(8);
-        for b in 0..6u32 {
-            map.add(b, 10);
+    fn backward_shift_deletion_keeps_lookups_correct() {
+        let (g, atomics, table) = star_hub_row();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for _ in 0..2_000 {
+            let leaf = rng.gen_range(1..7) as NodeId;
+            let from = atomics[leaf as usize].load(Ordering::Relaxed);
+            let to = rng.gen_range(0..16 as BlockId);
+            if from == to {
+                continue;
+            }
+            atomics[leaf as usize].store(to, Ordering::Relaxed);
+            table.update(0, from, to, 1);
+            for b in 0..16 as BlockId {
+                assert_eq!(table.affinity(0, b), reference_affinity(&g, &atomics, 0, b));
+            }
+            let live = table
+                .row(0)
+                .iter()
+                .filter(|s| s.load(Ordering::Relaxed) != 0);
+            assert!(live.count() <= 6, "a drained entry stayed in the row");
         }
-        // Remove a middle element and verify the rest are still reachable.
-        map.add(2, -10);
-        assert_eq!(map.get(2), 0);
-        for b in [0u32, 1, 3, 4, 5] {
-            assert_eq!(map.get(b), 10, "block {} lost after deletion", b);
+    }
+
+    #[test]
+    fn concurrent_moves_of_disjoint_vertices_keep_shared_rows_exact() {
+        // deg ≈ 12 < k: almost every row is a hash row, updated by whichever threads
+        // own its neighbours.
+        let g = gen::with_random_edge_weights(&gen::erdos_renyi(200, 1_200, 3), 9, 4);
+        let k = 32;
+        let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
+        let atomics = atomic_assignment(&assignment);
+        let sparse = GainCache::new(GainTableKind::Sparse, &g, &atomics, k);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (g, atomics, sparse, start) = (&g, &atomics, &sparse, &start);
+                scope.spawn(move || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(t);
+                    start.wait();
+                    for _ in 0..5_000 {
+                        let u = (rng.gen_range(0..50u64) * 4 + t) as NodeId;
+                        let from = atomics[u as usize].load(Ordering::Relaxed);
+                        let to = rng.gen_range(0..k as BlockId);
+                        atomics[u as usize].store(to, Ordering::Relaxed);
+                        sparse.apply_move(g, u, from, to);
+                    }
+                });
+            }
+        });
+        check_all_affinities(&g, &atomics, &sparse, k);
+    }
+
+    #[test]
+    #[should_panic(expected = "decrement of absent block")]
+    fn decrementing_an_absent_entry_is_a_hard_failure_under_test() {
+        let (_, _, table) = star_hub_row();
+        table.update(0, 9, 3, 1);
+    }
+
+    #[test]
+    fn sparse_bytes_are_offsets_plus_slots_plus_locks() {
+        // Path 0-1-2-3 plus the isolated vertex 4, k = 8: the ends (deg 1) get 2 slots,
+        // the inner vertices (deg 2) 4, the isolated vertex none.
+        let mut b = graph::CsrGraphBuilder::new(5);
+        for u in 0..3 {
+            b.add_edge(u, u + 1, 1);
         }
-        // Re-insert and delete everything.
-        map.add(2, 7);
-        assert_eq!(map.get(2), 7);
-        for b in 0..6u32 {
-            map.add(b, -(map.get(b) as i64));
-        }
-        assert_eq!(map.len, 0);
+        let g = b.build();
+        let atomics = atomic_assignment(&[0, 1, 2, 3, 4]);
+        let table = GainTable::new(&g, &atomics, 8, true);
+        let rows: Vec<usize> = (0..5).map(|u| table.row(u).len()).collect();
+        assert_eq!(rows, [2, 4, 4, 2, 0]);
+        assert_eq!(table.memory_bytes(), 6 * 8 + 12 * 8 + 5);
+        // From k slots on a row is dense: deg 3 would need 4 hash slots, k = 4 are no more.
+        let star = gen::star(4);
+        let table = GainTable::new(&star, &atomic_assignment(&[0, 1, 2, 3]), 4, true);
+        assert_eq!(table.row(0).len(), 4);
+        assert_eq!(table.affinity(0, 3), 1);
     }
 }

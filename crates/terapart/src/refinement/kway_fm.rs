@@ -45,8 +45,8 @@ type Candidate = (i64, NodeId, BlockId, u64);
 
 /// Best feasible move of `u` under the current assignment: the adjacent block with the
 /// highest affinity gain whose weight constraint admits `u` (ties broken towards the
-/// lower block ID). Moves that would empty the source block are rejected so the
-/// partition keeps exactly `k` non-empty blocks.
+/// lower block ID), read off `u`'s gain-table row. Moves that would empty the source
+/// block are rejected so the partition keeps exactly `k` non-empty blocks.
 fn best_feasible_move(
     graph: &impl Graph,
     cache: &GainCache,
@@ -60,32 +60,9 @@ fn best_feasible_move(
     if block_weights[from as usize] <= node_weight {
         return None;
     }
-    let mut adjacent: Vec<BlockId> = Vec::new();
-    graph.for_each_neighbor(u, &mut |v, _| {
-        let b = assignment[v as usize].load(Ordering::Relaxed);
-        if b != from && !adjacent.contains(&b) {
-            adjacent.push(b);
-        }
-    });
-    if adjacent.is_empty() {
-        return None;
-    }
-    let from_affinity = cache.affinity(graph, assignment, u, from) as i64;
-    let mut best: Option<(i64, BlockId)> = None;
-    for &to in &adjacent {
-        if block_weights[to as usize] + node_weight > max_block_weight {
-            continue;
-        }
-        let gain = cache.affinity(graph, assignment, u, to) as i64 - from_affinity;
-        let better = match best {
-            None => true,
-            Some((bg, bt)) => gain > bg || (gain == bg && to < bt),
-        };
-        if better {
-            best = Some((gain, to));
-        }
-    }
-    best
+    cache.best_move(graph, assignment, u, from, |to| {
+        block_weights[to as usize] + node_weight <= max_block_weight
+    })
 }
 
 /// Runs priority-queue k-way FM refinement on `partition`.
@@ -128,12 +105,7 @@ pub(crate) fn kway_fm_refine_obs(
     let n = graph.n();
     let k = partition.k();
     if n == 0 || k <= 1 || max_passes == 0 {
-        return FmStats {
-            moves: 0,
-            gain_table_bytes: 0,
-            passes: 0,
-            moves_rolled_back: 0,
-        };
+        return FmStats::default();
     }
     let epsilon = partition.epsilon();
     let max_block_weight = partition.max_block_weight();
@@ -156,6 +128,16 @@ pub(crate) fn kway_fm_refine_obs(
     let mut move_log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
 
     obs.gauge_max(Counter::GainTableBytes, gain_table_bytes as u64);
+    let best_move = |u: NodeId, block_weights: &[NodeWeight]| {
+        best_feasible_move(
+            graph,
+            &cache,
+            &assignment,
+            block_weights,
+            max_block_weight,
+            u,
+        )
+    };
 
     let mut total_moves = 0usize;
     let mut total_rolled_back = 0usize;
@@ -166,19 +148,16 @@ pub(crate) fn kway_fm_refine_obs(
         obs.add(Counter::FmPasses, 1);
         // Parallel, order-preserving seeding; the heap's total order makes the pop
         // sequence independent of the insertion order anyway.
-        {
-            let assignment = &assignment;
-            let block_weights = &block_weights;
-            let cache = &cache;
-            (0..n as NodeId)
-                .into_par_iter()
-                .filter_map(|u| {
-                    best_feasible_move(graph, cache, assignment, block_weights, max_block_weight, u)
-                        .map(|(gain, to)| (gain, u, to))
-                })
-                .collect_into_vec(&mut seeds);
-        }
+        (0..n as NodeId)
+            .into_par_iter()
+            .filter_map(|u| best_move(u, &block_weights).map(|(gain, to)| (gain, u, to)))
+            .collect_into_vec(&mut seeds);
+        // One gain query per seeded vertex, per re-validated pop and per re-inserted
+        // neighbour; `tried` counts the pops that reach re-validation.
+        let mut queries = n;
+        let mut tried = 0usize;
         if seeds.is_empty() {
+            obs.add(Counter::FmGainQueries, queries as u64);
             break;
         }
         heap.clear();
@@ -197,17 +176,10 @@ pub(crate) fn kway_fm_refine_obs(
             if locked[u as usize] || stamp != stamps[u as usize] {
                 continue;
             }
-            let current = best_feasible_move(
-                graph,
-                &cache,
-                &assignment,
-                &block_weights,
-                max_block_weight,
-                u,
-            );
-            let (current_gain, current_to) = match current {
-                None => continue,
-                Some(best) => best,
+            tried += 1;
+            queries += 1;
+            let Some((current_gain, current_to)) = best_move(u, &block_weights) else {
+                continue;
             };
             if (current_gain, current_to) != (gain, to) {
                 // The entry went stale without a stamp bump (a block filled up or
@@ -234,14 +206,8 @@ pub(crate) fn kway_fm_refine_obs(
             graph.for_each_neighbor(u, &mut |v, _| {
                 if !locked[v as usize] {
                     stamps[v as usize] += 1;
-                    if let Some((gv, tv)) = best_feasible_move(
-                        graph,
-                        &cache,
-                        &assignment,
-                        &block_weights,
-                        max_block_weight,
-                        v,
-                    ) {
+                    queries += 1;
+                    if let Some((gv, tv)) = best_move(v, &block_weights) {
                         heap.push((gv, v, tv, stamps[v as usize]));
                     }
                 }
@@ -256,8 +222,12 @@ pub(crate) fn kway_fm_refine_obs(
             block_weights[from as usize] += node_weight;
             cache.apply_move(graph, u, to, from);
         }
+        cache.debug_check_sample(graph, &assignment);
         pass_span.attr("moves", best_len as u64);
         pass_span.attr("rolled_back", rolled_back as u64);
+        pass_span.attr("tried", tried as u64);
+        obs.add(Counter::FmMovesTried, tried as u64);
+        obs.add(Counter::FmGainQueries, queries as u64);
         obs.add(Counter::FmMovesAccepted, best_len as u64);
         obs.add(Counter::FmMovesRolledBack, rolled_back as u64);
         total_moves += best_len;
@@ -289,12 +259,136 @@ pub(crate) fn kway_fm_refine_obs(
 mod tests {
     use super::*;
     use graph::gen;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     fn scrambled(graph: &impl Graph, k: usize, epsilon: f64) -> Partition {
         let assignment: Vec<BlockId> = (0..graph.n() as u32)
             .map(|u| (u.wrapping_mul(2_654_435_761) >> 8) % k as u32)
             .collect();
         Partition::from_assignment(graph, k, epsilon, assignment)
+    }
+
+    /// The neighbourhood-scanning query `best_feasible_move` replaced, kept as the oracle:
+    /// collect the adjacent blocks by walking `u`'s edges, then probe the cache per block.
+    fn best_feasible_move_by_scan(
+        graph: &impl Graph,
+        cache: &GainCache,
+        assignment: &[AtomicU32],
+        block_weights: &[NodeWeight],
+        max_block_weight: NodeWeight,
+        u: NodeId,
+    ) -> Option<(i64, BlockId)> {
+        let from = assignment[u as usize].load(Ordering::Relaxed);
+        let node_weight = graph.node_weight(u);
+        if block_weights[from as usize] <= node_weight {
+            return None;
+        }
+        let mut adjacent: Vec<BlockId> = Vec::new();
+        graph.for_each_neighbor(u, &mut |v, _| {
+            let b = assignment[v as usize].load(Ordering::Relaxed);
+            if b != from && !adjacent.contains(&b) {
+                adjacent.push(b);
+            }
+        });
+        if adjacent.is_empty() {
+            return None;
+        }
+        let from_affinity = cache.affinity(graph, assignment, u, from) as i64;
+        let mut best: Option<(i64, BlockId)> = None;
+        for &to in &adjacent {
+            if block_weights[to as usize] + node_weight > max_block_weight {
+                continue;
+            }
+            let gain = cache.affinity(graph, assignment, u, to) as i64 - from_affinity;
+            let better = match best {
+                None => true,
+                Some((bg, bt)) => gain > bg || (gain == bg && to < bt),
+            };
+            if better {
+                best = Some((gain, to));
+            }
+        }
+        best
+    }
+
+    const KINDS: [GainTableKind; 3] = [
+        GainTableKind::None,
+        GainTableKind::Dense,
+        GainTableKind::Sparse,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        #[test]
+        fn prop_table_row_query_equals_the_neighbourhood_scan(
+            seed in any::<u64>(),
+            k in 2usize..20,
+            slack in 0u64..6,
+        ) {
+            // Sparse random graph under a hub adjacent to everyone: vertices on both
+            // sides of deg > k (and of the hash-row / dense-row split) for every k drawn.
+            let n = 48;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut builder = graph::CsrGraphBuilder::with_node_weights(
+                (0..n).map(|_| rng.gen_range(1..=3)).collect(),
+            );
+            for v in 1..n as NodeId {
+                builder.add_edge(0, v, rng.gen_range(1..=9));
+                let other = (v + rng.gen_range(1..n as NodeId)) % n as NodeId;
+                builder.add_edge(v, other, rng.gen_range(1..=9));
+            }
+            let g = builder.build();
+            let assignment: Vec<AtomicU32> =
+                (0..n).map(|_| AtomicU32::new(rng.gen_range(0..k as BlockId))).collect();
+            let mut block_weights = vec![0; k];
+            for u in 0..n {
+                block_weights[assignment[u].load(Ordering::Relaxed) as usize] +=
+                    g.node_weight(u as NodeId);
+            }
+            // Tight enough that some targets are infeasible from the start.
+            let max_block_weight = *block_weights.iter().max().unwrap() + slack;
+            let caches = KINDS.map(|kind| GainCache::new(kind, &g, &assignment, k));
+            let agree = |u: NodeId, block_weights: &[NodeWeight]| {
+                let expected = best_feasible_move_by_scan(
+                    &g, &caches[1], &assignment, block_weights, max_block_weight, u,
+                );
+                for cache in &caches {
+                    let got = best_feasible_move(
+                        &g, cache, &assignment, block_weights, max_block_weight, u,
+                    );
+                    prop_assert_eq!(got, expected, "vertex {} with k = {}", u, k);
+                }
+                expected
+            };
+            let mut log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
+            let apply = |u: NodeId, from: BlockId, to: BlockId, bw: &mut [NodeWeight]| {
+                assignment[u as usize].store(to, Ordering::Relaxed);
+                bw[from as usize] -= g.node_weight(u);
+                bw[to as usize] += g.node_weight(u);
+                for cache in &caches {
+                    cache.apply_move(&g, u, from, to);
+                }
+            };
+            for _ in 0..200 {
+                let u = rng.gen_range(0..n as NodeId);
+                if let Some((_, to)) = agree(u, &block_weights) {
+                    let from = assignment[u as usize].load(Ordering::Relaxed);
+                    apply(u, from, to, &mut block_weights);
+                    log.push((u, from, to));
+                }
+                if rng.gen_bool(0.1) {
+                    // Roll back a random tail, as a pass does.
+                    for (u, from, to) in log.drain(rng.gen_range(0..=log.len())..).rev() {
+                        apply(u, to, from, &mut block_weights);
+                    }
+                }
+            }
+            for u in 0..n as NodeId {
+                agree(u, &block_weights);
+            }
+        }
     }
 
     #[test]
