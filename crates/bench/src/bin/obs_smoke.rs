@@ -152,6 +152,21 @@ fn main() {
         accepted as f64 / fm_seconds
     );
 
+    // The same for the 2-way FM of initial partitioning (sums over the whole portfolio).
+    let (initial_tried, initial_kept) = (
+        report.counter(Counter::InitialFmMovesTried),
+        report.counter(Counter::InitialFmMovesKept),
+    );
+    assert!(
+        initial_tried >= initial_kept,
+        "initial fm counters inconsistent: {initial_kept} kept of {initial_tried} tried"
+    );
+    println!(
+        "initial fm: {initial_kept} kept of {initial_tried} tried in {} passes of {} attempts",
+        report.counter(Counter::InitialFmPasses),
+        report.counter(Counter::InitialAttempts)
+    );
+
     // ---- Validate the Chrome trace. ----
     let text = std::fs::read_to_string(&trace_path).expect("trace file missing");
     let events = parse_trace(&text);

@@ -120,17 +120,17 @@ pub fn golden_entries() -> Vec<GoldenEntry> {
         cut_w64,
     };
     vec![
-        entry(Fast, "grid3d-16", 1042, 1042),
-        entry(Fast, "rgg2d-6k", 1062, 1062),
-        entry(Fast, "plc-6k", 21608, 21608),
-        entry(Fast, "rmat-14", 38889, 38889),
-        entry(Default, "grid3d-16", 963, 963),
-        entry(Default, "rgg2d-6k", 1029, 1029),
-        entry(Default, "plc-6k", 20868, 20868),
-        entry(Default, "rmat-14", 30422, 30422),
-        entry(Strong, "grid3d-16", 926, 926),
-        entry(Strong, "rgg2d-6k", 929, 929),
-        entry(Strong, "plc-6k", 20995, 20995),
-        entry(Strong, "rmat-14", 37617, 37617),
+        entry(Fast, "grid3d-16", 1113, 1113),
+        entry(Fast, "rgg2d-6k", 857, 857),
+        entry(Fast, "plc-6k", 21558, 21558),
+        entry(Fast, "rmat-14", 37956, 37956),
+        entry(Default, "grid3d-16", 1074, 1074),
+        entry(Default, "rgg2d-6k", 846, 846),
+        entry(Default, "plc-6k", 21092, 21092),
+        entry(Default, "rmat-14", 31867, 31867),
+        entry(Strong, "grid3d-16", 1066, 1066),
+        entry(Strong, "rgg2d-6k", 747, 747),
+        entry(Strong, "plc-6k", 20698, 20698),
+        entry(Strong, "rmat-14", 37384, 37384),
     ]
 }

@@ -59,6 +59,9 @@ counters! {
     // Initial partitioning portfolio.
     (InitialBisections, "initial_bisections", Sum),
     (InitialAttempts, "initial_attempts", Sum),
+    (InitialFmPasses, "initial_fm_passes", Sum),
+    (InitialFmMovesTried, "initial_fm_moves_tried", Sum),
+    (InitialFmMovesKept, "initial_fm_moves_kept", Sum),
     // Paged store cache.
     (CacheHits, "cache_hits", Sum),
     (CacheMisses, "cache_misses", Sum),

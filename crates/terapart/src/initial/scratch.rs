@@ -1,21 +1,16 @@
-//! Scratch memory for the recursive-bisection engine.
+//! Scratch memory for the recursive-bisection engine: the `2k - 1` nodes of the
+//! bisection tree reuse
 //!
-//! The bisection tree has `2k - 1` nodes, and the seed implementation allocated a fresh
-//! induced subgraph (via the validating `CsrGraphBuilder`, including a hash-map edge
-//! dedup and a full sorted rebuild), a fresh `O(n)` global-to-local map, and fresh
-//! per-attempt side/weight/heap buffers at *every* node. [`InitialPartitioningScratch`]
-//! replaces all of that with arena-style reuse:
-//!
-//! * a single **epoch-tagged membership map** (`InitialPartitioningScratch::local_of`)
-//!   shared by every tree node: each bisection claims a fresh epoch from a monotonic
-//!   counter and stores `(epoch, local_id)` packed into one atomic word per vertex, so
-//!   membership tests never require clearing and concurrent sibling subtrees (which
-//!   touch disjoint vertex sets) cannot observe each other's entries as their own;
+//! * a single **epoch-tagged membership map** shared by every tree node: each bisection
+//!   claims a fresh epoch from a monotonic counter and tags its vertices with
+//!   `(epoch, local id)`, so membership tests never require clearing and concurrent
+//!   sibling subtrees (which touch disjoint vertex sets) cannot observe each other's
+//!   entries as their own;
 //! * a pool of [`BisectionWorkspace`]s holding raw CSR buffers that induced subgraphs
-//!   are extracted into directly — no builder, no hashing, no re-sorting (the global
-//!   vertex order is ascending, so extracted neighbourhoods stay sorted for free);
-//! * a pool of [`AttemptWorkspace`]s holding the side/gain/heap/stamp buffers of one
-//!   greedy-growing + 2-way-FM portfolio attempt.
+//!   are extracted into directly (the global vertex order is ascending, so extracted
+//!   neighbourhoods stay sorted for free);
+//! * a pool of [`AttemptWorkspace`]s holding the side/gain/queue buffers of one
+//!   greedy-growing + 2-way-FM portfolio attempt — all of them vertex-indexed.
 //!
 //! Pools hand out workspaces to concurrently running tasks and take them back when the
 //! task finishes, so the number of live workspaces is bounded by the number of running
@@ -23,12 +18,13 @@
 //! bisection (the largest subgraph) sizes them and the rest of the tree runs
 //! allocation-free.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use graph::traits::Graph;
 use graph::{AtomicNodeId, EdgeId, EdgeWeight, NodeId, NodeWeight};
 use parking_lot::Mutex;
+
+use super::bipartition::{FmWork, TwoWay};
 
 /// Reusable scratch for one run's whole bisection tree (a region of
 /// [`HierarchyScratch`](crate::scratch::HierarchyScratch)).
@@ -37,10 +33,8 @@ pub struct InitialPartitioningScratch {
     /// Per global vertex: the epoch of the bisection that last tagged it. A vertex
     /// belongs to the subgraph of the bisection holding `epoch` iff the entry matches;
     /// stale entries from earlier (or concurrent sibling) bisections never match
-    /// because epochs are unique. Split from the local ID (instead of the former
-    /// `(epoch << 32) | local_id` packing) so the local half scales with the active
-    /// [`NodeId`] width; the epoch store/load pair carries release/acquire ordering so
-    /// a matching epoch guarantees the corresponding local ID is visible.
+    /// because epochs are unique. The epoch store/load pair carries release/acquire
+    /// ordering so a matching epoch guarantees the corresponding local ID is visible.
     local_epoch: Vec<AtomicU64>,
     /// Per global vertex: the local ID under `local_epoch[u]`.
     local_id: Vec<AtomicNodeId>,
@@ -55,12 +49,6 @@ pub struct InitialPartitioningScratch {
     attempts: Mutex<Vec<AttemptWorkspace>>,
     /// Heap bytes currently parked in the two pools (updated on release).
     pool_bytes: AtomicUsize,
-    /// Observability handle for the current run, installed by
-    /// [`initial_partition_with_scratch`](crate::initial::initial_partition_with_scratch)
-    /// so the recursion can bump bisection/attempt counters without widening every
-    /// signature. Counter sums are scheduling-independent, so the parallel tree may
-    /// bump them from any task.
-    pub(crate) obs: obs::ObsHandle,
 }
 
 impl InitialPartitioningScratch {
@@ -100,14 +88,10 @@ impl InitialPartitioningScratch {
 
     /// Checks out a bisection workspace (fresh if the pool is empty).
     pub(crate) fn checkout_bisection(&self) -> BisectionWorkspace {
-        match self.bisections.lock().pop() {
-            Some(ws) => {
-                self.pool_bytes
-                    .fetch_sub(ws.memory_bytes(), Ordering::Relaxed);
-                ws
-            }
-            None => Default::default(),
-        }
+        let ws = self.bisections.lock().pop().unwrap_or_default();
+        self.pool_bytes
+            .fetch_sub(ws.memory_bytes(), Ordering::Relaxed);
+        ws
     }
 
     /// Returns a bisection workspace to the pool.
@@ -119,14 +103,10 @@ impl InitialPartitioningScratch {
 
     /// Checks out an attempt workspace (fresh if the pool is empty).
     pub(crate) fn checkout_attempt(&self) -> AttemptWorkspace {
-        match self.attempts.lock().pop() {
-            Some(ws) => {
-                self.pool_bytes
-                    .fetch_sub(ws.memory_bytes(), Ordering::Relaxed);
-                ws
-            }
-            None => Default::default(),
-        }
+        let ws = self.attempts.lock().pop().unwrap_or_default();
+        self.pool_bytes
+            .fetch_sub(ws.memory_bytes(), Ordering::Relaxed);
+        ws
     }
 
     /// Returns an attempt workspace to the pool.
@@ -178,12 +158,12 @@ pub struct BisectionWorkspace {
     pub(crate) edge_weights: Vec<EdgeWeight>,
     /// Node weights of the subgraph vertices.
     pub(crate) node_weights: Vec<NodeWeight>,
+    /// Weighted degrees: the start gains of an attempt, and FM's boundary test.
+    pub(crate) weighted_degrees: Vec<EdgeWeight>,
     /// Total node weight (cached at extraction).
     pub(crate) total_node_weight: NodeWeight,
     /// Total edge weight (cached at extraction; undirected edges counted once).
     pub(crate) total_edge_weight: EdgeWeight,
-    /// Maximum degree (cached at extraction).
-    pub(crate) max_degree: usize,
     /// Stable-partition temporary for the side-1 vertices of the chosen bipartition.
     pub(crate) right_tmp: Vec<NodeId>,
 }
@@ -195,11 +175,11 @@ impl BisectionWorkspace {
             + self.adjacency.capacity() * std::mem::size_of::<NodeId>()
             + self.edge_weights.capacity() * std::mem::size_of::<EdgeWeight>()
             + self.node_weights.capacity() * std::mem::size_of::<NodeWeight>()
+            + self.weighted_degrees.capacity() * std::mem::size_of::<EdgeWeight>()
             + self.right_tmp.capacity() * std::mem::size_of::<NodeId>()
     }
 
-    /// Extracts the subgraph induced by `vertices` into this workspace's buffers and
-    /// returns the epoch tag under which the membership map addresses it.
+    /// Extracts the subgraph induced by `vertices` into this workspace's buffers.
     ///
     /// `vertices` must be ascending (the bisection tree maintains this invariant by
     /// partitioning stably), so extracted neighbourhoods remain sorted by local ID
@@ -209,37 +189,37 @@ impl BisectionWorkspace {
         graph: &impl Graph,
         vertices: &[NodeId],
         scratch: &InitialPartitioningScratch,
-    ) -> u64 {
+    ) {
         let n_sub = vertices.len();
         let epoch = scratch.next_epoch();
         scratch.tag_members(epoch, vertices);
 
         // Single pass: neighbourhoods are appended directly and each vertex's offset is
         // recorded afterwards, so every half-edge pays exactly one membership lookup.
-        // The buffers are pooled, so growth beyond the reused capacity is a one-time
-        // cost of the largest (root) bisection.
         self.xadj.clear();
         self.xadj.reserve(n_sub + 1);
         self.node_weights.clear();
         self.node_weights.reserve(n_sub);
+        self.weighted_degrees.clear();
+        self.weighted_degrees.reserve(n_sub);
         self.adjacency.clear();
         self.edge_weights.clear();
         let mut total_node_weight: NodeWeight = 0;
         let mut total_edge_weight: EdgeWeight = 0;
-        let mut max_degree = 0usize;
         self.xadj.push(0);
         for &u in vertices {
-            let before = self.adjacency.len();
             let adjacency = &mut self.adjacency;
             let edge_weights = &mut self.edge_weights;
+            let mut weighted_degree: EdgeWeight = 0;
             graph.for_each_neighbor(u, &mut |v, w| {
                 if let Some(local) = scratch.local(epoch, v) {
                     adjacency.push(local);
                     edge_weights.push(w);
-                    total_edge_weight += w;
+                    weighted_degree += w;
                 }
             });
-            max_degree = max_degree.max(self.adjacency.len() - before);
+            total_edge_weight += weighted_degree;
+            self.weighted_degrees.push(weighted_degree);
             self.xadj.push(self.adjacency.len() as EdgeId);
             let w = graph.node_weight(u);
             total_node_weight += w;
@@ -247,8 +227,6 @@ impl BisectionWorkspace {
         }
         self.total_node_weight = total_node_weight;
         self.total_edge_weight = total_edge_weight / 2;
-        self.max_degree = max_degree;
-        epoch
     }
 
     /// A [`Graph`] view of the extracted subgraph.
@@ -257,9 +235,8 @@ impl BisectionWorkspace {
     }
 }
 
-/// Borrowed [`Graph`] implementation over a [`BisectionWorkspace`]'s CSR buffers, so the
-/// bipartition routines (generic over `Graph`) run on the scratch-backed subgraph
-/// without materialising a `CsrGraph`.
+/// Borrowed [`Graph`] implementation over a [`BisectionWorkspace`]'s CSR buffers, which
+/// the bipartition routines (generic over `Graph`) run on.
 pub struct SubgraphView<'a> {
     ws: &'a BisectionWorkspace,
 }
@@ -305,50 +282,158 @@ impl Graph for SubgraphView<'_> {
         true
     }
 
-    fn max_degree(&self) -> usize {
-        self.ws.max_degree
+    fn weighted_degree(&self, u: NodeId) -> EdgeWeight {
+        self.ws.weighted_degrees[u as usize]
     }
 }
 
-/// Buffers of one greedy-growing + 2-way-FM portfolio attempt. The attempt's resulting
-/// bipartition lives in `AttemptWorkspace::side` / the two weights, so the winning
-/// attempt's workspace doubles as the result carrier — no copy on the way out.
+/// Buffers of one greedy-growing + 2-way-FM portfolio attempt, every one of them indexed
+/// by vertex. The attempt's resulting bipartition lives in `AttemptWorkspace::part`, so the
+/// winning attempt's workspace doubles as the result carrier — no copy on the way out.
 #[derive(Debug, Default)]
 pub struct AttemptWorkspace {
-    /// Side of each subgraph vertex (`true` = block 1).
-    pub(crate) side: Vec<bool>,
-    /// Total node weight on side 0.
-    pub(crate) weight0: NodeWeight,
-    /// Total node weight on side 1.
-    pub(crate) weight1: NodeWeight,
-    /// Growing: whether a vertex has been assigned to block 0's region yet.
-    pub(crate) assigned: Vec<bool>,
+    /// The bipartition with its weights, cut and gains.
+    pub(crate) part: TwoWay,
     /// Restart order for greedy growing (shuffled per attempt).
     pub(crate) order: Vec<NodeId>,
-    /// Shared max-heap: `(priority, vertex, stamp)`. Growing uses it as the frontier
-    /// (stamp 0); FM uses it as the gain queue with lazy invalidation via stamps.
-    pub(crate) heap: BinaryHeap<(i64, NodeId, u32)>,
-    /// FM: current gain of each vertex (maintained incrementally).
-    pub(crate) gains: Vec<i64>,
-    /// FM: latest stamp per vertex; heap entries with older stamps are stale.
-    pub(crate) stamp: Vec<u32>,
-    /// FM: vertices already moved in the current pass.
+    /// Growing: the frontier, keyed by connection weight to block 0. FM: the unlocked
+    /// boundary vertices, keyed by gain.
+    pub(crate) queue: AddressableMaxHeap,
+    /// FM: vertices already moved in the current pass (all `false` between passes).
     pub(crate) locked: Vec<bool>,
     /// FM: move log for best-prefix rollback.
     pub(crate) moves: Vec<NodeId>,
+    /// FM: work counters of the current attempt.
+    pub(crate) fm: FmWork,
 }
 
 impl AttemptWorkspace {
+    /// Starts an attempt on `graph`: everything in block 1, nothing queued or locked.
+    pub(crate) fn reset(&mut self, graph: &impl Graph) {
+        self.part.reset(graph);
+        self.queue.reset(graph.n());
+        self.locked.clear();
+        self.locked.resize(graph.n(), false);
+        self.fm = FmWork::default();
+    }
+
     /// Heap bytes held by the workspace buffers.
     pub fn memory_bytes(&self) -> usize {
-        self.side.capacity()
-            + self.assigned.capacity()
+        self.part.side.capacity()
+            + self.part.gains.capacity() * std::mem::size_of::<i64>()
             + self.locked.capacity()
             + self.order.capacity() * std::mem::size_of::<NodeId>()
             + self.moves.capacity() * std::mem::size_of::<NodeId>()
-            + self.heap.capacity() * std::mem::size_of::<(i64, NodeId, u32)>()
-            + self.gains.capacity() * std::mem::size_of::<i64>()
-            + self.stamp.capacity() * std::mem::size_of::<u32>()
+            + self.queue.memory_bytes()
+    }
+}
+
+/// Addressable binary max-heap over the vertices `0..n`: every vertex is in it at most
+/// once and its key can be changed in place, so the heap never exceeds `n` entries.
+/// Entries are ordered by `(key, vertex id)` — a total order, so the pop sequence
+/// depends on the operations alone, never on how ties happen to sit in the array.
+#[derive(Debug, Default)]
+pub(crate) struct AddressableMaxHeap {
+    entries: Vec<(i64, NodeId)>,
+    /// Index of each vertex in `entries`, or `ABSENT`.
+    position: Vec<NodeId>,
+}
+
+const ABSENT: NodeId = NodeId::MAX;
+
+impl AddressableMaxHeap {
+    /// Empties the heap and sizes it for the vertices `0..n`; costs the entries left.
+    pub(crate) fn reset(&mut self, n: usize) {
+        for &(_, v) in &self.entries {
+            self.position[v as usize] = ABSENT;
+        }
+        self.entries.clear();
+        self.position.resize(n, ABSENT);
+    }
+
+    /// Replaces the content by `items` (distinct vertices) in `O(len)`.
+    pub(crate) fn heapify(&mut self, n: usize, items: impl Iterator<Item = (i64, NodeId)>) {
+        self.reset(n);
+        self.entries.extend(items);
+        for (i, &(_, v)) in self.entries.iter().enumerate() {
+            self.position[v as usize] = i as NodeId;
+        }
+        for i in (0..self.entries.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// The key of `v`, if it is in the heap.
+    pub(crate) fn key(&self, v: NodeId) -> Option<i64> {
+        let i = self.position[v as usize];
+        (i != ABSENT).then(|| self.entries[i as usize].0)
+    }
+
+    /// Inserts `v` with `key`, or moves it to `key` if it is already in the heap.
+    pub(crate) fn push_or_update(&mut self, v: NodeId, key: i64) {
+        let i = self.position[v as usize];
+        if i == ABSENT {
+            self.entries.push((key, v));
+            self.sift_up(self.entries.len() - 1);
+        } else {
+            let raised = key > self.entries[i as usize].0;
+            self.entries[i as usize].0 = key;
+            if raised {
+                self.sift_up(i as usize);
+            } else {
+                self.sift_down(i as usize);
+            }
+        }
+    }
+
+    /// Removes and returns the largest `(key, vertex)`.
+    pub(crate) fn pop(&mut self) -> Option<(i64, NodeId)> {
+        let last = self.entries.pop()?;
+        let Some(&top) = self.entries.first() else {
+            self.position[last.1 as usize] = ABSENT;
+            return Some(last);
+        };
+        self.position[top.1 as usize] = ABSENT;
+        self.entries[0] = last;
+        self.sift_down(0);
+        Some(top)
+    }
+
+    /// Moves the entry at `i` towards the root until its parent is larger.
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.entries[i];
+        while i > 0 && self.entries[(i - 1) / 2] < entry {
+            self.place(i, self.entries[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        self.place(i, entry);
+    }
+
+    /// Moves the entry at `i` towards the leaves until both children are smaller.
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.entries[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child + 1 < self.entries.len() && self.entries[child + 1] > self.entries[child] {
+                child += 1;
+            }
+            if child >= self.entries.len() || self.entries[child] < entry {
+                break;
+            }
+            self.place(i, self.entries[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
+
+    fn place(&mut self, i: usize, entry: (i64, NodeId)) {
+        self.entries[i] = entry;
+        self.position[entry.1 as usize] = i as NodeId;
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(i64, NodeId)>()
+            + self.position.capacity() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -381,7 +466,7 @@ mod tests {
     fn extract_matches_the_reference_extraction() {
         let g = gen::rgg2d(300, 8, 11);
         let vertices: Vec<NodeId> = (0..g.n() as NodeId).filter(|u| u % 3 != 0).collect();
-        let (reference, original) = crate::initial::induced_subgraph(&g, &vertices);
+        let reference = crate::initial::tests::induced_subgraph(&g, &vertices);
         let mut scratch = InitialPartitioningScratch::default();
         scratch.ensure(g.n());
         let mut ws = scratch.checkout_bisection();
@@ -391,7 +476,6 @@ mod tests {
         assert_eq!(view.m(), reference.m());
         assert_eq!(view.total_node_weight(), reference.total_node_weight());
         assert_eq!(view.total_edge_weight(), reference.total_edge_weight());
-        assert_eq!(original, vertices);
         for u in 0..reference.n() as NodeId {
             assert_eq!(
                 view.neighbors_vec(u),
@@ -421,5 +505,67 @@ mod tests {
         let ws = scratch.checkout_attempt();
         assert_eq!(ws.order.capacity(), 0, "released pools start fresh");
         scratch.release_attempt(ws);
+    }
+
+    #[test]
+    fn heap_moves_keys_up_and_down_in_place() {
+        let mut heap = AddressableMaxHeap::default();
+        heap.reset(8);
+        for (v, key) in [(0, 5), (1, 9), (2, 7), (3, 1)] {
+            heap.push_or_update(v, key);
+        }
+        heap.push_or_update(3, 20); // up, past everything
+        heap.push_or_update(1, -4); // down, below everything
+        assert_eq!(heap.key(3), Some(20));
+        assert_eq!(heap.key(5), None);
+        let popped: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+        assert_eq!(popped, [(20, 3), (7, 2), (5, 0), (-4, 1)]);
+        assert_eq!(heap.key(3), None, "a popped vertex is gone");
+        assert!(heap.memory_bytes() >= 8 * std::mem::size_of::<NodeId>());
+    }
+
+    #[test]
+    fn heap_pops_equal_keys_by_vertex_id() {
+        let mut heap = AddressableMaxHeap::default();
+        for order in [[4, 1, 3, 0, 2], [0, 1, 2, 3, 4], [2, 4, 0, 3, 1]] {
+            heap.heapify(5, order.iter().map(|&v| (7, v)));
+            let bulk: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+            for &v in &order {
+                heap.push_or_update(v, 7);
+            }
+            let pushed: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+            assert_eq!(bulk, [(7, 4), (7, 3), (7, 2), (7, 1), (7, 0)]);
+            assert_eq!(pushed, bulk);
+        }
+    }
+
+    #[test]
+    fn heap_agrees_with_a_sorted_vec_model() {
+        use rand::prelude::*;
+        let n = 50;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        let mut heap = AddressableMaxHeap::default();
+        heap.reset(n);
+        let mut model: Vec<(i64, NodeId)> = Vec::new(); // ascending
+        for step in 0..2_000 {
+            match rng.gen_range(0..10u32) {
+                0..=5 => {
+                    let (v, key) = (rng.gen_range(0..n as NodeId), rng.gen_range(-8..8i64));
+                    heap.push_or_update(v, key);
+                    model.retain(|&(_, other)| other != v);
+                    model.push((key, v));
+                    model.sort_unstable();
+                }
+                6..=8 => assert_eq!(heap.pop(), model.pop(), "step {step}"),
+                _ if step % 7 == 0 => {
+                    model.truncate(rng.gen_range(0..n));
+                    heap.heapify(n, model.iter().copied());
+                }
+                _ => {}
+            }
+            let v = rng.gen_range(0..n as NodeId);
+            let expected = model.iter().find(|&&(_, other)| other == v);
+            assert_eq!(heap.key(v), expected.map(|&(key, _)| key), "step {step}");
+        }
     }
 }

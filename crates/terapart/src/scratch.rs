@@ -328,7 +328,6 @@ impl HierarchyScratch {
     /// recording sink (and its `Arc<Recorder>`) alive between requests.
     pub(crate) fn reset_obs(&mut self) {
         self.obs = obs::ObsHandle::noop();
-        self.initial.obs = obs::ObsHandle::noop();
     }
 
     /// Grows the LP worklist buffers (visit order, its chunk permutation, frontier
