@@ -145,8 +145,10 @@ fn main() {
         run_report.all_spans().len(),
         run_report.counters.len()
     );
+    // 0.9993 and above since PR 13; the floor keeps a slow slide (0.9925 → 0.9658 over
+    // PRs 8–10) from recurring unnoticed.
     assert!(
-        run_report.span_coverage >= 0.95,
+        run_report.span_coverage >= 0.98,
         "span tree covers only {:.1}% of the pipeline wall time",
         run_report.span_coverage * 100.0
     );

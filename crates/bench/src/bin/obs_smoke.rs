@@ -91,6 +91,69 @@ fn rank(cat: &str) -> u32 {
     }
 }
 
+/// How much of each level refinement looked at, read off a `RunReport` alone: the
+/// `refine` spans carry the boundary superset going in (`candidates`), the vertices
+/// label propagation visited over all rounds (`visited`) and the superset coming out
+/// (`boundary`). On a mesh the input level must be visited in part, not swept.
+fn uncoarsening_proportion() {
+    let graph = gen::rgg2d(40_000, 8, 3);
+    let config = PartitionerConfig::preset(Preset::Fast, 16)
+        .with_threads(1)
+        .with_run_report(true);
+    let result = terapart::partition_csr(&graph, &config);
+    let report = result.run_report.as_ref().expect("the run recorded");
+    let mut levels: Vec<(u64, u64, u64, u64)> = report
+        .all_spans()
+        .iter()
+        .filter(|span| span.name == "refine")
+        .map(|span| {
+            let attr = |key| {
+                span.attr(key)
+                    .expect("a refine span without its attributes")
+            };
+            (
+                span.level.expect("a refine span without a level"),
+                attr("candidates"),
+                attr("visited"),
+                attr("boundary"),
+            )
+        })
+        .collect();
+    levels.sort_unstable();
+    // The coarse graphs' sizes are on the coarsening spans; level 0 is the input.
+    let nodes = |level: u64| match level {
+        0 => graph.n() as u64,
+        _ => report
+            .all_spans()
+            .iter()
+            .find(|span| span.name == "coarsen_level" && span.level == Some(level - 1))
+            .and_then(|span| span.attr("coarse_nodes"))
+            .expect("a refined level that was never coarsened"),
+    };
+    for &(level, candidates, visited, boundary) in &levels {
+        let n = nodes(level);
+        println!(
+            "refine@{level}: n={n}, candidates {candidates}, visited {visited} ({:.3} n), boundary {boundary}",
+            visited as f64 / n as f64
+        );
+        assert!(boundary <= n && candidates <= n);
+    }
+    let &(level, _, visited, _) = levels.first().expect("no refine span in the report");
+    assert_eq!(level, 0);
+    assert!(
+        visited < graph.n() as u64,
+        "the input level was swept: {visited} visits of {} vertices",
+        graph.n()
+    );
+    assert_eq!(
+        report.counter(Counter::LpRefineVisited),
+        levels
+            .iter()
+            .map(|&(_, _, visited, _)| visited)
+            .sum::<u64>()
+    );
+}
+
 fn main() {
     let dir = std::env::temp_dir().join(format!("terapart_obs_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("failed to create the smoke dir");
@@ -166,6 +229,8 @@ fn main() {
         report.counter(Counter::InitialFmPasses),
         report.counter(Counter::InitialAttempts)
     );
+
+    uncoarsening_proportion();
 
     // ---- Validate the Chrome trace. ----
     let text = std::fs::read_to_string(&trace_path).expect("trace file missing");

@@ -120,17 +120,17 @@ pub fn golden_entries() -> Vec<GoldenEntry> {
         cut_w64,
     };
     vec![
-        entry(Fast, "grid3d-16", 1113, 1113),
-        entry(Fast, "rgg2d-6k", 857, 857),
+        entry(Fast, "grid3d-16", 1129, 1129),
+        entry(Fast, "rgg2d-6k", 863, 863),
         entry(Fast, "plc-6k", 21558, 21558),
-        entry(Fast, "rmat-14", 37956, 37956),
-        entry(Default, "grid3d-16", 1074, 1074),
+        entry(Fast, "rmat-14", 38298, 38298),
+        entry(Default, "grid3d-16", 1076, 1076),
         entry(Default, "rgg2d-6k", 846, 846),
         entry(Default, "plc-6k", 21092, 21092),
-        entry(Default, "rmat-14", 31867, 31867),
+        entry(Default, "rmat-14", 29963, 29963),
         entry(Strong, "grid3d-16", 1066, 1066),
         entry(Strong, "rgg2d-6k", 747, 747),
         entry(Strong, "plc-6k", 20698, 20698),
-        entry(Strong, "rmat-14", 37384, 37384),
+        entry(Strong, "rmat-14", 38095, 38095),
     ]
 }

@@ -47,6 +47,7 @@ counters! {
     // Label propagation: refinement side.
     (LpRefineRounds, "lp_refine_rounds", Sum),
     (LpRefineMoves, "lp_refine_moves", Sum),
+    (LpRefineVisited, "lp_refine_visited", Sum),
     // FM refinement (batched and priority-queue k-way).
     (FmPasses, "fm_passes", Sum),
     (FmGainQueries, "fm_gain_queries", Sum),

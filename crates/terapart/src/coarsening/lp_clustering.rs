@@ -353,7 +353,14 @@ pub fn cluster_with_scratch(
                 run: &mut run,
                 prefetch: &prefetch,
             };
-            drive_lp_rounds(n, config.lp_rounds, use_frontier, scratch, &mut semantics);
+            drive_lp_rounds(
+                n,
+                config.lp_rounds,
+                use_frontier,
+                None,
+                scratch,
+                &mut semantics,
+            );
         }
         LabelPropagationMode::TwoPhase => {
             // Auxiliary memory: p fixed-capacity hash tables plus one shared O(n) array.
@@ -372,7 +379,14 @@ pub fn cluster_with_scratch(
                 run: &mut run,
                 prefetch: &prefetch,
             };
-            drive_lp_rounds(n, config.lp_rounds, use_frontier, scratch, &mut semantics);
+            drive_lp_rounds(
+                n,
+                config.lp_rounds,
+                use_frontier,
+                None,
+                scratch,
+                &mut semantics,
+            );
         }
     }
 

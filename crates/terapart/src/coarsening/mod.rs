@@ -14,7 +14,7 @@ pub mod two_hop;
 
 pub use contract::{contract, contract_with_scratch, ContractionResult};
 pub use lp_clustering::{cluster, cluster_with_scratch, Clustering};
-pub use two_hop::two_hop_clustering;
+pub use two_hop::{pack_isolated_vertices, two_hop_clustering, two_hop_clustering_with_scratch};
 
 use graph::csr::CsrGraph;
 use graph::traits::Graph;
@@ -70,6 +70,10 @@ pub fn max_cluster_weight(
     let denominator = (contraction_limit * k).max(1) as f64;
     ((total_node_weight as f64 * fraction / denominator).ceil() as NodeWeight).max(1)
 }
+
+/// The two-hop stage runs on a level where label propagation leaves more than
+/// `n / 2` clusters (KaMinPar's threshold): a level that halves is not stalling.
+const TWO_HOP_DIVISOR: usize = 2;
 
 /// Runs the full coarsening stage on `graph` with freshly allocated scratch memory.
 /// Prefer [`coarsen_with_scratch`] when the caller owns an arena for the whole run.
@@ -152,8 +156,13 @@ fn coarsen_level(
     let shrinks = |c: &Clustering| c.num_clusters as f64 <= coarsening.min_shrink_factor * n as f64;
     let clustering = obs_phase(&obs, tracker, "cluster", level, || {
         let mut c = lp_clustering::cluster_with_scratch(graph, coarsening, limit, seed, scratch);
-        if coarsening.two_hop_clustering && !shrinks(&c) {
-            two_hop_clustering(graph, &mut c, limit);
+        if coarsening.two_hop_clustering && c.num_clusters > n / TWO_HOP_DIVISOR {
+            // Packing isolated vertices is free of cut; matching singletons that merely
+            // share a neighbour is not, and waits until the level would be given up.
+            pack_isolated_vertices(graph, &mut c, limit);
+            if !shrinks(&c) {
+                two_hop_clustering_with_scratch(graph, &mut c, limit, scratch);
+            }
         }
         c
     });

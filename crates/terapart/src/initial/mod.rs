@@ -85,9 +85,12 @@ pub fn initial_partition_with_scratch(
         scratch.initial.release_pools();
         scratch.recharge();
     }
+    // Recursive bisection has no deltas to offer: this is the one full count of a
+    // request. Every later stage moves the cut by its gains or recounts it over the
+    // boundary. The boundary itself stays unknown; the first refinement round on this
+    // graph is a full sweep anyway and leaves an exact one behind.
     let mut partition = Partition::from_assignment(graph, k, epsilon, assignment);
-    let cut = partition.edge_cut_on(graph);
-    partition.set_cached_cut(cut);
+    partition.set_tracked_cut(partition.edge_cut_on(graph));
     partition
 }
 

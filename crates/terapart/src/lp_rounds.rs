@@ -1,8 +1,9 @@
 //! The shared frontier round-driver of label propagation.
 //!
 //! Clustering ([`cluster_with_scratch`]) and LP refinement ([`lp_refine_with_scratch`])
-//! run the same outer loop: build the round's visit order from the active set (every
-//! vertex in round 0 or when the frontier is disabled) with a round-derived seed
+//! run the same outer loop: build the round's visit order from the active set (in round
+//! 0 the caller's start set, or every vertex if it has none or the frontier is
+//! disabled) with a round-derived seed
 //! ([`build_visit_order`]), run one parallel round that marks the next round's frontier,
 //! swap the frontier bitsets and evaluate a stop criterion. The loop used to be
 //! implemented twice with deliberately different *waiter* semantics; this module hosts
@@ -119,10 +120,15 @@ pub(crate) fn build_visit_order(
 
 /// Drives up to `max_rounds` label propagation rounds over a graph with `n` vertices,
 /// reusing the visit-order buffers and the frontier bitset pair of `scratch`.
+///
+/// Round 0 visits the vertices of `start` — the caller's proof that nobody else has
+/// work, e.g. a partition's boundary superset — or every vertex when there is none.
+/// Without the frontier every round is a full sweep and `start` is ignored.
 pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
     n: usize,
     max_rounds: usize,
     use_frontier: bool,
+    start: Option<&AtomicBitset>,
     scratch: &mut HierarchyScratch,
     semantics: &mut S,
 ) -> RoundStats {
@@ -134,9 +140,12 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
     let (rounds_counter, moves_counter) = semantics.obs_counters();
     scratch.ensure_worklists(n);
     let mut order = std::mem::take(&mut scratch.order);
-    // A full sweep is the all-bits-set case of the frontier: round 0 starts from it,
-    // and without the frontier nothing ever replaces it.
-    scratch.active.set_all(n);
+    // A full sweep is the all-bits-set case of the frontier: without a start set
+    // round 0 begins from it, and without the frontier nothing ever replaces it.
+    match start {
+        Some(start) if use_frontier => scratch.active.copy_from(start, n),
+        _ => scratch.active.set_all(n),
+    }
     for round in 0..max_rounds {
         build_visit_order(
             n,
@@ -232,7 +241,7 @@ mod tests {
             visited: Vec::new(),
             moves_per_round: vec![3, 2, 1],
         };
-        let stats = drive_lp_rounds(10, 3, false, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(10, 3, false, None, &mut scratch, &mut semantics);
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.moves, 6);
         for round in &semantics.visited {
@@ -249,11 +258,35 @@ mod tests {
             visited: Vec::new(),
             moves_per_round: vec![4, 2, 1],
         };
-        let stats = drive_lp_rounds(16, 5, true, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(16, 5, true, None, &mut scratch, &mut semantics);
         assert_eq!(stats.visited_per_round[0], 16);
         assert_eq!(stats.visited_per_round[1], 4);
         assert_eq!(stats.visited_per_round[2], 2);
         assert!(stats.rounds >= 3);
+    }
+
+    #[test]
+    fn a_start_set_replaces_the_sweep_of_round_zero_only_with_the_frontier() {
+        let mut start = AtomicBitset::new();
+        start.ensure_len(16);
+        for u in [3, 4, 11] {
+            start.set(u);
+        }
+        let run = |frontier: bool| {
+            let mut scratch = HierarchyScratch::new();
+            let mut semantics = Recording {
+                seed: 7,
+                rounds_run: 0,
+                visited: Vec::new(),
+                moves_per_round: vec![2, 1],
+            };
+            drive_lp_rounds(16, 5, frontier, Some(&start), &mut scratch, &mut semantics);
+            semantics.visited
+        };
+        let visited = run(true);
+        assert_eq!(visited[0], vec![3, 4, 11]);
+        assert_eq!(visited[1].len(), 2, "later rounds follow the marks as ever");
+        assert!(run(false).iter().all(|round| round.len() == 16));
     }
 
     #[test]
@@ -265,7 +298,7 @@ mod tests {
             visited: Vec::new(),
             moves_per_round: vec![2, 0, 5],
         };
-        let stats = drive_lp_rounds(8, 5, true, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(8, 5, true, None, &mut scratch, &mut semantics);
         assert_eq!(stats.rounds, 2, "must stop at the move-free round");
         assert_eq!(stats.moves, 2);
     }
@@ -317,7 +350,7 @@ mod tests {
             marks_per_round: marks_per_round.to_vec(),
             orders: Vec::new(),
         };
-        let stats = drive_lp_rounds(n, MAX_ROUNDS, frontier, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(n, MAX_ROUNDS, frontier, None, &mut scratch, &mut semantics);
         assert_eq!(stats.rounds, semantics.orders.len());
         semantics.orders
     }
@@ -448,7 +481,7 @@ mod tests {
             pending: true,
             rounds_run: 0,
         };
-        let stats = drive_lp_rounds(8, 6, true, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(8, 6, true, None, &mut scratch, &mut semantics);
         // Round 0 (full), round 1 (empty order but pending waiter), round 2 (the
         // reactivated waiter), round 3 onwards stops.
         assert!(stats.rounds >= 3, "waiter rounds missing: {:?}", stats);

@@ -144,10 +144,91 @@ pub(crate) fn obs_phase<T>(
     level: usize,
     f: impl FnOnce() -> T,
 ) -> T {
+    obs_phase_with(obs, tracker, name, level, f, |_, _| {})
+}
+
+/// [`obs_phase`] whose span also carries what `annotate` reads off the phase's result.
+fn obs_phase_with<T>(
+    obs: &ObsHandle,
+    tracker: &PhaseTracker,
+    name: &'static str,
+    level: usize,
+    f: impl FnOnce() -> T,
+    annotate: impl FnOnce(&T, &mut obs::SpanGuard),
+) -> T {
     let mut span = obs.span_at(SpanKind::Phase, name, level as u64);
     let (value, report) = tracker.run_reported(name, level, f);
     span.attr("peak_bytes", report.peak_bytes as u64);
+    annotate(&value, &mut span);
     value
+}
+
+/// The level-boundary invariants (debug builds): the tracked cut equals a recount —
+/// after a projection that is "projected cut == coarse cut" —, the block weights equal
+/// a recount, and every boundary vertex is in the boundary superset.
+fn debug_check_level(graph: &impl Graph, partition: &Partition, stage: &str, level: usize) {
+    if cfg!(debug_assertions) {
+        if let Err(violation) = partition.check_tracked_state(graph) {
+            panic!("after {stage} on level {level}: {violation}");
+        }
+    }
+}
+
+/// Projects the partition of level `level + 1` onto `graph`, the graph of `level`, and
+/// refines it there.
+fn uncoarsen_level(
+    graph: &impl Graph,
+    coarse: &Partition,
+    mapping: &[NodeId],
+    level: usize,
+    config: &PartitionerConfig,
+    tracker: &PhaseTracker,
+    scratch: &mut HierarchyScratch,
+) -> (Partition, RefinementStats) {
+    let mut partition = obs_phase(&scratch.obs, tracker, "uncoarsen", level, || {
+        coarse.project(graph, mapping)
+    });
+    debug_check_level(graph, &partition, "projection", level);
+    let seed = config.seed ^ (level as u64);
+    let stats = refine_level(graph, &mut partition, level, seed, config, tracker, scratch);
+    (partition, stats)
+}
+
+/// Refines `partition` on the graph of one hierarchy level as the pipeline's `refine`
+/// phase. The span says how much of the level the refinement looked at: `candidates`
+/// (boundary superset on entry), `visited` (summed over the LP rounds) and `boundary`
+/// (superset on exit), all out of the level's `n`.
+fn refine_level(
+    graph: &impl Graph,
+    partition: &mut Partition,
+    level: usize,
+    seed: u64,
+    config: &PartitionerConfig,
+    tracker: &PhaseTracker,
+    scratch: &mut HierarchyScratch,
+) -> RefinementStats {
+    let obs = scratch.obs.clone();
+    let stats = obs_phase_with(
+        &obs,
+        tracker,
+        "refine",
+        level,
+        || refine_with_scratch(graph, partition, &config.refinement, seed, scratch),
+        |stats, span| {
+            span.attr("candidates", stats.lp_candidates as u64);
+            span.attr("visited", stats.lp_visited as u64);
+            span.attr("boundary", stats.boundary as u64);
+        },
+    );
+    debug_check_level(graph, partition, "refinement", level);
+    // Live-progress report: reads tracked state only, so it cannot perturb the run.
+    config.obs.progress.emit(&ProgressEvent::LevelRefined {
+        level,
+        nodes: graph.n(),
+        edge_cut: partition.edge_cut(),
+        imbalance: partition.imbalance(),
+    });
+    stats
 }
 
 /// Partitions `graph` into `config.k` blocks, recording phases in `tracker`.
@@ -244,112 +325,73 @@ pub(crate) fn partition_with_session(
                 scratch,
             )
         });
-        if progress.is_set() {
-            progress.emit(&ProgressEvent::InitialPartitioned {
-                coarse_nodes: coarsest.n(),
-                edge_cut: current.edge_cut_on(coarsest),
-                imbalance: current.imbalance(),
-            });
-        }
+        progress.emit(&ProgressEvent::InitialPartitioned {
+            coarse_nodes: coarsest.n(),
+            edge_cut: current.edge_cut(),
+            imbalance: current.imbalance(),
+        });
 
         // ---- Uncoarsening: refine, then project to the next finer level ----
-        let mut total_refinement = RefinementStats::default();
-        let accumulate = |stats: RefinementStats, total: &mut RefinementStats| {
+        let mut total = RefinementStats::default();
+        let mut accumulate = |stats: RefinementStats| {
             total.lp_moves += stats.lp_moves;
             total.fm_moves += stats.fm_moves;
             total.rebalance_moves += stats.rebalance_moves;
             total.gain_table_bytes = total.gain_table_bytes.max(stats.gain_table_bytes);
+            total.lp_candidates += stats.lp_candidates;
+            total.lp_visited += stats.lp_visited;
         };
-        // Live-progress report after refining one level: a read-only cut scan, done
-        // only when a hook is installed, so it cannot perturb the partitioning.
-        let report_refined =
-            |level: usize, g: &dyn Graph, partition: &crate::partition::Partition| {
-                if progress.is_set() {
-                    progress.emit(&ProgressEvent::LevelRefined {
-                        level,
-                        nodes: g.n(),
-                        edge_cut: partition.edge_cut_on(&g),
-                        imbalance: partition.imbalance(),
-                    });
-                }
-            };
 
         if depth > 0 {
             // Refine on the coarsest graph first.
-            let stats = {
+            {
                 let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", depth as u64);
-                let stats = obs_phase(&obs, tracker, "refine", depth, || {
-                    refine_with_scratch(
-                        coarsest,
-                        &mut current,
-                        &config.refinement,
-                        config.seed ^ 0xC0A53,
-                        scratch,
-                    )
-                });
-                report_refined(depth, coarsest, &current);
-                stats
-            };
-            accumulate(stats, &mut total_refinement);
+                accumulate(refine_level(
+                    coarsest,
+                    &mut current,
+                    depth,
+                    config.seed ^ 0xC0A53,
+                    config,
+                    tracker,
+                    scratch,
+                ));
+            }
             // Walk the hierarchy back up: project from level i+1 onto level i's graph.
             for i in (0..depth).rev() {
                 let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", i as u64);
-                let level_graph = if i == 0 {
-                    None
-                } else {
-                    Some(&hierarchy.levels[i - 1].coarse)
-                };
                 let mapping = &hierarchy.levels[i].mapping;
-                current = obs_phase(&obs, tracker, "uncoarsen", i, || match level_graph {
-                    Some(g) => current.project(g, mapping),
-                    None => current.project(graph, mapping),
-                });
-                let stats = obs_phase(&obs, tracker, "refine", i, || match level_graph {
-                    Some(g) => refine_with_scratch(
-                        g,
-                        &mut current,
-                        &config.refinement,
-                        config.seed ^ (i as u64),
-                        scratch,
-                    ),
-                    None => refine_with_scratch(
-                        graph,
-                        &mut current,
-                        &config.refinement,
-                        config.seed ^ (i as u64),
-                        scratch,
-                    ),
-                });
-                match level_graph {
-                    Some(g) => report_refined(i, g, &current),
-                    None => report_refined(i, &graph, &current),
-                }
-                accumulate(stats, &mut total_refinement);
+                let (projected, stats) = match i.checked_sub(1) {
+                    Some(finer) => {
+                        let g = &hierarchy.levels[finer].coarse;
+                        uncoarsen_level(g, &current, mapping, i, config, tracker, scratch)
+                    }
+                    None => uncoarsen_level(graph, &current, mapping, i, config, tracker, scratch),
+                };
+                current = projected;
+                accumulate(stats);
             }
         } else {
             // No coarsening took place: refine directly on the input graph.
             let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", 0);
-            let stats = obs_phase(&obs, tracker, "refine", 0, || {
-                refine_with_scratch(
-                    graph,
-                    &mut current,
-                    &config.refinement,
-                    config.seed ^ 0xC0A53,
-                    scratch,
-                )
-            });
-            report_refined(0, &graph, &current);
-            accumulate(stats, &mut total_refinement);
+            accumulate(refine_level(
+                graph,
+                &mut current,
+                0,
+                config.seed ^ 0xC0A53,
+                config,
+                tracker,
+                scratch,
+            ));
         }
-        (current, depth, total_refinement)
+        (current, depth, total)
     });
 
+    // Every stage kept the cut by its deltas or recounted it over the boundary: the
+    // final evaluation reads it.
     let edge_cut = {
         let _span = obs.span(SpanKind::Phase, "evaluate");
-        partition.edge_cut_on(graph)
+        partition.edge_cut()
     };
-    let mut partition = partition;
-    partition.set_cached_cut(edge_cut);
     let imbalance = partition.imbalance();
     root.attr("edge_cut", edge_cut);
     root.attr("depth", hierarchy_depth as u64);

@@ -100,8 +100,12 @@ pub(crate) fn fm_refine_obs(
     if n == 0 || partition.k() <= 1 {
         return FmStats::default();
     }
-    let epsilon = partition.epsilon();
     let k = partition.k();
+    // Moves are applied one after the other with re-validated gains, so the cut follows
+    // from their sum.
+    let cut_before = partition.tracked_or_recounted_cut(graph);
+    let boundary = partition.take_boundary();
+    let mut cut_gain = 0i64;
     let state = AtomicPartition::from_partition(partition);
 
     let cache = GainCache::new(gain_table, graph, &state.assignment, k);
@@ -162,6 +166,10 @@ pub(crate) fn fm_refine_obs(
             let node_weight = graph.node_weight(u);
             if state.try_move(u, node_weight, to) {
                 cache.apply_move(graph, u, from, to);
+                if let Some(boundary) = &boundary {
+                    boundary.mark_move(graph, u);
+                }
+                cut_gain += gain;
                 pass_moves += 1;
             }
         }
@@ -174,9 +182,8 @@ pub(crate) fn fm_refine_obs(
         }
     }
 
-    *partition = state.into_partition(graph, epsilon);
-    let cut = partition.edge_cut_on(graph);
-    partition.set_cached_cut(cut);
+    let cut = (cut_before as i64 - cut_gain) as EdgeWeight;
+    state.commit_to(partition, Some(cut), boundary);
     FmStats {
         moves: total_moves,
         gain_table_bytes,

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use graph::traits::Graph;
-use graph::{NodeId, NodeWeight};
+use graph::{EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
 use obs::{Counter, ObsHandle, SpanKind};
 use rayon::prelude::*;
@@ -107,8 +107,12 @@ pub(crate) fn kway_fm_refine_obs(
     if n == 0 || k <= 1 || max_passes == 0 {
         return FmStats::default();
     }
-    let epsilon = partition.epsilon();
     let max_block_weight = partition.max_block_weight();
+    // Gains are exact deltas of a sequential move sequence: the cut follows from the
+    // kept prefixes.
+    let cut_before = partition.tracked_or_recounted_cut(graph);
+    let boundary = partition.take_boundary();
+    let mut kept_gain = 0i64;
     let assignment: Vec<AtomicU32> = partition
         .assignment()
         .iter()
@@ -203,7 +207,14 @@ pub(crate) fn kway_fm_refine_obs(
                 best_len = move_log.len();
                 since_best = 0;
             }
+            if let Some(boundary) = &boundary {
+                boundary.mark(u);
+            }
             graph.for_each_neighbor(u, &mut |v, _| {
+                // Rolled back or not, a superset may keep the mark.
+                if let Some(boundary) = &boundary {
+                    boundary.mark(v);
+                }
                 if !locked[v as usize] {
                     stamps[v as usize] += 1;
                     queries += 1;
@@ -232,6 +243,7 @@ pub(crate) fn kway_fm_refine_obs(
         obs.add(Counter::FmMovesRolledBack, rolled_back as u64);
         total_moves += best_len;
         total_rolled_back += rolled_back;
+        kept_gain += best_gain;
         for l in locked.iter_mut() {
             *l = false;
         }
@@ -240,13 +252,12 @@ pub(crate) fn kway_fm_refine_obs(
         }
     }
 
-    let final_assignment: Vec<BlockId> = assignment
-        .into_iter()
-        .map(|a| a.load(Ordering::Relaxed))
-        .collect();
-    *partition = Partition::from_assignment(graph, k, epsilon, final_assignment);
-    let cut = partition.edge_cut_on(graph);
-    partition.set_cached_cut(cut);
+    partition.commit(
+        assignment.into_iter().map(AtomicU32::into_inner).collect(),
+        block_weights,
+        Some((cut_before as i64 - kept_gain) as EdgeWeight),
+        boundary,
+    );
     FmStats {
         moves: total_moves,
         gain_table_bytes,

@@ -21,13 +21,13 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graph::traits::Graph;
-use graph::{NodeId, NodeWeight};
+use graph::{EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
 use rayon::prelude::*;
 
 use crate::coarsening::rating_map::FixedCapacityHashMap;
 use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics};
-use crate::partition::{BlockId, Partition};
+use crate::partition::{BlockId, BoundarySet, Partition};
 use crate::scratch::{AtomicBitset, HierarchyScratch, WorkerScratchPool};
 
 /// Shared atomic view of a partition used by the parallel refinement algorithms.
@@ -88,14 +88,26 @@ impl AtomicPartition {
         true
     }
 
-    /// Writes the atomic state back into a `Partition`.
-    pub fn into_partition(self, graph: &impl Graph, epsilon: f64) -> Partition {
-        let assignment: Vec<BlockId> = self
-            .assignment
-            .into_iter()
-            .map(|a| a.into_inner())
-            .collect();
-        Partition::from_assignment(graph, self.k, epsilon, assignment)
+    /// Writes the atomic state back into `partition`, block weights included, together
+    /// with the cut and the boundary superset the refiner ends on.
+    pub fn commit_to(
+        self,
+        partition: &mut Partition,
+        cut: Option<EdgeWeight>,
+        boundary: Option<BoundarySet>,
+    ) {
+        partition.commit(
+            self.assignment
+                .into_iter()
+                .map(AtomicU32::into_inner)
+                .collect(),
+            self.block_weights
+                .into_iter()
+                .map(AtomicU64::into_inner)
+                .collect(),
+            cut,
+            boundary,
+        );
     }
 }
 
@@ -107,7 +119,8 @@ pub struct LpRefineStats {
     /// Rounds actually executed (may be fewer than requested on convergence).
     pub rounds: usize,
     /// Number of vertices visited in each executed round. With the frontier enabled,
-    /// entry 0 is the full vertex count and later entries are the active-set sizes.
+    /// entry 0 is the size of the partition's boundary superset (the full vertex count
+    /// while that is unknown) and later entries are the active-set sizes.
     pub visited_per_round: Vec<usize>,
 }
 
@@ -125,9 +138,16 @@ pub fn lp_refine(graph: &impl Graph, partition: &mut Partition, rounds: usize, s
 }
 
 /// Runs label propagation refinement, reusing the visit-order buffer and frontier
-/// bitsets of `scratch`. With `use_frontier`, rounds after the first visit only the
-/// vertices whose neighbourhood changed in the previous round; otherwise every round
-/// sweeps all vertices (the original behaviour).
+/// bitsets of `scratch`. With `use_frontier`, round 0 visits the partition's boundary
+/// superset — a vertex outside it has no neighbour in another block and nothing to gain —
+/// and later rounds only the vertices whose neighbourhood changed in the previous round;
+/// otherwise every round sweeps all vertices (the original behaviour).
+///
+/// Either way the partition leaves with an exact tracked cut and a boundary superset
+/// re-tightened to `{u visited : u had a neighbour in another block} ∪ {u ∪ N(u) : u
+/// moved}`. Bits are only ever set, by whichever thread sees the reason first, so the
+/// set is a superset of the boundary at any thread count; moves race, so the cut is
+/// recounted — over that set, not over the graph.
 pub fn lp_refine_with_scratch(
     graph: &impl Graph,
     partition: &mut Partition,
@@ -137,12 +157,15 @@ pub fn lp_refine_with_scratch(
     scratch: &mut HierarchyScratch,
 ) -> LpRefineStats {
     let n = graph.n();
-    if n == 0 || partition.k() <= 1 {
+    if n == 0 || partition.k() <= 1 || rounds == 0 {
         return LpRefineStats::default();
     }
-    let epsilon = partition.epsilon();
     let state = AtomicPartition::from_partition(partition);
     let k = state.k;
+    // Round 0 starts from the incoming superset; the outgoing one is collected apart
+    // from it, so that it shrinks to what this level still finds on the boundary.
+    let start = partition.take_boundary();
+    let boundary = BoundarySet::empty(n);
     // Account the per-worker rating maps (one per thread, reused via the arena's worker
     // pool) for the duration of the refinement, mirroring the clustering stage's
     // accounting.
@@ -157,6 +180,8 @@ pub fn lp_refine_with_scratch(
     struct RefinementRounds<'a, G: Graph> {
         graph: &'a G,
         state: &'a AtomicPartition,
+        /// The outgoing boundary superset (set-only).
+        boundary: &'a AtomicBitset,
         k: usize,
         seed: u64,
         /// Vertices whose best improving move was rejected by the balance constraint,
@@ -185,6 +210,7 @@ pub fn lp_refine_with_scratch(
                 self.k,
                 order,
                 frontier,
+                self.boundary,
                 &self.workers,
             );
             self.newly_blocked = newly_blocked;
@@ -234,22 +260,32 @@ pub fn lp_refine_with_scratch(
     let mut semantics = RefinementRounds {
         graph,
         state: &state,
+        boundary: boundary.bits(),
         k,
         seed,
         waiters: Vec::new(),
         newly_blocked: Vec::new(),
         workers: Arc::clone(&scratch.workers),
     };
-    let driven = drive_lp_rounds(n, rounds, use_frontier, scratch, &mut semantics);
-    let stats = LpRefineStats {
+    let driven = drive_lp_rounds(
+        n,
+        rounds,
+        use_frontier,
+        start.as_ref().map(BoundarySet::bits),
+        scratch,
+        &mut semantics,
+    );
+    scratch.obs.add(
+        obs::Counter::LpRefineVisited,
+        driven.visited_per_round.iter().sum::<usize>() as u64,
+    );
+    state.commit_to(partition, None, Some(boundary));
+    partition.recount_cut(graph);
+    LpRefineStats {
         moves: driven.moves,
         rounds: driven.rounds,
         visited_per_round: driven.visited_per_round,
-    };
-    *partition = state.into_partition(graph, epsilon);
-    let cut = partition.edge_cut_on(graph);
-    partition.set_cached_cut(cut);
-    stats
+    }
 }
 
 /// One parallel round over `order`; returns the number of moves and, when the frontier
@@ -258,12 +294,16 @@ pub fn lp_refine_with_scratch(
 /// full. Only the highest-affinity blocked block is recorded per vertex — tracking all
 /// of them would grow the list without changing behaviour materially, since a revisit
 /// recomputes the full candidate set anyway.
+///
+/// `boundary` receives every visited vertex that has a neighbour in another block and
+/// every mover with its neighbourhood, whether or not the frontier is on.
 fn run_round(
     graph: &impl Graph,
     state: &AtomicPartition,
     k: usize,
     order: &[NodeId],
     frontier: Option<&AtomicBitset>,
+    boundary: &AtomicBitset,
     workers: &WorkerScratchPool,
 ) -> (usize, Vec<(NodeId, BlockId, NodeWeight)>) {
     let moves = AtomicUsize::new(0);
@@ -290,6 +330,7 @@ fn run_round(
                 if !has_external {
                     continue;
                 }
+                boundary.set(u as usize);
                 let node_weight = graph.node_weight(u);
                 let current_affinity = ratings.get(NodeId::from(current));
                 // Choose the feasible block with the highest affinity; move only on a
@@ -321,9 +362,16 @@ fn run_round(
                     Some((target, _)) => {
                         if state.try_move(u, node_weight, target) {
                             chunk_moves += 1;
+                            // The move can put any neighbour on the boundary (or take
+                            // it off, which a superset need not notice).
+                            graph.for_each_neighbor(u, &mut |v, _| {
+                                boundary.set(v as usize);
+                                if let Some(bits) = frontier {
+                                    bits.set(v as usize);
+                                }
+                            });
                             if let Some(bits) = frontier {
                                 bits.set(u as usize);
-                                graph.for_each_neighbor(u, &mut |v, _| bits.set(v as usize));
                             }
                         } else if let Some(bits) = frontier {
                             // The move raced against a concurrent one filling the
@@ -475,6 +523,48 @@ mod tests {
             );
         }
         assert!(p.is_balanced() || p.imbalance() <= 0.1 + 1e-9);
+    }
+
+    /// A second call knows the boundary the first one left: round 0 visits that, not V,
+    /// and the set it leaves is again a superset of the true boundary with an exact cut.
+    #[test]
+    fn a_known_boundary_is_where_round_zero_starts() {
+        let g = gen::grid2d(32, 32);
+        let n = g.n();
+        let assignment: Vec<BlockId> = (0..n as u32).map(|u| (u % 32) / 8).collect();
+        let mut p = Partition::from_assignment(&g, 4, 0.1, assignment);
+        let mut scratch = HierarchyScratch::new();
+        let first = lp_refine_with_scratch(&g, &mut p, 8, 1, true, &mut scratch);
+        assert_eq!(
+            first.visited_per_round[0], n,
+            "unknown boundary: a full sweep"
+        );
+        // Three stripe borders, two columns each.
+        assert_eq!(p.boundary_candidates(), Some(3 * 2 * 32));
+        assert_eq!(p.edge_cut(), 3 * 32);
+        let second = lp_refine_with_scratch(&g, &mut p, 8, 2, true, &mut scratch);
+        assert_eq!(second.visited_per_round, [3 * 2 * 32]);
+        p.check_tracked_state(&g).unwrap();
+        // The sweep ignores the start set but leaves the same state behind.
+        let swept = lp_refine_with_scratch(&g, &mut p, 2, 3, false, &mut scratch);
+        assert_eq!(swept.visited_per_round, [n]);
+        assert_eq!(p.boundary_candidates(), Some(3 * 2 * 32));
+        p.check_tracked_state(&g).unwrap();
+    }
+
+    #[test]
+    fn zero_rounds_leave_the_partition_alone() {
+        let g = gen::grid2d(8, 8);
+        let mut p = Partition::from_assignment(&g, 2, 0.1, (0..64u32).map(|u| u % 2).collect());
+        let mut scratch = HierarchyScratch::new();
+        let stats = lp_refine_with_scratch(&g, &mut p, 0, 1, true, &mut scratch);
+        assert_eq!(stats, LpRefineStats::default());
+        assert_eq!(
+            p.boundary_candidates(),
+            None,
+            "nothing was visited: still unknown"
+        );
+        assert_eq!(p.tracked_cut(), None);
     }
 
     #[test]

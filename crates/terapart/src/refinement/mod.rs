@@ -37,6 +37,13 @@ pub struct RefinementStats {
     pub rebalance_moves: usize,
     /// Heap bytes used by the FM gain table (0 when FM refinement is disabled).
     pub gain_table_bytes: usize,
+    /// Vertices label propagation started from: the size of the partition's boundary
+    /// superset on entry, or every vertex while that was unknown.
+    pub lp_candidates: usize,
+    /// Vertices label propagation visited, summed over its rounds.
+    pub lp_visited: usize,
+    /// Size of the partition's boundary superset on exit (every vertex while unknown).
+    pub boundary: usize,
 }
 
 /// Refines `partition` on `graph` according to `config` with freshly allocated scratch
@@ -71,6 +78,8 @@ pub fn refine_with_scratch(
     );
     let mut stats = RefinementStats {
         lp_moves: lp_stats.moves,
+        lp_candidates: lp_stats.visited_per_round.first().copied().unwrap_or(0),
+        lp_visited: lp_stats.visited_per_round.iter().sum(),
         ..Default::default()
     };
     match config.algorithm {
@@ -105,6 +114,7 @@ pub fn refine_with_scratch(
         stats.rebalance_moves = rebalance(graph, partition);
         obs.add(obs::Counter::RebalanceMoves, stats.rebalance_moves as u64);
     }
+    stats.boundary = partition.boundary_candidates().unwrap_or(graph.n());
     stats
 }
 

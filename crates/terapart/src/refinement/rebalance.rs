@@ -6,13 +6,46 @@
 //! respect to coarse vertex weights can exceed the fine-level constraint slightly.
 //!
 //! Vertices are moved out of overloaded blocks in order of increasing *loss* (the cut
-//! increase caused by the move) into the lightest feasible block, until every block
-//! respects the constraint or no further move is possible.
+//! increase caused by the move) into the best feasible block, until every block respects
+//! the constraint or no further move is possible.
+//!
+//! An overloaded block's vertices are scanned once and queued by their loss; a popped
+//! entry is re-evaluated against the current state and re-queued if it went stale (its
+//! target filled up), and a move re-queues the mover's neighbours in the block, whose
+//! losses it changed. The loss is the cut delta, so the partition's tracked cut and
+//! boundary superset stay exact without a closing recount.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId};
 
 use crate::partition::{BlockId, Partition};
+
+/// The cheapest feasible move of `u` out of its block: `(loss, target)`, lowest target
+/// on ties. Every other block is a candidate — a vertex without external neighbours can
+/// still be moved, at a loss equal to its internal weight. `affinity` is a zeroed
+/// scratch row of `k` entries and is zeroed again on return.
+fn cheapest_move(
+    graph: &impl Graph,
+    partition: &Partition,
+    u: NodeId,
+    affinity: &mut [EdgeWeight],
+) -> Option<(i64, BlockId)> {
+    let from = partition.block(u);
+    let node_weight = graph.node_weight(u);
+    graph.for_each_neighbor(u, &mut |v, w| affinity[partition.block(v) as usize] += w);
+    let internal = affinity[from as usize] as i64;
+    let best = (0..partition.k() as BlockId)
+        .filter(|&to| {
+            to != from && partition.block_weight(to) + node_weight <= partition.max_block_weight()
+        })
+        .map(|to| (internal - affinity[to as usize] as i64, to))
+        .min();
+    affinity.fill(0);
+    best
+}
 
 /// Rebalances `partition` in place. Returns the number of vertices moved.
 pub fn rebalance(graph: &impl Graph, partition: &mut Partition) -> usize {
@@ -21,71 +54,62 @@ pub fn rebalance(graph: &impl Graph, partition: &mut Partition) -> usize {
     if k <= 1 {
         return 0;
     }
+    debug_assert!(partition.is_complete());
     let mut moved = 0usize;
-    // Iterate until balanced; bounded by n moves overall to guarantee termination.
+    let mut affinity: Vec<EdgeWeight> = vec![0; k];
+    let mut neighbours: Vec<NodeId> = Vec::new();
+    // Min-heap of `(loss, vertex, target)`; the vertex breaks ties towards the lower id.
+    let mut queue: BinaryHeap<Reverse<(i64, NodeId, BlockId)>> = BinaryHeap::new();
+    // Bounded by n moves overall to guarantee termination.
     let mut budget = graph.n();
-    while budget > 0 {
+    loop {
         let (heaviest, weight) = partition.heaviest_block();
         if weight <= max_weight {
             break;
         }
-        // Candidate vertices of the heaviest block, ordered by the loss of moving them to
-        // their best alternative block.
-        let mut best_candidate: Option<(i64, NodeId, BlockId)> = None;
+        queue.clear();
         for u in 0..graph.n() as NodeId {
+            if partition.block(u) == heaviest {
+                if let Some((loss, to)) = cheapest_move(graph, partition, u, &mut affinity) {
+                    queue.push(Reverse((loss, u, to)));
+                }
+            }
+        }
+        while partition.block_weight(heaviest) > max_weight && budget > 0 {
+            let Some(Reverse((loss, u, to))) = queue.pop() else {
+                break;
+            };
             if partition.block(u) != heaviest {
                 continue;
             }
-            let node_weight = graph.node_weight(u);
-            // Affinity towards each block.
-            let mut internal: EdgeWeight = 0;
-            let mut per_block: Vec<(BlockId, EdgeWeight)> = Vec::new();
-            graph.for_each_neighbor(u, &mut |v, w| {
-                let b = partition.block(v);
-                if b == heaviest {
-                    internal += w;
-                } else if let Some(entry) = per_block.iter_mut().find(|(pb, _)| *pb == b) {
-                    entry.1 += w;
-                } else {
-                    per_block.push((b, w));
+            // Targets only grow heavier while this block drains, so a vertex without a
+            // feasible move now will not get one later.
+            let Some(current) = cheapest_move(graph, partition, u, &mut affinity) else {
+                continue;
+            };
+            if current != (loss, to) {
+                queue.push(Reverse((current.0, u, current.1)));
+                continue;
+            }
+            partition.move_vertex_tracked(graph, u, to, -loss);
+            moved += 1;
+            budget -= 1;
+            // The move made u's neighbours in the block cheaper to move.
+            neighbours.clear();
+            graph.for_each_neighbor(u, &mut |v, _| {
+                if partition.block(v) == heaviest {
+                    neighbours.push(v);
                 }
             });
-            // Consider every other block as a target (vertices without external
-            // neighbours can still be moved, at a loss equal to their internal weight).
-            for target in 0..k as BlockId {
-                if target == heaviest {
-                    continue;
-                }
-                if partition.block_weight(target) + node_weight > max_weight {
-                    continue;
-                }
-                let external = per_block
-                    .iter()
-                    .find(|(b, _)| *b == target)
-                    .map(|&(_, w)| w)
-                    .unwrap_or(0);
-                let loss = internal as i64 - external as i64;
-                let better = match best_candidate {
-                    None => true,
-                    Some((best_loss, _, _)) => loss < best_loss,
-                };
-                if better {
-                    best_candidate = Some((loss, u, target));
+            for &v in &neighbours {
+                if let Some((loss, to)) = cheapest_move(graph, partition, v, &mut affinity) {
+                    queue.push(Reverse((loss, v, to)));
                 }
             }
         }
-        match best_candidate {
-            Some((_, u, target)) => {
-                partition.move_vertex(u, target, graph.node_weight(u));
-                moved += 1;
-                budget -= 1;
-            }
-            None => break, // no feasible move exists
+        if partition.block_weight(heaviest) > max_weight {
+            break; // no feasible move is left, or the budget is spent
         }
-    }
-    if moved > 0 {
-        let cut = partition.edge_cut_on(graph);
-        partition.set_cached_cut(cut);
     }
     moved
 }

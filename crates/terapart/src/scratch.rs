@@ -23,6 +23,7 @@ use graph::ids::INVALID_NODE;
 use graph::{AtomicNodeId, EdgeWeight, NodeId};
 use memtrack::MemoryScope;
 use parking_lot::Mutex;
+use rayon::prelude::*;
 
 use crate::coarsening::contract::Batch;
 use crate::coarsening::rating_map::FixedCapacityHashMap;
@@ -88,6 +89,41 @@ impl AtomicBitset {
         }
     }
 
+    /// Overwrites the first `bits` bits (rounded up to whole words) with those of
+    /// `other`, which must hold at least as many.
+    pub fn copy_from(&self, other: &AtomicBitset, bits: usize) {
+        let words = bits.div_ceil(64);
+        for (word, source) in self.words[..words].iter().zip(&other.words[..words]) {
+            word.store(source.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+
+    /// Overwrites the first `bits` bits with `bit(i)`, whole words at a time, in parallel.
+    pub fn fill_with(&self, bits: usize, bit: impl Fn(usize) -> bool + Sync) {
+        const WORDS_PER_TASK: usize = 64;
+        self.words[..bits.div_ceil(64)]
+            .par_chunks(WORDS_PER_TASK)
+            .enumerate()
+            .for_each(|(task, words)| {
+                for (w, word) in words.iter().enumerate() {
+                    let base = (task * WORDS_PER_TASK + w) * 64;
+                    let value = (base..(base + 64).min(bits))
+                        .fold(0u64, |value, i| value | u64::from(bit(i)) << (i - base));
+                    word.store(value, Ordering::Relaxed);
+                }
+            });
+    }
+
+    /// Calls `f(i)` for every set bit `i` of the `word`-th 64-bit word, in increasing
+    /// order.
+    pub fn for_each_in_word(&self, word: usize, mut f: impl FnMut(usize)) {
+        let mut w = self.words[word].load(Ordering::Relaxed);
+        while w != 0 {
+            f(word * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
+
     /// Number of set bits among the first `bits` bits.
     pub fn count(&self, bits: usize) -> usize {
         self.words[..bits.div_ceil(64).min(self.words.len())]
@@ -102,16 +138,12 @@ impl AtomicBitset {
         debug_assert!(start.is_multiple_of(64));
         let first = start / 64;
         let last = end.div_ceil(64).min(self.words.len());
-        for (wi, word) in self.words[first..last].iter().enumerate() {
-            let mut w = word.load(Ordering::Relaxed);
-            while w != 0 {
-                let i = (first + wi) * 64 + w.trailing_zeros() as usize;
-                if i >= end {
-                    break;
+        for word in first..last {
+            self.for_each_in_word(word, |i| {
+                if i < end {
+                    out.push(i as NodeId);
                 }
-                out.push(i as NodeId);
-                w &= w - 1;
-            }
+            });
         }
     }
 
@@ -369,6 +401,14 @@ impl HierarchyScratch {
     pub fn ensure_contraction(&mut self, n: usize) {
         if self.starts.len() < n {
             self.starts.resize_with(n, || AtomicU64::new(0));
+        }
+        self.ensure_cluster_weights(n);
+    }
+
+    /// Grows the per-cluster weight buffer alone to `n`: what two-hop clustering needs
+    /// of [`Self::ensure_contraction`] ahead of the contraction itself.
+    pub(crate) fn ensure_cluster_weights(&mut self, n: usize) {
+        if self.coarse_node_weights.len() < n {
             self.coarse_node_weights
                 .resize_with(n, || AtomicU64::new(0));
         }

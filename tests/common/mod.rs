@@ -1,5 +1,6 @@
-//! What the two work-bound tests (`fm_work_bound`, `initial_fm_work_bound`) share: a graph
-//! wrapper that counts neighbourhood decodes, and the instance they run on.
+//! What the work-bound tests (`fm_work_bound`, `initial_fm_work_bound`,
+//! `uncoarsening_work_bound`) share: a graph wrapper that counts neighbourhood decodes, and
+//! the instance the two FM tests run on.
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use graph::traits::Graph;
@@ -84,10 +85,12 @@ impl Graph for CountingGraph {
     }
 }
 
+#[allow(dead_code)] // not every test binary runs on the FM instance
 pub const SPOKES: usize = 3_000;
 
 /// `weblike(12, 8)` plus a hub whose `SPOKES` spokes each also touch one web vertex, so
 /// spokes have a reason to move and every spoke move changes the hub's gains.
+#[allow(dead_code)]
 pub fn hub_and_spokes_on_weblike() -> (CsrGraph, NodeId) {
     let web = gen::weblike(12, 8, 3);
     let hub = web.n() as NodeId;
