@@ -3,7 +3,7 @@
 //! The original comparators are external systems (Mt-METIS, ParMETIS, XtraPuLP,
 //! HeiStream, and the semi-external algorithm of Akhremtsev et al.). They are
 //! re-implemented here as representatives of their algorithmic families so the paper's
-//! comparisons can be reproduced qualitatively (see DESIGN.md):
+//! comparisons can be reproduced qualitatively:
 //!
 //! * [`mtmetis_like`] — a matching-based multilevel partitioner (heavy-edge matching
 //!   coarsening, recursive bisection, greedy refinement) that, like Mt-METIS in the

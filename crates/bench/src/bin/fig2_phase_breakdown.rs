@@ -8,17 +8,15 @@
 //! the span tree (pipeline → level → phase) with durations and share of the total
 //! wall time, the per-phase `peak_bytes` attributes, and the unified counter snapshot.
 use graph::gen;
-use memtrack::PhaseTracker;
-use terapart::{partition_csr_with_tracker, PartitionerConfig};
+use terapart::{partition_csr, PartitionerConfig};
 
 fn main() {
     let graph = gen::weblike(14, 14, 9);
     let k = 64;
-    let tracker = PhaseTracker::new();
     let config = PartitionerConfig::kaminpar(k)
         .with_threads(2)
         .with_run_report(true);
-    let result = partition_csr_with_tracker(&graph, &config, &tracker);
+    let result = partition_csr(&graph, &config);
     let report = result
         .run_report
         .as_ref()
@@ -32,6 +30,6 @@ fn main() {
         "edge cut = {}, span coverage = {:.1}%, overall peak = {}",
         result.edge_cut,
         report.span_coverage * 100.0,
-        memtrack::format_bytes(tracker.overall_peak())
+        memtrack::format_bytes(result.peak_memory_bytes)
     );
 }

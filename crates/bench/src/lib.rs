@@ -1,9 +1,10 @@
 //! Experiment harness reproducing the tables and figures of the TeraPart paper.
 //!
-//! The binaries under `src/bin/` each regenerate one table or figure (see DESIGN.md for
-//! the experiment index); this library provides what they share: the scaled-down
-//! benchmark instance sets ([`setup`]) and the measurement/aggregation utilities
-//! ([`harness`]). Criterion micro-benchmarks of the core algorithms live in `benches/`.
+//! The binaries under `src/bin/` each regenerate one table or figure (the README's
+//! "Running the experiment ladder" is the index); this library provides what they
+//! share: the scaled-down benchmark instance sets ([`setup`]) and the
+//! measurement/aggregation utilities ([`harness`]). Timings that carry a claim are
+//! measured by the standalone `benchmark/` crate, not here.
 
 pub mod golden;
 pub mod harness;

@@ -4,7 +4,7 @@
 //! edges; Set B contains five huge web crawls. Neither fits this environment, so the
 //! sets are reproduced *structurally*: a mix of mesh-like, geometric, power-law, random,
 //! web-like and weighted instances whose sizes are chosen so every experiment binary
-//! finishes in seconds. See DESIGN.md for the substitution rationale.
+//! finishes in seconds.
 //!
 //! Each set is defined once as [`InstanceSpec`] recipes ([`set_a_specs`] /
 //! [`set_b_specs`]); experiment binaries resolve them through the on-disk

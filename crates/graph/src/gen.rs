@@ -1,7 +1,7 @@
 //! Synthetic graph generators.
 //!
-//! These stand in for the paper's benchmark instances (see DESIGN.md for the substitution
-//! rationale): `rgg2d` reproduces the mesh-like random geometric family, [`rhg_like`]
+//! These stand in for the paper's benchmark instances, which do not fit this environment
+//! (the sets built from them are in `crates/bench/src/setup.rs`): `rgg2d` reproduces the mesh-like random geometric family, [`rhg_like`]
 //! reproduces the skewed power-law family used for the tera-scale experiments, and
 //! [`weblike`] produces R-MAT-style graphs with hub vertices and neighbour-ID locality
 //! similar to web crawls. Small deterministic graphs (grids, stars, paths, complete

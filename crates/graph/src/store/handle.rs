@@ -95,8 +95,10 @@ impl StoreHandle {
         }
     }
 
-    /// Bytes currently charged to the memory accounting for this store (zero for the
-    /// in-memory CSR, which predates the accounting seam).
+    /// Bytes this store stands for in the memory accounting: what the on-disk
+    /// representations have charged themselves (resident arrays plus committed frames,
+    /// or the mapping), and the size of the in-memory ones, which charge nothing on
+    /// their own — whoever holds them charges this figure.
     pub fn accounted_bytes(&self) -> usize {
         match self {
             StoreHandle::Csr(g) => g.size_in_bytes(),

@@ -1,13 +1,8 @@
 //! The reentrant partitioning core: [`PartitionEngine`] + [`PartitionRequest`].
 //!
-//! The `partition*` free functions in [`crate::partitioner`] are one-shot: each call
-//! builds its scratch arena from nothing, opens its own store, and tears everything
-//! down on return. A service partitioning many graphs (or the same graph many times —
-//! seed portfolios, k sweeps, quality ladders) pays that setup per request, and two
-//! concurrent requests against the same `.tpg` container open (and memtrack-charge) it
-//! twice.
-//!
-//! The engine is the long-lived object those callers hold instead:
+//! Every run goes through an engine. A service partitioning many graphs (or the same
+//! graph many times — seed portfolios, k sweeps, quality ladders) holds one; the three
+//! one-shot functions in [`crate::partitioner`] build an ephemeral one per call:
 //!
 //! * an open-store registry ([`graph::StoreRegistry`]) deduplicates container opens by
 //!   `(path, options)` — N concurrent requests against one graph share one page cache
@@ -21,13 +16,20 @@
 //!   with a structured [`PartitionError`] and leaves co-tenant sessions, the store and
 //!   the registry healthy.
 //!
+//! The engine has four entry points, one per form the input arrives in —
+//! [`partition`](PartitionEngine::partition) (any [`Graph`], as is),
+//! [`partition_csr`](PartitionEngine::partition_csr) (the paper ladder's compression
+//! switch), [`partition_path`](PartitionEngine::partition_path) and
+//! [`partition_store`](PartitionEngine::partition_store) — and each returns the run as
+//! one [`PartitionResult`]: cut, time, peak bytes and the per-phase breakdown.
+//!
 //! Engine-level knobs (thread default, store geometry, compression policy) live in
 //! [`EngineConfig`]; request-level knobs (k, epsilon, seed, refinement settings,
 //! observability, memory budget) live in [`PartitionRequest`]. A request resolves
-//! against the engine's defaults into exactly the [`PartitionerConfig`] the free
-//! functions would have used, so fixed-seed results are bit-identical across both
-//! APIs — and across sequential vs. concurrent execution, since sessions share no
-//! mutable algorithmic state.
+//! against the engine's defaults into exactly the [`PartitionerConfig`] it was split
+//! from, so fixed-seed results are bit-identical across the one-shots and the engine —
+//! and across sequential vs. concurrent execution, since sessions share no mutable
+//! algorithmic state.
 
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
@@ -36,9 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use graph::builder::compress_csr_parallel;
 use graph::csr::CsrGraph;
 use graph::io::IoError;
-use graph::store::{
-    CacheStatsSnapshot, PagedGraph, RetryPolicy, StoreHandle, StoreRegistry, StoreSession,
-};
+use graph::store::{RetryPolicy, StoreHandle, StoreRegistry};
 use graph::traits::Graph;
 use graph::CompressionConfig;
 use memtrack::{MemoryScope, PhaseTracker};
@@ -80,7 +80,7 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Extracts the engine-level knobs from a flat [`PartitionerConfig`] — the
-    /// compatibility path the free `partition*` functions use.
+    /// path the one-shot `partition*` functions use.
     pub fn from_partitioner(config: &PartitionerConfig) -> Self {
         Self {
             ondisk: config.ondisk.clone(),
@@ -177,7 +177,7 @@ impl PartitionRequest {
     }
 
     /// Resolves the request against the engine defaults into the flat
-    /// [`PartitionerConfig`] the pipeline runs on. Bit-identity across the free
+    /// [`PartitionerConfig`] the pipeline runs on. Bit-identity across the one-shot
     /// functions and the engine API rests on this being a verbatim field mapping.
     pub fn effective_config(&self, engine: &EngineConfig) -> PartitionerConfig {
         let mut ondisk = engine.ondisk.clone();
@@ -370,192 +370,120 @@ impl PartitionEngine {
 
     /// Partitions any in-memory [`Graph`] representation as-is (no compression step).
     pub fn partition(&self, graph: &impl Graph, request: &PartitionRequest) -> PartitionResult {
-        let tracker = PhaseTracker::new();
-        self.partition_with_tracker(graph, request, &tracker)
-    }
-
-    /// [`Self::partition`] with an externally supplied phase tracker.
-    pub fn partition_with_tracker(
-        &self,
-        graph: &impl Graph,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> PartitionResult {
-        let config = request.effective_config(&self.config);
-        let session = ObsSession::new(&config);
-        let result = {
-            let mut scratch = self.pool.checkout();
-            partition_with_session(graph, &config, tracker, session, &mut scratch)
-        };
-        self.enforce_budget(request);
-        result
+        self.run(request, |config, tracker, obs, scratch| {
+            partition_with_session(graph, config, tracker, obs, scratch)
+        })
     }
 
     /// Partitions a CSR graph, honouring the engine's compression policy: with
     /// `use_compression` the input is compressed first (reported as the
     /// `compress_input` phase) and the pipeline runs on the compressed representation.
+    /// Whichever representation runs is charged to the memory accounting.
     pub fn partition_csr(&self, graph: &CsrGraph, request: &PartitionRequest) -> PartitionResult {
-        let tracker = PhaseTracker::new();
-        self.partition_csr_with_tracker(graph, request, &tracker)
-    }
-
-    /// [`Self::partition_csr`] with an externally supplied phase tracker.
-    pub fn partition_csr_with_tracker(
-        &self,
-        graph: &CsrGraph,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> PartitionResult {
-        let config = request.effective_config(&self.config);
-        let session = ObsSession::new(&config);
-        let result = if config.use_compression {
-            let compressed = obs_phase(&session.handle, tracker, "compress_input", 0, || {
-                compress_csr_parallel(graph, &CompressionConfig::default(), config.num_threads)
-            });
-            let _graph_charge = MemoryScope::charge_global(compressed.size_in_bytes());
-            let mut scratch = self.pool.checkout();
-            partition_with_session(&compressed, &config, tracker, session, &mut scratch)
-        } else {
-            let _graph_charge = MemoryScope::charge_global(graph.size_in_bytes());
-            let mut scratch = self.pool.checkout();
-            partition_with_session(graph, &config, tracker, session, &mut scratch)
-        };
-        self.enforce_budget(request);
-        result
+        self.run(request, |config, tracker, obs, scratch| {
+            if config.use_compression {
+                let compressed = obs_phase(&obs.handle, tracker, "compress_input", 0, || {
+                    compress_csr_parallel(graph, &CompressionConfig::default(), config.num_threads)
+                });
+                let _graph_charge = MemoryScope::charge_global(compressed.size_in_bytes());
+                partition_with_session(&compressed, config, tracker, obs, scratch)
+            } else {
+                let _graph_charge = MemoryScope::charge_global(graph.size_in_bytes());
+                partition_with_session(graph, config, tracker, obs, scratch)
+            }
+        })
     }
 
     /// Partitions the `.tpg` container at `path`, opening it through the engine's
-    /// registry (deduplicated against other requests for the same container) and
-    /// reading it through a per-request session. See
-    /// [`crate::partition_ondisk`] for the semantics and error contract.
+    /// registry (deduplicated against other requests for the same container; the open
+    /// or registry hit is reported as the `open_store` phase) and reading it through a
+    /// per-request session. See [`crate::partition_ondisk`] for the semantics and
+    /// error contract.
     pub fn partition_path(
         &self,
         path: impl AsRef<Path>,
         request: &PartitionRequest,
     ) -> Result<PartitionResult, PartitionError> {
-        let tracker = PhaseTracker::new();
-        self.partition_path_with_tracker(path, request, &tracker)
-    }
-
-    /// [`Self::partition_path`] with an externally supplied phase tracker. The
-    /// container open (or registry hit) is reported as the `open_store` phase.
-    pub fn partition_path_with_tracker(
-        &self,
-        path: impl AsRef<Path>,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> Result<PartitionResult, PartitionError> {
-        let config = request.effective_config(&self.config);
-        let obs = ObsSession::new(&config);
-        let store = obs_phase(&obs.handle, tracker, "open_store", 0, || {
-            self.registry.open(path, &config.ondisk)
+        self.run(request, |config, tracker, obs, scratch| {
+            let store = obs_phase(&obs.handle, tracker, "open_store", 0, || {
+                self.registry.open(path, &config.ondisk)
+            })
+            .map_err(|e| {
+                PartitionError::new(Some("open_store@0".into()), "opening the .tpg container", e)
+            })?;
+            run_store(&store, config, tracker, obs, scratch)
         })
-        .map_err(|e| {
-            PartitionError::new(Some("open_store@0".into()), "opening the .tpg container", e)
-        })?;
-        let result = self.run_store(&store, &config, tracker, obs);
-        self.enforce_budget(request);
-        result
     }
 
-    /// Partitions an already-open shared store. Each call creates its own
-    /// [`StoreSession`], so concurrent calls against one `Arc<StoreHandle>` are
-    /// isolated: a storage fault fails only the session that hit it.
+    /// Partitions an already-open store: the shared handle [`Self::open_store`]
+    /// returned, or one the caller built itself (e.g. a [`StoreHandle::Paged`] over a
+    /// custom backend, as the fault-injection harness does). Each call creates its own
+    /// [`StoreSession`](graph::StoreSession), so concurrent calls against one
+    /// `Arc<StoreHandle>` are isolated: a storage fault fails only the session that hit
+    /// it.
     pub fn partition_store(
         &self,
         store: &StoreHandle,
         request: &PartitionRequest,
     ) -> Result<PartitionResult, PartitionError> {
+        self.run(request, |config, tracker, obs, scratch| {
+            run_store(store, config, tracker, obs, scratch)
+        })
+    }
+
+    /// One request from start to finish, shared by the four `partition*` methods:
+    /// resolves `request` against the engine defaults, creates the request's phase
+    /// tracker and observability session, checks an arena out of the pool for `body`,
+    /// and applies the request's memory budget once the arena is parked again.
+    fn run<T>(
+        &self,
+        request: &PartitionRequest,
+        body: impl FnOnce(&PartitionerConfig, &PhaseTracker, ObsSession, &mut HierarchyScratch) -> T,
+    ) -> T {
+        let config = request.effective_config(&self.config);
         let tracker = PhaseTracker::new();
-        self.partition_store_with_tracker(store, request, &tracker)
-    }
-
-    /// [`Self::partition_store`] with an externally supplied phase tracker.
-    pub fn partition_store_with_tracker(
-        &self,
-        store: &StoreHandle,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> Result<PartitionResult, PartitionError> {
-        let config = request.effective_config(&self.config);
         let obs = ObsSession::new(&config);
-        let result = self.run_store(store, &config, tracker, obs);
-        self.enforce_budget(request);
-        result
-    }
-
-    /// Partitions an already-open [`PagedGraph`] through a per-request session — the
-    /// entry point the fault-injection harness uses with custom backends.
-    pub fn partition_paged_with_tracker(
-        &self,
-        graph: &PagedGraph,
-        request: &PartitionRequest,
-        tracker: &PhaseTracker,
-    ) -> Result<PartitionResult, PartitionError> {
-        let config = request.effective_config(&self.config);
-        let obs = ObsSession::new(&config);
-        let session = StoreSession::paged(graph);
-        let result = self.run_session(&session, &config, tracker, obs, || {
-            Some(graph.cache_stats())
-        });
-        self.enforce_budget(request);
-        result
-    }
-
-    /// Shared store-session run: session for `store`, pipeline, poison check,
-    /// cache-stats snapshot.
-    fn run_store(
-        &self,
-        store: &StoreHandle,
-        config: &PartitionerConfig,
-        tracker: &PhaseTracker,
-        obs: ObsSession,
-    ) -> Result<PartitionResult, PartitionError> {
-        let session = store.session();
-        self.run_session(&session, config, tracker, obs, || store.cache_stats())
-    }
-
-    /// Runs the pipeline against one [`StoreSession`]. The fault observer labels any
-    /// mid-run storage fault with the pipeline phase it interrupted; a poisoned
-    /// session discards its partial result and surfaces the first fatal error. Only
-    /// the session is poisoned — the underlying store and its other sessions are
-    /// untouched.
-    fn run_session(
-        &self,
-        session: &StoreSession<'_>,
-        config: &PartitionerConfig,
-        tracker: &PhaseTracker,
-        obs: ObsSession,
-        cache_stats: impl FnOnce() -> Option<CacheStatsSnapshot>,
-    ) -> Result<PartitionResult, PartitionError> {
-        let phases = tracker.phase_handle();
-        session.set_fault_observer(move || phases.current().unwrap_or_default());
-        let mut result = {
+        let result = {
             let mut scratch = self.pool.checkout();
-            partition_with_session(session, config, tracker, obs, &mut scratch)
+            body(&config, &tracker, obs, &mut scratch)
         };
-        if let Some(fatal) = session.take_fatal_error() {
-            return Err(PartitionError::new(
-                fatal.context,
-                "reading the .tpg container mid-pipeline",
-                IoError::Io(fatal.error),
-            ));
-        }
-        result.cache_stats = cache_stats();
-        Ok(result)
-    }
-
-    fn enforce_budget(&self, request: &PartitionRequest) {
         if let Some(budget) = request.memory_budget {
             self.pool.trim_to_bytes(budget);
         }
+        result
     }
+}
+
+/// Runs the pipeline against a per-request session of `store`. The fault observer
+/// labels any mid-run storage fault with the pipeline phase it interrupted; a poisoned
+/// session discards its partial result and surfaces the first fatal error. Only the
+/// session is poisoned — the underlying store and its other sessions are untouched.
+fn run_store(
+    store: &StoreHandle,
+    config: &PartitionerConfig,
+    tracker: &PhaseTracker,
+    obs: ObsSession,
+    scratch: &mut HierarchyScratch,
+) -> Result<PartitionResult, PartitionError> {
+    let session = store.session();
+    let phases = tracker.phase_handle();
+    session.set_fault_observer(move || phases.current().unwrap_or_default());
+    let mut result = partition_with_session(&session, config, tracker, obs, scratch);
+    if let Some(fatal) = session.take_fatal_error() {
+        return Err(PartitionError::new(
+            fatal.context,
+            "reading the .tpg container mid-pipeline",
+            IoError::Io(fatal.error),
+        ));
+    }
+    result.cache_stats = store.cache_stats();
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::partition;
+    use crate::partitioner::{one_shot, partition};
     use graph::gen;
 
     #[test]
@@ -614,8 +542,7 @@ mod tests {
         let g = gen::erdos_renyi(600, 2500, 13);
         let config = PartitionerConfig::terapart(4).with_threads(1).with_seed(42);
         let reference = partition(&g, &config);
-        let engine = PartitionEngine::with_config(EngineConfig::from_partitioner(&config));
-        let request = PartitionRequest::from_config(&config);
+        let (engine, request) = one_shot(&config);
         let a = engine.partition(&g, &request);
         // A second run on the warmed engine reuses the parked arena and still matches.
         let b = engine.partition(&g, &request);
@@ -628,29 +555,42 @@ mod tests {
 
     #[test]
     fn request_resolution_round_trips_the_flat_config() {
-        let config = PartitionerConfig::terapart_fm(12)
-            .with_threads(3)
-            .with_seed(99)
-            .with_epsilon(0.07);
-        let engine = EngineConfig::from_partitioner(&config);
-        let request = PartitionRequest::from_config(&config);
-        let resolved = request.effective_config(&engine);
-        assert_eq!(resolved.k, config.k);
-        assert_eq!(resolved.epsilon, config.epsilon);
-        assert_eq!(resolved.num_threads, config.num_threads);
-        assert_eq!(resolved.seed, config.seed);
-        assert_eq!(resolved.use_compression, config.use_compression);
-        assert_eq!(resolved.coarsening, config.coarsening);
-        assert_eq!(resolved.refinement, config.refinement);
-        assert_eq!(resolved.ondisk, config.ondisk);
+        let mut custom_store = PartitionerConfig::terapart(5)
+            .with_page_budget(96 * 1024)
+            .with_prefetch(true)
+            .with_retry(RetryPolicy::disabled());
+        custom_store.ondisk.page_size = 8 * 1024;
+        for config in [
+            PartitionerConfig::terapart_fm(12)
+                .with_threads(3)
+                .with_seed(99)
+                .with_epsilon(0.07),
+            PartitionerConfig::preset(crate::Preset::Strong, 7).with_run_report(true),
+            custom_store,
+        ] {
+            let engine = EngineConfig::from_partitioner(&config);
+            let request = PartitionRequest::from_config(&config);
+            assert_eq!(request.effective_config(&engine), config);
+            // A per-request retry override lands in the resolved store geometry and
+            // nowhere else.
+            let retry = RetryPolicy {
+                max_retries: 5,
+                ..RetryPolicy::default()
+            };
+            let mut expected = config.clone();
+            expected.ondisk.retry = retry;
+            assert_eq!(
+                request.with_retry(retry).effective_config(&engine),
+                expected
+            );
+        }
     }
 
     #[test]
     fn memory_budget_trims_the_parked_pool() {
         let g = gen::grid2d(24, 24);
         let config = PartitionerConfig::terapart(4).with_threads(1).with_seed(1);
-        let engine = PartitionEngine::with_config(EngineConfig::from_partitioner(&config));
-        let unbudgeted = PartitionRequest::from_config(&config);
+        let (engine, unbudgeted) = one_shot(&config);
         engine.partition(&g, &unbudgeted);
         assert!(engine.scratch_pool().parked_bytes() > 0);
         let budgeted = unbudgeted.with_memory_budget(0);

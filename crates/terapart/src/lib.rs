@@ -71,11 +71,7 @@ pub use engine::{EngineConfig, PartitionEngine, PartitionRequest, ScratchLease, 
 pub use error::PartitionError;
 pub use initial::{initial_partition, initial_partition_with_scratch};
 pub use partition::{BlockId, Partition};
-pub use partitioner::{
-    partition, partition_csr, partition_csr_with_tracker, partition_ondisk,
-    partition_ondisk_with_tracker, partition_paged_with_tracker, partition_with_tracker,
-    PartitionResult,
-};
+pub use partitioner::{partition, partition_csr, partition_ondisk, PartitionResult};
 pub use scratch::{AtomicBitset, HierarchyScratch};
 
 /// Retry/backoff policy of the on-disk page cache, re-exported for

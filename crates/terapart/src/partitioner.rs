@@ -1,21 +1,23 @@
 //! The multilevel partitioning driver: coarsen → initial partition → uncoarsen + refine.
 //!
-//! [`partition`] runs the full pipeline on any [`Graph`] representation; [`partition_csr`]
-//! additionally honours [`PartitionerConfig::use_compression`] by compressing the input
-//! first (charging only the compressed size to the memory accounting), which is how the
+//! The three free functions are one-shots, each a call into an ephemeral
+//! [`PartitionEngine`] built from the flat [`PartitionerConfig`]. [`partition`] runs
+//! the full pipeline on any [`Graph`] representation; [`partition_csr`] additionally
+//! honours [`PartitionerConfig::use_compression`] by compressing the input first
+//! (charging only the compressed size to the memory accounting), which is how the
 //! paper's configuration ladder (KaMinPar → … → TeraPart) is evaluated.
 //! [`partition_ondisk`] goes one step beyond the ladder: it opens a `.tpg` container
 //! through a fixed-budget page cache ([`graph::PagedGraph`]) so the finest-level
 //! clustering, contraction, projection and refinement run directly against disk —
 //! the accounted in-memory footprint of the input is `offset index + node weights +
-//! page budget` instead of the compressed (let alone the CSR) size.
+//! page budget` instead of the compressed (let alone the CSR) size. Every run comes
+//! back as one [`PartitionResult`]: cut, time, peak bytes and the per-phase breakdown.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graph::csr::{CsrGraph, CsrGraphBuilder};
-use graph::store::PagedGraph;
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId};
 use memtrack::{MemoryScope, PhaseReport, PhaseTracker};
@@ -23,6 +25,7 @@ use obs::{Counter, ObsHandle, ProgressEvent, Recorder, RunReport, SpanKind};
 
 use crate::coarsening::{self, Hierarchy};
 use crate::context::PartitionerConfig;
+use crate::engine::{EngineConfig, PartitionEngine, PartitionRequest};
 use crate::error::PartitionError;
 use crate::initial::initial_partition_with_scratch;
 use crate::partition::Partition;
@@ -49,8 +52,10 @@ pub struct PartitionResult {
     pub phase_reports: Vec<PhaseReport>,
     /// Aggregated refinement statistics over all levels.
     pub refinement: RefinementStats,
-    /// Page-cache counters of the run — `Some` only for the on-disk entry points
-    /// ([`partition_ondisk`]), snapshotted when the pipeline returns.
+    /// Page-cache counters of the run — `Some` only when the input was a paged store
+    /// ([`partition_ondisk`], [`PartitionEngine::partition_path`] and
+    /// [`PartitionEngine::partition_store`] with the paged backend), snapshotted when
+    /// the pipeline returns.
     pub cache_stats: Option<graph::store::CacheStatsSnapshot>,
     /// Structured observability report: the `pipeline → level → phase → round` span
     /// tree with wall times and per-phase peak memory, plus the unified counter
@@ -231,34 +236,12 @@ fn refine_level(
     stats
 }
 
-/// Partitions `graph` into `config.k` blocks, recording phases in `tracker`.
-///
-/// The graph is used in whatever representation it is passed in; see [`partition_csr`]
-/// for the variant that applies graph compression according to the configuration.
-///
-/// Thin wrapper over a run-scoped [`PartitionEngine`](crate::engine::PartitionEngine);
-/// long-lived callers serving many requests should hold an engine instead, which reuses
-/// scratch arenas and open stores across requests.
-pub fn partition_with_tracker(
-    graph: &impl Graph,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-) -> PartitionResult {
-    let engine = crate::engine::PartitionEngine::with_config(
-        crate::engine::EngineConfig::from_partitioner(config),
-    );
-    engine.partition_with_tracker(
-        graph,
-        &crate::engine::PartitionRequest::from_config(config),
-        tracker,
-    )
-}
-
-/// [`partition_with_tracker`] against an already-created observability session and an
-/// externally owned scratch arena — the engine's inner pipeline. The compressing and
-/// store-opening entry points record their input phases into the same session's report;
-/// the arena comes from the engine's [`ScratchPool`](crate::engine::ScratchPool), so a
-/// request on a warmed engine partitions without re-growing the auxiliary buffers.
+/// The engine's inner pipeline: partitions `graph` into `config.k` blocks, recording
+/// phases in `tracker`, against an already-created observability session and an
+/// externally owned scratch arena. The compressing and store-opening entry points record
+/// their input phases into the same session's report; the arena comes from the engine's
+/// [`ScratchPool`](crate::engine::ScratchPool), so a request on a warmed engine
+/// partitions without re-growing the auxiliary buffers.
 pub(crate) fn partition_with_session(
     graph: &impl Graph,
     config: &PartitionerConfig,
@@ -411,10 +394,23 @@ pub(crate) fn partition_with_session(
     }
 }
 
-/// Partitions `graph` into `config.k` blocks with a fresh phase tracker.
+/// The engine and request a one-shot call runs on: `config` split into its two halves.
+pub(crate) fn one_shot(config: &PartitionerConfig) -> (PartitionEngine, PartitionRequest) {
+    (
+        PartitionEngine::with_config(EngineConfig::from_partitioner(config)),
+        PartitionRequest::from_config(config),
+    )
+}
+
+/// Partitions `graph` into `config.k` blocks.
+///
+/// The graph is used in whatever representation it is passed in; see [`partition_csr`]
+/// for the variant that applies graph compression according to the configuration.
+/// Long-lived callers serving many requests should hold a [`PartitionEngine`] instead,
+/// which reuses scratch arenas and open stores across requests.
 pub fn partition(graph: &impl Graph, config: &PartitionerConfig) -> PartitionResult {
-    let tracker = PhaseTracker::new();
-    partition_with_tracker(graph, config, &tracker)
+    let (engine, request) = one_shot(config);
+    engine.partition(graph, &request)
 }
 
 /// Partitions a CSR graph, honouring [`PartitionerConfig::use_compression`]: when set,
@@ -422,30 +418,16 @@ pub fn partition(graph: &impl Graph, config: &PartitionerConfig) -> PartitionRes
 /// the compressed representation; the memory accounting charges whichever representation
 /// is actually used, reproducing the configuration ladder of Figures 1, 4 and 6.
 pub fn partition_csr(graph: &CsrGraph, config: &PartitionerConfig) -> PartitionResult {
-    let tracker = PhaseTracker::new();
-    partition_csr_with_tracker(graph, config, &tracker)
-}
-
-/// [`partition_csr`] with an externally supplied phase tracker.
-pub fn partition_csr_with_tracker(
-    graph: &CsrGraph,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-) -> PartitionResult {
-    let engine = crate::engine::PartitionEngine::with_config(
-        crate::engine::EngineConfig::from_partitioner(config),
-    );
-    engine.partition_csr_with_tracker(
-        graph,
-        &crate::engine::PartitionRequest::from_config(config),
-        tracker,
-    )
+    let (engine, request) = one_shot(config);
+    engine.partition_csr(graph, &request)
 }
 
 /// Partitions a graph stored in a `.tpg` container on disk, never loading the full
 /// adjacency into memory: the input is accessed through a page cache whose geometry
 /// comes from [`PartitionerConfig::ondisk`], so the finest-level coarsening pass and
-/// the final projection/refinement decode neighbourhoods straight from disk.
+/// the final projection/refinement decode neighbourhoods straight from disk. The
+/// container open (header + offset index read, semi-external charge) is reported as the
+/// `"open_store"` phase.
 ///
 /// For a fixed seed (and thread count) the resulting partition is bit-identical to
 /// running [`partition`] on the in-memory compressed graph loaded from the same
@@ -463,52 +445,8 @@ pub fn partition_ondisk(
     path: impl AsRef<Path>,
     config: &PartitionerConfig,
 ) -> Result<PartitionResult, PartitionError> {
-    let tracker = PhaseTracker::new();
-    partition_ondisk_with_tracker(path, config, &tracker)
-}
-
-/// [`partition_ondisk`] with an externally supplied phase tracker. The container open
-/// (header + offset index read, semi-external charge) is reported as the
-/// `"open_store"` phase.
-pub fn partition_ondisk_with_tracker(
-    path: impl AsRef<Path>,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-) -> Result<PartitionResult, PartitionError> {
-    let engine = crate::engine::PartitionEngine::with_config(
-        crate::engine::EngineConfig::from_partitioner(config),
-    );
-    engine.partition_path_with_tracker(
-        path,
-        &crate::engine::PartitionRequest::from_config(config),
-        tracker,
-    )
-}
-
-/// Runs the on-disk pipeline against an already-open [`PagedGraph`] — the entry point
-/// the fault-injection harness uses with
-/// [`PagedGraph::open_with_backend`], and what the engine's path entry delegates to
-/// after opening the container.
-///
-/// The run reads the graph through a per-request [`graph::StoreSession`] with a fault
-/// observer that labels any mid-run storage fault with the pipeline phase it
-/// interrupted (via the tracker's [phase handle](PhaseTracker::phase_handle)); if the
-/// session poisoned itself during the run, the partial result is discarded and the
-/// first fatal error returns as a [`PartitionError`]. The `PagedGraph` itself stays
-/// healthy — a fault in one request never poisons a co-tenant sharing the store.
-pub fn partition_paged_with_tracker(
-    graph: &PagedGraph,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-) -> Result<PartitionResult, PartitionError> {
-    let engine = crate::engine::PartitionEngine::with_config(
-        crate::engine::EngineConfig::from_partitioner(config),
-    );
-    engine.partition_paged_with_tracker(
-        graph,
-        &crate::engine::PartitionRequest::from_config(config),
-        tracker,
-    )
+    let (engine, request) = one_shot(config);
+    engine.partition_path(path, &request)
 }
 
 #[cfg(test)]
@@ -652,9 +590,8 @@ mod tests {
     #[test]
     fn phase_reports_cover_the_pipeline() {
         let g = gen::grid2d(30, 30);
-        let tracker = PhaseTracker::new();
         let config = PartitionerConfig::terapart(4).with_threads(2);
-        let result = partition_csr_with_tracker(&g, &config, &tracker);
+        let result = partition_csr(&g, &config);
         check_result(&g, &result, 4);
         let names: std::collections::HashSet<String> = result
             .phase_reports
@@ -693,8 +630,7 @@ mod tests {
         let g = gen::grid2d(8, 8);
         let compressed = graph::CompressedGraph::from_csr(&g, &graph::CompressionConfig::default());
         let config = PartitionerConfig::terapart(16).with_threads(1);
-        let tracker = PhaseTracker::new();
-        let result = partition_with_tracker(&compressed, &config, &tracker);
+        let result = partition(&compressed, &config);
         assert_eq!(result.hierarchy_depth, 0);
         let report = result
             .phase_reports

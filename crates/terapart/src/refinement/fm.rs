@@ -149,8 +149,10 @@ pub(crate) fn fm_refine_obs(
         let mut pass_moves = 0usize;
         // Moves are applied sequentially in gain order: gains are re-validated against
         // the current assignment right before each move, so every applied move strictly
-        // decreases the cut (gain collection above is the parallel part; see DESIGN.md
-        // for this simplification relative to the paper's localized parallel FM).
+        // decreases the cut (gain collection above is the parallel part — a
+        // simplification relative to the paper's localized parallel FM; the k-way FM of
+        // docs/ARCHITECTURE.md § "Quality presets and k-way FM refinement" is the
+        // priority-queue variant).
         let tried = &candidates[..limit.min(candidates.len())];
         obs.add(Counter::FmMovesTried, tried.len() as u64);
         for &(_, u, to) in tried {

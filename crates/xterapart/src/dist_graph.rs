@@ -27,7 +27,7 @@ pub enum ShardStorage {
     },
     /// Gap + VarInt encoded neighbourhoods (gap-encoded relative to the owned vertex's
     /// global ID, weights as signed deltas). Interval encoding is omitted in the
-    /// distributed shards; see DESIGN.md.
+    /// distributed shards.
     Compressed {
         /// Byte offset of each owned vertex's encoded neighbourhood.
         offsets: Vec<u64>,

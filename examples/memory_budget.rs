@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --release --example memory_budget`
 use graph::gen;
-use memtrack::PhaseTracker;
-use terapart::{partition_csr_with_tracker, PartitionerConfig};
+use terapart::{partition_csr, PartitionerConfig};
 
 fn main() {
     let graph = gen::rgg2d(60_000, 24, 99);
@@ -13,19 +12,18 @@ fn main() {
         ("KaMinPar baseline", PartitionerConfig::kaminpar(k)),
         ("TeraPart", PartitionerConfig::terapart(k)),
     ] {
-        let tracker = PhaseTracker::new();
-        let result = partition_csr_with_tracker(&graph, &config, &tracker);
+        let result = partition_csr(&graph, &config);
         println!(
             "== {} (cut = {}, peak = {}) ==",
             name,
             result.edge_cut,
-            memtrack::format_bytes(tracker.overall_peak())
+            memtrack::format_bytes(result.peak_memory_bytes)
         );
         println!(
             "{:<20} {:>6} {:>14} {:>14}",
             "phase", "level", "peak", "auxiliary"
         );
-        for report in tracker.reports() {
+        for report in &result.phase_reports {
             println!(
                 "{:<20} {:>6} {:>14} {:>14}",
                 report.name,

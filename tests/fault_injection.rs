@@ -10,9 +10,11 @@ use graph::store::{
 };
 use graph::traits::Graph;
 use graph::{gen, NodeId, PagedGraph};
-use memtrack::PhaseTracker;
 use std::time::Duration;
-use terapart::{partition_ondisk, partition_paged_with_tracker, PartitionerConfig, RetryPolicy};
+use terapart::{
+    partition_ondisk, EngineConfig, PartitionEngine, PartitionRequest, PartitionerConfig,
+    RetryPolicy, StoreHandle,
+};
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -57,10 +59,12 @@ fn partition_under_faults(
     let stats = backend.stats();
     let result = match PagedGraph::open_with_backend(Box::new(backend), &config.ondisk) {
         Ok(paged) => {
-            let tracker = PhaseTracker::new();
-            let result = partition_paged_with_tracker(&paged, config, &tracker);
+            let store = StoreHandle::Paged(paged);
+            let engine = PartitionEngine::with_config(EngineConfig::from_partitioner(config));
+            let result = engine.partition_store(&store, &PartitionRequest::from_config(config));
             // The poison protocol is drain-once: after the driver consumed the
             // fatal error (or there was none), nothing is left behind.
+            let paged = store.as_paged().expect("the handle was built as paged");
             assert!(paged.take_fatal_error().is_none());
             result
         }

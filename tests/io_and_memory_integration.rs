@@ -21,18 +21,17 @@ fn metis_roundtrip_then_partition() {
     std::fs::remove_file(path).ok();
 }
 
-/// The phase tracker attributes memory to every pipeline stage and its overall peak
+/// The run's phase reports attribute memory to every pipeline stage and its overall peak
 /// bounds each individual phase peak.
 #[test]
 fn phase_tracking_covers_the_whole_pipeline() {
     let graph = gen::grid2d(60, 60);
-    let tracker = memtrack::PhaseTracker::new();
     let config = PartitionerConfig::terapart(8).with_threads(2);
-    let _ = terapart::partition_csr_with_tracker(&graph, &config, &tracker);
-    let reports = tracker.reports();
+    let result = terapart::partition_csr(&graph, &config);
+    let reports = &result.phase_reports;
     assert!(reports.len() >= 4);
-    let overall = tracker.overall_peak();
-    for report in &reports {
+    let overall = result.peak_memory_bytes;
+    for report in reports {
         assert!(report.peak_bytes <= overall);
         assert!(report.peak_bytes >= report.bytes_at_entry);
     }
