@@ -159,16 +159,40 @@ fn uncoarsening_proportion() {
 /// ≥ 98 % of its wall time on `rmat-14` at k = 16, default threads. It reads 0.9993 and
 /// above since PR 13; the floor keeps a slow slide (0.9925 → 0.9658 over PRs 8–10)
 /// from recurring unnoticed.
+///
+/// The same report shows, per level, how much of one-pass contraction's edge-array
+/// reservation (2m slots) was ever written (2m′): what is resident is the committed part.
 fn span_coverage_floor() -> f64 {
     let graph = gen::weblike(14, 12, 9);
     let config = PartitionerConfig::terapart(16).with_run_report(true);
     let result = terapart::partition_csr(&graph, &config);
-    let coverage = result.run_report.expect("the run recorded").span_coverage;
+    let report = result.run_report.expect("the run recorded");
+    let coverage = report.span_coverage;
     assert!(
         coverage >= 0.98,
         "span tree covers only {:.1}% of the pipeline wall time",
         coverage * 100.0
     );
+    let spans = report.all_spans();
+    let levels: Vec<_> = spans
+        .iter()
+        .filter(|span| span.name == "coarsen_level" && span.attr("coarse_edges").is_some())
+        .collect();
+    assert!(!levels.is_empty(), "rmat-14 was not coarsened");
+    for span in levels {
+        let attr = |key| {
+            span.attr(key)
+                .expect("a coarsened level without its edge attributes")
+        };
+        let (reserved, committed) = (attr("reserved_half_edges"), attr("committed_half_edges"));
+        println!(
+            "contract@{}: reserved {reserved} half-edges, committed {committed} ({:.3})",
+            span.level.expect("a level span without a level"),
+            committed as f64 / reserved as f64
+        );
+        assert!(committed <= reserved);
+        assert_eq!(committed, 2 * attr("coarse_edges"));
+    }
     coverage
 }
 

@@ -134,6 +134,15 @@ impl CsrGraph {
             + self.node_weights.len() * std::mem::size_of::<NodeWeight>()
     }
 
+    /// Number of bytes the CSR arrays hold allocated: [`Self::size_in_bytes`] plus
+    /// whatever spare capacity the vectors handed to [`Self::from_parts`] carried.
+    pub fn allocated_bytes(&self) -> usize {
+        self.xadj.capacity() * std::mem::size_of::<EdgeId>()
+            + self.adjacency.capacity() * std::mem::size_of::<NodeId>()
+            + self.edge_weights.capacity() * std::mem::size_of::<EdgeWeight>()
+            + self.node_weights.capacity() * std::mem::size_of::<NodeWeight>()
+    }
+
     /// Returns a copy of this graph with every neighbourhood sorted by neighbour ID.
     /// Sorted neighbourhoods maximise the effect of gap/interval encoding.
     pub fn sorted(&self) -> CsrGraph {

@@ -8,29 +8,36 @@
 //!   per-cluster buffers, computes the degree prefix sum, and then copies the buffers
 //!   into the CSR arrays — the coarse graph is held in memory twice at the peak.
 //! * [`ContractionAlgorithm::OnePass`] appends each coarse neighbourhood directly to the
-//!   (over-reserved) coarse edge array as soon as it has been aggregated. The write
-//!   position and the new coarse vertex ID are obtained from a single atomic transaction
-//!   on the [`DualCounter`]; vertex IDs are assigned in commit order, so the
-//!   neighbourhoods of consecutive coarse IDs are consecutive in the edge array and no
-//!   shuffling is needed. Endpoints are remapped from old cluster labels to new coarse
-//!   IDs at the very end.
+//!   coarse edge arrays as soon as it has been aggregated. The arrays are the ones the
+//!   coarse graph will own: `Vec`s *reserved* for the upper bound of `2m` entries and
+//!   never filled, so only the pages that receive one of the `2m′` committed entries
+//!   are ever resident (the paper's overcommit; [`memtrack::ReservedVec`] models the
+//!   same thing for the compressed edge array). The write position and the new coarse
+//!   vertex ID are obtained from a single atomic transaction on the [`DualCounter`];
+//!   vertex IDs are assigned in commit order, so the neighbourhoods of consecutive
+//!   coarse IDs are consecutive in the edge array and no shuffling is needed. At the
+//!   very end endpoints are remapped from old cluster labels to new coarse IDs and the
+//!   neighbourhoods sorted, both in place, and the arrays are cut to their committed
+//!   length — the coarse edges are never copied.
 //!
 //! Both algorithms use the two-phase aggregation idea: clusters whose coarse
 //! neighbourhood exceeds the bump threshold are deferred to a sequential second phase
 //! that may use an `O(n)` rating map.
 //!
-//! The per-level auxiliary state lives in a [`HierarchyScratch`] arena that is reused
-//! across all hierarchy levels. In particular, the vertices of each cluster are grouped
+//! The per-vertex auxiliary state lives in a [`HierarchyScratch`] arena that is reused
+//! across all hierarchy levels; what is indexed by coarse vertex is sized by `n′`, which
+//! the bucket construction knows before any of it is touched. In particular, the vertices of each cluster are grouped
 //! with a flat two-pass counting sort (parallel count → blocked prefix sum → parallel
 //! scatter) into a CSR-style `(offsets, members)` layout, replacing the seed's
 //! `Vec<Vec<NodeId>>` bucket structure and its one-allocation-per-coarse-vertex cost.
 
-use std::sync::atomic::Ordering;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use graph::csr::CsrGraph;
 use graph::ids;
 use graph::traits::Graph;
-use graph::{EdgeId, EdgeWeight, NodeId, NodeWeight};
+use graph::{AtomicNodeId, EdgeId, EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
 use rayon::prelude::*;
 
@@ -104,10 +111,10 @@ pub fn contract_with_scratch(
 fn build_cluster_buckets(clustering: &Clustering, scratch: &mut HierarchyScratch) -> usize {
     let n = clustering.label.len();
     scratch.ensure_buckets(n);
-    let heads = &scratch.bucket_heads[..n];
     let labels = &clustering.label[..n];
 
     // ---- Pass 1: count members per label (heads[l] = |cluster l|). ----
+    let heads = &scratch.bucket_heads[..n];
     heads.par_chunks(LABEL_BLOCK).for_each(|chunk| {
         for head in chunk {
             head.store(0, Ordering::Relaxed);
@@ -145,6 +152,8 @@ fn build_cluster_buckets(clustering: &Clustering, scratch: &mut HierarchyScratch
     }
     let n_coarse = bucket_base as usize;
     debug_assert_eq!(offset_base as usize, n);
+    scratch.ensure_bucket_index(n_coarse);
+    let heads = &scratch.bucket_heads[..n];
 
     // Per block: assign dense coarse IDs in label order, record bucket boundaries and
     // leaders, publish label -> coarse ID in remap, and turn heads[l] into the bucket's
@@ -303,7 +312,67 @@ impl Batch {
     }
 }
 
-/// One-pass contraction (paper §IV-B2), writing through the scratch arena.
+/// What the workers of one-pass contraction write concurrently: the per-coarse-vertex
+/// arena buffers and the reserved, still uninitialised coarse edge arrays.
+struct OnePassOutput<'a> {
+    dual: DualCounter,
+    starts: &'a [AtomicU64],
+    node_weights: &'a [AtomicU64],
+    remap: &'a [AtomicNodeId],
+    reserved_half_edges: usize,
+    coarse_targets: SharedSlice<'a, MaybeUninit<NodeId>>,
+    coarse_weights: SharedSlice<'a, MaybeUninit<EdgeWeight>>,
+}
+
+impl OnePassOutput<'_> {
+    /// One dual-counter transaction: claims the next `edges` slots of the edge arrays and
+    /// the next `vertices` coarse IDs and returns the first of each. The claimed ranges
+    /// are disjoint and contiguous from 0. A clustering of the contracted graph commits
+    /// at most one entry per fine half-edge; the unchecked writes of [`Self::commit`]
+    /// rest on this check, made once per transaction.
+    fn claim(&self, edges: usize, vertices: usize) -> (usize, usize) {
+        let (d_prev, s_prev) = self.dual.fetch_add(edges as u64, vertices as u64);
+        assert!(
+            d_prev as usize + edges <= self.reserved_half_edges
+                && s_prev as usize + vertices <= self.starts.len(),
+            "one-pass contraction overran its reservation of {} half-edges / {} vertices",
+            self.reserved_half_edges,
+            self.starts.len()
+        );
+        (d_prev as usize, s_prev as usize)
+    }
+
+    /// Commits coarse vertex `coarse_id` (contracted from cluster `label`): its `edges`
+    /// (old target labels until the final remap) go to the slots from `first_edge` on.
+    ///
+    /// # Safety
+    /// `coarse_id` and `[first_edge, first_edge + edges.count())` must lie inside what one
+    /// [`Self::claim`] of the calling worker returned, and be committed only once.
+    unsafe fn commit(
+        &self,
+        coarse_id: usize,
+        first_edge: usize,
+        label: ClusterId,
+        weight: NodeWeight,
+        edges: impl Iterator<Item = (ClusterId, EdgeWeight)>,
+    ) {
+        self.starts[coarse_id].store(first_edge as u64, Ordering::Relaxed);
+        self.node_weights[coarse_id].store(weight, Ordering::Relaxed);
+        self.remap[label as usize].store(coarse_id as NodeId, Ordering::Relaxed);
+        for (i, (target, w)) in edges.enumerate() {
+            // SAFETY: in bounds and written by no other worker, by the caller's contract.
+            unsafe {
+                self.coarse_targets
+                    .write(first_edge + i, MaybeUninit::new(target));
+                self.coarse_weights
+                    .write(first_edge + i, MaybeUninit::new(w));
+            }
+        }
+    }
+}
+
+/// One-pass contraction (paper §IV-B2): the coarse edge arrays are built in place in a
+/// reservation of `2m` entries of which only the `2m′` written ones are ever resident.
 fn contract_one_pass(
     graph: &impl Graph,
     clustering: &Clustering,
@@ -318,40 +387,52 @@ fn contract_one_pass(
         };
     }
     let n_coarse = build_cluster_buckets(clustering, scratch);
-    let upper_bound_edges = 2 * graph.m();
-    scratch.ensure_contraction(n);
-    scratch.ensure_edges(upper_bound_edges);
+    scratch.ensure_contraction(n_coarse);
+    // Reserved, not filled: an untouched page of the capacity is never backed.
+    let reserved_half_edges = 2 * graph.m();
+    let mut adjacency: Vec<NodeId> = Vec::with_capacity(reserved_half_edges);
+    let mut edge_weights: Vec<EdgeWeight> = Vec::with_capacity(reserved_half_edges);
 
     let offsets = &scratch.bucket_offsets[..n_coarse + 1];
     let members = &scratch.bucket_members[..n];
     let leaders = &scratch.leaders[..n_coarse];
     let remap = &scratch.remap[..n];
-    let starts = &scratch.starts[..n];
-    let coarse_node_weights = &scratch.coarse_node_weights[..n];
-    let coarse_edges = &scratch.edge_targets[..upper_bound_edges];
-    let coarse_edge_weights = &scratch.edge_weights[..upper_bound_edges];
+    let starts = &scratch.starts[..n_coarse];
+    let coarse_node_weights = &scratch.coarse_node_weights[..n_coarse];
     let workers = &*scratch.workers;
-    let dual = DualCounter::new();
-
+    let output = OnePassOutput {
+        dual: DualCounter::new(),
+        starts,
+        node_weights: coarse_node_weights,
+        remap,
+        reserved_half_edges,
+        coarse_targets: SharedSlice::new(
+            &mut adjacency.spare_capacity_mut()[..reserved_half_edges],
+        ),
+        coarse_weights: SharedSlice::new(
+            &mut edge_weights.spare_capacity_mut()[..reserved_half_edges],
+        ),
+    };
     let flush_batch = |batch: &mut Batch| {
         if batch.is_empty() {
             return;
         }
-        let (d_prev, s_prev) =
-            dual.fetch_add(batch.edges.len() as u64, batch.vertices.len() as u64);
-        let mut edge_cursor = d_prev as usize;
-        let mut offset_in_edges = 0usize;
+        let (mut first_edge, first_vertex) = output.claim(batch.edges.len(), batch.vertices.len());
+        let mut edges = batch.edges.iter().copied();
         for (i, &(label, weight, len)) in batch.vertices.iter().enumerate() {
-            let coarse_id = s_prev as usize + i;
-            starts[coarse_id].store(edge_cursor as u64, Ordering::Relaxed);
-            coarse_node_weights[coarse_id].store(weight, Ordering::Relaxed);
-            remap[label as usize].store(coarse_id as NodeId, Ordering::Relaxed);
-            for &(target, w) in &batch.edges[offset_in_edges..offset_in_edges + len as usize] {
-                coarse_edges[edge_cursor].store(target, Ordering::Relaxed);
-                coarse_edge_weights[edge_cursor].store(w, Ordering::Relaxed);
-                edge_cursor += 1;
+            let len = len as usize;
+            // SAFETY: the batch's vertices split the claimed edge range in order:
+            // `batch.edges.len()` is the sum of their `len`s.
+            unsafe {
+                output.commit(
+                    first_vertex + i,
+                    first_edge,
+                    label,
+                    weight,
+                    edges.by_ref().take(len),
+                );
             }
-            offset_in_edges += len as usize;
+            first_edge += len;
         }
         batch.vertices.clear();
         batch.edges.clear();
@@ -439,53 +520,45 @@ fn contract_one_pass(
                     }
                 });
             }
-            let len = map.len();
-            let (d_prev, s_prev) = dual.fetch_add(len as u64, 1);
-            let coarse_id = s_prev as usize;
-            starts[coarse_id].store(d_prev, Ordering::Relaxed);
-            coarse_node_weights[coarse_id].store(weight, Ordering::Relaxed);
-            remap[label as usize].store(coarse_id as NodeId, Ordering::Relaxed);
-            for (i, (target, w)) in map.iter().enumerate() {
-                coarse_edges[d_prev as usize + i].store(target, Ordering::Relaxed);
-                coarse_edge_weights[d_prev as usize + i].store(w, Ordering::Relaxed);
-            }
+            let (first_edge, coarse_id) = output.claim(map.len(), 1);
+            // SAFETY: `map.iter()` yields `map.len()` entries, the range just claimed.
+            unsafe { output.commit(coarse_id, first_edge, label, weight, map.iter()) };
         }
     }
-    let (total_edges, total_vertices) = dual.load();
+    let (total_edges, total_vertices) = output.dual.load();
     let m_half = total_edges as usize;
-    debug_assert_eq!(total_vertices as usize, n_coarse);
+    assert_eq!(total_vertices as usize, n_coarse);
+    // SAFETY: the transactions claimed `[0, m_half)` in disjoint contiguous ranges
+    // (`DualCounter::fetch_add` returns the running totals), `claim` bounded each by the
+    // capacity, and every transaction wrote all of its range in both arrays before the
+    // loops above ended.
+    unsafe {
+        adjacency.set_len(m_half);
+        edge_weights.set_len(m_half);
+    }
+    // Give back the part of the reservation that was never written.
+    adjacency.shrink_to_fit();
+    edge_weights.shrink_to_fit();
 
-    // Charge the committed portion of the over-reserved edge arrays for the remainder of
-    // this contraction (the paper's point: only 2m' entries are physically backed).
-    let committed_bytes = m_half
-        * (std::mem::size_of::<graph::AtomicNodeId>()
-            + std::mem::size_of::<std::sync::atomic::AtomicU64>());
-    let _scope = MemoryScope::charge_global(committed_bytes);
-
-    // ---- Assemble the CSR arrays, remapping old labels to coarse IDs. ----
-    let mut xadj: Vec<EdgeId> = (0..n_coarse)
+    // ---- Assemble the CSR: offsets and weights out of the arena, labels -> coarse IDs. ----
+    let xadj: Vec<EdgeId> = (0..n_coarse + 1)
         .into_par_iter()
-        .map(|c| starts[c].load(Ordering::Relaxed))
-        .collect();
-    xadj.push(m_half as EdgeId);
-    // The starts are monotone because coarse IDs are assigned in commit order.
-    debug_assert!(xadj.windows(2).all(|w| w[0] <= w[1]));
-
-    let mut adjacency: Vec<NodeId> = (0..m_half)
-        .into_par_iter()
-        .map(|e| {
-            let old_label = coarse_edges[e].load(Ordering::Relaxed);
-            remap[old_label as usize].load(Ordering::Relaxed)
+        .map(|c| match starts.get(c) {
+            Some(start) => start.load(Ordering::Relaxed),
+            None => m_half as EdgeId,
         })
         .collect();
-    let mut edge_weights: Vec<EdgeWeight> = (0..m_half)
-        .into_par_iter()
-        .map(|e| coarse_edge_weights[e].load(Ordering::Relaxed))
-        .collect();
+    // The starts are monotone because coarse IDs are assigned in commit order.
+    debug_assert!(xadj.windows(2).all(|w| w[0] <= w[1]));
     let node_weights: Vec<NodeWeight> = (0..n_coarse)
         .into_par_iter()
         .map(|c| coarse_node_weights[c].load(Ordering::Relaxed))
         .collect();
+    adjacency.par_chunks_mut(LABEL_BLOCK).for_each(|chunk| {
+        for target in chunk {
+            *target = remap[*target as usize].load(Ordering::Relaxed);
+        }
+    });
 
     // Sort each coarse neighbourhood by target ID for deterministic downstream
     // behaviour, in parallel over the (disjoint) CSR segments. Coarse degrees are
@@ -658,39 +731,72 @@ mod tests {
         }
     }
 
-    #[test]
-    fn both_algorithms_produce_equivalent_graphs() {
-        for (name, g) in [
-            ("grid", gen::grid2d(15, 15)),
-            ("powerlaw", gen::rhg_like(600, 8, 3.0, 5)),
-            (
-                "weighted",
-                gen::with_random_edge_weights(&gen::erdos_renyi(300, 1200, 2), 9, 4),
-            ),
-        ] {
-            let clustering = lp_clustering_for(&g, 8);
-            let buffered = contract(&g, &clustering, ContractionAlgorithm::Buffered, 16);
-            let one_pass = contract(&g, &clustering, ContractionAlgorithm::OnePass, 16);
-            check_contraction(&g, &clustering, &buffered);
-            check_contraction(&g, &clustering, &one_pass);
-            assert_eq!(buffered.coarse.n(), one_pass.coarse.n(), "{}", name);
-            assert_eq!(buffered.coarse.m(), one_pass.coarse.m(), "{}", name);
+    /// Asserts that `a` and `b` are the same contraction up to the numbering of the
+    /// coarse vertices: the renumbering is read off the two fine-to-coarse mappings, and
+    /// under it node weights and whole (sorted) neighbourhoods must agree.
+    fn assert_equal_up_to_renumbering(a: &ContractionResult, b: &ContractionResult, name: &str) {
+        assert_eq!(a.coarse.n(), b.coarse.n(), "{}", name);
+        assert_eq!(a.coarse.m(), b.coarse.m(), "{}", name);
+        let mut a_to_b = vec![ids::INVALID_NODE; a.coarse.n()];
+        for (&in_a, &in_b) in a.mapping.iter().zip(&b.mapping) {
+            let slot = &mut a_to_b[in_a as usize];
+            assert!(*slot == ids::INVALID_NODE || *slot == in_b, "{}", name);
+            *slot = in_b;
+        }
+        for c in 0..a.coarse.n() as NodeId {
+            let image = a_to_b[c as usize];
             assert_eq!(
-                buffered.coarse.total_edge_weight(),
-                one_pass.coarse.total_edge_weight(),
+                a.coarse.node_weight(c),
+                b.coarse.node_weight(image),
                 "{}",
                 name
             );
-            // Degree multisets must agree (the graphs are isomorphic up to relabelling).
-            let mut degrees_a: Vec<usize> = (0..buffered.coarse.n() as NodeId)
-                .map(|u| buffered.coarse.degree(u))
+            let mut renumbered: Vec<(NodeId, EdgeWeight)> = a
+                .coarse
+                .neighbors_vec(c)
+                .into_iter()
+                .map(|(v, w)| (a_to_b[v as usize], w))
                 .collect();
-            let mut degrees_b: Vec<usize> = (0..one_pass.coarse.n() as NodeId)
-                .map(|u| one_pass.coarse.degree(u))
-                .collect();
-            degrees_a.sort_unstable();
-            degrees_b.sort_unstable();
-            assert_eq!(degrees_a, degrees_b, "{}", name);
+            renumbered.sort_unstable();
+            assert_eq!(renumbered, b.coarse.neighbors_vec(image), "{}", name);
+        }
+    }
+
+    #[test]
+    fn both_algorithms_produce_equivalent_graphs() {
+        // The last instance is large enough (n′ > 4096 at cluster weight 3) for the
+        // parallel loops to really split at two threads, where one-pass numbers the coarse
+        // vertices in commit order.
+        for (name, g, max_weight) in [
+            ("grid", gen::grid2d(15, 15), 8),
+            ("powerlaw", gen::rhg_like(600, 8, 3.0, 5), 8),
+            (
+                "weighted",
+                gen::with_random_edge_weights(&gen::erdos_renyi(300, 1200, 2), 9, 4),
+                8,
+            ),
+            ("rgg", gen::rgg2d(20_000, 10, 3), 3),
+        ] {
+            let clustering = lp_clustering_for(&g, max_weight);
+            // Threshold 4 sends most clusters of these instances through the bumped
+            // (sequential, sparse-map) second phase.
+            for (threads, bump_threshold) in [(1, 16), (1, 4), (2, 16), (2, 4)] {
+                let name = format!("{name}, {threads} threads, bump threshold {bump_threshold}");
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let (buffered, one_pass) = pool.install(|| {
+                    let with = |algorithm| contract(&g, &clustering, algorithm, bump_threshold);
+                    (
+                        with(ContractionAlgorithm::Buffered),
+                        with(ContractionAlgorithm::OnePass),
+                    )
+                });
+                check_contraction(&g, &clustering, &buffered);
+                check_contraction(&g, &clustering, &one_pass);
+                assert_equal_up_to_renumbering(&one_pass, &buffered, &name);
+            }
         }
     }
 
@@ -800,6 +906,35 @@ mod tests {
         assert!(
             bytes_after_first.is_some(),
             "no contraction level was executed"
+        );
+    }
+
+    #[test]
+    fn one_pass_sizes_coarse_vertex_buffers_by_the_coarse_graph() {
+        let g = gen::rgg2d(6000, 12, 8);
+        let clustering = lp_clustering_for(&g, 24);
+        let (n, n_coarse) = (g.n(), clustering.num_clusters);
+        assert!(n_coarse * 8 < n, "n′ = {} is not ≪ n = {}", n_coarse, n);
+        let mut scratch = HierarchyScratch::new();
+        let result = contract_with_scratch(
+            &g,
+            &clustering,
+            ContractionAlgorithm::OnePass,
+            16,
+            &mut scratch,
+        );
+        check_contraction(&g, &clustering, &result);
+        // Heads, members and remap are indexed by label / fine vertex; offsets, leaders,
+        // starts and coarse node weights by coarse vertex.
+        let id = std::mem::size_of::<NodeId>();
+        assert_eq!(
+            scratch.memory_bytes(),
+            3 * n * id + (n_coarse + 1) * id + n_coarse * (id + 8 + 8)
+        );
+        // The reservation of 2m edge slots was cut back to the 2m′ committed ones.
+        assert_eq!(
+            result.coarse.allocated_bytes(),
+            result.coarse.size_in_bytes()
         );
     }
 }

@@ -151,6 +151,12 @@ impl ClusteringState {
         }
     }
 
+    /// Heap bytes of the label and cluster-weight arrays.
+    fn memory_bytes(&self) -> usize {
+        self.labels.len() * std::mem::size_of::<AtomicNodeId>()
+            + self.cluster_weights.len() * std::mem::size_of::<AtomicU64>()
+    }
+
     #[inline]
     fn label(&self, u: NodeId) -> ClusterId {
         self.labels[u as usize].load(Ordering::Relaxed)
@@ -305,6 +311,7 @@ pub fn cluster_with_scratch(
         };
     }
     let state = ClusteringState::new(graph, max_cluster_weight);
+    let _state_scope = MemoryScope::charge_global(state.memory_bytes());
     let num_threads = rayon::current_num_threads().max(1);
     let use_frontier = config.lp_frontier;
 
@@ -363,16 +370,24 @@ pub fn cluster_with_scratch(
             );
         }
         LabelPropagationMode::TwoPhase => {
-            // Auxiliary memory: p fixed-capacity hash tables plus one shared O(n) array.
-            let shared = AtomicSparseArray::new(n);
+            // Auxiliary memory: p fixed-capacity hash tables, plus one shared O(n) array
+            // from the first bumped vertex on.
             let _scope = MemoryScope::charge_global(
-                shared.memory_bytes()
-                    + num_threads * FixedCapacityHashMap::new(config.bump_threshold).memory_bytes(),
+                num_threads * FixedCapacityHashMap::new(config.bump_threshold).memory_bytes(),
             );
+            let mut shared = None;
             // Cloned out before the driver takes `&mut` of the whole arena.
             let workers = Arc::clone(&scratch.workers);
             let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
-                run_round_two_phase(graph, &state, config, &shared, &workers, order, frontier)
+                run_round_two_phase(
+                    graph,
+                    &state,
+                    config,
+                    &mut shared,
+                    &workers,
+                    order,
+                    frontier,
+                )
             };
             let mut semantics = ClusteringRounds {
                 seed,
@@ -424,12 +439,15 @@ fn run_round_per_thread_maps(
     moved.load(Ordering::Relaxed)
 }
 
-/// One round of two-phase label propagation (paper Algorithm 2).
+/// One round of two-phase label propagation (paper Algorithm 2). `shared` is the second
+/// phase's O(n) rating array with its memory charge; the (sequential) second phase builds
+/// it for the first bumped vertex of the clustering call and later rounds reuse it, so a
+/// graph without high-degree vertices never pays for it.
 fn run_round_two_phase(
     graph: &impl Graph,
     state: &ClusteringState,
     config: &CoarseningConfig,
-    shared: &AtomicSparseArray,
+    shared: &mut Option<(AtomicSparseArray, MemoryScope<'static>)>,
     workers: &WorkerScratchPool,
     order: &[NodeId],
     frontier: Option<&AtomicBitset>,
@@ -475,6 +493,15 @@ fn run_round_two_phase(
         });
 
     // ---- Second phase: bumped vertices sequentially, parallelism over their edges. ----
+    if bumped.is_empty() {
+        return moved.load(Ordering::Relaxed);
+    }
+    let (shared, _) = shared.get_or_insert_with(|| {
+        let array = AtomicSparseArray::new(graph.n());
+        let charge = MemoryScope::charge_global(array.memory_bytes());
+        (array, charge)
+    });
+    let shared = &*shared;
     let mut bumped_moves = 0usize;
     for &u in &bumped {
         let node_weight = graph.node_weight(u);

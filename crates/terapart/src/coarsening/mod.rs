@@ -23,7 +23,7 @@ use memtrack::{MemoryScope, PhaseTracker};
 
 use obs::{Counter, ProgressEvent, SpanKind};
 
-use crate::context::PartitionerConfig;
+use crate::context::{ContractionAlgorithm, PartitionerConfig};
 use crate::partitioner::obs_phase;
 use crate::scratch::HierarchyScratch;
 
@@ -122,9 +122,6 @@ pub fn coarsen_with_scratch(
             mapping: result.mapping,
         });
     }
-    // Contraction was the only user of the over-reserved edge buffers; free them so the
-    // remaining pipeline stages don't carry 2m of physically backed scratch.
-    scratch.release_edges();
     hierarchy
 }
 
@@ -180,6 +177,15 @@ fn coarsen_level(
     });
     level_span.attr("coarse_nodes", result.coarse.n() as u64);
     level_span.attr("coarse_edges", result.coarse.m() as u64);
+    // Edge-array slots contraction reserved against those it wrote (and kept resident):
+    // one-pass reserves the upper bound 2m, buffered allocates what it has counted.
+    let committed = 2 * result.coarse.m() as u64;
+    let reserved = match coarsening.contraction {
+        ContractionAlgorithm::OnePass => 2 * graph.m() as u64,
+        ContractionAlgorithm::Buffered => committed,
+    };
+    level_span.attr("reserved_half_edges", reserved);
+    level_span.attr("committed_half_edges", committed);
     drop(level_span);
     obs.add(Counter::CoarseningLevels, 1);
     config.obs.progress.emit(&ProgressEvent::LevelCoarsened {

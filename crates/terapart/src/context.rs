@@ -32,8 +32,9 @@ pub enum ContractionAlgorithm {
     /// arrays once all degrees are known (the original KaMinPar scheme; stores the
     /// coarse graph twice at its peak).
     Buffered,
-    /// One-pass contraction: append coarse neighbourhoods directly to an over-reserved
-    /// edge array using the atomic dual counter, then remap vertex IDs.
+    /// One-pass contraction: append coarse neighbourhoods directly to the coarse graph's
+    /// edge arrays — reserved for `2m` entries, backed only where written — using the
+    /// atomic dual counter, then remap vertex IDs in place.
     OnePass,
 }
 

@@ -118,10 +118,10 @@ impl InitialPartitioningScratch {
 
     /// Heap bytes of the node-indexed structures (membership map + tree permutation).
     ///
-    /// The pooled workspace buffers are *not* part of this figure — like the
-    /// over-reserved contraction edge buffers, they are working memory sized by the
-    /// largest task rather than node-indexed state, are excluded from the standing
-    /// memtrack charge, and are freed when the stage ends ([`Self::release_pools`]).
+    /// The pooled workspace buffers are *not* part of this figure: they are working
+    /// memory sized by the largest task rather than node-indexed state, are excluded
+    /// from the standing memtrack charge, and are freed when the stage ends
+    /// ([`Self::release_pools`]).
     /// [`Self::pool_bytes`] exposes their current footprint for introspection.
     pub fn memory_bytes(&self) -> usize {
         self.local_epoch.len() * std::mem::size_of::<AtomicU64>()

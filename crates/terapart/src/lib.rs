@@ -24,10 +24,13 @@
 //! * **Allocation-free hot paths.** One [`HierarchyScratch`] arena is created per run
 //!   and reused by every coarsening level, every refinement level, and every node of
 //!   the initial-partitioning bisection tree; the largest (first) level sizes it and
-//!   everything after runs without heap allocation. The arena charges its node-indexed
-//!   footprint to `memtrack`; over-reserved working buffers (contraction edge arrays,
-//!   initial-partitioning workspace pools) are excluded from the standing charge and
-//!   released when their phase ends.
+//!   everything after runs without heap allocation of auxiliary state. The arena
+//!   charges its footprint to `memtrack`; every buffer in it is physically backed and
+//!   sized by what indexes it (fine vertices, or the coarse vertices of the first
+//!   contraction). The initial-partitioning workspace pools are excluded from the
+//!   standing charge and released when their stage ends. The coarse edge arrays are not
+//!   arena state: one-pass contraction reserves `2m` slots per level without filling
+//!   them, writes the `2m′` it needs and hands exactly those to the coarse graph.
 //! * **Frontier-driven label propagation.** After the full first round, clustering and
 //!   refinement revisit only vertices whose neighbourhood changed.
 //! * **Deterministic parallel initial partitioning.** The recursive-bisection portfolio

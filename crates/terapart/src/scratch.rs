@@ -1,14 +1,20 @@
 //! Reusable hot-path scratch memory for the multilevel pipeline.
 //!
 //! Every hierarchy level of the seed implementation allocated its auxiliary state from
-//! scratch: a fresh `Vec<Vec<NodeId>>` cluster-bucket structure and freshly zeroed atomic
-//! output arrays in contraction, a fresh visit-order vector per label-propagation round.
-//! Because level sizes shrink geometrically, the *first* level's requirement dominates;
-//! a single arena sized for the input graph can serve the whole hierarchy without ever
-//! allocating again. [`HierarchyScratch`] is that arena. It is created once per
-//! partitioning run, threaded through coarsening (clustering + contraction) and
+//! scratch: a fresh `Vec<Vec<NodeId>>` cluster-bucket structure and freshly zeroed
+//! per-vertex arrays in contraction, a fresh visit-order vector per label-propagation
+//! round. Because level sizes shrink geometrically, the *first* level's requirement
+//! dominates; a single arena sized by the first level can serve the whole hierarchy
+//! without ever allocating again. [`HierarchyScratch`] is that arena. It is created once
+//! per partitioning run, threaded through coarsening (clustering + contraction) and
 //! refinement, and reports its footprint to `memtrack` so the memory ladder experiments
 //! see it.
+//!
+//! Every buffer here is physically backed (filled on growth) and charged in full, so
+//! each is sized by what indexes it: the buffers indexed by fine vertex or cluster label
+//! by `n`, the buffers indexed by coarse vertex by `n′`. The coarse *edge* arrays are not
+//! arena state at all: one-pass contraction reserves them per level without filling them
+//! and hands them to the coarse graph it returns (see [`mod@crate::coarsening::contract`]).
 //!
 //! The arena also owns the [`AtomicBitset`] pair backing the frontier/active-set
 //! worklists of label propagation (clustering and refinement): vertices whose
@@ -285,12 +291,9 @@ pub struct HierarchyScratch {
     pub(crate) remap: Vec<AtomicNodeId>,
     /// Per coarse vertex: neighbourhood start in the edge arrays.
     pub(crate) starts: Vec<AtomicU64>,
-    /// Per coarse vertex: aggregated node weight.
+    /// Per coarse vertex: aggregated node weight. Two-hop clustering borrows it as its
+    /// label-indexed cluster-weight table (and then sizes it by `n`).
     pub(crate) coarse_node_weights: Vec<AtomicU64>,
-    /// Over-reserved coarse edge targets (old cluster labels until the final remap).
-    pub(crate) edge_targets: Vec<AtomicNodeId>,
-    /// Over-reserved coarse edge weights, parallel to `edge_targets`.
-    pub(crate) edge_weights: Vec<AtomicU64>,
     /// Visit-order buffer for label propagation rounds.
     pub(crate) order: Vec<NodeId>,
     /// The round's permutation of the 256-id ranges the visit order is built from
@@ -318,10 +321,8 @@ pub struct HierarchyScratch {
     /// like the thread-locals it replaces, the worker buffers are transient hot-loop
     /// state whose committed size the phases charge (estimated) per level.
     pub(crate) workers: Arc<WorkerScratchPool>,
-    /// Charge of all node-indexed buffers against the global memory accounting. The
-    /// over-reserved edge buffers are *not* part of this charge: following the paper's
-    /// virtual-memory overcommit model (as in `memtrack::ReservedVec`), contraction
-    /// charges their committed portion transiently per level.
+    /// Charge of the arena's buffers ([`Self::memory_bytes`]) against the global memory
+    /// accounting.
     charge: MemoryScope<'static>,
 }
 
@@ -341,8 +342,6 @@ impl HierarchyScratch {
             remap: Vec::new(),
             starts: Vec::new(),
             coarse_node_weights: Vec::new(),
-            edge_targets: Vec::new(),
-            edge_weights: Vec::new(),
             order: Vec::new(),
             order_chunks: Vec::new(),
             active: AtomicBitset::new(),
@@ -382,27 +381,35 @@ impl HierarchyScratch {
         self.recharge();
     }
 
-    /// Grows the cluster-bucket buffers (counting-sort layout + label remap) to `n`.
+    /// Grows the cluster-bucket buffers indexed by cluster label or fine vertex
+    /// (counting-sort cursors, member array, label remap) to `n`.
     pub fn ensure_buckets(&mut self, n: usize) {
         if self.bucket_heads.len() < n {
             self.bucket_heads.resize_with(n, || AtomicNodeId::new(0));
             self.remap
                 .resize_with(n, || AtomicNodeId::new(INVALID_NODE));
-        }
-        if self.bucket_offsets.len() < n + 1 {
-            self.bucket_offsets.resize(n + 1, 0);
             self.bucket_members.resize(n, 0);
-            self.leaders.resize(n, 0);
         }
         self.recharge();
     }
 
-    /// Grows the one-pass contraction's per-coarse-vertex buffers to `n`.
-    pub fn ensure_contraction(&mut self, n: usize) {
-        if self.starts.len() < n {
-            self.starts.resize_with(n, || AtomicU64::new(0));
+    /// Grows the cluster-bucket buffers indexed by coarse vertex (bucket boundaries and
+    /// leaders) to `n_coarse`, which the bucket construction knows after its prefix sum
+    /// and before it writes either.
+    pub fn ensure_bucket_index(&mut self, n_coarse: usize) {
+        if self.leaders.len() < n_coarse {
+            self.bucket_offsets.resize(n_coarse + 1, 0);
+            self.leaders.resize(n_coarse, 0);
         }
-        self.ensure_cluster_weights(n);
+        self.recharge();
+    }
+
+    /// Grows the one-pass contraction's per-coarse-vertex buffers to `n_coarse`.
+    pub fn ensure_contraction(&mut self, n_coarse: usize) {
+        if self.starts.len() < n_coarse {
+            self.starts.resize_with(n_coarse, || AtomicU64::new(0));
+        }
+        self.ensure_cluster_weights(n_coarse);
     }
 
     /// Grows the per-cluster weight buffer alone to `n`: what two-hop clustering needs
@@ -415,37 +422,14 @@ impl HierarchyScratch {
         self.recharge();
     }
 
-    /// Grows the edge buffers to hold `half_edges` entries (no-op once sized). The
-    /// reservation is not charged to the accounting — only the committed portion is,
-    /// transiently, by the contraction that writes it (the overcommit model).
-    pub fn ensure_edges(&mut self, half_edges: usize) {
-        if self.edge_targets.len() < half_edges {
-            self.edge_targets
-                .resize_with(half_edges, || AtomicNodeId::new(0));
-            self.edge_weights
-                .resize_with(half_edges, || AtomicU64::new(0));
-        }
-    }
-
-    /// Frees the over-reserved edge buffers. Called when coarsening ends: contraction is
-    /// their only user, and unlike true virtual-memory overcommit the buffers are
-    /// physically backed (zero-initialised), so holding them through initial
-    /// partitioning and refinement would silently inflate the real resident footprint
-    /// relative to what the accounting reports. Cross-level reuse is unaffected — the
-    /// release happens after the last level.
-    pub fn release_edges(&mut self) {
-        self.edge_targets = Vec::new();
-        self.edge_weights = Vec::new();
-    }
-
     /// Swaps the current and next active sets between LP rounds.
     pub(crate) fn swap_active(&mut self) {
         std::mem::swap(&mut self.active, &mut self.next_active);
     }
 
-    /// Bytes the arena charges to the memory accounting: all node-indexed buffers. The
-    /// over-reserved edge buffers are excluded (charged transiently at their committed
-    /// size by the contraction that writes them).
+    /// Bytes the arena holds and charges to the memory accounting: every buffer it owns
+    /// except the transient per-worker ones (the `workers` pool) and the pooled
+    /// initial-partitioning workspaces, which their stage releases.
     pub fn memory_bytes(&self) -> usize {
         let id = std::mem::size_of::<NodeId>();
         self.bucket_heads.len() * id
@@ -576,15 +560,15 @@ mod tests {
         assert_eq!(scratch.memory_bytes(), 0);
         scratch.ensure_worklists(10_000);
         scratch.ensure_buckets(10_000);
-        scratch.ensure_contraction(10_000);
-        scratch.ensure_edges(50_000);
+        scratch.ensure_bucket_index(4_000);
+        scratch.ensure_contraction(4_000);
         let after_first = scratch.memory_bytes();
         assert!(after_first > 0);
         // Smaller levels reuse the buffers: no growth.
         scratch.ensure_worklists(1_000);
         scratch.ensure_buckets(1_000);
-        scratch.ensure_contraction(1_000);
-        scratch.ensure_edges(5_000);
+        scratch.ensure_bucket_index(400);
+        scratch.ensure_contraction(400);
         assert_eq!(scratch.memory_bytes(), after_first);
         // Larger requests grow.
         scratch.ensure_buckets(20_000);
