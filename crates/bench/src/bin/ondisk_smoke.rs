@@ -6,13 +6,41 @@
 //! (d) the pipelined streamed ingest must reproduce the materialised container byte for
 //! byte, and (e) a prefetch-enabled run must stay complete, balanced and below the CSR
 //! size while hint-driven readahead actually installs pages; (f) paged, paged with
-//! readahead and mmap reach one identical cut on the one container format. Exits
-//! non-zero on any violation, so CI fails loudly.
+//! readahead and mmap reach one identical cut on the one container format, and the
+//! paged runs report what a miss read and checksummed (`verified_bytes ≥ bytes_read ≥
+//! misses · shortest page`). Exits non-zero on any violation, so CI fails loudly.
 //!
 //! Usage: `ondisk_smoke [cache_dir]` (default: a fresh temp directory).
 
 use bench::{GenSpec, InstanceStore};
+use graph::store::CacheStatsSnapshot;
 use terapart::{partition_ondisk, PartitionerConfig};
+
+/// Prints what the page cache of one paged run read and checksummed, in total and per
+/// miss, and asserts the ordering the counters' definitions imply: every byte read by a
+/// foreground fault was fed to crc32 (readahead adds to the verified side only), and
+/// every miss read at least its own page — the last page of the data section being the
+/// shortest.
+fn report_read_amplification(label: &str, cache: &CacheStatsSnapshot, shortest_page: u64) {
+    let per_miss = |bytes: u64| bytes as f64 / cache.misses.max(1) as f64;
+    println!(
+        "{:<18} store reads: misses={} bytes_read={} ({:.0}/miss) verified_bytes={} ({:.0}/miss)",
+        label,
+        cache.misses,
+        cache.bytes_read,
+        per_miss(cache.bytes_read),
+        cache.verified_bytes,
+        per_miss(cache.verified_bytes)
+    );
+    assert!(
+        cache.verified_bytes >= cache.bytes_read
+            && cache.bytes_read >= cache.misses * shortest_page,
+        "SMOKE FAIL: {} run breaks verified_bytes >= bytes_read >= misses * {}: {:?}",
+        label,
+        shortest_page,
+        cache
+    );
+}
 
 fn main() {
     let cache_dir = std::env::args()
@@ -143,11 +171,22 @@ fn main() {
         cache.prefetched_pages > 0,
         "SMOKE FAIL: readahead never installed a page"
     );
+    let meta = graph::store::read_tpg_meta(&path).unwrap();
+    let page_size = config.ondisk.page_size as u64;
+    let shortest_page = match meta.data_len % page_size {
+        0 => page_size,
+        tail => tail,
+    };
+    report_read_amplification(
+        "paged t2",
+        &result.cache_stats.expect("on-disk runs expose cache stats"),
+        shortest_page,
+    );
+    report_read_amplification("paged+readahead t2", &cache, shortest_page);
     // ---- Store-backend ladder (single-threaded, the bit-reproducible regime):
     // paged, paged+readahead and mmap must all produce the *identical* cut — and the
     // Elias-Fano offset index must undercut what plain u64 offsets would cost. ----
     use graph::store::OnDiskBackend;
-    let meta = graph::store::read_tpg_meta(&path).unwrap();
     let plain_offset_bytes = 8 * (meta.n as u64 + 1);
     println!(
         "offset index: elias-fano {} B vs {} B as plain u64s",
@@ -183,6 +222,9 @@ fn main() {
             "SMOKE FAIL: ladder run {} produced an invalid partition",
             label
         );
+        if let Some(cache) = &run.cache_stats {
+            report_read_amplification(label, cache, shortest_page);
+        }
         match ladder_cut {
             None => ladder_cut = Some(run.edge_cut),
             Some(cut) => assert_eq!(

@@ -1328,7 +1328,7 @@ pub fn read_tpg_compressed_backend(
     Ok(CompressedGraph::from_encoded_parts(
         meta.n,
         meta.m,
-        (0..offsets.len()).map(|i| offsets.get(i)).collect(),
+        offsets.iter().collect(),
         data,
         node_weights,
         meta.edge_weighted,
@@ -1404,6 +1404,37 @@ mod tests {
         assert!(meta.edge_weighted && meta.node_weighted);
         let h = read_tpg(&path).unwrap();
         assert_graph_eq(&g, &h);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn written_container_bytes_and_checksums_match_the_recorded_digest() {
+        // Pins the writer's output — header, data, offset index, node weights and every
+        // crc of the footer — against an FNV-1a digest recorded before CRC-32 was
+        // rewritten to slice by 8: a kernel that computed different checksums would
+        // still round-trip against itself, but not produce these bytes.
+        let g = gen::with_random_node_weights(
+            &gen::with_random_edge_weights(&gen::rgg2d(20_000, 12, 21), 30, 8),
+            6,
+            9,
+        );
+        let path = tmp("recorded_digest.tpg");
+        let summary = write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
+        assert!(summary.data_bytes > 2 * TPG_CHECKSUM_BLOCK_LEN as u64);
+        let bytes = std::fs::read(&path).unwrap();
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        let recorded = match crate::ids::NODE_ID_BYTES {
+            4 => 0xfd26_1dd2_2aec_bb5au64,
+            _ => 0xf11e_0756_ede1_a56cu64,
+        };
+        assert_eq!(
+            (bytes.len(), digest),
+            (704_010usize, recorded),
+            "digest {:#018x}",
+            digest
+        );
         std::fs::remove_file(path).ok();
     }
 

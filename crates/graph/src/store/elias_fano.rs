@@ -16,9 +16,22 @@
 //! (negated) bit vector with a set bit at position `i + (v_i >> l)` for the `i`-th
 //! value. Both word counts derive from `count` and `universe` alone, so a reader can
 //! locate every following container section from the header without decoding the
-//! index first (see [`ef_section_bytes`]). Lookups use a sampled `select1` over the
-//! upper bits: the position of every `SELECT_QUANTUM`-th set bit is kept, and a
-//! query popcount-scans at most a few words from the preceding sample.
+//! index first (see [`ef_section_bytes`]).
+//!
+//! # Lookups
+//!
+//! * Random access — [`EliasFanoIndex::get`] — is a sampled `select1` over the upper
+//!   bits: the position of every `SELECT_QUANTUM`-th set bit is kept, and a query
+//!   popcount-scans at most a few words from the preceding sample, then selects within
+//!   the word.
+//! * Sequential access — [`EliasFanoIndex::iter`] — never selects: one cursor walks the
+//!   set bits of the upper array in order (`word &= word - 1`) and reads the low bits at
+//!   `i · l`, a handful of cycles per value. Validation at open and the expansion of
+//!   the index into plain offsets both run over it.
+//! * `pair(i)`, the byte range of vertex `i`'s neighbourhood that the mmap and paged
+//!   backends fetch once per `for_each_neighbor` / `degree`, positions the same cursor
+//!   with *one* `select1(i)` and takes two values from it — the second is "the next set
+//!   bit", not a second select.
 
 use crate::io::IoError;
 
@@ -61,7 +74,8 @@ pub fn ef_section_bytes(count: u64, universe: u64) -> u64 {
     8 * (ef_lower_words(count, universe) + ef_upper_words(count, universe))
 }
 
-/// A monotone sequence in Elias–Fano representation with sampled `select1` lookup.
+/// A monotone sequence in Elias–Fano representation with sampled `select1` lookup
+/// and a sequential cursor.
 #[derive(Debug, Clone)]
 pub struct EliasFanoIndex {
     count: usize,
@@ -141,8 +155,7 @@ impl EliasFanoIndex {
         let l = ef_low_bits(count as u64, universe);
         let index = Self::with_select(count, universe, l, words.into(), upper);
         let mut prev = 0u64;
-        for i in 0..count {
-            let v = index.get(i);
+        for (i, v) in index.iter().enumerate() {
             if v < prev || v > universe {
                 return Err(IoError::Format(format!(
                     ".tpg Elias-Fano offset index is not monotone at entry {}",
@@ -219,27 +232,61 @@ impl EliasFanoIndex {
         }
     }
 
-    /// The `i`-th value (`i < len()`).
+    /// The explicitly stored low bits of the `i`-th value.
+    fn low(&self, i: usize) -> u64 {
+        if self.low_bits == 0 {
+            return 0;
+        }
+        let pos = i as u64 * u64::from(self.low_bits);
+        let (w, s) = ((pos / 64) as usize, (pos % 64) as u32);
+        let mut low = self.lower[w] >> s;
+        if s + self.low_bits > 64 {
+            low |= self.lower[w + 1] << (64 - s);
+        }
+        low & ((1u64 << self.low_bits) - 1)
+    }
+
+    /// The `i`-th value (`i < len()`), by random access: one sampled select.
     pub fn get(&self, i: usize) -> u64 {
         debug_assert!(i < self.count, "index {} out of {} values", i, self.count);
         let hi = self.select1(i) - i as u64;
-        let low = if self.low_bits == 0 {
-            0
-        } else {
-            let pos = i as u64 * u64::from(self.low_bits);
-            let (w, s) = ((pos / 64) as usize, (pos % 64) as u32);
-            let mut low = self.lower[w] >> s;
-            if s + self.low_bits > 64 {
-                low |= self.lower[w + 1] << (64 - s);
-            }
-            low & ((1u64 << self.low_bits) - 1)
-        };
-        (hi << self.low_bits) | low
+        (hi << self.low_bits) | self.low(i)
     }
 
-    /// The byte range `[get(i), get(i + 1))` of vertex `i`'s encoded neighbourhood.
+    /// A cursor whose next value is the `i`-th (`i <= len()`): one sampled select to
+    /// find its set bit, none afterwards.
+    fn cursor(&self, i: usize) -> Iter<'_> {
+        let (word_idx, word) = if i < self.count {
+            let pos = self.select1(i);
+            let word_idx = (pos / 64) as usize;
+            (word_idx, self.upper[word_idx] & (u64::MAX << (pos % 64)))
+        } else {
+            (0, 0)
+        };
+        Iter {
+            index: self,
+            next: i,
+            word_idx,
+            word,
+        }
+    }
+
+    /// All values in order, without a select per value (see the module docs).
+    pub fn iter(&self) -> Iter<'_> {
+        self.cursor(0)
+    }
+
+    /// The byte range `[get(i), get(i + 1))` of vertex `i`'s encoded neighbourhood:
+    /// one select, then the next set bit.
     pub(crate) fn pair(&self, i: usize) -> (u64, u64) {
-        (self.get(i), self.get(i + 1))
+        debug_assert!(
+            i + 1 < self.count,
+            "pair {} out of {} values",
+            i,
+            self.count
+        );
+        let mut cursor = self.cursor(i);
+        (cursor.advance(), cursor.advance())
     }
 
     /// The packed low-bits words, in storage order.
@@ -257,6 +304,50 @@ impl EliasFanoIndex {
         (self.lower.len() + self.upper.len() + self.select.len()) * std::mem::size_of::<u64>()
     }
 }
+
+/// Sequential cursor over the values of an [`EliasFanoIndex`]: holds the not yet
+/// consumed set bits of the current upper word.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    index: &'a EliasFanoIndex,
+    /// Index of the value the next call yields.
+    next: usize,
+    word_idx: usize,
+    /// Bits of `upper[word_idx]` at and above the next value's set bit.
+    word: u64,
+}
+
+impl Iter<'_> {
+    /// The next value; the caller guarantees `next < count`. Construction-time
+    /// validation put exactly `count` set bits into `upper`, so the word scan finds
+    /// one before the array ends.
+    fn advance(&mut self) -> u64 {
+        while self.word == 0 {
+            self.word_idx += 1;
+            self.word = self.index.upper[self.word_idx];
+        }
+        let pos = self.word_idx as u64 * 64 + u64::from(self.word.trailing_zeros());
+        self.word &= self.word - 1;
+        let i = self.next;
+        self.next += 1;
+        ((pos - i as u64) << self.index.low_bits) | self.index.low(i)
+    }
+}
+
+impl Iterator for Iter<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        (self.next < self.index.count).then(|| self.advance())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rest = self.index.count - self.next;
+        (rest, Some(rest))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -280,6 +371,12 @@ mod tests {
         let decoded = EliasFanoIndex::from_words(values.len(), universe, words).unwrap();
         let as_vec: Vec<u64> = (0..decoded.len()).map(|i| decoded.get(i)).collect();
         assert_eq!(as_vec, values);
+        // The sequential cursor and `pair` against random access.
+        assert_eq!(decoded.iter().len(), values.len());
+        assert_eq!(decoded.iter().collect::<Vec<u64>>(), values);
+        for i in 0..values.len().saturating_sub(1) {
+            assert_eq!(decoded.pair(i), (values[i], values[i + 1]), "pair {}", i);
+        }
     }
 
     #[test]
@@ -298,6 +395,44 @@ mod tests {
         roundtrip(&dense, 999);
         // Sparse values over a huge universe (forces a large low-bit width).
         roundtrip(&[0, 1 << 40, (1 << 50) + 3, u64::MAX / 2], u64::MAX / 2);
+    }
+
+    /// Bit positions of the set bits of `index`'s upper array.
+    fn upper_positions(index: &EliasFanoIndex) -> Vec<u64> {
+        (0..index.upper_words().len() as u64 * 64)
+            .filter(|p| index.upper_words()[(p / 64) as usize] >> (p % 64) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn cursor_and_pair_cross_word_boundaries() {
+        // No low bits (universe below count): value i sits at upper bit i + v_i, so
+        // entries 40 and 41 land on bits 63 and 64 — `pair(40)` starts on the last bit
+        // of a word and must find its partner in the next one.
+        let mut values = vec![0u64; 40];
+        values.extend([23, 23]);
+        values.extend(std::iter::repeat_n(50, 58));
+        let encoded = EliasFanoIndex::encode(&values, 50);
+        assert_eq!(encoded.low_bits, 0);
+        assert_eq!(upper_positions(&encoded)[40..42], [63, 64]);
+        roundtrip(&values, 50);
+        // A run of isolated vertices, then one giant step: the set bits of entries 149
+        // and 150 are separated by whole zero words.
+        let mut values = vec![0u64; 150];
+        values.extend(std::iter::repeat_n(1 << 30, 150));
+        let encoded = EliasFanoIndex::encode(&values, 1 << 30);
+        let positions = upper_positions(&encoded);
+        assert!(
+            positions[150] - positions[149] > 128,
+            "{:?}",
+            &positions[149..151]
+        );
+        roundtrip(&values, 1 << 30);
+        // One value: nothing to pair, the cursor yields it and stops.
+        let single = EliasFanoIndex::encode(&[7], 7);
+        assert_eq!(single.iter().collect::<Vec<_>>(), [7]);
+        // No value at all.
+        assert_eq!(EliasFanoIndex::encode(&[], 0).iter().next(), None);
     }
 
     #[test]
@@ -365,6 +500,35 @@ mod tests {
                 values.push(acc);
             }
             roundtrip(&values, acc + slack);
+        }
+
+        // The shapes an offset index really has: runs of equal values (isolated
+        // vertices), unit steps, and the occasional giant neighbourhood that moves the
+        // next set bit several upper words on; `dense` squeezes the universe below the
+        // count, which stores no low bits at all. `roundtrip` checks `iter()` and
+        // every `pair(i)` against `get`.
+        #[test]
+        fn prop_cursor_and_pair_equal_random_access(
+            steps in proptest::collection::vec((0u32..8, 0u64..5000), 1..400),
+            dense in proptest::bool::ANY,
+            slack in 0u64..3,
+        ) {
+            let mut values = Vec::with_capacity(steps.len());
+            let mut acc = 0u64;
+            for (kind, delta) in steps {
+                acc += match kind {
+                    0..=2 => 0,
+                    _ if dense => delta % 2,
+                    3..=6 => 1 + delta % 4,
+                    _ => delta * 1000,
+                };
+                values.push(acc);
+            }
+            let universe = if dense { acc } else { acc + slack };
+            if dense {
+                prop_assert_eq!(ef_low_bits(values.len() as u64, universe), 0);
+            }
+            roundtrip(&values, universe);
         }
     }
 }

@@ -180,14 +180,20 @@ pub struct CacheStatsSnapshot {
     pub misses: u64,
     /// Frames whose previous page was evicted to serve a miss or a prefetch install.
     pub evictions: u64,
-    /// Bytes read from disk by foreground faults (prefetch reads are counted in
-    /// [`prefetch_bytes`](Self::prefetch_bytes) instead).
+    /// Bytes read from disk by foreground faults: the whole checksum-block range
+    /// covering each faulted page, which is what a fault's successful attempt preads
+    /// (prefetch reads are counted in [`prefetch_bytes`](Self::prefetch_bytes) instead).
+    /// `bytes_read / misses` over the page size is the read amplification per miss.
     pub bytes_read: u64,
     /// Pages installed by readahead. Foreground lookups that land on them count as
     /// hits, which is how prefetch lifts the cold-sweep hit rate.
     pub prefetched_pages: u64,
-    /// Bytes read from disk by readahead.
+    /// Bytes read from disk by readahead (covering block ranges, like `bytes_read`).
     pub prefetch_bytes: u64,
+    /// Bytes fed to `crc32` by foreground faults and readahead, failed and retried
+    /// attempts included. `verified_bytes / misses` is what one miss pays in checksum
+    /// work — the larger part of `store.miss_us` once the file is in the OS cache.
+    pub verified_bytes: u64,
     /// Read attempts repeated after a transient failure (see
     /// [`PagedGraphOptions::retry`]).
     pub retried_reads: u64,
@@ -213,6 +219,8 @@ impl CacheStatsSnapshot {
         use obs::Counter;
         metrics.add(Counter::CacheHits, self.hits);
         metrics.add(Counter::CacheMisses, self.misses);
+        metrics.add(Counter::CacheBytesRead, self.bytes_read);
+        metrics.add(Counter::CacheVerifiedBytes, self.verified_bytes);
         metrics.add(Counter::CachePrefetchedPages, self.prefetched_pages);
         metrics.add(Counter::CachePrefetchBytes, self.prefetch_bytes);
         metrics.add(Counter::CacheRetriedReads, self.retried_reads);
@@ -228,6 +236,7 @@ struct CacheStats {
     bytes_read: AtomicU64,
     prefetched_pages: AtomicU64,
     prefetch_bytes: AtomicU64,
+    verified_bytes: AtomicU64,
     retried_reads: AtomicU64,
     checksum_failures: AtomicU64,
 }
@@ -384,6 +393,9 @@ impl PageCache {
                     ),
                 )
             })?;
+            self.stats
+                .verified_bytes
+                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
             let computed = crate::checksum::crc32(chunk);
             if computed != stored {
                 self.stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
@@ -401,13 +413,16 @@ impl PageCache {
     }
 
     /// One attempt at reading `dest.len()` bytes at data-section offset `offset`,
-    /// verifying the covering checksum blocks. When the requested range is not
-    /// block-aligned, the covering block range is staged and verified before the
-    /// requested bytes are copied out (zero staging when `page_size` is a multiple of
-    /// the block length — the default geometry).
-    fn try_read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<()> {
+    /// verifying the covering checksum blocks; returns the bytes it read from the
+    /// backend. When `page_size` is a multiple of the block length (the default
+    /// geometry: 64 KiB both) the range is its own cover, read straight into `dest`.
+    /// Otherwise the covering block range is staged, verified whole — a flipped byte
+    /// anywhere in a covering block fails the read, requested or not — and the
+    /// requested bytes are copied out: a 4 KiB page under 64 KiB blocks preads and
+    /// checksums 16× its size per miss.
+    fn try_read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<u64> {
         if dest.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         let block_len = u64::from(self.checksums.block_len);
         let end = offset + dest.len() as u64;
@@ -418,7 +433,7 @@ impl PageCache {
             .min(self.data_len);
         if cover_start == offset && cover_end == end {
             read_full_at(self.backend.as_ref(), dest, self.data_start + offset)?;
-            self.verify_blocks(dest, cover_start)
+            self.verify_blocks(dest, cover_start)?;
         } else {
             let mut staging = vec![0u8; (cover_end - cover_start) as usize];
             read_full_at(
@@ -429,15 +444,15 @@ impl PageCache {
             self.verify_blocks(&staging, cover_start)?;
             let skip = (offset - cover_start) as usize;
             dest.copy_from_slice(&staging[skip..skip + dest.len()]);
-            Ok(())
         }
+        Ok(cover_end - cover_start)
     }
 
     /// Reads `dest.len()` bytes at data-section offset `offset` with verification,
     /// retrying transient failures per [`PagedGraphOptions::retry`] with exponential
-    /// backoff. All page-cache disk reads (foreground faults and readahead) funnel
-    /// through here.
-    fn read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<()> {
+    /// backoff; returns the bytes the successful attempt read. All page-cache disk
+    /// reads (foreground faults and readahead) funnel through here.
+    fn read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<u64> {
         retry_with_backoff(
             &self.retry,
             read_error_is_transient,
@@ -526,16 +541,12 @@ impl PageCache {
         let len = self.page_len(page)?;
         let offset = page * self.page_size as u64;
         let idx = self.claim_frame(&mut s);
-        {
-            let frame = &mut s.frames[idx];
-            self.read_verified(&mut frame.data[..len], offset)?;
-            frame.page = page;
-            frame.len = len as u32;
-            frame.referenced = true;
-        }
-        self.stats
-            .bytes_read
-            .fetch_add(len as u64, Ordering::Relaxed);
+        let frame = &mut s.frames[idx];
+        let read = self.read_verified(&mut frame.data[..len], offset)?;
+        frame.page = page;
+        frame.len = len as u32;
+        frame.referenced = true;
+        self.stats.bytes_read.fetch_add(read, Ordering::Relaxed);
         s.map.insert(page, idx);
         let frame = &s.frames[idx];
         Ok(f(&frame.data[..frame.len as usize]))
@@ -624,10 +635,8 @@ impl PageCache {
             let available = self.data_len - offset;
             let run_len = available.min(run as u64 * ps) as usize;
             debug_assert!(first_len <= run_len);
-            self.read_verified(staging.ensure(run_len), offset)?;
-            self.stats
-                .prefetch_bytes
-                .fetch_add(run_len as u64, Ordering::Relaxed);
+            let read = self.read_verified(staging.ensure(run_len), offset)?;
+            self.stats.prefetch_bytes.fetch_add(read, Ordering::Relaxed);
             for j in 0..run {
                 let page_offset = j * self.page_size;
                 if page_offset >= run_len {
@@ -684,6 +693,7 @@ impl PageCache {
             bytes_read: self.stats.bytes_read.load(Ordering::Relaxed),
             prefetched_pages: self.stats.prefetched_pages.load(Ordering::Relaxed),
             prefetch_bytes: self.stats.prefetch_bytes.load(Ordering::Relaxed),
+            verified_bytes: self.stats.verified_bytes.load(Ordering::Relaxed),
             retried_reads: self.stats.retried_reads.load(Ordering::Relaxed),
             checksum_failures: self.stats.checksum_failures.load(Ordering::Relaxed),
         }
@@ -1267,6 +1277,64 @@ mod tests {
         // The cache stays fully usable after the rejected accesses.
         assert_eq!(paged.neighbors_vec(0).len(), paged.degree(0));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn small_pages_read_and_verify_their_whole_covering_blocks() {
+        // The benchmark's geometry: 4 KiB pages under the container's 64 KiB checksum
+        // blocks. Every miss preads and checksums the block around its page; the
+        // counters must say so, and the check must cover the bytes nobody asked for.
+        let csr = gen::rgg2d(20_000, 12, 21);
+        let path = tmp("cover_blocks.tpg");
+        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
+        let options = PagedGraphOptions {
+            page_size: 4096,
+            budget_bytes: 1 << 20,
+            shards: 2,
+            retry: RetryPolicy::disabled(),
+            ..PagedGraphOptions::default()
+        };
+        let paged = PagedGraph::open_with_options(&path, &options).unwrap();
+        let (block, data_len) = (64 * 1024u64, paged.cache.data_len);
+        assert_eq!(u64::from(paged.cache.checksums.block_len), block);
+        assert!(data_len > 2 * block + 4096 && data_len % block != 0);
+        // Cold, unaligned, from inside block 0 into block 1, plus the short last block.
+        let mut buf = Vec::new();
+        paged
+            .cache
+            .read_range(block - 5000, block + 3000, &mut buf)
+            .unwrap();
+        paged
+            .cache
+            .read_range(data_len - 10, data_len, &mut buf)
+            .unwrap();
+        let stats = paged.cache_stats();
+        // Pages 14 and 15 of block 0, page 16 of block 1, the last page of the last block.
+        let covered = 3 * block + data_len % block;
+        assert_eq!((stats.misses, stats.hits), (4, 0));
+        assert_eq!(stats.verified_bytes, covered);
+        assert_eq!(stats.bytes_read, covered);
+        assert_eq!(stats.checksum_failures, 0);
+
+        // Flip one byte of block 0 that lies outside the page about to be requested.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[paged.meta().data_start() as usize + 100] ^= 0x10;
+        let corrupt_path = tmp("cover_blocks_corrupt.tpg");
+        std::fs::write(&corrupt_path, &bytes).unwrap();
+        let corrupt = PagedGraph::open_with_options(&corrupt_path, &options).unwrap();
+        let err = corrupt
+            .cache
+            .read_range(block - 5000, block - 4000, &mut buf)
+            .unwrap_err();
+        assert!(is_checksum_mismatch(&err), "unexpected error: {}", err);
+        assert_eq!(corrupt.cache_stats().checksum_failures, 1);
+        // Block 1 is intact and still readable.
+        corrupt
+            .cache
+            .read_range(block, block + 3000, &mut buf)
+            .unwrap();
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(corrupt_path).ok();
     }
 
     #[test]

@@ -66,6 +66,8 @@ counters! {
     // Paged store cache.
     (CacheHits, "cache_hits", Sum),
     (CacheMisses, "cache_misses", Sum),
+    (CacheBytesRead, "cache_bytes_read", Sum),
+    (CacheVerifiedBytes, "cache_verified_bytes", Sum),
     (CachePrefetchedPages, "cache_prefetched_pages", Sum),
     (CachePrefetchBytes, "cache_prefetch_bytes", Sum),
     (CacheRetriedReads, "cache_retried_reads", Sum),
