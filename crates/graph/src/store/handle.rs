@@ -4,8 +4,8 @@
 //! requests; a *session* is one request's view of one store. The split assigns every
 //! piece of state to exactly one side:
 //!
-//! * [`StoreHandle`] — the **shared, immutable** side: any of the four graph
-//!   representations behind one `Arc`-shareable, [`Sync`] type. All read access is
+//! * [`StoreHandle`] — the **shared, immutable** side: either on-disk graph
+//!   representation behind one `Arc`-shareable, [`Sync`] type. All read access is
 //!   lock-free or internally synchronised (the paged backend's page cache), so any
 //!   number of sessions may read one handle concurrently.
 //! * [`StoreSession`] — the **per-request** side: a cheap view carrying the poison /
@@ -15,16 +15,15 @@
 //!   the first unrecoverable fault *on the session*, so one request's disk failure
 //!   never poisons the shared store out from under its co-tenants.
 //!
-//! The in-memory and mmap representations are infallible after construction, so their
-//! sessions are plain pass-throughs; the protocol only does work on the paged variant.
+//! The mmap representation is infallible after construction, so its sessions are plain
+//! pass-throughs; the protocol only does work on the paged variant. In-memory graphs
+//! need no handle: the engine takes them as `&impl Graph`.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::compressed::CompressedGraph;
-use crate::csr::CsrGraph;
 use crate::io::IoError;
 use crate::store::mmap::MmapGraph;
 use crate::store::paged::{
@@ -33,15 +32,11 @@ use crate::store::paged::{
 use crate::traits::Graph;
 use crate::{EdgeWeight, NodeId, NodeWeight};
 
-/// One open graph store, in whichever representation it was opened or built:
+/// One open on-disk graph store, in whichever representation it was opened:
 /// shareable (`Arc<StoreHandle>`), [`Sync`], and readable by any number of concurrent
 /// [`StoreSession`]s. See the module docs for the engine/session split.
 #[derive(Debug)]
 pub enum StoreHandle {
-    /// Uncompressed in-memory CSR.
-    Csr(CsrGraph),
-    /// Compressed in-memory neighbourhoods.
-    Compressed(CompressedGraph),
     /// On-disk container behind the strict-budget page cache.
     Paged(PagedGraph),
     /// On-disk container behind a read-only memory mapping.
@@ -62,8 +57,6 @@ impl StoreHandle {
     /// Starts a per-request session view of this store (see [`StoreSession`]).
     pub fn session(&self) -> StoreSession<'_> {
         match self {
-            StoreHandle::Csr(g) => StoreSession::infallible(g),
-            StoreHandle::Compressed(g) => StoreSession::infallible(g),
             StoreHandle::Paged(g) => StoreSession::paged(g),
             StoreHandle::Mmap(g) => StoreSession::infallible(g),
         }
@@ -88,21 +81,15 @@ impl StoreHandle {
     /// Short name of the representation (for logs and bench output).
     pub fn backend_name(&self) -> &'static str {
         match self {
-            StoreHandle::Csr(_) => "csr",
-            StoreHandle::Compressed(_) => "compressed",
             StoreHandle::Paged(_) => "paged",
             StoreHandle::Mmap(_) => "mmap",
         }
     }
 
-    /// Bytes this store stands for in the memory accounting: what the on-disk
-    /// representations have charged themselves (resident arrays plus committed frames,
-    /// or the mapping), and the size of the in-memory ones, which charge nothing on
-    /// their own — whoever holds them charges this figure.
+    /// Bytes this store stands for in the memory accounting: what it has charged itself
+    /// (resident arrays plus committed frames, or the mapping).
     pub fn accounted_bytes(&self) -> usize {
         match self {
-            StoreHandle::Csr(g) => g.size_in_bytes(),
-            StoreHandle::Compressed(g) => g.size_in_bytes(),
             StoreHandle::Paged(g) => g.accounted_bytes(),
             StoreHandle::Mmap(g) => g.accounted_bytes(),
         }
@@ -117,8 +104,6 @@ impl StoreHandle {
 macro_rules! forward_to_variant {
     ($self:ident, $g:ident => $body:expr) => {
         match $self {
-            StoreHandle::Csr($g) => $body,
-            StoreHandle::Compressed($g) => $body,
             StoreHandle::Paged($g) => $body,
             StoreHandle::Mmap($g) => $body,
         }
@@ -172,7 +157,7 @@ impl Graph for StoreHandle {
 type FaultObserver = Box<dyn Fn() -> String + Send + Sync>;
 
 /// What a session reads through: the fallible paged store (routed through its
-/// fault-neutral accessors) or any of the infallible representations.
+/// fault-neutral accessors) or an infallible representation.
 enum StoreRef<'a> {
     /// Representations with no post-open I/O error paths: plain pass-through.
     Infallible(&'a dyn Graph),
@@ -352,8 +337,6 @@ mod tests {
         let path = tmp("forwarding.tpg");
         write_tpg_from_graph(&csr, &path, &config).unwrap();
         let handles = [
-            StoreHandle::Csr(csr.clone()),
-            StoreHandle::Compressed(crate::compressed::CompressedGraph::from_csr(&csr, &config)),
             StoreHandle::open(&path, &PagedGraphOptions::default()).unwrap(),
             StoreHandle::open(
                 &path,
@@ -364,8 +347,8 @@ mod tests {
             )
             .unwrap(),
         ];
-        assert!(handles[2].as_paged().is_some());
-        assert!(handles[3].as_mmap().is_some());
+        assert!(handles[0].as_paged().is_some());
+        assert!(handles[1].as_mmap().is_some());
         for handle in &handles {
             assert_eq!(handle.n(), csr.n(), "{}", handle.backend_name());
             assert_eq!(handle.m(), csr.m());

@@ -33,8 +33,8 @@
 //!   bucket-spilling builder that accepts arbitrary edge streams and produces a `.tpg`
 //!   without ever materialising the full adjacency, plus streaming variants of the
 //!   R-MAT and random-geometric generators that feed it chunk by chunk.
-//! * [`handle`] / [`registry`] — the engine/session split: [`StoreHandle`] unifies all
-//!   four graph representations behind one `Arc`-shareable type whose per-request
+//! * [`handle`] / [`registry`] — the engine/session split: [`StoreHandle`] unifies the
+//!   two on-disk representations behind one `Arc`-shareable type whose per-request
 //!   [`StoreSession`] views carry the poison protocol, and [`StoreRegistry`]
 //!   deduplicates opens by `(path, options)` so concurrent requests share one open
 //!   store (and one memory charge).

@@ -1,35 +1,31 @@
 //! Minimal, dependency-free stand-in for the `rayon` crate.
 //!
 //! The build environment has no access to a cargo registry, so this shim implements
-//! exactly the API subset the workspace uses, backed by `std::thread::scope` with
-//! static chunking. The semantics match rayon where they matter for this workspace:
+//! exactly the API subset the workspace uses. It is one driver under one adapter type,
+//! plus [`join`]:
 //!
-//! * `collect` into a `Vec` is order-preserving;
-//! * with a single-thread pool installed, everything runs sequentially on the calling
-//!   thread (so single-thread determinism tests hold);
-//! * `current_thread_index()` returns pairwise distinct indices for all concurrently
-//!   running workers — including workers of data-parallel calls issued from different
-//!   branches of a [`join`], which receive disjoint index ranges. Indices are bounded
-//!   by the thread budget of the outermost parallel context (the installed pool size),
-//!   not necessarily by the *current* branch's `current_num_threads()`.
+//! * [`Par`] is every data-parallel shape: a length and a function from index to item.
+//!   `par_iter`, `par_chunks`, `par_chunks_mut` and `(a..b).into_par_iter()` build one,
+//!   `enumerate` / `map` wrap its function, and `for_each`, `collect`, `reduce`, `sum`
+//!   consume it. `filter_map` leaves the indexed world for [`ParFilterMap`].
+//! * Every consumer funnels into one private driver, which splits `0..len` into one
+//!   contiguous range per worker on a fresh `std::thread::scope`. That is cruder than
+//!   rayon's work-stealing but sufficient for the loops of this workspace, whose
+//!   iterations have near-uniform cost. Nested parallel calls inside a worker run
+//!   sequentially instead of oversubscribing.
+//! * [`join`] runs two closures, splitting the current thread budget between them, so
+//!   nested joins (the initial-partitioning bisection tree) fan out until the budget is
+//!   exhausted and run sequentially below it.
 //!
-//! Work is split into one contiguous range per worker. That is cruder than rayon's
-//! work-stealing but sufficient for the data-parallel loops of this workspace, whose
-//! iterations have near-uniform cost. Nested parallel calls inside a worker run
-//! sequentially instead of oversubscribing.
+//! The semantics match rayon where they matter for this workspace: `collect`, `reduce`
+//! and `sum` preserve item order, and with a single-thread pool installed everything runs
+//! sequentially on the calling thread (so single-thread determinism tests hold).
 //!
-//! Two task-parallel primitives complement the data-parallel adapters where static
-//! splitting falls short (irregular recursion like the initial-partitioning bisection
-//! tree):
-//!
-//! * [`join`] runs two closures, splitting the current thread budget between them so
-//!   nested joins fan out until the budget is exhausted and run sequentially below it;
-//! * [`scope`] runs dynamically spawned tasks from a shared work queue drained by up to
-//!   `current_num_threads()` workers — tasks may spawn further tasks, and idle workers
-//!   pick up whatever is queued instead of being bound to a precomputed range.
+//! Threads are anonymous: a worker has a range of indices and a thread budget, never an
+//! identity, and nothing here answers "which thread am I". Per-thread state is leased by
+//! the caller (a pool of buffers it checks out per task), not indexed by worker.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Inputs shorter than this run sequentially: thread spawn overhead (~tens of
@@ -37,15 +33,26 @@ use std::sync::Mutex;
 const MIN_PARALLEL_LEN: usize = 4096;
 
 thread_local! {
-    /// Thread-count override installed by [`ThreadPool::install`]; 0 = uninitialised.
+    /// Thread budget of the parallel calls issued from this thread; 0 = never set, use
+    /// the machine's parallelism.
     static NUM_THREADS: Cell<usize> = const { Cell::new(0) };
-    static THREAD_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
-    /// First worker index this thread's parallel calls may hand out. [`join`] gives
-    /// its two branches disjoint `[base, base + budget)` index ranges, so workers of
-    /// data-parallel calls running concurrently in different branches — and the branch
-    /// threads themselves — still observe pairwise distinct `current_thread_index()`
-    /// values, preserving the invariant per-thread state relies on.
-    static INDEX_BASE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Sets the calling thread's budget and puts the previous one back on drop, so the
+/// budget also survives an unwind: a thread that catches a panic out of a parallel call
+/// (a test harness, an engine session serving the next request) keeps its parallelism.
+struct Budget(usize);
+
+impl Budget {
+    fn set(threads: usize) -> Self {
+        Budget(NUM_THREADS.with(|c| c.replace(threads)))
+    }
+}
+
+impl Drop for Budget {
+    fn drop(&mut self) {
+        NUM_THREADS.with(|c| c.set(self.0));
+    }
 }
 
 fn available_threads() -> usize {
@@ -56,30 +63,16 @@ fn available_threads() -> usize {
 
 /// Number of threads parallel operations on this thread will use.
 pub fn current_num_threads() -> usize {
-    let configured = NUM_THREADS.with(|c| c.get());
-    if configured == 0 {
-        available_threads()
-    } else {
-        configured
+    match NUM_THREADS.with(|c| c.get()) {
+        0 => available_threads(),
+        configured => configured,
     }
 }
 
-/// Index of the current worker within its parallel call, if inside one.
-pub fn current_thread_index() -> Option<usize> {
-    THREAD_INDEX.with(|c| c.get())
-}
-
-/// Error type returned by [`ThreadPoolBuilder::build`] (the shim never fails).
+/// Error type returned by [`ThreadPoolBuilder::build`] (the shim never fails, and every
+/// caller unwraps it, so `Debug` is all it needs).
 #[derive(Debug)]
 pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
 
 /// A "pool" is just a configured thread count; workers are spawned per parallel call.
 pub struct ThreadPool {
@@ -103,10 +96,9 @@ impl ThreadPoolBuilder {
 
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool {
-            num_threads: if self.num_threads == 0 {
-                available_threads()
-            } else {
-                self.num_threads
+            num_threads: match self.num_threads {
+                0 => available_threads(),
+                n => n,
             },
         })
     }
@@ -115,14 +107,8 @@ impl ThreadPoolBuilder {
 impl ThreadPool {
     /// Runs `f` with this pool's thread count governing parallel operations inside.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = NUM_THREADS.with(|c| c.replace(self.num_threads));
-        let result = f();
-        NUM_THREADS.with(|c| c.set(prev));
-        result
-    }
-
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
+        let _budget = Budget::set(self.num_threads);
+        f()
     }
 }
 
@@ -144,30 +130,17 @@ where
 {
     let threads = current_num_threads();
     if threads <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
+        return (a(), b());
     }
     let budget_b = threads / 2;
-    let budget_a = threads - budget_b;
-    // Branch `a` keeps the caller's worker-index range; branch `b` gets the disjoint
-    // range starting after `a`'s budget, so workers (and per-thread state keyed on
-    // `current_thread_index()`) of concurrently running branches never collide.
-    let base = INDEX_BASE.with(|c| c.get());
-    let base_b = base + budget_a;
     let mut rb_slot: Option<RB> = None;
     let ra = std::thread::scope(|scope| {
         let rb_slot = &mut rb_slot;
         let handle = scope.spawn(move || {
-            NUM_THREADS.with(|c| c.set(budget_b));
-            INDEX_BASE.with(|c| c.set(base_b));
-            THREAD_INDEX.with(|c| c.set(Some(base_b)));
+            let _budget = Budget::set(budget_b);
             *rb_slot = Some(b());
         });
-        let prev = NUM_THREADS.with(|c| c.replace(budget_a));
-        // Restore the caller's budget even if `a` unwinds (e.g. a failing assertion
-        // inside a test harness that catches panics and keeps using this thread).
-        let _restore = RestoreNumThreads(prev);
+        let _budget = Budget::set(threads - budget_b);
         let ra = a();
         if let Err(payload) = handle.join() {
             std::panic::resume_unwind(payload);
@@ -177,121 +150,21 @@ where
     (ra, rb_slot.expect("join branch completed without a result"))
 }
 
-/// Drop guard restoring the thread-local budget on scope exit or unwind.
-struct RestoreNumThreads(usize);
-
-impl Drop for RestoreNumThreads {
-    fn drop(&mut self) {
-        NUM_THREADS.with(|c| c.set(self.0));
-    }
-}
-
-type ScopeTask<'scope> = Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope>;
-
-/// A dynamic task scope: tasks spawned onto it (including from inside other tasks) are
-/// drained by up to `current_num_threads()` workers pulling from a shared queue.
-pub struct Scope<'scope> {
-    queue: Mutex<Vec<ScopeTask<'scope>>>,
-    /// Tasks queued or currently running; workers exit only when this reaches zero.
-    pending: AtomicUsize,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Enqueues `f` to run within the scope. The task may spawn further tasks.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.queue.lock().unwrap().push(Box::new(f));
-    }
-
-    fn run_pending(&self) {
-        /// Decrements `pending` even if the task unwinds, so a panicking task cannot
-        /// strand the other workers in the wait loop; the panic itself propagates
-        /// through `std::thread::scope` when the scope ends.
-        struct PendingGuard<'a>(&'a AtomicUsize);
-        impl Drop for PendingGuard<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-
-        let mut idle_polls = 0u32;
-        loop {
-            let task = self.queue.lock().unwrap().pop();
-            match task {
-                Some(task) => {
-                    idle_polls = 0;
-                    let _guard = PendingGuard(&self.pending);
-                    task(self);
-                }
-                None => {
-                    if self.pending.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                    // The queue is empty but a running task may still spawn more work.
-                    // Yield first (cheap when a task is about to finish), then back off
-                    // to a short sleep so idle workers don't burn a core spinning on
-                    // the queue mutex behind a long-running task.
-                    idle_polls += 1;
-                    if idle_polls < 16 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Creates a [`Scope`], runs `op` on it, then runs every spawned task to completion
-/// before returning `op`'s result.
-///
-/// Unlike the slice/range adapters — which split work into one static contiguous chunk
-/// per worker — scope workers repeatedly pop tasks from a shared queue, so irregular
-/// task trees keep all workers busy. With a single-thread budget the tasks run
-/// sequentially on the calling thread in LIFO order.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let s = Scope {
-        queue: Mutex::new(Vec::new()),
-        pending: AtomicUsize::new(0),
-    };
-    let result = op(&s);
-    let threads = current_num_threads();
-    if threads <= 1 || s.pending.load(Ordering::SeqCst) <= 1 {
-        s.run_pending();
-        return result;
-    }
-    let base = INDEX_BASE.with(|c| c.get());
-    std::thread::scope(|ts| {
-        let scope_ref = &s;
-        for w in 1..threads {
-            ts.spawn(move || {
-                NUM_THREADS.with(|c| c.set(1));
-                INDEX_BASE.with(|c| c.set(base + w));
-                THREAD_INDEX.with(|c| c.set(Some(base + w)));
-                scope_ref.run_pending();
-            });
-        }
-        let prev_threads = NUM_THREADS.with(|c| c.replace(1));
-        let prev_index = THREAD_INDEX.with(|c| c.replace(Some(base)));
-        s.run_pending();
-        NUM_THREADS.with(|c| c.set(prev_threads));
-        THREAD_INDEX.with(|c| c.set(prev_index));
-    });
-    result
-}
-
-/// A raw pointer that may cross thread boundaries. Safety rests on the drivers below
-/// handing each worker a disjoint index range.
+/// A raw pointer that may cross thread boundaries. Safety rests on the driver handing
+/// each worker a disjoint index range and every consumer visiting an index once.
 struct SharedPtr<T>(*mut T);
+// SAFETY: the pointer is only ever offset and dereferenced at indices no other thread
+// touches (see the two users below); the pointees move between threads, hence `T: Send`.
 unsafe impl<T: Send> Send for SharedPtr<T> {}
 unsafe impl<T: Send> Sync for SharedPtr<T> {}
+
+impl<T> SharedPtr<T> {
+    /// The address of element `i`. A method, so closures capture the wrapper (which is
+    /// `Sync`) rather than its raw-pointer field.
+    fn at(&self, i: usize) -> *mut T {
+        self.0.wrapping_add(i)
+    }
+}
 
 /// Splits `0..len` into `workers` near-equal contiguous ranges; returns range `w`.
 fn split_range(len: usize, workers: usize, w: usize) -> (usize, usize) {
@@ -302,391 +175,163 @@ fn split_range(len: usize, workers: usize, w: usize) -> (usize, usize) {
     (start, end)
 }
 
-/// Core driver: runs `body(worker, start, end)` over `0..len` on up to
-/// `current_num_threads()` workers. `weight` scales the sequential-fallback threshold:
-/// pass the underlying element count when `len` counts coarser tasks (e.g. chunks).
+/// The driver: runs `body(start, end)` over disjoint ranges covering `0..len`, one per
+/// worker, on up to `current_num_threads()` workers (the caller is one of them).
+/// `weight` scales the sequential-fallback threshold: it is the underlying element count
+/// when `len` counts coarser tasks (e.g. chunks).
 fn drive<F>(len: usize, weight: usize, body: F)
 where
-    F: Fn(usize, usize, usize) + Sync,
+    F: Fn(usize, usize) + Sync,
 {
     let threads = current_num_threads();
     if threads <= 1 || len <= 1 || weight < MIN_PARALLEL_LEN {
-        body(0, 0, len);
+        body(0, len);
         return;
     }
     let workers = threads.min(len);
-    // Worker indices are offset by the caller's index base so data-parallel calls
-    // running concurrently in sibling `join` branches hand out disjoint indices.
-    let base = INDEX_BASE.with(|c| c.get());
+    let run = |w: usize| {
+        // Workers advertise a single thread so nested parallel calls run sequentially
+        // instead of oversubscribing the machine.
+        let _budget = Budget::set(1);
+        let (start, end) = split_range(len, workers, w);
+        body(start, end);
+    };
     std::thread::scope(|scope| {
-        let body = &body;
+        let run = &run;
         for w in 1..workers {
-            let (start, end) = split_range(len, workers, w);
-            scope.spawn(move || {
-                // Workers advertise a single thread so nested parallel calls run
-                // sequentially instead of oversubscribing the machine.
-                NUM_THREADS.with(|c| c.set(1));
-                INDEX_BASE.with(|c| c.set(base + w));
-                THREAD_INDEX.with(|c| c.set(Some(base + w)));
-                body(w, start, end);
-            });
+            scope.spawn(move || run(w));
         }
-        let (start, end) = split_range(len, workers, 0);
-        let prev_threads = NUM_THREADS.with(|c| c.replace(1));
-        let prev_index = THREAD_INDEX.with(|c| c.replace(Some(base)));
-        body(0, start, end);
-        NUM_THREADS.with(|c| c.set(prev_threads));
-        THREAD_INDEX.with(|c| c.set(prev_index));
+        run(0);
     });
 }
 
-/// Parallel map over `0..len` writing `f(i)` to slot `i` of a fresh `Vec`.
-fn map_collect_indexed<R, F>(len: usize, weight: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut out: Vec<R> = Vec::with_capacity(len);
-    let ptr = SharedPtr(out.as_mut_ptr());
-    drive(len, weight, |_, start, end| {
-        let ptr = &ptr;
-        for i in start..end {
-            // SAFETY: each index is written exactly once, by exactly one worker, into
-            // capacity reserved above; set_len happens only after all workers joined.
-            unsafe { ptr.0.add(i).write(f(i)) };
+/// The one data-parallel adapter: `len` items, item `i` produced by `get(i)`.
+///
+/// Built by [`ParallelSlice::par_iter`], [`ParallelSlice::par_chunks`],
+/// [`ParallelSliceMut::par_chunks_mut`] and [`IntoParallelIterator::into_par_iter`].
+/// Every consumer calls `get` exactly once per index of `0..len`, which is what lets
+/// `par_chunks_mut` hand out `&mut` chunks from a shared function.
+pub struct Par<G> {
+    len: usize,
+    /// Element count behind the `len` items (see [`drive`]).
+    weight: usize,
+    get: G,
+}
+
+impl<T, G: Fn(usize) -> T + Sync> Par<G> {
+    pub fn enumerate(self) -> Par<impl Fn(usize) -> (usize, T) + Sync> {
+        let Par { len, weight, get } = self;
+        Par {
+            len,
+            weight,
+            get: move |i| (i, get(i)),
         }
-    });
-    // SAFETY: all len slots were initialised by the loop above.
-    unsafe { out.set_len(len) };
-    out
-}
+    }
 
-/// Parallel fold: each worker produces an ordered Vec of per-task results; the worker
-/// vectors are concatenated in worker order (preserving task order overall).
-fn fold_collect_vecs<R, F>(len: usize, weight: usize, f: F) -> Vec<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize, &mut Vec<R>) + Sync,
-{
-    let threads = current_num_threads().max(1);
-    let workers = threads.min(len.max(1));
-    let mut parts: Vec<Vec<R>> = Vec::new();
-    parts.resize_with(workers, Vec::new);
-    let ptr = SharedPtr(parts.as_mut_ptr());
-    drive(len, weight, |w, start, end| {
-        let ptr = &ptr;
-        // SAFETY: each worker index addresses its own pre-allocated slot.
-        let acc = unsafe { &mut *ptr.0.add(w) };
-        for i in start..end {
-            f(i, acc);
+    pub fn map<R, F>(self, f: F) -> Par<impl Fn(usize) -> R + Sync>
+    where
+        F: Fn(T) -> R + Sync,
+    {
+        let Par { len, weight, get } = self;
+        Par {
+            len,
+            weight,
+            get: move |i| f(get(i)),
         }
-    });
-    parts
-}
-
-// ---------------------------------------------------------------------------
-// Slice adapters
-// ---------------------------------------------------------------------------
-
-pub struct ParIter<'a, T> {
-    data: &'a [T],
-}
-
-pub struct ParIterEnumerate<'a, T> {
-    data: &'a [T],
-}
-
-pub struct ParIterMap<'a, T, F> {
-    data: &'a [T],
-    f: F,
-}
-
-pub struct ParIterEnumerateMap<'a, T, F> {
-    data: &'a [T],
-    f: F,
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    pub fn enumerate(self) -> ParIterEnumerate<'a, T> {
-        ParIterEnumerate { data: self.data }
     }
 
-    pub fn map<R, F>(self, f: F) -> ParIterMap<'a, T, F>
+    pub fn filter_map<R, F>(self, f: F) -> ParFilterMap<impl Fn(usize) -> Option<R> + Sync>
     where
-        R: Send,
-        F: Fn(&'a T) -> R + Sync,
+        F: Fn(T) -> Option<R> + Sync,
     {
-        ParIterMap { data: self.data, f }
+        ParFilterMap(self.map(f))
     }
 
     pub fn for_each<F>(self, f: F)
     where
-        F: Fn(&'a T) + Sync,
+        F: Fn(T) + Sync,
     {
-        let data = self.data;
-        drive(data.len(), data.len(), |_, start, end| {
-            for item in &data[start..end] {
-                f(item);
-            }
-        });
-    }
-}
-
-impl<'a, T: Sync> ParIterEnumerate<'a, T> {
-    pub fn map<R, F>(self, f: F) -> ParIterEnumerateMap<'a, T, F>
-    where
-        R: Send,
-        F: Fn((usize, &'a T)) -> R + Sync,
-    {
-        ParIterEnumerateMap { data: self.data, f }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &'a T)) + Sync,
-    {
-        let data = self.data;
-        drive(data.len(), data.len(), |_, start, end| {
-            for (i, item) in (start..end).zip(&data[start..end]) {
-                f((i, item));
-            }
-        });
-    }
-}
-
-impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParIterMap<'a, T, F> {
-    pub fn collect<C: FromParallelVec<R>>(self) -> C {
-        let data = self.data;
-        let f = &self.f;
-        C::from_vec(map_collect_indexed(data.len(), data.len(), |i| f(&data[i])))
-    }
-}
-
-impl<'a, T: Sync, R: Send, F: Fn((usize, &'a T)) -> R + Sync> ParIterEnumerateMap<'a, T, F> {
-    pub fn collect<C: FromParallelVec<R>>(self) -> C {
-        let data = self.data;
-        let f = &self.f;
-        C::from_vec(map_collect_indexed(data.len(), data.len(), |i| {
-            f((i, &data[i]))
-        }))
-    }
-}
-
-pub struct ParChunks<'a, T> {
-    data: &'a [T],
-    size: usize,
-}
-
-pub struct ParChunksMap<'a, T, F> {
-    data: &'a [T],
-    size: usize,
-    f: F,
-}
-
-impl<'a, T: Sync> ParChunks<'a, T> {
-    fn num_chunks(&self) -> usize {
-        self.data.len().div_ceil(self.size.max(1))
-    }
-
-    fn chunk(&self, i: usize) -> &'a [T] {
-        let start = i * self.size;
-        let end = (start + self.size).min(self.data.len());
-        &self.data[start..end]
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a [T]) + Sync,
-    {
-        let chunks = self.num_chunks();
-        drive(chunks, self.data.len(), |_, start, end| {
+        drive(self.len, self.weight, |start, end| {
             for i in start..end {
-                f(self.chunk(i));
+                f((self.get)(i));
             }
         });
     }
 
-    pub fn map<R, F>(self, f: F) -> ParChunksMap<'a, T, F>
+    /// Collects the items in index order: item `i` is written to slot `i`.
+    pub fn collect(self) -> Vec<T>
     where
-        R: Send,
-        F: Fn(&'a [T]) -> R + Sync,
+        T: Send,
     {
-        ParChunksMap {
-            data: self.data,
-            size: self.size,
-            f,
+        let mut out: Vec<T> = Vec::with_capacity(self.len);
+        let slots = SharedPtr(out.as_mut_ptr());
+        drive(self.len, self.weight, |start, end| {
+            for i in start..end {
+                // SAFETY: `i < len` lies in the capacity reserved above, and each index is
+                // written exactly once, by the one worker whose range contains it.
+                unsafe { slots.at(i).write((self.get)(i)) };
+            }
+        });
+        // SAFETY: the driver returned, so every worker finished and all `len` slots are
+        // initialised (a panicking worker unwinds past this line and leaks instead).
+        unsafe { out.set_len(self.len) };
+        out
+    }
+
+    /// Folds the items in index order (so `op` need not be commutative), after producing
+    /// them in parallel.
+    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> T
+    where
+        T: Send,
+        ID: Fn() -> T + Sync,
+        OP: Fn(T, T) -> T + Sync,
+    {
+        self.collect().into_iter().fold(identity(), op)
+    }
+
+    pub fn sum<S>(self) -> S
+    where
+        T: Send,
+        S: std::iter::Sum<T>,
+    {
+        self.collect().into_iter().sum()
+    }
+}
+
+/// What [`Par::filter_map`] returns: the kept items have no index of their own, so the
+/// only consumers are the two order-preserving collects.
+pub struct ParFilterMap<G>(Par<G>);
+
+impl<R: Send, G: Fn(usize) -> Option<R> + Sync> ParFilterMap<G> {
+    pub fn collect(self) -> Vec<R> {
+        let mut out = Vec::new();
+        self.collect_into_vec(&mut out);
+        out
+    }
+
+    /// Collects into `out`, reusing its capacity (order-preserving, like `collect`).
+    ///
+    /// `out` is cleared first. This reuses the (large) concatenation buffer across
+    /// calls; the small per-worker parts are still allocated fresh per call. (Real rayon
+    /// offers `collect_into_vec` on indexed iterators; this shim extends it to the
+    /// filtered shape the workspace needs.)
+    pub fn collect_into_vec(self, out: &mut Vec<R>) {
+        let Par { len, weight, get } = self.0;
+        let parts = Mutex::new(Vec::new());
+        drive(len, weight, |start, end| {
+            let part: Vec<R> = (start..end).filter_map(&get).collect();
+            // Poisoned only if the push itself panicked under the lock.
+            let mut parts = parts.lock().expect("handing in a part panicked");
+            parts.push((start, part));
+        });
+        let mut parts = parts.into_inner().expect("handing in a part panicked");
+        parts.sort_unstable_by_key(|&(start, _)| start);
+        out.clear();
+        for (_, part) in parts {
+            out.extend(part);
         }
     }
-
-    pub fn enumerate(self) -> ParChunksEnumerate<'a, T> {
-        ParChunksEnumerate {
-            data: self.data,
-            size: self.size,
-        }
-    }
 }
-
-pub struct ParChunksEnumerate<'a, T> {
-    data: &'a [T],
-    size: usize,
-}
-
-pub struct ParChunksEnumerateMap<'a, T, F> {
-    data: &'a [T],
-    size: usize,
-    f: F,
-}
-
-impl<'a, T: Sync> ParChunksEnumerate<'a, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &'a [T])) + Sync,
-    {
-        let chunks = ParChunks {
-            data: self.data,
-            size: self.size,
-        };
-        let n = chunks.num_chunks();
-        drive(n, self.data.len(), |_, start, end| {
-            for i in start..end {
-                f((i, chunks.chunk(i)));
-            }
-        });
-    }
-
-    pub fn map<R, F>(self, f: F) -> ParChunksEnumerateMap<'a, T, F>
-    where
-        R: Send,
-        F: Fn((usize, &'a [T])) -> R + Sync,
-    {
-        ParChunksEnumerateMap {
-            data: self.data,
-            size: self.size,
-            f,
-        }
-    }
-}
-
-impl<'a, T: Sync, R: Send, F: Fn((usize, &'a [T])) -> R + Sync> ParChunksEnumerateMap<'a, T, F> {
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> R
-    where
-        ID: Fn() -> R + Sync,
-        OP: Fn(R, R) -> R + Sync,
-    {
-        let chunks = ParChunks {
-            data: self.data,
-            size: self.size,
-        };
-        let n = chunks.num_chunks();
-        let f = &self.f;
-        let parts = fold_collect_vecs(n, self.data.len(), |i, acc| {
-            acc.push(f((i, chunks.chunk(i))))
-        });
-        parts.into_iter().flatten().fold(identity(), op)
-    }
-
-    pub fn collect<C: FromParallelVec<R>>(self) -> C {
-        let chunks = ParChunks {
-            data: self.data,
-            size: self.size,
-        };
-        let n = chunks.num_chunks();
-        let f = &self.f;
-        C::from_vec(map_collect_indexed(n, self.data.len(), |i| {
-            f((i, chunks.chunk(i)))
-        }))
-    }
-}
-
-impl<'a, T: Sync, R: Send, F: Fn(&'a [T]) -> R + Sync> ParChunksMap<'a, T, F> {
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> R
-    where
-        ID: Fn() -> R + Sync,
-        OP: Fn(R, R) -> R + Sync,
-    {
-        let chunks = ParChunks {
-            data: self.data,
-            size: self.size,
-        };
-        let n = chunks.num_chunks();
-        let f = &self.f;
-        let parts = fold_collect_vecs(n, self.data.len(), |i, acc| acc.push(f(chunks.chunk(i))));
-        parts.into_iter().flatten().fold(identity(), op)
-    }
-
-    pub fn collect<C: FromParallelVec<R>>(self) -> C {
-        let chunks = ParChunks {
-            data: self.data,
-            size: self.size,
-        };
-        let n = chunks.num_chunks();
-        let f = &self.f;
-        C::from_vec(map_collect_indexed(n, self.data.len(), |i| {
-            f(chunks.chunk(i))
-        }))
-    }
-}
-
-pub struct ParChunksMut<'a, T> {
-    data: &'a mut [T],
-    size: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        let len = self.data.len();
-        let size = self.size.max(1);
-        let chunks = len.div_ceil(size);
-        let ptr = SharedPtr(self.data.as_mut_ptr());
-        drive(chunks, len, |_, start, end| {
-            let ptr = &ptr;
-            for i in start..end {
-                let lo = i * size;
-                let hi = (lo + size).min(len);
-                // SAFETY: chunk index ranges are disjoint across workers.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(lo), hi - lo) };
-                f(chunk);
-            }
-        });
-    }
-
-    pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
-        ParChunksMutEnumerate { inner: self }
-    }
-}
-
-pub struct ParChunksMutEnumerate<'a, T> {
-    inner: ParChunksMut<'a, T>,
-}
-
-impl<T: Send> ParChunksMutEnumerate<'_, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut [T])) + Sync,
-    {
-        let len = self.inner.data.len();
-        let size = self.inner.size.max(1);
-        let chunks = len.div_ceil(size);
-        let ptr = SharedPtr(self.inner.data.as_mut_ptr());
-        drive(chunks, len, |_, start, end| {
-            let ptr = &ptr;
-            for i in start..end {
-                let lo = i * size;
-                let hi = (lo + size).min(len);
-                // SAFETY: chunk index ranges are disjoint across workers.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(lo), hi - lo) };
-                f((i, chunk));
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Range adapters
-// ---------------------------------------------------------------------------
 
 /// Index types over which `(a..b).into_par_iter()` is supported.
 pub trait ParIndex: Copy + Send + Sync {
@@ -711,163 +356,63 @@ macro_rules! par_index {
 
 par_index!(u32, u64, usize);
 
-pub struct ParRange<I> {
-    start: usize,
-    len: usize,
-    _marker: std::marker::PhantomData<I>,
-}
-
-pub struct ParRangeMap<I, F> {
-    range: ParRange<I>,
-    f: F,
-}
-
-pub struct ParRangeFilterMap<I, F> {
-    range: ParRange<I>,
-    f: F,
-}
-
-impl<I: ParIndex> ParRange<I> {
-    #[inline]
-    fn item(&self, i: usize) -> I {
-        I::from_usize(self.start + i)
-    }
-
-    pub fn map<R, F>(self, f: F) -> ParRangeMap<I, F>
-    where
-        R: Send,
-        F: Fn(I) -> R + Sync,
-    {
-        ParRangeMap { range: self, f }
-    }
-
-    pub fn filter_map<R, F>(self, f: F) -> ParRangeFilterMap<I, F>
-    where
-        R: Send,
-        F: Fn(I) -> Option<R> + Sync,
-    {
-        ParRangeFilterMap { range: self, f }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(I) + Sync,
-    {
-        drive(self.len, self.len, |_, start, end| {
-            for i in start..end {
-                f(self.item(i));
-            }
-        });
-    }
-}
-
-impl<I: ParIndex, R: Send, F: Fn(I) -> R + Sync> ParRangeMap<I, F> {
-    pub fn collect<C: FromParallelVec<R>>(self) -> C {
-        let range = &self.range;
-        let f = &self.f;
-        C::from_vec(map_collect_indexed(range.len, range.len, |i| {
-            f(range.item(i))
-        }))
-    }
-
-    pub fn sum<S: std::iter::Sum<R> + Send>(self) -> S
-    where
-        R: Copy,
-    {
-        let range = &self.range;
-        let f = &self.f;
-        let parts = fold_collect_vecs(range.len, range.len, |i, acc| acc.push(f(range.item(i))));
-        parts.into_iter().flatten().sum()
-    }
-}
-
-impl<I: ParIndex, R: Send, F: Fn(I) -> Option<R> + Sync> ParRangeFilterMap<I, F> {
-    pub fn collect<C: FromParallelVec<R>>(self) -> C {
-        let range = &self.range;
-        let f = &self.f;
-        let parts = fold_collect_vecs(range.len, range.len, |i, acc| {
-            if let Some(r) = f(range.item(i)) {
-                acc.push(r);
-            }
-        });
-        C::from_vec(parts.into_iter().flatten().collect())
-    }
-
-    /// Collects into `out`, reusing its capacity (order-preserving, like `collect`).
-    ///
-    /// `out` is cleared first. This reuses the (large) concatenation buffer across
-    /// calls; the small per-worker part vectors of the fold are still allocated fresh
-    /// per call. (Real rayon offers `collect_into_vec` on indexed iterators; this shim
-    /// extends it to the filtered range shape the workspace needs.)
-    pub fn collect_into_vec(self, out: &mut Vec<R>) {
-        let range = &self.range;
-        let f = &self.f;
-        out.clear();
-        let parts = fold_collect_vecs(range.len, range.len, |i, acc| {
-            if let Some(r) = f(range.item(i)) {
-                acc.push(r);
-            }
-        });
-        for part in parts {
-            out.extend(part);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Collection + conversion traits
-// ---------------------------------------------------------------------------
-
-/// Targets of `collect()`. Only `Vec<R>` is needed by this workspace.
-pub trait FromParallelVec<R> {
-    fn from_vec(v: Vec<R>) -> Self;
-}
-
-impl<R> FromParallelVec<R> for Vec<R> {
-    fn from_vec(v: Vec<R>) -> Self {
-        v
-    }
-}
-
 pub trait IntoParallelIterator {
-    type Iter;
-    fn into_par_iter(self) -> Self::Iter;
+    type Item;
+    fn into_par_iter(self) -> Par<impl Fn(usize) -> Self::Item + Sync>;
 }
 
 impl<I: ParIndex> IntoParallelIterator for std::ops::Range<I> {
-    type Iter = ParRange<I>;
+    type Item = I;
 
-    fn into_par_iter(self) -> ParRange<I> {
+    fn into_par_iter(self) -> Par<impl Fn(usize) -> I + Sync> {
         let start = self.start.to_usize();
-        let end = self.end.to_usize();
-        ParRange {
-            start,
-            len: end.saturating_sub(start),
-            _marker: std::marker::PhantomData,
+        let len = self.end.to_usize().saturating_sub(start);
+        Par {
+            len,
+            weight: len,
+            get: move |i| I::from_usize(start + i),
         }
     }
 }
 
 pub trait ParallelSlice<T: Sync> {
-    fn par_iter(&self) -> ParIter<'_, T>;
-    fn par_chunks(&self, size: usize) -> ParChunks<'_, T>;
+    fn par_iter<'a>(&'a self) -> Par<impl Fn(usize) -> &'a T + Sync>
+    where
+        T: 'a;
+    fn par_chunks<'a>(&'a self, size: usize) -> Par<impl Fn(usize) -> &'a [T] + Sync>
+    where
+        T: 'a;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { data: self }
+    fn par_iter<'a>(&'a self) -> Par<impl Fn(usize) -> &'a T + Sync>
+    where
+        T: 'a,
+    {
+        Par {
+            len: self.len(),
+            weight: self.len(),
+            get: move |i| &self[i],
+        }
     }
 
-    fn par_chunks(&self, size: usize) -> ParChunks<'_, T> {
-        ParChunks {
-            data: self,
-            size: size.max(1),
+    fn par_chunks<'a>(&'a self, size: usize) -> Par<impl Fn(usize) -> &'a [T] + Sync>
+    where
+        T: 'a,
+    {
+        let size = size.max(1);
+        Par {
+            len: self.len().div_ceil(size),
+            weight: self.len(),
+            get: move |i: usize| &self[i * size..(i * size + size).min(self.len())],
         }
     }
 }
 
 pub trait ParallelSliceMut<T: Send> {
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
+    fn par_chunks_mut<'a>(&'a mut self, size: usize) -> Par<impl Fn(usize) -> &'a mut [T] + Sync>
+    where
+        T: 'a;
     fn par_sort_unstable_by_key<K, F>(&mut self, f: F)
     where
         K: Ord,
@@ -875,10 +420,22 @@ pub trait ParallelSliceMut<T: Send> {
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-        ParChunksMut {
-            data: self,
-            size: size.max(1),
+    fn par_chunks_mut<'a>(&'a mut self, size: usize) -> Par<impl Fn(usize) -> &'a mut [T] + Sync>
+    where
+        T: 'a,
+    {
+        let (len, size) = (self.len(), size.max(1));
+        let data = SharedPtr(self.as_mut_ptr());
+        Par {
+            len: len.div_ceil(size),
+            weight: len,
+            get: move |i| {
+                let lo = i * size;
+                // SAFETY: chunk `i` is `[lo, min(lo + size, len))` of the slice this `Par`
+                // borrows exclusively for `'a`; chunks of different `i` are disjoint and
+                // every consumer of a `Par` calls `get` once per `i < len.div_ceil(size)`.
+                unsafe { std::slice::from_raw_parts_mut(data.at(lo), size.min(len - lo)) }
+            },
         }
     }
 
@@ -900,80 +457,106 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    #[test]
-    fn map_collect_preserves_order() {
-        let n = 100_000usize;
-        let v: Vec<usize> = (0..n).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(v.len(), n);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i * 2));
+    fn pool(threads: usize) -> ThreadPool {
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
     }
 
-    #[test]
-    fn u32_ranges_work() {
-        let v: Vec<u64> = (0..50_000u32)
-            .into_par_iter()
-            .map(|i| u64::from(i) + 1)
-            .collect();
-        assert_eq!(v[49_999], 50_000);
+    fn append<T>(mut a: Vec<T>, mut b: Vec<T>) -> Vec<T> {
+        a.append(&mut b);
+        a
     }
 
-    #[test]
-    fn filter_map_keeps_order() {
-        let v: Vec<usize> = (0..100_000usize)
-            .into_par_iter()
-            .filter_map(|i| (i % 3 == 0).then_some(i))
-            .collect();
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(v.len(), 33_334);
-    }
+    /// Every source through every adapter and consumer, against `std`'s iterators.
+    fn check_adapters(data: &[u64], chunk: usize) {
+        let len = data.len();
+        let keep = |x: u64| (x % 3 != 1).then_some(x ^ 5);
 
-    #[test]
-    fn chunks_cover_everything_once() {
-        let data: Vec<usize> = (0..10_000).collect();
-        let total = AtomicUsize::new(0);
-        data.par_chunks(37).for_each(|chunk| {
-            total.fetch_add(chunk.iter().sum::<usize>(), Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 10_000 * 9_999 / 2);
-    }
+        // `par_iter`: enumerate, map, collect, sum.
+        let got = data.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();
+        assert_eq!(got, data.iter().copied().enumerate().collect::<Vec<_>>());
+        let got: u64 = data.par_iter().map(|&x| x % 1_000).sum();
+        assert_eq!(got, data.iter().map(|&x| x % 1_000).sum::<u64>());
 
-    #[test]
-    fn chunk_map_reduce_concatenates() {
-        let data: Vec<u32> = (0..20_000).collect();
-        let doubled: Vec<u32> = data
-            .par_chunks(256)
-            .map(|chunk| chunk.iter().map(|&x| x * 2).collect::<Vec<_>>())
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            });
-        assert_eq!(doubled.len(), data.len());
-        assert!(doubled.iter().zip(&data).all(|(&d, &x)| d == x * 2));
-    }
+        // Ranges of every index type: map, filter_map, both collects.
+        let got = (3..3 + len).into_par_iter().map(|i| data[i - 3]).collect();
+        assert_eq!(data, got);
+        let got = (0..len as u32).into_par_iter().enumerate().collect();
+        assert_eq!(got, (0..len as u32).enumerate().collect::<Vec<_>>());
+        let kept: Vec<u64> = (7..7 + len as u64).filter_map(keep).collect();
+        let range = (7..7 + len as u64).into_par_iter();
+        assert_eq!(range.filter_map(keep).collect(), kept);
+        let mut out = vec![1, 2, 3];
+        for _ in 0..2 {
+            out.reserve(len);
+            let capacity = out.capacity();
+            let range = (7..7 + len as u64).into_par_iter();
+            range.filter_map(keep).collect_into_vec(&mut out);
+            assert_eq!(out, kept);
+            assert_eq!(out.capacity(), capacity, "the buffer must be reused");
+        }
 
-    #[test]
-    fn par_chunks_mut_writes_disjoint() {
-        let mut data = vec![0usize; 30_000];
-        data.par_chunks_mut(1_000)
+        // `par_chunks`: enumerate, map, collect and an order-sensitive reduce.
+        let chunks = data.par_chunks(chunk).enumerate();
+        let got = chunks.map(|(i, c)| (i, c.to_vec())).collect();
+        let expected: Vec<_> = data
+            .chunks(chunk)
+            .map(<[u64]>::to_vec)
             .enumerate()
-            .for_each(|(i, chunk)| {
-                for x in chunk.iter_mut() {
-                    *x = i;
+            .collect();
+        assert_eq!(expected, got);
+        let got = data.par_chunks(chunk).map(<[u64]>::to_vec);
+        assert_eq!(got.reduce(Vec::new, append), data);
+
+        // `par_chunks_mut`, `for_each`: every element is written exactly once, in the
+        // chunk with the index `enumerate` says.
+        let rewrite = |(i, c): (usize, &mut [u64])| {
+            c.iter_mut().for_each(|x| *x = x.wrapping_mul(3) + i as u64);
+        };
+        let (mut got, mut expected) = (data.to_vec(), data.to_vec());
+        got.par_chunks_mut(chunk).enumerate().for_each(rewrite);
+        expected.chunks_mut(chunk).enumerate().for_each(rewrite);
+        assert_eq!(got, expected);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+        #[test]
+        fn every_adapter_equals_the_sequential_iterator(
+            random_len in 0usize..50_001,
+            salt in any::<u64>(),
+        ) {
+            // 0 and 1 never leave the caller; 4 095 is the last length below
+            // `MIN_PARALLEL_LEN`, 4 096 the first one that is split.
+            for len in [0, 1, 4_095, 4_096, 4_097, random_len] {
+                let data: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(salt | 1)).collect();
+                for chunk in [1, 37, 256, len + 1] {
+                    for threads in 1..=4 {
+                        pool(threads).install(|| check_adapters(&data, chunk));
+                    }
                 }
-            });
-        assert_eq!(data[0], 0);
-        assert_eq!(data[29_999], 29);
+            }
+        }
     }
 
     #[test]
-    fn single_thread_pool_is_sequential_and_indexed() {
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        pool.install(|| {
-            assert_eq!(current_num_threads(), 1);
-            let v: Vec<usize> = (0..10_000usize).into_par_iter().map(|i| i).collect();
-            assert_eq!(v[9_999], 9_999);
+    fn a_budget_of_one_stays_on_the_caller_and_workers_have_a_budget_of_one() {
+        let caller = std::thread::current().id();
+        let on_caller = || assert_eq!(std::thread::current().id(), caller);
+        pool(1).install(|| {
+            (0..10_000usize).into_par_iter().for_each(|_| on_caller());
+            join(on_caller, on_caller);
+        });
+        // Nested parallel calls inside a worker do not fan out again.
+        pool(4).install(|| {
+            let in_worker = |_| assert_eq!(current_num_threads(), 1);
+            (0..8_192usize).into_par_iter().for_each(in_worker);
+            assert_eq!(current_num_threads(), 4);
         });
         assert_ne!(current_num_threads(), 0);
     }
@@ -981,12 +564,8 @@ mod tests {
     #[test]
     fn join_returns_both_results_at_any_budget() {
         for threads in [1, 2, 3, 8] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let (a, b) =
-                pool.install(|| join(|| (0..1000u64).sum::<u64>(), || join(|| 1u64, || 2u64)));
+            let (a, b) = pool(threads)
+                .install(|| join(|| (0..1000u64).sum::<u64>(), || join(|| 1u64, || 2u64)));
             assert_eq!(a, 499_500);
             assert_eq!(b, (1, 2));
         }
@@ -994,145 +573,39 @@ mod tests {
 
     #[test]
     fn join_splits_the_thread_budget() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        pool.install(|| {
+        pool(4).install(|| {
             let (a, b) = join(current_num_threads, current_num_threads);
             assert_eq!(a + b, 4);
             assert!(a >= 1 && b >= 1);
         });
         // With one thread, both branches see the sequential budget.
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        pool.install(|| {
+        pool(1).install(|| {
             let (a, b) = join(current_num_threads, current_num_threads);
             assert_eq!((a, b), (1, 1));
         });
     }
 
     #[test]
-    fn join_branches_hand_out_disjoint_worker_indices() {
-        use std::sync::Mutex;
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let a_indices = Mutex::new(Vec::new());
-        let b_indices = Mutex::new(Vec::new());
-        pool.install(|| {
-            join(
-                || {
-                    let data = vec![0u8; 100_000];
-                    data.par_chunks(1_000).for_each(|_| {
-                        a_indices
-                            .lock()
-                            .unwrap()
-                            .push(current_thread_index().unwrap_or(usize::MAX));
-                    });
-                },
-                || {
-                    let data = vec![0u8; 100_000];
-                    data.par_chunks(1_000).for_each(|_| {
-                        b_indices
-                            .lock()
-                            .unwrap()
-                            .push(current_thread_index().unwrap_or(usize::MAX));
-                    });
-                },
-            );
-        });
-        let a: std::collections::HashSet<usize> =
-            a_indices.into_inner().unwrap().into_iter().collect();
-        let b: std::collections::HashSet<usize> =
-            b_indices.into_inner().unwrap().into_iter().collect();
-        assert!(a.intersection(&b).count() == 0, "overlap: {a:?} vs {b:?}");
-        assert!(
-            a.union(&b).all(|&i| i < 4),
-            "index beyond pool size: {a:?} {b:?}"
-        );
-    }
+    fn the_thread_budget_survives_a_panic_in_join_drive_and_install() {
+        pool(4).install(|| {
+            let caught = catch_unwind(AssertUnwindSafe(|| join(|| panic!("branch a"), || ())));
+            assert!(caught.is_err());
+            assert_eq!(current_num_threads(), 4, "after a panic in join");
 
-    #[test]
-    fn scope_runs_all_tasks_including_nested_spawns() {
-        for threads in [1, 4] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let counter = AtomicUsize::new(0);
-            pool.install(|| {
-                scope(|s| {
-                    for _ in 0..10 {
-                        s.spawn(|s| {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            s.spawn(|_| {
-                                counter.fetch_add(1, Ordering::Relaxed);
-                            });
-                        });
-                    }
-                });
-            });
-            assert_eq!(counter.load(Ordering::Relaxed), 20, "threads = {threads}");
-        }
-    }
+            // Index 0 is in the caller's own range, the last index in a spawned worker's.
+            for bad in [0, 99_999] {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    (0..100_000usize)
+                        .into_par_iter()
+                        .for_each(|i| assert!(i != bad));
+                }));
+                assert!(caught.is_err(), "a panic at index {bad} must propagate");
+                assert_eq!(current_num_threads(), 4, "after a panic at index {bad}");
+            }
 
-    #[test]
-    fn scope_task_panic_propagates_instead_of_hanging() {
-        for threads in [1, 4] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.install(|| {
-                    scope(|s| {
-                        s.spawn(|_| {});
-                        s.spawn(|_| panic!("task panic"));
-                        s.spawn(|_| {});
-                    });
-                });
-            }));
-            assert!(result.is_err(), "panic must propagate at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn join_restores_the_thread_budget_after_a_branch_panic() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        pool.install(|| {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                join(|| panic!("branch panic"), || ());
-            }));
-            assert!(result.is_err());
-            assert_eq!(current_num_threads(), 4, "budget must survive the unwind");
-        });
-    }
-
-    #[test]
-    fn filter_map_collect_into_vec_matches_collect() {
-        let expected: Vec<usize> = (0..50_000usize)
-            .into_par_iter()
-            .filter_map(|i| (i % 7 == 0).then_some(i * 2))
-            .collect();
-        let mut out = vec![1, 2, 3];
-        (0..50_000usize)
-            .into_par_iter()
-            .filter_map(|i| (i % 7 == 0).then_some(i * 2))
-            .collect_into_vec(&mut out);
-        assert_eq!(out, expected);
-        let capacity = out.capacity();
-        (0..50_000usize)
-            .into_par_iter()
-            .filter_map(|i| (i % 7 == 0).then_some(i * 2))
-            .collect_into_vec(&mut out);
-        assert_eq!(out, expected);
-        assert_eq!(out.capacity(), capacity, "buffer must be reused");
-    }
-
-    #[test]
-    fn worker_indices_stay_below_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        pool.install(|| {
-            let data: Vec<usize> = (0..100_000).collect();
-            data.par_chunks(64).for_each(|_| {
-                let idx = current_thread_index().unwrap_or(0);
-                assert!(idx < 3);
-            });
+            let caught = catch_unwind(AssertUnwindSafe(|| pool(2).install(|| panic!("inner"))));
+            assert!(caught.is_err());
+            assert_eq!(current_num_threads(), 4, "after a panic in install");
         });
     }
 }

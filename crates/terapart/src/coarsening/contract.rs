@@ -287,11 +287,10 @@ fn contract_buffered(
 }
 
 /// A buffered batch of aggregated coarse neighbourhoods awaiting a dual-counter
-/// transaction. Pooled per worker in the arena's
-/// [`WorkerScratchPool`](crate::scratch::WorkerScratchPool) (formerly a
-/// `thread_local!` static), so the per-chunk table/batch allocations of the seed
-/// implementation disappear without pinning the buffers to rayon's threads for the
-/// process lifetime.
+/// transaction. Leased per chunk as part of a
+/// [`WorkerScratch`](crate::scratch::WorkerScratch), so the per-chunk table/batch
+/// allocations of the seed implementation disappear without pinning the buffers to OS
+/// threads for the process lifetime.
 pub(crate) struct Batch {
     /// (old label, node weight, number of edges) per coarse vertex in the batch.
     vertices: Vec<(ClusterId, NodeWeight, u32)>,

@@ -34,12 +34,11 @@ use graph::ids;
 use graph::traits::Graph;
 use graph::{AtomicNodeId, NodeId, NodeWeight};
 use memtrack::MemoryScope;
-use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use crate::context::{CoarseningConfig, EdgeRating, LabelPropagationMode};
 use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics};
-use crate::scratch::{AtomicBitset, HierarchyScratch, WorkerScratchPool};
+use crate::scratch::{AtomicBitset, HierarchyScratch, Pool, WorkerScratch};
 use crate::ClusterId;
 
 use super::rating_map::{AtomicSparseArray, FixedCapacityHashMap, SparseRatingMap};
@@ -294,8 +293,8 @@ pub fn cluster(
 ///
 /// `max_cluster_weight` is the size constraint; `seed` controls the random visit order.
 /// The function must be called from within the partitioner's rayon thread pool (or any
-/// pool); it uses `rayon::current_num_threads()` worker-local state. The visit-order
-/// buffer and the frontier bitsets are reused from `scratch`.
+/// pool); it sizes its leased per-chunk state by `rayon::current_num_threads()`. The
+/// visit-order buffer and the frontier bitsets are reused from `scratch`.
 pub fn cluster_with_scratch(
     graph: &impl Graph,
     config: &CoarseningConfig,
@@ -346,12 +345,11 @@ pub fn cluster_with_scratch(
 
     match config.lp_mode {
         LabelPropagationMode::PerThreadRatingMaps => {
-            // Auxiliary memory: one O(n) rating map per thread (the Figure 2 culprit).
-            let maps: Vec<Mutex<SparseRatingMap>> = (0..num_threads)
-                .map(|_| Mutex::new(SparseRatingMap::new(n)))
-                .collect();
-            let aux_bytes: usize = maps.iter().map(|m| m.lock().memory_bytes()).sum();
-            let _scope = MemoryScope::charge_global(aux_bytes);
+            // Auxiliary memory: one O(n) rating map per thread (the Figure 2 culprit),
+            // all built and charged up front. At most `num_threads` chunks run at once,
+            // so a lease always finds one of them parked.
+            let maps = Pool::filled((0..num_threads).map(|_| SparseRatingMap::new(n)));
+            let _scope = MemoryScope::charge_global(maps.parked_sum(SparseRatingMap::memory_bytes));
             let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
                 run_round_per_thread_maps(graph, &state, &maps, config.edge_rating, order, frontier)
             };
@@ -408,19 +406,19 @@ pub fn cluster_with_scratch(
     state.into_clustering()
 }
 
-/// One round of the original algorithm: every thread owns a full sparse rating map.
+/// One round of the original algorithm: every running chunk holds a full sparse rating
+/// map, one of the `num_threads` in `maps`.
 fn run_round_per_thread_maps(
     graph: &impl Graph,
     state: &ClusteringState,
-    maps: &[Mutex<SparseRatingMap>],
+    maps: &Pool<SparseRatingMap>,
     rating: EdgeRating,
     order: &[NodeId],
     frontier: Option<&AtomicBitset>,
 ) -> usize {
     let moved = AtomicUsize::new(0);
     order.par_chunks(256).for_each(|chunk| {
-        let thread = rayon::current_thread_index().unwrap_or(0) % maps.len();
-        let mut map = maps[thread].lock();
+        let mut map = maps.checkout();
         let mut chunk_moves = 0usize;
         for &u in chunk {
             let node_weight = graph.node_weight(u);
@@ -448,7 +446,7 @@ fn run_round_two_phase(
     state: &ClusteringState,
     config: &CoarseningConfig,
     shared: &mut Option<(AtomicSparseArray, MemoryScope<'static>)>,
-    workers: &WorkerScratchPool,
+    workers: &Pool<WorkerScratch>,
     order: &[NodeId],
     frontier: Option<&AtomicBitset>,
 ) -> usize {
@@ -681,6 +679,31 @@ mod tests {
             a.num_clusters,
             b.num_clusters
         );
+    }
+
+    #[test]
+    fn the_baseline_leases_its_rating_maps_and_never_builds_more_than_one_per_thread() {
+        let g = gen::rgg2d(20_000, 8, 7);
+        let threads = 4;
+        let state = ClusteringState::new(&g, 16);
+        let maps = Pool::filled((0..threads).map(|_| SparseRatingMap::new(g.n())));
+        let order: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let moved: usize = pool.install(|| {
+            (0..3)
+                .map(|_| {
+                    run_round_per_thread_maps(&g, &state, &maps, EdgeRating::Weight, &order, None)
+                })
+                .sum()
+        });
+        assert!(moved > 0);
+        assert!((1..=threads).contains(&maps.high_water()));
+        // A lease that found the pool empty would have parked a fifth, zero-length map.
+        assert_eq!(maps.parked_count(), threads);
+        check_invariants(&g, &state.into_clustering(), 16);
     }
 
     #[test]

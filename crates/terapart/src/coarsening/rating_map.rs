@@ -160,7 +160,7 @@ impl FixedCapacityHashMap {
 
 /// The classic sparse-array rating map: a dense array indexed by cluster ID plus the list
 /// of touched entries used for resetting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SparseRatingMap {
     ratings: Vec<EdgeWeight>,
     touched: Vec<NodeId>,

@@ -25,15 +25,12 @@
 //!
 //! Engine-level knobs (thread default, store geometry, compression policy) live in
 //! [`EngineConfig`]; request-level knobs (k, epsilon, seed, refinement settings,
-//! observability, memory budget) live in [`PartitionRequest`]. A request resolves
-//! against the engine's defaults into exactly the [`PartitionerConfig`] it was split
-//! from, so fixed-seed results are bit-identical across the one-shots and the engine —
-//! and across sequential vs. concurrent execution, since sessions share no mutable
-//! algorithmic state.
+//! observability) live in [`PartitionRequest`]. A request resolves against the engine's
+//! defaults into exactly the [`PartitionerConfig`] it was split from, so fixed-seed
+//! results are bit-identical across the one-shots and the engine — and across sequential
+//! vs. concurrent execution, since sessions share no mutable algorithmic state.
 
-use std::ops::{Deref, DerefMut};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use graph::builder::compress_csr_parallel;
 use graph::csr::CsrGraph;
@@ -42,7 +39,6 @@ use graph::store::{RetryPolicy, StoreHandle, StoreRegistry};
 use graph::traits::Graph;
 use graph::CompressionConfig;
 use memtrack::{MemoryScope, PhaseTracker};
-use parking_lot::Mutex;
 
 use crate::context::{
     default_threads, CoarseningConfig, InitialPartitioningConfig, ObsConfig, OnDiskConfig,
@@ -50,7 +46,7 @@ use crate::context::{
 };
 use crate::error::PartitionError;
 use crate::partitioner::{obs_phase, partition_with_session, ObsSession, PartitionResult};
-use crate::scratch::HierarchyScratch;
+use crate::scratch::{HierarchyScratch, Pool};
 
 /// Engine-level configuration: the knobs that outlive any single request because they
 /// describe the *environment* (store geometry, default parallelism, input
@@ -115,10 +111,6 @@ pub struct PartitionRequest {
     pub refinement: RefinementConfig,
     /// Observability: run-report recording, trace export, progress callback.
     pub obs: ObsConfig,
-    /// Soft cap on the bytes the engine's parked scratch arenas may keep alive after
-    /// this request completes; the engine trims the pool (largest arena first) to fit.
-    /// `None` keeps every arena warm.
-    pub memory_budget: Option<usize>,
 }
 
 impl PartitionRequest {
@@ -142,7 +134,6 @@ impl PartitionRequest {
             initial: config.initial.clone(),
             refinement: config.refinement.clone(),
             obs: config.obs.clone(),
-            memory_budget: None,
         }
     }
 
@@ -170,12 +161,6 @@ impl PartitionRequest {
         self
     }
 
-    /// Caps the bytes the engine's parked arenas may keep alive after this request.
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
     /// Resolves the request against the engine defaults into the flat
     /// [`PartitionerConfig`] the pipeline runs on. Bit-identity across the one-shot
     /// functions and the engine API rests on this being a verbatim field mapping.
@@ -199,118 +184,21 @@ impl PartitionRequest {
     }
 }
 
-/// Pool of [`HierarchyScratch`] arenas, checked out one per request.
-///
-/// Arenas only ever grow, so a parked arena sized by one request serves the next
-/// allocation-free; concurrent requests each get their own arena (never shared — the
-/// pipeline mutates it throughout) and the pool's high-water mark records the maximum
-/// simultaneous checkout count, which is what peak auxiliary memory scales with:
-/// 8 sequential requests on one engine cost one arena, not eight.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    // Boxed so checkout/park move a pointer, not the multi-hundred-field arena.
-    #[allow(clippy::vec_box)]
-    parked: Mutex<Vec<Box<HierarchyScratch>>>,
-    live: AtomicUsize,
-    high_water: AtomicUsize,
-}
+/// The engine's pool of [`HierarchyScratch`] arenas: one leased per request, never
+/// shared (the pipeline mutates it throughout), parked again when the request ends. Its
+/// [`high_water`](Pool::high_water) is the maximum number of requests that ever ran at
+/// once, which is what peak auxiliary memory scales with (see [`Pool`]).
+pub type ScratchPool = Pool<HierarchyScratch>;
 
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks out an arena (reusing the most recently parked one if available). The
-    /// lease parks the arena again on drop.
-    pub fn checkout(&self) -> ScratchLease<'_> {
-        let scratch = self
-            .parked
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Box::new(HierarchyScratch::new()));
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(live, Ordering::Relaxed);
-        ScratchLease {
-            pool: self,
-            scratch: Some(scratch),
-        }
-    }
-
-    /// Maximum number of simultaneously checked-out arenas ever observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed)
-    }
-
+impl Pool<HierarchyScratch> {
     /// Number of arenas currently parked (idle).
     pub fn parked_arenas(&self) -> usize {
-        self.parked.lock().len()
+        self.parked_count()
     }
 
     /// Total accounted bytes of the parked arenas.
     pub fn parked_bytes(&self) -> usize {
-        self.parked.lock().iter().map(|s| s.memory_bytes()).sum()
-    }
-
-    /// Drops parked arenas, largest first, until their total accounted bytes fit
-    /// `budget`. Live (checked-out) arenas are unaffected.
-    pub fn trim_to_bytes(&self, budget: usize) {
-        let mut parked = self.parked.lock();
-        while parked.iter().map(|s| s.memory_bytes()).sum::<usize>() > budget {
-            let largest = parked
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, s)| s.memory_bytes())
-                .map(|(i, _)| i);
-            match largest {
-                Some(i) => {
-                    parked.swap_remove(i);
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Drops every parked arena (releasing their memtrack charges).
-    pub fn clear(&self) {
-        self.parked.lock().clear();
-    }
-
-    fn park(&self, mut scratch: Box<HierarchyScratch>) {
-        // A parked arena must not keep the previous request's recording sink alive.
-        scratch.reset_obs();
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        self.parked.lock().push(scratch);
-    }
-}
-
-/// A checked-out [`HierarchyScratch`]; derefs to the arena and parks it on drop.
-#[derive(Debug)]
-pub struct ScratchLease<'a> {
-    pool: &'a ScratchPool,
-    scratch: Option<Box<HierarchyScratch>>,
-}
-
-impl Deref for ScratchLease<'_> {
-    type Target = HierarchyScratch;
-    fn deref(&self) -> &HierarchyScratch {
-        self.scratch.as_deref().unwrap_or_else(|| unreachable!())
-    }
-}
-
-impl DerefMut for ScratchLease<'_> {
-    fn deref_mut(&mut self) -> &mut HierarchyScratch {
-        self.scratch
-            .as_deref_mut()
-            .unwrap_or_else(|| unreachable!())
-    }
-}
-
-impl Drop for ScratchLease<'_> {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            self.pool.park(scratch);
-        }
+        self.parked_sum(HierarchyScratch::memory_bytes)
     }
 }
 
@@ -433,8 +321,7 @@ impl PartitionEngine {
 
     /// One request from start to finish, shared by the four `partition*` methods:
     /// resolves `request` against the engine defaults, creates the request's phase
-    /// tracker and observability session, checks an arena out of the pool for `body`,
-    /// and applies the request's memory budget once the arena is parked again.
+    /// tracker and observability session and leases an arena from the pool for `body`.
     fn run<T>(
         &self,
         request: &PartitionRequest,
@@ -443,13 +330,12 @@ impl PartitionEngine {
         let config = request.effective_config(&self.config);
         let tracker = PhaseTracker::new();
         let obs = ObsSession::new(&config);
-        let result = {
-            let mut scratch = self.pool.checkout();
-            body(&config, &tracker, obs, &mut scratch)
-        };
-        if let Some(budget) = request.memory_budget {
-            self.pool.trim_to_bytes(budget);
-        }
+        let mut scratch = self.pool.checkout();
+        let result = body(&config, &tracker, obs, &mut scratch);
+        // A parked arena must not keep this request's recording sink (and its
+        // `Arc<Recorder>`) alive. (If `body` unwinds, the sink stays until the next request
+        // on this arena replaces it.)
+        scratch.obs = obs::ObsHandle::noop();
         result
     }
 }
@@ -507,37 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_trims_largest_arena_first() {
-        let pool = ScratchPool::new();
-        {
-            let mut big = pool.checkout();
-            big.ensure_buckets(32_768);
-            let mut small = pool.checkout();
-            small.ensure_buckets(1024);
-        }
-        assert_eq!(pool.parked_arenas(), 2);
-        assert_eq!(pool.high_water(), 2);
-        let small_bytes = {
-            let all = pool.parked_bytes();
-            // Trim to just above the small arena: the big one must go.
-            let small = pool
-                .parked
-                .lock()
-                .iter()
-                .map(|s| s.memory_bytes())
-                .min()
-                .unwrap();
-            pool.trim_to_bytes(small + 64);
-            assert_eq!(pool.parked_arenas(), 1);
-            assert!(pool.parked_bytes() < all);
-            small
-        };
-        assert!(pool.parked_bytes() <= small_bytes + 64);
-        pool.trim_to_bytes(0);
-        assert_eq!(pool.parked_arenas(), 0);
-    }
-
-    #[test]
     fn engine_matches_free_function_bit_for_bit() {
         let g = gen::erdos_renyi(600, 2500, 13);
         let config = PartitionerConfig::terapart(4).with_threads(1).with_seed(42);
@@ -584,22 +439,5 @@ mod tests {
                 expected
             );
         }
-    }
-
-    #[test]
-    fn memory_budget_trims_the_parked_pool() {
-        let g = gen::grid2d(24, 24);
-        let config = PartitionerConfig::terapart(4).with_threads(1).with_seed(1);
-        let (engine, unbudgeted) = one_shot(&config);
-        engine.partition(&g, &unbudgeted);
-        assert!(engine.scratch_pool().parked_bytes() > 0);
-        let budgeted = unbudgeted.with_memory_budget(0);
-        engine.partition(&g, &budgeted);
-        assert_eq!(
-            engine.scratch_pool().parked_bytes(),
-            0,
-            "a zero budget must release every parked arena"
-        );
-        assert_eq!(engine.scratch_pool().parked_arenas(), 0);
     }
 }

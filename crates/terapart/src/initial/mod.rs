@@ -29,7 +29,7 @@ use graph::{EdgeWeight, NodeId, NodeWeight};
 
 use crate::context::InitialPartitioningConfig;
 use crate::partition::{BlockId, Partition};
-use crate::scratch::{HierarchyScratch, SharedSlice};
+use crate::scratch::{HierarchyScratch, Lease, SharedSlice};
 
 pub use bipartition::{Bipartition, FmWork};
 
@@ -136,7 +136,7 @@ impl BisectionTree<'_> {
             return;
         }
         let scratch = self.scratch;
-        let mut ws = scratch.checkout_bisection();
+        let mut ws = scratch.bisections.checkout();
         ws.extract(self.graph, vertices, scratch);
         let total = ws.total_node_weight;
         let k0 = k.div_ceil(2);
@@ -179,8 +179,9 @@ impl BisectionTree<'_> {
             }
         }
         vertices[write..].copy_from_slice(&ws.right_tmp);
-        scratch.release_attempt(best);
-        scratch.release_bisection(ws);
+        // Parked before the recursion, so the children lease these two again.
+        drop(best);
+        drop(ws);
 
         let (left, right) = vertices.split_at_mut(write);
         let seed0 = seed.wrapping_mul(31).wrapping_add(1);
@@ -202,32 +203,31 @@ impl BisectionTree<'_> {
 /// order in which parallel attempts complete.
 type AttemptKey = (bool, EdgeWeight, usize);
 
-/// The portfolio of one bisection: the subgraph and what all attempts on it share.
-struct Portfolio<'a> {
+/// The portfolio of one bisection: the subgraph and what all attempts on it share. The
+/// winner's lease borrows the pool (`'s`), not the subgraph.
+struct Portfolio<'a, 's> {
     sub: &'a SubgraphView<'a>,
     target0: NodeWeight,
     max_weight: [NodeWeight; 2],
     config: &'a InitialPartitioningConfig,
     seed: u64,
-    scratch: &'a InitialPartitioningScratch,
+    scratch: &'s InitialPartitioningScratch,
     obs: &'a obs::ObsHandle,
 }
 
-impl Portfolio<'_> {
+impl<'s> Portfolio<'_, 's> {
     /// Runs attempts `[begin, end)`, forking the range in half while the subgraph is
     /// large enough, and returns the winner by [`AttemptKey`] in its workspace (the best
     /// balanced result or, failing that, the result with the lowest cut).
-    fn run(&self, begin: usize, end: usize) -> (AttemptKey, AttemptWorkspace) {
+    fn run(&self, begin: usize, end: usize) -> (AttemptKey, Lease<'s, AttemptWorkspace>) {
         let (sub, max_weight, scratch) = (self.sub, self.max_weight, self.scratch);
         if end - begin > 1 && should_fork(self.config, sub.n()) {
             let mid = begin + (end - begin) / 2;
             let (a, b) = rayon::join(|| self.run(begin, mid), || self.run(mid, end));
-            let (winner, loser) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-            scratch.release_attempt(loser.1);
-            return winner;
+            return if a.0 <= b.0 { a } else { b };
         }
-        let mut best: Option<(AttemptKey, AttemptWorkspace)> = None;
-        let mut ws = scratch.checkout_attempt();
+        let mut best: Option<(AttemptKey, Lease<'s, AttemptWorkspace>)> = None;
+        let mut ws = scratch.attempts.checkout();
         for attempt in begin..end {
             let attempt_seed = self.seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9);
             bipartition_into(
@@ -255,13 +255,12 @@ impl Portfolio<'_> {
                     // The candidate wins: swap it in and reuse the loser as the next buffer.
                     let loser = match best.take() {
                         Some((_, prev)) => prev,
-                        None => scratch.checkout_attempt(),
+                        None => scratch.attempts.checkout(),
                     };
                     best = Some((key, std::mem::replace(&mut ws, loser)));
                 }
             }
         }
-        scratch.release_attempt(ws);
         let attempts = (end - begin) as u64;
         self.obs.add(obs::Counter::InitialAttempts, attempts);
         best.expect("at least one bisection attempt")
@@ -450,7 +449,7 @@ mod tests {
             let reference = induced_subgraph(&g, &vertices);
             let mut ip = InitialPartitioningScratch::default();
             ip.ensure(g.n());
-            let mut ws = ip.checkout_bisection();
+            let mut ws = ip.bisections.checkout();
             ws.extract(&g, &vertices, &ip);
             let view = ws.view();
             prop_assert_eq!(view.n(), reference.n());

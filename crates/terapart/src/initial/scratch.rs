@@ -12,19 +12,19 @@
 //! * a pool of [`AttemptWorkspace`]s holding the side/gain/queue buffers of one
 //!   greedy-growing + 2-way-FM portfolio attempt — all of them vertex-indexed.
 //!
-//! Pools hand out workspaces to concurrently running tasks and take them back when the
-//! task finishes, so the number of live workspaces is bounded by the number of running
+//! Both pools are [`Pool`]s: a task leases a workspace and the lease parks it again when
+//! the task drops it, so the number of live workspaces is bounded by the number of running
 //! tasks (≤ thread count), not by the tree size. Buffers only ever grow; the root
 //! bisection (the largest subgraph) sizes them and the rest of the tree runs
 //! allocation-free.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use graph::traits::Graph;
 use graph::{AtomicNodeId, EdgeId, EdgeWeight, NodeId, NodeWeight};
-use parking_lot::Mutex;
 
 use super::bipartition::{FmWork, TwoWay};
+use crate::scratch::Pool;
 
 /// Reusable scratch for one run's whole bisection tree (a region of
 /// [`HierarchyScratch`](crate::scratch::HierarchyScratch)).
@@ -44,11 +44,9 @@ pub struct InitialPartitioningScratch {
     /// operate on disjoint subslices of this single buffer.
     pub(crate) tree_vertices: Vec<NodeId>,
     /// Pool of induced-subgraph buffers.
-    bisections: Mutex<Vec<BisectionWorkspace>>,
+    pub(crate) bisections: Pool<BisectionWorkspace>,
     /// Pool of portfolio-attempt buffers.
-    attempts: Mutex<Vec<AttemptWorkspace>>,
-    /// Heap bytes currently parked in the two pools (updated on release).
-    pool_bytes: AtomicUsize,
+    pub(crate) attempts: Pool<AttemptWorkspace>,
 }
 
 impl InitialPartitioningScratch {
@@ -86,36 +84,6 @@ impl InitialPartitioningScratch {
             .then(|| self.local_id[u as usize].load(Ordering::Relaxed))
     }
 
-    /// Checks out a bisection workspace (fresh if the pool is empty).
-    pub(crate) fn checkout_bisection(&self) -> BisectionWorkspace {
-        let ws = self.bisections.lock().pop().unwrap_or_default();
-        self.pool_bytes
-            .fetch_sub(ws.memory_bytes(), Ordering::Relaxed);
-        ws
-    }
-
-    /// Returns a bisection workspace to the pool.
-    pub(crate) fn release_bisection(&self, ws: BisectionWorkspace) {
-        self.pool_bytes
-            .fetch_add(ws.memory_bytes(), Ordering::Relaxed);
-        self.bisections.lock().push(ws);
-    }
-
-    /// Checks out an attempt workspace (fresh if the pool is empty).
-    pub(crate) fn checkout_attempt(&self) -> AttemptWorkspace {
-        let ws = self.attempts.lock().pop().unwrap_or_default();
-        self.pool_bytes
-            .fetch_sub(ws.memory_bytes(), Ordering::Relaxed);
-        ws
-    }
-
-    /// Returns an attempt workspace to the pool.
-    pub(crate) fn release_attempt(&self, ws: AttemptWorkspace) {
-        self.pool_bytes
-            .fetch_add(ws.memory_bytes(), Ordering::Relaxed);
-        self.attempts.lock().push(ws);
-    }
-
     /// Heap bytes of the node-indexed structures (membership map + tree permutation).
     ///
     /// The pooled workspace buffers are *not* part of this figure: they are working
@@ -131,7 +99,8 @@ impl InitialPartitioningScratch {
 
     /// Heap bytes currently parked in the workspace pools.
     pub fn pool_bytes(&self) -> usize {
-        self.pool_bytes.load(Ordering::Relaxed)
+        self.bisections.parked_sum(BisectionWorkspace::memory_bytes)
+            + self.attempts.parked_sum(AttemptWorkspace::memory_bytes)
     }
 
     /// Frees the pooled workspaces. Called when initial partitioning ends: the pools'
@@ -140,9 +109,8 @@ impl InitialPartitioningScratch {
     /// footprint for zero reuse benefit. The membership map is kept — a later run
     /// through the same arena re-grows only the pools.
     pub fn release_pools(&mut self) {
-        self.bisections.get_mut().clear();
-        self.attempts.get_mut().clear();
-        self.pool_bytes.store(0, Ordering::Relaxed);
+        self.bisections.clear();
+        self.attempts.clear();
     }
 }
 
@@ -469,7 +437,7 @@ mod tests {
         let reference = crate::initial::tests::induced_subgraph(&g, &vertices);
         let mut scratch = InitialPartitioningScratch::default();
         scratch.ensure(g.n());
-        let mut ws = scratch.checkout_bisection();
+        let mut ws = scratch.bisections.checkout();
         ws.extract(&g, &vertices, &scratch);
         let view = ws.view();
         assert_eq!(view.n(), reference.n());
@@ -488,23 +456,23 @@ mod tests {
     #[test]
     fn pools_reuse_workspace_buffers() {
         let mut scratch = InitialPartitioningScratch::default();
-        let mut ws = scratch.checkout_attempt();
+        let mut ws = scratch.attempts.checkout();
         ws.order.reserve(1000);
         let capacity = ws.order.capacity();
-        scratch.release_attempt(ws);
+        assert_eq!(scratch.pool_bytes(), 0, "a leased workspace is not parked");
+        drop(ws);
         assert!(scratch.pool_bytes() >= capacity * std::mem::size_of::<NodeId>());
-        let ws = scratch.checkout_attempt();
+        let ws = scratch.attempts.checkout();
         assert_eq!(
             ws.order.capacity(),
             capacity,
             "pooled buffer must come back"
         );
-        scratch.release_attempt(ws);
+        drop(ws);
         scratch.release_pools();
         assert_eq!(scratch.pool_bytes(), 0);
-        let ws = scratch.checkout_attempt();
+        let ws = scratch.attempts.checkout();
         assert_eq!(ws.order.capacity(), 0, "released pools start fresh");
-        scratch.release_attempt(ws);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use context::{
     LabelPropagationMode, ObsConfig, OnDiskConfig, PartitionerConfig, Preset, RefinementAlgorithm,
     RefinementConfig,
 };
-pub use engine::{EngineConfig, PartitionEngine, PartitionRequest, ScratchLease, ScratchPool};
+pub use engine::{EngineConfig, PartitionEngine, PartitionRequest, ScratchPool};
 pub use error::PartitionError;
 pub use initial::{initial_partition, initial_partition_with_scratch};
 pub use partition::{BlockId, Partition};

@@ -28,7 +28,7 @@ use rayon::prelude::*;
 use crate::coarsening::rating_map::FixedCapacityHashMap;
 use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics};
 use crate::partition::{BlockId, BoundarySet, Partition};
-use crate::scratch::{AtomicBitset, HierarchyScratch, WorkerScratchPool};
+use crate::scratch::{AtomicBitset, HierarchyScratch, Pool, WorkerScratch};
 
 /// Shared atomic view of a partition used by the parallel refinement algorithms.
 pub(crate) struct AtomicPartition {
@@ -191,7 +191,7 @@ pub fn lp_refine_with_scratch(
         newly_blocked: Vec<(NodeId, BlockId, NodeWeight)>,
         /// Handle to the arena's per-worker buffer pool, cloned out before the driver
         /// takes `&mut` of the whole arena.
-        workers: Arc<WorkerScratchPool>,
+        workers: Arc<Pool<WorkerScratch>>,
     }
 
     impl<G: Graph> LpRoundSemantics for RefinementRounds<'_, G> {
@@ -304,7 +304,7 @@ fn run_round(
     order: &[NodeId],
     frontier: Option<&AtomicBitset>,
     boundary: &AtomicBitset,
-    workers: &WorkerScratchPool,
+    workers: &Pool<WorkerScratch>,
 ) -> (usize, Vec<(NodeId, BlockId, NodeWeight)>) {
     let moves = AtomicUsize::new(0);
     let table_limit = k.min(1 + graph.max_degree());

@@ -22,7 +22,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graph::ids::INVALID_NODE;
@@ -161,14 +161,13 @@ impl AtomicBitset {
 
 /// Per-worker reusable buffers of the parallel hot loops.
 ///
-/// These were formerly `thread_local!` statics in `coarsening/contract.rs` and
-/// `refinement/lp_refine.rs`. Thread-local storage pins the buffers to rayon's worker
-/// threads for the *process* lifetime — acceptable for a one-shot CLI, but wrong for a
-/// reentrant engine where many concurrent requests share one rayon pool: every request
-/// would grow every worker's statics to its own high-water mark and nothing would ever
-/// be released. Owned by the arena (via [`HierarchyScratch::workers`]), the buffers
-/// are scoped to one request's arena and returned to its pool when a worker finishes a
-/// chunk, so co-tenant requests never see (or pay for) each other's buffers.
+/// Threads are anonymous (the scheduler hands out index ranges, not identities), so a
+/// worker leases one of these from [`HierarchyScratch::workers`] for the chunk it is on
+/// and the lease parks it again when the chunk is done. `thread_local!` statics would pin
+/// the buffers to OS threads for the *process* lifetime — wrong for a reentrant engine,
+/// where every request would grow every thread's statics to its own high-water mark and
+/// nothing would ever be released. Owned by the arena, the buffers are scoped to one
+/// request, and co-tenant requests never see (or pay for) each other's.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
     /// Packed `(target << 32) | position` sort keys of the contraction neighbourhood
@@ -201,70 +200,117 @@ impl WorkerScratch {
     }
 }
 
-/// Pool of [`WorkerScratch`] buffers, one checked out per worker per parallel chunk.
+/// A lending pool: the one way this crate hands a reusable buffer to whoever needs it
+/// for a while — a request its arena ([`crate::engine::ScratchPool`]), a worker its
+/// per-chunk buffers (the arena's `workers`), a bisection-tree task its workspace
+/// ([`crate::initial::scratch`]), a thread of the KaMinPar baseline its O(n) rating map.
 ///
-/// Lock-held time is a single `Vec` push/pop; checkout frequency is per *chunk* (64–256
-/// vertices), not per vertex, so contention is negligible next to the work each chunk
-/// does. The pool never holds more buffers than the maximum number of simultaneously
-/// active workers that ever served this arena.
-#[derive(Default)]
-pub(crate) struct WorkerScratchPool {
-    // Boxed so checkout/park under the lock move a pointer, not the buffer struct.
+/// [`checkout`](Self::checkout) pops a parked item or builds a fresh one; the
+/// [`Lease`] parks it again when it drops, also on unwind. Items only ever grow, so a
+/// parked item sized by one user serves the next allocation-free, and an item is built
+/// only while none is parked, so the pool grows to the largest number of simultaneous
+/// leases ([`high_water`](Self::high_water)) and no further — which is what the memory
+/// behind it scales with: 8 sequential requests on one engine cost one arena, not eight.
+/// Lock-held time is a single `Vec` push or pop.
+pub struct Pool<T> {
+    // Boxed so checkout/park under the lock move a pointer, not the item.
     #[allow(clippy::vec_box)]
-    parked: Mutex<Vec<Box<WorkerScratch>>>,
+    parked: Mutex<Vec<Box<T>>>,
+    live: AtomicUsize,
+    high_water: AtomicUsize,
 }
 
-impl WorkerScratchPool {
-    /// Checks out a worker buffer (reusing a parked one if available). The lease
-    /// returns the buffer on drop.
-    pub(crate) fn checkout(&self) -> WorkerLease<'_> {
-        let scratch = self.parked.lock().pop().unwrap_or_default();
-        WorkerLease {
-            pool: self,
-            scratch: Some(scratch),
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Self::filled([])
+    }
+}
+
+impl<T> Pool<T> {
+    /// An empty pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A pool that starts out with `items` parked.
+    pub(crate) fn filled(items: impl IntoIterator<Item = T>) -> Self {
+        Self {
+            parked: Mutex::new(items.into_iter().map(Box::new).collect()),
+            live: AtomicUsize::new(0),
+            high_water: AtomicUsize::new(0),
         }
     }
 
-    /// Number of buffers currently parked (for tests).
-    #[cfg(test)]
-    pub(crate) fn parked_count(&self) -> usize {
+    /// Leases an item: the most recently parked one, or a fresh `T::default()` when
+    /// none is parked.
+    pub fn checkout(&self) -> Lease<'_, T>
+    where
+        T: Default,
+    {
+        let item = self.parked.lock().pop().unwrap_or_default();
+        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
+        self.high_water.fetch_max(live, Ordering::Relaxed);
+        Lease {
+            pool: self,
+            item: Some(item),
+        }
+    }
+
+    /// Maximum number of simultaneously leased items ever observed.
+    pub fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::Relaxed)
+    }
+
+    /// Number of items currently parked (idle).
+    pub fn parked_count(&self) -> usize {
         self.parked.lock().len()
+    }
+
+    /// Sum of `measure` over the parked items.
+    pub fn parked_sum(&self, measure: impl Fn(&T) -> usize) -> usize {
+        self.parked.lock().iter().map(|item| measure(item)).sum()
+    }
+
+    /// Drops the parked items.
+    pub(crate) fn clear(&mut self) {
+        self.parked.get_mut().clear();
     }
 }
 
-impl fmt::Debug for WorkerScratchPool {
+impl<T> fmt::Debug for Pool<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerScratchPool")
-            .field("parked", &self.parked.lock().len())
+        f.debug_struct("Pool")
+            .field("parked", &self.parked_count())
+            .field("live", &self.live.load(Ordering::Relaxed))
+            .field("high_water", &self.high_water())
             .finish()
     }
 }
 
-/// A checked-out [`WorkerScratch`]; derefs to the buffer and parks it again on drop.
-pub(crate) struct WorkerLease<'a> {
-    pool: &'a WorkerScratchPool,
-    scratch: Option<Box<WorkerScratch>>,
+/// An item leased from a [`Pool`]; derefs to it and parks it again on drop.
+pub struct Lease<'a, T> {
+    pool: &'a Pool<T>,
+    item: Option<Box<T>>,
 }
 
-impl Deref for WorkerLease<'_> {
-    type Target = WorkerScratch;
-    fn deref(&self) -> &WorkerScratch {
-        self.scratch.as_deref().unwrap_or_else(|| unreachable!())
+impl<T> Deref for Lease<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.item.as_deref().unwrap_or_else(|| unreachable!())
     }
 }
 
-impl DerefMut for WorkerLease<'_> {
-    fn deref_mut(&mut self) -> &mut WorkerScratch {
-        self.scratch
-            .as_deref_mut()
-            .unwrap_or_else(|| unreachable!())
+impl<T> DerefMut for Lease<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.item.as_deref_mut().unwrap_or_else(|| unreachable!())
     }
 }
 
-impl Drop for WorkerLease<'_> {
+impl<T> Drop for Lease<'_, T> {
     fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            self.pool.parked.lock().push(scratch);
+        if let Some(item) = self.item.take() {
+            self.pool.live.fetch_sub(1, Ordering::Relaxed);
+            self.pool.parked.lock().push(item);
         }
     }
 }
@@ -315,12 +361,12 @@ pub struct HierarchyScratch {
     /// spans and bump counters without widening every signature.
     pub(crate) obs: obs::ObsHandle,
     /// Pool of per-worker buffers backing the parallel hot loops (see
-    /// [`WorkerScratchPool`]). Behind an `Arc` so phase code can clone a handle out
+    /// [`WorkerScratch`]). Behind an `Arc` so phase code can clone a handle out
     /// before mutably borrowing the rest of the arena (e.g. across
     /// [`crate::lp_rounds::drive_lp_rounds`]). Not part of [`Self::memory_bytes`]:
     /// like the thread-locals it replaces, the worker buffers are transient hot-loop
     /// state whose committed size the phases charge (estimated) per level.
-    pub(crate) workers: Arc<WorkerScratchPool>,
+    pub(crate) workers: Arc<Pool<WorkerScratch>>,
     /// Charge of the arena's buffers ([`Self::memory_bytes`]) against the global memory
     /// accounting.
     charge: MemoryScope<'static>,
@@ -349,16 +395,9 @@ impl HierarchyScratch {
             initial: InitialPartitioningScratch::default(),
             fm_candidates: Vec::new(),
             obs: obs::ObsHandle::noop(),
-            workers: Arc::new(WorkerScratchPool::default()),
+            workers: Arc::new(Pool::new()),
             charge: MemoryScope::charge_global(0),
         }
-    }
-
-    /// Detaches the run-scoped observability handles, restoring noop sinks. Called when
-    /// an engine parks the arena: a pooled arena must not keep the previous request's
-    /// recording sink (and its `Arc<Recorder>`) alive between requests.
-    pub(crate) fn reset_obs(&mut self) {
-        self.obs = obs::ObsHandle::noop();
     }
 
     /// Grows the LP worklist buffers (visit order, its chunk permutation, frontier
@@ -576,8 +615,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_checkout_parks_and_reuses_buffers() {
-        let pool = WorkerScratchPool::default();
+    fn a_lease_parks_on_drop_and_on_unwind_and_the_item_keeps_its_capacity() {
+        let pool: Pool<WorkerScratch> = Pool::new();
         {
             let mut a = pool.checkout();
             a.sort_keys.reserve(128);
@@ -585,13 +624,44 @@ mod tests {
             assert_eq!(pool.parked_count(), 0, "leases are live, nothing parked");
         }
         assert_eq!(pool.parked_count(), 2, "dropped leases park their buffers");
-        let c = pool.checkout();
-        let d = pool.checkout();
-        assert_eq!(pool.parked_count(), 0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _c = pool.checkout();
+            let _d = pool.checkout();
+            assert_eq!(pool.parked_count(), 0);
+            panic!("a task fails while holding two leases");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(pool.parked_count(), 2, "an unwinding lease parks as well");
+        assert_eq!(pool.high_water(), 2);
         assert!(
-            c.sort_keys.capacity() + d.sort_keys.capacity() >= 128,
+            pool.parked_sum(|scratch| scratch.sort_keys.capacity()) >= 128,
             "a reused buffer keeps its grown capacity"
         );
+    }
+
+    #[test]
+    fn high_water_is_the_largest_number_of_simultaneous_leases() {
+        let pool: Pool<Vec<u8>> = Pool::filled([vec![1], vec![2]]);
+        for _ in 0..3 {
+            drop(pool.checkout());
+        }
+        assert_eq!(pool.high_water(), 1, "sequential leases never overlap");
+        assert_eq!(pool.parked_count(), 2, "and build nothing new");
+        // All four threads hold a lease at the barrier; none is released before.
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let lease = pool.checkout();
+                    barrier.wait();
+                    drop(lease);
+                });
+            }
+        });
+        assert_eq!(pool.high_water(), 4);
+        assert_eq!(pool.parked_count(), 4, "two were parked, two were built");
+        drop(pool.checkout());
+        assert_eq!(pool.high_water(), 4, "the mark never falls");
     }
 
     #[test]

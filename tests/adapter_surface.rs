@@ -74,6 +74,19 @@ fn the_adapter_compiles_against_these<'g>(_: &'g dyn Graph, mut config: Partitio
     let _: fn(&Partition, &&'g dyn Graph, &[NodeId]) -> Partition = Partition::project;
     let _: fn(&Partition, &&'g dyn Graph) -> u64 = Partition::edge_cut_on;
     let _: fn(u64, usize, f64) -> u64 = Partition::compute_max_block_weight;
+
+    // The thread shim, as `adapter::in_pool` and `adapter::shim_call_costs_us` use it.
+    use rayon::prelude::*;
+    let pool: rayon::ThreadPool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("thread pool");
+    let _: (u32, u32) = pool.install(|| {
+        (0..1u32 << 16).into_par_iter().for_each(|i: u32| {
+            std::hint::black_box(i);
+        });
+        rayon::join(|| 1u32, || 2u32)
+    });
 }
 
 /// The route a caller with its own `PagedGraph` takes (the fault harness, with a

@@ -8,7 +8,11 @@
 use graph::store::{read_tpg_compressed, read_tpg_meta, stream_rgg2d_to_tpg};
 use graph::traits::Graph;
 use graph::MmapGraph;
-use terapart::{partition, partition_ondisk, HierarchyScratch, PartitionerConfig};
+use terapart::coarsening::rating_map::SparseRatingMap;
+use terapart::{
+    partition, partition_ondisk, CoarseningConfig, HierarchyScratch, LabelPropagationMode,
+    PartitionerConfig,
+};
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -26,6 +30,7 @@ fn global_counter_readers_run_alone_in_their_process() {
     mmap_view_accounts_its_mapping_and_agrees_with_materialized();
     reserve_commit_accounting_is_visible_globally();
     scratch_charge_is_released_on_drop();
+    baseline_lp_charges_one_rating_map_per_thread();
 }
 
 /// The tentpole acceptance test: a generated instance whose uncompressed CSR exceeds
@@ -132,4 +137,30 @@ fn scratch_charge_is_released_on_drop() {
         assert!(memtrack::global().current() >= before + scratch.memory_bytes());
     }
     assert!(memtrack::global().current() <= before + 64);
+}
+
+/// The KaMinPar-baseline LP keeps one O(n) rating map per thread (the paper's Figure 2
+/// culprit) and charges all of them, however the maps reach the threads: going from one
+/// thread to four adds exactly three maps to the clustering phase's auxiliary memory.
+fn baseline_lp_charges_one_rating_map_per_thread() {
+    let g = graph::gen::rgg2d(20_000, 8, 3);
+    let config = CoarseningConfig {
+        lp_mode: LabelPropagationMode::PerThreadRatingMaps,
+        ..CoarseningConfig::default()
+    };
+    let auxiliary_bytes = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let tracker = memtrack::PhaseTracker::new();
+        pool.install(|| {
+            tracker.run("cluster", 0, || {
+                terapart::coarsening::cluster(&g, &config, 16, 5)
+            })
+        });
+        tracker.reports()[0].auxiliary_bytes()
+    };
+    let one_map = SparseRatingMap::new(g.n()).memory_bytes();
+    assert_eq!(auxiliary_bytes(4) - auxiliary_bytes(1), 3 * one_map);
 }
