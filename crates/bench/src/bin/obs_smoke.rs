@@ -161,7 +161,9 @@ fn uncoarsening_proportion() {
 /// from recurring unnoticed.
 ///
 /// The same report shows, per level, how much of one-pass contraction's edge-array
-/// reservation (2m slots) was ever written (2m′): what is resident is the committed part.
+/// reservation (2m slots) was ever written (2m′): what is resident is the committed part;
+/// and why coarsening stalls: how many half-edges the cluster-weight limit still lets
+/// label propagation contract, and that a level with none runs no round.
 fn span_coverage_floor() -> f64 {
     let graph = gen::weblike(14, 12, 9);
     let config = PartitionerConfig::terapart(16).with_run_report(true);
@@ -193,6 +195,29 @@ fn span_coverage_floor() -> f64 {
         assert!(committed <= reserved);
         assert_eq!(committed, 2 * attr("coarse_edges"));
     }
+    for span in spans.iter().filter(|span| span.name == "cluster") {
+        let level = span.level.expect("a cluster span without a level");
+        let rounds = span
+            .children
+            .iter()
+            .filter(|c| c.name == "lp_round")
+            .count();
+        match (span.attr("contractible_half_edges"), span.attr("movable")) {
+            (Some(contractible), Some(movable)) => {
+                println!("cluster@{level}: {contractible} contractible half-edges, {movable} movable vertices, {rounds} rounds");
+                assert!(
+                    contractible > 0 || rounds == 0,
+                    "level {level} ran {rounds} rounds over no contractible edge"
+                );
+            }
+            // Unit weights: every edge is contractible and nothing was counted.
+            (None, None) => assert_eq!(level, 0, "a coarse level was not counted"),
+            _ => panic!("cluster@{level} carries one of its two attributes"),
+        }
+    }
+    let initial_fm_half_edges = report.counter(Counter::InitialFmHalfEdges);
+    println!("initial fm: {initial_fm_half_edges} half-edges flipped (rollbacks included)");
+    assert!(initial_fm_half_edges > 0);
     coverage
 }
 

@@ -63,6 +63,7 @@ counters! {
     (InitialFmPasses, "initial_fm_passes", Sum),
     (InitialFmMovesTried, "initial_fm_moves_tried", Sum),
     (InitialFmMovesKept, "initial_fm_moves_kept", Sum),
+    (InitialFmHalfEdges, "initial_fm_half_edges", Sum),
     // Paged store cache.
     (CacheHits, "cache_hits", Sum),
     (CacheMisses, "cache_misses", Sum),

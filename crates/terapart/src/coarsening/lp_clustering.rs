@@ -26,6 +26,17 @@
 //! (collect/shuffle/run/swap plus stop criteria) is the shared driver of
 //! `crate::lp_rounds`, instantiated here with the no-waiter semantics; the frontier
 //! bitsets and the visit-order buffer live in the reusable [`HierarchyScratch`] arena.
+//!
+//! What the rounds visit is bounded by what the size constraint still allows. An edge
+//! `(u, v)` is *contractible* if `w(u) + w(v) ≤ max_cluster_weight` and a vertex is
+//! *movable* if it has one; on a node-weighted graph (every coarse level) the movable
+//! vertices are found in one pass over the edges before round 0, round 0 starts from
+//! them, later frontiers are cut down to them, and a level without any returns the
+//! singleton clustering without a round. On R-MAT the dense core sits at the weight
+//! limit after one contraction (`weblike(15, 8)`, k = 64: 100 % / 9.2 % / 0.04 % / 0 % of
+//! the half-edges of levels 0–3 are contractible), so the later levels used to pay full
+//! rounds over vertices that could not move. The unit-weight input graph is "all
+//! movable" without a decode.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -277,6 +288,52 @@ fn apply_selection(
     moved
 }
 
+/// What the size constraint leaves label propagation to do on a node-weighted graph: an
+/// edge `(u, v)` is *contractible* if `w(u) + w(v) ≤ max_cluster_weight`, a vertex is
+/// *movable* if it has a contractible edge. Cluster weights are at least member weights,
+/// so a vertex without one can neither move nor be joined, in any round: it ends the
+/// clustering as the singleton it started as, visited or not.
+struct Movable {
+    /// One bit per vertex.
+    bits: AtomicBitset,
+    /// Number of movable vertices.
+    vertices: usize,
+    contractible_half_edges: u64,
+}
+
+impl Movable {
+    /// Counts the contractible half-edges of `graph` in one parallel pass over its
+    /// edges. `None` stands for "every vertex": unit weights under a limit of at least 2
+    /// make every edge contractible, so the (possibly compressed) input graph of level 0
+    /// is never decoded for this. Its isolated vertices are visited as before.
+    fn of(graph: &impl Graph, max_cluster_weight: NodeWeight) -> Option<Self> {
+        if !graph.is_node_weighted() && max_cluster_weight >= 2 {
+            return None;
+        }
+        let n = graph.n();
+        let mut bits = AtomicBitset::new();
+        bits.ensure_len(n);
+        let contractible_half_edges = AtomicU64::new(0);
+        bits.fill_with(n, |u| {
+            let u = u as NodeId;
+            let weight = graph.node_weight(u);
+            let mut contractible = 0u64;
+            graph.for_each_neighbor(u, &mut |v, _| {
+                contractible += u64::from(weight + graph.node_weight(v) <= max_cluster_weight);
+            });
+            if contractible > 0 {
+                contractible_half_edges.fetch_add(contractible, Ordering::Relaxed);
+            }
+            contractible > 0
+        });
+        Some(Self {
+            vertices: bits.count(n),
+            bits,
+            contractible_half_edges: contractible_half_edges.into_inner(),
+        })
+    }
+}
+
 /// Runs label propagation clustering on `graph` with freshly allocated scratch memory.
 /// Prefer [`cluster_with_scratch`] inside the multilevel pipeline.
 pub fn cluster(
@@ -295,6 +352,12 @@ pub fn cluster(
 /// The function must be called from within the partitioner's rayon thread pool (or any
 /// pool); it sizes its leased per-chunk state by `rayon::current_num_threads()`. The
 /// visit-order buffer and the frontier bitsets are reused from `scratch`.
+///
+/// Only movable vertices — those with an edge `(u, v)` such that `w(u) + w(v) ≤
+/// max_cluster_weight`, see the module docs — are ever visited: round 0 starts from
+/// them, every later frontier is cut down to them, and a graph without such an edge gets
+/// the singleton clustering without a round. (Full sweeps, `lp_frontier` off, still
+/// visit every vertex unless there is nothing to do at all.)
 pub fn cluster_with_scratch(
     graph: &impl Graph,
     config: &CoarseningConfig,
@@ -302,13 +365,30 @@ pub fn cluster_with_scratch(
     seed: u64,
     scratch: &mut HierarchyScratch,
 ) -> Clustering {
+    cluster_level(graph, config, max_cluster_weight, seed, scratch).0
+}
+
+/// [`cluster_with_scratch`], also handing back for the level's `cluster` span what it
+/// counted: `(contractible half-edges, movable vertices)`, `None` where every vertex is
+/// movable without a count.
+pub(crate) fn cluster_level(
+    graph: &impl Graph,
+    config: &CoarseningConfig,
+    max_cluster_weight: NodeWeight,
+    seed: u64,
+    scratch: &mut HierarchyScratch,
+) -> (Clustering, Option<(u64, usize)>) {
     let n = graph.n();
-    if n == 0 {
-        return Clustering {
-            label: Vec::new(),
-            num_clusters: 0,
-        };
+    let movable = Movable::of(graph, max_cluster_weight);
+    let counted = movable
+        .as_ref()
+        .map(|m| (m.contractible_half_edges, m.vertices));
+    if n == 0 || matches!(counted, Some((_, 0))) {
+        return (Clustering::singletons(n), counted);
     }
+    let _movable_scope =
+        MemoryScope::charge_global(movable.as_ref().map_or(0, |m| m.bits.memory_bytes()));
+    let start = movable.as_ref().map(|m| &m.bits);
     let state = ClusteringState::new(graph, max_cluster_weight);
     let _state_scope = MemoryScope::charge_global(state.memory_bytes());
     let num_threads = rayon::current_num_threads().max(1);
@@ -318,6 +398,8 @@ pub fn cluster_with_scratch(
     /// seeds, no waiters, stop on the first move-free round (the trait defaults).
     struct ClusteringRounds<'r> {
         seed: u64,
+        /// The movable vertices, where they are a counted subset.
+        movable: Option<&'r AtomicBitset>,
         run: &'r mut dyn FnMut(&[NodeId], Option<&AtomicBitset>) -> usize,
         /// Forwards the round's visit order to the graph's readahead hint (a no-op on
         /// in-memory representations).
@@ -340,6 +422,14 @@ pub fn cluster_with_scratch(
         fn prefetch_round(&mut self, order: &[NodeId]) {
             (self.prefetch)(order);
         }
+
+        fn after_round(&mut self, next_active: &AtomicBitset) {
+            // A move marks its whole neighbourhood; the neighbours that cannot move drop
+            // out here, one pass over n / 64 words, instead of being tested per mark.
+            if let Some(movable) = self.movable {
+                next_active.intersect_with(movable);
+            }
+        }
     }
     let prefetch = |order: &[NodeId]| graph.prefetch(order);
 
@@ -355,6 +445,7 @@ pub fn cluster_with_scratch(
             };
             let mut semantics = ClusteringRounds {
                 seed,
+                movable: start,
                 run: &mut run,
                 prefetch: &prefetch,
             };
@@ -362,7 +453,7 @@ pub fn cluster_with_scratch(
                 n,
                 config.lp_rounds,
                 use_frontier,
-                None,
+                start,
                 scratch,
                 &mut semantics,
             );
@@ -389,6 +480,7 @@ pub fn cluster_with_scratch(
             };
             let mut semantics = ClusteringRounds {
                 seed,
+                movable: start,
                 run: &mut run,
                 prefetch: &prefetch,
             };
@@ -396,14 +488,14 @@ pub fn cluster_with_scratch(
                 n,
                 config.lp_rounds,
                 use_frontier,
-                None,
+                start,
                 scratch,
                 &mut semantics,
             );
         }
     }
 
-    state.into_clustering()
+    (state.into_clustering(), counted)
 }
 
 /// One round of the original algorithm: every running chunk holds a full sparse rating
@@ -728,6 +820,49 @@ mod tests {
             a.num_clusters,
             b.num_clusters
         );
+    }
+
+    #[test]
+    fn a_graph_without_a_contractible_edge_runs_no_round() {
+        // Every weight is at least 1, so no two vertices fit under a limit of 1.
+        let g = gen::with_random_node_weights(&gen::rgg2d(600, 8, 5), 4, 11);
+        for (lp_mode, lp_frontier) in [
+            (LabelPropagationMode::TwoPhase, true),
+            (LabelPropagationMode::TwoPhase, false),
+            (LabelPropagationMode::PerThreadRatingMaps, true),
+            (LabelPropagationMode::PerThreadRatingMaps, false),
+        ] {
+            let config = CoarseningConfig {
+                lp_mode,
+                lp_frontier,
+                ..Default::default()
+            };
+            let mut scratch = HierarchyScratch::new();
+            let (obs, recorder) = obs::ObsHandle::recording();
+            scratch.obs = obs;
+            let (clustering, counted) = cluster_level(&g, &config, 1, 3, &mut scratch);
+            assert_eq!(counted, Some((0, 0)));
+            assert_eq!(clustering, Clustering::singletons(g.n()));
+            assert_eq!(recorder.metrics().get(obs::Counter::LpClusterRounds), 0);
+
+            // The same graph under a limit that admits some edges does run rounds.
+            let (clustering, counted) = cluster_level(&g, &config, 4, 3, &mut scratch);
+            let (half_edges, movable) = counted.expect("a node-weighted graph is counted");
+            assert!(half_edges > 0 && half_edges < 2 * g.m() as u64);
+            assert!(movable > 0 && movable < g.n());
+            assert!(clustering.num_clusters < g.n());
+            assert!(recorder.metrics().get(obs::Counter::LpClusterRounds) > 0);
+            check_invariants(&g, &clustering, 4);
+        }
+    }
+
+    #[test]
+    fn unit_weights_are_all_movable_without_a_count() {
+        let g = gen::rgg2d(600, 8, 5);
+        assert!(Movable::of(&g, 2).is_none());
+        // Under a limit of 1 nothing fits, and the count says so.
+        let nothing = Movable::of(&g, 1).expect("counted");
+        assert_eq!((nothing.vertices, nothing.contractible_half_edges), (0, 0));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use memtrack::{MemoryScope, PhaseTracker};
 use obs::{Counter, ProgressEvent, SpanKind};
 
 use crate::context::{ContractionAlgorithm, PartitionerConfig};
-use crate::partitioner::obs_phase;
+use crate::partitioner::{obs_phase, obs_phase_with};
 use crate::scratch::HierarchyScratch;
 
 /// One level of the multilevel hierarchy.
@@ -151,8 +151,9 @@ fn coarsen_level(
     let mut level_span = obs.span_at(SpanKind::Level, "coarsen_level", level as u64);
     level_span.attr("fine_nodes", n as u64);
     let shrinks = |c: &Clustering| c.num_clusters as f64 <= coarsening.min_shrink_factor * n as f64;
-    let clustering = obs_phase(&obs, tracker, "cluster", level, || {
-        let mut c = lp_clustering::cluster_with_scratch(graph, coarsening, limit, seed, scratch);
+    let cluster = || {
+        let (mut c, counted) =
+            lp_clustering::cluster_level(graph, coarsening, limit, seed, scratch);
         if coarsening.two_hop_clustering && c.num_clusters > n / TWO_HOP_DIVISOR {
             // Packing isolated vertices is free of cut; matching singletons that merely
             // share a neighbour is not, and waits until the level would be given up.
@@ -161,8 +162,18 @@ fn coarsen_level(
                 two_hop_clustering_with_scratch(graph, &mut c, limit, scratch);
             }
         }
-        c
-    });
+        (c, counted)
+    };
+    // Why a level stalls is on its span: how much the weight limit left LP to contract
+    // (absent where every edge is contractible without a count).
+    let annotate = |(_, counted): &(Clustering, Option<(u64, usize)>),
+                    span: &mut obs::SpanGuard| {
+        if let Some((contractible_half_edges, movable)) = *counted {
+            span.attr("contractible_half_edges", contractible_half_edges);
+            span.attr("movable", movable as u64);
+        }
+    };
+    let (clustering, _) = obs_phase_with(&obs, tracker, "cluster", level, cluster, annotate);
     if !shrinks(&clustering) {
         return None;
     }

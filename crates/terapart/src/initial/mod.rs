@@ -243,6 +243,7 @@ impl<'s> Portfolio<'_, 's> {
                 (obs::Counter::InitialFmPasses, ws.fm.passes),
                 (obs::Counter::InitialFmMovesTried, ws.fm.moves_tried),
                 (obs::Counter::InitialFmMovesKept, ws.fm.moves_kept),
+                (obs::Counter::InitialFmHalfEdges, ws.fm.half_edges),
             ] {
                 self.obs.add(counter, value);
             }

@@ -153,7 +153,7 @@ pub(crate) fn obs_phase<T>(
 }
 
 /// [`obs_phase`] whose span also carries what `annotate` reads off the phase's result.
-fn obs_phase_with<T>(
+pub(crate) fn obs_phase_with<T>(
     obs: &ObsHandle,
     tracker: &PhaseTracker,
     name: &'static str,

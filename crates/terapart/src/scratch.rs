@@ -104,6 +104,17 @@ impl AtomicBitset {
         }
     }
 
+    /// Clears every bit that is not set in `other`, over the words `other` holds. Not for
+    /// use while bits are being set.
+    pub fn intersect_with(&self, other: &AtomicBitset) {
+        for (word, mask) in self.words.iter().zip(&other.words) {
+            word.store(
+                word.load(Ordering::Relaxed) & mask.load(Ordering::Relaxed),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
     /// Overwrites the first `bits` bits with `bit(i)`, whole words at a time, in parallel.
     pub fn fill_with(&self, bits: usize, bit: impl Fn(usize) -> bool + Sync) {
         const WORDS_PER_TASK: usize = 64;
@@ -578,6 +589,24 @@ mod tests {
         out.clear();
         bs.collect_range_into(64, 131, &mut out);
         assert_eq!(out, vec![100, 130]);
+    }
+
+    #[test]
+    fn bitset_intersection_clears_what_the_other_lacks() {
+        let (mut a, mut b) = (AtomicBitset::new(), AtomicBitset::new());
+        a.ensure_len(256);
+        b.ensure_len(128);
+        for i in [3, 64, 100, 127, 200] {
+            a.set(i);
+        }
+        for i in [3, 100, 101] {
+            b.set(i);
+        }
+        a.intersect_with(&b);
+        let mut out = Vec::new();
+        a.collect_range_into(0, 256, &mut out);
+        // Bit 200 lies beyond the words `b` holds.
+        assert_eq!(out, vec![3, 100, 200]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! What the work-bound tests (`fm_work_bound`, `initial_fm_work_bound`,
-//! `uncoarsening_work_bound`) share: a graph wrapper that counts neighbourhood decodes, and
-//! the instance the two FM tests run on.
+//! `uncoarsening_work_bound`, the clustering ones of `pipeline_integration`) share: a graph
+//! wrapper that counts neighbourhood decodes, and the instance the two FM tests run on.
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use graph::traits::Graph;
@@ -42,6 +42,7 @@ impl CountingGraph {
     /// The `count` largest degrees summed, each vertex counted at most `repeats` times:
     /// an upper bound on `Σ deg(moved)` for `count` moves in `repeats` passes, which
     /// the refiners do not report themselves.
+    #[allow(dead_code)] // not every test binary bounds a sum of degrees
     pub fn largest_degrees(&self, count: usize, repeats: usize) -> u64 {
         let mut degrees: Vec<u64> = (0..self.n() as NodeId)
             .map(|u| self.degree(u) as u64)
@@ -82,6 +83,12 @@ impl Graph for CountingGraph {
     }
     fn weighted_degree(&self, u: NodeId) -> EdgeWeight {
         self.weighted_degrees[u as usize]
+    }
+    fn is_edge_weighted(&self) -> bool {
+        self.inner.is_edge_weighted()
+    }
+    fn is_node_weighted(&self) -> bool {
+        self.inner.is_node_weighted()
     }
 }
 

@@ -1,8 +1,15 @@
 //! Cross-crate integration tests: the full partitioning pipeline exercised through the
 //! public APIs of the graph, terapart and memtrack crates together.
+mod common;
+
+use common::CountingGraph;
 use graph::traits::Graph;
-use graph::{gen, CompressedGraph, CompressionConfig};
-use terapart::{partition, partition_csr, PartitionerConfig};
+use graph::{gen, CompressedGraph, CompressionConfig, CsrGraphBuilder, NodeId};
+use proptest::prelude::*;
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
+use terapart::coarsening::cluster;
+use terapart::{partition, partition_csr, CoarseningConfig, PartitionerConfig};
 
 /// Every configuration preset produces a complete, balanced partition whose cut is far
 /// below the expected cut of a random partition.
@@ -166,4 +173,71 @@ fn distributed_partitioner_matches_shared_memory_quality_class() {
         dist.edge_cut,
         shared.edge_cut
     );
+}
+
+fn one_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+    pool.expect("a one-thread pool").install(f)
+}
+
+/// On the unit-weight input graph every edge is contractible, which label propagation
+/// knows without looking: clustering decodes exactly the half-edges its rounds visit and
+/// its moves mark — the count of the commit before the movable set existed (it pins the
+/// visit order as a golden cut does).
+#[test]
+fn clustering_a_unit_weight_graph_decodes_nothing_to_find_its_movable_vertices() {
+    let graph = CountingGraph::new(gen::rgg2d(4_000, 8, 3));
+    assert!(!graph.is_node_weighted());
+    let clustering = one_thread(|| cluster(&graph, &CoarseningConfig::default(), 16, 7));
+    assert!(clustering.num_clusters < graph.n() / 2);
+    // A count over the edges would have added 2m = 31 318 to it.
+    assert_eq!(graph.half_edges(), 121_336);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    // A vertex without a contractible edge (`w(u) + w(v) > limit` for every neighbour
+    // `v`) costs one decode — the count that finds it — and ends as the singleton it
+    // started as; everything else is clustered within the limit.
+    #[test]
+    fn prop_clustering_never_visits_a_vertex_without_a_contractible_edge(
+        n in 8usize..200,
+        avg_degree in 1usize..8,
+        limit in 2u64..14,
+        frontier in proptest::bool::ANY,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut builder =
+            CsrGraphBuilder::with_node_weights((0..n).map(|_| rng.gen_range(1..=9)).collect());
+        for _ in 0..n * avg_degree / 2 {
+            let (u, v) = (rng.gen_range(0..n as NodeId), rng.gen_range(0..n as NodeId));
+            builder.add_edge(u, v, rng.gen_range(1..=5)); // ignores self-loops
+        }
+        let graph = CountingGraph::new(builder.build());
+        let config = CoarseningConfig { lp_frontier: frontier, ..Default::default() };
+        let clustering = one_thread(|| cluster(&graph, &config, limit, seed));
+
+        let movable = |u: NodeId| {
+            let fits = |&(v, _): &(NodeId, u64)| graph.node_weight(u) + graph.node_weight(v) <= limit;
+            graph.neighbors_vec(u).iter().any(fits)
+        };
+        let weights = clustering.cluster_weights(&graph);
+        prop_assert_eq!(weights.iter().sum::<u64>(), graph.total_node_weight());
+        let mut sizes = vec![0usize; n];
+        for &label in &clustering.label {
+            sizes[label as usize] += 1;
+        }
+        for u in 0..n as NodeId {
+            let label = clustering.label[u as usize] as usize;
+            prop_assert!(weights[label] <= limit || sizes[label] == 1);
+            // One call is `movable`'s own, just above.
+            if !movable(u) {
+                prop_assert_eq!((label, sizes[label]), (u as usize, 1));
+                if frontier {
+                    prop_assert_eq!(graph.calls(u), 2, "vertex {} was visited", u);
+                }
+            }
+        }
+    }
 }
