@@ -100,7 +100,6 @@ pub fn mtmetis_partition(graph: &CsrGraph, k: usize, epsilon: f64, seed: u64) ->
     let config = InitialPartitioningConfig {
         attempts: 3,
         fm_passes: 3,
-        seed,
         ..InitialPartitioningConfig::default()
     };
     let mut partition = initial_partition(&current, k, epsilon, &config, seed);

@@ -213,7 +213,6 @@ pub fn sem_partition(graph: &CsrGraph, k: usize, epsilon: f64, seed: u64) -> Bas
     let config = InitialPartitioningConfig {
         attempts: 3,
         fm_passes: 3,
-        seed,
         ..InitialPartitioningConfig::default()
     };
     let coarse_partition = if coarse.n() > 30 * k {

@@ -1,6 +1,10 @@
 //! Table II: TeraPart-LP vs TeraPart-FM on the huge web-like graphs of Set B (k = 64):
 //! cut, time and memory. Expected shape: FM reduces the cut (factor ~0.87–0.96 in the
 //! paper) at the cost of more time and memory.
+//!
+//! One thread, so that both rows of a graph are deterministic and differ by what FM does
+//! alone: at two threads parallel LP makes two runs of the *same* configuration differ by
+//! ±5 % on `uk-like`, more than FM gains there.
 use bench::{benchmark_set_b, measure_run};
 use graph::traits::Graph;
 use terapart::PartitionerConfig;
@@ -17,13 +21,13 @@ fn main() {
             instance.name,
             "TeraPart-LP",
             &instance.graph,
-            &PartitionerConfig::terapart(k).with_threads(2),
+            &PartitionerConfig::terapart(k).with_threads(1),
         );
         let fm = measure_run(
             instance.name,
             "TeraPart-FM",
             &instance.graph,
-            &PartitionerConfig::terapart_fm(k).with_threads(2),
+            &PartitionerConfig::terapart_fm(k).with_threads(1),
         );
         let total_edges = instance.graph.m() as f64;
         println!(

@@ -44,4 +44,4 @@ pub use metrics::{Counter, CounterKind, MetricsRegistry};
 pub use progress::{ProgressEvent, ProgressHook};
 pub use recorder::Recorder;
 pub use report::{ReportSpan, RunReport, SpanRecord};
-pub use sink::{NoopSink, ObsHandle, ObsSink, SpanGuard, SpanKind};
+pub use sink::{ObsHandle, SpanGuard, SpanKind};

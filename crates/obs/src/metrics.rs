@@ -48,7 +48,7 @@ counters! {
     (LpRefineRounds, "lp_refine_rounds", Sum),
     (LpRefineMoves, "lp_refine_moves", Sum),
     (LpRefineVisited, "lp_refine_visited", Sum),
-    // FM refinement (batched and priority-queue k-way).
+    // k-way FM refinement.
     (FmPasses, "fm_passes", Sum),
     (FmGainQueries, "fm_gain_queries", Sum),
     (FmMovesTried, "fm_moves_tried", Sum),

@@ -1,4 +1,4 @@
-//! The default recording sink.
+//! The recording sink.
 //!
 //! Span nesting is tracked on a thread-local stack (spans are emitted by the pipeline
 //! driver thread, so parent/child relationships are well-defined without any global
@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::report::{RunReport, SpanRecord};
-use crate::sink::{ObsSink, SpanKind};
+use crate::sink::SpanKind;
 
 struct OpenFrame {
     recorder: usize,
@@ -84,8 +84,11 @@ impl Recorder {
     }
 }
 
-impl ObsSink for Recorder {
-    fn span_begin(&self, kind: SpanKind, name: &'static str, level: Option<u64>) -> u64 {
+/// What an [`ObsHandle`](crate::ObsHandle) and its spans record through.
+impl Recorder {
+    /// Starts a span; returns an id to pass to [`span_end`](Self::span_end). `level` is
+    /// the hierarchy level (or round index) when meaningful.
+    pub(crate) fn span_begin(&self, kind: SpanKind, name: &'static str, level: Option<u64>) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let start_ns = self.now_ns();
         let token = self.token();
@@ -109,7 +112,8 @@ impl ObsSink for Recorder {
         id
     }
 
-    fn span_end(&self, id: u64, attrs: &[(&'static str, u64)]) {
+    /// Ends the span `id` with its accumulated attributes.
+    pub(crate) fn span_end(&self, id: u64, attrs: &[(&'static str, u64)]) {
         let end_ns = self.now_ns();
         let token = self.token();
         let frame = SPAN_STACK.with(|stack| {
@@ -134,11 +138,13 @@ impl ObsSink for Recorder {
         });
     }
 
-    fn counter_add(&self, counter: Counter, delta: u64) {
+    /// Adds to a sum counter.
+    pub(crate) fn counter_add(&self, counter: Counter, delta: u64) {
         self.metrics.add(counter, delta);
     }
 
-    fn gauge_max(&self, counter: Counter, value: u64) {
+    /// Raises a max gauge.
+    pub(crate) fn gauge_max(&self, counter: Counter, value: u64) {
         self.metrics.record_max(counter, value);
     }
 }

@@ -1,5 +1,5 @@
-//! The recording seam: [`ObsSink`] trait, the zero-cost [`NoopSink`], the cloneable
-//! [`ObsHandle`] threaded through the pipeline, and the RAII [`SpanGuard`].
+//! The recording seam: the cloneable [`ObsHandle`] threaded through the pipeline — a
+//! [`Recorder`] or nothing — and the RAII [`SpanGuard`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -32,46 +32,14 @@ impl SpanKind {
     }
 }
 
-/// Where observations go. The pipeline never talks to a sink directly — it goes
-/// through [`ObsHandle`], whose disabled state skips the virtual call entirely.
-pub trait ObsSink: Send + Sync + fmt::Debug {
-    /// Starts a span; returns an id to pass to [`span_end`](ObsSink::span_end).
-    /// `level` is the hierarchy level (or round index) when meaningful.
-    fn span_begin(&self, kind: SpanKind, name: &'static str, level: Option<u64>) -> u64;
-
-    /// Ends the span `id` with its accumulated attributes.
-    fn span_end(&self, id: u64, attrs: &[(&'static str, u64)]);
-
-    /// Adds to a sum counter.
-    fn counter_add(&self, counter: Counter, delta: u64);
-
-    /// Raises a max gauge.
-    fn gauge_max(&self, counter: Counter, value: u64);
-}
-
-/// A sink that drops everything. Exists for the trait contract and for tests; the
-/// pipeline's fast path is the *absent* sink inside [`ObsHandle::noop`], which skips
-/// even the dynamic dispatch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl ObsSink for NoopSink {
-    fn span_begin(&self, _kind: SpanKind, _name: &'static str, _level: Option<u64>) -> u64 {
-        0
-    }
-    fn span_end(&self, _id: u64, _attrs: &[(&'static str, u64)]) {}
-    fn counter_add(&self, _counter: Counter, _delta: u64) {}
-    fn gauge_max(&self, _counter: Counter, _value: u64) {}
-}
-
 /// Cheap cloneable entry point to the observability layer.
 ///
 /// The default/noop handle holds `None` — one pointer-sized word, no allocation —
 /// and every operation through it is a branch that the optimizer folds away. A
-/// recording handle holds an `Arc` to a [`Recorder`] (or any custom [`ObsSink`]).
+/// recording handle holds an `Arc` to its [`Recorder`].
 #[derive(Clone, Default)]
 pub struct ObsHandle {
-    sink: Option<Arc<dyn ObsSink>>,
+    sink: Option<Arc<Recorder>>,
 }
 
 impl fmt::Debug for ObsHandle {
@@ -98,11 +66,6 @@ impl ObsHandle {
             },
             recorder,
         )
-    }
-
-    /// A handle over a custom sink.
-    pub fn from_sink(sink: Arc<dyn ObsSink>) -> Self {
-        Self { sink: Some(sink) }
     }
 
     /// Whether observations are recorded at all.
@@ -151,9 +114,9 @@ impl ObsHandle {
 }
 
 /// RAII guard for an open span. Attributes attached via [`attr`](SpanGuard::attr)
-/// are delivered to the sink when the guard drops.
+/// are delivered to the recorder when the guard drops.
 pub struct SpanGuard {
-    sink: Option<Arc<dyn ObsSink>>,
+    sink: Option<Arc<Recorder>>,
     id: u64,
     attrs: Vec<(&'static str, u64)>,
 }
@@ -208,17 +171,7 @@ mod tests {
     fn noop_handle_is_pointer_sized() {
         assert_eq!(
             std::mem::size_of::<ObsHandle>(),
-            std::mem::size_of::<Option<Arc<dyn ObsSink>>>()
+            std::mem::size_of::<usize>()
         );
-    }
-
-    #[test]
-    fn noop_sink_satisfies_the_trait() {
-        let obs = ObsHandle::from_sink(Arc::new(NoopSink));
-        assert!(obs.is_enabled());
-        let mut span = obs.span_at(SpanKind::Phase, "cluster", 3);
-        span.attr("moves", 1);
-        drop(span);
-        obs.add(Counter::FmPasses, 1);
     }
 }

@@ -75,6 +75,10 @@ pub fn max_cluster_weight(
 /// `n / 2` clusters (KaMinPar's threshold): a level that halves is not stalling.
 const TWO_HOP_DIVISOR: usize = 2;
 
+/// Coarsening stops at a level whose clustering leaves more than this fraction of the
+/// vertices as clusters: contracting it would cost a coarse graph and gain next to nothing.
+pub const MIN_SHRINK_FACTOR: f64 = 0.95;
+
 /// Runs the full coarsening stage on `graph` with freshly allocated scratch memory.
 /// Prefer [`coarsen_with_scratch`] when the caller owns an arena for the whole run.
 pub fn coarsen(
@@ -150,7 +154,7 @@ fn coarsen_level(
     let obs = scratch.obs.clone();
     let mut level_span = obs.span_at(SpanKind::Level, "coarsen_level", level as u64);
     level_span.attr("fine_nodes", n as u64);
-    let shrinks = |c: &Clustering| c.num_clusters as f64 <= coarsening.min_shrink_factor * n as f64;
+    let shrinks = |c: &Clustering| c.num_clusters as f64 <= MIN_SHRINK_FACTOR * n as f64;
     let cluster = || {
         let (mut c, counted) =
             lp_clustering::cluster_level(graph, coarsening, limit, seed, scratch);

@@ -10,8 +10,8 @@
 //! * [`PartitionerConfig::kaminpar_two_phase_lp`] — + two-phase label propagation.
 //! * [`PartitionerConfig::kaminpar_compressed`] — + graph compression.
 //! * [`PartitionerConfig::terapart`] — + one-pass contraction (the full TeraPart).
-//! * [`PartitionerConfig::terapart_fm`] — TeraPart with parallel FM refinement and the
-//!   space-efficient gain table (TeraPart-FM in the paper).
+//! * [`PartitionerConfig::terapart_fm`] — TeraPart with k-way FM refinement on the
+//!   space-efficient gain table (TeraPart-FM in the paper; also [`Preset::Default`]).
 
 /// How the label propagation clustering allocates its rating maps (paper §IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +55,10 @@ pub enum GainTableKind {
 pub enum RefinementAlgorithm {
     /// Size-constrained label propagation refinement (KaMinPar default, TeraPart-LP).
     LabelPropagation,
-    /// Label propagation followed by parallel batched FM refinement (TeraPart-FM):
-    /// positive-gain boundary moves collected in parallel and applied in gain order.
-    FmWithLabelPropagation,
-    /// Label propagation followed by priority-queue k-way FM
-    /// ([`kway_fm`](crate::refinement::kway_fm)): the classic FM discipline over all
-    /// `k` blocks with hill climbing and rollback to the best move prefix. Higher
-    /// quality than the batched scheme at some extra cost; deterministic at any
-    /// thread count.
+    /// Label propagation followed by k-way FM
+    /// ([`kway_fm`](crate::refinement::kway_fm), TeraPart-FM): the FM discipline over all
+    /// `k` blocks with hill climbing and rollback to the best move prefix, on the §V
+    /// gain tables. Deterministic at any thread count.
     KWayFmWithLabelPropagation,
 }
 
@@ -95,8 +91,6 @@ pub struct CoarseningConfig {
     pub bump_threshold: usize,
     /// Coarsening stops once the graph has at most `contraction_limit · k` vertices.
     pub contraction_limit: usize,
-    /// Coarsening also stops when a level shrinks by less than this factor.
-    pub min_shrink_factor: f64,
     /// Enable two-hop cluster matching for irregular graphs that barely shrink.
     pub two_hop_clustering: bool,
     /// Maximum cluster weight as a fraction of the average block weight. KaMinPar uses
@@ -118,7 +112,6 @@ impl Default for CoarseningConfig {
             lp_rounds: 5,
             bump_threshold: 256,
             contraction_limit: 40,
-            min_shrink_factor: 0.95,
             two_hop_clustering: true,
             max_cluster_weight_fraction: 1.0,
             lp_frontier: true,
@@ -139,18 +132,12 @@ pub struct InitialPartitioningConfig {
     /// Number of 2-way FM passes applied to each bisection attempt (each pass stops
     /// early once it cannot improve the cut).
     pub fm_passes: usize,
-    /// Base seed used when the stage is configured standalone (e.g. by experiment
-    /// binaries). Inside the multilevel pipeline the driver passes
-    /// [`PartitionerConfig::seed`] instead, so one seed controls the whole run.
-    pub seed: u64,
-    /// Run the two child recursions of each bisection and the independent portfolio
-    /// attempts in parallel (task parallelism via the rayon shim's `join`). Results are
-    /// bit-identical for a fixed seed at any thread count, because every subtree's RNG
-    /// stream is derived from the seed path rather than from scheduling.
-    pub parallel: bool,
-    /// Minimum subgraph size (in vertices) for forking a parallel task; smaller
-    /// bisections and their portfolios run sequentially on the current thread, since
-    /// task-spawn overhead would dwarf the work. Has no effect on results.
+    /// Minimum subgraph size (in vertices) for running the two child recursions of a
+    /// bisection, and its independent portfolio attempts, as parallel tasks (the rayon
+    /// shim's `join`); smaller bisections run sequentially on the current thread, since
+    /// task-spawn overhead would dwarf the work. Has no effect on results: every
+    /// subtree's RNG stream is derived from the seed path rather than from scheduling,
+    /// so a fixed seed gives a bit-identical partition at any thread count.
     pub parallel_grain: usize,
 }
 
@@ -159,8 +146,6 @@ impl Default for InitialPartitioningConfig {
         Self {
             attempts: 4,
             fm_passes: 3,
-            seed: 1,
-            parallel: true,
             parallel_grain: 1024,
         }
     }
@@ -177,15 +162,11 @@ pub struct RefinementConfig {
     pub lp_rounds: usize,
     /// Number of FM passes per level.
     pub fm_passes: usize,
-    /// FM only inspects moves for boundary vertices; this caps the fraction of vertices
-    /// processed per pass as a safeguard on degenerate instances.
-    pub fm_fraction: f64,
     /// Frontier-driven LP refinement rounds: after the full first round, only vertices
     /// whose neighbourhood changed are revisited. Disable for full-sweep rounds.
     pub lp_frontier: bool,
-    /// Priority-queue k-way FM only: how many consecutive moves without a new best
-    /// prefix a pass tolerates before it stops hill climbing (the rolled-back tail is
-    /// bounded by this).
+    /// How many consecutive moves without a new best prefix an FM pass tolerates before
+    /// it stops hill climbing (the rolled-back tail is bounded by this).
     pub fm_adverse_limit: usize,
 }
 
@@ -196,7 +177,6 @@ impl Default for RefinementConfig {
             gain_table: GainTableKind::Sparse,
             lp_rounds: 5,
             fm_passes: 2,
-            fm_fraction: 1.0,
             lp_frontier: true,
             fm_adverse_limit: 64,
         }
@@ -213,8 +193,8 @@ impl Default for RefinementConfig {
 pub struct ObsConfig {
     /// Record spans and counters into an [`obs::Recorder`] and attach the resulting
     /// [`obs::RunReport`] to the [`PartitionResult`](crate::partitioner::PartitionResult).
-    /// When `false` (the default) the pipeline runs against [`obs::NoopSink`], which
-    /// allocates nothing and compiles down to a branch on a `None`.
+    /// When `false` (the default) the pipeline runs against [`obs::ObsHandle::noop`],
+    /// which allocates nothing and compiles down to a branch on a `None`.
     pub record: bool,
     /// Also export the recorded spans as a Chrome trace-event JSON file (implies
     /// `record`). Load it at `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -325,11 +305,11 @@ impl PartitionerConfig {
         config
     }
 
-    /// TeraPart with parallel FM refinement and the space-efficient gain table
-    /// (TeraPart-FM in the paper).
+    /// TeraPart with k-way FM refinement after label propagation, on the
+    /// space-efficient gain table (TeraPart-FM in the paper, §V).
     pub fn terapart_fm(k: usize) -> Self {
         let mut config = Self::terapart(k);
-        config.refinement.algorithm = RefinementAlgorithm::FmWithLabelPropagation;
+        config.refinement.algorithm = RefinementAlgorithm::KWayFmWithLabelPropagation;
         config.refinement.gain_table = GainTableKind::Sparse;
         config
     }
@@ -339,12 +319,7 @@ impl PartitionerConfig {
     pub fn preset(preset: Preset, k: usize) -> Self {
         match preset {
             Preset::Fast => Self::terapart(k),
-            Preset::Default => {
-                let mut config = Self::terapart(k);
-                config.refinement.algorithm = RefinementAlgorithm::KWayFmWithLabelPropagation;
-                config.refinement.gain_table = GainTableKind::Sparse;
-                config
-            }
+            Preset::Default => Self::terapart_fm(k),
             Preset::Strong => {
                 let mut config = Self::preset(Preset::Default, k);
                 // Full-sweep LP rounds: revisit every vertex each round instead of
@@ -461,8 +436,9 @@ pub enum Preset {
     /// Today's frontier-driven TeraPart-LP pipeline: frontier LP clustering and
     /// refinement, label propagation refinement only. Fastest, coarsest cuts.
     Fast,
-    /// Frontier LP plus priority-queue k-way FM refinement with the space-efficient
-    /// gain table. The recommended balance of quality and speed.
+    /// TeraPart-FM ([`PartitionerConfig::terapart_fm`]): frontier LP plus k-way FM
+    /// refinement with the space-efficient gain table. The recommended balance of
+    /// quality and speed.
     Default,
     /// Full-sweep LP rounds, the degree-scaled advanced-coarsening edge rating
     /// ([`EdgeRating::DegreeScaled`], per Safro et al.), more LP rounds, more k-way FM
@@ -537,7 +513,7 @@ mod tests {
         let fm = PartitionerConfig::terapart_fm(16);
         assert_eq!(
             fm.refinement.algorithm,
-            RefinementAlgorithm::FmWithLabelPropagation
+            RefinementAlgorithm::KWayFmWithLabelPropagation
         );
         assert_eq!(fm.refinement.gain_table, GainTableKind::Sparse);
     }
@@ -572,11 +548,7 @@ mod tests {
         );
 
         let default = PartitionerConfig::preset(Preset::Default, 8);
-        assert_eq!(
-            default.refinement.algorithm,
-            RefinementAlgorithm::KWayFmWithLabelPropagation
-        );
-        assert_eq!(default.refinement.gain_table, GainTableKind::Sparse);
+        assert_eq!(default, PartitionerConfig::terapart_fm(8));
         assert!(default.coarsening.lp_frontier, "default keeps frontier LP");
 
         let strong = PartitionerConfig::preset(Preset::Strong, 8);

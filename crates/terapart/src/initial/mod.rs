@@ -96,7 +96,7 @@ pub fn initial_partition_with_scratch(
 
 /// Whether a task over `len` vertices is worth a parallel fork under `config`.
 fn should_fork(config: &InitialPartitioningConfig, len: usize) -> bool {
-    config.parallel && len >= config.parallel_grain && rayon::current_num_threads() > 1
+    len >= config.parallel_grain && rayon::current_num_threads() > 1
 }
 
 /// What every node of one request's bisection tree shares.

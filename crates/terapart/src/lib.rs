@@ -58,6 +58,7 @@ pub mod context;
 pub mod dual_counter;
 pub mod engine;
 pub mod error;
+pub(crate) mod heap;
 pub mod initial;
 pub(crate) mod lp_rounds;
 pub mod partition;

@@ -1,28 +1,28 @@
-//! Priority-queue k-way FM refinement (the classic FM discipline on top of the
-//! paper's gain tables).
+//! K-way FM refinement: the Fiduccia–Mattheyses local search over all `k` blocks on
+//! top of the paper's gain tables (§V) — the FM of TeraPart-FM and of the `default` /
+//! `strong` presets, and the only FM refiner of the crate.
 //!
-//! [`fm`](super::fm) applies only positive-gain moves in batched passes; this module is
-//! the full Fiduccia–Mattheyses local search over all `k` blocks: a max-heap of
-//! `(gain, vertex, target)` candidates drives the move order, moves with *negative* gain
-//! are allowed (hill climbing) and the pass is rolled back to the best prefix seen, so
-//! the search escapes local minima the batched scheme cannot leave. Gains come from the
-//! same [`GainCache`] variants as the batched path (none / dense `O(nk)` / sparse
-//! `O(m)`, paper §V) and are maintained incrementally after every move exactly like the
-//! 2-way FM of the initial partitioner ([`crate::initial::bipartition`]): moving `u`
-//! bumps the stamp of each neighbour and re-inserts its best feasible move, and stale
-//! heap entries are rejected by their stamp.
+//! A pass queues every vertex that has a feasible move under its best one, keyed by
+//! gain, and pops them in gain order. Moves with *negative* gain are allowed (hill
+//! climbing) and the pass is rolled back to the best prefix seen, so the search leaves
+//! local minima that a positive-gain-only scheme — label propagation — is stuck in.
+//! Gains come from a [`GainCache`] (none / dense `O(nk)` / sparse `O(m)`) and are
+//! maintained incrementally after every move. The queue is the crate's one
+//! `AddressableMaxHeap`, shared with the 2-way FM of the initial partitioner
+//! ([`crate::initial::bipartition`]): a vertex is in it at most once, so it never holds
+//! more than `n` entries; moving `u` re-keys each unlocked neighbour under its new best
+//! move, or takes it out when it has none left.
 //!
 //! # Determinism
 //!
 //! The candidate seeding and the gain-cache construction are parallel
-//! (order-preserving), while the move loop itself is sequential: heap entries are
-//! totally ordered by `(gain, vertex, target, stamp)`, so for a fixed seed the applied
-//! move sequence — and therefore the refined partition — is bit-identical at any thread
+//! (order-preserving), while the move loop itself is sequential: the heap orders its
+//! entries by `(gain, vertex)`, a total order, so for a fixed seed the applied move
+//! sequence — and therefore the refined partition — is bit-identical at any thread
 //! count and on any graph representation that decodes the same neighbourhoods (CSR,
 //! compressed, paged). This matches the determinism invariant of initial partitioning
 //! and makes the algorithm usable in golden-cut regression tests.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use graph::traits::Graph;
@@ -32,16 +32,25 @@ use obs::{Counter, ObsHandle, SpanKind};
 use rayon::prelude::*;
 
 use crate::context::GainTableKind;
+use crate::heap::AddressableMaxHeap;
 use crate::partition::{BlockId, Partition};
 
-use super::fm::FmStats;
 use super::gain_table::GainCache;
 
-/// A heap candidate: the move of `vertex` to `target` with `gain`, valid while the
-/// vertex's stamp still equals `stamp`. The derived lexicographic order (gain first)
-/// makes the `BinaryHeap` pop the highest-gain move; the remaining fields give every
-/// entry a unique rank, so the pop sequence is independent of insertion order.
-type Candidate = (i64, NodeId, BlockId, u64);
+/// Statistics of one FM refinement invocation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FmStats {
+    /// Number of vertex moves kept (inside a pass's best prefix).
+    pub moves: usize,
+    /// Heap bytes used by the gain cache.
+    pub gain_table_bytes: usize,
+    /// Number of refinement passes executed.
+    pub passes: usize,
+    /// Moves applied and later undone by hill-climbing rollback.
+    pub moves_rolled_back: usize,
+    /// Most entries the move queue held at any time: one per vertex, so at most `n`.
+    pub queue_peak: usize,
+}
 
 /// Best feasible move of `u` under the current assignment: the adjacent block with the
 /// highest affinity gain whose weight constraint admits `u` (ties broken towards the
@@ -65,15 +74,15 @@ fn best_feasible_move(
     })
 }
 
-/// Runs priority-queue k-way FM refinement on `partition`.
+/// Runs k-way FM refinement on `partition`.
 ///
-/// Each pass seeds the heap with every boundary vertex's best feasible move, then pops
-/// candidates in gain order: stale entries (stamp mismatch) are dropped, entries whose
-/// recomputed best move changed are re-inserted, and valid entries are applied — also
-/// when the gain is negative. A pass records the prefix of the move sequence with the
-/// best total gain and rolls back everything after it; it stops once `adverse_limit`
-/// consecutive moves fail to produce a new best prefix (bounded hill climbing). Passes
-/// repeat up to `max_passes` times or until a pass keeps no move.
+/// Each pass seeds the queue with every vertex's best feasible move, then pops them in
+/// gain order: a popped move is re-validated (a block may have filled up or drained
+/// since it was queued) and re-queued if it changed, otherwise applied — also when the
+/// gain is negative. A pass records the prefix of the move sequence with the best total
+/// gain and rolls back everything after it; it stops once `adverse_limit` consecutive
+/// moves fail to produce a new best prefix (bounded hill climbing). Passes repeat up to
+/// `max_passes` times or until a pass keeps no move.
 pub fn kway_fm_refine(
     graph: &impl Graph,
     partition: &mut Partition,
@@ -122,12 +131,14 @@ pub(crate) fn kway_fm_refine_obs(
 
     let cache = GainCache::new(gain_table, graph, &assignment, k);
     let gain_table_bytes = cache.memory_bytes();
-    // Charged for the duration of refinement, like the batched FM path (Figure 7).
+    // Charged for the duration of refinement: the quantity Figure 7 (middle) compares
+    // across the three gain-table kinds.
     let _scope = MemoryScope::charge_global(gain_table_bytes);
 
-    let mut stamps: Vec<u64> = vec![0; n];
+    let mut heap = AddressableMaxHeap::default();
+    // The block a queued vertex's key is the gain towards.
+    let mut target: Vec<BlockId> = vec![0; n];
     let mut locked: Vec<bool> = vec![false; n];
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
     let mut seeds: Vec<(i64, NodeId, BlockId)> = Vec::new();
     let mut move_log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
 
@@ -146,6 +157,7 @@ pub(crate) fn kway_fm_refine_obs(
     let mut total_moves = 0usize;
     let mut total_rolled_back = 0usize;
     let mut passes = 0usize;
+    let mut queue_peak = 0usize;
     for pass in 0..max_passes {
         let mut pass_span = obs.span_at(SpanKind::Round, "fm_pass", pass as u64);
         passes += 1;
@@ -156,40 +168,40 @@ pub(crate) fn kway_fm_refine_obs(
             .into_par_iter()
             .filter_map(|u| best_move(u, &block_weights).map(|(gain, to)| (gain, u, to)))
             .collect_into_vec(&mut seeds);
-        // One gain query per seeded vertex, per re-validated pop and per re-inserted
-        // neighbour; `tried` counts the pops that reach re-validation.
+        // One gain query per seeded vertex, per re-validated pop and per re-keyed
+        // neighbour; `tried` counts the pops.
         let mut queries = n;
         let mut tried = 0usize;
         if seeds.is_empty() {
             obs.add(Counter::FmGainQueries, queries as u64);
             break;
         }
-        heap.clear();
-        for &(gain, u, to) in &seeds {
-            heap.push((gain, u, to, stamps[u as usize]));
-        }
+        let queued = seeds.iter().map(|&(gain, u, to)| {
+            target[u as usize] = to;
+            (gain, u)
+        });
+        heap.heapify(n, queued);
+        queue_peak = queue_peak.max(heap.len());
         move_log.clear();
         let mut total_gain = 0i64;
         let mut best_gain = 0i64;
         let mut best_len = 0usize;
         let mut since_best = 0usize;
-        while let Some((gain, u, to, stamp)) = heap.pop() {
+        while let Some((gain, u)) = heap.pop() {
             if since_best > adverse_limit {
                 break;
             }
-            if locked[u as usize] || stamp != stamps[u as usize] {
-                continue;
-            }
+            let to = target[u as usize];
             tried += 1;
             queries += 1;
             let Some((current_gain, current_to)) = best_move(u, &block_weights) else {
                 continue;
             };
             if (current_gain, current_to) != (gain, to) {
-                // The entry went stale without a stamp bump (a block filled up or
-                // drained); re-insert the corrected move and retry later.
-                stamps[u as usize] += 1;
-                heap.push((current_gain, u, current_to, stamps[u as usize]));
+                // No neighbour moved, but a block filled up or drained: queue the
+                // corrected move and retry later.
+                target[u as usize] = current_to;
+                heap.push_or_update(u, current_gain);
                 continue;
             }
             let from = assignment[u as usize].load(Ordering::Relaxed);
@@ -216,13 +228,17 @@ pub(crate) fn kway_fm_refine_obs(
                     boundary.mark(v);
                 }
                 if !locked[v as usize] {
-                    stamps[v as usize] += 1;
                     queries += 1;
-                    if let Some((gv, tv)) = best_move(v, &block_weights) {
-                        heap.push((gv, v, tv, stamps[v as usize]));
+                    match best_move(v, &block_weights) {
+                        Some((gv, tv)) => {
+                            target[v as usize] = tv;
+                            heap.push_or_update(v, gv);
+                        }
+                        None => heap.remove(v),
                     }
                 }
             });
+            queue_peak = queue_peak.max(heap.len());
         }
         // Roll back the adverse tail: keep only the best prefix of the move sequence.
         let rolled_back = move_log.len() - best_len;
@@ -263,6 +279,7 @@ pub(crate) fn kway_fm_refine_obs(
         gain_table_bytes,
         passes,
         moves_rolled_back: total_rolled_back,
+        queue_peak,
     }
 }
 
@@ -405,11 +422,7 @@ mod tests {
     #[test]
     fn improves_cut_with_every_gain_table_kind() {
         let g = gen::grid2d(16, 16);
-        for kind in [
-            GainTableKind::None,
-            GainTableKind::Dense,
-            GainTableKind::Sparse,
-        ] {
+        for kind in KINDS {
             let mut p = scrambled(&g, 4, 0.25);
             let before = p.edge_cut_on(&g);
             let stats = kway_fm_refine(&g, &mut p, kind, 8, 64);
@@ -421,17 +434,49 @@ mod tests {
     }
 
     #[test]
-    fn beats_or_matches_the_batched_fm() {
+    fn every_gain_table_kind_makes_the_same_moves() {
+        // The table decides what a gain query costs, not what it answers.
         let g = gen::rgg2d(800, 10, 5);
-        let mut batched = scrambled(&g, 8, 0.25);
-        let mut kway = batched.clone();
-        super::super::fm::fm_refine(&g, &mut batched, GainTableKind::Sparse, 8, 1.0);
-        kway_fm_refine(&g, &mut kway, GainTableKind::Sparse, 8, 64);
+        let refined = KINDS.map(|kind| {
+            let mut p = scrambled(&g, 8, 0.25);
+            let stats = kway_fm_refine(&g, &mut p, kind, 6, 64);
+            (p.assignment().to_vec(), stats.moves)
+        });
+        assert!(refined[0].1 > 0);
+        assert_eq!(refined[0], refined[1], "none vs dense");
+        assert_eq!(refined[0], refined[2], "none vs sparse");
+    }
+
+    #[test]
+    fn gain_table_memory_ordering_matches_the_paper() {
+        // Figure 7 (middle): no table < sparse `O(m)` < dense `O(nk)`.
+        let g = gen::grid2d(24, 24);
+        let [none, dense, sparse] = KINDS.map(|kind| {
+            let mut p = scrambled(&g, 64, 0.5);
+            kway_fm_refine(&g, &mut p, kind, 1, 64).gain_table_bytes
+        });
+        assert_eq!(none, 0);
+        assert!(sparse > 0);
         assert!(
-            kway.edge_cut_on(&g) <= batched.edge_cut_on(&g),
-            "priority-queue FM worse than batched FM: {} vs {}",
-            kway.edge_cut_on(&g),
-            batched.edge_cut_on(&g)
+            sparse < dense / 4,
+            "sparse table should be much smaller: {sparse} vs {dense}"
+        );
+    }
+
+    #[test]
+    fn a_pass_never_queues_more_than_n_entries() {
+        // One entry per vertex, re-keyed in place. (A heap with lazy deletion pushes one
+        // more per re-keyed neighbour: on this input, n seeds plus ~deg per move.)
+        let g = gen::rgg2d(800, 10, 5);
+        let mut p = scrambled(&g, 8, 0.25);
+        let stats = kway_fm_refine(&g, &mut p, GainTableKind::Sparse, 6, 64);
+        assert!(stats.moves + stats.moves_rolled_back > g.n() / 2);
+        assert!(stats.queue_peak > 0);
+        assert!(
+            stats.queue_peak <= g.n(),
+            "{} entries for {} vertices",
+            stats.queue_peak,
+            g.n()
         );
     }
 

@@ -2,21 +2,19 @@
 //!
 //! After the partition of a coarse graph is projected to the next finer graph, it is
 //! improved by local search: size-constrained label propagation refinement
-//! ([`mod@lp_refine`]) always runs; depending on [`RefinementAlgorithm`] it is
-//! followed by the batched positive-gain parallel FM of the paper ([`fm`]) or by
-//! priority-queue hill-climbing k-way FM ([`kway_fm`], the `default`/`strong`
-//! presets) — both on the §V gain caches ([`gain_table`]). A greedy
-//! [`fn@rebalance`] pass repairs any residual balance violations.
+//! ([`mod@lp_refine`]) always runs; under
+//! [`RefinementAlgorithm::KWayFmWithLabelPropagation`] (TeraPart-FM, the `default` /
+//! `strong` presets) it is followed by hill-climbing k-way FM ([`kway_fm`]) on the §V
+//! gain caches ([`gain_table`]). A greedy [`fn@rebalance`] pass repairs any residual
+//! balance violations.
 
-pub mod fm;
 pub mod gain_table;
 pub mod kway_fm;
 pub mod lp_refine;
 pub mod rebalance;
 
-pub use fm::{fm_refine, fm_refine_with_candidates, FmStats};
 pub use gain_table::GainCache;
-pub use kway_fm::kway_fm_refine;
+pub use kway_fm::{kway_fm_refine, FmStats};
 pub use lp_refine::{lp_refine, lp_refine_with_scratch, LpRefineStats};
 pub use rebalance::rebalance;
 
@@ -84,19 +82,6 @@ pub fn refine_with_scratch(
     };
     match config.algorithm {
         RefinementAlgorithm::LabelPropagation => {}
-        RefinementAlgorithm::FmWithLabelPropagation => {
-            let fm_stats = fm::fm_refine_obs(
-                graph,
-                partition,
-                config.gain_table,
-                config.fm_passes,
-                config.fm_fraction,
-                &mut scratch.fm_candidates,
-                &obs,
-            );
-            stats.fm_moves = fm_stats.moves;
-            stats.gain_table_bytes = fm_stats.gain_table_bytes;
-        }
         RefinementAlgorithm::KWayFmWithLabelPropagation => {
             let fm_stats = kway_fm::kway_fm_refine_obs(
                 graph,
@@ -155,7 +140,7 @@ mod tests {
             ..Default::default()
         };
         let config_fm = RefinementConfig {
-            algorithm: RefinementAlgorithm::FmWithLabelPropagation,
+            algorithm: RefinementAlgorithm::KWayFmWithLabelPropagation,
             gain_table: GainTableKind::Sparse,
             ..Default::default()
         };

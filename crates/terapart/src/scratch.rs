@@ -34,7 +34,6 @@ use rayon::prelude::*;
 use crate::coarsening::contract::Batch;
 use crate::coarsening::rating_map::FixedCapacityHashMap;
 use crate::initial::scratch::InitialPartitioningScratch;
-use crate::partition::BlockId;
 use crate::ClusterId;
 
 /// A fixed-capacity concurrent bitset with relaxed atomics.
@@ -364,9 +363,6 @@ pub struct HierarchyScratch {
     /// map plus the pooled bisection/attempt workspaces reused across the whole
     /// recursive-bisection tree (see [`crate::initial::scratch`]).
     pub(crate) initial: InitialPartitioningScratch,
-    /// Parallel FM refinement's per-pass candidate buffer `(gain, vertex, target)`,
-    /// reused across passes and hierarchy levels.
-    pub(crate) fm_candidates: Vec<(i64, NodeId, BlockId)>,
     /// Observability sink of the current run (noop unless the run records). Threaded
     /// through the scratch arena so the phase implementations can open round-level
     /// spans and bump counters without widening every signature.
@@ -404,7 +400,6 @@ impl HierarchyScratch {
             active: AtomicBitset::new(),
             next_active: AtomicBitset::new(),
             initial: InitialPartitioningScratch::default(),
-            fm_candidates: Vec::new(),
             obs: obs::ObsHandle::noop(),
             workers: Arc::new(Pool::new()),
             charge: MemoryScope::charge_global(0),
@@ -493,7 +488,6 @@ impl HierarchyScratch {
             + self.active.memory_bytes()
             + self.next_active.memory_bytes()
             + self.initial.memory_bytes()
-            + self.fm_candidates.capacity() * std::mem::size_of::<(i64, NodeId, BlockId)>()
     }
 
     /// Brings the memtrack charge in line with the current footprint.

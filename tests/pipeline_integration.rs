@@ -100,7 +100,7 @@ fn multilevel_beats_single_level_and_streaming() {
 fn hierarchy_scratch_peak_is_bounded_by_largest_level() {
     use terapart::coarsening::{
         cluster_with_scratch, coarsen_with_scratch, contract_with_scratch, max_cluster_weight,
-        two_hop_clustering,
+        two_hop_clustering, MIN_SHRINK_FACTOR,
     };
     use terapart::HierarchyScratch;
 
@@ -137,7 +137,7 @@ fn hierarchy_scratch_peak_is_bounded_by_largest_level() {
     pool.install(|| {
         let mut clustering = cluster_with_scratch(&graph, coarsening, limit, seed, &mut single);
         if coarsening.two_hop_clustering
-            && clustering.num_clusters as f64 > coarsening.min_shrink_factor * graph.n() as f64
+            && clustering.num_clusters as f64 > MIN_SHRINK_FACTOR * graph.n() as f64
         {
             two_hop_clustering(&graph, &mut clustering, limit);
         }

@@ -1,6 +1,6 @@
 //! What a `Partition` says about itself stays true through every stage that carries or
-//! changes it: after `project`, label propagation (frontier on and off), batched FM,
-//! k-way FM and the rebalancer — at one and at two threads, from a known and from an
+//! changes it: after `project`, label propagation (frontier on and off), k-way FM and
+//! the rebalancer — at one and at two threads, from a known and from an
 //! unknown starting state — the tracked cut equals a full recount, the block weights
 //! equal a recount, and every vertex with a neighbour in another block is a boundary
 //! candidate ([`Partition::check_tracked_state`] is that oracle).
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use terapart::coarsening::{contract, Clustering};
-use terapart::refinement::{fm_refine, kway_fm_refine, lp_refine_with_scratch, rebalance};
+use terapart::refinement::{kway_fm_refine, lp_refine_with_scratch, rebalance};
 use terapart::{
     BlockId, ClusterId, ContractionAlgorithm, GainTableKind, HierarchyScratch, Partition,
 };
@@ -92,15 +92,13 @@ proptest! {
             check(&partition, &fine, "label propagation");
             rebalance(&fine, &mut partition);
             check(&partition, &fine, "rebalance");
-            fm_refine(&fine, &mut partition, kind, 3, 1.0);
-            check(&partition, &fine, "batched FM");
             kway_fm_refine(&fine, &mut partition, kind, 3, 32);
             check(&partition, &fine, "k-way FM");
             prop_assert!(partition.boundary_candidates().is_some());
 
             // ... and from a state nobody knows anything about.
             let start = random_partition(&fine, k, epsilon, &mut rng);
-            for stage in 0..4 {
+            for stage in 0..3 {
                 let mut partition = start.clone();
                 match stage {
                     0 => {
@@ -110,7 +108,6 @@ proptest! {
                         prop_assert!(partition.boundary_candidates().is_some());
                     }
                     1 => { rebalance(&fine, &mut partition); }
-                    2 => { fm_refine(&fine, &mut partition, kind, 3, 1.0); }
                     _ => { kway_fm_refine(&fine, &mut partition, kind, 3, 32); }
                 }
                 check(&partition, &fine, "a refiner on an unknown state");
