@@ -10,13 +10,11 @@
 //! result is an order of magnitude slower than the in-memory TeraPart — which is exactly
 //! the comparison Table IV reports — while using less memory than holding the CSR arrays.
 
-use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::time::Instant;
 
 use graph::csr::CsrGraph;
-use graph::io::write_binary;
+use graph::io::{write_binary, BinaryReader, IoError};
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId, NodeWeight};
 
@@ -28,79 +26,25 @@ use terapart::refinement::{lp_refine, rebalance};
 
 use crate::BaselineResult;
 
-/// A reader that streams the neighbourhoods of a binary graph file one vertex at a time,
-/// keeping only the `O(n)` offset array in memory.
-pub struct StreamedGraph {
-    path: PathBuf,
-    xadj: Vec<u64>,
-    node_weights: Vec<NodeWeight>,
-    edge_weighted: bool,
-    /// Byte offset of the adjacency array within the file.
-    adjacency_offset: u64,
-}
+/// Streams the neighbourhoods of a binary graph file one vertex at a time, keeping only
+/// `O(n)` in memory — `graph::io`'s binary reader, which validates every pass.
+pub struct StreamedGraph(BinaryReader);
 
 impl StreamedGraph {
     /// Prepares streaming access to a graph previously written with
     /// [`graph::io::write_binary`].
-    pub fn open(path: PathBuf) -> std::io::Result<Self> {
-        let mut reader = BufReader::new(File::open(&path)?);
-        let mut header = [0u8; 4];
-        reader.read_exact(&mut header)?;
-        let mut u32buf = [0u8; 4];
-        let mut u64buf = [0u8; 8];
-        reader.read_exact(&mut u32buf)?; // version
-        reader.read_exact(&mut u64buf)?;
-        let n = u64::from_le_bytes(u64buf) as usize;
-        reader.read_exact(&mut u64buf)?;
-        let half_edges = u64::from_le_bytes(u64buf) as usize;
-        reader.read_exact(&mut u32buf)?;
-        let flags = u32::from_le_bytes(u32buf);
-        let edge_weighted = flags & 1 != 0;
-        let node_weighted = flags & 2 != 0;
-        let mut xadj = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            reader.read_exact(&mut u64buf)?;
-            xadj.push(u64::from_le_bytes(u64buf));
-        }
-        let adjacency_offset = 4 + 4 + 8 + 8 + 4 + (n as u64 + 1) * 8;
-        // Node weights are stored after adjacency (+ edge weights); read them eagerly as
-        // they are part of the O(n) in-memory state.
-        let node_weights = if node_weighted {
-            let mut skip = half_edges as u64 * 4;
-            if edge_weighted {
-                skip += half_edges as u64 * 8;
-            }
-            reader.seek(SeekFrom::Start(adjacency_offset + skip))?;
-            let mut weights = Vec::with_capacity(n);
-            for _ in 0..n {
-                reader.read_exact(&mut u64buf)?;
-                weights.push(u64::from_le_bytes(u64buf));
-            }
-            weights
-        } else {
-            Vec::new()
-        };
-        Ok(Self {
-            path,
-            xadj,
-            node_weights,
-            edge_weighted,
-            adjacency_offset,
-        })
+    pub fn open(path: PathBuf) -> Result<Self, IoError> {
+        BinaryReader::open(path).map(Self)
     }
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.xadj.len() - 1
+        self.0.n()
     }
 
     /// Weight of vertex `u`.
     pub fn node_weight(&self, u: NodeId) -> NodeWeight {
-        if self.node_weights.is_empty() {
-            1
-        } else {
-            self.node_weights[u as usize]
-        }
+        self.0.node_weight(u)
     }
 
     /// Streams all neighbourhoods in vertex order, invoking
@@ -109,43 +53,11 @@ impl StreamedGraph {
     pub fn for_each_neighborhood(
         &self,
         mut f: impl FnMut(NodeId, &[(NodeId, EdgeWeight)]),
-    ) -> std::io::Result<()> {
-        let file = File::open(&self.path)?;
-        let mut reader = BufReader::new(file);
-        reader.seek(SeekFrom::Start(self.adjacency_offset))?;
-        let half_edges = *self.xadj.last().unwrap() as usize;
-        // For weighted graphs, the weights live in a separate section; open a second
-        // cursor so both can be streamed in lockstep without loading either.
-        let mut weight_reader = if self.edge_weighted {
-            let mut r = BufReader::new(File::open(&self.path)?);
-            r.seek(SeekFrom::Start(
-                self.adjacency_offset + half_edges as u64 * 4,
-            ))?;
-            Some(r)
-        } else {
-            None
-        };
-        let mut buf4 = [0u8; 4];
-        let mut buf8 = [0u8; 8];
-        let mut neighborhood: Vec<(NodeId, EdgeWeight)> = Vec::new();
-        for u in 0..self.n() as NodeId {
-            let degree = (self.xadj[u as usize + 1] - self.xadj[u as usize]) as usize;
-            neighborhood.clear();
-            for _ in 0..degree {
-                reader.read_exact(&mut buf4)?;
-                let v = u32::from_le_bytes(buf4);
-                let w = match &mut weight_reader {
-                    Some(r) => {
-                        r.read_exact(&mut buf8)?;
-                        u64::from_le_bytes(buf8)
-                    }
-                    None => 1,
-                };
-                neighborhood.push((NodeId::from(v), w));
-            }
-            f(u, &neighborhood);
-        }
-        Ok(())
+    ) -> Result<(), IoError> {
+        self.0.for_each_vertex(&mut |u, _, neighborhood| {
+            f(u, neighborhood);
+            Ok(())
+        })
     }
 }
 

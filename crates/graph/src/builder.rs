@@ -16,11 +16,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use memtrack::ReservedVec;
 use parking_lot::Mutex;
 
-use crate::compressed::{encode_neighborhood, CompressedGraph, CompressionConfig};
+use crate::compressed::{CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder};
 use crate::csr::CsrGraph;
 use crate::traits::Graph;
 use crate::varint::MAX_VARINT_LEN;
-use crate::{EdgeId, NodeId};
+use crate::NodeId;
 
 /// A contiguous range of vertices processed by one thread at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,7 @@ pub fn make_packets(graph: &impl Graph, target_edges_per_packet: usize) -> Vec<P
 pub fn compressed_size_upper_bound(graph: &impl Graph, config: &CompressionConfig) -> usize {
     let n = graph.n();
     let half_edges = 2 * graph.m();
-    let per_edge = if graph.is_edge_weighted() && config.compress_edge_weights {
+    let per_edge = if graph.is_edge_weighted() {
         2 * MAX_VARINT_LEN
     } else {
         MAX_VARINT_LEN
@@ -70,13 +70,6 @@ pub fn compressed_size_upper_bound(graph: &impl Graph, config: &CompressionConfi
     // Header: first edge ID + degree + interval count (+ chunk table in the worst case).
     let chunks_bound = half_edges / config.chunk_len.max(1) + n;
     n * 3 * MAX_VARINT_LEN + half_edges * per_edge + chunks_bound * MAX_VARINT_LEN
-}
-
-/// Result of compressing one packet: the encoded bytes and the per-vertex byte sizes.
-struct EncodedPacket {
-    index: usize,
-    bytes: Vec<u8>,
-    vertex_sizes: Vec<u32>,
 }
 
 /// Compresses `csr` into a [`CompressedGraph`] using `num_threads` worker threads and the
@@ -90,25 +83,15 @@ pub fn compress_csr_parallel(
     num_threads: usize,
 ) -> CompressedGraph {
     let n = csr.n();
-    let weighted = csr.is_edge_weighted() && config.compress_edge_weights;
     let target = (2 * csr.m() / (num_threads.max(1) * 8)).max(1024);
     let packets = make_packets(csr, target);
     let num_packets = packets.len();
 
-    // First half-edge ID of every vertex, needed for the per-neighbourhood header.
-    let mut first_edges: Vec<EdgeId> = Vec::with_capacity(n + 1);
-    let mut acc: EdgeId = 0;
-    for u in 0..n as NodeId {
-        first_edges.push(acc);
-        acc += csr.degree(u) as EdgeId;
-    }
-    first_edges.push(acc);
-
     let upper_bound = compressed_size_upper_bound(csr, config);
-    let output = Mutex::new(CommitState {
-        data: ReservedVec::with_reservation(upper_bound),
-        offsets: vec![0u64; n + 1],
-    });
+    let output = Mutex::new((
+        ReservedVec::with_reservation(upper_bound),
+        EncodedSection::with_capacity(0, 0, n),
+    ));
     let next_packet = AtomicUsize::new(0);
     let next_commit = AtomicUsize::new(0);
 
@@ -121,75 +104,43 @@ pub fn compress_csr_parallel(
                         break;
                     }
                     let packet = packets[packet_idx];
-                    // Compress the packet into a thread-local buffer.
-                    let mut bytes = Vec::new();
-                    let mut vertex_sizes = Vec::with_capacity((packet.end - packet.begin) as usize);
+                    // Compress the packet into a thread-local section. A CSR half-edge's
+                    // ID is its position, so the packet's base is its first offset.
+                    let mut encoder = SectionEncoder::new(
+                        packet.begin,
+                        csr.first_edge(packet.begin),
+                        csr.is_edge_weighted(),
+                        config,
+                    );
                     for u in packet.begin..packet.end {
-                        let before = bytes.len();
                         let mut nbrs = csr.neighbors_vec(u);
                         nbrs.sort_unstable_by_key(|&(v, _)| v);
-                        encode_neighborhood(
-                            u,
-                            first_edges[u as usize],
-                            &nbrs,
-                            weighted,
-                            config,
-                            &mut bytes,
-                        );
-                        vertex_sizes.push((bytes.len() - before) as u32);
+                        encoder.push_neighborhood(u, &nbrs, csr.node_weight(u));
                     }
-                    let encoded = EncodedPacket {
-                        index: packet_idx,
-                        bytes,
-                        vertex_sizes,
-                    };
+                    let section = encoder.section;
                     // Wait until all preceding packets have committed, then append.
-                    while next_commit.load(Ordering::Acquire) != encoded.index {
+                    while next_commit.load(Ordering::Acquire) != packet_idx {
                         std::hint::spin_loop();
                         std::thread::yield_now();
                     }
                     {
-                        let mut out = output.lock();
-                        let mut pos = out.data.len() as u64;
-                        for (u, &size) in (packet.begin as usize..).zip(&encoded.vertex_sizes) {
-                            out.offsets[u] = pos;
-                            pos += u64::from(size);
-                        }
-                        out.data.extend_from_slice(&encoded.bytes);
-                        if packet.end as usize == n {
-                            out.offsets[n] = out.data.len() as u64;
-                        }
+                        let (data, totals) = &mut *output.lock();
+                        data.extend_from_slice(&section.bytes);
+                        totals.absorb(&section);
                     }
-                    next_commit.store(encoded.index + 1, Ordering::Release);
+                    next_commit.store(packet_idx + 1, Ordering::Release);
                 }
             });
         }
     });
 
-    let CommitState { data, mut offsets } = output.into_inner();
-    let data = data.into_vec();
-    if n == 0 {
-        offsets = vec![0];
-    } else {
-        offsets[n] = data.len() as u64;
-    }
-    CompressedGraph::from_encoded_parts(
-        n,
-        csr.m(),
-        offsets,
-        data,
-        csr.raw_node_weights().to_vec(),
+    let (data, totals) = output.into_inner();
+    totals.into_graph(
+        data.into_vec(),
         csr.is_edge_weighted(),
-        csr.total_node_weight(),
-        csr.total_edge_weight(),
-        csr.max_degree(),
+        csr.is_node_weighted(),
         config.clone(),
     )
-}
-
-struct CommitState {
-    data: ReservedVec<u8>,
-    offsets: Vec<u64>,
 }
 
 #[cfg(test)]

@@ -13,20 +13,27 @@
 //!
 //! Every neighbourhood additionally starts with the ID of its first half-edge, so edge IDs
 //! can be recovered during iteration (several KaMinPar components index per-edge arrays).
+//!
+//! [`SectionEncoder`] is the one writer of this format: every path that produces
+//! encoded neighbourhoods — [`CompressedGraph::from_csr`], the streaming readers of
+//! [`crate::io`], the packets of [`compress_csr_parallel`](crate::builder::compress_csr_parallel)
+//! and the `.tpg` writer — appends through it, and its [`EncodedSection`] is the one
+//! place that counts first edges, offsets, half-edges, the maximum degree and the
+//! weight totals.
 
+use crate::checksum::crc32;
 use crate::csr::CsrGraph;
 use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
 
-/// Tuning knobs of the compression scheme.
+/// Tuning knobs of the compression scheme. The edge weights of a weighted graph are
+/// always stored (signed-delta VarInts behind each chunk's ids).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressionConfig {
     /// Enables interval encoding of consecutive-ID runs. Disabling it yields the
     /// "gap encoding only" configuration of Figure 6 (right) / Figure 10.
     pub enable_intervals: bool,
-    /// Compress edge weights (signed-delta VarInts). Only relevant for weighted graphs.
-    pub compress_edge_weights: bool,
     /// Degree above which a neighbourhood is split into independently decodable chunks.
     /// The paper uses 10 000.
     pub high_degree_threshold: usize,
@@ -40,7 +47,6 @@ impl Default for CompressionConfig {
     fn default() -> Self {
         Self {
             enable_intervals: true,
-            compress_edge_weights: true,
             high_degree_threshold: 10_000,
             chunk_len: 1_000,
             min_interval_len: 3,
@@ -84,13 +90,253 @@ fn sid(v: NodeId) -> i64 {
     v as i64
 }
 
+/// One encoded run of consecutive vertex neighbourhoods and everything a graph header
+/// counts about it: the bytes, each neighbourhood's offset, the half-edges, the maximum
+/// degree, the edge- and node-weight totals and the node weights.
+///
+/// A [`SectionEncoder`] fills it. A section that starts at vertex 0 and covers every
+/// vertex is a whole graph; shorter ones are the unit of the two ordered-commit paths —
+/// the packets of [`compress_csr_parallel`](crate::builder::compress_csr_parallel) and
+/// [`TpgWriter::push_section`](crate::store::TpgWriter::push_section) — whose committer
+/// absorbs their counts in vertex order. The committed byte stream is
+/// identical to pushing the same neighbourhoods one by one.
+#[derive(Debug, Default)]
+pub struct EncodedSection {
+    /// First vertex of the section.
+    pub(crate) first_vertex: usize,
+    /// The half-edge ID the section's first neighbourhood was encoded against (the
+    /// neighbourhood header embeds the absolute first-edge ID, so a section encoded
+    /// against the wrong prefix cannot be patched after the fact).
+    pub(crate) base_first_edge: EdgeId,
+    /// Concatenated encoded neighbourhoods.
+    pub(crate) bytes: Vec<u8>,
+    /// Start of each neighbourhood relative to the section start, then its end:
+    /// one entry more than the section has vertices.
+    pub(crate) offsets: Vec<u64>,
+    /// Node weight of each vertex; empty while every weight so far is 1.
+    pub(crate) node_weights: Vec<NodeWeight>,
+    /// Sum of the node weights.
+    pub(crate) total_node_weight: NodeWeight,
+    /// Half-edges (directed neighbour entries) in the section.
+    pub(crate) half_edges: usize,
+    /// Sum of all neighbour weights (each half-edge counted once).
+    pub(crate) total_edge_weight: EdgeWeight,
+    /// Maximum degree within the section.
+    pub(crate) max_degree: usize,
+    /// crc32 of `bytes`, set by [`SectionEncoder::finish`] and re-verified when the
+    /// section is committed to a `.tpg` writer.
+    pub(crate) crc: u32,
+}
+
+impl EncodedSection {
+    /// An empty section starting at `first_vertex` / half-edge `base_first_edge`, with
+    /// room for the offsets of `vertices` neighbourhoods.
+    pub(crate) fn with_capacity(
+        first_vertex: usize,
+        base_first_edge: EdgeId,
+        vertices: usize,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(vertices + 1);
+        offsets.push(0);
+        Self {
+            first_vertex,
+            base_first_edge,
+            offsets,
+            ..Self::default()
+        }
+    }
+
+    /// Number of half-edges encoded into the section.
+    pub fn half_edges(&self) -> usize {
+        self.half_edges
+    }
+
+    /// Number of vertices encoded into the section.
+    pub(crate) fn vertex_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The first half-edge ID of the next neighbourhood.
+    pub(crate) fn next_first_edge(&self) -> EdgeId {
+        self.base_first_edge + self.half_edges as EdgeId
+    }
+
+    /// Byte length of the encoded neighbourhoods, committed or not.
+    pub(crate) fn data_len(&self) -> u64 {
+        self.offsets[self.vertex_count()]
+    }
+
+    /// Appends `node_weight` for the next vertex, materialising the all-ones prefix
+    /// the first time a weight differs from 1.
+    fn push_node_weight(&mut self, node_weight: NodeWeight, vertices: usize) {
+        if node_weight != 1 || !self.node_weights.is_empty() {
+            self.node_weights.resize(vertices, 1);
+            self.node_weights.push(node_weight);
+        }
+        self.total_node_weight += node_weight;
+    }
+
+    /// Adds the counts of `next` — the section that follows this one — to this one's.
+    /// Its bytes are the committer's to place: they belong right behind this section's.
+    pub(crate) fn absorb(&mut self, next: &EncodedSection) {
+        debug_assert_eq!(next.first_vertex, self.first_vertex + self.vertex_count());
+        debug_assert_eq!(next.base_first_edge, self.next_first_edge());
+        let (vertices, end) = (self.vertex_count(), self.data_len());
+        if !next.node_weights.is_empty() || !self.node_weights.is_empty() {
+            self.node_weights.resize(vertices, 1);
+            self.node_weights.extend_from_slice(&next.node_weights);
+            self.node_weights.resize(vertices + next.vertex_count(), 1);
+        }
+        self.offsets
+            .extend(next.offsets[1..].iter().map(|&offset| end + offset));
+        self.total_node_weight += next.total_node_weight;
+        self.half_edges += next.half_edges;
+        self.total_edge_weight += next.total_edge_weight;
+        self.max_degree = self.max_degree.max(next.max_degree);
+    }
+
+    /// The graph whose neighbourhoods `data` holds and this section (starting at vertex
+    /// 0) counted. `node_weighted` keeps a weight array even when every weight is 1.
+    pub(crate) fn into_graph(
+        self,
+        data: Vec<u8>,
+        edge_weighted: bool,
+        node_weighted: bool,
+        config: CompressionConfig,
+    ) -> CompressedGraph {
+        debug_assert_eq!(self.first_vertex, 0);
+        let n = self.vertex_count();
+        let node_weights = match (node_weighted, self.node_weights.is_empty()) {
+            (true, true) => vec![1; n],
+            _ => self.node_weights,
+        };
+        debug_assert!(node_weighted || node_weights.is_empty());
+        CompressedGraph::from_encoded_parts(
+            n,
+            self.half_edges / 2,
+            self.offsets,
+            data,
+            node_weights,
+            edge_weighted,
+            self.total_node_weight,
+            self.total_edge_weight / 2,
+            self.max_degree,
+            config,
+        )
+    }
+}
+
+/// Appends neighbourhoods, in vertex order, to an [`EncodedSection`] — the one caller
+/// of the neighbourhood codec's encoder.
+///
+/// `base_first_edge` must equal the number of half-edges of all vertices preceding
+/// `first_vertex` in the final graph; a worker learns it from the preceding section's
+/// totals. Edge weights are stored iff `edge_weighted`.
+pub struct SectionEncoder {
+    pub(crate) config: CompressionConfig,
+    pub(crate) edge_weighted: bool,
+    /// The neighbourhoods encoded so far; moved out as is (without a crc) by a
+    /// committer that never lets the bytes leave this address space.
+    pub(crate) section: EncodedSection,
+}
+
+impl SectionEncoder {
+    /// Creates an encoder for the vertex run starting at `first_vertex`, whose first
+    /// neighbourhood begins at half-edge `base_first_edge`. `edge_weighted` and
+    /// `config` must match whatever the section is committed to.
+    pub fn new(
+        first_vertex: NodeId,
+        base_first_edge: EdgeId,
+        edge_weighted: bool,
+        config: &CompressionConfig,
+    ) -> Self {
+        Self {
+            config: config.clone(),
+            edge_weighted,
+            section: EncodedSection::with_capacity(first_vertex as usize, base_first_edge, 0),
+        }
+    }
+
+    /// An encoder for a whole graph of `n` vertices, offsets reserved up front.
+    pub(crate) fn for_graph(n: usize, edge_weighted: bool, config: &CompressionConfig) -> Self {
+        Self {
+            config: config.clone(),
+            edge_weighted,
+            section: EncodedSection::with_capacity(0, 0, n),
+        }
+    }
+
+    /// Appends the next vertex's neighbourhood: vertices in ID order, `neighbors`
+    /// sorted by neighbour ID and free of duplicates and self-loops; `node_weight` is
+    /// the vertex's weight (1 for uniform graphs).
+    pub fn push_neighborhood(
+        &mut self,
+        u: NodeId,
+        neighbors: &[(NodeId, EdgeWeight)],
+        node_weight: NodeWeight,
+    ) {
+        let section = &mut self.section;
+        let vertices = section.vertex_count();
+        assert_eq!(
+            u as usize,
+            section.first_vertex + vertices,
+            "section neighbourhoods must be pushed in vertex order"
+        );
+        encode_neighborhood(
+            u,
+            section.next_first_edge(),
+            neighbors,
+            self.edge_weighted,
+            &self.config,
+            &mut section.bytes,
+        );
+        section.offsets.push(section.bytes.len() as u64);
+        section.push_node_weight(node_weight, vertices);
+        section.half_edges += neighbors.len();
+        section.max_degree = section.max_degree.max(neighbors.len());
+        section.total_edge_weight += neighbors.iter().map(|&(_, w)| w).sum::<EdgeWeight>();
+    }
+
+    /// Seals the section for [`TpgWriter::push_section`](crate::store::TpgWriter::push_section):
+    /// its crc32 travels with the bytes to the committing thread.
+    pub fn finish(mut self) -> EncodedSection {
+        self.section.crc = crc32(&self.section.bytes);
+        self.section
+    }
+
+    /// Empties the encoder for a run starting at `first_vertex` / `base_first_edge`,
+    /// keeping its buffers.
+    pub(crate) fn restart(&mut self, first_vertex: usize, base_first_edge: EdgeId) {
+        let old = std::mem::take(&mut self.section);
+        let (mut bytes, mut offsets, mut node_weights) = (old.bytes, old.offsets, old.node_weights);
+        bytes.clear();
+        offsets.truncate(1);
+        node_weights.clear();
+        self.section = EncodedSection {
+            first_vertex,
+            base_first_edge,
+            bytes,
+            offsets,
+            node_weights,
+            ..EncodedSection::default()
+        };
+    }
+
+    /// The graph encoded so far (it must start at vertex 0 and cover every vertex).
+    /// `node_weighted` keeps a weight array even when every weight is 1.
+    pub(crate) fn into_graph(mut self, node_weighted: bool) -> CompressedGraph {
+        let data = std::mem::take(&mut self.section.bytes);
+        self.section
+            .into_graph(data, self.edge_weighted, node_weighted, self.config)
+    }
+}
+
 /// Encodes one neighbourhood into `out`.
 ///
 /// `first_edge` is the ID of the first half-edge of the neighbourhood, `u` the vertex the
 /// neighbourhood belongs to, and `neighbors` its `(neighbor, weight)` pairs sorted by
-/// neighbour ID. `weighted` selects whether weights are stored. Exposed so the parallel
-/// single-pass builder (paper §III-B) can compress packets into thread-local buffers.
-pub fn encode_neighborhood(
+/// neighbour ID. `weighted` selects whether weights are stored.
+fn encode_neighborhood(
     u: NodeId,
     first_edge: EdgeId,
     neighbors: &[(NodeId, EdgeWeight)],
@@ -341,36 +587,18 @@ pub(crate) fn decode_neighborhood(
 
 impl CompressedGraph {
     /// Compresses a CSR graph. Neighbourhoods are sorted internally before encoding.
+    /// The plain sequential loop — the reference the parallel builder is tested against.
     pub fn from_csr(csr: &CsrGraph, config: &CompressionConfig) -> Self {
-        let weighted = csr.is_edge_weighted() && config.compress_edge_weights;
-        let n = csr.n();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut data = Vec::new();
-        offsets.push(0u64);
-        let mut first_edge: EdgeId = 0;
-        for u in 0..n as NodeId {
+        let mut encoder = SectionEncoder::for_graph(csr.n(), csr.is_edge_weighted(), config);
+        for u in 0..csr.n() as NodeId {
             let mut nbrs = csr.neighbors_vec(u);
             nbrs.sort_unstable_by_key(|&(v, _)| v);
-            encode_neighborhood(u, first_edge, &nbrs, weighted, config, &mut data);
-            first_edge += nbrs.len() as EdgeId;
-            offsets.push(data.len() as u64);
+            encoder.push_neighborhood(u, &nbrs, csr.node_weight(u));
         }
-        Self {
-            n,
-            m: csr.m(),
-            offsets,
-            data,
-            node_weights: csr.raw_node_weights().to_vec(),
-            edge_weighted: weighted || csr.is_edge_weighted(),
-            total_node_weight: csr.total_node_weight(),
-            total_edge_weight: csr.total_edge_weight(),
-            max_degree: csr.max_degree(),
-            config: config.clone(),
-        }
+        encoder.into_graph(csr.is_node_weighted())
     }
 
-    /// Assembles a compressed graph from pre-encoded parts. Used by the parallel
-    /// single-pass builder.
+    /// Assembles a compressed graph from pre-encoded parts.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_encoded_parts(
         n: usize,
@@ -490,12 +718,11 @@ impl Graph for CompressedGraph {
     }
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
-        let weighted = self.edge_weighted && self.config.compress_edge_weights;
         decode_neighborhood(
             &self.data,
             self.offsets[u as usize] as usize,
             u,
-            weighted,
+            self.edge_weighted,
             &self.config,
             f,
         );
@@ -746,7 +973,7 @@ mod tests {
 
     /// Reference decode of `u`'s whole neighbourhood (chunk framing included).
     fn reference_neighbors(g: &CompressedGraph, u: NodeId) -> Vec<(NodeId, EdgeWeight)> {
-        let weighted = g.edge_weighted && g.config.compress_edge_weights;
+        let weighted = g.edge_weighted;
         let (degree, mut pos) = g.decode_header(u);
         let mut out = Vec::new();
         if degree == 0 {

@@ -1,24 +1,42 @@
 //! Graph I/O: METIS text format, a simple binary format, and streaming compression.
 //!
-//! The paper stores its instances in an uncompressed binary format on disk and compresses
-//! them *during* the single streaming pass into memory (§III-B). [`read_metis_compressed`]
-//! and [`read_binary_compressed`] reproduce that flow: neighbourhoods are encoded as they
-//! are parsed, so the uncompressed graph never exists in memory.
+//! Each input format has one reader, and nothing else parses it: `MetisReader` for METIS
+//! text, [`BinaryReader`] for the binary format. Both are vertex streams that validate
+//! as they go and hand every sink the same contract — vertices in ID order, each
+//! neighbourhood sorted by neighbour ID with self-loops dropped and duplicates merged by
+//! summing their weights (a file without edge weights cannot hold the sum, so there a
+//! duplicate is an error), every ID below `n`, weight totals within 64 bits. After the
+//! last vertex both prove that every half-edge `(u, v, w)` has its reverse `(v, u, w)`
+//! (a wrapping hash balance, `O(1)` space) and that the header's counts match the file.
+//! Malformed input therefore ends in [`IoError::Format`] — never a panic, and never a
+//! different graph depending on which reader was asked.
+//!
+//! Three sinks consume a stream: [`read_metis`] / [`read_binary`] build a [`CsrGraph`];
+//! [`read_metis_compressed`] / [`read_binary_compressed`] encode a [`CompressedGraph`]
+//! while parsing, the paper's single streaming pass (§III-B) in which the uncompressed
+//! graph never exists in memory; and [`crate::store::write_tpg_from_metis`] /
+//! [`crate::store::write_tpg_from_binary`] encode straight into a `.tpg` container. The
+//! binary reader keeps the header, `xadj` and the node weights (`O(n)`) and streams the
+//! adjacency and its edge weights through two file cursors, so both compressing paths
+//! hold `O(n)` plus one neighbourhood, weighted or not; the METIS reader holds one line.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, BufRead, BufReader, BufWriter, Lines, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-use crate::compressed::{encode_neighborhood, CompressedGraph, CompressionConfig};
-use crate::csr::{CsrGraph, CsrGraphBuilder};
+use crate::compressed::{CompressedGraph, CompressionConfig, SectionEncoder};
+use crate::csr::CsrGraph;
 use crate::ids;
 use crate::traits::Graph;
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
 
 /// Magic bytes of the binary graph format.
-pub(crate) const BINARY_MAGIC: &[u8; 4] = b"TPGB";
+const BINARY_MAGIC: &[u8; 4] = b"TPGB";
 /// Version of the binary graph format.
 const BINARY_VERSION: u32 = 1;
+/// Bytes of the binary header: magic, version, n, half-edge count, flags.
+const BINARY_HEADER_LEN: u64 = 4 + 4 + 8 + 8 + 4;
 
 /// Errors produced by the I/O routines.
 #[derive(Debug)]
@@ -125,20 +143,6 @@ pub(crate) fn checked_node_count(n: usize, what: &str) -> Result<usize, IoError>
     }
 }
 
-/// Checked conversion of a vertex index read from a file into a [`NodeId`], failing
-/// loudly — naming the offending index — instead of truncating.
-pub(crate) fn checked_node_id(value: usize, what: &str) -> Result<NodeId, IoError> {
-    match NodeId::try_from(value) {
-        Ok(id) if value < ids::MAX_NODE_COUNT => Ok(id),
-        _ => Err(IoError::Format(format!(
-            "{} {} does not fit the {}-bit NodeId width (rebuild with `--features wide-ids`)",
-            what,
-            value,
-            NodeId::BITS,
-        ))),
-    }
-}
-
 /// Checked narrowing of a [`NodeId`] into the 32-bit on-disk binary format, failing
 /// loudly — naming the offending id — instead of truncating. (At the default width the
 /// conversion is the identity; the `try_from` spelling keeps one code path per width.)
@@ -151,6 +155,171 @@ fn checked_binary_id(value: NodeId, what: &str) -> Result<u32, IoError> {
             what, value,
         ))
     })
+}
+
+/// What a graph file declares before its first neighbourhood.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GraphHeader {
+    /// Number of vertices.
+    pub n: usize,
+    /// Number of undirected edges the header declares.
+    pub m: usize,
+    /// Whether the file carries node weights.
+    pub node_weighted: bool,
+    /// Whether the file carries edge weights.
+    pub edge_weighted: bool,
+}
+
+/// Receives the vertices of a validated stream: `(u, node_weight, neighbors)` in vertex
+/// order, under the contract of the module docs.
+pub type VertexSink<'a> =
+    dyn FnMut(NodeId, NodeWeight, &[(NodeId, EdgeWeight)]) -> Result<(), IoError> + 'a;
+
+/// The reader of one input format. The checks that need the whole file run after the
+/// last vertex, so a stream can fail after its sink saw every vertex: a sink publishes
+/// nothing before [`stream`](Self::stream) returned `Ok`.
+pub(crate) trait VertexStream {
+    /// The header, read at open.
+    fn header(&self) -> GraphHeader;
+    /// Streams every vertex into `sink`.
+    fn stream(self, sink: &mut VertexSink<'_>) -> Result<(), IoError>;
+}
+
+/// The checks both readers run on every neighbourhood, kept in `O(1)` space beyond the
+/// neighbourhood itself.
+#[derive(Default)]
+struct NeighborhoodCheck {
+    edge_weighted: bool,
+    half_edges: usize,
+    edge_weight: EdgeWeight,
+    node_weight: NodeWeight,
+    /// Wrapping sum of `edge_hash(min, max, w)` over all half-edges, added from the
+    /// smaller endpoint and subtracted from the larger: 0 iff (up to a 2^-64 chance)
+    /// every half-edge has its reverse of the same weight.
+    balance: u64,
+}
+
+impl NeighborhoodCheck {
+    /// Brings `u`'s neighbourhood (ids already below `n`) into the stream contract:
+    /// self-loops dropped, sorted, duplicates merged; and counts it.
+    fn clean(
+        &mut self,
+        u: NodeId,
+        node_weight: NodeWeight,
+        nbrs: &mut Vec<(NodeId, EdgeWeight)>,
+    ) -> Result<(), IoError> {
+        self.node_weight = checked_total(self.node_weight, node_weight, "node weights")?;
+        nbrs.retain(|&(v, _)| v != u);
+        nbrs.sort_unstable_by_key(|&(v, _)| v);
+        let mut kept = 0;
+        for i in 0..nbrs.len() {
+            let (v, w) = nbrs[i];
+            if kept > 0 && nbrs[kept - 1].0 == v {
+                if !self.edge_weighted {
+                    return Err(IoError::Format(format!(
+                        "vertex {} lists neighbor {} twice in a file without edge weights",
+                        u, v
+                    )));
+                }
+                nbrs[kept - 1].1 = checked_total(nbrs[kept - 1].1, w, "edge weights")?;
+            } else {
+                nbrs[kept] = (v, w);
+                kept += 1;
+            }
+        }
+        nbrs.truncate(kept);
+        for &(v, w) in nbrs.iter() {
+            self.edge_weight = checked_total(self.edge_weight, w, "edge weights")?;
+            let h = edge_hash(u.min(v), u.max(v), w);
+            self.balance = if u < v {
+                self.balance.wrapping_add(h)
+            } else {
+                self.balance.wrapping_sub(h)
+            };
+        }
+        self.half_edges += nbrs.len();
+        Ok(())
+    }
+
+    /// After the last vertex: the number of undirected edges, if every half-edge has its
+    /// reverse.
+    fn finish(&self) -> Result<usize, IoError> {
+        if self.balance != 0 {
+            return Err(IoError::Format(
+                "one-sided edge: some neighbor entry (u, v, w) has no reverse entry (v, u, w)"
+                    .into(),
+            ));
+        }
+        Ok(self.half_edges / 2)
+    }
+}
+
+fn checked_total(total: u64, add: u64, what: &str) -> Result<u64, IoError> {
+    total
+        .checked_add(add)
+        .ok_or_else(|| IoError::Format(format!("the {} overflow 64 bits", what)))
+}
+
+/// A 64-bit hash of the weighted edge `{a, b}`: splitmix64's finaliser folded over the
+/// three fields.
+fn edge_hash(a: NodeId, b: NodeId, w: EdgeWeight) -> u64 {
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+    mix(mix(mix(ids::widen(a)) ^ ids::widen(b)) ^ w)
+}
+
+/// Materialises a validated stream as a [`CsrGraph`]. Like every `CsrGraph`, it keeps
+/// no edge-weight array when all weights are 1.
+fn read_csr(input: impl VertexStream) -> Result<CsrGraph, IoError> {
+    let header = input.header();
+    let mut xadj = Vec::with_capacity(header.n + 1);
+    xadj.push(0);
+    let mut adjacency = Vec::with_capacity(2 * header.m);
+    let mut edge_weights = Vec::with_capacity(if header.edge_weighted {
+        2 * header.m
+    } else {
+        0
+    });
+    let mut node_weights = Vec::with_capacity(if header.node_weighted { header.n } else { 0 });
+    input.stream(&mut |_, node_weight, neighbors| {
+        for &(v, w) in neighbors {
+            adjacency.push(v);
+            if header.edge_weighted {
+                edge_weights.push(w);
+            }
+        }
+        xadj.push(adjacency.len() as EdgeId);
+        if header.node_weighted {
+            node_weights.push(node_weight);
+        }
+        Ok(())
+    })?;
+    if edge_weights.iter().all(|&w| w == 1) {
+        edge_weights = Vec::new();
+    }
+    Ok(CsrGraph::from_parts(
+        xadj,
+        adjacency,
+        edge_weights,
+        node_weights,
+    ))
+}
+
+/// Encodes a validated stream as it is read.
+fn read_compressed(
+    input: impl VertexStream,
+    config: &CompressionConfig,
+) -> Result<CompressedGraph, IoError> {
+    let header = input.header();
+    let mut encoder = SectionEncoder::for_graph(header.n, header.edge_weighted, config);
+    input.stream(&mut |u, node_weight, neighbors| {
+        encoder.push_neighborhood(u, neighbors, node_weight);
+        Ok(())
+    })?;
+    Ok(encoder.into_graph(header.node_weighted))
 }
 
 /// Writes `graph` in the METIS text format.
@@ -184,190 +353,128 @@ pub fn write_metis(graph: &CsrGraph, path: impl AsRef<Path>) -> Result<(), IoErr
     Ok(())
 }
 
-/// Parsed METIS header.
-pub(crate) struct MetisHeader {
-    pub(crate) n: usize,
-    pub(crate) m: usize,
-    pub(crate) has_node_weights: bool,
-    pub(crate) has_edge_weights: bool,
+/// The one METIS reader: the header at open, then one line per vertex.
+pub(crate) struct MetisReader {
+    header: GraphHeader,
+    lines: Lines<BufReader<File>>,
 }
 
-pub(crate) fn parse_metis_header(line: &str) -> Result<MetisHeader, IoError> {
-    let mut it = line.split_whitespace();
-    let n: usize = it
-        .next()
-        .ok_or_else(|| IoError::Format("missing vertex count".into()))?
-        .parse()
-        .map_err(|_| IoError::Format("invalid vertex count".into()))?;
-    let m: usize = it
-        .next()
-        .ok_or_else(|| IoError::Format("missing edge count".into()))?
-        .parse()
-        .map_err(|_| IoError::Format("invalid edge count".into()))?;
-    let fmt = it.next().unwrap_or("0");
-    let (has_node_weights, has_edge_weights) = match fmt {
-        "0" | "00" | "" => (false, false),
-        "1" | "01" => (false, true),
-        "10" => (true, false),
-        "11" => (true, true),
-        other => {
+impl MetisReader {
+    pub(crate) fn open(path: impl AsRef<Path>) -> Result<Self, IoError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut lines = BufReader::new(file).lines();
+        let line =
+            next_metis_line(&mut lines).ok_or_else(|| IoError::Format("empty file".into()))??;
+        let mut tokens = line.split_whitespace();
+        let n = parse_token(tokens.next(), "vertex count")?;
+        let m: usize = parse_token(tokens.next(), "edge count")?;
+        let (node_weighted, edge_weighted) = match tokens.next().unwrap_or("0") {
+            "0" | "00" => (false, false),
+            "1" | "01" => (false, true),
+            "10" => (true, false),
+            "11" => (true, true),
+            other => {
+                return Err(IoError::Format(format!(
+                    "unsupported fmt field '{}'",
+                    other
+                )))
+            }
+        };
+        checked_node_count(n, "METIS vertex count")?;
+        // Every vertex takes a line and every one of the 2m half-edges at least a digit
+        // and a separator: a header claiming more is not this file's, and it would size
+        // the readers' buffers.
+        if n as u64 > len || (m as u64).saturating_mul(4) > len + 1 {
             return Err(IoError::Format(format!(
-                "unsupported fmt field '{}'",
-                other
-            )))
+                "header claims {} vertices and {} edges, more than a {}-byte file holds",
+                n, m, len
+            )));
         }
-    };
-    Ok(MetisHeader {
-        n,
-        m,
-        has_node_weights,
-        has_edge_weights,
+        Ok(Self {
+            header: GraphHeader {
+                n,
+                m,
+                node_weighted,
+                edge_weighted,
+            },
+            lines,
+        })
+    }
+}
+
+impl VertexStream for MetisReader {
+    fn header(&self) -> GraphHeader {
+        self.header
+    }
+
+    fn stream(mut self, sink: &mut VertexSink<'_>) -> Result<(), IoError> {
+        let GraphHeader {
+            n,
+            m,
+            node_weighted,
+            edge_weighted,
+        } = self.header;
+        let mut check = NeighborhoodCheck {
+            edge_weighted,
+            ..NeighborhoodCheck::default()
+        };
+        let mut nbrs = Vec::new();
+        for u in 0..n {
+            let line = next_metis_line(&mut self.lines)
+                .ok_or_else(|| IoError::Format(format!("missing line for vertex {}", u + 1)))??;
+            let mut tokens = line.split_whitespace();
+            let node_weight = match node_weighted {
+                true => parse_token(tokens.next(), "node weight")?,
+                false => 1,
+            };
+            nbrs.clear();
+            while let Some(token) = tokens.next() {
+                let v: usize = token
+                    .parse()
+                    .map_err(|_| IoError::Format(format!("invalid neighbor '{}'", token)))?;
+                if v == 0 || v > n {
+                    return Err(IoError::Format(format!("neighbor {} out of range", v)));
+                }
+                let weight = match edge_weighted {
+                    true => parse_token(tokens.next(), "edge weight")?,
+                    false => 1,
+                };
+                nbrs.push((ids::nid(v - 1), weight));
+            }
+            let u = ids::nid(u);
+            check.clean(u, node_weight, &mut nbrs)?;
+            sink(u, node_weight, &nbrs)?;
+        }
+        let edges = check.finish()?;
+        if edges != m {
+            return Err(IoError::Format(format!(
+                "edge count mismatch: header says {}, file contains {}",
+                m, edges
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The next line that is not a `%` comment.
+fn next_metis_line(lines: &mut Lines<BufReader<File>>) -> Option<io::Result<String>> {
+    lines.find(|line| {
+        line.as_ref()
+            .map_or(true, |s| !s.trim_start().starts_with('%'))
     })
+}
+
+fn parse_token<T: FromStr>(token: Option<&str>, what: &str) -> Result<T, IoError> {
+    token
+        .ok_or_else(|| IoError::Format(format!("missing {}", what)))?
+        .parse()
+        .map_err(|_| IoError::Format(format!("invalid {}", what)))
 }
 
 /// Reads a graph in the METIS text format into a CSR graph.
 pub fn read_metis(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut lines = reader.lines().filter(|l| {
-        l.as_ref()
-            .map(|s| !s.trim_start().starts_with('%'))
-            .unwrap_or(true)
-    });
-    let header_line = lines
-        .next()
-        .ok_or_else(|| IoError::Format("empty file".into()))??;
-    let header = parse_metis_header(&header_line)?;
-    checked_node_count(header.n, "METIS vertex count")?;
-    let mut builder = CsrGraphBuilder::new(header.n);
-    for u in 0..header.n {
-        let line = lines
-            .next()
-            .ok_or_else(|| IoError::Format(format!("missing line for vertex {}", u + 1)))??;
-        let mut tokens = line.split_whitespace();
-        if header.has_node_weights {
-            let w: NodeWeight = tokens
-                .next()
-                .ok_or_else(|| IoError::Format("missing node weight".into()))?
-                .parse()
-                .map_err(|_| IoError::Format("invalid node weight".into()))?;
-            builder.set_node_weight(checked_node_id(u, "METIS vertex")?, w);
-        }
-        while let Some(tok) = tokens.next() {
-            let v: usize = tok
-                .parse()
-                .map_err(|_| IoError::Format(format!("invalid neighbor '{}'", tok)))?;
-            if v == 0 || v > header.n {
-                return Err(IoError::Format(format!("neighbor {} out of range", v)));
-            }
-            let weight: EdgeWeight = if header.has_edge_weights {
-                tokens
-                    .next()
-                    .ok_or_else(|| IoError::Format("missing edge weight".into()))?
-                    .parse()
-                    .map_err(|_| IoError::Format("invalid edge weight".into()))?
-            } else {
-                1
-            };
-            // METIS files list every undirected edge in both endpoints' lines; add it
-            // only once so the builder does not merge the two copies into weight 2w.
-            if v - 1 > u {
-                builder.add_edge(
-                    checked_node_id(u, "METIS vertex")?,
-                    checked_node_id(v - 1, "METIS neighbor")?,
-                    weight,
-                );
-            }
-        }
-    }
-    let graph = builder.build();
-    if graph.m() != header.m {
-        // METIS files may count each edge once; tolerate a mismatch but not silently.
-        if graph.m() * 2 != header.m {
-            return Err(IoError::Format(format!(
-                "edge count mismatch: header says {}, file contains {}",
-                header.m,
-                graph.m()
-            )));
-        }
-    }
-    Ok(graph)
-}
-
-/// Visitor over the vertices of a METIS file: `(&header, u, node_weight, neighbors)`.
-pub(crate) type MetisVertexVisitor<'a> = dyn FnMut(&MetisHeader, NodeId, NodeWeight, &[(NodeId, EdgeWeight)]) -> Result<(), IoError>
-    + 'a;
-
-/// Streams a METIS file one vertex at a time: `f(&header, u, node_weight, neighbors)`
-/// is invoked for every vertex in ID order with its **sorted** neighbourhood (the
-/// header is available from the first call, so encoders can fix weight handling up
-/// front). Self-loops are dropped and duplicate neighbour entries merged by summing
-/// their weights (matching [`CsrGraphBuilder`] semantics), so downstream encoders can
-/// rely on a clean, strictly-increasing neighbour list. Shared by
-/// [`read_metis_compressed`] and the `.tpg` converter
-/// ([`crate::store::write_tpg_from_metis`]).
-pub(crate) fn for_each_metis_vertex(
-    path: impl AsRef<Path>,
-    f: &mut MetisVertexVisitor<'_>,
-) -> Result<MetisHeader, IoError> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut lines = reader.lines().filter(|l| {
-        l.as_ref()
-            .map(|s| !s.trim_start().starts_with('%'))
-            .unwrap_or(true)
-    });
-    let header_line = lines
-        .next()
-        .ok_or_else(|| IoError::Format("empty file".into()))??;
-    let header = parse_metis_header(&header_line)?;
-    checked_node_count(header.n, "METIS vertex count")?;
-    let mut nbrs: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for u in 0..header.n {
-        let line = lines
-            .next()
-            .ok_or_else(|| IoError::Format(format!("missing line for vertex {}", u + 1)))??;
-        let mut tokens = line.split_whitespace();
-        let node_weight: NodeWeight = if header.has_node_weights {
-            tokens
-                .next()
-                .ok_or_else(|| IoError::Format("missing node weight".into()))?
-                .parse()
-                .map_err(|_| IoError::Format("invalid node weight".into()))?
-        } else {
-            1
-        };
-        nbrs.clear();
-        while let Some(tok) = tokens.next() {
-            let v: usize = tok
-                .parse()
-                .map_err(|_| IoError::Format(format!("invalid neighbor '{}'", tok)))?;
-            if v == 0 || v > header.n {
-                return Err(IoError::Format(format!("neighbor {} out of range", v)));
-            }
-            let weight: EdgeWeight = if header.has_edge_weights {
-                tokens
-                    .next()
-                    .ok_or_else(|| IoError::Format("missing edge weight".into()))?
-                    .parse()
-                    .map_err(|_| IoError::Format("invalid edge weight".into()))?
-            } else {
-                1
-            };
-            if v - 1 != u {
-                nbrs.push((checked_node_id(v - 1, "METIS neighbor")?, weight));
-            }
-        }
-        nbrs.sort_unstable_by_key(|&(v, _)| v);
-        crate::merge_sorted_duplicates(&mut nbrs);
-        f(
-            &header,
-            checked_node_id(u, "METIS vertex")?,
-            node_weight,
-            &nbrs,
-        )?;
-    }
-    Ok(header)
+    read_csr(MetisReader::open(path)?)
 }
 
 /// Reads a METIS file and compresses it on the fly in a single pass: each vertex line is
@@ -377,49 +484,7 @@ pub fn read_metis_compressed(
     path: impl AsRef<Path>,
     config: &CompressionConfig,
 ) -> Result<CompressedGraph, IoError> {
-    let mut offsets = vec![0u64];
-    let mut data = Vec::new();
-    let mut node_weights: Vec<NodeWeight> = Vec::new();
-    let mut first_edge: EdgeId = 0;
-    let mut total_edge_weight: EdgeWeight = 0;
-    let mut max_degree = 0usize;
-    let mut half_edges = 0usize;
-    let header = for_each_metis_vertex(path, &mut |header, u, node_weight, nbrs| {
-        if header.has_node_weights {
-            node_weights.push(node_weight);
-        }
-        total_edge_weight += nbrs.iter().map(|&(_, w)| w).sum::<EdgeWeight>();
-        max_degree = max_degree.max(nbrs.len());
-        half_edges += nbrs.len();
-        encode_neighborhood(
-            u,
-            first_edge,
-            nbrs,
-            header.has_edge_weights && config.compress_edge_weights,
-            config,
-            &mut data,
-        );
-        first_edge += nbrs.len() as EdgeId;
-        offsets.push(data.len() as u64);
-        Ok(())
-    })?;
-    let total_node_weight = if header.has_node_weights {
-        node_weights.iter().sum()
-    } else {
-        header.n as NodeWeight
-    };
-    Ok(CompressedGraph::from_encoded_parts(
-        header.n,
-        half_edges / 2,
-        offsets,
-        data,
-        node_weights,
-        header.has_edge_weights,
-        total_node_weight,
-        total_edge_weight / 2,
-        max_degree,
-        config.clone(),
-    ))
+    read_compressed(MetisReader::open(path)?, config)
 }
 
 /// Writes `graph` in the binary format (`TPGB` magic, little-endian arrays).
@@ -463,154 +528,166 @@ pub(crate) fn read_exact_u32(r: &mut impl Read) -> Result<u32, IoError> {
     Ok(u32::from_le_bytes(buf))
 }
 
-/// Reads a graph written by [`write_binary`].
-pub fn read_binary(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(IoError::Format("bad magic".into()));
-    }
-    let version = read_exact_u32(&mut r)?;
-    if version != BINARY_VERSION {
-        return Err(IoError::Format(format!("unsupported version {}", version)));
-    }
-    let n = checked_node_count(read_exact_u64(&mut r)? as usize, "binary vertex count")?;
-    let half_edges = read_exact_u64(&mut r)? as usize;
-    let flags = read_exact_u32(&mut r)?;
-    let edge_weighted = flags & 1 != 0;
-    let node_weighted = flags & 2 != 0;
-    let mut xadj = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        xadj.push(read_exact_u64(&mut r)?);
-    }
-    let mut adjacency: Vec<NodeId> = Vec::with_capacity(half_edges);
-    for _ in 0..half_edges {
-        adjacency.push(NodeId::from(read_exact_u32(&mut r)?));
-    }
-    let mut edge_weights = Vec::new();
-    if edge_weighted {
-        edge_weights.reserve(half_edges);
-        for _ in 0..half_edges {
-            edge_weights.push(read_exact_u64(&mut r)?);
-        }
-    }
-    let mut node_weights = Vec::new();
-    if node_weighted {
-        node_weights.reserve(n);
-        for _ in 0..n {
-            node_weights.push(read_exact_u64(&mut r)?);
-        }
-    }
-    Ok(CsrGraph::from_parts(
-        xadj,
-        adjacency,
-        edge_weights,
-        node_weights,
-    ))
+/// The one reader of the binary format ([`write_binary`]). [`open`](Self::open) reads
+/// and validates the header, `xadj` and the node weights — `O(n)` — and every
+/// [`for_each_vertex`](Self::for_each_vertex) pass streams the adjacency and its edge
+/// weights through two file cursors, one neighbourhood at a time.
+#[derive(Debug)]
+pub struct BinaryReader {
+    path: PathBuf,
+    header: GraphHeader,
+    xadj: Vec<EdgeId>,
+    node_weights: Vec<NodeWeight>,
 }
 
-/// Reads a binary graph and compresses it on the fly, one neighbourhood at a time.
-/// This is the flow used for the huge-graph experiments: the CSR arrays of the whole graph
-/// never exist in memory simultaneously (only one neighbourhood at a time is buffered).
+impl BinaryReader {
+    /// Opens a binary graph file, checking its magic, version, flags, length and
+    /// `xadj` before anything is sized by them.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, IoError> {
+        let path = path.as_ref().to_path_buf();
+        let file = File::open(&path)?;
+        let file_len = file.metadata()?.len();
+        let mut r = BufReader::new(file);
+        let mut magic = [0u8; 4];
+        r.read_exact(&mut magic)?;
+        if &magic != BINARY_MAGIC {
+            return Err(IoError::Format("bad magic".into()));
+        }
+        let version = read_exact_u32(&mut r)?;
+        if version != BINARY_VERSION {
+            return Err(IoError::Format(format!("unsupported version {}", version)));
+        }
+        let n = checked_node_count(read_exact_u64(&mut r)? as usize, "binary vertex count")?;
+        let half_edges = read_exact_u64(&mut r)?;
+        let flags = read_exact_u32(&mut r)?;
+        if flags > 3 {
+            return Err(IoError::Format(format!("unsupported flags {:#x}", flags)));
+        }
+        let (edge_weighted, node_weighted) = (flags & 1 != 0, flags & 2 != 0);
+        // Every section's length follows from the header, so the file's length must too.
+        let sections = [
+            (n as u64 + 1, 8),
+            (half_edges, 4),
+            (if edge_weighted { half_edges } else { 0 }, 8),
+            (if node_weighted { n as u64 } else { 0 }, 8),
+        ];
+        let expected = sections
+            .iter()
+            .try_fold(BINARY_HEADER_LEN, |len, &(count, width)| {
+                count.checked_mul(width)?.checked_add(len)
+            });
+        if expected != Some(file_len) {
+            return Err(IoError::Format(format!(
+                "binary file is {} bytes, its header describes {:?}",
+                file_len, expected
+            )));
+        }
+        let xadj = (0..=n)
+            .map(|_| read_exact_u64(&mut r))
+            .collect::<Result<Vec<EdgeId>, _>>()?;
+        if xadj[0] != 0 || xadj[n] != half_edges || xadj.windows(2).any(|w| w[0] > w[1]) {
+            return Err(IoError::Format(format!(
+                "xadj does not rise monotonically from 0 to the header's {} half-edges",
+                half_edges
+            )));
+        }
+        let node_weights = if node_weighted {
+            r.seek(SeekFrom::Start(file_len - 8 * n as u64))?;
+            (0..n)
+                .map(|_| read_exact_u64(&mut r))
+                .collect::<Result<_, _>>()?
+        } else {
+            Vec::new()
+        };
+        Ok(Self {
+            path,
+            header: GraphHeader {
+                n,
+                m: (half_edges / 2) as usize,
+                node_weighted,
+                edge_weighted,
+            },
+            xadj,
+            node_weights,
+        })
+    }
+
+    /// Number of vertices.
+    pub fn n(&self) -> usize {
+        self.header.n
+    }
+
+    /// Weight of vertex `u`.
+    pub fn node_weight(&self, u: NodeId) -> NodeWeight {
+        self.node_weights.get(u as usize).copied().unwrap_or(1)
+    }
+
+    /// One pass over the adjacency: every vertex into `sink`, under the contract of the
+    /// module docs.
+    pub fn for_each_vertex(&self, sink: &mut VertexSink<'_>) -> Result<(), IoError> {
+        let GraphHeader {
+            n, edge_weighted, ..
+        } = self.header;
+        let cursor = |start: u64| -> Result<BufReader<File>, IoError> {
+            let mut r = BufReader::new(File::open(&self.path)?);
+            r.seek(SeekFrom::Start(start))?;
+            Ok(r)
+        };
+        let adjacency_start = BINARY_HEADER_LEN + 8 * (n as u64 + 1);
+        let mut targets = cursor(adjacency_start)?;
+        let mut weights = match edge_weighted {
+            true => Some(cursor(adjacency_start + 4 * self.xadj[n])?),
+            false => None,
+        };
+        let mut check = NeighborhoodCheck {
+            edge_weighted,
+            ..NeighborhoodCheck::default()
+        };
+        let mut nbrs = Vec::new();
+        for u in 0..n {
+            nbrs.clear();
+            for _ in self.xadj[u]..self.xadj[u + 1] {
+                let v = read_exact_u32(&mut targets)?;
+                let weight = match weights.as_mut() {
+                    Some(r) => read_exact_u64(r)?,
+                    None => 1,
+                };
+                if v as usize >= n {
+                    return Err(IoError::Format(format!("neighbor {} out of range", v)));
+                }
+                nbrs.push((NodeId::from(v), weight));
+            }
+            let u = ids::nid(u);
+            check.clean(u, self.node_weight(u), &mut nbrs)?;
+            sink(u, self.node_weight(u), &nbrs)?;
+        }
+        check.finish().map(drop)
+    }
+}
+
+impl VertexStream for &BinaryReader {
+    fn header(&self) -> GraphHeader {
+        self.header
+    }
+
+    fn stream(self, sink: &mut VertexSink<'_>) -> Result<(), IoError> {
+        self.for_each_vertex(sink)
+    }
+}
+
+/// Reads a graph written by [`write_binary`].
+pub fn read_binary(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
+    read_csr(&BinaryReader::open(path)?)
+}
+
+/// Reads a binary graph and compresses it on the fly, one neighbourhood at a time —
+/// the flow of the huge-graph experiments: `O(n)` plus one neighbourhood in memory,
+/// weighted or not.
 pub fn read_binary_compressed(
     path: impl AsRef<Path>,
     config: &CompressionConfig,
 ) -> Result<CompressedGraph, IoError> {
-    // The binary layout stores xadj before adjacency, so a strictly single-pass read is
-    // possible by keeping only the offset array (O(n)) plus one neighbourhood buffer.
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(IoError::Format("bad magic".into()));
-    }
-    let version = read_exact_u32(&mut r)?;
-    if version != BINARY_VERSION {
-        return Err(IoError::Format(format!("unsupported version {}", version)));
-    }
-    let n = checked_node_count(read_exact_u64(&mut r)? as usize, "binary vertex count")?;
-    let half_edges = read_exact_u64(&mut r)? as usize;
-    let flags = read_exact_u32(&mut r)?;
-    let edge_weighted = flags & 1 != 0;
-    let node_weighted = flags & 2 != 0;
-    let mut xadj = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        xadj.push(read_exact_u64(&mut r)?);
-    }
-    // Adjacency: stream one neighbourhood at a time.
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u64);
-    let mut data = Vec::new();
-    let mut max_degree = 0usize;
-    // Edge weights are stored after the adjacency array in the file, so for weighted
-    // graphs we must buffer neighbour IDs for a second sub-pass; for unweighted graphs
-    // (the common huge-web-graph case) the compression is truly single-pass.
-    let mut buffered: Vec<Vec<NodeId>> = Vec::new();
-    for u in 0..n {
-        let degree = (xadj[u + 1] - xadj[u]) as usize;
-        max_degree = max_degree.max(degree);
-        let mut nbrs: Vec<NodeId> = Vec::with_capacity(degree);
-        for _ in 0..degree {
-            nbrs.push(NodeId::from(read_exact_u32(&mut r)?));
-        }
-        nbrs.sort_unstable();
-        if edge_weighted {
-            buffered.push(nbrs);
-        } else {
-            let pairs: Vec<(NodeId, EdgeWeight)> = nbrs.into_iter().map(|v| (v, 1)).collect();
-            encode_neighborhood(ids::nid(u), xadj[u], &pairs, false, config, &mut data);
-            offsets.push(data.len() as u64);
-        }
-    }
-    let mut total_edge_weight: EdgeWeight = (half_edges / 2) as EdgeWeight;
-    if edge_weighted {
-        let mut weights = Vec::with_capacity(half_edges);
-        for _ in 0..half_edges {
-            weights.push(read_exact_u64(&mut r)?);
-        }
-        total_edge_weight = weights.iter().sum::<EdgeWeight>() / 2;
-        for (u, nbrs) in buffered.into_iter().enumerate() {
-            let begin = xadj[u] as usize;
-            let pairs: Vec<(NodeId, EdgeWeight)> = nbrs
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, weights[begin + i]))
-                .collect();
-            encode_neighborhood(
-                ids::nid(u),
-                xadj[u],
-                &pairs,
-                config.compress_edge_weights,
-                config,
-                &mut data,
-            );
-            offsets.push(data.len() as u64);
-        }
-    }
-    let mut node_weights = Vec::new();
-    let mut total_node_weight = n as NodeWeight;
-    if node_weighted {
-        node_weights.reserve(n);
-        for _ in 0..n {
-            node_weights.push(read_exact_u64(&mut r)?);
-        }
-        total_node_weight = node_weights.iter().sum();
-    }
-    Ok(CompressedGraph::from_encoded_parts(
-        n,
-        half_edges / 2,
-        offsets,
-        data,
-        node_weights,
-        edge_weighted,
-        total_node_weight,
-        total_edge_weight,
-        max_degree,
-        config.clone(),
-    ))
+    read_compressed(&BinaryReader::open(path)?, config)
 }
 
 #[cfg(test)]

@@ -70,24 +70,6 @@ pub type NodeWeight = u64;
 /// Weight of an edge (always ≥ 1 for valid graphs).
 pub type EdgeWeight = u64;
 
-/// Merges duplicate entries of a neighbour list sorted by ID, summing their weights —
-/// the [`CsrGraphBuilder`] duplicate semantics. Shared by every streaming path that
-/// must match the in-memory builder byte for byte (METIS parsing, spill-bucket
-/// aggregation).
-pub(crate) fn merge_sorted_duplicates(nbrs: &mut Vec<(NodeId, EdgeWeight)>) {
-    debug_assert!(nbrs.windows(2).all(|w| w[0].0 <= w[1].0), "must be sorted");
-    let mut write = 0usize;
-    for read in 0..nbrs.len() {
-        if write > 0 && nbrs[write - 1].0 == nbrs[read].0 {
-            nbrs[write - 1].1 += nbrs[read].1;
-        } else {
-            nbrs[write] = nbrs[read];
-            write += 1;
-        }
-    }
-    nbrs.truncate(write);
-}
-
 /// An undirected edge given by its two endpoints and a weight, used by builders and
 /// generators before the CSR arrays exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

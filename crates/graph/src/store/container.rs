@@ -8,7 +8,7 @@
 //! 4       4     version (u32, always 4 — the reader accepts nothing else)
 //! 8       4     flags   (bit 0: edge weighted, bit 1: node weighted,
 //!                        bit 2: interval encoding, bit 3: compressed edge weights,
-//!                        bit 4: Elias-Fano offset index, always set)
+//!                        always set, bit 4: Elias-Fano offset index, always set)
 //! 12      1     id width in bytes the writer was built with (4 or 8)
 //! 13      1     log2 of the checksum block length B
 //! 14      2     reserved (zero)
@@ -57,18 +57,17 @@
 //! succeeds, so a crashed or failed write can never leave a truncated `.tpg` under the
 //! destination name.
 
-use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::checksum::{crc32, Crc32};
-use crate::compressed::{encode_neighborhood, CompressedGraph, CompressionConfig};
+use crate::compressed::{CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder};
 use crate::csr::CsrGraph;
 use crate::ids::{self, IdWidth};
 use crate::io::{
-    checked_node_count, for_each_metis_vertex, open_error_is_retryable, read_exact_u32,
-    read_exact_u64, IoError, BINARY_MAGIC,
+    checked_node_count, open_error_is_retryable, read_exact_u32, read_exact_u64, BinaryReader,
+    IoError, MetisReader, VertexStream,
 };
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
 use crate::store::elias_fano::{ef_section_bytes, EliasFanoIndex};
@@ -95,6 +94,8 @@ const TPG_BLOCK_LOG2_RANGE: std::ops::RangeInclusive<u32> = 6..=30;
 const FLAG_EDGE_WEIGHTED: u32 = 1 << 0;
 const FLAG_NODE_WEIGHTED: u32 = 1 << 1;
 const FLAG_INTERVALS: u32 = 1 << 2;
+/// The edge weights of a weighted graph are stored. Always set; a header without it
+/// is rejected.
 const FLAG_COMPRESS_EDGE_WEIGHTS: u32 = 1 << 3;
 /// The offset index is Elias-Fano encoded. Always set; a header without it is rejected.
 const FLAG_EF_OFFSETS: u32 = 1 << 4;
@@ -231,36 +232,12 @@ fn temp_path_for(dst: &Path) -> Result<PathBuf, IoError> {
     )))
 }
 
-/// Streaming `.tpg` writer: feed neighbourhoods in vertex order, then [`finish`].
-///
-/// The path-based constructor is crash-safe: bytes stream into a hidden temp file next
-/// to the destination and the destination only comes into existence through an atomic
-/// rename after a successful `fsync` in [`finish`]. Dropping an unfinished writer (or
-/// any error path) removes the temp file, so no partial container ever leaks.
-///
-/// [`finish`]: TpgWriter::finish
-pub struct TpgWriter {
+/// The container file on its way to disk: an append buffer in front of the backend,
+/// and the streaming per-block crc of the data section.
+struct FileSink {
     out: Box<dyn StorageBackend>,
     /// Append buffer between the encode path and the backend.
     buf: Vec<u8>,
-    /// Temp and destination paths of the crash-safe path-based writer; `None` when
-    /// writing to a caller-provided backend.
-    paths: Option<(PathBuf, PathBuf)>,
-    committed: bool,
-    config: CompressionConfig,
-    /// Whether the source graph carries edge weights (controls weight encoding together
-    /// with [`CompressionConfig::compress_edge_weights`]).
-    edge_weighted: bool,
-    n: usize,
-    next_vertex: usize,
-    offsets: Vec<u64>,
-    node_weights: Vec<NodeWeight>,
-    any_node_weight: bool,
-    first_edge: EdgeId,
-    total_edge_weight: EdgeWeight,
-    max_degree: usize,
-    half_edges: usize,
-    encode_buf: Vec<u8>,
     /// Checksum block length of the data section.
     block_len: usize,
     /// Completed per-block crc32 values of the data section.
@@ -269,6 +246,71 @@ pub struct TpgWriter {
     block_crc: Crc32,
     /// Bytes absorbed into `block_crc` so far.
     block_fill: usize,
+}
+
+impl FileSink {
+    /// Buffers `bytes` for appending; flushes to the backend past the threshold.
+    fn write(&mut self, bytes: &[u8]) -> Result<(), IoError> {
+        self.buf.extend_from_slice(bytes);
+        if self.buf.len() >= WRITER_FLUSH_LEN {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), IoError> {
+        if !self.buf.is_empty() {
+            self.out.append(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// Appends data-section bytes, folding them into the per-block streaming crc: the
+    /// one pass of the crc over every data byte.
+    fn write_data(&mut self, bytes: &[u8]) -> Result<(), IoError> {
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let room = self.block_len - self.block_fill;
+            let take = room.min(rest.len());
+            self.block_crc.update(&rest[..take]);
+            self.block_fill += take;
+            if self.block_fill == self.block_len {
+                self.block_crcs.push(self.block_crc.take());
+                self.block_fill = 0;
+            }
+            rest = &rest[take..];
+        }
+        self.write(bytes)
+    }
+}
+
+/// Streaming `.tpg` writer: feed neighbourhoods in vertex order, then [`finish`].
+///
+/// Neighbourhoods arrive either one at a time ([`push_neighborhood`], encoded here) or
+/// as sections a worker encoded ([`push_section`]); both commit through the same
+/// `EncodedSection::absorb`, so the two differ only in who encoded the bytes.
+///
+/// The path-based constructor is crash-safe: bytes stream into a hidden temp file next
+/// to the destination and the destination only comes into existence through an atomic
+/// rename after a successful `fsync` in [`finish`]. Dropping an unfinished writer (or
+/// any error path) removes the temp file, so no partial container ever leaks.
+///
+/// [`finish`]: TpgWriter::finish
+/// [`push_neighborhood`]: TpgWriter::push_neighborhood
+/// [`push_section`]: TpgWriter::push_section
+pub struct TpgWriter {
+    file: FileSink,
+    /// Temp and destination paths of the crash-safe path-based writer; `None` when
+    /// writing to a caller-provided backend.
+    paths: Option<(PathBuf, PathBuf)>,
+    committed: bool,
+    n: usize,
+    /// What the committed neighbourhoods add up to; their bytes are already on disk.
+    totals: EncodedSection,
+    /// Encodes the neighbourhoods pushed one at a time (and holds the config and the
+    /// edge-weight flag every pushed section must match).
+    encoder: SectionEncoder,
 }
 
 impl TpgWriter {
@@ -311,30 +353,21 @@ impl TpgWriter {
         config: &CompressionConfig,
     ) -> Result<Self, IoError> {
         checked_node_count(n, ".tpg vertex count")?;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
         Ok(Self {
-            out,
-            // Placeholder header, overwritten in `finish` once the totals are known.
-            buf: vec![0u8; TPG_HEADER_LEN as usize],
+            file: FileSink {
+                out,
+                // Placeholder header, overwritten in `finish` once the totals are known.
+                buf: vec![0u8; TPG_HEADER_LEN as usize],
+                block_len: TPG_CHECKSUM_BLOCK_LEN,
+                block_crcs: Vec::new(),
+                block_crc: Crc32::new(),
+                block_fill: 0,
+            },
             paths,
             committed: false,
-            config: config.clone(),
-            edge_weighted,
             n,
-            next_vertex: 0,
-            offsets,
-            node_weights: Vec::new(),
-            any_node_weight: false,
-            first_edge: 0,
-            total_edge_weight: 0,
-            max_degree: 0,
-            half_edges: 0,
-            encode_buf: Vec::new(),
-            block_len: TPG_CHECKSUM_BLOCK_LEN,
-            block_crcs: Vec::new(),
-            block_crc: Crc32::new(),
-            block_fill: 0,
+            totals: EncodedSection::with_capacity(0, 0, n),
+            encoder: SectionEncoder::new(0, 0, edge_weighted, config),
         })
     }
 
@@ -351,50 +384,12 @@ impl TpgWriter {
             TPG_BLOCK_LOG2_RANGE.end(),
         );
         assert_eq!(
-            self.next_vertex, 0,
+            self.totals.vertex_count(),
+            0,
             "checksum block length must be set before pushing neighbourhoods"
         );
-        self.block_len = block_len;
+        self.file.block_len = block_len;
         self
-    }
-
-    /// Byte offset of the end of the data section written so far.
-    fn last_offset(&self) -> u64 {
-        self.offsets.last().copied().unwrap_or(0)
-    }
-
-    /// Buffers `bytes` for appending; flushes to the backend past the threshold.
-    fn buffered_write(&mut self, bytes: &[u8]) -> Result<(), IoError> {
-        self.buf.extend_from_slice(bytes);
-        if self.buf.len() >= WRITER_FLUSH_LEN {
-            self.flush_buf()?;
-        }
-        Ok(())
-    }
-
-    fn flush_buf(&mut self) -> Result<(), IoError> {
-        if !self.buf.is_empty() {
-            self.out.append(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-
-    /// Appends data-section bytes, folding them into the per-block streaming crc.
-    fn write_data(&mut self, bytes: &[u8]) -> Result<(), IoError> {
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let room = self.block_len - self.block_fill;
-            let take = room.min(rest.len());
-            self.block_crc.update(&rest[..take]);
-            self.block_fill += take;
-            if self.block_fill == self.block_len {
-                self.block_crcs.push(self.block_crc.take());
-                self.block_fill = 0;
-            }
-            rest = &rest[take..];
-        }
-        self.buffered_write(bytes)
     }
 
     /// Appends the neighbourhood of the next vertex (vertices must be pushed in ID
@@ -406,34 +401,16 @@ impl TpgWriter {
         neighbors: &[(NodeId, EdgeWeight)],
         node_weight: NodeWeight,
     ) -> Result<(), IoError> {
+        let next = self.totals.vertex_count();
         assert_eq!(
-            u as usize, self.next_vertex,
+            u as usize, next,
             "neighbourhoods must be pushed in vertex order"
         );
-        assert!(self.next_vertex < self.n, "vertex {} out of range", u);
-        let mut encode_buf = std::mem::take(&mut self.encode_buf);
-        encode_buf.clear();
-        encode_neighborhood(
-            u,
-            self.first_edge,
-            neighbors,
-            self.edge_weighted && self.config.compress_edge_weights,
-            &self.config,
-            &mut encode_buf,
-        );
-        let written = self.write_data(&encode_buf);
-        let encoded_len = encode_buf.len() as u64;
-        self.encode_buf = encode_buf;
-        written?;
-        let last = self.last_offset();
-        self.offsets.push(last + encoded_len);
-        self.first_edge += neighbors.len() as EdgeId;
-        self.half_edges += neighbors.len();
-        self.max_degree = self.max_degree.max(neighbors.len());
-        self.total_edge_weight += neighbors.iter().map(|&(_, w)| w).sum::<EdgeWeight>();
-        self.node_weights.push(node_weight);
-        self.any_node_weight |= node_weight != 1;
-        self.next_vertex += 1;
+        assert!(next < self.n, "vertex {} out of range", u);
+        self.encoder.restart(next, self.totals.next_first_edge());
+        self.encoder.push_neighborhood(u, neighbors, node_weight);
+        self.file.write_data(&self.encoder.section.bytes)?;
+        self.totals.absorb(&self.encoder.section);
         Ok(())
     }
 
@@ -448,19 +425,22 @@ impl TpgWriter {
     /// [`compress_csr_parallel`]: crate::builder::compress_csr_parallel
     /// [`push_neighborhood`]: TpgWriter::push_neighborhood
     pub fn push_section(&mut self, section: &EncodedSection) -> Result<(), IoError> {
+        let (first, count) = (section.first_vertex, section.vertex_count());
         assert_eq!(
-            section.first_vertex, self.next_vertex,
+            first,
+            self.totals.vertex_count(),
             "sections must be committed in vertex order"
         );
         assert_eq!(
-            section.base_first_edge, self.first_edge,
+            section.base_first_edge,
+            self.totals.next_first_edge(),
             "section was encoded against a stale half-edge prefix"
         );
         assert!(
-            self.next_vertex + section.vertex_count <= self.n,
+            first + count <= self.n,
             "section [{}, {}) out of range for {} vertices",
-            section.first_vertex,
-            section.first_vertex + section.vertex_count,
+            first,
+            first + count,
             self.n
         );
         // The section travelled through a channel between an encoder worker and this
@@ -470,27 +450,14 @@ impl TpgWriter {
         if actual != section.crc {
             return Err(IoError::Corrupt(format!(
                 "encoded section [{}, {}) checksum mismatch: encoder {:#010x}, commit {:#010x}",
-                section.first_vertex,
-                section.first_vertex + section.vertex_count,
+                first,
+                first + count,
                 section.crc,
                 actual
             )));
         }
-        self.write_data(&section.bytes)?;
-        let mut last = self.last_offset();
-        for &size in &section.sizes {
-            last += u64::from(size);
-            self.offsets.push(last);
-        }
-        for &w in &section.node_weights {
-            self.node_weights.push(w);
-            self.any_node_weight |= w != 1;
-        }
-        self.first_edge += section.half_edges as EdgeId;
-        self.half_edges += section.half_edges;
-        self.max_degree = self.max_degree.max(section.max_degree);
-        self.total_edge_weight += section.total_edge_weight;
-        self.next_vertex += section.vertex_count;
+        self.file.write_data(&section.bytes)?;
+        self.totals.absorb(section);
         Ok(())
     }
 
@@ -498,53 +465,47 @@ impl TpgWriter {
     /// syncs the file and — for path-based writers — atomically renames the temp file
     /// over the destination.
     pub fn finish(mut self) -> Result<TpgSummary, IoError> {
+        let totals = std::mem::take(&mut self.totals);
         assert_eq!(
-            self.next_vertex, self.n,
+            totals.vertex_count(),
+            self.n,
             "expected {} vertices, got {}",
-            self.n, self.next_vertex
+            self.n,
+            totals.vertex_count()
         );
-        let data_len = self.last_offset();
+        let data_len = totals.data_len();
+        let file = &mut self.file;
         // Seal the final partial data block.
-        if self.block_fill > 0 {
-            self.block_crcs.push(self.block_crc.take());
-            self.block_fill = 0;
+        if file.block_fill > 0 {
+            file.block_crcs.push(file.block_crc.take());
+            file.block_fill = 0;
         }
-        let offsets = std::mem::take(&mut self.offsets);
         let mut offsets_crc = Crc32::new();
-        let ef = EliasFanoIndex::encode(&offsets, data_len);
+        let ef = EliasFanoIndex::encode(&totals.offsets, data_len);
         for &word in ef.lower_words().iter().chain(ef.upper_words().iter()) {
             let bytes = word.to_le_bytes();
             offsets_crc.update(&bytes);
-            self.buffered_write(&bytes)?;
+            file.write(&bytes)?;
         }
-        let node_weighted = self.any_node_weight;
+        // The node weights are empty iff every weight is 1.
+        let node_weighted = !totals.node_weights.is_empty();
         let mut weights_crc = Crc32::new();
-        if node_weighted {
-            let weights = std::mem::take(&mut self.node_weights);
-            for &w in &weights {
-                let bytes = w.to_le_bytes();
-                weights_crc.update(&bytes);
-                self.buffered_write(&bytes)?;
-            }
-            self.node_weights = weights;
+        for &w in &totals.node_weights {
+            let bytes = w.to_le_bytes();
+            weights_crc.update(&bytes);
+            file.write(&bytes)?;
         }
-        let total_node_weight: NodeWeight = if node_weighted {
-            self.node_weights.iter().sum()
-        } else {
-            self.n as NodeWeight
-        };
-        let mut flags = FLAG_EF_OFFSETS;
-        if self.edge_weighted {
+        let config = &self.encoder.config;
+        // Bit 3 (compressed edge weights) is always set: weights are always stored.
+        let mut flags = FLAG_EF_OFFSETS | FLAG_COMPRESS_EDGE_WEIGHTS;
+        if self.encoder.edge_weighted {
             flags |= FLAG_EDGE_WEIGHTED;
         }
         if node_weighted {
             flags |= FLAG_NODE_WEIGHTED;
         }
-        if self.config.enable_intervals {
+        if config.enable_intervals {
             flags |= FLAG_INTERVALS;
-        }
-        if self.config.compress_edge_weights {
-            flags |= FLAG_COMPRESS_EDGE_WEIGHTS;
         }
         let mut header = Vec::with_capacity(TPG_HEADER_LEN as usize);
         header.extend_from_slice(TPG_MAGIC);
@@ -552,41 +513,41 @@ impl TpgWriter {
         header.extend_from_slice(&flags.to_le_bytes());
         // Byte 0 the writer's id width, byte 1 the log2 of the checksum block length,
         // two reserved zero bytes.
-        let block_log2 = self.block_len.trailing_zeros() as u8;
+        let block_log2 = file.block_len.trailing_zeros() as u8;
         header.extend_from_slice(&[ids::NODE_ID_BYTES, block_log2, 0, 0]);
         header.extend_from_slice(&(self.n as u64).to_le_bytes());
-        header.extend_from_slice(&((self.half_edges / 2) as u64).to_le_bytes());
-        header.extend_from_slice(&total_node_weight.to_le_bytes());
-        header.extend_from_slice(&(self.total_edge_weight / 2).to_le_bytes());
-        header.extend_from_slice(&(self.max_degree as u64).to_le_bytes());
-        header.extend_from_slice(&(self.config.high_degree_threshold as u64).to_le_bytes());
-        header.extend_from_slice(&(self.config.chunk_len as u64).to_le_bytes());
-        header.extend_from_slice(&(self.config.min_interval_len as u64).to_le_bytes());
+        header.extend_from_slice(&((totals.half_edges / 2) as u64).to_le_bytes());
+        header.extend_from_slice(&totals.total_node_weight.to_le_bytes());
+        header.extend_from_slice(&(totals.total_edge_weight / 2).to_le_bytes());
+        header.extend_from_slice(&(totals.max_degree as u64).to_le_bytes());
+        header.extend_from_slice(&(config.high_degree_threshold as u64).to_le_bytes());
+        header.extend_from_slice(&(config.chunk_len as u64).to_le_bytes());
+        header.extend_from_slice(&(config.min_interval_len as u64).to_le_bytes());
         header.extend_from_slice(&data_len.to_le_bytes());
         debug_assert_eq!(header.len() as u64, TPG_HEADER_LEN);
         // Checksum footer: per-block data crcs, section crcs, then the header crc
         // (computable only now that the header bytes are final).
-        let block_crcs = std::mem::take(&mut self.block_crcs);
-        self.buffered_write(TPG_FOOTER_MAGIC)?;
+        let block_crcs = std::mem::take(&mut file.block_crcs);
+        file.write(TPG_FOOTER_MAGIC)?;
         for &c in &block_crcs {
-            self.buffered_write(&c.to_le_bytes())?;
+            file.write(&c.to_le_bytes())?;
         }
-        self.buffered_write(&offsets_crc.finalize().to_le_bytes())?;
-        self.buffered_write(&weights_crc.finalize().to_le_bytes())?;
-        self.buffered_write(&crc32(&header).to_le_bytes())?;
-        self.flush_buf()?;
-        self.out.write_at(0, &header)?;
+        file.write(&offsets_crc.finalize().to_le_bytes())?;
+        file.write(&weights_crc.finalize().to_le_bytes())?;
+        file.write(&crc32(&header).to_le_bytes())?;
+        file.flush()?;
+        file.out.write_at(0, &header)?;
         // fsync before the commit rename: the destination name must never refer to
         // bytes that could still be lost in the page cache.
-        self.out.sync()?;
-        let file_bytes = self.out.len()?;
+        file.out.sync()?;
+        let file_bytes = file.out.len()?;
         if let Some((tmp, dst)) = self.paths.take() {
             std::fs::rename(&tmp, &dst)?;
         }
         self.committed = true;
         Ok(TpgSummary {
             n: self.n,
-            m: self.half_edges / 2,
+            m: totals.half_edges / 2,
             data_bytes: data_len,
             file_bytes,
         })
@@ -602,140 +563,6 @@ impl Drop for TpgWriter {
                 let _ = std::fs::remove_file(tmp);
             }
         }
-    }
-}
-
-/// One encoded run of consecutive vertex neighbourhoods, produced by a
-/// [`SectionEncoder`] and committed through [`TpgWriter::push_section`].
-///
-/// Sections are the unit of the out-of-order commit path: workers encode disjoint
-/// vertex ranges into local `EncodedSection` buffers in any order and commit them to
-/// the writer in vertex order (the packet scheme of
-/// [`compress_csr_parallel`](crate::builder::compress_csr_parallel)). The committed
-/// byte stream is identical to pushing the same neighbourhoods one by one through
-/// [`TpgWriter::push_neighborhood`].
-#[derive(Debug)]
-pub struct EncodedSection {
-    /// First vertex of the section.
-    first_vertex: usize,
-    /// Number of vertices encoded into the section.
-    vertex_count: usize,
-    /// The half-edge ID the section's first neighbourhood was encoded against. The
-    /// writer checks it at commit time: a section encoded against the wrong prefix
-    /// would embed wrong `first_edge` headers.
-    base_first_edge: EdgeId,
-    /// Concatenated encoded neighbourhoods.
-    bytes: Vec<u8>,
-    /// Encoded size of each vertex's neighbourhood within `bytes`.
-    sizes: Vec<u32>,
-    /// Node weight of each vertex in the section.
-    node_weights: Vec<NodeWeight>,
-    /// Half-edges (directed neighbour entries) in the section.
-    half_edges: usize,
-    /// Sum of all neighbour weights in the section (each half-edge counted once).
-    total_edge_weight: EdgeWeight,
-    /// Maximum degree within the section.
-    max_degree: usize,
-    /// crc32 of `bytes`, computed streaming by the encoder and re-verified by
-    /// [`TpgWriter::push_section`] before the bytes reach disk.
-    crc: u32,
-}
-
-impl EncodedSection {
-    /// Number of half-edges encoded into the section.
-    pub fn half_edges(&self) -> usize {
-        self.half_edges
-    }
-}
-
-/// Encodes a run of consecutive vertex neighbourhoods into an [`EncodedSection`]
-/// without touching the output file — the worker-local half of the out-of-order
-/// commit path (see [`TpgWriter::push_section`]).
-///
-/// `base_first_edge` must equal the number of half-edges of all vertices preceding
-/// `first_vertex` in the final container; the caller learns it from the preceding
-/// section's totals (the neighbourhood header embeds the absolute first-edge ID, so
-/// it cannot be patched after encoding).
-pub struct SectionEncoder {
-    config: CompressionConfig,
-    edge_weighted: bool,
-    next_vertex: usize,
-    first_edge: EdgeId,
-    section: EncodedSection,
-    /// Streaming crc over the section bytes encoded so far.
-    crc: Crc32,
-}
-
-impl SectionEncoder {
-    /// Creates an encoder for the vertex run starting at `first_vertex`, whose first
-    /// neighbourhood begins at half-edge `base_first_edge`. `edge_weighted` and
-    /// `config` must match the target [`TpgWriter`].
-    pub fn new(
-        first_vertex: NodeId,
-        base_first_edge: EdgeId,
-        edge_weighted: bool,
-        config: &CompressionConfig,
-    ) -> Self {
-        Self {
-            config: config.clone(),
-            edge_weighted,
-            next_vertex: first_vertex as usize,
-            first_edge: base_first_edge,
-            section: EncodedSection {
-                first_vertex: first_vertex as usize,
-                vertex_count: 0,
-                base_first_edge,
-                bytes: Vec::new(),
-                sizes: Vec::new(),
-                node_weights: Vec::new(),
-                half_edges: 0,
-                total_edge_weight: 0,
-                max_degree: 0,
-                crc: 0,
-            },
-            crc: Crc32::new(),
-        }
-    }
-
-    /// Appends the next vertex's neighbourhood (same contract as
-    /// [`TpgWriter::push_neighborhood`]: vertices in ID order, neighbours sorted,
-    /// duplicate- and self-loop-free).
-    pub fn push_neighborhood(
-        &mut self,
-        u: NodeId,
-        neighbors: &[(NodeId, EdgeWeight)],
-        node_weight: NodeWeight,
-    ) {
-        assert_eq!(
-            u as usize, self.next_vertex,
-            "section neighbourhoods must be pushed in vertex order"
-        );
-        let before = self.section.bytes.len();
-        encode_neighborhood(
-            u,
-            self.first_edge,
-            neighbors,
-            self.edge_weighted && self.config.compress_edge_weights,
-            &self.config,
-            &mut self.section.bytes,
-        );
-        self.crc.update(&self.section.bytes[before..]);
-        self.section
-            .sizes
-            .push((self.section.bytes.len() - before) as u32);
-        self.section.node_weights.push(node_weight);
-        self.first_edge += neighbors.len() as EdgeId;
-        self.section.half_edges += neighbors.len();
-        self.section.max_degree = self.section.max_degree.max(neighbors.len());
-        self.section.total_edge_weight += neighbors.iter().map(|&(_, w)| w).sum::<EdgeWeight>();
-        self.section.vertex_count += 1;
-        self.next_vertex += 1;
-    }
-
-    /// Finalises the section for commit.
-    pub fn finish(mut self) -> EncodedSection {
-        self.section.crc = self.crc.finalize();
-        self.section
     }
 }
 
@@ -788,6 +615,13 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
                 .into(),
         ));
     }
+    if flags & FLAG_COMPRESS_EDGE_WEIGHTS == 0 {
+        return Err(IoError::Format(
+            ".tpg header lacks the compressed-edge-weight flag (this build always stores \
+             the weights of a weighted graph; regenerate the container)"
+                .into(),
+        ));
+    }
     // Byte 0: the writer's id width; byte 1: log2 of the checksum block length; the
     // remaining two bytes are reserved and must be zero.
     let reserved = read_exact_u32(r)?;
@@ -836,7 +670,6 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
         max_degree,
         config: CompressionConfig {
             enable_intervals: flags & FLAG_INTERVALS != 0,
-            compress_edge_weights: flags & FLAG_COMPRESS_EDGE_WEIGHTS != 0,
             high_degree_threshold,
             chunk_len,
             min_interval_len,
@@ -1048,24 +881,10 @@ pub(crate) fn read_tpg_index_backend(
     Ok((offsets, node_weights, checksums))
 }
 
-/// Verifies a fully materialised data section against its per-block crcs.
-pub(crate) fn verify_data_blocks(data: &[u8], checksums: &TpgChecksums) -> Result<(), IoError> {
-    let block_len = checksums.block_len as usize;
-    let expected = data.len().div_ceil(block_len);
-    if checksums.blocks.len() != expected {
-        return Err(IoError::Format(format!(
-            ".tpg footer carries {} block checksums, data section needs {}",
-            checksums.blocks.len(),
-            expected
-        )));
-    }
-    verify_data_blocks_at(data, 0, checksums)
-}
-
 /// Verifies a data-section slice starting at block-aligned byte offset `start`
 /// against the per-block crcs. A partial trailing chunk is only admissible at the end
 /// of the data section, where the writer checksummed the short block as-is.
-pub(crate) fn verify_data_blocks_at(
+pub(crate) fn verify_blocks_at(
     data: &[u8],
     start: u64,
     checksums: &TpgChecksums,
@@ -1103,40 +922,42 @@ const DATA_VERIFY_CHUNK: usize = 1024 * 1024;
 
 /// Streams the data section of an open container through the backend in
 /// checksum-block-aligned chunks, verifying each chunk against the footer's per-block
-/// crcs and optionally collecting the bytes into `sink` (the mmap backend's heap
-/// fallback). Each chunk is its own retry unit, so a transient fault re-reads only
-/// the chunk it hit — and because every byte flows through
-/// [`StorageBackend::read_at`], injected fault schedules apply to this path exactly
-/// as they do to the paged reader.
+/// crcs and optionally loading the bytes into `sink` (the eager reader and the mmap
+/// backend's heap fallback), each chunk read straight into its place. Each chunk is its
+/// own retry unit, so a transient fault re-reads only the chunk it hit — and because
+/// every byte flows through [`StorageBackend::read_at`], injected fault schedules apply
+/// to this path exactly as they do to the paged reader.
 pub(crate) fn verify_or_load_data(
     backend: &dyn StorageBackend,
     meta: &TpgMeta,
     checksums: &TpgChecksums,
     retry: &RetryPolicy,
     retries: &mut u64,
-    mut sink: Option<&mut Vec<u8>>,
+    sink: Option<&mut Vec<u8>>,
 ) -> Result<(), IoError> {
-    if let Some(out) = sink.as_deref_mut() {
-        out.clear();
-        out.reserve(meta.data_len as usize);
-    }
-    if meta.data_len == 0 {
-        return Ok(());
-    }
     let block_len = u64::from(checksums.block_len);
     let chunk_len = block_len * (DATA_VERIFY_CHUNK as u64 / block_len).max(1);
-    let mut buf = vec![0u8; chunk_len.min(meta.data_len) as usize];
+    let loading = sink.is_some();
+    let mut scratch = Vec::new();
+    let buf = match sink {
+        Some(out) => {
+            *out = vec![0u8; meta.data_len as usize];
+            out
+        }
+        None => {
+            scratch.resize(chunk_len.min(meta.data_len) as usize, 0);
+            &mut scratch
+        }
+    };
     let mut pos = 0u64;
     while pos < meta.data_len {
         let take = chunk_len.min(meta.data_len - pos) as usize;
+        let at = if loading { pos as usize } else { 0 };
         retry_section(retry, retries, || {
-            let bytes = &mut buf[..take];
+            let bytes = &mut buf[at..at + take];
             read_full_at(backend, bytes, meta.data_start() + pos)?;
-            verify_data_blocks_at(bytes, pos, checksums)
+            verify_blocks_at(bytes, pos, checksums)
         })?;
-        if let Some(out) = sink.as_deref_mut() {
-            out.extend_from_slice(&buf[..take]);
-        }
         pos += take as u64;
     }
     Ok(())
@@ -1150,8 +971,10 @@ pub fn write_tpg_from_graph(
     config: &CompressionConfig,
 ) -> Result<TpgSummary, IoError> {
     let mut writer = TpgWriter::create(path, graph.n(), graph.is_edge_weighted(), config)?;
+    let mut nbrs = Vec::new();
     for u in 0..graph.n() as NodeId {
-        let mut nbrs = graph.neighbors_vec(u);
+        nbrs.clear();
+        graph.for_each_neighbor(u, &mut |v, w| nbrs.push((v, w)));
         nbrs.sort_unstable_by_key(|&(v, _)| v);
         writer.push_neighborhood(u, &nbrs, graph.node_weight(u))?;
     }
@@ -1159,111 +982,39 @@ pub fn write_tpg_from_graph(
 }
 
 /// Converts a METIS text file into a `.tpg` container in one streaming pass: each vertex
-/// line is parsed, cleaned (self-loops dropped, duplicate entries weight-merged — the
-/// same parser [`crate::io::read_metis_compressed`] uses), sorted and encoded
-/// immediately, so no uncompressed adjacency is ever materialised.
+/// line is parsed, validated and cleaned by the one METIS reader (see [`crate::io`])
+/// and encoded immediately, so no uncompressed adjacency is ever materialised.
 pub fn write_tpg_from_metis(
     src: impl AsRef<Path>,
     dst: impl AsRef<Path>,
     config: &CompressionConfig,
 ) -> Result<TpgSummary, IoError> {
-    let mut writer: Option<TpgWriter> = None;
-    let dst = dst.as_ref();
-    let header = for_each_metis_vertex(src, &mut |header, u, node_weight, nbrs| {
-        if writer.is_none() {
-            writer = Some(TpgWriter::create(
-                dst,
-                header.n,
-                header.has_edge_weights,
-                config,
-            )?);
-        }
-        match writer.as_mut() {
-            Some(w) => w.push_neighborhood(u, nbrs, node_weight),
-            None => unreachable!("writer initialised above"),
-        }
-    })?;
-    match writer {
-        Some(w) => w.finish(),
-        // Zero-vertex file: the closure never ran, so create the empty container here.
-        None => TpgWriter::create(dst, header.n, header.has_edge_weights, config)?.finish(),
-    }
+    write_tpg_from_stream(MetisReader::open(src)?, dst, config)
 }
 
 /// Converts a binary graph file (see [`crate::io::write_binary`]) into a `.tpg`
-/// container with bounded memory. Edge weights are stored after the adjacency in the
-/// source format, so the weighted case reads the file through *two* cursors advancing in
-/// lockstep — one over the adjacency, one over the weights — instead of buffering the
-/// whole adjacency as [`crate::io::read_binary_compressed`] does.
+/// container with bounded memory: the one binary reader ([`BinaryReader`]) holds
+/// `O(n)` and streams the adjacency and its edge weights through two cursors.
 pub fn write_tpg_from_binary(
     src: impl AsRef<Path>,
     dst: impl AsRef<Path>,
     config: &CompressionConfig,
 ) -> Result<TpgSummary, IoError> {
-    let file = File::open(&src)?;
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(IoError::Format("bad magic".into()));
-    }
-    let version = read_exact_u32(&mut r)?;
-    if version != 1 {
-        return Err(IoError::Format(format!("unsupported version {}", version)));
-    }
-    let n = read_exact_u64(&mut r)? as usize;
-    let half_edges = read_exact_u64(&mut r)? as usize;
-    let flags = read_exact_u32(&mut r)?;
-    let edge_weighted = flags & 1 != 0;
-    let node_weighted = flags & 2 != 0;
-    let mut xadj = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        xadj.push(read_exact_u64(&mut r)?);
-    }
-    // Section offsets within the source file.
-    let adjacency_start = 4 + 4 + 8 + 8 + 4 + 8 * (n as u64 + 1);
-    let weights_start = adjacency_start + 4 * half_edges as u64;
-    let node_weights_start = if edge_weighted {
-        weights_start + 8 * half_edges as u64
-    } else {
-        weights_start
-    };
-    // Second cursor over the edge-weight section (weighted graphs only).
-    let mut weight_reader = if edge_weighted {
-        let mut f = File::open(&src)?;
-        f.seek(SeekFrom::Start(weights_start))?;
-        Some(BufReader::new(f))
-    } else {
-        None
-    };
-    // Third cursor over the node weights, read up front (`O(n)` is in budget).
-    let node_weights: Vec<NodeWeight> = if node_weighted {
-        let mut f = File::open(&src)?;
-        f.seek(SeekFrom::Start(node_weights_start))?;
-        let mut nr = BufReader::new(f);
-        (0..n)
-            .map(|_| read_exact_u64(&mut nr))
-            .collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
-    let mut writer = TpgWriter::create(dst, n, edge_weighted, config)?;
-    let mut nbrs: Vec<(NodeId, EdgeWeight)> = Vec::new();
-    for u in 0..n {
-        let degree = (xadj[u + 1] - xadj[u]) as usize;
-        nbrs.clear();
-        for _ in 0..degree {
-            nbrs.push((NodeId::from(read_exact_u32(&mut r)?), 1));
-        }
-        if let Some(wr) = weight_reader.as_mut() {
-            for entry in nbrs.iter_mut() {
-                entry.1 = read_exact_u64(wr)?;
-            }
-        }
-        nbrs.sort_unstable_by_key(|&(v, _)| v);
-        let node_weight = if node_weighted { node_weights[u] } else { 1 };
-        writer.push_neighborhood(u as NodeId, &nbrs, node_weight)?;
-    }
+    write_tpg_from_stream(&BinaryReader::open(src)?, dst, config)
+}
+
+/// Encodes a validated vertex stream into a `.tpg` container at `dst`. A stream that
+/// fails — even after its last vertex — drops the writer, so nothing is published.
+fn write_tpg_from_stream(
+    input: impl VertexStream,
+    dst: impl AsRef<Path>,
+    config: &CompressionConfig,
+) -> Result<TpgSummary, IoError> {
+    let header = input.header();
+    let mut writer = TpgWriter::create(dst, header.n, header.edge_weighted, config)?;
+    input.stream(&mut |u, node_weight, neighbors| {
+        writer.push_neighborhood(u, neighbors, node_weight)
+    })?;
     writer.finish()
 }
 
@@ -1320,11 +1071,18 @@ pub fn read_tpg_compressed_backend(
 ) -> Result<CompressedGraph, IoError> {
     let meta = read_tpg_meta_backend(backend)?;
     // The eager reader surfaces the first failure; retrying is the paged reader's job.
+    let (retry, mut retries) = (RetryPolicy::disabled(), 0);
     let (offsets, node_weights, checksums) =
-        read_tpg_index_backend(backend, &meta, &RetryPolicy::disabled(), &mut 0)?;
-    let mut data = vec![0u8; meta.data_len as usize];
-    read_full_at(backend, &mut data, meta.data_start())?;
-    verify_data_blocks(&data, &checksums)?;
+        read_tpg_index_backend(backend, &meta, &retry, &mut retries)?;
+    let mut data = Vec::new();
+    verify_or_load_data(
+        backend,
+        &meta,
+        &checksums,
+        &retry,
+        &mut retries,
+        Some(&mut data),
+    )?;
     Ok(CompressedGraph::from_encoded_parts(
         meta.n,
         meta.m,
@@ -1552,8 +1310,9 @@ mod tests {
 
     #[test]
     fn retired_versions_and_plain_offset_headers_are_format_errors() {
-        // Versions 1-3 and the plain-offset flavour of version 4 have no reader any
-        // more. Every entry point must say so with a structured `Format` error (crc
+        // Versions 1-3, the plain-offset flavour of version 4 and a version 4 whose
+        // weighted neighbourhoods would carry no weights have no reader any more. Every
+        // entry point must say so with a structured `Format` error (crc
         // re-stamped, so it is the version/flag check that decides) — never a panic,
         // and never an attempt to interpret the sections under the wrong layout.
         let g = gen::grid2d(6, 5);
@@ -1570,6 +1329,13 @@ mod tests {
         let mut plain = clean.clone();
         plain[8] &= !(FLAG_EF_OFFSETS as u8);
         stale.push(("v4 without the EF flag".into(), plain, "Elias-Fano"));
+        let mut unweighted_codec = clean.clone();
+        unweighted_codec[8] &= !(FLAG_COMPRESS_EDGE_WEIGHTS as u8);
+        stale.push((
+            "v4 without the compressed-edge-weight flag".into(),
+            unweighted_codec,
+            "compressed-edge-weight",
+        ));
         for (label, mut bytes, needle) in stale {
             restamp_header_crc(&mut bytes, &meta);
             std::fs::write(&path, &bytes).unwrap();

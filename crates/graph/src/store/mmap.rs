@@ -377,10 +377,6 @@ impl MmapGraph {
         self.meta.csr_size_in_bytes()
     }
 
-    fn weighted(&self) -> bool {
-        self.meta.edge_weighted && self.meta.config.compress_edge_weights
-    }
-
     fn data(&self) -> &[u8] {
         self.mapping.data()
     }
@@ -448,7 +444,7 @@ impl Graph for MmapGraph {
             self.data(),
             start as usize,
             u,
-            self.weighted(),
+            self.meta.edge_weighted,
             &self.meta.config,
             f,
         );

@@ -60,7 +60,7 @@ pub use backend::{
 };
 pub use container::{
     read_tpg, read_tpg_compressed, read_tpg_meta, write_tpg_from_binary, write_tpg_from_graph,
-    write_tpg_from_metis, EncodedSection, SectionEncoder, TpgMeta, TpgSummary, TpgWriter,
+    write_tpg_from_metis, TpgMeta, TpgSummary, TpgWriter,
 };
 pub use elias_fano::{ef_section_bytes, EliasFanoIndex};
 pub use handle::{StoreHandle, StoreSession};

@@ -889,10 +889,6 @@ impl PagedGraph {
         self.meta.csr_size_in_bytes()
     }
 
-    fn weighted(&self) -> bool {
-        self.meta.edge_weighted && self.meta.config.compress_edge_weights
-    }
-
     /// Poisons the graph with `error` unless it is already poisoned: the *first* fatal
     /// error (and the observer's context) is kept; later ones are dropped. See the
     /// type-level "Failure protocol" docs.
@@ -952,7 +948,7 @@ impl PagedGraph {
         }
         with_decode_buf(|buf| {
             self.cache.read_range(start, end, buf)?;
-            decode_neighborhood(buf, 0, u, self.weighted(), &self.meta.config, f);
+            decode_neighborhood(buf, 0, u, self.meta.edge_weighted, &self.meta.config, f);
             Ok(())
         })
     }

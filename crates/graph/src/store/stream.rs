@@ -49,11 +49,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::compressed::CompressionConfig;
+use crate::compressed::{CompressionConfig, SectionEncoder};
 use crate::gen::{try_for_each_rgg2d_edge, try_for_each_rgg3d_edge, try_for_each_rmat_edge};
 use crate::ids;
 use crate::io::IoError;
-use crate::store::container::{SectionEncoder, TpgSummary, TpgWriter};
+use crate::store::container::{TpgSummary, TpgWriter};
 use crate::{EdgeId, EdgeWeight, NodeId};
 
 /// Bytes of one spilled half-edge record's id fields (source, target), at the active
@@ -103,7 +103,7 @@ fn decode_record(record: &[u8; RECORD_BYTES]) -> (NodeId, NodeId, EdgeWeight) {
 /// defaults (1024).
 pub const MAX_SPILL_BUCKETS: usize = 256;
 
-/// Spill-file volume statistics of a [`StreamingTpgBuilder`] (see
+/// Spill-file volume of a [`StreamingTpgBuilder`] (see
 /// [`spill_stats`](StreamingTpgBuilder::spill_stats)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpillStats {
@@ -113,25 +113,6 @@ pub struct SpillStats {
     pub weighted_records: u64,
     /// Bytes actually written across all spill files.
     pub bytes: u64,
-    /// Bytes the pre-unit-format layout (every record carrying a u64 weight) would
-    /// have written — the baseline for the spill-I/O saving.
-    pub full_width_bytes: u64,
-}
-
-impl SpillStats {
-    /// Total half-edge records spilled.
-    pub fn records(&self) -> u64 {
-        self.unit_records + self.weighted_records
-    }
-
-    /// Fraction of the full-width spill volume saved by the unit-record format.
-    pub fn savings(&self) -> f64 {
-        if self.full_width_bytes == 0 {
-            0.0
-        } else {
-            1.0 - self.bytes as f64 / self.full_width_bytes as f64
-        }
-    }
 }
 
 /// External-memory `.tpg` builder fed by an edge stream (see the module docs).
@@ -150,21 +131,16 @@ impl SpillStats {
 pub struct StreamingTpgBuilder {
     n: usize,
     vertices_per_bucket: usize,
-    spill_dir: PathBuf,
     bucket_paths: Vec<PathBuf>,
     buckets: Vec<BufWriter<File>>,
     /// Lazily created writers for explicitly weighted records, one per bucket.
     weighted_paths: Vec<PathBuf>,
     weighted_buckets: Vec<Option<BufWriter<File>>>,
-    edges_added: usize,
     /// Whether any explicitly non-unit edge weight entered the stream; lets `finish`
     /// skip the weight-detection pass for weighted inputs.
     saw_explicit_weight: bool,
     unit_records: u64,
     weighted_records: u64,
-    /// Observability handle; spill volume counters are exported when the spill files
-    /// are sealed. Disabled (free) by default.
-    obs: obs::ObsHandle,
 }
 
 /// One bucket's aggregated adjacency in flat form: `entries[starts[i]..starts[i + 1]]`
@@ -238,51 +214,29 @@ impl StreamingTpgBuilder {
         Ok(Self {
             n,
             vertices_per_bucket: n.div_ceil(num_buckets).max(1),
-            spill_dir,
             bucket_paths,
             buckets,
             weighted_paths,
             weighted_buckets,
-            edges_added: 0,
             saw_explicit_weight: false,
             unit_records: 0,
             weighted_records: 0,
-            obs: obs::ObsHandle::noop(),
         })
     }
 
-    /// Installs an observability handle; spill volume ([`obs::Counter::SpillBytes`],
-    /// [`obs::Counter::SpillRecords`]) is exported into it when the spill files are
-    /// sealed at finish time.
-    pub fn set_obs(&mut self, handle: obs::ObsHandle) {
-        self.obs = handle;
-    }
-
-    /// Spill-file volume written so far (and what the pre-unit-record format would
-    /// have cost), for the bench harness's before/after comparison.
+    /// Spill-file volume written so far.
     pub fn spill_stats(&self) -> SpillStats {
         SpillStats {
             unit_records: self.unit_records,
             weighted_records: self.weighted_records,
             bytes: self.unit_records * UNIT_RECORD_BYTES as u64
                 + self.weighted_records * RECORD_BYTES as u64,
-            full_width_bytes: (self.unit_records + self.weighted_records) * RECORD_BYTES as u64,
         }
-    }
-
-    /// Directory holding the spill files.
-    pub fn spill_dir(&self) -> &Path {
-        &self.spill_dir
     }
 
     /// Number of spill buckets actually in use (after clamping).
     pub fn num_buckets(&self) -> usize {
         self.bucket_paths.len()
-    }
-
-    /// Number of undirected edge records accepted so far (before deduplication).
-    pub fn edges_added(&self) -> usize {
-        self.edges_added
     }
 
     /// Adds an undirected edge `{u, v}`. Self-loops are dropped, duplicates merge by
@@ -303,7 +257,6 @@ impl StreamingTpgBuilder {
         }
         self.spill_half_edge(u, v, weight)?;
         self.spill_half_edge(v, u, weight)?;
-        self.edges_added += 1;
         self.saw_explicit_weight |= weight != 1;
         Ok(())
     }
@@ -524,7 +477,7 @@ impl StreamingTpgBuilder {
         Ok(found.load(Ordering::Relaxed))
     }
 
-    /// Flushes and closes the spill writers (the prologue of `finish`), exporting the final spill volume to the observability handle.
+    /// Flushes and closes the spill writers (the prologue of `finish`).
     fn seal_spill_files(&mut self) -> Result<(), IoError> {
         for w in &mut self.buckets {
             w.flush()?;
@@ -534,9 +487,6 @@ impl StreamingTpgBuilder {
         }
         drop(std::mem::take(&mut self.buckets));
         drop(std::mem::take(&mut self.weighted_buckets));
-        let stats = self.spill_stats();
-        self.obs.add(obs::Counter::SpillBytes, stats.bytes);
-        self.obs.add(obs::Counter::SpillRecords, stats.records());
         Ok(())
     }
 
@@ -805,6 +755,21 @@ mod tests {
     use crate::store::container::{read_tpg, write_tpg_from_graph};
     use crate::traits::Graph;
 
+    /// Merges duplicate entries of a neighbour list sorted by ID, summing their weights
+    /// (the [`CsrGraphBuilder`](crate::csr::CsrGraphBuilder) semantics).
+    fn merge_sorted_duplicates(nbrs: &mut Vec<(NodeId, EdgeWeight)>) {
+        let mut write = 0usize;
+        for read in 0..nbrs.len() {
+            if write > 0 && nbrs[write - 1].0 == nbrs[read].0 {
+                nbrs[write - 1].1 += nbrs[read].1;
+            } else {
+                nbrs[write] = nbrs[read];
+                write += 1;
+            }
+        }
+        nbrs.truncate(write);
+    }
+
     /// Per-vertex visitor over a bucket's aggregated neighbourhoods; returning
     /// `Ok(false)` stops the bucket scan early.
     type VertexVisitor<'a> =
@@ -827,7 +792,7 @@ mod tests {
             }
             for (i, nbrs) in adjacency.iter_mut().enumerate() {
                 nbrs.sort_unstable_by_key(|&(v, _)| v);
-                crate::merge_sorted_duplicates(nbrs);
+                merge_sorted_duplicates(nbrs);
                 if !f(ids::nid(lo + i), nbrs)? {
                     return Ok(false);
                 }
@@ -1102,30 +1067,35 @@ mod tests {
     fn unit_record_format_cuts_spill_volume() {
         let dir = tmp_dir("unit_records");
         let mut b = StreamingTpgBuilder::new(1 << 9, 4, &dir).unwrap();
+        let mut edges = 0u64;
         gen::for_each_rmat_edge(9, 6, 31, &mut |u, v| {
             b.add_edge(u, v, 1).unwrap();
+            edges += u64::from(u != v);
         });
-        let stats = b.spill_stats();
+        b.seal_spill_files().unwrap();
+        // A unit stream spills two weightless records per edge that is not a loop, and
+        // no weighted record.
+        let bytes = 2 * edges * UNIT_RECORD_BYTES as u64;
         assert_eq!(
-            stats.weighted_records, 0,
-            "unit stream spills no weighted records"
+            b.spill_stats(),
+            SpillStats {
+                unit_records: 2 * edges,
+                weighted_records: 0,
+                bytes,
+            }
         );
-        assert_eq!(stats.bytes, stats.unit_records * UNIT_RECORD_BYTES as u64);
-        // At 64-bit ids the weight field was a third of each record; at 32-bit, half.
-        let expected = 1.0 - UNIT_RECORD_BYTES as f64 / RECORD_BYTES as f64;
-        assert!(
-            (stats.savings() - expected).abs() < 1e-9,
-            "savings {} != expected {}",
-            stats.savings(),
-            expected
-        );
-        // No `.wedges` files on disk for a unit stream.
-        let weighted_files = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "wedges"))
-            .count();
-        assert_eq!(weighted_files, 0);
+        // That is what is on disk: `.edges` files of exactly those bytes, no `.wedges`.
+        let spill_bytes = |ext: &str| -> (usize, u64) {
+            let files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.path().extension().is_some_and(|x| x == ext))
+                .collect();
+            let len = files.iter().map(|e| e.metadata().unwrap().len()).sum();
+            (files.len(), len)
+        };
+        assert_eq!(spill_bytes("edges"), (4, bytes));
+        assert_eq!(spill_bytes("wedges"), (0, 0));
         drop(b);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1147,7 +1117,10 @@ mod tests {
             stats.weighted_records > 0,
             "stream contains explicit weights"
         );
-        assert!(stats.bytes < stats.full_width_bytes);
+        assert!(
+            stats.bytes < (stats.unit_records + stats.weighted_records) * RECORD_BYTES as u64,
+            "unit records carry no weight field"
+        );
         let split_path = dir.join("split.tpg");
         b.finish_with_threads(&split_path, &CompressionConfig::default(), 4)
             .unwrap();
@@ -1161,29 +1134,6 @@ mod tests {
         assert_eq!(
             std::fs::read(&split_path).unwrap(),
             std::fs::read(&seq_path).unwrap()
-        );
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn spill_volume_exports_to_an_obs_recorder() {
-        let dir = tmp_dir("spill_obs");
-        let (handle, recorder) = obs::ObsHandle::recording();
-        let mut b = StreamingTpgBuilder::new(256, 4, &dir).unwrap();
-        b.set_obs(handle);
-        gen::for_each_rmat_edge(8, 4, 3, &mut |u, v| {
-            b.add_edge(u, v, 1).unwrap();
-        });
-        let expected = b.spill_stats();
-        let path = dir.join("obs.tpg");
-        b.finish(&path, &CompressionConfig::default()).unwrap();
-        assert_eq!(
-            recorder.metrics().get(obs::Counter::SpillBytes),
-            expected.bytes
-        );
-        assert_eq!(
-            recorder.metrics().get(obs::Counter::SpillRecords),
-            expected.records()
         );
         std::fs::remove_dir_all(dir).ok();
     }
