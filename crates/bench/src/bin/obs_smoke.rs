@@ -19,6 +19,7 @@ use std::sync::Arc;
 use graph::gen;
 use graph::traits::Graph;
 use obs::Counter;
+use terapart::coarsening::MIN_CONTRACTIBLE_SHARE;
 use terapart::{PartitionerConfig, Preset, ProgressEvent};
 
 /// One parsed `"ph": "X"` complete event of the trace file.
@@ -163,7 +164,8 @@ fn uncoarsening_proportion() {
 /// The same report shows, per level, how much of one-pass contraction's edge-array
 /// reservation (2m slots) was ever written (2m′): what is resident is the committed part;
 /// and why coarsening stalls: how many half-edges the cluster-weight limit still lets
-/// label propagation contract, and that a level with none runs no round.
+/// label propagation contract, and that a level with fewer than
+/// `MIN_CONTRACTIBLE_SHARE` of its half-edges contractible runs no round.
 fn span_coverage_floor() -> f64 {
     let graph = gen::weblike(14, 12, 9);
     let config = PartitionerConfig::terapart(16).with_run_report(true);
@@ -195,6 +197,14 @@ fn span_coverage_floor() -> f64 {
         assert!(committed <= reserved);
         assert_eq!(committed, 2 * attr("coarse_edges"));
     }
+    // The half-edges of level `l`'s graph: what the contraction of level `l - 1` committed.
+    let half_edges_of = |level: u64| {
+        spans
+            .iter()
+            .find(|span| span.name == "coarsen_level" && span.level == Some(level - 1))
+            .and_then(|span| span.attr("committed_half_edges"))
+            .expect("a counted level without the contraction that built it")
+    };
     for span in spans.iter().filter(|span| span.name == "cluster") {
         let level = span.level.expect("a cluster span without a level");
         let rounds = span
@@ -204,10 +214,13 @@ fn span_coverage_floor() -> f64 {
             .count();
         match (span.attr("contractible_half_edges"), span.attr("movable")) {
             (Some(contractible), Some(movable)) => {
-                println!("cluster@{level}: {contractible} contractible half-edges, {movable} movable vertices, {rounds} rounds");
+                let share = contractible as f64 / half_edges_of(level) as f64;
+                println!("cluster@{level}: {contractible} contractible half-edges ({:.1} %), {movable} movable vertices, {rounds} rounds", 100.0 * share);
                 assert!(
-                    contractible > 0 || rounds == 0,
-                    "level {level} ran {rounds} rounds over no contractible edge"
+                    share >= MIN_CONTRACTIBLE_SHARE || rounds == 0,
+                    "level {level} ran {rounds} rounds with {:.1} % of its half-edges \
+                     contractible, below the share that gives it up",
+                    100.0 * share
                 );
             }
             // Unit weights: every edge is contractible and nothing was counted.

@@ -121,16 +121,16 @@ pub fn golden_entries() -> Vec<GoldenEntry> {
     };
     vec![
         entry(Fast, "grid3d-16", 1214, 1214),
-        entry(Fast, "rgg2d-6k", 867, 867),
-        entry(Fast, "plc-6k", 21831, 21831),
-        entry(Fast, "rmat-14", 38044, 38044),
+        entry(Fast, "rgg2d-6k", 824, 824),
+        entry(Fast, "plc-6k", 21702, 21702),
+        entry(Fast, "rmat-14", 37918, 37918),
         entry(Default, "grid3d-16", 1127, 1127),
-        entry(Default, "rgg2d-6k", 848, 848),
-        entry(Default, "plc-6k", 20957, 20957),
-        entry(Default, "rmat-14", 31978, 31978),
+        entry(Default, "rgg2d-6k", 817, 817),
+        entry(Default, "plc-6k", 21133, 21133),
+        entry(Default, "rmat-14", 29728, 29728),
         entry(Strong, "grid3d-16", 1066, 1066),
-        entry(Strong, "rgg2d-6k", 747, 747),
+        entry(Strong, "rgg2d-6k", 886, 886),
         entry(Strong, "plc-6k", 20866, 20866),
-        entry(Strong, "rmat-14", 37662, 37662),
+        entry(Strong, "rmat-14", 38018, 38018),
     ]
 }

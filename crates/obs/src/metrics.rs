@@ -73,9 +73,6 @@ counters! {
     (CachePrefetchBytes, "cache_prefetch_bytes", Sum),
     (CacheRetriedReads, "cache_retried_reads", Sum),
     (CacheChecksumFailures, "cache_checksum_failures", Sum),
-    // Streaming ingest spill files.
-    (SpillBytes, "spill_bytes", Sum),
-    (SpillRecords, "spill_records", Sum),
     // Mmap store backend.
     (MmapOpens, "mmap_opens", Sum),
     (MmapMappedBytes, "mmap_mapped_bytes", Max),

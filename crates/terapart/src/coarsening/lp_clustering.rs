@@ -26,24 +26,28 @@
 //! (collect/shuffle/run/swap plus stop criteria) is the shared driver of
 //! `crate::lp_rounds`, instantiated here with the no-waiter semantics; the frontier
 //! bitsets and the visit-order buffer live in the reusable [`HierarchyScratch`] arena.
+//! A visit decodes its vertex's neighbourhood once: the worker keeps the neighbour ids
+//! (up to `bump_threshold` of them) while rating, and a move marks the frontier from
+//! them; only a longer neighbourhood is decoded a second time.
 //!
 //! What the rounds visit is bounded by what the size constraint still allows. An edge
 //! `(u, v)` is *contractible* if `w(u) + w(v) ≤ max_cluster_weight` and a vertex is
 //! *movable* if it has one; on a node-weighted graph (every coarse level) the movable
 //! vertices are found in one pass over the edges before round 0, round 0 starts from
 //! them, later frontiers are cut down to them, and a level without any returns the
-//! singleton clustering without a round. On R-MAT the dense core sits at the weight
-//! limit after one contraction (`weblike(15, 8)`, k = 64: 100 % / 9.2 % / 0.04 % / 0 % of
-//! the half-edges of levels 0–3 are contractible), so the later levels used to pay full
-//! rounds over vertices that could not move. The unit-weight input graph is "all
-//! movable" without a decode.
+//! singleton clustering without a round. The same count lets coarsening give a level up
+//! before its first round ([`MIN_CONTRACTIBLE_SHARE`]): on R-MAT the dense core sits at
+//! the weight limit after one contraction, and the level after it is never clustered.
+//! The unit-weight input graph is "all movable" without a decode.
+//!
+//! [`MIN_CONTRACTIBLE_SHARE`]: super::MIN_CONTRACTIBLE_SHARE
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graph::ids;
 use graph::traits::Graph;
-use graph::{AtomicNodeId, NodeId, NodeWeight};
+use graph::{AtomicNodeId, EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
 use rayon::prelude::*;
 
@@ -254,36 +258,60 @@ fn rate(rating: EdgeRating, graph: &impl Graph, u: NodeId, v: NodeId, w: u64) ->
     }
 }
 
-/// Marks a moved vertex and its neighbourhood as active for the next round.
+/// Decodes the neighbourhood of `u` once, handing every neighbour to `rate`, and keeps
+/// the ids in `kept` so a move can mark them without a second decode. Returns the ids
+/// when they are the whole neighbourhood, `None` when it was longer than `kept`.
 #[inline]
-fn mark_moved(graph: &impl Graph, frontier: Option<&AtomicBitset>, u: NodeId) {
-    if let Some(bits) = frontier {
-        bits.set(u as usize);
-        graph.for_each_neighbor(u, &mut |v, _| bits.set(v as usize));
+fn visit_neighbors<'k>(
+    graph: &impl Graph,
+    u: NodeId,
+    kept: &'k mut [NodeId],
+    mut rate: impl FnMut(NodeId, EdgeWeight),
+) -> Option<&'k [NodeId]> {
+    let mut degree = 0;
+    graph.for_each_neighbor(u, &mut |v, w| {
+        if let Some(slot) = kept.get_mut(degree) {
+            *slot = v;
+        }
+        degree += 1;
+        rate(v, w);
+    });
+    let kept: &'k [NodeId] = kept;
+    kept.get(..degree)
+}
+
+/// Marks the neighbours of the moved vertex `u` active: the ids its visit kept, or a
+/// second decode where [`visit_neighbors`] could not keep them all.
+#[inline]
+fn mark_neighbors(graph: &impl Graph, u: NodeId, kept: Option<&[NodeId]>, bits: &AtomicBitset) {
+    match kept {
+        Some(ids) => ids.iter().for_each(|&v| bits.set(v as usize)),
+        None => graph.for_each_neighbor(u, &mut |v, _| bits.set(v as usize)),
     }
 }
 
-/// Applies the outcome of [`select_target`] for `u`: performs the move (marking the
-/// neighbourhood active) or, when the move lost a race against a concurrent one, keeps
-/// `u` alone in the frontier so the next round retries it. Returns whether `u` moved;
-/// callers count per chunk and publish once, not per move.
+/// Applies the outcome of [`select_target`] for `u`: performs the move (marking `u` and,
+/// through `mark_neighbors`, its neighbourhood active) or, when the move lost a race
+/// against a concurrent one, keeps `u` alone in the frontier so the next round retries
+/// it. Returns whether `u` moved; callers count per chunk and publish once, not per move.
 #[inline]
 fn apply_selection(
-    graph: &impl Graph,
     state: &ClusteringState,
     frontier: Option<&AtomicBitset>,
     u: NodeId,
     node_weight: NodeWeight,
     target: Option<ClusterId>,
+    mark_neighbors: impl FnOnce(&AtomicBitset),
 ) -> bool {
     let Some(target) = target else {
         return false;
     };
     let moved = state.try_move(u, node_weight, target);
-    if moved {
-        mark_moved(graph, frontier, u);
-    } else if let Some(bits) = frontier {
+    if let Some(bits) = frontier {
         bits.set(u as usize);
+        if moved {
+            mark_neighbors(bits);
+        }
     }
     moved
 }
@@ -365,26 +393,47 @@ pub fn cluster_with_scratch(
     seed: u64,
     scratch: &mut HierarchyScratch,
 ) -> Clustering {
-    cluster_level(graph, config, max_cluster_weight, seed, scratch).0
+    let movable = Movable::of(graph, max_cluster_weight);
+    cluster_movable(graph, config, max_cluster_weight, seed, movable, scratch)
 }
 
-/// [`cluster_with_scratch`], also handing back for the level's `cluster` span what it
-/// counted: `(contractible half-edges, movable vertices)`, `None` where every vertex is
-/// movable without a count.
+/// [`cluster_with_scratch`] on one coarsening level: a counted level with fewer than
+/// `min_contractible_half_edges` contractible half-edges is given up before its first
+/// round (`None`). Also hands back for the level's `cluster` span what it counted:
+/// `(contractible half-edges, movable vertices)`, `None` where every vertex is movable
+/// without a count — such a level is never given up.
 pub(crate) fn cluster_level(
     graph: &impl Graph,
     config: &CoarseningConfig,
     max_cluster_weight: NodeWeight,
     seed: u64,
+    min_contractible_half_edges: u64,
     scratch: &mut HierarchyScratch,
-) -> (Clustering, Option<(u64, usize)>) {
-    let n = graph.n();
+) -> (Option<Clustering>, Option<(u64, usize)>) {
     let movable = Movable::of(graph, max_cluster_weight);
     let counted = movable
         .as_ref()
         .map(|m| (m.contractible_half_edges, m.vertices));
-    if n == 0 || matches!(counted, Some((_, 0))) {
-        return (Clustering::singletons(n), counted);
+    if counted.is_some_and(|(half_edges, _)| half_edges < min_contractible_half_edges) {
+        return (None, counted);
+    }
+    let clustering = cluster_movable(graph, config, max_cluster_weight, seed, movable, scratch);
+    (Some(clustering), counted)
+}
+
+/// The rounds of [`cluster_with_scratch`], from the vertices `movable` counted (all of
+/// them where it is `None`).
+fn cluster_movable(
+    graph: &impl Graph,
+    config: &CoarseningConfig,
+    max_cluster_weight: NodeWeight,
+    seed: u64,
+    movable: Option<Movable>,
+    scratch: &mut HierarchyScratch,
+) -> Clustering {
+    let n = graph.n();
+    if n == 0 || movable.as_ref().is_some_and(|m| m.vertices == 0) {
+        return Clustering::singletons(n);
     }
     let _movable_scope =
         MemoryScope::charge_global(movable.as_ref().map_or(0, |m| m.bits.memory_bytes()));
@@ -432,6 +481,10 @@ pub(crate) fn cluster_level(
         }
     }
     let prefetch = |order: &[NodeId]| graph.prefetch(order);
+    // Each running chunk keeps the neighbour ids of its current visit.
+    let kept_ids_bytes = num_threads * config.bump_threshold * std::mem::size_of::<NodeId>();
+    // Cloned out before the driver takes `&mut` of the whole arena.
+    let workers = Arc::clone(&scratch.workers);
 
     match config.lp_mode {
         LabelPropagationMode::PerThreadRatingMaps => {
@@ -439,9 +492,11 @@ pub(crate) fn cluster_level(
             // all built and charged up front. At most `num_threads` chunks run at once,
             // so a lease always finds one of them parked.
             let maps = Pool::filled((0..num_threads).map(|_| SparseRatingMap::new(n)));
-            let _scope = MemoryScope::charge_global(maps.parked_sum(SparseRatingMap::memory_bytes));
+            let _scope = MemoryScope::charge_global(
+                maps.parked_sum(SparseRatingMap::memory_bytes) + kept_ids_bytes,
+            );
             let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
-                run_round_per_thread_maps(graph, &state, &maps, config.edge_rating, order, frontier)
+                run_round_per_thread_maps(graph, &state, &maps, config, &workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
                 seed,
@@ -462,11 +517,10 @@ pub(crate) fn cluster_level(
             // Auxiliary memory: p fixed-capacity hash tables, plus one shared O(n) array
             // from the first bumped vertex on.
             let _scope = MemoryScope::charge_global(
-                num_threads * FixedCapacityHashMap::new(config.bump_threshold).memory_bytes(),
+                num_threads * FixedCapacityHashMap::new(config.bump_threshold).memory_bytes()
+                    + kept_ids_bytes,
             );
             let mut shared = None;
-            // Cloned out before the driver takes `&mut` of the whole arena.
-            let workers = Arc::clone(&scratch.workers);
             let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
                 run_round_two_phase(
                     graph,
@@ -495,7 +549,7 @@ pub(crate) fn cluster_level(
         }
     }
 
-    (state.into_clustering(), counted)
+    state.into_clustering()
 }
 
 /// One round of the original algorithm: every running chunk holds a full sparse rating
@@ -504,23 +558,27 @@ fn run_round_per_thread_maps(
     graph: &impl Graph,
     state: &ClusteringState,
     maps: &Pool<SparseRatingMap>,
-    rating: EdgeRating,
+    config: &CoarseningConfig,
+    workers: &Pool<WorkerScratch>,
     order: &[NodeId],
     frontier: Option<&AtomicBitset>,
 ) -> usize {
     let moved = AtomicUsize::new(0);
     order.par_chunks(256).for_each(|chunk| {
         let mut map = maps.checkout();
+        let mut worker = workers.checkout();
+        let ids = worker.neighbor_ids(config.bump_threshold);
         let mut chunk_moves = 0usize;
         for &u in chunk {
             let node_weight = graph.node_weight(u);
             map.clear();
-            graph.for_each_neighbor(u, &mut |v, w| {
-                map.add(state.label(v), rate(rating, graph, u, v, w));
+            let kept = visit_neighbors(graph, u, ids, |v, w| {
+                map.add(state.label(v), rate(config.edge_rating, graph, u, v, w));
             });
             let current = state.label(u);
             let target = select_target(map.iter(), current, node_weight, state);
-            if apply_selection(graph, state, frontier, u, node_weight, target) {
+            let mark = |bits: &AtomicBitset| mark_neighbors(graph, u, kept, bits);
+            if apply_selection(state, frontier, u, node_weight, target, mark) {
                 chunk_moves += 1;
             }
         }
@@ -550,14 +608,14 @@ fn run_round_two_phase(
             // The rating table comes from the arena's worker pool (as in LP refinement
             // and contraction), not from the allocator once per chunk.
             let mut worker = workers.checkout();
-            let map = worker.rating_table(config.bump_threshold);
+            let (map, ids) = worker.rating_table_and_neighbor_ids(config.bump_threshold);
             let mut bumped = Vec::new();
             let mut chunk_moves = 0usize;
             for &u in chunk {
                 let node_weight = graph.node_weight(u);
                 map.clear();
                 let mut overflow = false;
-                graph.for_each_neighbor(u, &mut |v, w| {
+                let kept = visit_neighbors(graph, u, ids, |v, w| {
                     if !overflow
                         && !map.add(state.label(v), rate(config.edge_rating, graph, u, v, w))
                     {
@@ -570,7 +628,8 @@ fn run_round_two_phase(
                 }
                 let current = state.label(u);
                 let target = select_target(map.iter(), current, node_weight, state);
-                if apply_selection(graph, state, frontier, u, node_weight, target) {
+                let mark = |bits: &AtomicBitset| mark_neighbors(graph, u, kept, bits);
+                if apply_selection(state, frontier, u, node_weight, target, mark) {
                     chunk_moves += 1;
                 }
             }
@@ -627,7 +686,8 @@ fn run_round_two_phase(
             state,
         );
         shared.reset(&touched);
-        if apply_selection(graph, state, frontier, u, node_weight, target) {
+        let mark = |bits: &AtomicBitset| neighbors.iter().for_each(|&(v, _)| bits.set(v as usize));
+        if apply_selection(state, frontier, u, node_weight, target, mark) {
             bumped_moves += 1;
         }
     }
@@ -779,6 +839,7 @@ mod tests {
         let threads = 4;
         let state = ClusteringState::new(&g, 16);
         let maps = Pool::filled((0..threads).map(|_| SparseRatingMap::new(g.n())));
+        let (config, workers) = (CoarseningConfig::default(), Pool::new());
         let order: Vec<NodeId> = (0..g.n() as NodeId).collect();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -787,7 +848,7 @@ mod tests {
         let moved: usize = pool.install(|| {
             (0..3)
                 .map(|_| {
-                    run_round_per_thread_maps(&g, &state, &maps, EdgeRating::Weight, &order, None)
+                    run_round_per_thread_maps(&g, &state, &maps, &config, &workers, &order, None)
                 })
                 .sum()
         });
@@ -840,19 +901,89 @@ mod tests {
             let mut scratch = HierarchyScratch::new();
             let (obs, recorder) = obs::ObsHandle::recording();
             scratch.obs = obs;
-            let (clustering, counted) = cluster_level(&g, &config, 1, 3, &mut scratch);
+            // Nothing gives the level up (a floor of 0), and still no round runs.
+            let (clustering, counted) = cluster_level(&g, &config, 1, 3, 0, &mut scratch);
             assert_eq!(counted, Some((0, 0)));
-            assert_eq!(clustering, Clustering::singletons(g.n()));
+            assert_eq!(clustering, Some(Clustering::singletons(g.n())));
             assert_eq!(recorder.metrics().get(obs::Counter::LpClusterRounds), 0);
 
             // The same graph under a limit that admits some edges does run rounds.
-            let (clustering, counted) = cluster_level(&g, &config, 4, 3, &mut scratch);
+            let (clustering, counted) = cluster_level(&g, &config, 4, 3, 0, &mut scratch);
+            let clustering = clustering.expect("a floor of 0 gives nothing up");
             let (half_edges, movable) = counted.expect("a node-weighted graph is counted");
             assert!(half_edges > 0 && half_edges < 2 * g.m() as u64);
             assert!(movable > 0 && movable < g.n());
             assert!(clustering.num_clusters < g.n());
             assert!(recorder.metrics().get(obs::Counter::LpClusterRounds) > 0);
             check_invariants(&g, &clustering, 4);
+        }
+    }
+
+    /// Counts the half-edges [`Graph::for_each_neighbor`] hands out.
+    struct CountingGraph {
+        inner: graph::CsrGraph,
+        half_edges: AtomicU64,
+    }
+
+    impl Graph for CountingGraph {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn m(&self) -> usize {
+            self.inner.m()
+        }
+        fn degree(&self, u: NodeId) -> usize {
+            self.inner.degree(u)
+        }
+        fn node_weight(&self, u: NodeId) -> NodeWeight {
+            self.inner.node_weight(u)
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.inner.total_node_weight()
+        }
+        fn total_edge_weight(&self) -> EdgeWeight {
+            self.inner.total_edge_weight()
+        }
+        fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
+            let degree = self.inner.degree(u) as u64;
+            self.half_edges.fetch_add(degree, Ordering::Relaxed);
+            self.inner.for_each_neighbor(u, f);
+        }
+    }
+
+    #[test]
+    fn a_visit_decodes_its_neighbourhood_once_whether_it_moves_or_not() {
+        // On a 2-regular graph every decode hands out 2 half-edges: rating a vertex and,
+        // if it moves, marking its neighbours together cost 2 per visit.
+        for lp_mode in [
+            LabelPropagationMode::TwoPhase,
+            LabelPropagationMode::PerThreadRatingMaps,
+        ] {
+            let graph = CountingGraph {
+                inner: gen::cycle(3_000),
+                half_edges: AtomicU64::new(0),
+            };
+            let config = CoarseningConfig {
+                lp_mode,
+                ..Default::default()
+            };
+            let mut scratch = HierarchyScratch::new();
+            let (obs, recorder) = obs::ObsHandle::recording();
+            scratch.obs = obs;
+            let clustering = cluster_with_scratch(&graph, &config, 16, 7, &mut scratch);
+            assert!(clustering.num_clusters < graph.n() / 2);
+            let report = recorder.finish_report();
+            let rounds: Vec<_> = report
+                .all_spans()
+                .into_iter()
+                .filter(|span| span.name == "lp_round")
+                .collect();
+            assert!(
+                rounds.len() > 1,
+                "{lp_mode:?}: a frontier round follows the sweep"
+            );
+            let visits: u64 = rounds.iter().filter_map(|span| span.attr("visited")).sum();
+            assert_eq!(graph.half_edges.into_inner(), 2 * visits, "{lp_mode:?}");
         }
     }
 

@@ -1,8 +1,9 @@
 //! TeraPart: memory-efficient shared-memory multilevel graph partitioning.
 //!
-//! This crate is the reproduction of the paper's primary contribution. It implements the
-//! KaMinPar-style deep multilevel partitioning pipeline together with the three TeraPart
-//! optimizations:
+//! This crate is the reproduction of the paper's primary contribution. It implements a
+//! KaMinPar-style multilevel partitioning pipeline — coarsening by size-constrained label
+//! propagation, recursive-bisection initial partitioning on the coarsest graph, and
+//! refinement level by level — together with the three TeraPart optimizations:
 //!
 //! 1. **Two-phase label propagation** clustering ([`coarsening::lp_clustering`]), which
 //!    replaces the per-thread `O(n)` rating maps with small fixed-capacity hash tables and

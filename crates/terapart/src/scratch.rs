@@ -190,6 +190,10 @@ pub(crate) struct WorkerScratch {
     /// The rating table of LP clustering (capacity `bump_threshold`) and LP refinement
     /// (capacity from `(k, max_degree)`), handed out by [`Self::rating_table`].
     ratings: Option<FixedCapacityHashMap>,
+    /// The neighbour ids an LP clustering visit decoded, kept so a move marks them
+    /// without decoding the neighbourhood again (`bump_threshold` of them), handed out
+    /// by [`Self::neighbor_ids`].
+    neighbor_ids: Vec<NodeId>,
     /// Contraction phase 1 aggregation state: rating table plus the vertex/edge batch
     /// flushed into the shared coarse arrays.
     pub(crate) agg: Option<(FixedCapacityHashMap, Batch)>,
@@ -199,15 +203,42 @@ impl WorkerScratch {
     /// The worker's rating table, emptied; re-created only when `limit` differs from
     /// the one it was built with.
     pub(crate) fn rating_table(&mut self, limit: usize) -> &mut FixedCapacityHashMap {
-        if self.ratings.as_ref().is_some_and(|t| t.limit() != limit) {
-            self.ratings = None;
-        }
-        let table = self
-            .ratings
-            .get_or_insert_with(|| FixedCapacityHashMap::new(limit));
-        table.clear();
-        table
+        emptied_table(&mut self.ratings, limit)
     }
+
+    /// The worker's neighbour-id buffer of `limit` ids.
+    pub(crate) fn neighbor_ids(&mut self, limit: usize) -> &mut [NodeId] {
+        if self.neighbor_ids.len() != limit {
+            self.neighbor_ids = vec![0; limit];
+        }
+        &mut self.neighbor_ids
+    }
+
+    /// [`Self::rating_table`] and [`Self::neighbor_ids`] at once, for LP clustering.
+    pub(crate) fn rating_table_and_neighbor_ids(
+        &mut self,
+        limit: usize,
+    ) -> (&mut FixedCapacityHashMap, &mut [NodeId]) {
+        self.neighbor_ids(limit);
+        (
+            emptied_table(&mut self.ratings, limit),
+            &mut self.neighbor_ids,
+        )
+    }
+}
+
+/// [`WorkerScratch::rating_table`] on the field alone, so a caller can borrow another
+/// field beside it.
+fn emptied_table(
+    table: &mut Option<FixedCapacityHashMap>,
+    limit: usize,
+) -> &mut FixedCapacityHashMap {
+    if table.as_ref().is_some_and(|t| t.limit() != limit) {
+        *table = None;
+    }
+    let table = table.get_or_insert_with(|| FixedCapacityHashMap::new(limit));
+    table.clear();
+    table
 }
 
 /// A lending pool: the one way this crate hands a reusable buffer to whoever needs it

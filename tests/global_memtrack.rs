@@ -141,7 +141,8 @@ fn scratch_charge_is_released_on_drop() {
 
 /// The KaMinPar-baseline LP keeps one O(n) rating map per thread (the paper's Figure 2
 /// culprit) and charges all of them, however the maps reach the threads: going from one
-/// thread to four adds exactly three maps to the clustering phase's auxiliary memory.
+/// thread to four adds exactly three maps — and three of the `bump_threshold`-id buffers
+/// a visit keeps its neighbours in — to the clustering phase's auxiliary memory.
 fn baseline_lp_charges_one_rating_map_per_thread() {
     let g = graph::gen::rgg2d(20_000, 8, 3);
     let config = CoarseningConfig {
@@ -162,5 +163,9 @@ fn baseline_lp_charges_one_rating_map_per_thread() {
         tracker.reports()[0].auxiliary_bytes()
     };
     let one_map = SparseRatingMap::new(g.n()).memory_bytes();
-    assert_eq!(auxiliary_bytes(4) - auxiliary_bytes(1), 3 * one_map);
+    let one_id_buffer = config.bump_threshold * std::mem::size_of::<graph::NodeId>();
+    assert_eq!(
+        auxiliary_bytes(4) - auxiliary_bytes(1),
+        3 * (one_map + one_id_buffer)
+    );
 }

@@ -181,8 +181,8 @@ fn one_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 }
 
 /// On the unit-weight input graph every edge is contractible, which label propagation
-/// knows without looking: clustering decodes exactly the half-edges its rounds visit and
-/// its moves mark — the count of the commit before the movable set existed (it pins the
+/// knows without looking: clustering decodes exactly the half-edges its rounds visit,
+/// once per visit — a move marks the neighbour ids its visit kept (the count pins the
 /// visit order as a golden cut does).
 #[test]
 fn clustering_a_unit_weight_graph_decodes_nothing_to_find_its_movable_vertices() {
@@ -190,8 +190,9 @@ fn clustering_a_unit_weight_graph_decodes_nothing_to_find_its_movable_vertices()
     assert!(!graph.is_node_weighted());
     let clustering = one_thread(|| cluster(&graph, &CoarseningConfig::default(), 16, 7));
     assert!(clustering.num_clusters < graph.n() / 2);
-    // A count over the edges would have added 2m = 31 318 to it.
-    assert_eq!(graph.half_edges(), 121_336);
+    // A count over the edges would have added 2m = 31 318 to it, decoding each moved
+    // vertex again to mark its neighbours 32 764.
+    assert_eq!(graph.half_edges(), 88_572);
 }
 
 proptest! {
