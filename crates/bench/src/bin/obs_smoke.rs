@@ -165,7 +165,9 @@ fn uncoarsening_proportion() {
 /// reservation (2m slots) was ever written (2m′): what is resident is the committed part;
 /// and why coarsening stalls: how many half-edges the cluster-weight limit still lets
 /// label propagation contract, and that a level with fewer than
-/// `MIN_CONTRACTIBLE_SHARE` of its half-edges contractible runs no round.
+/// `MIN_CONTRACTIBLE_SHARE` of its half-edges contractible runs no round. Last, what
+/// initial partitioning's portfolio decoded, and that its half-edge budget
+/// (`initial::PORTFOLIO_HALF_EDGES`) ran between one and `attempts` attempts a bisection.
 fn span_coverage_floor() -> f64 {
     let graph = gen::weblike(14, 12, 9);
     let config = PartitionerConfig::terapart(16).with_run_report(true);
@@ -228,9 +230,25 @@ fn span_coverage_floor() -> f64 {
             _ => panic!("cluster@{level} carries one of its two attributes"),
         }
     }
-    let initial_fm_half_edges = report.counter(Counter::InitialFmHalfEdges);
-    println!("initial fm: {initial_fm_half_edges} half-edges flipped (rollbacks included)");
-    assert!(initial_fm_half_edges > 0);
+    // The portfolio's work in half-edges, and how many attempts its budget let it run.
+    let (grow_half_edges, fm_half_edges) = (
+        report.counter(Counter::InitialGrowHalfEdges),
+        report.counter(Counter::InitialFmHalfEdges),
+    );
+    let (bisections, attempts) = (
+        report.counter(Counter::InitialBisections),
+        report.counter(Counter::InitialAttempts),
+    );
+    println!(
+        "initial: {attempts} attempts in {bisections} bisections (at most {} each); growing \
+         decoded {grow_half_edges} half-edges, fm flipped {fm_half_edges} (rollbacks included)",
+        config.initial.attempts
+    );
+    assert!(grow_half_edges > 0 && fm_half_edges > 0);
+    assert!(
+        bisections <= attempts && attempts <= config.initial.attempts as u64 * bisections,
+        "{attempts} attempts in {bisections} bisections"
+    );
     coverage
 }
 

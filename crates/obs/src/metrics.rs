@@ -60,6 +60,7 @@ counters! {
     // Initial partitioning portfolio.
     (InitialBisections, "initial_bisections", Sum),
     (InitialAttempts, "initial_attempts", Sum),
+    (InitialGrowHalfEdges, "initial_grow_half_edges", Sum),
     (InitialFmPasses, "initial_fm_passes", Sum),
     (InitialFmMovesTried, "initial_fm_moves_tried", Sum),
     (InitialFmMovesKept, "initial_fm_moves_kept", Sum),

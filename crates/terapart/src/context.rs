@@ -124,10 +124,12 @@ impl Default for CoarseningConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InitialPartitioningConfig {
     /// Number of independent attempts of the greedy-growing + FM portfolio per
-    /// bisection. Each attempt derives its RNG stream from the bisection's seed and the
-    /// attempt index; the winner is the best balanced result, ties broken by lower cut
-    /// and then lower attempt index, so the outcome is independent of the order in
-    /// which parallel attempts finish.
+    /// bisection, at most: a bisection of a subgraph with more than
+    /// [`PORTFOLIO_HALF_EDGES`](crate::initial::PORTFOLIO_HALF_EDGES) half-edges runs
+    /// proportionally fewer, at least one. Each attempt derives its RNG stream from the
+    /// bisection's seed and the attempt index; the winner is the best balanced result,
+    /// ties broken by lower cut and then lower attempt index, so the outcome is
+    /// independent of the order in which parallel attempts finish.
     pub attempts: usize,
     /// Number of 2-way FM passes applied to each bisection attempt (each pass stops
     /// early once it cannot improve the cut).

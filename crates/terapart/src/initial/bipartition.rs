@@ -64,6 +64,8 @@ pub struct Bipartition {
     pub weight0: NodeWeight,
     /// Total node weight on side 1.
     pub weight1: NodeWeight,
+    /// Half-edges greedy growing decoded: the degree of every vertex it grew into block 0.
+    pub grow_half_edges: u64,
     /// What the FM passes that produced it did (zero if none ran).
     pub fm: FmWork,
 }
@@ -79,6 +81,7 @@ impl Bipartition {
             side: std::mem::take(&mut ws.part.side),
             weight0: ws.part.weights[0],
             weight1: ws.part.weights[1],
+            grow_half_edges: ws.grow_half_edges,
             fm: ws.fm,
         }
     }
@@ -191,6 +194,7 @@ pub(crate) fn greedy_graph_growing_into(
                 queue.push_or_update(v, queue.key(v).unwrap_or(0) + delta);
             }
         });
+        ws.grow_half_edges += graph.degree(u) as u64;
     }
 }
 
@@ -350,6 +354,19 @@ mod tests {
             (0..16).map(|seed| greedy_graph_growing(&g, g.total_node_weight() / 2, seed).cut(&g));
         let mean = cuts.sum::<EdgeWeight>() as f64 / 16.0;
         assert!(mean <= 150.0, "mean cut of growing alone: {mean}");
+    }
+
+    #[test]
+    fn growing_reports_the_degrees_of_the_vertices_it_grew() {
+        let g = gen::weblike(10, 8, 3);
+        for seed in [1, 2] {
+            let b = greedy_graph_growing(&g, g.total_node_weight() / 2, seed);
+            let grown: u64 = (0..g.n() as NodeId)
+                .filter(|&u| !b.side[u as usize])
+                .map(|u| g.degree(u) as u64)
+                .sum();
+            assert_eq!(b.grow_half_edges, grown, "seed {seed}");
+        }
     }
 
     /// A workspace holding `side`, reached by flipping out of the all-in-block-1 start.

@@ -19,6 +19,19 @@
 //!   every attempt from the subtree seed and its attempt index, and the portfolio
 //!   winner is selected by a total order (`balanced`, `cut`, attempt index`) that does
 //!   not depend on completion order.
+//!
+//! **The portfolio's budget is counted in half-edges**, the unit the 2-way FM's
+//! [`bipartition::PATIENCE`] counts in. A bisection runs all `attempts` on a subgraph of
+//! up to [`PORTFOLIO_HALF_EDGES`] (2¹⁵) half-edges and proportionally fewer on a larger
+//! one, at least one ([`portfolio_attempts`]). KaMinPar's coarsest graph is small enough
+//! that the budget never binds; a power-law core that stalls coarsening is not. On
+//! `weblike(15, 8)` at k = 64 the coarsest graph keeps ~190 k half-edges, and the
+//! root-level attempts (growing over half of it, FM over a boundary of nearly every
+//! vertex) finish within a fraction of a percent of each other. There the budget removes
+//! 9 of 252 attempts, all near the root, which is a third of the initial-partitioning
+//! time; no family's cut got worse by more than 0.2 % (16 seeds). Mesh coarsest graphs
+//! at k = 8–16 have 2–9 k half-edges, so their bisections are unchanged; meshes meet the
+//! budget only at large k.
 
 pub mod bipartition;
 pub mod scratch;
@@ -99,6 +112,26 @@ fn should_fork(config: &InitialPartitioningConfig, len: usize) -> bool {
     len >= config.parallel_grain && rayon::current_num_threads() > 1
 }
 
+/// The half-edges one bisection's portfolio may spend `attempts` on in full: a subgraph of
+/// `m_sub` half-edges beyond it runs `⌈attempts · PORTFOLIO_HALF_EDGES / m_sub⌉` attempts
+/// (at least one; see [`portfolio_attempts`]), since an attempt's cost follows `m_sub`.
+/// A constant, not a setting: every mesh coarsest graph at k = 8–16 is below it, so their
+/// cuts are those of the full portfolio.
+pub const PORTFOLIO_HALF_EDGES: usize = 1 << 15;
+
+/// How many of `attempts` portfolio attempts a bisection of a subgraph with `m_sub`
+/// half-edges runs: all of them up to [`PORTFOLIO_HALF_EDGES`], proportionally fewer
+/// beyond, never none. A function of the subgraph alone, so results stay bit-identical at
+/// any thread count.
+pub fn portfolio_attempts(attempts: usize, m_sub: usize) -> usize {
+    let attempts = attempts.max(1);
+    if m_sub <= PORTFOLIO_HALF_EDGES {
+        attempts
+    } else {
+        (attempts * PORTFOLIO_HALF_EDGES).div_ceil(m_sub)
+    }
+}
+
 /// What every node of one request's bisection tree shares.
 struct BisectionTree<'a> {
     graph: &'a CsrGraph,
@@ -161,7 +194,8 @@ impl BisectionTree<'_> {
             scratch,
             obs: self.obs,
         };
-        let (_, best) = portfolio.run(0, self.config.attempts.max(1));
+        let attempts = portfolio_attempts(self.config.attempts, ws.adjacency.len());
+        let (_, best) = portfolio.run(0, attempts);
         self.obs.add(obs::Counter::InitialBisections, 1);
 
         // Stable in-place partition of the slice: side-0 vertices first, side-1 after,
@@ -240,6 +274,7 @@ impl<'s> Portfolio<'_, 's> {
             );
             debug_assert_eq!(ws.part.cut, cut_of(sub, &ws.part.side));
             for (counter, value) in [
+                (obs::Counter::InitialGrowHalfEdges, ws.grow_half_edges),
                 (obs::Counter::InitialFmPasses, ws.fm.passes),
                 (obs::Counter::InitialFmMovesTried, ws.fm.moves_tried),
                 (obs::Counter::InitialFmMovesKept, ws.fm.moves_kept),
@@ -416,6 +451,55 @@ mod tests {
                 reference.assignment(),
                 "assignment diverged at {} threads",
                 threads
+            );
+        }
+    }
+
+    #[test]
+    fn the_portfolio_budget_runs_every_attempt_up_to_its_half_edges_and_never_none() {
+        for attempts in [1, 4, 8] {
+            for m_sub in [0, PORTFOLIO_HALF_EDGES] {
+                assert_eq!(portfolio_attempts(attempts, m_sub), attempts);
+            }
+            let just_over = portfolio_attempts(attempts, PORTFOLIO_HALF_EDGES + 1);
+            assert_eq!(just_over, attempts, "⌈a · 2¹⁵ / (2¹⁵ + 1)⌉ is still a");
+            assert_eq!(
+                portfolio_attempts(attempts, 2 * PORTFOLIO_HALF_EDGES),
+                attempts.div_ceil(2)
+            );
+            assert_eq!(portfolio_attempts(attempts, 1 << 20), 1);
+        }
+        assert_eq!(
+            portfolio_attempts(0, 0),
+            1,
+            "a config of 0 attempts runs one"
+        );
+        assert_eq!(portfolio_attempts(0, 1 << 20), 1);
+    }
+
+    #[test]
+    fn deterministic_across_thread_counts_where_the_budget_binds() {
+        // The root bisection of weblike(13, 8) runs fewer than the configured attempts:
+        // the budget must not depend on the schedule either.
+        let g = gen::weblike(13, 8, 3);
+        let config = InitialPartitioningConfig {
+            parallel_grain: 0,
+            ..InitialPartitioningConfig::default()
+        };
+        assert!(portfolio_attempts(config.attempts, 2 * g.m()) < config.attempts);
+        let run = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| initial_partition(&g, 8, 0.03, &config, 7))
+        };
+        let reference = run(1);
+        for threads in [2, 3, 4, 8] {
+            assert_eq!(
+                run(threads).assignment(),
+                reference.assignment(),
+                "assignment diverged at {threads} threads"
             );
         }
     }

@@ -272,6 +272,8 @@ pub struct AttemptWorkspace {
     pub(crate) locked: Vec<bool>,
     /// FM: move log for best-prefix rollback.
     pub(crate) moves: Vec<NodeId>,
+    /// Growing: half-edges its flips decoded (the degree of every vertex grown into block 0).
+    pub(crate) grow_half_edges: u64,
     /// FM: work counters of the current attempt.
     pub(crate) fm: FmWork,
 }
@@ -283,6 +285,7 @@ impl AttemptWorkspace {
         self.queue.reset(graph.n());
         self.locked.clear();
         self.locked.resize(graph.n(), false);
+        self.grow_half_edges = 0;
         self.fm = FmWork::default();
     }
 

@@ -6,14 +6,21 @@
 //! that counts moves bounds it by `moves · max degree` only). The counts below are exact and
 //! timing-free. A 2-way FM that recomputes the gains per pass, or a `FmWork::half_edges`
 //! that misses a decode, fails them.
+//!
+//! The number of attempts is bounded in the same unit: a bisection's portfolio runs fewer
+//! of them on a subgraph beyond `initial::PORTFOLIO_HALF_EDGES`, read here off the run
+//! report's counters.
 mod common;
 
 use common::{hub_and_spokes_on_weblike, CountingGraph};
 use graph::traits::Graph;
-use graph::NodeId;
+use graph::{gen, CsrGraph, NodeId};
 use terapart::initial::bipartition::{bipartition, PATIENCE};
+use terapart::{partition_csr, Counter, PartitionerConfig, Preset};
 
 const FM_PASSES: usize = 3;
+/// `InitialPartitioningConfig::attempts` of the `fast` preset.
+const ATTEMPTS: u64 = 4;
 
 #[test]
 fn one_attempt_decodes_neighbourhoods_in_proportion_to_the_vertices_it_moves() {
@@ -35,9 +42,10 @@ fn one_attempt_decodes_neighbourhoods_in_proportion_to_the_vertices_it_moves() {
         })
         .collect();
 
-    // Growing decodes a vertex at most once and FM has not run.
+    // Growing decodes a vertex at most once, reports all of it, and FM has not run.
     let (grown, grown_decoded, _) = &runs[0];
     assert_eq!(grown.fm.half_edges, 0);
+    assert_eq!(*grown_decoded, grown.grow_half_edges);
     assert!(*grown_decoded <= half_edges);
 
     let mut stopped_by_the_rule = 0;
@@ -79,6 +87,7 @@ fn one_attempt_decodes_neighbourhoods_in_proportion_to_the_vertices_it_moves() {
     }
 
     let (full, decoded, _) = runs.last().expect("FM_PASSES + 1 runs");
+    assert_eq!(*decoded, full.grow_half_edges + full.fm.half_edges);
     assert!(
         full.fm.moves_kept > 100,
         "the instance must give FM work: {:?}",
@@ -96,4 +105,32 @@ fn one_attempt_decodes_neighbourhoods_in_proportion_to_the_vertices_it_moves() {
         "decoded {decoded} half-edges in {} passes over {half_edges}",
         full.fm.passes
     );
+}
+
+/// `(InitialBisections, InitialAttempts)` of a one-thread `fast` run at `k`.
+fn portfolio_of(graph: &CsrGraph, k: usize) -> (u64, u64) {
+    let config = PartitionerConfig::preset(Preset::Fast, k)
+        .with_threads(1)
+        .with_run_report(true);
+    assert_eq!(config.initial.attempts, ATTEMPTS as usize);
+    let result = partition_csr(graph, &config);
+    let report = result.run_report.expect("the run recorded");
+    let bisections = report.counter(Counter::InitialBisections);
+    assert_eq!(bisections, k as u64 - 1);
+    (bisections, report.counter(Counter::InitialAttempts))
+}
+
+/// A bisection prices its portfolio in half-edges (`PORTFOLIO_HALF_EDGES`): the stalled
+/// R-MAT core of `weblike(15, 8)` keeps a coarsest graph of ~190 k half-edges, so its
+/// bisections near the root run fewer attempts; a mesh coarsest graph at k = 16 is far
+/// below the budget and runs every attempt of every bisection.
+#[test]
+fn the_portfolio_runs_fewer_attempts_only_beyond_its_half_edge_budget() {
+    let (bisections, attempts) = portfolio_of(&gen::weblike(15, 8, 3), 64);
+    assert!(
+        attempts < ATTEMPTS * bisections,
+        "the stalled core ran the whole portfolio: {attempts} attempts in {bisections} bisections"
+    );
+    let (bisections, attempts) = portfolio_of(&gen::rgg2d(60_000, 8, 3), 16);
+    assert_eq!(attempts, ATTEMPTS * bisections, "a mesh lost attempts");
 }

@@ -104,7 +104,7 @@ fn lp_free_config(k: usize) -> PartitionerConfig {
 fn recording_is_bitwise_deterministic_across_thread_counts() {
     let graph = gen::erdos_renyi(2_000, 9_000, 41);
     let reference = partition_csr(&graph, &lp_free_config(4).with_threads(1));
-    let mut initial_fm_half_edges = Vec::new();
+    let mut initial_half_edges = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let config = lp_free_config(4).with_threads(threads);
         let noop = partition_csr(&graph, &config);
@@ -129,14 +129,17 @@ fn recording_is_bitwise_deterministic_across_thread_counts() {
         assert_eq!(report.counter(Counter::LpClusterRounds), 0);
         assert_eq!(report.counter(Counter::CoarseningLevels), 0);
         assert!(report.counter(Counter::FmPasses) > 0);
-        initial_fm_half_edges.push(report.counter(Counter::InitialFmHalfEdges));
+        initial_half_edges.push([
+            report.counter(Counter::InitialGrowHalfEdges),
+            report.counter(Counter::InitialFmHalfEdges),
+        ]);
     }
     // A counter is a sum over the bisection tree's tasks, whoever ran them.
-    assert!(initial_fm_half_edges[0] > 0);
+    assert!(initial_half_edges[0].iter().all(|&sum| sum > 0));
     assert!(
-        initial_fm_half_edges
+        initial_half_edges
             .iter()
-            .all(|&sum| sum == initial_fm_half_edges[0]),
-        "initial_fm_half_edges depends on the schedule: {initial_fm_half_edges:?}"
+            .all(|sums| *sums == initial_half_edges[0]),
+        "initial growing / fm half-edges depend on the schedule: {initial_half_edges:?}"
     );
 }
