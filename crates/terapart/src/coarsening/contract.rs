@@ -24,12 +24,15 @@
 //! neighbourhood exceeds the bump threshold are deferred to a sequential second phase
 //! that may use an `O(n)` rating map.
 //!
-//! The per-vertex auxiliary state lives in a [`HierarchyScratch`] arena that is reused
-//! across all hierarchy levels; what is indexed by coarse vertex is sized by `n′`, which
-//! the bucket construction knows before any of it is touched. In particular, the vertices of each cluster are grouped
-//! with a flat two-pass counting sort (parallel count → blocked prefix sum → parallel
-//! scatter) into a CSR-style `(offsets, members)` layout, replacing the seed's
-//! `Vec<Vec<NodeId>>` bucket structure and its one-allocation-per-coarse-vertex cost.
+//! The per-vertex auxiliary state belongs to the one contraction that uses it: allocated
+//! for its level, charged to the memory accounting while it lives and freed when the
+//! contraction returns. What is indexed by coarse vertex is sized by `n′`, which the
+//! bucket construction knows before any of it is touched. The vertices of each cluster
+//! are grouped with a flat two-pass counting sort (parallel count → blocked prefix sum →
+//! parallel scatter) into a CSR-style `(offsets, members)` layout (`ClusterBuckets`),
+//! replacing the seed's `Vec<Vec<NodeId>>` bucket structure and its
+//! one-allocation-per-coarse-vertex cost. Only the per-worker aggregation tables and
+//! sort buffers come from the run's [`HierarchyScratch`] pool.
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,9 +69,9 @@ const BATCH_EDGE_CAPACITY: usize = 4096;
 /// Label-space block size of the parallel prefix sum in the bucket construction.
 const LABEL_BLOCK: usize = 8192;
 
-/// Contracts `clustering` on `graph` using the selected algorithm, with freshly
-/// allocated scratch memory. Prefer [`contract_with_scratch`] inside the multilevel
-/// pipeline, where one arena serves every level.
+/// Contracts `clustering` on `graph` using the selected algorithm, with a fresh worker
+/// pool. Prefer [`contract_with_scratch`] inside the multilevel pipeline, where one pool
+/// serves every level.
 pub fn contract(
     graph: &impl Graph,
     clustering: &Clustering,
@@ -79,7 +82,7 @@ pub fn contract(
     contract_with_scratch(graph, clustering, algorithm, bump_threshold, &mut scratch)
 }
 
-/// Contracts `clustering` on `graph`, reusing the buffers of `scratch`.
+/// Contracts `clustering` on `graph`, leasing per-worker buffers from `scratch`.
 pub fn contract_with_scratch(
     graph: &impl Graph,
     clustering: &Clustering,
@@ -88,132 +91,165 @@ pub fn contract_with_scratch(
     scratch: &mut HierarchyScratch,
 ) -> ContractionResult {
     match algorithm {
-        ContractionAlgorithm::Buffered => contract_buffered(graph, clustering, scratch),
+        ContractionAlgorithm::Buffered => contract_buffered(graph, clustering),
         ContractionAlgorithm::OnePass => {
             contract_one_pass(graph, clustering, bump_threshold, scratch)
         }
     }
 }
 
-/// Groups the vertices of each cluster label into the scratch arena's flat CSR-style
-/// bucket layout and returns the number of coarse vertices.
-///
-/// Two-pass counting sort: a parallel count over the labels, a blocked parallel prefix
-/// sum over the label space (which also assigns dense coarse IDs in label order and
-/// records them in `scratch.remap`), and a parallel scatter of the vertices through
-/// per-label atomic cursors. After the call:
-///
-/// * `scratch.leaders[b]` is the cluster label of coarse vertex `b`;
-/// * `scratch.bucket_members[scratch.bucket_offsets[b] as usize..scratch.bucket_offsets[b + 1] as usize]`
-///   are the fine vertices of coarse vertex `b`;
-/// * `scratch.remap[label]` is the coarse vertex of every populated `label`
-///   (`NodeId::MAX` otherwise).
-fn build_cluster_buckets(clustering: &Clustering, scratch: &mut HierarchyScratch) -> usize {
-    let n = clustering.label.len();
-    scratch.ensure_buckets(n);
-    let labels = &clustering.label[..n];
+/// `len` atomics holding 0: a buffer the workers of one contraction write concurrently.
+fn zeroed<T: Default>(len: usize) -> Vec<T> {
+    std::iter::repeat_with(T::default).take(len).collect()
+}
 
-    // ---- Pass 1: count members per label (heads[l] = |cluster l|). ----
-    let heads = &scratch.bucket_heads[..n];
-    heads.par_chunks(LABEL_BLOCK).for_each(|chunk| {
-        for head in chunk {
-            head.store(0, Ordering::Relaxed);
-        }
-    });
-    labels.par_chunks(LABEL_BLOCK).for_each(|chunk| {
-        for &l in chunk {
-            heads[l as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    });
+/// The vertices of each cluster label grouped into a flat CSR-style layout, owned by one
+/// contraction and charged to the memory accounting while it lives:
+///
+/// * `leaders[b]` is the cluster label of coarse vertex `b`;
+/// * `members[offsets[b]..offsets[b + 1]]` are the fine vertices of coarse vertex `b`;
+/// * `remap[label]` is the coarse vertex of every populated `label` (`INVALID_NODE`
+///   otherwise). One-pass contraction renumbers it to the commit order.
+struct ClusterBuckets {
+    offsets: Vec<NodeId>,
+    members: Vec<NodeId>,
+    leaders: Vec<ClusterId>,
+    remap: Vec<AtomicNodeId>,
+    _charge: MemoryScope<'static>,
+}
 
-    // ---- Pass 2: blocked prefix sum over the label space. ----
-    let num_blocks = n.div_ceil(LABEL_BLOCK);
-    let block_totals: Vec<(NodeId, NodeId)> = heads
-        .par_chunks(LABEL_BLOCK)
-        .map(|chunk| {
-            let mut buckets: NodeId = 0;
-            let mut members: NodeId = 0;
-            for head in chunk {
-                let count = head.load(Ordering::Relaxed);
-                if count > 0 {
-                    buckets += 1;
-                    members += count;
-                }
+impl ClusterBuckets {
+    /// Two-pass counting sort: a parallel count over the labels, a blocked parallel
+    /// prefix sum over the label space (which also assigns dense coarse IDs in label
+    /// order and records them in `remap`), and a parallel scatter of the vertices
+    /// through per-label atomic cursors, which live only as long as the construction.
+    fn build(clustering: &Clustering) -> Self {
+        let labels = &clustering.label[..];
+        let n = labels.len();
+        let id = std::mem::size_of::<NodeId>();
+        // Per label: member count in pass 1, then the write cursor of the scatter.
+        let heads: Vec<AtomicNodeId> = zeroed(n);
+        let remap: Vec<AtomicNodeId> = zeroed(n);
+        let mut members: Vec<NodeId> = vec![0; n];
+        let mut charge = MemoryScope::charge_global(3 * n * id);
+
+        // ---- Pass 1: count members per label (heads[l] = |cluster l|). ----
+        labels.par_chunks(LABEL_BLOCK).for_each(|chunk| {
+            for &l in chunk {
+                heads[l as usize].fetch_add(1, Ordering::Relaxed);
             }
-            (buckets, members)
-        })
-        .collect();
-    let mut block_bases = Vec::with_capacity(num_blocks);
-    let (mut bucket_base, mut offset_base): (NodeId, NodeId) = (0, 0);
-    for &(buckets, members) in &block_totals {
-        block_bases.push((bucket_base, offset_base));
-        bucket_base += buckets;
-        offset_base += members;
-    }
-    let n_coarse = bucket_base as usize;
-    debug_assert_eq!(offset_base as usize, n);
-    scratch.ensure_bucket_index(n_coarse);
-    let heads = &scratch.bucket_heads[..n];
+        });
 
-    // Per block: assign dense coarse IDs in label order, record bucket boundaries and
-    // leaders, publish label -> coarse ID in remap, and turn heads[l] into the bucket's
-    // write cursor for the scatter pass. Writes to disjoint index ranges per block.
-    {
-        let offsets = SharedSlice::new(&mut scratch.bucket_offsets[..n_coarse + 1]);
-        let leaders = SharedSlice::new(&mut scratch.leaders[..n_coarse]);
-        let remap = &scratch.remap[..n];
-        heads
+        // ---- Pass 2: blocked prefix sum over the label space. ----
+        let num_blocks = n.div_ceil(LABEL_BLOCK);
+        let block_totals: Vec<(NodeId, NodeId)> = heads
             .par_chunks(LABEL_BLOCK)
-            .enumerate()
-            .for_each(|(block, chunk)| {
-                let (mut bucket, mut offset) = block_bases[block];
-                for (i, head) in chunk.iter().enumerate() {
-                    let label = (block * LABEL_BLOCK + i) as ClusterId;
+            .map(|chunk| {
+                let mut buckets: NodeId = 0;
+                let mut members: NodeId = 0;
+                for head in chunk {
                     let count = head.load(Ordering::Relaxed);
                     if count > 0 {
-                        // SAFETY: bucket indices are disjoint across blocks by construction
-                        // of the prefix sums.
-                        unsafe {
-                            leaders.write(bucket as usize, label);
-                            offsets.write(bucket as usize, offset);
-                        }
-                        remap[label as usize].store(bucket, Ordering::Relaxed);
-                        head.store(offset, Ordering::Relaxed);
-                        bucket += 1;
-                        offset += count;
-                    } else {
-                        remap[label as usize].store(ids::INVALID_NODE, Ordering::Relaxed);
+                        buckets += 1;
+                        members += count;
                     }
                 }
-            });
-        // SAFETY: index n_coarse is written exactly once, here.
-        unsafe { offsets.write(n_coarse, ids::nid_count(n)) };
+                (buckets, members)
+            })
+            .collect();
+        let mut block_bases = Vec::with_capacity(num_blocks);
+        let (mut bucket_base, mut offset_base): (NodeId, NodeId) = (0, 0);
+        for &(buckets, members) in &block_totals {
+            block_bases.push((bucket_base, offset_base));
+            bucket_base += buckets;
+            offset_base += members;
+        }
+        let n_coarse = bucket_base as usize;
+        debug_assert_eq!(offset_base as usize, n);
+        let mut offsets: Vec<NodeId> = vec![0; n_coarse + 1];
+        let mut leaders: Vec<ClusterId> = vec![0; n_coarse];
+        charge.grow((2 * n_coarse + 1) * id);
+
+        // Per block: assign dense coarse IDs in label order, record bucket boundaries and
+        // leaders, publish label -> coarse ID in remap, and turn heads[l] into the bucket's
+        // write cursor for the scatter pass. Writes to disjoint index ranges per block.
+        {
+            let offsets = SharedSlice::new(&mut offsets);
+            let leaders = SharedSlice::new(&mut leaders);
+            heads
+                .par_chunks(LABEL_BLOCK)
+                .enumerate()
+                .for_each(|(block, chunk)| {
+                    let (mut bucket, mut offset) = block_bases[block];
+                    for (i, head) in chunk.iter().enumerate() {
+                        let label = (block * LABEL_BLOCK + i) as ClusterId;
+                        let count = head.load(Ordering::Relaxed);
+                        if count > 0 {
+                            // SAFETY: bucket indices are disjoint across blocks by
+                            // construction of the prefix sums.
+                            unsafe {
+                                leaders.write(bucket as usize, label);
+                                offsets.write(bucket as usize, offset);
+                            }
+                            remap[label as usize].store(bucket, Ordering::Relaxed);
+                            head.store(offset, Ordering::Relaxed);
+                            bucket += 1;
+                            offset += count;
+                        } else {
+                            remap[label as usize].store(ids::INVALID_NODE, Ordering::Relaxed);
+                        }
+                    }
+                });
+            // SAFETY: index n_coarse is written exactly once, here.
+            unsafe { offsets.write(n_coarse, ids::nid_count(n)) };
+        }
+
+        // ---- Pass 3: scatter the vertices through the per-label cursors. ----
+        {
+            let members = SharedSlice::new(&mut members);
+            labels
+                .par_chunks(LABEL_BLOCK)
+                .enumerate()
+                .for_each(|(block, chunk)| {
+                    let base = (block * LABEL_BLOCK) as NodeId;
+                    for (i, &l) in chunk.iter().enumerate() {
+                        let position = heads[l as usize].fetch_add(1, Ordering::Relaxed);
+                        // SAFETY: the atomic cursor hands out each position exactly once.
+                        unsafe { members.write(position as usize, base + i as NodeId) };
+                    }
+                });
+        }
+        charge.shrink(std::mem::size_of_val(heads.as_slice()));
+        drop(heads);
+        Self {
+            offsets,
+            members,
+            leaders,
+            remap,
+            _charge: charge,
+        }
     }
 
-    // ---- Pass 3: scatter the vertices through the per-label cursors. ----
-    {
-        let members = SharedSlice::new(&mut scratch.bucket_members[..n]);
-        labels
-            .par_chunks(LABEL_BLOCK)
-            .enumerate()
-            .for_each(|(block, chunk)| {
-                let base = (block * LABEL_BLOCK) as NodeId;
-                for (i, &l) in chunk.iter().enumerate() {
-                    let position = heads[l as usize].fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: the atomic cursor hands out each position exactly once.
-                    unsafe { members.write(position as usize, base + i as NodeId) };
-                }
-            });
+    /// Number of coarse vertices.
+    fn n_coarse(&self) -> usize {
+        self.leaders.len()
     }
-    n_coarse
+
+    /// The fine vertices of coarse vertex `b`.
+    fn members_of(&self, b: usize) -> &[NodeId] {
+        &self.members[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+
+    /// Heap bytes of the four arrays.
+    #[cfg(test)]
+    fn memory_bytes(&self) -> usize {
+        (self.offsets.len() + self.members.len() + self.leaders.len() + self.remap.len())
+            * std::mem::size_of::<NodeId>()
+    }
 }
 
 /// Baseline contraction: aggregate into per-cluster buffers, then copy into CSR arrays.
-fn contract_buffered(
-    graph: &impl Graph,
-    clustering: &Clustering,
-    scratch: &mut HierarchyScratch,
-) -> ContractionResult {
+fn contract_buffered(graph: &impl Graph, clustering: &Clustering) -> ContractionResult {
     let n = graph.n();
     if n == 0 {
         return ContractionResult {
@@ -221,10 +257,9 @@ fn contract_buffered(
             mapping: Vec::new(),
         };
     }
-    let n_coarse = build_cluster_buckets(clustering, scratch);
-    let offsets = &scratch.bucket_offsets[..n_coarse + 1];
-    let members = &scratch.bucket_members[..n];
-    let remap = &scratch.remap[..n];
+    let buckets = ClusterBuckets::build(clustering);
+    let n_coarse = buckets.n_coarse();
+    let remap = &buckets.remap;
     let mapping: Vec<NodeId> = (0..n)
         .into_par_iter()
         .map(|u| remap[clustering.label[u] as usize].load(Ordering::Relaxed))
@@ -235,7 +270,7 @@ fn contract_buffered(
     let buffers: Vec<(NodeWeight, Vec<(NodeId, EdgeWeight)>)> = (0..n_coarse)
         .into_par_iter()
         .map(|coarse| {
-            let cluster = &members[offsets[coarse] as usize..offsets[coarse + 1] as usize];
+            let cluster = buckets.members_of(coarse);
             let mut ratings: std::collections::HashMap<NodeId, EdgeWeight> =
                 std::collections::HashMap::new();
             let mut weight: NodeWeight = 0;
@@ -309,10 +344,16 @@ impl Batch {
     fn is_empty(&self) -> bool {
         self.vertices.is_empty()
     }
+
+    /// Heap bytes held by the batch.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.vertices.capacity() * std::mem::size_of::<(ClusterId, NodeWeight, u32)>()
+            + self.edges.capacity() * std::mem::size_of::<(ClusterId, EdgeWeight)>()
+    }
 }
 
 /// What the workers of one-pass contraction write concurrently: the per-coarse-vertex
-/// arena buffers and the reserved, still uninitialised coarse edge arrays.
+/// buffers, the label remap and the reserved, still uninitialised coarse edge arrays.
 struct OnePassOutput<'a> {
     dual: DualCounter,
     starts: &'a [AtomicU64],
@@ -385,24 +426,25 @@ fn contract_one_pass(
             mapping: Vec::new(),
         };
     }
-    let n_coarse = build_cluster_buckets(clustering, scratch);
-    scratch.ensure_contraction(n_coarse);
+    let buckets = ClusterBuckets::build(clustering);
+    let n_coarse = buckets.n_coarse();
+    // Per coarse vertex: neighbourhood start in the edge arrays, aggregated node weight.
+    let starts: Vec<AtomicU64> = zeroed(n_coarse);
+    let coarse_node_weights: Vec<AtomicU64> = zeroed(n_coarse);
+    let _vertex_charge =
+        MemoryScope::charge_global(2 * n_coarse * std::mem::size_of::<AtomicU64>());
     // Reserved, not filled: an untouched page of the capacity is never backed.
     let reserved_half_edges = 2 * graph.m();
     let mut adjacency: Vec<NodeId> = Vec::with_capacity(reserved_half_edges);
     let mut edge_weights: Vec<EdgeWeight> = Vec::with_capacity(reserved_half_edges);
 
-    let offsets = &scratch.bucket_offsets[..n_coarse + 1];
-    let members = &scratch.bucket_members[..n];
-    let leaders = &scratch.leaders[..n_coarse];
-    let remap = &scratch.remap[..n];
-    let starts = &scratch.starts[..n_coarse];
-    let coarse_node_weights = &scratch.coarse_node_weights[..n_coarse];
-    let workers = &*scratch.workers;
+    let leaders = &buckets.leaders;
+    let remap = &buckets.remap;
+    let workers = &scratch.workers;
     let output = OnePassOutput {
         dual: DualCounter::new(),
-        starts,
-        node_weights: coarse_node_weights,
+        starts: &starts,
+        node_weights: &coarse_node_weights,
         remap,
         reserved_half_edges,
         coarse_targets: SharedSlice::new(
@@ -469,7 +511,7 @@ fn contract_one_pass(
                 table.clear();
                 let mut weight: NodeWeight = 0;
                 let mut overflow = false;
-                for &u in &members[offsets[idx] as usize..offsets[idx + 1] as usize] {
+                for &u in buckets.members_of(idx) {
                     weight += graph.node_weight(u);
                     graph.for_each_neighbor(u, &mut |v, w| {
                         let target_label = clustering.label[v as usize];
@@ -510,7 +552,7 @@ fn contract_one_pass(
             let label = leaders[idx];
             map.clear();
             let mut weight: NodeWeight = 0;
-            for &u in &members[offsets[idx] as usize..offsets[idx + 1] as usize] {
+            for &u in buckets.members_of(idx) {
                 weight += graph.node_weight(u);
                 graph.for_each_neighbor(u, &mut |v, w| {
                     let target_label = clustering.label[v as usize];
@@ -539,7 +581,7 @@ fn contract_one_pass(
     adjacency.shrink_to_fit();
     edge_weights.shrink_to_fit();
 
-    // ---- Assemble the CSR: offsets and weights out of the arena, labels -> coarse IDs. ----
+    // ---- Assemble the CSR: offsets and node weights, labels -> coarse IDs. ----
     let xadj: Vec<EdgeId> = (0..n_coarse + 1)
         .into_par_iter()
         .map(|c| match starts.get(c) {
@@ -846,18 +888,16 @@ mod tests {
     fn flat_buckets_partition_the_vertex_set() {
         let g = gen::rgg2d(800, 9, 4);
         let clustering = lp_clustering_for(&g, 8);
-        let mut scratch = HierarchyScratch::new();
-        let n_coarse = build_cluster_buckets(&clustering, &mut scratch);
+        let buckets = ClusterBuckets::build(&clustering);
+        let n_coarse = buckets.n_coarse();
         assert_eq!(n_coarse, clustering.num_clusters);
-        assert_eq!(scratch.bucket_offsets[0], 0);
-        assert_eq!(scratch.bucket_offsets[n_coarse] as usize, g.n());
+        assert_eq!(buckets.offsets[0], 0);
+        assert_eq!(buckets.offsets[n_coarse] as usize, g.n());
         let mut seen = vec![false; g.n()];
         for b in 0..n_coarse {
-            let begin = scratch.bucket_offsets[b] as usize;
-            let end = scratch.bucket_offsets[b + 1] as usize;
-            assert!(begin < end, "bucket {} is empty", b);
-            let leader = scratch.leaders[b];
-            for &u in &scratch.bucket_members[begin..end] {
+            assert!(!buckets.members_of(b).is_empty(), "bucket {} is empty", b);
+            let leader = buckets.leaders[b];
+            for &u in buckets.members_of(b) {
                 assert!(!seen[u as usize], "vertex {} scattered twice", u);
                 seen[u as usize] = true;
                 assert_eq!(clustering.label[u as usize], leader);
@@ -865,22 +905,24 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         // Leaders are the distinct labels in increasing order.
-        assert!(scratch.leaders[..n_coarse].windows(2).all(|w| w[0] < w[1]));
+        assert!(buckets.leaders.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
-    fn scratch_reuse_across_levels_stays_correct_and_allocation_free() {
-        // Contract three shrinking levels through one arena; the arena must not grow
-        // after the first (largest) level, and every level must stay valid.
+    fn each_level_sizes_its_own_buckets_and_leaves_the_arena_empty() {
+        // Contract three shrinking levels through one arena: every level stays valid,
+        // builds buckets sized by itself rather than by the first level, and leaves
+        // nothing level-sized behind in the arena.
         let g = gen::rgg2d(1500, 12, 6);
         let mut scratch = HierarchyScratch::new();
         let mut current = g.clone();
-        let mut bytes_after_first = None;
-        for level in 0..3 {
+        let mut bucket_bytes = Vec::new();
+        for _ in 0..3 {
             let clustering = lp_clustering_for(&current, 8);
             if clustering.num_clusters == current.n() {
                 break;
             }
+            bucket_bytes.push(ClusterBuckets::build(&clustering).memory_bytes());
             let result = contract_with_scratch(
                 &current,
                 &clustering,
@@ -889,22 +931,13 @@ mod tests {
                 &mut scratch,
             );
             check_contraction(&current, &clustering, &result);
-            match bytes_after_first {
-                None => bytes_after_first = Some(scratch.memory_bytes()),
-                Some(first) => {
-                    assert_eq!(
-                        scratch.memory_bytes(),
-                        first,
-                        "scratch grew at level {} despite shrinking graphs",
-                        level
-                    );
-                }
-            }
+            assert_eq!(scratch.memory_bytes(), 0);
             current = result.coarse;
         }
+        assert!(bucket_bytes.len() >= 2, "fewer than two levels contracted");
         assert!(
-            bytes_after_first.is_some(),
-            "no contraction level was executed"
+            bucket_bytes.windows(2).all(|w| w[1] < w[0]),
+            "bucket bytes {bucket_bytes:?} do not shrink with the levels"
         );
     }
 
@@ -914,22 +947,16 @@ mod tests {
         let clustering = lp_clustering_for(&g, 24);
         let (n, n_coarse) = (g.n(), clustering.num_clusters);
         assert!(n_coarse * 8 < n, "n′ = {} is not ≪ n = {}", n_coarse, n);
-        let mut scratch = HierarchyScratch::new();
-        let result = contract_with_scratch(
-            &g,
-            &clustering,
-            ContractionAlgorithm::OnePass,
-            16,
-            &mut scratch,
-        );
-        check_contraction(&g, &clustering, &result);
-        // Heads, members and remap are indexed by label / fine vertex; offsets, leaders,
-        // starts and coarse node weights by coarse vertex.
+        // Members and remap are indexed by fine vertex / label; offsets and leaders by
+        // coarse vertex (the counting cursors are gone once the buckets are built).
+        let buckets = ClusterBuckets::build(&clustering);
+        assert_eq!(buckets.n_coarse(), n_coarse);
         let id = std::mem::size_of::<NodeId>();
-        assert_eq!(
-            scratch.memory_bytes(),
-            3 * n * id + (n_coarse + 1) * id + n_coarse * (id + 8 + 8)
-        );
+        assert_eq!(buckets.memory_bytes(), 2 * n * id + (2 * n_coarse + 1) * id);
+        // One-pass hands out exactly n′ coarse IDs, each a slot of the n′-sized starts
+        // and node weights (`OnePassOutput::claim` asserts the bound).
+        let result = contract(&g, &clustering, ContractionAlgorithm::OnePass, 16);
+        check_contraction(&g, &clustering, &result);
         // The reservation of 2m edge slots was cut back to the 2m′ committed ones.
         assert_eq!(
             result.coarse.allocated_bytes(),

@@ -24,8 +24,8 @@
 //! negligible here — unlike in LP *refinement*, where the analogous waiters are tracked
 //! per block. Converged regions are never rescanned. The round loop itself
 //! (collect/shuffle/run/swap plus stop criteria) is the shared driver of
-//! `crate::lp_rounds`, instantiated here with the no-waiter semantics; the frontier
-//! bitsets and the visit-order buffer live in the reusable [`HierarchyScratch`] arena.
+//! `crate::lp_rounds`, instantiated here with the no-waiter semantics, which owns the
+//! frontier bitsets and the visit-order buffer for the stage.
 //! A visit decodes its vertex's neighbourhood once: the worker keeps the neighbour ids
 //! (up to `bump_threshold` of them) while rating, and a move marks the frontier from
 //! them; only a longer neighbourhood is decoded a second time.
@@ -43,7 +43,6 @@
 //! [`MIN_CONTRACTIBLE_SHARE`]: super::MIN_CONTRACTIBLE_SHARE
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use graph::ids;
 use graph::traits::Graph;
@@ -362,8 +361,8 @@ impl Movable {
     }
 }
 
-/// Runs label propagation clustering on `graph` with freshly allocated scratch memory.
-/// Prefer [`cluster_with_scratch`] inside the multilevel pipeline.
+/// Runs label propagation clustering on `graph` with a fresh worker pool. Prefer
+/// [`cluster_with_scratch`] inside the multilevel pipeline.
 pub fn cluster(
     graph: &impl Graph,
     config: &CoarseningConfig,
@@ -378,8 +377,8 @@ pub fn cluster(
 ///
 /// `max_cluster_weight` is the size constraint; `seed` controls the random visit order.
 /// The function must be called from within the partitioner's rayon thread pool (or any
-/// pool); it sizes its leased per-chunk state by `rayon::current_num_threads()`. The
-/// visit-order buffer and the frontier bitsets are reused from `scratch`.
+/// pool); it sizes its leased per-chunk state by `rayon::current_num_threads()` and
+/// leases it from `scratch`'s worker pool.
 ///
 /// Only movable vertices — those with an edge `(u, v)` such that `w(u) + w(v) ≤
 /// max_cluster_weight`, see the module docs — are ever visited: round 0 starts from
@@ -483,8 +482,7 @@ fn cluster_movable(
     let prefetch = |order: &[NodeId]| graph.prefetch(order);
     // Each running chunk keeps the neighbour ids of its current visit.
     let kept_ids_bytes = num_threads * config.bump_threshold * std::mem::size_of::<NodeId>();
-    // Cloned out before the driver takes `&mut` of the whole arena.
-    let workers = Arc::clone(&scratch.workers);
+    let workers = &scratch.workers;
 
     match config.lp_mode {
         LabelPropagationMode::PerThreadRatingMaps => {
@@ -496,7 +494,7 @@ fn cluster_movable(
                 maps.parked_sum(SparseRatingMap::memory_bytes) + kept_ids_bytes,
             );
             let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
-                run_round_per_thread_maps(graph, &state, &maps, config, &workers, order, frontier)
+                run_round_per_thread_maps(graph, &state, &maps, config, workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
                 seed,
@@ -509,7 +507,7 @@ fn cluster_movable(
                 config.lp_rounds,
                 use_frontier,
                 start,
-                scratch,
+                &scratch.obs,
                 &mut semantics,
             );
         }
@@ -522,15 +520,7 @@ fn cluster_movable(
             );
             let mut shared = None;
             let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
-                run_round_two_phase(
-                    graph,
-                    &state,
-                    config,
-                    &mut shared,
-                    &workers,
-                    order,
-                    frontier,
-                )
+                run_round_two_phase(graph, &state, config, &mut shared, workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
                 seed,
@@ -543,7 +533,7 @@ fn cluster_movable(
                 config.lp_rounds,
                 use_frontier,
                 start,
-                scratch,
+                &scratch.obs,
                 &mut semantics,
             );
         }

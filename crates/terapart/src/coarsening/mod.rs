@@ -7,7 +7,8 @@
 //! cluster-weight limit ([`MIN_CONTRACTIBLE_SHARE`]) or it stops shrinking
 //! ([`MIN_SHRINK_FACTOR`]). The resulting [`Hierarchy`]
 //! records every coarse graph together with the fine-to-coarse vertex mapping needed to
-//! project partitions back up during uncoarsening.
+//! project partitions back up during uncoarsening, which pops each level once it has
+//! projected past it.
 
 pub mod contract;
 pub mod lp_clustering;
@@ -16,7 +17,7 @@ pub mod two_hop;
 
 pub use contract::{contract, contract_with_scratch, ContractionResult};
 pub use lp_clustering::{cluster, cluster_with_scratch, Clustering};
-pub use two_hop::{pack_isolated_vertices, two_hop_clustering, two_hop_clustering_with_scratch};
+pub use two_hop::{pack_isolated_vertices, two_hop_clustering};
 
 use graph::csr::CsrGraph;
 use graph::traits::Graph;
@@ -37,6 +38,8 @@ pub struct Level {
     /// Maps each vertex of the *finer* graph (the input graph for the first level) to
     /// its coarse vertex in [`Level::coarse`].
     pub mapping: Vec<NodeId>,
+    /// Memory charge of the coarse graph, released when the level drops.
+    _charge: MemoryScope<'static>,
 }
 
 /// The full coarsening hierarchy, from the first coarse graph down to the coarsest one.
@@ -44,8 +47,6 @@ pub struct Level {
 pub struct Hierarchy {
     /// Levels in coarsening order: `levels[0]` was contracted from the input graph.
     pub levels: Vec<Level>,
-    /// Memory charges for the stored coarse graphs (released when the hierarchy drops).
-    charges: Vec<MemoryScope<'static>>,
 }
 
 impl Hierarchy {
@@ -92,8 +93,8 @@ pub const MIN_SHRINK_FACTOR: f64 = 0.95;
 /// unit-weight input graph is never counted, so it is never given up.
 pub const MIN_CONTRACTIBLE_SHARE: f64 = 0.125;
 
-/// Runs the full coarsening stage on `graph` with freshly allocated scratch memory.
-/// Prefer [`coarsen_with_scratch`] when the caller owns an arena for the whole run.
+/// Runs the full coarsening stage on `graph` with a fresh worker pool. Prefer
+/// [`coarsen_with_scratch`] when the caller owns an arena for the whole run.
 pub fn coarsen(
     graph: &impl Graph,
     config: &PartitionerConfig,
@@ -103,9 +104,9 @@ pub fn coarsen(
     coarsen_with_scratch(graph, config, tracker, &mut scratch)
 }
 
-/// Runs the full coarsening stage on `graph`, reusing the buffers of `scratch` across
-/// every hierarchy level (the first, largest level sizes them; later levels are
-/// allocation-free).
+/// Runs the full coarsening stage on `graph`, leasing per-worker buffers from
+/// `scratch`. Every level-sized buffer belongs to the clustering or contraction of its
+/// level and is freed when that phase returns: what stays behind is the hierarchy.
 ///
 /// Phases are reported to `tracker` (clustering and contraction separately per level,
 /// mirroring the breakdown of Figure 2).
@@ -131,10 +132,8 @@ pub fn coarsen_with_scratch(
         let Some(result) = next else {
             break;
         };
-        hierarchy
-            .charges
-            .push(MemoryScope::charge_global(result.coarse.size_in_bytes()));
         hierarchy.levels.push(Level {
+            _charge: MemoryScope::charge_global(result.coarse.size_in_bytes()),
             coarse: result.coarse,
             mapping: result.mapping,
         });
@@ -179,7 +178,7 @@ fn coarsen_level(
                 // given up.
                 pack_isolated_vertices(graph, &mut c, limit);
                 if !shrinks(&c) {
-                    two_hop_clustering_with_scratch(graph, &mut c, limit, scratch);
+                    two_hop_clustering(graph, &mut c, limit);
                 }
             }
             c
@@ -315,14 +314,11 @@ mod tests {
             scratch.obs = obs;
             let level = coarsen_level(&g, &config, &PhaseTracker::new(), &mut scratch, 1, 2);
             let rounds = recorder.metrics().get(Counter::LpClusterRounds);
-            // A round sizes the arena's worklists, two-hop matching its cluster-weight
-            // table, contraction its buckets.
-            let arena_bytes = scratch.memory_bytes();
-            (level.map(|result| result.coarse.n()), rounds, arena_bytes)
+            (level.map(|result| result.coarse.n()), rounds)
         };
 
-        assert_eq!(run(8), (None, 0, 0));
-        let (coarse_n, rounds, _) = run(9);
+        assert_eq!(run(8), (None, 0));
+        let (coarse_n, rounds) = run(9);
         assert!(coarse_n.is_some_and(|n| n < 64), "the level was contracted");
         assert!(rounds > 0);
     }

@@ -14,14 +14,12 @@
 //! 17 051 vertices of the coarsest graph were isolated, while its connected core had
 //! long been below the contraction limit.
 
-use std::sync::atomic::AtomicU64;
-
 use graph::ids::{self, INVALID_NODE};
 use graph::traits::Graph;
 use graph::{NodeId, NodeWeight};
+use memtrack::MemoryScope;
 
 use super::lp_clustering::Clustering;
-use crate::scratch::HierarchyScratch;
 use crate::ClusterId;
 
 /// Packs the isolated (degree-0) vertices into clusters of at most `max_cluster_weight`:
@@ -63,17 +61,6 @@ pub fn pack_isolated_vertices(
     merged
 }
 
-/// Two-hop matching with a throwaway scratch arena. Prefer
-/// [`two_hop_clustering_with_scratch`] inside the pipeline.
-pub fn two_hop_clustering(
-    graph: &impl Graph,
-    clustering: &mut Clustering,
-    max_cluster_weight: NodeWeight,
-) -> usize {
-    let mut scratch = HierarchyScratch::new();
-    two_hop_clustering_with_scratch(graph, clustering, max_cluster_weight, &mut scratch)
-}
-
 /// Merges singleton clusters that favour the same neighbouring cluster, as long as the
 /// merged weight respects `max_cluster_weight`. A singleton favours the cluster at the
 /// other end of its **heaviest single edge** (first one on a tie) — not the cluster with
@@ -82,15 +69,15 @@ pub fn two_hop_clustering(
 /// `rgg2d-6k`, +0.1 % on `weblike(15)`, so the cheaper rule stays. One sequential pass in
 /// id order: deterministic.
 ///
-/// The cluster weights and the favoured-cluster table live in arena buffers the
-/// contraction that follows overwrites anyway (`coarse_node_weights`, `remap`).
+/// The cluster weights and the favoured-cluster table are label-indexed; they are
+/// allocated for the call, charged to the memory accounting while it runs and freed
+/// when it returns.
 ///
 /// Returns the number of merges performed. The clustering is modified in place.
-pub fn two_hop_clustering_with_scratch(
+pub fn two_hop_clustering(
     graph: &impl Graph,
     clustering: &mut Clustering,
     max_cluster_weight: NodeWeight,
-    scratch: &mut HierarchyScratch,
 ) -> usize {
     let n = graph.n();
     if n == 0 {
@@ -100,19 +87,16 @@ pub fn two_hop_clustering_with_scratch(
     // scheme: the top bit of the active width belongs to the sentinel helpers of
     // `graph::ids` and must never be set on a label entering (or leaving) this pass.
     debug_assert!(clustering.label.iter().all(|&l| !ids::is_marked(l)));
-    scratch.ensure_buckets(n);
-    scratch.ensure_cluster_weights(n);
     // weights[c]: weight of cluster c, merges included. favored[c]: a singleton whose
     // heaviest edge leads into cluster c and that later singletons may still join.
-    let weights: &mut [AtomicU64] = &mut scratch.coarse_node_weights[..n];
-    let favored = &mut scratch.remap[..n];
-    for (weight, slot) in weights.iter_mut().zip(favored.iter_mut()) {
-        *weight.get_mut() = 0;
-        *slot.get_mut() = INVALID_NODE;
-    }
+    let mut weights: Vec<NodeWeight> = vec![0; n];
+    let mut favored: Vec<NodeId> = vec![INVALID_NODE; n];
+    let _charge = MemoryScope::charge_global(
+        n * (std::mem::size_of::<NodeWeight>() + std::mem::size_of::<NodeId>()),
+    );
     let label = &mut clustering.label;
     for u in 0..n {
-        *weights[label[u] as usize].get_mut() += graph.node_weight(u as NodeId);
+        weights[label[u] as usize] += graph.node_weight(u as NodeId);
     }
 
     let mut merged = 0usize;
@@ -121,7 +105,7 @@ pub fn two_hop_clustering_with_scratch(
         // the cluster weighs what it weighs. A cluster only grows after its leader has
         // been visited (as somebody's partner), so the test sees the weight LP left.
         let node_weight = graph.node_weight(u);
-        if label[u as usize] != u || *weights[u as usize].get_mut() != node_weight {
+        if label[u as usize] != u || weights[u as usize] != node_weight {
             continue;
         }
         // The neighbouring cluster at the other end of u's heaviest edge.
@@ -138,11 +122,11 @@ pub fn two_hop_clustering_with_scratch(
             };
         });
         let Some((target, _)) = best else { continue };
-        let slot = favored[target as usize].get_mut();
+        let slot = &mut favored[target as usize];
         let partner = *slot;
         if partner != INVALID_NODE && partner != u {
             let cluster = label[partner as usize];
-            let weight = weights[cluster as usize].get_mut();
+            let weight = &mut weights[cluster as usize];
             if *weight + node_weight <= max_cluster_weight {
                 // The partner slot stays occupied so further singletons favouring the
                 // same cluster keep joining it until the weight limit is reached.

@@ -8,9 +8,10 @@
 //!   `(path, options)` — N concurrent requests against one graph share one page cache
 //!   or mapping and one memory charge;
 //! * a [`ScratchPool`] checks out [`HierarchyScratch`] arenas per request and parks
-//!   them again afterwards, so a warmed engine partitions without re-growing the
-//!   auxiliary buffers, and N concurrent requests peak at `max(simultaneous)` arenas
-//!   rather than N;
+//!   them again afterwards, so a warmed engine reuses the per-worker hot-loop buffers
+//!   and the initial-partitioning region, and N concurrent requests peak at
+//!   `max(simultaneous)` arenas rather than N (level-sized buffers belong to the phase
+//!   that reads them and are never parked);
 //! * each request reads the store through its own [`graph::StoreSession`], which
 //!   carries the poison protocol: an unrecoverable storage fault fails *that* request
 //!   with a structured [`PartitionError`] and leaves co-tenant sessions, the store and
@@ -196,9 +197,10 @@ impl Pool<HierarchyScratch> {
         self.parked_count()
     }
 
-    /// Total accounted bytes of the parked arenas.
+    /// Total bytes the parked arenas hold: each one's charged initial-partitioning
+    /// region plus its parked worker buffers.
     pub fn parked_bytes(&self) -> usize {
-        self.parked_sum(HierarchyScratch::memory_bytes)
+        self.parked_sum(HierarchyScratch::parked_bytes)
     }
 }
 
@@ -377,7 +379,7 @@ mod tests {
         let pool = ScratchPool::new();
         {
             let mut lease = pool.checkout();
-            lease.ensure_buckets(4096);
+            lease.initial.ensure(4096);
         }
         assert_eq!(pool.parked_arenas(), 1);
         assert_eq!(pool.high_water(), 1);

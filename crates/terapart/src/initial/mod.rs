@@ -96,7 +96,6 @@ pub fn initial_partition_with_scratch(
         // The pooled workspaces have no user past this point; free them so the standing
         // footprint through uncoarsening stays node-indexed (see `release_pools`).
         scratch.initial.release_pools();
-        scratch.recharge();
     }
     // Recursive bisection has no deltas to offer: this is the one full count of a
     // request. Every later stage moves the cut by its gains or recounts it over the

@@ -16,12 +16,14 @@
 //! the task drops it, so the number of live workspaces is bounded by the number of running
 //! tasks (≤ thread count), not by the tree size. Buffers only ever grow; the root
 //! bisection (the largest subgraph) sizes them and the rest of the tree runs
-//! allocation-free.
+//! allocation-free. The pools are freed when the stage ends; the membership map is
+//! charged to the memory accounting and kept for the run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use graph::traits::Graph;
 use graph::{AtomicNodeId, EdgeId, EdgeWeight, NodeId, NodeWeight};
+use memtrack::MemoryScope;
 
 use super::bipartition::{FmWork, TwoWay};
 use crate::heap::AddressableMaxHeap;
@@ -48,15 +50,25 @@ pub struct InitialPartitioningScratch {
     pub(crate) bisections: Pool<BisectionWorkspace>,
     /// Pool of portfolio-attempt buffers.
     pub(crate) attempts: Pool<AttemptWorkspace>,
+    /// Charge of [`Self::memory_bytes`] against the global memory accounting.
+    charge: Option<MemoryScope<'static>>,
 }
 
 impl InitialPartitioningScratch {
-    /// Grows the membership map to `n` vertices. Does not shrink.
+    /// Grows the membership map and the tree permutation to `n` vertices and charges
+    /// them. Does not shrink.
     pub fn ensure(&mut self, n: usize) {
         if self.local_epoch.len() < n {
             self.local_epoch.resize_with(n, || AtomicU64::new(0));
             self.local_id.resize_with(n, || AtomicNodeId::new(0));
         }
+        self.tree_vertices
+            .reserve(n.saturating_sub(self.tree_vertices.len()));
+        let bytes = self.memory_bytes();
+        let charge = self
+            .charge
+            .get_or_insert_with(|| MemoryScope::charge_global(0));
+        charge.grow(bytes.saturating_sub(charge.bytes()));
     }
 
     /// Claims a fresh, globally unique epoch for one bisection node.
@@ -89,7 +101,7 @@ impl InitialPartitioningScratch {
     ///
     /// The pooled workspace buffers are *not* part of this figure: they are working
     /// memory sized by the largest task rather than node-indexed state, are excluded
-    /// from the standing memtrack charge, and are freed when the stage ends
+    /// from the charge, and are freed when the stage ends
     /// ([`Self::release_pools`]).
     /// [`Self::pool_bytes`] exposes their current footprint for introspection.
     pub fn memory_bytes(&self) -> usize {

@@ -22,16 +22,17 @@
 //!
 //! # Performance invariants
 //!
-//! * **Allocation-free hot paths.** One [`HierarchyScratch`] arena is created per run
-//!   and reused by every coarsening level, every refinement level, and every node of
-//!   the initial-partitioning bisection tree; the largest (first) level sizes it and
-//!   everything after runs without heap allocation of auxiliary state. The arena
-//!   charges its footprint to `memtrack`; every buffer in it is physically backed and
-//!   sized by what indexes it (fine vertices, or the coarse vertices of the first
-//!   contraction). The initial-partitioning workspace pools are excluded from the
-//!   standing charge and released when their stage ends. The coarse edge arrays are not
-//!   arena state: one-pass contraction reserves `2m` slots per level without filling
-//!   them, writes the `2m′` it needs and hands exactly those to the coarse graph.
+//! * **Phase-owned auxiliary memory.** Every level-sized buffer belongs to the phase
+//!   that reads it and is freed, with its `memtrack` charge, when that phase returns:
+//!   contraction's cluster buckets and per-coarse-vertex buffers (sized by `n` or `n′`,
+//!   whichever indexes them), label propagation's visit order and frontier bitsets, and
+//!   each coarse level, which uncoarsening pops once it has projected past it. The
+//!   first coarsening level therefore sets the peak. What outlives a phase is one
+//!   [`HierarchyScratch`] per run: the pooled per-worker hot-loop buffers and the
+//!   initial-partitioning region, whose membership map every node of the bisection tree
+//!   reuses. The coarse edge arrays are reserved for `2m` slots per level without being
+//!   filled; one-pass contraction writes the `2m′` it needs and hands exactly those to
+//!   the coarse graph.
 //! * **Frontier-driven label propagation.** After the full first round, clustering and
 //!   refinement revisit only vertices whose neighbourhood changed.
 //! * **Deterministic parallel initial partitioning.** The recursive-bisection portfolio

@@ -5,7 +5,10 @@
 //! 0 the caller's start set, or every vertex if it has none or the frontier is
 //! disabled) with a round-derived seed
 //! ([`build_visit_order`]), run one parallel round that marks the next round's frontier,
-//! swap the frontier bitsets and evaluate a stop criterion. The loop used to be
+//! swap the frontier bitsets and evaluate a stop criterion. The driver owns the visit
+//! order, its range permutation and both bitsets for one stage: they are allocated for
+//! the stage's graph, charged to the memory accounting while it runs and freed when it
+//! returns. The loop used to be
 //! implemented twice with deliberately different *waiter* semantics; this module hosts
 //! the single driver, parameterised over those semantics through
 //! [`LpRoundSemantics`]:
@@ -23,11 +26,12 @@
 //! [`lp_refine_with_scratch`]: crate::refinement::lp_refine_with_scratch
 
 use graph::NodeId;
-use obs::{Counter, SpanKind};
+use memtrack::MemoryScope;
+use obs::{Counter, ObsHandle, SpanKind};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-use crate::scratch::{AtomicBitset, HierarchyScratch};
+use crate::scratch::AtomicBitset;
 
 /// Aggregate outcome of a driven sequence of rounds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -119,7 +123,8 @@ pub(crate) fn build_visit_order(
 }
 
 /// Drives up to `max_rounds` label propagation rounds over a graph with `n` vertices,
-/// reusing the visit-order buffers and the frontier bitset pair of `scratch`.
+/// on a visit order and a frontier bitset pair of its own, and reports each round to
+/// `obs`.
 ///
 /// Round 0 visits the vertices of `start` — the caller's proof that nobody else has
 /// work, e.g. a partition's boundary superset — or every vertex when there is none.
@@ -129,29 +134,36 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
     max_rounds: usize,
     use_frontier: bool,
     start: Option<&AtomicBitset>,
-    scratch: &mut HierarchyScratch,
+    obs: &ObsHandle,
     semantics: &mut S,
 ) -> RoundStats {
     let mut stats = RoundStats::default();
     if n == 0 {
         return stats;
     }
-    let obs = scratch.obs.clone();
     let (rounds_counter, moves_counter) = semantics.obs_counters();
-    scratch.ensure_worklists(n);
-    let mut order = std::mem::take(&mut scratch.order);
+    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    let mut chunks: Vec<NodeId> = Vec::with_capacity(n.div_ceil(VISIT_CHUNK));
+    let (mut active, mut next_active) = (AtomicBitset::new(), AtomicBitset::new());
+    active.ensure_len(n);
+    next_active.ensure_len(n);
+    let _charge = MemoryScope::charge_global(
+        (order.capacity() + chunks.capacity()) * std::mem::size_of::<NodeId>()
+            + active.memory_bytes()
+            + next_active.memory_bytes(),
+    );
     // A full sweep is the all-bits-set case of the frontier: without a start set
     // round 0 begins from it, and without the frontier nothing ever replaces it.
     match start {
-        Some(start) if use_frontier => scratch.active.copy_from(start, n),
-        _ => scratch.active.set_all(n),
+        Some(start) if use_frontier => active.copy_from(start, n),
+        _ => active.set_all(n),
     }
     for round in 0..max_rounds {
         build_visit_order(
             n,
-            &scratch.active,
+            &active,
             semantics.round_seed(round),
-            &mut scratch.order_chunks,
+            &mut chunks,
             &mut order,
         );
         if order.is_empty() && !semantics.has_pending_waiters() {
@@ -159,15 +171,15 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         }
         let mut round_span = obs.span_at(SpanKind::Round, "lp_round", round as u64);
         let frontier = if use_frontier {
-            scratch.next_active.clear_range(n);
-            Some(&scratch.next_active)
+            next_active.clear_range(n);
+            Some(&next_active)
         } else {
             None
         };
         semantics.prefetch_round(&order);
         let moved = semantics.run_round(&order, frontier);
         if frontier.is_some() {
-            semantics.after_round(&scratch.next_active);
+            semantics.after_round(&next_active);
         }
         round_span.attr("visited", order.len() as u64);
         round_span.attr("moves", moved as u64);
@@ -178,14 +190,13 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         stats.visited_per_round.push(order.len());
         stats.moves += moved;
         if use_frontier {
-            scratch.swap_active();
+            std::mem::swap(&mut active, &mut next_active);
         }
-        let mut next_round_has_work = || use_frontier && scratch.active.count(n) > 0;
+        let mut next_round_has_work = || use_frontier && active.count(n) > 0;
         if semantics.should_stop(moved, &mut next_round_has_work) {
             break;
         }
     }
-    scratch.order = order;
     stats
 }
 
@@ -234,14 +245,13 @@ mod tests {
 
     #[test]
     fn full_sweep_when_frontier_disabled() {
-        let mut scratch = HierarchyScratch::new();
         let mut semantics = Recording {
             seed: 7,
             rounds_run: 0,
             visited: Vec::new(),
             moves_per_round: vec![3, 2, 1],
         };
-        let stats = drive_lp_rounds(10, 3, false, None, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(10, 3, false, None, &ObsHandle::noop(), &mut semantics);
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.moves, 6);
         for round in &semantics.visited {
@@ -251,14 +261,13 @@ mod tests {
 
     #[test]
     fn frontier_rounds_shrink_to_marked_vertices() {
-        let mut scratch = HierarchyScratch::new();
         let mut semantics = Recording {
             seed: 7,
             rounds_run: 0,
             visited: Vec::new(),
             moves_per_round: vec![4, 2, 1],
         };
-        let stats = drive_lp_rounds(16, 5, true, None, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(16, 5, true, None, &ObsHandle::noop(), &mut semantics);
         assert_eq!(stats.visited_per_round[0], 16);
         assert_eq!(stats.visited_per_round[1], 4);
         assert_eq!(stats.visited_per_round[2], 2);
@@ -273,14 +282,20 @@ mod tests {
             start.set(u);
         }
         let run = |frontier: bool| {
-            let mut scratch = HierarchyScratch::new();
             let mut semantics = Recording {
                 seed: 7,
                 rounds_run: 0,
                 visited: Vec::new(),
                 moves_per_round: vec![2, 1],
             };
-            drive_lp_rounds(16, 5, frontier, Some(&start), &mut scratch, &mut semantics);
+            drive_lp_rounds(
+                16,
+                5,
+                frontier,
+                Some(&start),
+                &ObsHandle::noop(),
+                &mut semantics,
+            );
             semantics.visited
         };
         let visited = run(true);
@@ -291,14 +306,13 @@ mod tests {
 
     #[test]
     fn default_stop_is_first_move_free_round() {
-        let mut scratch = HierarchyScratch::new();
         let mut semantics = Recording {
             seed: 1,
             rounds_run: 0,
             visited: Vec::new(),
             moves_per_round: vec![2, 0, 5],
         };
-        let stats = drive_lp_rounds(8, 5, true, None, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(8, 5, true, None, &ObsHandle::noop(), &mut semantics);
         assert_eq!(stats.rounds, 2, "must stop at the move-free round");
         assert_eq!(stats.moves, 2);
     }
@@ -344,13 +358,19 @@ mod tests {
         seed: u64,
         marks_per_round: &[Vec<NodeId>],
     ) -> Vec<Vec<NodeId>> {
-        let mut scratch = HierarchyScratch::new();
         let mut semantics = Scripted {
             seed,
             marks_per_round: marks_per_round.to_vec(),
             orders: Vec::new(),
         };
-        let stats = drive_lp_rounds(n, MAX_ROUNDS, frontier, None, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(
+            n,
+            MAX_ROUNDS,
+            frontier,
+            None,
+            &ObsHandle::noop(),
+            &mut semantics,
+        );
         assert_eq!(stats.rounds, semantics.orders.len());
         semantics.orders
     }
@@ -476,12 +496,11 @@ mod tests {
 
     #[test]
     fn waiters_keep_the_loop_alive_and_reactivate() {
-        let mut scratch = HierarchyScratch::new();
         let mut semantics = OneWaiter {
             pending: true,
             rounds_run: 0,
         };
-        let stats = drive_lp_rounds(8, 6, true, None, &mut scratch, &mut semantics);
+        let stats = drive_lp_rounds(8, 6, true, None, &ObsHandle::noop(), &mut semantics);
         // Round 0 (full), round 1 (empty order but pending waiter), round 2 (the
         // reactivated waiter), round 3 onwards stops.
         assert!(stats.rounds >= 3, "waiter rounds missing: {:?}", stats);

@@ -23,7 +23,7 @@ use graph::{EdgeWeight, NodeId};
 use memtrack::{MemoryScope, PhaseReport, PhaseTracker};
 use obs::{Counter, ObsHandle, ProgressEvent, Recorder, RunReport, SpanKind};
 
-use crate::coarsening::{self, Hierarchy};
+use crate::coarsening::{self, Hierarchy, Level};
 use crate::context::PartitionerConfig;
 use crate::engine::{EngineConfig, PartitionEngine, PartitionRequest};
 use crate::error::PartitionError;
@@ -179,20 +179,22 @@ fn debug_check_level(graph: &impl Graph, partition: &Partition, stage: &str, lev
     }
 }
 
-/// Projects the partition of level `level + 1` onto `graph`, the graph of `level`, and
-/// refines it there.
+/// Projects `coarse`, the partition of the graph `popped` holds, onto `graph`, the graph
+/// of `level`, and refines it there. `popped` — coarse graph, mapping and memory charge
+/// — and `coarse` are freed before the refinement: no later phase reads them.
 fn uncoarsen_level(
     graph: &impl Graph,
-    coarse: &Partition,
-    mapping: &[NodeId],
+    coarse: Partition,
+    popped: Level,
     level: usize,
     config: &PartitionerConfig,
     tracker: &PhaseTracker,
     scratch: &mut HierarchyScratch,
 ) -> (Partition, RefinementStats) {
     let mut partition = obs_phase(&scratch.obs, tracker, "uncoarsen", level, || {
-        coarse.project(graph, mapping)
+        coarse.project(graph, &popped.mapping)
     });
+    drop((coarse, popped));
     debug_check_level(graph, &partition, "projection", level);
     let seed = config.seed ^ (level as u64);
     let stats = refine_level(graph, &mut partition, level, seed, config, tracker, scratch);
@@ -240,8 +242,8 @@ fn refine_level(
 /// phases in `tracker`, against an already-created observability session and an
 /// externally owned scratch arena. The compressing and store-opening entry points record
 /// their input phases into the same session's report; the arena comes from the engine's
-/// [`ScratchPool`](crate::engine::ScratchPool), so a request on a warmed engine
-/// partitions without re-growing the auxiliary buffers.
+/// [`ScratchPool`](crate::engine::ScratchPool), so a request on a warmed engine reuses
+/// its per-worker buffers.
 pub(crate) fn partition_with_session(
     graph: &impl Graph,
     config: &PartitionerConfig,
@@ -267,14 +269,13 @@ pub(crate) fn partition_with_session(
     root.attr("threads", config.num_threads.max(1) as u64);
 
     let (partition, hierarchy_depth, refinement) = pool.install(|| {
-        // One scratch arena serves the whole run: the input level sizes it, every
-        // later coarsening level and every refinement level reuses it (and on a
-        // warmed engine, the previous run already sized it). It also carries the
-        // run's observability handle into the phase implementations.
+        // One scratch arena serves the whole run with its worker buffers and carries
+        // the run's observability handle into the phase implementations. Level-sized
+        // buffers belong to the phase that reads them.
         scratch.obs = obs.clone();
 
         // ---- Coarsening ----
-        let hierarchy: Hierarchy =
+        let mut hierarchy: Hierarchy =
             coarsening::coarsen_with_scratch(graph, config, tracker, scratch);
         let depth = hierarchy.depth();
 
@@ -339,16 +340,16 @@ pub(crate) fn partition_with_session(
                     scratch,
                 ));
             }
-            // Walk the hierarchy back up: project from level i+1 onto level i's graph.
-            for i in (0..depth).rev() {
+            // Walk the hierarchy back up: pop level i, whose coarse graph is level
+            // i + 1's, and project from it onto level i's graph.
+            while let Some(popped) = hierarchy.levels.pop() {
+                let i = hierarchy.depth();
                 let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", i as u64);
-                let mapping = &hierarchy.levels[i].mapping;
-                let (projected, stats) = match i.checked_sub(1) {
+                let (projected, stats) = match hierarchy.levels.last() {
                     Some(finer) => {
-                        let g = &hierarchy.levels[finer].coarse;
-                        uncoarsen_level(g, &current, mapping, i, config, tracker, scratch)
+                        uncoarsen_level(&finer.coarse, current, popped, i, config, tracker, scratch)
                     }
-                    None => uncoarsen_level(graph, &current, mapping, i, config, tracker, scratch),
+                    None => uncoarsen_level(graph, current, popped, i, config, tracker, scratch),
                 };
                 current = projected;
                 accumulate(stats);

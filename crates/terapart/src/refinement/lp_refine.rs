@@ -18,7 +18,6 @@
 //! `crate::lp_rounds`, instantiated here with the balance-waiter semantics.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId, NodeWeight};
@@ -125,7 +124,7 @@ pub struct LpRefineStats {
 }
 
 /// Runs `rounds` rounds of size-constrained label propagation refinement on `partition`
-/// with freshly allocated scratch memory and the classic full-sweep rounds. Returns the
+/// with a fresh worker pool and the classic full-sweep rounds. Returns the
 /// number of vertex moves performed.
 ///
 /// This wrapper keeps the original algorithm's semantics — the single-level baselines
@@ -137,8 +136,8 @@ pub fn lp_refine(graph: &impl Graph, partition: &mut Partition, rounds: usize, s
     lp_refine_with_scratch(graph, partition, rounds, seed, false, &mut scratch).moves
 }
 
-/// Runs label propagation refinement, reusing the visit-order buffer and frontier
-/// bitsets of `scratch`. With `use_frontier`, round 0 visits the partition's boundary
+/// Runs label propagation refinement, leasing per-worker rating tables from `scratch`.
+/// With `use_frontier`, round 0 visits the partition's boundary
 /// superset — a vertex outside it has no neighbour in another block and nothing to gain —
 /// and later rounds only the vertices whose neighbourhood changed in the previous round;
 /// otherwise every round sweeps all vertices (the original behaviour).
@@ -189,9 +188,8 @@ pub fn lp_refine_with_scratch(
         waiters: Vec<(NodeId, BlockId, NodeWeight)>,
         /// Waiters registered by the round just run, consumed by `after_round`.
         newly_blocked: Vec<(NodeId, BlockId, NodeWeight)>,
-        /// Handle to the arena's per-worker buffer pool, cloned out before the driver
-        /// takes `&mut` of the whole arena.
-        workers: Arc<Pool<WorkerScratch>>,
+        /// The arena's per-worker buffer pool.
+        workers: &'a Pool<WorkerScratch>,
     }
 
     impl<G: Graph> LpRoundSemantics for RefinementRounds<'_, G> {
@@ -211,7 +209,7 @@ pub fn lp_refine_with_scratch(
                 order,
                 frontier,
                 self.boundary,
-                &self.workers,
+                self.workers,
             );
             self.newly_blocked = newly_blocked;
             moves
@@ -265,14 +263,14 @@ pub fn lp_refine_with_scratch(
         seed,
         waiters: Vec::new(),
         newly_blocked: Vec::new(),
-        workers: Arc::clone(&scratch.workers),
+        workers: &scratch.workers,
     };
     let driven = drive_lp_rounds(
         n,
         rounds,
         use_frontier,
         start.as_ref().map(BoundarySet::bits),
-        scratch,
+        &scratch.obs,
         &mut semantics,
     );
     scratch.obs.add(

@@ -44,8 +44,8 @@ pub struct RefinementStats {
     pub boundary: usize,
 }
 
-/// Refines `partition` on `graph` according to `config` with freshly allocated scratch
-/// memory. Prefer [`refine_with_scratch`] inside the multilevel pipeline.
+/// Refines `partition` on `graph` according to `config` with a fresh worker pool.
+/// Prefer [`refine_with_scratch`] inside the multilevel pipeline.
 pub fn refine(
     graph: &impl Graph,
     partition: &mut Partition,
@@ -56,7 +56,8 @@ pub fn refine(
     refine_with_scratch(graph, partition, config, seed, &mut scratch)
 }
 
-/// Refines `partition` on `graph` according to `config`, reusing `scratch` buffers.
+/// Refines `partition` on `graph` according to `config`, leasing per-worker buffers
+/// from `scratch`.
 /// Returns per-algorithm move counts and the gain-table footprint.
 pub fn refine_with_scratch(
     graph: &impl Graph,

@@ -1,40 +1,30 @@
-//! Reusable hot-path scratch memory for the multilevel pipeline.
+//! What one partitioning run keeps between its phases, and the lending pools it keeps it
+//! in.
 //!
-//! Every hierarchy level of the seed implementation allocated its auxiliary state from
-//! scratch: a fresh `Vec<Vec<NodeId>>` cluster-bucket structure and freshly zeroed
-//! per-vertex arrays in contraction, a fresh visit-order vector per label-propagation
-//! round. Because level sizes shrink geometrically, the *first* level's requirement
-//! dominates; a single arena sized by the first level can serve the whole hierarchy
-//! without ever allocating again. [`HierarchyScratch`] is that arena. It is created once
-//! per partitioning run, threaded through coarsening (clustering + contraction) and
-//! refinement, and reports its footprint to `memtrack` so the memory ladder experiments
-//! see it.
+//! Level-sized auxiliary memory is *phase-owned*: contraction allocates its cluster
+//! buckets and per-coarse-vertex buffers for its own level, the label-propagation round
+//! driver the visit order and frontier bitsets of one stage, and each frees them — and
+//! releases their `memtrack` charge — when it returns. No buffer's contents carry
+//! from one phase to the next, so nothing level-sized is worth keeping: an arena sized
+//! by level 0 would hold level 0's buckets and visit order through every later phase
+//! and put the run's peak in the refinement of level 0.
 //!
-//! Every buffer here is physically backed (filled on growth) and charged in full, so
-//! each is sized by what indexes it: the buffers indexed by fine vertex or cluster label
-//! by `n`, the buffers indexed by coarse vertex by `n′`. The coarse *edge* arrays are not
-//! arena state at all: one-pass contraction reserves them per level without filling them
-//! and hands them to the coarse graph it returns (see [`mod@crate::coarsening::contract`]).
-//!
-//! The arena also owns the [`AtomicBitset`] pair backing the frontier/active-set
-//! worklists of label propagation (clustering and refinement): vertices whose
-//! neighbourhood changed in the previous round. Converged regions are never rescanned.
+//! [`HierarchyScratch`] keeps only what outlives a phase: the pool of per-worker hot-loop
+//! buffers (`WorkerScratch`, at most one per running chunk), the initial-partitioning
+//! region (see [`crate::initial::scratch`]) and the run's observability handle. An engine
+//! parks it between requests ([`crate::engine::ScratchPool`]).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use graph::ids::INVALID_NODE;
-use graph::{AtomicNodeId, EdgeWeight, NodeId};
-use memtrack::MemoryScope;
+use graph::{EdgeWeight, NodeId};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use crate::coarsening::contract::Batch;
 use crate::coarsening::rating_map::FixedCapacityHashMap;
 use crate::initial::scratch::InitialPartitioningScratch;
-use crate::ClusterId;
 
 /// A fixed-capacity concurrent bitset with relaxed atomics.
 ///
@@ -225,6 +215,20 @@ impl WorkerScratch {
             &mut self.neighbor_ids,
         )
     }
+
+    /// Heap bytes held by the worker's buffers.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let table = |t: &FixedCapacityHashMap| t.memory_bytes();
+        self.sort_keys.capacity() * std::mem::size_of::<u64>()
+            + self.sort_pairs.capacity() * std::mem::size_of::<(NodeId, u64)>()
+            + self.sort_wts.capacity() * std::mem::size_of::<EdgeWeight>()
+            + self.ratings.as_ref().map_or(0, table)
+            + self.neighbor_ids.capacity() * std::mem::size_of::<NodeId>()
+            + self
+                .agg
+                .as_ref()
+                .map_or(0, |(t, batch)| table(t) + batch.memory_bytes())
+    }
 }
 
 /// [`WorkerScratch::rating_table`] on the field alone, so a caller can borrow another
@@ -356,40 +360,9 @@ impl<T> Drop for Lease<'_, T> {
     }
 }
 
-/// The reusable per-run scratch arena (see the module docs).
-///
-/// Buffers only ever grow; within one multilevel run the first (largest) level sizes
-/// them and every later level reuses them allocation-free. The arena's footprint is
-/// charged to the global memory accounting for its lifetime, so phase reports attribute
-/// the auxiliary memory to the level that actually caused the growth.
-#[derive(Debug)]
+/// What one partitioning run keeps between its phases (see the module docs).
+#[derive(Debug, Default)]
 pub struct HierarchyScratch {
-    /// Per cluster label: member count during the counting phase, then the write cursor
-    /// during the scatter phase of the bucket construction.
-    pub(crate) bucket_heads: Vec<AtomicNodeId>,
-    /// CSR-style bucket boundaries: members of coarse vertex `b` occupy
-    /// `bucket_members[bucket_offsets[b]..bucket_offsets[b + 1]]`.
-    pub(crate) bucket_offsets: Vec<NodeId>,
-    /// Flat member array, grouped by bucket.
-    pub(crate) bucket_members: Vec<NodeId>,
-    /// `leaders[b]` is the cluster label contracted into coarse vertex `b`.
-    pub(crate) leaders: Vec<ClusterId>,
-    /// Old cluster label -> coarse vertex ID.
-    pub(crate) remap: Vec<AtomicNodeId>,
-    /// Per coarse vertex: neighbourhood start in the edge arrays.
-    pub(crate) starts: Vec<AtomicU64>,
-    /// Per coarse vertex: aggregated node weight. Two-hop clustering borrows it as its
-    /// label-indexed cluster-weight table (and then sizes it by `n`).
-    pub(crate) coarse_node_weights: Vec<AtomicU64>,
-    /// Visit-order buffer for label propagation rounds.
-    pub(crate) order: Vec<NodeId>,
-    /// The round's permutation of the 256-id ranges the visit order is built from
-    /// (see [`crate::lp_rounds`]): `n / 256` entries.
-    pub(crate) order_chunks: Vec<NodeId>,
-    /// Active set of the current LP round (vertices to visit).
-    pub(crate) active: AtomicBitset,
-    /// Active set being built for the next LP round.
-    pub(crate) next_active: AtomicBitset,
     /// Scratch region of the initial-partitioning stage: the epoch-tagged membership
     /// map plus the pooled bisection/attempt workspaces reused across the whole
     /// recursive-bisection tree (see [`crate::initial::scratch`]).
@@ -399,135 +372,28 @@ pub struct HierarchyScratch {
     /// spans and bump counters without widening every signature.
     pub(crate) obs: obs::ObsHandle,
     /// Pool of per-worker buffers backing the parallel hot loops (see
-    /// [`WorkerScratch`]). Behind an `Arc` so phase code can clone a handle out
-    /// before mutably borrowing the rest of the arena (e.g. across
-    /// [`crate::lp_rounds::drive_lp_rounds`]). Not part of [`Self::memory_bytes`]:
-    /// like the thread-locals it replaces, the worker buffers are transient hot-loop
-    /// state whose committed size the phases charge (estimated) per level.
-    pub(crate) workers: Arc<Pool<WorkerScratch>>,
-    /// Charge of the arena's buffers ([`Self::memory_bytes`]) against the global memory
-    /// accounting.
-    charge: MemoryScope<'static>,
-}
-
-impl Default for HierarchyScratch {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// [`WorkerScratch`]). Not part of [`Self::memory_bytes`]: like the thread-locals it
+    /// replaces, the worker buffers are transient hot-loop state whose committed size
+    /// the phases charge (estimated) per level.
+    pub(crate) workers: Pool<WorkerScratch>,
 }
 
 impl HierarchyScratch {
     pub fn new() -> Self {
-        Self {
-            bucket_heads: Vec::new(),
-            bucket_offsets: Vec::new(),
-            bucket_members: Vec::new(),
-            leaders: Vec::new(),
-            remap: Vec::new(),
-            starts: Vec::new(),
-            coarse_node_weights: Vec::new(),
-            order: Vec::new(),
-            order_chunks: Vec::new(),
-            active: AtomicBitset::new(),
-            next_active: AtomicBitset::new(),
-            initial: InitialPartitioningScratch::default(),
-            obs: obs::ObsHandle::noop(),
-            workers: Arc::new(Pool::new()),
-            charge: MemoryScope::charge_global(0),
-        }
+        Self::default()
     }
 
-    /// Grows the LP worklist buffers (visit order, its chunk permutation, frontier
-    /// bitsets) to `n` vertices. The order buffers' previous contents are discarded
-    /// (every round rebuilds them).
-    pub fn ensure_worklists(&mut self, n: usize) {
-        if self.order.capacity() < n {
-            // `reserve` is relative to the current length; clear first so the resulting
-            // capacity is at least `n` regardless of what the buffer still holds.
-            self.order.clear();
-            self.order.reserve(n);
-        }
-        let chunks = n.div_ceil(crate::lp_rounds::VISIT_CHUNK);
-        if self.order_chunks.capacity() < chunks {
-            self.order_chunks.clear();
-            self.order_chunks.reserve(chunks);
-        }
-        self.active.ensure_len(n);
-        self.next_active.ensure_len(n);
-        self.recharge();
-    }
-
-    /// Grows the cluster-bucket buffers indexed by cluster label or fine vertex
-    /// (counting-sort cursors, member array, label remap) to `n`.
-    pub fn ensure_buckets(&mut self, n: usize) {
-        if self.bucket_heads.len() < n {
-            self.bucket_heads.resize_with(n, || AtomicNodeId::new(0));
-            self.remap
-                .resize_with(n, || AtomicNodeId::new(INVALID_NODE));
-            self.bucket_members.resize(n, 0);
-        }
-        self.recharge();
-    }
-
-    /// Grows the cluster-bucket buffers indexed by coarse vertex (bucket boundaries and
-    /// leaders) to `n_coarse`, which the bucket construction knows after its prefix sum
-    /// and before it writes either.
-    pub fn ensure_bucket_index(&mut self, n_coarse: usize) {
-        if self.leaders.len() < n_coarse {
-            self.bucket_offsets.resize(n_coarse + 1, 0);
-            self.leaders.resize(n_coarse, 0);
-        }
-        self.recharge();
-    }
-
-    /// Grows the one-pass contraction's per-coarse-vertex buffers to `n_coarse`.
-    pub fn ensure_contraction(&mut self, n_coarse: usize) {
-        if self.starts.len() < n_coarse {
-            self.starts.resize_with(n_coarse, || AtomicU64::new(0));
-        }
-        self.ensure_cluster_weights(n_coarse);
-    }
-
-    /// Grows the per-cluster weight buffer alone to `n`: what two-hop clustering needs
-    /// of [`Self::ensure_contraction`] ahead of the contraction itself.
-    pub(crate) fn ensure_cluster_weights(&mut self, n: usize) {
-        if self.coarse_node_weights.len() < n {
-            self.coarse_node_weights
-                .resize_with(n, || AtomicU64::new(0));
-        }
-        self.recharge();
-    }
-
-    /// Swaps the current and next active sets between LP rounds.
-    pub(crate) fn swap_active(&mut self) {
-        std::mem::swap(&mut self.active, &mut self.next_active);
-    }
-
-    /// Bytes the arena holds and charges to the memory accounting: every buffer it owns
-    /// except the transient per-worker ones (the `workers` pool) and the pooled
-    /// initial-partitioning workspaces, which their stage releases.
+    /// Bytes the arena holds and charges to the memory accounting: the
+    /// initial-partitioning membership map and tree permutation. Every level-sized
+    /// buffer is owned, charged and freed by its phase, so between phases this is all.
     pub fn memory_bytes(&self) -> usize {
-        let id = std::mem::size_of::<NodeId>();
-        self.bucket_heads.len() * id
-            + self.bucket_offsets.len() * id
-            + self.bucket_members.len() * id
-            + self.leaders.len() * id
-            + self.remap.len() * id
-            + self.starts.len() * 8
-            + self.coarse_node_weights.len() * 8
-            + (self.order.capacity() + self.order_chunks.capacity()) * id
-            + self.active.memory_bytes()
-            + self.next_active.memory_bytes()
-            + self.initial.memory_bytes()
+        self.initial.memory_bytes()
     }
 
-    /// Brings the memtrack charge in line with the current footprint.
-    pub(crate) fn recharge(&mut self) {
-        let bytes = self.memory_bytes();
-        let charged = self.charge.bytes();
-        if bytes > charged {
-            self.charge.grow(bytes - charged);
-        }
+    /// Bytes a parked arena holds: [`Self::memory_bytes`] plus the parked worker
+    /// buffers.
+    pub(crate) fn parked_bytes(&self) -> usize {
+        self.memory_bytes() + self.workers.parked_sum(WorkerScratch::memory_bytes)
     }
 }
 
@@ -648,27 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_grows_monotonically_and_charges_memtrack() {
-        let mut scratch = HierarchyScratch::new();
-        assert_eq!(scratch.memory_bytes(), 0);
-        scratch.ensure_worklists(10_000);
-        scratch.ensure_buckets(10_000);
-        scratch.ensure_bucket_index(4_000);
-        scratch.ensure_contraction(4_000);
-        let after_first = scratch.memory_bytes();
-        assert!(after_first > 0);
-        // Smaller levels reuse the buffers: no growth.
-        scratch.ensure_worklists(1_000);
-        scratch.ensure_buckets(1_000);
-        scratch.ensure_bucket_index(400);
-        scratch.ensure_contraction(400);
-        assert_eq!(scratch.memory_bytes(), after_first);
-        // Larger requests grow.
-        scratch.ensure_buckets(20_000);
-        assert!(scratch.memory_bytes() > after_first);
-    }
-
-    #[test]
     fn a_lease_parks_on_drop_and_on_unwind_and_the_item_keeps_its_capacity() {
         let pool: Pool<WorkerScratch> = Pool::new();
         {
@@ -688,7 +533,7 @@ mod tests {
         assert_eq!(pool.parked_count(), 2, "an unwinding lease parks as well");
         assert_eq!(pool.high_water(), 2);
         assert!(
-            pool.parked_sum(|scratch| scratch.sort_keys.capacity()) >= 128,
+            pool.parked_sum(WorkerScratch::memory_bytes) >= 128 * 8,
             "a reused buffer keeps its grown capacity"
         );
     }

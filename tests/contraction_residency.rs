@@ -34,10 +34,7 @@ fn one_pass_contraction_backs_only_the_edges_it_writes() {
         clustering.num_clusters < graph.n() / 4,
         "the instance must shrink for the reservation to dwarf the coarse graph"
     );
-    // The label-indexed arena buffers are filled on growth and not what is measured:
-    // size them before the first reading.
     let mut scratch = HierarchyScratch::new();
-    scratch.ensure_buckets(graph.n());
 
     let before = resident_bytes();
     let result = contract_with_scratch(

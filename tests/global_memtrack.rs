@@ -10,8 +10,8 @@ use graph::traits::Graph;
 use graph::MmapGraph;
 use terapart::coarsening::rating_map::SparseRatingMap;
 use terapart::{
-    partition, partition_ondisk, CoarseningConfig, HierarchyScratch, LabelPropagationMode,
-    PartitionerConfig,
+    initial_partition_with_scratch, partition, partition_ondisk, CoarseningConfig,
+    HierarchyScratch, InitialPartitioningConfig, LabelPropagationMode, PartitionerConfig,
 };
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
@@ -125,15 +125,18 @@ fn reserve_commit_accounting_is_visible_globally() {
     assert!(memtrack::global().current() <= before + 4096);
 }
 
-/// The scratch arena charges its node-indexed buffers for its lifetime and releases
-/// the charge when it drops. (Lived in `terapart::scratch`'s unit tests, where sibling
-/// tests that build arenas of their own made the balance flake.)
+/// The scratch arena charges what it keeps between phases — the initial-partitioning
+/// membership map — for its lifetime and releases the charge when it drops. (Lived in
+/// `terapart::scratch`'s unit tests, where sibling tests that build arenas of their own
+/// made the balance flake.)
 fn scratch_charge_is_released_on_drop() {
+    let g = graph::gen::rgg2d(4_096, 8, 3);
     let before = memtrack::global().current();
     {
         let mut scratch = HierarchyScratch::new();
-        scratch.ensure_buckets(4_096);
-        scratch.ensure_worklists(4_096);
+        let config = InitialPartitioningConfig::default();
+        initial_partition_with_scratch(&g, 4, 0.03, &config, 1, &mut scratch);
+        assert!(scratch.memory_bytes() > 0);
         assert!(memtrack::global().current() >= before + scratch.memory_bytes());
     }
     assert!(memtrack::global().current() <= before + 64);
