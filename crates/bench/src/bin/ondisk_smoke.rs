@@ -4,11 +4,10 @@
 //! memory stays below the uncompressed CSR byte size, and (c) the result is a complete,
 //! balanced partition. Then exercise the concurrent external-memory path end to end:
 //! (d) the pipelined streamed ingest must reproduce the materialised container byte for
-//! byte, and (e) a prefetch-enabled run must stay complete, balanced and below the CSR
-//! size while hint-driven readahead actually installs pages; (f) paged, paged with
-//! readahead and mmap reach one identical cut on the one container format, and the
-//! paged runs report what a miss read and checksummed (`verified_bytes ≥ bytes_read ≥
-//! misses · shortest page`). Exits non-zero on any violation, so CI fails loudly.
+//! byte, and (e) paged and mmap reach one identical cut on the one container format,
+//! and the paged runs report what a miss read and checksummed (`verified_bytes ≥
+//! bytes_read ≥ misses · shortest page`). Exits non-zero on any violation, so CI fails
+//! loudly.
 //!
 //! Usage: `ondisk_smoke [cache_dir]` (default: a fresh temp directory).
 
@@ -18,9 +17,8 @@ use terapart::{partition_ondisk, PartitionerConfig};
 
 /// Prints what the page cache of one paged run read and checksummed, in total and per
 /// miss, and asserts the ordering the counters' definitions imply: every byte read by a
-/// foreground fault was fed to crc32 (readahead adds to the verified side only), and
-/// every miss read at least its own page — the last page of the data section being the
-/// shortest.
+/// fault was fed to crc32, and every miss read at least its own page — the last page of
+/// the data section being the shortest.
 fn report_read_amplification(label: &str, cache: &CacheStatsSnapshot, shortest_page: u64) {
     let per_miss = |bytes: u64| bytes as f64 / cache.misses.max(1) as f64;
     println!(
@@ -142,35 +140,6 @@ fn main() {
     );
     println!("streamed ingest byte-identical to the materialised container");
 
-    // ---- Prefetch-enabled run at the same starved budget: still complete, balanced
-    // and below the CSR size, with readahead demonstrably active. ----
-    memtrack::global().reset_peak();
-    let prefetch_result = partition_ondisk(&path, &config.clone().with_prefetch(true))
-        .expect("prefetch-enabled on-disk run failed");
-    let cache = prefetch_result
-        .cache_stats
-        .expect("on-disk runs expose cache stats");
-    println!(
-        "prefetch run: cut={} peak={} hit_rate={:.3} prefetched_pages={}",
-        prefetch_result.edge_cut,
-        memtrack::format_bytes(prefetch_result.peak_memory_bytes),
-        cache.hit_rate(),
-        cache.prefetched_pages
-    );
-    assert!(
-        prefetch_result.partition.is_complete() && prefetch_result.partition.is_balanced(),
-        "SMOKE FAIL: prefetch-enabled run produced an invalid partition"
-    );
-    assert!(
-        prefetch_result.peak_memory_bytes < csr_bytes,
-        "SMOKE FAIL: prefetch-enabled peak {} B is not below the CSR size {} B",
-        prefetch_result.peak_memory_bytes,
-        csr_bytes
-    );
-    assert!(
-        cache.prefetched_pages > 0,
-        "SMOKE FAIL: readahead never installed a page"
-    );
     let meta = graph::store::read_tpg_meta(&path).unwrap();
     let page_size = config.ondisk.page_size as u64;
     let shortest_page = match meta.data_len % page_size {
@@ -182,10 +151,9 @@ fn main() {
         &result.cache_stats.expect("on-disk runs expose cache stats"),
         shortest_page,
     );
-    report_read_amplification("paged+readahead t2", &cache, shortest_page);
-    // ---- Store-backend ladder (single-threaded, the bit-reproducible regime):
-    // paged, paged+readahead and mmap must all produce the *identical* cut — and the
-    // Elias-Fano offset index must undercut what plain u64 offsets would cost. ----
+    // ---- Store-backend ladder (single-threaded, the bit-reproducible regime): paged
+    // and mmap must produce the *identical* cut — and the Elias-Fano offset index must
+    // undercut what plain u64 offsets would cost. ----
     use graph::store::OnDiskBackend;
     let plain_offset_bytes = 8 * (meta.n as u64 + 1);
     println!(
@@ -203,7 +171,6 @@ fn main() {
     let mut ladder_cut: Option<u64> = None;
     for (label, ladder_config) in [
         ("paged", ladder_base.clone()),
-        ("paged+readahead", ladder_base.clone().with_prefetch(true)),
         (
             "mmap",
             ladder_base.clone().with_store_backend(OnDiskBackend::Mmap),
@@ -235,7 +202,7 @@ fn main() {
         }
     }
     println!(
-        "store-backend ladder: identical cut {} across all three runs",
+        "store-backend ladder: identical cut {} across both runs",
         ladder_cut.unwrap()
     );
 

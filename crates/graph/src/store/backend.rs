@@ -195,9 +195,6 @@ pub struct FaultPlan {
     pub sync_fail_period: u64,
     /// Permanent outage: every read operation numbered `>= n` fails with `EIO`.
     pub fail_reads_from: Option<u64>,
-    /// Restricts *read* faults to operations requesting more than this many bytes
-    /// (targets the run-coalesced prefetch reads while foreground page faults pass).
-    pub only_reads_longer_than: Option<usize>,
 }
 
 impl FaultPlan {
@@ -302,29 +299,21 @@ impl<B: StorageBackend> FaultyBackend<B> {
 impl<B: StorageBackend> StorageBackend for FaultyBackend<B> {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
         let op = self.read_ops.fetch_add(1, Ordering::Relaxed);
-        let eligible = self
-            .plan
-            .only_reads_longer_than
-            .is_none_or(|min| buf.len() > min);
-        if eligible {
-            if let Some(from) = self.plan.fail_reads_from {
-                if op >= from {
-                    self.stats.outage_reads.fetch_add(1, Ordering::Relaxed);
-                    return Err(transient_eio("permanent outage"));
-                }
-            }
-            if self.fires(1, op, self.plan.eio_period) {
-                self.stats.eio.fetch_add(1, Ordering::Relaxed);
-                return Err(transient_eio(&format!("read op {}", op)));
-            }
+        if self.plan.fail_reads_from.is_some_and(|from| op >= from) {
+            self.stats.outage_reads.fetch_add(1, Ordering::Relaxed);
+            return Err(transient_eio("permanent outage"));
         }
-        if eligible && buf.len() > 1 && self.fires(2, op, self.plan.short_read_period) {
+        if self.fires(1, op, self.plan.eio_period) {
+            self.stats.eio.fetch_add(1, Ordering::Relaxed);
+            return Err(transient_eio(&format!("read op {}", op)));
+        }
+        if buf.len() > 1 && self.fires(2, op, self.plan.short_read_period) {
             self.stats.short_reads.fetch_add(1, Ordering::Relaxed);
             let half = buf.len() / 2;
             return self.inner.read_at(&mut buf[..half], offset);
         }
         let read = self.inner.read_at(buf, offset)?;
-        if eligible && read > 0 && self.fires(3, op, self.plan.bit_flip_period) {
+        if read > 0 && self.fires(3, op, self.plan.bit_flip_period) {
             let h = mix(self.plan.seed ^ op.rotate_left(17));
             buf[(h as usize) % read] ^= 1 << ((h >> 32) % 8);
             self.stats.bit_flips.fetch_add(1, Ordering::Relaxed);
@@ -478,25 +467,24 @@ mod tests {
     }
 
     #[test]
-    fn outage_and_size_filter_apply() {
+    fn outage_fails_every_read_from_its_operation_on() {
         let path = tmp("outage.bin");
         std::fs::write(&path, vec![1u8; 1024]).unwrap();
         let backend = FaultyBackend::new(
             FileBackend::open(&path).unwrap(),
             FaultPlan {
                 fail_reads_from: Some(4),
-                only_reads_longer_than: Some(32),
                 ..FaultPlan::default()
             },
         );
-        let mut small = [0u8; 8];
-        let mut large = [0u8; 64];
-        for _ in 0..8 {
-            backend.read_at(&mut small, 0).unwrap();
+        let mut buf = [0u8; 64];
+        for _ in 0..4 {
+            backend.read_at(&mut buf, 0).unwrap();
         }
-        // Small reads passed even beyond the outage point; a large one now fails.
-        assert!(backend.read_at(&mut large, 0).is_err());
-        assert!(backend.stats().outage_reads.load(Ordering::Relaxed) > 0);
+        for _ in 0..4 {
+            assert!(backend.read_at(&mut buf, 0).is_err());
+        }
+        assert_eq!(backend.stats().outage_reads.load(Ordering::Relaxed), 4);
         std::fs::remove_file(path).ok();
     }
 }

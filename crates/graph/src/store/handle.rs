@@ -35,6 +35,9 @@ use crate::{EdgeWeight, NodeId, NodeWeight};
 /// One open on-disk graph store, in whichever representation it was opened:
 /// shareable (`Arc<StoreHandle>`), [`Sync`], and readable by any number of concurrent
 /// [`StoreSession`]s. See the module docs for the engine/session split.
+///
+/// A handle is not itself a [`Graph`]: it is read through [`session`](Self::session),
+/// so a read fault poisons that one session and never the shared store.
 #[derive(Debug)]
 pub enum StoreHandle {
     /// On-disk container behind the strict-budget page cache.
@@ -98,57 +101,6 @@ impl StoreHandle {
     /// Current page-cache counters (on-disk paged representation only).
     pub fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
         self.as_paged().map(|g| g.cache_stats())
-    }
-}
-
-macro_rules! forward_to_variant {
-    ($self:ident, $g:ident => $body:expr) => {
-        match $self {
-            StoreHandle::Paged($g) => $body,
-            StoreHandle::Mmap($g) => $body,
-        }
-    };
-}
-
-impl Graph for StoreHandle {
-    fn n(&self) -> usize {
-        forward_to_variant!(self, g => g.n())
-    }
-    fn m(&self) -> usize {
-        forward_to_variant!(self, g => g.m())
-    }
-    fn degree(&self, u: NodeId) -> usize {
-        forward_to_variant!(self, g => g.degree(u))
-    }
-    fn node_weight(&self, u: NodeId) -> NodeWeight {
-        forward_to_variant!(self, g => g.node_weight(u))
-    }
-    fn total_node_weight(&self) -> NodeWeight {
-        forward_to_variant!(self, g => g.total_node_weight())
-    }
-    fn total_edge_weight(&self) -> EdgeWeight {
-        forward_to_variant!(self, g => g.total_edge_weight())
-    }
-    fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
-        forward_to_variant!(self, g => g.for_each_neighbor(u, f))
-    }
-    fn for_each_neighbor_indexed(&self, u: NodeId, f: &mut dyn FnMut(usize, NodeId, EdgeWeight)) {
-        forward_to_variant!(self, g => g.for_each_neighbor_indexed(u, f))
-    }
-    fn is_edge_weighted(&self) -> bool {
-        forward_to_variant!(self, g => g.is_edge_weighted())
-    }
-    fn is_node_weighted(&self) -> bool {
-        forward_to_variant!(self, g => g.is_node_weighted())
-    }
-    fn max_degree(&self) -> usize {
-        forward_to_variant!(self, g => g.max_degree())
-    }
-    fn prefetch(&self, nodes: &[NodeId]) {
-        forward_to_variant!(self, g => g.prefetch(nodes))
-    }
-    fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
-        forward_to_variant!(self, g => g.record_obs_metrics(metrics))
     }
 }
 
@@ -301,9 +253,6 @@ impl Graph for StoreSession<'_> {
     fn max_degree(&self) -> usize {
         self.as_graph().max_degree()
     }
-    fn prefetch(&self, nodes: &[NodeId]) {
-        self.as_graph().prefetch(nodes)
-    }
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
         self.as_graph().record_obs_metrics(metrics)
     }
@@ -331,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn handle_forwards_graph_access_for_every_representation() {
+    fn a_session_reads_every_representation() {
         let csr = gen::with_random_edge_weights(&gen::grid2d(9, 7), 5, 3);
         let config = CompressionConfig::default();
         let path = tmp("forwarding.tpg");
@@ -350,10 +299,10 @@ mod tests {
         assert!(handles[0].as_paged().is_some());
         assert!(handles[1].as_mmap().is_some());
         for handle in &handles {
-            assert_eq!(handle.n(), csr.n(), "{}", handle.backend_name());
-            assert_eq!(handle.m(), csr.m());
-            assert_eq!(handle.max_degree(), csr.max_degree());
             let session = handle.session();
+            assert_eq!(session.n(), csr.n(), "{}", handle.backend_name());
+            assert_eq!(session.m(), csr.m());
+            assert_eq!(session.max_degree(), csr.max_degree());
             for u in 0..csr.n() as NodeId {
                 assert_eq!(session.degree(u), csr.degree(u));
                 assert_eq!(session.neighbors_vec(u), csr.neighbors_vec(u));

@@ -16,22 +16,10 @@
 //! of an open `PagedGraph` is `offset index + node weights + committed page budget`,
 //! which the memory-ladder experiments compare against the uncompressed CSR size.
 //!
-//! # Prefetch
-//!
-//! With [`PagedGraphOptions::prefetch`] enabled, a [`Graph::prefetch`] hint (issued
-//! between LP rounds, never inside a lookup) translates the head of the hinted visit
-//! order into a deduplicated page list and faults one bounded window of it — an eighth
-//! of the frame budget — synchronously, with run-coalesced positional reads issued
-//! outside the shard locks. Prefetched pages are installed with a clear reference bit,
-//! so a wrong hint is the first thing CLOCK recycles. Errors are advisory (the
-//! foreground access surfaces them) and results of all accesses, and therefore
-//! fixed-seed partitioning runs, are unaffected.
-//!
 //! [`CompressedGraph`]: crate::compressed::CompressedGraph
-//! [`Graph::prefetch`]: crate::traits::Graph::prefetch
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -126,12 +114,11 @@ pub struct PagedGraphOptions {
     pub budget_bytes: usize,
     /// Number of independently locked shards.
     pub shards: usize,
-    /// Honour [`Graph::prefetch`] readahead hints with one bounded synchronous
-    /// readahead window per hint (see the module docs). Off by default; purely an
-    /// optimisation — results are identical either way.
+    /// Has no effect: the page cache reads only what a lookup faults. The field is
+    /// kept for callers that still spell it in a struct literal.
     pub prefetch: bool,
-    /// Retry policy for transient read failures (applies to page faults, readahead
-    /// and the open-time index read).
+    /// Retry policy for transient read failures (applies to page faults and the
+    /// open-time index read).
     pub retry: RetryPolicy,
     /// Store implementation the on-disk entry points (`partition_ondisk`) open the
     /// container with. The page-cache knobs above only apply to [`Paged`]; the
@@ -163,36 +150,24 @@ impl PagedGraphOptions {
             ..Self::default()
         }
     }
-
-    /// Enables or disables hint-driven readahead, returning the modified options.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
 }
 
 /// Point-in-time counters of one page cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStatsSnapshot {
-    /// Foreground page lookups served from a resident frame.
+    /// Page lookups served from a resident frame.
     pub hits: u64,
-    /// Foreground page lookups that required a disk read.
+    /// Page lookups that required a disk read.
     pub misses: u64,
-    /// Frames whose previous page was evicted to serve a miss or a prefetch install.
+    /// Frames whose previous page was evicted to serve a miss.
     pub evictions: u64,
-    /// Bytes read from disk by foreground faults: the whole checksum-block range
-    /// covering each faulted page, which is what a fault's successful attempt preads
-    /// (prefetch reads are counted in [`prefetch_bytes`](Self::prefetch_bytes) instead).
+    /// Bytes read from disk by page faults: the whole checksum-block range covering
+    /// each faulted page, which is what a fault's successful attempt preads.
     /// `bytes_read / misses` over the page size is the read amplification per miss.
     pub bytes_read: u64,
-    /// Pages installed by readahead. Foreground lookups that land on them count as
-    /// hits, which is how prefetch lifts the cold-sweep hit rate.
-    pub prefetched_pages: u64,
-    /// Bytes read from disk by readahead (covering block ranges, like `bytes_read`).
-    pub prefetch_bytes: u64,
-    /// Bytes fed to `crc32` by foreground faults and readahead, failed and retried
-    /// attempts included. `verified_bytes / misses` is what one miss pays in checksum
-    /// work — the larger part of `store.miss_us` once the file is in the OS cache.
+    /// Bytes fed to `crc32` by page faults, failed and retried attempts included.
+    /// `verified_bytes / misses` is what one miss pays in checksum work — the larger
+    /// part of `store.miss_us` once the file is in the OS cache.
     pub verified_bytes: u64,
     /// Read attempts repeated after a transient failure (see
     /// [`PagedGraphOptions::retry`]).
@@ -221,8 +196,6 @@ impl CacheStatsSnapshot {
         metrics.add(Counter::CacheMisses, self.misses);
         metrics.add(Counter::CacheBytesRead, self.bytes_read);
         metrics.add(Counter::CacheVerifiedBytes, self.verified_bytes);
-        metrics.add(Counter::CachePrefetchedPages, self.prefetched_pages);
-        metrics.add(Counter::CachePrefetchBytes, self.prefetch_bytes);
         metrics.add(Counter::CacheRetriedReads, self.retried_reads);
         metrics.add(Counter::CacheChecksumFailures, self.checksum_failures);
     }
@@ -234,8 +207,6 @@ struct CacheStats {
     misses: AtomicU64,
     evictions: AtomicU64,
     bytes_read: AtomicU64,
-    prefetched_pages: AtomicU64,
-    prefetch_bytes: AtomicU64,
     verified_bytes: AtomicU64,
     retried_reads: AtomicU64,
     checksum_failures: AtomicU64,
@@ -287,46 +258,12 @@ fn read_error_is_transient(e: &io::Error) -> bool {
     is_checksum_mismatch(e) || io_error_is_transient(e)
 }
 
-/// Longest run of consecutive pages coalesced into a single readahead syscall; bounds
-/// the prefetch staging buffer (`MAX_PREFETCH_RUN_PAGES · page_size` bytes).
-const MAX_PREFETCH_RUN_PAGES: usize = 16;
-
-/// Readahead staging buffer: grows to the largest coalesced run actually read and
-/// charges that footprint to the global memory accounting until dropped (covering
-/// early error returns too).
-#[derive(Default)]
-struct StagingBuf {
-    buf: Vec<u8>,
-    charged: usize,
-}
-
-impl StagingBuf {
-    /// The first `len` staging bytes, growing (and charging) the buffer as needed.
-    fn ensure(&mut self, len: usize) -> &mut [u8] {
-        if self.buf.len() < len {
-            let grow = len - self.buf.len();
-            self.buf.resize(len, 0);
-            memtrack::global().add(grow);
-            self.charged += grow;
-        }
-        &mut self.buf[..len]
-    }
-}
-
-impl Drop for StagingBuf {
-    fn drop(&mut self) {
-        memtrack::global().sub(self.charged);
-    }
-}
-
 /// Sharded CLOCK page cache over the data section of one `.tpg` file.
 struct PageCache {
     backend: Box<dyn StorageBackend>,
     data_start: u64,
     data_len: u64,
     page_size: usize,
-    /// Total frame budget across all shards (the prefetch cap derives from it).
-    total_frames: usize,
     shards: Vec<Mutex<Shard>>,
     stats: CacheStats,
     /// Bytes charged to the global memory accounting for allocated frames.
@@ -364,7 +301,6 @@ impl PageCache {
             data_start,
             data_len,
             page_size,
-            total_frames: shards.len() * per_shard.max(1),
             shards,
             stats: CacheStats::default(),
             charged: AtomicUsize::new(0),
@@ -450,8 +386,8 @@ impl PageCache {
 
     /// Reads `dest.len()` bytes at data-section offset `offset` with verification,
     /// retrying transient failures per [`PagedGraphOptions::retry`] with exponential
-    /// backoff; returns the bytes the successful attempt read. All page-cache disk
-    /// reads (foreground faults and readahead) funnel through here.
+    /// backoff; returns the bytes the successful attempt read. Every page fault's
+    /// disk read funnels through here.
     fn read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<u64> {
         retry_with_backoff(
             &self.retry,
@@ -581,118 +517,12 @@ impl PageCache {
         Ok(())
     }
 
-    fn is_resident(&self, page: u64) -> bool {
-        self.shard_of(page).lock().map.contains_key(&page)
-    }
-
-    /// Installs `data` as `page` unless it is already resident (e.g. a foreground
-    /// fault raced the readahead); the shard lock is held only for the frame copy.
-    /// Prefetched pages enter with a **clear** reference bit so that mispredicted
-    /// readahead is the first thing CLOCK recycles. Returns whether it installed.
-    fn install_page(&self, page: u64, data: &[u8]) -> bool {
-        let mut s = self.shard_of(page).lock();
-        if s.map.contains_key(&page) {
-            return false;
-        }
-        let idx = self.claim_frame(&mut s);
-        let frame = &mut s.frames[idx];
-        frame.data[..data.len()].copy_from_slice(data);
-        frame.page = page;
-        frame.len = data.len() as u32;
-        frame.referenced = false;
-        s.map.insert(page, idx);
-        true
-    }
-
-    /// Batched readahead of `pages` (in the given order): missing pages are read with
-    /// run-coalesced positional reads *outside* any shard lock and installed
-    /// afterwards, so foreground lookups are never blocked behind prefetch I/O.
-    /// Returns the number of pages installed.
-    fn prefetch_pages(&self, pages: &[u64]) -> io::Result<usize> {
-        let ps = self.page_size as u64;
-        // Staging grows to the largest coalesced run actually seen (shuffled orders
-        // produce 1–2-page runs, far below the cap) and is charged to the memory
-        // accounting for the duration of the call.
-        let mut staging = StagingBuf::default();
-        let mut installed = 0usize;
-        let mut i = 0usize;
-        while i < pages.len() {
-            if self.is_resident(pages[i]) {
-                i += 1;
-                continue;
-            }
-            // Coalesce a run of consecutive, non-resident pages into one read.
-            let mut run = 1usize;
-            while run < MAX_PREFETCH_RUN_PAGES
-                && i + run < pages.len()
-                && pages[i + run] == pages[i] + run as u64
-                && !self.is_resident(pages[i + run])
-            {
-                run += 1;
-            }
-            let first_len = self.page_len(pages[i])?;
-            let offset = pages[i] * ps;
-            let available = self.data_len - offset;
-            let run_len = available.min(run as u64 * ps) as usize;
-            debug_assert!(first_len <= run_len);
-            let read = self.read_verified(staging.ensure(run_len), offset)?;
-            self.stats.prefetch_bytes.fetch_add(read, Ordering::Relaxed);
-            for j in 0..run {
-                let page_offset = j * self.page_size;
-                if page_offset >= run_len {
-                    // A later page of the run starts beyond the data section: surface
-                    // the same corruption error a foreground fault would.
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!(
-                            "page {} starts at or beyond the {}-byte data section \
-                             (corrupted or truncated .tpg container)",
-                            pages[i + j],
-                            self.data_len
-                        ),
-                    ));
-                }
-                let page_len = (run_len - page_offset).min(self.page_size);
-                if self.install_page(
-                    pages[i + j],
-                    &staging.buf[page_offset..page_offset + page_len],
-                ) {
-                    installed += 1;
-                }
-            }
-            i += run;
-        }
-        self.stats
-            .prefetched_pages
-            .fetch_add(installed as u64, Ordering::Relaxed);
-        Ok(installed)
-    }
-
-    /// Most pages a single [`PagedGraph::prefetch_sync`] call may claim: half the
-    /// frame budget, so readahead can never displace the foreground's recent working
-    /// set wholesale.
-    fn max_prefetch_pages(&self) -> usize {
-        (self.total_frames / 2).max(1)
-    }
-
-    /// Pages one [`Graph::prefetch`] hint faults: an eighth of the frame budget keeps
-    /// the window plus the foreground's working set comfortably resident at any cache
-    /// geometry; the clamp bounds syscall overhead on tiny caches and hint latency on
-    /// huge ones, and the window never exceeds half the per-call cap.
-    fn hint_window(&self) -> usize {
-        (self.total_frames / 8)
-            .clamp(4, 256)
-            .min((self.max_prefetch_pages() / 2).max(1))
-    }
-
     fn snapshot(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             bytes_read: self.stats.bytes_read.load(Ordering::Relaxed),
-            prefetched_pages: self.stats.prefetched_pages.load(Ordering::Relaxed),
-            prefetch_bytes: self.stats.prefetch_bytes.load(Ordering::Relaxed),
             verified_bytes: self.stats.verified_bytes.load(Ordering::Relaxed),
             retried_reads: self.stats.retried_reads.load(Ordering::Relaxed),
             checksum_failures: self.stats.checksum_failures.load(Ordering::Relaxed),
@@ -759,8 +589,6 @@ pub struct PagedGraph {
     /// Boxed: the cache is by far the largest member, and `PagedGraph` is a variant
     /// of the by-value `StoreHandle` enum.
     cache: Box<PageCache>,
-    /// Whether [`Graph::prefetch`] hints are honoured ([`PagedGraphOptions::prefetch`]).
-    prefetch: bool,
     /// Bytes charged for the semi-external arrays, released on drop.
     resident_charge: usize,
     /// Fast-path flag of the poison protocol (see the type-level docs).
@@ -850,7 +678,6 @@ impl PagedGraph {
             offsets,
             node_weights,
             cache,
-            prefetch: options.prefetch,
             resident_charge,
             poisoned: AtomicBool::new(false),
             fatal: Mutex::new(None),
@@ -972,40 +799,6 @@ impl PagedGraph {
     pub fn first_edge(&self, u: NodeId) -> EdgeId {
         self.header(u).0
     }
-
-    /// Translates a node visit order into the (deduplicated, visit-ordered) list of
-    /// data-section pages covering their encoded neighbourhoods, stopping at `cap`
-    /// pages.
-    fn pages_covering(&self, nodes: &[NodeId], cap: usize) -> Vec<u64> {
-        let ps = self.cache.page_size as u64;
-        let mut pages = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for &u in nodes {
-            let (start, end) = self.offsets.pair(u as usize);
-            if start >= end {
-                continue;
-            }
-            for page in (start / ps)..=((end - 1) / ps) {
-                if seen.insert(page) {
-                    pages.push(page);
-                    if pages.len() >= cap {
-                        return pages;
-                    }
-                }
-            }
-        }
-        pages
-    }
-
-    /// Synchronous readahead of the neighbourhood byte ranges of `nodes` (in visit
-    /// order, capped at half the frame budget): missing pages are faulted with batched
-    /// run-coalesced positional reads. Returns the number of pages installed. Works on
-    /// any open graph; the [`Graph::prefetch`] hint is this with a smaller window and
-    /// its errors dropped.
-    pub fn prefetch_sync(&self, nodes: &[NodeId]) -> io::Result<usize> {
-        let pages = self.pages_covering(nodes, self.cache.max_prefetch_pages());
-        self.cache.prefetch_pages(&pages)
-    }
 }
 
 impl Drop for PagedGraph {
@@ -1066,18 +859,6 @@ impl Graph for PagedGraph {
 
     fn max_degree(&self) -> usize {
         self.meta.max_degree
-    }
-
-    /// Faults one bounded window of pages at the head of the upcoming visit order
-    /// (no-op unless the graph was opened with [`PagedGraphOptions::prefetch`]):
-    /// coalesced reads issued between rounds, so the round's first accesses hit.
-    fn prefetch(&self, nodes: &[NodeId]) {
-        if !self.prefetch || self.is_poisoned() {
-            return;
-        }
-        let pages = self.pages_covering(nodes, self.cache.hint_window());
-        // Advisory: readahead errors are dropped; the foreground access surfaces them.
-        let _ = self.cache.prefetch_pages(&pages);
     }
 }
 
@@ -1267,9 +1048,6 @@ mod tests {
             .read_range(0, paged.cache.data_len + 17, &mut buf)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        // Readahead of a page past the section reports the same error.
-        let err = paged.cache.prefetch_pages(&[beyond]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         // The cache stays fully usable after the rejected accesses.
         assert_eq!(paged.neighbors_vec(0).len(), paged.degree(0));
         std::fs::remove_file(path).ok();
@@ -1331,105 +1109,6 @@ mod tests {
             .unwrap();
         std::fs::remove_file(path).ok();
         std::fs::remove_file(corrupt_path).ok();
-    }
-
-    #[test]
-    fn prefetch_sync_raises_the_cold_sweep_hit_rate() {
-        // The satellite acceptance assertion: warming each window of a shuffled cold
-        // sweep through the prefetch API must turn that window's foreground faults
-        // into hits — strictly fewer misses, strictly higher hit rate — while decoding
-        // identical neighbourhoods.
-        let csr = gen::rgg2d(20_000, 12, 21);
-        let config = CompressionConfig::default();
-        let path = tmp("prefetch_hit_rate.tpg");
-        let summary = write_tpg_from_graph(&csr, &path, &config).unwrap();
-        let options = PagedGraphOptions {
-            page_size: 4096,
-            budget_bytes: 64 * 1024,
-            shards: 2,
-            ..PagedGraphOptions::default()
-        };
-        assert!(
-            summary.data_bytes as usize > 2 * options.budget_bytes,
-            "instance too small to stress the cache: {} data bytes",
-            summary.data_bytes
-        );
-        // A shuffled visit order (stride permutation) defeats sequential locality,
-        // like the shuffled LP round orders do.
-        let n = csr.n();
-        let order: Vec<NodeId> = (0..n).map(|i| ((i * 811) % n) as NodeId).collect();
-
-        let baseline = PagedGraph::open_with_options(&path, &options).unwrap();
-        let baseline_nbrs: Vec<_> = order.iter().map(|&u| baseline.neighbors_vec(u)).collect();
-        let cold = baseline.cache_stats();
-        assert!(cold.evictions > 0, "budget too large to stress the cache");
-
-        let prefetched = PagedGraph::open_with_options(&path, &options).unwrap();
-        // Window of nodes small enough that its page set fits the per-hint cap.
-        let window = 8;
-        let mut warmed_nbrs = Vec::with_capacity(n);
-        for chunk in order.chunks(window) {
-            prefetched.prefetch_sync(chunk).unwrap();
-            for &u in chunk {
-                warmed_nbrs.push(prefetched.neighbors_vec(u));
-            }
-        }
-        let warmed = prefetched.cache_stats();
-        assert_eq!(
-            baseline_nbrs, warmed_nbrs,
-            "prefetch changed decode results"
-        );
-        assert!(warmed.prefetched_pages > 0, "no pages were prefetched");
-        assert!(
-            warmed.misses < cold.misses,
-            "prefetch did not reduce foreground misses: {:?} vs {:?}",
-            warmed,
-            cold
-        );
-        assert!(
-            warmed.hit_rate() > cold.hit_rate(),
-            "prefetch did not raise the hit rate: {:.3} vs {:.3}",
-            warmed.hit_rate(),
-            cold.hit_rate()
-        );
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn prefetch_hint_faults_one_bounded_window_and_results_are_identical() {
-        let csr = gen::weblike(13, 12, 5);
-        let config = CompressionConfig::default();
-        let compressed = CompressedGraph::from_csr(&csr, &config);
-        let path = tmp("hint_window.tpg");
-        let summary = write_tpg_from_graph(&csr, &path, &config).unwrap();
-        let options = PagedGraphOptions {
-            prefetch: true,
-            page_size: 1024,
-            budget_bytes: 256 * 1024,
-            ..PagedGraphOptions::default()
-        };
-        let paged = PagedGraph::open_with_options(&path, &options).unwrap();
-        let window = paged.cache.hint_window();
-        assert!(
-            summary.data_bytes.div_ceil(options.page_size as u64) > 2 * window as u64,
-            "instance too small: the hint would cover the whole file"
-        );
-        let order: Vec<NodeId> = (0..csr.n() as NodeId).collect();
-        // Hint through the Graph trait (what the LP round driver calls). The whole
-        // effect is visible on return: exactly one window, nothing left in flight.
-        Graph::prefetch(&paged, &order);
-        assert_eq!(paged.cache_stats().prefetched_pages, window as u64);
-        // A repeated hint finds its window resident and installs nothing.
-        Graph::prefetch(&paged, &order);
-        assert_eq!(paged.cache_stats().prefetched_pages, window as u64);
-        for u in 0..csr.n() as NodeId {
-            assert_eq!(paged.neighbors_vec(u), compressed.neighbors_vec(u));
-        }
-        // Hints on a graph opened without the option are no-ops.
-        let plain = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
-        Graph::prefetch(&plain, &order);
-        assert_eq!(plain.cache_stats().prefetched_pages, 0);
-        std::fs::remove_file(path).ok();
     }
 
     /// Body of the backend equivalence property below, out of the macro so the shim's

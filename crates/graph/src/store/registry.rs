@@ -130,7 +130,7 @@ mod tests {
         let b = registry.open(&path, &options).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same key must alias the same store");
         assert_eq!(registry.open_count(), 1);
-        assert_eq!(a.n(), csr.n());
+        assert_eq!(a.session().n(), csr.n());
 
         // Different options are a different store...
         let mmap = registry

@@ -94,14 +94,7 @@ pub trait Graph: Sync {
         total
     }
 
-    /// Hints that the caller will soon iterate the neighbourhoods of `nodes`, in the
-    /// given order. Purely an optimisation hint: implementations may read ahead (the
-    /// [`PagedGraph`](crate::store::PagedGraph) faults one bounded window of the
-    /// covering pages), and the default for in-memory representations does nothing.
-    /// Results of subsequent accesses are never affected.
-    fn prefetch(&self, _nodes: &[NodeId]) {}
-
-    /// Pours representation-level counters (page-cache hits/misses, prefetch volume,
+    /// Pours representation-level counters (page-cache hits/misses, bytes read,
     /// retried reads, ...) into an observability registry at the end of a run. The
     /// default for in-memory representations records nothing; the
     /// [`PagedGraph`](crate::store::PagedGraph) exports its settled cache statistics.
@@ -130,9 +123,6 @@ impl<G: Graph + ?Sized> Graph for &G {
     }
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
         (**self).for_each_neighbor(u, f)
-    }
-    fn prefetch(&self, nodes: &[NodeId]) {
-        (**self).prefetch(nodes)
     }
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
         (**self).record_obs_metrics(metrics)

@@ -7,7 +7,7 @@
 //!   key/value attributes (`u64` values only — no formatting on the hot path).
 //! * **Counters** ([`Counter`], [`MetricsRegistry`]) unify the pipeline's scattered
 //!   statistics — LP rounds/moves, FM passes and rolled-back moves, page-cache
-//!   hit/miss/prefetch counters, memory peaks — into one typed registry.
+//!   hit/miss/read counters, memory peaks — into one typed registry.
 //! * **Exporters** turn a finished recording into a [`RunReport`] (hand-rolled JSON,
 //!   embedded into the bench result files), a Chrome `chrome://tracing` trace-event
 //!   file ([`write_chrome_trace`]), or a human-readable summary table

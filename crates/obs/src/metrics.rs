@@ -70,8 +70,6 @@ counters! {
     (CacheMisses, "cache_misses", Sum),
     (CacheBytesRead, "cache_bytes_read", Sum),
     (CacheVerifiedBytes, "cache_verified_bytes", Sum),
-    (CachePrefetchedPages, "cache_prefetched_pages", Sum),
-    (CachePrefetchBytes, "cache_prefetch_bytes", Sum),
     (CacheRetriedReads, "cache_retried_reads", Sum),
     (CacheChecksumFailures, "cache_checksum_failures", Sum),
     // Mmap store backend.

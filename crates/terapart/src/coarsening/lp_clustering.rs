@@ -449,9 +449,6 @@ fn cluster_movable(
         /// The movable vertices, where they are a counted subset.
         movable: Option<&'r AtomicBitset>,
         run: &'r mut dyn FnMut(&[NodeId], Option<&AtomicBitset>) -> usize,
-        /// Forwards the round's visit order to the graph's readahead hint (a no-op on
-        /// in-memory representations).
-        prefetch: &'r dyn Fn(&[NodeId]),
     }
 
     impl LpRoundSemantics for ClusteringRounds<'_> {
@@ -467,10 +464,6 @@ fn cluster_movable(
             (self.run)(order, frontier)
         }
 
-        fn prefetch_round(&mut self, order: &[NodeId]) {
-            (self.prefetch)(order);
-        }
-
         fn after_round(&mut self, next_active: &AtomicBitset) {
             // A move marks its whole neighbourhood; the neighbours that cannot move drop
             // out here, one pass over n / 64 words, instead of being tested per mark.
@@ -479,7 +472,6 @@ fn cluster_movable(
             }
         }
     }
-    let prefetch = |order: &[NodeId]| graph.prefetch(order);
     // Each running chunk keeps the neighbour ids of its current visit.
     let kept_ids_bytes = num_threads * config.bump_threshold * std::mem::size_of::<NodeId>();
     let workers = &scratch.workers;
@@ -500,7 +492,6 @@ fn cluster_movable(
                 seed,
                 movable: start,
                 run: &mut run,
-                prefetch: &prefetch,
             };
             drive_lp_rounds(
                 n,
@@ -526,7 +517,6 @@ fn cluster_movable(
                 seed,
                 movable: start,
                 run: &mut run,
-                prefetch: &prefetch,
             };
             drive_lp_rounds(
                 n,

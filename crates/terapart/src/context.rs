@@ -372,16 +372,6 @@ impl PartitionerConfig {
         self
     }
 
-    /// Enables or disables LP-aware page readahead ([`OnDiskConfig::prefetch`]) of the
-    /// on-disk entry point: the label propagation rounds hand their upcoming visit
-    /// order to the page cache, which faults one bounded window of the covered pages
-    /// with batched positional reads before the round starts. Results are bit-identical
-    /// either way; only the cold-sweep hit rate changes.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.ondisk.prefetch = prefetch;
-        self
-    }
-
     /// Selects the store backend ([`OnDiskConfig::backend`]) of the on-disk entry
     /// point: [`Paged`](graph::store::OnDiskBackend::Paged) (default) decodes through
     /// the budgeted page cache, [`Mmap`](graph::store::OnDiskBackend::Mmap) decodes

@@ -54,8 +54,8 @@ use crate::scratch::{HierarchyScratch, Pool};
 /// representation policy) rather than one partitioning problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Store geometry for path-based requests: backend, page size, cache budget,
-    /// prefetch and retry policy. Also the registry key — requests resolved with
+    /// Store geometry for path-based requests: backend, page size, cache budget and
+    /// retry policy. Also the registry key — requests resolved with
     /// different on-disk options deliberately do not share a store.
     pub ondisk: OnDiskConfig,
     /// Default worker-thread count for requests that do not override it.
@@ -414,9 +414,9 @@ mod tests {
     fn request_resolution_round_trips_the_flat_config() {
         let mut custom_store = PartitionerConfig::terapart(5)
             .with_page_budget(96 * 1024)
-            .with_prefetch(true)
             .with_retry(RetryPolicy::disabled());
         custom_store.ondisk.page_size = 8 * 1024;
+        custom_store.ondisk.prefetch = true;
         for config in [
             PartitionerConfig::terapart_fm(12)
                 .with_threads(3)

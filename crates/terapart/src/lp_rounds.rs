@@ -58,14 +58,6 @@ pub(crate) trait LpRoundSemantics {
     /// `frontier` (when enabled), and returns the number of moves performed.
     fn run_round(&mut self, order: &[NodeId], frontier: Option<&AtomicBitset>) -> usize;
 
-    /// Called with the round's final visit order immediately before
-    /// [`run_round`](Self::run_round). Implementations forward it to the graph's
-    /// [`prefetch`](graph::Graph::prefetch) hint so a paged graph can read ahead exactly
-    /// the neighbourhoods the round will decode; the order is a sequence of contiguous
-    /// id ranges, so a hinted window covers contiguous pages. Purely an optimisation
-    /// hook; the default does nothing.
-    fn prefetch_round(&mut self, _order: &[NodeId]) {}
-
     /// Whether vertices carried across rounds *outside* the frontier bitsets (waiters)
     /// may still produce work; an empty collected frontier only ends the loop when this
     /// is `false`.
@@ -176,7 +168,6 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         } else {
             None
         };
-        semantics.prefetch_round(&order);
         let moved = semantics.run_round(&order, frontier);
         if frontier.is_some() {
             semantics.after_round(&next_active);

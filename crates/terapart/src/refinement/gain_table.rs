@@ -26,20 +26,20 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId};
-use parking_lot::Mutex;
 
 use crate::context::GainTableKind;
 use crate::partition::BlockId;
+use crate::scratch::Pool;
 
 /// A gain cache initialised for a specific graph and partition assignment.
 #[derive(Debug)]
 pub enum GainCache {
-    /// Gains recomputed from the neighbourhood on every query, into one of `free`'s
-    /// zeroed `k`-entry rows: one per concurrently querying thread, allocated on first
-    /// use and returned zeroed.
+    /// Gains recomputed from the neighbourhood on every query, into a zeroed `k`-entry
+    /// row leased from `rows`: one per concurrently querying thread, allocated on first
+    /// use and parked zeroed.
     None {
         k: usize,
-        free: Mutex<Vec<Vec<EdgeWeight>>>,
+        rows: Pool<Vec<EdgeWeight>>,
     },
     /// Dense `n × k` or sparse `O(m)` affinity table.
     Table(GainTable),
@@ -56,7 +56,7 @@ impl GainCache {
         match kind {
             GainTableKind::None => GainCache::None {
                 k,
-                free: Mutex::new(Vec::new()),
+                rows: Pool::new(),
             },
             GainTableKind::Dense => GainCache::Table(GainTable::new(graph, assignment, k, false)),
             GainTableKind::Sparse => GainCache::Table(GainTable::new(graph, assignment, k, true)),
@@ -92,16 +92,15 @@ impl GainCache {
             }
         };
         match self {
-            GainCache::None { k, free } => {
-                let pooled = free.lock().pop();
-                let mut row = pooled.unwrap_or_else(|| vec![0; *k]);
+            GainCache::None { k, rows } => {
+                let mut row = rows.checkout();
+                row.resize(*k, 0);
                 graph.for_each_neighbor(u, &mut |v, w| {
                     row[assignment[v as usize].load(Ordering::Relaxed) as usize] += w;
                 });
                 for (block, affinity) in row.iter_mut().enumerate() {
                     visit(block as BlockId, std::mem::take(affinity));
                 }
-                free.lock().push(row);
             }
             GainCache::Table(table) => table.scan_row(u, visit),
         }
@@ -446,6 +445,40 @@ mod tests {
             let cache = GainCache::new(kind, &g, &atomics, k);
             check_all_affinities(&g, &atomics, &cache, k);
         }
+    }
+
+    #[test]
+    fn the_table_less_cache_parks_its_rows_zeroed() {
+        let g = gen::with_random_edge_weights(&gen::grid2d(12, 12), 5, 3);
+        let k = 5;
+        let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
+        let atomics = atomic_assignment(&assignment);
+        let cache = GainCache::new(GainTableKind::None, &g, &atomics, k);
+        let sweep = || -> Vec<Option<(i64, BlockId)>> {
+            (0..g.n() as NodeId)
+                .map(|u| cache.best_move(&g, &atomics, u, assignment[u as usize], |_| true))
+                .collect()
+        };
+        let sequential = sweep();
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4).map(|_| s.spawn(sweep)).collect();
+            for t in threads {
+                assert_eq!(t.join().unwrap(), sequential);
+            }
+        });
+        let GainCache::None { rows, .. } = &cache else {
+            unreachable!("built as GainTableKind::None");
+        };
+        assert!(rows.parked_count() >= 1);
+        assert_eq!(
+            rows.parked_sum(|row| row.iter().filter(|&&a| a != 0).count()),
+            0
+        );
+        assert!(
+            rows.high_water() <= 4,
+            "{} rows leased at once",
+            rows.high_water()
+        );
     }
 
     #[test]

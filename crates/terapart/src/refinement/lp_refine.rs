@@ -215,12 +215,6 @@ pub fn lp_refine_with_scratch(
             moves
         }
 
-        fn prefetch_round(&mut self, order: &[NodeId]) {
-            // Readahead hint for paged graphs (no-op in memory): the round will decode
-            // exactly these neighbourhoods, in this order.
-            self.graph.prefetch(order);
-        }
-
         fn has_pending_waiters(&self) -> bool {
             !self.waiters.is_empty()
         }

@@ -248,7 +248,8 @@ fn emptied_table(
 /// A lending pool: the one way this crate hands a reusable buffer to whoever needs it
 /// for a while — a request its arena ([`crate::engine::ScratchPool`]), a worker its
 /// per-chunk buffers (the arena's `workers`), a bisection-tree task its workspace
-/// ([`crate::initial::scratch`]), a thread of the KaMinPar baseline its O(n) rating map.
+/// ([`crate::initial::scratch`]), a thread of the KaMinPar baseline its O(n) rating map,
+/// a gain query without a gain table its `k`-entry row.
 ///
 /// [`checkout`](Self::checkout) pops a parked item or builds a fresh one; the
 /// [`Lease`] parks it again when it drops, also on unwind. Items only ever grow, so a

@@ -5,9 +5,7 @@
 //! returns a structured [`PartitionError`] — it never panics, never deadlocks,
 //! never silently degrades the cut, and never leaks temporary files.
 
-use graph::store::{
-    read_tpg_meta, stream_rgg2d_to_tpg, FaultPlan, FaultyBackend, FileBackend, TpgWriter,
-};
+use graph::store::{stream_rgg2d_to_tpg, FaultPlan, FaultyBackend, FileBackend, TpgWriter};
 use graph::traits::Graph;
 use graph::{gen, NodeId, PagedGraph};
 use std::time::Duration;
@@ -250,56 +248,6 @@ fn mmap_open_path_heals_transients_and_fails_outages_structurally() {
         "the outage never fired"
     );
     assert!(!err.to_string().is_empty());
-    std::fs::remove_dir_all(dir).ok();
-}
-
-/// Readahead faults are advisory: a plan that fails every multi-page prefetch
-/// run (reads longer than the fault threshold) costs the hints their effect, while
-/// the foreground's single-page faults keep succeeding — the run completes
-/// bit-identical to the fault-free reference.
-#[test]
-fn readahead_failures_stay_advisory_without_corrupting_the_run() {
-    let dir = scratch_dir("prefetch_degrade");
-    let path = make_instance(&dir, 12_000, 32);
-    let meta = read_tpg_meta(&path).unwrap();
-
-    let mut config = PartitionerConfig::terapart(8)
-        .with_threads(1)
-        .with_seed(7)
-        .with_prefetch(true);
-    // 64 KiB pages match the checksum block length, so every foreground fault
-    // reads exactly one page and stays below the threshold; the open-time index
-    // reads (under 8·(n+1) bytes) fit under it too. Only coalesced multi-page
-    // readahead runs exceed it and draw the injected EIO.
-    config.ondisk.page_size = 64 * 1024;
-    config.ondisk.budget_bytes = 1024 * 1024;
-    let threshold = 112 * 1024;
-    assert!(8 * (meta.n + 1) <= threshold);
-    assert!(
-        meta.data_len > 3 * config.ondisk.page_size as u64,
-        "instance too small to form multi-page readahead runs"
-    );
-
-    let reference = partition_ondisk(&path, &config).unwrap();
-    let plan = FaultPlan {
-        seed: 3,
-        eio_period: 1, // every read beyond the size threshold fails
-        only_reads_longer_than: Some(threshold),
-        ..FaultPlan::default()
-    };
-    let (result, stats) = partition_under_faults(&path, &config, plan);
-    let run = result.expect("readahead faults must never fail the run");
-    assert!(
-        stats.eio.load(std::sync::atomic::Ordering::Relaxed) > 0,
-        "no prefetch run ever exceeded the fault threshold; the schedule was inert"
-    );
-    assert_eq!(run.edge_cut, reference.edge_cut);
-    assert_eq!(
-        run.partition.assignment(),
-        reference.partition.assignment(),
-        "run with failing readahead diverged from the fault-free cut"
-    );
-    assert_no_leaked_files(&dir, &["instance.tpg"]);
     std::fs::remove_dir_all(dir).ok();
 }
 
