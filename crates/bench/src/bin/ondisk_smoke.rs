@@ -4,10 +4,10 @@
 //! memory stays below the uncompressed CSR byte size, and (c) the result is a complete,
 //! balanced partition. Then exercise the concurrent external-memory path end to end:
 //! (d) the pipelined streamed ingest must reproduce the materialised container byte for
-//! byte, and (e) paged and mmap reach one identical cut on the one container format,
-//! and the paged runs report what a miss read and checksummed (`verified_bytes ≥
-//! bytes_read ≥ misses · shortest page`). Exits non-zero on any violation, so CI fails
-//! loudly.
+//! byte, and (e) paged at the default and at 4 KiB pages and mmap reach one identical
+//! cut on the one container format, and every paged run read and checksummed exactly
+//! the pages it missed (`verified_bytes == bytes_read == misses · page`, the last page
+//! of the data section short). Exits non-zero on any violation, so CI fails loudly.
 //!
 //! Usage: `ondisk_smoke [cache_dir]` (default: a fresh temp directory).
 
@@ -16,26 +16,38 @@ use graph::store::CacheStatsSnapshot;
 use terapart::{partition_ondisk, PartitionerConfig};
 
 /// Prints what the page cache of one paged run read and checksummed, in total and per
-/// miss, and asserts the ordering the counters' definitions imply: every byte read by a
-/// fault was fed to crc32, and every miss read at least its own page — the last page of
-/// the data section being the shortest.
-fn report_read_amplification(label: &str, cache: &CacheStatsSnapshot, shortest_page: u64) {
+/// miss, and asserts that a miss reads and verifies its own page and nothing else:
+/// `verified_bytes == bytes_read`, and `bytes_read` is `misses` whole pages less, for
+/// each miss of the short last page of a `data_len`-byte section, what that page lacks.
+fn report_read_amplification(label: &str, cache: &CacheStatsSnapshot, data_len: u64) {
+    let page = cache.page_size;
     let per_miss = |bytes: u64| bytes as f64 / cache.misses.max(1) as f64;
     println!(
-        "{:<18} store reads: misses={} bytes_read={} ({:.0}/miss) verified_bytes={} ({:.0}/miss)",
+        "{:<18} store reads: page={} misses={} bytes_read={} ({:.2} pages/miss) verified_bytes={} ({:.2} pages/miss)",
         label,
+        page,
         cache.misses,
         cache.bytes_read,
-        per_miss(cache.bytes_read),
+        per_miss(cache.bytes_read) / page as f64,
         cache.verified_bytes,
-        per_miss(cache.verified_bytes)
+        per_miss(cache.verified_bytes) / page as f64
     );
+    // The shortfall against whole pages must be a whole number of last-page misses.
+    let last_page_lacks = (page - data_len % page) % page;
+    let exact = match (cache.misses * page).checked_sub(cache.bytes_read) {
+        Some(0) => true,
+        Some(short) => {
+            last_page_lacks > 0
+                && short % last_page_lacks == 0
+                && short / last_page_lacks <= cache.misses
+        }
+        None => false,
+    };
     assert!(
-        cache.verified_bytes >= cache.bytes_read
-            && cache.bytes_read >= cache.misses * shortest_page,
-        "SMOKE FAIL: {} run breaks verified_bytes >= bytes_read >= misses * {}: {:?}",
+        cache.verified_bytes == cache.bytes_read && exact,
+        "SMOKE FAIL: {} run read or verified more than the {}-byte pages it missed: {:?}",
         label,
-        shortest_page,
+        page,
         cache
     );
 }
@@ -141,19 +153,14 @@ fn main() {
     println!("streamed ingest byte-identical to the materialised container");
 
     let meta = graph::store::read_tpg_meta(&path).unwrap();
-    let page_size = config.ondisk.page_size as u64;
-    let shortest_page = match meta.data_len % page_size {
-        0 => page_size,
-        tail => tail,
-    };
     report_read_amplification(
         "paged t2",
         &result.cache_stats.expect("on-disk runs expose cache stats"),
-        shortest_page,
+        meta.data_len,
     );
-    // ---- Store-backend ladder (single-threaded, the bit-reproducible regime): paged
-    // and mmap must produce the *identical* cut — and the Elias-Fano offset index must
-    // undercut what plain u64 offsets would cost. ----
+    // ---- Store-backend ladder (single-threaded, the bit-reproducible regime): paged at
+    // the default and at 4 KiB pages and mmap must produce the *identical* cut — and
+    // the Elias-Fano offset index must undercut what plain u64 offsets would cost. ----
     use graph::store::OnDiskBackend;
     let plain_offset_bytes = 8 * (meta.n as u64 + 1);
     println!(
@@ -168,9 +175,12 @@ fn main() {
         plain_offset_bytes
     );
     let ladder_base = config.clone().with_threads(1);
+    let mut small_pages = ladder_base.clone();
+    small_pages.ondisk.page_size = 4 * 1024;
     let mut ladder_cut: Option<u64> = None;
     for (label, ladder_config) in [
         ("paged", ladder_base.clone()),
+        ("paged 4 KiB", small_pages),
         (
             "mmap",
             ladder_base.clone().with_store_backend(OnDiskBackend::Mmap),
@@ -190,7 +200,7 @@ fn main() {
             label
         );
         if let Some(cache) = &run.cache_stats {
-            report_read_amplification(label, cache, shortest_page);
+            report_read_amplification(label, cache, meta.data_len);
         }
         match ladder_cut {
             None => ladder_cut = Some(run.edge_cut),
@@ -202,7 +212,7 @@ fn main() {
         }
     }
     println!(
-        "store-backend ladder: identical cut {} across both runs",
+        "store-backend ladder: identical cut {} across all three runs",
         ladder_cut.unwrap()
     );
 

@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use graph::csr::CsrGraph;
 use graph::gen;
 use graph::io::IoError;
+use graph::store::container::TPG_CHECKSUM_BLOCK_LEN;
 use graph::store::{
     read_tpg, read_tpg_meta, stream_rgg2d_to_tpg, stream_rgg3d_to_tpg, stream_rmat_to_tpg,
     write_tpg_from_graph, PagedGraph, PagedGraphOptions,
@@ -213,13 +214,17 @@ impl InstanceStore {
     /// Streamable families are generated with bounded memory straight into the
     /// container; the rest are materialised once and written out. A cached file whose
     /// header this build rejects as a format (a container version or offset encoding
-    /// that no longer has a reader) counts as a miss and is regenerated in place.
+    /// that no longer has a reader), or whose checksum block length is not the
+    /// writer's default, counts as a miss and is regenerated in place: the experiments
+    /// measure the containers this build writes.
     pub fn resolve(&self, spec: &GenSpec) -> Result<PathBuf, IoError> {
         let path = self.root.join(spec.cache_file_name());
         if path.exists() {
             match read_tpg_meta(&path) {
-                Ok(_) => return Ok(path),
-                Err(IoError::Format(_)) => {}
+                Ok(meta) if meta.checksum_block_len as usize == TPG_CHECKSUM_BLOCK_LEN => {
+                    return Ok(path)
+                }
+                Ok(_) | Err(IoError::Format(_)) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -375,6 +380,27 @@ mod tests {
         let loaded = store.load_csr(&spec).unwrap();
         assert_eq!(loaded.n(), reference.n());
         assert_eq!(loaded.m(), reference.m());
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn cache_entries_with_other_checksum_blocks_are_regenerated() {
+        let store = scratch_store("old_blocks");
+        let spec = GenSpec::Grid2d { rows: 9, cols: 7 };
+        let path = store.resolve(&spec).unwrap();
+        // Overwrite the cached container with a readable one at 64 KiB blocks, as a
+        // cache directory written before the 4 KiB default would hold.
+        let reference = spec.materialize();
+        graph::store::TpgWriter::create(&path, reference.n(), false, &CompressionConfig::default())
+            .unwrap()
+            .with_checksum_block_len(64 * 1024)
+            .write_graph(&reference)
+            .unwrap();
+        assert_eq!(read_tpg_meta(&path).unwrap().checksum_block_len, 64 * 1024);
+        assert_eq!(store.resolve(&spec).unwrap(), path);
+        let meta = read_tpg_meta(&path).unwrap();
+        assert_eq!(meta.checksum_block_len as usize, TPG_CHECKSUM_BLOCK_LEN);
+        assert_eq!((meta.n, meta.m), (reference.n(), reference.m()));
         std::fs::remove_dir_all(store.root()).ok();
     }
 

@@ -85,9 +85,12 @@ pub const TPG_VERSION: u32 = 4;
 pub const TPG_HEADER_LEN: u64 = 88;
 /// Magic bytes of the checksum footer.
 pub const TPG_FOOTER_MAGIC: &[u8; 4] = b"TPGC";
-/// Default checksum block length of the data section (64 KiB — the default page size
-/// of the paged reader, so page-granular reads verify exactly one block).
-pub const TPG_CHECKSUM_BLOCK_LEN: usize = 64 * 1024;
+/// Default checksum block length of the data section: 4 KiB, the OS page and the
+/// smallest page the paged reader is run with. The paged reader rounds its page size up
+/// to whole blocks, so a page miss reads and verifies exactly its own page. The footer
+/// costs 4 B per block (0.1 % of the data section). Readers accept any block length the
+/// header records.
+pub const TPG_CHECKSUM_BLOCK_LEN: usize = 4 * 1024;
 /// Admissible log2 range of the checksum block length (64 B .. 1 GiB).
 const TPG_BLOCK_LOG2_RANGE: std::ops::RangeInclusive<u32> = 6..=30;
 
@@ -459,6 +462,20 @@ impl TpgWriter {
         self.file.write_data(&section.bytes)?;
         self.totals.absorb(section);
         Ok(())
+    }
+
+    /// Pushes every neighbourhood of `graph` (sorted, so the container is canonical
+    /// regardless of the source's iteration order) into a writer that has none yet,
+    /// then [`finish`](TpgWriter::finish)es it.
+    pub fn write_graph(mut self, graph: &impl Graph) -> Result<TpgSummary, IoError> {
+        let mut nbrs = Vec::new();
+        for u in 0..graph.n() as NodeId {
+            nbrs.clear();
+            graph.for_each_neighbor(u, &mut |v, w| nbrs.push((v, w)));
+            nbrs.sort_unstable_by_key(|&(v, _)| v);
+            self.push_neighborhood(u, &nbrs, graph.node_weight(u))?;
+        }
+        self.finish()
     }
 
     /// Writes the offset index, node weights and checksum footer, writes the header,
@@ -881,36 +898,53 @@ pub(crate) fn read_tpg_index_backend(
     Ok((offsets, node_weights, checksums))
 }
 
+/// The first data block of a verified range whose bytes disagree with its stored crc.
+#[derive(Debug)]
+pub(crate) struct ChecksumMismatch {
+    block: u64,
+    stored: u32,
+    computed: u32,
+}
+
+impl std::fmt::Display for ChecksumMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            ".tpg data block {} checksum mismatch: stored {:#010x}, computed {:#010x}",
+            self.block, self.stored, self.computed
+        )
+    }
+}
+
+impl std::error::Error for ChecksumMismatch {}
+
+impl From<ChecksumMismatch> for IoError {
+    fn from(mismatch: ChecksumMismatch) -> Self {
+        IoError::Corrupt(mismatch.to_string())
+    }
+}
+
 /// Verifies a data-section slice starting at block-aligned byte offset `start`
-/// against the per-block crcs. A partial trailing chunk is only admissible at the end
-/// of the data section, where the writer checksummed the short block as-is.
-pub(crate) fn verify_blocks_at(
+/// against the per-block crcs. The slice must lie inside the data section, which the
+/// footer covers block for block; a partial trailing chunk is only admissible at the
+/// end of the section, where the writer checksummed the short block as-is.
+pub(crate) fn verify_blocks(
     data: &[u8],
     start: u64,
     checksums: &TpgChecksums,
-) -> Result<(), IoError> {
+) -> Result<(), ChecksumMismatch> {
     let block_len = checksums.block_len as usize;
     debug_assert_eq!(start % block_len as u64, 0);
     let first = (start / block_len as u64) as usize;
     for (i, chunk) in data.chunks(block_len).enumerate() {
-        let stored = match checksums.blocks.get(first + i) {
-            Some(&c) => c,
-            None => {
-                return Err(IoError::Format(format!(
-                    ".tpg footer carries {} block checksums, block {} requested",
-                    checksums.blocks.len(),
-                    first + i
-                )))
-            }
-        };
-        let computed = crc32(chunk);
+        let block = first + i;
+        let (stored, computed) = (checksums.blocks[block], crc32(chunk));
         if computed != stored {
-            return Err(IoError::Corrupt(format!(
-                ".tpg data block {} checksum mismatch: stored {:#010x}, computed {:#010x}",
-                first + i,
+            return Err(ChecksumMismatch {
+                block: block as u64,
                 stored,
-                computed
-            )));
+                computed,
+            });
         }
     }
     Ok(())
@@ -956,7 +990,7 @@ pub(crate) fn verify_or_load_data(
         retry_section(retry, retries, || {
             let bytes = &mut buf[at..at + take];
             read_full_at(backend, bytes, meta.data_start() + pos)?;
-            verify_blocks_at(bytes, pos, checksums)
+            Ok(verify_blocks(bytes, pos, checksums)?)
         })?;
         pos += take as u64;
     }
@@ -970,15 +1004,7 @@ pub fn write_tpg_from_graph(
     path: impl AsRef<Path>,
     config: &CompressionConfig,
 ) -> Result<TpgSummary, IoError> {
-    let mut writer = TpgWriter::create(path, graph.n(), graph.is_edge_weighted(), config)?;
-    let mut nbrs = Vec::new();
-    for u in 0..graph.n() as NodeId {
-        nbrs.clear();
-        graph.for_each_neighbor(u, &mut |v, w| nbrs.push((v, w)));
-        nbrs.sort_unstable_by_key(|&(v, _)| v);
-        writer.push_neighborhood(u, &nbrs, graph.node_weight(u))?;
-    }
-    writer.finish()
+    TpgWriter::create(path, graph.n(), graph.is_edge_weighted(), config)?.write_graph(graph)
 }
 
 /// Converts a METIS text file into a `.tpg` container in one streaming pass: each vertex
@@ -1170,15 +1196,22 @@ mod tests {
         // Pins the writer's output — header, data, offset index, node weights and every
         // crc of the footer — against an FNV-1a digest recorded before CRC-32 was
         // rewritten to slice by 8: a kernel that computed different checksums would
-        // still round-trip against itself, but not produce these bytes.
+        // still round-trip against itself, but not produce these bytes. The digest was
+        // recorded at 64 KiB checksum blocks, so the container is written at that length.
         let g = gen::with_random_node_weights(
             &gen::with_random_edge_weights(&gen::rgg2d(20_000, 12, 21), 30, 8),
             6,
             9,
         );
         let path = tmp("recorded_digest.tpg");
-        let summary = write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
-        assert!(summary.data_bytes > 2 * TPG_CHECKSUM_BLOCK_LEN as u64);
+        let block_len = 64 * 1024;
+        let config = CompressionConfig::default();
+        let summary = TpgWriter::create(&path, g.n(), g.is_edge_weighted(), &config)
+            .unwrap()
+            .with_checksum_block_len(block_len)
+            .write_graph(&g)
+            .unwrap();
+        assert!(summary.data_bytes > 2 * block_len as u64);
         let bytes = std::fs::read(&path).unwrap();
         let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
@@ -1503,17 +1536,11 @@ mod tests {
         let g = gen::with_random_node_weights(&gen::weblike(8, 7, 9), 4, 2);
         let config = CompressionConfig::default();
         let path = tmp("small_blocks.tpg");
-        let mut writer = TpgWriter::create(&path, g.n(), g.is_edge_weighted(), &config)
+        TpgWriter::create(&path, g.n(), g.is_edge_weighted(), &config)
             .unwrap()
-            .with_checksum_block_len(64);
-        for u in 0..g.n() as NodeId {
-            let mut nbrs = g.neighbors_vec(u);
-            nbrs.sort_unstable_by_key(|&(v, _)| v);
-            writer
-                .push_neighborhood(u, &nbrs, g.node_weight(u))
-                .unwrap();
-        }
-        writer.finish().unwrap();
+            .with_checksum_block_len(64)
+            .write_graph(&g)
+            .unwrap();
         let meta = read_tpg_meta(&path).unwrap();
         assert_eq!(meta.checksum_block_len, 64);
         assert!(meta.checksum_block_count() > 4, "expected many blocks");

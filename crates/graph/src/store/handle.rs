@@ -266,7 +266,7 @@ mod tests {
     use crate::compressed::CompressionConfig;
     use crate::gen;
     use crate::store::backend::{FaultPlan, FaultyBackend, FileBackend};
-    use crate::store::container::write_tpg_from_graph;
+    use crate::store::container::{write_tpg_from_graph, TpgWriter};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -317,9 +317,14 @@ mod tests {
     fn session_fault_poisons_the_session_but_not_the_store_or_cotenants() {
         let csr = gen::grid2d(64, 64);
         let path = tmp("session_poison.tpg");
-        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
-        // A tiny cache so sweeps keep faulting pages in; reads fail permanently
-        // once the open (a handful of operations) is past.
+        TpgWriter::create(&path, csr.n(), false, &CompressionConfig::default())
+            .unwrap()
+            .with_checksum_block_len(256)
+            .write_graph(&csr)
+            .unwrap();
+        // A tiny cache of 256-byte pages (over 256-byte blocks) so sweeps keep
+        // faulting pages in; reads fail permanently once the open (a handful of
+        // operations) is past.
         let backend = FileBackend::open(&path).unwrap();
         let plan = FaultPlan {
             fail_reads_from: Some(50),

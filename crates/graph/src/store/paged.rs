@@ -11,8 +11,10 @@
 //! The cache is sharded by page index; each shard owns a fixed number of page frames
 //! and evicts with the CLOCK (second-chance) policy. Pages are filled with positional
 //! reads (`pread`-style via `FileExt`), so no seeks are shared between threads and no
-//! memory mapping is involved. Frames are charged to the global memory accounting as
-//! they are first allocated, the semi-external arrays at open — the accounted footprint
+//! memory mapping is involved. A page is a whole number of the container's checksum
+//! blocks, so a miss reads its page straight into the frame and verifies exactly those
+//! bytes against the footer's crcs. Frames are charged to the global memory accounting
+//! as they are first allocated, the semi-external arrays at open — the accounted footprint
 //! of an open `PagedGraph` is `offset index + node weights + committed page budget`,
 //! which the memory-ladder experiments compare against the uncompressed CSR size.
 //!
@@ -31,8 +33,8 @@ use crate::compressed::{decode_neighborhood, decode_neighborhood_header, Compres
 use crate::io::{io_error_is_transient, IoError};
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
 use crate::store::container::{
-    read_tpg_index_backend, read_tpg_meta_backend, retry_section, retry_with_backoff, TpgChecksums,
-    TpgMeta,
+    read_tpg_index_backend, read_tpg_meta_backend, retry_section, retry_with_backoff,
+    verify_blocks, ChecksumMismatch, TpgChecksums, TpgMeta,
 };
 use crate::store::elias_fano::EliasFanoIndex;
 use crate::traits::Graph;
@@ -106,11 +108,15 @@ pub enum OnDiskBackend {
 /// `(path, options)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PagedGraphOptions {
-    /// Bytes per cache page. Smaller pages waste less budget on cold neighbourhoods;
-    /// larger pages amortise syscalls on sequential sweeps.
+    /// Bytes per cache page, rounded up to whole checksum blocks of the opened
+    /// container (4 KiB for the writer's default), so every miss reads and verifies
+    /// exactly its own page; never more than the container's data section. Smaller
+    /// pages waste less budget on cold neighbourhoods; larger pages amortise syscalls
+    /// on sequential sweeps.
     pub page_size: usize,
     /// Total page-cache budget in bytes. The cache never holds more than
-    /// `budget_bytes / page_size` frames (at least one per shard).
+    /// `budget_bytes / page_size` frames of the rounded page size (at least one per
+    /// shard).
     pub budget_bytes: usize,
     /// Number of independently locked shards.
     pub shards: usize,
@@ -161,11 +167,12 @@ pub struct CacheStatsSnapshot {
     pub misses: u64,
     /// Frames whose previous page was evicted to serve a miss.
     pub evictions: u64,
-    /// Bytes read from disk by page faults: the whole checksum-block range covering
-    /// each faulted page, which is what a fault's successful attempt preads.
-    /// `bytes_read / misses` over the page size is the read amplification per miss.
+    /// Bytes the successful attempts of page faults read from disk: each faulted page
+    /// whole, and nothing else — `misses × page_size`, less what the misses of the
+    /// short last page of the data section did not need.
     pub bytes_read: u64,
-    /// Bytes fed to `crc32` by page faults, failed and retried attempts included.
+    /// Bytes page-fault attempts read and handed to the block verifier, failed and
+    /// retried attempts included; equal to `bytes_read` on a run without faults.
     /// `verified_bytes / misses` is what one miss pays in checksum work — the larger
     /// part of `store.miss_us` once the file is in the OS cache.
     pub verified_bytes: u64,
@@ -175,6 +182,10 @@ pub struct CacheStatsSnapshot {
     /// Checksum verification failures observed (each failed attempt counts; a
     /// mismatch healed by a retry still shows up here).
     pub checksum_failures: u64,
+    /// The cache's page size after rounding [`PagedGraphOptions::page_size`] up to
+    /// whole checksum blocks (at most the data section): the unit of `bytes_read`. Not
+    /// a counter.
+    pub page_size: u64,
 }
 
 impl CacheStatsSnapshot {
@@ -226,29 +237,10 @@ struct Shard {
     hand: usize,
 }
 
-/// Typed payload of a checksum-verification failure, carried inside an
+/// Whether `e` carries a [`ChecksumMismatch`]. A page fault wraps one in an
 /// [`io::Error`] of kind `InvalidData` so the retry predicate can recognise it
 /// (checksum mismatches are retryable — a transient in-flight flip heals on a clean
 /// re-read — while every other `InvalidData` is structural).
-#[derive(Debug)]
-struct ChecksumMismatch {
-    block: u64,
-    stored: u32,
-    computed: u32,
-}
-
-impl std::fmt::Display for ChecksumMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            ".tpg data block {} checksum mismatch: stored {:#010x}, computed {:#010x}",
-            self.block, self.stored, self.computed
-        )
-    }
-}
-
-impl std::error::Error for ChecksumMismatch {}
-
 fn is_checksum_mismatch(e: &io::Error) -> bool {
     e.get_ref().is_some_and(|p| p.is::<ChecksumMismatch>())
 }
@@ -263,6 +255,8 @@ struct PageCache {
     backend: Box<dyn StorageBackend>,
     data_start: u64,
     data_len: u64,
+    /// A whole number of checksum blocks, or the whole data section if that is shorter,
+    /// so every page is its own verification unit.
     page_size: usize,
     shards: Vec<Mutex<Shard>>,
     stats: CacheStats,
@@ -282,7 +276,13 @@ impl PageCache {
         checksums: TpgChecksums,
         options: &PagedGraphOptions,
     ) -> Self {
-        let page_size = options.page_size.max(64);
+        // Capped at the data section: a frame never outgrows the file, whatever block
+        // length (up to 1 GiB) the header records.
+        let page_size = options
+            .page_size
+            .max(1)
+            .next_multiple_of(checksums.block_len as usize)
+            .min(data_len.max(1) as usize);
         let shards = options.shards.max(1);
         let total_frames = (options.budget_bytes / page_size).max(shards);
         let per_shard = total_frames.div_ceil(shards);
@@ -309,86 +309,25 @@ impl PageCache {
         }
     }
 
-    /// Verifies `bytes` (starting at block-aligned data offset `start`) against the
-    /// stored per-block crcs. The caller guarantees every chunk is either a full block
-    /// or the final (short) block of the data section.
-    fn verify_blocks(&self, bytes: &[u8], start: u64) -> io::Result<()> {
-        let ck = &self.checksums;
-        let block_len = ck.block_len as usize;
-        debug_assert_eq!(start % block_len as u64, 0);
-        let first = (start / block_len as u64) as usize;
-        for (i, chunk) in bytes.chunks(block_len).enumerate() {
-            let block = first + i;
-            let stored = *ck.blocks.get(block).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "data block {} beyond the container's {} checksummed blocks",
-                        block,
-                        ck.blocks.len()
-                    ),
-                )
-            })?;
-            self.stats
-                .verified_bytes
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            let computed = crate::checksum::crc32(chunk);
-            if computed != stored {
-                self.stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    ChecksumMismatch {
-                        block: block as u64,
-                        stored,
-                        computed,
-                    },
-                ));
-            }
-        }
-        Ok(())
+    /// One attempt at reading the page that starts at data-section offset `offset`
+    /// straight into `dest` and verifying it in place. A page is a whole number of
+    /// checksum blocks (the last page: the rest of the section), so the bytes read are
+    /// exactly the bytes the footer's crcs vouch for.
+    fn try_read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<()> {
+        read_full_at(self.backend.as_ref(), dest, self.data_start + offset)?;
+        self.stats
+            .verified_bytes
+            .fetch_add(dest.len() as u64, Ordering::Relaxed);
+        verify_blocks(dest, offset, &self.checksums).map_err(|mismatch| {
+            self.stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
+            io::Error::new(io::ErrorKind::InvalidData, mismatch)
+        })
     }
 
-    /// One attempt at reading `dest.len()` bytes at data-section offset `offset`,
-    /// verifying the covering checksum blocks; returns the bytes it read from the
-    /// backend. When `page_size` is a multiple of the block length (the default
-    /// geometry: 64 KiB both) the range is its own cover, read straight into `dest`.
-    /// Otherwise the covering block range is staged, verified whole — a flipped byte
-    /// anywhere in a covering block fails the read, requested or not — and the
-    /// requested bytes are copied out: a 4 KiB page under 64 KiB blocks preads and
-    /// checksums 16× its size per miss.
-    fn try_read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<u64> {
-        if dest.is_empty() {
-            return Ok(0);
-        }
-        let block_len = u64::from(self.checksums.block_len);
-        let end = offset + dest.len() as u64;
-        let cover_start = offset / block_len * block_len;
-        let cover_end = end
-            .div_ceil(block_len)
-            .saturating_mul(block_len)
-            .min(self.data_len);
-        if cover_start == offset && cover_end == end {
-            read_full_at(self.backend.as_ref(), dest, self.data_start + offset)?;
-            self.verify_blocks(dest, cover_start)?;
-        } else {
-            let mut staging = vec![0u8; (cover_end - cover_start) as usize];
-            read_full_at(
-                self.backend.as_ref(),
-                &mut staging,
-                self.data_start + cover_start,
-            )?;
-            self.verify_blocks(&staging, cover_start)?;
-            let skip = (offset - cover_start) as usize;
-            dest.copy_from_slice(&staging[skip..skip + dest.len()]);
-        }
-        Ok(cover_end - cover_start)
-    }
-
-    /// Reads `dest.len()` bytes at data-section offset `offset` with verification,
+    /// Reads and verifies the page at data-section offset `offset` into `dest`,
     /// retrying transient failures per [`PagedGraphOptions::retry`] with exponential
-    /// backoff; returns the bytes the successful attempt read. Every page fault's
-    /// disk read funnels through here.
-    fn read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<u64> {
+    /// backoff. Every page fault's disk read funnels through here.
+    fn read_verified(&self, dest: &mut [u8], offset: u64) -> io::Result<()> {
         retry_with_backoff(
             &self.retry,
             read_error_is_transient,
@@ -478,11 +417,17 @@ impl PageCache {
         let offset = page * self.page_size as u64;
         let idx = self.claim_frame(&mut s);
         let frame = &mut s.frames[idx];
-        let read = self.read_verified(&mut frame.data[..len], offset)?;
+        // The victim's page is unmapped already: empty the frame before the read, so a
+        // failed read leaves a free frame rather than one claiming the old page.
+        frame.page = u64::MAX;
+        frame.len = 0;
+        self.read_verified(&mut frame.data[..len], offset)?;
         frame.page = page;
         frame.len = len as u32;
         frame.referenced = true;
-        self.stats.bytes_read.fetch_add(read, Ordering::Relaxed);
+        self.stats
+            .bytes_read
+            .fetch_add(len as u64, Ordering::Relaxed);
         s.map.insert(page, idx);
         let frame = &s.frames[idx];
         Ok(f(&frame.data[..frame.len as usize]))
@@ -526,6 +471,7 @@ impl PageCache {
             verified_bytes: self.stats.verified_bytes.load(Ordering::Relaxed),
             retried_reads: self.stats.retried_reads.load(Ordering::Relaxed),
             checksum_failures: self.stats.checksum_failures.load(Ordering::Relaxed),
+            page_size: self.page_size as u64,
         }
     }
 }
@@ -870,7 +816,8 @@ mod tests {
     use crate::compressed::CompressedGraph;
     use crate::csr::CsrGraphBuilder;
     use crate::gen;
-    use crate::store::container::write_tpg_from_graph;
+    use crate::store::backend::{FaultPlan, FaultyBackend};
+    use crate::store::container::{write_tpg_from_graph, TpgSummary, TpgWriter};
     use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -883,6 +830,22 @@ mod tests {
         p
     }
 
+    /// Writes `graph` with `block_len`-byte checksum blocks: pages below the default
+    /// 4 KiB block stay that small only in a container whose blocks are no larger.
+    fn write_with_blocks(
+        graph: &impl Graph,
+        path: &Path,
+        config: &CompressionConfig,
+        block_len: usize,
+    ) -> TpgSummary {
+        TpgWriter::create(path, graph.n(), graph.is_edge_weighted(), config)
+            .unwrap()
+            .with_checksum_block_len(block_len)
+            .write_graph(graph)
+            .unwrap()
+    }
+
+    /// 64-byte pages, for containers written with 64-byte blocks.
     fn tiny_options() -> PagedGraphOptions {
         PagedGraphOptions {
             page_size: 64,
@@ -918,7 +881,7 @@ mod tests {
         let config = CompressionConfig::default();
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp("identical.tpg");
-        write_tpg_from_graph(&csr, &path, &config).unwrap();
+        write_with_blocks(&csr, &path, &config, 64);
         let paged = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
         assert_matches_graph(&paged, &compressed);
         // CSR neighbourhoods are sorted; compare as sets against the paged view.
@@ -934,7 +897,7 @@ mod tests {
     fn tiny_budget_forces_eviction_but_stays_correct() {
         let csr = gen::rgg2d(1500, 12, 5);
         let path = tmp("eviction.tpg");
-        let summary = write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
+        let summary = write_with_blocks(&csr, &path, &CompressionConfig::default(), 64);
         let options = tiny_options();
         assert!(
             (summary.data_bytes as usize) > options.budget_bytes * 4,
@@ -972,7 +935,7 @@ mod tests {
         let config = CompressionConfig::default();
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp("weighted.tpg");
-        write_tpg_from_graph(&csr, &path, &config).unwrap();
+        write_with_blocks(&csr, &path, &config, 64);
         let paged = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
         assert!(paged.is_edge_weighted() && paged.is_node_weighted());
         assert_matches_graph(&paged, &compressed);
@@ -989,7 +952,7 @@ mod tests {
         };
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp("chunked.tpg");
-        write_tpg_from_graph(&csr, &path, &config).unwrap();
+        write_with_blocks(&csr, &path, &config, 128);
         // Page size far below the hub neighbourhood size: the decode buffer must be
         // assembled from many pages.
         let paged = PagedGraph::open_with_options(
@@ -1013,7 +976,7 @@ mod tests {
         let config = CompressionConfig::default();
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp("first_edge.tpg");
-        write_tpg_from_graph(&csr, &path, &config).unwrap();
+        write_with_blocks(&csr, &path, &config, 64);
         let paged = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
         for u in 0..csr.n() as NodeId {
             assert_eq!(paged.first_edge(u), compressed.first_edge(u));
@@ -1028,7 +991,7 @@ mod tests {
         // structured `UnexpectedEof`-style error instead.
         let csr = gen::grid2d(10, 10);
         let path = tmp("oob_page.tpg");
-        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
+        write_with_blocks(&csr, &path, &CompressionConfig::default(), 64);
         let paged = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
         let beyond = paged.cache.data_len / paged.cache.page_size as u64 + 3;
         let err = paged.cache.with_page(beyond, |_| ()).unwrap_err();
@@ -1054,61 +1017,153 @@ mod tests {
     }
 
     #[test]
-    fn small_pages_read_and_verify_their_whole_covering_blocks() {
-        // The benchmark's geometry: 4 KiB pages under the container's 64 KiB checksum
-        // blocks. Every miss preads and checksums the block around its page; the
-        // counters must say so, and the check must cover the bytes nobody asked for.
+    fn a_small_page_is_rounded_up_to_whole_blocks_and_verified_whole() {
+        // A page below the container's 4 KiB checksum block becomes one block: a miss
+        // reads and verifies exactly its rounded page, and the check covers the bytes of
+        // that page nobody asked for.
         let csr = gen::rgg2d(20_000, 12, 21);
-        let path = tmp("cover_blocks.tpg");
+        let path = tmp("rounded_pages.tpg");
         write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
         let options = PagedGraphOptions {
-            page_size: 4096,
+            page_size: 1000,
             budget_bytes: 1 << 20,
             shards: 2,
             retry: RetryPolicy::disabled(),
             ..PagedGraphOptions::default()
         };
         let paged = PagedGraph::open_with_options(&path, &options).unwrap();
-        let (block, data_len) = (64 * 1024u64, paged.cache.data_len);
-        assert_eq!(u64::from(paged.cache.checksums.block_len), block);
-        assert!(data_len > 2 * block + 4096 && data_len % block != 0);
-        // Cold, unaligned, from inside block 0 into block 1, plus the short last block.
+        let (page, data_len) = (4096u64, paged.cache.data_len);
+        assert_eq!(u64::from(paged.cache.checksums.block_len), page);
+        assert_eq!(paged.cache_stats().page_size, page);
+        assert!(data_len > 5 * page && data_len % page != 0);
+        // Cold and unaligned: the middle of page 3, then the short last page.
         let mut buf = Vec::new();
+        let middle = (3 * page + 1000, 3 * page + 2000);
         paged
             .cache
-            .read_range(block - 5000, block + 3000, &mut buf)
+            .read_range(middle.0, middle.1, &mut buf)
             .unwrap();
         paged
             .cache
             .read_range(data_len - 10, data_len, &mut buf)
             .unwrap();
         let stats = paged.cache_stats();
-        // Pages 14 and 15 of block 0, page 16 of block 1, the last page of the last block.
-        let covered = 3 * block + data_len % block;
-        assert_eq!((stats.misses, stats.hits), (4, 0));
-        assert_eq!(stats.verified_bytes, covered);
-        assert_eq!(stats.bytes_read, covered);
+        assert_eq!((stats.misses, stats.hits), (2, 0));
+        assert_eq!(stats.bytes_read, page + data_len % page);
+        assert_eq!(stats.verified_bytes, stats.bytes_read);
         assert_eq!(stats.checksum_failures, 0);
 
-        // Flip one byte of block 0 that lies outside the page about to be requested.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[paged.meta().data_start() as usize + 100] ^= 0x10;
-        let corrupt_path = tmp("cover_blocks_corrupt.tpg");
-        std::fs::write(&corrupt_path, &bytes).unwrap();
-        let corrupt = PagedGraph::open_with_options(&corrupt_path, &options).unwrap();
-        let err = corrupt
-            .cache
-            .read_range(block - 5000, block - 4000, &mut buf)
-            .unwrap_err();
-        assert!(is_checksum_mismatch(&err), "unexpected error: {}", err);
-        assert_eq!(corrupt.cache_stats().checksum_failures, 1);
-        // Block 1 is intact and still readable.
-        corrupt
-            .cache
-            .read_range(block, block + 3000, &mut buf)
-            .unwrap();
+        // One flipped byte anywhere in page 3 fails the read of its middle; page 4 is
+        // intact and still readable.
+        let clean = std::fs::read(&path).unwrap();
+        let corrupt_path = tmp("rounded_pages_corrupt.tpg");
+        for at in [3 * page, 3 * page + 1500, 4 * page - 1] {
+            let mut bytes = clean.clone();
+            bytes[(paged.meta().data_start() + at) as usize] ^= 0x10;
+            std::fs::write(&corrupt_path, &bytes).unwrap();
+            let corrupt = PagedGraph::open_with_options(&corrupt_path, &options).unwrap();
+            let err = corrupt
+                .cache
+                .read_range(middle.0, middle.1, &mut buf)
+                .unwrap_err();
+            assert!(is_checksum_mismatch(&err), "flip at {}: {}", at, err);
+            assert_eq!(corrupt.cache_stats().checksum_failures, 1);
+            corrupt
+                .cache
+                .read_range(4 * page, 4 * page + 10, &mut buf)
+                .unwrap();
+        }
         std::fs::remove_file(path).ok();
         std::fs::remove_file(corrupt_path).ok();
+    }
+
+    #[test]
+    fn a_container_with_64_kib_blocks_decodes_identically_under_4_kib_pages() {
+        // Readers accept any block length: 4 KiB pages over a 64 KiB-block container
+        // are rounded up to 64 KiB, evict, and decode what the in-memory graph decodes.
+        let csr = gen::rgg2d(20_000, 12, 21);
+        let config = CompressionConfig::default();
+        let path = tmp("old_geometry.tpg");
+        write_with_blocks(&csr, &path, &config, 64 * 1024);
+        let options = PagedGraphOptions {
+            page_size: 4096,
+            budget_bytes: 128 * 1024,
+            shards: 2,
+            ..PagedGraphOptions::default()
+        };
+        let paged = PagedGraph::open_with_options(&path, &options).unwrap();
+        assert_eq!(paged.cache_stats().page_size, 64 * 1024);
+        assert_matches_graph(&paged, &CompressedGraph::from_csr(&csr, &config));
+        let stats = paged.cache_stats();
+        assert!(stats.evictions > 0, "two frames must evict: {:?}", stats);
+        assert_eq!(stats.verified_bytes, stats.bytes_read);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_page_never_outgrows_the_data_section() {
+        // The largest block length the format admits is 1 GiB; one such block covers a
+        // small container whole, and its page is the data section, not a 1 GiB frame.
+        let csr = gen::grid2d(30, 30);
+        let config = CompressionConfig::default();
+        let path = tmp("huge_blocks.tpg");
+        write_with_blocks(&csr, &path, &config, 1 << 30);
+        let paged = PagedGraph::open(&path).unwrap();
+        assert_eq!(paged.cache.page_size as u64, paged.cache.data_len);
+        assert_matches_graph(&paged, &CompressedGraph::from_csr(&csr, &config));
+        assert!(paged.accounted_bytes() < 1 << 20);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_failed_miss_leaves_an_empty_frame_not_a_stale_one() {
+        // One shard of two 64-byte frames over a 64-byte-block container. The fault plan
+        // (seed 19, period 16) fails read op 2 alone among this test's reads: the miss
+        // of page 2, after it has claimed page 0's frame.
+        let csr = gen::grid2d(20, 20);
+        let path = tmp("stale_frame.tpg");
+        write_with_blocks(&csr, &path, &CompressionConfig::default(), 64);
+        let file = FileBackend::open(&path).unwrap();
+        let meta = read_tpg_meta_backend(&file).unwrap();
+        let (_, _, checksums) =
+            read_tpg_index_backend(&file, &meta, &RetryPolicy::disabled(), &mut 0).unwrap();
+        let plan = FaultPlan {
+            seed: 19,
+            eio_period: 16,
+            ..FaultPlan::default()
+        };
+        let faulty = FaultyBackend::new(file, plan);
+        let faults = faulty.stats();
+        let options = PagedGraphOptions {
+            page_size: 64,
+            budget_bytes: 128,
+            shards: 1,
+            retry: RetryPolicy::disabled(),
+            ..PagedGraphOptions::default()
+        };
+        let cache = PageCache::new(
+            Box::new(faulty),
+            meta.data_start(),
+            meta.data_len,
+            checksums,
+            &options,
+        );
+        cache.with_page(0, |_| ()).unwrap();
+        cache.with_page(1, |_| ()).unwrap();
+        // Page 2 evicts page 0 from frame 0, and its read fails.
+        assert!(cache.with_page(2, |_| ()).is_err());
+        // Page 0 faults back into frame 1 (evicting page 1); page 1 then reclaims
+        // frame 0, which must hold nothing rather than still claim page 0.
+        cache.with_page(0, |_| ()).unwrap();
+        cache.with_page(1, |_| ()).unwrap();
+        let before = cache.snapshot();
+        cache.with_page(0, |_| ()).unwrap();
+        let after = cache.snapshot();
+        assert_eq!(after.hits - before.hits, 1, "page 0 lost its mapping");
+        assert_eq!(after.evictions, 2, "an empty frame was counted as evicted");
+        assert_eq!(after.misses, 5);
+        assert_eq!(faults.eio.load(Ordering::Relaxed), 1);
+        std::fs::remove_file(path).ok();
     }
 
     /// Body of the backend equivalence property below, out of the macro so the shim's
@@ -1135,7 +1190,7 @@ mod tests {
         };
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp(&format!("prop_{}_{}", n, page_size));
-        write_tpg_from_graph(&csr, &path, &config).unwrap();
+        write_with_blocks(&csr, &path, &config, 64);
         let paged = PagedGraph::open_with_options(
             &path,
             &PagedGraphOptions {

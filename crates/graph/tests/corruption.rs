@@ -69,22 +69,16 @@ impl StorageBackend for MemBackend {
 fn build_fixture() -> Vec<u8> {
     let g = gen::with_random_node_weights(&gen::weblike(9, 8, 5), 4, 2);
     let out = MemBackend::default();
-    let mut writer = TpgWriter::create_with_backend(
+    TpgWriter::create_with_backend(
         Box::new(out.clone()),
         g.n(),
         g.is_edge_weighted(),
         &CompressionConfig::default(),
     )
     .unwrap()
-    .with_checksum_block_len(256);
-    for u in 0..g.n() as NodeId {
-        let mut nbrs = g.neighbors_vec(u);
-        nbrs.sort_unstable_by_key(|&(v, _)| v);
-        writer
-            .push_neighborhood(u, &nbrs, g.node_weight(u))
-            .unwrap();
-    }
-    writer.finish().unwrap();
+    .with_checksum_block_len(256)
+    .write_graph(&g)
+    .unwrap();
     let bytes = out.data.lock().unwrap().clone();
     assert!(bytes.len() > 512, "fixture too small to be interesting");
     bytes

@@ -4,7 +4,7 @@
 //! would disturb. A quarantine, not the fix — the fix is ROADMAP item 1 (memory as a
 //! per-run fact rather than a process-global one).
 
-use graph::store::{write_tpg_from_graph, MmapGraph, StoreRegistry};
+use graph::store::{write_tpg_from_graph, MmapGraph, StoreRegistry, TpgWriter};
 use graph::traits::Graph;
 use graph::{gen, CompressionConfig, NodeId, PagedGraph, PagedGraphOptions};
 
@@ -26,7 +26,12 @@ fn store_charges_are_taken_once_and_released() {
 fn paged_graph_charges_resident_arrays_and_frames() {
     let csr = gen::grid2d(40, 40);
     let path = tmp("paged.tpg");
-    write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
+    // 64-byte checksum blocks, so the 64-byte pages below are not rounded up.
+    TpgWriter::create(&path, csr.n(), false, &CompressionConfig::default())
+        .unwrap()
+        .with_checksum_block_len(64)
+        .write_graph(&csr)
+        .unwrap();
     let options = PagedGraphOptions {
         page_size: 64,
         budget_bytes: 256,
