@@ -1,7 +1,8 @@
-//! CI smoke test of the observability layer: runs one traced pipeline on a small
-//! web-like instance, then validates that the exported Chrome trace-event file parses
-//! and that its span tree nests correctly (`pipeline ⊇ level ⊇ phase ⊇ round`). A
-//! second, untraced run holds the span tree to covering ≥ 98 % of the wall time.
+//! CI smoke test of the observability layer: runs one recorded pipeline on a small
+//! web-like instance, writes its run report as a Chrome trace-event file with
+//! `obs::write_chrome_trace`, then validates that the file parses and that its span
+//! tree nests correctly (`pipeline ⊇ level ⊇ phase ⊇ round`). A second, untraced run
+//! holds the span tree to covering ≥ 98 % of the wall time.
 //!
 //! Run at both ID widths by the `obs-smoke` CI job:
 //!
@@ -13,14 +14,11 @@
 //! The validator is a minimal hand-rolled scanner over this workspace's own trace
 //! output (one complete event per line) — no JSON dependency exists in the workspace.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
 use graph::gen;
 use graph::traits::Graph;
 use obs::Counter;
 use terapart::coarsening::MIN_CONTRACTIBLE_SHARE;
-use terapart::{PartitionerConfig, Preset, ProgressEvent};
+use terapart::{PartitionerConfig, Preset};
 
 /// One parsed `"ph": "X"` complete event of the trace file.
 #[derive(Debug)]
@@ -264,26 +262,14 @@ fn main() {
         graph.n(),
         graph.m()
     );
-    let progress_events = Arc::new(AtomicUsize::new(0));
-    let progress_counter = progress_events.clone();
     // The `default` preset, so the trace also carries k-way FM's `fm_pass` rounds.
     let config = PartitionerConfig::preset(Preset::Default, 8)
         .with_threads(2)
-        .with_trace_path(&trace_path)
-        .with_progress(move |_event: &ProgressEvent| {
-            progress_counter.fetch_add(1, Ordering::Relaxed);
-        });
+        .with_run_report(true);
     let result = terapart::partition_csr(&graph, &config);
     assert!(result.partition.is_balanced(), "smoke run is imbalanced");
-    let report = result
-        .run_report
-        .as_ref()
-        .expect("a trace path implies recording");
-    let fired = progress_events.load(Ordering::Relaxed);
-    assert!(
-        fired >= 2,
-        "progress hook fired only {fired} times (expected coarsen + initial + refine events)"
-    );
+    let report = result.run_report.as_ref().expect("the run recorded");
+    obs::write_chrome_trace(&trace_path, report).expect("failed to write the chrome trace");
 
     // Refinement's moves tried vs. kept per second, read off the report alone.
     let (tried, accepted, rolled_back) = (
@@ -392,11 +378,10 @@ fn main() {
 
     std::fs::remove_dir_all(&dir).ok();
     println!(
-        "obs smoke OK: {} events, {} level spans, {} nested phases, coverage {:.1}%, {} progress events",
+        "obs smoke OK: {} events, {} level spans, {} nested phases, coverage {:.1}%",
         events.len(),
         levels,
         phases_under_level,
-        coverage * 100.0,
-        fired
+        coverage * 100.0
     );
 }

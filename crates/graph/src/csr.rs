@@ -284,11 +284,6 @@ impl CsrGraphBuilder {
         self.n
     }
 
-    /// Number of (possibly duplicate) undirected edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds an undirected edge `{u, v}` with the given weight. Self-loops are ignored.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, weight: EdgeWeight) {
         assert!(
@@ -299,13 +294,6 @@ impl CsrGraphBuilder {
             return;
         }
         self.edges.push(Edge::weighted(u, v, weight));
-    }
-
-    /// Adds a batch of undirected edges.
-    pub fn add_edges(&mut self, edges: impl IntoIterator<Item = Edge>) {
-        for e in edges {
-            self.add_edge(e.u, e.v, e.weight);
-        }
     }
 
     /// Sets the weight of vertex `u`.

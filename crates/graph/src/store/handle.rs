@@ -8,8 +8,8 @@
 //!   representation behind one `Arc`-shareable, [`Sync`] type. All read access is
 //!   lock-free or internally synchronised (the paged backend's page cache), so any
 //!   number of sessions may read one handle concurrently.
-//! * [`StoreSession`] — the **per-request** side: a cheap view carrying the poison /
-//!   fault-observer machinery that used to live on [`PagedGraph`] itself. A session
+//! * [`StoreSession`] — the **per-request** side: a cheap view with a poison state of
+//!   its own (the protocol a [`PagedGraph`] read directly runs on itself). A session
 //!   reads the paged store through its fault-neutral accessors
 //!   ([`PagedGraph::try_header`] / [`PagedGraph::try_for_each_neighbor`]) and records
 //!   the first unrecoverable fault *on the session*, so one request's disk failure
@@ -20,15 +20,11 @@
 //! need no handle: the engine takes them as `&impl Graph`.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use parking_lot::Mutex;
 
 use crate::io::IoError;
 use crate::store::mmap::MmapGraph;
-use crate::store::paged::{
-    CacheStatsSnapshot, FatalIoError, OnDiskBackend, PagedGraph, PagedGraphOptions,
-};
+use crate::store::paged::{CacheStatsSnapshot, OnDiskBackend, PagedGraph, PagedGraphOptions};
+use crate::store::poison::{FatalIoError, Poison};
 use crate::traits::Graph;
 use crate::{EdgeWeight, NodeId, NodeWeight};
 
@@ -104,10 +100,6 @@ impl StoreHandle {
     }
 }
 
-/// Callback capturing ambient context (e.g. the active pipeline phase) the moment a
-/// session records its fatal error; same shape as the observer [`PagedGraph`] takes.
-type FaultObserver = Box<dyn Fn() -> String + Send + Sync>;
-
 /// What a session reads through: the fallible paged store (routed through its
 /// fault-neutral accessors) or an infallible representation.
 enum StoreRef<'a> {
@@ -129,9 +121,7 @@ enum StoreRef<'a> {
 /// session, stays healthy.
 pub struct StoreSession<'a> {
     store: StoreRef<'a>,
-    poisoned: AtomicBool,
-    fatal: Mutex<Option<FatalIoError>>,
-    fault_observer: Mutex<Option<FaultObserver>>,
+    poison: Poison,
 }
 
 impl<'a> StoreSession<'a> {
@@ -149,9 +139,7 @@ impl<'a> StoreSession<'a> {
     fn from_ref(store: StoreRef<'a>) -> Self {
         Self {
             store,
-            poisoned: AtomicBool::new(false),
-            fatal: Mutex::new(None),
-            fault_observer: Mutex::new(None),
+            poison: Poison::default(),
         }
     }
 
@@ -162,35 +150,24 @@ impl<'a> StoreSession<'a> {
         }
     }
 
-    /// Poisons the session with `error` unless it is already poisoned: the *first*
-    /// fatal error (and the observer's context) is kept; later ones are dropped.
-    fn poison(&self, error: std::io::Error) {
-        let mut fatal = self.fatal.lock();
-        if fatal.is_none() {
-            let context = self.fault_observer.lock().as_ref().map(|observe| observe());
-            *fatal = Some(FatalIoError { error, context });
-            self.poisoned.store(true, Ordering::Release);
-        }
-    }
-
     /// Whether a fatal read error has poisoned this session (accessors now return
     /// empty neighbourhoods without touching the disk).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poison.is_poisoned()
     }
 
     /// Takes the first fatal error if the session poisoned itself (leaving the
     /// session poisoned). Drivers call this after a run to decide whether the result
     /// is valid.
     pub fn take_fatal_error(&self) -> Option<FatalIoError> {
-        self.fatal.lock().take()
+        self.poison.take_fatal_error()
     }
 
     /// Installs a callback that captures ambient context (e.g. the active pipeline
     /// phase) the moment the session poisons itself; the captured string travels in
     /// [`FatalIoError::context`]. Replaces any previous observer.
     pub fn set_fault_observer(&self, observe: impl Fn() -> String + Send + Sync + 'static) {
-        *self.fault_observer.lock() = Some(Box::new(observe));
+        self.poison.set_fault_observer(observe);
     }
 }
 
@@ -205,18 +182,7 @@ impl Graph for StoreSession<'_> {
     fn degree(&self, u: NodeId) -> usize {
         match &self.store {
             StoreRef::Infallible(g) => g.degree(u),
-            StoreRef::Paged(g) => {
-                if self.is_poisoned() {
-                    return 0;
-                }
-                match g.try_header(u) {
-                    Ok((_, degree)) => degree,
-                    Err(e) => {
-                        self.poison(e);
-                        0
-                    }
-                }
-            }
+            StoreRef::Paged(g) => self.poison.read(|| g.try_header(u)).1,
         }
     }
 
@@ -233,14 +199,7 @@ impl Graph for StoreSession<'_> {
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
         match &self.store {
             StoreRef::Infallible(g) => g.for_each_neighbor(u, f),
-            StoreRef::Paged(g) => {
-                if self.is_poisoned() {
-                    return;
-                }
-                if let Err(e) = g.try_for_each_neighbor(u, f) {
-                    self.poison(e);
-                }
-            }
+            StoreRef::Paged(g) => self.poison.read(|| g.try_for_each_neighbor(u, f)),
         }
     }
 
@@ -334,7 +293,6 @@ mod tests {
         let options = PagedGraphOptions {
             page_size: 256,
             budget_bytes: 1024,
-            shards: 1,
             retry: crate::store::RetryPolicy::disabled(),
             ..PagedGraphOptions::default()
         };

@@ -360,11 +360,6 @@ impl MmapGraph {
         self.charged
     }
 
-    /// In-memory size of the offset index (the Elias-Fano savings show up here).
-    pub fn offset_index_bytes(&self) -> usize {
-        self.offsets.size_in_bytes()
-    }
-
     /// Readahead hints (`madvise`) successfully applied to the mapping at open:
     /// up to two (`MADV_SEQUENTIAL` + `MADV_WILLNEED`) on unix, zero on the heap
     /// fallback and elsewhere.

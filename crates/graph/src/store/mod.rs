@@ -52,6 +52,7 @@ pub mod elias_fano;
 pub mod handle;
 pub mod mmap;
 pub mod paged;
+mod poison;
 pub mod registry;
 pub mod stream;
 
@@ -65,9 +66,8 @@ pub use container::{
 pub use elias_fano::{ef_section_bytes, EliasFanoIndex};
 pub use handle::{StoreHandle, StoreSession};
 pub use mmap::MmapGraph;
-pub use paged::{
-    CacheStatsSnapshot, FatalIoError, OnDiskBackend, PagedGraph, PagedGraphOptions, RetryPolicy,
-};
+pub use paged::{CacheStatsSnapshot, OnDiskBackend, PagedGraph, PagedGraphOptions, RetryPolicy};
+pub use poison::FatalIoError;
 pub use registry::StoreRegistry;
 pub use stream::{
     stream_rgg2d_to_tpg, stream_rgg3d_to_tpg, stream_rmat_to_tpg, SpillStats, StreamingTpgBuilder,

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -37,6 +37,7 @@ use crate::store::container::{
     verify_blocks, ChecksumMismatch, TpgChecksums, TpgMeta,
 };
 use crate::store::elias_fano::EliasFanoIndex;
+use crate::store::poison::{FatalIoError, Poison};
 use crate::traits::Graph;
 use crate::varint::MAX_VARINT_LEN;
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
@@ -114,12 +115,10 @@ pub struct PagedGraphOptions {
     /// pages waste less budget on cold neighbourhoods; larger pages amortise syscalls
     /// on sequential sweeps.
     pub page_size: usize,
-    /// Total page-cache budget in bytes. The cache never holds more than
-    /// `budget_bytes / page_size` frames of the rounded page size (at least one per
-    /// shard).
+    /// Total page-cache budget in bytes. The cache holds `max(budget_bytes /
+    /// page_size, 8)` frames of the rounded page size, rounded up to a whole number in
+    /// each of its 8 shards.
     pub budget_bytes: usize,
-    /// Number of independently locked shards.
-    pub shards: usize,
     /// Has no effect: the page cache reads only what a lookup faults. The field is
     /// kept for callers that still spell it in a struct literal.
     pub prefetch: bool,
@@ -140,7 +139,6 @@ impl Default for PagedGraphOptions {
         Self {
             page_size: 64 * 1024,
             budget_bytes: 8 * 1024 * 1024,
-            shards: 8,
             prefetch: false,
             retry: RetryPolicy::default(),
             backend: OnDiskBackend::Paged,
@@ -149,7 +147,7 @@ impl Default for PagedGraphOptions {
 }
 
 impl PagedGraphOptions {
-    /// Options with the given total budget and the default page size and sharding.
+    /// Options with the given total budget and the default page size.
     pub fn with_budget(budget_bytes: usize) -> Self {
         Self {
             budget_bytes,
@@ -250,6 +248,10 @@ fn read_error_is_transient(e: &io::Error) -> bool {
     is_checksum_mismatch(e) || io_error_is_transient(e)
 }
 
+/// Number of independently locked shards of a page cache; page `p` lives in shard
+/// `p % PAGE_CACHE_SHARDS`.
+const PAGE_CACHE_SHARDS: usize = 8;
+
 /// Sharded CLOCK page cache over the data section of one `.tpg` file.
 struct PageCache {
     backend: Box<dyn StorageBackend>,
@@ -283,15 +285,14 @@ impl PageCache {
             .max(1)
             .next_multiple_of(checksums.block_len as usize)
             .min(data_len.max(1) as usize);
-        let shards = options.shards.max(1);
-        let total_frames = (options.budget_bytes / page_size).max(shards);
-        let per_shard = total_frames.div_ceil(shards);
-        let shards: Vec<Mutex<Shard>> = (0..shards)
+        let total_frames = (options.budget_bytes / page_size).max(PAGE_CACHE_SHARDS);
+        let per_shard = total_frames.div_ceil(PAGE_CACHE_SHARDS);
+        let shards: Vec<Mutex<Shard>> = (0..PAGE_CACHE_SHARDS)
             .map(|_| {
                 Mutex::new(Shard {
                     map: HashMap::new(),
                     frames: Vec::new(),
-                    capacity: per_shard.max(1),
+                    capacity: per_shard,
                     hand: 0,
                 })
             })
@@ -339,7 +340,7 @@ impl PageCache {
     }
 
     fn shard_of(&self, page: u64) -> &Mutex<Shard> {
-        &self.shards[(page as usize) % self.shards.len()]
+        &self.shards[(page as usize) % PAGE_CACHE_SHARDS]
     }
 
     /// Bytes of `page` within the data section, or an `UnexpectedEof`-style error for
@@ -496,21 +497,6 @@ fn with_decode_buf<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
     })
 }
 
-/// The first fatal I/O error of a poisoned [`PagedGraph`], plus the context the fault
-/// observer captured at poison time (typically the active pipeline phase).
-#[derive(Debug)]
-pub struct FatalIoError {
-    /// The error of the first failed access.
-    pub error: io::Error,
-    /// Context recorded by the [fault observer](PagedGraph::set_fault_observer), if
-    /// one was installed.
-    pub context: Option<String>,
-}
-
-/// Callback capturing ambient context (e.g. the active memtrack phase) the moment a
-/// graph poisons itself.
-type FaultObserver = Box<dyn Fn() -> String + Send + Sync>;
-
 /// A graph stored in a `.tpg` container on disk, accessed through a fixed-budget page
 /// cache. Implements [`Graph`], so the full multilevel pipeline runs against it
 /// unchanged.
@@ -537,12 +523,8 @@ pub struct PagedGraph {
     cache: Box<PageCache>,
     /// Bytes charged for the semi-external arrays, released on drop.
     resident_charge: usize,
-    /// Fast-path flag of the poison protocol (see the type-level docs).
-    poisoned: AtomicBool,
-    /// First fatal error (with observer context), kept until taken.
-    fatal: Mutex<Option<FatalIoError>>,
-    /// Observer invoked once, at poison time.
-    fault_observer: Mutex<Option<FaultObserver>>,
+    /// The poison protocol (see the type-level docs).
+    poison: Poison,
 }
 
 impl std::fmt::Debug for PagedGraph {
@@ -625,9 +607,7 @@ impl PagedGraph {
             node_weights,
             cache,
             resident_charge,
-            poisoned: AtomicBool::new(false),
-            fatal: Mutex::new(None),
-            fault_observer: Mutex::new(None),
+            poison: Poison::default(),
         })
     }
 
@@ -662,35 +642,23 @@ impl PagedGraph {
         self.meta.csr_size_in_bytes()
     }
 
-    /// Poisons the graph with `error` unless it is already poisoned: the *first* fatal
-    /// error (and the observer's context) is kept; later ones are dropped. See the
-    /// type-level "Failure protocol" docs.
-    fn poison(&self, error: io::Error) {
-        let mut fatal = self.fatal.lock();
-        if fatal.is_none() {
-            let context = self.fault_observer.lock().as_ref().map(|observe| observe());
-            *fatal = Some(FatalIoError { error, context });
-            self.poisoned.store(true, Ordering::Release);
-        }
-    }
-
     /// Whether a fatal read error has poisoned this graph (accessors now return empty
     /// neighbourhoods without touching the disk).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poison.is_poisoned()
     }
 
     /// Takes the first fatal error if the graph poisoned itself (leaving the graph
     /// poisoned). Drivers call this after a run to decide whether the result is valid.
     pub fn take_fatal_error(&self) -> Option<FatalIoError> {
-        self.fatal.lock().take()
+        self.poison.take_fatal_error()
     }
 
     /// Installs a callback that captures ambient context (e.g. the active pipeline
     /// phase) the moment the graph poisons itself; the captured string travels in
     /// [`FatalIoError::context`]. Replaces any previous observer.
     pub fn set_fault_observer(&self, observe: impl Fn() -> String + Send + Sync + 'static) {
-        *self.fault_observer.lock() = Some(Box::new(observe));
+        self.poison.set_fault_observer(observe);
     }
 
     /// Decoded header `(first_edge, degree)` of `u`'s neighbourhood, surfacing read
@@ -729,16 +697,7 @@ impl PagedGraph {
     /// Decoded header `(first_edge, degree)` of `u`'s neighbourhood. Only the first few
     /// bytes of the encoding are fetched. Returns `(0, 0)` on a poisoned graph.
     fn header(&self, u: NodeId) -> (EdgeId, usize) {
-        if self.is_poisoned() {
-            return (0, 0);
-        }
-        match self.try_header(u) {
-            Ok(header) => header,
-            Err(e) => {
-                self.poison(e);
-                (0, 0)
-            }
-        }
+        self.poison.read(|| self.try_header(u))
     }
 
     /// ID of the first half-edge of `u`'s neighbourhood.
@@ -783,12 +742,7 @@ impl Graph for PagedGraph {
     }
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
-        if self.is_poisoned() {
-            return;
-        }
-        if let Err(e) = self.try_for_each_neighbor(u, f) {
-            self.poison(e);
-        }
+        self.poison.read(|| self.try_for_each_neighbor(u, f));
     }
 
     fn is_edge_weighted(&self) -> bool {
@@ -850,7 +804,6 @@ mod tests {
         PagedGraphOptions {
             page_size: 64,
             budget_bytes: 256,
-            shards: 2,
             ..PagedGraphOptions::default()
         }
     }
@@ -920,7 +873,7 @@ mod tests {
         }
         // The committed frames never exceed the configured budget (rounded up to one
         // frame per shard).
-        let max_frames = (options.budget_bytes / options.page_size).max(options.shards);
+        let max_frames = (options.budget_bytes / options.page_size).max(PAGE_CACHE_SHARDS);
         assert!(paged.cache.charged.load(Ordering::Relaxed) <= max_frames * options.page_size);
         std::fs::remove_file(path).ok();
     }
@@ -960,7 +913,6 @@ mod tests {
             &PagedGraphOptions {
                 page_size: 128,
                 budget_bytes: 1024,
-                shards: 2,
                 ..PagedGraphOptions::default()
             },
         )
@@ -1027,7 +979,6 @@ mod tests {
         let options = PagedGraphOptions {
             page_size: 1000,
             budget_bytes: 1 << 20,
-            shards: 2,
             retry: RetryPolicy::disabled(),
             ..PagedGraphOptions::default()
         };
@@ -1081,21 +1032,22 @@ mod tests {
     fn a_container_with_64_kib_blocks_decodes_identically_under_4_kib_pages() {
         // Readers accept any block length: 4 KiB pages over a 64 KiB-block container
         // are rounded up to 64 KiB, evict, and decode what the in-memory graph decodes.
-        let csr = gen::rgg2d(20_000, 12, 21);
+        let csr = gen::rgg2d(40_000, 12, 21);
         let config = CompressionConfig::default();
         let path = tmp("old_geometry.tpg");
         write_with_blocks(&csr, &path, &config, 64 * 1024);
         let options = PagedGraphOptions {
             page_size: 4096,
             budget_bytes: 128 * 1024,
-            shards: 2,
             ..PagedGraphOptions::default()
         };
         let paged = PagedGraph::open_with_options(&path, &options).unwrap();
         assert_eq!(paged.cache_stats().page_size, 64 * 1024);
+        // One frame a shard: pages 0 and 8 compete for shard 0.
+        assert!(paged.cache.data_len > 8 * 64 * 1024);
         assert_matches_graph(&paged, &CompressedGraph::from_csr(&csr, &config));
         let stats = paged.cache_stats();
-        assert!(stats.evictions > 0, "two frames must evict: {:?}", stats);
+        assert!(stats.evictions > 0, "one frame a shard evicts: {:?}", stats);
         assert_eq!(stats.verified_bytes, stats.bytes_read);
         std::fs::remove_file(path).ok();
     }
@@ -1117,14 +1069,15 @@ mod tests {
 
     #[test]
     fn a_failed_miss_leaves_an_empty_frame_not_a_stale_one() {
-        // One shard of two 64-byte frames over a 64-byte-block container. The fault plan
-        // (seed 19, period 16) fails read op 2 alone among this test's reads: the miss
-        // of page 2, after it has claimed page 0's frame.
+        // Two 64-byte frames a shard over a 64-byte-block container; pages 0, 8 and 16
+        // share shard 0. The fault plan (seed 19, period 16) fails read op 2 alone among
+        // this test's reads: the miss of page 16, after it has claimed page 0's frame.
         let csr = gen::grid2d(20, 20);
         let path = tmp("stale_frame.tpg");
         write_with_blocks(&csr, &path, &CompressionConfig::default(), 64);
         let file = FileBackend::open(&path).unwrap();
         let meta = read_tpg_meta_backend(&file).unwrap();
+        assert!(meta.data_len > 16 * 64, "page 16 must exist");
         let (_, _, checksums) =
             read_tpg_index_backend(&file, &meta, &RetryPolicy::disabled(), &mut 0).unwrap();
         let plan = FaultPlan {
@@ -1136,8 +1089,7 @@ mod tests {
         let faults = faulty.stats();
         let options = PagedGraphOptions {
             page_size: 64,
-            budget_bytes: 128,
-            shards: 1,
+            budget_bytes: 2 * PAGE_CACHE_SHARDS * 64,
             retry: RetryPolicy::disabled(),
             ..PagedGraphOptions::default()
         };
@@ -1149,13 +1101,13 @@ mod tests {
             &options,
         );
         cache.with_page(0, |_| ()).unwrap();
-        cache.with_page(1, |_| ()).unwrap();
-        // Page 2 evicts page 0 from frame 0, and its read fails.
-        assert!(cache.with_page(2, |_| ()).is_err());
-        // Page 0 faults back into frame 1 (evicting page 1); page 1 then reclaims
+        cache.with_page(8, |_| ()).unwrap();
+        // Page 16 evicts page 0 from frame 0, and its read fails.
+        assert!(cache.with_page(16, |_| ()).is_err());
+        // Page 0 faults back into frame 1 (evicting page 8); page 8 then reclaims
         // frame 0, which must hold nothing rather than still claim page 0.
         cache.with_page(0, |_| ()).unwrap();
-        cache.with_page(1, |_| ()).unwrap();
+        cache.with_page(8, |_| ()).unwrap();
         let before = cache.snapshot();
         cache.with_page(0, |_| ()).unwrap();
         let after = cache.snapshot();
@@ -1196,7 +1148,6 @@ mod tests {
             &PagedGraphOptions {
                 page_size,
                 budget_bytes: page_size * 3,
-                shards: 2,
                 ..PagedGraphOptions::default()
             },
         )

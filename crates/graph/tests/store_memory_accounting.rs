@@ -35,7 +35,6 @@ fn paged_graph_charges_resident_arrays_and_frames() {
     let options = PagedGraphOptions {
         page_size: 64,
         budget_bytes: 256,
-        shards: 2,
         ..PagedGraphOptions::default()
     };
     let before = memtrack::global().current();

@@ -89,6 +89,7 @@ mod tests {
     // accounting logic is verified without interfering with the test harness allocator.
     #[test]
     fn alloc_and_dealloc_are_balanced() {
+        let _global = crate::lock_global();
         let alloc = TrackingAllocator::system();
         let layout = Layout::from_size_align(4096, 8).unwrap();
         let before = global().current();
@@ -105,6 +106,7 @@ mod tests {
 
     #[test]
     fn alloc_zeroed_counts() {
+        let _global = crate::lock_global();
         let alloc = TrackingAllocator::system();
         let layout = Layout::from_size_align(1024, 8).unwrap();
         let before = global().peak();
@@ -121,6 +123,7 @@ mod tests {
 
     #[test]
     fn realloc_adjusts_charge() {
+        let _global = crate::lock_global();
         let alloc = TrackingAllocator::system();
         let layout = Layout::from_size_align(100, 8).unwrap();
         unsafe {

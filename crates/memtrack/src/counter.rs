@@ -249,6 +249,7 @@ mod tests {
 
     #[test]
     fn global_counter_is_shared() {
+        let _global = crate::lock_global();
         let before = global().current();
         let scope = MemoryScope::charge_global(4096);
         assert!(global().current() >= before + 4096);

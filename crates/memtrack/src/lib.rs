@@ -67,6 +67,18 @@ pub fn format_bytes(bytes: usize) -> String {
     }
 }
 
+/// Serialises this crate's unit tests that charge, release or read [`global()`]: they
+/// share one process, and a concurrent charge, release or `reset_peak` (every
+/// [`PhaseTracker`] phase does one) breaks another test's before/after deltas.
+#[cfg(test)]
+pub(crate) fn lock_global() -> std::sync::MutexGuard<'static, ()> {
+    static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A `should_panic` test poisons the lock; the counter itself is still consistent.
+    GLOBAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

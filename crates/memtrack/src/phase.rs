@@ -183,6 +183,7 @@ mod tests {
 
     #[test]
     fn phases_capture_peak_and_order() {
+        let _global = crate::lock_global();
         let tracker = PhaseTracker::new();
         tracker.run("cluster", 0, || {
             let _scope = MemoryScope::charge_global(10 * 1024 * 1024);
@@ -201,6 +202,7 @@ mod tests {
 
     #[test]
     fn peak_of_selects_by_name() {
+        let _global = crate::lock_global();
         let tracker = PhaseTracker::new();
         tracker.run("cluster", 0, || {
             let _s = MemoryScope::charge_global(4096);
@@ -214,6 +216,7 @@ mod tests {
 
     #[test]
     fn run_returns_closure_value() {
+        let _global = crate::lock_global();
         let tracker = PhaseTracker::new();
         let value = tracker.run("compute", 3, || 42);
         assert_eq!(value, 42);
@@ -222,6 +225,7 @@ mod tests {
 
     #[test]
     fn clear_empties_reports() {
+        let _global = crate::lock_global();
         let tracker = PhaseTracker::new();
         tracker.run("a", 0, || ());
         tracker.clear();
@@ -231,6 +235,7 @@ mod tests {
 
     #[test]
     fn phase_handle_tracks_the_live_stack() {
+        let _global = crate::lock_global();
         let tracker = PhaseTracker::new();
         let handle = tracker.phase_handle();
         assert_eq!(handle.current(), None);
@@ -247,6 +252,7 @@ mod tests {
 
     #[test]
     fn phase_stack_is_popped_on_panic() {
+        let _global = crate::lock_global();
         let tracker = PhaseTracker::new();
         let handle = tracker.phase_handle();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

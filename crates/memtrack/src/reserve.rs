@@ -113,11 +113,6 @@ impl<T> ReservedVec<T> {
         &self.data
     }
 
-    /// Returns the committed elements as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Shrinks the underlying allocation to the committed length and returns the plain
     /// `Vec`. The committed bytes stay charged to the regular allocator accounting from
     /// here on (the scope charge is released).
@@ -163,6 +158,7 @@ mod tests {
 
     #[test]
     fn committed_bytes_grow_with_pages() {
+        let _global = crate::lock_global();
         let mut v: ReservedVec<u64> = ReservedVec::with_reservation(10_000);
         assert_eq!(v.committed_bytes(), 0);
         v.push(1);
@@ -180,6 +176,7 @@ mod tests {
 
     #[test]
     fn extend_and_index() {
+        let _global = crate::lock_global();
         let mut v: ReservedVec<u32> = ReservedVec::with_reservation(100);
         v.extend_from_slice(&[1, 2, 3]);
         v.extend_with(2, 9);
@@ -193,6 +190,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflow")]
     fn push_past_reservation_panics() {
+        let _global = crate::lock_global();
         let mut v: ReservedVec<u8> = ReservedVec::with_reservation(2);
         v.push(1);
         v.push(2);
@@ -201,6 +199,7 @@ mod tests {
 
     #[test]
     fn into_vec_shrinks() {
+        let _global = crate::lock_global();
         let mut v: ReservedVec<u16> = ReservedVec::with_reservation(1_000_000);
         v.extend_from_slice(&[5, 6, 7]);
         let plain = v.into_vec();
@@ -210,6 +209,7 @@ mod tests {
 
     #[test]
     fn drop_releases_committed_charge() {
+        let _global = crate::lock_global();
         let before = global().current();
         {
             let mut v: ReservedVec<u64> = ReservedVec::with_reservation(100_000);
@@ -223,6 +223,7 @@ mod tests {
 
     #[test]
     fn reservation_never_reallocates() {
+        let _global = crate::lock_global();
         let mut v: ReservedVec<u32> = ReservedVec::with_reservation(10_000);
         v.push(0);
         let ptr_before = v.as_slice().as_ptr();

@@ -12,9 +12,6 @@
 //!   embedded into the bench result files), a Chrome `chrome://tracing` trace-event
 //!   file ([`write_chrome_trace`]), or a human-readable summary table
 //!   ([`RunReport::summary_table`]).
-//! * **Progress** ([`ProgressHook`], [`ProgressEvent`]) is the live streaming seam:
-//!   coarsening level transitions and refinement pass completions with current
-//!   cut/balance, intended for a future `terapartd` server.
 //!
 //! # Overhead contract
 //!
@@ -34,14 +31,12 @@
 
 mod chrome;
 mod metrics;
-mod progress;
 mod recorder;
 mod report;
 mod sink;
 
 pub use chrome::write_chrome_trace;
 pub use metrics::{Counter, CounterKind, MetricsRegistry};
-pub use progress::{ProgressEvent, ProgressHook};
 pub use recorder::Recorder;
 pub use report::{ReportSpan, RunReport, SpanRecord};
 pub use sink::{ObsHandle, SpanGuard, SpanKind};

@@ -63,11 +63,6 @@ impl Recorder {
         &self.metrics
     }
 
-    /// Number of completed spans so far.
-    pub fn span_count(&self) -> usize {
-        self.spans.lock().len()
-    }
-
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }

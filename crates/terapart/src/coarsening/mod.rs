@@ -1,12 +1,12 @@
 //! The coarsening stage of the multilevel framework.
 //!
 //! Coarsening repeatedly (1) computes a size-constrained label propagation clustering
-//! ([`lp_clustering`]), (2) optionally merges leftover singletons via two-hop clustering
-//! ([`two_hop`]) and (3) contracts the clustering ([`mod@contract`]) until the graph is small
-//! enough for initial partitioning, too few of its edges can be contracted under the
-//! cluster-weight limit ([`MIN_CONTRACTIBLE_SHARE`]) or it stops shrinking
-//! ([`MIN_SHRINK_FACTOR`]). The resulting [`Hierarchy`]
-//! records every coarse graph together with the fine-to-coarse vertex mapping needed to
+//! ([`lp_clustering`]), (2) on a level that does not halve, merges leftover singletons
+//! via two-hop clustering ([`two_hop`]) and (3) contracts the clustering
+//! ([`mod@contract`]) until the graph is small enough for initial partitioning, too few
+//! of its edges can be contracted under the cluster-weight limit
+//! ([`MIN_CONTRACTIBLE_SHARE`]) or it stops shrinking ([`MIN_SHRINK_FACTOR`]). The
+//! resulting [`Hierarchy`] records every coarse graph together with the fine-to-coarse vertex mapping needed to
 //! project partitions back up during uncoarsening, which pops each level once it has
 //! projected past it.
 
@@ -24,7 +24,7 @@ use graph::traits::Graph;
 use graph::{NodeId, NodeWeight};
 use memtrack::{MemoryScope, PhaseTracker};
 
-use obs::{Counter, ProgressEvent, SpanKind};
+use obs::{Counter, SpanKind};
 
 use crate::context::{ContractionAlgorithm, PartitionerConfig};
 use crate::partitioner::{obs_phase, obs_phase_with};
@@ -172,7 +172,7 @@ fn coarsen_level(
         let (clustering, counted) =
             lp_clustering::cluster_level(graph, coarsening, limit, seed, min_contractible, scratch);
         let clustering = clustering.map(|mut c| {
-            if coarsening.two_hop_clustering && c.num_clusters > n / TWO_HOP_DIVISOR {
+            if c.num_clusters > n / TWO_HOP_DIVISOR {
                 // Packing isolated vertices is free of cut; matching singletons that
                 // merely share a neighbour is not, and waits until the level would be
                 // given up.
@@ -218,12 +218,6 @@ fn coarsen_level(
     level_span.attr("committed_half_edges", committed);
     drop(level_span);
     obs.add(Counter::CoarseningLevels, 1);
-    config.obs.progress.emit(&ProgressEvent::LevelCoarsened {
-        level,
-        fine_nodes: n,
-        coarse_nodes: result.coarse.n(),
-        coarse_edges: result.coarse.m(),
-    });
     Some(result)
 }
 

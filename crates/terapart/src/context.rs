@@ -91,8 +91,6 @@ pub struct CoarseningConfig {
     pub bump_threshold: usize,
     /// Coarsening stops once the graph has at most `contraction_limit · k` vertices.
     pub contraction_limit: usize,
-    /// Enable two-hop cluster matching for irregular graphs that barely shrink.
-    pub two_hop_clustering: bool,
     /// Maximum cluster weight as a fraction of the average block weight. KaMinPar uses
     /// `ε`-dependent limits; a constant fraction reproduces the behaviour at small scale.
     pub max_cluster_weight_fraction: f64,
@@ -112,7 +110,6 @@ impl Default for CoarseningConfig {
             lp_rounds: 5,
             bump_threshold: 256,
             contraction_limit: 40,
-            two_hop_clustering: true,
             max_cluster_weight_fraction: 1.0,
             lp_frontier: true,
             edge_rating: EdgeRating::Weight,
@@ -134,13 +131,6 @@ pub struct InitialPartitioningConfig {
     /// Number of 2-way FM passes applied to each bisection attempt (each pass stops
     /// early once it cannot improve the cut).
     pub fm_passes: usize,
-    /// Minimum subgraph size (in vertices) for running the two child recursions of a
-    /// bisection, and its independent portfolio attempts, as parallel tasks (the rayon
-    /// shim's `join`); smaller bisections run sequentially on the current thread, since
-    /// task-spawn overhead would dwarf the work. Has no effect on results: every
-    /// subtree's RNG stream is derived from the seed path rather than from scheduling,
-    /// so a fixed seed gives a bit-identical partition at any thread count.
-    pub parallel_grain: usize,
 }
 
 impl Default for InitialPartitioningConfig {
@@ -148,7 +138,6 @@ impl Default for InitialPartitioningConfig {
         Self {
             attempts: 4,
             fm_passes: 3,
-            parallel_grain: 1024,
         }
     }
 }
@@ -185,48 +174,25 @@ impl Default for RefinementConfig {
     }
 }
 
-/// Observability settings: whether a run records spans/counters, where (if anywhere)
-/// the Chrome trace goes, and an optional live progress callback.
+/// Observability settings: whether a run records spans and counters.
 ///
-/// All of this is *read-only* with respect to the partitioning algorithms: a fixed-seed
-/// run produces a bit-identical partition whether recording is off, on, or exporting a
-/// trace, at any thread count (asserted by `tests/observability.rs`).
-#[derive(Debug, Clone, PartialEq)]
+/// Recording is *read-only* with respect to the partitioning algorithms: a fixed-seed
+/// run produces a bit-identical partition whether recording is off or on, at any thread
+/// count (asserted by `tests/observability.rs`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsConfig {
     /// Record spans and counters into an [`obs::Recorder`] and attach the resulting
     /// [`obs::RunReport`] to the [`PartitionResult`](crate::partitioner::PartitionResult).
     /// When `false` (the default) the pipeline runs against [`obs::ObsHandle::noop`],
-    /// which allocates nothing and compiles down to a branch on a `None`.
+    /// which allocates nothing and compiles down to a branch on a `None`. A caller that
+    /// wants a Chrome trace writes the report with [`obs::write_chrome_trace`].
     pub record: bool,
-    /// Also export the recorded spans as a Chrome trace-event JSON file (implies
-    /// `record`). Load it at `chrome://tracing` or <https://ui.perfetto.dev>.
-    pub trace_path: Option<std::path::PathBuf>,
-    /// Live progress callback invoked at coarsening level transitions, after initial
-    /// partitioning, and after each refined level (with the current cut and balance).
-    pub progress: obs::ProgressHook,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            record: false,
-            trace_path: None,
-            progress: obs::ProgressHook::none(),
-        }
-    }
-}
-
-impl ObsConfig {
-    /// `true` if the run needs a recording sink (an explicit request or a trace export).
-    pub fn wants_recording(&self) -> bool {
-        self.record || self.trace_path.is_some()
-    }
 }
 
 /// Settings of the on-disk (`.tpg`-backed) partitioning entry point
 /// [`partition_ondisk`](crate::partitioner::partition_ondisk): the page-cache geometry
 /// the [`graph::PagedGraph`] is opened with. This is exactly
-/// [`graph::PagedGraphOptions`] (page size, total budget, shard count); the alias
+/// [`graph::PagedGraphOptions`] (backend, page size, budget, retry policy); the alias
 /// keeps the partitioner-facing name without a second struct that could drift.
 pub type OnDiskConfig = graph::PagedGraphOptions;
 
@@ -251,7 +217,7 @@ pub struct PartitionerConfig {
     pub refinement: RefinementConfig,
     /// Page-cache settings of the on-disk entry point (ignored by in-memory runs).
     pub ondisk: OnDiskConfig,
-    /// Observability settings (span recording, trace export, progress callback).
+    /// Observability settings (span recording).
     pub obs: ObsConfig,
 }
 
@@ -399,25 +365,6 @@ impl PartitionerConfig {
         self.obs.record = record;
         self
     }
-
-    /// Exports the recorded spans as Chrome trace-event JSON to `path` (implies
-    /// [`ObsConfig::record`]). Load the file at `chrome://tracing` or
-    /// <https://ui.perfetto.dev>.
-    pub fn with_trace_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.obs.trace_path = Some(path.into());
-        self
-    }
-
-    /// Installs a live progress callback. The hook observes coarsening level
-    /// transitions, the initial partition, and each refined level with the current
-    /// cut and imbalance; it never influences the computation.
-    pub fn with_progress(
-        mut self,
-        hook: impl Fn(&obs::ProgressEvent) + Send + Sync + 'static,
-    ) -> Self {
-        self.obs.progress = obs::ProgressHook::new(hook);
-        self
-    }
 }
 
 /// Quality presets: named points on the cut-vs-time trade-off, built on top of the
@@ -562,18 +509,8 @@ mod tests {
     #[test]
     fn observability_builders() {
         let config = PartitionerConfig::terapart(4);
-        assert!(!config.obs.wants_recording());
-        assert!(!config.obs.progress.is_set());
-
-        let recording = config.clone().with_run_report(true);
-        assert!(recording.obs.record && recording.obs.wants_recording());
-
-        let traced = config.clone().with_trace_path("/tmp/run_trace.json");
-        assert!(!traced.obs.record, "trace export does not flip `record`");
-        assert!(traced.obs.wants_recording(), "but it implies recording");
-
-        let hooked = config.with_progress(|_event| {});
-        assert!(hooked.obs.progress.is_set());
+        assert!(!config.obs.record);
+        assert!(config.with_run_report(true).obs.record);
     }
 
     #[test]

@@ -24,42 +24,40 @@
 //! [`partition_store`](PartitionEngine::partition_store) — and each returns the run as
 //! one [`PartitionResult`]: cut, time, peak bytes and the per-phase breakdown.
 //!
-//! Engine-level knobs (thread default, store geometry, compression policy) live in
-//! [`EngineConfig`]; request-level knobs (k, epsilon, seed, refinement settings,
-//! observability) live in [`PartitionRequest`]. A request resolves against the engine's
-//! defaults into exactly the [`PartitionerConfig`] it was split from, so fixed-seed
-//! results are bit-identical across the one-shots and the engine — and across sequential
-//! vs. concurrent execution, since sessions share no mutable algorithmic state.
+//! Engine-level knobs (store geometry, compression policy) live in [`EngineConfig`];
+//! request-level knobs (k, epsilon, seed, threads, stage settings, observability) live
+//! in [`PartitionRequest`]. A request joined with the engine's knobs is exactly the
+//! [`PartitionerConfig`] it was split from, so fixed-seed results are bit-identical
+//! across the one-shots and the engine — and across sequential vs. concurrent
+//! execution, since sessions share no mutable algorithmic state.
 
 use std::path::Path;
 
 use graph::builder::compress_csr_parallel;
 use graph::csr::CsrGraph;
 use graph::io::IoError;
-use graph::store::{RetryPolicy, StoreHandle, StoreRegistry};
+use graph::store::{StoreHandle, StoreRegistry};
 use graph::traits::Graph;
 use graph::CompressionConfig;
 use memtrack::{MemoryScope, PhaseTracker};
 
 use crate::context::{
-    default_threads, CoarseningConfig, InitialPartitioningConfig, ObsConfig, OnDiskConfig,
-    PartitionerConfig, RefinementConfig,
+    CoarseningConfig, InitialPartitioningConfig, ObsConfig, OnDiskConfig, PartitionerConfig,
+    RefinementConfig,
 };
 use crate::error::PartitionError;
 use crate::partitioner::{obs_phase, partition_with_session, ObsSession, PartitionResult};
 use crate::scratch::{HierarchyScratch, Pool};
 
 /// Engine-level configuration: the knobs that outlive any single request because they
-/// describe the *environment* (store geometry, default parallelism, input
-/// representation policy) rather than one partitioning problem.
+/// describe the *environment* (store geometry, input representation policy) rather than
+/// one partitioning problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Store geometry for path-based requests: backend, page size, cache budget and
     /// retry policy. Also the registry key — requests resolved with
     /// different on-disk options deliberately do not share a store.
     pub ondisk: OnDiskConfig,
-    /// Default worker-thread count for requests that do not override it.
-    pub num_threads: usize,
     /// Whether CSR inputs are compressed before partitioning (the paper's
     /// configuration-ladder switch); requests inherit this policy.
     pub use_compression: bool,
@@ -69,7 +67,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             ondisk: OnDiskConfig::default(),
-            num_threads: default_threads(),
             use_compression: true,
         }
     }
@@ -81,15 +78,13 @@ impl EngineConfig {
     pub fn from_partitioner(config: &PartitionerConfig) -> Self {
         Self {
             ondisk: config.ondisk.clone(),
-            num_threads: config.num_threads,
             use_compression: config.use_compression,
         }
     }
 }
 
 /// One partitioning problem posed to a [`PartitionEngine`]: the request-level half of
-/// the former [`PartitionerConfig`]. Everything here scopes to a single run; engine
-/// defaults fill in whatever a request does not override.
+/// the former [`PartitionerConfig`]. Everything here scopes to a single run.
 #[derive(Debug, Clone)]
 pub struct PartitionRequest {
     /// Number of blocks.
@@ -98,19 +93,15 @@ pub struct PartitionRequest {
     pub epsilon: f64,
     /// Seed of the run's deterministic RNG streams.
     pub seed: u64,
-    /// Per-request thread-count override; `None` inherits the engine default.
-    pub num_threads: Option<usize>,
-    /// Per-request retry-policy override for path-based requests. Changing the retry
-    /// policy changes the store key, so two requests differing here do not share an
-    /// open store (they would behave differently under faults).
-    pub retry: Option<RetryPolicy>,
+    /// Worker threads of this request.
+    pub num_threads: usize,
     /// Coarsening settings of this request.
     pub coarsening: CoarseningConfig,
     /// Initial-partitioning settings of this request.
     pub initial: InitialPartitioningConfig,
     /// Refinement settings of this request.
     pub refinement: RefinementConfig,
-    /// Observability: run-report recording, trace export, progress callback.
+    /// Observability: run-report recording.
     pub obs: ObsConfig,
 }
 
@@ -121,16 +112,15 @@ impl PartitionRequest {
         Self::from_config(&PartitionerConfig::terapart(k))
     }
 
-    /// Extracts the request-level half of a flat [`PartitionerConfig`]. The resulting
-    /// request pins the config's thread count (rather than inheriting the engine
-    /// default), so resolving it reproduces the config exactly.
+    /// Extracts the request-level half of a flat [`PartitionerConfig`]; resolving it
+    /// against [`EngineConfig::from_partitioner`] of the same config reproduces the
+    /// config exactly.
     pub fn from_config(config: &PartitionerConfig) -> Self {
         Self {
             k: config.k,
             epsilon: config.epsilon,
             seed: config.seed,
-            num_threads: Some(config.num_threads),
-            retry: None,
+            num_threads: config.num_threads,
             coarsening: config.coarsening.clone(),
             initial: config.initial.clone(),
             refinement: config.refinement.clone(),
@@ -150,36 +140,26 @@ impl PartitionRequest {
         self
     }
 
-    /// Overrides the engine's default thread count for this request.
+    /// Sets the thread count of this request.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.num_threads = Some(threads);
+        self.num_threads = threads;
         self
     }
 
-    /// Overrides the engine's retry policy for this request's store opens.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
-        self
-    }
-
-    /// Resolves the request against the engine defaults into the flat
-    /// [`PartitionerConfig`] the pipeline runs on. Bit-identity across the one-shot
-    /// functions and the engine API rests on this being a verbatim field mapping.
+    /// Joins the request with the engine's knobs into the flat [`PartitionerConfig`]
+    /// the pipeline runs on. Bit-identity across the one-shot functions and the engine
+    /// API rests on this being a verbatim field mapping.
     pub fn effective_config(&self, engine: &EngineConfig) -> PartitionerConfig {
-        let mut ondisk = engine.ondisk.clone();
-        if let Some(retry) = self.retry {
-            ondisk.retry = retry;
-        }
         PartitionerConfig {
             k: self.k,
             epsilon: self.epsilon,
-            num_threads: self.num_threads.unwrap_or(engine.num_threads),
+            num_threads: self.num_threads,
             seed: self.seed,
             use_compression: engine.use_compression,
             coarsening: self.coarsening.clone(),
             initial: self.initial.clone(),
             refinement: self.refinement.clone(),
-            ondisk,
+            ondisk: engine.ondisk.clone(),
             obs: self.obs.clone(),
         }
     }
@@ -322,7 +302,7 @@ impl PartitionEngine {
     }
 
     /// One request from start to finish, shared by the four `partition*` methods:
-    /// resolves `request` against the engine defaults, creates the request's phase
+    /// resolves `request` against the engine's knobs, creates the request's phase
     /// tracker and observability session and leases an arena from the pool for `body`.
     fn run<T>(
         &self,
@@ -373,6 +353,7 @@ mod tests {
     use super::*;
     use crate::partitioner::{one_shot, partition};
     use graph::gen;
+    use graph::store::RetryPolicy;
 
     #[test]
     fn scratch_pool_reuses_one_arena_across_sequential_checkouts() {
@@ -428,18 +409,6 @@ mod tests {
             let engine = EngineConfig::from_partitioner(&config);
             let request = PartitionRequest::from_config(&config);
             assert_eq!(request.effective_config(&engine), config);
-            // A per-request retry override lands in the resolved store geometry and
-            // nowhere else.
-            let retry = RetryPolicy {
-                max_retries: 5,
-                ..RetryPolicy::default()
-            };
-            let mut expected = config.clone();
-            expected.ondisk.retry = retry;
-            assert_eq!(
-                request.with_retry(retry).effective_config(&engine),
-                expected
-            );
         }
     }
 }

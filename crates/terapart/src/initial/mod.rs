@@ -106,9 +106,17 @@ pub fn initial_partition_with_scratch(
     partition
 }
 
-/// Whether a task over `len` vertices is worth a parallel fork under `config`.
-fn should_fork(config: &InitialPartitioningConfig, len: usize) -> bool {
-    len >= config.parallel_grain && rayon::current_num_threads() > 1
+/// Minimum subgraph size (in vertices) for running the two child recursions of a
+/// bisection, and its independent portfolio attempts, as parallel tasks (the rayon shim's
+/// `join`); smaller bisections run sequentially on the current thread, since task-spawn
+/// overhead would dwarf the work. Has no effect on results: every subtree's RNG stream is
+/// derived from the seed path rather than from scheduling, so a fixed seed gives a
+/// bit-identical partition at any thread count.
+const PARALLEL_GRAIN: usize = 1024;
+
+/// Whether a task over `len` vertices is worth a parallel fork.
+fn should_fork(len: usize) -> bool {
+    len >= PARALLEL_GRAIN && rayon::current_num_threads() > 1
 }
 
 /// The half-edges one bisection's portfolio may spend `attempts` on in full: a subgraph of
@@ -219,7 +227,7 @@ impl BisectionTree<'_> {
         let (left, right) = vertices.split_at_mut(write);
         let seed0 = seed.wrapping_mul(31).wrapping_add(1);
         let seed1 = seed.wrapping_mul(31).wrapping_add(2);
-        if should_fork(self.config, left.len().min(right.len())) {
+        if should_fork(left.len().min(right.len())) {
             rayon::join(
                 || self.recurse(left, first_block, k0, lmax, seed0),
                 || self.recurse(right, first_block + k0, k1, lmax, seed1),
@@ -254,7 +262,7 @@ impl<'s> Portfolio<'_, 's> {
     /// balanced result or, failing that, the result with the lowest cut).
     fn run(&self, begin: usize, end: usize) -> (AttemptKey, Lease<'s, AttemptWorkspace>) {
         let (sub, max_weight, scratch) = (self.sub, self.max_weight, self.scratch);
-        if end - begin > 1 && should_fork(self.config, sub.n()) {
+        if end - begin > 1 && should_fork(sub.n()) {
             let mid = begin + (end - begin) / 2;
             let (a, b) = rayon::join(|| self.run(begin, mid), || self.run(mid, end));
             return if a.0 <= b.0 { a } else { b };
@@ -388,7 +396,6 @@ mod tests {
             &InitialPartitioningConfig {
                 attempts: 8,
                 fm_passes: 4,
-                ..InitialPartitioningConfig::default()
             },
             5,
         );
@@ -425,13 +432,11 @@ mod tests {
     fn deterministic_across_thread_counts() {
         // The tentpole guarantee: the parallel portfolio/recursion produces the same
         // assignment at every thread count, because RNG streams derive from the seed
-        // path and the portfolio winner is selected by a total order. The grain is
-        // forced to 0 so even this small instance actually forks tasks.
-        let g = gen::rgg2d(2_000, 10, 13);
-        let config = InitialPartitioningConfig {
-            parallel_grain: 0,
-            ..InitialPartitioningConfig::default()
-        };
+        // path and the portfolio winner is selected by a total order. The instance is
+        // large enough that the root's children and their portfolios fork too.
+        let g = gen::rgg2d(8_000, 10, 13);
+        assert!(g.n() / 4 >= PARALLEL_GRAIN);
+        let config = InitialPartitioningConfig::default();
         let reference = {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(1)
@@ -481,10 +486,8 @@ mod tests {
         // The root bisection of weblike(13, 8) runs fewer than the configured attempts:
         // the budget must not depend on the schedule either.
         let g = gen::weblike(13, 8, 3);
-        let config = InitialPartitioningConfig {
-            parallel_grain: 0,
-            ..InitialPartitioningConfig::default()
-        };
+        assert!(g.n() / 4 >= PARALLEL_GRAIN);
+        let config = InitialPartitioningConfig::default();
         assert!(portfolio_attempts(config.attempts, 2 * g.m()) < config.attempts);
         let run = |threads| {
             let pool = rayon::ThreadPoolBuilder::new()

@@ -89,11 +89,11 @@ pub use graph::store::RetryPolicy;
 /// protocol), and the deduplicating open-store registry an engine owns.
 pub use graph::store::{StoreHandle, StoreRegistry, StoreSession};
 
-/// Observability surface, re-exported for [`PartitionerConfig::with_run_report`],
-/// [`PartitionerConfig::with_trace_path`] and [`PartitionerConfig::with_progress`]:
-/// the typed counter registry, the progress-callback event, and the structured run
-/// report attached to [`PartitionResult::run_report`].
-pub use obs::{Counter, ProgressEvent, ProgressHook, RunReport};
+/// Observability surface, re-exported for [`PartitionerConfig::with_run_report`]: the
+/// typed counter registry and the structured run report attached to
+/// [`PartitionResult::run_report`] (`obs::write_chrome_trace` exports it as a Chrome
+/// trace).
+pub use obs::{Counter, RunReport};
 
 /// Identifier of a cluster during coarsening (clusters become coarse vertices).
 /// Re-exported from [`graph::ids`]: the width follows the `wide-ids` feature.

@@ -21,7 +21,7 @@ use graph::csr::{CsrGraph, CsrGraphBuilder};
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId};
 use memtrack::{MemoryScope, PhaseReport, PhaseTracker};
-use obs::{Counter, ObsHandle, ProgressEvent, Recorder, RunReport, SpanKind};
+use obs::{Counter, ObsHandle, Recorder, RunReport, SpanKind};
 
 use crate::coarsening::{self, Hierarchy, Level};
 use crate::context::PartitionerConfig;
@@ -60,8 +60,8 @@ pub struct PartitionResult {
     /// Structured observability report: the `pipeline → level → phase → round` span
     /// tree with wall times and per-phase peak memory, plus the unified counter
     /// registry. `Some` only when the run recorded
-    /// ([`PartitionerConfig::with_run_report`] or
-    /// [`PartitionerConfig::with_trace_path`]); recording never changes the partition.
+    /// ([`PartitionerConfig::with_run_report`]); recording never changes the partition.
+    /// [`obs::write_chrome_trace`] exports it as a Chrome trace.
     pub run_report: Option<RunReport>,
 }
 
@@ -88,7 +88,7 @@ fn to_csr(graph: &impl Graph) -> CsrGraph {
 }
 
 /// The observability side of one partitioning run: a recording sink when the
-/// configuration asks for a run report or a trace export, the free noop path otherwise.
+/// configuration asks for a run report, the free noop path otherwise.
 pub(crate) struct ObsSession {
     pub(crate) handle: ObsHandle,
     recorder: Option<Arc<Recorder>>,
@@ -96,7 +96,7 @@ pub(crate) struct ObsSession {
 
 impl ObsSession {
     pub(crate) fn new(config: &PartitionerConfig) -> Self {
-        if config.obs.wants_recording() {
+        if config.obs.record {
             let (handle, recorder) = ObsHandle::recording();
             Self {
                 handle,
@@ -111,31 +111,15 @@ impl ObsSession {
     }
 
     /// Settles the run: pours the graph representation's counters (e.g. page-cache
-    /// statistics) and the run's memory peak into the registry, builds the
-    /// [`RunReport`], and exports the Chrome trace if one was requested. Returns
-    /// `None` for non-recording runs. Trace export is best-effort — an unwritable
-    /// path must not fail an otherwise successful partitioning run.
-    pub(crate) fn finish(
-        self,
-        graph: &impl Graph,
-        config: &PartitionerConfig,
-        tracker: &PhaseTracker,
-    ) -> Option<RunReport> {
+    /// statistics) and the run's memory peak into the registry and builds the
+    /// [`RunReport`]. Returns `None` for non-recording runs.
+    pub(crate) fn finish(self, graph: &impl Graph, tracker: &PhaseTracker) -> Option<RunReport> {
         let recorder = self.recorder?;
         graph.record_obs_metrics(recorder.metrics());
         recorder
             .metrics()
             .record_max(Counter::PeakMemoryBytes, tracker.overall_peak() as u64);
-        let report = recorder.finish_report();
-        if let Some(path) = &config.obs.trace_path {
-            if let Err(err) = obs::write_chrome_trace(path, &report) {
-                eprintln!(
-                    "terapart: failed to write the chrome trace to {}: {err}",
-                    path.display()
-                );
-            }
-        }
-        Some(report)
+        Some(recorder.finish_report())
     }
 }
 
@@ -228,13 +212,6 @@ fn refine_level(
         },
     );
     debug_check_level(graph, partition, "refinement", level);
-    // Live-progress report: reads tracked state only, so it cannot perturb the run.
-    config.obs.progress.emit(&ProgressEvent::LevelRefined {
-        level,
-        nodes: graph.n(),
-        edge_cut: partition.edge_cut(),
-        imbalance: partition.imbalance(),
-    });
     stats
 }
 
@@ -253,7 +230,6 @@ pub(crate) fn partition_with_session(
 ) -> PartitionResult {
     let start = Instant::now();
     let obs = session.handle.clone();
-    let progress = &config.obs.progress;
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(config.num_threads.max(1))
         .build()
@@ -308,11 +284,6 @@ pub(crate) fn partition_with_session(
                 config.seed,
                 scratch,
             )
-        });
-        progress.emit(&ProgressEvent::InitialPartitioned {
-            coarse_nodes: coarsest.n(),
-            edge_cut: current.edge_cut(),
-            imbalance: current.imbalance(),
         });
 
         // ---- Uncoarsening: refine, then project to the next finer level ----
@@ -380,7 +351,7 @@ pub(crate) fn partition_with_session(
     root.attr("edge_cut", edge_cut);
     root.attr("depth", hierarchy_depth as u64);
     drop(root);
-    let run_report = session.finish(graph, config, tracker);
+    let run_report = session.finish(graph, tracker);
     PartitionResult {
         edge_cut,
         imbalance,

@@ -49,7 +49,6 @@ fn starved_page_cache_still_partitions_identically() {
         &PagedGraphOptions {
             page_size: 4 * 1024,
             budget_bytes: budget,
-            shards: 8,
             ..PagedGraphOptions::default()
         },
     )
