@@ -90,10 +90,10 @@ pub use graph::store::RetryPolicy;
 pub use graph::store::{StoreHandle, StoreRegistry, StoreSession};
 
 /// Observability surface, re-exported for [`PartitionerConfig::with_run_report`]: the
-/// typed counter registry and the structured run report attached to
-/// [`PartitionResult::run_report`] (`obs::write_chrome_trace` exports it as a Chrome
-/// trace).
-pub use obs::{Counter, RunReport};
+/// typed counter registry, the structured run report attached to
+/// [`PartitionResult::run_report`], and the exporter that writes that report as a
+/// Chrome trace-event file.
+pub use obs::{write_chrome_trace, Counter, RunReport};
 
 /// Identifier of a cluster during coarsening (clusters become coarse vertices).
 /// Re-exported from [`graph::ids`]: the width follows the `wide-ids` feature.

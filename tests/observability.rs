@@ -11,7 +11,9 @@
 
 use graph::gen;
 use graph::traits::Graph;
-use terapart::{partition_csr, Counter, PartitionerConfig, RefinementAlgorithm};
+use terapart::{
+    partition_csr, write_chrome_trace, Counter, PartitionerConfig, RefinementAlgorithm,
+};
 
 /// Recording a run report must leave the fixed-seed single-threaded result
 /// bit-identical to the noop run, and the report must export as a Chrome trace.
@@ -42,7 +44,7 @@ fn observability_does_not_perturb_the_single_threaded_pipeline() {
     let dir = std::env::temp_dir().join(format!("terapart_obs_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("failed to create the trace dir");
     let trace_path = dir.join("trace.json");
-    obs::write_chrome_trace(&trace_path, report).expect("failed to write the trace");
+    write_chrome_trace(&trace_path, report).expect("failed to write the trace");
     let trace = std::fs::read_to_string(&trace_path).expect("trace file missing");
     std::fs::remove_dir_all(&dir).ok();
     assert!(
