@@ -2,9 +2,9 @@
 //! ladder, recorded as `BENCH_quality.json`.
 //!
 //! For every family of [`bench::setup::quality_families`] and every rung in it, the
-//! sweep runs all three presets (`fast` / `default` / `strong`) and records cut,
-//! wall-clock time and peak accounted memory — the Pareto frontier the presets are
-//! supposed to span. On top of the sweep it runs one frontier-vs-full-sweep check
+//! sweep generates the rung in memory, runs all three presets (`fast` / `default` /
+//! `strong`) and records cut, wall-clock time and peak accounted memory — the Pareto
+//! frontier the presets are supposed to span. On top of the sweep it runs one frontier-vs-full-sweep check
 //! per rung: the `fast` preset as shipped (frontier-driven LP) against the identical
 //! configuration with full-sweep rounds, flagging any instance where the frontier
 //! degrades the cut beyond the accepted tolerance.
@@ -26,7 +26,6 @@ use bench::harness::{
     geometric_mean, measure_run, measure_run_reported, write_quality_json, FrontierCheck,
     QualityRun,
 };
-use bench::instances::InstanceStore;
 use bench::setup::{preset_ladder, quality_families};
 use graph::traits::Graph;
 use terapart::{PartitionerConfig, Preset};
@@ -50,7 +49,6 @@ fn main() {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("BENCH_quality.json"));
 
-    let store = InstanceStore::open_default().expect("failed to open the instance cache");
     let mut runs: Vec<QualityRun> = Vec::new();
     let mut frontier_checks: Vec<FrontierCheck> = Vec::new();
     // One representative recorded run (the first rung's `default` preset), embedded as
@@ -60,9 +58,7 @@ fn main() {
     for family in quality_families() {
         let rung_count = if smoke { 1 } else { family.rungs.len() };
         for rung in family.rungs.iter().take(rung_count) {
-            let graph = store
-                .load_csr(&rung.spec)
-                .expect("failed to resolve a ladder instance");
+            let graph = rung.spec.materialize();
             let mut fast_cut = None;
             for (preset_name, config) in preset_ladder(QUALITY_K) {
                 let m = if obs_report.is_none() && preset_name == "default" {

@@ -3,22 +3,11 @@
 //! baseline. Expected shape: TeraPart uses roughly half the memory of KaMinPar at equal
 //! quality; Mt-METIS-like is slower, heavier and sometimes imbalanced.
 use baselines::mtmetis_partition;
-use bench::{config_ladder, geometric_mean, measure_run, performance_profile, set_a_specs};
-use bench::{Instance, InstanceStore};
+use bench::{benchmark_set_a, config_ladder, geometric_mean, measure_run, performance_profile};
 
 fn main() {
     let k = 8;
-    // Resolve Set A through the on-disk instance cache (generating missing `.tpg`
-    // containers), then load for the in-memory ladder runs.
-    let store = InstanceStore::open_default().expect("failed to open the instance cache");
-    let set: Vec<Instance> = set_a_specs()
-        .into_iter()
-        .map(|s| Instance {
-            name: s.name,
-            class: s.class,
-            graph: store.load_csr(&s.spec).expect("failed to resolve instance"),
-        })
-        .collect();
+    let set = benchmark_set_a();
     let ladder = config_ladder(k);
     let mut rel_time: Vec<Vec<f64>> = vec![Vec::new(); ladder.len()];
     let mut rel_mem: Vec<Vec<f64>> = vec![Vec::new(); ladder.len()];

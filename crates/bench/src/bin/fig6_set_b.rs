@@ -1,25 +1,15 @@
 //! Figure 6: relative running time, peak memory and compression ratios on the huge
 //! web-like graphs of Benchmark Set B. Expected shape: large memory reductions from
 //! compression + two-phase LP + one-pass contraction; compression ratios well above the
-//! gap-only variant.
-use bench::{config_ladder, measure_run, set_b_specs, InstanceStore};
+//! gap-only variant. The instances are generated in memory.
+use bench::{benchmark_set_b, config_ladder, measure_run};
 use graph::traits::Graph;
 use graph::{CompressedGraph, CompressionConfig};
 
 fn main() {
     let k = 64;
-    // Set B is the "huge" set: resolve through the on-disk cache (web-like and
-    // geometric families are streamed straight into their containers).
-    let store = InstanceStore::open_default().expect("failed to open the instance cache");
     println!("Figure 6: Benchmark Set B (k = {})", k);
-    for spec in set_b_specs() {
-        let instance = bench::Instance {
-            name: spec.name,
-            class: spec.class,
-            graph: store
-                .load_csr(&spec.spec)
-                .expect("failed to resolve instance"),
-        };
+    for instance in benchmark_set_b() {
         println!(
             "\n== {} (n={}, m={}) ==",
             instance.name,

@@ -1,18 +1,19 @@
-//! CI smoke test of the external-memory path: generate a small instance into a temp
-//! cache, run `partition_ondisk` at a page budget far below the instance size, and
-//! assert that (a) the uncompressed CSR exceeds the page budget, (b) the peak accounted
-//! memory stays below the uncompressed CSR byte size, and (c) the result is a complete,
-//! balanced partition. Then exercise the concurrent external-memory path end to end:
-//! (d) the pipelined streamed ingest must reproduce the materialised container byte for
-//! byte, and (e) paged at the default and at 4 KiB pages and mmap reach one identical
-//! cut on the one container format, and every paged run read and checksummed exactly
-//! the pages it missed (`verified_bytes == bytes_read == misses · page`, the last page
-//! of the data section short). Exits non-zero on any violation, so CI fails loudly.
+//! CI smoke test of the external-memory path: stream a small instance into a `.tpg`
+//! container in a temp directory, run `partition_ondisk` at a page budget far below the
+//! instance size, and assert that (a) the uncompressed CSR exceeds the page budget, (b)
+//! the peak accounted memory stays below the uncompressed CSR byte size, and (c) the
+//! result is a complete, balanced partition. Then exercise the concurrent
+//! external-memory path end to end: (d) the pipelined streamed ingest must reproduce the
+//! materialised container byte for byte, and (e) paged at the default and at 4 KiB pages
+//! and mmap reach one identical cut on the one container format, and every paged run
+//! read and checksummed exactly the pages it missed (`verified_bytes == bytes_read ==
+//! misses · page`, the last page of the data section short). Exits non-zero on any
+//! violation, so CI fails loudly.
 //!
-//! Usage: `ondisk_smoke [cache_dir]` (default: a fresh temp directory).
+//! Usage: `ondisk_smoke [dir]` (default: a fresh temp directory, removed afterwards).
 
-use bench::{GenSpec, InstanceStore};
-use graph::store::CacheStatsSnapshot;
+use graph::store::{read_tpg_meta, stream_rgg2d_to_tpg, CacheStatsSnapshot};
+use graph::CompressionConfig;
 use terapart::{partition_ondisk, PartitionerConfig};
 
 /// Prints what the page cache of one paged run read and checksummed, in total and per
@@ -53,32 +54,37 @@ fn report_read_amplification(label: &str, cache: &CacheStatsSnapshot, data_len: 
 }
 
 fn main() {
-    let cache_dir = std::env::args()
+    let dir = std::env::args()
         .nth(1)
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| {
             std::env::temp_dir().join(format!("terapart_ondisk_smoke_{}", std::process::id()))
         });
-    let store = InstanceStore::at(&cache_dir).expect("failed to open the smoke cache");
+    std::fs::create_dir_all(&dir).expect("failed to create the smoke directory");
     // Geometric instance: dense enough that the CSR size dominates the pipeline's O(n)
     // auxiliary structures, and localized enough that coarse graphs shrink fast — the
     // regime where the "peak < CSR" assertion is meaningful.
-    let spec = GenSpec::Rgg2d {
-        n: 40_000,
-        avg_deg: 20,
-        seed: 99,
-    };
-    let path = store
-        .resolve(&spec)
-        .expect("failed to generate the smoke instance");
-    let csr_bytes = store
-        .csr_bytes(&spec)
-        .expect("failed to read instance header");
-    let container_bytes = store.container_bytes(&spec).unwrap();
+    let (n, avg_deg, seed) = (40_000, 20, 99);
+    let path = dir.join("smoke_streamed.tpg");
+    stream_rgg2d_to_tpg(
+        n,
+        avg_deg,
+        seed,
+        &path,
+        dir.join("spill"),
+        16,
+        &CompressionConfig::default(),
+    )
+    .expect("failed to generate the smoke instance");
+    let meta = read_tpg_meta(&path).expect("failed to read instance header");
+    let csr_bytes = meta.csr_size_in_bytes();
+    let container_bytes = std::fs::metadata(&path).unwrap().len();
     let page_budget = 256 * 1024;
     println!(
-        "instance: {} (CSR {}, container {}), page budget {}",
-        spec.cache_file_name(),
+        "instance: rgg2d(n={}, d={}, seed={}) (CSR {}, container {}), page budget {}",
+        n,
+        avg_deg,
+        seed,
         memtrack::format_bytes(csr_bytes),
         memtrack::format_bytes(container_bytes as usize),
         memtrack::format_bytes(page_budget)
@@ -132,17 +138,13 @@ fn main() {
 
     // ---- Streamed-ingest byte-identity: the pipelined external builder (spill →
     // parallel aggregate/encode → ordered commit) must reproduce the materialised
-    // container exactly. The cached instance at `path` was itself produced by the
-    // streamed path, so compare both against a container written from the fully
+    // container exactly: compare it against a container written from the fully
     // materialised in-memory graph. ----
-    let GenSpec::Rgg2d { n, avg_deg, seed } = spec else {
-        unreachable!("smoke spec is rgg2d");
-    };
-    let materialized = cache_dir.join("smoke_materialized.tpg");
+    let materialized = dir.join("smoke_materialized.tpg");
     graph::store::write_tpg_from_graph(
         &graph::gen::rgg2d(n, avg_deg, seed),
         &materialized,
-        &graph::CompressionConfig::default(),
+        &CompressionConfig::default(),
     )
     .expect("failed to write the materialised reference container");
     assert_eq!(
@@ -152,7 +154,6 @@ fn main() {
     );
     println!("streamed ingest byte-identical to the materialised container");
 
-    let meta = graph::store::read_tpg_meta(&path).unwrap();
     report_read_amplification(
         "paged t2",
         &result.cache_stats.expect("on-disk runs expose cache stats"),
@@ -303,11 +304,11 @@ fn main() {
     );
 
     println!("ondisk smoke OK");
-    // Best-effort cleanup when we created the temp cache ourselves.
+    // Best-effort cleanup when we created the temp directory ourselves.
     drop((store, reopened));
     if std::env::args().nth(1).is_none() {
-        std::fs::remove_dir_all(cache_dir).ok();
+        std::fs::remove_dir_all(dir).ok();
     } else {
-        std::fs::remove_file(cache_dir.join("smoke_materialized.tpg")).ok();
+        std::fs::remove_file(materialized).ok();
     }
 }

@@ -1,34 +1,38 @@
 //! Table I / Figure 9: properties of the benchmark instances (n, m, average and maximum
-//! degree) for both benchmark sets, resolved through the on-disk `.tpg` instance cache
-//! (generating any missing container, streaming where the family supports it).
-use bench::{set_a_specs, set_b_specs, InstanceStore};
+//! degree) for both benchmark sets, with the size of each instance's `.tpg` container
+//! and how much smaller it is than the uncompressed CSR. Every instance is generated in
+//! memory and written to a container in a temp directory, which is removed afterwards.
+use bench::{set_a_specs, set_b_specs};
 use graph::stats::GraphStats;
+use graph::store::write_tpg_from_graph;
+use graph::CompressionConfig;
 
 fn main() {
-    let store = InstanceStore::open_default().expect("failed to open the instance cache");
-    println!(
-        "Table I / Figure 9: benchmark instance properties (cache: {})",
-        store.root().display()
-    );
+    let dir = std::env::temp_dir().join(format!("terapart_table1_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("failed to create the temp directory");
+    println!("Table I / Figure 9: benchmark instance properties");
     println!(
         "{:<20} {:>12} {:>14} {:>8} {:>10} {:>14} {:>12}",
         "graph", "n", "m", "d(G)", "max deg", "container", "vs CSR"
     );
     for set in [set_a_specs(), set_b_specs()] {
         for instance in set {
-            let graph = store
-                .load_csr(&instance.spec)
-                .expect("failed to resolve instance");
-            let container = store.container_bytes(&instance.spec).unwrap_or(0);
-            let csr = store.csr_bytes(&instance.spec).unwrap_or(1).max(1);
+            let graph = instance.spec.materialize();
+            let container = write_tpg_from_graph(
+                &graph,
+                dir.join(format!("{}.tpg", instance.name)),
+                &CompressionConfig::default(),
+            )
+            .expect("failed to write the container")
+            .file_bytes;
             println!(
                 "{} {:>14} {:>11.2}x",
                 GraphStats::of(&graph).table_row(instance.name),
                 memtrack::format_bytes(container as usize),
-                csr as f64 / container.max(1) as f64
+                graph.size_in_bytes() as f64 / container.max(1) as f64
             );
         }
         println!("---");
     }
-    println!("manifest: {}", store.manifest_path().display());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,10 +7,8 @@
 //! finishes in seconds.
 //!
 //! Each set is defined once as [`InstanceSpec`] recipes ([`set_a_specs`] /
-//! [`set_b_specs`]); experiment binaries resolve them through the on-disk
-//! [`InstanceStore`](crate::instances::InstanceStore) cache, while
-//! [`benchmark_set_a`] / [`benchmark_set_b`] materialise the identical graphs in
-//! memory for tests and quick runs.
+//! [`set_b_specs`]); [`benchmark_set_a`] / [`benchmark_set_b`] materialise them in
+//! memory, which is how the experiment binaries and the tests get their graphs.
 
 use graph::csr::CsrGraph;
 use terapart::{PartitionerConfig, Preset};
@@ -197,10 +195,8 @@ pub struct QualityFamily {
 
 /// The instance ladder of the quality sweep: five generator families — mesh,
 /// geometric (2D and 3D), power-law clustered, web (R-MAT up to scale 18) and
-/// social — each with a small smoke rung first and larger rungs after. Streamable
-/// families (rgg2d, rgg3d, rmat) go through the bounded-memory `.tpg` path of the
-/// [`InstanceStore`](crate::instances::InstanceStore), so the big web rungs never
-/// materialise their adjacency during generation.
+/// social — each with a small smoke rung first and larger rungs after. Every rung is
+/// materialised in memory with [`GenSpec::materialize`].
 pub fn quality_families() -> Vec<QualityFamily> {
     vec![
         QualityFamily {

@@ -665,21 +665,6 @@ impl CompressedGraph {
         decode_varint(&self.data, pos).0
     }
 
-    /// Invokes `f(edge_id, neighbor, weight)` for every neighbour of `u`, where `edge_id`
-    /// is the global half-edge ID (first edge ID plus position).
-    pub fn for_each_neighbor_with_edge_id(
-        &self,
-        u: NodeId,
-        f: &mut dyn FnMut(EdgeId, NodeId, EdgeWeight),
-    ) {
-        let first = self.first_edge(u);
-        let mut idx = 0;
-        self.for_each_neighbor(u, &mut |v, w| {
-            f(first + idx, v, w);
-            idx += 1;
-        });
-    }
-
     fn decode_header(&self, u: NodeId) -> (usize, usize) {
         let pos = self.offsets[u as usize] as usize;
         let (_, pos) = decode_varint(&self.data, pos);
@@ -855,11 +840,6 @@ mod tests {
         let mut expected: EdgeId = 0;
         for u in 0..g.n() as NodeId {
             assert_eq!(compressed.first_edge(u), expected);
-            let mut count = 0;
-            compressed.for_each_neighbor_with_edge_id(u, &mut |e, _, _| {
-                assert_eq!(e, expected + count);
-                count += 1;
-            });
             expected += g.degree(u) as EdgeId;
         }
     }

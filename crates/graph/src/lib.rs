@@ -18,8 +18,8 @@
 //!   during the single input pass.
 //! * [`store`] — the external-memory graph store: the `.tpg` on-disk container, the
 //!   page-cache-backed [`PagedGraph`] and bounded-memory streaming instance generation.
-//! * [`permute`] — vertex relabelling (BFS / degree orderings) used to create the
-//!   neighbour-ID locality that interval encoding exploits.
+//! * [`permute`] — vertex relabelling: applies a permutation (e.g. a random one, which
+//!   destroys the neighbour-ID locality that interval encoding exploits).
 //! * [`stats`] — instance statistics for Table I / Figure 9.
 //!
 //! # Quick example

@@ -1,10 +1,9 @@
 //! Vertex relabelling utilities.
 //!
 //! Compression ratios depend strongly on neighbour-ID locality (paper §VI-A2: "interval
-//! encoding appears crucial for these graphs"). Real web crawls are crawled in an order
-//! that already provides locality; synthetic graphs often are not. This module provides
-//! permutations (BFS order, degree order, random order) and the machinery to apply them,
-//! so experiments can control the locality of their inputs.
+//! encoding appears crucial for these graphs"). This module applies a vertex
+//! permutation to a graph and provides a uniformly random one, which destroys the
+//! locality a generator's ID order carries.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -53,47 +52,6 @@ pub fn is_permutation(perm: &[NodeId]) -> bool {
     true
 }
 
-/// Computes a breadth-first-search ordering: `perm[u]` is the BFS visit rank of `u`.
-/// Unreached vertices (other components) are appended in ID order. BFS orderings give
-/// neighbourhoods with small gaps, improving compression.
-pub fn bfs_order(graph: &CsrGraph) -> Vec<NodeId> {
-    let n = graph.n();
-    let mut perm = vec![NodeId::MAX; n];
-    let mut next_rank: NodeId = 0;
-    let mut queue = std::collections::VecDeque::new();
-    for start in 0..n as NodeId {
-        if perm[start as usize] != NodeId::MAX {
-            continue;
-        }
-        perm[start as usize] = next_rank;
-        next_rank += 1;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            graph.for_each_neighbor(u, &mut |v, _| {
-                if perm[v as usize] == NodeId::MAX {
-                    perm[v as usize] = next_rank;
-                    next_rank += 1;
-                    queue.push_back(v);
-                }
-            });
-        }
-    }
-    perm
-}
-
-/// Orders vertices by decreasing degree (hubs first). Models the "layered label
-/// propagation"-style orderings used to compress social networks.
-pub fn degree_order(graph: &CsrGraph) -> Vec<NodeId> {
-    let n = graph.n();
-    let mut by_degree: Vec<NodeId> = (0..n as NodeId).collect();
-    by_degree.sort_by_key(|&u| std::cmp::Reverse(graph.degree(u)));
-    let mut perm = vec![0 as NodeId; n];
-    for (rank, &u) in by_degree.iter().enumerate() {
-        perm[u as usize] = rank as NodeId;
-    }
-    perm
-}
-
 /// A uniformly random permutation. Used to destroy locality in ablation experiments.
 pub fn random_order(n: usize, seed: u64) -> Vec<NodeId> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -105,7 +63,6 @@ pub fn random_order(n: usize, seed: u64) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressed::{CompressedGraph, CompressionConfig};
     use crate::gen;
 
     #[test]
@@ -129,31 +86,6 @@ mod tests {
         for u in 0..g.n() as NodeId {
             assert_eq!(g.degree(u), h.degree(perm[u as usize]));
         }
-    }
-
-    #[test]
-    fn bfs_order_is_a_permutation_and_improves_locality() {
-        let g = gen::rgg2d(1500, 12, 4);
-        let shuffled = apply_permutation(&g, &random_order(g.n(), 3));
-        let bfs = apply_permutation(&shuffled, &bfs_order(&shuffled));
-        assert!(is_permutation(&bfs_order(&shuffled)));
-        let config = CompressionConfig::default();
-        let c_shuffled = CompressedGraph::from_csr(&shuffled, &config);
-        let c_bfs = CompressedGraph::from_csr(&bfs, &config);
-        assert!(
-            c_bfs.encoded_data_bytes() <= c_shuffled.encoded_data_bytes(),
-            "BFS ordering should not hurt compression: {} vs {}",
-            c_bfs.encoded_data_bytes(),
-            c_shuffled.encoded_data_bytes()
-        );
-    }
-
-    #[test]
-    fn degree_order_puts_hubs_first() {
-        let g = gen::star(50);
-        let perm = degree_order(&g);
-        assert_eq!(perm[0], 0, "the hub should receive rank 0");
-        assert!(is_permutation(&perm));
     }
 
     #[test]

@@ -78,8 +78,8 @@ use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
 /// Magic bytes of the `.tpg` container.
 pub const TPG_MAGIC: &[u8; 4] = b"TPGS";
 /// Container format version: the only one the writer emits and the reader accepts.
-/// No container outlives this repository's regenerable instance caches, so files
-/// stamped with an earlier version are rejected rather than upgraded.
+/// Every container in this repository is regenerable, so files stamped with an
+/// earlier version are rejected rather than upgraded.
 pub const TPG_VERSION: u32 = 4;
 /// Size of the fixed header in bytes.
 pub const TPG_HEADER_LEN: u64 = 88;

@@ -69,22 +69,6 @@ impl StoreHandle {
         }
     }
 
-    /// The mmap store behind this handle, if that is the representation.
-    pub fn as_mmap(&self) -> Option<&MmapGraph> {
-        match self {
-            StoreHandle::Mmap(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// Short name of the representation (for logs and bench output).
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            StoreHandle::Paged(_) => "paged",
-            StoreHandle::Mmap(_) => "mmap",
-        }
-    }
-
     /// Bytes this store stands for in the memory accounting: what it has charged itself
     /// (resident arrays plus committed frames, or the mapping).
     pub fn accounted_bytes(&self) -> usize {
@@ -255,11 +239,11 @@ mod tests {
             )
             .unwrap(),
         ];
-        assert!(handles[0].as_paged().is_some());
-        assert!(handles[1].as_mmap().is_some());
+        assert!(matches!(handles[0], StoreHandle::Paged(_)));
+        assert!(matches!(handles[1], StoreHandle::Mmap(_)));
         for handle in &handles {
             let session = handle.session();
-            assert_eq!(session.n(), csr.n(), "{}", handle.backend_name());
+            assert_eq!(session.n(), csr.n());
             assert_eq!(session.m(), csr.m());
             assert_eq!(session.max_degree(), csr.max_degree());
             for u in 0..csr.n() as NodeId {

@@ -52,9 +52,6 @@ mod sys {
 
     pub const PROT_READ: c_int = 0x1;
     pub const MAP_PRIVATE: c_int = 0x2;
-    // Advice values shared by Linux and the BSDs (macOS included).
-    pub const MADV_SEQUENTIAL: c_int = 2;
-    pub const MADV_WILLNEED: c_int = 3;
 
     extern "C" {
         pub fn mmap(
@@ -66,7 +63,6 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 }
 
@@ -93,11 +89,9 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Maps the whole file read-only and hints the kernel about the access pattern.
-    /// Returns the mapping plus the number of successfully applied readahead hints,
-    /// or `None` (falling back to the heap path) if the platform has no mapping
-    /// binding or the kernel refuses the mapping.
-    fn try_map(file: &File, meta: &TpgMeta) -> Option<(Mapping, u64)> {
+    /// Maps the whole file read-only, or returns `None` (falling back to the heap
+    /// path) if the platform has no mapping binding or the kernel refuses the mapping.
+    fn try_map(file: &File, meta: &TpgMeta) -> Option<Mapping> {
         #[cfg(all(unix, target_pointer_width = "64"))]
         {
             use std::os::unix::io::AsRawFd;
@@ -120,26 +114,12 @@ impl Mapping {
                 return None;
             }
             let ptr = std::ptr::NonNull::new(ptr.cast::<u8>())?;
-            // Readahead hints: the multilevel pipeline sweeps neighbourhoods mostly
-            // in vertex order, so MADV_SEQUENTIAL raises the kernel's readahead
-            // window, and MADV_WILLNEED starts faulting the file in right away.
-            // Purely advisory — a refusal costs nothing, so failures are only
-            // reflected in the hint count.
-            let mut hints = 0u64;
-            for advice in [sys::MADV_SEQUENTIAL, sys::MADV_WILLNEED] {
-                if unsafe { sys::madvise(ptr.as_ptr().cast(), len, advice) } == 0 {
-                    hints += 1;
-                }
-            }
-            Some((
-                Mapping::Mmap {
-                    ptr,
-                    len,
-                    data_offset: meta.data_start() as usize,
-                    data_len: meta.data_len as usize,
-                },
-                hints,
-            ))
+            Some(Mapping::Mmap {
+                ptr,
+                len,
+                data_offset: meta.data_start() as usize,
+                data_len: meta.data_len as usize,
+            })
         }
         #[cfg(not(all(unix, target_pointer_width = "64")))]
         {
@@ -209,9 +189,6 @@ pub struct MmapGraph {
     charged: usize,
     /// Open-time reads retried under the retry policy (exported to obs).
     open_retries: u64,
-    /// Readahead hints (`madvise`) successfully applied to the mapping — zero on
-    /// the heap fallback and on non-unix platforms (exported to obs).
-    madvise_hints: u64,
 }
 
 impl std::fmt::Debug for MmapGraph {
@@ -274,8 +251,7 @@ impl MmapGraph {
         // Verify the whole data section through the backend (block crcs, per-chunk
         // retry). For a plain-file backend the verified bytes are then mapped
         // zero-copy; anything else keeps the verified heap copy.
-        let mut madvise_hints = 0u64;
-        let mapping = match backend.as_file() {
+        let mapped = match backend.as_file() {
             Some(file) => {
                 verify_or_load_data(
                     backend.as_ref(),
@@ -285,25 +261,12 @@ impl MmapGraph {
                     &mut open_retries,
                     None,
                 )?;
-                match Mapping::try_map(file, &meta) {
-                    Some((mapping, hints)) => {
-                        madvise_hints = hints;
-                        mapping
-                    }
-                    None => {
-                        let mut data = Vec::new();
-                        verify_or_load_data(
-                            backend.as_ref(),
-                            &meta,
-                            &checksums,
-                            &options.retry,
-                            &mut open_retries,
-                            Some(&mut data),
-                        )?;
-                        Mapping::Heap(data)
-                    }
-                }
+                Mapping::try_map(file, &meta)
             }
+            None => None,
+        };
+        let mapping = match mapped {
+            Some(mapping) => mapping,
             None => {
                 let mut data = Vec::new();
                 verify_or_load_data(
@@ -329,7 +292,6 @@ impl MmapGraph {
             mapping,
             charged,
             open_retries,
-            madvise_hints,
         })
     }
 
@@ -358,13 +320,6 @@ impl MmapGraph {
     /// (data section), plus the offset index and node weights.
     pub fn accounted_bytes(&self) -> usize {
         self.charged
-    }
-
-    /// Readahead hints (`madvise`) successfully applied to the mapping at open:
-    /// up to two (`MADV_SEQUENTIAL` + `MADV_WILLNEED`) on unix, zero on the heap
-    /// fallback and elsewhere.
-    pub fn madvise_hints(&self) -> u64 {
-        self.madvise_hints
     }
 
     /// Size in bytes of the uncompressed CSR form of the stored graph.
@@ -469,7 +424,6 @@ impl Graph for MmapGraph {
             self.offsets.size_in_bytes() as u64,
         );
         metrics.add(Counter::MmapOpenRetriedReads, self.open_retries);
-        metrics.add(Counter::MmapMadviseHints, self.madvise_hints);
     }
 }
 
@@ -537,26 +491,6 @@ mod tests {
         assert_eq!(mmap.n(), 1);
         assert_eq!(mmap.degree(0), 0);
         assert!(mmap.neighbors_vec(0).is_empty());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn madvise_hints_are_applied_to_real_mappings() {
-        let csr = gen::grid2d(20, 20);
-        let path = tmp("madvise.tpg");
-        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
-        let mmap = MmapGraph::open(&path).unwrap();
-        if mmap.is_mmap() {
-            assert_eq!(mmap.madvise_hints(), 2, "SEQUENTIAL + WILLNEED");
-        } else {
-            assert_eq!(mmap.madvise_hints(), 0, "heap fallback takes no hints");
-        }
-        let metrics = obs::MetricsRegistry::new();
-        mmap.record_obs_metrics(&metrics);
-        assert_eq!(
-            metrics.get(obs::Counter::MmapMadviseHints),
-            mmap.madvise_hints()
-        );
         std::fs::remove_file(path).ok();
     }
 }

@@ -36,8 +36,7 @@
 //! [`stream_rmat_to_tpg`] and [`stream_rgg2d_to_tpg`] connect the repository's R-MAT and
 //! random-geometric edge samplers to the builder; both produce graphs **bit-identical**
 //! to their in-memory counterparts ([`gen::weblike`](crate::gen::weblike) /
-//! [`gen::rgg2d`](crate::gen::rgg2d)) for a fixed seed, which the instance cache relies
-//! on for reproducible Set A/B experiments. A spill I/O error short-circuits the edge
+//! [`gen::rgg2d`](crate::gen::rgg2d)) for a fixed seed. A spill I/O error short-circuits the edge
 //! sampler immediately instead of driving it to completion.
 //!
 //! [`finish`]: StreamingTpgBuilder::finish

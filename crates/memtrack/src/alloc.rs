@@ -31,18 +31,6 @@ impl TrackingAllocator<System> {
     }
 }
 
-impl<A> TrackingAllocator<A> {
-    /// Creates a tracking allocator backed by an arbitrary allocator.
-    pub const fn with_allocator(inner: A) -> Self {
-        Self { inner }
-    }
-
-    /// Returns a reference to the wrapped allocator.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
 // SAFETY: all allocation calls are forwarded verbatim to the inner allocator; the only
 // extra work is atomic bookkeeping which cannot violate the GlobalAlloc contract.
 unsafe impl<A: GlobalAlloc> GlobalAlloc for TrackingAllocator<A> {

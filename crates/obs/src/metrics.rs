@@ -77,7 +77,6 @@ counters! {
     (MmapMappedBytes, "mmap_mapped_bytes", Max),
     (MmapOffsetIndexBytes, "mmap_offset_index_bytes", Max),
     (MmapOpenRetriedReads, "mmap_open_retried_reads", Sum),
-    (MmapMadviseHints, "mmap_madvise_hints", Sum),
     // Memory gauges (peaks, not sums).
     (GainTableBytes, "gain_table_bytes", Max),
     (PeakMemoryBytes, "peak_memory_bytes", Max),

@@ -5,6 +5,8 @@
 //! The coarsest graph has `O(contraction_limit · k)` vertices, so the stage is cheap in
 //! memory — but it sits on the critical path, so this implementation treats it the way
 //! the paper treats every other phase: **task-parallel** and **allocation-free**.
+//! It reads any [`Graph`] representation: when nothing coarsens, the coarsest graph is
+//! the input itself, compressed or paged, and is read in place.
 //!
 //! * The two child recursions of each bisection and the independent portfolio attempts
 //!   run in parallel via [`rayon::join`], with the thread budget split between branches.
@@ -36,7 +38,6 @@
 pub mod bipartition;
 pub mod scratch;
 
-use graph::csr::CsrGraph;
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId, NodeWeight};
 
@@ -53,7 +54,7 @@ use scratch::{AttemptWorkspace, InitialPartitioningScratch, SubgraphView};
 /// throwaway scratch arena. Prefer [`initial_partition_with_scratch`] inside the
 /// multilevel pipeline.
 pub fn initial_partition(
-    graph: &CsrGraph,
+    graph: &impl Graph,
     k: usize,
     epsilon: f64,
     config: &InitialPartitioningConfig,
@@ -66,7 +67,7 @@ pub fn initial_partition(
 /// Computes an initial `k`-way partition of `graph` via parallel recursive bisection,
 /// reusing the initial-partitioning region of `scratch` across the whole bisection tree.
 pub fn initial_partition_with_scratch(
-    graph: &CsrGraph,
+    graph: &impl Graph,
     k: usize,
     epsilon: f64,
     config: &InitialPartitioningConfig,
@@ -140,8 +141,8 @@ pub fn portfolio_attempts(attempts: usize, m_sub: usize) -> usize {
 }
 
 /// What every node of one request's bisection tree shares.
-struct BisectionTree<'a> {
-    graph: &'a CsrGraph,
+struct BisectionTree<'a, G: Graph> {
+    graph: &'a G,
     config: &'a InitialPartitioningConfig,
     assignment: SharedSlice<'a, BlockId>,
     scratch: &'a InitialPartitioningScratch,
@@ -149,7 +150,7 @@ struct BisectionTree<'a> {
     obs: &'a obs::ObsHandle,
 }
 
-impl BisectionTree<'_> {
+impl<G: Graph> BisectionTree<'_, G> {
     /// Recursively bisects the subgraph induced by the `vertices` slice into blocks
     /// `[first_block, first_block + k)`, writing the result through `assignment`.
     ///
@@ -313,6 +314,7 @@ impl<'s> Portfolio<'_, 's> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graph::csr::CsrGraph;
     use graph::gen;
     use proptest::prelude::*;
 

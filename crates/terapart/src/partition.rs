@@ -435,17 +435,6 @@ impl Partition {
         (b as BlockId, w)
     }
 
-    /// Returns the lightest block and its weight.
-    pub fn lightest_block(&self) -> (BlockId, NodeWeight) {
-        let (b, &w) = self
-            .block_weights
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &w)| w)
-            .expect("partition has at least one block");
-        (b as BlockId, w)
-    }
-
     /// Number of vertices in each block (unweighted sizes).
     pub fn block_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.k];
@@ -602,7 +591,6 @@ mod tests {
         assert!((p.imbalance() - 0.5).abs() < 1e-9);
         assert!(!p.is_balanced());
         assert_eq!(p.heaviest_block(), (0, 6));
-        assert_eq!(p.lightest_block(), (1, 2));
     }
 
     #[test]

@@ -17,10 +17,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graph::csr::{CsrGraph, CsrGraphBuilder};
+use graph::csr::CsrGraph;
 use graph::traits::Graph;
-use graph::{EdgeWeight, NodeId};
-use memtrack::{MemoryScope, PhaseReport, PhaseTracker};
+use graph::EdgeWeight;
+use memtrack::{PhaseReport, PhaseTracker};
 use obs::{Counter, ObsHandle, Recorder, RunReport, SpanKind};
 
 use crate::coarsening::{self, Hierarchy, Level};
@@ -63,28 +63,6 @@ pub struct PartitionResult {
     /// ([`PartitionerConfig::with_run_report`]); recording never changes the partition.
     /// [`obs::write_chrome_trace`] exports it as a Chrome trace.
     pub run_report: Option<RunReport>,
-}
-
-/// Materialises any graph representation as an (unsorted-weight-preserving) CSR graph.
-/// Needed when initial partitioning must run directly on the input because no coarsening
-/// step took place.
-fn to_csr(graph: &impl Graph) -> CsrGraph {
-    let mut builder = if graph.is_node_weighted() {
-        let weights = (0..graph.n() as NodeId)
-            .map(|u| graph.node_weight(u))
-            .collect();
-        CsrGraphBuilder::with_node_weights(weights)
-    } else {
-        CsrGraphBuilder::new(graph.n())
-    };
-    for u in 0..graph.n() as NodeId {
-        graph.for_each_neighbor(u, &mut |v, w| {
-            if u < v {
-                builder.add_edge(u, v, w);
-            }
-        });
-    }
-    builder.build()
 }
 
 /// The observability side of one partitioning run: a recording sink when the
@@ -215,6 +193,33 @@ fn refine_level(
     stats
 }
 
+/// Computes the initial partition of the coarsest graph of the hierarchy — the input
+/// itself when nothing coarsened — and refines it there. Initial partitioning reads
+/// any [`Graph`] representation, so a compressed or paged input is never copied.
+fn partition_coarsest(
+    graph: &impl Graph,
+    depth: usize,
+    config: &PartitionerConfig,
+    tracker: &PhaseTracker,
+    scratch: &mut HierarchyScratch,
+) -> (Partition, RefinementStats) {
+    let obs = scratch.obs.clone();
+    let mut partition = obs_phase(&obs, tracker, "initial_partition", depth, || {
+        initial_partition_with_scratch(
+            graph,
+            config.k,
+            config.epsilon,
+            &config.initial,
+            config.seed,
+            scratch,
+        )
+    });
+    let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", depth as u64);
+    let seed = config.seed ^ 0xC0A53;
+    let stats = refine_level(graph, &mut partition, depth, seed, config, tracker, scratch);
+    (partition, stats)
+}
+
 /// The engine's inner pipeline: partitions `graph` into `config.k` blocks, recording
 /// phases in `tracker`, against an already-created observability session and an
 /// externally owned scratch arena. The compressing and store-opening entry points record
@@ -255,38 +260,7 @@ pub(crate) fn partition_with_session(
             coarsening::coarsen_with_scratch(graph, config, tracker, scratch);
         let depth = hierarchy.depth();
 
-        // ---- Initial partitioning on the coarsest graph ----
-        let coarsest_owned;
-        let mut _csr_fallback_charge = None;
-        let coarsest: &CsrGraph = match hierarchy.coarsest() {
-            Some(g) => g,
-            None => {
-                // No coarsening took place: initial partitioning needs a CSR view of
-                // the input. Materialising it is a real memory event — charge it and
-                // report it as its own phase, so the memory ladder cannot silently
-                // under-report the no-coarsening path.
-                let (csr, charge) = obs_phase(&obs, tracker, "materialize_csr", 0, || {
-                    let csr = to_csr(graph);
-                    let charge = MemoryScope::charge_global(csr.size_in_bytes());
-                    (csr, charge)
-                });
-                coarsest_owned = csr;
-                _csr_fallback_charge = Some(charge);
-                &coarsest_owned
-            }
-        };
-        let mut current = obs_phase(&obs, tracker, "initial_partition", depth, || {
-            initial_partition_with_scratch(
-                coarsest,
-                config.k,
-                config.epsilon,
-                &config.initial,
-                config.seed,
-                scratch,
-            )
-        });
-
-        // ---- Uncoarsening: refine, then project to the next finer level ----
+        // ---- Initial partitioning and refinement on the coarsest graph ----
         let mut total = RefinementStats::default();
         let mut accumulate = |stats: RefinementStats| {
             total.lp_moves += stats.lp_moves;
@@ -296,47 +270,25 @@ pub(crate) fn partition_with_session(
             total.lp_candidates += stats.lp_candidates;
             total.lp_visited += stats.lp_visited;
         };
+        let (mut current, stats) = match hierarchy.levels.last() {
+            Some(coarsest) => partition_coarsest(&coarsest.coarse, depth, config, tracker, scratch),
+            None => partition_coarsest(graph, depth, config, tracker, scratch),
+        };
+        accumulate(stats);
 
-        if depth > 0 {
-            // Refine on the coarsest graph first.
-            {
-                let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", depth as u64);
-                accumulate(refine_level(
-                    coarsest,
-                    &mut current,
-                    depth,
-                    config.seed ^ 0xC0A53,
-                    config,
-                    tracker,
-                    scratch,
-                ));
-            }
-            // Walk the hierarchy back up: pop level i, whose coarse graph is level
-            // i + 1's, and project from it onto level i's graph.
-            while let Some(popped) = hierarchy.levels.pop() {
-                let i = hierarchy.depth();
-                let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", i as u64);
-                let (projected, stats) = match hierarchy.levels.last() {
-                    Some(finer) => {
-                        uncoarsen_level(&finer.coarse, current, popped, i, config, tracker, scratch)
-                    }
-                    None => uncoarsen_level(graph, current, popped, i, config, tracker, scratch),
-                };
-                current = projected;
-                accumulate(stats);
-            }
-        } else {
-            // No coarsening took place: refine directly on the input graph.
-            let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", 0);
-            accumulate(refine_level(
-                graph,
-                &mut current,
-                0,
-                config.seed ^ 0xC0A53,
-                config,
-                tracker,
-                scratch,
-            ));
+        // ---- Uncoarsening: walk the hierarchy back up: pop level i, whose coarse
+        // graph is level i + 1's, and project from it onto level i's graph ----
+        while let Some(popped) = hierarchy.levels.pop() {
+            let i = hierarchy.depth();
+            let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", i as u64);
+            let (projected, stats) = match hierarchy.levels.last() {
+                Some(finer) => {
+                    uncoarsen_level(&finer.coarse, current, popped, i, config, tracker, scratch)
+                }
+                None => uncoarsen_level(graph, current, popped, i, config, tracker, scratch),
+            };
+            current = projected;
+            accumulate(stats);
         }
         (current, depth, total)
     });
@@ -596,25 +548,43 @@ mod tests {
     }
 
     #[test]
-    fn depth_zero_fallback_charges_and_reports_materialized_csr() {
-        // 64 vertices, k = 16: no coarsening happens, so the pipeline materialises the
-        // input as CSR — that allocation must show up as a tracked, charged phase.
+    fn an_uncoarsened_compressed_input_is_partitioned_in_place() {
+        // 64 vertices, k = 16: nothing coarsens, so initial partitioning reads the
+        // compressed input itself; no phase copies it into a CSR graph.
         let g = gen::grid2d(8, 8);
         let compressed = graph::CompressedGraph::from_csr(&g, &graph::CompressionConfig::default());
         let config = PartitionerConfig::terapart(16).with_threads(1);
         let result = partition(&compressed, &config);
         assert_eq!(result.hierarchy_depth, 0);
-        let report = result
+        let names: Vec<&str> = result
             .phase_reports
             .iter()
-            .find(|r| r.name == "materialize_csr")
-            .expect("depth-0 fallback must report a materialize_csr phase");
-        assert!(
-            report.peak_bytes >= g.size_in_bytes(),
-            "materialize_csr phase peak {} below CSR size {}",
-            report.peak_bytes,
-            g.size_in_bytes()
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(names, ["initial_partition", "refine"]);
+        check_result(&g, &result, 16);
+    }
+
+    #[test]
+    fn an_uncoarsened_ondisk_input_matches_in_memory_compressed_bit_for_bit() {
+        let g = gen::grid2d(8, 8);
+        let dir = std::env::temp_dir().join(format!("terapart_depth0_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("grid.tpg");
+        graph::store::write_tpg_from_graph(&g, &path, &graph::CompressionConfig::default())
+            .unwrap();
+        let config = PartitionerConfig::terapart(16).with_threads(1).with_seed(3);
+        let in_memory = graph::store::read_tpg_compressed(&path).unwrap();
+        let reference = partition(&in_memory, &config);
+        let ondisk = partition_ondisk(&path, &config).unwrap();
+        assert_eq!((ondisk.hierarchy_depth, reference.hierarchy_depth), (0, 0));
+        assert_eq!(ondisk.edge_cut, reference.edge_cut);
+        assert_eq!(
+            ondisk.partition.assignment(),
+            reference.partition.assignment()
         );
+        check_result(&g, &ondisk, 16);
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
