@@ -23,7 +23,7 @@
 
 use bench::golden::{golden_run, golden_specs, GOLDEN_K};
 use bench::harness::{
-    geometric_mean, measure_run, measure_run_reported, write_quality_json, FrontierCheck,
+    geometric_mean, measure_run, measure_run_reported, write_quality_json, FrontierCheck, Input,
     QualityRun,
 };
 use bench::setup::{preset_ladder, quality_families};
@@ -62,11 +62,17 @@ fn main() {
             let mut fast_cut = None;
             for (preset_name, config) in preset_ladder(QUALITY_K) {
                 let m = if obs_report.is_none() && preset_name == "default" {
-                    let (m, report) = measure_run_reported(rung.name, preset_name, &graph, &config);
+                    let (m, report) = measure_run_reported(
+                        rung.name,
+                        preset_name,
+                        &graph,
+                        Input::Compressed,
+                        &config,
+                    );
                     obs_report = Some(report);
                     m
                 } else {
-                    measure_run(rung.name, preset_name, &graph, &config)
+                    measure_run(rung.name, preset_name, &graph, Input::Compressed, &config)
                 };
                 println!("{:<18} {}", family.family, m.row());
                 if preset_name == "fast" {
@@ -90,7 +96,13 @@ fn main() {
             let mut full_sweep = PartitionerConfig::preset(Preset::Fast, QUALITY_K);
             full_sweep.coarsening.lp_frontier = false;
             full_sweep.refinement.lp_frontier = false;
-            let full = measure_run(rung.name, "fast-full-sweep", &graph, &full_sweep);
+            let full = measure_run(
+                rung.name,
+                "fast-full-sweep",
+                &graph,
+                Input::Compressed,
+                &full_sweep,
+            );
             let frontier_cut = fast_cut.expect("the ladder always contains 'fast'");
             let ratio = frontier_cut as f64 / full.edge_cut.max(1) as f64;
             let degraded = ratio > FRONTIER_TOLERANCE;

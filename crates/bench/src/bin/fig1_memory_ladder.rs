@@ -32,8 +32,8 @@ fn main() {
         "configuration", "peak memory", "time [s]"
     );
     let mut previous = None;
-    for (name, config) in config_ladder(k) {
-        let m = measure_run("weblike-2^15", name, &graph, &config.with_threads(2));
+    for (name, input, config) in config_ladder(k) {
+        let m = measure_run("weblike-2^15", name, &graph, input, &config.with_threads(2));
         println!(
             "{:<36} {:>14} {:>10.2}",
             name,

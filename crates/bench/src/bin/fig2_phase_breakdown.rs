@@ -7,20 +7,18 @@
 //! The breakdown is the observability layer's own [`obs::RunReport::summary_table`]:
 //! the span tree (pipeline → level → phase) with durations and share of the total
 //! wall time, the per-phase `peak_bytes` attributes, and the unified counter snapshot.
+//! The baseline runs on the uncompressed CSR input, which the harness charges for the run.
+use bench::harness::measure_run_reported;
+use bench::Input;
 use graph::gen;
-use terapart::{partition_csr, PartitionerConfig};
+use terapart::PartitionerConfig;
 
 fn main() {
     let graph = gen::weblike(14, 14, 9);
     let k = 64;
-    let config = PartitionerConfig::kaminpar(k)
-        .with_threads(2)
-        .with_run_report(true);
-    let result = partition_csr(&graph, &config);
-    let report = result
-        .run_report
-        .as_ref()
-        .expect("recording config attaches a run report");
+    let config = PartitionerConfig::kaminpar(k).with_threads(2);
+    let (result, report) =
+        measure_run_reported("weblike-2^14", "KaMinPar", &graph, Input::Csr, &config);
     println!(
         "Figure 2: per-phase wall time and peak memory (KaMinPar baseline, k={})",
         k

@@ -18,11 +18,12 @@ fn main() {
     for instance in &set {
         let mut baseline_time = 1.0;
         let mut baseline_mem = 1.0;
-        for (i, (name, config)) in ladder.iter().enumerate() {
+        for (i, (name, input, config)) in ladder.iter().enumerate() {
             let m = measure_run(
                 instance.name,
                 name,
                 &instance.graph,
+                *input,
                 &config.clone().with_threads(2),
             );
             if i == 0 {
@@ -44,7 +45,7 @@ fn main() {
         "{:<36} {:>16} {:>16}",
         "configuration", "rel. time (gm)", "rel. memory (gm)"
     );
-    for (i, (name, _)) in ladder.iter().enumerate() {
+    for (i, (name, _, _)) in ladder.iter().enumerate() {
         println!(
             "{:<36} {:>16.3} {:>16.3}",
             name,
@@ -71,7 +72,7 @@ fn main() {
         print!(" tau={:<5}", t);
     }
     println!();
-    let mut names: Vec<&str> = ladder.iter().map(|(n, _)| *n).collect();
+    let mut names: Vec<&str> = ladder.iter().map(|(n, _, _)| *n).collect();
     names.push("Mt-METIS-like");
     for (name, row) in names.iter().zip(&profile) {
         print!("{:<36}", name);

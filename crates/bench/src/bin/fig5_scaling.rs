@@ -2,7 +2,7 @@
 //!
 //! Paper setting: p in {12, 24, 48, 96} on a 96-core machine. Here: p in {1, 2, 4} on the
 //! available cores; the expected shape is monotone (if modest) speedup with more threads.
-use bench::{benchmark_set_a, harmonic_mean, measure_run};
+use bench::{benchmark_set_a, harmonic_mean, measure_run, Input};
 use graph::traits::Graph;
 use terapart::PartitionerConfig;
 
@@ -16,6 +16,7 @@ fn main() {
             instance.name,
             "p=1",
             &instance.graph,
+            Input::Compressed,
             &PartitionerConfig::terapart(k).with_threads(1),
         );
         let t1 = sequential.time.as_secs_f64();
@@ -24,6 +25,7 @@ fn main() {
                 instance.name,
                 "terapart",
                 &instance.graph,
+                Input::Compressed,
                 &PartitionerConfig::terapart(k).with_threads(p),
             );
             speedups[i].push(t1 / m.time.as_secs_f64().max(1e-9));

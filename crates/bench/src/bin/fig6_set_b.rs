@@ -17,11 +17,12 @@ fn main() {
             instance.graph.m()
         );
         let mut baseline_mem = 1.0;
-        for (i, (name, config)) in config_ladder(k).into_iter().enumerate() {
+        for (i, (name, input, config)) in config_ladder(k).into_iter().enumerate() {
             let m = measure_run(
                 instance.name,
                 name,
                 &instance.graph,
+                input,
                 &config.with_threads(2),
             );
             if i == 0 {

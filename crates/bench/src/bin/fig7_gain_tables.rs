@@ -4,7 +4,7 @@
 //! Expected shape: sparse table ~= dense table in time and quality but much less memory;
 //! no table is substantially slower.
 use bench::harness::measure_run_reported;
-use bench::{benchmark_set_a, geometric_mean, performance_profile};
+use bench::{benchmark_set_a, geometric_mean, performance_profile, Input};
 use graph::traits::Graph;
 use terapart::{GainTableKind, PartitionerConfig};
 
@@ -31,6 +31,7 @@ fn main() {
                 instance.name,
                 name,
                 &instance.graph,
+                Input::Compressed,
                 &config.with_threads(2),
             );
             tables[i].push(report.counter(obs::Counter::GainTableBytes) as f64);

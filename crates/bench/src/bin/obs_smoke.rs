@@ -14,8 +14,8 @@
 //! The validator is a minimal hand-rolled scanner over this workspace's own trace
 //! output (one complete event per line) — no JSON dependency exists in the workspace.
 
-use graph::gen;
 use graph::traits::Graph;
+use graph::{gen, CompressedGraph, CompressionConfig};
 use obs::Counter;
 use terapart::coarsening::MIN_CONTRACTIBLE_SHARE;
 use terapart::{PartitionerConfig, Preset};
@@ -100,7 +100,10 @@ fn uncoarsening_proportion() {
     let config = PartitionerConfig::preset(Preset::Fast, 16)
         .with_threads(1)
         .with_run_report(true);
-    let result = terapart::partition_csr(&graph, &config);
+    let result = terapart::partition(
+        &CompressedGraph::from_csr(&graph, &CompressionConfig::default()),
+        &config,
+    );
     let report = result.run_report.as_ref().expect("the run recorded");
     let mut levels: Vec<(u64, u64, u64, u64)> = report
         .all_spans()
@@ -169,7 +172,10 @@ fn uncoarsening_proportion() {
 fn span_coverage_floor() -> f64 {
     let graph = gen::weblike(14, 12, 9);
     let config = PartitionerConfig::terapart(16).with_run_report(true);
-    let result = terapart::partition_csr(&graph, &config);
+    let result = terapart::partition(
+        &CompressedGraph::from_csr(&graph, &CompressionConfig::default()),
+        &config,
+    );
     let report = result.run_report.expect("the run recorded");
     let coverage = report.span_coverage;
     assert!(
@@ -266,7 +272,10 @@ fn main() {
     let config = PartitionerConfig::preset(Preset::Default, 8)
         .with_threads(2)
         .with_run_report(true);
-    let result = terapart::partition_csr(&graph, &config);
+    let result = terapart::partition(
+        &CompressedGraph::from_csr(&graph, &CompressionConfig::default()),
+        &config,
+    );
     assert!(result.partition.is_balanced(), "smoke run is imbalanced");
     let report = result.run_report.as_ref().expect("the run recorded");
     obs::write_chrome_trace(&trace_path, report).expect("failed to write the chrome trace");
@@ -329,10 +338,10 @@ fn main() {
     let mut phases_under_level = 0usize;
     for event in &events {
         if event.parent == 0 {
-            // Roots: the pipeline itself plus pre-pipeline phases (compress_input /
-            // open_store), which end before the pipeline span begins.
+            // Roots: the pipeline itself plus `open_store`, the one phase that ends
+            // before the pipeline span begins.
             assert!(
-                event.cat == "pipeline" || event.cat == "phase",
+                event.cat == "pipeline" || (event.cat == "phase" && event.name == "open_store"),
                 "unexpected root span {} ({})",
                 event.name,
                 event.cat

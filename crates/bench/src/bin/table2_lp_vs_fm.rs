@@ -5,7 +5,7 @@
 //! One thread, so that both rows of a graph are deterministic and differ by what FM does
 //! alone: at two threads parallel LP makes two runs of the *same* configuration differ by
 //! ±5 % on `uk-like`, more than FM gains there.
-use bench::{benchmark_set_b, measure_run};
+use bench::{benchmark_set_b, measure_run, Input};
 use graph::traits::Graph;
 use terapart::PartitionerConfig;
 
@@ -21,12 +21,14 @@ fn main() {
             instance.name,
             "TeraPart-LP",
             &instance.graph,
+            Input::Compressed,
             &PartitionerConfig::terapart(k).with_threads(1),
         );
         let fm = measure_run(
             instance.name,
             "TeraPart-FM",
             &instance.graph,
+            Input::Compressed,
             &PartitionerConfig::terapart_fm(k).with_threads(1),
         );
         let total_edges = instance.graph.m() as f64;

@@ -1,7 +1,7 @@
 //! Table IV: TeraPart vs the semi-external-memory partitioner (k = 16): cut, time,
 //! memory. Expected shape: SEM is substantially slower at somewhat higher cuts.
 use baselines::sem_partition;
-use bench::measure_run;
+use bench::{measure_run, Input};
 use graph::gen;
 use terapart::PartitionerConfig;
 
@@ -25,6 +25,7 @@ fn main() {
             name,
             "TeraPart",
             &graph,
+            Input::Compressed,
             &PartitionerConfig::terapart(k).with_threads(2),
         );
         let sem = sem_partition(&graph, k, 0.03, 1);

@@ -20,8 +20,9 @@
 //! below. Both widths get their own column defensively; today every golden run is
 //! width-independent, so the columns coincide — a divergence is itself a signal.)
 
-use terapart::{partition_csr, PartitionerConfig, Preset};
+use terapart::{PartitionerConfig, Preset};
 
+use crate::harness::{partition_input, Input};
 use crate::instances::GenSpec;
 
 /// Number of blocks of every golden run.
@@ -101,12 +102,13 @@ pub fn golden_cut(preset: Preset, instance: &str) -> u64 {
     golden_run(preset, &spec)
 }
 
-/// The single-threaded fixed-seed run behind [`golden_cut`], on an explicit spec.
+/// The single-threaded fixed-seed run behind [`golden_cut`], on an explicit spec: the
+/// preset runs on the compressed input, as TeraPart does.
 pub fn golden_run(preset: Preset, spec: &GenSpec) -> u64 {
     let graph = spec.materialize();
     let mut config = PartitionerConfig::preset(preset, GOLDEN_K);
     config.num_threads = 1;
-    partition_csr(&graph, &config).edge_cut
+    partition_input(&graph, Input::Compressed, &config).edge_cut
 }
 
 /// The pinned golden cuts. Regenerate with

@@ -10,8 +10,21 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
+use graph::builder::compress_csr_parallel;
 use graph::csr::CsrGraph;
-use terapart::{partition_csr, PartitionerConfig};
+use graph::CompressionConfig;
+use memtrack::MemoryScope;
+use terapart::{partition, PartitionResult, PartitionerConfig};
+
+/// The representation a measured run partitions, built by the harness from the
+/// instance's CSR graph and charged to the memory accounting for the whole run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Input {
+    /// The uncompressed CSR graph itself (the KaMinPar rungs).
+    Csr,
+    /// The graph compressed in parallel as in §III-B (TeraPart's input).
+    Compressed,
+}
 
 /// One measured partitioning run.
 #[derive(Debug, Clone)]
@@ -48,14 +61,16 @@ impl Measurement {
     }
 }
 
-/// Runs one partitioning configuration on one instance and collects the measurement.
+/// Runs one partitioning configuration on `input` built from one instance and collects
+/// the measurement; the input's size counts towards the run's peak memory.
 pub fn measure_run(
     instance: &str,
     algorithm: &str,
     graph: &CsrGraph,
+    input: Input,
     config: &PartitionerConfig,
 ) -> Measurement {
-    measure(instance, algorithm, graph, config).0
+    measure(instance, algorithm, graph, input, config).0
 }
 
 /// Like [`measure_run`], but with run-report recording enabled. Returns the structured
@@ -65,23 +80,45 @@ pub fn measure_run_reported(
     instance: &str,
     algorithm: &str,
     graph: &CsrGraph,
+    input: Input,
     config: &PartitionerConfig,
 ) -> (Measurement, obs::RunReport) {
     let recording = config.clone().with_run_report(true);
-    let (measurement, report) = measure(instance, algorithm, graph, &recording);
+    let (measurement, report) = measure(instance, algorithm, graph, input, &recording);
     (
         measurement,
         report.expect("recording config attaches a run report"),
     )
 }
 
+/// Partitions `input` built from `graph` while holding the input's memory charge.
+pub fn partition_input(
+    graph: &CsrGraph,
+    input: Input,
+    config: &PartitionerConfig,
+) -> PartitionResult {
+    match input {
+        Input::Csr => {
+            let _charge = MemoryScope::charge_global(graph.size_in_bytes());
+            partition(graph, config)
+        }
+        Input::Compressed => {
+            let compressed =
+                compress_csr_parallel(graph, &CompressionConfig::default(), config.num_threads);
+            let _charge = MemoryScope::charge_global(compressed.size_in_bytes());
+            partition(&compressed, config)
+        }
+    }
+}
+
 fn measure(
     instance: &str,
     algorithm: &str,
     graph: &CsrGraph,
+    input: Input,
     config: &PartitionerConfig,
 ) -> (Measurement, Option<obs::RunReport>) {
-    let result = partition_csr(graph, config);
+    let result = partition_input(graph, input, config);
     let measurement = Measurement {
         instance: instance.to_string(),
         algorithm: algorithm.to_string(),
@@ -316,11 +353,28 @@ mod tests {
             "grid",
             "terapart",
             &g,
+            Input::Compressed,
             &terapart::PartitionerConfig::terapart(4).with_threads(1),
         );
         assert!(m.edge_cut > 0);
         assert!(m.balanced);
         assert!(m.peak_memory_bytes > 0);
         assert!(m.row().contains("terapart"));
+    }
+
+    #[test]
+    fn the_measured_peak_includes_the_input_the_harness_builds() {
+        let graph = gen::rgg2d(20_000, 8, 5);
+        let compressed = graph::CompressedGraph::from_csr(&graph, &CompressionConfig::default());
+        let ladder = crate::setup::config_ladder(8);
+        let rung = |name: &str| {
+            let (_, input, config) = ladder.iter().find(|(n, _, _)| *n == name).unwrap();
+            measure_run("rgg", name, &graph, *input, &config.clone().with_threads(1))
+        };
+        let kaminpar = rung("KaMinPar");
+        let terapart = rung("One-Pass Contraction (TeraPart)");
+        assert!(kaminpar.peak_memory_bytes >= graph.size_in_bytes());
+        assert!(terapart.peak_memory_bytes >= compressed.size_in_bytes());
+        assert!(terapart.peak_memory_bytes < kaminpar.peak_memory_bytes);
     }
 }

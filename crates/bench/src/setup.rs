@@ -13,6 +13,7 @@
 use graph::csr::CsrGraph;
 use terapart::{PartitionerConfig, Preset};
 
+use crate::harness::Input;
 use crate::instances::{GenSpec, InstanceSpec};
 
 /// A named benchmark instance.
@@ -361,17 +362,24 @@ pub fn benchmark_set_b() -> Vec<Instance> {
 }
 
 /// The configuration ladder of Figures 1, 4 and 6: the KaMinPar baseline with the
-/// TeraPart optimizations enabled one after another.
-pub fn config_ladder(k: usize) -> Vec<(&'static str, PartitionerConfig)> {
+/// TeraPart optimizations enabled one after another. Each rung names the input it runs
+/// on; graph compression is a change of input, not of configuration.
+pub fn config_ladder(k: usize) -> Vec<(&'static str, Input, PartitionerConfig)> {
     vec![
-        ("KaMinPar", PartitionerConfig::kaminpar(k)),
-        ("Two-Phase LP", PartitionerConfig::kaminpar_two_phase_lp(k)),
+        ("KaMinPar", Input::Csr, PartitionerConfig::kaminpar(k)),
+        (
+            "Two-Phase LP",
+            Input::Csr,
+            PartitionerConfig::kaminpar_two_phase_lp(k),
+        ),
         (
             "Graph Compression",
-            PartitionerConfig::kaminpar_compressed(k),
+            Input::Compressed,
+            PartitionerConfig::kaminpar_two_phase_lp(k),
         ),
         (
             "One-Pass Contraction (TeraPart)",
+            Input::Compressed,
             PartitionerConfig::terapart(k),
         ),
     ]
@@ -436,7 +444,10 @@ mod tests {
         assert_eq!(ladder.len(), 4);
         assert_eq!(ladder[0].0, "KaMinPar");
         assert!(ladder[3].0.contains("TeraPart"));
-        assert!(!ladder[0].1.use_compression);
-        assert!(ladder[3].1.use_compression);
+        let inputs: Vec<Input> = ladder.iter().map(|(_, input, _)| *input).collect();
+        assert_eq!(
+            inputs,
+            [Input::Csr, Input::Csr, Input::Compressed, Input::Compressed]
+        );
     }
 }

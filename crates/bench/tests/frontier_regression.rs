@@ -17,7 +17,8 @@
 
 use bench::quality_families;
 use graph::traits::Graph;
-use terapart::{partition_csr, PartitionerConfig, Preset};
+use graph::{CompressedGraph, CompressionConfig};
+use terapart::{partition, PartitionerConfig, Preset};
 
 /// Partitioner seeds every family is averaged over.
 const SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
@@ -37,6 +38,7 @@ fn frontier_lp_degradation_stays_within_the_documented_bounds() {
     for family in quality_families() {
         let rung = &family.rungs[0];
         let graph = rung.spec.materialize();
+        let compressed = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
         let (mut frontier_cut, mut full_sweep_cut) = (0, 0);
         for seed in SEEDS {
             let mut frontier_config = PartitionerConfig::preset(Preset::Fast, 16).with_threads(1);
@@ -44,8 +46,8 @@ fn frontier_lp_degradation_stays_within_the_documented_bounds() {
             let mut full_sweep_config = frontier_config.clone();
             full_sweep_config.coarsening.lp_frontier = false;
             full_sweep_config.refinement.lp_frontier = false;
-            frontier_cut += partition_csr(&graph, &frontier_config).edge_cut;
-            full_sweep_cut += partition_csr(&graph, &full_sweep_config).edge_cut;
+            frontier_cut += partition(&compressed, &frontier_config).edge_cut;
+            full_sweep_cut += partition(&compressed, &full_sweep_config).edge_cut;
         }
         let ratio = frontier_cut as f64 / full_sweep_cut.max(1) as f64;
         println!(

@@ -8,8 +8,9 @@
 //! this test unchanged).
 
 use bench::GenSpec;
+use graph::{CompressedGraph, CompressionConfig};
 use proptest::prelude::*;
-use terapart::{partition_csr, PartitionerConfig, Preset};
+use terapart::{partition, PartitionerConfig, Preset};
 
 fn family_spec(family: usize, seed: u64) -> GenSpec {
     match family {
@@ -48,7 +49,8 @@ proptest! {
         let config = PartitionerConfig::preset(preset, k)
             .with_threads(2)
             .with_seed(seed ^ 0x5eed);
-        let result = partition_csr(&graph, &config);
+        let compressed = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
+        let result = partition(&compressed, &config);
         let partition = &result.partition;
 
         // Complete, with exactly k blocks, all of them non-empty.

@@ -1,4 +1,4 @@
-//! Instance statistics (Table I / Figure 9 of the paper).
+//! Instance statistics (Table I of the paper).
 
 use crate::traits::Graph;
 use crate::NodeId;
@@ -70,49 +70,10 @@ impl GraphStats {
     }
 }
 
-/// Computes the degree histogram of a graph as `(degree, count)` pairs sorted by degree.
-/// Used for the Figure 9 style instance overview.
-pub fn degree_histogram(graph: &impl Graph) -> Vec<(usize, usize)> {
-    let mut counts = std::collections::BTreeMap::new();
-    for u in 0..graph.n() as NodeId {
-        *counts.entry(graph.degree(u)).or_insert(0usize) += 1;
-    }
-    counts.into_iter().collect()
-}
-
-/// Measures neighbour-ID locality: the average absolute gap between consecutive sorted
-/// neighbour IDs, normalised by `n`. Smaller values mean better locality and better
-/// compression.
-pub fn locality_score(graph: &impl Graph) -> f64 {
-    let n = graph.n();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut total_gap = 0u64;
-    let mut total_edges = 0u64;
-    for u in 0..n as NodeId {
-        let mut nbrs: Vec<NodeId> = Vec::with_capacity(graph.degree(u));
-        graph.for_each_neighbor(u, &mut |v, _| nbrs.push(v));
-        nbrs.sort_unstable();
-        let mut prev = u;
-        for &v in &nbrs {
-            total_gap += crate::ids::widen(v.abs_diff(prev));
-            prev = v;
-            total_edges += 1;
-        }
-    }
-    if total_edges == 0 {
-        0.0
-    } else {
-        (total_gap as f64 / total_edges as f64) / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::permute;
 
     #[test]
     fn stats_of_grid() {
@@ -137,22 +98,6 @@ mod tests {
         assert_eq!(s.n, 0);
         assert_eq!(s.min_degree, 0);
         assert_eq!(s.avg_degree, 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = gen::rhg_like(500, 8, 3.0, 2);
-        let hist = degree_histogram(&g);
-        let total: usize = hist.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, g.n());
-        assert!(hist.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn locality_score_detects_shuffling() {
-        let g = gen::grid2d(30, 30);
-        let shuffled = permute::apply_permutation(&g, &permute::random_order(g.n(), 1));
-        assert!(locality_score(&g) < locality_score(&shuffled));
     }
 
     #[test]

@@ -95,19 +95,6 @@ impl<T> ReservedVec<T> {
         self.recommit();
     }
 
-    /// Extends the vector with `count` copies of `value`.
-    pub fn extend_with(&mut self, count: usize, value: T)
-    where
-        T: Clone,
-    {
-        assert!(
-            self.data.len() + count <= self.reserved,
-            "ReservedVec overflow"
-        );
-        self.data.extend(std::iter::repeat_n(value, count));
-        self.recommit();
-    }
-
     /// Returns the committed elements as a slice.
     pub fn as_slice(&self) -> &[T] {
         &self.data
@@ -179,8 +166,7 @@ mod tests {
         let _global = crate::lock_global();
         let mut v: ReservedVec<u32> = ReservedVec::with_reservation(100);
         v.extend_from_slice(&[1, 2, 3]);
-        v.extend_with(2, 9);
-        assert_eq!(v.as_slice(), &[1, 2, 3, 9, 9]);
+        assert_eq!(v.as_slice(), &[1, 2, 3]);
         assert_eq!(v[0], 1);
         v[0] = 7;
         assert_eq!(v.as_slice()[0], 7);

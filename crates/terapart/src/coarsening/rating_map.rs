@@ -129,25 +129,6 @@ impl FixedCapacityHashMap {
             .map(|&slot| (self.keys[slot as usize], self.values[slot as usize]))
     }
 
-    /// Returns the key with the maximum rating, breaking ties towards the key for which
-    /// `prefer` returns `true` (used to keep a vertex in its current cluster on ties).
-    pub fn argmax(&self, prefer: impl Fn(NodeId) -> bool) -> Option<(NodeId, EdgeWeight)> {
-        let mut best: Option<(NodeId, EdgeWeight)> = None;
-        for (k, v) in self.iter() {
-            best = match best {
-                None => Some((k, v)),
-                Some((bk, bv)) => {
-                    if v > bv || (v == bv && prefer(k) && !prefer(bk)) {
-                        Some((k, v))
-                    } else {
-                        Some((bk, bv))
-                    }
-                }
-            };
-        }
-        best
-    }
-
     /// Removes all entries in `O(distinct keys)`, keeping the allocated capacity.
     pub fn clear(&mut self) {
         for &slot in &self.touched {
@@ -209,24 +190,6 @@ impl SparseRatingMap {
         self.touched.iter().map(|&k| (k, self.ratings[k as usize]))
     }
 
-    /// Returns the key with the maximum rating (ties broken towards `prefer`).
-    pub fn argmax(&self, prefer: impl Fn(NodeId) -> bool) -> Option<(NodeId, EdgeWeight)> {
-        let mut best: Option<(NodeId, EdgeWeight)> = None;
-        for (k, v) in self.iter() {
-            best = match best {
-                None => Some((k, v)),
-                Some((bk, bv)) => {
-                    if v > bv || (v == bv && prefer(k) && !prefer(bk)) {
-                        Some((k, v))
-                    } else {
-                        Some((bk, bv))
-                    }
-                }
-            };
-        }
-        best
-    }
-
     /// Resets all touched entries in `O(touched)`.
     pub fn clear(&mut self) {
         for &k in &self.touched {
@@ -279,30 +242,6 @@ impl AtomicSparseArray {
             self.ratings[k as usize].store(0, Ordering::Relaxed);
         }
     }
-
-    /// Returns the key with the maximum rating among `keys` (ties broken towards
-    /// `prefer`).
-    pub fn argmax(
-        &self,
-        keys: &[NodeId],
-        prefer: impl Fn(NodeId) -> bool,
-    ) -> Option<(NodeId, EdgeWeight)> {
-        let mut best: Option<(NodeId, EdgeWeight)> = None;
-        for &k in keys {
-            let v = self.get(k);
-            best = match best {
-                None => Some((k, v)),
-                Some((bk, bv)) => {
-                    if v > bv || (v == bv && prefer(k) && !prefer(bk)) {
-                        Some((k, v))
-                    } else {
-                        Some((bk, bv))
-                    }
-                }
-            };
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -328,18 +267,15 @@ mod tests {
     }
 
     #[test]
-    fn fixed_capacity_argmax_and_clear() {
+    fn fixed_capacity_clear_empties_the_map() {
         let mut map = FixedCapacityHashMap::new(8);
         map.add(1, 5);
         map.add(2, 9);
         map.add(3, 9);
-        // Tie between 2 and 3 broken towards the preferred key.
-        let (k, v) = map.argmax(|k| k == 3).unwrap();
-        assert_eq!((k, v), (3, 9));
         map.clear();
         assert!(map.is_empty());
         assert_eq!(map.get(2), 0);
-        assert!(map.argmax(|_| false).is_none());
+        assert_eq!(map.iter().count(), 0);
         assert!(map.memory_bytes() > 0);
     }
 
@@ -363,7 +299,6 @@ mod tests {
         map.add(5, 4);
         assert_eq!(map.get(5), 7);
         assert_eq!(map.len(), 2);
-        assert_eq!(map.argmax(|_| false).unwrap(), (5, 7));
         map.clear();
         assert!(map.is_empty());
         assert_eq!(map.get(5), 0);
@@ -393,7 +328,7 @@ mod tests {
         assert!(!array.add(3, 2));
         assert!(array.add(7, 1));
         assert_eq!(array.get(3), 7);
-        assert_eq!(array.argmax(&[3, 7], |_| false).unwrap(), (3, 7));
+        assert_eq!(array.get(7), 1);
         array.reset(&[3, 7]);
         assert_eq!(array.get(3), 0);
         assert_eq!(array.get(7), 0);

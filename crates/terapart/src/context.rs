@@ -8,10 +8,15 @@
 //! * [`PartitionerConfig::kaminpar`] — the baseline: per-thread rating maps, buffered
 //!   contraction, uncompressed input, label propagation refinement.
 //! * [`PartitionerConfig::kaminpar_two_phase_lp`] — + two-phase label propagation.
-//! * [`PartitionerConfig::kaminpar_compressed`] — + graph compression.
-//! * [`PartitionerConfig::terapart`] — + one-pass contraction (the full TeraPart).
+//! * [`PartitionerConfig::terapart`] — + one-pass contraction and frontier-driven LP
+//!   rounds (the full TeraPart).
 //! * [`PartitionerConfig::terapart_fm`] — TeraPart with k-way FM refinement on the
 //!   space-efficient gain table (TeraPart-FM in the paper; also [`Preset::Default`]).
+//!
+//! Graph compression, the ladder's third step, is not a switch: it is the type of the
+//! input. Passing a [`graph::CompressedGraph`] to
+//! [`partition`](crate::partitioner::partition) runs the same configuration on the
+//! compressed representation.
 
 /// How the label propagation clustering allocates its rating maps (paper §IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,8 +212,6 @@ pub struct PartitionerConfig {
     pub num_threads: usize,
     /// Random seed controlling vertex visit orders and initial partitioning.
     pub seed: u64,
-    /// Partition the compressed representation instead of the uncompressed CSR.
-    pub use_compression: bool,
     /// Coarsening settings.
     pub coarsening: CoarseningConfig,
     /// Initial partitioning settings.
@@ -231,7 +234,6 @@ impl PartitionerConfig {
             epsilon: 0.03,
             num_threads: default_threads(),
             seed: 1,
-            use_compression: false,
             coarsening: CoarseningConfig {
                 lp_mode: LabelPropagationMode::PerThreadRatingMaps,
                 contraction: ContractionAlgorithm::Buffered,
@@ -255,18 +257,11 @@ impl PartitionerConfig {
         config
     }
 
-    /// KaMinPar + two-phase LP + graph compression (second optimization step).
-    pub fn kaminpar_compressed(k: usize) -> Self {
-        let mut config = Self::kaminpar_two_phase_lp(k);
-        config.use_compression = true;
-        config
-    }
-
-    /// The full TeraPart configuration: two-phase LP, graph compression, one-pass
-    /// contraction and frontier-driven LP rounds, with label propagation refinement
-    /// (TeraPart-LP in the paper).
+    /// The full TeraPart configuration: two-phase LP, one-pass contraction and
+    /// frontier-driven LP rounds, with label propagation refinement (TeraPart-LP in the
+    /// paper). Run it on a [`graph::CompressedGraph`] for TeraPart's compressed input.
     pub fn terapart(k: usize) -> Self {
-        let mut config = Self::kaminpar_compressed(k);
+        let mut config = Self::kaminpar_two_phase_lp(k);
         config.coarsening.contraction = ContractionAlgorithm::OnePass;
         config.coarsening.lp_frontier = true;
         config.refinement.lp_frontier = true;
@@ -425,7 +420,6 @@ mod tests {
             LabelPropagationMode::PerThreadRatingMaps
         );
         assert_eq!(base.coarsening.contraction, ContractionAlgorithm::Buffered);
-        assert!(!base.use_compression);
         assert!(!base.coarsening.lp_frontier && !base.refinement.lp_frontier);
 
         let two_phase = PartitionerConfig::kaminpar_two_phase_lp(16);
@@ -434,9 +428,6 @@ mod tests {
             two_phase.coarsening.contraction,
             ContractionAlgorithm::Buffered
         );
-
-        let compressed = PartitionerConfig::kaminpar_compressed(16);
-        assert!(compressed.use_compression);
 
         let terapart = PartitionerConfig::terapart(16);
         assert_eq!(

@@ -17,14 +17,17 @@
 //!   with a structured [`PartitionError`] and leaves co-tenant sessions, the store and
 //!   the registry healthy.
 //!
-//! The engine has four entry points, one per form the input arrives in —
-//! [`partition`](PartitionEngine::partition) (any [`Graph`], as is),
-//! [`partition_csr`](PartitionEngine::partition_csr) (the paper ladder's compression
-//! switch), [`partition_path`](PartitionEngine::partition_path) and
+//! The engine has three entry points, one per form the input arrives in —
+//! [`partition`](PartitionEngine::partition) (any in-memory [`Graph`]: the input's type
+//! is its representation, so a [`graph::CompressedGraph`] runs the compressed pipeline),
+//! [`partition_path`](PartitionEngine::partition_path) and
 //! [`partition_store`](PartitionEngine::partition_store) — and each returns the run as
-//! one [`PartitionResult`]: cut, time, peak bytes and the per-phase breakdown.
+//! one [`PartitionResult`]: cut, time, peak bytes and the per-phase breakdown. The stores
+//! charge themselves to the memory accounting when they open; a caller that wants an
+//! in-memory input counted in `peak_memory_bytes` charges it
+//! ([`memtrack::MemoryScope::charge_global`]) for the duration of the run.
 //!
-//! Engine-level knobs (store geometry, compression policy) live in [`EngineConfig`];
+//! Engine-level knobs (store geometry) live in [`EngineConfig`];
 //! request-level knobs (k, epsilon, seed, threads, stage settings, observability) live
 //! in [`PartitionRequest`]. A request joined with the engine's knobs is exactly the
 //! [`PartitionerConfig`] it was split from, so fixed-seed results are bit-identical
@@ -33,13 +36,10 @@
 
 use std::path::Path;
 
-use graph::builder::compress_csr_parallel;
-use graph::csr::CsrGraph;
 use graph::io::IoError;
 use graph::store::{StoreHandle, StoreRegistry};
 use graph::traits::Graph;
-use graph::CompressionConfig;
-use memtrack::{MemoryScope, PhaseTracker};
+use memtrack::PhaseTracker;
 
 use crate::context::{
     CoarseningConfig, InitialPartitioningConfig, ObsConfig, OnDiskConfig, PartitionerConfig,
@@ -50,26 +50,13 @@ use crate::partitioner::{obs_phase, partition_with_session, ObsSession, Partitio
 use crate::scratch::{HierarchyScratch, Pool};
 
 /// Engine-level configuration: the knobs that outlive any single request because they
-/// describe the *environment* (store geometry, input representation policy) rather than
-/// one partitioning problem.
-#[derive(Debug, Clone, PartialEq)]
+/// describe the *environment* (store geometry) rather than one partitioning problem.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineConfig {
     /// Store geometry for path-based requests: backend, page size, cache budget and
     /// retry policy. Also the registry key — requests resolved with
     /// different on-disk options deliberately do not share a store.
     pub ondisk: OnDiskConfig,
-    /// Whether CSR inputs are compressed before partitioning (the paper's
-    /// configuration-ladder switch); requests inherit this policy.
-    pub use_compression: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            ondisk: OnDiskConfig::default(),
-            use_compression: true,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -78,7 +65,6 @@ impl EngineConfig {
     pub fn from_partitioner(config: &PartitionerConfig) -> Self {
         Self {
             ondisk: config.ondisk.clone(),
-            use_compression: config.use_compression,
         }
     }
 }
@@ -106,12 +92,6 @@ pub struct PartitionRequest {
 }
 
 impl PartitionRequest {
-    /// A request for `k` blocks with the TeraPart defaults (mirrors
-    /// [`PartitionerConfig::terapart`] minus the engine-level knobs).
-    pub fn new(k: usize) -> Self {
-        Self::from_config(&PartitionerConfig::terapart(k))
-    }
-
     /// Extracts the request-level half of a flat [`PartitionerConfig`]; resolving it
     /// against [`EngineConfig::from_partitioner`] of the same config reproduces the
     /// config exactly.
@@ -155,7 +135,6 @@ impl PartitionRequest {
             epsilon: self.epsilon,
             num_threads: self.num_threads,
             seed: self.seed,
-            use_compression: engine.use_compression,
             coarsening: self.coarsening.clone(),
             initial: self.initial.clone(),
             refinement: self.refinement.clone(),
@@ -238,29 +217,10 @@ impl PartitionEngine {
         self.registry.open(path, &self.config.ondisk)
     }
 
-    /// Partitions any in-memory [`Graph`] representation as-is (no compression step).
+    /// Partitions any in-memory [`Graph`] representation as it is passed in.
     pub fn partition(&self, graph: &impl Graph, request: &PartitionRequest) -> PartitionResult {
         self.run(request, |config, tracker, obs, scratch| {
             partition_with_session(graph, config, tracker, obs, scratch)
-        })
-    }
-
-    /// Partitions a CSR graph, honouring the engine's compression policy: with
-    /// `use_compression` the input is compressed first (reported as the
-    /// `compress_input` phase) and the pipeline runs on the compressed representation.
-    /// Whichever representation runs is charged to the memory accounting.
-    pub fn partition_csr(&self, graph: &CsrGraph, request: &PartitionRequest) -> PartitionResult {
-        self.run(request, |config, tracker, obs, scratch| {
-            if config.use_compression {
-                let compressed = obs_phase(&obs.handle, tracker, "compress_input", 0, || {
-                    compress_csr_parallel(graph, &CompressionConfig::default(), config.num_threads)
-                });
-                let _graph_charge = MemoryScope::charge_global(compressed.size_in_bytes());
-                partition_with_session(&compressed, config, tracker, obs, scratch)
-            } else {
-                let _graph_charge = MemoryScope::charge_global(graph.size_in_bytes());
-                partition_with_session(graph, config, tracker, obs, scratch)
-            }
         })
     }
 
@@ -301,7 +261,7 @@ impl PartitionEngine {
         })
     }
 
-    /// One request from start to finish, shared by the four `partition*` methods:
+    /// One request from start to finish, shared by the three `partition*` methods:
     /// resolves `request` against the engine's knobs, creates the request's phase
     /// tracker and observability session and leases an arena from the pool for `body`.
     fn run<T>(

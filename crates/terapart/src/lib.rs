@@ -18,7 +18,9 @@
 //! On top of these, the partitioner can run on either the uncompressed
 //! [`CsrGraph`](graph::CsrGraph) or the compressed
 //! [`CompressedGraph`](graph::CompressedGraph) (paper §III), because every algorithm is
-//! generic over [`graph::Graph`].
+//! generic over [`graph::Graph`]: the type of the input is its representation, and
+//! [`partition()`] and [`PartitionEngine`] take either. [`partition_ondisk`] reads a `.tpg`
+//! container through a page cache instead.
 //!
 //! # Performance invariants
 //!
@@ -77,7 +79,7 @@ pub use engine::{EngineConfig, PartitionEngine, PartitionRequest, ScratchPool};
 pub use error::PartitionError;
 pub use initial::{initial_partition, initial_partition_with_scratch};
 pub use partition::{BlockId, Partition};
-pub use partitioner::{partition, partition_csr, partition_ondisk, PartitionResult};
+pub use partitioner::{partition, partition_ondisk, PartitionResult};
 pub use scratch::{AtomicBitset, HierarchyScratch};
 
 /// Retry/backoff policy of the on-disk page cache, re-exported for

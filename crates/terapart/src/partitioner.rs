@@ -1,11 +1,10 @@
 //! The multilevel partitioning driver: coarsen → initial partition → uncoarsen + refine.
 //!
-//! The three free functions are one-shots, each a call into an ephemeral
+//! The two free functions are one-shots, each a call into an ephemeral
 //! [`PartitionEngine`] built from the flat [`PartitionerConfig`]. [`partition`] runs
-//! the full pipeline on any [`Graph`] representation; [`partition_csr`] additionally
-//! honours [`PartitionerConfig::use_compression`] by compressing the input first
-//! (charging only the compressed size to the memory accounting), which is how the
-//! paper's configuration ladder (KaMinPar → … → TeraPart) is evaluated.
+//! the full pipeline on any in-memory [`Graph`] representation: a
+//! [`graph::CompressedGraph`] input is how the paper's configuration ladder
+//! (KaMinPar → … → TeraPart) evaluates compression.
 //! [`partition_ondisk`] goes one step beyond the ladder: it opens a `.tpg` container
 //! through a fixed-budget page cache ([`graph::PagedGraph`]) so the finest-level
 //! clustering, contraction, projection and refinement run directly against disk —
@@ -17,7 +16,6 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graph::csr::CsrGraph;
 use graph::traits::Graph;
 use graph::EdgeWeight;
 use memtrack::{PhaseReport, PhaseTracker};
@@ -222,8 +220,8 @@ fn partition_coarsest(
 
 /// The engine's inner pipeline: partitions `graph` into `config.k` blocks, recording
 /// phases in `tracker`, against an already-created observability session and an
-/// externally owned scratch arena. The compressing and store-opening entry points record
-/// their input phases into the same session's report; the arena comes from the engine's
+/// externally owned scratch arena. The store-opening entry point records its
+/// `open_store` phase into the same session's report; the arena comes from the engine's
 /// [`ScratchPool`](crate::engine::ScratchPool), so a request on a warmed engine reuses
 /// its per-worker buffers.
 pub(crate) fn partition_with_session(
@@ -328,22 +326,16 @@ pub(crate) fn one_shot(config: &PartitionerConfig) -> (PartitionEngine, Partitio
 
 /// Partitions `graph` into `config.k` blocks.
 ///
-/// The graph is used in whatever representation it is passed in; see [`partition_csr`]
-/// for the variant that applies graph compression according to the configuration.
+/// The graph is used in whatever representation it is passed in: pass a
+/// [`graph::CompressedGraph`] to partition the compressed representation. Only the
+/// pipeline's own buffers are charged to the memory accounting; a caller that wants the
+/// input counted in `peak_memory_bytes` charges it
+/// ([`memtrack::MemoryScope::charge_global`]) for the duration of the call.
 /// Long-lived callers serving many requests should hold a [`PartitionEngine`] instead,
 /// which reuses scratch arenas and open stores across requests.
 pub fn partition(graph: &impl Graph, config: &PartitionerConfig) -> PartitionResult {
     let (engine, request) = one_shot(config);
     engine.partition(graph, &request)
-}
-
-/// Partitions a CSR graph, honouring [`PartitionerConfig::use_compression`]: when set,
-/// the input is compressed first (in parallel, as in §III-B) and the partitioner runs on
-/// the compressed representation; the memory accounting charges whichever representation
-/// is actually used, reproducing the configuration ladder of Figures 1, 4 and 6.
-pub fn partition_csr(graph: &CsrGraph, config: &PartitionerConfig) -> PartitionResult {
-    let (engine, request) = one_shot(config);
-    engine.partition_csr(graph, &request)
 }
 
 /// Partitions a graph stored in a `.tpg` container on disk, never loading the full
@@ -413,11 +405,10 @@ mod tests {
         for config in [
             PartitionerConfig::kaminpar(8),
             PartitionerConfig::kaminpar_two_phase_lp(8),
-            PartitionerConfig::kaminpar_compressed(8),
             PartitionerConfig::terapart(8),
             PartitionerConfig::terapart_fm(8),
         ] {
-            let result = partition_csr(&g, &config.with_threads(2));
+            let result = partition(&g, &config.with_threads(2));
             check_result(&g, &result, 8);
         }
     }
@@ -461,27 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_and_uncompressed_inputs_give_similar_quality() {
-        let g = gen::weblike(11, 8, 3);
-        let base = PartitionerConfig::kaminpar_two_phase_lp(4)
-            .with_threads(2)
-            .with_seed(5);
-        let compressed_config = PartitionerConfig::kaminpar_compressed(4)
-            .with_threads(2)
-            .with_seed(5);
-        let a = partition_csr(&g, &base);
-        let b = partition_csr(&g, &compressed_config);
-        check_result(&g, &a, 4);
-        check_result(&g, &b, 4);
-        let ratio = a.edge_cut.max(1) as f64 / b.edge_cut.max(1) as f64;
-        assert!(
-            (0.7..1.4).contains(&ratio),
-            "cut ratio {} too far from 1",
-            ratio
-        );
-    }
-
-    #[test]
     fn small_graph_with_large_k() {
         let g = gen::grid2d(8, 8);
         let config = PartitionerConfig::terapart(16).with_threads(1);
@@ -515,20 +485,14 @@ mod tests {
     fn phase_reports_cover_the_pipeline() {
         let g = gen::grid2d(30, 30);
         let config = PartitionerConfig::terapart(4).with_threads(2);
-        let result = partition_csr(&g, &config);
+        let result = partition(&g, &config);
         check_result(&g, &result, 4);
         let names: std::collections::HashSet<String> = result
             .phase_reports
             .iter()
             .map(|r| r.name.clone())
             .collect();
-        for expected in [
-            "compress_input",
-            "cluster",
-            "contract",
-            "initial_partition",
-            "refine",
-        ] {
+        for expected in ["cluster", "contract", "initial_partition", "refine"] {
             assert!(
                 names.contains(expected),
                 "missing phase {} in {:?}",

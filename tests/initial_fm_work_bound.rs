@@ -14,9 +14,9 @@ mod common;
 
 use common::{hub_and_spokes_on_weblike, CountingGraph};
 use graph::traits::Graph;
-use graph::{gen, CsrGraph, NodeId};
+use graph::{gen, CompressedGraph, CompressionConfig, CsrGraph, NodeId};
 use terapart::initial::bipartition::{bipartition, PATIENCE};
-use terapart::{partition_csr, Counter, PartitionerConfig, Preset};
+use terapart::{partition, Counter, PartitionerConfig, Preset};
 
 const FM_PASSES: usize = 3;
 /// `InitialPartitioningConfig::attempts` of the `fast` preset.
@@ -113,7 +113,8 @@ fn portfolio_of(graph: &CsrGraph, k: usize) -> (u64, u64) {
         .with_threads(1)
         .with_run_report(true);
     assert_eq!(config.initial.attempts, ATTEMPTS as usize);
-    let result = partition_csr(graph, &config);
+    let compressed = CompressedGraph::from_csr(graph, &CompressionConfig::default());
+    let result = partition(&compressed, &config);
     let report = result.run_report.expect("the run recorded");
     let bisections = report.counter(Counter::InitialBisections);
     assert_eq!(bisections, k as u64 - 1);

@@ -2,7 +2,7 @@
 //! working together across crates. (Tests that read `memtrack::global()` directly live
 //! in `global_memtrack.rs`, where they own their process.)
 use graph::traits::Graph;
-use graph::{gen, io, CompressionConfig};
+use graph::{gen, io, CompressedGraph, CompressionConfig};
 use terapart::{partition, PartitionerConfig};
 
 /// Write a graph in METIS format, stream-compress it back in, and partition the result.
@@ -26,8 +26,9 @@ fn metis_roundtrip_then_partition() {
 #[test]
 fn phase_tracking_covers_the_whole_pipeline() {
     let graph = gen::grid2d(60, 60);
+    let compressed = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
     let config = PartitionerConfig::terapart(8).with_threads(2);
-    let result = terapart::partition_csr(&graph, &config);
+    let result = partition(&compressed, &config);
     let reports = &result.phase_reports;
     assert!(reports.len() >= 4);
     let overall = result.peak_memory_bytes;

@@ -9,26 +9,25 @@
 //! no LP refinement rounds, k-way FM only — whose remaining stages (initial
 //! partitioning, k-way FM, rebalancing) are deterministic at any thread count.
 
-use graph::gen;
 use graph::traits::Graph;
-use terapart::{
-    partition_csr, write_chrome_trace, Counter, PartitionerConfig, RefinementAlgorithm,
-};
+use graph::{gen, CompressedGraph, CompressionConfig};
+use terapart::{partition, write_chrome_trace, Counter, PartitionerConfig, RefinementAlgorithm};
 
 /// Recording a run report must leave the fixed-seed single-threaded result
 /// bit-identical to the noop run, and the report must export as a Chrome trace.
 #[test]
 fn observability_does_not_perturb_the_single_threaded_pipeline() {
     let graph = gen::rgg2d(4_000, 12, 33);
+    let graph = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
     let base = PartitionerConfig::terapart(8).with_threads(1).with_seed(9);
 
-    let noop = partition_csr(&graph, &base);
+    let noop = partition(&graph, &base);
     assert!(
         noop.run_report.is_none(),
         "the noop configuration must not allocate a run report"
     );
 
-    let recorded = partition_csr(&graph, &base.clone().with_run_report(true));
+    let recorded = partition(&graph, &base.clone().with_run_report(true));
     let report = recorded
         .run_report
         .as_ref()
@@ -83,12 +82,13 @@ fn lp_free_config(n: usize, k: usize) -> PartitionerConfig {
 #[test]
 fn recording_is_bitwise_deterministic_across_thread_counts() {
     let graph = gen::erdos_renyi(2_000, 9_000, 41);
-    let reference = partition_csr(&graph, &lp_free_config(graph.n(), 4).with_threads(1));
+    let graph = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
+    let reference = partition(&graph, &lp_free_config(graph.n(), 4).with_threads(1));
     let mut initial_half_edges = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let config = lp_free_config(graph.n(), 4).with_threads(threads);
-        let noop = partition_csr(&graph, &config);
-        let recorded = partition_csr(&graph, &config.clone().with_run_report(true));
+        let noop = partition(&graph, &config);
+        let recorded = partition(&graph, &config.clone().with_run_report(true));
         assert_eq!(
             noop.edge_cut, recorded.edge_cut,
             "cut diverged at {threads} threads"

@@ -5,27 +5,31 @@ mod common;
 use common::CountingGraph;
 use graph::traits::Graph;
 use graph::{gen, CompressedGraph, CompressionConfig, CsrGraphBuilder, NodeId};
+use memtrack::MemoryScope;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use terapart::coarsening::cluster;
-use terapart::{partition, partition_csr, CoarseningConfig, PartitionerConfig};
+use terapart::{partition, CoarseningConfig, PartitionerConfig};
 
-/// Every configuration preset produces a complete, balanced partition whose cut is far
-/// below the expected cut of a random partition.
+/// Every rung of the configuration ladder, on the CSR input up to two-phase LP and on
+/// the compressed input from there on, produces a complete, balanced partition whose
+/// cut is far below the expected cut of a random partition.
 #[test]
 fn configuration_ladder_end_to_end() {
     let graph = gen::rgg2d(3_000, 12, 21);
+    let compressed = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
     let k = 8;
     let random_cut = graph.m() as f64 * (k as f64 - 1.0) / k as f64;
-    for config in [
-        PartitionerConfig::kaminpar(k),
-        PartitionerConfig::kaminpar_two_phase_lp(k),
-        PartitionerConfig::kaminpar_compressed(k),
-        PartitionerConfig::terapart(k),
-        PartitionerConfig::terapart_fm(k),
+    let on_csr = |config: PartitionerConfig| partition(&graph, &config.with_threads(2));
+    let on_compressed = |config: PartitionerConfig| partition(&compressed, &config.with_threads(2));
+    for result in [
+        on_csr(PartitionerConfig::kaminpar(k)),
+        on_csr(PartitionerConfig::kaminpar_two_phase_lp(k)),
+        on_compressed(PartitionerConfig::kaminpar_two_phase_lp(k)),
+        on_compressed(PartitionerConfig::terapart(k)),
+        on_compressed(PartitionerConfig::terapart_fm(k)),
     ] {
-        let result = partition_csr(&graph, &config.with_threads(2));
         assert!(result.partition.is_complete());
         assert!(
             result.partition.is_balanced(),
@@ -41,14 +45,22 @@ fn configuration_ladder_end_to_end() {
     }
 }
 
-/// The headline memory claim, at laptop scale: the full TeraPart configuration never
-/// uses more accounted memory than the KaMinPar baseline on a memory-relevant instance.
+/// The headline memory claim, at laptop scale: the full TeraPart configuration on the
+/// compressed input never uses more accounted memory than the KaMinPar baseline on the
+/// CSR input, each input charged for its run, on a memory-relevant instance.
 #[test]
 fn terapart_peak_memory_is_not_worse_than_kaminpar() {
     let graph = gen::weblike(13, 12, 5);
     let k = 64;
-    let kaminpar = partition_csr(&graph, &PartitionerConfig::kaminpar(k).with_threads(2));
-    let terapart_run = partition_csr(&graph, &PartitionerConfig::terapart(k).with_threads(2));
+    let kaminpar = {
+        let _input = MemoryScope::charge_global(graph.size_in_bytes());
+        partition(&graph, &PartitionerConfig::kaminpar(k).with_threads(2))
+    };
+    let terapart_run = {
+        let compressed = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
+        let _input = MemoryScope::charge_global(compressed.size_in_bytes());
+        partition(&compressed, &PartitionerConfig::terapart(k).with_threads(2))
+    };
     assert!(
         terapart_run.peak_memory_bytes <= kaminpar.peak_memory_bytes,
         "TeraPart peak {} exceeds KaMinPar peak {}",

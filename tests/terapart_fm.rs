@@ -2,8 +2,8 @@
 //! `default` preset, and its FM does work label propagation cannot. (A binary of its own:
 //! `tests/pipeline_integration.rs` hosts a test that compares `memtrack::global()` peaks,
 //! and twelve more pipeline runs next to it move them.)
-use graph::gen;
-use terapart::{partition_csr, PartitionerConfig, Preset};
+use graph::{gen, CompressedGraph, CompressionConfig};
+use terapart::{partition, PartitionerConfig, Preset};
 
 /// TeraPart-FM is TeraPart-LP plus a refiner that finds what label propagation leaves:
 /// LP refinement stops once no single move improves the cut, so an FM that only takes
@@ -20,9 +20,10 @@ fn terapart_fm_moves_vertices_and_cuts_fewer_edges_than_lp_alone() {
         ("rgg2d", gen::rgg2d(6_144, 8, 3)),
         ("weblike", gen::weblike(14, 8, 3)),
     ] {
+        let compressed = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
         for seed in [3, 5, 7] {
             let run = |config: PartitionerConfig| {
-                partition_csr(&graph, &config.with_threads(1).with_seed(seed))
+                partition(&compressed, &config.with_threads(1).with_seed(seed))
             };
             let lp = run(PartitionerConfig::terapart(k));
             let fm = run(PartitionerConfig::terapart_fm(k));
