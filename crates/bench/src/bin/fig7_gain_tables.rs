@@ -2,7 +2,9 @@
 //! space-efficient O(m) table — relative time, peak memory, the table's own bytes and
 //! quality.
 //! Expected shape: sparse table ~= dense table in time and quality but much less memory;
-//! no table is substantially slower.
+//! no table is substantially slower. Asserts, after printing, that "No Table" reports no
+//! gain-table bytes and that the sparse table's geometric mean is below half the dense
+//! table's.
 use bench::harness::measure_run_reported;
 use bench::{benchmark_set_a, geometric_mean, performance_profile, Input};
 use graph::traits::Graph;
@@ -72,4 +74,14 @@ fn main() {
                 .collect::<Vec<_>>()
         );
     }
+    assert!(
+        tables[1].iter().all(|&b| b == 0.0),
+        "No Table reported gain-table bytes: {:?}",
+        tables[1]
+    );
+    let (dense, sparse) = (geometric_mean(&tables[2]), geometric_mean(&tables[3]));
+    assert!(
+        sparse < dense / 2.0,
+        "sparse table ({sparse:.0} B) not below half the dense table ({dense:.0} B)"
+    );
 }

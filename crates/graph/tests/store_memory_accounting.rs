@@ -1,8 +1,8 @@
 //! The store layer's charges against `memtrack::global()`, checked from the one
 //! `#[test]` of this binary so it owns its process: the assertions compare the global
 //! balance before and after, which any concurrently running test that opens a store
-//! would disturb. A quarantine, not the fix — the fix is ROADMAP item 1 (memory as a
-//! per-run fact rather than a process-global one).
+//! would disturb. A quarantine, not the fix — the fix is the ROADMAP item "Memory is a
+//! per-run fact" (one tracker per run rather than a process-global one).
 
 use graph::store::{write_tpg_from_graph, MmapGraph, StoreRegistry, TpgWriter};
 use graph::traits::Graph;

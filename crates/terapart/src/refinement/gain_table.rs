@@ -9,20 +9,22 @@
 //!
 //! * [`GainTableKind::None`] — no cache; every query accumulates the neighbourhood
 //!   into a pooled `k`-entry row (slow but `O(k)` extra memory per querying thread).
-//! * [`GainTableKind::Dense`] — the standard table: a row of `k` atomic affinities per
-//!   vertex (`O(nk)` memory), updated with fetch-add.
+//! * [`GainTableKind::Dense`] — the standard table: a row of `k` affinities per vertex
+//!   (`O(nk)` memory).
 //! * [`GainTableKind::Sparse`] — the space-efficient table: a vertex whose hash row
 //!   would need `k` or more slots (in particular every `deg(v) > k`) keeps the dense row;
 //!   every other vertex keeps a fixed-capacity linear-probing row of `deg(v) + 1` slots
-//!   rounded up to a power of two, each slot one word packing block id and affinity,
-//!   guarded by a per-vertex spinlock. Entries whose value drops to zero are removed by
-//!   backward-shift deletion, keeping probe sequences intact (`O(m)` memory in total).
+//!   rounded up to a power of two, each slot one word packing block id and affinity.
+//!   Entries whose value drops to zero are removed by backward-shift deletion, keeping
+//!   probe sequences intact (`O(m)` memory in total).
 //!
 //! Both tables are one [`GainTable`] in the paper's flat layout (an offset array and a
 //! slot array carved into per-vertex rows), and [`GainCache::best_move`] — the one query
 //! FM asks — enumerates `u`'s row instead of `u`'s neighbourhood.
-
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+//!
+//! A cache has one writer: [`GainCache::apply_move`] takes `&mut self`, so the borrow
+//! checker proves that no query runs while a row changes. Queries take `&self` and may
+//! run in parallel between moves (FM seeds its queue that way).
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId};
@@ -47,12 +49,7 @@ pub enum GainCache {
 
 impl GainCache {
     /// Builds a gain cache of the requested kind from the current assignment.
-    pub fn new(
-        kind: GainTableKind,
-        graph: &impl Graph,
-        assignment: &[AtomicU32],
-        k: usize,
-    ) -> Self {
+    pub fn new(kind: GainTableKind, graph: &impl Graph, assignment: &[BlockId], k: usize) -> Self {
         match kind {
             GainTableKind::None => GainCache::None {
                 k,
@@ -72,7 +69,7 @@ impl GainCache {
     pub fn best_move(
         &self,
         graph: &impl Graph,
-        assignment: &[AtomicU32],
+        assignment: &[BlockId],
         u: NodeId,
         from: BlockId,
         admits: impl Fn(BlockId) -> bool,
@@ -96,7 +93,7 @@ impl GainCache {
                 let mut row = rows.checkout();
                 row.resize(*k, 0);
                 graph.for_each_neighbor(u, &mut |v, w| {
-                    row[assignment[v as usize].load(Ordering::Relaxed) as usize] += w;
+                    row[assignment[v as usize] as usize] += w;
                 });
                 for (block, affinity) in row.iter_mut().enumerate() {
                     visit(block as BlockId, std::mem::take(affinity));
@@ -111,7 +108,7 @@ impl GainCache {
     pub fn affinity(
         &self,
         graph: &impl Graph,
-        assignment: &[AtomicU32],
+        assignment: &[BlockId],
         u: NodeId,
         block: BlockId,
     ) -> EdgeWeight {
@@ -119,7 +116,7 @@ impl GainCache {
             GainCache::None { .. } => {
                 let mut total = 0;
                 graph.for_each_neighbor(u, &mut |v, w| {
-                    if assignment[v as usize].load(Ordering::Relaxed) == block {
+                    if assignment[v as usize] == block {
                         total += w;
                     }
                 });
@@ -132,7 +129,7 @@ impl GainCache {
     /// Updates the cache after `u` moved from block `from` to block `to`: for every
     /// neighbour `v` of `u`, `ω(v, from)` decreases and `ω(v, to)` increases by the
     /// connecting edge weight.
-    pub fn apply_move(&self, graph: &impl Graph, u: NodeId, from: BlockId, to: BlockId) {
+    pub fn apply_move(&mut self, graph: &impl Graph, u: NodeId, from: BlockId, to: BlockId) {
         if let GainCache::Table(table) = self {
             if from != to {
                 graph.for_each_neighbor(u, &mut |v, w| table.update(v, from, to, w));
@@ -142,7 +139,7 @@ impl GainCache {
 
     /// Debug builds only: panics unless a sample of rows (every `⌈n/64⌉`-th vertex) holds
     /// exactly the affinities recomputed from the graph. FM calls it after every pass.
-    pub(super) fn debug_check_sample(&self, graph: &impl Graph, assignment: &[AtomicU32]) {
+    pub(super) fn debug_check_sample(&self, graph: &impl Graph, assignment: &[BlockId]) {
         let GainCache::Table(table) = self else {
             return;
         };
@@ -152,7 +149,7 @@ impl GainCache {
         let mut expected: Vec<EdgeWeight> = vec![0; table.k];
         for u in (0..graph.n() as NodeId).step_by((graph.n() / 64).max(1)) {
             graph.for_each_neighbor(u, &mut |v, w| {
-                expected[assignment[v as usize].load(Ordering::Relaxed) as usize] += w;
+                expected[assignment[v as usize] as usize] += w;
             });
             for (block, want) in expected.iter_mut().enumerate() {
                 assert_eq!(
@@ -173,7 +170,7 @@ impl GainCache {
     }
 }
 
-/// The flat affinity table behind both table kinds: three allocations for any `n`.
+/// The flat affinity table behind both table kinds: two allocations for any `n`.
 #[derive(Debug)]
 pub struct GainTable {
     k: usize,
@@ -183,19 +180,7 @@ pub struct GainTable {
     /// Row `u` is `slots[offsets[u]..offsets[u + 1]]`: a dense row of `k` affinities iff
     /// it has `k` slots, a hash row otherwise.
     offsets: Vec<usize>,
-    slots: Vec<AtomicU64>,
-    /// Per-vertex spinlock around every access to a hash row (deletions shift entries).
-    /// Acquire on lock pairs with Release on unlock; slot accesses under it are relaxed.
-    locks: Vec<AtomicBool>,
-}
-
-/// Unlocks a hash row on drop.
-struct RowGuard<'a>(&'a AtomicBool);
-
-impl Drop for RowGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
-    }
+    slots: Vec<u64>,
 }
 
 /// Home slot of `block` in a power-of-two row (masked by the caller).
@@ -206,14 +191,14 @@ fn home_slot(block: BlockId) -> usize {
 impl GainTable {
     /// Builds the table from the current assignment; `sparse` selects `Θ(deg)` hash rows
     /// where they are smaller than the `k` slots every row of the dense table has.
-    pub fn new(graph: &impl Graph, assignment: &[AtomicU32], k: usize, sparse: bool) -> Self {
+    pub fn new(graph: &impl Graph, assignment: &[BlockId], k: usize, sparse: bool) -> Self {
         let n = graph.n();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         for u in 0..n as NodeId {
             // A vertex is adjacent to at most deg(v) blocks, so deg(v) + 1 slots always
             // leave the empty slot that ends a probe sequence; from k slots on, a dense
-            // row is no larger and needs no lock. Isolated vertices need no row.
+            // row is no larger. Isolated vertices need no row.
             let slots = match graph.degree(u) {
                 _ if !sparse => k,
                 0 => 0,
@@ -221,45 +206,33 @@ impl GainTable {
             };
             offsets.push(offsets[u as usize] + slots);
         }
-        let mut slots = Vec::with_capacity(offsets[n]);
-        slots.resize_with(offsets[n], || AtomicU64::new(0));
-        let mut locks = Vec::with_capacity(n);
-        locks.resize_with(n, || AtomicBool::new(false));
         let key_bits = (usize::BITS - k.saturating_sub(1).leading_zeros()).max(1);
-        let table = Self {
+        let mut table = Self {
             k,
             value_bits: u64::BITS - key_bits,
+            slots: vec![0; offsets[n]],
             offsets,
-            slots,
-            locks,
         };
         for u in 0..n as NodeId {
-            let row = table.row(u);
+            let dense = table.row(u).len() == k;
             graph.for_each_neighbor(u, &mut |v, w| {
-                let block = assignment[v as usize].load(Ordering::Relaxed);
-                if row.len() == k {
-                    row[block as usize].fetch_add(w, Ordering::Relaxed);
+                let block = assignment[v as usize];
+                if dense {
+                    table.row_mut(u)[block as usize] += w;
                 } else {
-                    table.hash_add(row, block, w);
+                    table.hash_add(u, block, w);
                 }
             });
         }
         table
     }
 
-    fn row(&self, u: NodeId) -> &[AtomicU64] {
+    fn row(&self, u: NodeId) -> &[u64] {
         &self.slots[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
-    fn lock(&self, u: NodeId) -> RowGuard<'_> {
-        let lock = &self.locks[u as usize];
-        while lock
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        RowGuard(lock)
+    fn row_mut(&mut self, u: NodeId) -> &mut [u64] {
+        &mut self.slots[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
     fn unpack(&self, word: u64) -> (BlockId, EdgeWeight) {
@@ -269,11 +242,11 @@ impl GainTable {
 
     /// Probes the hash `row` for `block`: the slot holding it, or the empty slot that
     /// ends its probe sequence, with the slot's word.
-    fn probe(&self, row: &[AtomicU64], block: BlockId) -> (usize, u64) {
+    fn probe(&self, row: &[u64], block: BlockId) -> (usize, u64) {
         let mask = row.len() - 1;
         let mut slot = home_slot(block) & mask;
         for _ in 0..row.len() {
-            let word = row[slot].load(Ordering::Relaxed);
+            let word = row[slot];
             if word == 0 || self.unpack(word).0 == block {
                 return (slot, word);
             }
@@ -282,22 +255,20 @@ impl GainTable {
         panic!("gain table row overflow: a vertex is adjacent to more blocks than its capacity");
     }
 
-    fn hash_add(&self, row: &[AtomicU64], block: BlockId, weight: EdgeWeight) {
-        let (slot, word) = self.probe(row, block);
+    fn hash_add(&mut self, u: NodeId, block: BlockId, weight: EdgeWeight) {
+        let (slot, word) = self.probe(self.row(u), block);
         let affinity = self.unpack(word).1 + weight;
         assert!(
             affinity >> self.value_bits == 0,
             "affinity {affinity} does not fit beside a block id of k = {}",
             self.k
         );
-        row[slot].store(
-            (block as u64) << self.value_bits | affinity,
-            Ordering::Relaxed,
-        );
+        let word = (block as u64) << self.value_bits | affinity;
+        self.row_mut(u)[slot] = word;
     }
 
-    fn hash_sub(&self, row: &[AtomicU64], block: BlockId, weight: EdgeWeight) {
-        let (slot, word) = self.probe(row, block);
+    fn hash_sub(&mut self, u: NodeId, block: BlockId, weight: EdgeWeight) {
+        let (slot, word) = self.probe(self.row(u), block);
         if word == 0 {
             // Only a table that no longer mirrors the assignment decrements an absent
             // entry: fatal wherever assertions are on, tolerated in a release run.
@@ -309,54 +280,50 @@ impl GainTable {
         let affinity = (self.unpack(word).1)
             .checked_sub(weight)
             .expect("affinity must stay non-negative");
+        let value_bits = self.value_bits;
+        let row = self.row_mut(u);
         if affinity != 0 {
-            row[slot].store(word - weight, Ordering::Relaxed);
+            row[slot] = word - weight;
             return;
         }
         // Backward-shift deletion (paper §V): later entries of the probe sequence move
         // up into the hole unless their home slot lies cyclically within (hole, next].
         let mask = row.len() - 1;
         let (mut hole, mut next) = (slot, (slot + 1) & mask);
-        loop {
-            let word = row[next].load(Ordering::Relaxed);
-            if word == 0 {
-                break;
-            }
-            let home = home_slot(self.unpack(word).0);
+        while row[next] != 0 {
+            let home = home_slot((row[next] >> value_bits) as BlockId);
             if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
-                row[hole].store(word, Ordering::Relaxed);
+                row[hole] = row[next];
                 hole = next;
             }
             next = (next + 1) & mask;
         }
-        row[hole].store(0, Ordering::Relaxed);
+        row[hole] = 0;
     }
 
     /// Affinity of `u` towards `block`.
     pub fn affinity(&self, u: NodeId, block: BlockId) -> EdgeWeight {
         let row = self.row(u);
         if row.len() == self.k {
-            row[block as usize].load(Ordering::Relaxed)
+            row[block as usize]
         } else if row.is_empty() {
             0
         } else {
-            let _guard = self.lock(u);
             self.unpack(self.probe(row, block).1).1
         }
     }
 
-    /// Applies the affinity delta for neighbour `v` after a move `from → to`, under one
-    /// acquisition of `v`'s row lock. Decrementing first keeps a hash row within the
-    /// `deg(v)` entries its capacity is sized for.
-    pub fn update(&self, v: NodeId, from: BlockId, to: BlockId, weight: EdgeWeight) {
-        let row = self.row(v);
-        if row.len() == self.k {
-            row[from as usize].fetch_sub(weight, Ordering::Relaxed);
-            row[to as usize].fetch_add(weight, Ordering::Relaxed);
+    /// Applies the affinity delta for neighbour `v` after a move `from → to`.
+    /// Decrementing first keeps a hash row within the `deg(v)` entries its capacity is
+    /// sized for.
+    pub fn update(&mut self, v: NodeId, from: BlockId, to: BlockId, weight: EdgeWeight) {
+        if self.row(v).len() == self.k {
+            let row = self.row_mut(v);
+            row[from as usize] -= weight;
+            row[to as usize] += weight;
         } else {
-            let _guard = self.lock(v);
-            self.hash_sub(row, from, weight);
-            self.hash_add(row, to, weight);
+            self.hash_sub(v, from, weight);
+            self.hash_add(v, to, weight);
         }
     }
 
@@ -365,23 +332,21 @@ impl GainTable {
     fn scan_row(&self, u: NodeId, mut f: impl FnMut(BlockId, EdgeWeight)) {
         let row = self.row(u);
         if row.len() == self.k {
-            for (block, affinity) in row.iter().enumerate() {
-                f(block as BlockId, affinity.load(Ordering::Relaxed));
+            for (block, &affinity) in row.iter().enumerate() {
+                f(block as BlockId, affinity);
             }
         } else {
-            let _guard = self.lock(u);
-            for slot in row {
-                let (block, affinity) = self.unpack(slot.load(Ordering::Relaxed));
+            for &word in row {
+                let (block, affinity) = self.unpack(word);
                 f(block, affinity);
             }
         }
     }
 
-    /// Heap bytes used by the table: offsets, slots and lock words.
+    /// Heap bytes used by the table: offsets and slots.
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
-            + self.slots.len() * std::mem::size_of::<AtomicU64>()
-            + self.locks.len() * std::mem::size_of::<AtomicBool>()
+            + self.slots.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -392,20 +357,16 @@ mod tests {
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
-    fn atomic_assignment(assignment: &[BlockId]) -> Vec<AtomicU32> {
-        assignment.iter().map(|&b| AtomicU32::new(b)).collect()
-    }
-
     /// Brute-force affinity used as the ground truth.
     fn reference_affinity(
         graph: &impl Graph,
-        assignment: &[AtomicU32],
+        assignment: &[BlockId],
         u: NodeId,
         block: BlockId,
     ) -> EdgeWeight {
         let mut total = 0;
         graph.for_each_neighbor(u, &mut |v, w| {
-            if assignment[v as usize].load(Ordering::Relaxed) == block {
+            if assignment[v as usize] == block {
                 total += w;
             }
         });
@@ -414,7 +375,7 @@ mod tests {
 
     fn check_all_affinities(
         graph: &impl Graph,
-        assignment: &[AtomicU32],
+        assignment: &[BlockId],
         cache: &GainCache,
         k: usize,
     ) {
@@ -436,14 +397,13 @@ mod tests {
         let g = gen::with_random_edge_weights(&gen::grid2d(8, 8), 5, 1);
         let k = 4;
         let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
-        let atomics = atomic_assignment(&assignment);
         for kind in [
             GainTableKind::None,
             GainTableKind::Dense,
             GainTableKind::Sparse,
         ] {
-            let cache = GainCache::new(kind, &g, &atomics, k);
-            check_all_affinities(&g, &atomics, &cache, k);
+            let cache = GainCache::new(kind, &g, &assignment, k);
+            check_all_affinities(&g, &assignment, &cache, k);
         }
     }
 
@@ -452,11 +412,10 @@ mod tests {
         let g = gen::with_random_edge_weights(&gen::grid2d(12, 12), 5, 3);
         let k = 5;
         let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
-        let atomics = atomic_assignment(&assignment);
-        let cache = GainCache::new(GainTableKind::None, &g, &atomics, k);
+        let cache = GainCache::new(GainTableKind::None, &g, &assignment, k);
         let sweep = || -> Vec<Option<(i64, BlockId)>> {
             (0..g.n() as NodeId)
-                .map(|u| cache.best_move(&g, &atomics, u, assignment[u as usize], |_| true))
+                .map(|u| cache.best_move(&g, &assignment, u, assignment[u as usize], |_| true))
                 .collect()
         };
         let sequential = sweep();
@@ -486,23 +445,22 @@ mod tests {
         let g = gen::with_random_edge_weights(&gen::erdos_renyi(60, 300, 7), 9, 2);
         let k = 6;
         let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
-        let atomics = atomic_assignment(&assignment);
-        let dense = GainCache::new(GainTableKind::Dense, &g, &atomics, k);
-        let sparse = GainCache::new(GainTableKind::Sparse, &g, &atomics, k);
+        let mut assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
+        let mut dense = GainCache::new(GainTableKind::Dense, &g, &assignment, k);
+        let mut sparse = GainCache::new(GainTableKind::Sparse, &g, &assignment, k);
         for _ in 0..200 {
             let u = rng.gen_range(0..g.n()) as NodeId;
-            let from = atomics[u as usize].load(Ordering::Relaxed);
+            let from = assignment[u as usize];
             let to = rng.gen_range(0..k as BlockId);
             if from == to {
                 continue;
             }
-            atomics[u as usize].store(to, Ordering::Relaxed);
+            assignment[u as usize] = to;
             dense.apply_move(&g, u, from, to);
             sparse.apply_move(&g, u, from, to);
         }
-        check_all_affinities(&g, &atomics, &dense, k);
-        check_all_affinities(&g, &atomics, &sparse, k);
+        check_all_affinities(&g, &assignment, &dense, k);
+        check_all_affinities(&g, &assignment, &sparse, k);
     }
 
     #[test]
@@ -510,9 +468,8 @@ mod tests {
         let g = gen::grid2d(30, 30); // max degree 4, so deg << k
         let k = 128;
         let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
-        let atomics = atomic_assignment(&assignment);
-        let dense = GainCache::new(GainTableKind::Dense, &g, &atomics, k);
-        let sparse = GainCache::new(GainTableKind::Sparse, &g, &atomics, k);
+        let dense = GainCache::new(GainTableKind::Dense, &g, &assignment, k);
+        let sparse = GainCache::new(GainTableKind::Sparse, &g, &assignment, k);
         assert!(dense.memory_bytes() >= g.n() * k * 8);
         assert!(
             sparse.memory_bytes() * 4 < dense.memory_bytes(),
@@ -521,7 +478,7 @@ mod tests {
             dense.memory_bytes()
         );
         assert_eq!(
-            GainCache::new(GainTableKind::None, &g, &atomics, k).memory_bytes(),
+            GainCache::new(GainTableKind::None, &g, &assignment, k).memory_bytes(),
             0
         );
     }
@@ -531,83 +488,53 @@ mod tests {
         let g = gen::star(64);
         let k = 4; // hub degree 63 > k
         let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
-        let atomics = atomic_assignment(&assignment);
-        let sparse = GainCache::new(GainTableKind::Sparse, &g, &atomics, k);
-        check_all_affinities(&g, &atomics, &sparse, k);
+        let sparse = GainCache::new(GainTableKind::Sparse, &g, &assignment, k);
+        check_all_affinities(&g, &assignment, &sparse, k);
     }
 
     /// A star whose hub (deg 6 < k = 16) owns one 8-slot hash row; moving the leaves
     /// around at random fills, collides and drains that row.
-    fn star_hub_row() -> (graph::CsrGraph, Vec<AtomicU32>, GainTable) {
+    fn star_hub_row() -> (graph::CsrGraph, Vec<BlockId>, GainTable) {
         let g = gen::star(7);
-        let atomics = atomic_assignment(&[0, 1, 2, 3, 4, 5, 6]);
-        let table = GainTable::new(&g, &atomics, 16, true);
+        let assignment = vec![0, 1, 2, 3, 4, 5, 6];
+        let table = GainTable::new(&g, &assignment, 16, true);
         assert_eq!(table.row(0).len(), 8);
-        (g, atomics, table)
+        (g, assignment, table)
     }
 
     #[test]
     fn backward_shift_deletion_keeps_lookups_correct() {
-        let (g, atomics, table) = star_hub_row();
+        let (g, mut assignment, mut table) = star_hub_row();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..2_000 {
             let leaf = rng.gen_range(1..7) as NodeId;
-            let from = atomics[leaf as usize].load(Ordering::Relaxed);
+            let from = assignment[leaf as usize];
             let to = rng.gen_range(0..16 as BlockId);
             if from == to {
                 continue;
             }
-            atomics[leaf as usize].store(to, Ordering::Relaxed);
+            assignment[leaf as usize] = to;
             table.update(0, from, to, 1);
             for b in 0..16 as BlockId {
-                assert_eq!(table.affinity(0, b), reference_affinity(&g, &atomics, 0, b));
+                assert_eq!(
+                    table.affinity(0, b),
+                    reference_affinity(&g, &assignment, 0, b)
+                );
             }
-            let live = table
-                .row(0)
-                .iter()
-                .filter(|s| s.load(Ordering::Relaxed) != 0);
+            let live = table.row(0).iter().filter(|&&word| word != 0);
             assert!(live.count() <= 6, "a drained entry stayed in the row");
         }
     }
 
     #[test]
-    fn concurrent_moves_of_disjoint_vertices_keep_shared_rows_exact() {
-        // deg ≈ 12 < k: almost every row is a hash row, updated by whichever threads
-        // own its neighbours.
-        let g = gen::with_random_edge_weights(&gen::erdos_renyi(200, 1_200, 3), 9, 4);
-        let k = 32;
-        let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
-        let atomics = atomic_assignment(&assignment);
-        let sparse = GainCache::new(GainTableKind::Sparse, &g, &atomics, k);
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let (g, atomics, sparse, start) = (&g, &atomics, &sparse, &start);
-                scope.spawn(move || {
-                    let mut rng = ChaCha8Rng::seed_from_u64(t);
-                    start.wait();
-                    for _ in 0..5_000 {
-                        let u = (rng.gen_range(0..50u64) * 4 + t) as NodeId;
-                        let from = atomics[u as usize].load(Ordering::Relaxed);
-                        let to = rng.gen_range(0..k as BlockId);
-                        atomics[u as usize].store(to, Ordering::Relaxed);
-                        sparse.apply_move(g, u, from, to);
-                    }
-                });
-            }
-        });
-        check_all_affinities(&g, &atomics, &sparse, k);
-    }
-
-    #[test]
     #[should_panic(expected = "decrement of absent block")]
     fn decrementing_an_absent_entry_is_a_hard_failure_under_test() {
-        let (_, _, table) = star_hub_row();
+        let (_, _, mut table) = star_hub_row();
         table.update(0, 9, 3, 1);
     }
 
     #[test]
-    fn sparse_bytes_are_offsets_plus_slots_plus_locks() {
+    fn sparse_bytes_are_offsets_plus_slots() {
         // Path 0-1-2-3 plus the isolated vertex 4, k = 8: the ends (deg 1) get 2 slots,
         // the inner vertices (deg 2) 4, the isolated vertex none.
         let mut b = graph::CsrGraphBuilder::new(5);
@@ -615,14 +542,13 @@ mod tests {
             b.add_edge(u, u + 1, 1);
         }
         let g = b.build();
-        let atomics = atomic_assignment(&[0, 1, 2, 3, 4]);
-        let table = GainTable::new(&g, &atomics, 8, true);
+        let table = GainTable::new(&g, &[0, 1, 2, 3, 4], 8, true);
         let rows: Vec<usize> = (0..5).map(|u| table.row(u).len()).collect();
         assert_eq!(rows, [2, 4, 4, 2, 0]);
-        assert_eq!(table.memory_bytes(), 6 * 8 + 12 * 8 + 5);
+        assert_eq!(table.memory_bytes(), 6 * 8 + 12 * 8);
         // From k slots on a row is dense: deg 3 would need 4 hash slots, k = 4 are no more.
         let star = gen::star(4);
-        let table = GainTable::new(&star, &atomic_assignment(&[0, 1, 2, 3]), 4, true);
+        let table = GainTable::new(&star, &[0, 1, 2, 3], 4, true);
         assert_eq!(table.row(0).len(), 4);
         assert_eq!(table.affinity(0, 3), 1);
     }

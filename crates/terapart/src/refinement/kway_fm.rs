@@ -15,15 +15,13 @@
 //!
 //! # Determinism
 //!
-//! The candidate seeding and the gain-cache construction are parallel
-//! (order-preserving), while the move loop itself is sequential: the heap orders its
-//! entries by `(gain, vertex)`, a total order, so for a fixed seed the applied move
+//! The candidate seeding is parallel (order-preserving) and only reads the assignment
+//! and the gain cache; the move loop, their one writer, is sequential. The heap orders
+//! its entries by `(gain, vertex)`, a total order, so for a fixed seed the applied move
 //! sequence — and therefore the refined partition — is bit-identical at any thread
 //! count and on any graph representation that decodes the same neighbourhoods (CSR,
 //! compressed, paged). This matches the determinism invariant of initial partitioning
 //! and makes the algorithm usable in golden-cut regression tests.
-
-use std::sync::atomic::{AtomicU32, Ordering};
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId, NodeWeight};
@@ -59,12 +57,12 @@ pub struct FmStats {
 fn best_feasible_move(
     graph: &impl Graph,
     cache: &GainCache,
-    assignment: &[AtomicU32],
+    assignment: &[BlockId],
     block_weights: &[NodeWeight],
     max_block_weight: NodeWeight,
     u: NodeId,
 ) -> Option<(i64, BlockId)> {
-    let from = assignment[u as usize].load(Ordering::Relaxed);
+    let from = assignment[u as usize];
     let node_weight = graph.node_weight(u);
     if block_weights[from as usize] <= node_weight {
         return None;
@@ -122,14 +120,10 @@ pub(crate) fn kway_fm_refine_obs(
     let cut_before = partition.tracked_or_recounted_cut(graph);
     let boundary = partition.take_boundary();
     let mut kept_gain = 0i64;
-    let assignment: Vec<AtomicU32> = partition
-        .assignment()
-        .iter()
-        .map(|&b| AtomicU32::new(b))
-        .collect();
+    let mut assignment: Vec<BlockId> = partition.assignment().to_vec();
     let mut block_weights: Vec<NodeWeight> = partition.block_weights().to_vec();
 
-    let cache = GainCache::new(gain_table, graph, &assignment, k);
+    let mut cache = GainCache::new(gain_table, graph, &assignment, k);
     let gain_table_bytes = cache.memory_bytes();
     // Charged for the duration of refinement: the quantity Figure 7 (middle) compares
     // across the three gain-table kinds.
@@ -143,16 +137,10 @@ pub(crate) fn kway_fm_refine_obs(
     let mut move_log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
 
     obs.gauge_max(Counter::GainTableBytes, gain_table_bytes as u64);
-    let best_move = |u: NodeId, block_weights: &[NodeWeight]| {
-        best_feasible_move(
-            graph,
-            &cache,
-            &assignment,
-            block_weights,
-            max_block_weight,
-            u,
-        )
-    };
+    let best_move =
+        |cache: &GainCache, assignment: &[BlockId], block_weights: &[NodeWeight], u: NodeId| {
+            best_feasible_move(graph, cache, assignment, block_weights, max_block_weight, u)
+        };
 
     let mut total_moves = 0usize;
     let mut total_rolled_back = 0usize;
@@ -166,7 +154,9 @@ pub(crate) fn kway_fm_refine_obs(
         // sequence independent of the insertion order anyway.
         (0..n as NodeId)
             .into_par_iter()
-            .filter_map(|u| best_move(u, &block_weights).map(|(gain, to)| (gain, u, to)))
+            .filter_map(|u| {
+                best_move(&cache, &assignment, &block_weights, u).map(|(gain, to)| (gain, u, to))
+            })
             .collect_into_vec(&mut seeds);
         // One gain query per seeded vertex, per re-validated pop and per re-keyed
         // neighbour; `tried` counts the pops.
@@ -194,7 +184,9 @@ pub(crate) fn kway_fm_refine_obs(
             let to = target[u as usize];
             tried += 1;
             queries += 1;
-            let Some((current_gain, current_to)) = best_move(u, &block_weights) else {
+            let Some((current_gain, current_to)) =
+                best_move(&cache, &assignment, &block_weights, u)
+            else {
                 continue;
             };
             if (current_gain, current_to) != (gain, to) {
@@ -204,9 +196,9 @@ pub(crate) fn kway_fm_refine_obs(
                 heap.push_or_update(u, current_gain);
                 continue;
             }
-            let from = assignment[u as usize].load(Ordering::Relaxed);
+            let from = assignment[u as usize];
             let node_weight = graph.node_weight(u);
-            assignment[u as usize].store(to, Ordering::Relaxed);
+            assignment[u as usize] = to;
             block_weights[from as usize] -= node_weight;
             block_weights[to as usize] += node_weight;
             cache.apply_move(graph, u, from, to);
@@ -229,7 +221,7 @@ pub(crate) fn kway_fm_refine_obs(
                 }
                 if !locked[v as usize] {
                     queries += 1;
-                    match best_move(v, &block_weights) {
+                    match best_move(&cache, &assignment, &block_weights, v) {
                         Some((gv, tv)) => {
                             target[v as usize] = tv;
                             heap.push_or_update(v, gv);
@@ -244,7 +236,7 @@ pub(crate) fn kway_fm_refine_obs(
         let rolled_back = move_log.len() - best_len;
         for &(u, from, to) in move_log[best_len..].iter().rev() {
             let node_weight = graph.node_weight(u);
-            assignment[u as usize].store(from, Ordering::Relaxed);
+            assignment[u as usize] = from;
             block_weights[to as usize] -= node_weight;
             block_weights[from as usize] += node_weight;
             cache.apply_move(graph, u, to, from);
@@ -269,7 +261,7 @@ pub(crate) fn kway_fm_refine_obs(
     }
 
     partition.commit(
-        assignment.into_iter().map(AtomicU32::into_inner).collect(),
+        assignment,
         block_weights,
         Some((cut_before as i64 - kept_gain) as EdgeWeight),
         boundary,
@@ -303,19 +295,19 @@ mod tests {
     fn best_feasible_move_by_scan(
         graph: &impl Graph,
         cache: &GainCache,
-        assignment: &[AtomicU32],
+        assignment: &[BlockId],
         block_weights: &[NodeWeight],
         max_block_weight: NodeWeight,
         u: NodeId,
     ) -> Option<(i64, BlockId)> {
-        let from = assignment[u as usize].load(Ordering::Relaxed);
+        let from = assignment[u as usize];
         let node_weight = graph.node_weight(u);
         if block_weights[from as usize] <= node_weight {
             return None;
         }
         let mut adjacent: Vec<BlockId> = Vec::new();
         graph.for_each_neighbor(u, &mut |v, _| {
-            let b = assignment[v as usize].load(Ordering::Relaxed);
+            let b = assignment[v as usize];
             if b != from && !adjacent.contains(&b) {
                 adjacent.push(b);
             }
@@ -368,53 +360,53 @@ mod tests {
                 builder.add_edge(v, other, rng.gen_range(1..=9));
             }
             let g = builder.build();
-            let assignment: Vec<AtomicU32> =
-                (0..n).map(|_| AtomicU32::new(rng.gen_range(0..k as BlockId))).collect();
+            let mut assignment: Vec<BlockId> =
+                (0..n).map(|_| rng.gen_range(0..k as BlockId)).collect();
             let mut block_weights = vec![0; k];
             for u in 0..n {
-                block_weights[assignment[u].load(Ordering::Relaxed) as usize] +=
-                    g.node_weight(u as NodeId);
+                block_weights[assignment[u] as usize] += g.node_weight(u as NodeId);
             }
             // Tight enough that some targets are infeasible from the start.
             let max_block_weight = *block_weights.iter().max().unwrap() + slack;
-            let caches = KINDS.map(|kind| GainCache::new(kind, &g, &assignment, k));
-            let agree = |u: NodeId, block_weights: &[NodeWeight]| {
+            let mut caches = KINDS.map(|kind| GainCache::new(kind, &g, &assignment, k));
+            let agree = |caches: &[GainCache], assignment: &[BlockId], bw: &[NodeWeight], u| {
                 let expected = best_feasible_move_by_scan(
-                    &g, &caches[1], &assignment, block_weights, max_block_weight, u,
+                    &g, &caches[1], assignment, bw, max_block_weight, u,
                 );
-                for cache in &caches {
-                    let got = best_feasible_move(
-                        &g, cache, &assignment, block_weights, max_block_weight, u,
-                    );
+                for cache in caches {
+                    let got = best_feasible_move(&g, cache, assignment, bw, max_block_weight, u);
                     prop_assert_eq!(got, expected, "vertex {} with k = {}", u, k);
                 }
                 expected
             };
-            let mut log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
-            let apply = |u: NodeId, from: BlockId, to: BlockId, bw: &mut [NodeWeight]| {
-                assignment[u as usize].store(to, Ordering::Relaxed);
+            let apply = |caches: &mut [GainCache],
+                         assignment: &mut [BlockId],
+                         bw: &mut [NodeWeight],
+                         (u, from, to): (NodeId, BlockId, BlockId)| {
+                assignment[u as usize] = to;
                 bw[from as usize] -= g.node_weight(u);
                 bw[to as usize] += g.node_weight(u);
-                for cache in &caches {
+                for cache in caches {
                     cache.apply_move(&g, u, from, to);
                 }
             };
+            let mut log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
             for _ in 0..200 {
                 let u = rng.gen_range(0..n as NodeId);
-                if let Some((_, to)) = agree(u, &block_weights) {
-                    let from = assignment[u as usize].load(Ordering::Relaxed);
-                    apply(u, from, to, &mut block_weights);
+                if let Some((_, to)) = agree(&caches, &assignment, &block_weights, u) {
+                    let from = assignment[u as usize];
+                    apply(&mut caches, &mut assignment, &mut block_weights, (u, from, to));
                     log.push((u, from, to));
                 }
                 if rng.gen_bool(0.1) {
                     // Roll back a random tail, as a pass does.
                     for (u, from, to) in log.drain(rng.gen_range(0..=log.len())..).rev() {
-                        apply(u, to, from, &mut block_weights);
+                        apply(&mut caches, &mut assignment, &mut block_weights, (u, to, from));
                     }
                 }
             }
             for u in 0..n as NodeId {
-                agree(u, &block_weights);
+                agree(&caches, &assignment, &block_weights, u);
             }
         }
     }
@@ -546,29 +538,27 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
+        // Seeding reads the cache from every thread: the table-less cache's shared row
+        // pool and the dense rows included.
         let g = gen::rgg2d(600, 10, 9);
-        let reference = {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .unwrap();
-            let mut p = scrambled(&g, 6, 0.1);
-            pool.install(|| kway_fm_refine(&g, &mut p, GainTableKind::Sparse, 4, 64));
-            p
-        };
-        for threads in [2, 4] {
+        let refine = |kind: GainTableKind, threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
             let mut p = scrambled(&g, 6, 0.1);
-            pool.install(|| kway_fm_refine(&g, &mut p, GainTableKind::Sparse, 4, 64));
-            assert_eq!(
-                p.assignment(),
-                reference.assignment(),
-                "{} threads diverged",
-                threads
-            );
+            pool.install(|| kway_fm_refine(&g, &mut p, kind, 4, 64));
+            p.assignment().to_vec()
+        };
+        for kind in KINDS {
+            let reference = refine(kind, 1);
+            for threads in [2, 4] {
+                assert_eq!(
+                    refine(kind, threads),
+                    reference,
+                    "{kind:?}: {threads} threads diverged"
+                );
+            }
         }
     }
 }

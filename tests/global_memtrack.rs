@@ -2,8 +2,8 @@
 //! `#[test]` of this binary so it owns its process: a sibling test charging
 //! `memtrack::global()` concurrently would pollute the peaks and balances asserted
 //! here (which is how the on-disk memory bound used to fail under the default
-//! multi-threaded runner). This is a quarantine, not the fix — the fix is ROADMAP
-//! item 1, making memory a per-run fact instead of a process-global one.
+//! multi-threaded runner). This is a quarantine, not the fix — the fix is the ROADMAP
+//! item "Memory is a per-run fact", one tracker per run instead of a process-global one.
 
 use graph::store::{read_tpg_compressed, read_tpg_meta, stream_rgg2d_to_tpg};
 use graph::traits::Graph;
