@@ -3,12 +3,12 @@
 //! instance size, and assert that (a) the uncompressed CSR exceeds the page budget, (b)
 //! the peak accounted memory stays below the uncompressed CSR byte size, and (c) the
 //! result is a complete, balanced partition. Then exercise the concurrent
-//! external-memory path end to end: (d) the pipelined streamed ingest must reproduce the
-//! materialised container byte for byte, and (e) paged at the default and at 4 KiB pages
-//! and mmap reach one identical cut on the one container format, and every paged run
-//! read and checksummed exactly the pages it missed (`verified_bytes == bytes_read ==
-//! misses · page`, the last page of the data section short). Exits non-zero on any
-//! violation, so CI fails loudly.
+//! external-memory path end to end: (d) the streamed ingest, whose time is printed,
+//! must reproduce the materialised container byte for byte, and (e) paged at the
+//! default and at 4 KiB pages and mmap reach one identical cut on the one container
+//! format, and every paged run read and checksummed exactly the pages it missed
+//! (`verified_bytes == bytes_read == misses · page`, the last page of the data section
+//! short). Exits non-zero on any violation, so CI fails loudly.
 //!
 //! Usage: `ondisk_smoke [dir]` (default: a fresh temp directory, removed afterwards).
 
@@ -64,18 +64,20 @@ fn main() {
     // Geometric instance: dense enough that the CSR size dominates the pipeline's O(n)
     // auxiliary structures, and localized enough that coarse graphs shrink fast — the
     // regime where the "peak < CSR" assertion is meaningful.
-    let (n, avg_deg, seed) = (40_000, 20, 99);
+    let (n, avg_deg, seed, buckets) = (40_000, 20, 99, 16);
     let path = dir.join("smoke_streamed.tpg");
+    let ingest = std::time::Instant::now();
     stream_rgg2d_to_tpg(
         n,
         avg_deg,
         seed,
         &path,
         dir.join("spill"),
-        16,
+        buckets,
         &CompressionConfig::default(),
     )
     .expect("failed to generate the smoke instance");
+    let ingest_s = ingest.elapsed().as_secs_f64();
     let meta = read_tpg_meta(&path).expect("failed to read instance header");
     let csr_bytes = meta.csr_size_in_bytes();
     let container_bytes = std::fs::metadata(&path).unwrap().len();
@@ -88,6 +90,12 @@ fn main() {
         memtrack::format_bytes(csr_bytes),
         memtrack::format_bytes(container_bytes as usize),
         memtrack::format_bytes(page_budget)
+    );
+    println!(
+        "streamed ingest: {:.3}s for {} half-edges over {} buckets (sample + spill + finish)",
+        ingest_s,
+        2 * meta.m,
+        buckets
     );
     assert!(
         csr_bytes > page_budget,
@@ -136,10 +144,10 @@ fn main() {
         csr_bytes
     );
 
-    // ---- Streamed-ingest byte-identity: the pipelined external builder (spill →
-    // parallel aggregate/encode → ordered commit) must reproduce the materialised
-    // container exactly: compare it against a container written from the fully
-    // materialised in-memory graph. ----
+    // ---- Streamed-ingest byte-identity: the external builder (spill → aggregate and
+    // encode bucket by bucket) must reproduce the materialised container exactly:
+    // compare it against a container written from the fully materialised in-memory
+    // graph. ----
     let materialized = dir.join("smoke_materialized.tpg");
     graph::store::write_tpg_from_graph(
         &graph::gen::rgg2d(n, avg_deg, seed),

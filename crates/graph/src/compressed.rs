@@ -21,7 +21,6 @@
 //! place that counts first edges, offsets, half-edges, the maximum degree and the
 //! weight totals.
 
-use crate::checksum::crc32;
 use crate::csr::CsrGraph;
 use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
@@ -95,10 +94,9 @@ fn sid(v: NodeId) -> i64 {
 /// degree, the edge- and node-weight totals and the node weights.
 ///
 /// A [`SectionEncoder`] fills it. A section that starts at vertex 0 and covers every
-/// vertex is a whole graph; shorter ones are the unit of the two ordered-commit paths —
-/// the packets of [`compress_csr_parallel`](crate::builder::compress_csr_parallel) and
-/// [`TpgWriter::push_section`](crate::store::TpgWriter::push_section) — whose committer
-/// absorbs their counts in vertex order. The committed byte stream is
+/// vertex is a whole graph; shorter ones are the packets of the one ordered-commit
+/// path, [`compress_csr_parallel`](crate::builder::compress_csr_parallel), whose
+/// committer absorbs their counts in vertex order. The committed byte stream is
 /// identical to pushing the same neighbourhoods one by one.
 #[derive(Debug, Default)]
 pub struct EncodedSection {
@@ -123,9 +121,6 @@ pub struct EncodedSection {
     pub(crate) total_edge_weight: EdgeWeight,
     /// Maximum degree within the section.
     pub(crate) max_degree: usize,
-    /// crc32 of `bytes`, set by [`SectionEncoder::finish`] and re-verified when the
-    /// section is committed to a `.tpg` writer.
-    pub(crate) crc: u32,
 }
 
 impl EncodedSection {
@@ -144,11 +139,6 @@ impl EncodedSection {
             offsets,
             ..Self::default()
         }
-    }
-
-    /// Number of half-edges encoded into the section.
-    pub fn half_edges(&self) -> usize {
-        self.half_edges
     }
 
     /// Number of vertices encoded into the section.
@@ -230,13 +220,12 @@ impl EncodedSection {
 /// of the neighbourhood codec's encoder.
 ///
 /// `base_first_edge` must equal the number of half-edges of all vertices preceding
-/// `first_vertex` in the final graph; a worker learns it from the preceding section's
-/// totals. Edge weights are stored iff `edge_weighted`.
+/// `first_vertex` in the final graph: a packet reads it off the CSR offsets, the
+/// `.tpg` writer off its running totals. Edge weights are stored iff `edge_weighted`.
 pub struct SectionEncoder {
     pub(crate) config: CompressionConfig,
     pub(crate) edge_weighted: bool,
-    /// The neighbourhoods encoded so far; moved out as is (without a crc) by a
-    /// committer that never lets the bytes leave this address space.
+    /// The neighbourhoods encoded so far; read or moved out as is by the committer.
     pub(crate) section: EncodedSection,
 }
 
@@ -295,13 +284,6 @@ impl SectionEncoder {
         section.half_edges += neighbors.len();
         section.max_degree = section.max_degree.max(neighbors.len());
         section.total_edge_weight += neighbors.iter().map(|&(_, w)| w).sum::<EdgeWeight>();
-    }
-
-    /// Seals the section for [`TpgWriter::push_section`](crate::store::TpgWriter::push_section):
-    /// its crc32 travels with the bytes to the committing thread.
-    pub fn finish(mut self) -> EncodedSection {
-        self.section.crc = crc32(&self.section.bytes);
-        self.section
     }
 
     /// Empties the encoder for a run starting at `first_vertex` / `base_first_edge`,

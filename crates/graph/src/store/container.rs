@@ -290,9 +290,9 @@ impl FileSink {
 
 /// Streaming `.tpg` writer: feed neighbourhoods in vertex order, then [`finish`].
 ///
-/// Neighbourhoods arrive either one at a time ([`push_neighborhood`], encoded here) or
-/// as sections a worker encoded ([`push_section`]); both commit through the same
-/// `EncodedSection::absorb`, so the two differ only in who encoded the bytes.
+/// Each neighbourhood arrives through [`push_neighborhood`], is encoded here, streams
+/// its bytes to the data section and is committed to the running totals through
+/// `EncodedSection::absorb`.
 ///
 /// The path-based constructor is crash-safe: bytes stream into a hidden temp file next
 /// to the destination and the destination only comes into existence through an atomic
@@ -301,7 +301,6 @@ impl FileSink {
 ///
 /// [`finish`]: TpgWriter::finish
 /// [`push_neighborhood`]: TpgWriter::push_neighborhood
-/// [`push_section`]: TpgWriter::push_section
 pub struct TpgWriter {
     file: FileSink,
     /// Temp and destination paths of the crash-safe path-based writer; `None` when
@@ -311,8 +310,8 @@ pub struct TpgWriter {
     n: usize,
     /// What the committed neighbourhoods add up to; their bytes are already on disk.
     totals: EncodedSection,
-    /// Encodes the neighbourhoods pushed one at a time (and holds the config and the
-    /// edge-weight flag every pushed section must match).
+    /// Encodes each pushed neighbourhood (and holds the config and the edge-weight
+    /// flag).
     encoder: SectionEncoder,
 }
 
@@ -414,53 +413,6 @@ impl TpgWriter {
         self.encoder.push_neighborhood(u, neighbors, node_weight);
         self.file.write_data(&self.encoder.section.bytes)?;
         self.totals.absorb(&self.encoder.section);
-        Ok(())
-    }
-
-    /// Commits a worker-encoded [`EncodedSection`] — the out-of-order commit path.
-    ///
-    /// Sections must arrive in vertex order (the caller serialises commits, e.g. with
-    /// the packet scheme of [`compress_csr_parallel`]); the section must additionally
-    /// have been encoded against the writer's current half-edge prefix, which the
-    /// writer verifies. The resulting container is byte-identical to pushing the same
-    /// neighbourhoods sequentially through [`push_neighborhood`].
-    ///
-    /// [`compress_csr_parallel`]: crate::builder::compress_csr_parallel
-    /// [`push_neighborhood`]: TpgWriter::push_neighborhood
-    pub fn push_section(&mut self, section: &EncodedSection) -> Result<(), IoError> {
-        let (first, count) = (section.first_vertex, section.vertex_count());
-        assert_eq!(
-            first,
-            self.totals.vertex_count(),
-            "sections must be committed in vertex order"
-        );
-        assert_eq!(
-            section.base_first_edge,
-            self.totals.next_first_edge(),
-            "section was encoded against a stale half-edge prefix"
-        );
-        assert!(
-            first + count <= self.n,
-            "section [{}, {}) out of range for {} vertices",
-            first,
-            first + count,
-            self.n
-        );
-        // The section travelled through a channel between an encoder worker and this
-        // writer; re-derive its crc so corruption in flight is caught before the bytes
-        // reach disk with a checksum vouching for them.
-        let actual = crc32(&section.bytes);
-        if actual != section.crc {
-            return Err(IoError::Corrupt(format!(
-                "encoded section [{}, {}) checksum mismatch: encoder {:#010x}, commit {:#010x}",
-                first,
-                first + count,
-                section.crc,
-                actual
-            )));
-        }
-        self.file.write_data(&section.bytes)?;
-        self.totals.absorb(section);
         Ok(())
     }
 
@@ -1444,57 +1396,6 @@ mod tests {
             }
         }
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn section_commit_is_byte_identical_to_per_vertex_pushes() {
-        // The out-of-order commit path: encoding vertex ranges into sections (as the
-        // pipelined streaming builder does) and committing them in order must produce
-        // exactly the bytes of the sequential per-vertex writer.
-        let g = gen::with_random_node_weights(&gen::weblike(9, 7, 11), 4, 2);
-        let config = CompressionConfig::default();
-        let sequential = tmp("sections_seq.tpg");
-        let a = write_tpg_from_graph(&g, &sequential, &config).unwrap();
-
-        let sectioned = tmp("sections_par.tpg");
-        let mut writer =
-            TpgWriter::create(&sectioned, g.n(), g.is_edge_weighted(), &config).unwrap();
-        let ranges = [(0usize, 100usize), (100, 101), (101, 350), (350, g.n())];
-        let mut base: EdgeId = 0;
-        for &(lo, hi) in &ranges {
-            let mut enc = SectionEncoder::new(lo as NodeId, base, g.is_edge_weighted(), &config);
-            for u in lo..hi {
-                let mut nbrs = g.neighbors_vec(u as NodeId);
-                nbrs.sort_unstable_by_key(|&(v, _)| v);
-                enc.push_neighborhood(u as NodeId, &nbrs, g.node_weight(u as NodeId));
-            }
-            let section = enc.finish();
-            base += section.half_edges() as EdgeId;
-            writer.push_section(&section).unwrap();
-        }
-        let b = writer.finish().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            std::fs::read(&sequential).unwrap(),
-            std::fs::read(&sectioned).unwrap(),
-            "section-committed container differs from the per-vertex one"
-        );
-        for p in [sequential, sectioned] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "stale half-edge prefix")]
-    fn section_with_wrong_edge_prefix_is_rejected() {
-        let g = gen::grid2d(6, 6);
-        let config = CompressionConfig::default();
-        let path = tmp("sections_stale.tpg");
-        let mut writer = TpgWriter::create(&path, g.n(), false, &config).unwrap();
-        // Encoded as if 5 half-edges preceded vertex 0: the commit must refuse.
-        let mut enc = SectionEncoder::new(0, 5, false, &config);
-        enc.push_neighborhood(0, &g.neighbors_vec(0), 1);
-        let _ = writer.push_section(&enc.finish());
     }
 
     #[test]

@@ -8,30 +8,14 @@
 //! [`CsrGraphBuilder`](crate::csr::CsrGraphBuilder)) — and feeds the neighbourhoods to
 //! the streaming [`TpgWriter`] in vertex order.
 //!
-//! # The finish pipeline
-//!
-//! Buckets are independent until their encoded bytes must land in the container, so
-//! [`finish`] runs them as a pipeline on worker threads: while bucket *b*'s encoded
-//! section commits to the writer, buckets *b+1…* are already being read, sorted and
-//! merged. Three ordered hand-offs keep the output deterministic (the packet scheme of
-//! [`compress_csr_parallel`](crate::builder::compress_csr_parallel)):
-//!
-//! 1. *claim* — workers claim bucket indices from an atomic counter;
-//! 2. *base grant* — the first-edge ID of a bucket's first vertex is the running
-//!    half-edge total of all preceding buckets, known only after they aggregated, so
-//!    workers receive their base in bucket order (aggregation itself is unordered);
-//! 3. *commit* — encoded sections commit to the [`TpgWriter`] in bucket order through
-//!    its out-of-order commit path ([`TpgWriter::push_section`]).
-//!
-//! The output container is **byte-identical** for any thread count and bucket count
-//! (tested against a one-bucket-at-a-time, neighbourhood-by-neighbourhood oracle).
-//! Peak memory is at most `threads` aggregated buckets in flight.
+//! [`finish`] takes one bucket at a time, so its peak memory is one aggregated bucket.
+//! The container is **byte-identical** for any bucket count (tested against a
+//! neighbourhood-by-neighbourhood oracle) and to the one written from the in-memory graph.
 //!
 //! Whether the graph carries edge weights is a *global* property (duplicate unit-weight
 //! samples merge into weights > 1, matching the in-memory builder), so `finish` runs two
-//! passes over the spill files: a cheap parallel scan that detects merged weights, then
-//! the encoding pipeline. Both passes stream; nothing exceeds the per-bucket budget
-//! times the worker count.
+//! passes over the spill files: a scan that stops at the first bucket with a merged
+//! weight, then the encoding pass.
 //!
 //! [`stream_rmat_to_tpg`] and [`stream_rgg2d_to_tpg`] connect the repository's R-MAT and
 //! random-geometric edge samplers to the builder; both produce graphs **bit-identical**
@@ -44,16 +28,14 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
-use crate::compressed::{CompressionConfig, SectionEncoder};
+use crate::compressed::CompressionConfig;
 use crate::gen::{try_for_each_rgg2d_edge, try_for_each_rgg3d_edge, try_for_each_rmat_edge};
 use crate::ids;
 use crate::io::IoError;
 use crate::store::container::{TpgSummary, TpgWriter};
-use crate::{EdgeId, EdgeWeight, NodeId};
+use crate::{EdgeWeight, NodeId};
 
 /// Bytes of one spilled half-edge record's id fields (source, target), at the active
 /// id width.
@@ -156,10 +138,6 @@ struct BucketAdjacency {
 impl BucketAdjacency {
     fn vertex_count(&self) -> usize {
         self.starts.len() - 1
-    }
-
-    fn half_edges(&self) -> usize {
-        self.entries.len()
     }
 
     fn neighbors(&self, i: usize) -> &[(NodeId, EdgeWeight)] {
@@ -432,50 +410,6 @@ impl StreamingTpgBuilder {
         Ok(false)
     }
 
-    /// Runs the weight-detection pass over all buckets on `threads` workers, stopping
-    /// every worker as soon as one bucket reports a merged weight.
-    fn detect_merged_weights(&self, threads: usize) -> Result<bool, IoError> {
-        let num_buckets = self.bucket_paths.len();
-        if threads <= 1 || num_buckets == 1 {
-            for bucket in 0..num_buckets {
-                if self.bucket_has_merged_weights(bucket)? {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        let found = AtomicBool::new(false);
-        let next_bucket = AtomicUsize::new(0);
-        let error: Mutex<Option<IoError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(num_buckets) {
-                scope.spawn(|| loop {
-                    if found.load(Ordering::Relaxed) || error.lock().is_some() {
-                        break;
-                    }
-                    let bucket = next_bucket.fetch_add(1, Ordering::Relaxed);
-                    if bucket >= num_buckets {
-                        break;
-                    }
-                    match self.bucket_has_merged_weights(bucket) {
-                        Ok(true) => found.store(true, Ordering::Relaxed),
-                        Ok(false) => {}
-                        Err(e) => {
-                            let mut guard = error.lock();
-                            if guard.is_none() {
-                                *guard = Some(e);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-        Ok(found.load(Ordering::Relaxed))
-    }
-
     /// Flushes and closes the spill writers (the prologue of `finish`).
     fn seal_spill_files(&mut self) -> Result<(), IoError> {
         for w in &mut self.buckets {
@@ -495,144 +429,36 @@ impl StreamingTpgBuilder {
         }
     }
 
-    /// Aggregates the spill files and writes the final `.tpg` container to `path`,
-    /// pipelining the buckets across one worker thread per available core (see the
-    /// module docs). The spill files are removed afterwards.
+    /// Aggregates the spill files bucket by bucket and writes the final `.tpg`
+    /// container to `path` (see the module docs). The spill files are removed
+    /// afterwards.
     pub fn finish(
-        self,
-        path: impl AsRef<Path>,
-        config: &CompressionConfig,
-    ) -> Result<TpgSummary, IoError> {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.finish_with_threads(path, config, threads)
-    }
-
-    /// [`finish`](Self::finish) with an explicit worker-thread count. The output does
-    /// not depend on `num_threads`; peak memory is `O(num_threads · bucket size)`.
-    pub fn finish_with_threads(
         mut self,
         path: impl AsRef<Path>,
         config: &CompressionConfig,
-        num_threads: usize,
     ) -> Result<TpgSummary, IoError> {
         self.seal_spill_files()?;
         let num_buckets = self.bucket_paths.len();
-        let threads = num_threads.clamp(1, num_buckets);
         // Pass 1: edge weights are a global property of the container (the encoding of
         // *every* neighbourhood depends on it), so the scan must complete before any
-        // section is encoded. Skipped when an explicit non-unit weight already entered
-        // the stream.
-        let edge_weighted = self.saw_explicit_weight || self.detect_merged_weights(threads)?;
-        // Pass 2: the aggregate → encode → commit pipeline.
-        let writer = Mutex::new(TpgWriter::create(&path, self.n, edge_weighted, config)?);
-        let next_bucket = AtomicUsize::new(0);
-        // Bucket whose first-edge base grant is next, and the running half-edge total.
-        let next_base = AtomicUsize::new(0);
-        let base_edge = AtomicU64::new(0);
-        // Bucket whose ordered commit is next.
-        let next_commit = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let error: Mutex<Option<IoError>> = Mutex::new(None);
-        let fail = |e: IoError| {
-            let mut guard = error.lock();
-            if guard.is_none() {
-                *guard = Some(e);
+        // neighbourhood is encoded. Skipped when an explicit non-unit weight already
+        // entered the stream.
+        let mut edge_weighted = self.saw_explicit_weight;
+        for bucket in 0..num_buckets {
+            if edge_weighted {
+                break;
             }
-            drop(guard);
-            failed.store(true, Ordering::Release);
-        };
-        /// Waits until `counter` reaches `turn`; bails out early when the pipeline
-        /// failed elsewhere (so no worker spins on a turn that will never come).
-        /// Yields first, then backs off to short sleeps so workers blocked behind a
-        /// large predecessor bucket (skewed streams) do not burn their cores.
-        fn wait_turn(counter: &AtomicUsize, turn: usize, failed: &AtomicBool) -> bool {
-            let mut idle_polls = 0u32;
-            while counter.load(Ordering::Acquire) != turn {
-                if failed.load(Ordering::Acquire) {
-                    return false;
-                }
-                idle_polls += 1;
-                if idle_polls < 64 {
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-            }
-            true
+            edge_weighted = self.bucket_has_merged_weights(bucket)?;
         }
-
-        /// Marks the pipeline failed when its worker unwinds, so sibling workers
-        /// waiting on the panicked bucket's turn bail out instead of spinning forever
-        /// (the panic itself still propagates through `std::thread::scope`).
-        struct PanicFailGuard<'a>(&'a AtomicBool);
-        impl Drop for PanicFailGuard<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, Ordering::Release);
-                }
+        // Pass 2: aggregate each bucket and push its neighbourhoods in vertex order.
+        let mut writer = TpgWriter::create(&path, self.n, edge_weighted, config)?;
+        for bucket in 0..num_buckets {
+            let adjacency = self.aggregate_bucket(bucket)?;
+            for i in 0..adjacency.vertex_count() {
+                writer.push_neighborhood(ids::nid(adjacency.lo + i), adjacency.neighbors(i), 1)?;
             }
         }
-        let this = &self;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let _panic_guard = PanicFailGuard(&failed);
-                    loop {
-                        let bucket = next_bucket.fetch_add(1, Ordering::Relaxed);
-                        if bucket >= num_buckets || failed.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // Unordered: read + sort + merge this bucket while other workers
-                        // encode or commit theirs.
-                        let aggregated = match this.aggregate_bucket(bucket) {
-                            Ok(a) => a,
-                            Err(e) => {
-                                fail(e);
-                                break;
-                            }
-                        };
-                        // Ordered hand-off 1: learn the first-edge base and immediately
-                        // grant the next bucket its own.
-                        if !wait_turn(&next_base, bucket, &failed) {
-                            break;
-                        }
-                        let base = base_edge.load(Ordering::Relaxed);
-                        base_edge.store(base + aggregated.half_edges() as u64, Ordering::Relaxed);
-                        next_base.store(bucket + 1, Ordering::Release);
-                        // Unordered again: encode into a worker-local section.
-                        let lo = aggregated.lo;
-                        let mut encoder = SectionEncoder::new(
-                            ids::nid(lo),
-                            base as EdgeId,
-                            edge_weighted,
-                            config,
-                        );
-                        for i in 0..aggregated.vertex_count() {
-                            encoder.push_neighborhood(ids::nid(lo + i), aggregated.neighbors(i), 1);
-                        }
-                        let section = encoder.finish();
-                        drop(aggregated);
-                        // Ordered hand-off 2: commit the section in bucket order.
-                        if !wait_turn(&next_commit, bucket, &failed) {
-                            break;
-                        }
-                        let committed = writer.lock().push_section(&section);
-                        next_commit.store(bucket + 1, Ordering::Release);
-                        if let Err(e) = committed {
-                            fail(e);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
-        let summary = writer.into_inner().finish()?;
+        let summary = writer.finish()?;
         self.remove_spill_files();
         Ok(summary)
     }
@@ -1009,55 +835,46 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_sequential_finish_are_byte_identical() {
-        // The tentpole acceptance: the pipelined finish must produce byte-identical
-        // containers to the sequential reference across bucket counts and thread
-        // counts, for both unit-weight (detection pass) and explicitly weighted
-        // streams. Run under both id widths by the CI legs.
-        let dir = tmp_dir("pipeline_identity");
+    fn finish_matches_the_per_vertex_oracle() {
+        // `finish` must produce containers byte-identical to the one-vertex-at-a-time
+        // oracle across bucket counts, for both unit-weight (detection pass) and
+        // explicitly weighted streams. Run under both id widths by the CI legs.
+        let dir = tmp_dir("oracle_identity");
         let config = CompressionConfig::default();
+        let oracle_path = dir.join("oracle.tpg");
+        let finish_path = dir.join("finish.tpg");
         for buckets in [1usize, 2, 4, 16] {
-            for threads in [1usize, 2, 4] {
-                // Unit-weight stream with duplicates (R-MAT): weight-detection path.
-                let mut sequential = StreamingTpgBuilder::new(1 << 9, buckets, &dir).unwrap();
-                let mut pipelined = StreamingTpgBuilder::new(1 << 9, buckets, &dir).unwrap();
-                gen::for_each_rmat_edge(9, 6, 31, &mut |u, v| {
-                    sequential.add_edge(u, v, 1).unwrap();
-                    pipelined.add_edge(u, v, 1).unwrap();
-                });
-                let seq_path = dir.join(format!("seq_{}_{}.tpg", buckets, threads));
-                let pipe_path = dir.join(format!("pipe_{}_{}.tpg", buckets, threads));
-                let a = sequential.finish_sequential(&seq_path, &config).unwrap();
-                let b = pipelined
-                    .finish_with_threads(&pipe_path, &config, threads)
-                    .unwrap();
-                assert_eq!(a, b, "summary mismatch at {} buckets", buckets);
-                assert_eq!(
-                    std::fs::read(&seq_path).unwrap(),
-                    std::fs::read(&pipe_path).unwrap(),
-                    "container mismatch at {} buckets / {} threads",
-                    buckets,
-                    threads
-                );
+            // Unit-weight stream with duplicates (R-MAT): weight-detection path.
+            let mut oracle = StreamingTpgBuilder::new(1 << 9, buckets, &dir).unwrap();
+            let mut builder = StreamingTpgBuilder::new(1 << 9, buckets, &dir).unwrap();
+            gen::for_each_rmat_edge(9, 6, 31, &mut |u, v| {
+                oracle.add_edge(u, v, 1).unwrap();
+                builder.add_edge(u, v, 1).unwrap();
+            });
+            let a = oracle.finish_sequential(&oracle_path, &config).unwrap();
+            let b = builder.finish(&finish_path, &config).unwrap();
+            assert_eq!(a, b, "summary mismatch at {} buckets", buckets);
+            assert_eq!(
+                std::fs::read(&oracle_path).unwrap(),
+                std::fs::read(&finish_path).unwrap(),
+                "container mismatch at {} buckets",
+                buckets
+            );
 
-                // Explicitly weighted stream: detection pass skipped.
-                let mut sequential = StreamingTpgBuilder::new(777, buckets, &dir).unwrap();
-                let mut pipelined = StreamingTpgBuilder::new(777, buckets, &dir).unwrap();
-                feed_weighted_stream(&mut sequential, 777);
-                feed_weighted_stream(&mut pipelined, 777);
-                let a = sequential.finish_sequential(&seq_path, &config).unwrap();
-                let b = pipelined
-                    .finish_with_threads(&pipe_path, &config, threads)
-                    .unwrap();
-                assert_eq!(a, b);
-                assert_eq!(
-                    std::fs::read(&seq_path).unwrap(),
-                    std::fs::read(&pipe_path).unwrap(),
-                    "weighted container mismatch at {} buckets / {} threads",
-                    buckets,
-                    threads
-                );
-            }
+            // Explicitly weighted stream: detection pass skipped.
+            let mut oracle = StreamingTpgBuilder::new(777, buckets, &dir).unwrap();
+            let mut builder = StreamingTpgBuilder::new(777, buckets, &dir).unwrap();
+            feed_weighted_stream(&mut oracle, 777);
+            feed_weighted_stream(&mut builder, 777);
+            let a = oracle.finish_sequential(&oracle_path, &config).unwrap();
+            let b = builder.finish(&finish_path, &config).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(
+                std::fs::read(&oracle_path).unwrap(),
+                std::fs::read(&finish_path).unwrap(),
+                "weighted container mismatch at {} buckets",
+                buckets
+            );
         }
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1121,10 +938,10 @@ mod tests {
             "unit records carry no weight field"
         );
         let split_path = dir.join("split.tpg");
-        b.finish_with_threads(&split_path, &CompressionConfig::default(), 4)
+        b.finish(&split_path, &CompressionConfig::default())
             .unwrap();
-        // Reference: the same stream through the sequential path (which reads the same
-        // two-file format) and through a fresh pipelined builder — all byte-identical.
+        // Reference: the same stream through the per-vertex oracle, which reads the same
+        // two-file format — byte-identical.
         let mut seq = StreamingTpgBuilder::new(777, 8, &dir).unwrap();
         feed_weighted_stream(&mut seq, 777);
         let seq_path = dir.join("seq.tpg");
@@ -1178,7 +995,7 @@ mod tests {
             .expect("builder must have spill files");
         std::fs::remove_file(&victim).unwrap();
         let path = dir.join("doomed.tpg");
-        let err = b.finish_with_threads(&path, &CompressionConfig::default(), 4);
+        let err = b.finish(&path, &CompressionConfig::default());
         assert!(err.is_err(), "missing spill file must fail the finish");
         assert!(!path.exists(), "partial container published after an error");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -1195,16 +1012,14 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_finish_handles_empty_and_sparse_buckets() {
+    fn finish_handles_empty_and_sparse_buckets() {
         let dir = tmp_dir("sparse_buckets");
         // 40 vertices over 16 buckets: several buckets cover vertices with no edges.
         let mut b = StreamingTpgBuilder::new(40, 16, &dir).unwrap();
         b.add_edge(0, 39, 1).unwrap();
         b.add_edge(5, 6, 1).unwrap();
         let path = dir.join("sparse.tpg");
-        let summary = b
-            .finish_with_threads(&path, &CompressionConfig::default(), 4)
-            .unwrap();
+        let summary = b.finish(&path, &CompressionConfig::default()).unwrap();
         assert_eq!(summary.n, 40);
         assert_eq!(summary.m, 2);
         let g = read_tpg(&path).unwrap();
