@@ -22,6 +22,7 @@
 //! weight totals.
 
 use crate::csr::CsrGraph;
+use crate::offset_index::OffsetIndex;
 use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
@@ -68,8 +69,10 @@ impl CompressionConfig {
 pub struct CompressedGraph {
     n: usize,
     m: usize,
-    /// Byte offset of each vertex's encoded neighbourhood; length `n + 1`.
-    offsets: Vec<u64>,
+    /// Byte offset of each vertex's encoded neighbourhood; `n + 1` entries, packed. The
+    /// `.tpg` container stores the same offsets Elias–Fano encoded; reading one expands
+    /// them into this index once.
+    offsets: OffsetIndex,
     /// Concatenated encoded neighbourhoods.
     data: Vec<u8>,
     /// Node weights, empty when uniform.
@@ -186,7 +189,8 @@ impl EncodedSection {
     }
 
     /// The graph whose neighbourhoods `data` holds and this section (starting at vertex
-    /// 0) counted. `node_weighted` keeps a weight array even when every weight is 1.
+    /// 0) counted, its offsets packed once into an [`OffsetIndex`]. `node_weighted`
+    /// keeps a weight array even when every weight is 1.
     pub(crate) fn into_graph(
         self,
         data: Vec<u8>,
@@ -195,7 +199,7 @@ impl EncodedSection {
         config: CompressionConfig,
     ) -> CompressedGraph {
         debug_assert_eq!(self.first_vertex, 0);
-        let n = self.vertex_count();
+        let (n, data_len) = (self.vertex_count(), self.data_len());
         let node_weights = match (node_weighted, self.node_weights.is_empty()) {
             (true, true) => vec![1; n],
             _ => self.node_weights,
@@ -204,7 +208,7 @@ impl EncodedSection {
         CompressedGraph::from_encoded_parts(
             n,
             self.half_edges / 2,
-            self.offsets,
+            OffsetIndex::pack(data_len, self.offsets.into_iter()),
             data,
             node_weights,
             edge_weighted,
@@ -516,6 +520,10 @@ fn decode_chunk(
     });
 }
 
+/// Fewest bytes an encoded neighbourhood takes: the two header varints (first edge,
+/// degree). A valid offset index therefore climbs by at least this much per vertex.
+pub(crate) const MIN_NEIGHBORHOOD_BYTES: u64 = 2;
+
 /// Decodes the fixed header of an encoded neighbourhood: `(first_edge, degree, pos)`
 /// where `pos` is the byte position right after the header.
 #[inline]
@@ -585,7 +593,7 @@ impl CompressedGraph {
     pub(crate) fn from_encoded_parts(
         n: usize,
         m: usize,
-        offsets: Vec<u64>,
+        offsets: OffsetIndex,
         data: Vec<u8>,
         node_weights: Vec<NodeWeight>,
         edge_weighted: bool,
@@ -609,10 +617,11 @@ impl CompressedGraph {
         }
     }
 
-    /// Number of bytes used by the encoded adjacency data plus the offset array.
+    /// Number of bytes used by the encoded adjacency data, the offset index and the
+    /// node weights.
     pub fn size_in_bytes(&self) -> usize {
         self.data.len()
-            + self.offsets.len() * std::mem::size_of::<u64>()
+            + self.offsets.size_in_bytes()
             + self.node_weights.len() * std::mem::size_of::<NodeWeight>()
     }
 
@@ -643,12 +652,12 @@ impl CompressedGraph {
 
     /// ID of the first half-edge of `u`'s neighbourhood.
     pub fn first_edge(&self, u: NodeId) -> EdgeId {
-        let pos = self.offsets[u as usize] as usize;
+        let pos = self.offsets.get(u as usize) as usize;
         decode_varint(&self.data, pos).0
     }
 
     fn decode_header(&self, u: NodeId) -> (usize, usize) {
-        let pos = self.offsets[u as usize] as usize;
+        let pos = self.offsets.get(u as usize) as usize;
         let (_, pos) = decode_varint(&self.data, pos);
         let (degree, pos) = decode_varint(&self.data, pos);
         (degree as usize, pos)
@@ -687,7 +696,7 @@ impl Graph for CompressedGraph {
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
         decode_neighborhood(
             &self.data,
-            self.offsets[u as usize] as usize,
+            self.offsets.get(u as usize) as usize,
             u,
             self.edge_weighted,
             &self.config,

@@ -62,13 +62,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::checksum::{crc32, Crc32};
-use crate::compressed::{CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder};
+use crate::compressed::{
+    CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder, MIN_NEIGHBORHOOD_BYTES,
+};
 use crate::csr::CsrGraph;
 use crate::ids::{self, IdWidth};
 use crate::io::{
     checked_node_count, open_error_is_retryable, read_exact_u32, read_exact_u64, BinaryReader,
     IoError, MetisReader, VertexStream,
 };
+use crate::offset_index::OffsetIndex;
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
 use crate::store::elias_fano::{ef_section_bytes, EliasFanoIndex};
 use crate::store::paged::RetryPolicy;
@@ -766,6 +769,38 @@ pub(crate) fn retry_section<T>(
     retry_with_backoff(retry, open_error_is_retryable, || *retries += 1, op)
 }
 
+/// Proves that the offset index can serve every reader: it starts at 0, gives every
+/// vertex at least the [`MIN_NEIGHBORHOOD_BYTES`] of a neighbourhood header and ends at
+/// `data_len`. `from_words` has already proven the values monotone within
+/// `[0, data_len]`; an index that merely does not decrease would let a vertex start at
+/// `data_len`, which the stores would read as degree 0 or past the data section.
+fn check_offsets(index: &EliasFanoIndex, data_len: u64) -> Result<(), IoError> {
+    let mut offsets = index.iter();
+    let mut prev = offsets.next().unwrap_or(0);
+    if prev != 0 {
+        return Err(IoError::Format(format!(
+            "offset index starts at {}, not 0",
+            prev
+        )));
+    }
+    for (u, offset) in offsets.enumerate() {
+        if offset - prev < MIN_NEIGHBORHOOD_BYTES {
+            return Err(IoError::Format(format!(
+                "offset index gives vertex {} {} bytes, fewer than a neighbourhood header",
+                u,
+                offset - prev
+            )));
+        }
+        prev = offset;
+    }
+    if prev != data_len {
+        return Err(IoError::Format(
+            "offset index does not cover the data section".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Reads the offset index, (optional) node weights and the checksum footer of an open
 /// `.tpg` container, verifying the index and weight sections against their stored crcs.
 ///
@@ -819,14 +854,8 @@ pub(crate) fn read_tpg_index_backend(
                 stored_offsets, computed
             )));
         }
-        // `from_words` proves the sequence monotone within `[0, data_len]`; the final
-        // entry must additionally *reach* the end of the data section.
         let index = EliasFanoIndex::from_words(meta.n + 1, meta.data_len, raw)?;
-        if index.get(meta.n) != meta.data_len {
-            return Err(IoError::Format(
-                "offset index does not cover the data section".into(),
-            ));
-        }
+        check_offsets(&index, meta.data_len)?;
         Ok(index)
     })?;
 
@@ -1036,7 +1065,8 @@ pub fn read_tpg(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
 /// Loads a `.tpg` container fully into memory as a [`CompressedGraph`]. The data section
 /// is used verbatim, so the result iterates neighbourhoods in exactly the order a
 /// [`PagedGraph`](crate::store::PagedGraph) over the same file would — the property the
-/// bit-identical on-disk partitioning tests rely on.
+/// bit-identical on-disk partitioning tests rely on. The Elias–Fano offsets are
+/// expanded, in one pass, into the graph's packed `OffsetIndex`.
 pub fn read_tpg_compressed(path: impl AsRef<Path>) -> Result<CompressedGraph, IoError> {
     let backend = FileBackend::open(&path)?;
     read_tpg_compressed_backend(&backend)
@@ -1064,7 +1094,7 @@ pub fn read_tpg_compressed_backend(
     Ok(CompressedGraph::from_encoded_parts(
         meta.n,
         meta.m,
-        offsets.iter().collect(),
+        OffsetIndex::pack(meta.data_len, offsets.iter()),
         data,
         node_weights,
         meta.edge_weighted,
@@ -1124,6 +1154,20 @@ mod tests {
         assert_eq!(meta.csr_size_in_bytes(), g.size_in_bytes());
         let h = read_tpg(&path).unwrap();
         assert_graph_eq(&g, &h);
+
+        // Layout pin of the resident offset index: the ~3.2 MB data section of
+        // rgg2d(250 000, 8) packs every offset into 3 bytes, plus 8 bytes of tail
+        // padding — read from the container and encoded in memory alike.
+        let big = gen::rgg2d(250_000, 8, 1);
+        let config = CompressionConfig::default();
+        write_tpg_from_graph(&big, &path, &config).unwrap();
+        let meta = read_tpg_meta(&path).unwrap();
+        let packed = meta.data_len as usize + 3 * (meta.n + 1) + 8;
+        assert_eq!(read_tpg_compressed(&path).unwrap().size_in_bytes(), packed);
+        assert_eq!(
+            CompressedGraph::from_csr(&big, &config).size_in_bytes(),
+            packed
+        );
         std::fs::remove_file(path).ok();
     }
 
@@ -1361,22 +1405,50 @@ mod tests {
         );
         let lower_bytes = 8 * crate::store::elias_fano::ef_lower_words(count, meta.data_len);
         let section = meta.offsets_start() as usize;
-        // (a) one flipped bit in the unary upper array changes the element count;
-        // (b) the lowest explicit bit of the final entry flipped moves it off
-        //     `data_len` — past the data section, or short of covering it.
-        let last_low_bit = meta.n * low_bits as usize;
-        let tampers = [
-            ("upper bit", section + lower_bytes as usize, 1u8 << 3),
-            (
-                "final entry",
-                section + last_low_bit / 8,
-                1u8 << (last_low_bit % 8),
-            ),
-        ];
-        for (label, pos, mask) in tampers {
+        let len = meta.offsets_len_bytes() as usize;
+        let flipped = |pos: usize, mask: u8| {
             let mut bytes = clean.clone();
             bytes[pos] ^= mask;
-            let len = meta.offsets_len_bytes() as usize;
+            bytes
+        };
+        // (a) one flipped bit in the unary upper array changes the element count;
+        // (b) the lowest explicit bit of the final entry flipped moves it off
+        //     `data_len` — past the data section, or short of covering it;
+        // (c) vertex n − 1 starts at `data_len`: still monotone and covering, but an
+        //     empty range no neighbourhood header fits in. Re-encoded with the same
+        //     count and universe, so the section keeps its length.
+        let last_low_bit = meta.n * low_bits as usize;
+        let words: Vec<u64> = clean[section..section + len]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        let mut offsets: Vec<u64> = EliasFanoIndex::from_words(meta.n + 1, meta.data_len, words)
+            .unwrap()
+            .iter()
+            .collect();
+        offsets[meta.n - 1] = meta.data_len;
+        let empty_last = EliasFanoIndex::encode(&offsets, meta.data_len);
+        let mut spliced = clean.clone();
+        for (i, word) in empty_last
+            .lower_words()
+            .iter()
+            .chain(empty_last.upper_words())
+            .enumerate()
+        {
+            spliced[section + 8 * i..section + 8 * i + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        let tampers = [
+            (
+                "upper bit",
+                flipped(section + lower_bytes as usize, 1u8 << 3),
+            ),
+            (
+                "final entry",
+                flipped(section + last_low_bit / 8, 1u8 << (last_low_bit % 8)),
+            ),
+            ("empty last vertex", spliced),
+        ];
+        for (label, mut bytes) in tampers {
             let crc = crc32(&bytes[section..section + len]);
             let crc_pos = (meta.footer_start() + 4 + 4 * meta.checksum_block_count()) as usize;
             bytes[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());

@@ -7,15 +7,18 @@
 //! no locks, no per-access bookkeeping. Residency is delegated to the OS page cache,
 //! so the accounted footprint is the full mapping — the fits-in-RAM fast path of
 //! [`OnDiskBackend`](crate::store::OnDiskBackend) (webgraph idiom: memory-mapped
-//! compressed adjacency plus an Elias-Fano offset index).
+//! compressed adjacency plus an offset index). The container's Elias–Fano offsets are
+//! expanded once at open into the packed `OffsetIndex`, the index the in-memory
+//! [`CompressedGraph`](crate::CompressedGraph) looks neighbourhoods up in too: a lookup
+//! is one load, where an Elias–Fano lookup is a sampled select.
 //!
 //! # Integrity and fault tolerance
 //!
 //! Everything is verified *at open*, through [`StorageBackend::read_at`] — header
-//! crc, offset-index crc (plus monotonicity, so in-place decoding can never run out
-//! of the data section), node-weight crc, and the entire data section against the
-//! footer's per-block crcs, chunk by chunk with the same per-section retry policy the
-//! paged open uses. Because every verification byte flows through the
+//! crc, offset-index crc (plus strict monotonicity, so in-place decoding can never
+//! run out of the data section), node-weight crc, and the entire data section against
+//! the footer's per-block crcs, chunk by chunk with the same per-section retry policy
+//! the paged open uses. Because every verification byte flows through the
 //! backend trait, injected fault schedules ([`FaultyBackend`]) exercise this path
 //! exactly like the paged one: transient faults heal through retries, persistent
 //! corruption surfaces as a structured [`IoError`] from `open` — never a panic. After
@@ -34,11 +37,11 @@ use std::path::{Path, PathBuf};
 
 use crate::compressed::{decode_neighborhood, decode_neighborhood_header, CompressionConfig};
 use crate::io::IoError;
+use crate::offset_index::OffsetIndex;
 use crate::store::backend::{FileBackend, StorageBackend};
 use crate::store::container::{
     read_tpg_index_backend, read_tpg_meta_backend, retry_section, verify_or_load_data, TpgMeta,
 };
-use crate::store::elias_fano::EliasFanoIndex;
 use crate::store::paged::PagedGraphOptions;
 use crate::traits::Graph;
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
@@ -182,7 +185,8 @@ impl Drop for Mapping {
 pub struct MmapGraph {
     meta: TpgMeta,
     path: PathBuf,
-    offsets: EliasFanoIndex,
+    /// The container's Elias–Fano offsets, expanded once at open.
+    offsets: OffsetIndex,
     node_weights: Vec<NodeWeight>,
     mapping: Mapping,
     /// Bytes charged to the global memory accounting, released on drop.
@@ -247,7 +251,9 @@ impl MmapGraph {
         let (offsets, node_weights, checksums) =
             read_tpg_index_backend(backend.as_ref(), &meta, &options.retry, &mut open_retries)?;
         // In-place decoding has no per-access range checks; it relies on the index read
-        // above having been proven monotone within (and covering) the data section.
+        // above having been proven strictly increasing within (and covering) the data
+        // section.
+        let offsets = OffsetIndex::pack(meta.data_len, offsets.iter());
         // Verify the whole data section through the backend (block crcs, per-chunk
         // retry). For a plain-file backend the verified bytes are then mapped
         // zero-copy; anything else keeps the verified heap copy.
@@ -333,11 +339,8 @@ impl MmapGraph {
 
     /// Decoded header `(first_edge, degree)` of `u`'s neighbourhood.
     fn header(&self, u: NodeId) -> (EdgeId, usize) {
-        let (start, end) = self.offsets.pair(u as usize);
-        if start == end {
-            return (0, 0);
-        }
-        let (first_edge, degree, _) = decode_neighborhood_header(self.data(), start as usize);
+        let start = self.offsets.get(u as usize) as usize;
+        let (first_edge, degree, _) = decode_neighborhood_header(self.data(), start);
         (first_edge, degree)
     }
 
@@ -383,16 +386,12 @@ impl Graph for MmapGraph {
     }
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
-        let (start, end) = self.offsets.pair(u as usize);
-        if start == end {
-            return;
-        }
         // Same decode routine, same byte stream, same order as CompressedGraph and
         // PagedGraph — which is what keeps fixed-seed runs bit-identical across
         // backends.
         decode_neighborhood(
             self.data(),
-            start as usize,
+            self.offsets.get(u as usize) as usize,
             u,
             self.meta.edge_weighted,
             &self.meta.config,

@@ -684,9 +684,6 @@ impl PagedGraph {
         f: &mut dyn FnMut(NodeId, EdgeWeight),
     ) -> io::Result<()> {
         let (start, end) = self.offsets.pair(u as usize);
-        if start == end {
-            return Ok(());
-        }
         with_decode_buf(|buf| {
             self.cache.read_range(start, end, buf)?;
             decode_neighborhood(buf, 0, u, self.meta.edge_weighted, &self.meta.config, f);
