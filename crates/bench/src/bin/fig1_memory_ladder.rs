@@ -1,12 +1,18 @@
 //! Figure 1: peak memory as the TeraPart optimizations are enabled one after another.
 //!
 //! Paper setting: eu-2015, p = 96 cores, k = 30 000. Here: a web-like synthetic graph
-//! and k = 128 (scaled down); the expected shape is a monotone decrease from the
-//! KaMinPar baseline to the full TeraPart configuration. The instance is generated in
-//! memory, and the ladder gains a final rung beyond the paper's: `partition_ondisk` on
-//! the instance written to a temp `.tpg` container, where the input adjacency never
-//! enters memory at all — only the offset index, node weights and a fixed page budget
-//! are resident.
+//! and k = 128 (scaled down). The instance is generated in memory, and the ladder gains
+//! a final rung beyond the paper's: `partition_ondisk` on the instance written to a temp
+//! `.tpg` container, where the input adjacency never enters memory at all — only the
+//! offset index, node weights and a fixed page budget are resident.
+//!
+//! The paper's monotone decrease does not show at run level. On a 2-vCPU VM Graph
+//! Compression lowers the peak from KaMinPar's 8.1–8.2 MiB to 4.95–4.97 MiB and the
+//! on-disk rung to 4.4 MiB, but Two-Phase LP (8.2 MiB) and One-Pass Contraction
+//! (4.96–4.97 MiB) do not lower it: the run peak is refinement of level 1, where the
+//! coarse CSR is live, and each of those steps shrinks an earlier phase. Asserts, after
+//! printing, that Graph Compression peaks below KaMinPar and the on-disk rung below
+//! One-Pass Contraction.
 use bench::{config_ladder, measure_run, GenSpec};
 use graph::store::write_tpg_from_graph;
 use graph::traits::Graph;
@@ -31,7 +37,7 @@ fn main() {
         "{:<36} {:>14} {:>10}",
         "configuration", "peak memory", "time [s]"
     );
-    let mut previous = None;
+    let mut peaks = Vec::new();
     for (name, input, config) in config_ladder(k) {
         let m = measure_run("weblike-2^15", name, &graph, input, &config.with_threads(2));
         println!(
@@ -40,12 +46,7 @@ fn main() {
             memtrack::format_bytes(m.peak_memory_bytes),
             m.time.as_secs_f64()
         );
-        if let Some(prev) = previous {
-            if m.peak_memory_bytes > prev {
-                println!("  note: step did not reduce memory at this scale");
-            }
-        }
-        previous = Some(m.peak_memory_bytes);
+        peaks.push(m.peak_memory_bytes);
     }
     // The rung the paper doesn't have: the adjacency stays on disk.
     let page_budget = 512 * 1024;
@@ -72,5 +73,16 @@ fn main() {
         "uncompressed CSR reference: {} — on-disk peak is {:.2}x of it",
         memtrack::format_bytes(csr_bytes),
         peak as f64 / csr_bytes.max(1) as f64
+    );
+    let [kaminpar, _, compression, one_pass] = peaks[..] else {
+        unreachable!("the ladder has four rungs")
+    };
+    assert!(
+        compression < kaminpar,
+        "Graph Compression peak {compression} B not below KaMinPar's {kaminpar} B"
+    );
+    assert!(
+        peak < one_pass,
+        "on-disk peak {peak} B not below One-Pass Contraction's {one_pass} B"
     );
 }

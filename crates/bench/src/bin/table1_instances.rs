@@ -2,6 +2,8 @@
 //! degree) for both benchmark sets, with the size of each instance's `.tpg` container
 //! and how much smaller it is than the uncompressed CSR. Every instance is generated in
 //! memory and written to a container in a temp directory, which is removed afterwards.
+//! Asserts, after printing, that every container is at least 2x smaller than the CSR
+//! (2.31x–5.22x measured).
 use bench::{set_a_specs, set_b_specs};
 use graph::stats::GraphStats;
 use graph::store::write_tpg_from_graph;
@@ -11,6 +13,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("terapart_table1_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("failed to create the temp directory");
     println!("Table I / Figure 9: benchmark instance properties");
+    let mut ratios = Vec::new();
     println!(
         "{:<20} {:>12} {:>14} {:>8} {:>10} {:>14} {:>12}",
         "graph", "n", "m", "d(G)", "max deg", "container", "vs CSR"
@@ -25,14 +28,22 @@ fn main() {
             )
             .expect("failed to write the container")
             .file_bytes;
+            let ratio = graph.size_in_bytes() as f64 / container.max(1) as f64;
             println!(
                 "{} {:>14} {:>11.2}x",
                 GraphStats::of(&graph).table_row(instance.name),
                 memtrack::format_bytes(container as usize),
-                graph.size_in_bytes() as f64 / container.max(1) as f64
+                ratio
             );
+            ratios.push((instance.name, ratio));
         }
         println!("---");
     }
     std::fs::remove_dir_all(&dir).ok();
+    for (name, ratio) in ratios {
+        assert!(
+            ratio >= 2.0,
+            "{name}: container only {ratio:.3}x smaller than the CSR"
+        );
+    }
 }

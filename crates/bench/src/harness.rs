@@ -1,9 +1,8 @@
 //! Measurement and aggregation utilities shared by the experiment binaries.
 //!
-//! The paper aggregates running times and memory with geometric means, relative speedups
-//! with harmonic means, and compares solution quality with performance profiles
-//! (Dolan–Moré). The same aggregations are provided here so the regenerated tables use
-//! the paper's methodology. [`write_quality_json`] additionally persists the preset
+//! The paper aggregates running times and memory with geometric means and compares
+//! solution quality with performance profiles (Dolan–Moré). The same aggregations are
+//! provided here so the regenerated tables use the paper's methodology. [`write_quality_json`] additionally persists the preset
 //! sweep as `BENCH_quality.json`.
 
 use std::io::Write;
@@ -277,14 +276,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Harmonic mean of a slice of positive values (used for relative speedups).
-pub fn harmonic_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.len() as f64 / values.iter().map(|&v| 1.0 / v.max(1e-12)).sum::<f64>()
-}
-
 /// Computes a Dolan–Moré performance profile.
 ///
 /// `cuts_per_algorithm[i]` holds algorithm `i`'s edge cut on every instance (same
@@ -331,10 +322,7 @@ mod tests {
     #[test]
     fn means_are_correct() {
         assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-        assert!((harmonic_mean(&[1.0, 1.0]) - 1.0).abs() < 1e-9);
-        assert!((harmonic_mean(&[2.0, 6.0]) - 3.0).abs() < 1e-9);
         assert_eq!(geometric_mean(&[]), 0.0);
-        assert_eq!(harmonic_mean(&[]), 0.0);
     }
 
     #[test]

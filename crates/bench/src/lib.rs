@@ -12,9 +12,7 @@ pub mod instances;
 pub mod setup;
 
 pub use golden::{golden_cut, golden_entries, golden_run, GoldenEntry};
-pub use harness::{
-    geometric_mean, harmonic_mean, measure_run, performance_profile, Input, Measurement,
-};
+pub use harness::{geometric_mean, measure_run, performance_profile, Input, Measurement};
 pub use instances::{GenSpec, InstanceSpec};
 pub use setup::{
     benchmark_set_a, benchmark_set_b, config_ladder, preset_ladder, quality_families, set_a_specs,

@@ -3,10 +3,10 @@
 //! Every format has one reader (`graph::io`), and every way into the library goes through
 //! it: the CSR reader (`read_X`), the compressing reader (`read_X_compressed`), the
 //! `.tpg` converter (`write_tpg_from_X`, read back with `read_tpg`) and, for the binary
-//! format, the bare vertex stream the semi-external baseline (`sem_like::StreamedGraph`)
-//! wraps. The properties: for any single flipped byte or truncation of a valid file,
-//! and for hand-made files of each kind of damage, every reader of the format returns
-//! the same graph or every reader returns an `IoError`. No reader panics, and none
+//! format, the bare vertex stream (`BinaryReader::for_each_vertex`). The properties:
+//! for any single flipped byte or truncation of a valid file, and for hand-made files
+//! of each kind of damage, every reader of the format returns the same graph or every
+//! reader returns an `IoError`. No reader panics, and none
 //! returns a graph with a neighbour id ≥ n, a self-loop, a one-sided edge or totals that
 //! disagree with its neighbourhoods. They run at both id widths via `wide-ids`.
 
@@ -112,7 +112,7 @@ fn via_tpg(
     read
 }
 
-/// The vertex stream behind `sem_like::StreamedGraph`.
+/// The bare vertex stream of the binary reader.
 fn streamed(src: &Path) -> Result<Plain, IoError> {
     let reader = BinaryReader::open(src)?;
     let (mut node_weights, mut neighborhoods) = (Vec::new(), Vec::new());
@@ -154,7 +154,7 @@ fn read_all(format: Format, bytes: &[u8]) -> Vec<(&'static str, Result<Plain, Io
                 "write_tpg_from_binary",
                 via_tpg(&src, |s, d, c| write_tpg_from_binary(s, d, c)),
             ),
-            ("BinaryReader (SEM)", streamed(&src)),
+            ("BinaryReader (stream)", streamed(&src)),
         ],
     };
     std::fs::remove_file(&src).ok();

@@ -127,10 +127,10 @@ pub struct LpRefineStats {
 /// with a fresh worker pool and the classic full-sweep rounds. Returns the
 /// number of vertex moves performed.
 ///
-/// This wrapper keeps the original algorithm's semantics — the single-level baselines
-/// model sweep-based systems through it. The multilevel pipeline opts into
-/// frontier-driven rounds via `RefinementConfig::lp_frontier` and
-/// [`lp_refine_with_scratch`].
+/// This wrapper keeps the original algorithm's semantics: its one caller outside the
+/// tests is the single-level `xtrapulp_like` baseline, which models a sweep-based system
+/// through it. The multilevel pipeline opts into frontier-driven rounds via
+/// `RefinementConfig::lp_frontier` and [`lp_refine_with_scratch`].
 pub fn lp_refine(graph: &impl Graph, partition: &mut Partition, rounds: usize, seed: u64) -> usize {
     let mut scratch = HierarchyScratch::new();
     lp_refine_with_scratch(graph, partition, rounds, seed, false, &mut scratch).moves

@@ -7,8 +7,7 @@
 //! * [`memtrack`] — memory accounting (tracking allocator, phase tracker, reserve/commit).
 //! * [`terapart`] — the shared-memory multilevel partitioner (the paper's contribution).
 //! * [`xterapart`] — the simulated distributed-memory partitioner.
-//! * [`baselines`] — Mt-METIS-like, XtraPuLP-like, HeiStream-like and semi-external
-//!   comparators.
+//! * [`baselines`] — the XtraPuLP-like single-level comparator.
 
 pub use baselines;
 pub use graph;

@@ -92,17 +92,15 @@ fn compressed_representation_is_equivalent_for_partitioning() {
     assert!((0.75..1.35).contains(&ratio), "cut ratio {}", ratio);
 }
 
-/// Multilevel partitioning beats the single-level and streaming baselines on structured
-/// graphs — the central claim of the paper's comparisons.
+/// Multilevel partitioning beats the single-level baseline on structured graphs — the
+/// central claim of the paper's comparisons.
 #[test]
-fn multilevel_beats_single_level_and_streaming() {
+fn multilevel_beats_single_level() {
     let graph = gen::rgg2d(2_500, 16, 44);
     let k = 8;
     let multilevel = partition(&graph, &PartitionerConfig::terapart(k).with_threads(2));
     let single = baselines::xtrapulp_partition(&graph, k, 0.03, 1);
-    let streaming = baselines::heistream_partition(&graph, k, 0.03, 256, 1);
     assert!(multilevel.edge_cut < single.edge_cut);
-    assert!(multilevel.edge_cut <= streaming.edge_cut);
 }
 
 /// Every level-sized buffer of coarsening — contraction's buckets, label propagation's
