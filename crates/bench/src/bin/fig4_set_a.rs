@@ -2,9 +2,9 @@
 //! medium-sized Benchmark Set A, for the configuration ladder.
 //!
 //! The paper's shape, TeraPart at roughly half of KaMinPar's memory, does not show here:
-//! on a 2-vCPU VM Graph Compression reads 0.61 and TeraPart (One-Pass Contraction) 0.78
-//! (geometric means over the 12 instances). The run peak sits in refinement of level 1,
-//! where the coarse CSR is live, so the later rungs do not lower it. Every rung keeps
+//! on a 2-vCPU VM Graph Compression reads 0.70 and TeraPart (One-Pass Contraction) 0.83
+//! (geometric means over the 12 instances): KaMinPar's CSR input and levels pack their
+//! edge weights too, so the compressed input saves less against them. Every rung keeps
 //! KaMinPar's quality: in 95 runs each was within τ = 1.1 of the best cut on 9 to 11 of
 //! the 12 instances, and some rung sat at 9, the checked bound, in 29 of them. Asserts,
 //! after printing, that Graph Compression and TeraPart use less memory than KaMinPar and

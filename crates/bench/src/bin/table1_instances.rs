@@ -28,7 +28,7 @@ fn main() {
             )
             .expect("failed to write the container")
             .file_bytes;
-            let ratio = graph.size_in_bytes() as f64 / container.max(1) as f64;
+            let ratio = graph.plain_size_in_bytes() as f64 / container.max(1) as f64;
             println!(
                 "{} {:>14} {:>11.2}x",
                 GraphStats::of(&graph).table_row(instance.name),

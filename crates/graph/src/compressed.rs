@@ -22,7 +22,7 @@
 //! weight totals.
 
 use crate::csr::CsrGraph;
-use crate::offset_index::OffsetIndex;
+use crate::packed::PackedArray;
 use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
@@ -72,7 +72,7 @@ pub struct CompressedGraph {
     /// Byte offset of each vertex's encoded neighbourhood; `n + 1` entries, packed. The
     /// `.tpg` container stores the same offsets Elias–Fano encoded; reading one expands
     /// them into this index once.
-    offsets: OffsetIndex,
+    offsets: PackedArray,
     /// Concatenated encoded neighbourhoods.
     data: Vec<u8>,
     /// Node weights, empty when uniform.
@@ -189,7 +189,7 @@ impl EncodedSection {
     }
 
     /// The graph whose neighbourhoods `data` holds and this section (starting at vertex
-    /// 0) counted, its offsets packed once into an [`OffsetIndex`]. `node_weighted`
+    /// 0) counted, its offsets packed once into a [`PackedArray`]. `node_weighted`
     /// keeps a weight array even when every weight is 1.
     pub(crate) fn into_graph(
         self,
@@ -208,7 +208,7 @@ impl EncodedSection {
         CompressedGraph::from_encoded_parts(
             n,
             self.half_edges / 2,
-            OffsetIndex::pack(data_len, self.offsets.into_iter()),
+            PackedArray::pack(data_len, self.offsets.into_iter()),
             data,
             node_weights,
             edge_weighted,
@@ -593,7 +593,7 @@ impl CompressedGraph {
     pub(crate) fn from_encoded_parts(
         n: usize,
         m: usize,
-        offsets: OffsetIndex,
+        offsets: PackedArray,
         data: Vec<u8>,
         node_weights: Vec<NodeWeight>,
         edge_weighted: bool,
@@ -630,10 +630,11 @@ impl CompressedGraph {
         self.data.len()
     }
 
-    /// Ratio of the uncompressed CSR size to this graph's size ("compression ratio" in
-    /// Figures 6 and 10). Values above 1 mean the compressed form is smaller.
+    /// Ratio of the plain CSR size ([`CsrGraph::plain_size_in_bytes`]) to this graph's
+    /// size ("compression ratio" in Figures 6 and 10). Values above 1 mean the compressed
+    /// form is smaller.
     pub fn compression_ratio(&self, csr: &CsrGraph) -> f64 {
-        csr.size_in_bytes() as f64 / self.size_in_bytes() as f64
+        csr.plain_size_in_bytes() as f64 / self.size_in_bytes() as f64
     }
 
     /// Average number of bytes per stored half-edge.

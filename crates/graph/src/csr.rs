@@ -4,7 +4,19 @@
 //! size `2m` and an offset array `P` of size `n + 1` such that `E[P[u]..P[u+1]]` holds the
 //! neighbours of `u`. Edge and node weights are stored in optional side arrays; the
 //! common unweighted case pays no memory for them.
+//!
+//! The edge weights are a [`PackedArray`]: each half-edge's weight in the fewest whole
+//! bytes that hold the heaviest one. Coarse levels aggregate small weights — the
+//! heaviest edge of a coarse R-MAT level weighs a few dozen — so a half-edge of such a
+//! level costs `id + 1` bytes of adjacency and weight rather than `id + 8`. The data
+//! fixes the width: there is no setting, and a weight of any `u64` value round-trips.
+//! Offsets (`xadj`) and node weights stay plain `u64`.
+//!
+//! Compression ratios are measured against a *plain* CSR, [`plain_csr_bytes`]: the same
+//! arrays with every edge weight in a full `EdgeWeight`, as the paper's uncompressed
+//! baseline stores them. [`CsrGraph::size_in_bytes`] is what a graph holds resident.
 
+use crate::packed::PackedArray;
 use crate::traits::Graph;
 use crate::{Edge, EdgeId, EdgeWeight, NodeId, NodeWeight};
 
@@ -15,8 +27,9 @@ pub struct CsrGraph {
     xadj: Vec<EdgeId>,
     /// Concatenated neighbourhoods; length `2m`.
     adjacency: Vec<NodeId>,
-    /// Edge weights parallel to `adjacency`, or empty if all weights are 1.
-    edge_weights: Vec<EdgeWeight>,
+    /// Edge weights parallel to `adjacency`, packed at the width of the heaviest, or
+    /// `None` if all weights are 1.
+    edge_weights: Option<PackedArray>,
     /// Node weights, or empty if all weights are 1.
     node_weights: Vec<NodeWeight>,
     total_node_weight: NodeWeight,
@@ -24,8 +37,29 @@ pub struct CsrGraph {
     max_degree: usize,
 }
 
+/// Bytes of a plain CSR with `n` vertices and `m` edges: `n + 1` offsets, `2m` neighbour
+/// ids, and `2m` full-width edge weights and `n` node weights where the graph carries
+/// them. The fixed reference of every compression ratio, shared by
+/// [`CsrGraph::plain_size_in_bytes`] and
+/// [`TpgMeta::csr_size_in_bytes`](crate::store::TpgMeta::csr_size_in_bytes).
+pub fn plain_csr_bytes(n: usize, m: usize, edge_weighted: bool, node_weighted: bool) -> usize {
+    let half_edges = 2 * m;
+    (n + 1) * std::mem::size_of::<EdgeId>()
+        + half_edges * std::mem::size_of::<NodeId>()
+        + if edge_weighted {
+            half_edges * std::mem::size_of::<EdgeWeight>()
+        } else {
+            0
+        }
+        + if node_weighted {
+            n * std::mem::size_of::<NodeWeight>()
+        } else {
+            0
+        }
+}
+
 impl CsrGraph {
-    /// Builds a CSR graph directly from its raw arrays.
+    /// Builds a CSR graph directly from its raw arrays, packing the edge weights once.
     ///
     /// `edge_weights` must be empty or have the same length as `adjacency`;
     /// `node_weights` must be empty or have length `xadj.len() - 1`.
@@ -39,6 +73,24 @@ impl CsrGraph {
         edge_weights: Vec<EdgeWeight>,
         node_weights: Vec<NodeWeight>,
     ) -> Self {
+        let edge_weights = (!edge_weights.is_empty()).then(|| {
+            let max = edge_weights.iter().copied().max().unwrap_or(0);
+            PackedArray::pack(max, edge_weights.into_iter())
+        });
+        Self::from_packed_parts(xadj, adjacency, edge_weights, node_weights)
+    }
+
+    /// [`Self::from_parts`] with the edge weights already packed (`None`: all 1), as
+    /// one-pass contraction writes them.
+    ///
+    /// # Panics
+    /// As [`Self::from_parts`].
+    pub fn from_packed_parts(
+        xadj: Vec<EdgeId>,
+        adjacency: Vec<NodeId>,
+        edge_weights: Option<PackedArray>,
+        node_weights: Vec<NodeWeight>,
+    ) -> Self {
         assert!(!xadj.is_empty(), "xadj must contain at least one offset");
         let n = xadj.len() - 1;
         crate::ids::assert_node_count(n, "CsrGraph::from_parts");
@@ -48,7 +100,9 @@ impl CsrGraph {
             "last offset must equal the adjacency length"
         );
         assert!(
-            edge_weights.is_empty() || edge_weights.len() == adjacency.len(),
+            edge_weights
+                .as_ref()
+                .is_none_or(|weights| weights.len() == adjacency.len()),
             "edge weight array length mismatch"
         );
         assert!(
@@ -65,10 +119,14 @@ impl CsrGraph {
                 assert_ne!(v as usize, u, "self-loop at vertex {}", u);
             }
         }
-        let total_edge_weight = if edge_weights.is_empty() {
-            (adjacency.len() / 2) as EdgeWeight
-        } else {
-            edge_weights.iter().sum::<EdgeWeight>() / 2
+        let total_edge_weight = match &edge_weights {
+            None => (adjacency.len() / 2) as EdgeWeight,
+            Some(weights) => {
+                (0..weights.len())
+                    .map(|e| weights.get(e))
+                    .sum::<EdgeWeight>()
+                    / 2
+            }
         };
         let total_node_weight = if node_weights.is_empty() {
             n as NodeWeight
@@ -96,11 +154,6 @@ impl CsrGraph {
         &self.adjacency
     }
 
-    /// Returns the raw edge weight array (empty for unweighted graphs).
-    pub fn raw_edge_weights(&self) -> &[EdgeWeight] {
-        &self.edge_weights
-    }
-
     /// Returns the raw node weight array (empty for uniformly weighted graphs).
     pub fn raw_node_weights(&self) -> &[NodeWeight] {
         &self.node_weights
@@ -118,43 +171,61 @@ impl CsrGraph {
 
     /// Returns the edge weight of the half-edge with index `e`.
     pub fn edge_weight(&self, e: EdgeId) -> EdgeWeight {
-        if self.edge_weights.is_empty() {
-            1
-        } else {
-            self.edge_weights[e as usize]
-        }
+        self.edge_weights
+            .as_ref()
+            .map_or(1, |weights| weights.get(e as usize))
     }
 
-    /// Number of bytes the CSR arrays occupy (the "uncompressed size" used when reporting
-    /// compression ratios).
+    /// Number of bytes the CSR arrays occupy, the edge weights packed: what the graph
+    /// holds resident and what a run charges for it.
     pub fn size_in_bytes(&self) -> usize {
         self.xadj.len() * std::mem::size_of::<EdgeId>()
             + self.adjacency.len() * std::mem::size_of::<NodeId>()
-            + self.edge_weights.len() * std::mem::size_of::<EdgeWeight>()
+            + self.edge_weight_bytes()
             + self.node_weights.len() * std::mem::size_of::<NodeWeight>()
     }
 
     /// Number of bytes the CSR arrays hold allocated: [`Self::size_in_bytes`] plus
-    /// whatever spare capacity the vectors handed to [`Self::from_parts`] carried.
+    /// whatever spare capacity the vectors handed to [`Self::from_parts`] carried (the
+    /// packed edge weights never carry any).
     pub fn allocated_bytes(&self) -> usize {
         self.xadj.capacity() * std::mem::size_of::<EdgeId>()
             + self.adjacency.capacity() * std::mem::size_of::<NodeId>()
-            + self.edge_weights.capacity() * std::mem::size_of::<EdgeWeight>()
+            + self.edge_weight_bytes()
             + self.node_weights.capacity() * std::mem::size_of::<NodeWeight>()
+    }
+
+    /// Bytes of this graph as a plain CSR ([`plain_csr_bytes`]), the "uncompressed size"
+    /// that compression ratios are reported against.
+    pub fn plain_size_in_bytes(&self) -> usize {
+        plain_csr_bytes(
+            self.n(),
+            self.m(),
+            self.is_edge_weighted(),
+            !self.node_weights.is_empty(),
+        )
+    }
+
+    /// Bytes of the packed edge weights, tail padding included (0 if unweighted).
+    fn edge_weight_bytes(&self) -> usize {
+        self.edge_weights
+            .as_ref()
+            .map_or(0, PackedArray::size_in_bytes)
     }
 
     /// Returns a copy of this graph with every neighbourhood sorted by neighbour ID.
     /// Sorted neighbourhoods maximise the effect of gap/interval encoding.
     pub fn sorted(&self) -> CsrGraph {
         let n = self.n();
+        let weighted = self.is_edge_weighted();
         let mut adjacency = Vec::with_capacity(self.adjacency.len());
-        let mut edge_weights = Vec::with_capacity(self.edge_weights.len());
+        let mut edge_weights = Vec::with_capacity(if weighted { self.adjacency.len() } else { 0 });
         for u in 0..n as NodeId {
             let mut nbrs = self.neighbors_vec(u);
             nbrs.sort_unstable_by_key(|&(v, _)| v);
             for (v, w) in nbrs {
                 adjacency.push(v);
-                if !self.edge_weights.is_empty() {
+                if weighted {
                     edge_weights.push(w);
                 }
             }
@@ -221,19 +292,22 @@ impl Graph for CsrGraph {
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
         let begin = self.xadj[u as usize] as usize;
         let end = self.xadj[u as usize + 1] as usize;
-        if self.edge_weights.is_empty() {
-            for &v in &self.adjacency[begin..end] {
-                f(v, 1);
+        match &self.edge_weights {
+            None => {
+                for &v in &self.adjacency[begin..end] {
+                    f(v, 1);
+                }
             }
-        } else {
-            for e in begin..end {
-                f(self.adjacency[e], self.edge_weights[e]);
+            Some(weights) => {
+                for e in begin..end {
+                    f(self.adjacency[e], weights.get(e));
+                }
             }
         }
     }
 
     fn is_edge_weighted(&self) -> bool {
-        !self.edge_weights.is_empty()
+        self.edge_weights.is_some()
     }
 
     fn is_node_weighted(&self) -> bool {
@@ -443,6 +517,28 @@ mod tests {
         let g = triangle();
         // 4 offsets * 8 bytes + 6 adjacency entries at the active id width.
         assert_eq!(g.size_in_bytes(), 4 * 8 + 6 * std::mem::size_of::<NodeId>());
+        assert_eq!(g.plain_size_in_bytes(), g.size_in_bytes());
+    }
+
+    #[test]
+    fn the_plain_size_prices_full_width_weights() {
+        // The triangle with weights 5, 7, 300: packed at 2 bytes a half-edge, plain at 8.
+        let g = CsrGraph::from_parts(
+            vec![0, 2, 4, 6],
+            vec![1, 2, 0, 2, 0, 1],
+            vec![5, 7, 5, 300, 7, 300],
+            vec![1, 2, 3],
+        );
+        let ids_and_offsets = 4 * 8 + 6 * std::mem::size_of::<NodeId>();
+        assert_eq!(
+            g.size_in_bytes(),
+            ids_and_offsets + 6 * 2 + crate::packed::TAIL_PADDING + 3 * 8
+        );
+        assert_eq!(g.plain_size_in_bytes(), ids_and_offsets + 6 * 8 + 3 * 8);
+        assert_eq!(
+            g.plain_size_in_bytes(),
+            plain_csr_bytes(g.n(), g.m(), true, true)
+        );
     }
 
     #[test]

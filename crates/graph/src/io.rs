@@ -504,8 +504,8 @@ pub fn write_binary(graph: &CsrGraph, path: impl AsRef<Path>) -> Result<(), IoEr
         w.write_all(&checked_binary_id(v, "adjacency entry")?.to_le_bytes())?;
     }
     if graph.is_edge_weighted() {
-        for &ew in graph.raw_edge_weights() {
-            w.write_all(&ew.to_le_bytes())?;
+        for e in 0..graph.adjacency().len() as EdgeId {
+            w.write_all(&graph.edge_weight(e).to_le_bytes())?;
         }
     }
     if graph.is_node_weighted() {

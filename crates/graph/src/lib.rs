@@ -44,7 +44,7 @@ pub mod csr;
 pub mod gen;
 pub mod ids;
 pub mod io;
-pub(crate) mod offset_index;
+pub mod packed;
 pub mod permute;
 pub mod stats;
 pub mod store;

@@ -65,13 +65,13 @@ use crate::checksum::{crc32, Crc32};
 use crate::compressed::{
     CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder, MIN_NEIGHBORHOOD_BYTES,
 };
-use crate::csr::CsrGraph;
+use crate::csr::{plain_csr_bytes, CsrGraph};
 use crate::ids::{self, IdWidth};
 use crate::io::{
     checked_node_count, open_error_is_retryable, read_exact_u32, read_exact_u64, BinaryReader,
     IoError, MetisReader, VertexStream,
 };
-use crate::offset_index::OffsetIndex;
+use crate::packed::PackedArray;
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
 use crate::store::elias_fano::{ef_section_bytes, EliasFanoIndex};
 use crate::store::paged::RetryPolicy;
@@ -185,22 +185,10 @@ impl TpgMeta {
         self.footer_start() + self.footer_len() - 4
     }
 
-    /// Size in bytes of the uncompressed CSR representation of the stored graph — the
-    /// reference point of the memory-ladder experiments.
+    /// Size in bytes of the stored graph as a plain, uncompressed CSR
+    /// ([`plain_csr_bytes`]) — the reference point of the memory-ladder experiments.
     pub fn csr_size_in_bytes(&self) -> usize {
-        let half_edges = 2 * self.m;
-        (self.n + 1) * std::mem::size_of::<EdgeId>()
-            + half_edges * std::mem::size_of::<NodeId>()
-            + if self.edge_weighted {
-                half_edges * std::mem::size_of::<EdgeWeight>()
-            } else {
-                0
-            }
-            + if self.node_weighted {
-                self.n * std::mem::size_of::<NodeWeight>()
-            } else {
-                0
-            }
+        plain_csr_bytes(self.n, self.m, self.edge_weighted, self.node_weighted)
     }
 }
 
@@ -1066,7 +1054,7 @@ pub fn read_tpg(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
 /// is used verbatim, so the result iterates neighbourhoods in exactly the order a
 /// [`PagedGraph`](crate::store::PagedGraph) over the same file would — the property the
 /// bit-identical on-disk partitioning tests rely on. The Elias–Fano offsets are
-/// expanded, in one pass, into the graph's packed `OffsetIndex`.
+/// expanded, in one pass, into the graph's `PackedArray`.
 pub fn read_tpg_compressed(path: impl AsRef<Path>) -> Result<CompressedGraph, IoError> {
     let backend = FileBackend::open(&path)?;
     read_tpg_compressed_backend(&backend)
@@ -1094,7 +1082,7 @@ pub fn read_tpg_compressed_backend(
     Ok(CompressedGraph::from_encoded_parts(
         meta.n,
         meta.m,
-        OffsetIndex::pack(meta.data_len, offsets.iter()),
+        PackedArray::pack(meta.data_len, offsets.iter()),
         data,
         node_weights,
         meta.edge_weighted,
@@ -1151,7 +1139,7 @@ mod tests {
         assert_eq!(meta.m, g.m());
         assert!(!meta.edge_weighted && !meta.node_weighted);
         assert_eq!(meta.max_degree, g.max_degree());
-        assert_eq!(meta.csr_size_in_bytes(), g.size_in_bytes());
+        assert_eq!(meta.csr_size_in_bytes(), g.plain_size_in_bytes());
         let h = read_tpg(&path).unwrap();
         assert_graph_eq(&g, &h);
 

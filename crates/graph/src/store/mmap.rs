@@ -8,7 +8,7 @@
 //! so the accounted footprint is the full mapping — the fits-in-RAM fast path of
 //! [`OnDiskBackend`](crate::store::OnDiskBackend) (webgraph idiom: memory-mapped
 //! compressed adjacency plus an offset index). The container's Elias–Fano offsets are
-//! expanded once at open into the packed `OffsetIndex`, the index the in-memory
+//! expanded once at open into a `PackedArray`, the index the in-memory
 //! [`CompressedGraph`](crate::CompressedGraph) looks neighbourhoods up in too: a lookup
 //! is one load, where an Elias–Fano lookup is a sampled select.
 //!
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 
 use crate::compressed::{decode_neighborhood, decode_neighborhood_header, CompressionConfig};
 use crate::io::IoError;
-use crate::offset_index::OffsetIndex;
+use crate::packed::PackedArray;
 use crate::store::backend::{FileBackend, StorageBackend};
 use crate::store::container::{
     read_tpg_index_backend, read_tpg_meta_backend, retry_section, verify_or_load_data, TpgMeta,
@@ -186,7 +186,7 @@ pub struct MmapGraph {
     meta: TpgMeta,
     path: PathBuf,
     /// The container's Elias–Fano offsets, expanded once at open.
-    offsets: OffsetIndex,
+    offsets: PackedArray,
     node_weights: Vec<NodeWeight>,
     mapping: Mapping,
     /// Bytes charged to the global memory accounting, released on drop.
@@ -253,7 +253,7 @@ impl MmapGraph {
         // In-place decoding has no per-access range checks; it relies on the index read
         // above having been proven strictly increasing within (and covering) the data
         // section.
-        let offsets = OffsetIndex::pack(meta.data_len, offsets.iter());
+        let offsets = PackedArray::pack(meta.data_len, offsets.iter());
         // Verify the whole data section through the backend (block crcs, per-chunk
         // retry). For a plain-file backend the verified bytes are then mapped
         // zero-copy; anything else keeps the verified heap copy.

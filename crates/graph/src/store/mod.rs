@@ -30,9 +30,9 @@
 //!   per-vertex offsets Elias-Fano encoded (~`2 + log2(bytes/node)` bits per entry
 //!   instead of 64), and [`PagedGraph`] keeps them so as its resident index. The two
 //!   resident stores — [`MmapGraph`] and the [`CompressedGraph`] that
-//!   [`read_tpg_compressed`] returns — expand them once at open into the packed
-//!   `OffsetIndex` (`offset_index.rs`), where a lookup is one load instead of a
-//!   select.
+//!   [`read_tpg_compressed`] returns — expand them once at open into a
+//!   [`PackedArray`](crate::packed::PackedArray), where a lookup is one load instead of
+//!   a select.
 //! * [`stream`] — bounded-memory streaming instance generation: an external
 //!   bucket-spilling builder that accepts arbitrary edge streams and produces a `.tpg`
 //!   without ever materialising the full adjacency, plus streaming variants of the

@@ -18,7 +18,9 @@
 //!   coarse IDs are consecutive in the edge array and no shuffling is needed. At the
 //!   very end endpoints are remapped from old cluster labels to new coarse IDs and the
 //!   neighbourhoods sorted, both in place, and the arrays are cut to their committed
-//!   length — the coarse edges are never copied.
+//!   length — the coarse edges are never copied. The edge weights are written packed at
+//!   [`reserved_weight_width`] bytes each and narrowed in place to the width of the
+//!   heaviest coarse edge, the width the coarse CSR keeps them at.
 //!
 //! Both algorithms use the two-phase aggregation idea: clusters whose coarse
 //! neighbourhood exceeds the bump threshold are deferred to a sequential second phase
@@ -39,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use graph::csr::CsrGraph;
 use graph::ids;
+use graph::packed::{self, PackedArray};
 use graph::traits::Graph;
 use graph::{AtomicNodeId, EdgeId, EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
@@ -46,7 +49,7 @@ use rayon::prelude::*;
 
 use crate::context::ContractionAlgorithm;
 use crate::dual_counter::DualCounter;
-use crate::scratch::{HierarchyScratch, SharedSlice};
+use crate::scratch::{HierarchyScratch, Pool, SharedSlice, WorkerScratch};
 use crate::ClusterId;
 
 use super::lp_clustering::Clustering;
@@ -115,7 +118,7 @@ struct ClusterBuckets {
     members: Vec<NodeId>,
     leaders: Vec<ClusterId>,
     remap: Vec<AtomicNodeId>,
-    _charge: MemoryScope<'static>,
+    charge: MemoryScope<'static>,
 }
 
 impl ClusterBuckets {
@@ -226,7 +229,7 @@ impl ClusterBuckets {
             members,
             leaders,
             remap,
-            _charge: charge,
+            charge,
         }
     }
 
@@ -238,6 +241,26 @@ impl ClusterBuckets {
     /// The fine vertices of coarse vertex `b`.
     fn members_of(&self, b: usize) -> &[NodeId] {
         &self.members[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+
+    /// The fine-to-coarse mapping, `mapping[u] = remap[labels[u]]`, written into the
+    /// `members` array once the members are no longer needed: both hold one id per fine
+    /// vertex, so the mapping costs no allocation of its own.
+    fn take_members_as_mapping(&mut self, labels: &[ClusterId]) -> Vec<NodeId> {
+        let mut mapping = std::mem::take(&mut self.members);
+        self.charge
+            .shrink(std::mem::size_of_val(mapping.as_slice()));
+        let remap = &self.remap;
+        mapping
+            .par_chunks_mut(LABEL_BLOCK)
+            .enumerate()
+            .for_each(|(block, chunk)| {
+                let labels = &labels[block * LABEL_BLOCK..];
+                for (coarse, &label) in chunk.iter_mut().zip(labels) {
+                    *coarse = remap[label as usize].load(Ordering::Relaxed);
+                }
+            });
+        mapping
     }
 
     /// Heap bytes of the four arrays.
@@ -352,6 +375,21 @@ impl Batch {
     }
 }
 
+/// Bytes per coarse edge weight that one-pass contraction reserves when it contracts
+/// `graph`: the packed width of `graph`'s total edge weight, which bounds the weight of
+/// every coarse edge (the sum of the fine edges between two clusters). Contraction
+/// narrows the written weights to the width of the heaviest before it returns.
+///
+/// The width trusts `total_edge_weight()`. An in-memory graph sums it from its edges; a
+/// `.tpg`-backed store reads it from the container header, which the header crc guards
+/// against corruption but nothing checks against the data section. If it understates
+/// the edges, contraction panics ("does not fit") instead of returning truncated
+/// weights: the heaviest edge is tracked at full width and checked when the weights
+/// are narrowed.
+pub fn reserved_weight_width(graph: &impl Graph) -> usize {
+    packed::width_for(graph.total_edge_weight())
+}
+
 /// What the workers of one-pass contraction write concurrently: the per-coarse-vertex
 /// buffers, the label remap and the reserved, still uninitialised coarse edge arrays.
 struct OnePassOutput<'a> {
@@ -361,7 +399,11 @@ struct OnePassOutput<'a> {
     remap: &'a [AtomicNodeId],
     reserved_half_edges: usize,
     coarse_targets: SharedSlice<'a, MaybeUninit<NodeId>>,
-    coarse_weights: SharedSlice<'a, MaybeUninit<EdgeWeight>>,
+    /// The coarse edge weights, `weight_width` bytes each.
+    coarse_weights: SharedSlice<'a, MaybeUninit<u8>>,
+    weight_width: usize,
+    /// The heaviest coarse edge committed so far.
+    max_weight: AtomicU64,
 }
 
 impl OnePassOutput<'_> {
@@ -384,6 +426,7 @@ impl OnePassOutput<'_> {
 
     /// Commits coarse vertex `coarse_id` (contracted from cluster `label`): its `edges`
     /// (old target labels until the final remap) go to the slots from `first_edge` on.
+    /// Returns the heaviest of the edges.
     ///
     /// # Safety
     /// `coarse_id` and `[first_edge, first_edge + edges.count())` must lie inside what one
@@ -395,24 +438,50 @@ impl OnePassOutput<'_> {
         label: ClusterId,
         weight: NodeWeight,
         edges: impl Iterator<Item = (ClusterId, EdgeWeight)>,
-    ) {
+    ) -> EdgeWeight {
         self.starts[coarse_id].store(first_edge as u64, Ordering::Relaxed);
         self.node_weights[coarse_id].store(weight, Ordering::Relaxed);
         self.remap[label as usize].store(coarse_id as NodeId, Ordering::Relaxed);
-        for (i, (target, w)) in edges.enumerate() {
+        // SAFETY: the caller's contract.
+        graph::with_width!(self.weight_width, |W| unsafe {
+            self.write_edges::<W>(first_edge, edges)
+        })
+    }
+
+    /// The edge loop of [`Self::commit`], at weight width `W`; returns the heaviest edge.
+    ///
+    /// # Safety
+    /// As [`Self::commit`].
+    unsafe fn write_edges<const W: usize>(
+        &self,
+        first_edge: usize,
+        edges: impl Iterator<Item = (ClusterId, EdgeWeight)>,
+    ) -> EdgeWeight {
+        debug_assert_eq!(W, self.weight_width);
+        let mut max_weight = 0;
+        for (e, (target, w)) in (first_edge..).zip(edges) {
             // SAFETY: in bounds and written by no other worker, by the caller's contract.
+            // The weight store writes exactly the `W` bytes of slot `e`: a wider store
+            // would reach into the next slot, which may be another worker's.
             unsafe {
-                self.coarse_targets
-                    .write(first_edge + i, MaybeUninit::new(target));
-                self.coarse_weights
-                    .write(first_edge + i, MaybeUninit::new(w));
+                self.coarse_targets.write(e, MaybeUninit::new(target));
+                packed::store_uninit(self.coarse_weights.slice_mut(e * W, (e + 1) * W), w);
             }
+            max_weight = max_weight.max(w);
         }
+        max_weight
+    }
+
+    /// Records that edges up to `weight` were committed.
+    fn saw_weight(&self, weight: EdgeWeight) {
+        self.max_weight.fetch_max(weight, Ordering::Relaxed);
     }
 }
 
 /// One-pass contraction (paper §IV-B2): the coarse edge arrays are built in place in a
 /// reservation of `2m` entries of which only the `2m′` written ones are ever resident.
+/// The weights are reserved at [`reserved_weight_width`] bytes each and narrowed to the
+/// width of the heaviest coarse edge at the end, so no 8-byte weight array is built.
 fn contract_one_pass(
     graph: &impl Graph,
     clustering: &Clustering,
@@ -426,17 +495,20 @@ fn contract_one_pass(
             mapping: Vec::new(),
         };
     }
-    let buckets = ClusterBuckets::build(clustering);
+    let mut buckets = ClusterBuckets::build(clustering);
     let n_coarse = buckets.n_coarse();
     // Per coarse vertex: neighbourhood start in the edge arrays, aggregated node weight.
     let starts: Vec<AtomicU64> = zeroed(n_coarse);
     let coarse_node_weights: Vec<AtomicU64> = zeroed(n_coarse);
     let _vertex_charge =
         MemoryScope::charge_global(2 * n_coarse * std::mem::size_of::<AtomicU64>());
-    // Reserved, not filled: an untouched page of the capacity is never backed.
+    // Reserved, not filled: an untouched page of the capacity is never backed. The
+    // weights' reservation leaves room for the packed array's tail padding.
     let reserved_half_edges = 2 * graph.m();
+    let width = reserved_weight_width(graph);
     let mut adjacency: Vec<NodeId> = Vec::with_capacity(reserved_half_edges);
-    let mut edge_weights: Vec<EdgeWeight> = Vec::with_capacity(reserved_half_edges);
+    let mut edge_weights: Vec<u8> =
+        Vec::with_capacity(reserved_half_edges * width + packed::TAIL_PADDING);
 
     let leaders = &buckets.leaders;
     let remap = &buckets.remap;
@@ -451,8 +523,10 @@ fn contract_one_pass(
             &mut adjacency.spare_capacity_mut()[..reserved_half_edges],
         ),
         coarse_weights: SharedSlice::new(
-            &mut edge_weights.spare_capacity_mut()[..reserved_half_edges],
+            &mut edge_weights.spare_capacity_mut()[..reserved_half_edges * width],
         ),
+        weight_width: width,
+        max_weight: AtomicU64::new(0),
     };
     let flush_batch = |batch: &mut Batch| {
         if batch.is_empty() {
@@ -460,21 +534,24 @@ fn contract_one_pass(
         }
         let (mut first_edge, first_vertex) = output.claim(batch.edges.len(), batch.vertices.len());
         let mut edges = batch.edges.iter().copied();
+        let mut max_weight = 0;
         for (i, &(label, weight, len)) in batch.vertices.iter().enumerate() {
             let len = len as usize;
             // SAFETY: the batch's vertices split the claimed edge range in order:
             // `batch.edges.len()` is the sum of their `len`s.
-            unsafe {
+            let heaviest = unsafe {
                 output.commit(
                     first_vertex + i,
                     first_edge,
                     label,
                     weight,
                     edges.by_ref().take(len),
-                );
-            }
+                )
+            };
+            max_weight = max_weight.max(heaviest);
             first_edge += len;
         }
+        output.saw_weight(max_weight);
         batch.vertices.clear();
         batch.edges.clear();
     };
@@ -563,23 +640,26 @@ fn contract_one_pass(
             }
             let (first_edge, coarse_id) = output.claim(map.len(), 1);
             // SAFETY: `map.iter()` yields `map.len()` entries, the range just claimed.
-            unsafe { output.commit(coarse_id, first_edge, label, weight, map.iter()) };
+            let heaviest =
+                unsafe { output.commit(coarse_id, first_edge, label, weight, map.iter()) };
+            output.saw_weight(heaviest);
         }
     }
     let (total_edges, total_vertices) = output.dual.load();
+    let max_weight = output.max_weight.into_inner();
     let m_half = total_edges as usize;
     assert_eq!(total_vertices as usize, n_coarse);
     // SAFETY: the transactions claimed `[0, m_half)` in disjoint contiguous ranges
     // (`DualCounter::fetch_add` returns the running totals), `claim` bounded each by the
-    // capacity, and every transaction wrote all of its range in both arrays before the
-    // loops above ended.
+    // capacity, and every transaction wrote all of its range in both arrays (`width`
+    // bytes per weight) before the loops above ended.
     unsafe {
         adjacency.set_len(m_half);
-        edge_weights.set_len(m_half);
+        edge_weights.set_len(m_half * width);
     }
-    // Give back the part of the reservation that was never written.
+    // Give back the part of the reservation that was never written; the weights give
+    // theirs back once narrowed.
     adjacency.shrink_to_fit();
-    edge_weights.shrink_to_fit();
 
     // ---- Assemble the CSR: offsets and node weights, labels -> coarse IDs. ----
     let xadj: Vec<EdgeId> = (0..n_coarse + 1)
@@ -602,82 +682,116 @@ fn contract_one_pass(
     });
 
     // Sort each coarse neighbourhood by target ID for deterministic downstream
-    // behaviour, in parallel over the (disjoint) CSR segments. Coarse degrees are
-    // mostly tiny, so short segments use an in-place dual-array insertion sort; only
-    // long segments go through a pooled per-worker key buffer.
-    {
-        let adj_shared = SharedSlice::new(&mut adjacency);
-        let wts_shared = SharedSlice::new(&mut edge_weights);
-        (0..n_coarse).into_par_iter().for_each(|c| {
-            let begin = xadj[c] as usize;
-            let end = xadj[c + 1] as usize;
-            let len = end - begin;
-            if len <= 1 {
-                return;
+    // behaviour, in parallel over the (disjoint) CSR segments.
+    graph::with_width!(width, |W| sort_neighbourhoods::<W>(
+        &xadj,
+        &mut adjacency,
+        &mut edge_weights,
+        workers
+    ));
+
+    // An edgeless coarse graph is unweighted, as `from_parts` makes it.
+    let edge_weights = (m_half > 0).then(|| PackedArray::narrowed(edge_weights, width, max_weight));
+    let coarse = CsrGraph::from_packed_parts(xadj, adjacency, edge_weights, node_weights);
+    let mapping = buckets.take_members_as_mapping(&clustering.label);
+    ContractionResult { coarse, mapping }
+}
+
+/// Neighbourhoods of at most this many entries are insertion-sorted with their weights
+/// unpacked on the stack.
+const SHORT_SEGMENT: usize = 32;
+
+/// Sorts each coarse neighbourhood `adjacency[xadj[c]..xadj[c + 1]]` by target ID, its
+/// weights (`W` bytes each) along, in parallel over the disjoint segments. Coarse degrees
+/// are mostly tiny, so short segments use an in-place insertion sort of the targets beside
+/// their unpacked weights; only long segments go through a pooled per-worker key buffer.
+/// Weights are read and written `W` bytes at a time, never beyond their segment.
+fn sort_neighbourhoods<const W: usize>(
+    xadj: &[EdgeId],
+    adjacency: &mut [NodeId],
+    weights: &mut [u8],
+    workers: &Pool<WorkerScratch>,
+) {
+    let n_coarse = xadj.len() - 1;
+    let adj_shared = SharedSlice::new(adjacency);
+    let wts_shared = SharedSlice::new(weights);
+    (0..n_coarse).into_par_iter().for_each(|c| {
+        let begin = xadj[c] as usize;
+        let end = xadj[c + 1] as usize;
+        let len = end - begin;
+        if len <= 1 {
+            return;
+        }
+        // SAFETY: CSR segments of distinct coarse vertices never overlap.
+        let adj = unsafe { adj_shared.slice_mut(begin, end) };
+        let wts = unsafe { wts_shared.slice_mut(begin * W, end * W) };
+        if len <= SHORT_SEGMENT {
+            let mut unpacked = [0 as EdgeWeight; SHORT_SEGMENT];
+            for (w, entry) in unpacked.iter_mut().zip(wts.chunks_exact(W)) {
+                *w = packed::load(entry);
             }
-            // SAFETY: CSR segments of distinct coarse vertices never overlap.
-            let adj = unsafe { adj_shared.slice_mut(begin, end) };
-            let wts = unsafe { wts_shared.slice_mut(begin, end) };
-            if len <= 32 {
-                for i in 1..len {
-                    let (v, w) = (adj[i], wts[i]);
-                    let mut j = i;
-                    while j > 0 && adj[j - 1] > v {
-                        adj[j] = adj[j - 1];
-                        wts[j] = wts[j - 1];
-                        j -= 1;
-                    }
-                    adj[j] = v;
-                    wts[j] = w;
+            let unpacked = &mut unpacked[..len];
+            for i in 1..len {
+                let (v, w) = (adj[i], unpacked[i]);
+                let mut j = i;
+                while j > 0 && adj[j - 1] > v {
+                    adj[j] = adj[j - 1];
+                    unpacked[j] = unpacked[j - 1];
+                    j -= 1;
+                }
+                adj[j] = v;
+                unpacked[j] = w;
+            }
+            for (entry, &w) in wts.chunks_exact_mut(W).zip(unpacked.iter()) {
+                packed::store(entry, w);
+            }
+        } else {
+            // Fast path: sort packed 64-bit (target, position) keys — branchless
+            // integer comparisons, no 16-byte pair shuffling — then gather the
+            // weights through the recorded positions. Valid whenever both halves
+            // fit 32 bits, which is always true at the default id width; wide builds
+            // verify it per segment (cheap relative to the sort) and fall back to
+            // a (target, position) pair sort with the identical resulting order.
+            const LOW_32: u64 = 0xFFFF_FFFF;
+            let fits_packed = NodeId::BITS == 32
+                || (len as u64 <= LOW_32 && adj.iter().all(|&v| ids::widen(v) <= LOW_32));
+            let mut worker = workers.checkout();
+            let worker = &mut *worker;
+            let wts_copy = &mut worker.sort_wts;
+            wts_copy.clear();
+            wts_copy.extend_from_slice(wts);
+            let weight_at = |position: usize| &wts_copy[position * W..(position + 1) * W];
+            if fits_packed {
+                let keys = &mut worker.sort_keys;
+                keys.clear();
+                keys.extend(
+                    adj.iter()
+                        .enumerate()
+                        .map(|(i, &v)| (ids::widen(v) << 32) | i as u64),
+                );
+                keys.sort_unstable();
+                for ((target, entry), &key) in
+                    adj.iter_mut().zip(wts.chunks_exact_mut(W)).zip(keys.iter())
+                {
+                    *target = (key >> 32) as NodeId;
+                    entry.copy_from_slice(weight_at((key & LOW_32) as usize));
                 }
             } else {
-                // Fast path: sort packed 64-bit (target, position) keys — branchless
-                // integer comparisons, no 16-byte pair shuffling — then gather the
-                // weights through the recorded positions. Valid whenever both halves
-                // fit 32 bits, which is always true at the default width; wide builds
-                // verify it per segment (cheap relative to the sort) and fall back to
-                // a (target, position) pair sort with the identical resulting order.
-                const LOW_32: u64 = 0xFFFF_FFFF;
-                let fits_packed = NodeId::BITS == 32
-                    || (len as u64 <= LOW_32 && adj.iter().all(|&v| ids::widen(v) <= LOW_32));
-                let mut worker = workers.checkout();
-                let worker = &mut *worker;
-                let wts_copy = &mut worker.sort_wts;
-                wts_copy.clear();
-                wts_copy.extend_from_slice(wts);
-                if fits_packed {
-                    let keys = &mut worker.sort_keys;
-                    keys.clear();
-                    keys.extend(
-                        adj.iter()
-                            .enumerate()
-                            .map(|(i, &v)| (ids::widen(v) << 32) | i as u64),
-                    );
-                    keys.sort_unstable();
-                    for (i, &packed) in keys.iter().enumerate() {
-                        adj[i] = (packed >> 32) as NodeId;
-                        wts[i] = wts_copy[(packed & LOW_32) as usize];
-                    }
-                } else {
-                    let pairs = &mut worker.sort_pairs;
-                    pairs.clear();
-                    pairs.extend(adj.iter().enumerate().map(|(i, &v)| (v, i as u64)));
-                    pairs.sort_unstable();
-                    for (i, &(v, position)) in pairs.iter().enumerate() {
-                        adj[i] = v;
-                        wts[i] = wts_copy[position as usize];
-                    }
+                let pairs = &mut worker.sort_pairs;
+                pairs.clear();
+                pairs.extend(adj.iter().enumerate().map(|(i, &v)| (v, i as u64)));
+                pairs.sort_unstable();
+                for ((target, entry), &(v, position)) in adj
+                    .iter_mut()
+                    .zip(wts.chunks_exact_mut(W))
+                    .zip(pairs.iter())
+                {
+                    *target = v;
+                    entry.copy_from_slice(weight_at(position as usize));
                 }
             }
-        });
-    }
-
-    let coarse = CsrGraph::from_parts(xadj, adjacency, edge_weights, node_weights);
-    let mapping: Vec<NodeId> = (0..n)
-        .into_par_iter()
-        .map(|u| remap[clustering.label[u] as usize].load(Ordering::Relaxed))
-        .collect();
-    ContractionResult { coarse, mapping }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -803,19 +917,32 @@ mod tests {
         }
     }
 
+    /// `graph` with `extra` added to every edge weight.
+    fn heavier(graph: &CsrGraph, extra: EdgeWeight) -> CsrGraph {
+        let mut builder = graph::CsrGraphBuilder::new(graph.n());
+        for u in 0..graph.n() as NodeId {
+            graph.for_each_neighbor(u, &mut |v, w| {
+                if u < v {
+                    builder.add_edge(u, v, w + extra);
+                }
+            });
+        }
+        builder.build()
+    }
+
     #[test]
     fn both_algorithms_produce_equivalent_graphs() {
-        // The last instance is large enough (n′ > 4096 at cluster weight 3) for the
-        // parallel loops to really split at two threads, where one-pass numbers the coarse
+        // "heavy" weighs every edge at least 2^33: one-pass reserves 5 bytes or more per
+        // weight and the coarse weights stay that wide, so nothing may truncate them. The
+        // last instance is large enough (n′ > 4096 at cluster weight 3) for the parallel
+        // loops to really split at two threads, where one-pass numbers the coarse
         // vertices in commit order.
+        let weighted = gen::with_random_edge_weights(&gen::erdos_renyi(300, 1200, 2), 9, 4);
         for (name, g, max_weight) in [
             ("grid", gen::grid2d(15, 15), 8),
             ("powerlaw", gen::rhg_like(600, 8, 3.0, 5), 8),
-            (
-                "weighted",
-                gen::with_random_edge_weights(&gen::erdos_renyi(300, 1200, 2), 9, 4),
-                8,
-            ),
+            ("weighted", weighted.clone(), 8),
+            ("heavy", heavier(&weighted, 1 << 33), 8),
             ("rgg", gen::rgg2d(20_000, 10, 3), 3),
         ] {
             let clustering = lp_clustering_for(&g, max_weight);
@@ -837,8 +964,68 @@ mod tests {
                 check_contraction(&g, &clustering, &buffered);
                 check_contraction(&g, &clustering, &one_pass);
                 assert_equal_up_to_renumbering(&one_pass, &buffered, &name);
+                if name.starts_with("heavy") {
+                    assert!(reserved_weight_width(&g) >= 5, "{name}");
+                    let coarse = &one_pass.coarse;
+                    assert!(coarse.m() > 0, "{name}");
+                    assert!(
+                        (0..2 * coarse.m() as EdgeId).all(|e| coarse.edge_weight(e) >= 1 << 33),
+                        "{name}: a coarse weight lost its high bytes"
+                    );
+                }
             }
         }
+    }
+
+    /// `graph` reporting `total_edge_weight` in place of its own, as a graph read from a
+    /// container whose header understates the total would.
+    struct Understated<'a> {
+        graph: &'a CsrGraph,
+        total_edge_weight: EdgeWeight,
+    }
+
+    impl Graph for Understated<'_> {
+        fn n(&self) -> usize {
+            self.graph.n()
+        }
+        fn m(&self) -> usize {
+            self.graph.m()
+        }
+        fn degree(&self, u: NodeId) -> usize {
+            self.graph.degree(u)
+        }
+        fn node_weight(&self, u: NodeId) -> NodeWeight {
+            self.graph.node_weight(u)
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.graph.total_node_weight()
+        }
+        fn total_edge_weight(&self) -> EdgeWeight {
+            self.total_edge_weight
+        }
+        fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
+            self.graph.for_each_neighbor(u, f)
+        }
+        fn is_edge_weighted(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn an_understated_total_edge_weight_panics_instead_of_truncating() {
+        // Every weight is at least 300, two bytes; a total of 255 reserves one.
+        let g = heavier(
+            &gen::with_random_edge_weights(&gen::grid2d(8, 8), 9, 3),
+            300,
+        );
+        let understated = Understated {
+            graph: &g,
+            total_edge_weight: 255,
+        };
+        assert_eq!(reserved_weight_width(&understated), 1);
+        let clustering = Clustering::singletons(g.n());
+        contract(&understated, &clustering, ContractionAlgorithm::OnePass, 16);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod lp_clustering;
 pub mod rating_map;
 pub mod two_hop;
 
-pub use contract::{contract, contract_with_scratch, ContractionResult};
+pub use contract::{contract, contract_with_scratch, reserved_weight_width, ContractionResult};
 pub use lp_clustering::{cluster, cluster_with_scratch, Clustering};
 pub use two_hop::{pack_isolated_vertices, two_hop_clustering};
 

@@ -35,6 +35,13 @@
 //!   reuses. The coarse edge arrays are reserved for `2m` slots per level without being
 //!   filled; one-pass contraction writes the `2m′` it needs and hands exactly those to
 //!   the coarse graph.
+//! * **Edge weights at the width of the heaviest.** A coarse level's CSR stores its edge
+//!   weights packed ([`graph::packed::PackedArray`]): one-pass contraction reserves them
+//!   at the width of the fine graph's total edge weight
+//!   ([`coarsening::reserved_weight_width`]), writes exactly that many bytes per weight,
+//!   and narrows them in place to the width of the heaviest coarse edge. No 8-byte
+//!   weight array is built; on R-MAT, where the level-1 CSR sets the run peak, that
+//!   halves the peak.
 //! * **Frontier-driven label propagation.** After the full first round, clustering and
 //!   refinement revisit only vertices whose neighbourhood changed.
 //! * **Deterministic parallel initial partitioning.** The recursive-bisection portfolio

@@ -18,7 +18,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use graph::{EdgeWeight, NodeId};
+use graph::NodeId;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
@@ -175,8 +175,9 @@ pub(crate) struct WorkerScratch {
     pub(crate) sort_keys: Vec<u64>,
     /// `(target, position)` sort pairs — the wide-id fallback of the same sort.
     pub(crate) sort_pairs: Vec<(NodeId, u64)>,
-    /// Edge-weight copy backing the permutation gather of the neighbourhood sort.
-    pub(crate) sort_wts: Vec<EdgeWeight>,
+    /// Copy of the packed edge-weight bytes backing the permutation gather of the
+    /// neighbourhood sort.
+    pub(crate) sort_wts: Vec<u8>,
     /// The rating table of LP clustering (capacity `bump_threshold`) and LP refinement
     /// (capacity from `(k, max_degree)`), handed out by [`Self::rating_table`].
     ratings: Option<FixedCapacityHashMap>,
@@ -221,7 +222,7 @@ impl WorkerScratch {
         let table = |t: &FixedCapacityHashMap| t.memory_bytes();
         self.sort_keys.capacity() * std::mem::size_of::<u64>()
             + self.sort_pairs.capacity() * std::mem::size_of::<(NodeId, u64)>()
-            + self.sort_wts.capacity() * std::mem::size_of::<EdgeWeight>()
+            + self.sort_wts.capacity()
             + self.ratings.as_ref().map_or(0, table)
             + self.neighbor_ids.capacity() * std::mem::size_of::<NodeId>()
             + self

@@ -1,5 +1,6 @@
 //! One-pass contraction reserves its coarse edge arrays for the upper bound of `2m`
-//! entries and must leave the part it never writes non-resident (paper §IV-B2). This
+//! entries — a target id and a weight of `reserved_weight_width` bytes each — and must
+//! leave the part it never writes non-resident (paper §IV-B2). This
 //! reads the process's resident set around one contraction, so it is the only `#[test]`
 //! of its binary: a sibling test allocating concurrently would move the reading.
 
@@ -22,8 +23,8 @@ fn resident_bytes() -> usize {
 #[cfg(target_os = "linux")]
 fn one_pass_contraction_backs_only_the_edges_it_writes() {
     use graph::traits::Graph;
-    use graph::{gen, EdgeWeight, NodeId};
-    use terapart::coarsening::{cluster, contract_with_scratch};
+    use graph::{gen, NodeId};
+    use terapart::coarsening::{cluster, contract_with_scratch, reserved_weight_width};
     use terapart::context::{CoarseningConfig, ContractionAlgorithm};
     use terapart::HierarchyScratch;
 
@@ -47,7 +48,7 @@ fn one_pass_contraction_backs_only_the_edges_it_writes() {
     let after = resident_bytes();
 
     let reservation =
-        2 * graph.m() * (std::mem::size_of::<NodeId>() + std::mem::size_of::<EdgeWeight>());
+        2 * graph.m() * (std::mem::size_of::<NodeId>() + reserved_weight_width(&graph));
     let growth = after.saturating_sub(before);
     println!(
         "reserved {reservation} B for 2m = {} half-edges, committed {} half-edges, \
