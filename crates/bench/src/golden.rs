@@ -122,14 +122,14 @@ pub fn golden_entries() -> Vec<GoldenEntry> {
         cut_w64,
     };
     vec![
-        entry(Fast, "grid3d-16", 1214, 1214),
-        entry(Fast, "rgg2d-6k", 824, 824),
-        entry(Fast, "plc-6k", 21702, 21702),
-        entry(Fast, "rmat-14", 37918, 37918),
-        entry(Default, "grid3d-16", 1127, 1127),
-        entry(Default, "rgg2d-6k", 817, 817),
-        entry(Default, "plc-6k", 21133, 21133),
-        entry(Default, "rmat-14", 29728, 29728),
+        entry(Fast, "grid3d-16", 1156, 1156),
+        entry(Fast, "rgg2d-6k", 885, 885),
+        entry(Fast, "plc-6k", 21719, 21719),
+        entry(Fast, "rmat-14", 37901, 37901),
+        entry(Default, "grid3d-16", 1115, 1115),
+        entry(Default, "rgg2d-6k", 857, 857),
+        entry(Default, "plc-6k", 20921, 20921),
+        entry(Default, "rmat-14", 29069, 29069),
         entry(Strong, "grid3d-16", 1066, 1066),
         entry(Strong, "rgg2d-6k", 886, 886),
         entry(Strong, "plc-6k", 20866, 20866),

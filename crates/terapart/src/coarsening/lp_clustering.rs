@@ -15,16 +15,20 @@
 //!   (`O(n + p·T_bump)` auxiliary memory).
 //!
 //! Rounds after the first are frontier-driven (active-set scheduling, in the spirit of
-//! Sanders & Schulz's active-set local search): a vertex is revisited if its
-//! neighbourhood changed in the previous round — a moved vertex and its neighbours — or
-//! if its move lost a race. Vertices whose best move was rejected by the cluster weight
-//! constraint are deliberately *not* retained: tracking per-cluster capacity changes
-//! would cost `O(n)` per round (the label space is the vertex set), and full clusters
-//! rarely shrink during clustering, so the retry value a full sweep would provide is
-//! negligible here — unlike in LP *refinement*, where the analogous waiters are tracked
-//! per block. Converged regions are never rescanned. The round loop itself
-//! (collect/shuffle/run/swap plus stop criteria) is the shared driver of
-//! `crate::lp_rounds`, instantiated here with the no-waiter semantics, which owns the
+//! Sanders & Schulz's active-set local search): a vertex is revisited only if a label it
+//! has not yet seen changed against it, or if its move lost a race. A visit clears its
+//! vertex's bit in the round's active set, so a set bit is a vertex the round has still
+//! to visit. A move from cluster A to cluster B queues a neighbour for the next round
+//! unless that neighbour is still pending this round (its visit will read the new label)
+//! or is already in B (the move only added rating to its own cluster); the mover does not
+//! queue itself, its neighbours do if they change later. Vertices whose best move was
+//! rejected by the cluster weight constraint are deliberately *not* retained: tracking
+//! per-cluster capacity changes would cost `O(n)` per round (the label space is the
+//! vertex set), and full clusters rarely shrink during clustering, so the retry value a
+//! full sweep would provide is negligible here — unlike in LP *refinement*, where the
+//! analogous waiters are tracked per block. Converged regions are never rescanned. The
+//! round loop itself (collect/shuffle/run/swap plus stop criteria) is the shared driver
+//! of `crate::lp_rounds`, instantiated here with the no-waiter semantics, which owns the
 //! frontier bitsets and the visit-order buffer for the stage.
 //! A visit decodes its vertex's neighbourhood once: the worker keeps the neighbour ids
 //! (up to `bump_threshold` of them) while rating, and a move marks the frontier from
@@ -51,7 +55,7 @@ use memtrack::MemoryScope;
 use rayon::prelude::*;
 
 use crate::context::{CoarseningConfig, EdgeRating, LabelPropagationMode};
-use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics};
+use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics, RoundWork};
 use crate::scratch::{AtomicBitset, HierarchyScratch, Pool, WorkerScratch};
 use crate::ClusterId;
 
@@ -258,15 +262,16 @@ fn rate(rating: EdgeRating, graph: &impl Graph, u: NodeId, v: NodeId, w: u64) ->
 }
 
 /// Decodes the neighbourhood of `u` once, handing every neighbour to `rate`, and keeps
-/// the ids in `kept` so a move can mark them without a second decode. Returns the ids
-/// when they are the whole neighbourhood, `None` when it was longer than `kept`.
+/// the ids in `kept` so a move can mark them without a second decode. Returns the degree
+/// and the ids when they are the whole neighbourhood, `None` when it was longer than
+/// `kept`.
 #[inline]
 fn visit_neighbors<'k>(
     graph: &impl Graph,
     u: NodeId,
     kept: &'k mut [NodeId],
     mut rate: impl FnMut(NodeId, EdgeWeight),
-) -> Option<&'k [NodeId]> {
+) -> (usize, Option<&'k [NodeId]>) {
     let mut degree = 0;
     graph.for_each_neighbor(u, &mut |v, w| {
         if let Some(slot) = kept.get_mut(degree) {
@@ -276,40 +281,94 @@ fn visit_neighbors<'k>(
         rate(v, w);
     });
     let kept: &'k [NodeId] = kept;
-    kept.get(..degree)
+    (degree, kept.get(..degree))
 }
 
-/// Marks the neighbours of the moved vertex `u` active: the ids its visit kept, or a
-/// second decode where [`visit_neighbors`] could not keep them all.
-#[inline]
-fn mark_neighbors(graph: &impl Graph, u: NodeId, kept: Option<&[NodeId]>, bits: &AtomicBitset) {
-    match kept {
-        Some(ids) => ids.iter().for_each(|&v| bits.set(v as usize)),
-        None => graph.for_each_neighbor(u, &mut |v, _| bits.set(v as usize)),
+/// The two bitsets of a frontier round: `pending`, the round's active set, holds the
+/// vertices the round has still to visit (a visit clears its own bit), and `next`
+/// collects the next round's active set.
+#[derive(Clone, Copy)]
+struct Frontier<'a> {
+    pending: &'a AtomicBitset,
+    next: &'a AtomicBitset,
+}
+
+impl Frontier<'_> {
+    /// Starts the visit of `u`: from here on `u` reads the labels it rates, so a later
+    /// change is one it has not seen.
+    #[inline]
+    fn visit(&self, u: NodeId) {
+        self.pending.unset(u as usize);
+    }
+
+    /// Queues `v`, a neighbour of a vertex that just moved into cluster `target`, unless
+    /// the move cannot change `v`'s choice: a `v` still pending reads the new label on
+    /// its visit this round, and a `v` already in `target` only gained rating for its own
+    /// cluster.
+    ///
+    /// At more than one thread the pending test races with `v`'s concurrent visit. The
+    /// race can only drop a revisit, which parallel LP's scheduling-order
+    /// nondeterminism already allows.
+    #[inline]
+    fn queue_neighbor(&self, state: &ClusteringState, v: NodeId, target: ClusterId) {
+        if !self.pending.get(v as usize) && state.label(v) != target {
+            self.next.set(v as usize);
+        }
     }
 }
 
-/// Applies the outcome of [`select_target`] for `u`: performs the move (marking `u` and,
-/// through `mark_neighbors`, its neighbourhood active) or, when the move lost a race
-/// against a concurrent one, keeps `u` alone in the frontier so the next round retries
-/// it. Returns whether `u` moved; callers count per chunk and publish once, not per move.
+/// Queues the neighbours of `u`, which just moved into `target`, through
+/// [`Frontier::queue_neighbor`]: the ids its visit kept, or a second decode where
+/// [`visit_neighbors`] could not keep them all. Returns the half-edges that decode cost.
 #[inline]
-fn apply_selection(
+fn mark_neighbors(
+    graph: &impl Graph,
     state: &ClusteringState,
-    frontier: Option<&AtomicBitset>,
+    frontier: Frontier<'_>,
+    u: NodeId,
+    target: ClusterId,
+    kept: Option<&[NodeId]>,
+) -> u64 {
+    match kept {
+        Some(ids) => {
+            ids.iter()
+                .for_each(|&v| frontier.queue_neighbor(state, v, target));
+            0
+        }
+        None => {
+            let mut decoded = 0;
+            graph.for_each_neighbor(u, &mut |v, _| {
+                decoded += 1;
+                frontier.queue_neighbor(state, v, target);
+            });
+            decoded
+        }
+    }
+}
+
+/// Applies the outcome of [`select_target`] for `u`: performs the move and, on the
+/// frontier, hands it to `mark_neighbors` to queue the neighbours it changed a label
+/// for. A mover does not queue itself; a move that lost a race against a concurrent one
+/// queues `u` alone, so the next round retries it. Returns whether `u` moved; callers
+/// count per chunk and publish once, not per move.
+#[inline]
+fn apply_selection<'f>(
+    state: &ClusteringState,
+    frontier: Option<Frontier<'f>>,
     u: NodeId,
     node_weight: NodeWeight,
     target: Option<ClusterId>,
-    mark_neighbors: impl FnOnce(&AtomicBitset),
+    mark_neighbors: impl FnOnce(Frontier<'f>, ClusterId),
 ) -> bool {
     let Some(target) = target else {
         return false;
     };
     let moved = state.try_move(u, node_weight, target);
-    if let Some(bits) = frontier {
-        bits.set(u as usize);
+    if let Some(frontier) = frontier {
         if moved {
-            mark_neighbors(bits);
+            mark_neighbors(frontier, target);
+        } else {
+            frontier.next.set(u as usize);
         }
     }
     moved
@@ -448,7 +507,7 @@ fn cluster_movable(
         seed: u64,
         /// The movable vertices, where they are a counted subset.
         movable: Option<&'r AtomicBitset>,
-        run: &'r mut dyn FnMut(&[NodeId], Option<&AtomicBitset>) -> usize,
+        run: &'r mut dyn FnMut(&[NodeId], Option<Frontier<'_>>) -> RoundWork,
     }
 
     impl LpRoundSemantics for ClusteringRounds<'_> {
@@ -460,13 +519,22 @@ fn cluster_movable(
             (obs::Counter::LpClusterRounds, obs::Counter::LpClusterMoves)
         }
 
-        fn run_round(&mut self, order: &[NodeId], frontier: Option<&AtomicBitset>) -> usize {
+        fn run_round(
+            &mut self,
+            order: &[NodeId],
+            active: &AtomicBitset,
+            frontier: Option<&AtomicBitset>,
+        ) -> RoundWork {
+            let frontier = frontier.map(|next| Frontier {
+                pending: active,
+                next,
+            });
             (self.run)(order, frontier)
         }
 
         fn after_round(&mut self, next_active: &AtomicBitset) {
-            // A move marks its whole neighbourhood; the neighbours that cannot move drop
-            // out here, one pass over n / 64 words, instead of being tested per mark.
+            // A move marks neighbours whatever their weight; the ones that cannot move
+            // drop out here, one pass over n / 64 words, instead of being tested per mark.
             if let Some(movable) = self.movable {
                 next_active.intersect_with(movable);
             }
@@ -485,7 +553,7 @@ fn cluster_movable(
             let _scope = MemoryScope::charge_global(
                 maps.parked_sum(SparseRatingMap::memory_bytes) + kept_ids_bytes,
             );
-            let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
+            let mut run = |order: &[NodeId], frontier: Option<Frontier<'_>>| {
                 run_round_per_thread_maps(graph, &state, &maps, config, workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
@@ -510,7 +578,7 @@ fn cluster_movable(
                     + kept_ids_bytes,
             );
             let mut shared = None;
-            let mut run = |order: &[NodeId], frontier: Option<&AtomicBitset>| {
+            let mut run = |order: &[NodeId], frontier: Option<Frontier<'_>>| {
                 run_round_two_phase(graph, &state, config, &mut shared, workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
@@ -541,30 +609,40 @@ fn run_round_per_thread_maps(
     config: &CoarseningConfig,
     workers: &Pool<WorkerScratch>,
     order: &[NodeId],
-    frontier: Option<&AtomicBitset>,
-) -> usize {
-    let moved = AtomicUsize::new(0);
+    frontier: Option<Frontier<'_>>,
+) -> RoundWork {
+    let (moved, half_edges) = (AtomicUsize::new(0), AtomicU64::new(0));
     order.par_chunks(256).for_each(|chunk| {
         let mut map = maps.checkout();
         let mut worker = workers.checkout();
         let ids = worker.neighbor_ids(config.bump_threshold);
-        let mut chunk_moves = 0usize;
+        let (mut chunk_moves, mut chunk_half_edges) = (0usize, 0u64);
         for &u in chunk {
+            if let Some(frontier) = frontier {
+                frontier.visit(u);
+            }
             let node_weight = graph.node_weight(u);
             map.clear();
-            let kept = visit_neighbors(graph, u, ids, |v, w| {
+            let (degree, kept) = visit_neighbors(graph, u, ids, |v, w| {
                 map.add(state.label(v), rate(config.edge_rating, graph, u, v, w));
             });
+            chunk_half_edges += degree as u64;
             let current = state.label(u);
             let target = select_target(map.iter(), current, node_weight, state);
-            let mark = |bits: &AtomicBitset| mark_neighbors(graph, u, kept, bits);
+            let mark = |frontier, target| {
+                chunk_half_edges += mark_neighbors(graph, state, frontier, u, target, kept);
+            };
             if apply_selection(state, frontier, u, node_weight, target, mark) {
                 chunk_moves += 1;
             }
         }
         moved.fetch_add(chunk_moves, Ordering::Relaxed);
+        half_edges.fetch_add(chunk_half_edges, Ordering::Relaxed);
     });
-    moved.load(Ordering::Relaxed)
+    RoundWork {
+        moves: moved.into_inner(),
+        half_edges: half_edges.into_inner(),
+    }
 }
 
 /// One round of two-phase label propagation (paper Algorithm 2). `shared` is the second
@@ -578,9 +656,9 @@ fn run_round_two_phase(
     shared: &mut Option<(AtomicSparseArray, MemoryScope<'static>)>,
     workers: &Pool<WorkerScratch>,
     order: &[NodeId],
-    frontier: Option<&AtomicBitset>,
-) -> usize {
-    let moved = AtomicUsize::new(0);
+    frontier: Option<Frontier<'_>>,
+) -> RoundWork {
+    let (moved, half_edges) = (AtomicUsize::new(0), AtomicU64::new(0));
     // ---- First phase: small fixed-capacity hash tables, bump on overflow. ----
     let bumped: Vec<NodeId> = order
         .par_chunks(256)
@@ -590,30 +668,41 @@ fn run_round_two_phase(
             let mut worker = workers.checkout();
             let (map, ids) = worker.rating_table_and_neighbor_ids(config.bump_threshold);
             let mut bumped = Vec::new();
-            let mut chunk_moves = 0usize;
+            let (mut chunk_moves, mut chunk_half_edges) = (0usize, 0u64);
             for &u in chunk {
+                if let Some(frontier) = frontier {
+                    frontier.visit(u);
+                }
                 let node_weight = graph.node_weight(u);
                 map.clear();
                 let mut overflow = false;
-                let kept = visit_neighbors(graph, u, ids, |v, w| {
+                let (degree, kept) = visit_neighbors(graph, u, ids, |v, w| {
                     if !overflow
                         && !map.add(state.label(v), rate(config.edge_rating, graph, u, v, w))
                     {
                         overflow = true;
                     }
                 });
+                chunk_half_edges += degree as u64;
                 if overflow {
+                    // Still pending: its visit is the second phase's.
+                    if let Some(frontier) = frontier {
+                        frontier.pending.set(u as usize);
+                    }
                     bumped.push(u);
                     continue;
                 }
                 let current = state.label(u);
                 let target = select_target(map.iter(), current, node_weight, state);
-                let mark = |bits: &AtomicBitset| mark_neighbors(graph, u, kept, bits);
+                let mark = |frontier, target| {
+                    chunk_half_edges += mark_neighbors(graph, state, frontier, u, target, kept);
+                };
                 if apply_selection(state, frontier, u, node_weight, target, mark) {
                     chunk_moves += 1;
                 }
             }
             moved.fetch_add(chunk_moves, Ordering::Relaxed);
+            half_edges.fetch_add(chunk_half_edges, Ordering::Relaxed);
             bumped
         })
         .reduce(Vec::new, |mut a, mut b| {
@@ -622,8 +711,12 @@ fn run_round_two_phase(
         });
 
     // ---- Second phase: bumped vertices sequentially, parallelism over their edges. ----
+    let mut work = RoundWork {
+        moves: moved.into_inner(),
+        half_edges: half_edges.into_inner(),
+    };
     if bumped.is_empty() {
-        return moved.load(Ordering::Relaxed);
+        return work;
     }
     let (shared, _) = shared.get_or_insert_with(|| {
         let array = AtomicSparseArray::new(graph.n());
@@ -631,10 +724,13 @@ fn run_round_two_phase(
         (array, charge)
     });
     let shared = &*shared;
-    let mut bumped_moves = 0usize;
     for &u in &bumped {
+        if let Some(frontier) = frontier {
+            frontier.visit(u);
+        }
         let node_weight = graph.node_weight(u);
         let neighbors = graph.neighbors_vec(u);
+        work.half_edges += neighbors.len() as u64;
         // Parallel aggregation into the shared array, buffered through per-chunk hash
         // tables to reduce atomic contention (paper Algorithm 2, FlushRatingMap).
         let touched: Vec<NodeId> = neighbors
@@ -666,12 +762,16 @@ fn run_round_two_phase(
             state,
         );
         shared.reset(&touched);
-        let mark = |bits: &AtomicBitset| neighbors.iter().for_each(|&(v, _)| bits.set(v as usize));
+        let mark = |frontier: Frontier<'_>, target| {
+            for &(v, _) in &neighbors {
+                frontier.queue_neighbor(state, v, target);
+            }
+        };
         if apply_selection(state, frontier, u, node_weight, target, mark) {
-            bumped_moves += 1;
+            work.moves += 1;
         }
     }
-    moved.load(Ordering::Relaxed) + bumped_moves
+    work
 }
 
 /// Applies the entries of `buffer` to the shared array and records newly touched keys.
@@ -829,6 +929,7 @@ mod tests {
             (0..3)
                 .map(|_| {
                     run_round_per_thread_maps(&g, &state, &maps, &config, &workers, &order, None)
+                        .moves
                 })
                 .sum()
         });
@@ -931,6 +1032,104 @@ mod tests {
         }
     }
 
+    /// The bitsets of a one-round frontier over `n` vertices, every vertex pending.
+    fn pending_frontier(n: usize) -> (AtomicBitset, AtomicBitset) {
+        let (mut pending, mut next) = (AtomicBitset::new(), AtomicBitset::new());
+        pending.ensure_len(n);
+        next.ensure_len(n);
+        pending.set_all(n);
+        (pending, next)
+    }
+
+    #[test]
+    fn a_move_queues_only_the_visited_neighbours_outside_its_target() {
+        // Vertex 0 is the centre of a star with leaves 1..=4. Leaf 1 is the target
+        // cluster, leaf 2 is still pending, leaf 3 was visited and is a singleton, leaf
+        // 4 was visited and has joined the target already.
+        let g = gen::star(5);
+        let state = ClusteringState::new(&g, 3);
+        let (pending, next) = pending_frontier(g.n());
+        let frontier = Frontier {
+            pending: &pending,
+            next: &next,
+        };
+        for v in [1, 3, 4] {
+            frontier.visit(v);
+        }
+        assert!(state.try_move(4, 1, 1));
+        frontier.visit(0);
+        let kept: Vec<NodeId> = (1..5).collect();
+        let mark = |frontier, target| {
+            assert_eq!(
+                mark_neighbors(&g, &state, frontier, 0, target, Some(&kept)),
+                0
+            );
+        };
+        assert!(apply_selection(&state, Some(frontier), 0, 1, Some(1), mark));
+        assert_eq!(state.label(0), 1);
+        let queued: Vec<usize> = (0..g.n()).filter(|&v| next.get(v)).collect();
+        assert_eq!(
+            queued,
+            vec![3],
+            "not the mover, not the target's members, not the pending leaf"
+        );
+
+        // Cluster 1 is full now (weight 3): leaf 2's move into it fails and queues leaf 2
+        // alone.
+        next.clear_range(g.n());
+        frontier.visit(2);
+        let mark = |_, _| panic!("a failed move marks no neighbour");
+        let moved = apply_selection(&state, Some(frontier), 2, 1, Some(1), mark);
+        assert!(!moved);
+        let queued: Vec<usize> = (0..g.n()).filter(|&v| next.get(v)).collect();
+        assert_eq!(queued, vec![2]);
+    }
+
+    #[test]
+    fn a_move_that_keeps_too_few_ids_queues_from_a_second_decode() {
+        let g = gen::star(5);
+        let state = ClusteringState::new(&g, 4);
+        let (pending, next) = pending_frontier(g.n());
+        let frontier = Frontier {
+            pending: &pending,
+            next: &next,
+        };
+        (0..5).for_each(|v| frontier.visit(v));
+        assert!(state.try_move(0, 1, 2));
+        assert_eq!(mark_neighbors(&g, &state, frontier, 0, 2, None), 4);
+        let queued: Vec<usize> = (0..g.n()).filter(|&v| next.get(v)).collect();
+        assert_eq!(queued, vec![1, 3, 4]);
+    }
+
+    #[test]
+    fn the_round_after_the_sweep_revisits_at_most_three_fifths_of_it() {
+        let g = gen::rgg2d(20_000, 8, 7);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let mut scratch = HierarchyScratch::new();
+        let (obs, recorder) = obs::ObsHandle::recording();
+        scratch.obs = obs;
+        let config = CoarseningConfig::default();
+        assert!(config.lp_frontier);
+        pool.install(|| cluster_with_scratch(&g, &config, 32, 7, &mut scratch));
+        let report = recorder.finish_report();
+        let visits: Vec<u64> = report
+            .all_spans()
+            .into_iter()
+            .filter(|span| span.name == "lp_round")
+            .filter_map(|span| span.attr("visited"))
+            .collect();
+        assert_eq!(visits[0], g.n() as u64);
+        assert!(
+            visits[1] * 5 <= visits[0] * 3,
+            "round 1 revisits {} of {}",
+            visits[1],
+            visits[0]
+        );
+    }
+
     #[test]
     fn a_visit_decodes_its_neighbourhood_once_whether_it_moves_or_not() {
         // On a 2-regular graph every decode hands out 2 half-edges: rating a vertex and,
@@ -963,7 +1162,16 @@ mod tests {
                 "{lp_mode:?}: a frontier round follows the sweep"
             );
             let visits: u64 = rounds.iter().filter_map(|span| span.attr("visited")).sum();
-            assert_eq!(graph.half_edges.into_inner(), 2 * visits, "{lp_mode:?}");
+            let half_edges: u64 = rounds
+                .iter()
+                .filter_map(|span| span.attr("half_edges"))
+                .sum();
+            let decoded = graph.half_edges.into_inner();
+            assert_eq!(decoded, 2 * visits, "{lp_mode:?}");
+            assert_eq!(
+                decoded, half_edges,
+                "{lp_mode:?}: the spans count every decode"
+            );
         }
     }
 

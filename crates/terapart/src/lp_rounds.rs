@@ -5,18 +5,22 @@
 //! 0 the caller's start set, or every vertex if it has none or the frontier is
 //! disabled) with a round-derived seed
 //! ([`build_visit_order`]), run one parallel round that marks the next round's frontier,
-//! swap the frontier bitsets and evaluate a stop criterion. The driver owns the visit
-//! order, its range permutation and both bitsets for one stage: they are allocated for
-//! the stage's graph, charged to the memory accounting while it runs and freed when it
-//! returns. The loop used to be
+//! swap the frontier bitsets and evaluate a stop criterion. A round is handed its own
+//! active set beside the next round's frontier, so clustering can tell a neighbour the
+//! round has still to visit from one it has visited already; refinement ignores it.
+//! The driver owns the visit order, its range permutation and both bitsets for one
+//! stage: they are allocated for the stage's graph, charged to the memory accounting
+//! while it runs and freed when it returns. The loop used to be
 //! implemented twice with deliberately different *waiter* semantics; this module hosts
 //! the single driver, parameterised over those semantics through
 //! [`LpRoundSemantics`]:
 //!
-//! * clustering retries nothing beyond the frontier — a vertex whose best move was
-//!   rejected by the cluster weight constraint is dropped (full clusters rarely shrink
-//!   during clustering, and tracking per-cluster capacity changes would cost `O(n)` per
-//!   round), and a move-free round always terminates the loop;
+//! * clustering queues a vertex only when a neighbour moves, after the vertex's visit,
+//!   into a cluster other than its own, or when the vertex's own move lost a race; it
+//!   retries nothing beyond the frontier — a vertex whose best move was rejected by the
+//!   cluster weight constraint is dropped (full clusters rarely shrink during
+//!   clustering, and tracking per-cluster capacity changes would cost `O(n)` per round),
+//!   and a move-free round always terminates the loop;
 //! * refinement keeps balance-blocked movers as *waiters* across rounds (feasibility
 //!   depends on global block weights, not the neighbourhood), reactivates them in
 //!   whichever round their move first fits again, and only stops on a move-free round
@@ -44,6 +48,14 @@ pub(crate) struct RoundStats {
     pub visited_per_round: Vec<usize>,
 }
 
+/// What one round did: its moves and the half-edges it decoded (rating and marking
+/// decodes alike), for the round's `lp_round` span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RoundWork {
+    pub moves: usize,
+    pub half_edges: u64,
+}
+
 /// The algorithm-specific half of the round loop (see the module docs).
 pub(crate) trait LpRoundSemantics {
     /// Seed of the round's shuffle RNG (each caller keeps its historical mixing so
@@ -55,8 +67,16 @@ pub(crate) trait LpRoundSemantics {
     fn obs_counters(&self) -> (Counter, Counter);
 
     /// Runs one parallel round over `order`, marking changed neighbourhoods in
-    /// `frontier` (when enabled), and returns the number of moves performed.
-    fn run_round(&mut self, order: &[NodeId], frontier: Option<&AtomicBitset>) -> usize;
+    /// `frontier` (when enabled), and returns its moves and decoded half-edges.
+    /// `active` is the set `order` was built from, every vertex on a full sweep. With the
+    /// frontier on the round may clear its bits: the driver clears it before it becomes
+    /// a frontier. A full sweep reuses it, so without the frontier it must stay intact.
+    fn run_round(
+        &mut self,
+        order: &[NodeId],
+        active: &AtomicBitset,
+        frontier: Option<&AtomicBitset>,
+    ) -> RoundWork;
 
     /// Whether vertices carried across rounds *outside* the frontier bitsets (waiters)
     /// may still produce work; an empty collected frontier only ends the loop when this
@@ -168,12 +188,14 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         } else {
             None
         };
-        let moved = semantics.run_round(&order, frontier);
+        let work = semantics.run_round(&order, &active, frontier);
+        let moved = work.moves;
         if frontier.is_some() {
             semantics.after_round(&next_active);
         }
         round_span.attr("visited", order.len() as u64);
         round_span.attr("moves", moved as u64);
+        round_span.attr("half_edges", work.half_edges);
         drop(round_span);
         obs.add(rounds_counter, 1);
         obs.add(moves_counter, moved as u64);
@@ -214,7 +236,12 @@ mod tests {
             (Counter::LpClusterRounds, Counter::LpClusterMoves)
         }
 
-        fn run_round(&mut self, order: &[NodeId], frontier: Option<&AtomicBitset>) -> usize {
+        fn run_round(
+            &mut self,
+            order: &[NodeId],
+            _active: &AtomicBitset,
+            frontier: Option<&AtomicBitset>,
+        ) -> RoundWork {
             let mut sorted = order.to_vec();
             sorted.sort_unstable();
             self.visited.push(sorted);
@@ -230,7 +257,10 @@ mod tests {
                 }
             }
             self.rounds_run += 1;
-            moves
+            RoundWork {
+                moves,
+                half_edges: 0,
+            }
         }
     }
 
@@ -326,7 +356,12 @@ mod tests {
             (Counter::LpClusterRounds, Counter::LpClusterMoves)
         }
 
-        fn run_round(&mut self, order: &[NodeId], frontier: Option<&AtomicBitset>) -> usize {
+        fn run_round(
+            &mut self,
+            order: &[NodeId],
+            _active: &AtomicBitset,
+            frontier: Option<&AtomicBitset>,
+        ) -> RoundWork {
             if let (Some(bits), Some(marks)) =
                 (frontier, self.marks_per_round.get(self.orders.len()))
             {
@@ -335,7 +370,10 @@ mod tests {
                 }
             }
             self.orders.push(order.to_vec());
-            1
+            RoundWork {
+                moves: 1,
+                half_edges: 0,
+            }
         }
 
         fn should_stop(&mut self, _moved: usize, _has_work: &mut dyn FnMut() -> bool) -> bool {
@@ -458,10 +496,18 @@ mod tests {
             (Counter::LpRefineRounds, Counter::LpRefineMoves)
         }
 
-        fn run_round(&mut self, _order: &[NodeId], _frontier: Option<&AtomicBitset>) -> usize {
+        fn run_round(
+            &mut self,
+            _order: &[NodeId],
+            _active: &AtomicBitset,
+            _frontier: Option<&AtomicBitset>,
+        ) -> RoundWork {
             self.rounds_run += 1;
             // Round 0 performs a move but marks nothing; the waiter reactivates later.
-            usize::from(self.rounds_run == 1 || self.rounds_run == 3)
+            RoundWork {
+                moves: usize::from(self.rounds_run == 1 || self.rounds_run == 3),
+                half_edges: 0,
+            }
         }
 
         fn has_pending_waiters(&self) -> bool {

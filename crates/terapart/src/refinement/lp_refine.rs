@@ -25,7 +25,7 @@ use memtrack::MemoryScope;
 use rayon::prelude::*;
 
 use crate::coarsening::rating_map::FixedCapacityHashMap;
-use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics};
+use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics, RoundWork};
 use crate::partition::{BlockId, BoundarySet, Partition};
 use crate::scratch::{AtomicBitset, HierarchyScratch, Pool, WorkerScratch};
 
@@ -201,8 +201,13 @@ pub fn lp_refine_with_scratch(
             (obs::Counter::LpRefineRounds, obs::Counter::LpRefineMoves)
         }
 
-        fn run_round(&mut self, order: &[NodeId], frontier: Option<&AtomicBitset>) -> usize {
-            let (moves, newly_blocked) = run_round(
+        fn run_round(
+            &mut self,
+            order: &[NodeId],
+            _active: &AtomicBitset,
+            frontier: Option<&AtomicBitset>,
+        ) -> RoundWork {
+            let (work, newly_blocked) = run_round(
                 self.graph,
                 self.state,
                 self.k,
@@ -212,7 +217,7 @@ pub fn lp_refine_with_scratch(
                 self.workers,
             );
             self.newly_blocked = newly_blocked;
-            moves
+            work
         }
 
         fn has_pending_waiters(&self) -> bool {
@@ -280,8 +285,8 @@ pub fn lp_refine_with_scratch(
     }
 }
 
-/// One parallel round over `order`; returns the number of moves and, when the frontier
-/// is active, the balance-blocked waiters: `(vertex, blocked target block, weight)` of
+/// One parallel round over `order`; returns its moves and decoded half-edges and, when
+/// the frontier is active, the balance-blocked waiters: `(vertex, blocked target block, weight)` of
 /// every vertex whose improving move was rejected only because the target block was
 /// full. Only the highest-affinity blocked block is recorded per vertex — tracking all
 /// of them would grow the list without changing behaviour materially, since a revisit
@@ -297,8 +302,8 @@ fn run_round(
     frontier: Option<&AtomicBitset>,
     boundary: &AtomicBitset,
     workers: &Pool<WorkerScratch>,
-) -> (usize, Vec<(NodeId, BlockId, NodeWeight)>) {
-    let moves = AtomicUsize::new(0);
+) -> (RoundWork, Vec<(NodeId, BlockId, NodeWeight)>) {
+    let (moves, half_edges) = (AtomicUsize::new(0), AtomicU64::new(0));
     let table_limit = k.min(1 + graph.max_degree());
     let waiters: Vec<(NodeId, BlockId, NodeWeight)> = order
         .par_chunks(256)
@@ -307,13 +312,14 @@ fn run_round(
             // lease returns it to the arena's pool when the chunk is done.
             let mut worker = workers.checkout();
             let ratings = worker.rating_table(table_limit);
-            let mut chunk_moves = 0usize;
+            let (mut chunk_moves, mut chunk_half_edges) = (0usize, 0u64);
             let mut blocked = Vec::new();
             for &u in chunk {
                 let current = state.block(u);
                 ratings.clear();
                 let mut has_external = false;
                 graph.for_each_neighbor(u, &mut |v, w| {
+                    chunk_half_edges += 1;
                     let block = state.block(v);
                     // The rating table is keyed by NodeId; block ids (< k) always fit.
                     ratings.add(NodeId::from(block), w);
@@ -357,6 +363,7 @@ fn run_round(
                             // The move can put any neighbour on the boundary (or take
                             // it off, which a superset need not notice).
                             graph.for_each_neighbor(u, &mut |v, _| {
+                                chunk_half_edges += 1;
                                 boundary.set(v as usize);
                                 if let Some(bits) = frontier {
                                     bits.set(v as usize);
@@ -384,13 +391,18 @@ fn run_round(
                 }
             }
             moves.fetch_add(chunk_moves, Ordering::Relaxed);
+            half_edges.fetch_add(chunk_half_edges, Ordering::Relaxed);
             blocked
         })
         .reduce(Vec::new, |mut a, mut b| {
             a.append(&mut b);
             a
         });
-    (moves.load(Ordering::Relaxed), waiters)
+    let work = RoundWork {
+        moves: moves.into_inner(),
+        half_edges: half_edges.into_inner(),
+    };
+    (work, waiters)
 }
 
 #[cfg(test)]

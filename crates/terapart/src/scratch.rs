@@ -29,8 +29,9 @@ use crate::initial::scratch::InitialPartitioningScratch;
 /// A fixed-capacity concurrent bitset with relaxed atomics.
 ///
 /// Used as the label-propagation frontier: `set` is called concurrently by worker
-/// threads marking vertices whose neighbourhood changed; collection and clearing happen
-/// between rounds, outside the parallel section.
+/// threads marking vertices whose neighbourhood changed, and clustering's visits `unset`
+/// their own bit of the round's active set; collection and clearing of whole ranges
+/// happen between rounds, outside the parallel section.
 #[derive(Debug, Default)]
 pub struct AtomicBitset {
     words: Vec<AtomicU64>,
@@ -59,6 +60,12 @@ impl AtomicBitset {
         if word.load(Ordering::Relaxed) & mask == 0 {
             word.fetch_or(mask, Ordering::Relaxed);
         }
+    }
+
+    /// Clears bit `i`. Callable concurrently.
+    #[inline]
+    pub fn unset(&self, i: usize) {
+        self.words[i / 64].fetch_and(!(1 << (i % 64)), Ordering::Relaxed);
     }
 
     /// Tests bit `i`.
