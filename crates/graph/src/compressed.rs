@@ -23,6 +23,8 @@
 
 use crate::csr::CsrGraph;
 use crate::packed::PackedArray;
+#[cfg(all(unix, target_pointer_width = "64"))]
+use crate::store::mmap::MappedFile;
 use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
@@ -64,8 +66,60 @@ impl CompressionConfig {
     }
 }
 
+/// The encoded neighbourhoods of a [`CompressedGraph`]: the bytes an in-memory
+/// constructor encoded or a load copied onto the heap, or the data section of a
+/// read-only mapping of a whole `.tpg` container (platforms without the mapping binding
+/// only ever hold the heap form).
+pub(crate) enum Bytes {
+    Heap(Vec<u8>),
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    Mapped(MappedFile),
+}
+
+impl Bytes {
+    /// The encoded neighbourhoods.
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Bytes::Heap(data) => data,
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Bytes::Mapped(file) => file.data(),
+        }
+    }
+
+    /// Bytes these pin: the data section on the heap, the whole file when mapped.
+    pub(crate) fn size_in_bytes(&self) -> usize {
+        match self {
+            Bytes::Heap(data) => data.len(),
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Bytes::Mapped(file) => file.file_len(),
+        }
+    }
+
+    /// Whether this is a real memory mapping (vs the heap).
+    pub(crate) fn is_mapped(&self) -> bool {
+        match self {
+            Bytes::Heap(_) => false,
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Bytes::Mapped(_) => true,
+        }
+    }
+}
+
+impl std::fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Bytes")
+            .field("mapped", &self.is_mapped())
+            .field("len", &self.size_in_bytes())
+            .finish()
+    }
+}
+
 /// A graph stored in the compressed byte format with per-vertex byte offsets.
-#[derive(Debug, Clone)]
+///
+/// The one resident decoder of the format: its bytes are a heap buffer or, in an
+/// [`MmapGraph`](crate::store::MmapGraph), a read-only mapping of a `.tpg` container.
+#[derive(Debug)]
 pub struct CompressedGraph {
     n: usize,
     m: usize,
@@ -73,8 +127,10 @@ pub struct CompressedGraph {
     /// `.tpg` container stores the same offsets Elias–Fano encoded; reading one expands
     /// them into this index once.
     offsets: PackedArray,
-    /// Concatenated encoded neighbourhoods.
-    data: Vec<u8>,
+    /// Concatenated encoded neighbourhoods: on the heap for every in-memory constructor
+    /// and for `read_tpg_compressed`, the container's mapped data section in an
+    /// [`MmapGraph`](crate::store::MmapGraph).
+    data: Bytes,
     /// Node weights, empty when uniform.
     node_weights: Vec<NodeWeight>,
     edge_weighted: bool,
@@ -209,7 +265,7 @@ impl EncodedSection {
             n,
             self.half_edges / 2,
             PackedArray::pack(data_len, self.offsets.into_iter()),
-            data,
+            Bytes::Heap(data),
             node_weights,
             edge_weighted,
             self.total_node_weight,
@@ -594,7 +650,7 @@ impl CompressedGraph {
         n: usize,
         m: usize,
         offsets: PackedArray,
-        data: Vec<u8>,
+        data: Bytes,
         node_weights: Vec<NodeWeight>,
         edge_weighted: bool,
         total_node_weight: NodeWeight,
@@ -617,17 +673,17 @@ impl CompressedGraph {
         }
     }
 
-    /// Number of bytes used by the encoded adjacency data, the offset index and the
-    /// node weights.
+    /// Number of bytes used by the encoded adjacency data (the whole file when it is
+    /// mapped), the offset index and the node weights.
     pub fn size_in_bytes(&self) -> usize {
-        self.data.len()
+        self.data.size_in_bytes()
             + self.offsets.size_in_bytes()
             + self.node_weights.len() * std::mem::size_of::<NodeWeight>()
     }
 
     /// Number of bytes used by the encoded adjacency data alone.
     pub fn encoded_data_bytes(&self) -> usize {
-        self.data.len()
+        self.data.as_slice().len()
     }
 
     /// Ratio of the plain CSR size ([`CsrGraph::plain_size_in_bytes`]) to this graph's
@@ -642,7 +698,7 @@ impl CompressedGraph {
         if self.m == 0 {
             0.0
         } else {
-            self.data.len() as f64 / (2.0 * self.m as f64)
+            self.encoded_data_bytes() as f64 / (2.0 * self.m as f64)
         }
     }
 
@@ -653,15 +709,23 @@ impl CompressedGraph {
 
     /// ID of the first half-edge of `u`'s neighbourhood.
     pub fn first_edge(&self, u: NodeId) -> EdgeId {
-        let pos = self.offsets.get(u as usize) as usize;
-        decode_varint(&self.data, pos).0
+        self.decode_header(u).0
     }
 
-    fn decode_header(&self, u: NodeId) -> (usize, usize) {
-        let pos = self.offsets.get(u as usize) as usize;
-        let (_, pos) = decode_varint(&self.data, pos);
-        let (degree, pos) = decode_varint(&self.data, pos);
-        (degree as usize, pos)
+    /// `(first_edge, degree, pos)` of `u`'s neighbourhood (see
+    /// [`decode_neighborhood_header`]).
+    fn decode_header(&self, u: NodeId) -> (EdgeId, usize, usize) {
+        decode_neighborhood_header(self.data.as_slice(), self.offsets.get(u as usize) as usize)
+    }
+
+    /// The bytes behind the graph: heap or mapping.
+    pub(crate) fn bytes(&self) -> &Bytes {
+        &self.data
+    }
+
+    /// Bytes of the packed offset index.
+    pub(crate) fn offset_index_bytes(&self) -> usize {
+        self.offsets.size_in_bytes()
     }
 }
 
@@ -675,7 +739,7 @@ impl Graph for CompressedGraph {
     }
 
     fn degree(&self, u: NodeId) -> usize {
-        self.decode_header(u).0
+        self.decode_header(u).1
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
@@ -696,7 +760,7 @@ impl Graph for CompressedGraph {
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
         decode_neighborhood(
-            &self.data,
+            self.data.as_slice(),
             self.offsets.get(u as usize) as usize,
             u,
             self.edge_weighted,
@@ -946,27 +1010,28 @@ mod tests {
     /// Reference decode of `u`'s whole neighbourhood (chunk framing included).
     fn reference_neighbors(g: &CompressedGraph, u: NodeId) -> Vec<(NodeId, EdgeWeight)> {
         let weighted = g.edge_weighted;
-        let (degree, mut pos) = g.decode_header(u);
+        let (_, degree, mut pos) = g.decode_header(u);
+        let data = g.data.as_slice();
         let mut out = Vec::new();
         if degree == 0 {
             return out;
         }
         if degree <= g.config.high_degree_threshold {
-            reference_decode_chunk(&g.data, pos, u, degree, weighted, &g.config, &mut out);
+            reference_decode_chunk(data, pos, u, degree, weighted, &g.config, &mut out);
             return out;
         }
-        let (num_chunks, p) = decode_varint(&g.data, pos);
+        let (num_chunks, p) = decode_varint(data, pos);
         pos = p;
         let mut chunk_lens = Vec::new();
         for _ in 0..num_chunks {
-            let (len, p) = decode_varint(&g.data, pos);
+            let (len, p) = decode_varint(data, pos);
             pos = p;
             chunk_lens.push(len as usize);
         }
         let mut remaining = degree;
         for len in chunk_lens {
             let count = remaining.min(g.config.chunk_len);
-            reference_decode_chunk(&g.data, pos, u, count, weighted, &g.config, &mut out);
+            reference_decode_chunk(data, pos, u, count, weighted, &g.config, &mut out);
             pos += len;
             remaining -= count;
         }

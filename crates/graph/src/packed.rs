@@ -3,10 +3,10 @@
 //!
 //! It backs two things:
 //!
-//! * the per-vertex byte offsets of the resident compressed stores — the in-memory
-//!   [`CompressedGraph`](crate::CompressedGraph) and the memory-mapped
-//!   [`MmapGraph`](crate::store::MmapGraph) — which look up the start of a neighbourhood
-//!   once per `degree` / `for_each_neighbor` call. Plain `u64` offsets cost 8 bytes per
+//! * the per-vertex byte offsets of a [`CompressedGraph`](crate::CompressedGraph) — the
+//!   one resident compressed store, whether its bytes are on the heap or mapped by an
+//!   [`MmapGraph`](crate::store::MmapGraph) — which looks up the start of a
+//!   neighbourhood once per `degree` / `for_each_neighbor` call. Plain `u64` offsets cost 8 bytes per
 //!   vertex; the `.tpg` container's Elias–Fano form costs under one byte but a sampled
 //!   `select1` per lookup. Packed, 16 MiB of encoded data needs 3 bytes an offset;
 //! * the edge weights of a [`CsrGraph`](crate::CsrGraph), where a coarse level whose

@@ -63,7 +63,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::checksum::{crc32, Crc32};
 use crate::compressed::{
-    CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder, MIN_NEIGHBORHOOD_BYTES,
+    Bytes, CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder,
+    MIN_NEIGHBORHOOD_BYTES,
 };
 use crate::csr::{plain_csr_bytes, CsrGraph};
 use crate::ids::{self, IdWidth};
@@ -74,6 +75,7 @@ use crate::io::{
 use crate::packed::PackedArray;
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
 use crate::store::elias_fano::{ef_section_bytes, EliasFanoIndex};
+use crate::store::mmap::try_map;
 use crate::store::paged::RetryPolicy;
 use crate::traits::Graph;
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
@@ -925,11 +927,11 @@ const DATA_VERIFY_CHUNK: usize = 1024 * 1024;
 
 /// Streams the data section of an open container through the backend in
 /// checksum-block-aligned chunks, verifying each chunk against the footer's per-block
-/// crcs and optionally loading the bytes into `sink` (the eager reader and the mmap
-/// backend's heap fallback), each chunk read straight into its place. Each chunk is its
-/// own retry unit, so a transient fault re-reads only the chunk it hit — and because
-/// every byte flows through [`StorageBackend::read_at`], injected fault schedules apply
-/// to this path exactly as they do to the paged reader.
+/// crcs and optionally loading the bytes into `sink` (a [`read_resident`] that does not
+/// map), each chunk read straight into its place. Each chunk is its own retry unit, so a
+/// transient fault re-reads only the chunk it hit — and because every byte flows through
+/// [`StorageBackend::read_at`], injected fault schedules apply to this path exactly as
+/// they do to the paged reader.
 pub(crate) fn verify_or_load_data(
     backend: &dyn StorageBackend,
     meta: &TpgMeta,
@@ -1061,28 +1063,50 @@ pub fn read_tpg_compressed(path: impl AsRef<Path>) -> Result<CompressedGraph, Io
 }
 
 /// Backend-generic [`read_tpg_compressed`]; every section is verified against the
-/// checksum footer before the graph is handed out.
+/// checksum footer before the graph is handed out. The eager reader surfaces the first
+/// failure; retrying is the stores' job.
 pub fn read_tpg_compressed_backend(
     backend: &dyn StorageBackend,
 ) -> Result<CompressedGraph, IoError> {
-    let meta = read_tpg_meta_backend(backend)?;
-    // The eager reader surfaces the first failure; retrying is the paged reader's job.
-    let (retry, mut retries) = (RetryPolicy::disabled(), 0);
-    let (offsets, node_weights, checksums) =
-        read_tpg_index_backend(backend, &meta, &retry, &mut retries)?;
-    let mut data = Vec::new();
-    verify_or_load_data(
-        backend,
-        &meta,
-        &checksums,
-        &retry,
-        &mut retries,
-        Some(&mut data),
-    )?;
+    read_resident(backend, &RetryPolicy::disabled(), &mut 0, false)
+}
+
+/// The one open of a resident [`CompressedGraph`], behind [`read_tpg_compressed`] and
+/// [`MmapGraph`](crate::store::MmapGraph): header, offset index (proven strictly
+/// increasing within the data section, so decoding needs no range checks) and node
+/// weights, then the whole data section against the footer's block crcs. Each section
+/// is its own retry unit under `retry`; retries taken are added to `retries`. With
+/// `map` and a plain-file backend the verified bytes are mapped; otherwise, or if the
+/// kernel refuses the mapping, they are loaded onto the heap as they are verified.
+pub(crate) fn read_resident(
+    backend: &dyn StorageBackend,
+    retry: &RetryPolicy,
+    retries: &mut u64,
+    map: bool,
+) -> Result<CompressedGraph, IoError> {
+    let meta = retry_section(retry, retries, || read_tpg_meta_backend(backend))?;
+    let (index, node_weights, checksums) = read_tpg_index_backend(backend, &meta, retry, retries)?;
+    let offsets = PackedArray::pack(meta.data_len, index.iter());
+    drop(index);
+    let mapped = match backend.as_file().filter(|_| map) {
+        Some(file) => {
+            verify_or_load_data(backend, &meta, &checksums, retry, retries, None)?;
+            try_map(file, &meta)
+        }
+        None => None,
+    };
+    let data = match mapped {
+        Some(mapping) => mapping,
+        None => {
+            let mut data = Vec::new();
+            verify_or_load_data(backend, &meta, &checksums, retry, retries, Some(&mut data))?;
+            Bytes::Heap(data)
+        }
+    };
     Ok(CompressedGraph::from_encoded_parts(
         meta.n,
         meta.m,
-        PackedArray::pack(meta.data_len, offsets.iter()),
+        offsets,
         data,
         node_weights,
         meta.edge_weighted,

@@ -1,5 +1,5 @@
-//! [`MmapGraph`]: the zero-copy store backend — a [`Graph`] decoding neighbourhoods
-//! straight out of a memory mapping of a `.tpg` container.
+//! [`MmapGraph`]: the zero-copy store backend — a [`CompressedGraph`] whose bytes are a
+//! read-only memory mapping of a `.tpg` container.
 //!
 //! Where [`PagedGraph`](crate::store::PagedGraph) pays a shard lock and a frame copy
 //! per neighbourhood access in exchange for a strict resident-memory budget, this
@@ -7,44 +7,46 @@
 //! no locks, no per-access bookkeeping. Residency is delegated to the OS page cache,
 //! so the accounted footprint is the full mapping — the fits-in-RAM fast path of
 //! [`OnDiskBackend`](crate::store::OnDiskBackend) (webgraph idiom: memory-mapped
-//! compressed adjacency plus an offset index). The container's Elias–Fano offsets are
-//! expanded once at open into a `PackedArray`, the index the in-memory
-//! [`CompressedGraph`](crate::CompressedGraph) looks neighbourhoods up in too: a lookup
-//! is one load, where an Elias–Fano lookup is a sampled select.
+//! compressed adjacency plus an offset index).
+//!
+//! There is one resident layout and one decoder: an [`MmapGraph`] owns a
+//! [`CompressedGraph`] whose bytes are a mapped file instead of a heap buffer, plus the
+//! memory charge for it. Its [`Graph`] impl delegates. This module holds only the
+//! mapping itself — `MappedFile`, its `unsafe` code and the `mmap`/`munmap` bindings.
 //!
 //! # Integrity and fault tolerance
 //!
-//! Everything is verified *at open*, through [`StorageBackend::read_at`] — header
-//! crc, offset-index crc (plus strict monotonicity, so in-place decoding can never
-//! run out of the data section), node-weight crc, and the entire data section against
-//! the footer's per-block crcs, chunk by chunk with the same per-section retry policy
-//! the paged open uses. Because every verification byte flows through the
-//! backend trait, injected fault schedules ([`FaultyBackend`]) exercise this path
-//! exactly like the paged one: transient faults heal through retries, persistent
-//! corruption surfaces as a structured [`IoError`] from `open` — never a panic. After
-//! a successful open there are no further I/O error paths, so the type needs no
-//! poison protocol.
+//! Everything is verified *at open*, by the one resident open the eager
+//! [`read_tpg_compressed`](crate::store::read_tpg_compressed) runs too, through
+//! [`StorageBackend::read_at`]: header crc, offset-index crc (plus strict
+//! monotonicity, so in-place decoding can never run out of the data section),
+//! node-weight crc, and the entire data section against the footer's per-block crcs,
+//! chunk by chunk with the same per-section retry policy the paged open uses. Because
+//! every verification byte flows through the backend trait, injected fault schedules
+//! ([`FaultyBackend`]) exercise this path exactly like the paged one: transient faults
+//! heal through retries, persistent corruption surfaces as a structured [`IoError`]
+//! from `open` — never a panic. After a successful open there are no further I/O
+//! error paths, so the type needs no poison protocol.
 //!
 //! Backends that are not plain files (the fault injector, in-memory stores) do not
-//! expose a mappable [`File`]; for those the verified data section is materialised on
-//! the heap instead, keeping behaviour identical minus the zero-copy property.
+//! expose a mappable [`File`]; for those the verified data section is loaded on the
+//! heap instead, keeping behaviour identical minus the zero-copy property.
 //!
 //! [`FaultyBackend`]: crate::store::backend::FaultyBackend
 //! [`StorageBackend::read_at`]: crate::store::backend::StorageBackend::read_at
 
 use std::fs::File;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::compressed::{decode_neighborhood, decode_neighborhood_header, CompressionConfig};
+use memtrack::MemoryScope;
+
+use crate::compressed::{Bytes, CompressedGraph};
 use crate::io::IoError;
-use crate::packed::PackedArray;
 use crate::store::backend::{FileBackend, StorageBackend};
-use crate::store::container::{
-    read_tpg_index_backend, read_tpg_meta_backend, retry_section, verify_or_load_data, TpgMeta,
-};
+use crate::store::container::{read_resident, TpgMeta};
 use crate::store::paged::PagedGraphOptions;
 use crate::traits::Graph;
-use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
+use crate::{EdgeWeight, NodeId, NodeWeight};
 
 /// Raw `mmap`/`munmap` bindings (no libc crate in the dependency-free build). The
 /// `off_t` argument is declared `i64`, which matches every 64-bit unix ABI — the
@@ -69,128 +71,111 @@ mod sys {
     }
 }
 
-/// The bytes behind an open [`MmapGraph`]: a read-only mapping of the whole container
-/// file, or a heap copy of the data section for backends that are not plain files
-/// (and platforms without the mmap binding).
-enum Mapping {
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    Mmap {
-        ptr: std::ptr::NonNull<u8>,
-        /// Length of the whole mapping (the full file).
-        len: usize,
-        /// Offset of the data section within the mapping.
-        data_offset: usize,
-        /// Length of the data section.
-        data_len: usize,
-    },
-    Heap(Vec<u8>),
+/// A read-only mapping of a whole container file, unmapped on drop: the bytes of a
+/// mapped [`CompressedGraph`]. Its fields are private to this module: only [`try_map`]
+/// builds one, from a successful `mmap` of a file at least `data_offset + data_len`
+/// bytes long.
+#[cfg(all(unix, target_pointer_width = "64"))]
+pub(crate) struct MappedFile {
+    ptr: std::ptr::NonNull<u8>,
+    /// Length of the whole mapping (the full file).
+    len: usize,
+    /// Offset of the data section within the mapping.
+    data_offset: usize,
+    /// Length of the data section.
+    data_len: usize,
 }
 
-// The mapping is immutable after construction (PROT_READ, or a never-mutated Vec),
-// so shared references from any thread are sound.
-unsafe impl Send for Mapping {}
-unsafe impl Sync for Mapping {}
+// SAFETY: the mapped bytes are PROT_READ and owned by this value until its drop unmaps
+// them; the three lengths are plain integers. Moving or sharing it between threads
+// therefore cannot race.
+#[cfg(all(unix, target_pointer_width = "64"))]
+unsafe impl Send for MappedFile {}
+#[cfg(all(unix, target_pointer_width = "64"))]
+unsafe impl Sync for MappedFile {}
 
-impl Mapping {
-    /// Maps the whole file read-only, or returns `None` (falling back to the heap
-    /// path) if the platform has no mapping binding or the kernel refuses the mapping.
-    fn try_map(file: &File, meta: &TpgMeta) -> Option<Mapping> {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        {
-            use std::os::unix::io::AsRawFd;
-            let len = file.metadata().ok()?.len() as usize;
-            let needed = meta.data_start() as usize + meta.data_len as usize;
-            if len < needed || len == 0 {
-                return None;
-            }
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ,
-                    sys::MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return None;
-            }
-            let ptr = std::ptr::NonNull::new(ptr.cast::<u8>())?;
-            Some(Mapping::Mmap {
-                ptr,
-                len,
-                data_offset: meta.data_start() as usize,
-                data_len: meta.data_len as usize,
-            })
-        }
-        #[cfg(not(all(unix, target_pointer_width = "64")))]
-        {
-            let _ = (file, meta);
-            None
-        }
-    }
-
-    /// The data section.
-    fn data(&self) -> &[u8] {
-        match self {
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            Mapping::Mmap {
-                ptr,
-                data_offset,
-                data_len,
-                ..
-            } => unsafe { std::slice::from_raw_parts(ptr.as_ptr().add(*data_offset), *data_len) },
-            Mapping::Heap(data) => data,
-        }
-    }
-
-    /// Bytes this mapping pins (charged to the memory accounting): the whole file
-    /// for a real mapping, the data section for the heap fallback.
-    fn size_in_bytes(&self) -> usize {
-        match self {
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            Mapping::Mmap { len, .. } => *len,
-            Mapping::Heap(data) => data.len(),
-        }
-    }
-
-    /// Whether this is a real memory mapping (vs the heap fallback).
-    fn is_mmap(&self) -> bool {
-        match self {
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            Mapping::Mmap { .. } => true,
-            Mapping::Heap(_) => false,
-        }
-    }
-}
-
-impl Drop for Mapping {
+#[cfg(all(unix, target_pointer_width = "64"))]
+impl Drop for MappedFile {
     fn drop(&mut self) {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        if let Mapping::Mmap { ptr, len, .. } = self {
-            // A failing munmap leaks address space but cannot corrupt anything;
-            // there is no meaningful recovery in a destructor.
-            unsafe {
-                sys::munmap(ptr.as_ptr().cast(), *len);
-            }
+        // A failing munmap leaks address space but cannot corrupt anything; there is
+        // no meaningful recovery in a destructor.
+        // SAFETY: `ptr` and `len` are exactly what `mmap` returned and was given, and
+        // nothing borrows the bytes past this value's lifetime.
+        unsafe {
+            sys::munmap(self.ptr.as_ptr().cast(), self.len);
         }
+    }
+}
+
+#[cfg(all(unix, target_pointer_width = "64"))]
+impl MappedFile {
+    /// The data section.
+    #[inline]
+    pub(crate) fn data(&self) -> &[u8] {
+        // SAFETY: `try_map` mapped at least `data_offset + data_len` bytes, which stay
+        // mapped and unwritten while `self` lives.
+        unsafe {
+            std::slice::from_raw_parts(self.ptr.as_ptr().add(self.data_offset), self.data_len)
+        }
+    }
+
+    /// Length of the whole mapping: the bytes it pins.
+    pub(crate) fn file_len(&self) -> usize {
+        self.len
+    }
+}
+
+/// Maps the whole file read-only as a graph's [`Bytes`], or returns `None` (the caller
+/// loads the data section onto the heap instead) if the platform has no mapping
+/// binding or the kernel refuses the mapping.
+pub(crate) fn try_map(file: &File, meta: &TpgMeta) -> Option<Bytes> {
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    {
+        use std::os::unix::io::AsRawFd;
+        let len = file.metadata().ok()?.len() as usize;
+        let needed = meta.data_start() as usize + meta.data_len as usize;
+        if len < needed || len == 0 {
+            return None;
+        }
+        // SAFETY: a fresh read-only private mapping of an open file descriptor; the
+        // kernel picks the address, and failure is checked below.
+        let ptr = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ,
+                sys::MAP_PRIVATE,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if ptr as isize == -1 {
+            return None;
+        }
+        Some(Bytes::Mapped(MappedFile {
+            ptr: std::ptr::NonNull::new(ptr.cast::<u8>())?,
+            len,
+            data_offset: meta.data_start() as usize,
+            data_len: meta.data_len as usize,
+        }))
+    }
+    #[cfg(not(all(unix, target_pointer_width = "64")))]
+    {
+        let _ = (file, meta);
+        None
     }
 }
 
 /// A graph stored in a `.tpg` container, decoded in place from a read-only memory
-/// mapping (see the module docs). Fully verified at open; infallible afterwards, so
-/// unlike [`PagedGraph`](crate::store::PagedGraph) it carries no poison protocol and
-/// no cache statistics.
+/// mapping (see the module docs): a [`CompressedGraph`] over the mapping, charged to
+/// the global memory accounting while it is open. Fully verified at open; infallible
+/// afterwards, so unlike [`PagedGraph`](crate::store::PagedGraph) it carries no poison
+/// protocol and no cache statistics.
 pub struct MmapGraph {
-    meta: TpgMeta,
-    path: PathBuf,
-    /// The container's Elias–Fano offsets, expanded once at open.
-    offsets: PackedArray,
-    node_weights: Vec<NodeWeight>,
-    mapping: Mapping,
-    /// Bytes charged to the global memory accounting, released on drop.
-    charged: usize,
+    graph: CompressedGraph,
+    /// The graph's bytes — mapping or heap copy, offset index, node weights — charged
+    /// to the global memory accounting until drop.
+    charge: MemoryScope<'static>,
     /// Open-time reads retried under the retry policy (exported to obs).
     open_retries: u64,
 }
@@ -198,10 +183,9 @@ pub struct MmapGraph {
 impl std::fmt::Debug for MmapGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MmapGraph")
-            .field("path", &self.path)
-            .field("n", &self.meta.n)
-            .field("m", &self.meta.m)
-            .field("mmap", &self.mapping.is_mmap())
+            .field("n", &self.graph.n())
+            .field("m", &self.graph.m())
+            .field("mmap", &self.is_mmap())
             .finish()
     }
 }
@@ -220,9 +204,7 @@ impl MmapGraph {
         path: impl AsRef<Path>,
         options: &PagedGraphOptions,
     ) -> Result<Self, IoError> {
-        let path = path.as_ref().to_path_buf();
-        let backend = FileBackend::open(&path)?;
-        Self::open_backend_at(Box::new(backend), path, options)
+        Self::open_with_backend(Box::new(FileBackend::open(path)?), options)
     }
 
     /// Opens a `.tpg` container through a caller-provided backend — the seam the
@@ -233,182 +215,67 @@ impl MmapGraph {
         backend: Box<dyn StorageBackend>,
         options: &PagedGraphOptions,
     ) -> Result<Self, IoError> {
-        Self::open_backend_at(backend, PathBuf::from("<storage backend>"), options)
-    }
-
-    fn open_backend_at(
-        backend: Box<dyn StorageBackend>,
-        path: PathBuf,
-        options: &PagedGraphOptions,
-    ) -> Result<Self, IoError> {
-        // Same open discipline as the paged backend: each verified section is its
-        // own retry unit, and format/corruption errors retry too (a corrupt read
-        // parses into nonsense only a clean re-read can acquit).
         let mut open_retries = 0u64;
-        let meta = retry_section(&options.retry, &mut open_retries, || {
-            read_tpg_meta_backend(backend.as_ref())
-        })?;
-        let (offsets, node_weights, checksums) =
-            read_tpg_index_backend(backend.as_ref(), &meta, &options.retry, &mut open_retries)?;
-        // In-place decoding has no per-access range checks; it relies on the index read
-        // above having been proven strictly increasing within (and covering) the data
-        // section.
-        let offsets = PackedArray::pack(meta.data_len, offsets.iter());
-        // Verify the whole data section through the backend (block crcs, per-chunk
-        // retry). For a plain-file backend the verified bytes are then mapped
-        // zero-copy; anything else keeps the verified heap copy.
-        let mapped = match backend.as_file() {
-            Some(file) => {
-                verify_or_load_data(
-                    backend.as_ref(),
-                    &meta,
-                    &checksums,
-                    &options.retry,
-                    &mut open_retries,
-                    None,
-                )?;
-                Mapping::try_map(file, &meta)
-            }
-            None => None,
-        };
-        let mapping = match mapped {
-            Some(mapping) => mapping,
-            None => {
-                let mut data = Vec::new();
-                verify_or_load_data(
-                    backend.as_ref(),
-                    &meta,
-                    &checksums,
-                    &options.retry,
-                    &mut open_retries,
-                    Some(&mut data),
-                )?;
-                Mapping::Heap(data)
-            }
-        };
-        let charged = mapping.size_in_bytes()
-            + offsets.size_in_bytes()
-            + node_weights.len() * std::mem::size_of::<NodeWeight>();
-        memtrack::global().add(charged);
+        let graph = read_resident(backend.as_ref(), &options.retry, &mut open_retries, true)?;
         Ok(Self {
-            meta,
-            path,
-            offsets,
-            node_weights,
-            mapping,
-            charged,
+            charge: MemoryScope::charge_global(graph.size_in_bytes()),
+            graph,
             open_retries,
         })
-    }
-
-    /// The container header this graph was opened from.
-    pub fn meta(&self) -> &TpgMeta {
-        &self.meta
-    }
-
-    /// Path of the backing container file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The compression configuration of the stored neighbourhoods.
-    pub fn config(&self) -> &CompressionConfig {
-        &self.meta.config
     }
 
     /// Whether neighbourhoods decode from a real memory mapping (`false`: the heap
     /// fallback for file-less backends and unsupported platforms).
     pub fn is_mmap(&self) -> bool {
-        self.mapping.is_mmap()
+        self.graph.bytes().is_mapped()
     }
 
     /// Bytes charged to the memory accounting: the mapping (whole file) or heap copy
     /// (data section), plus the offset index and node weights.
     pub fn accounted_bytes(&self) -> usize {
-        self.charged
-    }
-
-    /// Size in bytes of the uncompressed CSR form of the stored graph.
-    pub fn csr_size_in_bytes(&self) -> usize {
-        self.meta.csr_size_in_bytes()
-    }
-
-    fn data(&self) -> &[u8] {
-        self.mapping.data()
-    }
-
-    /// Decoded header `(first_edge, degree)` of `u`'s neighbourhood.
-    fn header(&self, u: NodeId) -> (EdgeId, usize) {
-        let start = self.offsets.get(u as usize) as usize;
-        let (first_edge, degree, _) = decode_neighborhood_header(self.data(), start);
-        (first_edge, degree)
-    }
-
-    /// ID of the first half-edge of `u`'s neighbourhood.
-    pub fn first_edge(&self, u: NodeId) -> EdgeId {
-        self.header(u).0
-    }
-}
-
-impl Drop for MmapGraph {
-    fn drop(&mut self) {
-        memtrack::global().sub(self.charged);
+        self.charge.bytes()
     }
 }
 
 impl Graph for MmapGraph {
     fn n(&self) -> usize {
-        self.meta.n
+        self.graph.n()
     }
 
     fn m(&self) -> usize {
-        self.meta.m
+        self.graph.m()
     }
 
     fn degree(&self, u: NodeId) -> usize {
-        self.header(u).1
+        self.graph.degree(u)
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
-        if self.node_weights.is_empty() {
-            1
-        } else {
-            self.node_weights[u as usize]
-        }
+        self.graph.node_weight(u)
     }
 
     fn total_node_weight(&self) -> NodeWeight {
-        self.meta.total_node_weight
+        self.graph.total_node_weight()
     }
 
     fn total_edge_weight(&self) -> EdgeWeight {
-        self.meta.total_edge_weight
+        self.graph.total_edge_weight()
     }
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
-        // Same decode routine, same byte stream, same order as CompressedGraph and
-        // PagedGraph — which is what keeps fixed-seed runs bit-identical across
-        // backends.
-        decode_neighborhood(
-            self.data(),
-            self.offsets.get(u as usize) as usize,
-            u,
-            self.meta.edge_weighted,
-            &self.meta.config,
-            f,
-        );
+        self.graph.for_each_neighbor(u, f);
     }
 
     fn is_edge_weighted(&self) -> bool {
-        self.meta.edge_weighted
+        self.graph.is_edge_weighted()
     }
 
     fn is_node_weighted(&self) -> bool {
-        !self.node_weights.is_empty()
+        self.graph.is_node_weighted()
     }
 
     fn max_degree(&self) -> usize {
-        self.meta.max_degree
+        self.graph.max_degree()
     }
 
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
@@ -416,11 +283,11 @@ impl Graph for MmapGraph {
         metrics.add(Counter::MmapOpens, 1);
         metrics.record_max(
             Counter::MmapMappedBytes,
-            self.mapping.size_in_bytes() as u64,
+            self.graph.bytes().size_in_bytes() as u64,
         );
         metrics.record_max(
             Counter::MmapOffsetIndexBytes,
-            self.offsets.size_in_bytes() as u64,
+            self.graph.offset_index_bytes() as u64,
         );
         metrics.add(Counter::MmapOpenRetriedReads, self.open_retries);
     }
@@ -431,9 +298,11 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::compressed::CompressedGraph;
+    use crate::compressed::CompressionConfig;
     use crate::gen;
-    use crate::store::container::write_tpg_from_graph;
+    use crate::store::backend::{FaultPlan, FaultyBackend};
+    use crate::store::container::{read_tpg_compressed, write_tpg_from_graph};
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -445,17 +314,17 @@ mod tests {
         p
     }
 
-    fn assert_matches(mmap: &MmapGraph, reference: &impl Graph) {
-        assert_eq!(mmap.n(), reference.n());
-        assert_eq!(mmap.m(), reference.m());
-        assert_eq!(mmap.total_node_weight(), reference.total_node_weight());
-        assert_eq!(mmap.total_edge_weight(), reference.total_edge_weight());
-        assert_eq!(mmap.max_degree(), reference.max_degree());
+    fn assert_matches(graph: &dyn Graph, reference: &impl Graph) {
+        assert_eq!(graph.n(), reference.n());
+        assert_eq!(graph.m(), reference.m());
+        assert_eq!(graph.total_node_weight(), reference.total_node_weight());
+        assert_eq!(graph.total_edge_weight(), reference.total_edge_weight());
+        assert_eq!(graph.max_degree(), reference.max_degree());
         for u in 0..reference.n() as NodeId {
-            assert_eq!(mmap.degree(u), reference.degree(u), "degree of {}", u);
-            assert_eq!(mmap.node_weight(u), reference.node_weight(u));
+            assert_eq!(graph.degree(u), reference.degree(u), "degree of {}", u);
+            assert_eq!(graph.node_weight(u), reference.node_weight(u));
             assert_eq!(
-                mmap.neighbors_vec(u),
+                graph.neighbors_vec(u),
                 reference.neighbors_vec(u),
                 "neighbourhood of {}",
                 u
@@ -463,6 +332,9 @@ mod tests {
         }
     }
 
+    /// The three resident opens — loaded, mapped, and the heap fallback of a backend
+    /// without a file — decode the same bytes identically, and each charges exactly its
+    /// data (the whole file when mapped) plus the offset index and node weights.
     #[test]
     fn mmap_iteration_is_identical_to_compressed() {
         let csr = gen::with_random_node_weights(
@@ -474,10 +346,30 @@ mod tests {
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp("identical.tpg");
         write_tpg_from_graph(&csr, &path, &config).unwrap();
-        let mmap = MmapGraph::open(&path).unwrap();
-        assert!(mmap.is_mmap() || cfg!(not(unix)));
-        assert_matches(&mmap, &compressed);
-        assert_eq!(mmap.first_edge(3), compressed.first_edge(3));
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+
+        let loaded = read_tpg_compressed(&path).unwrap();
+        let mapped = MmapGraph::open(&path).unwrap();
+        // A fault injector with an empty plan exposes no file: the heap fallback.
+        let no_file = FaultyBackend::new(FileBackend::open(&path).unwrap(), FaultPlan::default());
+        let fallback =
+            MmapGraph::open_with_backend(Box::new(no_file), &PagedGraphOptions::default()).unwrap();
+        assert!(mapped.is_mmap() || cfg!(not(unix)));
+        assert!(!fallback.is_mmap());
+
+        let data_len = compressed.encoded_data_bytes();
+        let index_and_weights =
+            compressed.offset_index_bytes() + csr.n() * std::mem::size_of::<NodeWeight>();
+        for graph in [&loaded as &dyn Graph, &mapped, &fallback] {
+            assert_matches(graph, &compressed);
+        }
+        for graph in [&loaded, &mapped.graph, &fallback.graph] {
+            assert_eq!(graph.encoded_data_bytes(), data_len);
+        }
+        assert_eq!(loaded.size_in_bytes(), data_len + index_and_weights);
+        let mapped_len = if mapped.is_mmap() { file_len } else { data_len };
+        assert_eq!(mapped.accounted_bytes(), mapped_len + index_and_weights);
+        assert_eq!(fallback.accounted_bytes(), data_len + index_and_weights);
         std::fs::remove_file(path).ok();
     }
 

@@ -11,7 +11,7 @@
 //! in memory and streams the `O(m)` adjacency from disk — the classic trade-off of
 //! semi-external graph algorithms.
 //!
-//! Three cooperating pieces:
+//! Six cooperating pieces:
 //!
 //! * [`container`] — the `.tpg` container format: a fixed header, the varint/gap/interval
 //!   encoded neighbourhood sections (byte-identical to [`CompressedGraph`]'s in-memory
@@ -23,16 +23,13 @@
 //!   positional reads (`pread`-style, no mmap). Iteration order is bit-identical to the
 //!   in-memory [`CompressedGraph`], so a fixed-seed partitioning run produces the same
 //!   partition from either representation.
-//! * [`mmap`] — [`MmapGraph`], the zero-copy fast path: the container is memory-mapped
-//!   read-only (after full open-time verification) and neighbourhoods decode in place —
-//!   no frame copies, no shard locks. Selected via [`OnDiskBackend`].
+//! * [`mmap`] — [`MmapGraph`], the zero-copy fast path: a [`CompressedGraph`] whose
+//!   bytes are a read-only mapping of the container, charged to the memory accounting
+//!   while it is open. Neighbourhoods decode in place — no frame copies, no shard
+//!   locks. Selected via [`OnDiskBackend`].
 //! * [`elias_fano`] — the quasi-succinct [`EliasFanoIndex`]: the container stores the
 //!   per-vertex offsets Elias-Fano encoded (~`2 + log2(bytes/node)` bits per entry
-//!   instead of 64), and [`PagedGraph`] keeps them so as its resident index. The two
-//!   resident stores — [`MmapGraph`] and the [`CompressedGraph`] that
-//!   [`read_tpg_compressed`] returns — expand them once at open into a
-//!   [`PackedArray`](crate::packed::PackedArray), where a lookup is one load instead of
-//!   a select.
+//!   instead of 64), and [`PagedGraph`] keeps them so as its resident index.
 //! * [`stream`] — bounded-memory streaming instance generation: an external
 //!   bucket-spilling builder that accepts arbitrary edge streams and produces a `.tpg`
 //!   without ever materialising the full adjacency, plus streaming variants of the
@@ -42,6 +39,12 @@
 //!   [`StoreSession`] views carry the poison protocol, and [`StoreRegistry`]
 //!   deduplicates opens by `(path, options)` so concurrent requests share one open
 //!   store (and one memory charge).
+//!
+//! A resident store is a [`CompressedGraph`]: [`read_tpg_compressed`] loads the data
+//! section onto the heap, [`MmapGraph`] maps it. Both come out of one verified open,
+//! which checks every section and expands the Elias–Fano offsets once into a
+//! [`PackedArray`](crate::packed::PackedArray), where a lookup is one load instead of a
+//! select; one `Graph` impl then decodes every resident byte source.
 //!
 //! [`CompressedGraph`]: crate::compressed::CompressedGraph
 

@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
+use memtrack::MemoryScope;
 use parking_lot::Mutex;
 
 use crate::compressed::{decode_neighborhood, decode_neighborhood_header, CompressionConfig};
@@ -521,8 +522,9 @@ pub struct PagedGraph {
     /// Boxed: the cache is by far the largest member, and `PagedGraph` is a variant
     /// of the by-value `StoreHandle` enum.
     cache: Box<PageCache>,
-    /// Bytes charged for the semi-external arrays, released on drop.
-    resident_charge: usize,
+    /// The semi-external arrays' charge to the global memory accounting, released on
+    /// drop.
+    resident_charge: MemoryScope<'static>,
     /// The poison protocol (see the type-level docs).
     poison: Poison,
 }
@@ -585,10 +587,11 @@ impl PagedGraph {
         })?;
         let (offsets, node_weights, checksums) =
             read_tpg_index_backend(backend.as_ref(), &meta, &options.retry, &mut open_retries)?;
-        let resident_charge = offsets.size_in_bytes()
-            + node_weights.len() * std::mem::size_of::<NodeWeight>()
-            + checksums.blocks.len() * std::mem::size_of::<u32>();
-        memtrack::global().add(resident_charge);
+        let resident_charge = MemoryScope::charge_global(
+            offsets.size_in_bytes()
+                + node_weights.len() * std::mem::size_of::<NodeWeight>()
+                + checksums.blocks.len() * std::mem::size_of::<u32>(),
+        );
         let cache = Box::new(PageCache::new(
             backend,
             meta.data_start(),
@@ -634,7 +637,7 @@ impl PagedGraph {
     /// Bytes currently charged to the memory accounting for this graph: the
     /// semi-external arrays plus all committed page frames.
     pub fn accounted_bytes(&self) -> usize {
-        self.resident_charge + self.cache.charged.load(Ordering::Relaxed)
+        self.resident_charge.bytes() + self.cache.charged.load(Ordering::Relaxed)
     }
 
     /// Size in bytes of the uncompressed CSR form of the stored graph.
@@ -700,12 +703,6 @@ impl PagedGraph {
     /// ID of the first half-edge of `u`'s neighbourhood.
     pub fn first_edge(&self, u: NodeId) -> EdgeId {
         self.header(u).0
-    }
-}
-
-impl Drop for PagedGraph {
-    fn drop(&mut self) {
-        memtrack::global().sub(self.resident_charge);
     }
 }
 
