@@ -169,18 +169,17 @@ fn main() {
     );
     // ---- Store-backend ladder (single-threaded, the bit-reproducible regime): paged at
     // the default and at 4 KiB pages and mmap must produce the *identical* cut — and
-    // the Elias-Fano offset index must undercut what plain u64 offsets would cost. ----
+    // the VarInt offset index must undercut what plain u64 offsets would cost. ----
     use graph::store::OnDiskBackend;
     let plain_offset_bytes = 8 * (meta.n as u64 + 1);
     println!(
-        "offset index: elias-fano {} B vs {} B as plain u64s",
-        meta.offsets_len_bytes(),
-        plain_offset_bytes
+        "offset index: varint lengths {} B vs {} B as plain u64s",
+        meta.index_len, plain_offset_bytes
     );
     assert!(
-        meta.offsets_len_bytes() < plain_offset_bytes,
-        "SMOKE FAIL: Elias-Fano offset index ({} B) is not smaller than 8·(n+1) = {} B",
-        meta.offsets_len_bytes(),
+        meta.index_len < plain_offset_bytes,
+        "SMOKE FAIL: VarInt offset index ({} B) is not smaller than 8·(n+1) = {} B",
+        meta.index_len,
         plain_offset_bytes
     );
     let ladder_base = config.clone().with_threads(1);

@@ -3,7 +3,7 @@
 //! and how much smaller it is than the uncompressed CSR. Every instance is generated in
 //! memory and written to a container in a temp directory, which is removed afterwards.
 //! Asserts, after printing, that every container is at least 2x smaller than the CSR
-//! (2.31x–5.22x measured).
+//! (2.25x–5.16x measured).
 use bench::{set_a_specs, set_b_specs};
 use graph::stats::GraphStats;
 use graph::store::write_tpg_from_graph;

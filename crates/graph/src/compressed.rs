@@ -68,7 +68,7 @@ impl CompressionConfig {
 
 /// The encoded neighbourhoods of a [`CompressedGraph`]: the bytes an in-memory
 /// constructor encoded or a load copied onto the heap, or the data section of a
-/// read-only mapping of a whole `.tpg` container (platforms without the mapping binding
+/// read-only mapping of a `.tpg` container (platforms without the mapping binding
 /// only ever hold the heap form).
 pub(crate) enum Bytes {
     Heap(Vec<u8>),
@@ -87,12 +87,13 @@ impl Bytes {
         }
     }
 
-    /// Bytes these pin: the data section on the heap, the whole file when mapped.
+    /// Bytes these pin: the data section on the heap, the header and data section when
+    /// mapped.
     pub(crate) fn size_in_bytes(&self) -> usize {
         match self {
             Bytes::Heap(data) => data.len(),
             #[cfg(all(unix, target_pointer_width = "64"))]
-            Bytes::Mapped(file) => file.file_len(),
+            Bytes::Mapped(file) => file.mapped_len(),
         }
     }
 
@@ -124,8 +125,8 @@ pub struct CompressedGraph {
     n: usize,
     m: usize,
     /// Byte offset of each vertex's encoded neighbourhood; `n + 1` entries, packed. The
-    /// `.tpg` container stores the same offsets Elias–Fano encoded; reading one expands
-    /// them into this index once.
+    /// `.tpg` container stores each neighbourhood's length as a VarInt; reading one
+    /// prefix-sums them into this index.
     offsets: PackedArray,
     /// Concatenated encoded neighbourhoods: on the heap for every in-memory constructor
     /// and for `read_tpg_compressed`, the container's mapped data section in an
@@ -673,8 +674,8 @@ impl CompressedGraph {
         }
     }
 
-    /// Number of bytes used by the encoded adjacency data (the whole file when it is
-    /// mapped), the offset index and the node weights.
+    /// Number of bytes used by the encoded adjacency data (with the container header
+    /// in front when it is mapped), the offset index and the node weights.
     pub fn size_in_bytes(&self) -> usize {
         self.data.size_in_bytes()
             + self.offsets.size_in_bytes()

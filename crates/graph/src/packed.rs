@@ -6,9 +6,11 @@
 //! * the per-vertex byte offsets of a [`CompressedGraph`](crate::CompressedGraph) — the
 //!   one resident compressed store, whether its bytes are on the heap or mapped by an
 //!   [`MmapGraph`](crate::store::MmapGraph) — which looks up the start of a
-//!   neighbourhood once per `degree` / `for_each_neighbor` call. Plain `u64` offsets cost 8 bytes per
-//!   vertex; the `.tpg` container's Elias–Fano form costs under one byte but a sampled
-//!   `select1` per lookup. Packed, 16 MiB of encoded data needs 3 bytes an offset;
+//!   neighbourhood once per `degree` / `for_each_neighbor` call, and of a
+//!   [`PagedGraph`](crate::store::PagedGraph), which looks up the byte range of one. Plain
+//!   `u64` offsets cost 8 bytes per vertex; packed, 16 MiB of encoded data needs 3 bytes
+//!   an offset. The `.tpg` container stores each neighbourhood's length as a VarInt
+//!   instead (about one byte), and its reader prefix-sums them into this array;
 //! * the edge weights of a [`CsrGraph`](crate::CsrGraph), where a coarse level whose
 //!   heaviest edge weighs 31 stores one byte per half-edge instead of eight.
 //!

@@ -5,10 +5,10 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "TPGS"
-//! 4       4     version (u32, always 4 — the reader accepts nothing else)
+//! 4       4     version (u32, always 5 — the reader accepts nothing else)
 //! 8       4     flags   (bit 0: edge weighted, bit 1: node weighted,
 //!                        bit 2: interval encoding, bit 3: compressed edge weights,
-//!                        always set, bit 4: Elias-Fano offset index, always set)
+//!                        always set)
 //! 12      1     id width in bytes the writer was built with (4 or 8)
 //! 13      1     log2 of the checksum block length B
 //! 14      2     reserved (zero)
@@ -21,13 +21,12 @@
 //! 64      8     chunk length of the compression config
 //! 72      8     minimum interval length of the compression config
 //! 80      8     data section length in bytes
-//! 88      —     data section: concatenated encoded neighbourhoods (identical byte
+//! 88      8     offset index length in bytes, within [n, 10·n]
+//! 96      —     data section: concatenated encoded neighbourhoods (identical byte
 //!               format to the in-memory CompressedGraph)
-//! …       —     offset index: the n + 1 monotone byte offsets into the data section,
-//!               Elias-Fano encoded as whole little-endian u64 words, low-bits array
-//!               then upper-bits array (see `store::elias_fano`; both word counts
-//!               derive from n and data_len, so later sections stay locatable from
-//!               the header alone)
+//! …       —     offset index: the byte length of each of the n neighbourhoods, in
+//!               vertex order, as a VarInt (`crate::varint`); their prefix sums are the
+//!               offsets into the data section every store looks neighbourhoods up in
 //! …       —     node weights: n u64 values, present iff flag bit 1 is set
 //! …       —     checksum footer:
 //!                 magic "TPGC" (4 bytes)
@@ -35,7 +34,7 @@
 //!                 crc32 of the offset index (4 bytes)
 //!                 crc32 of the node-weight section (4 bytes; crc of zero bytes when
 //!                   the section is absent)
-//!                 crc32 of the final 88-byte header (4 bytes)
+//!                 crc32 of the final 96-byte header (4 bytes)
 //! ```
 //!
 //! The offset index, node weights and checksum footer sit *after* the data section so
@@ -72,12 +71,12 @@ use crate::io::{
     checked_node_count, open_error_is_retryable, read_exact_u32, read_exact_u64, BinaryReader,
     IoError, MetisReader, VertexStream,
 };
-use crate::packed::PackedArray;
+use crate::packed::{store, width_for, PackedArray, TAIL_PADDING};
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
-use crate::store::elias_fano::{ef_section_bytes, EliasFanoIndex};
 use crate::store::mmap::try_map;
 use crate::store::paged::RetryPolicy;
 use crate::traits::Graph;
+use crate::varint::{encode_varint, try_decode_varint, MAX_VARINT_LEN};
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
 
 /// Magic bytes of the `.tpg` container.
@@ -85,9 +84,9 @@ pub const TPG_MAGIC: &[u8; 4] = b"TPGS";
 /// Container format version: the only one the writer emits and the reader accepts.
 /// Every container in this repository is regenerable, so files stamped with an
 /// earlier version are rejected rather than upgraded.
-pub const TPG_VERSION: u32 = 4;
+pub const TPG_VERSION: u32 = 5;
 /// Size of the fixed header in bytes.
-pub const TPG_HEADER_LEN: u64 = 88;
+pub const TPG_HEADER_LEN: u64 = 96;
 /// Magic bytes of the checksum footer.
 pub const TPG_FOOTER_MAGIC: &[u8; 4] = b"TPGC";
 /// Default checksum block length of the data section: 4 KiB, the OS page and the
@@ -105,8 +104,6 @@ const FLAG_INTERVALS: u32 = 1 << 2;
 /// The edge weights of a weighted graph are stored. Always set; a header without it
 /// is rejected.
 const FLAG_COMPRESS_EDGE_WEIGHTS: u32 = 1 << 3;
-/// The offset index is Elias-Fano encoded. Always set; a header without it is rejected.
-const FLAG_EF_OFFSETS: u32 = 1 << 4;
 
 /// Parsed `.tpg` header plus derived section positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +131,9 @@ pub struct TpgMeta {
     pub config: CompressionConfig,
     /// Length of the encoded data section in bytes.
     pub data_len: u64,
+    /// Length of the offset-index section in bytes: one VarInt per vertex, so within
+    /// `[n, 10·n]`.
+    pub index_len: u64,
     /// Checksum block length of the data section.
     pub checksum_block_len: u32,
 }
@@ -149,17 +149,10 @@ impl TpgMeta {
         TPG_HEADER_LEN + self.data_len
     }
 
-    /// Length of the (Elias-Fano) offset-index section in bytes. The word counts
-    /// derive from `n` and `data_len` alone, which is what keeps the following
-    /// sections locatable without decoding the index first.
-    pub fn offsets_len_bytes(&self) -> u64 {
-        ef_section_bytes(self.n as u64 + 1, self.data_len)
-    }
-
     /// Byte offset of the node-weight section within the file (meaningful only when
     /// `node_weighted`).
     pub fn node_weights_start(&self) -> u64 {
-        self.offsets_start() + self.offsets_len_bytes()
+        self.offsets_start() + self.index_len
     }
 
     /// Number of checksum blocks covering the data section.
@@ -442,13 +435,11 @@ impl TpgWriter {
             file.block_crcs.push(file.block_crc.take());
             file.block_fill = 0;
         }
-        let mut offsets_crc = Crc32::new();
-        let ef = EliasFanoIndex::encode(&totals.offsets, data_len);
-        for &word in ef.lower_words().iter().chain(ef.upper_words().iter()) {
-            let bytes = word.to_le_bytes();
-            offsets_crc.update(&bytes);
-            file.write(&bytes)?;
+        let mut index = Vec::with_capacity(self.n);
+        for range in totals.offsets.windows(2) {
+            encode_varint(range[1] - range[0], &mut index);
         }
+        file.write(&index)?;
         // The node weights are empty iff every weight is 1.
         let node_weighted = !totals.node_weights.is_empty();
         let mut weights_crc = Crc32::new();
@@ -459,7 +450,7 @@ impl TpgWriter {
         }
         let config = &self.encoder.config;
         // Bit 3 (compressed edge weights) is always set: weights are always stored.
-        let mut flags = FLAG_EF_OFFSETS | FLAG_COMPRESS_EDGE_WEIGHTS;
+        let mut flags = FLAG_COMPRESS_EDGE_WEIGHTS;
         if self.encoder.edge_weighted {
             flags |= FLAG_EDGE_WEIGHTED;
         }
@@ -486,6 +477,7 @@ impl TpgWriter {
         header.extend_from_slice(&(config.chunk_len as u64).to_le_bytes());
         header.extend_from_slice(&(config.min_interval_len as u64).to_le_bytes());
         header.extend_from_slice(&data_len.to_le_bytes());
+        header.extend_from_slice(&(index.len() as u64).to_le_bytes());
         debug_assert_eq!(header.len() as u64, TPG_HEADER_LEN);
         // Checksum footer: per-block data crcs, section crcs, then the header crc
         // (computable only now that the header bytes are final).
@@ -494,7 +486,7 @@ impl TpgWriter {
         for &c in &block_crcs {
             file.write(&c.to_le_bytes())?;
         }
-        file.write(&offsets_crc.finalize().to_le_bytes())?;
+        file.write(&crc32(&index).to_le_bytes())?;
         file.write(&weights_crc.finalize().to_le_bytes())?;
         file.write(&crc32(&header).to_le_bytes())?;
         file.flush()?;
@@ -570,13 +562,6 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
         )));
     }
     let flags = read_exact_u32(r)?;
-    if flags & FLAG_EF_OFFSETS == 0 {
-        return Err(IoError::Format(
-            ".tpg header lacks the Elias-Fano offset flag (this build reads no other \
-             offset encoding; regenerate the container)"
-                .into(),
-        ));
-    }
     if flags & FLAG_COMPRESS_EDGE_WEIGHTS == 0 {
         return Err(IoError::Format(
             ".tpg header lacks the compressed-edge-weight flag (this build always stores \
@@ -621,6 +606,14 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
     let chunk_len = read_exact_u64(r)? as usize;
     let min_interval_len = read_exact_u64(r)? as usize;
     let data_len = read_exact_u64(r)?;
+    let index_len = read_exact_u64(r)?;
+    let max_index_len = (n as u64).saturating_mul(MAX_VARINT_LEN as u64);
+    if !(n as u64..=max_index_len).contains(&index_len) {
+        return Err(IoError::Format(format!(
+            ".tpg offset index of {} bytes for {} vertices: outside [n, {}·n]",
+            index_len, n, MAX_VARINT_LEN
+        )));
+    }
     Ok(TpgMeta {
         id_width,
         n,
@@ -637,6 +630,7 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
             min_interval_len,
         },
         data_len,
+        index_len,
         checksum_block_len: 1u32 << block_log2,
     })
 }
@@ -719,7 +713,7 @@ fn read_u32_section(
 }
 
 /// Offset index, node weights and checksum footer of an open container.
-pub(crate) type TpgIndexParts = (EliasFanoIndex, Vec<NodeWeight>, TpgChecksums);
+pub(crate) type TpgIndexParts = (PackedArray, Vec<NodeWeight>, TpgChecksums);
 
 /// Runs `op` under `retry`: a failure `is_transient` admits is re-attempted after an
 /// exponential backoff, up to `retry.max_retries` times, calling `on_retry` before
@@ -759,36 +753,46 @@ pub(crate) fn retry_section<T>(
     retry_with_backoff(retry, open_error_is_retryable, || *retries += 1, op)
 }
 
-/// Proves that the offset index can serve every reader: it starts at 0, gives every
-/// vertex at least the [`MIN_NEIGHBORHOOD_BYTES`] of a neighbourhood header and ends at
-/// `data_len`. `from_words` has already proven the values monotone within
-/// `[0, data_len]`; an index that merely does not decrease would let a vertex start at
+/// Decodes the offset-index section — one VarInt byte length per vertex — into the
+/// `n + 1` packed offsets every store looks neighbourhoods up in, proving what the stores
+/// then read without a range check: every length is a well-formed VarInt of at least the
+/// [`MIN_NEIGHBORHOOD_BYTES`] of a neighbourhood header, and the lengths use up the
+/// section exactly and sum to `data_len`. A length of zero would let a vertex start at
 /// `data_len`, which the stores would read as degree 0 or past the data section.
-fn check_offsets(index: &EliasFanoIndex, data_len: u64) -> Result<(), IoError> {
-    let mut offsets = index.iter();
-    let mut prev = offsets.next().unwrap_or(0);
-    if prev != 0 {
-        return Err(IoError::Format(format!(
-            "offset index starts at {}, not 0",
-            prev
-        )));
-    }
-    for (u, offset) in offsets.enumerate() {
-        if offset - prev < MIN_NEIGHBORHOOD_BYTES {
+fn decode_offset_index(section: &[u8], n: usize, data_len: u64) -> Result<PackedArray, IoError> {
+    let width = width_for(data_len);
+    let mut offsets = Vec::with_capacity((n + 1) * width + TAIL_PADDING);
+    offsets.resize((n + 1) * width, 0);
+    let (mut pos, mut end) = (0, 0u64);
+    for (u, entry) in offsets.chunks_exact_mut(width).skip(1).enumerate() {
+        let (len, next) = try_decode_varint(section, pos).ok_or_else(|| {
+            IoError::Format(format!(
+                "offset index: the length of vertex {} is not a VarInt of at most {} bytes",
+                u, MAX_VARINT_LEN
+            ))
+        })?;
+        if len < MIN_NEIGHBORHOOD_BYTES || len > data_len - end {
             return Err(IoError::Format(format!(
-                "offset index gives vertex {} {} bytes, fewer than a neighbourhood header",
-                u,
-                offset - prev
+                "offset index gives vertex {} {} bytes, fewer than a neighbourhood header \
+                 or more than the data section has left",
+                u, len
             )));
         }
-        prev = offset;
+        end += len;
+        pos = next;
+        store(entry, end);
     }
-    if prev != data_len {
-        return Err(IoError::Format(
-            "offset index does not cover the data section".into(),
-        ));
+    if pos != section.len() || end != data_len {
+        return Err(IoError::Format(format!(
+            "offset index lengths use {} of its {} bytes and cover {} of the {}-byte data \
+             section",
+            pos,
+            section.len(),
+            end,
+            data_len
+        )));
     }
-    Ok(())
+    Ok(PackedArray::narrowed(offsets, width, data_len))
 }
 
 /// Reads the offset index, (optional) node weights and the checksum footer of an open
@@ -832,21 +836,16 @@ pub(crate) fn read_tpg_index_backend(
     })?;
 
     let offsets = retry_section(retry, retries, || {
-        let mut crc = Crc32::new();
-        // The stored unit is whole u64 words; the word count derives from the header,
-        // so the crc covers exactly the section bytes.
-        let count = (meta.offsets_len_bytes() / 8) as usize;
-        let raw = read_u64_section(backend, meta.offsets_start(), count, &mut crc)?;
-        let computed = crc.finalize();
+        let mut section = vec![0u8; meta.index_len as usize];
+        read_full_at(backend, &mut section, meta.offsets_start())?;
+        let computed = crc32(&section);
         if computed != stored_offsets {
             return Err(IoError::Corrupt(format!(
                 ".tpg offset index checksum mismatch: stored {:#010x}, computed {:#010x}",
                 stored_offsets, computed
             )));
         }
-        let index = EliasFanoIndex::from_words(meta.n + 1, meta.data_len, raw)?;
-        check_offsets(&index, meta.data_len)?;
-        Ok(index)
+        decode_offset_index(&section, meta.n, meta.data_len)
     })?;
 
     let node_weights = retry_section(retry, retries, || {
@@ -1055,8 +1054,7 @@ pub fn read_tpg(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
 /// Loads a `.tpg` container fully into memory as a [`CompressedGraph`]. The data section
 /// is used verbatim, so the result iterates neighbourhoods in exactly the order a
 /// [`PagedGraph`](crate::store::PagedGraph) over the same file would — the property the
-/// bit-identical on-disk partitioning tests rely on. The Elias–Fano offsets are
-/// expanded, in one pass, into the graph's `PackedArray`.
+/// bit-identical on-disk partitioning tests rely on.
 pub fn read_tpg_compressed(path: impl AsRef<Path>) -> Result<CompressedGraph, IoError> {
     let backend = FileBackend::open(&path)?;
     read_tpg_compressed_backend(&backend)
@@ -1073,11 +1071,12 @@ pub fn read_tpg_compressed_backend(
 
 /// The one open of a resident [`CompressedGraph`], behind [`read_tpg_compressed`] and
 /// [`MmapGraph`](crate::store::MmapGraph): header, offset index (proven strictly
-/// increasing within the data section, so decoding needs no range checks) and node
-/// weights, then the whole data section against the footer's block crcs. Each section
-/// is its own retry unit under `retry`; retries taken are added to `retries`. With
-/// `map` and a plain-file backend the verified bytes are mapped; otherwise, or if the
-/// kernel refuses the mapping, they are loaded onto the heap as they are verified.
+/// increasing within the data section, so decoding needs no range checks; the same
+/// packed array the paged store looks up) and node weights, then the whole data
+/// section against the footer's block crcs. Each section is its own retry unit under
+/// `retry`; retries taken are added to `retries`. With `map` and a plain-file backend
+/// the verified bytes are mapped; otherwise, or if the kernel refuses the mapping, they
+/// are loaded onto the heap as they are verified.
 pub(crate) fn read_resident(
     backend: &dyn StorageBackend,
     retry: &RetryPolicy,
@@ -1085,9 +1084,8 @@ pub(crate) fn read_resident(
     map: bool,
 ) -> Result<CompressedGraph, IoError> {
     let meta = retry_section(retry, retries, || read_tpg_meta_backend(backend))?;
-    let (index, node_weights, checksums) = read_tpg_index_backend(backend, &meta, retry, retries)?;
-    let offsets = PackedArray::pack(meta.data_len, index.iter());
-    drop(index);
+    let (offsets, node_weights, checksums) =
+        read_tpg_index_backend(backend, &meta, retry, retries)?;
     let mapped = match backend.as_file().filter(|_| map) {
         Some(file) => {
             verify_or_load_data(backend, &meta, &checksums, retry, retries, None)?;
@@ -1202,10 +1200,12 @@ mod tests {
     #[test]
     fn written_container_bytes_and_checksums_match_the_recorded_digest() {
         // Pins the writer's output — header, data, offset index, node weights and every
-        // crc of the footer — against an FNV-1a digest recorded before CRC-32 was
-        // rewritten to slice by 8: a kernel that computed different checksums would
-        // still round-trip against itself, but not produce these bytes. The digest was
-        // recorded at 64 KiB checksum blocks, so the container is written at that length.
+        // crc of the footer — against an FNV-1a digest: a checksum kernel that computed
+        // different checksums would still round-trip against itself, but not produce
+        // these bytes. First recorded before CRC-32 was rewritten to slice by 8, and
+        // re-recorded at container version 5 (VarInt offset index, 96-byte header) with
+        // the checksum kernel unchanged. The digest is taken at 64 KiB checksum blocks,
+        // so the container is written at that length.
         let g = gen::with_random_node_weights(
             &gen::with_random_edge_weights(&gen::rgg2d(20_000, 12, 21), 30, 8),
             6,
@@ -1225,12 +1225,12 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
         let recorded = match crate::ids::NODE_ID_BYTES {
-            4 => 0xfd26_1dd2_2aec_bb5au64,
-            _ => 0xf11e_0756_ede1_a56cu64,
+            4 => 0x9ac7_4735_d4e9_6dd6u64,
+            _ => 0x4959_3639_9cb5_4dd8u64,
         };
         assert_eq!(
             (bytes.len(), digest),
-            (704_010usize, recorded),
+            (707_386usize, recorded),
             "digest {:#018x}",
             digest
         );
@@ -1351,11 +1351,11 @@ mod tests {
 
     #[test]
     fn retired_versions_and_plain_offset_headers_are_format_errors() {
-        // Versions 1-3, the plain-offset flavour of version 4 and a version 4 whose
-        // weighted neighbourhoods would carry no weights have no reader any more. Every
-        // entry point must say so with a structured `Format` error (crc
-        // re-stamped, so it is the version/flag check that decides) — never a panic,
-        // and never an attempt to interpret the sections under the wrong layout.
+        // Versions 1-4 and a version 5 whose weighted neighbourhoods would carry no
+        // weights have no reader any more. Every entry point must say so with a
+        // structured `Format` error (crc re-stamped, so it is the version/flag check
+        // that decides) — never a panic, and never an attempt to interpret the sections
+        // under the wrong layout.
         let g = gen::grid2d(6, 5);
         let path = tmp("retired_headers.tpg");
         write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
@@ -1367,13 +1367,10 @@ mod tests {
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             stale.push((format!("v{}", version), bytes, "version"));
         }
-        let mut plain = clean.clone();
-        plain[8] &= !(FLAG_EF_OFFSETS as u8);
-        stale.push(("v4 without the EF flag".into(), plain, "Elias-Fano"));
         let mut unweighted_codec = clean.clone();
         unweighted_codec[8] &= !(FLAG_COMPRESS_EDGE_WEIGHTS as u8);
         stale.push((
-            "v4 without the compressed-edge-weight flag".into(),
+            "v5 without the compressed-edge-weight flag".into(),
             unweighted_codec,
             "compressed-edge-weight",
         ));
@@ -1400,70 +1397,88 @@ mod tests {
 
     #[test]
     fn tampered_offset_index_is_rejected_at_open_by_every_reader() {
-        // A "bad writer": the Elias-Fano section is wrong but its crc vouches for it.
-        // Neither reader range-checks per access against anything but this index (the
-        // mmap one decodes in place), so it must be refused at open — as a structured
-        // error, not a panic and not an out-of-bounds read later.
+        // A "bad writer": the VarInt lengths are wrong but their crc vouches for them.
+        // No reader range-checks per access against anything but the index they decode
+        // to (the mmap one decodes in place), so it must be refused at open — as a
+        // structured error, not a panic and not an out-of-bounds read later.
         let g = gen::grid2d(12, 12);
         let path = tmp("tampered_offsets.tpg");
         write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
         let meta = read_tpg_meta(&path).unwrap();
         let clean = std::fs::read(&path).unwrap();
-        let count = meta.n as u64 + 1;
-        let low_bits = crate::store::elias_fano::ef_low_bits(count, meta.data_len);
-        assert!(
-            low_bits >= 1,
-            "fixture too dense to carry explicit low bits"
-        );
-        let lower_bytes = 8 * crate::store::elias_fano::ef_lower_words(count, meta.data_len);
-        let section = meta.offsets_start() as usize;
-        let len = meta.offsets_len_bytes() as usize;
-        let flipped = |pos: usize, mask: u8| {
-            let mut bytes = clean.clone();
-            bytes[pos] ^= mask;
+        let (start, n) = (meta.offsets_start() as usize, meta.n);
+        let section = &clean[start..start + meta.index_len as usize];
+        let mut lengths = Vec::new();
+        let mut pos = 0;
+        while pos < section.len() {
+            let (len, next) = crate::varint::decode_varint(section, pos);
+            lengths.push(len);
+            pos = next;
+        }
+        assert_eq!(lengths.len(), n);
+        assert!(lengths.iter().all(|&len| len > MIN_NEIGHBORHOOD_BYTES));
+        // The container with `index` as its offset-index section: the header's length
+        // field, the section crc and the header crc re-stamped to vouch for it.
+        let with_index = |index: &[u8]| {
+            let mut bytes = clean[..start].to_vec();
+            bytes.extend_from_slice(index);
+            bytes.extend_from_slice(&clean[start + section.len()..]);
+            bytes[88..96].copy_from_slice(&(index.len() as u64).to_le_bytes());
+            let tampered = read_meta_from(&mut &bytes[..TPG_HEADER_LEN as usize]).unwrap();
+            let crc_pos =
+                tampered.footer_start() as usize + 4 + 4 * meta.checksum_block_count() as usize;
+            bytes[crc_pos..crc_pos + 4].copy_from_slice(&crc32(index).to_le_bytes());
+            restamp_header_crc(&mut bytes, &tampered);
             bytes
         };
-        // (a) one flipped bit in the unary upper array changes the element count;
-        // (b) the lowest explicit bit of the final entry flipped moves it off
-        //     `data_len` — past the data section, or short of covering it;
-        // (c) vertex n − 1 starts at `data_len`: still monotone and covering, but an
-        //     empty range no neighbourhood header fits in. Re-encoded with the same
-        //     count and universe, so the section keeps its length.
-        let last_low_bit = meta.n * low_bits as usize;
-        let words: Vec<u64> = clean[section..section + len]
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        let mut offsets: Vec<u64> = EliasFanoIndex::from_words(meta.n + 1, meta.data_len, words)
-            .unwrap()
-            .iter()
-            .collect();
-        offsets[meta.n - 1] = meta.data_len;
-        let empty_last = EliasFanoIndex::encode(&offsets, meta.data_len);
-        let mut spliced = clean.clone();
-        for (i, word) in empty_last
-            .lower_words()
-            .iter()
-            .chain(empty_last.upper_words())
-            .enumerate()
-        {
-            spliced[section + 8 * i..section + 8 * i + 8].copy_from_slice(&word.to_le_bytes());
-        }
+        let encoded = |lengths: &[u64]| {
+            let mut index = Vec::new();
+            for &len in lengths {
+                encode_varint(len, &mut index);
+            }
+            with_index(&index)
+        };
+        let retold = |edit: &dyn Fn(&mut Vec<u64>)| {
+            let mut lengths = lengths.clone();
+            edit(&mut lengths);
+            encoded(&lengths)
+        };
+        let mut unterminated = section.to_vec();
+        *unterminated.last_mut().unwrap() |= 0x80;
+        // The last length as eleven bytes: ten with the continuation bit, then a zero.
+        let mut eleven_bytes = section[..section.len() - 1].to_vec();
+        let last = lengths[n - 1];
+        eleven_bytes.extend((0..10).map(|i| 0x80 | ((last >> (7 * i)) & 0x7f) as u8));
+        eleven_bytes.push(0);
+        let header_len = |index_len: u64| {
+            let mut bytes = clean.clone();
+            bytes[88..96].copy_from_slice(&index_len.to_le_bytes());
+            restamp_header_crc(&mut bytes, &meta);
+            bytes
+        };
         let tampers = [
             (
-                "upper bit",
-                flipped(section + lower_bytes as usize, 1u8 << 3),
+                "a length below the header",
+                retold(&|l| {
+                    l[1] += l[0] - 1;
+                    l[0] = 1;
+                }),
             ),
+            ("lengths past data_len", retold(&|l| l[n - 1] += 1)),
+            ("lengths short of data_len", retold(&|l| l[n - 1] -= 1)),
+            ("an unterminated VarInt", with_index(&unterminated)),
+            ("an 11-byte VarInt", with_index(&eleven_bytes)),
             (
-                "final entry",
-                flipped(section + last_low_bit / 8, 1u8 << (last_low_bit % 8)),
+                "a zero-length last vertex",
+                retold(&|l| {
+                    l[n - 2] += l[n - 1];
+                    l[n - 1] = 0;
+                }),
             ),
-            ("empty last vertex", spliced),
+            ("index_len below n", header_len(n as u64 - 1)),
+            ("index_len above 10·n", header_len(10 * n as u64 + 1)),
         ];
-        for (label, mut bytes) in tampers {
-            let crc = crc32(&bytes[section..section + len]);
-            let crc_pos = (meta.footer_start() + 4 + 4 * meta.checksum_block_count()) as usize;
-            bytes[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+        for (label, bytes) in tampers {
             std::fs::write(&path, &bytes).unwrap();
             let errors = [
                 read_tpg_compressed(&path).unwrap_err(),
@@ -1479,6 +1494,8 @@ mod tests {
                 );
             }
         }
+        // The splice itself is sound: the untouched lengths re-encode to a clean file.
+        assert_eq!(encoded(&lengths), clean);
         std::fs::remove_file(path).ok();
     }
 

@@ -3,11 +3,11 @@
 //!
 //! Where [`PagedGraph`](crate::store::PagedGraph) pays a shard lock and a frame copy
 //! per neighbourhood access in exchange for a strict resident-memory budget, this
-//! backend maps the whole container read-only and decodes in place: no frame copies,
-//! no locks, no per-access bookkeeping. Residency is delegated to the OS page cache,
-//! so the accounted footprint is the full mapping — the fits-in-RAM fast path of
-//! [`OnDiskBackend`](crate::store::OnDiskBackend) (webgraph idiom: memory-mapped
-//! compressed adjacency plus an offset index).
+//! backend maps the container's header and data section read-only and decodes in
+//! place: no frame copies, no locks, no per-access bookkeeping. Residency is delegated
+//! to the OS page cache, so the accounted footprint is the full mapping — the
+//! fits-in-RAM fast path of [`OnDiskBackend`](crate::store::OnDiskBackend) (webgraph
+//! idiom: memory-mapped compressed adjacency plus an offset index).
 //!
 //! There is one resident layout and one decoder: an [`MmapGraph`] owns a
 //! [`CompressedGraph`] whose bytes are a mapped file instead of a heap buffer, plus the
@@ -71,14 +71,14 @@ mod sys {
     }
 }
 
-/// A read-only mapping of a whole container file, unmapped on drop: the bytes of a
-/// mapped [`CompressedGraph`]. Its fields are private to this module: only [`try_map`]
-/// builds one, from a successful `mmap` of a file at least `data_offset + data_len`
-/// bytes long.
+/// A read-only mapping of a container file's header and data section, unmapped on
+/// drop: the bytes of a mapped [`CompressedGraph`]. Its fields are private to this
+/// module: only [`try_map`] builds one, from a successful `mmap` of the first
+/// `data_offset + data_len` bytes of a file.
 #[cfg(all(unix, target_pointer_width = "64"))]
 pub(crate) struct MappedFile {
     ptr: std::ptr::NonNull<u8>,
-    /// Length of the whole mapping (the full file).
+    /// Length of the whole mapping: `data_offset + data_len`.
     len: usize,
     /// Offset of the data section within the mapping.
     data_offset: usize,
@@ -120,21 +120,21 @@ impl MappedFile {
     }
 
     /// Length of the whole mapping: the bytes it pins.
-    pub(crate) fn file_len(&self) -> usize {
+    pub(crate) fn mapped_len(&self) -> usize {
         self.len
     }
 }
 
-/// Maps the whole file read-only as a graph's [`Bytes`], or returns `None` (the caller
-/// loads the data section onto the heap instead) if the platform has no mapping
-/// binding or the kernel refuses the mapping.
+/// Maps the header and data section read-only as a graph's [`Bytes`], or returns
+/// `None` (the caller loads the data section onto the heap instead) if the platform has
+/// no mapping binding or the kernel refuses the mapping. The sections behind the data
+/// are held on the heap by the graph, so mapping them too would pin them twice.
 pub(crate) fn try_map(file: &File, meta: &TpgMeta) -> Option<Bytes> {
     #[cfg(all(unix, target_pointer_width = "64"))]
     {
         use std::os::unix::io::AsRawFd;
-        let len = file.metadata().ok()?.len() as usize;
-        let needed = meta.data_start() as usize + meta.data_len as usize;
-        if len < needed || len == 0 {
+        let len = meta.data_start() as usize + meta.data_len as usize;
+        if (file.metadata().ok()?.len() as usize) < len {
             return None;
         }
         // SAFETY: a fresh read-only private mapping of an open file descriptor; the
@@ -230,8 +230,8 @@ impl MmapGraph {
         self.graph.bytes().is_mapped()
     }
 
-    /// Bytes charged to the memory accounting: the mapping (whole file) or heap copy
-    /// (data section), plus the offset index and node weights.
+    /// Bytes charged to the memory accounting: the mapping (header and data section)
+    /// or heap copy (data section), plus the offset index and node weights.
     pub fn accounted_bytes(&self) -> usize {
         self.charge.bytes()
     }
@@ -334,7 +334,8 @@ mod tests {
 
     /// The three resident opens — loaded, mapped, and the heap fallback of a backend
     /// without a file — decode the same bytes identically, and each charges exactly its
-    /// data (the whole file when mapped) plus the offset index and node weights.
+    /// data (with the header in front when mapped) plus the offset index and node
+    /// weights.
     #[test]
     fn mmap_iteration_is_identical_to_compressed() {
         let csr = gen::with_random_node_weights(
@@ -346,7 +347,6 @@ mod tests {
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp("identical.tpg");
         write_tpg_from_graph(&csr, &path, &config).unwrap();
-        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
 
         let loaded = read_tpg_compressed(&path).unwrap();
         let mapped = MmapGraph::open(&path).unwrap();
@@ -367,7 +367,8 @@ mod tests {
             assert_eq!(graph.encoded_data_bytes(), data_len);
         }
         assert_eq!(loaded.size_in_bytes(), data_len + index_and_weights);
-        let mapped_len = if mapped.is_mmap() { file_len } else { data_len };
+        let header = crate::store::container::TPG_HEADER_LEN as usize;
+        let mapped_len = data_len + if mapped.is_mmap() { header } else { 0 };
         assert_eq!(mapped.accounted_bytes(), mapped_len + index_and_weights);
         assert_eq!(fallback.accounted_bytes(), data_len + index_and_weights);
         std::fs::remove_file(path).ok();

@@ -11,11 +11,12 @@
 //! in memory and streams the `O(m)` adjacency from disk — the classic trade-off of
 //! semi-external graph algorithms.
 //!
-//! Six cooperating pieces:
+//! Five cooperating pieces:
 //!
 //! * [`container`] — the `.tpg` container format: a fixed header, the varint/gap/interval
 //!   encoded neighbourhood sections (byte-identical to [`CompressedGraph`]'s in-memory
-//!   encoding), a per-vertex offset index and optional node weights. [`TpgWriter`]
+//!   encoding), an offset index of one VarInt byte length per vertex and optional node
+//!   weights. [`TpgWriter`]
 //!   streams a graph into the container in one bounded-memory pass (`O(n + max_degree)`
 //!   live bytes, never `O(m)`).
 //! * [`paged`] — [`PagedGraph`], a [`Graph`](crate::traits::Graph) implementation that
@@ -27,9 +28,6 @@
 //!   bytes are a read-only mapping of the container, charged to the memory accounting
 //!   while it is open. Neighbourhoods decode in place — no frame copies, no shard
 //!   locks. Selected via [`OnDiskBackend`].
-//! * [`elias_fano`] — the quasi-succinct [`EliasFanoIndex`]: the container stores the
-//!   per-vertex offsets Elias-Fano encoded (~`2 + log2(bytes/node)` bits per entry
-//!   instead of 64), and [`PagedGraph`] keeps them so as its resident index.
 //! * [`stream`] — bounded-memory streaming instance generation: an external
 //!   bucket-spilling builder that accepts arbitrary edge streams and produces a `.tpg`
 //!   without ever materialising the full adjacency, plus streaming variants of the
@@ -42,9 +40,10 @@
 //!
 //! A resident store is a [`CompressedGraph`]: [`read_tpg_compressed`] loads the data
 //! section onto the heap, [`MmapGraph`] maps it. Both come out of one verified open,
-//! which checks every section and expands the Elias–Fano offsets once into a
-//! [`PackedArray`](crate::packed::PackedArray), where a lookup is one load instead of a
-//! select; one `Graph` impl then decodes every resident byte source.
+//! and one `Graph` impl then decodes every resident byte source. Every store — the two
+//! resident ones and [`PagedGraph`] — looks neighbourhoods up in the one
+//! [`PackedArray`](crate::packed::PackedArray) the container's decoder prefix-sums the
+//! VarInt lengths into: a lookup is one load and a mask.
 //!
 //! [`CompressedGraph`]: crate::compressed::CompressedGraph
 
@@ -55,7 +54,6 @@
 
 pub mod backend;
 pub mod container;
-pub mod elias_fano;
 pub mod handle;
 pub mod mmap;
 pub mod paged;
@@ -70,7 +68,6 @@ pub use container::{
     read_tpg, read_tpg_compressed, read_tpg_meta, write_tpg_from_binary, write_tpg_from_graph,
     write_tpg_from_metis, TpgMeta, TpgSummary, TpgWriter,
 };
-pub use elias_fano::{ef_section_bytes, EliasFanoIndex};
 pub use handle::{StoreHandle, StoreSession};
 pub use mmap::MmapGraph;
 pub use paged::{CacheStatsSnapshot, OnDiskBackend, PagedGraph, PagedGraphOptions, RetryPolicy};

@@ -32,12 +32,12 @@ use parking_lot::Mutex;
 
 use crate::compressed::{decode_neighborhood, decode_neighborhood_header, CompressionConfig};
 use crate::io::{io_error_is_transient, IoError};
+use crate::packed::PackedArray;
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
 use crate::store::container::{
     read_tpg_index_backend, read_tpg_meta_backend, retry_section, retry_with_backoff,
     verify_blocks, ChecksumMismatch, TpgChecksums, TpgMeta,
 };
-use crate::store::elias_fano::EliasFanoIndex;
 use crate::store::poison::{FatalIoError, Poison};
 use crate::traits::Graph;
 use crate::varint::MAX_VARINT_LEN;
@@ -515,8 +515,9 @@ fn with_decode_buf<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
 pub struct PagedGraph {
     meta: TpgMeta,
     path: PathBuf,
-    /// Byte offset of each vertex's encoded neighbourhood within the data section.
-    offsets: EliasFanoIndex,
+    /// Byte offset of each vertex's encoded neighbourhood within the data section,
+    /// then its end: `n + 1` entries, packed.
+    offsets: PackedArray,
     /// Node weights, empty when uniform.
     node_weights: Vec<NodeWeight>,
     /// Boxed: the cache is by far the largest member, and `PagedGraph` is a variant
@@ -664,12 +665,18 @@ impl PagedGraph {
         self.poison.set_fault_observer(observe);
     }
 
+    /// Byte range of `u`'s encoded neighbourhood within the data section.
+    fn range(&self, u: NodeId) -> (u64, u64) {
+        let u = u as usize;
+        (self.offsets.get(u), self.offsets.get(u + 1))
+    }
+
     /// Decoded header `(first_edge, degree)` of `u`'s neighbourhood, surfacing read
     /// failures as `Err` instead of engaging the built-in poison protocol. This is the
     /// seam per-session views ([`StoreSession`](crate::store::StoreSession)) read
     /// through, so one session's unrecoverable fault stays confined to that session.
     pub fn try_header(&self, u: NodeId) -> io::Result<(EdgeId, usize)> {
-        let (start, end) = self.offsets.pair(u as usize);
+        let (start, end) = self.range(u);
         let end = end.min(start + 2 * MAX_VARINT_LEN as u64);
         with_decode_buf(|buf| {
             self.cache.read_range(start, end, buf)?;
@@ -686,7 +693,7 @@ impl PagedGraph {
         u: NodeId,
         f: &mut dyn FnMut(NodeId, EdgeWeight),
     ) -> io::Result<()> {
-        let (start, end) = self.offsets.pair(u as usize);
+        let (start, end) = self.range(u);
         with_decode_buf(|buf| {
             self.cache.read_range(start, end, buf)?;
             decode_neighborhood(buf, 0, u, self.meta.edge_weighted, &self.meta.config, f);
@@ -820,6 +827,25 @@ mod tests {
                 u
             );
         }
+    }
+
+    /// Right after open, before any page is faulted, a paged store charges exactly its
+    /// resident arrays: the packed offset index (`n + 1` entries of the data section's
+    /// width plus 8 bytes of tail padding), 8 bytes per node weight and 4 per
+    /// data-block crc — the sum the resident stores pin in `store::mmap`.
+    #[test]
+    fn an_open_paged_store_charges_exactly_its_resident_arrays() {
+        let csr = gen::with_random_node_weights(&gen::weblike(10, 8, 2), 6, 9);
+        let path = tmp("resident_charge.tpg");
+        write_tpg_from_graph(&csr, &path, &CompressionConfig::default()).unwrap();
+        let paged = PagedGraph::open(&path).unwrap();
+        let meta = paged.meta();
+        assert!(meta.node_weighted && meta.checksum_block_count() > 1);
+        let index = (meta.n + 1) * crate::packed::width_for(meta.data_len) + 8;
+        let blocks = meta.checksum_block_count() as usize;
+        assert_eq!(paged.accounted_bytes(), index + 8 * meta.n + 4 * blocks);
+        drop(paged);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -46,6 +46,25 @@ pub fn decode_varint(data: &[u8], mut pos: usize) -> (u64, usize) {
     }
 }
 
+/// Decodes a VarInt of untrusted input starting at `data[pos]`, returning the value and
+/// the new position, or `None` if the buffer ends inside it or it runs past
+/// [`MAX_VARINT_LEN`] bytes or 64 bits.
+#[inline]
+pub fn try_decode_varint(data: &[u8], pos: usize) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    for (i, &byte) in data.get(pos..)?.iter().take(MAX_VARINT_LEN).enumerate() {
+        let (payload, shift) = (u64::from(byte & 0x7f), 7 * i as u32);
+        if shift == 63 && payload > 1 {
+            return None;
+        }
+        value |= payload << shift;
+        if byte & 0x80 == 0 {
+            return Some((value, pos + i + 1));
+        }
+    }
+    None
+}
+
 /// Number of bytes the VarInt encoding of `value` occupies (without encoding it).
 #[inline]
 pub fn varint_len(value: u64) -> usize {
@@ -132,6 +151,27 @@ mod tests {
     }
 
     #[test]
+    fn checked_decoding_refuses_truncated_overlong_and_overflowing_input() {
+        let mut max = Vec::new();
+        encode_varint(u64::MAX, &mut max);
+        assert_eq!(try_decode_varint(&max, 0), Some((u64::MAX, MAX_VARINT_LEN)));
+        // Truncated: the buffer ends with the continuation bit set, or before `pos`.
+        assert_eq!(try_decode_varint(&max[..9], 0), None);
+        assert_eq!(try_decode_varint(&[0x80], 0), None);
+        assert_eq!(try_decode_varint(&[5], 1), None);
+        // Eleven bytes: a non-canonical encoding of 5 one byte too long.
+        let mut overlong = vec![0x85u8];
+        overlong.extend([0x80; 9]);
+        overlong.push(0);
+        assert_eq!(try_decode_varint(&overlong[1..], 0), Some((0, 10)));
+        assert_eq!(try_decode_varint(&overlong, 0), None);
+        // Ten bytes whose last carries bits beyond 2^64.
+        let mut overflow = max.clone();
+        overflow[9] = 0x02;
+        assert_eq!(try_decode_varint(&overflow, 0), None);
+    }
+
+    #[test]
     fn zigzag_maps_small_magnitudes_to_small_values() {
         assert_eq!(zigzag_encode(0), 0);
         assert_eq!(zigzag_encode(-1), 1);
@@ -161,6 +201,8 @@ mod tests {
             let (decoded, pos) = decode_varint(&buf, 0);
             prop_assert_eq!(decoded, v);
             prop_assert_eq!(pos, buf.len());
+            prop_assert_eq!(try_decode_varint(&buf, 0), Some((v, len)));
+            prop_assert_eq!(try_decode_varint(&buf[..len - 1], 0), None);
         }
 
         #[test]

@@ -1,9 +1,10 @@
 //! Corruption-robustness property tests of the `.tpg` container.
 //!
 //! Every byte of a container is covered by some crc32 — the header crc, the
-//! (Elias-Fano) offset-index crc, the node-weight crc, or a per-block data crc (stored block crcs are themselves verified
-//! against the recomputed block on read, so a flip in the *stored* checksum is
-//! caught exactly like a flip in the data it covers). These properties assert
+//! offset-index crc (over the VarInt neighbourhood lengths), the node-weight crc, or a
+//! per-block data crc (stored block crcs are themselves verified against the recomputed
+//! block on read, so a flip in the *stored* checksum is caught exactly like a flip in
+//! the data it covers). These properties assert
 //! the consequence: flipping any single byte of a valid container, or
 //! truncating it anywhere, yields a structured [`IoError`] — from the eager
 //! decode path, from the lazily verifying [`PagedGraph`], and from the

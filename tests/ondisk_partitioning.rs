@@ -126,12 +126,12 @@ fn mmap_backend_runs_are_bit_identical_across_backends() {
         reference.partition.assignment()
     );
 
-    // The Elias-Fano offset index undercuts what plain u64 offsets would cost.
+    // The VarInt offset index undercuts what plain u64 offsets would cost.
     let meta = read_tpg_meta(&path).unwrap();
     assert!(
-        meta.offsets_len_bytes() < 8 * (meta.n as u64 + 1),
-        "Elias-Fano offsets ({} B) not smaller than plain u64s for {} vertices",
-        meta.offsets_len_bytes(),
+        meta.index_len < 8 * (meta.n as u64 + 1),
+        "VarInt offset lengths ({} B) not smaller than plain u64s for {} vertices",
+        meta.index_len,
         meta.n
     );
     std::fs::remove_dir_all(dir).ok();
