@@ -31,9 +31,9 @@
 //! contraction returns. What is indexed by coarse vertex is sized by `n′`, which the
 //! bucket construction knows before any of it is touched. The vertices of each cluster
 //! are grouped with a flat two-pass counting sort (parallel count → blocked prefix sum →
-//! parallel scatter) into a CSR-style `(offsets, members)` layout (`ClusterBuckets`),
-//! replacing the seed's `Vec<Vec<NodeId>>` bucket structure and its
-//! one-allocation-per-coarse-vertex cost. Only the per-worker aggregation tables and
+//! parallel scatter, whose spent cursors become the label remap) into a CSR-style
+//! `(offsets, members)` layout (`ClusterBuckets`), replacing the seed's
+//! `Vec<Vec<NodeId>>` bucket structure and its one-allocation-per-coarse-vertex cost. Only the per-worker aggregation tables and
 //! sort buffers come from the run's [`HierarchyScratch`] pool.
 
 use std::mem::MaybeUninit;
@@ -112,7 +112,9 @@ fn zeroed<T: Default>(len: usize) -> Vec<T> {
 /// * `leaders[b]` is the cluster label of coarse vertex `b`;
 /// * `members[offsets[b]..offsets[b + 1]]` are the fine vertices of coarse vertex `b`;
 /// * `remap[label]` is the coarse vertex of every populated `label` (`INVALID_NODE`
-///   otherwise). One-pass contraction renumbers it to the commit order.
+///   otherwise). One-pass contraction renumbers it to the commit order. It is the
+///   construction's per-label count array, rewritten in place, so the buckets hold two
+///   label-space arrays, never three.
 struct ClusterBuckets {
     offsets: Vec<NodeId>,
     members: Vec<NodeId>,
@@ -124,17 +126,17 @@ struct ClusterBuckets {
 impl ClusterBuckets {
     /// Two-pass counting sort: a parallel count over the labels, a blocked parallel
     /// prefix sum over the label space (which also assigns dense coarse IDs in label
-    /// order and records them in `remap`), and a parallel scatter of the vertices
-    /// through per-label atomic cursors, which live only as long as the construction.
+    /// order), and a parallel scatter of the vertices through per-label atomic cursors.
+    /// A last blocked pass turns the cursors into `remap`.
     fn build(clustering: &Clustering) -> Self {
         let labels = &clustering.label[..];
         let n = labels.len();
         let id = std::mem::size_of::<NodeId>();
-        // Per label: member count in pass 1, then the write cursor of the scatter.
+        // Per label: member count in pass 1, the write cursor of the scatter, then the
+        // label's coarse ID.
         let heads: Vec<AtomicNodeId> = zeroed(n);
-        let remap: Vec<AtomicNodeId> = zeroed(n);
         let mut members: Vec<NodeId> = vec![0; n];
-        let mut charge = MemoryScope::charge_global(3 * n * id);
+        let mut charge = MemoryScope::charge_global(2 * n * id);
 
         // ---- Pass 1: count members per label (heads[l] = |cluster l|). ----
         labels.par_chunks(LABEL_BLOCK).for_each(|chunk| {
@@ -174,8 +176,8 @@ impl ClusterBuckets {
         charge.grow((2 * n_coarse + 1) * id);
 
         // Per block: assign dense coarse IDs in label order, record bucket boundaries and
-        // leaders, publish label -> coarse ID in remap, and turn heads[l] into the bucket's
-        // write cursor for the scatter pass. Writes to disjoint index ranges per block.
+        // leaders, and turn heads[l] into the bucket's write cursor for the scatter pass.
+        // Writes to disjoint index ranges per block.
         {
             let offsets = SharedSlice::new(&mut offsets);
             let leaders = SharedSlice::new(&mut leaders);
@@ -194,12 +196,9 @@ impl ClusterBuckets {
                                 leaders.write(bucket as usize, label);
                                 offsets.write(bucket as usize, offset);
                             }
-                            remap[label as usize].store(bucket, Ordering::Relaxed);
                             head.store(offset, Ordering::Relaxed);
                             bucket += 1;
                             offset += count;
-                        } else {
-                            remap[label as usize].store(ids::INVALID_NODE, Ordering::Relaxed);
                         }
                     }
                 });
@@ -222,13 +221,29 @@ impl ClusterBuckets {
                     }
                 });
         }
-        charge.shrink(std::mem::size_of_val(heads.as_slice()));
-        drop(heads);
+
+        // ---- Pass 4: cursors -> coarse IDs. ----
+        // A populated label's cursor now ends its bucket, so it is at least 1; an empty
+        // label's is still 0. Coarse IDs follow label order, as in pass 2.
+        heads
+            .par_chunks(LABEL_BLOCK)
+            .enumerate()
+            .for_each(|(block, chunk)| {
+                let (mut bucket, _) = block_bases[block];
+                for head in chunk {
+                    if head.load(Ordering::Relaxed) > 0 {
+                        head.store(bucket, Ordering::Relaxed);
+                        bucket += 1;
+                    } else {
+                        head.store(ids::INVALID_NODE, Ordering::Relaxed);
+                    }
+                }
+            });
         Self {
             offsets,
             members,
             leaders,
-            remap,
+            remap: heads,
             charge,
         }
     }
@@ -800,6 +815,7 @@ mod tests {
     use crate::coarsening::lp_clustering;
     use crate::context::CoarseningConfig;
     use graph::gen;
+    use std::collections::HashMap;
 
     /// Computes the total weight of fine edges whose endpoints lie in different clusters.
     fn inter_cluster_weight(graph: &impl Graph, clustering: &Clustering) -> EdgeWeight {
@@ -930,22 +946,100 @@ mod tests {
         builder.build()
     }
 
+    /// A clustering of `n > 3 · LABEL_BLOCK` vertices, built by hand: labels 0 and
+    /// `n − 1` are empty, and so is the whole second label block, whose vertices joined
+    /// clusters of the third; vertex 5 left its own label for label 9, while vertices 6
+    /// and 7 hold label 5; every other vertex is a singleton.
+    fn hand_built_clustering(n: usize) -> Clustering {
+        assert!(n > 3 * LABEL_BLOCK);
+        let mut label: Vec<ClusterId> = (0..n as ClusterId).collect();
+        label[0] = 1;
+        label[n - 1] = (n - 2) as ClusterId;
+        label[5] = 9;
+        label[6] = 5;
+        label[7] = 5;
+        for (u, l) in label.iter_mut().enumerate() {
+            if (LABEL_BLOCK..2 * LABEL_BLOCK).contains(&u) {
+                *l = (2 * LABEL_BLOCK + u % 7) as ClusterId;
+            }
+        }
+        Clustering::from_labels(label)
+    }
+
+    #[test]
+    fn the_rewritten_cursors_are_the_remap_of_a_hash_map_oracle() {
+        let n = 3 * LABEL_BLOCK + 100;
+        let clustering = hand_built_clustering(n);
+        // The oracle: label -> its members, in vertex order.
+        let mut clusters: HashMap<ClusterId, Vec<NodeId>> = HashMap::new();
+        for (u, &l) in clustering.label.iter().enumerate() {
+            clusters.entry(l).or_default().push(u as NodeId);
+        }
+        let mut leaders: Vec<ClusterId> = clusters.keys().copied().collect();
+        leaders.sort_unstable();
+        for empty in [0, LABEL_BLOCK, 2 * LABEL_BLOCK - 1, n - 1] {
+            assert!(!clusters.contains_key(&(empty as ClusterId)));
+        }
+        assert_eq!(clusters[&5], vec![6, 7]);
+        assert_eq!(clusters[&9], vec![5, 9]);
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let buckets = pool.install(|| ClusterBuckets::build(&clustering));
+            assert_eq!(buckets.leaders, leaders, "{threads} threads");
+            let mut offset = 0;
+            for (b, leader) in leaders.iter().enumerate() {
+                assert_eq!(buckets.offsets[b] as usize, offset, "{threads} threads");
+                let mut members = buckets.members_of(b).to_vec();
+                members.sort_unstable();
+                assert_eq!(members, clusters[leader], "{threads} threads");
+                offset += members.len();
+            }
+            assert_eq!(buckets.offsets[leaders.len()] as usize, n);
+            let remap: Vec<NodeId> = buckets
+                .remap
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect();
+            let expected: Vec<NodeId> = (0..n as ClusterId)
+                .map(|l| match leaders.binary_search(&l) {
+                    Ok(b) => b as NodeId,
+                    Err(_) => ids::INVALID_NODE,
+                })
+                .collect();
+            assert_eq!(remap, expected, "{threads} threads");
+        }
+    }
+
     #[test]
     fn both_algorithms_produce_equivalent_graphs() {
         // "heavy" weighs every edge at least 2^33: one-pass reserves 5 bytes or more per
         // weight and the coarse weights stay that wide, so nothing may truncate them. The
-        // last instance is large enough (n′ > 4096 at cluster weight 3) for the parallel
+        // "rgg" instance is large enough (n′ > 4096 at cluster weight 3) for the parallel
         // loops to really split at two threads, where one-pass numbers the coarse
-        // vertices in commit order.
+        // vertices in commit order. The last clustering is built by hand, with empty
+        // labels at both ends and an empty label block.
         let weighted = gen::with_random_edge_weights(&gen::erdos_renyi(300, 1200, 2), 9, 4);
-        for (name, g, max_weight) in [
+        let clustered = [
             ("grid", gen::grid2d(15, 15), 8),
             ("powerlaw", gen::rhg_like(600, 8, 3.0, 5), 8),
             ("weighted", weighted.clone(), 8),
             ("heavy", heavier(&weighted, 1 << 33), 8),
             ("rgg", gen::rgg2d(20_000, 10, 3), 3),
-        ] {
+        ]
+        .map(|(name, g, max_weight)| {
             let clustering = lp_clustering_for(&g, max_weight);
+            (name, g, clustering)
+        });
+        let hand_built_n = 3 * LABEL_BLOCK + 100;
+        let hand_built = (
+            "hand-built",
+            gen::rgg2d(hand_built_n, 8, 4),
+            hand_built_clustering(hand_built_n),
+        );
+        for (name, g, clustering) in clustered.into_iter().chain([hand_built]) {
             // Threshold 4 sends most clusters of these instances through the bumped
             // (sequential, sparse-map) second phase.
             for (threads, bump_threshold) in [(1, 16), (1, 4), (2, 16), (2, 4)] {
@@ -1135,7 +1229,7 @@ mod tests {
         let (n, n_coarse) = (g.n(), clustering.num_clusters);
         assert!(n_coarse * 8 < n, "n′ = {} is not ≪ n = {}", n_coarse, n);
         // Members and remap are indexed by fine vertex / label; offsets and leaders by
-        // coarse vertex (the counting cursors are gone once the buckets are built).
+        // coarse vertex (the counting cursors became the remap).
         let buckets = ClusterBuckets::build(&clustering);
         assert_eq!(buckets.n_coarse(), n_coarse);
         let id = std::mem::size_of::<NodeId>();

@@ -44,9 +44,15 @@
 //! the weight limit after one contraction, and the level after it is never clustered.
 //! The unit-weight input graph is "all movable" without a decode.
 //!
+//! A run's auxiliary state is a label and a cluster weight per vertex. The weights are
+//! stored at the width the level's `max_cluster_weight` needs: 4-byte atomics while the
+//! limit is below `u32::MAX` (it is a small fraction of a block's weight), 8-byte ones
+//! otherwise. The width is derived from the limit once per run; one code path serves
+//! both.
+//!
 //! [`MIN_CONTRACTIBLE_SHARE`]: super::MIN_CONTRACTIBLE_SHARE
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use graph::ids;
 use graph::traits::Graph;
@@ -147,10 +153,82 @@ impl Clustering {
     }
 }
 
+/// The cluster weights of one clustering run, stored at the width its
+/// `max_cluster_weight` needs. No stored weight exceeds `max_cluster_weight + 1` (see
+/// [`Self::singletons`]), so below a limit of `u32::MAX` a weight takes 4 bytes. Sums and
+/// comparisons are made in `u64`. One enum rather than a type parameter keeps a
+/// single instance of the clustering code; every access branches on the width, the same
+/// way for the whole run.
+enum ClusterWeights {
+    Narrow(Vec<AtomicU32>),
+    Wide(Vec<AtomicU64>),
+}
+
+impl ClusterWeights {
+    /// The singleton clusters of `graph`. A vertex heavier than `max_cluster_weight`
+    /// starts at `max_cluster_weight + 1`, saturated: every feasibility test reads its
+    /// cluster as over the limit, as its own weight would, so nothing joins it, and it
+    /// cannot move either, so nothing is ever subtracted from it.
+    fn singletons(graph: &impl Graph, max_cluster_weight: NodeWeight) -> Self {
+        let saturated = max_cluster_weight.saturating_add(1);
+        let weights = (0..graph.n() as NodeId).map(|u| graph.node_weight(u).min(saturated));
+        if max_cluster_weight < NodeWeight::from(u32::MAX) {
+            Self::Narrow(weights.map(|w| AtomicU32::new(w as u32)).collect())
+        } else {
+            Self::Wide(weights.map(AtomicU64::new).collect())
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        match self {
+            Self::Narrow(cells) => std::mem::size_of_val(cells.as_slice()),
+            Self::Wide(cells) => std::mem::size_of_val(cells.as_slice()),
+        }
+    }
+
+    #[inline]
+    fn get(&self, c: ClusterId) -> NodeWeight {
+        match self {
+            Self::Narrow(cells) => NodeWeight::from(cells[c as usize].load(Ordering::Relaxed)),
+            Self::Wide(cells) => cells[c as usize].load(Ordering::Relaxed),
+        }
+    }
+
+    /// Adds `w` to cluster `c` unless the sum would exceed `limit` (a CAS loop, so the
+    /// limit is never exceeded); returns whether it did.
+    #[inline]
+    fn try_add(&self, c: ClusterId, w: NodeWeight, limit: NodeWeight) -> bool {
+        let add = |weight: NodeWeight| Some(weight + w).filter(|&sum| sum <= limit);
+        let relaxed = Ordering::Relaxed;
+        match self {
+            Self::Narrow(cells) => cells[c as usize]
+                .fetch_update(relaxed, relaxed, |weight| {
+                    add(weight.into()).map(|sum| sum as u32)
+                })
+                .is_ok(),
+            Self::Wide(cells) => cells[c as usize]
+                .fetch_update(relaxed, relaxed, add)
+                .is_ok(),
+        }
+    }
+
+    #[inline]
+    fn subtract(&self, c: ClusterId, w: NodeWeight) {
+        match self {
+            Self::Narrow(cells) => {
+                cells[c as usize].fetch_sub(w as u32, Ordering::Relaxed);
+            }
+            Self::Wide(cells) => {
+                cells[c as usize].fetch_sub(w, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// Shared mutable state of one clustering run.
 struct ClusteringState {
     labels: Vec<AtomicNodeId>,
-    cluster_weights: Vec<AtomicU64>,
+    cluster_weights: ClusterWeights,
     max_cluster_weight: NodeWeight,
 }
 
@@ -158,9 +236,7 @@ impl ClusteringState {
     fn new(graph: &impl Graph, max_cluster_weight: NodeWeight) -> Self {
         let n = graph.n();
         let labels: Vec<AtomicNodeId> = (0..n as NodeId).map(AtomicNodeId::new).collect();
-        let cluster_weights: Vec<AtomicU64> = (0..n as NodeId)
-            .map(|u| AtomicU64::new(graph.node_weight(u)))
-            .collect();
+        let cluster_weights = ClusterWeights::singletons(graph, max_cluster_weight);
         Self {
             labels,
             cluster_weights,
@@ -171,7 +247,7 @@ impl ClusteringState {
     /// Heap bytes of the label and cluster-weight arrays.
     fn memory_bytes(&self) -> usize {
         self.labels.len() * std::mem::size_of::<AtomicNodeId>()
-            + self.cluster_weights.len() * std::mem::size_of::<AtomicU64>()
+            + self.cluster_weights.memory_bytes()
     }
 
     #[inline]
@@ -180,30 +256,17 @@ impl ClusteringState {
     }
 
     /// Tries to move `u` (weight `w`) from its current cluster to `target`; returns
-    /// `true` on success. The target cluster weight is checked and updated with a CAS
-    /// loop so the maximum cluster weight is never exceeded.
+    /// `true` on success. The maximum cluster weight is never exceeded.
     fn try_move(&self, u: NodeId, w: NodeWeight, target: ClusterId) -> bool {
         let current = self.label(u);
-        if current == target {
+        if current == target
+            || !self
+                .cluster_weights
+                .try_add(target, w, self.max_cluster_weight)
+        {
             return false;
         }
-        let target_weight = &self.cluster_weights[target as usize];
-        let mut observed = target_weight.load(Ordering::Relaxed);
-        loop {
-            if observed + w > self.max_cluster_weight {
-                return false;
-            }
-            match target_weight.compare_exchange_weak(
-                observed,
-                observed + w,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => observed = actual,
-            }
-        }
-        self.cluster_weights[current as usize].fetch_sub(w, Ordering::Relaxed);
+        self.cluster_weights.subtract(current, w);
         self.labels[u as usize].store(target, Ordering::Relaxed);
         true
     }
@@ -226,9 +289,8 @@ fn select_target(
 ) -> Option<ClusterId> {
     let mut best: Option<(ClusterId, u64)> = None;
     for (c, r) in ratings {
-        let feasible = c == current
-            || state.cluster_weights[c as usize].load(Ordering::Relaxed) + node_weight
-                <= state.max_cluster_weight;
+        let feasible =
+            c == current || state.cluster_weights.get(c) + node_weight <= state.max_cluster_weight;
         if !feasible {
             continue;
         }
@@ -1274,6 +1336,94 @@ mod tests {
             expected[clustering.label[u] as usize] += 1;
         }
         assert_eq!(weights, expected);
+    }
+
+    /// `graph` with node weights `weights`.
+    fn reweighted(graph: &graph::CsrGraph, weights: Vec<NodeWeight>) -> graph::CsrGraph {
+        let mut builder = graph::CsrGraphBuilder::with_node_weights(weights);
+        for u in 0..graph.n() as NodeId {
+            graph.for_each_neighbor(u, &mut |v, w| {
+                if u < v {
+                    builder.add_edge(u, v, w);
+                }
+            });
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn eight_byte_cluster_weights_find_the_clustering_of_four_byte_ones() {
+        // Scaling every node weight and the limit by 2^32 answers every feasibility test
+        // as before but forces 8-byte cells: in 4-byte ones every scaled weight would
+        // truncate to 0. Vertex 17 is heavier than the limit: it starts saturated at 13
+        // in the 4-byte cells and at its own weight in the 8-byte ones.
+        let base = gen::with_random_node_weights(&gen::rgg2d(3_000, 8, 5), 3, 9);
+        let mut weights: Vec<NodeWeight> = (0..base.n() as NodeId)
+            .map(|u| base.node_weight(u))
+            .collect();
+        weights[17] = 40;
+        let limit: NodeWeight = 12;
+        let unit = reweighted(&base, weights.clone());
+        let scaled = reweighted(&base, weights.iter().map(|&w| w << 32).collect());
+        assert!(limit << 32 >= NodeWeight::from(u32::MAX));
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        for (lp_mode, lp_frontier) in [
+            (LabelPropagationMode::TwoPhase, true),
+            (LabelPropagationMode::TwoPhase, false),
+            (LabelPropagationMode::PerThreadRatingMaps, true),
+        ] {
+            let config = CoarseningConfig {
+                lp_mode,
+                lp_frontier,
+                bump_threshold: 8,
+                ..Default::default()
+            };
+            let (narrow, wide) = pool.install(|| {
+                (
+                    cluster(&unit, &config, limit, 11),
+                    cluster(&scaled, &config, limit << 32, 11),
+                )
+            });
+            assert_eq!(narrow, wide, "{lp_mode:?}, frontier {lp_frontier}");
+            check_invariants(&unit, &narrow, limit);
+            assert!(narrow.num_clusters < unit.n() / 2, "{lp_mode:?}");
+            let joined_17: Vec<usize> = (0..unit.n()).filter(|&u| narrow.label[u] == 17).collect();
+            assert_eq!(joined_17, vec![17], "the heavy vertex stays a singleton");
+        }
+    }
+
+    #[test]
+    fn the_state_charges_the_cell_width_it_uses() {
+        let g = gen::rgg2d(600, 8, 5);
+        let (n, id) = (g.n(), std::mem::size_of::<NodeId>());
+        // The largest limit whose saturation mark, `limit + 1`, fits in 4 bytes.
+        let narrow = ClusteringState::new(&g, NodeWeight::from(u32::MAX) - 1);
+        assert!(matches!(narrow.cluster_weights, ClusterWeights::Narrow(_)));
+        assert_eq!(narrow.memory_bytes(), n * (id + 4));
+        let wide = ClusteringState::new(&g, NodeWeight::from(u32::MAX));
+        assert!(matches!(wide.cluster_weights, ClusterWeights::Wide(_)));
+        assert_eq!(wide.memory_bytes(), n * (id + 8));
+    }
+
+    #[test]
+    fn a_vertex_heavier_than_the_limit_starts_saturated_and_never_moves() {
+        // Vertex 1 weighs 2^32, which 4 bytes would store as 0.
+        let g = reweighted(&gen::path(3), vec![1, 1 << 32, 1]);
+        let state = ClusteringState::new(&g, 3);
+        assert!(matches!(state.cluster_weights, ClusterWeights::Narrow(_)));
+        assert_eq!(state.cluster_weights.get(1), 4);
+        assert!(!state.try_move(1, g.node_weight(1), 0));
+        assert!(!state.try_move(0, 1, 1));
+        assert!(state.try_move(0, 1, 2));
+        assert_eq!(
+            (0..3)
+                .map(|c| state.cluster_weights.get(c))
+                .collect::<Vec<_>>(),
+            vec![0, 4, 2]
+        );
     }
 
     #[test]
