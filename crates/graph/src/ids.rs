@@ -10,10 +10,9 @@
 //! # The width contract
 //!
 //! * Valid vertex IDs and cluster labels live in `0..`[`MAX_NODE_COUNT`], which is
-//!   2^(width − 1): the **top bit of the active width** is reserved as an in-place
-//!   marking sentinel (see [`mark`] / [`unmark`] / [`is_marked`]), used by
-//!   `Clustering::from_labels`-style allocation-free distinct counting, and
-//!   [`INVALID_NODE`] (`NodeId::MAX`) is reserved as the "no vertex" sentinel.
+//!   2^(width − 1): the **top bit of the active width** ([`ID_MARK_BIT`]) is never set
+//!   on an id, so a count of ids always fits the width, and [`INVALID_NODE`]
+//!   (`NodeId::MAX`) is reserved as the "no vertex" sentinel.
 //! * [`EdgeId`](crate::EdgeId) and the weight types are *always* `u64`: even a graph
 //!   whose vertex count fits 32 bits can carry more than 2^32 half-edges or a total
 //!   weight beyond 2^32, so those never had a narrow variant to begin with.
@@ -48,15 +47,15 @@ pub type ClusterId = NodeId;
 /// header so files are self-describing.
 pub const NODE_ID_BYTES: u8 = (NodeId::BITS / 8) as u8;
 
-/// Sentinel for "no vertex" (used e.g. by contraction's label→coarse-ID remap).
+/// Sentinel for "no vertex" (used e.g. by two-hop clustering's favoured-cluster table).
 pub const INVALID_NODE: NodeId = NodeId::MAX;
 
-/// The top bit of the active width, reserved pipeline-wide as an in-place marking
-/// sentinel. Never a valid vertex ID or cluster label.
+/// The top bit of the active width, reserved pipeline-wide. Never set on a valid vertex
+/// ID or cluster label.
 pub const ID_MARK_BIT: NodeId = 1 << (NodeId::BITS - 1);
 
 /// Largest supported vertex count: all IDs must stay strictly below [`ID_MARK_BIT`]
-/// so the marking helpers and [`INVALID_NODE`] can never collide with a real ID.
+/// so [`INVALID_NODE`] can never collide with a real ID.
 /// 2^31 at the default width, 2^63 under `wide-ids`.
 pub const MAX_NODE_COUNT: usize = {
     // At the 64-bit width the mark bit (2^63) still fits a 64-bit usize exactly.
@@ -67,24 +66,6 @@ pub const MAX_NODE_COUNT: usize = {
         cap as usize
     }
 };
-
-/// Marks `id` by setting the reserved top bit.
-#[inline]
-pub const fn mark(id: NodeId) -> NodeId {
-    id | ID_MARK_BIT
-}
-
-/// Clears the reserved top bit of `id`.
-#[inline]
-pub const fn unmark(id: NodeId) -> NodeId {
-    id & !ID_MARK_BIT
-}
-
-/// Whether the reserved top bit of `id` is set.
-#[inline]
-pub const fn is_marked(id: NodeId) -> bool {
-    id & ID_MARK_BIT != 0
-}
 
 /// Whether a graph with `n` vertices is representable at the active width.
 #[inline]
@@ -157,7 +138,7 @@ pub fn widen(id: NodeId) -> u64 {
 }
 
 /// The bit-layout contract of an ID width, for the few places that genuinely care about
-/// layout rather than arithmetic (the `.tpg` header, packed sort keys, mark sentinels).
+/// layout rather than arithmetic (the `.tpg` header, packed sort keys, the reserved top bit).
 /// Implemented for both supported widths so layout-sensitive code can be written — and
 /// tested — against either width regardless of which one the build selected.
 pub trait IdWidth: Copy + Ord + Sized {
@@ -227,21 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn mark_helpers_round_trip_at_boundaries() {
-        // The satellite boundary cases: 0, MAX/2 (the mark bit itself is MAX/2 + 1, so
-        // MAX/2 is the largest markable value), and MAX−1 at the active width.
-        let max_id = (MAX_NODE_COUNT - 1) as NodeId;
-        for id in [0 as NodeId, 1, max_id / 2, max_id - 1, max_id] {
-            assert!(!is_marked(id), "valid id {} must start unmarked", id);
-            let m = mark(id);
-            assert!(is_marked(m), "mark({}) lost the sentinel", id);
-            assert_eq!(unmark(m), id, "unmark(mark({})) must round-trip", id);
-            assert_eq!(unmark(id), id, "unmark of an unmarked id is a no-op");
-            assert_eq!(mark(m), m, "mark is idempotent");
-        }
-    }
-
-    #[test]
     fn both_width_impls_agree_on_layout() {
         assert_eq!(<u32 as IdWidth>::MARK_BIT, 1u32 << 31);
         assert_eq!(<u64 as IdWidth>::MARK_BIT, 1u64 << 63);
@@ -292,17 +258,8 @@ mod tests {
     }
 
     proptest! {
-        // Sentinel round-trip across the whole valid id range, at the active width.
-        #[test]
-        fn prop_mark_unmark_round_trip(raw in any::<u64>()) {
-            let id = (raw % MAX_NODE_COUNT as u64) as NodeId;
-            prop_assert!(!is_marked(id));
-            prop_assert!(is_marked(mark(id)));
-            prop_assert_eq!(unmark(mark(id)), id);
-        }
-
-        // The same property checked explicitly at BOTH widths through the trait, so the
-        // 64-bit layout is exercised even in a default-width test run.
+        // No valid id carries the top bit, checked at BOTH widths through the trait, so
+        // the 64-bit layout is exercised even in a default-width test run.
         #[test]
         fn prop_mark_bit_disjoint_from_ids_both_widths(raw in any::<u64>()) {
             let id32 = (raw % <u32 as IdWidth>::MAX_COUNT as u64) as u32;

@@ -28,13 +28,15 @@
 //!
 //! The per-vertex auxiliary state belongs to the one contraction that uses it: allocated
 //! for its level, charged to the memory accounting while it lives and freed when the
-//! contraction returns. What is indexed by coarse vertex is sized by `n′`, which the
-//! bucket construction knows before any of it is touched. The vertices of each cluster
-//! are grouped with a flat two-pass counting sort (parallel count → blocked prefix sum →
-//! parallel scatter, whose spent cursors become the label remap) into a CSR-style
-//! `(offsets, members)` layout (`ClusterBuckets`), replacing the seed's
-//! `Vec<Vec<NodeId>>` bucket structure and its one-allocation-per-coarse-vertex cost. Only the per-worker aggregation tables and
-//! sort buffers come from the run's [`HierarchyScratch`] pool.
+//! contraction returns. Everything per cluster is indexed by the rank of its label among
+//! the populated labels (`LabelSet`), so it is sized by `n′`, which the label set knows
+//! before any of it is touched; only the member array holds `n` ids. The vertices of
+//! each cluster are grouped with a flat two-pass counting sort by rank (parallel count →
+//! blocked prefix sum → parallel scatter, whose spent cursors become the coarse-id
+//! remap) into a CSR-style `(offsets, members)` layout (`ClusterBuckets`), replacing the
+//! seed's `Vec<Vec<NodeId>>` bucket structure and its one-allocation-per-coarse-vertex
+//! cost. Only the per-worker aggregation tables and sort buffers come from the run's
+//! [`HierarchyScratch`] pool.
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,6 +54,7 @@ use crate::dual_counter::DualCounter;
 use crate::scratch::{HierarchyScratch, Pool, SharedSlice, WorkerScratch};
 use crate::ClusterId;
 
+use super::label_set::LabelSet;
 use super::lp_clustering::Clustering;
 use super::rating_map::{FixedCapacityHashMap, SparseRatingMap};
 
@@ -107,15 +110,18 @@ fn zeroed<T: Default>(len: usize) -> Vec<T> {
 }
 
 /// The vertices of each cluster label grouped into a flat CSR-style layout, owned by one
-/// contraction and charged to the memory accounting while it lives:
+/// contraction and charged to the memory accounting while it lives. Bucket `b` is the
+/// cluster whose label has rank `b` in the clustering's [`LabelSet`], so every array
+/// but `members` has `n′` entries:
 ///
-/// * `leaders[b]` is the cluster label of coarse vertex `b`;
-/// * `members[offsets[b]..offsets[b + 1]]` are the fine vertices of coarse vertex `b`;
-/// * `remap[label]` is the coarse vertex of every populated `label` (`INVALID_NODE`
-///   otherwise). One-pass contraction renumbers it to the commit order. It is the
-///   construction's per-label count array, rewritten in place, so the buckets hold two
-///   label-space arrays, never three.
+/// * `leaders[b]` is the cluster label of bucket `b`;
+/// * `members[offsets[b]..offsets[b + 1]]` are the fine vertices of bucket `b`;
+/// * `remap[b]` is the coarse vertex of bucket `b`: `b` itself after the build, the
+///   commit order once one-pass contraction has renumbered it. A label's coarse vertex
+///   is `remap[rank(label)]` ([`Self::coarse_of`]). It is the construction's per-bucket
+///   count array, reused.
 struct ClusterBuckets {
+    labels: LabelSet,
     offsets: Vec<NodeId>,
     members: Vec<NodeId>,
     leaders: Vec<ClusterId>,
@@ -124,89 +130,63 @@ struct ClusterBuckets {
 }
 
 impl ClusterBuckets {
-    /// Two-pass counting sort: a parallel count over the labels, a blocked parallel
-    /// prefix sum over the label space (which also assigns dense coarse IDs in label
-    /// order), and a parallel scatter of the vertices through per-label atomic cursors.
-    /// A last blocked pass turns the cursors into `remap`.
+    /// Counting sort by label rank: the populated labels are marked and ranked
+    /// ([`LabelSet`]), then a parallel count per rank, a blocked parallel prefix sum
+    /// over the `n′` counts, and a parallel scatter of the vertices through per-rank
+    /// atomic cursors. Ranks follow label order, so they are the coarse IDs, and the
+    /// leaders are read off the label set in order.
     fn build(clustering: &Clustering) -> Self {
         let labels = &clustering.label[..];
         let n = labels.len();
         let id = std::mem::size_of::<NodeId>();
-        // Per label: member count in pass 1, the write cursor of the scatter, then the
-        // label's coarse ID.
-        let heads: Vec<AtomicNodeId> = zeroed(n);
+        let set = LabelSet::of(labels);
+        let n_coarse = set.len();
+        // Per bucket: member count in pass 1, the write cursor of the scatter, then the
+        // bucket's coarse ID.
+        let heads: Vec<AtomicNodeId> = zeroed(n_coarse);
         let mut members: Vec<NodeId> = vec![0; n];
-        let mut charge = MemoryScope::charge_global(2 * n * id);
+        let mut offsets: Vec<NodeId> = vec![0; n_coarse + 1];
+        let leaders = set.labels();
+        let charge = MemoryScope::charge_global((n + 3 * n_coarse + 1) * id);
 
-        // ---- Pass 1: count members per label (heads[l] = |cluster l|). ----
+        // ---- Pass 1: count members per bucket (heads[b] = |bucket b|). ----
         labels.par_chunks(LABEL_BLOCK).for_each(|chunk| {
             for &l in chunk {
-                heads[l as usize].fetch_add(1, Ordering::Relaxed);
+                heads[set.rank(l) as usize].fetch_add(1, Ordering::Relaxed);
             }
         });
 
-        // ---- Pass 2: blocked prefix sum over the label space. ----
-        let num_blocks = n.div_ceil(LABEL_BLOCK);
-        let block_totals: Vec<(NodeId, NodeId)> = heads
+        // ---- Pass 2: blocked prefix sum over the bucket sizes. ----
+        // Records the bucket boundaries and turns heads[b] into the bucket's write
+        // cursor for the scatter pass; writes to disjoint index ranges per block.
+        let block_totals: Vec<NodeId> = heads
             .par_chunks(LABEL_BLOCK)
-            .map(|chunk| {
-                let mut buckets: NodeId = 0;
-                let mut members: NodeId = 0;
-                for head in chunk {
-                    let count = head.load(Ordering::Relaxed);
-                    if count > 0 {
-                        buckets += 1;
-                        members += count;
-                    }
-                }
-                (buckets, members)
+            .map(|chunk| chunk.iter().map(|head| head.load(Ordering::Relaxed)).sum())
+            .collect();
+        let mut offset_base: NodeId = 0;
+        let block_bases: Vec<NodeId> = block_totals
+            .iter()
+            .map(|&members| {
+                let base = offset_base;
+                offset_base += members;
+                base
             })
             .collect();
-        let mut block_bases = Vec::with_capacity(num_blocks);
-        let (mut bucket_base, mut offset_base): (NodeId, NodeId) = (0, 0);
-        for &(buckets, members) in &block_totals {
-            block_bases.push((bucket_base, offset_base));
-            bucket_base += buckets;
-            offset_base += members;
-        }
-        let n_coarse = bucket_base as usize;
         debug_assert_eq!(offset_base as usize, n);
-        let mut offsets: Vec<NodeId> = vec![0; n_coarse + 1];
-        let mut leaders: Vec<ClusterId> = vec![0; n_coarse];
-        charge.grow((2 * n_coarse + 1) * id);
+        offsets[n_coarse] = ids::nid_count(n);
+        offsets[..n_coarse]
+            .par_chunks_mut(LABEL_BLOCK)
+            .enumerate()
+            .for_each(|(block, chunk)| {
+                let mut offset = block_bases[block];
+                let heads = &heads[block * LABEL_BLOCK..];
+                for (start, head) in chunk.iter_mut().zip(heads) {
+                    *start = offset;
+                    offset += head.swap(offset, Ordering::Relaxed);
+                }
+            });
 
-        // Per block: assign dense coarse IDs in label order, record bucket boundaries and
-        // leaders, and turn heads[l] into the bucket's write cursor for the scatter pass.
-        // Writes to disjoint index ranges per block.
-        {
-            let offsets = SharedSlice::new(&mut offsets);
-            let leaders = SharedSlice::new(&mut leaders);
-            heads
-                .par_chunks(LABEL_BLOCK)
-                .enumerate()
-                .for_each(|(block, chunk)| {
-                    let (mut bucket, mut offset) = block_bases[block];
-                    for (i, head) in chunk.iter().enumerate() {
-                        let label = (block * LABEL_BLOCK + i) as ClusterId;
-                        let count = head.load(Ordering::Relaxed);
-                        if count > 0 {
-                            // SAFETY: bucket indices are disjoint across blocks by
-                            // construction of the prefix sums.
-                            unsafe {
-                                leaders.write(bucket as usize, label);
-                                offsets.write(bucket as usize, offset);
-                            }
-                            head.store(offset, Ordering::Relaxed);
-                            bucket += 1;
-                            offset += count;
-                        }
-                    }
-                });
-            // SAFETY: index n_coarse is written exactly once, here.
-            unsafe { offsets.write(n_coarse, ids::nid_count(n)) };
-        }
-
-        // ---- Pass 3: scatter the vertices through the per-label cursors. ----
+        // ---- Pass 3: scatter the vertices through the per-bucket cursors. ----
         {
             let members = SharedSlice::new(&mut members);
             labels
@@ -215,31 +195,25 @@ impl ClusterBuckets {
                 .for_each(|(block, chunk)| {
                     let base = (block * LABEL_BLOCK) as NodeId;
                     for (i, &l) in chunk.iter().enumerate() {
-                        let position = heads[l as usize].fetch_add(1, Ordering::Relaxed);
+                        let cursor = &heads[set.rank(l) as usize];
+                        let position = cursor.fetch_add(1, Ordering::Relaxed);
                         // SAFETY: the atomic cursor hands out each position exactly once.
                         unsafe { members.write(position as usize, base + i as NodeId) };
                     }
                 });
         }
 
-        // ---- Pass 4: cursors -> coarse IDs. ----
-        // A populated label's cursor now ends its bucket, so it is at least 1; an empty
-        // label's is still 0. Coarse IDs follow label order, as in pass 2.
+        // The spent cursors become the identity remap: bucket b is coarse vertex b.
         heads
             .par_chunks(LABEL_BLOCK)
             .enumerate()
             .for_each(|(block, chunk)| {
-                let (mut bucket, _) = block_bases[block];
-                for head in chunk {
-                    if head.load(Ordering::Relaxed) > 0 {
-                        head.store(bucket, Ordering::Relaxed);
-                        bucket += 1;
-                    } else {
-                        head.store(ids::INVALID_NODE, Ordering::Relaxed);
-                    }
+                for (i, head) in chunk.iter().enumerate() {
+                    head.store((block * LABEL_BLOCK + i) as NodeId, Ordering::Relaxed);
                 }
             });
         Self {
+            labels: set,
             offsets,
             members,
             leaders,
@@ -258,31 +232,37 @@ impl ClusterBuckets {
         &self.members[self.offsets[b] as usize..self.offsets[b + 1] as usize]
     }
 
-    /// The fine-to-coarse mapping, `mapping[u] = remap[labels[u]]`, written into the
+    /// The coarse vertex of the cluster labelled `label`.
+    #[inline]
+    fn coarse_of(&self, label: ClusterId) -> NodeId {
+        self.remap[self.labels.rank(label) as usize].load(Ordering::Relaxed)
+    }
+
+    /// The fine-to-coarse mapping, `mapping[u] = coarse_of(labels[u])`, written into the
     /// `members` array once the members are no longer needed: both hold one id per fine
     /// vertex, so the mapping costs no allocation of its own.
     fn take_members_as_mapping(&mut self, labels: &[ClusterId]) -> Vec<NodeId> {
         let mut mapping = std::mem::take(&mut self.members);
         self.charge
             .shrink(std::mem::size_of_val(mapping.as_slice()));
-        let remap = &self.remap;
         mapping
             .par_chunks_mut(LABEL_BLOCK)
             .enumerate()
             .for_each(|(block, chunk)| {
                 let labels = &labels[block * LABEL_BLOCK..];
                 for (coarse, &label) in chunk.iter_mut().zip(labels) {
-                    *coarse = remap[label as usize].load(Ordering::Relaxed);
+                    *coarse = self.coarse_of(label);
                 }
             });
         mapping
     }
 
-    /// Heap bytes of the four arrays.
+    /// Heap bytes of the four arrays and the label set.
     #[cfg(test)]
     fn memory_bytes(&self) -> usize {
         (self.offsets.len() + self.members.len() + self.leaders.len() + self.remap.len())
             * std::mem::size_of::<NodeId>()
+            + self.labels.memory_bytes()
     }
 }
 
@@ -297,10 +277,9 @@ fn contract_buffered(graph: &impl Graph, clustering: &Clustering) -> Contraction
     }
     let buckets = ClusterBuckets::build(clustering);
     let n_coarse = buckets.n_coarse();
-    let remap = &buckets.remap;
     let mapping: Vec<NodeId> = (0..n)
         .into_par_iter()
-        .map(|u| remap[clustering.label[u] as usize].load(Ordering::Relaxed))
+        .map(|u| buckets.coarse_of(clustering.label[u]))
         .collect();
 
     // Aggregate each coarse neighbourhood into its own buffer (this is the transient
@@ -365,8 +344,8 @@ fn contract_buffered(graph: &impl Graph, clustering: &Clustering) -> Contraction
 /// allocations of the seed implementation disappear without pinning the buffers to OS
 /// threads for the process lifetime.
 pub(crate) struct Batch {
-    /// (old label, node weight, number of edges) per coarse vertex in the batch.
-    vertices: Vec<(ClusterId, NodeWeight, u32)>,
+    /// (bucket, node weight, number of edges) per coarse vertex in the batch.
+    vertices: Vec<(NodeId, NodeWeight, u32)>,
     /// Concatenated (old target label, weight) pairs.
     edges: Vec<(ClusterId, EdgeWeight)>,
 }
@@ -385,7 +364,7 @@ impl Batch {
 
     /// Heap bytes held by the batch.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.vertices.capacity() * std::mem::size_of::<(ClusterId, NodeWeight, u32)>()
+        self.vertices.capacity() * std::mem::size_of::<(NodeId, NodeWeight, u32)>()
             + self.edges.capacity() * std::mem::size_of::<(ClusterId, EdgeWeight)>()
     }
 }
@@ -406,7 +385,7 @@ pub fn reserved_weight_width(graph: &impl Graph) -> usize {
 }
 
 /// What the workers of one-pass contraction write concurrently: the per-coarse-vertex
-/// buffers, the label remap and the reserved, still uninitialised coarse edge arrays.
+/// buffers, the buckets' remap and the reserved, still uninitialised coarse edge arrays.
 struct OnePassOutput<'a> {
     dual: DualCounter,
     starts: &'a [AtomicU64],
@@ -439,7 +418,7 @@ impl OnePassOutput<'_> {
         (d_prev as usize, s_prev as usize)
     }
 
-    /// Commits coarse vertex `coarse_id` (contracted from cluster `label`): its `edges`
+    /// Commits coarse vertex `coarse_id` (contracted from bucket `bucket`): its `edges`
     /// (old target labels until the final remap) go to the slots from `first_edge` on.
     /// Returns the heaviest of the edges.
     ///
@@ -450,13 +429,13 @@ impl OnePassOutput<'_> {
         &self,
         coarse_id: usize,
         first_edge: usize,
-        label: ClusterId,
+        bucket: usize,
         weight: NodeWeight,
         edges: impl Iterator<Item = (ClusterId, EdgeWeight)>,
     ) -> EdgeWeight {
         self.starts[coarse_id].store(first_edge as u64, Ordering::Relaxed);
         self.node_weights[coarse_id].store(weight, Ordering::Relaxed);
-        self.remap[label as usize].store(coarse_id as NodeId, Ordering::Relaxed);
+        self.remap[bucket].store(coarse_id as NodeId, Ordering::Relaxed);
         // SAFETY: the caller's contract.
         graph::with_width!(self.weight_width, |W| unsafe {
             self.write_edges::<W>(first_edge, edges)
@@ -550,7 +529,7 @@ fn contract_one_pass(
         let (mut first_edge, first_vertex) = output.claim(batch.edges.len(), batch.vertices.len());
         let mut edges = batch.edges.iter().copied();
         let mut max_weight = 0;
-        for (i, &(label, weight, len)) in batch.vertices.iter().enumerate() {
+        for (i, &(bucket, weight, len)) in batch.vertices.iter().enumerate() {
             let len = len as usize;
             // SAFETY: the batch's vertices split the claimed edge range in order:
             // `batch.edges.len()` is the sum of their `len`s.
@@ -558,7 +537,7 @@ fn contract_one_pass(
                 output.commit(
                     first_vertex + i,
                     first_edge,
-                    label,
+                    bucket as usize,
                     weight,
                     edges.by_ref().take(len),
                 )
@@ -623,7 +602,7 @@ fn contract_one_pass(
                 if batch.edges.len() + len as usize > BATCH_EDGE_CAPACITY && !batch.is_empty() {
                     flush_batch(batch);
                 }
-                batch.vertices.push((label, weight, len));
+                batch.vertices.push((idx as NodeId, weight, len));
                 batch.edges.extend(table.iter());
                 if batch.edges.len() >= BATCH_EDGE_CAPACITY {
                     flush_batch(batch);
@@ -655,8 +634,7 @@ fn contract_one_pass(
             }
             let (first_edge, coarse_id) = output.claim(map.len(), 1);
             // SAFETY: `map.iter()` yields `map.len()` entries, the range just claimed.
-            let heaviest =
-                unsafe { output.commit(coarse_id, first_edge, label, weight, map.iter()) };
+            let heaviest = unsafe { output.commit(coarse_id, first_edge, idx, weight, map.iter()) };
             output.saw_weight(heaviest);
         }
     }
@@ -692,7 +670,7 @@ fn contract_one_pass(
         .collect();
     adjacency.par_chunks_mut(LABEL_BLOCK).for_each(|chunk| {
         for target in chunk {
-            *target = remap[*target as usize].load(Ordering::Relaxed);
+            *target = buckets.coarse_of(*target);
         }
     });
 
@@ -967,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn the_rewritten_cursors_are_the_remap_of_a_hash_map_oracle() {
+    fn buckets_indexed_by_rank_agree_with_a_hash_map_oracle() {
         let n = 3 * LABEL_BLOCK + 100;
         let clustering = hand_built_clustering(n);
         // The oracle: label -> its members, in vertex order.
@@ -998,18 +976,24 @@ mod tests {
                 offset += members.len();
             }
             assert_eq!(buckets.offsets[leaders.len()] as usize, n);
-            let remap: Vec<NodeId> = buckets
-                .remap
+            // A populated label's rank is its index among the leaders, and its coarse
+            // vertex is that bucket until a one-pass commit renumbers it.
+            assert_eq!(buckets.remap.len(), leaders.len(), "{threads} threads");
+            for (b, &leader) in leaders.iter().enumerate() {
+                assert_eq!(buckets.labels.rank(leader) as usize, b, "{threads} threads");
+                assert_eq!(buckets.coarse_of(leader) as usize, b, "{threads} threads");
+            }
+            let mapping: Vec<NodeId> = clustering
+                .label
                 .iter()
-                .map(|c| c.load(Ordering::Relaxed))
+                .map(|&l| leaders.binary_search(&l).unwrap() as NodeId)
                 .collect();
-            let expected: Vec<NodeId> = (0..n as ClusterId)
-                .map(|l| match leaders.binary_search(&l) {
-                    Ok(b) => b as NodeId,
-                    Err(_) => ids::INVALID_NODE,
-                })
-                .collect();
-            assert_eq!(remap, expected, "{threads} threads");
+            let mut buckets = buckets;
+            assert_eq!(
+                buckets.take_members_as_mapping(&clustering.label),
+                mapping,
+                "{threads} threads"
+            );
         }
     }
 
@@ -1228,12 +1212,17 @@ mod tests {
         let clustering = lp_clustering_for(&g, 24);
         let (n, n_coarse) = (g.n(), clustering.num_clusters);
         assert!(n_coarse * 8 < n, "n′ = {} is not ≪ n = {}", n_coarse, n);
-        // Members and remap are indexed by fine vertex / label; offsets and leaders by
-        // coarse vertex (the counting cursors became the remap).
+        // Members are indexed by fine vertex; offsets, leaders and the remap by coarse
+        // vertex (the counting cursors became the remap); the label set's n bits and
+        // per-word counts rank the labels.
         let buckets = ClusterBuckets::build(&clustering);
         assert_eq!(buckets.n_coarse(), n_coarse);
         let id = std::mem::size_of::<NodeId>();
-        assert_eq!(buckets.memory_bytes(), 2 * n * id + (2 * n_coarse + 1) * id);
+        let rank_bytes = n.div_ceil(64) * (8 + id);
+        assert_eq!(
+            buckets.memory_bytes(),
+            (n + n_coarse) * id + (2 * n_coarse + 1) * id + rank_bytes
+        );
         // One-pass hands out exactly n′ coarse IDs, each a slot of the n′-sized starts
         // and node weights (`OnePassOutput::claim` asserts the bound).
         let result = contract(&g, &clustering, ContractionAlgorithm::OnePass, 16);

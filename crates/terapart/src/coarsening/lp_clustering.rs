@@ -29,7 +29,7 @@
 //! analogous waiters are tracked per block. Converged regions are never rescanned. The
 //! round loop itself (collect/shuffle/run/swap plus stop criteria) is the shared driver
 //! of `crate::lp_rounds`, instantiated here with the no-waiter semantics, which owns the
-//! frontier bitsets and the visit-order buffer for the stage.
+//! frontier bitsets and the visit order's range permutation for the stage.
 //! A visit decodes its vertex's neighbourhood once: the worker keeps the neighbour ids
 //! (up to `bump_threshold` of them) while rating, and a move marks the frontier from
 //! them; only a longer neighbourhood is decoded a second time.
@@ -52,19 +52,19 @@
 //!
 //! [`MIN_CONTRACTIBLE_SHARE`]: super::MIN_CONTRACTIBLE_SHARE
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use graph::ids;
 use graph::traits::Graph;
 use graph::{AtomicNodeId, EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
 use rayon::prelude::*;
 
 use crate::context::{CoarseningConfig, EdgeRating, LabelPropagationMode};
-use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics, RoundWork};
+use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics, RoundWork, VisitOrder};
 use crate::scratch::{AtomicBitset, HierarchyScratch, Pool, WorkerScratch};
 use crate::ClusterId;
 
+use super::label_set::LabelSet;
 use super::rating_map::{AtomicSparseArray, FixedCapacityHashMap, SparseRatingMap};
 
 /// A disjoint clustering of the vertices of a graph.
@@ -80,31 +80,11 @@ pub struct Clustering {
 impl Clustering {
     /// Computes the number of distinct labels and builds the `Clustering`.
     ///
-    /// Labels must be vertex IDs of the clustered graph, i.e. `label[u] < label.len()`
-    /// (and below the reserved mark bit of the active width — see [`graph::ids`]).
-    /// Distinct labels are counted allocation-free by temporarily marking the top bit
-    /// of `label[c]` for every label `c` seen — the label vector itself serves as the
-    /// "seen" set — and clearing the marks afterwards. The marking scheme owns the top
-    /// bit of the active width ([`ids::ID_MARK_BIT`]), so the label space must stay
-    /// below [`ids::MAX_NODE_COUNT`]: 2^31 at the 32-bit default, 2^63 under
-    /// `wide-ids`.
-    pub fn from_labels(mut label: Vec<ClusterId>) -> Self {
-        let n = label.len();
-        ids::assert_node_count(n, "Clustering::from_labels label space");
-        let mut num_clusters = 0;
-        for u in 0..n {
-            let c = ids::unmark(label[u]) as usize;
-            assert!(c < n, "label {} out of range for {} vertices", c, n);
-            if !ids::is_marked(label[c]) {
-                label[c] = ids::mark(label[c]);
-                num_clusters += 1;
-            }
-        }
-        label.par_chunks_mut(1 << 14).for_each(|chunk| {
-            for l in chunk {
-                *l = ids::unmark(*l);
-            }
-        });
+    /// Labels must be vertex IDs of the clustered graph, i.e. `label[u] < label.len()`.
+    /// The distinct labels are counted in parallel: marked in an `n`-bit set, whose
+    /// per-word popcounts are summed (the label set contraction ranks labels with).
+    pub fn from_labels(label: Vec<ClusterId>) -> Self {
+        let num_clusters = LabelSet::of(&label).len();
         Self {
             label,
             num_clusters,
@@ -569,7 +549,7 @@ fn cluster_movable(
         seed: u64,
         /// The movable vertices, where they are a counted subset.
         movable: Option<&'r AtomicBitset>,
-        run: &'r mut dyn FnMut(&[NodeId], Option<Frontier<'_>>) -> RoundWork,
+        run: &'r mut dyn FnMut(&VisitOrder<'_>, Option<Frontier<'_>>) -> RoundWork,
     }
 
     impl LpRoundSemantics for ClusteringRounds<'_> {
@@ -583,12 +563,11 @@ fn cluster_movable(
 
         fn run_round(
             &mut self,
-            order: &[NodeId],
-            active: &AtomicBitset,
+            order: &VisitOrder<'_>,
             frontier: Option<&AtomicBitset>,
         ) -> RoundWork {
             let frontier = frontier.map(|next| Frontier {
-                pending: active,
+                pending: order.active(),
                 next,
             });
             (self.run)(order, frontier)
@@ -615,7 +594,7 @@ fn cluster_movable(
             let _scope = MemoryScope::charge_global(
                 maps.parked_sum(SparseRatingMap::memory_bytes) + kept_ids_bytes,
             );
-            let mut run = |order: &[NodeId], frontier: Option<Frontier<'_>>| {
+            let mut run = |order: &VisitOrder<'_>, frontier: Option<Frontier<'_>>| {
                 run_round_per_thread_maps(graph, &state, &maps, config, workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
@@ -640,7 +619,7 @@ fn cluster_movable(
                     + kept_ids_bytes,
             );
             let mut shared = None;
-            let mut run = |order: &[NodeId], frontier: Option<Frontier<'_>>| {
+            let mut run = |order: &VisitOrder<'_>, frontier: Option<Frontier<'_>>| {
                 run_round_two_phase(graph, &state, config, &mut shared, workers, order, frontier)
             };
             let mut semantics = ClusteringRounds {
@@ -662,24 +641,22 @@ fn cluster_movable(
     state.into_clustering()
 }
 
-/// One round of the original algorithm: every running chunk holds a full sparse rating
-/// map, one of the `num_threads` in `maps`.
+/// One round of the original algorithm: every range of the walk holds a full sparse
+/// rating map, one of the `num_threads` in `maps`.
 fn run_round_per_thread_maps(
     graph: &impl Graph,
     state: &ClusteringState,
     maps: &Pool<SparseRatingMap>,
     config: &CoarseningConfig,
     workers: &Pool<WorkerScratch>,
-    order: &[NodeId],
+    order: &VisitOrder<'_>,
     frontier: Option<Frontier<'_>>,
 ) -> RoundWork {
-    let (moved, half_edges) = (AtomicUsize::new(0), AtomicU64::new(0));
-    order.par_chunks(256).for_each(|chunk| {
+    let visit_range = |work: &mut RoundWork, range: &[NodeId]| {
         let mut map = maps.checkout();
         let mut worker = workers.checkout();
         let ids = worker.neighbor_ids(config.bump_threshold);
-        let (mut chunk_moves, mut chunk_half_edges) = (0usize, 0u64);
-        for &u in chunk {
+        for &u in range {
             if let Some(frontier) = frontier {
                 frontier.visit(u);
             }
@@ -688,23 +665,18 @@ fn run_round_per_thread_maps(
             let (degree, kept) = visit_neighbors(graph, u, ids, |v, w| {
                 map.add(state.label(v), rate(config.edge_rating, graph, u, v, w));
             });
-            chunk_half_edges += degree as u64;
+            work.half_edges += degree as u64;
             let current = state.label(u);
             let target = select_target(map.iter(), current, node_weight, state);
             let mark = |frontier, target| {
-                chunk_half_edges += mark_neighbors(graph, state, frontier, u, target, kept);
+                work.half_edges += mark_neighbors(graph, state, frontier, u, target, kept);
             };
             if apply_selection(state, frontier, u, node_weight, target, mark) {
-                chunk_moves += 1;
+                work.moves += 1;
             }
         }
-        moved.fetch_add(chunk_moves, Ordering::Relaxed);
-        half_edges.fetch_add(chunk_half_edges, Ordering::Relaxed);
-    });
-    RoundWork {
-        moves: moved.into_inner(),
-        half_edges: half_edges.into_inner(),
-    }
+    };
+    order.fold(RoundWork::default, visit_range, |a, b| a + b)
 }
 
 /// One round of two-phase label propagation (paper Algorithm 2). `shared` is the second
@@ -717,66 +689,56 @@ fn run_round_two_phase(
     config: &CoarseningConfig,
     shared: &mut Option<(AtomicSparseArray, MemoryScope<'static>)>,
     workers: &Pool<WorkerScratch>,
-    order: &[NodeId],
+    order: &VisitOrder<'_>,
     frontier: Option<Frontier<'_>>,
 ) -> RoundWork {
-    let (moved, half_edges) = (AtomicUsize::new(0), AtomicU64::new(0));
     // ---- First phase: small fixed-capacity hash tables, bump on overflow. ----
-    let bumped: Vec<NodeId> = order
-        .par_chunks(256)
-        .map(|chunk| {
-            // The rating table comes from the arena's worker pool (as in LP refinement
-            // and contraction), not from the allocator once per chunk.
-            let mut worker = workers.checkout();
-            let (map, ids) = worker.rating_table_and_neighbor_ids(config.bump_threshold);
-            let mut bumped = Vec::new();
-            let (mut chunk_moves, mut chunk_half_edges) = (0usize, 0u64);
-            for &u in chunk {
-                if let Some(frontier) = frontier {
-                    frontier.visit(u);
-                }
-                let node_weight = graph.node_weight(u);
-                map.clear();
-                let mut overflow = false;
-                let (degree, kept) = visit_neighbors(graph, u, ids, |v, w| {
-                    if !overflow
-                        && !map.add(state.label(v), rate(config.edge_rating, graph, u, v, w))
-                    {
-                        overflow = true;
-                    }
-                });
-                chunk_half_edges += degree as u64;
-                if overflow {
-                    // Still pending: its visit is the second phase's.
-                    if let Some(frontier) = frontier {
-                        frontier.pending.set(u as usize);
-                    }
-                    bumped.push(u);
-                    continue;
-                }
-                let current = state.label(u);
-                let target = select_target(map.iter(), current, node_weight, state);
-                let mark = |frontier, target| {
-                    chunk_half_edges += mark_neighbors(graph, state, frontier, u, target, kept);
-                };
-                if apply_selection(state, frontier, u, node_weight, target, mark) {
-                    chunk_moves += 1;
-                }
+    let visit_range = |(work, bumped): &mut (RoundWork, Vec<NodeId>), range: &[NodeId]| {
+        // The rating table comes from the arena's worker pool (as in LP refinement and
+        // contraction), not from the allocator once per range.
+        let mut worker = workers.checkout();
+        let (map, ids) = worker.rating_table_and_neighbor_ids(config.bump_threshold);
+        for &u in range {
+            if let Some(frontier) = frontier {
+                frontier.visit(u);
             }
-            moved.fetch_add(chunk_moves, Ordering::Relaxed);
-            half_edges.fetch_add(chunk_half_edges, Ordering::Relaxed);
-            bumped
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
+            let node_weight = graph.node_weight(u);
+            map.clear();
+            let mut overflow = false;
+            let (degree, kept) = visit_neighbors(graph, u, ids, |v, w| {
+                if !overflow && !map.add(state.label(v), rate(config.edge_rating, graph, u, v, w)) {
+                    overflow = true;
+                }
+            });
+            work.half_edges += degree as u64;
+            if overflow {
+                // Still pending: its visit is the second phase's.
+                if let Some(frontier) = frontier {
+                    frontier.pending.set(u as usize);
+                }
+                bumped.push(u);
+                continue;
+            }
+            let current = state.label(u);
+            let target = select_target(map.iter(), current, node_weight, state);
+            let mark = |frontier, target| {
+                work.half_edges += mark_neighbors(graph, state, frontier, u, target, kept);
+            };
+            if apply_selection(state, frontier, u, node_weight, target, mark) {
+                work.moves += 1;
+            }
+        }
+    };
+    let (mut work, bumped) = order.fold(
+        Default::default,
+        visit_range,
+        |(left, mut bumped), (right, mut more)| {
+            bumped.append(&mut more);
+            (left + right, bumped)
+        },
+    );
 
     // ---- Second phase: bumped vertices sequentially, parallelism over their edges. ----
-    let mut work = RoundWork {
-        moves: moved.into_inner(),
-        half_edges: half_edges.into_inner(),
-    };
     if bumped.is_empty() {
         return work;
     }
@@ -982,14 +944,18 @@ mod tests {
         let state = ClusteringState::new(&g, 16);
         let maps = Pool::filled((0..threads).map(|_| SparseRatingMap::new(g.n())));
         let (config, workers) = (CoarseningConfig::default(), Pool::new());
-        let order: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        let mut all = AtomicBitset::new();
+        all.ensure_len(g.n());
+        all.set_all(g.n());
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
         let moved: usize = pool.install(|| {
             (0..3)
-                .map(|_| {
+                .map(|round| {
+                    let mut ranges = Vec::new();
+                    let order = VisitOrder::new(g.n(), &all, round, &mut ranges);
                     run_round_per_thread_maps(&g, &state, &maps, &config, &workers, &order, None)
                         .moves
                 })
@@ -1290,7 +1256,6 @@ mod tests {
         // (vertex 6 has label 1, yet label 6 names another cluster).
         let c = Clustering::from_labels(vec![3, 3, 6, 6, 1, 3, 1]);
         assert_eq!(c.num_clusters, 3);
-        // The marking pass must leave the labels untouched.
         assert_eq!(c.label, vec![3, 3, 6, 6, 1, 3, 1]);
 
         let c = Clustering::from_labels(vec![0; 6]);
@@ -1301,26 +1266,31 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "wide-ids"))]
-    fn from_labels_label_space_is_capped_at_2_31_by_default() {
-        // The marking scheme owns bit 31 at the 32-bit width, so the admissible label
-        // space tops out at 2^31 (arithmetic-level check of the gate itself).
-        assert_eq!(ids::MAX_NODE_COUNT, 1usize << 31);
+    fn from_labels_counts_in_parallel_as_a_sequential_count_does() {
+        // Several marking tasks and label words: labels drawn from a quarter of the
+        // space, so most of it is empty, at one to three threads.
+        let n = (1 << 16) + 77;
+        let label: Vec<ClusterId> = (0..n)
+            .map(|u| ((u * 7919) % (n / 4)) as ClusterId)
+            .collect();
+        let mut distinct = label.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let c = pool.install(|| Clustering::from_labels(label.clone()));
+            assert_eq!(c.num_clusters, distinct.len(), "{threads} threads");
+            assert_eq!(c.label, label);
+        }
     }
 
     #[test]
-    #[cfg(feature = "wide-ids")]
-    #[allow(clippy::assertions_on_constants)]
-    fn from_labels_no_longer_capped_at_2_31_under_wide_ids() {
-        // Arithmetic-level: the mark moved to bit 63, so the old 2^31 assert is gone —
-        // the admissible label space is 2^63 and labels at/above the old wall survive
-        // the sentinel round trip. No giant allocation needed to check the gate.
-        assert!(ids::MAX_NODE_COUNT > 1usize << 31);
-        assert_eq!(ids::MAX_NODE_COUNT, 1usize << 63);
-        let big: ClusterId = (1u64 << 31) as ClusterId + 7;
-        assert!(!ids::is_marked(big), "an id above 2^31 is not a sentinel");
-        assert!(ids::is_marked(ids::mark(big)));
-        assert_eq!(ids::unmark(ids::mark(big)), big);
+    #[should_panic(expected = "out of range")]
+    fn from_labels_refuses_a_label_outside_the_vertex_set() {
+        Clustering::from_labels(vec![0, 4, 1, 2]);
     }
 
     #[test]

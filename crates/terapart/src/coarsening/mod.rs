@@ -11,6 +11,7 @@
 //! projected past it.
 
 pub mod contract;
+mod label_set;
 pub mod lp_clustering;
 pub mod rating_map;
 pub mod two_hop;

@@ -14,7 +14,7 @@
 //! 17 051 vertices of the coarsest graph were isolated, while its connected core had
 //! long been below the contraction limit.
 
-use graph::ids::{self, INVALID_NODE};
+use graph::ids::INVALID_NODE;
 use graph::traits::Graph;
 use graph::{NodeId, NodeWeight};
 use memtrack::MemoryScope;
@@ -83,10 +83,6 @@ pub fn two_hop_clustering(
     if n == 0 {
         return 0;
     }
-    // The label vector is shared with `Clustering::from_labels`' in-place marking
-    // scheme: the top bit of the active width belongs to the sentinel helpers of
-    // `graph::ids` and must never be set on a label entering (or leaving) this pass.
-    debug_assert!(clustering.label.iter().all(|&l| !ids::is_marked(l)));
     // weights[c]: weight of cluster c, merges included. favored[c]: a singleton whose
     // heaviest edge leads into cluster c and that later singletons may still join.
     let mut weights: Vec<NodeWeight> = vec![0; n];

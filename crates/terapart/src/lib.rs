@@ -26,10 +26,12 @@
 //!
 //! * **Phase-owned auxiliary memory.** Every level-sized buffer belongs to the phase
 //!   that reads it and is freed, with its `memtrack` charge, when that phase returns:
-//!   contraction's cluster buckets and per-coarse-vertex buffers (sized by `n` or `n′`,
-//!   whichever indexes them), label propagation's visit order and frontier bitsets, and
-//!   each coarse level, which uncoarsening pops once it has projected past it. The
-//!   first coarsening level therefore sets the peak. What outlives a phase is one
+//!   contraction's cluster buckets and per-coarse-vertex buffers (only the member array
+//!   is `n` ids long: everything per cluster is indexed by label rank, `n′` entries,
+//!   beside an `n`-bit label set), label propagation's range permutation and frontier
+//!   bitsets (the visit order is generated range by range while the round runs, never
+//!   stored), and each coarse level, which uncoarsening pops once it has projected past
+//!   it. The first coarsening level therefore sets the peak. What outlives a phase is one
 //!   [`HierarchyScratch`] per run: the pooled per-worker hot-loop buffers and the
 //!   initial-partitioning region, whose membership map every node of the bisection tree
 //!   reuses. The coarse edge arrays are reserved for `2m` slots per level without being

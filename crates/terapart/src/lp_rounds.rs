@@ -1,16 +1,17 @@
 //! The shared frontier round-driver of label propagation.
 //!
 //! Clustering ([`cluster_with_scratch`]) and LP refinement ([`lp_refine_with_scratch`])
-//! run the same outer loop: build the round's visit order from the active set (in round
-//! 0 the caller's start set, or every vertex if it has none or the frontier is
-//! disabled) with a round-derived seed
-//! ([`build_visit_order`]), run one parallel round that marks the next round's frontier,
-//! swap the frontier bitsets and evaluate a stop criterion. A round is handed its own
-//! active set beside the next round's frontier, so clustering can tell a neighbour the
-//! round has still to visit from one it has visited already; refinement ignores it.
-//! The driver owns the visit order, its range permutation and both bitsets for one
-//! stage: they are allocated for the stage's graph, charged to the memory accounting
-//! while it runs and freed when it returns. The loop used to be
+//! run the same outer loop: derive the round's visit order from the active set (in
+//! round 0 the caller's start set, or every vertex if it has none or the frontier is
+//! disabled) and a round-derived seed ([`VisitOrder`]), run one parallel round over it
+//! that marks the next round's frontier, swap the frontier bitsets and evaluate a stop
+//! criterion. A round is handed its own active set beside the next round's frontier, so
+//! clustering can tell a neighbour the round has still to visit from one it has visited
+//! already; refinement ignores it. The order is never materialised: the driver stores
+//! only the shuffled range permutation, and the round collects and shuffles the active
+//! ids of one 256-id range when it reaches it. The driver owns that permutation and both
+//! bitsets for one stage: they are allocated for the stage's graph, charged to the
+//! memory accounting while it runs and freed when it returns. The loop used to be
 //! implemented twice with deliberately different *waiter* semantics; this module hosts
 //! the single driver, parameterised over those semantics through
 //! [`LpRoundSemantics`]:
@@ -56,6 +57,17 @@ pub(crate) struct RoundWork {
     pub half_edges: u64,
 }
 
+impl std::ops::Add for RoundWork {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            moves: self.moves + other.moves,
+            half_edges: self.half_edges + other.half_edges,
+        }
+    }
+}
+
 /// The algorithm-specific half of the round loop (see the module docs).
 pub(crate) trait LpRoundSemantics {
     /// Seed of the round's shuffle RNG (each caller keeps its historical mixing so
@@ -68,15 +80,12 @@ pub(crate) trait LpRoundSemantics {
 
     /// Runs one parallel round over `order`, marking changed neighbourhoods in
     /// `frontier` (when enabled), and returns its moves and decoded half-edges.
-    /// `active` is the set `order` was built from, every vertex on a full sweep. With the
-    /// frontier on the round may clear its bits: the driver clears it before it becomes
-    /// a frontier. A full sweep reuses it, so without the frontier it must stay intact.
-    fn run_round(
-        &mut self,
-        order: &[NodeId],
-        active: &AtomicBitset,
-        frontier: Option<&AtomicBitset>,
-    ) -> RoundWork;
+    /// [`VisitOrder::active`] is the set the order walks, every vertex on a full sweep.
+    /// With the frontier on the round may clear the bit of a vertex it has visited (and
+    /// set it again while that vertex is still to be visited): the driver clears the set
+    /// before it becomes a frontier. A full sweep reuses it, so without the frontier it
+    /// must stay intact.
+    fn run_round(&mut self, order: &VisitOrder<'_>, frontier: Option<&AtomicBitset>) -> RoundWork;
 
     /// Whether vertices carried across rounds *outside* the frontier bitsets (waiters)
     /// may still produce work; an empty collected frontier only ends the loop when this
@@ -102,41 +111,155 @@ pub(crate) trait LpRoundSemantics {
     }
 }
 
-/// Vertex ids per visit-order chunk: four [`AtomicBitset`] words. Measured on
+/// Vertex ids per visit-order range: four [`AtomicBitset`] words. Measured on
 /// `rgg2d(250 000, 8)` (`fast`, k = 16): 64 to 4 096 ids all run within 15 % of each
 /// other, but only up to 256 does the mean cut stay within 1 % of a global shuffle
 /// (table in `docs/ARCHITECTURE.md`).
 pub(crate) const VISIT_CHUNK: usize = 256;
 
-/// Builds one round's visit order: the set bits of `active` below `n`, randomised
-/// chunk by chunk. The id ranges `[256 i, 256 (i + 1))` are taken in a shuffled order
-/// and the active vertices of each range are appended and shuffled among themselves,
-/// so consecutive visits touch neighbouring offsets, encoded bytes, labels and — on a
-/// paged store — pages, while the order stays random at both scales. A function of
-/// `seed` and the active set only; `chunks` is the reusable range permutation.
-pub(crate) fn build_visit_order(
+/// A part of a round with fewer visits than this runs on the calling thread rather
+/// than being split between two (the rayon shim's sequential threshold).
+const MIN_SPLIT_VISITS: usize = 4096;
+
+/// One round's visit order: the set bits of `active` below `n`, randomised range by
+/// range. The id ranges `[256 i, 256 (i + 1))` are taken in a shuffled order and the
+/// active vertices of each range are shuffled among themselves, so consecutive visits
+/// touch neighbouring offsets, encoded bytes, labels and — on a paged store — pages,
+/// while the order stays random at both scales. A function of the seed and the active
+/// set only.
+///
+/// Only the range permutation is stored. [`Self::fold`] collects a range's active ids
+/// into a 256-id buffer when the walk reaches it and shuffles them with the stream the
+/// permutation shuffle left off at, so the sequence is the one a materialised order
+/// would hold. Collecting late is sound because a round only ever clears or re-sets the
+/// bit of the vertex it is visiting, which lies in a range already collected.
+pub(crate) struct VisitOrder<'a> {
     n: usize,
-    active: &AtomicBitset,
-    seed: u64,
-    chunks: &mut Vec<NodeId>,
-    order: &mut Vec<NodeId>,
-) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    chunks.clear();
-    chunks.extend(0..n.div_ceil(VISIT_CHUNK) as NodeId);
-    chunks.shuffle(&mut rng);
-    order.clear();
-    for &chunk in chunks.iter() {
-        let start = chunk as usize * VISIT_CHUNK;
-        let first = order.len();
-        active.collect_range_into(start, (start + VISIT_CHUNK).min(n), order);
-        order[first..].shuffle(&mut rng);
+    active: &'a AtomicBitset,
+    /// The shuffled range permutation.
+    ranges: &'a [NodeId],
+    /// The stream right after the permutation shuffle.
+    rng: ChaCha8Rng,
+    /// Number of active vertices below `n`.
+    visits: usize,
+    /// A part of the walk with fewer visits is not split.
+    min_split: usize,
+}
+
+impl<'a> VisitOrder<'a> {
+    /// The order of `active` under `seed`, shuffling the range permutation into
+    /// `ranges` (a buffer reused across rounds).
+    pub(crate) fn new(
+        n: usize,
+        active: &'a AtomicBitset,
+        seed: u64,
+        ranges: &'a mut Vec<NodeId>,
+    ) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        ranges.clear();
+        ranges.extend(0..n.div_ceil(VISIT_CHUNK) as NodeId);
+        ranges.shuffle(&mut rng);
+        Self {
+            n,
+            active,
+            ranges,
+            rng,
+            visits: active.count_range(0, n),
+            min_split: MIN_SPLIT_VISITS,
+        }
+    }
+
+    /// The active set the order walks.
+    pub(crate) fn active(&self) -> &'a AtomicBitset {
+        self.active
+    }
+
+    /// Number of vertices the order visits.
+    pub(crate) fn len(&self) -> usize {
+        self.visits
+    }
+
+    /// Active vertices of range `range`.
+    fn range_count(&self, range: NodeId) -> usize {
+        let start = range as usize * VISIT_CHUNK;
+        self.active
+            .count_range(start, (start + VISIT_CHUNK).min(self.n))
+    }
+
+    /// Walks the order: `visit(acc, ids)` gets the shuffled active ids of each
+    /// non-empty range in turn. While the thread budget is above one, the range
+    /// permutation is split with `rayon::join` at the share of the visits that matches
+    /// the share of threads the left half gets (the midpoint at an even budget), taken
+    /// from popcounts; the right half replays the stream by the draws the left half
+    /// consumes (a shuffle of `c` ids draws `c − 1` times). Each part folds into an
+    /// accumulator of its own, from `init`, and `combine` joins a left part's with the
+    /// right one's, so an order-preserving `combine` sees the visits in order. At one
+    /// thread nothing is split or replayed.
+    pub(crate) fn fold<A: Send>(
+        &self,
+        init: impl Fn() -> A + Sync,
+        visit: impl Fn(&mut A, &[NodeId]) + Sync,
+        combine: impl Fn(A, A) -> A + Sync,
+    ) -> A {
+        let rng = self.rng.clone();
+        self.fold_part(self.ranges, rng, self.visits, &init, &visit, &combine)
+    }
+
+    /// [`Self::fold`] over `ranges`, a part of the permutation with `visits` visits whose
+    /// first shuffle draws from `rng`.
+    fn fold_part<A: Send>(
+        &self,
+        ranges: &[NodeId],
+        mut rng: ChaCha8Rng,
+        visits: usize,
+        init: &(impl Fn() -> A + Sync),
+        visit: &(impl Fn(&mut A, &[NodeId]) + Sync),
+        combine: &(impl Fn(A, A) -> A + Sync),
+    ) -> A {
+        let threads = rayon::current_num_threads();
+        if threads > 1 && visits >= self.min_split.max(2) && ranges.len() > 1 {
+            // `join` keeps the larger half of the budget on the left.
+            let left_share = visits * (threads - threads / 2) / threads;
+            let (mut mid, mut left_visits, mut left_draws) = (0, 0, 0);
+            while mid < ranges.len() - 1 && left_visits < left_share {
+                let count = self.range_count(ranges[mid]);
+                left_visits += count;
+                left_draws += count.saturating_sub(1);
+                mid += 1;
+            }
+            let right_rng = rng.clone();
+            let (left, right) = rayon::join(
+                || self.fold_part(&ranges[..mid], rng, left_visits, init, visit, combine),
+                || {
+                    let mut rng = right_rng;
+                    for _ in 0..left_draws {
+                        rng.next_u64();
+                    }
+                    let visits = visits - left_visits;
+                    self.fold_part(&ranges[mid..], rng, visits, init, visit, combine)
+                },
+            );
+            return combine(left, right);
+        }
+        let mut acc = init();
+        let mut ids = Vec::with_capacity(VISIT_CHUNK);
+        for &range in ranges {
+            let start = range as usize * VISIT_CHUNK;
+            ids.clear();
+            self.active
+                .collect_range_into(start, (start + VISIT_CHUNK).min(self.n), &mut ids);
+            if !ids.is_empty() {
+                ids.shuffle(&mut rng);
+                visit(&mut acc, &ids);
+            }
+        }
+        acc
     }
 }
 
 /// Drives up to `max_rounds` label propagation rounds over a graph with `n` vertices,
-/// on a visit order and a frontier bitset pair of its own, and reports each round to
-/// `obs`.
+/// on a range permutation and a frontier bitset pair of its own, and reports each round
+/// to `obs`.
 ///
 /// Round 0 visits the vertices of `start` — the caller's proof that nobody else has
 /// work, e.g. a partition's boundary superset — or every vertex when there is none.
@@ -154,13 +277,12 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         return stats;
     }
     let (rounds_counter, moves_counter) = semantics.obs_counters();
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    let mut chunks: Vec<NodeId> = Vec::with_capacity(n.div_ceil(VISIT_CHUNK));
+    let mut ranges: Vec<NodeId> = Vec::with_capacity(n.div_ceil(VISIT_CHUNK));
     let (mut active, mut next_active) = (AtomicBitset::new(), AtomicBitset::new());
     active.ensure_len(n);
     next_active.ensure_len(n);
     let _charge = MemoryScope::charge_global(
-        (order.capacity() + chunks.capacity()) * std::mem::size_of::<NodeId>()
+        ranges.capacity() * std::mem::size_of::<NodeId>()
             + active.memory_bytes()
             + next_active.memory_bytes(),
     );
@@ -171,14 +293,9 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         _ => active.set_all(n),
     }
     for round in 0..max_rounds {
-        build_visit_order(
-            n,
-            &active,
-            semantics.round_seed(round),
-            &mut chunks,
-            &mut order,
-        );
-        if order.is_empty() && !semantics.has_pending_waiters() {
+        let order = VisitOrder::new(n, &active, semantics.round_seed(round), &mut ranges);
+        let visited = order.len();
+        if visited == 0 && !semantics.has_pending_waiters() {
             break;
         }
         let mut round_span = obs.span_at(SpanKind::Round, "lp_round", round as u64);
@@ -188,19 +305,19 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         } else {
             None
         };
-        let work = semantics.run_round(&order, &active, frontier);
+        let work = semantics.run_round(&order, frontier);
         let moved = work.moves;
         if frontier.is_some() {
             semantics.after_round(&next_active);
         }
-        round_span.attr("visited", order.len() as u64);
+        round_span.attr("visited", visited as u64);
         round_span.attr("moves", moved as u64);
         round_span.attr("half_edges", work.half_edges);
         drop(round_span);
         obs.add(rounds_counter, 1);
         obs.add(moves_counter, moved as u64);
         stats.rounds += 1;
-        stats.visited_per_round.push(order.len());
+        stats.visited_per_round.push(visited);
         stats.moves += moved;
         if use_frontier {
             std::mem::swap(&mut active, &mut next_active);
@@ -217,6 +334,46 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The order [`VisitOrder`] generates, materialised: the set bits of `active` below
+    /// `n`, the ranges taken in the shuffled order of `chunks`, each range shuffled.
+    fn build_visit_order(
+        n: usize,
+        active: &AtomicBitset,
+        seed: u64,
+        chunks: &mut Vec<NodeId>,
+        order: &mut Vec<NodeId>,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        chunks.clear();
+        chunks.extend(0..n.div_ceil(VISIT_CHUNK) as NodeId);
+        chunks.shuffle(&mut rng);
+        order.clear();
+        for &chunk in chunks.iter() {
+            let start = chunk as usize * VISIT_CHUNK;
+            let first = order.len();
+            active.collect_range_into(start, (start + VISIT_CHUNK).min(n), order);
+            order[first..].shuffle(&mut rng);
+        }
+    }
+
+    /// The sequence `order` walks, split as a round splits it, or at every part of at
+    /// least two visits where `min_split` is 1.
+    fn sequence(order: &VisitOrder<'_>, min_split: usize) -> Vec<NodeId> {
+        let order = VisitOrder {
+            rng: order.rng.clone(),
+            min_split,
+            ..*order
+        };
+        order.fold(
+            Vec::new,
+            |acc, ids| acc.extend_from_slice(ids),
+            |mut left, right| {
+                left.extend(right);
+                left
+            },
+        )
+    }
 
     /// Minimal semantics that "moves" a shrinking set of vertices and records the
     /// driver's scheduling decisions.
@@ -238,11 +395,11 @@ mod tests {
 
         fn run_round(
             &mut self,
-            order: &[NodeId],
-            _active: &AtomicBitset,
+            order: &VisitOrder<'_>,
             frontier: Option<&AtomicBitset>,
         ) -> RoundWork {
-            let mut sorted = order.to_vec();
+            let order = sequence(order, MIN_SPLIT_VISITS);
+            let mut sorted = order.clone();
             sorted.sort_unstable();
             self.visited.push(sorted);
             let moves = self
@@ -338,9 +495,10 @@ mod tests {
         assert_eq!(stats.moves, 2);
     }
 
-    /// Semantics that records every round's raw visit order and marks a scripted set
+    /// Semantics that records every round's visit sequence and marks a scripted set
     /// of vertices for the next round; it always reports a move, so only an empty
-    /// frontier (or `max_rounds`) ends the loop.
+    /// frontier (or `max_rounds`) ends the loop. Every round also checks the sequence
+    /// against the materialised oracle, walked whole and split at every part.
     struct Scripted {
         seed: u64,
         marks_per_round: Vec<Vec<NodeId>>,
@@ -358,18 +516,28 @@ mod tests {
 
         fn run_round(
             &mut self,
-            order: &[NodeId],
-            _active: &AtomicBitset,
+            order: &VisitOrder<'_>,
             frontier: Option<&AtomicBitset>,
         ) -> RoundWork {
-            if let (Some(bits), Some(marks)) =
-                (frontier, self.marks_per_round.get(self.orders.len()))
-            {
+            let round = self.orders.len();
+            let (mut chunks, mut oracle) = (Vec::new(), Vec::new());
+            let seed = self.round_seed(round);
+            build_visit_order(order.n, order.active(), seed, &mut chunks, &mut oracle);
+            let walked = sequence(order, MIN_SPLIT_VISITS);
+            let threads = rayon::current_num_threads();
+            assert_eq!(walked, oracle, "round {round}, {threads} threads");
+            assert_eq!(
+                sequence(order, 1),
+                oracle,
+                "split everywhere, {threads} threads"
+            );
+            assert_eq!(order.len(), oracle.len(), "visits == the active count");
+            if let (Some(bits), Some(marks)) = (frontier, self.marks_per_round.get(round)) {
                 for &u in marks {
                     bits.set(u as usize);
                 }
             }
-            self.orders.push(order.to_vec());
+            self.orders.push(walked);
             RoundWork {
                 moves: 1,
                 half_edges: 0,
@@ -386,21 +554,33 @@ mod tests {
         frontier: bool,
         seed: u64,
         marks_per_round: &[Vec<NodeId>],
+        threads: usize,
     ) -> Vec<Vec<NodeId>> {
         let mut semantics = Scripted {
             seed,
             marks_per_round: marks_per_round.to_vec(),
             orders: Vec::new(),
         };
-        let stats = drive_lp_rounds(
-            n,
-            MAX_ROUNDS,
-            frontier,
-            None,
-            &ObsHandle::noop(),
-            &mut semantics,
-        );
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let stats = pool.install(|| {
+            drive_lp_rounds(
+                n,
+                MAX_ROUNDS,
+                frontier,
+                None,
+                &ObsHandle::noop(),
+                &mut semantics,
+            )
+        });
         assert_eq!(stats.rounds, semantics.orders.len());
+        let lengths: Vec<usize> = semantics.orders.iter().map(Vec::len).collect();
+        assert_eq!(
+            stats.visited_per_round, lengths,
+            "visited == the sequence walked"
+        );
         semantics.orders
     }
 
@@ -414,7 +594,8 @@ mod tests {
             size in 0usize..SIZES.len(),
             frontier in proptest::bool::ANY,
             seed in any::<u64>(),
-            raw_marks in proptest::collection::vec(any::<u64>(), 0..600),
+            raw_marks in proptest::collection::vec(any::<u64>(), 0..6000),
+            threads in 1usize..5,
         ) {
             let n = SIZES[size];
             // Three scripted frontiers of arbitrary density, then an empty one.
@@ -423,10 +604,12 @@ mod tests {
                 .take(3)
                 .map(|c| c.iter().map(|&m| (m % n.max(1) as u64) as NodeId).collect())
                 .collect();
-            let orders = run_scripted(n, frontier, seed, &marks_per_round);
+            // Each round checks its sequence against the oracle (`Scripted`), at every
+            // thread count; across thread counts the sequences must agree too.
+            let orders = run_scripted(n, frontier, seed, &marks_per_round, threads);
             prop_assert_eq!(
                 &orders,
-                &run_scripted(n, frontier, seed, &marks_per_round),
+                &run_scripted(n, frontier, seed, &marks_per_round, 1),
                 "the order is a function of seed, round and active set"
             );
             // Which sets the driver had to visit: everything in round 0 and on full
@@ -498,8 +681,7 @@ mod tests {
 
         fn run_round(
             &mut self,
-            _order: &[NodeId],
-            _active: &AtomicBitset,
+            _order: &VisitOrder<'_>,
             _frontier: Option<&AtomicBitset>,
         ) -> RoundWork {
             self.rounds_run += 1;

@@ -17,15 +17,14 @@
 //! The round loop (collect/shuffle/run/swap plus stop criteria) is the shared driver of
 //! `crate::lp_rounds`, instantiated here with the balance-waiter semantics.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
-use rayon::prelude::*;
 
 use crate::coarsening::rating_map::FixedCapacityHashMap;
-use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics, RoundWork};
+use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics, RoundWork, VisitOrder};
 use crate::partition::{BlockId, BoundarySet, Partition};
 use crate::scratch::{AtomicBitset, HierarchyScratch, Pool, WorkerScratch};
 
@@ -203,8 +202,7 @@ pub fn lp_refine_with_scratch(
 
         fn run_round(
             &mut self,
-            order: &[NodeId],
-            _active: &AtomicBitset,
+            order: &VisitOrder<'_>,
             frontier: Option<&AtomicBitset>,
         ) -> RoundWork {
             let (work, newly_blocked) = run_round(
@@ -298,111 +296,103 @@ fn run_round(
     graph: &impl Graph,
     state: &AtomicPartition,
     k: usize,
-    order: &[NodeId],
+    order: &VisitOrder<'_>,
     frontier: Option<&AtomicBitset>,
     boundary: &AtomicBitset,
     workers: &Pool<WorkerScratch>,
 ) -> (RoundWork, Vec<(NodeId, BlockId, NodeWeight)>) {
-    let (moves, half_edges) = (AtomicUsize::new(0), AtomicU64::new(0));
     let table_limit = k.min(1 + graph.max_degree());
-    let waiters: Vec<(NodeId, BlockId, NodeWeight)> = order
-        .par_chunks(256)
-        .map(|chunk| {
-            // Reuse a pooled worker's rating map across chunks (and across calls); the
-            // lease returns it to the arena's pool when the chunk is done.
-            let mut worker = workers.checkout();
-            let ratings = worker.rating_table(table_limit);
-            let (mut chunk_moves, mut chunk_half_edges) = (0usize, 0u64);
-            let mut blocked = Vec::new();
-            for &u in chunk {
-                let current = state.block(u);
-                ratings.clear();
-                let mut has_external = false;
-                graph.for_each_neighbor(u, &mut |v, w| {
-                    chunk_half_edges += 1;
-                    let block = state.block(v);
-                    // The rating table is keyed by NodeId; block ids (< k) always fit.
-                    ratings.add(NodeId::from(block), w);
-                    has_external |= block != current;
-                });
-                if !has_external {
+    type Waiters = Vec<(NodeId, BlockId, NodeWeight)>;
+    let visit_range = |(work, blocked): &mut (RoundWork, Waiters), range: &[NodeId]| {
+        // Reuse a pooled worker's rating map across ranges (and across calls); the lease
+        // returns it to the arena's pool when the range is done.
+        let mut worker = workers.checkout();
+        let ratings = worker.rating_table(table_limit);
+        for &u in range {
+            let current = state.block(u);
+            ratings.clear();
+            let mut has_external = false;
+            graph.for_each_neighbor(u, &mut |v, w| {
+                work.half_edges += 1;
+                let block = state.block(v);
+                // The rating table is keyed by NodeId; block ids (< k) always fit.
+                ratings.add(NodeId::from(block), w);
+                has_external |= block != current;
+            });
+            if !has_external {
+                continue;
+            }
+            boundary.set(u as usize);
+            let node_weight = graph.node_weight(u);
+            let current_affinity = ratings.get(NodeId::from(current));
+            // Choose the feasible block with the highest affinity; move only on a
+            // strict improvement to avoid oscillation.
+            let mut best: Option<(BlockId, u64)> = None;
+            let mut blocked_best: Option<(BlockId, u64)> = None;
+            for (block, affinity) in ratings.iter() {
+                // Narrowing back from the NodeId-keyed table is lossless: only
+                // block ids below k were inserted.
+                let block = block as BlockId;
+                if block == current || affinity <= current_affinity {
                     continue;
                 }
-                boundary.set(u as usize);
-                let node_weight = graph.node_weight(u);
-                let current_affinity = ratings.get(NodeId::from(current));
-                // Choose the feasible block with the highest affinity; move only on a
-                // strict improvement to avoid oscillation.
-                let mut best: Option<(BlockId, u64)> = None;
-                let mut blocked_best: Option<(BlockId, u64)> = None;
-                for (block, affinity) in ratings.iter() {
-                    // Narrowing back from the NodeId-keyed table is lossless: only
-                    // block ids below k were inserted.
-                    let block = block as BlockId;
-                    if block == current || affinity <= current_affinity {
-                        continue;
-                    }
-                    let feasible = state.block_weights[block as usize].load(Ordering::Relaxed)
-                        + node_weight
-                        <= state.max_block_weight;
-                    let slot = if feasible {
-                        &mut best
-                    } else {
-                        &mut blocked_best
-                    };
-                    *slot = match *slot {
-                        None => Some((block, affinity)),
-                        Some((_, bw)) if affinity > bw => Some((block, affinity)),
-                        other => other,
-                    };
-                }
-                match best {
-                    Some((target, _)) => {
-                        if state.try_move(u, node_weight, target) {
-                            chunk_moves += 1;
-                            // The move can put any neighbour on the boundary (or take
-                            // it off, which a superset need not notice).
-                            graph.for_each_neighbor(u, &mut |v, _| {
-                                chunk_half_edges += 1;
-                                boundary.set(v as usize);
-                                if let Some(bits) = frontier {
-                                    bits.set(v as usize);
-                                }
-                            });
+                let feasible = state.block_weights[block as usize].load(Ordering::Relaxed)
+                    + node_weight
+                    <= state.max_block_weight;
+                let slot = if feasible {
+                    &mut best
+                } else {
+                    &mut blocked_best
+                };
+                *slot = match *slot {
+                    None => Some((block, affinity)),
+                    Some((_, bw)) if affinity > bw => Some((block, affinity)),
+                    other => other,
+                };
+            }
+            match best {
+                Some((target, _)) => {
+                    if state.try_move(u, node_weight, target) {
+                        work.moves += 1;
+                        // The move can put any neighbour on the boundary (or take
+                        // it off, which a superset need not notice).
+                        graph.for_each_neighbor(u, &mut |v, _| {
+                            work.half_edges += 1;
+                            boundary.set(v as usize);
                             if let Some(bits) = frontier {
-                                bits.set(u as usize);
+                                bits.set(v as usize);
                             }
-                        } else if let Some(bits) = frontier {
-                            // The move raced against a concurrent one filling the
-                            // target: keep u active so the next round retries it.
+                        });
+                        if let Some(bits) = frontier {
                             bits.set(u as usize);
                         }
+                    } else if let Some(bits) = frontier {
+                        // The move raced against a concurrent one filling the
+                        // target: keep u active so the next round retries it.
+                        bits.set(u as usize);
                     }
-                    None => {
-                        // An improving move may exist behind the balance constraint;
-                        // record the waiter so the caller reactivates u if that block
-                        // frees capacity (feasibility is global, not neighbourhood-local).
-                        if frontier.is_some() {
-                            if let Some((block, _)) = blocked_best {
-                                blocked.push((u, block, node_weight));
-                            }
+                }
+                None => {
+                    // An improving move may exist behind the balance constraint;
+                    // record the waiter so the caller reactivates u if that block
+                    // frees capacity (feasibility is global, not neighbourhood-local).
+                    if frontier.is_some() {
+                        if let Some((block, _)) = blocked_best {
+                            blocked.push((u, block, node_weight));
                         }
                     }
                 }
             }
-            moves.fetch_add(chunk_moves, Ordering::Relaxed);
-            half_edges.fetch_add(chunk_half_edges, Ordering::Relaxed);
-            blocked
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    let work = RoundWork {
-        moves: moves.into_inner(),
-        half_edges: half_edges.into_inner(),
+        }
     };
-    (work, waiters)
+    order.fold(
+        Default::default,
+        visit_range,
+        |(left, mut blocked), (right, mut more)| {
+            blocked.append(&mut more);
+            (left + right, blocked)
+        },
+    )
 }
 
 #[cfg(test)]

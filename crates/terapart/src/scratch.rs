@@ -3,10 +3,10 @@
 //!
 //! Level-sized auxiliary memory is *phase-owned*: contraction allocates its cluster
 //! buckets and per-coarse-vertex buffers for its own level, the label-propagation round
-//! driver the visit order and frontier bitsets of one stage, and each frees them — and
+//! driver the range permutation and frontier bitsets of one stage, and each frees them — and
 //! releases their `memtrack` charge — when it returns. No buffer's contents carry
 //! from one phase to the next, so nothing level-sized is worth keeping: an arena sized
-//! by level 0 would hold level 0's buckets and visit order through every later phase
+//! by level 0 would hold level 0's buckets and bitsets through every later phase
 //! and put the run's peak in the refinement of level 0.
 //!
 //! [`HierarchyScratch`] keeps only what outlives a phase: the pool of per-worker hot-loop
@@ -130,7 +130,7 @@ impl AtomicBitset {
     /// Calls `f(i)` for every set bit `i` of the `word`-th 64-bit word, in increasing
     /// order.
     pub fn for_each_in_word(&self, word: usize, mut f: impl FnMut(usize)) {
-        let mut w = self.words[word].load(Ordering::Relaxed);
+        let mut w = self.word(word);
         while w != 0 {
             f(word * 64 + w.trailing_zeros() as usize);
             w &= w - 1;
@@ -143,6 +143,26 @@ impl AtomicBitset {
             .iter()
             .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
             .sum()
+    }
+
+    /// Number of set bits in `[start, end)`; `start` must be a multiple of 64.
+    pub(crate) fn count_range(&self, start: usize, end: usize) -> usize {
+        debug_assert!(start.is_multiple_of(64));
+        (start / 64..end.div_ceil(64).min(self.words.len()))
+            .map(|w| {
+                let below_end = match end - w * 64 {
+                    64.. => u64::MAX,
+                    bits => (1 << bits) - 1,
+                };
+                (self.word(w) & below_end).count_ones() as usize
+            })
+            .sum()
+    }
+
+    /// The `w`-th 64-bit word: bits `64 w .. 64 w + 64`, lowest first.
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w].load(Ordering::Relaxed)
     }
 
     /// Appends the indices of all set bits in `[start, end)` to `out`, in increasing
@@ -474,6 +494,27 @@ mod tests {
         assert_eq!(out, vec![0, 63, 64, 199]);
         bs.clear_range(200);
         assert_eq!(bs.count(200), 0);
+    }
+
+    #[test]
+    fn bitset_count_range_counts_exactly_the_range() {
+        let mut bs = AtomicBitset::new();
+        bs.ensure_len(300);
+        for i in [0, 63, 64, 127, 128, 255, 256, 299] {
+            bs.set(i);
+        }
+        assert_eq!(bs.count_range(0, 300), 8);
+        assert_eq!(bs.count_range(0, 0), 0);
+        assert_eq!(bs.count_range(0, 63), 1);
+        assert_eq!(bs.count_range(0, 64), 2);
+        assert_eq!(bs.count_range(64, 128), 2);
+        assert_eq!(bs.count_range(128, 256), 2);
+        assert_eq!(bs.count_range(256, 299), 1);
+        assert_eq!(
+            bs.count_range(256, 512),
+            2,
+            "the end is clipped to the words held"
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Every level-sized auxiliary buffer belongs to the phase that reads it and is freed
-//! when that phase returns: contraction's buckets, label propagation's visit order and
-//! frontier bitsets, and each coarse level once uncoarsening has projected past it. The
-//! first coarsening level then sets the tracked peak, not the refinement of level 0 on
-//! top of everything the earlier phases left behind. That level is held to its bytes
-//! per vertex too: clustering keeps its cluster weights at the width of the weight limit
-//! (4 bytes on a mesh), and contraction's bucket build holds two label-space arrays, its
-//! count array becoming the label remap. This reads the memory accounting's peak, so it
-//! is the only `#[test]` of its binary: a sibling test allocating concurrently would
+//! when that phase returns: contraction's buckets, label propagation's range
+//! permutation and frontier bitsets, and each coarse level once uncoarsening has
+//! projected past it. The first coarsening level then sets the tracked peak, not the
+//! refinement of level 0 on top of everything the earlier phases left behind. That level
+//! is held to its bytes per vertex too: clustering keeps its cluster weights at the width
+//! of the weight limit (4 bytes on a mesh) and generates its visit order range by range
+//! instead of holding n ids, and contraction's bucket build indexes its per-cluster
+//! arrays by label rank (n′ entries), so only its members array is n ids long. Level 0's
+//! LP refinement holds no n-id order either. This reads the memory accounting's peak, so
+//! it is the only `#[test]` of its binary: a sibling test allocating concurrently would
 //! move the reading.
 
 use graph::{gen, CompressedGraph, CompressionConfig, CsrGraph, NodeId};
@@ -29,12 +31,14 @@ fn run(csr: CsrGraph, preset: Preset, k: usize) -> (PartitionResult, f64) {
 
 #[test]
 fn the_first_coarsening_level_sets_the_peak() {
-    // A mesh: level 0's clustering (labels, 4-byte cluster weights, visit order) is the
-    // peak at both id widths, within 0.35x the CSR (0.312x; 0.286x with 8-byte ids).
-    // Before cluster weights took the width of the weight limit and contraction's count
-    // array became its remap, it was 0.413x in cluster@0 (0.357x in contract@0 with
-    // 8-byte ids). Refinement of level 0 used to be the peak, at ~0.7x, with level 0's
-    // buckets and visit order and every coarse graph still held.
+    // A mesh: level 0's coarsening is the peak at both id widths, within 0.25x the CSR:
+    // 0.211x in cluster@0 (labels, 4-byte cluster weights, bitsets); 0.186x in
+    // contract@0 with 8-byte ids. With an n-id visit order and label-indexed contraction
+    // arrays it was 0.312x in cluster@0 (0.286x with 8-byte ids); before cluster weights
+    // took the width of the weight limit and contraction's count array became its
+    // remap, 0.413x (0.357x in contract@0 with 8-byte ids). Refinement of level 0 used to
+    // be the peak, at ~0.7x, with level 0's buckets and visit order and every coarse
+    // graph still held.
     let n = 60_000;
     let (mesh, ratio) = run(gen::rgg2d(n, 8, 3), Preset::Fast, 16);
     let peak = mesh
@@ -53,19 +57,33 @@ fn the_first_coarsening_level_sets_the_peak() {
         .expect("level 0 is contracted");
     let contract_per_vertex = contract.peak_bytes as f64 / n as f64;
     println!("contract@0 peaks at {contract_per_vertex:.2} B per vertex");
-    // Measured 11.48 B (4-byte ids) and 20.27 B (8-byte ids); 12.76 B and 25.51 B while
-    // the bucket build held a label remap beside its count array.
+    // Measured 8.04 B (4-byte ids) and 13.27 B (8-byte ids); 11.48 B and 20.27 B while
+    // the bucket build indexed its count array / remap by label (n entries), 12.76 B and
+    // 25.51 B while it held a label remap beside that count array.
     let contract_bound = if std::mem::size_of::<NodeId>() == 4 {
-        12.0
+        9.0
     } else {
-        21.0
+        15.0
     };
     assert!(
         contract_per_vertex <= contract_bound,
         "contract@0 peaks at {contract_per_vertex:.2} B per vertex, over {contract_bound}"
     );
+    let refine = mesh
+        .phase_reports
+        .iter()
+        .find(|report| report.name == "refine" && report.level == 0)
+        .expect("level 0 is refined");
+    let refine_per_vertex = refine.auxiliary_bytes() as f64 / n as f64;
+    println!("refine@0 holds {refine_per_vertex:.2} B per vertex beyond its entry");
+    // Measured 0.40 B (4-byte ids) and 0.42 B (8-byte ids): the frontier bitsets and the
+    // range permutation. 4.40 B and 8.42 B while LP refinement held an n-id visit order.
     assert!(
-        ratio <= 0.35,
+        refine_per_vertex <= 1.0,
+        "refine@0 holds {refine_per_vertex:.2} B per vertex beyond its entry, over 1"
+    );
+    assert!(
+        ratio <= 0.25,
         "peak {ratio:.3} x the uncompressed CSR, in {}@{}",
         peak.name,
         peak.level
