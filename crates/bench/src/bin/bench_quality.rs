@@ -4,10 +4,7 @@
 //! For every family of [`bench::setup::quality_families`] and every rung in it, the
 //! sweep generates the rung in memory, runs all three presets (`fast` / `default` /
 //! `strong`) and records cut, wall-clock time and peak accounted memory — the Pareto
-//! frontier the presets are supposed to span. On top of the sweep it runs one frontier-vs-full-sweep check
-//! per rung: the `fast` preset as shipped (frontier-driven LP) against the identical
-//! configuration with full-sweep rounds, flagging any instance where the frontier
-//! degrades the cut beyond the accepted tolerance.
+//! frontier the presets are supposed to span.
 //!
 //! Usage:
 //!
@@ -23,17 +20,14 @@
 
 use bench::golden::{golden_run, golden_specs, GOLDEN_K};
 use bench::harness::{
-    geometric_mean, measure_run, measure_run_reported, write_quality_json, FrontierCheck, Input,
-    QualityRun,
+    geometric_mean, measure_run, measure_run_reported, write_quality_json, Input, QualityRun,
 };
 use bench::setup::{preset_ladder, quality_families};
 use graph::traits::Graph;
-use terapart::{PartitionerConfig, Preset};
+use terapart::Preset;
 
 /// Blocks of every sweep run.
 const QUALITY_K: usize = 16;
-/// Accepted `frontier_cut / full_sweep_cut` ratio; above this a check is degraded.
-const FRONTIER_TOLERANCE: f64 = 1.05;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,7 +44,6 @@ fn main() {
         .unwrap_or_else(|| std::path::PathBuf::from("BENCH_quality.json"));
 
     let mut runs: Vec<QualityRun> = Vec::new();
-    let mut frontier_checks: Vec<FrontierCheck> = Vec::new();
     // One representative recorded run (the first rung's `default` preset), embedded as
     // the compact `observability` section of BENCH_quality.json.
     let mut obs_report: Option<obs::RunReport> = None;
@@ -59,7 +52,6 @@ fn main() {
         let rung_count = if smoke { 1 } else { family.rungs.len() };
         for rung in family.rungs.iter().take(rung_count) {
             let graph = rung.spec.materialize();
-            let mut fast_cut = None;
             for (preset_name, config) in preset_ladder(QUALITY_K) {
                 let m = if obs_report.is_none() && preset_name == "default" {
                     let (m, report) = measure_run_reported(
@@ -75,9 +67,6 @@ fn main() {
                     measure_run(rung.name, preset_name, &graph, Input::Compressed, &config)
                 };
                 println!("{:<18} {}", family.family, m.row());
-                if preset_name == "fast" {
-                    fast_cut = Some(m.edge_cut);
-                }
                 runs.push(QualityRun {
                     family: family.family.to_string(),
                     instance: rung.name.to_string(),
@@ -90,36 +79,6 @@ fn main() {
                     balanced: m.balanced,
                 });
             }
-            // Frontier-vs-full-sweep check: the fast preset's frontier cut (from the
-            // sweep above) against the identical configuration with full-sweep
-            // rounds.
-            let mut full_sweep = PartitionerConfig::preset(Preset::Fast, QUALITY_K);
-            full_sweep.coarsening.lp_frontier = false;
-            full_sweep.refinement.lp_frontier = false;
-            let full = measure_run(
-                rung.name,
-                "fast-full-sweep",
-                &graph,
-                Input::Compressed,
-                &full_sweep,
-            );
-            let frontier_cut = fast_cut.expect("the ladder always contains 'fast'");
-            let ratio = frontier_cut as f64 / full.edge_cut.max(1) as f64;
-            let degraded = ratio > FRONTIER_TOLERANCE;
-            if degraded {
-                println!(
-                    "  FLAG: frontier LP degrades {} ({} vs {} full sweep, ratio {:.3})",
-                    rung.name, frontier_cut, full.edge_cut, ratio
-                );
-            }
-            frontier_checks.push(FrontierCheck {
-                family: family.family.to_string(),
-                instance: rung.name.to_string(),
-                frontier_cut,
-                full_sweep_cut: full.edge_cut,
-                ratio,
-                degraded,
-            });
         }
     }
 
@@ -156,29 +115,18 @@ fn main() {
     write_quality_json(
         &out_path,
         QUALITY_K,
-        FRONTIER_TOLERANCE,
         &runs,
-        &frontier_checks,
         &strong_beats_fast,
         obs_report.as_ref(),
     )
     .expect("failed to write the quality sweep");
     println!(
-        "wrote {} ({} runs, {} frontier checks, strong beats fast on {}/{} families)",
+        "wrote {} ({} runs, strong beats fast on {}/{} families)",
         out_path.display(),
         runs.len(),
-        frontier_checks.len(),
         strong_beats_fast.len(),
         families.len()
     );
-    let flagged = frontier_checks.iter().filter(|c| c.degraded).count();
-    if flagged > 0 {
-        println!(
-            "WARNING: frontier LP degraded the cut beyond {:.0}% on {} instance(s)",
-            (FRONTIER_TOLERANCE - 1.0) * 100.0,
-            flagged
-        );
-    }
 }
 
 /// `--golden`: print the pinned single-threaded cut of every (preset, golden

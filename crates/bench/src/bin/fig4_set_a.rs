@@ -2,11 +2,13 @@
 //! medium-sized Benchmark Set A, for the configuration ladder.
 //!
 //! The paper's shape, TeraPart at roughly half of KaMinPar's memory, does not show here:
-//! on a 2-vCPU VM Graph Compression reads 0.70 and TeraPart (One-Pass Contraction) 0.83
-//! (geometric means over the 12 instances): KaMinPar's CSR input and levels pack their
-//! edge weights too, so the compressed input saves less against them. Every rung keeps
-//! KaMinPar's quality: in 95 runs each was within τ = 1.1 of the best cut on 9 to 11 of
-//! the 12 instances, and some rung sat at 9, the checked bound, in 29 of them. Asserts,
+//! on a 2-vCPU VM Graph Compression reads 0.68–0.69 and TeraPart (One-Pass Contraction)
+//! 0.85 (geometric means over the 12 instances, 20 runs): KaMinPar's CSR input and levels
+//! pack their edge weights too, so the compressed input saves less against them. Every
+//! rung runs the same frontier LP, so TeraPart's relative time against Graph Compression
+//! isolates one-pass contraction: medians 1.06 against 1.14, lower in 16 of the 20 runs.
+//! Every rung keeps KaMinPar's quality: in those 20 runs each was within τ = 1.1 of the
+//! best cut on 10 to 12 of the 12 instances, never at 9, the checked bound. Asserts,
 //! after printing, that Graph Compression and TeraPart use less memory than KaMinPar and
 //! that every rung's τ = 1.1 profile is at least 0.75.
 use bench::{benchmark_set_a, config_ladder, geometric_mean, measure_run, performance_profile};

@@ -3,7 +3,8 @@
 //! than DKaMinPar (uncompressed shards) at similar quality, and the single-level baseline
 //! has far worse cuts on the geometric graphs.
 //!
-//! Measured on a 2-vCPU VM: XtraPuLP-like cuts 4.7–10.1x XTeraPart's edges on `rgg2d`.
+//! Measured on a 2-vCPU VM: XtraPuLP-like cuts 5.0–10.0x XTeraPart's edges on `rgg2d`
+//! (four runs).
 //! On `rhg_like` every partitioner cuts about 76 % of the edges, so no partitioner
 //! stands out there. The weak-scaling throughput is printed, not checked. Asserts, after
 //! printing, that XTeraPart's max-PE memory is below DKaMinPar's on every graph and that

@@ -130,9 +130,9 @@ pub fn golden_entries() -> Vec<GoldenEntry> {
         entry(Default, "rgg2d-6k", 857, 857),
         entry(Default, "plc-6k", 20921, 20921),
         entry(Default, "rmat-14", 29069, 29069),
-        entry(Strong, "grid3d-16", 1066, 1066),
-        entry(Strong, "rgg2d-6k", 886, 886),
-        entry(Strong, "plc-6k", 20866, 20866),
-        entry(Strong, "rmat-14", 38018, 38018),
+        entry(Strong, "grid3d-16", 1112, 1112),
+        entry(Strong, "rgg2d-6k", 910, 910),
+        entry(Strong, "plc-6k", 20811, 20811),
+        entry(Strong, "rmat-14", 26833, 26833),
     ]
 }

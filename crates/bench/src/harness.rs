@@ -158,35 +158,12 @@ pub struct QualityRun {
     pub balanced: bool,
 }
 
-/// One frontier-vs-full-sweep comparison: the `fast` preset's frontier-driven LP
-/// against the identical configuration with full-sweep rounds, on one instance.
-#[derive(Debug, Clone)]
-pub struct FrontierCheck {
-    /// Instance family.
-    pub family: String,
-    /// Instance name.
-    pub instance: String,
-    /// Cut with frontier-driven LP rounds (the `fast` preset as shipped).
-    pub frontier_cut: u64,
-    /// Cut with full-sweep LP rounds, everything else identical.
-    pub full_sweep_cut: u64,
-    /// `frontier_cut / full_sweep_cut`; > 1 means the frontier lost quality.
-    pub ratio: f64,
-    /// Whether the frontier degraded the cut beyond the accepted tolerance.
-    pub degraded: bool,
-}
-
 /// Writes `BENCH_quality.json`: the cut-vs-time Pareto sweep of every preset across
-/// the instance-family ladder, the per-family `strong`-vs-`fast` verdicts, and the
-/// frontier-vs-full-sweep degradation flags. `frontier_tolerance` is the accepted
-/// `frontier_cut / full_sweep_cut` ratio above which a check counts as degraded
-/// (recorded in the file so readers can interpret the flags).
+/// the instance-family ladder and the per-family `strong`-vs-`fast` verdicts.
 pub fn write_quality_json(
     path: &Path,
     k: usize,
-    frontier_tolerance: f64,
     runs: &[QualityRun],
-    frontier_checks: &[FrontierCheck],
     strong_beats_fast_families: &[String],
     run_report: Option<&obs::RunReport>,
 ) -> std::io::Result<()> {
@@ -194,10 +171,6 @@ pub fn write_quality_json(
     out.push_str("{\n");
     out.push_str(&format!("  \"id_width\": {},\n", graph::NodeId::BITS));
     out.push_str(&format!("  \"k\": {},\n", k));
-    out.push_str(&format!(
-        "  \"frontier_tolerance\": {:.3},\n",
-        frontier_tolerance
-    ));
     out.push_str("  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
         out.push_str(&format!(
@@ -212,20 +185,6 @@ pub fn write_quality_json(
             run.peak_memory_bytes,
             run.balanced,
             if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"frontier_checks\": [\n");
-    for (i, check) in frontier_checks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"instance\": \"{}\", \"frontier_cut\": {}, \"full_sweep_cut\": {}, \"ratio\": {:.4}, \"degraded\": {}}}{}\n",
-            json_escape(&check.family),
-            json_escape(&check.instance),
-            check.frontier_cut,
-            check.full_sweep_cut,
-            check.ratio,
-            check.degraded,
-            if i + 1 < frontier_checks.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");

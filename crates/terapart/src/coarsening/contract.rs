@@ -22,9 +22,10 @@
 //!   [`reserved_weight_width`] bytes each and narrowed in place to the width of the
 //!   heaviest coarse edge, the width the coarse CSR keeps them at.
 //!
-//! Both algorithms use the two-phase aggregation idea: clusters whose coarse
-//! neighbourhood exceeds the bump threshold are deferred to a sequential second phase
-//! that may use an `O(n)` rating map.
+//! Buffered contraction aggregates each cluster's coarse neighbourhood in a
+//! `std::collections::HashMap` of its own. One-pass contraction uses the two-phase
+//! aggregation idea: clusters whose coarse neighbourhood exceeds the bump threshold are
+//! deferred to a sequential second phase that may use an `O(n)` rating map.
 //!
 //! The per-vertex auxiliary state belongs to the one contraction that uses it: allocated
 //! for its level, charged to the memory accounting while it lives and freed when the

@@ -8,8 +8,7 @@
 //! * [`PartitionerConfig::kaminpar`] — the baseline: per-thread rating maps, buffered
 //!   contraction, uncompressed input, label propagation refinement.
 //! * [`PartitionerConfig::kaminpar_two_phase_lp`] — + two-phase label propagation.
-//! * [`PartitionerConfig::terapart`] — + one-pass contraction and frontier-driven LP
-//!   rounds (the full TeraPart).
+//! * [`PartitionerConfig::terapart`] — + one-pass contraction (the full TeraPart).
 //! * [`PartitionerConfig::terapart_fm`] — TeraPart with k-way FM refinement on the
 //!   space-efficient gain table (TeraPart-FM in the paper; also [`Preset::Default`]).
 //!
@@ -17,6 +16,10 @@
 //! input. Passing a [`graph::CompressedGraph`] to
 //! [`partition`](crate::partitioner::partition) runs the same configuration on the
 //! compressed representation.
+//!
+//! Every configuration runs label propagation in frontier-driven rounds and rates a
+//! candidate cluster by its connecting edge weight; the [`Preset`]s differ only in how
+//! much effort they spend (rounds, passes, attempts) and in the refinement algorithm.
 
 /// How the label propagation clustering allocates its rating maps (paper §IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,20 +70,6 @@ pub enum RefinementAlgorithm {
     KWayFmWithLabelPropagation,
 }
 
-/// Edge rating used by label propagation clustering to score candidate clusters
-/// (advanced coarsening, Safro et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeRating {
-    /// Plain summed edge weight (the KaMinPar/TeraPart default).
-    Weight,
-    /// Degree-scaled rating `1 + (ω(u,v) << 8) / (1 + deg(u) + deg(v))`: an integer
-    /// stand-in for the algebraic-distance-style ratings of Safro et al.'s advanced
-    /// coarsening schemes. Edges between low-degree vertices are preferred over hub
-    /// edges, which keeps hubs from absorbing whole neighbourhoods on power-law
-    /// graphs and preserves cluster structure for the refinement to exploit.
-    DegreeScaled,
-}
-
 /// Settings of the coarsening stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoarseningConfig {
@@ -99,12 +88,6 @@ pub struct CoarseningConfig {
     /// Maximum cluster weight as a fraction of the average block weight. KaMinPar uses
     /// `ε`-dependent limits; a constant fraction reproduces the behaviour at small scale.
     pub max_cluster_weight_fraction: f64,
-    /// Frontier-driven rounds: after the full first round, only vertices whose
-    /// neighbourhood changed in the previous round are revisited (active-set
-    /// scheduling). Disable to reproduce the original full-sweep rounds.
-    pub lp_frontier: bool,
-    /// Edge rating used when scoring candidate clusters.
-    pub edge_rating: EdgeRating,
 }
 
 impl Default for CoarseningConfig {
@@ -116,8 +99,6 @@ impl Default for CoarseningConfig {
             bump_threshold: 256,
             contraction_limit: 40,
             max_cluster_weight_fraction: 1.0,
-            lp_frontier: true,
-            edge_rating: EdgeRating::Weight,
         }
     }
 }
@@ -158,9 +139,6 @@ pub struct RefinementConfig {
     pub lp_rounds: usize,
     /// Number of FM passes per level.
     pub fm_passes: usize,
-    /// Frontier-driven LP refinement rounds: after the full first round, only vertices
-    /// whose neighbourhood changed are revisited. Disable for full-sweep rounds.
-    pub lp_frontier: bool,
     /// How many consecutive moves without a new best prefix an FM pass tolerates before
     /// it stops hill climbing (the rolled-back tail is bounded by this).
     pub fm_adverse_limit: usize,
@@ -173,7 +151,6 @@ impl Default for RefinementConfig {
             gain_table: GainTableKind::Sparse,
             lp_rounds: 5,
             fm_passes: 2,
-            lp_frontier: true,
             fm_adverse_limit: 64,
         }
     }
@@ -225,9 +202,9 @@ pub struct PartitionerConfig {
 }
 
 impl PartitionerConfig {
-    /// The KaMinPar baseline configuration (no TeraPart optimizations). Frontier-driven
-    /// LP rounds are disabled too: the baseline models the original full-sweep
-    /// behaviour, so the experiment ladder isolates each optimization's contribution.
+    /// The KaMinPar baseline configuration (no TeraPart optimizations): per-thread
+    /// rating maps and buffered contraction, so each rung of the experiment ladder adds
+    /// exactly one of the paper's steps.
     pub fn kaminpar(k: usize) -> Self {
         Self {
             k,
@@ -237,14 +214,10 @@ impl PartitionerConfig {
             coarsening: CoarseningConfig {
                 lp_mode: LabelPropagationMode::PerThreadRatingMaps,
                 contraction: ContractionAlgorithm::Buffered,
-                lp_frontier: false,
                 ..CoarseningConfig::default()
             },
             initial: InitialPartitioningConfig::default(),
-            refinement: RefinementConfig {
-                lp_frontier: false,
-                ..RefinementConfig::default()
-            },
+            refinement: RefinementConfig::default(),
             ondisk: OnDiskConfig::default(),
             obs: ObsConfig::default(),
         }
@@ -257,14 +230,12 @@ impl PartitionerConfig {
         config
     }
 
-    /// The full TeraPart configuration: two-phase LP, one-pass contraction and
-    /// frontier-driven LP rounds, with label propagation refinement (TeraPart-LP in the
-    /// paper). Run it on a [`graph::CompressedGraph`] for TeraPart's compressed input.
+    /// The full TeraPart configuration: two-phase LP and one-pass contraction, with label
+    /// propagation refinement (TeraPart-LP in the paper). Run it on a
+    /// [`graph::CompressedGraph`] for TeraPart's compressed input.
     pub fn terapart(k: usize) -> Self {
         let mut config = Self::kaminpar_two_phase_lp(k);
         config.coarsening.contraction = ContractionAlgorithm::OnePass;
-        config.coarsening.lp_frontier = true;
-        config.refinement.lp_frontier = true;
         config
     }
 
@@ -284,14 +255,8 @@ impl PartitionerConfig {
             Preset::Fast => Self::terapart(k),
             Preset::Default => Self::terapart_fm(k),
             Preset::Strong => {
-                let mut config = Self::preset(Preset::Default, k);
-                // Full-sweep LP rounds: revisit every vertex each round instead of
-                // only the active frontier.
-                config.coarsening.lp_frontier = false;
-                config.refinement.lp_frontier = false;
-                // Advanced-coarsening edge rating (Safro et al.).
-                config.coarsening.edge_rating = EdgeRating::DegreeScaled;
                 // More local search everywhere.
+                let mut config = Self::preset(Preset::Default, k);
                 config.coarsening.lp_rounds = 8;
                 config.refinement.lp_rounds = 8;
                 config.refinement.fm_passes = 4;
@@ -367,17 +332,16 @@ impl PartitionerConfig {
 /// binary) records the Pareto sweep across these presets and the instance families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preset {
-    /// Today's frontier-driven TeraPart-LP pipeline: frontier LP clustering and
-    /// refinement, label propagation refinement only. Fastest, coarsest cuts.
+    /// TeraPart-LP ([`PartitionerConfig::terapart`]): label propagation refinement
+    /// only. Fastest, coarsest cuts.
     Fast,
-    /// TeraPart-FM ([`PartitionerConfig::terapart_fm`]): frontier LP plus k-way FM
-    /// refinement with the space-efficient gain table. The recommended balance of
-    /// quality and speed.
+    /// TeraPart-FM ([`PartitionerConfig::terapart_fm`]): LP plus k-way FM refinement
+    /// with the space-efficient gain table. The recommended balance of quality and
+    /// speed.
     Default,
-    /// Full-sweep LP rounds, the degree-scaled advanced-coarsening edge rating
-    /// ([`EdgeRating::DegreeScaled`], per Safro et al.), more LP rounds, more k-way FM
-    /// passes with a longer hill-climbing budget and a larger initial-partitioning
-    /// portfolio. Best cuts, slowest.
+    /// `Default` with more effort: more LP rounds in clustering and refinement, more
+    /// k-way FM passes with a longer hill-climbing budget and a larger
+    /// initial-partitioning portfolio. Best cuts, slowest.
     Strong,
 }
 
@@ -420,7 +384,6 @@ mod tests {
             LabelPropagationMode::PerThreadRatingMaps
         );
         assert_eq!(base.coarsening.contraction, ContractionAlgorithm::Buffered);
-        assert!(!base.coarsening.lp_frontier && !base.refinement.lp_frontier);
 
         let two_phase = PartitionerConfig::kaminpar_two_phase_lp(16);
         assert_eq!(two_phase.coarsening.lp_mode, LabelPropagationMode::TwoPhase);
@@ -434,7 +397,6 @@ mod tests {
             terapart.coarsening.contraction,
             ContractionAlgorithm::OnePass
         );
-        assert!(terapart.coarsening.lp_frontier && terapart.refinement.lp_frontier);
         assert_eq!(
             terapart.refinement.algorithm,
             RefinementAlgorithm::LabelPropagation
@@ -479,11 +441,8 @@ mod tests {
 
         let default = PartitionerConfig::preset(Preset::Default, 8);
         assert_eq!(default, PartitionerConfig::terapart_fm(8));
-        assert!(default.coarsening.lp_frontier, "default keeps frontier LP");
 
         let strong = PartitionerConfig::preset(Preset::Strong, 8);
-        assert!(!strong.coarsening.lp_frontier && !strong.refinement.lp_frontier);
-        assert_eq!(strong.coarsening.edge_rating, EdgeRating::DegreeScaled);
         assert!(strong.refinement.fm_passes > default.refinement.fm_passes);
         assert!(strong.initial.attempts > default.initial.attempts);
     }

@@ -80,7 +80,7 @@ pub mod refinement;
 pub mod scratch;
 
 pub use context::{
-    CoarseningConfig, ContractionAlgorithm, EdgeRating, GainTableKind, InitialPartitioningConfig,
+    CoarseningConfig, ContractionAlgorithm, GainTableKind, InitialPartitioningConfig,
     LabelPropagationMode, ObsConfig, OnDiskConfig, PartitionerConfig, Preset, RefinementAlgorithm,
     RefinementConfig,
 };

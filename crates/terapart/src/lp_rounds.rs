@@ -2,12 +2,12 @@
 //!
 //! Clustering ([`cluster_with_scratch`]) and LP refinement ([`lp_refine_with_scratch`])
 //! run the same outer loop: derive the round's visit order from the active set (in
-//! round 0 the caller's start set, or every vertex if it has none or the frontier is
-//! disabled) and a round-derived seed ([`VisitOrder`]), run one parallel round over it
-//! that marks the next round's frontier, swap the frontier bitsets and evaluate a stop
-//! criterion. A round is handed its own active set beside the next round's frontier, so
-//! clustering can tell a neighbour the round has still to visit from one it has visited
-//! already; refinement ignores it. The order is never materialised: the driver stores
+//! round 0 the caller's start set, or every vertex if it has none) and a round-derived
+//! seed ([`VisitOrder`]), run one parallel round over it that marks the next round's
+//! frontier, swap the frontier bitsets and evaluate a stop criterion. A round is handed
+//! its own active set beside the next round's frontier, so clustering can tell a
+//! neighbour the round has still to visit from one it has visited already; refinement
+//! ignores it. The order is never materialised: the driver stores
 //! only the shuffled range permutation, and the round collects and shuffles the active
 //! ids of one 256-id range when it reaches it. The driver owns that permutation and both
 //! bitsets for one stage: they are allocated for the stage's graph, charged to the
@@ -79,13 +79,11 @@ pub(crate) trait LpRoundSemantics {
     fn obs_counters(&self) -> (Counter, Counter);
 
     /// Runs one parallel round over `order`, marking changed neighbourhoods in
-    /// `frontier` (when enabled), and returns its moves and decoded half-edges.
-    /// [`VisitOrder::active`] is the set the order walks, every vertex on a full sweep.
-    /// With the frontier on the round may clear the bit of a vertex it has visited (and
-    /// set it again while that vertex is still to be visited): the driver clears the set
-    /// before it becomes a frontier. A full sweep reuses it, so without the frontier it
-    /// must stay intact.
-    fn run_round(&mut self, order: &VisitOrder<'_>, frontier: Option<&AtomicBitset>) -> RoundWork;
+    /// `frontier`, and returns its moves and decoded half-edges.
+    /// [`VisitOrder::active`] is the set the order walks. The round may clear the bit of
+    /// a vertex it has visited (and set it again while that vertex is still to be
+    /// visited): the driver clears the set before it becomes a frontier.
+    fn run_round(&mut self, order: &VisitOrder<'_>, frontier: &AtomicBitset) -> RoundWork;
 
     /// Whether vertices carried across rounds *outside* the frontier bitsets (waiters)
     /// may still produce work; an empty collected frontier only ends the loop when this
@@ -94,14 +92,14 @@ pub(crate) trait LpRoundSemantics {
         false
     }
 
-    /// Called between rounds while the frontier is enabled: register this round's
-    /// blocked movers and reactivate waiters by setting bits in `next_active`.
+    /// Called after every round: register this round's blocked movers and reactivate
+    /// waiters by setting bits in `next_active`.
     fn after_round(&mut self, _next_active: &AtomicBitset) {}
 
     /// Whether the loop should stop after a round with `moved` moves.
     /// `next_round_has_work` lazily reports whether the upcoming round's active set is
-    /// non-empty (always `false` without the frontier); the default — stop on any
-    /// move-free round — is the clustering criterion.
+    /// non-empty; the default — stop on any move-free round — is the clustering
+    /// criterion.
     fn should_stop(
         &mut self,
         moved: usize,
@@ -263,11 +261,10 @@ impl<'a> VisitOrder<'a> {
 ///
 /// Round 0 visits the vertices of `start` — the caller's proof that nobody else has
 /// work, e.g. a partition's boundary superset — or every vertex when there is none.
-/// Without the frontier every round is a full sweep and `start` is ignored.
+/// Every later round visits the frontier the previous one marked.
 pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
     n: usize,
     max_rounds: usize,
-    use_frontier: bool,
     start: Option<&AtomicBitset>,
     obs: &ObsHandle,
     semantics: &mut S,
@@ -286,11 +283,9 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
             + active.memory_bytes()
             + next_active.memory_bytes(),
     );
-    // A full sweep is the all-bits-set case of the frontier: without a start set
-    // round 0 begins from it, and without the frontier nothing ever replaces it.
     match start {
-        Some(start) if use_frontier => active.copy_from(start, n),
-        _ => active.set_all(n),
+        Some(start) => active.copy_from(start, n),
+        None => active.set_all(n),
     }
     for round in 0..max_rounds {
         let order = VisitOrder::new(n, &active, semantics.round_seed(round), &mut ranges);
@@ -299,17 +294,10 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
             break;
         }
         let mut round_span = obs.span_at(SpanKind::Round, "lp_round", round as u64);
-        let frontier = if use_frontier {
-            next_active.clear_range(n);
-            Some(&next_active)
-        } else {
-            None
-        };
-        let work = semantics.run_round(&order, frontier);
+        next_active.clear_range(n);
+        let work = semantics.run_round(&order, &next_active);
         let moved = work.moves;
-        if frontier.is_some() {
-            semantics.after_round(&next_active);
-        }
+        semantics.after_round(&next_active);
         round_span.attr("visited", visited as u64);
         round_span.attr("moves", moved as u64);
         round_span.attr("half_edges", work.half_edges);
@@ -319,10 +307,8 @@ pub(crate) fn drive_lp_rounds<S: LpRoundSemantics>(
         stats.rounds += 1;
         stats.visited_per_round.push(visited);
         stats.moves += moved;
-        if use_frontier {
-            std::mem::swap(&mut active, &mut next_active);
-        }
-        let mut next_round_has_work = || use_frontier && active.count(n) > 0;
+        std::mem::swap(&mut active, &mut next_active);
+        let mut next_round_has_work = || active.count(n) > 0;
         if semantics.should_stop(moved, &mut next_round_has_work) {
             break;
         }
@@ -393,11 +379,7 @@ mod tests {
             (Counter::LpClusterRounds, Counter::LpClusterMoves)
         }
 
-        fn run_round(
-            &mut self,
-            order: &VisitOrder<'_>,
-            frontier: Option<&AtomicBitset>,
-        ) -> RoundWork {
+        fn run_round(&mut self, order: &VisitOrder<'_>, frontier: &AtomicBitset) -> RoundWork {
             let order = sequence(order, MIN_SPLIT_VISITS);
             let mut sorted = order.clone();
             sorted.sort_unstable();
@@ -407,33 +389,15 @@ mod tests {
                 .get(self.rounds_run)
                 .copied()
                 .unwrap_or(0);
-            if let Some(bits) = frontier {
-                // Mark `moves` vertices active for the next round.
-                for &u in order.iter().take(moves) {
-                    bits.set(u as usize);
-                }
+            // Mark `moves` vertices active for the next round.
+            for &u in order.iter().take(moves) {
+                frontier.set(u as usize);
             }
             self.rounds_run += 1;
             RoundWork {
                 moves,
                 half_edges: 0,
             }
-        }
-    }
-
-    #[test]
-    fn full_sweep_when_frontier_disabled() {
-        let mut semantics = Recording {
-            seed: 7,
-            rounds_run: 0,
-            visited: Vec::new(),
-            moves_per_round: vec![3, 2, 1],
-        };
-        let stats = drive_lp_rounds(10, 3, false, None, &ObsHandle::noop(), &mut semantics);
-        assert_eq!(stats.rounds, 3);
-        assert_eq!(stats.moves, 6);
-        for round in &semantics.visited {
-            assert_eq!(round.len(), 10, "sweep rounds must visit every vertex");
         }
     }
 
@@ -445,7 +409,7 @@ mod tests {
             visited: Vec::new(),
             moves_per_round: vec![4, 2, 1],
         };
-        let stats = drive_lp_rounds(16, 5, true, None, &ObsHandle::noop(), &mut semantics);
+        let stats = drive_lp_rounds(16, 5, None, &ObsHandle::noop(), &mut semantics);
         assert_eq!(stats.visited_per_round[0], 16);
         assert_eq!(stats.visited_per_round[1], 4);
         assert_eq!(stats.visited_per_round[2], 2);
@@ -453,33 +417,22 @@ mod tests {
     }
 
     #[test]
-    fn a_start_set_replaces_the_sweep_of_round_zero_only_with_the_frontier() {
+    fn a_start_set_replaces_the_sweep_of_round_zero() {
         let mut start = AtomicBitset::new();
         start.ensure_len(16);
         for u in [3, 4, 11] {
             start.set(u);
         }
-        let run = |frontier: bool| {
-            let mut semantics = Recording {
-                seed: 7,
-                rounds_run: 0,
-                visited: Vec::new(),
-                moves_per_round: vec![2, 1],
-            };
-            drive_lp_rounds(
-                16,
-                5,
-                frontier,
-                Some(&start),
-                &ObsHandle::noop(),
-                &mut semantics,
-            );
-            semantics.visited
+        let mut semantics = Recording {
+            seed: 7,
+            rounds_run: 0,
+            visited: Vec::new(),
+            moves_per_round: vec![2, 1],
         };
-        let visited = run(true);
+        drive_lp_rounds(16, 5, Some(&start), &ObsHandle::noop(), &mut semantics);
+        let visited = semantics.visited;
         assert_eq!(visited[0], vec![3, 4, 11]);
         assert_eq!(visited[1].len(), 2, "later rounds follow the marks as ever");
-        assert!(run(false).iter().all(|round| round.len() == 16));
     }
 
     #[test]
@@ -490,7 +443,7 @@ mod tests {
             visited: Vec::new(),
             moves_per_round: vec![2, 0, 5],
         };
-        let stats = drive_lp_rounds(8, 5, true, None, &ObsHandle::noop(), &mut semantics);
+        let stats = drive_lp_rounds(8, 5, None, &ObsHandle::noop(), &mut semantics);
         assert_eq!(stats.rounds, 2, "must stop at the move-free round");
         assert_eq!(stats.moves, 2);
     }
@@ -514,11 +467,7 @@ mod tests {
             (Counter::LpClusterRounds, Counter::LpClusterMoves)
         }
 
-        fn run_round(
-            &mut self,
-            order: &VisitOrder<'_>,
-            frontier: Option<&AtomicBitset>,
-        ) -> RoundWork {
+        fn run_round(&mut self, order: &VisitOrder<'_>, frontier: &AtomicBitset) -> RoundWork {
             let round = self.orders.len();
             let (mut chunks, mut oracle) = (Vec::new(), Vec::new());
             let seed = self.round_seed(round);
@@ -532,10 +481,8 @@ mod tests {
                 "split everywhere, {threads} threads"
             );
             assert_eq!(order.len(), oracle.len(), "visits == the active count");
-            if let (Some(bits), Some(marks)) = (frontier, self.marks_per_round.get(round)) {
-                for &u in marks {
-                    bits.set(u as usize);
-                }
+            for &u in self.marks_per_round.get(round).into_iter().flatten() {
+                frontier.set(u as usize);
             }
             self.orders.push(walked);
             RoundWork {
@@ -551,7 +498,6 @@ mod tests {
 
     fn run_scripted(
         n: usize,
-        frontier: bool,
         seed: u64,
         marks_per_round: &[Vec<NodeId>],
         threads: usize,
@@ -565,16 +511,8 @@ mod tests {
             .num_threads(threads)
             .build()
             .unwrap();
-        let stats = pool.install(|| {
-            drive_lp_rounds(
-                n,
-                MAX_ROUNDS,
-                frontier,
-                None,
-                &ObsHandle::noop(),
-                &mut semantics,
-            )
-        });
+        let stats = pool
+            .install(|| drive_lp_rounds(n, MAX_ROUNDS, None, &ObsHandle::noop(), &mut semantics));
         assert_eq!(stats.rounds, semantics.orders.len());
         let lengths: Vec<usize> = semantics.orders.iter().map(Vec::len).collect();
         assert_eq!(
@@ -592,7 +530,6 @@ mod tests {
         #[test]
         fn prop_every_round_visits_exactly_its_active_set_range_by_range(
             size in 0usize..SIZES.len(),
-            frontier in proptest::bool::ANY,
             seed in any::<u64>(),
             raw_marks in proptest::collection::vec(any::<u64>(), 0..6000),
             threads in 1usize..5,
@@ -606,22 +543,20 @@ mod tests {
                 .collect();
             // Each round checks its sequence against the oracle (`Scripted`), at every
             // thread count; across thread counts the sequences must agree too.
-            let orders = run_scripted(n, frontier, seed, &marks_per_round, threads);
+            let orders = run_scripted(n, seed, &marks_per_round, threads);
             prop_assert_eq!(
                 &orders,
-                &run_scripted(n, frontier, seed, &marks_per_round, 1),
+                &run_scripted(n, seed, &marks_per_round, 1),
                 "the order is a function of seed, round and active set"
             );
-            // Which sets the driver had to visit: everything in round 0 and on full
-            // sweeps, the previous round's marks otherwise — and nothing after an empty
-            // frontier, because no waiter is pending (nor anything at all when n = 0).
-            let all: Vec<NodeId> = (0..n as NodeId).collect();
+            // Which sets the driver had to visit: everything in round 0, the previous
+            // round's marks afterwards — and nothing after an empty frontier, because no
+            // waiter is pending (nor anything at all when n = 0).
             let mut expected: Vec<Vec<NodeId>> = Vec::new();
             for round in 0..MAX_ROUNDS {
-                let mut set = match round.checked_sub(1).map(|r| marks_per_round.get(r)) {
-                    Some(Some(marks)) if frontier => marks.clone(),
-                    Some(None) if frontier => Vec::new(),
-                    _ => all.clone(),
+                let mut set = match round.checked_sub(1) {
+                    None => (0..n as NodeId).collect(),
+                    Some(r) => marks_per_round.get(r).cloned().unwrap_or_default(),
                 };
                 set.sort_unstable();
                 set.dedup();
@@ -679,11 +614,7 @@ mod tests {
             (Counter::LpRefineRounds, Counter::LpRefineMoves)
         }
 
-        fn run_round(
-            &mut self,
-            _order: &VisitOrder<'_>,
-            _frontier: Option<&AtomicBitset>,
-        ) -> RoundWork {
+        fn run_round(&mut self, _order: &VisitOrder<'_>, _frontier: &AtomicBitset) -> RoundWork {
             self.rounds_run += 1;
             // Round 0 performs a move but marks nothing; the waiter reactivates later.
             RoundWork {
@@ -719,7 +650,7 @@ mod tests {
             pending: true,
             rounds_run: 0,
         };
-        let stats = drive_lp_rounds(8, 6, true, None, &ObsHandle::noop(), &mut semantics);
+        let stats = drive_lp_rounds(8, 6, None, &ObsHandle::noop(), &mut semantics);
         // Round 0 (full), round 1 (empty order but pending waiter), round 2 (the
         // reactivated waiter), round 3 onwards stops.
         assert!(stats.rounds >= 3, "waiter rounds missing: {:?}", stats);

@@ -116,32 +116,27 @@ pub struct LpRefineStats {
     pub moves: usize,
     /// Rounds actually executed (may be fewer than requested on convergence).
     pub rounds: usize,
-    /// Number of vertices visited in each executed round. With the frontier enabled,
-    /// entry 0 is the size of the partition's boundary superset (the full vertex count
-    /// while that is unknown) and later entries are the active-set sizes.
+    /// Number of vertices visited in each executed round: entry 0 is the size of the
+    /// partition's boundary superset (the full vertex count while that is unknown) and
+    /// later entries are the active-set sizes.
     pub visited_per_round: Vec<usize>,
 }
 
-/// Runs `rounds` rounds of size-constrained label propagation refinement on `partition`
-/// with a fresh worker pool and the classic full-sweep rounds. Returns the
-/// number of vertex moves performed.
-///
-/// This wrapper keeps the original algorithm's semantics: its one caller outside the
-/// tests is the single-level `xtrapulp_like` baseline, which models a sweep-based system
-/// through it. The multilevel pipeline opts into frontier-driven rounds via
-/// `RefinementConfig::lp_frontier` and [`lp_refine_with_scratch`].
+/// Runs up to `rounds` rounds of size-constrained label propagation refinement on
+/// `partition` with a fresh worker pool. Returns the number of vertex moves performed.
+/// Its one caller outside the tests is the single-level `xtrapulp_like` baseline; the
+/// multilevel pipeline calls [`lp_refine_with_scratch`].
 pub fn lp_refine(graph: &impl Graph, partition: &mut Partition, rounds: usize, seed: u64) -> usize {
     let mut scratch = HierarchyScratch::new();
-    lp_refine_with_scratch(graph, partition, rounds, seed, false, &mut scratch).moves
+    lp_refine_with_scratch(graph, partition, rounds, seed, &mut scratch).moves
 }
 
 /// Runs label propagation refinement, leasing per-worker rating tables from `scratch`.
-/// With `use_frontier`, round 0 visits the partition's boundary
-/// superset — a vertex outside it has no neighbour in another block and nothing to gain —
-/// and later rounds only the vertices whose neighbourhood changed in the previous round;
-/// otherwise every round sweeps all vertices (the original behaviour).
+/// Round 0 visits the partition's boundary superset — a vertex outside it has no
+/// neighbour in another block and nothing to gain — or every vertex while it is unknown,
+/// and later rounds only the vertices whose neighbourhood changed in the previous round.
 ///
-/// Either way the partition leaves with an exact tracked cut and a boundary superset
+/// The partition leaves with an exact tracked cut and a boundary superset
 /// re-tightened to `{u visited : u had a neighbour in another block} ∪ {u ∪ N(u) : u
 /// moved}`. Bits are only ever set, by whichever thread sees the reason first, so the
 /// set is a superset of the boundary at any thread count; moves race, so the cut is
@@ -151,7 +146,6 @@ pub fn lp_refine_with_scratch(
     partition: &mut Partition,
     rounds: usize,
     seed: u64,
-    use_frontier: bool,
     scratch: &mut HierarchyScratch,
 ) -> LpRefineStats {
     let n = graph.n();
@@ -200,11 +194,7 @@ pub fn lp_refine_with_scratch(
             (obs::Counter::LpRefineRounds, obs::Counter::LpRefineMoves)
         }
 
-        fn run_round(
-            &mut self,
-            order: &VisitOrder<'_>,
-            frontier: Option<&AtomicBitset>,
-        ) -> RoundWork {
+        fn run_round(&mut self, order: &VisitOrder<'_>, frontier: &AtomicBitset) -> RoundWork {
             let (work, newly_blocked) = run_round(
                 self.graph,
                 self.state,
@@ -246,8 +236,7 @@ pub fn lp_refine_with_scratch(
             next_round_has_work: &mut dyn FnMut() -> bool,
         ) -> bool {
             // Stop on a move-free round — unless a reactivated waiter is queued for
-            // the next round (frontier mode only; the sweep keeps the original
-            // criterion).
+            // the next round.
             moved == 0 && !next_round_has_work()
         }
     }
@@ -265,7 +254,6 @@ pub fn lp_refine_with_scratch(
     let driven = drive_lp_rounds(
         n,
         rounds,
-        use_frontier,
         start.as_ref().map(BoundarySet::bits),
         &scratch.obs,
         &mut semantics,
@@ -283,21 +271,21 @@ pub fn lp_refine_with_scratch(
     }
 }
 
-/// One parallel round over `order`; returns its moves and decoded half-edges and, when
-/// the frontier is active, the balance-blocked waiters: `(vertex, blocked target block, weight)` of
-/// every vertex whose improving move was rejected only because the target block was
-/// full. Only the highest-affinity blocked block is recorded per vertex — tracking all
-/// of them would grow the list without changing behaviour materially, since a revisit
-/// recomputes the full candidate set anyway.
+/// One parallel round over `order`, marking the next round's `frontier`; returns its
+/// moves and decoded half-edges and the balance-blocked waiters: `(vertex, blocked
+/// target block, weight)` of every vertex whose improving move was rejected only because
+/// the target block was full. Only the highest-affinity blocked block is recorded per
+/// vertex — tracking all of them would grow the list without changing behaviour
+/// materially, since a revisit recomputes the full candidate set anyway.
 ///
 /// `boundary` receives every visited vertex that has a neighbour in another block and
-/// every mover with its neighbourhood, whether or not the frontier is on.
+/// every mover with its neighbourhood.
 fn run_round(
     graph: &impl Graph,
     state: &AtomicPartition,
     k: usize,
     order: &VisitOrder<'_>,
-    frontier: Option<&AtomicBitset>,
+    frontier: &AtomicBitset,
     boundary: &AtomicBitset,
     workers: &Pool<WorkerScratch>,
 ) -> (RoundWork, Vec<(NodeId, BlockId, NodeWeight)>) {
@@ -359,27 +347,21 @@ fn run_round(
                         graph.for_each_neighbor(u, &mut |v, _| {
                             work.half_edges += 1;
                             boundary.set(v as usize);
-                            if let Some(bits) = frontier {
-                                bits.set(v as usize);
-                            }
+                            frontier.set(v as usize);
                         });
-                        if let Some(bits) = frontier {
-                            bits.set(u as usize);
-                        }
-                    } else if let Some(bits) = frontier {
+                        frontier.set(u as usize);
+                    } else {
                         // The move raced against a concurrent one filling the
                         // target: keep u active so the next round retries it.
-                        bits.set(u as usize);
+                        frontier.set(u as usize);
                     }
                 }
                 None => {
                     // An improving move may exist behind the balance constraint;
                     // record the waiter so the caller reactivates u if that block
                     // frees capacity (feasibility is global, not neighbourhood-local).
-                    if frontier.is_some() {
-                        if let Some((block, _)) = blocked_best {
-                            blocked.push((u, block, node_weight));
-                        }
+                    if let Some((block, _)) = blocked_best {
+                        blocked.push((u, block, node_weight));
                     }
                 }
             }
@@ -487,7 +469,7 @@ mod tests {
             .build()
             .unwrap();
         let mut scratch = HierarchyScratch::new();
-        let stats = pool.install(|| lp_refine_with_scratch(&g, &mut p, 8, 1, true, &mut scratch));
+        let stats = pool.install(|| lp_refine_with_scratch(&g, &mut p, 8, 1, &mut scratch));
         assert!(
             stats.rounds >= 2,
             "expected several rounds, got {:?}",
@@ -528,7 +510,7 @@ mod tests {
         let assignment: Vec<BlockId> = (0..n as u32).map(|u| (u % 32) / 8).collect();
         let mut p = Partition::from_assignment(&g, 4, 0.1, assignment);
         let mut scratch = HierarchyScratch::new();
-        let first = lp_refine_with_scratch(&g, &mut p, 8, 1, true, &mut scratch);
+        let first = lp_refine_with_scratch(&g, &mut p, 8, 1, &mut scratch);
         assert_eq!(
             first.visited_per_round[0], n,
             "unknown boundary: a full sweep"
@@ -536,13 +518,8 @@ mod tests {
         // Three stripe borders, two columns each.
         assert_eq!(p.boundary_candidates(), Some(3 * 2 * 32));
         assert_eq!(p.edge_cut(), 3 * 32);
-        let second = lp_refine_with_scratch(&g, &mut p, 8, 2, true, &mut scratch);
+        let second = lp_refine_with_scratch(&g, &mut p, 8, 2, &mut scratch);
         assert_eq!(second.visited_per_round, [3 * 2 * 32]);
-        p.check_tracked_state(&g).unwrap();
-        // The sweep ignores the start set but leaves the same state behind.
-        let swept = lp_refine_with_scratch(&g, &mut p, 2, 3, false, &mut scratch);
-        assert_eq!(swept.visited_per_round, [n]);
-        assert_eq!(p.boundary_candidates(), Some(3 * 2 * 32));
         p.check_tracked_state(&g).unwrap();
     }
 
@@ -551,7 +528,7 @@ mod tests {
         let g = gen::grid2d(8, 8);
         let mut p = Partition::from_assignment(&g, 2, 0.1, (0..64u32).map(|u| u % 2).collect());
         let mut scratch = HierarchyScratch::new();
-        let stats = lp_refine_with_scratch(&g, &mut p, 0, 1, true, &mut scratch);
+        let stats = lp_refine_with_scratch(&g, &mut p, 0, 1, &mut scratch);
         assert_eq!(stats, LpRefineStats::default());
         assert_eq!(
             p.boundary_candidates(),
@@ -559,26 +536,5 @@ mod tests {
             "nothing was visited: still unknown"
         );
         assert_eq!(p.tracked_cut(), None);
-    }
-
-    #[test]
-    fn frontier_matches_full_sweep_quality() {
-        let g = gen::rgg2d(2000, 10, 4);
-        let assignment: Vec<BlockId> = (0..g.n() as u32)
-            .map(|u| (u.wrapping_mul(2_654_435_761) >> 8) % 8)
-            .collect();
-        let mut p_frontier = Partition::from_assignment(&g, 8, 0.1, assignment.clone());
-        let mut p_sweep = Partition::from_assignment(&g, 8, 0.1, assignment);
-        let mut scratch = HierarchyScratch::new();
-        lp_refine_with_scratch(&g, &mut p_frontier, 5, 7, true, &mut scratch);
-        lp_refine_with_scratch(&g, &mut p_sweep, 5, 7, false, &mut scratch);
-        let frontier_cut = p_frontier.edge_cut_on(&g) as f64;
-        let sweep_cut = p_sweep.edge_cut_on(&g) as f64;
-        assert!(
-            frontier_cut <= sweep_cut * 1.25 + 16.0,
-            "frontier refinement much worse than full sweep: {} vs {}",
-            frontier_cut,
-            sweep_cut
-        );
     }
 }

@@ -67,14 +67,7 @@ pub fn refine_with_scratch(
     scratch: &mut HierarchyScratch,
 ) -> RefinementStats {
     let obs = scratch.obs.clone();
-    let lp_stats = lp_refine_with_scratch(
-        graph,
-        partition,
-        config.lp_rounds,
-        seed,
-        config.lp_frontier,
-        scratch,
-    );
+    let lp_stats = lp_refine_with_scratch(graph, partition, config.lp_rounds, seed, scratch);
     let mut stats = RefinementStats {
         lp_moves: lp_stats.moves,
         lp_candidates: lp_stats.visited_per_round.first().copied().unwrap_or(0),

@@ -173,7 +173,6 @@ proptest! {
         n in 8usize..200,
         avg_degree in 1usize..8,
         limit in 2u64..14,
-        frontier in proptest::bool::ANY,
         seed in 0u64..100_000,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -184,7 +183,7 @@ proptest! {
             builder.add_edge(u, v, rng.gen_range(1..=5)); // ignores self-loops
         }
         let graph = CountingGraph::new(builder.build());
-        let config = CoarseningConfig { lp_frontier: frontier, ..Default::default() };
+        let config = CoarseningConfig::default();
         let clustering = one_thread(|| cluster(&graph, &config, limit, seed));
 
         let movable = |u: NodeId| {
@@ -203,9 +202,7 @@ proptest! {
             // One call is `movable`'s own, just above.
             if !movable(u) {
                 prop_assert_eq!((label, sizes[label]), (u as usize, 1));
-                if frontier {
-                    prop_assert_eq!(graph.calls(u), 2, "vertex {} was visited", u);
-                }
+                prop_assert_eq!(graph.calls(u), 2, "vertex {} was visited", u);
             }
         }
     }

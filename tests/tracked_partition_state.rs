@@ -1,5 +1,5 @@
 //! What a `Partition` says about itself stays true through every stage that carries or
-//! changes it: after `project`, label propagation (frontier on and off), k-way FM and
+//! changes it: after `project`, label propagation, k-way FM and
 //! the rebalancer — at one and at two threads, from a known and from an
 //! unknown starting state — the tracked cut equals a full recount, the block weights
 //! equal a recount, and every vertex with a neighbour in another block is a boundary
@@ -57,7 +57,6 @@ proptest! {
         seed in any::<u64>(),
         k in 2usize..9,
         threads in 1usize..3,
-        frontier in proptest::bool::ANY,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let fine = random_graph(&mut rng);
@@ -78,7 +77,7 @@ proptest! {
             let contracted = contract(&fine, &clustering, ContractionAlgorithm::OnePass, 64);
             let coarse = &contracted.coarse;
             let mut partition = random_partition(coarse, k, epsilon, &mut rng);
-            lp_refine_with_scratch(coarse, &mut partition, 2, lp_seed, frontier, &mut scratch);
+            lp_refine_with_scratch(coarse, &mut partition, 2, lp_seed, &mut scratch);
             check(&partition, coarse, "label propagation on the coarse graph");
             prop_assert!(partition.tracked_cut().is_some());
             prop_assert!(partition.boundary_candidates().is_some());
@@ -88,7 +87,7 @@ proptest! {
             check(&partition, &fine, "project");
 
             // Every refiner from the known state the previous one left ...
-            lp_refine_with_scratch(&fine, &mut partition, 3, lp_seed, frontier, &mut scratch);
+            lp_refine_with_scratch(&fine, &mut partition, 3, lp_seed, &mut scratch);
             check(&partition, &fine, "label propagation");
             rebalance(&fine, &mut partition);
             check(&partition, &fine, "rebalance");
@@ -102,9 +101,7 @@ proptest! {
                 let mut partition = start.clone();
                 match stage {
                     0 => {
-                        lp_refine_with_scratch(
-                            &fine, &mut partition, 3, lp_seed, frontier, &mut scratch,
-                        );
+                        lp_refine_with_scratch(&fine, &mut partition, 3, lp_seed, &mut scratch);
                         prop_assert!(partition.boundary_candidates().is_some());
                     }
                     1 => { rebalance(&fine, &mut partition); }
