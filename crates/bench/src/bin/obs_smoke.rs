@@ -91,6 +91,52 @@ fn rank(cat: &str) -> u32 {
     }
 }
 
+/// Vertices of hierarchy level `level` of a run on an input of `input_n` vertices: the
+/// coarse graphs' sizes are on the coarsening spans; level 0 is the input.
+fn level_nodes(report: &obs::RunReport, input_n: usize, level: u64) -> u64 {
+    match level {
+        0 => input_n as u64,
+        _ => report
+            .all_spans()
+            .iter()
+            .find(|span| span.name == "coarsen_level" && span.level == Some(level - 1))
+            .and_then(|span| span.attr("coarse_nodes"))
+            .expect("a refined level that was never coarsened"),
+    }
+}
+
+/// k-way FM's gain table has rows for boundary vertices only, read off a `RunReport`:
+/// every FM level's `refine` span carries the rows built from the boundary superset
+/// (`rows_built`) and the rows appended for vertices that moves put on the boundary
+/// (`rows_added`). A vertex holds at most one row, so together they stay within the
+/// level's `n`.
+fn gain_table_rows(report: &obs::RunReport, input_n: usize) {
+    let mut levels = 0;
+    for span in report
+        .all_spans()
+        .iter()
+        .filter(|span| span.name == "refine")
+    {
+        let level = span.level.expect("a refine span without a level");
+        let n = level_nodes(report, input_n, level);
+        let attr = |key| {
+            span.attr(key)
+                .expect("an FM refine span without its gain-table rows")
+        };
+        let (built, added) = (attr("rows_built"), attr("rows_added"));
+        println!(
+            "refine@{level}: n={n}, gain-table rows built {built} ({:.3} n), added {added}",
+            built as f64 / n as f64
+        );
+        assert!(
+            built + added <= n,
+            "{built} rows built and {added} added for {n} vertices"
+        );
+        levels += 1;
+    }
+    assert!(levels > 0, "no refine span in the report");
+}
+
 /// How much of each level refinement looked at, read off a `RunReport` alone: the
 /// `refine` spans carry the boundary superset going in (`candidates`), the vertices
 /// label propagation visited over all rounds (`visited`) and the superset coming out
@@ -123,18 +169,8 @@ fn uncoarsening_proportion() {
         })
         .collect();
     levels.sort_unstable();
-    // The coarse graphs' sizes are on the coarsening spans; level 0 is the input.
-    let nodes = |level: u64| match level {
-        0 => graph.n() as u64,
-        _ => report
-            .all_spans()
-            .iter()
-            .find(|span| span.name == "coarsen_level" && span.level == Some(level - 1))
-            .and_then(|span| span.attr("coarse_nodes"))
-            .expect("a refined level that was never coarsened"),
-    };
     for &(level, candidates, visited, boundary) in &levels {
-        let n = nodes(level);
+        let n = level_nodes(report, graph.n(), level);
         println!(
             "refine@{level}: n={n}, candidates {candidates}, visited {visited} ({:.3} n), boundary {boundary}",
             visited as f64 / n as f64
@@ -317,6 +353,8 @@ fn main() {
         report.counter(Counter::InitialFmPasses),
         report.counter(Counter::InitialAttempts)
     );
+
+    gain_table_rows(report, graph.n());
 
     uncoarsening_proportion();
     let coverage = span_coverage_floor();

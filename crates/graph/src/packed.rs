@@ -1,7 +1,7 @@
 //! [`PackedArray`]: the crate's one array of unsigned integers packed at a fixed byte
 //! width — the fewest whole bytes that hold its largest entry.
 //!
-//! It backs two things:
+//! It backs three things:
 //!
 //! * the per-vertex byte offsets of a [`CompressedGraph`](crate::CompressedGraph) — the
 //!   one resident compressed store, whether its bytes are on the heap or mapped by an
@@ -12,7 +12,10 @@
 //!   an offset. The `.tpg` container stores each neighbourhood's length as a VarInt
 //!   instead (about one byte), and its reader prefix-sums them into this array;
 //! * the edge weights of a [`CsrGraph`](crate::CsrGraph), where a coarse level whose
-//!   heaviest edge weighs 31 stores one byte per half-edge instead of eight.
+//!   heaviest edge weighs 31 stores one byte per half-edge instead of eight;
+//! * the per-vertex row handles of the FM gain table, sized by the most slots its arena
+//!   could ever hold and written as rows are appended ([`PackedArray::zeroed`],
+//!   [`PackedArray::set`]).
 //!
 //! Every entry is stored little-endian in `width` bytes and read back with a single
 //! 8-byte load and a mask: the array ends in [`TAIL_PADDING`] zero bytes, so the load of
@@ -167,6 +170,30 @@ impl PackedArray {
         }
     }
 
+    /// `len` zero entries, at the width of `max`: the entries any later [`Self::set`]
+    /// may write.
+    pub fn zeroed(len: usize, max: u64) -> Self {
+        let width = width_for(max);
+        Self {
+            width,
+            mask: mask_of(width),
+            bytes: vec![0u8; len * width + TAIL_PADDING].into_boxed_slice(),
+        }
+    }
+
+    /// Overwrites the `i`-th entry (`i < len`) with `value`, which must fit the width.
+    #[inline]
+    pub fn set(&mut self, i: usize, value: u64) {
+        assert!(
+            value <= self.mask,
+            "{} does not fit in {} bytes",
+            value,
+            self.width
+        );
+        let pos = i * self.width;
+        store(&mut self.bytes[pos..pos + self.width], value);
+    }
+
     /// Takes `bytes` holding entries of `width` bytes each (written with [`store`] /
     /// [`store_uninit`]), none above `max`, and narrows them in place to
     /// [`width_for`]`(max)`. The forward pass is safe because an entry only moves toward
@@ -199,7 +226,7 @@ impl PackedArray {
 
     /// The `i`-th entry (`i < len`): one bounds-checked 8-byte load and a mask.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> u64 {
+    pub fn get(&self, i: usize) -> u64 {
         debug_assert!(i < self.len(), "entry {} of {}", i, self.len());
         let pos = i * self.width;
         let mut word = [0u8; 8];
@@ -213,7 +240,7 @@ impl PackedArray {
     }
 
     /// In-memory footprint: the packed entries plus the tail padding.
-    pub(crate) fn size_in_bytes(&self) -> usize {
+    pub fn size_in_bytes(&self) -> usize {
         self.bytes.len()
     }
 }
@@ -293,6 +320,24 @@ mod tests {
         let array = PackedArray::pack(0, [0].into_iter());
         assert_eq!((array.len(), array.width, array.get(0)), (1, 1, 0));
         assert_eq!(array.size_in_bytes(), 1 + TAIL_PADDING);
+    }
+
+    #[test]
+    fn set_overwrites_one_entry_of_a_zeroed_array() {
+        let mut array = PackedArray::zeroed(5, (1 << 16) + 1);
+        assert_eq!(array.width, 3);
+        array.set(4, (1 << 16) + 1);
+        array.set(1, 7);
+        array.set(1, 9);
+        let got: Vec<u64> = (0..5).map(|i| array.get(i)).collect();
+        assert_eq!(got, [0, 9, 0, 0, (1 << 16) + 1]);
+        assert_eq!(&array.bytes[15..], [0u8; TAIL_PADDING]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn set_refuses_a_value_beyond_the_width() {
+        PackedArray::zeroed(2, 255).set(0, 256);
     }
 
     #[test]

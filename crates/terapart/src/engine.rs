@@ -8,10 +8,9 @@
 //!   `(path, options)` — N concurrent requests against one graph share one page cache
 //!   or mapping and one memory charge;
 //! * a [`ScratchPool`] checks out [`HierarchyScratch`] arenas per request and parks
-//!   them again afterwards, so a warmed engine reuses the per-worker hot-loop buffers
-//!   and the initial-partitioning region, and N concurrent requests peak at
-//!   `max(simultaneous)` arenas rather than N (level-sized buffers belong to the phase
-//!   that reads them and are never parked);
+//!   them again afterwards, so a warmed engine reuses the per-worker hot-loop buffers,
+//!   and N concurrent requests peak at `max(simultaneous)` arenas rather than N
+//!   (level-sized buffers belong to the phase that reads them and are never parked);
 //! * each request reads the store through its own [`graph::StoreSession`], which
 //!   carries the poison protocol: an unrecoverable storage fault fails *that* request
 //!   with a structured [`PartitionError`] and leaves co-tenant sessions, the store and
@@ -156,8 +155,7 @@ impl Pool<HierarchyScratch> {
         self.parked_count()
     }
 
-    /// Total bytes the parked arenas hold: each one's charged initial-partitioning
-    /// region plus its parked worker buffers.
+    /// Total bytes the parked arenas hold: their parked worker buffers.
     pub fn parked_bytes(&self) -> usize {
         self.parked_sum(HierarchyScratch::parked_bytes)
     }
@@ -319,17 +317,18 @@ mod tests {
     fn scratch_pool_reuses_one_arena_across_sequential_checkouts() {
         let pool = ScratchPool::new();
         {
-            let mut lease = pool.checkout();
-            lease.initial.ensure(4096);
+            // A worker's chunk grows a buffer, and the arena parks it with its lease.
+            let lease = pool.checkout();
+            lease.workers.checkout().sort_keys.reserve(4096);
         }
         assert_eq!(pool.parked_arenas(), 1);
         assert_eq!(pool.high_water(), 1);
         let first_bytes = pool.parked_bytes();
-        assert!(first_bytes > 0);
+        assert!(first_bytes >= 4096 * 8);
         {
             let lease = pool.checkout();
             // The parked (already sized) arena came back.
-            assert!(lease.memory_bytes() >= first_bytes);
+            assert_eq!(lease.parked_bytes(), first_bytes);
             assert_eq!(pool.parked_arenas(), 0);
         }
         assert_eq!(pool.high_water(), 1, "sequential checkouts never overlap");

@@ -64,8 +64,9 @@ pub fn initial_partition(
     initial_partition_with_scratch(graph, k, epsilon, config, seed, &mut scratch)
 }
 
-/// Computes an initial `k`-way partition of `graph` via parallel recursive bisection,
-/// reusing the initial-partitioning region of `scratch` across the whole bisection tree.
+/// Computes an initial `k`-way partition of `graph` via parallel recursive bisection.
+/// The bisection tree shares one workspace ([`InitialPartitioningScratch`]) that is
+/// freed when this returns; `scratch` lends the run's observability handle.
 pub fn initial_partition_with_scratch(
     graph: &impl Graph,
     k: usize,
@@ -78,25 +79,21 @@ pub fn initial_partition_with_scratch(
     let n = graph.n();
     let mut assignment: Vec<BlockId> = vec![0; n];
     if k > 1 && n > 0 {
-        scratch.initial.ensure(n);
-        // The tree permutation is partitioned in place; take it out of the scratch so
-        // the recursion can hold `&mut` slices of it alongside `&scratch.initial`.
-        let mut vertices = std::mem::take(&mut scratch.initial.tree_vertices);
-        vertices.clear();
-        vertices.extend(0..n as NodeId);
+        // Nothing after this stage reads the workspace: it is freed, charge and all,
+        // when this block ends rather than held through uncoarsening.
+        let mut workspace = InitialPartitioningScratch::new(n);
+        // The tree permutation is partitioned in place; take it out of the workspace so
+        // the recursion can hold `&mut` slices of it alongside `&workspace`.
+        let mut vertices = std::mem::take(&mut workspace.tree_vertices);
         let tree = BisectionTree {
             graph,
             config,
             assignment: SharedSlice::new(&mut assignment),
-            scratch: &scratch.initial,
+            scratch: &workspace,
             obs: &scratch.obs,
         };
         let lmax = Partition::compute_max_block_weight(graph.total_node_weight(), k, epsilon);
         tree.recurse(&mut vertices, 0, k, lmax, seed);
-        scratch.initial.tree_vertices = vertices;
-        // The pooled workspaces have no user past this point; free them so the standing
-        // footprint through uncoarsening stays node-indexed (see `release_pools`).
-        scratch.initial.release_pools();
     }
     // Recursive bisection has no deltas to offer: this is the one full count of a
     // request. Every later stage moves the cut by its gains or recounts it over the
@@ -536,8 +533,7 @@ mod tests {
                 .filter(|u| u % NodeId::from(keep_modulus) != 0)
                 .collect();
             let reference = induced_subgraph(&g, &vertices);
-            let mut ip = InitialPartitioningScratch::default();
-            ip.ensure(g.n());
+            let ip = InitialPartitioningScratch::new(g.n());
             let mut ws = ip.bisections.checkout();
             ws.extract(&g, &vertices, &ip);
             let view = ws.view();

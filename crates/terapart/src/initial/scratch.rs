@@ -1,5 +1,8 @@
-//! Scratch memory for the recursive-bisection engine: the `2k - 1` nodes of the
-//! bisection tree reuse
+//! The workspace of the recursive-bisection engine, which lives exactly as long as the
+//! initial-partitioning stage: [`InitialPartitioningScratch::new`] allocates it for the
+//! coarsest graph when the stage starts and it is freed — buffers, pools and memory
+//! charge — when the stage returns, since nothing after the stage reads it. The `2k - 1`
+//! nodes of the bisection tree reuse
 //!
 //! * a single **epoch-tagged membership map** shared by every tree node: each bisection
 //!   claims a fresh epoch from a monotonic counter and tags its vertices with
@@ -16,8 +19,8 @@
 //! the task drops it, so the number of live workspaces is bounded by the number of running
 //! tasks (≤ thread count), not by the tree size. Buffers only ever grow; the root
 //! bisection (the largest subgraph) sizes them and the rest of the tree runs
-//! allocation-free. The pools are freed when the stage ends; the membership map is
-//! charged to the memory accounting and kept for the run.
+//! allocation-free. The membership map and the tree permutation are charged to the
+//! memory accounting; the pooled workspaces, sized by the largest task, are not.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,9 +32,8 @@ use super::bipartition::{FmWork, TwoWay};
 use crate::heap::AddressableMaxHeap;
 use crate::scratch::Pool;
 
-/// Reusable scratch for one run's whole bisection tree (a region of
-/// [`HierarchyScratch`](crate::scratch::HierarchyScratch)).
-#[derive(Debug, Default)]
+/// The workspace of one bisection tree, shared by all its nodes (see the module docs).
+#[derive(Debug)]
 pub struct InitialPartitioningScratch {
     /// Per global vertex: the epoch of the bisection that last tagged it. A vertex
     /// belongs to the subgraph of the bisection holding `epoch` iff the entry matches;
@@ -50,25 +52,30 @@ pub struct InitialPartitioningScratch {
     pub(crate) bisections: Pool<BisectionWorkspace>,
     /// Pool of portfolio-attempt buffers.
     pub(crate) attempts: Pool<AttemptWorkspace>,
-    /// Charge of [`Self::memory_bytes`] against the global memory accounting.
-    charge: Option<MemoryScope<'static>>,
+    /// Charge of [`Self::memory_bytes`] against the global memory accounting, released
+    /// when the workspace drops.
+    _charge: MemoryScope<'static>,
 }
 
 impl InitialPartitioningScratch {
-    /// Grows the membership map and the tree permutation to `n` vertices and charges
-    /// them. Does not shrink.
-    pub fn ensure(&mut self, n: usize) {
-        if self.local_epoch.len() < n {
-            self.local_epoch.resize_with(n, || AtomicU64::new(0));
-            self.local_id.resize_with(n, || AtomicNodeId::new(0));
-        }
-        self.tree_vertices
-            .reserve(n.saturating_sub(self.tree_vertices.len()));
-        let bytes = self.memory_bytes();
-        let charge = self
-            .charge
-            .get_or_insert_with(|| MemoryScope::charge_global(0));
-        charge.grow(bytes.saturating_sub(charge.bytes()));
+    /// The workspace of a bisection tree over the `n` vertices of the coarsest graph:
+    /// the membership map and the tree permutation `0..n`, charged until it drops.
+    pub fn new(n: usize) -> Self {
+        let mut local_epoch = Vec::with_capacity(n);
+        local_epoch.resize_with(n, || AtomicU64::new(0));
+        let mut local_id = Vec::with_capacity(n);
+        local_id.resize_with(n, || AtomicNodeId::new(0));
+        let mut scratch = Self {
+            local_epoch,
+            local_id,
+            epoch: AtomicU64::new(0),
+            tree_vertices: (0..n as NodeId).collect(),
+            bisections: Pool::new(),
+            attempts: Pool::new(),
+            _charge: MemoryScope::charge_global(0),
+        };
+        scratch._charge.grow(scratch.memory_bytes());
+        scratch
     }
 
     /// Claims a fresh, globally unique epoch for one bisection node.
@@ -97,13 +104,13 @@ impl InitialPartitioningScratch {
             .then(|| self.local_id[u as usize].load(Ordering::Relaxed))
     }
 
-    /// Heap bytes of the node-indexed structures (membership map + tree permutation).
+    /// Heap bytes of the node-indexed structures (membership map + tree permutation):
+    /// what the workspace charges.
     ///
     /// The pooled workspace buffers are *not* part of this figure: they are working
-    /// memory sized by the largest task rather than node-indexed state, are excluded
-    /// from the charge, and are freed when the stage ends
-    /// ([`Self::release_pools`]).
-    /// [`Self::pool_bytes`] exposes their current footprint for introspection.
+    /// memory sized by the largest task rather than node-indexed state, and are excluded
+    /// from the charge. [`Self::pool_bytes`] exposes their current footprint for
+    /// introspection.
     pub fn memory_bytes(&self) -> usize {
         self.local_epoch.len() * std::mem::size_of::<AtomicU64>()
             + self.local_id.len() * std::mem::size_of::<AtomicNodeId>()
@@ -114,16 +121,6 @@ impl InitialPartitioningScratch {
     pub fn pool_bytes(&self) -> usize {
         self.bisections.parked_sum(BisectionWorkspace::memory_bytes)
             + self.attempts.parked_sum(AttemptWorkspace::memory_bytes)
-    }
-
-    /// Frees the pooled workspaces. Called when initial partitioning ends: the pools'
-    /// only user is the bisection tree, and holding root-subgraph-sized CSR and heap
-    /// buffers through the whole uncoarsening phase would inflate the resident
-    /// footprint for zero reuse benefit. The membership map is kept — a later run
-    /// through the same arena re-grows only the pools.
-    pub fn release_pools(&mut self) {
-        self.bisections.clear();
-        self.attempts.clear();
     }
 }
 
@@ -319,8 +316,7 @@ mod tests {
 
     #[test]
     fn epoch_tags_keep_stale_entries_invisible() {
-        let mut scratch = InitialPartitioningScratch::default();
-        scratch.ensure(10);
+        let scratch = InitialPartitioningScratch::new(10);
         let e1 = scratch.next_epoch();
         scratch.tag_members(e1, &[2, 5, 7]);
         assert_eq!(scratch.local(e1, 5), Some(1));
@@ -342,8 +338,7 @@ mod tests {
         let g = gen::rgg2d(300, 8, 11);
         let vertices: Vec<NodeId> = (0..g.n() as NodeId).filter(|u| u % 3 != 0).collect();
         let reference = crate::initial::tests::induced_subgraph(&g, &vertices);
-        let mut scratch = InitialPartitioningScratch::default();
-        scratch.ensure(g.n());
+        let scratch = InitialPartitioningScratch::new(g.n());
         let mut ws = scratch.bisections.checkout();
         ws.extract(&g, &vertices, &scratch);
         let view = ws.view();
@@ -362,7 +357,7 @@ mod tests {
 
     #[test]
     fn pools_reuse_workspace_buffers() {
-        let mut scratch = InitialPartitioningScratch::default();
+        let scratch = InitialPartitioningScratch::new(0);
         let mut ws = scratch.attempts.checkout();
         ws.order.reserve(1000);
         let capacity = ws.order.capacity();
@@ -375,10 +370,5 @@ mod tests {
             capacity,
             "pooled buffer must come back"
         );
-        drop(ws);
-        scratch.release_pools();
-        assert_eq!(scratch.pool_bytes(), 0);
-        let ws = scratch.attempts.checkout();
-        assert_eq!(ws.order.capacity(), 0, "released pools start fresh");
     }
 }

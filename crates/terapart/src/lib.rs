@@ -31,10 +31,10 @@
 //!   beside an `n`-bit label set), label propagation's range permutation and frontier
 //!   bitsets (the visit order is generated range by range while the round runs, never
 //!   stored), and each coarse level, which uncoarsening pops once it has projected past
-//!   it. The first coarsening level therefore sets the peak. What outlives a phase is one
-//!   [`HierarchyScratch`] per run: the pooled per-worker hot-loop buffers and the
-//!   initial-partitioning region, whose membership map every node of the bisection tree
-//!   reuses. The coarse edge arrays are reserved for `2m` slots per level without being
+//!   it; and initial partitioning's membership map and tree permutation, which every
+//!   node of the bisection tree reuses. The first coarsening level therefore sets the
+//!   peak. What outlives a phase is one [`HierarchyScratch`] per run: the pooled
+//!   per-worker hot-loop buffers. The coarse edge arrays are reserved for `2m` slots per level without being
 //!   filled; one-pass contraction writes the `2m′` it needs and hands exactly those to
 //!   the coarse graph.
 //! * **Edge weights at the width of the heaviest.** A coarse level's CSR stores its edge

@@ -22,7 +22,7 @@ use memtrack::{PhaseReport, PhaseTracker};
 use obs::{Counter, ObsHandle, Recorder, RunReport, SpanKind};
 
 use crate::coarsening::{self, Hierarchy, Level};
-use crate::context::PartitionerConfig;
+use crate::context::{PartitionerConfig, RefinementAlgorithm};
 use crate::engine::{EngineConfig, PartitionEngine, PartitionRequest};
 use crate::error::PartitionError;
 use crate::initial::initial_partition_with_scratch;
@@ -164,7 +164,9 @@ fn uncoarsen_level(
 /// Refines `partition` on the graph of one hierarchy level as the pipeline's `refine`
 /// phase. The span says how much of the level the refinement looked at: `candidates`
 /// (boundary superset on entry), `visited` (summed over the LP rounds) and `boundary`
-/// (superset on exit), all out of the level's `n`.
+/// (superset on exit), all out of the level's `n`; with k-way FM also the gain-table
+/// rows it built (`rows_built`, the boundary on entry to FM) and appended
+/// (`rows_added`).
 fn refine_level(
     graph: &impl Graph,
     partition: &mut Partition,
@@ -185,6 +187,10 @@ fn refine_level(
             span.attr("candidates", stats.lp_candidates as u64);
             span.attr("visited", stats.lp_visited as u64);
             span.attr("boundary", stats.boundary as u64);
+            if config.refinement.algorithm == RefinementAlgorithm::KWayFmWithLabelPropagation {
+                span.attr("rows_built", stats.gain_rows_built as u64);
+                span.attr("rows_added", stats.gain_rows_added as u64);
+            }
         },
     );
     debug_check_level(graph, partition, "refinement", level);

@@ -6,9 +6,9 @@
 //! gain, and pops them in gain order. Moves with *negative* gain are allowed (hill
 //! climbing) and the pass is rolled back to the best prefix seen, so the search leaves
 //! local minima that a positive-gain-only scheme — label propagation — is stuck in.
-//! Gains come from a [`GainCache`] (none / dense `O(nk)` / sparse `O(m)`) and are
-//! maintained incrementally after every move. The queue is the crate's one
-//! `AddressableMaxHeap`, shared with the 2-way FM of the initial partitioner
+//! Gains come from a [`GainCache`] (none / dense `O(nk)` / sparse `O(m)`, rows for the
+//! boundary only) and are maintained incrementally after every move. The queue is the
+//! crate's one `AddressableMaxHeap`, shared with the 2-way FM of the initial partitioner
 //! ([`crate::initial::bipartition`]): a vertex is in it at most once, so it never holds
 //! more than `n` entries; moving `u` re-keys each unlocked neighbour under its new best
 //! move, or takes it out when it has none left.
@@ -25,13 +25,12 @@
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId, NodeWeight};
-use memtrack::MemoryScope;
 use obs::{Counter, ObsHandle, SpanKind};
 use rayon::prelude::*;
 
 use crate::context::GainTableKind;
 use crate::heap::AddressableMaxHeap;
-use crate::partition::{BlockId, Partition};
+use crate::partition::{BlockId, BoundarySet, Partition};
 
 use super::gain_table::GainCache;
 
@@ -40,8 +39,13 @@ use super::gain_table::GainCache;
 pub struct FmStats {
     /// Number of vertex moves kept (inside a pass's best prefix).
     pub moves: usize,
-    /// Heap bytes used by the gain cache.
+    /// Heap bytes of the gain cache at its peak, which is its size when FM ends: rows
+    /// are only ever appended.
     pub gain_table_bytes: usize,
+    /// Gain-table rows built from the boundary superset FM started from.
+    pub rows_built: usize,
+    /// Gain-table rows appended for vertices that moves put on the boundary.
+    pub rows_added: usize,
     /// Number of refinement passes executed.
     pub passes: usize,
     /// Moves applied and later undone by hill-climbing rollback.
@@ -123,11 +127,15 @@ pub(crate) fn kway_fm_refine_obs(
     let mut assignment: Vec<BlockId> = partition.assignment().to_vec();
     let mut block_weights: Vec<NodeWeight> = partition.block_weights().to_vec();
 
-    let mut cache = GainCache::new(gain_table, graph, &assignment, k);
-    let gain_table_bytes = cache.memory_bytes();
-    // Charged for the duration of refinement: the quantity Figure 7 (middle) compares
-    // across the three gain-table kinds.
-    let _scope = MemoryScope::charge_global(gain_table_bytes);
+    // Charges itself for the duration of refinement: the quantity Figure 7 (middle)
+    // compares across the three gain-table kinds.
+    let mut cache = GainCache::new(
+        gain_table,
+        graph,
+        &assignment,
+        k,
+        boundary.as_ref().map(BoundarySet::bits),
+    );
 
     let mut heap = AddressableMaxHeap::default();
     // The block a queued vertex's key is the gain towards.
@@ -136,7 +144,6 @@ pub(crate) fn kway_fm_refine_obs(
     let mut seeds: Vec<(i64, NodeId, BlockId)> = Vec::new();
     let mut move_log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
 
-    obs.gauge_max(Counter::GainTableBytes, gain_table_bytes as u64);
     let best_move =
         |cache: &GainCache, assignment: &[BlockId], block_weights: &[NodeWeight], u: NodeId| {
             best_feasible_move(graph, cache, assignment, block_weights, max_block_weight, u)
@@ -201,7 +208,7 @@ pub(crate) fn kway_fm_refine_obs(
             assignment[u as usize] = to;
             block_weights[from as usize] -= node_weight;
             block_weights[to as usize] += node_weight;
-            cache.apply_move(graph, u, from, to);
+            cache.apply_move(graph, &assignment, u, from, to);
             locked[u as usize] = true;
             move_log.push((u, from, to));
             total_gain += gain;
@@ -239,7 +246,7 @@ pub(crate) fn kway_fm_refine_obs(
             assignment[u as usize] = from;
             block_weights[to as usize] -= node_weight;
             block_weights[from as usize] += node_weight;
-            cache.apply_move(graph, u, to, from);
+            cache.apply_move(graph, &assignment, u, to, from);
         }
         cache.debug_check_sample(graph, &assignment);
         pass_span.attr("moves", best_len as u64);
@@ -260,6 +267,9 @@ pub(crate) fn kway_fm_refine_obs(
         }
     }
 
+    let gain_table_bytes = cache.memory_bytes();
+    obs.gauge_max(Counter::GainTableBytes, gain_table_bytes as u64);
+    let (rows_built, rows_added) = cache.rows();
     partition.commit(
         assignment,
         block_weights,
@@ -269,6 +279,8 @@ pub(crate) fn kway_fm_refine_obs(
     FmStats {
         moves: total_moves,
         gain_table_bytes,
+        rows_built,
+        rows_added,
         passes,
         moves_rolled_back: total_rolled_back,
         queue_peak,
@@ -339,6 +351,28 @@ mod tests {
         GainTableKind::Sparse,
     ];
 
+    /// Every row of a table cache holds exactly the affinities recounted from the graph,
+    /// and every vertex with a neighbour in another block has a row.
+    fn check_rows(graph: &impl Graph, cache: &GainCache, assignment: &[BlockId], k: usize) {
+        let GainCache::Table(table) = cache else {
+            return;
+        };
+        for u in 0..graph.n() as NodeId {
+            let mut expected: Vec<EdgeWeight> = vec![0; k];
+            graph.for_each_neighbor(u, &mut |v, w| {
+                expected[assignment[v as usize] as usize] += w
+            });
+            let own = assignment[u as usize] as usize;
+            let boundary = (0..k).any(|b| b != own && expected[b] > 0);
+            let row: Option<Vec<EdgeWeight>> =
+                (0..k).map(|b| table.affinity(u, b as BlockId)).collect();
+            match row {
+                Some(row) => prop_assert_eq!(row, expected, "row of vertex {}", u),
+                None => prop_assert!(!boundary, "boundary vertex {} has no row", u),
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
         #[test]
@@ -346,29 +380,53 @@ mod tests {
             seed in any::<u64>(),
             k in 2usize..20,
             slack in 0u64..6,
+            wide in proptest::bool::ANY,
         ) {
             // Sparse random graph under a hub adjacent to everyone: vertices on both
             // sides of deg > k (and of the hash-row / dense-row split) for every k drawn.
+            // Scaled by 2^30, the total edge weight is beyond what fits beside a block id
+            // in a 4-byte slot, so the table takes 8-byte slots.
             let n = 48;
+            let scale: EdgeWeight = if wide { 1 << 30 } else { 1 };
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut builder = graph::CsrGraphBuilder::with_node_weights(
                 (0..n).map(|_| rng.gen_range(1..=3)).collect(),
             );
             for v in 1..n as NodeId {
-                builder.add_edge(0, v, rng.gen_range(1..=9));
+                builder.add_edge(0, v, scale * rng.gen_range(1..=9u64));
                 let other = (v + rng.gen_range(1..n as NodeId)) % n as NodeId;
-                builder.add_edge(v, other, rng.gen_range(1..=9));
+                builder.add_edge(v, other, scale * rng.gen_range(1..=9u64));
             }
             let g = builder.build();
+            // Few blocks per vertex on average, so that some vertices start interior.
+            let blocks = rng.gen_range(2..=k) as BlockId;
             let mut assignment: Vec<BlockId> =
-                (0..n).map(|_| rng.gen_range(0..k as BlockId)).collect();
+                (0..n).map(|_| rng.gen_range(0..blocks)).collect();
             let mut block_weights = vec![0; k];
             for u in 0..n {
                 block_weights[assignment[u] as usize] += g.node_weight(u as NodeId);
             }
             // Tight enough that some targets are infeasible from the start.
             let max_block_weight = *block_weights.iter().max().unwrap() + slack;
-            let mut caches = KINDS.map(|kind| GainCache::new(kind, &g, &assignment, k));
+            // The tables start from a boundary superset: the boundary plus a random third
+            // of the other vertices.
+            let mut candidates = crate::scratch::AtomicBitset::new();
+            candidates.ensure_len(n);
+            for u in 0..n as NodeId {
+                let mut boundary = false;
+                g.for_each_neighbor(u, &mut |v, _| {
+                    boundary |= assignment[v as usize] != assignment[u as usize];
+                });
+                if boundary || rng.gen_bool(0.3) {
+                    candidates.set(u as usize);
+                }
+            }
+            let mut caches =
+                KINDS.map(|kind| GainCache::new(kind, &g, &assignment, k, Some(&candidates)));
+            for cache in &caches[1..] {
+                let GainCache::Table(table) = cache else { unreachable!("a table kind") };
+                prop_assert_eq!(table.slot_bytes(), if wide { 8 } else { 4 });
+            }
             let agree = |caches: &[GainCache], assignment: &[BlockId], bw: &[NodeWeight], u| {
                 let expected = best_feasible_move_by_scan(
                     &g, &caches[1], assignment, bw, max_block_weight, u,
@@ -386,10 +444,16 @@ mod tests {
                 assignment[u as usize] = to;
                 bw[from as usize] -= g.node_weight(u);
                 bw[to as usize] += g.node_weight(u);
-                for cache in caches {
-                    cache.apply_move(&g, u, from, to);
+                for cache in caches.iter_mut() {
+                    cache.apply_move(&g, assignment, u, from, to);
+                }
+                for cache in caches.iter() {
+                    check_rows(&g, cache, assignment, k);
                 }
             };
+            for cache in &caches {
+                check_rows(&g, cache, &assignment, k);
+            }
             let mut log: Vec<(NodeId, BlockId, BlockId)> = Vec::new();
             for _ in 0..200 {
                 let u = rng.gen_range(0..n as NodeId);

@@ -33,8 +33,12 @@ pub struct RefinementStats {
     pub fm_moves: usize,
     /// Vertex moves performed by the rebalancer.
     pub rebalance_moves: usize,
-    /// Heap bytes used by the FM gain table (0 when FM refinement is disabled).
+    /// Heap bytes of the FM gain table at its peak (0 when FM refinement is disabled).
     pub gain_table_bytes: usize,
+    /// Gain-table rows FM built from the boundary superset (0 without FM).
+    pub gain_rows_built: usize,
+    /// Gain-table rows FM appended for vertices its moves put on the boundary.
+    pub gain_rows_added: usize,
     /// Vertices label propagation started from: the size of the partition's boundary
     /// superset on entry, or every vertex while that was unknown.
     pub lp_candidates: usize,
@@ -87,6 +91,8 @@ pub fn refine_with_scratch(
             );
             stats.fm_moves = fm_stats.moves;
             stats.gain_table_bytes = fm_stats.gain_table_bytes;
+            stats.gain_rows_built = fm_stats.rows_built;
+            stats.gain_rows_added = fm_stats.rows_added;
         }
     }
     if !partition.is_balanced() {

@@ -9,10 +9,13 @@
 //! by level 0 would hold level 0's buckets and bitsets through every later phase
 //! and put the run's peak in the refinement of level 0.
 //!
+//! Initial partitioning's membership map, tree permutation and workspace pools are the
+//! same: they belong to that stage ([`crate::initial::scratch`]) and are freed when it
+//! returns.
+//!
 //! [`HierarchyScratch`] keeps only what outlives a phase: the pool of per-worker hot-loop
-//! buffers (`WorkerScratch`, at most one per running chunk), the initial-partitioning
-//! region (see [`crate::initial::scratch`]) and the run's observability handle. An engine
-//! parks it between requests ([`crate::engine::ScratchPool`]).
+//! buffers (`WorkerScratch`, at most one per running chunk) and the run's observability
+//! handle. An engine parks it between requests ([`crate::engine::ScratchPool`]).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -24,7 +27,6 @@ use rayon::prelude::*;
 
 use crate::coarsening::contract::Batch;
 use crate::coarsening::rating_map::FixedCapacityHashMap;
-use crate::initial::scratch::InitialPartitioningScratch;
 
 /// A fixed-capacity concurrent bitset with relaxed atomics.
 ///
@@ -344,11 +346,6 @@ impl<T> Pool<T> {
     pub fn parked_sum(&self, measure: impl Fn(&T) -> usize) -> usize {
         self.parked.lock().iter().map(|item| measure(item)).sum()
     }
-
-    /// Drops the parked items.
-    pub(crate) fn clear(&mut self) {
-        self.parked.get_mut().clear();
-    }
 }
 
 impl<T> fmt::Debug for Pool<T> {
@@ -392,10 +389,6 @@ impl<T> Drop for Lease<'_, T> {
 /// What one partitioning run keeps between its phases (see the module docs).
 #[derive(Debug, Default)]
 pub struct HierarchyScratch {
-    /// Scratch region of the initial-partitioning stage: the epoch-tagged membership
-    /// map plus the pooled bisection/attempt workspaces reused across the whole
-    /// recursive-bisection tree (see [`crate::initial::scratch`]).
-    pub(crate) initial: InitialPartitioningScratch,
     /// Observability sink of the current run (noop unless the run records). Threaded
     /// through the scratch arena so the phase implementations can open round-level
     /// spans and bump counters without widening every signature.
@@ -412,17 +405,17 @@ impl HierarchyScratch {
         Self::default()
     }
 
-    /// Bytes the arena holds and charges to the memory accounting: the
-    /// initial-partitioning membership map and tree permutation. Every level-sized
-    /// buffer is owned, charged and freed by its phase, so between phases this is all.
+    /// Bytes the arena holds and charges to the memory accounting between phases:
+    /// none. Every level-sized buffer — initial partitioning's membership map and tree
+    /// permutation included — is owned, charged and freed by its phase; the parked
+    /// worker buffers are uncharged hot-loop state (`ScratchPool::parked_bytes`).
     pub fn memory_bytes(&self) -> usize {
-        self.initial.memory_bytes()
+        0
     }
 
-    /// Bytes a parked arena holds: [`Self::memory_bytes`] plus the parked worker
-    /// buffers.
+    /// Bytes a parked arena holds: its parked worker buffers.
     pub(crate) fn parked_bytes(&self) -> usize {
-        self.memory_bytes() + self.workers.parked_sum(WorkerScratch::memory_bytes)
+        self.workers.parked_sum(WorkerScratch::memory_bytes)
     }
 }
 

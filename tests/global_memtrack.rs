@@ -29,7 +29,7 @@ fn global_counter_readers_run_alone_in_their_process() {
     ondisk_run_is_bit_identical_and_stays_below_csr_memory();
     mmap_view_accounts_its_mapping_and_agrees_with_materialized();
     reserve_commit_accounting_is_visible_globally();
-    scratch_charge_is_released_on_drop();
+    initial_partitioning_frees_its_workspace_when_it_returns();
     baseline_lp_charges_one_rating_map_per_thread();
 }
 
@@ -125,20 +125,21 @@ fn reserve_commit_accounting_is_visible_globally() {
     assert!(memtrack::global().current() <= before + 4096);
 }
 
-/// The scratch arena charges what it keeps between phases — the initial-partitioning
-/// membership map — for its lifetime and releases the charge when it drops. (Lived in
+/// Initial partitioning charges its workspace — the membership map (an 8-byte epoch and
+/// an id per vertex) and the tree permutation — while it runs, and frees it, charge and
+/// all, when it returns: the arena it ran with keeps nothing. (Lived in
 /// `terapart::scratch`'s unit tests, where sibling tests that build arenas of their own
 /// made the balance flake.)
-fn scratch_charge_is_released_on_drop() {
+fn initial_partitioning_frees_its_workspace_when_it_returns() {
     let g = graph::gen::rgg2d(4_096, 8, 3);
     let before = memtrack::global().current();
-    {
-        let mut scratch = HierarchyScratch::new();
-        let config = InitialPartitioningConfig::default();
-        initial_partition_with_scratch(&g, 4, 0.03, &config, 1, &mut scratch);
-        assert!(scratch.memory_bytes() > 0);
-        assert!(memtrack::global().current() >= before + scratch.memory_bytes());
-    }
+    memtrack::global().reset_peak();
+    let mut scratch = HierarchyScratch::new();
+    let config = InitialPartitioningConfig::default();
+    initial_partition_with_scratch(&g, 4, 0.03, &config, 1, &mut scratch);
+    let workspace = g.n() * (8 + 2 * std::mem::size_of::<graph::NodeId>());
+    assert!(memtrack::global().peak() >= before + workspace);
+    assert_eq!(scratch.memory_bytes(), 0);
     assert!(memtrack::global().current() <= before + 64);
 }
 

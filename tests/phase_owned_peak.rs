@@ -7,9 +7,10 @@
 //! of the weight limit (4 bytes on a mesh) and generates its visit order range by range
 //! instead of holding n ids, and contraction's bucket build indexes its per-cluster
 //! arrays by label rank (n′ entries), so only its members array is n ids long. Level 0's
-//! LP refinement holds no n-id order either. This reads the memory accounting's peak, so
-//! it is the only `#[test]` of its binary: a sibling test allocating concurrently would
-//! move the reading.
+//! LP refinement holds no n-id order either, and level 0's k-way FM keeps gain-table rows
+//! for its boundary only, so `default` peaks where `fast` does on a mesh. This reads the
+//! memory accounting's peak, so it is the only `#[test]` of its binary: a sibling test
+//! allocating concurrently would move the reading.
 
 use graph::{gen, CompressedGraph, CompressionConfig, CsrGraph, NodeId};
 use terapart::{partition, PartitionResult, PartitionerConfig, Preset};
@@ -95,8 +96,46 @@ fn the_first_coarsening_level_sets_the_peak() {
         peak.level
     );
 
+    // The same mesh refined with the k-way FM. Its gain table has rows for the boundary
+    // only, at 4 bytes a slot, behind a 3-byte row handle per vertex: `default` peaks at
+    // 1.015x `fast` and its refine@0 holds 4.38 B per vertex beyond its entry (12.5x and
+    // 104.8 B while the table had an 8-byte row and an 8-byte offset for every vertex).
+    let (fm_mesh, _) = run(gen::rgg2d(n, 8, 3), Preset::Default, 16);
+    let over_fast = fm_mesh.peak_memory_bytes as f64 / mesh.peak_memory_bytes as f64;
+    let fm_refine = fm_mesh
+        .phase_reports
+        .iter()
+        .find(|report| report.name == "refine" && report.level == 0)
+        .expect("level 0 is refined");
+    let fm_refine_per_vertex = fm_refine.auxiliary_bytes() as f64 / n as f64;
+    println!(
+        "rgg2d(60 000, 8) default, k = 16: peak {} B = {over_fast:.3} x fast's; refine@0 holds {fm_refine_per_vertex:.2} B per vertex beyond its entry",
+        fm_mesh.peak_memory_bytes
+    );
+    assert!(
+        over_fast <= 1.5,
+        "default peaks at {over_fast:.3} x fast on the mesh"
+    );
+    assert!(
+        fm_refine_per_vertex <= 5.0,
+        "FM's refine@0 holds {fm_refine_per_vertex:.2} B per vertex beyond its entry, over 5"
+    );
+    // A grid, where 4.9 % of the vertices end on the boundary: 0.915x the CSR (3.00x
+    // with a row for every vertex).
+    let (grid, ratio) = run(gen::grid2d(300, 300), Preset::Default, 16);
+    println!(
+        "grid2d(300, 300) default, k = 16: peak {} B = {ratio:.3} x the uncompressed CSR",
+        grid.peak_memory_bytes
+    );
+    assert!(
+        ratio <= 1.0,
+        "grid2d(300, 300) default peaks at {ratio:.3} x the CSR"
+    );
+
     // A power-law graph refined with the k-way FM: without popping the levels it has
     // projected past, uncoarsening held every coarse graph under level 0's gain table.
+    // 1.073x (1.157x while the gain table had 8-byte slots and a row for every vertex
+    // and initial partitioning's workspace stayed charged through uncoarsening).
     let (web, ratio) = run(gen::weblike(14, 8, 3), Preset::Default, 16);
     println!(
         "weblike(14, 8) default, k = 16: peak {} B = {ratio:.3} x the uncompressed CSR",
