@@ -1,7 +1,7 @@
 //! [`PackedArray`]: the crate's one array of unsigned integers packed at a fixed byte
 //! width — the fewest whole bytes that hold its largest entry.
 //!
-//! It backs three things:
+//! It backs four things:
 //!
 //! * the per-vertex byte offsets of a [`CompressedGraph`](crate::CompressedGraph) — the
 //!   one resident compressed store, whether its bytes are on the heap or mapped by an
@@ -15,7 +15,10 @@
 //!   heaviest edge weighs 31 stores one byte per half-edge instead of eight;
 //! * the per-vertex row handles of the FM gain table, sized by the most slots its arena
 //!   could ever hold and written as rows are appended ([`PackedArray::zeroed`],
-//!   [`PackedArray::set`]).
+//!   [`PackedArray::set`]);
+//! * the edge weights of the subgraphs initial partitioning extracts, at the width of the
+//!   coarsest graph's heaviest edge, reused by every extraction of one bisection tree
+//!   that fits ([`PackedArray::len`]).
 //!
 //! Every entry is stored little-endian in `width` bytes and read back with a single
 //! 8-byte load and a mask: the array ends in [`TAIL_PADDING`] zero bytes, so the load of
@@ -150,6 +153,13 @@ pub struct PackedArray {
     bytes: Box<[u8]>,
 }
 
+/// No entries, one byte wide.
+impl Default for PackedArray {
+    fn default() -> Self {
+        Self::zeroed(0, 0)
+    }
+}
+
 impl PackedArray {
     /// Packs `values`, none of which may exceed `max` (which fixes the width).
     pub(crate) fn pack(max: u64, values: impl ExactSizeIterator<Item = u64>) -> Self {
@@ -235,8 +245,13 @@ impl PackedArray {
     }
 
     /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         (self.bytes.len() - TAIL_PADDING) / self.width
+    }
+
+    /// Whether the array has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// In-memory footprint: the packed entries plus the tail padding.

@@ -79,6 +79,9 @@ counters! {
     (MmapOpenRetriedReads, "mmap_open_retried_reads", Sum),
     // Memory gauges (peaks, not sums).
     (GainTableBytes, "gain_table_bytes", Max),
+    // What initial partitioning held uncharged when it returned: its parked workspace
+    // pools plus the root bisection's weighted degrees.
+    (InitialWorkspaceBytes, "initial_workspace_bytes", Max),
     (PeakMemoryBytes, "peak_memory_bytes", Max),
 }
 

@@ -5,8 +5,8 @@
 //! The coarsest graph has `O(contraction_limit · k)` vertices, so the stage is cheap in
 //! memory — but it sits on the critical path, so this implementation treats it the way
 //! the paper treats every other phase: **task-parallel** and **allocation-free**.
-//! It reads any [`Graph`] representation: when nothing coarsens, the coarsest graph is
-//! the input itself, compressed or paged, and is read in place.
+//! It reads any [`Graph`] representation, through `dyn Graph`: when nothing coarsens, the
+//! coarsest graph is the input itself, compressed or paged, and is read in place.
 //!
 //! * The two child recursions of each bisection and the independent portfolio attempts
 //!   run in parallel via [`rayon::join`], with the thread budget split between branches.
@@ -14,8 +14,10 @@
 //!   (`InitialPartitioningScratch::tree_vertices`): each bisection stably partitions its
 //!   slice in place and recurses on the two disjoint subslices, so no per-node vertex
 //!   lists are ever allocated.
-//! * Induced subgraphs are extracted into pooled raw-CSR buffers through an
-//!   epoch-tagged membership map (see [`scratch`]).
+//! * The root bisection reads the coarsest graph in place; only the subgraphs below it
+//!   are extracted, into pooled raw-CSR buffers sized once by their summed degree,
+//!   through an epoch-tagged membership map (see [`scratch`]). So the stage never holds
+//!   a second copy of the whole coarsest graph.
 //! * Results are **bit-identical for a fixed seed at any thread count**: every subtree
 //!   derives its RNG stream from the root seed and its path in the bisection tree,
 //!   every attempt from the subtree seed and its attempt index, and the portfolio
@@ -48,7 +50,7 @@ use crate::scratch::{HierarchyScratch, Lease, SharedSlice};
 pub use bipartition::{Bipartition, FmWork};
 
 use bipartition::{bipartition_into, cut_of};
-use scratch::{AttemptWorkspace, InitialPartitioningScratch, SubgraphView};
+use scratch::{AttemptWorkspace, InitialPartitioningScratch, SubgraphView, WholeGraph};
 
 /// Computes an initial `k`-way partition of `graph` via recursive bisection, using a
 /// throwaway scratch arena. Prefer [`initial_partition_with_scratch`] inside the
@@ -85,15 +87,28 @@ pub fn initial_partition_with_scratch(
         // The tree permutation is partitioned in place; take it out of the workspace so
         // the recursion can hold `&mut` slices of it alongside `&workspace`.
         let mut vertices = std::mem::take(&mut workspace.tree_vertices);
+        // The root bisection reads the graph in place: the permutation starts as `0..n`,
+        // so its local IDs are the global ones.
+        let root = WholeGraph::new(graph);
         let tree = BisectionTree {
             graph,
+            heaviest_edge: root.heaviest_edge(),
             config,
             assignment: SharedSlice::new(&mut assignment),
             scratch: &workspace,
             obs: &scratch.obs,
         };
         let lmax = Partition::compute_max_block_weight(graph.total_node_weight(), k, epsilon);
-        tree.recurse(&mut vertices, 0, k, lmax, seed);
+        let split = tree.bisect(&root.view(), &mut vertices, k, lmax, seed);
+        let root_bytes = root.memory_bytes();
+        drop(root);
+        tree.recurse_children(&mut vertices, split, 0, k, lmax, seed);
+        // What the stage held uncharged: the root's weighted degrees and, parked again
+        // by now, every pooled workspace.
+        let uncharged = root_bytes + workspace.pool_bytes();
+        scratch
+            .obs
+            .gauge_max(obs::Counter::InitialWorkspaceBytes, uncharged as u64);
     }
     // Recursive bisection has no deltas to offer: this is the one full count of a
     // request. Every later stage moves the cut by its gains or recounts it over the
@@ -137,9 +152,12 @@ pub fn portfolio_attempts(attempts: usize, m_sub: usize) -> usize {
     }
 }
 
-/// What every node of one request's bisection tree shares.
-struct BisectionTree<'a, G: Graph> {
-    graph: &'a G,
+/// What every node of one request's bisection tree shares. The graph is read through
+/// `dyn Graph`, so the tree compiles once for every representation.
+struct BisectionTree<'a> {
+    graph: &'a dyn Graph,
+    /// The weight of the graph's heaviest edge: the packed width of every extraction.
+    heaviest_edge: EdgeWeight,
     config: &'a InitialPartitioningConfig,
     assignment: SharedSlice<'a, BlockId>,
     scratch: &'a InitialPartitioningScratch,
@@ -147,13 +165,9 @@ struct BisectionTree<'a, G: Graph> {
     obs: &'a obs::ObsHandle,
 }
 
-impl<G: Graph> BisectionTree<'_, G> {
+impl BisectionTree<'_> {
     /// Recursively bisects the subgraph induced by the `vertices` slice into blocks
     /// `[first_block, first_block + k)`, writing the result through `assignment`.
-    ///
-    /// The slice is stably partitioned in place by the chosen bipartition, so the two
-    /// child recursions operate on disjoint subslices (and disjoint `assignment`
-    /// indices), which is what makes the parallel fork sound.
     ///
     /// `lmax` is the block-weight limit of the whole request, handed down as an argument
     /// because it belongs to the request: sessions with different `k` run concurrently.
@@ -173,10 +187,28 @@ impl<G: Graph> BisectionTree<'_, G> {
             }
             return;
         }
-        let scratch = self.scratch;
-        let mut ws = scratch.bisections.checkout();
-        ws.extract(self.graph, vertices, scratch);
-        let total = ws.total_node_weight;
+        let mut ws = self.scratch.bisections.checkout();
+        ws.extract(self.graph, vertices, self.scratch, self.heaviest_edge);
+        let split = self.bisect(&ws.view(), vertices, k, lmax, seed);
+        // Parked before the recursion, so the children lease it again.
+        drop(ws);
+        self.recurse_children(vertices, split, first_block, k, lmax, seed);
+    }
+
+    /// Bisects `sub`, the subgraph induced by `vertices` (in local IDs: `vertices[local]`
+    /// is the global ID), for `k` blocks and stably partitions `vertices` in place by the
+    /// winning bipartition: side-0 vertices first, side-1 after, relative order preserved
+    /// on both sides (keeps the slices ascending, which the subgraph extraction relies
+    /// on). Returns the number of side-0 vertices.
+    fn bisect(
+        &self,
+        sub: &SubgraphView,
+        vertices: &mut [NodeId],
+        k: usize,
+        lmax: NodeWeight,
+        seed: u64,
+    ) -> usize {
+        let total = sub.total_node_weight();
         let k0 = k.div_ceil(2);
         let k1 = k - k0;
         // What `lmax` leaves over the perfectly balanced split is shared out evenly among
@@ -191,38 +223,51 @@ impl<G: Graph> BisectionTree<'_, G> {
             relaxed.max(share.ceil() as NodeWeight).max(1)
         };
         let portfolio = Portfolio {
-            sub: &ws.view(),
+            sub,
             target0: (total as f64 * k0 as f64 / k as f64).round() as NodeWeight,
             max_weight: [side_max(k0), side_max(k1)],
             config: self.config,
             seed,
-            scratch,
+            scratch: self.scratch,
             obs: self.obs,
         };
-        let attempts = portfolio_attempts(self.config.attempts, ws.adjacency.len());
-        let (_, best) = portfolio.run(0, attempts);
+        let attempts = portfolio_attempts(self.config.attempts, sub.half_edges());
+        let (_, mut best) = portfolio.run(0, attempts);
         self.obs.add(obs::Counter::InitialBisections, 1);
 
-        // Stable in-place partition of the slice: side-0 vertices first, side-1 after,
-        // relative order preserved on both sides (keeps the slices ascending, which the
-        // subgraph extraction relies on).
-        ws.right_tmp.clear();
+        // The winner's restart order is spent: it holds the side-1 vertices meanwhile.
+        let AttemptWorkspace { part, order, .. } = &mut *best;
+        order.clear();
         let mut write = 0usize;
         for local in 0..vertices.len() {
             let u = vertices[local];
-            if best.part.side[local] {
-                ws.right_tmp.push(u);
+            if part.side[local] {
+                order.push(u);
             } else {
                 vertices[write] = u;
                 write += 1;
             }
         }
-        vertices[write..].copy_from_slice(&ws.right_tmp);
-        // Parked before the recursion, so the children lease these two again.
-        drop(best);
-        drop(ws);
+        vertices[write..].copy_from_slice(order);
+        write
+    }
 
-        let (left, right) = vertices.split_at_mut(write);
+    /// Recurses on the two sides of a bisection of `vertices` whose first `split`
+    /// vertices are side 0: blocks `[first_block, first_block + ⌈k/2⌉)` on the left,
+    /// the rest on the right. The sides are disjoint subslices (and disjoint
+    /// `assignment` indices), which is what makes the parallel fork sound.
+    fn recurse_children(
+        &self,
+        vertices: &mut [NodeId],
+        split: usize,
+        first_block: usize,
+        k: usize,
+        lmax: NodeWeight,
+        seed: u64,
+    ) {
+        let k0 = k.div_ceil(2);
+        let k1 = k - k0;
+        let (left, right) = vertices.split_at_mut(split);
         let seed0 = seed.wrapping_mul(31).wrapping_add(1);
         let seed1 = seed.wrapping_mul(31).wrapping_add(2);
         if should_fork(left.len().min(right.len())) {
@@ -535,7 +580,7 @@ mod tests {
             let reference = induced_subgraph(&g, &vertices);
             let ip = InitialPartitioningScratch::new(g.n());
             let mut ws = ip.bisections.checkout();
-            ws.extract(&g, &vertices, &ip);
+            ws.extract(&g, &vertices, &ip, WholeGraph::new(&g).heaviest_edge());
             let view = ws.view();
             prop_assert_eq!(view.n(), reference.n());
             prop_assert_eq!(view.m(), reference.m());

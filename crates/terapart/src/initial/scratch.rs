@@ -1,8 +1,11 @@
 //! The workspace of the recursive-bisection engine, which lives exactly as long as the
 //! initial-partitioning stage: [`InitialPartitioningScratch::new`] allocates it for the
 //! coarsest graph when the stage starts and it is freed — buffers, pools and memory
-//! charge — when the stage returns, since nothing after the stage reads it. The `2k - 1`
-//! nodes of the bisection tree reuse
+//! charge — when the stage returns, since nothing after the stage reads it.
+//!
+//! The root bisection reads the coarsest graph in place through a [`WholeGraph`], which
+//! adds only the weighted degrees, the half-edge count and the totals an extraction would
+//! have cached. The `2k - 2` nodes below it reuse
 //!
 //! * a single **epoch-tagged membership map** shared by every tree node: each bisection
 //!   claims a fresh epoch from a monotonic counter and tags its vertices with
@@ -11,19 +14,25 @@
 //!   entries as their own;
 //! * a pool of [`BisectionWorkspace`]s holding raw CSR buffers that induced subgraphs
 //!   are extracted into directly (the global vertex order is ascending, so extracted
-//!   neighbourhoods stay sorted for free);
+//!   neighbourhoods stay sorted for free). An extraction sizes its buffers once, by the
+//!   summed degree of its vertices, and packs its edge weights at the width of the
+//!   coarsest graph's heaviest edge;
 //! * a pool of [`AttemptWorkspace`]s holding the side/gain/queue buffers of one
 //!   greedy-growing + 2-way-FM portfolio attempt — all of them vertex-indexed.
 //!
-//! Both pools are [`Pool`]s: a task leases a workspace and the lease parks it again when
-//! the task drops it, so the number of live workspaces is bounded by the number of running
-//! tasks (≤ thread count), not by the tree size. Buffers only ever grow; the root
-//! bisection (the largest subgraph) sizes them and the rest of the tree runs
-//! allocation-free. The membership map and the tree permutation are charged to the
-//! memory accounting; the pooled workspaces, sized by the largest task, are not.
+//! The root bisection and the extracted ones run the same portfolio on the one view type,
+//! [`SubgraphView`]. Both pools are [`Pool`]s: a task leases a workspace and the lease
+//! parks it again when the task drops it, so the number of live workspaces is bounded by
+//! the number of running tasks (≤ thread count), not by the tree size. A buffer too small
+//! for an extraction is replaced, never grown; the root's children (the largest
+//! extracted subgraphs) size them and the rest of the tree runs allocation-free. The
+//! membership map and the tree permutation are charged to the memory accounting; the
+//! pooled workspaces and the root's weighted degrees are not, and the run report's
+//! `initial_workspace_bytes` gauge shows what they held.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use graph::packed::PackedArray;
 use graph::traits::Graph;
 use graph::{AtomicNodeId, EdgeId, EdgeWeight, NodeId, NodeWeight};
 use memtrack::MemoryScope;
@@ -124,16 +133,28 @@ impl InitialPartitioningScratch {
     }
 }
 
-/// Buffers of one bisection-tree node: the induced subgraph in raw CSR form plus the
-/// temporary used by the in-place stable partition of the vertex slice.
+/// Empties `buffer` and makes room for exactly `len` entries. A buffer too small is
+/// replaced rather than grown: the old one is freed before the new one is allocated, and
+/// nothing is copied or over-allocated.
+fn reset_exact<T>(buffer: &mut Vec<T>, len: usize) {
+    buffer.clear();
+    if buffer.capacity() < len {
+        *buffer = Vec::new();
+        buffer.reserve_exact(len);
+    }
+}
+
+/// Buffers of one bisection-tree node below the root: the induced subgraph in raw CSR
+/// form.
 #[derive(Debug, Default)]
 pub struct BisectionWorkspace {
     /// CSR offsets of the induced subgraph; length `n_sub + 1`.
     pub(crate) xadj: Vec<EdgeId>,
     /// CSR neighbour array (local IDs).
     pub(crate) adjacency: Vec<NodeId>,
-    /// Edge weights parallel to `adjacency` (always populated, 1s for unweighted input).
-    pub(crate) edge_weights: Vec<EdgeWeight>,
+    /// Edge weights parallel to `adjacency`, packed at the width of the tree's heaviest
+    /// edge; its length is the room reserved, `adjacency.len()` the entries in use.
+    pub(crate) edge_weights: PackedArray,
     /// Node weights of the subgraph vertices.
     pub(crate) node_weights: Vec<NodeWeight>,
     /// Weighted degrees: the start gains of an attempt, and FM's boundary test.
@@ -142,8 +163,6 @@ pub struct BisectionWorkspace {
     pub(crate) total_node_weight: NodeWeight,
     /// Total edge weight (cached at extraction; undirected edges counted once).
     pub(crate) total_edge_weight: EdgeWeight,
-    /// Stable-partition temporary for the side-1 vertices of the chosen bipartition.
-    pub(crate) right_tmp: Vec<NodeId>,
 }
 
 impl BisectionWorkspace {
@@ -151,37 +170,45 @@ impl BisectionWorkspace {
     pub fn memory_bytes(&self) -> usize {
         self.xadj.capacity() * std::mem::size_of::<EdgeId>()
             + self.adjacency.capacity() * std::mem::size_of::<NodeId>()
-            + self.edge_weights.capacity() * std::mem::size_of::<EdgeWeight>()
+            + self.edge_weights.size_in_bytes()
             + self.node_weights.capacity() * std::mem::size_of::<NodeWeight>()
             + self.weighted_degrees.capacity() * std::mem::size_of::<EdgeWeight>()
-            + self.right_tmp.capacity() * std::mem::size_of::<NodeId>()
     }
 
-    /// Extracts the subgraph induced by `vertices` into this workspace's buffers.
+    /// Extracts the subgraph induced by `vertices` into this workspace's buffers. No edge
+    /// of `graph` may weigh more than `heaviest_edge`, which sets the packed weight width.
     ///
     /// `vertices` must be ascending (the bisection tree maintains this invariant by
     /// partitioning stably), so extracted neighbourhoods remain sorted by local ID
     /// whenever the input graph's neighbourhoods are sorted by global ID.
+    ///
+    /// The buffers are sized once, before anything is written: the edge arrays by the
+    /// summed degree of `vertices`, which bounds the internal half-edges. A buffer already
+    /// large enough is reused, so deeper bisections of the same tree allocate nothing.
     pub(crate) fn extract(
         &mut self,
-        graph: &impl Graph,
+        graph: &dyn Graph,
         vertices: &[NodeId],
         scratch: &InitialPartitioningScratch,
+        heaviest_edge: EdgeWeight,
     ) {
         let n_sub = vertices.len();
         let epoch = scratch.next_epoch();
         scratch.tag_members(epoch, vertices);
 
+        let half_edge_bound: usize = vertices.iter().map(|&u| graph.degree(u)).sum();
+        reset_exact(&mut self.xadj, n_sub + 1);
+        reset_exact(&mut self.node_weights, n_sub);
+        reset_exact(&mut self.weighted_degrees, n_sub);
+        reset_exact(&mut self.adjacency, half_edge_bound);
+        // One tree extracts at one width, so the room reserved is all that can fall short.
+        if self.edge_weights.len() < half_edge_bound {
+            self.edge_weights = PackedArray::default();
+            self.edge_weights = PackedArray::zeroed(half_edge_bound, heaviest_edge);
+        }
+
         // Single pass: neighbourhoods are appended directly and each vertex's offset is
         // recorded afterwards, so every half-edge pays exactly one membership lookup.
-        self.xadj.clear();
-        self.xadj.reserve(n_sub + 1);
-        self.node_weights.clear();
-        self.node_weights.reserve(n_sub);
-        self.weighted_degrees.clear();
-        self.weighted_degrees.reserve(n_sub);
-        self.adjacency.clear();
-        self.edge_weights.clear();
         let mut total_node_weight: NodeWeight = 0;
         let mut total_edge_weight: EdgeWeight = 0;
         self.xadj.push(0);
@@ -191,8 +218,8 @@ impl BisectionWorkspace {
             let mut weighted_degree: EdgeWeight = 0;
             graph.for_each_neighbor(u, &mut |v, w| {
                 if let Some(local) = scratch.local(epoch, v) {
+                    edge_weights.set(adjacency.len(), w);
                     adjacency.push(local);
-                    edge_weights.push(w);
                     weighted_degree += w;
                 }
             });
@@ -209,46 +236,144 @@ impl BisectionWorkspace {
 
     /// A [`Graph`] view of the extracted subgraph.
     pub(crate) fn view(&self) -> SubgraphView<'_> {
-        SubgraphView { ws: self }
+        SubgraphView::Extracted(self)
     }
 }
 
-/// Borrowed [`Graph`] implementation over a [`BisectionWorkspace`]'s CSR buffers, which
-/// the bipartition routines (generic over `Graph`) run on.
-pub struct SubgraphView<'a> {
-    ws: &'a BisectionWorkspace,
+/// What the root bisection reads besides the graph itself: the figures an extraction of
+/// every vertex would have cached, counted in one pass over the graph.
+pub struct WholeGraph<'a> {
+    graph: &'a dyn Graph,
+    /// Weighted degree of every vertex: the start gains of an attempt, and FM's boundary
+    /// test.
+    weighted_degrees: Vec<EdgeWeight>,
+    /// Summed degree: the half-edges of the graph.
+    half_edges: usize,
+    total_node_weight: NodeWeight,
+    /// Undirected edges counted once.
+    total_edge_weight: EdgeWeight,
+    /// The weight of the heaviest edge, which bounds every subgraph's edge weights.
+    heaviest_edge: EdgeWeight,
+}
+
+impl<'a> WholeGraph<'a> {
+    /// Counts the weighted degrees, half-edges, totals and heaviest edge of `graph`.
+    pub fn new(graph: &'a dyn Graph) -> Self {
+        let n = graph.n();
+        let mut weighted_degrees = Vec::with_capacity(n);
+        let (mut half_edges, mut total_node_weight) = (0, 0);
+        let (mut total_edge_weight, mut heaviest_edge) = (0, 0);
+        for u in 0..n as NodeId {
+            let mut weighted_degree: EdgeWeight = 0;
+            graph.for_each_neighbor(u, &mut |_, w| {
+                weighted_degree += w;
+                heaviest_edge = heaviest_edge.max(w);
+                half_edges += 1;
+            });
+            weighted_degrees.push(weighted_degree);
+            total_edge_weight += weighted_degree;
+            total_node_weight += graph.node_weight(u);
+        }
+        Self {
+            graph,
+            weighted_degrees,
+            half_edges,
+            total_node_weight,
+            total_edge_weight: total_edge_weight / 2,
+            heaviest_edge,
+        }
+    }
+
+    /// The weight of the heaviest edge: every extraction from the graph packs its edge
+    /// weights at its width.
+    pub fn heaviest_edge(&self) -> EdgeWeight {
+        self.heaviest_edge
+    }
+
+    /// Heap bytes held beside the graph: the weighted degrees.
+    pub fn memory_bytes(&self) -> usize {
+        self.weighted_degrees.capacity() * std::mem::size_of::<EdgeWeight>()
+    }
+
+    /// A [`Graph`] view of the whole graph.
+    pub(crate) fn view(&self) -> SubgraphView<'_> {
+        SubgraphView::Whole(self)
+    }
+}
+
+/// The [`Graph`] the bipartition routines run on: the whole graph, read in place at the
+/// root of the bisection tree, or a subgraph extracted into a [`BisectionWorkspace`]
+/// below it. Both variants answer with the same local IDs, neighbourhoods and totals, so
+/// the root's bisection is that of an extraction of every vertex, and the portfolio and
+/// the bipartition routines compile once for every graph representation.
+pub enum SubgraphView<'a> {
+    /// The whole graph: local IDs are global IDs.
+    Whole(&'a WholeGraph<'a>),
+    /// An induced subgraph: local IDs are positions in its vertex slice.
+    Extracted(&'a BisectionWorkspace),
+}
+
+impl SubgraphView<'_> {
+    /// The half-edges of the subgraph (its summed degree): what a portfolio attempt's
+    /// cost follows.
+    pub fn half_edges(&self) -> usize {
+        match self {
+            Self::Whole(whole) => whole.half_edges,
+            Self::Extracted(ws) => ws.adjacency.len(),
+        }
+    }
 }
 
 impl Graph for SubgraphView<'_> {
     fn n(&self) -> usize {
-        self.ws.xadj.len().saturating_sub(1)
+        match self {
+            Self::Whole(whole) => whole.weighted_degrees.len(),
+            Self::Extracted(ws) => ws.xadj.len().saturating_sub(1),
+        }
     }
 
     fn m(&self) -> usize {
-        self.ws.adjacency.len() / 2
+        self.half_edges() / 2
     }
 
     fn degree(&self, u: NodeId) -> usize {
-        (self.ws.xadj[u as usize + 1] - self.ws.xadj[u as usize]) as usize
+        match self {
+            Self::Whole(whole) => whole.graph.degree(u),
+            Self::Extracted(ws) => (ws.xadj[u as usize + 1] - ws.xadj[u as usize]) as usize,
+        }
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
-        self.ws.node_weights[u as usize]
+        match self {
+            Self::Whole(whole) => whole.graph.node_weight(u),
+            Self::Extracted(ws) => ws.node_weights[u as usize],
+        }
     }
 
     fn total_node_weight(&self) -> NodeWeight {
-        self.ws.total_node_weight
+        match self {
+            Self::Whole(whole) => whole.total_node_weight,
+            Self::Extracted(ws) => ws.total_node_weight,
+        }
     }
 
     fn total_edge_weight(&self) -> EdgeWeight {
-        self.ws.total_edge_weight
+        match self {
+            Self::Whole(whole) => whole.total_edge_weight,
+            Self::Extracted(ws) => ws.total_edge_weight,
+        }
     }
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
-        let begin = self.ws.xadj[u as usize] as usize;
-        let end = self.ws.xadj[u as usize + 1] as usize;
-        for e in begin..end {
-            f(self.ws.adjacency[e], self.ws.edge_weights[e]);
+        match self {
+            Self::Whole(whole) => whole.graph.for_each_neighbor(u, f),
+            Self::Extracted(ws) => {
+                let begin = ws.xadj[u as usize] as usize;
+                let end = ws.xadj[u as usize + 1] as usize;
+                for e in begin..end {
+                    f(ws.adjacency[e], ws.edge_weights.get(e));
+                }
+            }
         }
     }
 
@@ -261,7 +386,10 @@ impl Graph for SubgraphView<'_> {
     }
 
     fn weighted_degree(&self, u: NodeId) -> EdgeWeight {
-        self.ws.weighted_degrees[u as usize]
+        match self {
+            Self::Whole(whole) => whole.weighted_degrees[u as usize],
+            Self::Extracted(ws) => ws.weighted_degrees[u as usize],
+        }
     }
 }
 
@@ -312,7 +440,7 @@ impl AttemptWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph::gen;
+    use graph::{gen, CompressedGraph, CompressionConfig};
 
     #[test]
     fn epoch_tags_keep_stale_entries_invisible() {
@@ -333,25 +461,84 @@ mod tests {
         assert_eq!(scratch.local(e1, 2), Some(0), "old epoch still addressable");
     }
 
+    /// The heaviest edge of `g`, as the root of a bisection tree finds it.
+    fn heaviest_edge(g: &dyn Graph) -> EdgeWeight {
+        WholeGraph::new(g).heaviest_edge()
+    }
+
     #[test]
     fn extract_matches_the_reference_extraction() {
-        let g = gen::rgg2d(300, 8, 11);
-        let vertices: Vec<NodeId> = (0..g.n() as NodeId).filter(|u| u % 3 != 0).collect();
-        let reference = crate::initial::tests::induced_subgraph(&g, &vertices);
+        let unweighted = gen::rgg2d(300, 8, 11);
+        // Edge weights beyond 2³² pack at five bytes.
+        let heavy = gen::with_random_edge_weights(&unweighted, 1 << 40, 5);
+        assert!(heaviest_edge(&heavy) >= 1 << 32);
+        for g in [unweighted, heavy] {
+            let vertices: Vec<NodeId> = (0..g.n() as NodeId).filter(|u| u % 3 != 0).collect();
+            let reference = crate::initial::tests::induced_subgraph(&g, &vertices);
+            let scratch = InitialPartitioningScratch::new(g.n());
+            let mut ws = scratch.bisections.checkout();
+            ws.extract(&g, &vertices, &scratch, heaviest_edge(&g));
+            let view = ws.view();
+            assert_eq!(view.n(), reference.n());
+            assert_eq!(view.m(), reference.m());
+            assert_eq!(view.total_node_weight(), reference.total_node_weight());
+            assert_eq!(view.total_edge_weight(), reference.total_edge_weight());
+            for u in 0..reference.n() as NodeId {
+                assert_eq!(
+                    view.neighbors_vec(u),
+                    reference.neighbors_vec(u),
+                    "vertex {u}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn extraction_reserves_the_summed_degree_once() {
+        let g = gen::weblike(10, 8, 3);
         let scratch = InitialPartitioningScratch::new(g.n());
         let mut ws = scratch.bisections.checkout();
-        ws.extract(&g, &vertices, &scratch);
-        let view = ws.view();
-        assert_eq!(view.n(), reference.n());
-        assert_eq!(view.m(), reference.m());
-        assert_eq!(view.total_node_weight(), reference.total_node_weight());
-        assert_eq!(view.total_edge_weight(), reference.total_edge_weight());
-        for u in 0..reference.n() as NodeId {
-            assert_eq!(
-                view.neighbors_vec(u),
-                reference.neighbors_vec(u),
-                "vertex {u}"
-            );
+        let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        let heaviest = heaviest_edge(&g);
+        ws.extract(&g, &all[..g.n() / 2], &scratch, heaviest);
+        let bound: usize = (0..g.n() as NodeId / 2).map(|u| g.degree(u)).sum();
+        assert_eq!(ws.adjacency.capacity(), bound);
+        assert_eq!(ws.edge_weights.len(), bound);
+        assert_eq!(ws.xadj.capacity(), g.n() / 2 + 1);
+        // A smaller subgraph fits: nothing is reallocated.
+        let bytes = ws.memory_bytes();
+        ws.extract(&g, &all[..g.n() / 4], &scratch, heaviest);
+        assert_eq!(ws.memory_bytes(), bytes);
+    }
+
+    #[test]
+    fn the_whole_graph_view_answers_as_the_extraction_of_every_vertex() {
+        let g = gen::with_random_node_weights(
+            &gen::with_random_edge_weights(&gen::rgg2d(400, 8, 3), 1_000, 4),
+            9,
+            5,
+        );
+        assert!(g.is_node_weighted() && g.is_edge_weighted());
+        let compressed = CompressedGraph::from_csr(&g, &CompressionConfig::default());
+        let all: Vec<NodeId> = (0..g.n() as NodeId).collect();
+        for graph in [&g as &dyn Graph, &compressed] {
+            let whole = WholeGraph::new(graph);
+            let scratch = InitialPartitioningScratch::new(g.n());
+            let mut ws = scratch.bisections.checkout();
+            ws.extract(graph, &all, &scratch, whole.heaviest_edge());
+            let (root, extracted) = (whole.view(), ws.view());
+            assert_eq!(root.n(), extracted.n());
+            assert_eq!(root.m(), extracted.m());
+            assert_eq!(root.half_edges(), extracted.half_edges());
+            assert_eq!(root.half_edges(), 2 * g.m());
+            assert_eq!(root.total_node_weight(), extracted.total_node_weight());
+            assert_eq!(root.total_edge_weight(), extracted.total_edge_weight());
+            for u in all.iter().copied() {
+                assert_eq!(root.degree(u), extracted.degree(u), "vertex {u}");
+                assert_eq!(root.node_weight(u), extracted.node_weight(u));
+                assert_eq!(root.weighted_degree(u), extracted.weighted_degree(u));
+                assert_eq!(root.neighbors_vec(u), extracted.neighbors_vec(u));
+            }
         }
     }
 

@@ -199,7 +199,9 @@ fn refine_level(
 
 /// Computes the initial partition of the coarsest graph of the hierarchy — the input
 /// itself when nothing coarsened — and refines it there. Initial partitioning reads
-/// any [`Graph`] representation, so a compressed or paged input is never copied.
+/// any [`Graph`] representation, and its root bisection reads the whole graph in place:
+/// only the smaller subgraphs below the root are extracted, so a compressed or paged
+/// input is never copied whole.
 fn partition_coarsest(
     graph: &impl Graph,
     depth: usize,

@@ -65,6 +65,26 @@ fn observability_does_not_perturb_the_single_threaded_pipeline() {
     );
 }
 
+/// Initial partitioning reports what it held uncharged — its pooled workspaces and the
+/// root's weighted degrees — as a gauge: present on a k > 1 run, exactly repeated at one
+/// thread, where the pools hold one workspace of each kind.
+#[test]
+fn the_initial_partitioning_workspace_is_reported_and_repeats_at_one_thread() {
+    let graph = gen::rgg2d(4_000, 12, 33);
+    let graph = CompressedGraph::from_csr(&graph, &CompressionConfig::default());
+    let config = PartitionerConfig::terapart(8)
+        .with_threads(1)
+        .with_seed(9)
+        .with_run_report(true);
+    let workspace_bytes = || {
+        let report = partition(&graph, &config).run_report.unwrap();
+        report.counter(Counter::InitialWorkspaceBytes)
+    };
+    let first = workspace_bytes();
+    assert!(first > 0, "a k = 8 run reports no initial workspace");
+    assert_eq!(workspace_bytes(), first);
+}
+
 /// An LP-free configuration for a graph of `n` vertices: coarsening stops at
 /// `contraction_limit · k ≥ n` vertices, so it never starts, and every remaining stage
 /// (initial partitioning, k-way FM, rebalancing) is deterministic at any thread count,
