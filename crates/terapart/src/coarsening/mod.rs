@@ -28,7 +28,7 @@ use memtrack::{MemoryScope, PhaseTracker};
 use obs::{Counter, SpanKind};
 
 use crate::context::{ContractionAlgorithm, PartitionerConfig};
-use crate::partitioner::{obs_phase, obs_phase_with};
+use crate::partitioner::{obs_phase, obs_phase_with, RunContext};
 use crate::scratch::HierarchyScratch;
 
 /// One level of the multilevel hierarchy.
@@ -41,6 +41,17 @@ pub struct Level {
     pub mapping: Vec<NodeId>,
     /// Memory charge of the coarse graph, released when the level drops.
     _charge: MemoryScope<'static>,
+}
+
+impl Level {
+    /// The level `result` contracted, its coarse graph charged until the level drops.
+    pub(crate) fn charged(result: ContractionResult) -> Self {
+        Self {
+            _charge: MemoryScope::charge_global(result.coarse.size_in_bytes()),
+            coarse: result.coarse,
+            mapping: result.mapping,
+        }
+    }
 }
 
 /// The full coarsening hierarchy, from the first coarse graph down to the coarsest one.
@@ -94,67 +105,32 @@ pub const MIN_SHRINK_FACTOR: f64 = 0.95;
 /// unit-weight input graph is never counted, so it is never given up.
 pub const MIN_CONTRACTIBLE_SHARE: f64 = 0.125;
 
-/// Runs the full coarsening stage on `graph` with a fresh worker pool. Prefer
-/// [`coarsen_with_scratch`] when the caller owns an arena for the whole run.
+/// Runs the coarsening step ([`RunContext::coarsen`]) on `graph` with a fresh scratch
+/// arena, reporting its phases to `tracker`.
 pub fn coarsen(
     graph: &impl Graph,
     config: &PartitionerConfig,
     tracker: &PhaseTracker,
 ) -> Hierarchy {
-    let mut scratch = HierarchyScratch::new();
-    coarsen_with_scratch(graph, config, tracker, &mut scratch)
-}
-
-/// Runs the full coarsening stage on `graph`, leasing per-worker buffers from
-/// `scratch`. Every level-sized buffer belongs to the clustering or contraction of its
-/// level and is freed when that phase returns: what stays behind is the hierarchy.
-///
-/// Phases are reported to `tracker` (clustering and contraction separately per level,
-/// mirroring the breakdown of Figure 2).
-pub fn coarsen_with_scratch(
-    graph: &impl Graph,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-    scratch: &mut HierarchyScratch,
-) -> Hierarchy {
-    let stop_at = (config.coarsening.contraction_limit * config.k).max(1);
-    let mut hierarchy = Hierarchy::default();
-
-    // Level 0 runs on the (possibly compressed) input graph; subsequent levels run on a
-    // borrow of the previous level's uncompressed coarse CSR graph, which the hierarchy
-    // owns (and charges) exactly once.
-    // Safety valve: the hierarchy can never be deeper than log2(n) levels on sane inputs;
-    // stop after a generous bound to guarantee termination.
-    for level in 0..=64usize {
-        let next = match hierarchy.levels.last() {
-            None => coarsen_level(graph, config, tracker, scratch, level, stop_at),
-            Some(finer) => coarsen_level(&finer.coarse, config, tracker, scratch, level, stop_at),
-        };
-        let Some(result) = next else {
-            break;
-        };
-        hierarchy.levels.push(Level {
-            _charge: MemoryScope::charge_global(result.coarse.size_in_bytes()),
-            coarse: result.coarse,
-            mapping: result.mapping,
-        });
+    RunContext {
+        config,
+        tracker,
+        scratch: &mut HierarchyScratch::new(),
     }
-    hierarchy
+    .coarsen(graph)
 }
 
 /// Clusters and contracts one level of `graph`; `None` once `graph` is small enough, too
 /// few of its half-edges are contractible or its clustering no longer shrinks it.
-fn coarsen_level(
+pub(crate) fn coarsen_level(
     graph: &impl Graph,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-    scratch: &mut HierarchyScratch,
     level: usize,
-    stop_at: usize,
+    run: &mut RunContext,
 ) -> Option<ContractionResult> {
+    let (config, tracker, scratch) = (run.config, run.tracker, &mut *run.scratch);
     let coarsening = &config.coarsening;
     let n = graph.n();
-    if n <= stop_at {
+    if n <= (coarsening.contraction_limit * config.k).max(1) {
         return None;
     }
     let limit = max_cluster_weight(
@@ -307,7 +283,13 @@ mod tests {
             let mut scratch = HierarchyScratch::new();
             let (obs, recorder) = obs::ObsHandle::recording();
             scratch.obs = obs;
-            let level = coarsen_level(&g, &config, &PhaseTracker::new(), &mut scratch, 1, 2);
+            let tracker = PhaseTracker::new();
+            let mut run = RunContext {
+                config: &config,
+                tracker: &tracker,
+                scratch: &mut scratch,
+            };
+            let level = coarsen_level(&g, 1, &mut run);
             let rounds = recorder.metrics().get(Counter::LpClusterRounds);
             (level.map(|result| result.coarse.n()), rounds)
         };

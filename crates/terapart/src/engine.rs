@@ -45,7 +45,9 @@ use crate::context::{
     RefinementConfig,
 };
 use crate::error::PartitionError;
-use crate::partitioner::{obs_phase, partition_with_session, ObsSession, PartitionResult};
+use crate::partitioner::{
+    obs_phase, partition_with_session, ObsSession, PartitionResult, RunContext,
+};
 use crate::scratch::{HierarchyScratch, Pool};
 
 /// Engine-level configuration: the knobs that outlive any single request because they
@@ -217,9 +219,7 @@ impl PartitionEngine {
 
     /// Partitions any in-memory [`Graph`] representation as it is passed in.
     pub fn partition(&self, graph: &impl Graph, request: &PartitionRequest) -> PartitionResult {
-        self.run(request, |config, tracker, obs, scratch| {
-            partition_with_session(graph, config, tracker, obs, scratch)
-        })
+        self.run(request, |run, obs| partition_with_session(graph, run, obs))
     }
 
     /// Partitions the `.tpg` container at `path`, opening it through the engine's
@@ -232,14 +232,14 @@ impl PartitionEngine {
         path: impl AsRef<Path>,
         request: &PartitionRequest,
     ) -> Result<PartitionResult, PartitionError> {
-        self.run(request, |config, tracker, obs, scratch| {
-            let store = obs_phase(&obs.handle, tracker, "open_store", 0, || {
-                self.registry.open(path, &config.ondisk)
+        self.run(request, |run, obs| {
+            let store = obs_phase(&obs.handle, run.tracker, "open_store", 0, || {
+                self.registry.open(path, &run.config.ondisk)
             })
             .map_err(|e| {
                 PartitionError::new(Some("open_store@0".into()), "opening the .tpg container", e)
             })?;
-            run_store(&store, config, tracker, obs, scratch)
+            run_store(&store, run, obs)
         })
     }
 
@@ -254,9 +254,7 @@ impl PartitionEngine {
         store: &StoreHandle,
         request: &PartitionRequest,
     ) -> Result<PartitionResult, PartitionError> {
-        self.run(request, |config, tracker, obs, scratch| {
-            run_store(store, config, tracker, obs, scratch)
-        })
+        self.run(request, |run, obs| run_store(store, run, obs))
     }
 
     /// One request from start to finish, shared by the three `partition*` methods:
@@ -265,13 +263,18 @@ impl PartitionEngine {
     fn run<T>(
         &self,
         request: &PartitionRequest,
-        body: impl FnOnce(&PartitionerConfig, &PhaseTracker, ObsSession, &mut HierarchyScratch) -> T,
+        body: impl FnOnce(RunContext, ObsSession) -> T,
     ) -> T {
         let config = request.effective_config(&self.config);
         let tracker = PhaseTracker::new();
         let obs = ObsSession::new(&config);
         let mut scratch = self.pool.checkout();
-        let result = body(&config, &tracker, obs, &mut scratch);
+        let run = RunContext {
+            config: &config,
+            tracker: &tracker,
+            scratch: &mut scratch,
+        };
+        let result = body(run, obs);
         // A parked arena must not keep this request's recording sink (and its
         // `Arc<Recorder>`) alive. (If `body` unwinds, the sink stays until the next request
         // on this arena replaces it.)
@@ -286,15 +289,13 @@ impl PartitionEngine {
 /// session is poisoned — the underlying store and its other sessions are untouched.
 fn run_store(
     store: &StoreHandle,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
+    run: RunContext,
     obs: ObsSession,
-    scratch: &mut HierarchyScratch,
 ) -> Result<PartitionResult, PartitionError> {
     let session = store.session();
-    let phases = tracker.phase_handle();
+    let phases = run.tracker.phase_handle();
     session.set_fault_observer(move || phases.current().unwrap_or_default());
-    let mut result = partition_with_session(&session, config, tracker, obs, scratch);
+    let mut result = partition_with_session(&session, run, obs);
     if let Some(fatal) = session.take_fatal_error() {
         return Err(PartitionError::new(
             fatal.context,

@@ -45,16 +45,15 @@ use graph::{EdgeWeight, NodeId, NodeWeight};
 
 use crate::context::InitialPartitioningConfig;
 use crate::partition::{BlockId, Partition};
-use crate::scratch::{HierarchyScratch, Lease, SharedSlice};
+use crate::scratch::{Lease, SharedSlice};
 
 pub use bipartition::{Bipartition, FmWork};
 
 use bipartition::{bipartition_into, cut_of};
 use scratch::{AttemptWorkspace, InitialPartitioningScratch, SubgraphView, WholeGraph};
 
-/// Computes an initial `k`-way partition of `graph` via recursive bisection, using a
-/// throwaway scratch arena. Prefer [`initial_partition_with_scratch`] inside the
-/// multilevel pipeline.
+/// Computes an initial `k`-way partition of `graph` via recursive bisection. Inside a
+/// run this is [`RunContext::initial_step`](crate::partitioner::RunContext::initial_step).
 pub fn initial_partition(
     graph: &impl Graph,
     k: usize,
@@ -62,20 +61,19 @@ pub fn initial_partition(
     config: &InitialPartitioningConfig,
     seed: u64,
 ) -> Partition {
-    let mut scratch = HierarchyScratch::new();
-    initial_partition_with_scratch(graph, k, epsilon, config, seed, &mut scratch)
+    recursive_bisection(graph, k, epsilon, config, seed, &obs::ObsHandle::noop())
 }
 
-/// Computes an initial `k`-way partition of `graph` via parallel recursive bisection.
-/// The bisection tree shares one workspace ([`InitialPartitioningScratch`]) that is
-/// freed when this returns; `scratch` lends the run's observability handle.
-pub fn initial_partition_with_scratch(
+/// Computes an initial `k`-way partition of `graph` via parallel recursive bisection,
+/// reporting to `obs`. The bisection tree shares one workspace
+/// ([`InitialPartitioningScratch`]) that is freed when this returns.
+pub(crate) fn recursive_bisection(
     graph: &impl Graph,
     k: usize,
     epsilon: f64,
     config: &InitialPartitioningConfig,
     seed: u64,
-    scratch: &mut HierarchyScratch,
+    obs: &obs::ObsHandle,
 ) -> Partition {
     assert!(k >= 1);
     let n = graph.n();
@@ -96,7 +94,7 @@ pub fn initial_partition_with_scratch(
             config,
             assignment: SharedSlice::new(&mut assignment),
             scratch: &workspace,
-            obs: &scratch.obs,
+            obs,
         };
         let lmax = Partition::compute_max_block_weight(graph.total_node_weight(), k, epsilon);
         let split = tree.bisect(&root.view(), &mut vertices, k, lmax, seed);
@@ -106,9 +104,7 @@ pub fn initial_partition_with_scratch(
         // What the stage held uncharged: the root's weighted degrees and, parked again
         // by now, every pooled workspace.
         let uncharged = root_bytes + workspace.pool_bytes();
-        scratch
-            .obs
-            .gauge_max(obs::Counter::InitialWorkspaceBytes, uncharged as u64);
+        obs.gauge_max(obs::Counter::InitialWorkspaceBytes, uncharged as u64);
     }
     // Recursive bisection has no deltas to offer: this is the one full count of a
     // request. Every later stage moves the cut by its gains or recounts it over the
@@ -551,16 +547,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_runs_is_deterministic() {
-        // One arena serving several runs must not leak state between them.
+    fn repeated_runs_are_deterministic() {
+        // A run must not leak state into the next one.
         let g = gen::erdos_renyi(500, 2_500, 7);
         let config = InitialPartitioningConfig::default();
-        let mut scratch = HierarchyScratch::new();
-        let a = initial_partition_with_scratch(&g, 6, 0.03, &config, 11, &mut scratch);
-        let b = initial_partition_with_scratch(&g, 6, 0.03, &config, 11, &mut scratch);
+        let a = initial_partition(&g, 6, 0.03, &config, 11);
+        let b = initial_partition(&g, 6, 0.03, &config, 11);
         assert_eq!(a.assignment(), b.assignment());
-        // And a different k through the same arena still works.
-        let c = initial_partition_with_scratch(&g, 3, 0.05, &config, 12, &mut scratch);
+        // And a different k right after still works.
+        let c = initial_partition(&g, 3, 0.05, &config, 12);
         assert!(c.is_complete());
     }
 

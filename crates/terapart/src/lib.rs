@@ -86,9 +86,9 @@ pub use context::{
 };
 pub use engine::{EngineConfig, PartitionEngine, PartitionRequest, ScratchPool};
 pub use error::PartitionError;
-pub use initial::{initial_partition, initial_partition_with_scratch};
+pub use initial::initial_partition;
 pub use partition::{BlockId, Partition};
-pub use partitioner::{partition, partition_ondisk, PartitionResult};
+pub use partitioner::{partition, partition_ondisk, PartitionResult, RunContext};
 pub use scratch::{AtomicBitset, HierarchyScratch};
 
 /// Retry/backoff policy of the on-disk page cache, re-exported for

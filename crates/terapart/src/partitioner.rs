@@ -25,7 +25,7 @@ use crate::coarsening::{self, Hierarchy, Level};
 use crate::context::{PartitionerConfig, RefinementAlgorithm};
 use crate::engine::{EngineConfig, PartitionEngine, PartitionRequest};
 use crate::error::PartitionError;
-use crate::initial::initial_partition_with_scratch;
+use crate::initial;
 use crate::partition::Partition;
 use crate::refinement::{refine_with_scratch, RefinementStats};
 use crate::scratch::HierarchyScratch;
@@ -48,7 +48,7 @@ pub struct PartitionResult {
     pub hierarchy_depth: usize,
     /// Per-phase memory/time reports (Figure 2 style breakdown).
     pub phase_reports: Vec<PhaseReport>,
-    /// Aggregated refinement statistics over all levels.
+    /// Refinement statistics merged over all levels ([`RefinementStats::merge`]).
     pub refinement: RefinementStats,
     /// Page-cache counters of the run — `Some` only when the input was a paged store
     /// ([`partition_ondisk`], [`PartitionEngine::partition_path`] and
@@ -139,106 +139,133 @@ fn debug_check_level(graph: &impl Graph, partition: &Partition, stage: &str, lev
     }
 }
 
-/// Projects `coarse`, the partition of the graph `popped` holds, onto `graph`, the graph
-/// of `level`, and refines it there. `popped` — coarse graph, mapping and memory charge
-/// — and `coarse` are freed before the refinement: no later phase reads them.
-fn uncoarsen_level(
-    graph: &impl Graph,
-    coarse: Partition,
-    popped: Level,
-    level: usize,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-    scratch: &mut HierarchyScratch,
-) -> (Partition, RefinementStats) {
-    let mut partition = obs_phase(&scratch.obs, tracker, "uncoarsen", level, || {
-        coarse.project(graph, &popped.mapping)
-    });
-    drop((coarse, popped));
-    debug_check_level(graph, &partition, "projection", level);
-    let seed = config.seed ^ (level as u64);
-    let stats = refine_level(graph, &mut partition, level, seed, config, tracker, scratch);
-    (partition, stats)
+/// The seed refinement runs with on `level` of a `depth`-level hierarchy: the coarsest
+/// level's differs from the seed initial partitioning ran with, every finer level's is
+/// the run's seed mixed with its level.
+pub fn refinement_seed(seed: u64, level: usize, depth: usize) -> u64 {
+    if level == depth {
+        seed ^ 0xC0A53
+    } else {
+        seed ^ level as u64
+    }
 }
 
-/// Refines `partition` on the graph of one hierarchy level as the pipeline's `refine`
-/// phase. The span says how much of the level the refinement looked at: `candidates`
-/// (boundary superset on entry), `visited` (summed over the LP rounds) and `boundary`
-/// (superset on exit), all out of the level's `n`; with k-way FM also the gain-table
-/// rows it built (`rows_built`, the boundary on entry to FM) and appended
-/// (`rows_added`).
-fn refine_level(
-    graph: &impl Graph,
-    partition: &mut Partition,
-    level: usize,
-    seed: u64,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-    scratch: &mut HierarchyScratch,
-) -> RefinementStats {
-    let obs = scratch.obs.clone();
-    let stats = obs_phase_with(
-        &obs,
-        tracker,
-        "refine",
-        level,
-        || refine_with_scratch(graph, partition, &config.refinement, seed, scratch),
-        |stats, span| {
-            span.attr("candidates", stats.lp_candidates as u64);
-            span.attr("visited", stats.lp_visited as u64);
-            span.attr("boundary", stats.boundary as u64);
-            if config.refinement.algorithm == RefinementAlgorithm::KWayFmWithLabelPropagation {
-                span.attr("rows_built", stats.gain_rows_built as u64);
-                span.attr("rows_added", stats.gain_rows_added as u64);
-            }
-        },
-    );
-    debug_check_level(graph, partition, "refinement", level);
-    stats
+/// One partitioning run's context: its configuration, the tracker its phases report to
+/// and the scratch arena that lends worker buffers and carries the run's observability
+/// handle. [`partition`] is a walk over its three steps: [`RunContext::coarsen`] the
+/// input, [`RunContext::initial_step`] on the coarsest graph of the hierarchy (the input
+/// itself when nothing coarsened), then [`RunContext::uncoarsen_step`] on every level
+/// from that one back to the input. The steps own the seeds, the cluster-weight limit,
+/// the phases and spans they report and the debug-profile level checks, so a caller
+/// walking them by hand at one thread gets the assignment [`partition`] gets.
+pub struct RunContext<'a> {
+    /// The run's configuration: `k`, ε, seed and every stage's settings.
+    pub config: &'a PartitionerConfig,
+    /// The tracker every step reports its phases to.
+    pub tracker: &'a PhaseTracker,
+    /// The run's worker buffers and observability handle.
+    pub scratch: &'a mut HierarchyScratch,
 }
 
-/// Computes the initial partition of the coarsest graph of the hierarchy — the input
-/// itself when nothing coarsened — and refines it there. Initial partitioning reads
-/// any [`Graph`] representation, and its root bisection reads the whole graph in place:
-/// only the smaller subgraphs below the root are extracted, so a compressed or paged
-/// input is never copied whole.
-fn partition_coarsest(
-    graph: &impl Graph,
-    depth: usize,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
-    scratch: &mut HierarchyScratch,
-) -> (Partition, RefinementStats) {
-    let obs = scratch.obs.clone();
-    let mut partition = obs_phase(&obs, tracker, "initial_partition", depth, || {
-        initial_partition_with_scratch(
-            graph,
-            config.k,
-            config.epsilon,
-            &config.initial,
-            config.seed,
-            scratch,
-        )
-    });
-    let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", depth as u64);
-    let seed = config.seed ^ 0xC0A53;
-    let stats = refine_level(graph, &mut partition, depth, seed, config, tracker, scratch);
-    (partition, stats)
+impl RunContext<'_> {
+    /// Coarsens `graph` level by level: clustering and contraction are reported
+    /// separately per level, and every level-sized buffer is freed when its phase
+    /// returns, so what stays behind is the hierarchy.
+    pub fn coarsen(&mut self, graph: &impl Graph) -> Hierarchy {
+        let mut hierarchy = Hierarchy::default();
+        // Safety valve: the hierarchy can never be deeper than log2(n) levels on sane
+        // inputs; stop after a generous bound to guarantee termination.
+        for level in 0..=64usize {
+            let next = match hierarchy.levels.last() {
+                None => coarsening::coarsen_level(graph, level, self),
+                Some(finer) => coarsening::coarsen_level(&finer.coarse, level, self),
+            };
+            let Some(next) = next else {
+                break;
+            };
+            hierarchy.levels.push(Level::charged(next));
+        }
+        hierarchy
+    }
+
+    /// Partitions `coarsest`, the graph of level `depth`, into `k` blocks by recursive
+    /// bisection. Any representation is read in place: only the subgraphs below the root
+    /// bisection are extracted, so a compressed or paged input is never copied whole, and
+    /// the workspace is freed before this returns.
+    pub fn initial_step(&mut self, coarsest: &impl Graph, depth: usize) -> Partition {
+        let (config, obs) = (self.config, &self.scratch.obs);
+        obs_phase(obs, self.tracker, "initial_partition", depth, || {
+            initial::recursive_bisection(
+                coarsest,
+                config.k,
+                config.epsilon,
+                &config.initial,
+                config.seed,
+                obs,
+            )
+        })
+    }
+
+    /// Uncoarsens onto `graph`, the graph of `level` in a `depth`-level hierarchy, and
+    /// refines `partition` there. Below the coarsest level `coarser` is the level popped
+    /// off the hierarchy, whose coarse graph `partition` partitions: it is projected
+    /// through `coarser`'s mapping and `coarser` — coarse graph, mapping and memory
+    /// charge — is freed before the refinement. The `refine` span says how much of the
+    /// level the refinement looked at: `candidates` (boundary superset on entry),
+    /// `visited` (summed over the LP rounds) and `boundary` (superset on exit), all out
+    /// of the level's `n`; with k-way FM also the gain-table rows it built (`rows_built`,
+    /// the boundary on entry to FM) and appended (`rows_added`).
+    pub fn uncoarsen_step(
+        &mut self,
+        graph: &impl Graph,
+        partition: &mut Partition,
+        coarser: Option<Level>,
+        level: usize,
+        depth: usize,
+    ) -> RefinementStats {
+        let obs = self.scratch.obs.clone();
+        let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", level as u64);
+        if let Some(coarser) = coarser {
+            *partition = obs_phase(&obs, self.tracker, "uncoarsen", level, || {
+                partition.project(graph, &coarser.mapping)
+            });
+            drop(coarser);
+            debug_check_level(graph, partition, "projection", level);
+        }
+        let config = &self.config.refinement;
+        let seed = refinement_seed(self.config.seed, level, depth);
+        let stats = obs_phase_with(
+            &obs,
+            self.tracker,
+            "refine",
+            level,
+            || refine_with_scratch(graph, partition, config, seed, self.scratch),
+            |stats, span| {
+                span.attr("candidates", stats.lp_candidates as u64);
+                span.attr("visited", stats.lp_visited as u64);
+                span.attr("boundary", stats.boundary as u64);
+                if config.algorithm == RefinementAlgorithm::KWayFmWithLabelPropagation {
+                    span.attr("rows_built", stats.gain_rows_built as u64);
+                    span.attr("rows_added", stats.gain_rows_added as u64);
+                }
+            },
+        );
+        debug_check_level(graph, partition, "refinement", level);
+        stats
+    }
 }
 
-/// The engine's inner pipeline: partitions `graph` into `config.k` blocks, recording
-/// phases in `tracker`, against an already-created observability session and an
-/// externally owned scratch arena. The store-opening entry point records its
-/// `open_store` phase into the same session's report; the arena comes from the engine's
-/// [`ScratchPool`](crate::engine::ScratchPool), so a request on a warmed engine reuses
-/// its per-worker buffers.
+/// The engine's inner pipeline: partitions `graph` into `config.k` blocks in `run`,
+/// against an already-created observability session. The store-opening entry point
+/// records its `open_store` phase into the same session's report; the run's arena comes
+/// from the engine's [`ScratchPool`](crate::engine::ScratchPool), so a request on a
+/// warmed engine reuses its per-worker buffers.
 pub(crate) fn partition_with_session(
     graph: &impl Graph,
-    config: &PartitionerConfig,
-    tracker: &PhaseTracker,
+    mut run: RunContext,
     session: ObsSession,
-    scratch: &mut HierarchyScratch,
 ) -> PartitionResult {
+    let (config, tracker) = (run.config, run.tracker);
     let start = Instant::now();
     let obs = session.handle.clone();
     let pool = rayon::ThreadPoolBuilder::new()
@@ -256,47 +283,29 @@ pub(crate) fn partition_with_session(
     root.attr("threads", config.num_threads.max(1) as u64);
 
     let (partition, hierarchy_depth, refinement) = pool.install(|| {
-        // One scratch arena serves the whole run with its worker buffers and carries
-        // the run's observability handle into the phase implementations. Level-sized
-        // buffers belong to the phase that reads them.
-        scratch.obs = obs.clone();
-
-        // ---- Coarsening ----
-        let mut hierarchy: Hierarchy =
-            coarsening::coarsen_with_scratch(graph, config, tracker, scratch);
+        // The arena carries the run's observability handle into the phases.
+        run.scratch.obs = obs.clone();
+        let mut hierarchy = run.coarsen(graph);
         let depth = hierarchy.depth();
-
-        // ---- Initial partitioning and refinement on the coarsest graph ----
-        let mut total = RefinementStats::default();
-        let mut accumulate = |stats: RefinementStats| {
-            total.lp_moves += stats.lp_moves;
-            total.fm_moves += stats.fm_moves;
-            total.rebalance_moves += stats.rebalance_moves;
-            total.gain_table_bytes = total.gain_table_bytes.max(stats.gain_table_bytes);
-            total.lp_candidates += stats.lp_candidates;
-            total.lp_visited += stats.lp_visited;
+        let mut partition = match hierarchy.coarsest() {
+            Some(coarsest) => run.initial_step(coarsest, depth),
+            None => run.initial_step(graph, depth),
         };
-        let (mut current, stats) = match hierarchy.levels.last() {
-            Some(coarsest) => partition_coarsest(&coarsest.coarse, depth, config, tracker, scratch),
-            None => partition_coarsest(graph, depth, config, tracker, scratch),
-        };
-        accumulate(stats);
-
-        // ---- Uncoarsening: walk the hierarchy back up: pop level i, whose coarse
-        // graph is level i + 1's, and project from it onto level i's graph ----
-        while let Some(popped) = hierarchy.levels.pop() {
-            let i = hierarchy.depth();
-            let _level = obs.span_at(SpanKind::Level, "uncoarsen_level", i as u64);
-            let (projected, stats) = match hierarchy.levels.last() {
-                Some(finer) => {
-                    uncoarsen_level(&finer.coarse, current, popped, i, config, tracker, scratch)
+        // Walk the hierarchy back up: the coarsest level refines the initial partition,
+        // every finer one projects from the level popped off before it.
+        let mut refinement = RefinementStats::default();
+        let mut coarser = None;
+        for level in (0..=depth).rev() {
+            let stats = match hierarchy.coarsest() {
+                Some(level_graph) => {
+                    run.uncoarsen_step(level_graph, &mut partition, coarser, level, depth)
                 }
-                None => uncoarsen_level(graph, current, popped, i, config, tracker, scratch),
+                None => run.uncoarsen_step(graph, &mut partition, coarser, level, depth),
             };
-            current = projected;
-            accumulate(stats);
+            refinement.merge(&stats);
+            coarser = hierarchy.levels.pop();
         }
-        (current, depth, total)
+        (partition, depth, refinement)
     });
 
     // Every stage kept the cut by its deltas or recounted it over the boundary: the

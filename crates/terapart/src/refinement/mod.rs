@@ -48,8 +48,26 @@ pub struct RefinementStats {
     pub boundary: usize,
 }
 
-/// Refines `partition` on `graph` according to `config` with a fresh worker pool.
-/// Prefer [`refine_with_scratch`] inside the multilevel pipeline.
+impl RefinementStats {
+    /// Adds one level's statistics to a run's: counts and rows sum, the gain table keeps
+    /// its largest footprint, and `boundary` becomes `level`'s — the input level's once
+    /// the walk has merged every level.
+    pub fn merge(&mut self, level: &RefinementStats) {
+        self.lp_moves += level.lp_moves;
+        self.fm_moves += level.fm_moves;
+        self.rebalance_moves += level.rebalance_moves;
+        self.gain_table_bytes = self.gain_table_bytes.max(level.gain_table_bytes);
+        self.gain_rows_built += level.gain_rows_built;
+        self.gain_rows_added += level.gain_rows_added;
+        self.lp_candidates += level.lp_candidates;
+        self.lp_visited += level.lp_visited;
+        self.boundary = level.boundary;
+    }
+}
+
+/// Refines `partition` on `graph` according to `config` with a fresh worker pool. Inside
+/// a run this is the refinement of
+/// [`RunContext::uncoarsen_step`](crate::partitioner::RunContext::uncoarsen_step).
 pub fn refine(
     graph: &impl Graph,
     partition: &mut Partition,
@@ -63,7 +81,7 @@ pub fn refine(
 /// Refines `partition` on `graph` according to `config`, leasing per-worker buffers
 /// from `scratch`.
 /// Returns per-algorithm move counts and the gain-table footprint.
-pub fn refine_with_scratch(
+pub(crate) fn refine_with_scratch(
     graph: &impl Graph,
     partition: &mut Partition,
     config: &RefinementConfig,

@@ -394,23 +394,15 @@ pub struct HierarchyScratch {
     /// spans and bump counters without widening every signature.
     pub(crate) obs: obs::ObsHandle,
     /// Pool of per-worker buffers backing the parallel hot loops (see
-    /// [`WorkerScratch`]). Not part of [`Self::memory_bytes`]: like the thread-locals it
-    /// replaces, the worker buffers are transient hot-loop state whose committed size
-    /// the phases charge (estimated) per level.
+    /// [`WorkerScratch`]). Uncharged: like the thread-locals it replaces, the worker
+    /// buffers are transient hot-loop state whose committed size the phases charge
+    /// (estimated) per level.
     pub(crate) workers: Pool<WorkerScratch>,
 }
 
 impl HierarchyScratch {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bytes the arena holds and charges to the memory accounting between phases:
-    /// none. Every level-sized buffer — initial partitioning's membership map and tree
-    /// permutation included — is owned, charged and freed by its phase; the parked
-    /// worker buffers are uncharged hot-loop state (`ScratchPool::parked_bytes`).
-    pub fn memory_bytes(&self) -> usize {
-        0
     }
 
     /// Bytes a parked arena holds: its parked worker buffers.

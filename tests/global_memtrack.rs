@@ -10,8 +10,8 @@ use graph::traits::Graph;
 use graph::MmapGraph;
 use terapart::coarsening::rating_map::SparseRatingMap;
 use terapart::{
-    initial_partition_with_scratch, partition, partition_ondisk, CoarseningConfig,
-    HierarchyScratch, InitialPartitioningConfig, LabelPropagationMode, PartitionerConfig,
+    initial_partition, partition, partition_ondisk, CoarseningConfig, InitialPartitioningConfig,
+    LabelPropagationMode, PartitionerConfig,
 };
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
@@ -127,19 +127,16 @@ fn reserve_commit_accounting_is_visible_globally() {
 
 /// Initial partitioning charges its workspace — the membership map (an 8-byte epoch and
 /// an id per vertex) and the tree permutation — while it runs, and frees it, charge and
-/// all, when it returns: the arena it ran with keeps nothing. (Lived in
-/// `terapart::scratch`'s unit tests, where sibling tests that build arenas of their own
-/// made the balance flake.)
+/// all, when it returns. (Lived in `terapart::scratch`'s unit tests, where sibling tests
+/// that build arenas of their own made the balance flake.)
 fn initial_partitioning_frees_its_workspace_when_it_returns() {
     let g = graph::gen::rgg2d(4_096, 8, 3);
     let before = memtrack::global().current();
     memtrack::global().reset_peak();
-    let mut scratch = HierarchyScratch::new();
     let config = InitialPartitioningConfig::default();
-    initial_partition_with_scratch(&g, 4, 0.03, &config, 1, &mut scratch);
+    initial_partition(&g, 4, 0.03, &config, 1);
     let workspace = g.n() * (8 + 2 * std::mem::size_of::<graph::NodeId>());
     assert!(memtrack::global().peak() >= before + workspace);
-    assert_eq!(scratch.memory_bytes(), 0);
     assert!(memtrack::global().current() <= before + 64);
 }
 

@@ -23,8 +23,9 @@ use common::CountingGraph;
 use graph::traits::Graph;
 use graph::{gen, CsrGraph, NodeId};
 use memtrack::PhaseTracker;
-use terapart::refinement::{refine, refine_with_scratch};
-use terapart::{coarsening, initial_partition, HierarchyScratch, PartitionerConfig, Preset};
+use terapart::partitioner::refinement_seed;
+use terapart::refinement::refine;
+use terapart::{HierarchyScratch, PartitionerConfig, Preset, RunContext};
 
 const K: usize = 16;
 
@@ -37,29 +38,26 @@ fn level_zero_decodes_only_the_boundary(inner: CsrGraph) {
         .build()
         .unwrap();
     pool.install(|| {
-        // Everything below level 0 runs on the plain coarse graphs, as in the pipeline.
-        let hierarchy = coarsening::coarsen(&inner, &config, &PhaseTracker::new());
+        // Every level above 0 runs through the pipeline's own steps, on the plain coarse
+        // graphs.
+        let tracker = PhaseTracker::new();
+        let mut scratch = HierarchyScratch::new();
+        let mut run = RunContext {
+            config: &config,
+            tracker: &tracker,
+            scratch: &mut scratch,
+        };
+        let mut hierarchy = run.coarsen(&inner);
         let depth = hierarchy.depth();
         assert!(depth >= 2, "the instance must coarsen: {depth} levels");
-        let coarsest = hierarchy.coarsest().unwrap();
-        let mut partition =
-            initial_partition(coarsest, K, config.epsilon, &config.initial, config.seed);
-        refine(
-            coarsest,
-            &mut partition,
-            &config.refinement,
-            config.seed ^ 0xC0A53,
-        );
-        for level in (1..depth).rev() {
-            let graph = &hierarchy.levels[level - 1].coarse;
-            partition = partition.project(graph, &hierarchy.levels[level].mapping);
-            refine(
-                graph,
-                &mut partition,
-                &config.refinement,
-                config.seed ^ level as u64,
-            );
+        let mut partition = run.initial_step(hierarchy.coarsest().unwrap(), depth);
+        let mut coarser = None;
+        for level in (1..=depth).rev() {
+            let graph = hierarchy.coarsest().unwrap();
+            run.uncoarsen_step(graph, &mut partition, coarser, level, depth);
+            coarser = hierarchy.levels.pop();
         }
+        let mapping = coarser.unwrap().mapping;
 
         // Level 0 through the counting wrapper: project, refine, evaluate.
         let graph = CountingGraph::new(inner);
@@ -70,19 +68,16 @@ fn level_zero_decodes_only_the_boundary(inner: CsrGraph) {
                 .map(|u| graph.degree(u) as u64)
                 .sum()
         };
-        let mut partition = partition.project(&graph, &hierarchy.levels[0].mapping);
+        let mut partition = partition.project(&graph, &mapping);
         assert_eq!(graph.half_edges(), 0, "projection decodes nothing");
         let coarse_cut = partition.edge_cut();
         let before = partition.clone();
         let start_degree = degree_of(&|u| before.is_boundary_candidate(u));
 
-        let stats = refine_with_scratch(
-            &graph,
-            &mut partition,
-            &config.refinement,
-            config.seed,
-            &mut HierarchyScratch::new(),
-        );
+        // Level 0's refinement as its step runs it, without the step's debug-profile
+        // level check, which decodes the whole level and is not part of its work.
+        let seed = refinement_seed(config.seed, 0, depth);
+        let stats = refine(&graph, &mut partition, &config.refinement, seed);
         let cut = partition.edge_cut();
         let decoded = graph.half_edges();
 
