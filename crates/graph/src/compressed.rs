@@ -420,7 +420,29 @@ fn encode_neighborhood(
     }
 }
 
+/// Calls `f(start, end)` for every maximal run `neighbors[start..end]` of consecutive
+/// ids, in order; with `split` off the whole chunk is one run.
+#[inline(always)]
+fn for_each_run(neighbors: &[(NodeId, EdgeWeight)], split: bool, mut f: impl FnMut(usize, usize)) {
+    let len = neighbors.len();
+    if !split {
+        f(0, len);
+        return;
+    }
+    let mut start = 0;
+    for i in 1..=len {
+        if i == len || neighbors[i].0 != neighbors[i - 1].0 + 1 {
+            f(start, i);
+            start = i;
+        }
+    }
+}
+
 /// Encodes a single chunk of a neighbourhood (gap + interval + optional weights).
+///
+/// The chunk is written in decode order — the intervals, then the residual gaps, then
+/// (weighted) the weights of the interval members followed by those of the residuals —
+/// by walking its runs of consecutive ids once per section; nothing is allocated.
 fn encode_chunk(
     u: NodeId,
     neighbors: &[(NodeId, EdgeWeight)],
@@ -428,68 +450,61 @@ fn encode_chunk(
     config: &CompressionConfig,
     out: &mut Vec<u8>,
 ) {
-    // Identify interval runs of consecutive IDs.
-    let ids: Vec<NodeId> = neighbors.iter().map(|&(v, _)| v).collect();
-    let mut intervals: Vec<(NodeId, usize)> = Vec::new();
-    let mut residuals: Vec<NodeId> = Vec::new();
-    // `order` records, for each neighbour position in decode order (intervals first, then
-    // residuals), the index into `neighbors` — used to emit the weights in decode order.
-    let mut interval_order: Vec<usize> = Vec::new();
-    let mut residual_order: Vec<usize> = Vec::new();
+    let min_len = config.min_interval_len;
+    let mut intervals = 0u64;
     if config.enable_intervals {
-        let mut i = 0;
-        while i < ids.len() {
-            let mut j = i + 1;
-            while j < ids.len() && ids[j] == ids[j - 1] + 1 {
-                j += 1;
-            }
-            let run = j - i;
-            if run >= config.min_interval_len {
-                intervals.push((ids[i], run));
-                interval_order.extend(i..j);
-            } else {
-                residuals.extend_from_slice(&ids[i..j]);
-                residual_order.extend(i..j);
-            }
-            i = j;
-        }
-    } else {
-        residuals.extend_from_slice(&ids);
-        residual_order.extend(0..ids.len());
+        for_each_run(neighbors, true, |start, end| {
+            intervals += u64::from(end - start >= min_len);
+        });
+        encode_varint(intervals, out);
     }
-
-    if config.enable_intervals {
-        encode_varint(intervals.len() as u64, out);
-        let mut prev_end: i64 = sid(u);
-        for (k, &(left, len)) in intervals.iter().enumerate() {
-            if k == 0 {
-                encode_signed_varint(sid(left) - sid(u), out);
-            } else {
-                encode_varint((sid(left) - prev_end) as u64, out);
+    // A chunk without intervals is one run of residuals, in id order.
+    let split = intervals > 0;
+    let is_interval = |start: usize, end: usize| split && end - start >= min_len;
+    if split {
+        let mut prev_end: Option<i64> = None;
+        for_each_run(neighbors, split, |start, end| {
+            if !is_interval(start, end) {
+                return;
             }
-            encode_varint((len - config.min_interval_len) as u64, out);
-            prev_end = sid(left) + len as i64;
-        }
+            let left = sid(neighbors[start].0);
+            match prev_end {
+                None => encode_signed_varint(left - sid(u), out),
+                Some(prev_end) => encode_varint((left - prev_end) as u64, out),
+            };
+            encode_varint((end - start - min_len) as u64, out);
+            prev_end = Some(left + (end - start) as i64);
+        });
     }
 
     // Residual gaps: first gap is signed relative to u, later gaps are strictly positive
     // (stored minus one).
-    let mut prev: i64 = sid(u);
-    for (k, &v) in residuals.iter().enumerate() {
-        if k == 0 {
-            encode_signed_varint(sid(v) - prev, out);
-        } else {
-            encode_varint((sid(v) - prev - 1) as u64, out);
+    let mut prev: Option<i64> = None;
+    for_each_run(neighbors, split, |start, end| {
+        if is_interval(start, end) {
+            return;
         }
-        prev = sid(v);
-    }
+        for &(v, _) in &neighbors[start..end] {
+            match prev {
+                None => encode_signed_varint(sid(v) - sid(u), out),
+                Some(prev) => encode_varint((sid(v) - prev - 1) as u64, out),
+            };
+            prev = Some(sid(v));
+        }
+    });
 
     if weighted {
         let mut prev_weight: i64 = 0;
-        for &idx in interval_order.iter().chain(residual_order.iter()) {
-            let w = neighbors[idx].1 as i64;
-            encode_signed_varint(w - prev_weight, out);
-            prev_weight = w;
+        for members in [true, false] {
+            for_each_run(neighbors, split, |start, end| {
+                if is_interval(start, end) != members {
+                    return;
+                }
+                for &(_, w) in &neighbors[start..end] {
+                    encode_signed_varint(w as i64 - prev_weight, out);
+                    prev_weight = w as i64;
+                }
+            });
         }
     }
 }
@@ -637,12 +652,26 @@ impl CompressedGraph {
     /// The plain sequential loop — the reference the parallel builder is tested against.
     pub fn from_csr(csr: &CsrGraph, config: &CompressionConfig) -> Self {
         let mut encoder = SectionEncoder::for_graph(csr.n(), csr.is_edge_weighted(), config);
+        let mut nbrs = Vec::with_capacity(csr.max_degree());
         for u in 0..csr.n() as NodeId {
-            let mut nbrs = csr.neighbors_vec(u);
+            nbrs.clear();
+            csr.for_each_neighbor(u, &mut |v, w| nbrs.push((v, w)));
             nbrs.sort_unstable_by_key(|&(v, _)| v);
             encoder.push_neighborhood(u, &nbrs, csr.node_weight(u));
         }
         encoder.into_graph(csr.is_node_weighted())
+    }
+
+    /// [`Self::from_csr`] for a CSR graph about to be dropped: its node weights move
+    /// into the compressed graph instead of being copied, so the two never hold them
+    /// twice. `csr` is left with every vertex weighing 1.
+    pub fn from_csr_taking_node_weights(csr: &mut CsrGraph, config: &CompressionConfig) -> Self {
+        let total_node_weight = csr.total_node_weight();
+        let node_weights = csr.take_node_weights();
+        let mut graph = Self::from_csr(csr, config);
+        graph.node_weights = node_weights;
+        graph.total_node_weight = total_node_weight;
+        graph
     }
 
     /// Assembles a compressed graph from pre-encoded parts.
@@ -824,6 +853,29 @@ mod tests {
         let csr = b.build();
         let compressed = CompressedGraph::from_csr(&csr, &CompressionConfig::default());
         assert_same_graph(&csr, &compressed);
+    }
+
+    #[test]
+    fn taking_the_node_weights_compresses_like_copying_them() {
+        let weighted = gen::with_random_node_weights(
+            &gen::with_random_edge_weights(&gen::rhg_like(500, 8, 3.0, 42), 30, 8),
+            6,
+            9,
+        );
+        for csr in [weighted, gen::grid2d(12, 12)] {
+            let copied = CompressedGraph::from_csr(&csr, &CompressionConfig::default());
+            let mut taken_from = csr.clone();
+            let taken = CompressedGraph::from_csr_taking_node_weights(
+                &mut taken_from,
+                &CompressionConfig::default(),
+            );
+            assert_same_graph(&csr, &taken);
+            assert_eq!(taken.data.as_slice(), copied.data.as_slice());
+            assert_eq!(taken.size_in_bytes(), copied.size_in_bytes());
+            assert_eq!(taken.is_node_weighted(), csr.is_node_weighted());
+            assert!(!taken_from.is_node_weighted());
+            assert_eq!(taken_from.total_node_weight(), csr.n() as NodeWeight);
+        }
     }
 
     #[test]

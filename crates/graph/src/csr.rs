@@ -159,6 +159,13 @@ impl CsrGraph {
         &self.node_weights
     }
 
+    /// Moves the node weights out (empty for uniformly weighted graphs), leaving every
+    /// vertex weighing 1.
+    pub(crate) fn take_node_weights(&mut self) -> Vec<NodeWeight> {
+        self.total_node_weight = self.n() as NodeWeight;
+        std::mem::take(&mut self.node_weights)
+    }
+
     /// Returns the first edge ID (index into the adjacency array) of `u`'s neighbourhood.
     pub fn first_edge(&self, u: NodeId) -> EdgeId {
         self.xadj[u as usize]

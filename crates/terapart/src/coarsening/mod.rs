@@ -22,7 +22,7 @@ pub use two_hop::{pack_isolated_vertices, two_hop_clustering};
 
 use graph::csr::CsrGraph;
 use graph::traits::Graph;
-use graph::{NodeId, NodeWeight};
+use graph::{CompressedGraph, CompressionConfig, EdgeWeight, NodeId, NodeWeight};
 use memtrack::{MemoryScope, PhaseTracker};
 
 use obs::{Counter, SpanKind};
@@ -31,24 +31,168 @@ use crate::context::{ContractionAlgorithm, PartitionerConfig};
 use crate::partitioner::{obs_phase, obs_phase_with, RunContext};
 use crate::scratch::HierarchyScratch;
 
+/// The graph of one hierarchy level, in one of two representations behind one
+/// [`Graph`] type: the CSR contraction built while it is the newest level, which its
+/// label propagation clustering reads, and from the moment coarsening decides to contract
+/// it on the same graph re-encoded compressed (the `compress_level` phase), which
+/// contraction, projection and the level's refinement read. Every level but the coarsest
+/// is therefore held compressed. The graph's memory charge follows its representation
+/// and is released when it drops.
+#[derive(Debug)]
+pub struct CoarseGraph {
+    repr: Repr,
+    charge: MemoryScope<'static>,
+}
+
+#[derive(Debug)]
+enum Repr {
+    Csr(CsrGraph),
+    Compressed(CompressedGraph),
+}
+
+impl CoarseGraph {
+    /// `csr` as contraction built it, charged until it drops or is compressed.
+    pub(crate) fn charged(csr: CsrGraph) -> Self {
+        Self {
+            charge: MemoryScope::charge_global(csr.size_in_bytes()),
+            repr: Repr::Csr(csr),
+        }
+    }
+
+    /// The CSR graph, or `None` once the level is held compressed.
+    pub fn as_csr(&self) -> Option<&CsrGraph> {
+        match &self.repr {
+            Repr::Csr(csr) => Some(csr),
+            Repr::Compressed(_) => None,
+        }
+    }
+
+    /// Re-encodes a CSR level compressed (gap encoding only), as the `compress_level`
+    /// phase of `level`. The node weights move from the CSR into the compressed graph;
+    /// its other bytes are charged while the CSR still is, so the phase's peak counts
+    /// both graphs, then the CSR and its charge are freed. The phase's span carries
+    /// `csr_bytes` and `compressed_bytes`. A level already compressed is left as it is.
+    pub(crate) fn compress(&mut self, level: usize, run: &RunContext) {
+        let Repr::Csr(csr) = &mut self.repr else {
+            return;
+        };
+        let csr_bytes = csr.size_in_bytes();
+        let node_weight_bytes = std::mem::size_of_val(csr.raw_node_weights());
+        let (compressed, charge) = obs_phase_with(
+            &run.scratch.obs,
+            run.tracker,
+            "compress_level",
+            level,
+            || {
+                // A coarse level's ids are cluster ranks: runs of consecutive ids are rare,
+                // and interval encoding tripled the re-encode time of `weblike(14, 8)`'s
+                // level 1 to save 2.4 % of its bytes.
+                let config = CompressionConfig::gap_only();
+                let compressed = CompressedGraph::from_csr_taking_node_weights(csr, &config);
+                let charge =
+                    MemoryScope::charge_global(compressed.size_in_bytes() - node_weight_bytes);
+                (compressed, charge)
+            },
+            |(compressed, _), span| {
+                span.attr("csr_bytes", csr_bytes as u64);
+                span.attr("compressed_bytes", compressed.size_in_bytes() as u64);
+            },
+        );
+        // The CSR and its charge go; the node weights are charged with the graph that
+        // now holds them.
+        self.repr = Repr::Compressed(compressed);
+        self.charge = charge;
+        self.charge.grow(node_weight_bytes);
+    }
+}
+
+impl Graph for CoarseGraph {
+    fn n(&self) -> usize {
+        match &self.repr {
+            Repr::Csr(g) => g.n(),
+            Repr::Compressed(g) => g.n(),
+        }
+    }
+
+    fn m(&self) -> usize {
+        match &self.repr {
+            Repr::Csr(g) => g.m(),
+            Repr::Compressed(g) => g.m(),
+        }
+    }
+
+    fn degree(&self, u: NodeId) -> usize {
+        match &self.repr {
+            Repr::Csr(g) => g.degree(u),
+            Repr::Compressed(g) => g.degree(u),
+        }
+    }
+
+    fn node_weight(&self, u: NodeId) -> NodeWeight {
+        match &self.repr {
+            Repr::Csr(g) => g.node_weight(u),
+            Repr::Compressed(g) => g.node_weight(u),
+        }
+    }
+
+    fn total_node_weight(&self) -> NodeWeight {
+        match &self.repr {
+            Repr::Csr(g) => g.total_node_weight(),
+            Repr::Compressed(g) => g.total_node_weight(),
+        }
+    }
+
+    fn total_edge_weight(&self) -> EdgeWeight {
+        match &self.repr {
+            Repr::Csr(g) => g.total_edge_weight(),
+            Repr::Compressed(g) => g.total_edge_weight(),
+        }
+    }
+
+    fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
+        match &self.repr {
+            Repr::Csr(g) => g.for_each_neighbor(u, f),
+            Repr::Compressed(g) => g.for_each_neighbor(u, f),
+        }
+    }
+
+    fn is_edge_weighted(&self) -> bool {
+        match &self.repr {
+            Repr::Csr(g) => g.is_edge_weighted(),
+            Repr::Compressed(g) => g.is_edge_weighted(),
+        }
+    }
+
+    fn is_node_weighted(&self) -> bool {
+        match &self.repr {
+            Repr::Csr(g) => g.is_node_weighted(),
+            Repr::Compressed(g) => g.is_node_weighted(),
+        }
+    }
+
+    fn max_degree(&self) -> usize {
+        match &self.repr {
+            Repr::Csr(g) => g.max_degree(),
+            Repr::Compressed(g) => g.max_degree(),
+        }
+    }
+}
+
 /// One level of the multilevel hierarchy.
 #[derive(Debug)]
 pub struct Level {
     /// The coarse graph produced at this level.
-    pub coarse: CsrGraph,
+    pub coarse: CoarseGraph,
     /// Maps each vertex of the *finer* graph (the input graph for the first level) to
     /// its coarse vertex in [`Level::coarse`].
     pub mapping: Vec<NodeId>,
-    /// Memory charge of the coarse graph, released when the level drops.
-    _charge: MemoryScope<'static>,
 }
 
 impl Level {
     /// The level `result` contracted, its coarse graph charged until the level drops.
     pub(crate) fn charged(result: ContractionResult) -> Self {
         Self {
-            _charge: MemoryScope::charge_global(result.coarse.size_in_bytes()),
-            coarse: result.coarse,
+            coarse: CoarseGraph::charged(result.coarse),
             mapping: result.mapping,
         }
     }
@@ -62,8 +206,23 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Returns the coarsest graph, or `None` if no coarsening step was performed.
+    /// Returns the coarsest graph, or `None` if no coarsening step was performed. The
+    /// coarsest level is never contracted, so it is CSR; once uncoarsening has popped
+    /// it, the last level held is compressed and this panics — walk the levels with
+    /// [`Hierarchy::deepest`].
     pub fn coarsest(&self) -> Option<&CsrGraph> {
+        self.levels.last().map(|l| {
+            l.coarse
+                .as_csr()
+                .expect("the last level held is compressed: the coarsest one was popped")
+        })
+    }
+
+    /// The graph of the deepest level the hierarchy still holds, in whichever
+    /// representation it is held: the coarsest graph before uncoarsening pops a level,
+    /// then every finer one in turn. `None` once every level is popped (or none was
+    /// built): the walk has reached the input.
+    pub fn deepest(&self) -> Option<&CoarseGraph> {
         self.levels.last().map(|l| &l.coarse)
     }
 
@@ -120,14 +279,53 @@ pub fn coarsen(
     .coarsen(graph)
 }
 
-/// Clusters and contracts one level of `graph`; `None` once `graph` is small enough, too
-/// few of its half-edges are contractible or its clustering no longer shrinks it.
+/// The graph a coarsening step clusters and contracts: the input, read in place, or the
+/// deepest level of the hierarchy, which [`Finer::hold`] re-encodes compressed once it
+/// is certain to be contracted.
+pub(crate) trait Finer {
+    /// The graph's representation.
+    type Graph: Graph;
+
+    /// The graph as it is held now.
+    fn graph(&self) -> &Self::Graph;
+
+    /// Called once the graph of `level` is certain to be contracted, before contraction.
+    fn hold(&mut self, _level: usize, _run: &RunContext) {}
+}
+
+impl<G: Graph> Finer for &G {
+    type Graph = G;
+
+    fn graph(&self) -> &G {
+        self
+    }
+}
+
+impl Finer for &mut CoarseGraph {
+    type Graph = CoarseGraph;
+
+    fn graph(&self) -> &CoarseGraph {
+        self
+    }
+
+    fn hold(&mut self, level: usize, run: &RunContext) {
+        self.compress(level, run);
+    }
+}
+
+/// Clusters and contracts one level of `finer`'s graph, the graph of `level`; `None`
+/// once it is small enough, too few of its half-edges are contractible or its
+/// clustering no longer shrinks it. Clustering reads the graph as it is held; once the
+/// level is certain to be contracted, [`Finer::hold`] gets it (a hierarchy level is
+/// re-encoded compressed there, [`CoarseGraph::compress`]), and contraction reads it as
+/// it is held then.
 pub(crate) fn coarsen_level(
-    graph: &impl Graph,
+    mut finer: impl Finer,
     level: usize,
     run: &mut RunContext,
 ) -> Option<ContractionResult> {
-    let (config, tracker, scratch) = (run.config, run.tracker, &mut *run.scratch);
+    let graph = finer.graph();
+    let (config, tracker) = (run.config, run.tracker);
     let coarsening = &config.coarsening;
     let n = graph.n();
     if n <= (coarsening.contraction_limit * config.k).max(1) {
@@ -140,11 +338,12 @@ pub(crate) fn coarsen_level(
         coarsening.max_cluster_weight_fraction,
     );
     let seed = config.seed ^ ((level as u64 + 1) << 32);
-    let obs = scratch.obs.clone();
+    let obs = run.scratch.obs.clone();
     let mut level_span = obs.span_at(SpanKind::Level, "coarsen_level", level as u64);
     level_span.attr("fine_nodes", n as u64);
     let shrinks = |c: &Clustering| c.num_clusters as f64 <= MIN_SHRINK_FACTOR * n as f64;
     let min_contractible = (MIN_CONTRACTIBLE_SHARE * (2 * graph.m()) as f64).ceil() as u64;
+    let scratch = &mut *run.scratch;
     let cluster = || {
         let (clustering, counted) =
             lp_clustering::cluster_level(graph, coarsening, limit, seed, min_contractible, scratch);
@@ -173,13 +372,15 @@ pub(crate) fn coarsen_level(
     };
     let (clustering, _) = obs_phase_with(&obs, tracker, "cluster", level, cluster, annotate);
     let clustering = clustering.filter(shrinks)?;
+    let fine_m = graph.m();
+    finer.hold(level, run);
     let result = obs_phase(&obs, tracker, "contract", level, || {
         contract::contract_with_scratch(
-            graph,
+            finer.graph(),
             &clustering,
             coarsening.contraction,
             coarsening.bump_threshold,
-            scratch,
+            run.scratch,
         )
     });
     level_span.attr("coarse_nodes", result.coarse.n() as u64);
@@ -188,7 +389,7 @@ pub(crate) fn coarsen_level(
     // one-pass reserves the upper bound 2m, buffered allocates what it has counted.
     let committed = 2 * result.coarse.m() as u64;
     let reserved = match coarsening.contraction {
-        ContractionAlgorithm::OnePass => 2 * graph.m() as u64,
+        ContractionAlgorithm::OnePass => 2 * fine_m as u64,
         ContractionAlgorithm::Buffered => committed,
     };
     level_span.attr("reserved_half_edges", reserved);

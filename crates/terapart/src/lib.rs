@@ -44,6 +44,12 @@
 //!   and narrows them in place to the width of the heaviest coarse edge. No 8-byte
 //!   weight array is built; on R-MAT, where the level-1 CSR sets the run peak, that
 //!   halves the peak.
+//! * **The hierarchy is held compressed.** A coarse level is CSR while it is the newest
+//!   level, for its clustering; once coarsening contracts it, it is re-encoded as a
+//!   [`CompressedGraph`](graph::CompressedGraph) in its own `compress_level` phase
+//!   ([`coarsening::CoarseGraph`]). Every held level but the coarsest is compressed, so
+//!   on R-MAT, where the hierarchy barely shrinks, the held levels cost about half their
+//!   CSR bytes.
 //! * **Frontier-driven label propagation.** After the full first round, clustering and
 //!   refinement revisit only vertices whose neighbourhood changed.
 //! * **Deterministic parallel initial partitioning.** The recursive-bisection portfolio

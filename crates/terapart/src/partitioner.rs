@@ -155,9 +155,11 @@ pub fn refinement_seed(seed: u64, level: usize, depth: usize) -> u64 {
 /// handle. [`partition`] is a walk over its three steps: [`RunContext::coarsen`] the
 /// input, [`RunContext::initial_step`] on the coarsest graph of the hierarchy (the input
 /// itself when nothing coarsened), then [`RunContext::uncoarsen_step`] on every level
-/// from that one back to the input. The steps own the seeds, the cluster-weight limit,
-/// the phases and spans they report and the debug-profile level checks, so a caller
-/// walking them by hand at one thread gets the assignment [`partition`] gets.
+/// from that one back to the input, each level's graph read through
+/// [`Hierarchy::deepest`] as the hierarchy holds it. The steps own the seeds, the
+/// cluster-weight limit, the phases and spans they report and the debug-profile level
+/// checks, so a caller walking them by hand at one thread gets the assignment
+/// [`partition`] gets.
 pub struct RunContext<'a> {
     /// The run's configuration: `k`, ε, seed and every stage's settings.
     pub config: &'a PartitionerConfig,
@@ -170,15 +172,17 @@ pub struct RunContext<'a> {
 impl RunContext<'_> {
     /// Coarsens `graph` level by level: clustering and contraction are reported
     /// separately per level, and every level-sized buffer is freed when its phase
-    /// returns, so what stays behind is the hierarchy.
+    /// returns, so what stays behind is the hierarchy. A level is re-encoded compressed
+    /// (the `compress_level` phase) once coarsening contracts it, so only the coarsest
+    /// level is held as CSR.
     pub fn coarsen(&mut self, graph: &impl Graph) -> Hierarchy {
         let mut hierarchy = Hierarchy::default();
         // Safety valve: the hierarchy can never be deeper than log2(n) levels on sane
         // inputs; stop after a generous bound to guarantee termination.
         for level in 0..=64usize {
-            let next = match hierarchy.levels.last() {
+            let next = match hierarchy.levels.last_mut() {
                 None => coarsening::coarsen_level(graph, level, self),
-                Some(finer) => coarsening::coarsen_level(&finer.coarse, level, self),
+                Some(finer) => coarsening::coarsen_level(&mut finer.coarse, level, self),
             };
             let Some(next) = next else {
                 break;
@@ -287,7 +291,7 @@ pub(crate) fn partition_with_session(
         run.scratch.obs = obs.clone();
         let mut hierarchy = run.coarsen(graph);
         let depth = hierarchy.depth();
-        let mut partition = match hierarchy.coarsest() {
+        let mut partition = match hierarchy.deepest() {
             Some(coarsest) => run.initial_step(coarsest, depth),
             None => run.initial_step(graph, depth),
         };
@@ -296,7 +300,7 @@ pub(crate) fn partition_with_session(
         let mut refinement = RefinementStats::default();
         let mut coarser = None;
         for level in (0..=depth).rev() {
-            let stats = match hierarchy.coarsest() {
+            let stats = match hierarchy.deepest() {
                 Some(level_graph) => {
                     run.uncoarsen_step(level_graph, &mut partition, coarser, level, depth)
                 }

@@ -78,10 +78,43 @@ pub fn refine(
     refine_with_scratch(graph, partition, config, seed, &mut scratch)
 }
 
+/// Whether some block can take one more vertex: node weights are at least 1, so where
+/// every block's weight + 1 exceeds the limit no move of label propagation or k-way FM
+/// is feasible.
+fn some_block_has_room(partition: &Partition) -> bool {
+    let max = partition.max_block_weight();
+    partition.block_weights().iter().any(|&weight| weight < max)
+}
+
 /// Refines `partition` on `graph` according to `config`, leasing per-worker buffers
-/// from `scratch`.
+/// from `scratch`. Where no block has room for a vertex, label propagation and k-way FM
+/// could not move one: both are skipped, and so is FM's gain table. The rebalancer
+/// keeps its own check.
 /// Returns per-algorithm move counts and the gain-table footprint.
 pub(crate) fn refine_with_scratch(
+    graph: &impl Graph,
+    partition: &mut Partition,
+    config: &RefinementConfig,
+    seed: u64,
+    scratch: &mut HierarchyScratch,
+) -> RefinementStats {
+    let obs = scratch.obs.clone();
+    let mut stats = if some_block_has_room(partition) {
+        improve(graph, partition, config, seed, scratch)
+    } else {
+        RefinementStats::default()
+    };
+    if !partition.is_balanced() {
+        stats.rebalance_moves = rebalance(graph, partition);
+        obs.add(obs::Counter::RebalanceMoves, stats.rebalance_moves as u64);
+    }
+    stats.boundary = partition.boundary_candidates().unwrap_or(graph.n());
+    stats
+}
+
+/// Label propagation, then (with [`RefinementAlgorithm::KWayFmWithLabelPropagation`])
+/// k-way FM: the moves that improve the cut.
+fn improve(
     graph: &impl Graph,
     partition: &mut Partition,
     config: &RefinementConfig,
@@ -113,11 +146,6 @@ pub(crate) fn refine_with_scratch(
             stats.gain_rows_added = fm_stats.rows_added;
         }
     }
-    if !partition.is_balanced() {
-        stats.rebalance_moves = rebalance(graph, partition);
-        obs.add(obs::Counter::RebalanceMoves, stats.rebalance_moves as u64);
-    }
-    stats.boundary = partition.boundary_candidates().unwrap_or(graph.n());
     stats
 }
 
@@ -173,6 +201,47 @@ mod tests {
             p_fm.edge_cut_on(&g),
             p_lp.edge_cut_on(&g)
         );
+    }
+
+    #[test]
+    fn a_partition_without_room_is_left_as_it_is_and_builds_no_gain_table() {
+        // weblike(14, 8) at k = 512 is not coarsened (16 384 vertices <= 40 * 512): the
+        // recursive bisection of the input fills every block up to its limit.
+        let g = gen::weblike(14, 8, 3);
+        let config =
+            crate::context::PartitionerConfig::preset(crate::context::Preset::Default, 512);
+        let initial = crate::initial::initial_partition(
+            &g,
+            512,
+            config.epsilon,
+            &config.initial,
+            config.seed,
+        );
+        assert!(!some_block_has_room(&initial));
+        assert!(initial.is_balanced());
+
+        let mut refined = initial.clone();
+        let stats = refine(&g, &mut refined, &config.refinement, 5);
+        assert_eq!(stats.gain_table_bytes, 0);
+        assert_eq!(
+            (stats.lp_moves, stats.fm_moves, stats.rebalance_moves),
+            (0, 0, 0)
+        );
+
+        // Label propagation and FM, run anyway, move nothing either, but build the table.
+        let mut improved = initial.clone();
+        let tried = improve(
+            &g,
+            &mut improved,
+            &config.refinement,
+            5,
+            &mut HierarchyScratch::new(),
+        );
+        assert!(tried.gain_table_bytes > 0);
+        assert_eq!((tried.lp_moves, tried.fm_moves), (0, 0));
+        assert_eq!(refined.assignment(), improved.assignment());
+        assert_eq!(refined.assignment(), initial.assignment());
+        assert_eq!(refined.edge_cut_on(&g), improved.edge_cut());
     }
 
     #[test]

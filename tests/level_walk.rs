@@ -1,7 +1,9 @@
 //! The multilevel walk is the library's: `RunContext::coarsen`, `initial_step` on the
-//! coarsest graph and `uncoarsen_step` on every level back to the input, walked by hand,
-//! give what `partition` gives, bit for bit; and `PartitionResult::refinement` is what
-//! the levels' refinements report, merged. (A binary of its own: it runs pipelines.)
+//! coarsest graph and `uncoarsen_step` on every level back to the input, each level read
+//! through `Hierarchy::deepest` as the hierarchy holds it (compressed but for the
+//! coarsest), walked by hand, give what `partition` gives, bit for bit; and
+//! `PartitionResult::refinement` is what the levels' refinements report, merged. (A
+//! binary of its own: it runs pipelines.)
 use graph::traits::Graph;
 use graph::{gen, CompressedGraph, CompressionConfig};
 use memtrack::PhaseTracker;
@@ -29,12 +31,12 @@ fn walk_by_hand(input: &dyn Graph, config: &PartitionerConfig) -> Walk {
     let (partition, refinement, depth) = pool.install(|| {
         let mut hierarchy = run.coarsen(&input);
         let depth = hierarchy.depth();
-        let coarsest: &dyn Graph = hierarchy.coarsest().map_or(input, |g| g as &dyn Graph);
+        let coarsest: &dyn Graph = hierarchy.deepest().map_or(input, |g| g as &dyn Graph);
         let mut partition = run.initial_step(&coarsest, depth);
         let mut refinement = RefinementStats::default();
         let mut coarser = None;
         for level in (0..=depth).rev() {
-            let graph: &dyn Graph = hierarchy.coarsest().map_or(input, |g| g as &dyn Graph);
+            let graph: &dyn Graph = hierarchy.deepest().map_or(input, |g| g as &dyn Graph);
             refinement.merge(&run.uncoarsen_step(&graph, &mut partition, coarser, level, depth));
             coarser = hierarchy.levels.pop();
         }
@@ -67,6 +69,9 @@ fn assert_walk_is_partition(name: &str, graph: &impl Graph, k: usize, depth_zero
             .map(|r| (r.name.clone(), r.level))
             .collect();
         assert_eq!(phases, reported, "{run}");
+        // Every level but the coarsest was walked compressed.
+        let compressed = phases.iter().filter(|(name, _)| name == "compress_level");
+        assert_eq!(compressed.count(), depth.saturating_sub(1), "{run}");
     }
 }
 

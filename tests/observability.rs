@@ -65,6 +65,39 @@ fn observability_does_not_perturb_the_single_threaded_pipeline() {
     );
 }
 
+/// Every level re-encoded for the hierarchy has a `compress_level` span with the bytes it
+/// held as CSR and holds compressed; on a web graph the compressed form is smaller.
+#[test]
+fn every_compress_level_span_carries_both_sizes() {
+    let graph = gen::weblike(14, 8, 3);
+    let config = PartitionerConfig::terapart_fm(16)
+        .with_threads(1)
+        .with_run_report(true);
+    let result = partition(&graph, &config);
+    let report = result.run_report.as_ref().unwrap();
+    let spans: Vec<_> = report
+        .all_spans()
+        .into_iter()
+        .filter(|span| span.name == "compress_level")
+        .collect();
+    assert!(
+        result.hierarchy_depth >= 2,
+        "{} levels",
+        result.hierarchy_depth
+    );
+    assert_eq!(spans.len(), result.hierarchy_depth - 1);
+    for span in spans {
+        let csr = span.attr("csr_bytes").expect("csr_bytes");
+        let compressed = span.attr("compressed_bytes").expect("compressed_bytes");
+        assert!(
+            compressed < csr,
+            "level {:?}: {compressed} B compressed, {csr} B as CSR",
+            span.level
+        );
+        assert!(span.attr("peak_bytes").is_some());
+    }
+}
+
 /// Initial partitioning reports what it held uncharged — its pooled workspaces and the
 /// root's weighted degrees — as a gauge: present on a k > 1 run, exactly repeated at one
 /// thread, where the pools hold one workspace of each kind.

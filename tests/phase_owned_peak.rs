@@ -120,8 +120,9 @@ fn the_first_coarsening_level_sets_the_peak() {
         fm_refine_per_vertex <= 5.0,
         "FM's refine@0 holds {fm_refine_per_vertex:.2} B per vertex beyond its entry, over 5"
     );
-    // A grid, where 4.9 % of the vertices end on the boundary: 0.915x the CSR (3.00x
-    // with a row for every vertex).
+    // A grid, where 4.9 % of the vertices end on the boundary: 0.862x the CSR, in
+    // compress_level@1 (0.915x while every level was held as CSR; 3.00x with a row for
+    // every vertex).
     let (grid, ratio) = run(gen::grid2d(300, 300), Preset::Default, 16);
     println!(
         "grid2d(300, 300) default, k = 16: peak {} B = {ratio:.3} x the uncompressed CSR",
@@ -134,8 +135,9 @@ fn the_first_coarsening_level_sets_the_peak() {
 
     // A power-law graph refined with the k-way FM: without popping the levels it has
     // projected past, uncoarsening held every coarse graph under level 0's gain table.
-    // 1.073x (1.157x while the gain table had 8-byte slots and a row for every vertex
-    // and initial partitioning's workspace stayed charged through uncoarsening).
+    // 0.804x with every level but the coarsest held compressed (1.073x while they were
+    // CSR; 1.157x while the gain table had 8-byte slots and a row for every vertex and
+    // initial partitioning's workspace stayed charged through uncoarsening).
     let (web, ratio) = run(gen::weblike(14, 8, 3), Preset::Default, 16);
     println!(
         "weblike(14, 8) default, k = 16: peak {} B = {ratio:.3} x the uncompressed CSR",

@@ -38,8 +38,8 @@ fn level_zero_decodes_only_the_boundary(inner: CsrGraph) {
         .build()
         .unwrap();
     pool.install(|| {
-        // Every level above 0 runs through the pipeline's own steps, on the plain coarse
-        // graphs.
+        // Every level above 0 runs through the pipeline's own steps, on the coarse graphs
+        // as the hierarchy holds them.
         let tracker = PhaseTracker::new();
         let mut scratch = HierarchyScratch::new();
         let mut run = RunContext {
@@ -50,10 +50,10 @@ fn level_zero_decodes_only_the_boundary(inner: CsrGraph) {
         let mut hierarchy = run.coarsen(&inner);
         let depth = hierarchy.depth();
         assert!(depth >= 2, "the instance must coarsen: {depth} levels");
-        let mut partition = run.initial_step(hierarchy.coarsest().unwrap(), depth);
+        let mut partition = run.initial_step(hierarchy.deepest().unwrap(), depth);
         let mut coarser = None;
         for level in (1..=depth).rev() {
-            let graph = hierarchy.coarsest().unwrap();
+            let graph = hierarchy.deepest().unwrap();
             run.uncoarsen_step(graph, &mut partition, coarser, level, depth);
             coarser = hierarchy.levels.pop();
         }
