@@ -18,10 +18,23 @@ use crate::io::IoError;
 use crate::store::handle::StoreHandle;
 use crate::store::paged::PagedGraphOptions;
 
-/// Key of one open store: canonicalised path plus the full option set. Two opens with
+/// Key of one open store: canonicalised path plus the option set. Two opens with
 /// different options (page budget, backend, retry policy, ...) are different stores —
-/// they would behave differently, so they must not alias.
+/// they would behave differently, so they must not alias. `prefetch` has no effect and
+/// is left out of the key.
 type StoreKey = (PathBuf, PagedGraphOptions);
+
+/// The key `path` and `options` open a store under. Canonicalised, `./g.tpg` and an
+/// absolute spelling of the same file share an entry; a path that cannot be
+/// canonicalised (yet to be created, exotic backend) keys by its raw spelling.
+fn store_key(path: &Path, options: &PagedGraphOptions) -> StoreKey {
+    let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
+    let options = PagedGraphOptions {
+        prefetch: false,
+        ..options.clone()
+    };
+    (canonical, options)
+}
 
 /// Deduplicating registry of open stores (see the module docs).
 #[derive(Debug, Default)]
@@ -44,12 +57,7 @@ impl StoreRegistry {
         path: impl AsRef<Path>,
         options: &PagedGraphOptions,
     ) -> Result<Arc<StoreHandle>, IoError> {
-        // Canonicalise so `./g.tpg` and an absolute spelling of the same file share
-        // an entry; a path that cannot be canonicalised (yet to be created, exotic
-        // backend) keys by its raw spelling.
-        let path = path.as_ref();
-        let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
-        let key = (canonical, options.clone());
+        let key = store_key(path.as_ref(), options);
         let mut stores = self.stores.lock();
         if let Some(handle) = stores.get(&key).and_then(Weak::upgrade) {
             return Ok(handle);
@@ -69,9 +77,7 @@ impl StoreRegistry {
         options: &PagedGraphOptions,
         handle: StoreHandle,
     ) -> Arc<StoreHandle> {
-        let path = path.as_ref();
-        let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
-        let key = (canonical, options.clone());
+        let key = store_key(path.as_ref(), options);
         let mut stores = self.stores.lock();
         if let Some(existing) = stores.get(&key).and_then(Weak::upgrade) {
             return existing;
@@ -132,6 +138,23 @@ mod tests {
         assert_eq!(registry.open_count(), 1);
         assert_eq!(a.session().n(), csr.n());
 
+        // `prefetch` has no effect, so it does not make another store: not when the
+        // first open spells it...
+        let other = StoreRegistry::new();
+        let prefetching = PagedGraphOptions {
+            prefetch: true,
+            ..PagedGraphOptions::default()
+        };
+        let c = other.open(&path, &prefetching).unwrap();
+        let d = other.open(&path, &options).unwrap();
+        assert!(Arc::ptr_eq(&c, &d), "prefetch must not split the store");
+        assert_eq!(other.open_count(), 1);
+        drop((c, d));
+        // ...nor a later one.
+        let e = registry.open(&path, &prefetching).unwrap();
+        assert!(Arc::ptr_eq(&a, &e));
+        assert_eq!(registry.open_count(), 1);
+
         // Different options are a different store...
         let mmap = registry
             .open(
@@ -146,7 +169,7 @@ mod tests {
         assert_eq!(registry.open_count(), 2);
 
         // ...and dropping every Arc closes the store (weak entry, pruned lazily).
-        drop((a, b, mmap));
+        drop((a, b, e, mmap));
         assert_eq!(registry.open_count(), 0);
         registry.prune();
         std::fs::remove_file(path).ok();

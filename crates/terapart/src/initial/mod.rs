@@ -107,11 +107,12 @@ pub(crate) fn recursive_bisection(
         obs.gauge_max(obs::Counter::InitialWorkspaceBytes, uncharged as u64);
     }
     // Recursive bisection has no deltas to offer: this is the one full count of a
-    // request. Every later stage moves the cut by its gains or recounts it over the
-    // boundary. The boundary itself stays unknown; the first refinement round on this
-    // graph is a full sweep anyway and leaves an exact one behind.
+    // request (parallel, as the boundary is unknown). Every later stage moves the cut by
+    // its gains or recounts it over the boundary. The boundary itself stays unknown; the
+    // first refinement round on this graph is a full sweep anyway and leaves an exact one
+    // behind.
     let mut partition = Partition::from_assignment(graph, k, epsilon, assignment);
-    partition.set_tracked_cut(partition.edge_cut_on(graph));
+    partition.recount_cut(graph);
     partition
 }
 

@@ -23,6 +23,15 @@
 //! if its coarse vertex is. [`Partition::edge_cut_on`] stays the independent oracle that
 //! tests and `debug_assert!`s check the tracked state against
 //! ([`Partition::check_tracked_state`]).
+//!
+//! # One copy of the state
+//!
+//! Refiners move vertices in the partition itself, and nothing commits a copy back. The
+//! rebalancer moves through [`Partition::move_vertex_tracked`]. Label propagation and
+//! k-way FM borrow the assignment, the block weights and the boundary superset at once
+//! (`refiner_state`): LP's workers move through an atomic view of those arrays, and FM
+//! applies its moves and rolls its move log back in them. Each sets or recounts the
+//! tracked cut before it returns.
 
 use graph::traits::Graph;
 use graph::{EdgeWeight, NodeId, NodeWeight};
@@ -106,42 +115,36 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Creates an empty partition (all vertices unassigned) for a graph with the given
-    /// total node weight.
-    pub fn unassigned(n: usize, k: usize, epsilon: f64, total_node_weight: NodeWeight) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        assert!(epsilon >= 0.0, "epsilon must be non-negative");
-        let max_block_weight = Self::compute_max_block_weight(total_node_weight, k, epsilon);
-        Self {
-            k,
-            epsilon,
-            assignment: vec![INVALID_BLOCK; n],
-            block_weights: vec![0; k],
-            max_block_weight,
-            total_node_weight,
-            cut: None,
-            boundary: None,
-        }
-    }
-
-    /// Creates a partition from an existing assignment vector. Its cut and boundary are
-    /// unknown until a refiner or [`Partition::recount_cut`] establishes them.
+    /// Creates a partition from an existing assignment vector; entries may be
+    /// [`INVALID_BLOCK`]. Its cut and boundary are unknown until a refiner or
+    /// [`Partition::recount_cut`] establishes them.
     pub fn from_assignment(
         graph: &impl Graph,
         k: usize,
         epsilon: f64,
         assignment: Vec<BlockId>,
     ) -> Self {
+        assert!(k >= 1, "k must be at least 1");
+        assert!(epsilon >= 0.0, "epsilon must be non-negative");
         assert_eq!(assignment.len(), graph.n());
-        let mut p = Self::unassigned(graph.n(), k, epsilon, graph.total_node_weight());
+        let mut block_weights = vec![0; k];
         for (u, &b) in assignment.iter().enumerate() {
             if b != INVALID_BLOCK {
                 assert!((b as usize) < k, "block {} out of range", b);
-                p.block_weights[b as usize] += graph.node_weight(u as NodeId);
+                block_weights[b as usize] += graph.node_weight(u as NodeId);
             }
         }
-        p.assignment = assignment;
-        p
+        let total_node_weight = graph.total_node_weight();
+        Self {
+            k,
+            epsilon,
+            assignment,
+            block_weights,
+            max_block_weight: Self::compute_max_block_weight(total_node_weight, k, epsilon),
+            total_node_weight,
+            cut: None,
+            boundary: None,
+        }
     }
 
     /// The balance constraint `L_max = (1 + ε) · ⌈W / k⌉` used throughout the paper, where
@@ -202,32 +205,10 @@ impl Partition {
         self.assignment.iter().all(|&b| b != INVALID_BLOCK)
     }
 
-    /// Assigns vertex `u` (previously unassigned) to block `b`. The tracked cut and
-    /// boundary become unknown.
-    pub fn assign(&mut self, u: NodeId, b: BlockId, node_weight: NodeWeight) {
-        debug_assert_eq!(
-            self.assignment[u as usize], INVALID_BLOCK,
-            "vertex already assigned"
-        );
-        debug_assert!((b as usize) < self.k);
-        self.assignment[u as usize] = b;
-        self.block_weights[b as usize] += node_weight;
-        self.forget_tracked_state();
-    }
-
-    /// Moves vertex `u` from its current block to `target`, updating block weights. The
-    /// caller says nothing about the graph, so the tracked cut and boundary become
-    /// unknown; [`Partition::move_vertex_tracked`] keeps them.
-    pub fn move_vertex(&mut self, u: NodeId, target: BlockId, node_weight: NodeWeight) {
-        if self.relocate(u, target, node_weight) {
-            self.forget_tracked_state();
-        }
-    }
-
     /// Moves vertex `u` to `target` and keeps the tracked state exact: `gain` is the
     /// decrease of the cut the move causes (connection of `u` to `target` minus its
     /// connection to its current block), and `u` and its neighbours join the boundary
-    /// superset.
+    /// superset. A move to `u`'s own block changes nothing.
     pub fn move_vertex_tracked(
         &mut self,
         graph: &impl Graph,
@@ -235,30 +216,19 @@ impl Partition {
         target: BlockId,
         gain: i64,
     ) {
-        if self.relocate(u, target, graph.node_weight(u)) {
-            self.cut = self.cut.map(|cut| (cut as i64 - gain) as EdgeWeight);
-            if let Some(boundary) = &self.boundary {
-                boundary.mark_move(graph, u);
-            }
-        }
-    }
-
-    /// Reassigns `u` and shifts its weight; `false` if it already is in `target`.
-    fn relocate(&mut self, u: NodeId, target: BlockId, node_weight: NodeWeight) -> bool {
         let source = self.assignment[u as usize];
         debug_assert_ne!(source, INVALID_BLOCK);
         if source == target {
-            return false;
+            return;
         }
+        let node_weight = graph.node_weight(u);
         self.block_weights[source as usize] -= node_weight;
         self.block_weights[target as usize] += node_weight;
         self.assignment[u as usize] = target;
-        true
-    }
-
-    fn forget_tracked_state(&mut self) {
-        self.cut = None;
-        self.boundary = None;
+        self.cut = self.cut.map(|cut| (cut as i64 - gain) as EdgeWeight);
+        if let Some(boundary) = &self.boundary {
+            boundary.mark_move(graph, u);
+        }
     }
 
     /// Edge cut of this partition on `graph`: total weight of edges crossing blocks,
@@ -291,9 +261,9 @@ impl Partition {
     ///
     /// # Panics
     ///
-    /// If the cut is unknown: the partition came from [`Partition::from_assignment`] or
-    /// was changed through [`Partition::move_vertex`] and nothing has counted its cut
-    /// since. Use [`Partition::recount_cut`] or [`Partition::edge_cut_on`] then.
+    /// If the cut is unknown: the partition came from [`Partition::from_assignment`] and
+    /// nothing has counted its cut since. Use [`Partition::recount_cut`] or
+    /// [`Partition::edge_cut_on`] then.
     pub fn edge_cut(&self) -> EdgeWeight {
         self.cut
             .expect("the edge cut of this partition is unknown: count it with recount_cut")
@@ -383,28 +353,19 @@ impl Partition {
         Ok(())
     }
 
-    /// Hands the boundary superset to a refiner, which marks its moves in it and gives
-    /// it back through [`Partition::commit`].
-    pub(crate) fn take_boundary(&mut self) -> Option<BoundarySet> {
-        self.boundary.take()
-    }
-
-    /// Installs what a refiner that worked on its own copy of the state ends on. `cut`
-    /// and `boundary` must be exact for `assignment` (or `None`), `block_weights` its
-    /// block weights.
-    pub(crate) fn commit(
+    /// The state a refiner moves vertices in: the assignment, the block weights and the
+    /// boundary superset (`None` while unknown), borrowed apart so that the refiner can
+    /// hold all three at once. The tracked cut becomes unknown here; the refiner sets it
+    /// from its gains ([`Partition::set_tracked_cut`]) or recounts it once it is done.
+    pub(crate) fn refiner_state(
         &mut self,
-        assignment: Vec<BlockId>,
-        block_weights: Vec<NodeWeight>,
-        cut: Option<EdgeWeight>,
-        boundary: Option<BoundarySet>,
-    ) {
-        debug_assert_eq!(assignment.len(), self.assignment.len());
-        debug_assert_eq!(block_weights.len(), self.k);
-        self.assignment = assignment;
-        self.block_weights = block_weights;
-        self.cut = cut;
-        self.boundary = boundary;
+    ) -> (&mut [BlockId], &mut [NodeWeight], &mut Option<BoundarySet>) {
+        self.cut = None;
+        (
+            &mut self.assignment,
+            &mut self.block_weights,
+            &mut self.boundary,
+        )
     }
 
     /// Imbalance of the partition: `max_i w(V_i) / ⌈W / k⌉ - 1`.
@@ -491,40 +452,32 @@ mod tests {
     #[test]
     fn assignment_and_weights() {
         let g = gen::path(6);
-        let mut p = Partition::unassigned(6, 2, 0.0, g.total_node_weight());
-        for u in 0..3 {
-            p.assign(u, 0, 1);
-        }
-        for u in 3..6 {
-            p.assign(u as NodeId, 1, 1);
-        }
+        let p = Partition::from_assignment(&g, 2, 0.0, vec![0, 0, 0, 1, 1, 1]);
         assert!(p.is_complete());
         assert_eq!(p.block_weight(0), 3);
         assert_eq!(p.block_weight(1), 3);
         assert!(p.is_balanced());
         assert_eq!(p.edge_cut_on(&g), 1);
         assert_eq!(p.block_sizes(), vec![3, 3]);
+        let partial = Partition::from_assignment(&g, 2, 0.0, vec![0, INVALID_BLOCK, 0, 1, 1, 1]);
+        assert!(!partial.is_complete());
+        assert_eq!(partial.block_weights(), &[2, 3]);
     }
 
     #[test]
-    fn move_vertex_updates_weights_and_forgets_the_cut() {
+    fn a_move_to_its_own_block_leaves_the_tracked_state_alone() {
         let g = gen::path(4);
         let mut p = Partition::from_assignment(&g, 2, 1.0, vec![0, 0, 1, 1]);
+        let boundary = BoundarySet::empty(4);
+        boundary.mark(1);
+        boundary.mark(2);
+        p.boundary = Some(boundary);
         assert_eq!(p.recount_cut(&g), 1);
-        p.move_vertex(1, 1, 1);
-        assert_eq!(p.block_weight(0), 1);
-        assert_eq!(p.block_weight(1), 3);
-        assert_eq!(p.edge_cut_on(&g), 1);
-        assert_eq!(
-            p.tracked_cut(),
-            None,
-            "an untracked move leaves no stale cut"
-        );
-        // Moving a vertex to its own block is a no-op, also for the tracked state.
-        p.recount_cut(&g);
-        p.move_vertex(1, 1, 1);
-        assert_eq!(p.block_weight(1), 3);
+        p.move_vertex_tracked(&g, 0, 0, 5);
+        assert_eq!(p.block_weights(), &[2, 2]);
         assert_eq!(p.tracked_cut(), Some(1));
+        assert_eq!(p.boundary_candidates(), Some(2), "vertex 0 is not marked");
+        p.check_tracked_state(&g).unwrap();
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! more than `n` entries; moving `u` re-keys each unlocked neighbour under its new best
 //! move, or takes it out when it has none left.
 //!
+//! Moves apply to the partition's own assignment and block weights, and a rollback
+//! replays the pass's move log backwards in them: there is no copy of the assignment to
+//! commit. The tracked cut is set from the gains of the kept prefixes. Besides the gain
+//! cache FM holds 9 bytes a vertex: the queued target (4), the lock flag (1) and the
+//! heap's position index (4, a vertex id at the default width).
+//!
 //! # Determinism
 //!
 //! The candidate seeding is parallel (order-preserving) and only reads the assignment
@@ -122,19 +128,18 @@ pub(crate) fn kway_fm_refine_obs(
     // Gains are exact deltas of a sequential move sequence: the cut follows from the
     // kept prefixes.
     let cut_before = partition.tracked_or_recounted_cut(graph);
-    let boundary = partition.take_boundary();
     let mut kept_gain = 0i64;
-    let mut assignment: Vec<BlockId> = partition.assignment().to_vec();
-    let mut block_weights: Vec<NodeWeight> = partition.block_weights().to_vec();
+    let (assignment, block_weights, boundary) = partition.refiner_state();
+    let boundary = boundary.as_ref();
 
     // Charges itself for the duration of refinement: the quantity Figure 7 (middle)
     // compares across the three gain-table kinds.
     let mut cache = GainCache::new(
         gain_table,
         graph,
-        &assignment,
+        assignment,
         k,
-        boundary.as_ref().map(BoundarySet::bits),
+        boundary.map(BoundarySet::bits),
     );
 
     let mut heap = AddressableMaxHeap::default();
@@ -162,7 +167,7 @@ pub(crate) fn kway_fm_refine_obs(
         (0..n as NodeId)
             .into_par_iter()
             .filter_map(|u| {
-                best_move(&cache, &assignment, &block_weights, u).map(|(gain, to)| (gain, u, to))
+                best_move(&cache, assignment, block_weights, u).map(|(gain, to)| (gain, u, to))
             })
             .collect_into_vec(&mut seeds);
         // One gain query per seeded vertex, per re-validated pop and per re-keyed
@@ -191,8 +196,7 @@ pub(crate) fn kway_fm_refine_obs(
             let to = target[u as usize];
             tried += 1;
             queries += 1;
-            let Some((current_gain, current_to)) =
-                best_move(&cache, &assignment, &block_weights, u)
+            let Some((current_gain, current_to)) = best_move(&cache, assignment, block_weights, u)
             else {
                 continue;
             };
@@ -208,7 +212,7 @@ pub(crate) fn kway_fm_refine_obs(
             assignment[u as usize] = to;
             block_weights[from as usize] -= node_weight;
             block_weights[to as usize] += node_weight;
-            cache.apply_move(graph, &assignment, u, from, to);
+            cache.apply_move(graph, assignment, u, from, to);
             locked[u as usize] = true;
             move_log.push((u, from, to));
             total_gain += gain;
@@ -228,7 +232,7 @@ pub(crate) fn kway_fm_refine_obs(
                 }
                 if !locked[v as usize] {
                     queries += 1;
-                    match best_move(&cache, &assignment, &block_weights, v) {
+                    match best_move(&cache, assignment, block_weights, v) {
                         Some((gv, tv)) => {
                             target[v as usize] = tv;
                             heap.push_or_update(v, gv);
@@ -246,9 +250,9 @@ pub(crate) fn kway_fm_refine_obs(
             assignment[u as usize] = from;
             block_weights[to as usize] -= node_weight;
             block_weights[from as usize] += node_weight;
-            cache.apply_move(graph, &assignment, u, to, from);
+            cache.apply_move(graph, assignment, u, to, from);
         }
-        cache.debug_check_sample(graph, &assignment);
+        cache.debug_check_sample(graph, assignment);
         pass_span.attr("moves", best_len as u64);
         pass_span.attr("rolled_back", rolled_back as u64);
         pass_span.attr("tried", tried as u64);
@@ -270,12 +274,7 @@ pub(crate) fn kway_fm_refine_obs(
     let gain_table_bytes = cache.memory_bytes();
     obs.gauge_max(Counter::GainTableBytes, gain_table_bytes as u64);
     let (rows_built, rows_added) = cache.rows();
-    partition.commit(
-        assignment,
-        block_weights,
-        Some((cut_before as i64 - kept_gain) as EdgeWeight),
-        boundary,
-    );
+    partition.set_tracked_cut((cut_before as i64 - kept_gain) as EdgeWeight);
     FmStats {
         moves: total_moves,
         gain_table_bytes,

@@ -5,7 +5,10 @@
 //! and moved to the adjacent block with the strongest connection, provided the move
 //! strictly improves the connection weight and the target block stays within the balance
 //! constraint. Its auxiliary memory is proportional to `k` (per-thread block-rating
-//! maps), which the paper notes is negligible compared to the clustering stage.
+//! maps), which the paper notes is negligible compared to the clustering stage. The
+//! workers move vertices in the partition itself, through an atomic view of its
+//! assignment and block weights (`AtomicPartition`); nothing is copied or committed
+//! back.
 //!
 //! Rounds after the first are frontier-driven: a vertex is revisited if it was adjacent
 //! to a move of the previous round (its affinities changed), if its move lost a race, or
@@ -20,7 +23,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use graph::traits::Graph;
-use graph::{EdgeWeight, NodeId, NodeWeight};
+use graph::{NodeId, NodeWeight};
 use memtrack::MemoryScope;
 
 use crate::coarsening::rating_map::FixedCapacityHashMap;
@@ -28,29 +31,40 @@ use crate::lp_rounds::{drive_lp_rounds, LpRoundSemantics, RoundWork, VisitOrder}
 use crate::partition::{BlockId, BoundarySet, Partition};
 use crate::scratch::{AtomicBitset, HierarchyScratch, Pool, WorkerScratch};
 
-/// Shared atomic view of a partition used by the parallel refinement algorithms.
-pub(crate) struct AtomicPartition {
-    pub assignment: Vec<AtomicU32>,
-    pub block_weights: Vec<AtomicU64>,
+// The atomic view reinterprets the partition's own arrays in place: each atomic must
+// have its plain type's size and alignment.
+const _: () = {
+    use std::mem::{align_of, size_of};
+    assert!(size_of::<AtomicU32>() == size_of::<BlockId>());
+    assert!(align_of::<AtomicU32>() == align_of::<BlockId>());
+    assert!(size_of::<AtomicU64>() == size_of::<NodeWeight>());
+    assert!(align_of::<AtomicU64>() == align_of::<NodeWeight>());
+};
+
+/// The partition's assignment and block weights as atomics, borrowed for the duration of
+/// one refinement: the workers move vertices in the partition itself.
+pub(crate) struct AtomicPartition<'a> {
+    pub assignment: &'a [AtomicU32],
+    pub block_weights: &'a [AtomicU64],
     pub max_block_weight: NodeWeight,
-    pub k: usize,
 }
 
-impl AtomicPartition {
-    pub fn from_partition(partition: &Partition) -> Self {
-        Self {
-            assignment: partition
-                .assignment()
-                .iter()
-                .map(|&b| AtomicU32::new(b))
-                .collect(),
-            block_weights: partition
-                .block_weights()
-                .iter()
-                .map(|&w| AtomicU64::new(w))
-                .collect(),
-            max_block_weight: partition.max_block_weight(),
-            k: partition.k(),
+impl<'a> AtomicPartition<'a> {
+    pub fn new(
+        assignment: &'a mut [BlockId],
+        block_weights: &'a mut [NodeWeight],
+        max_block_weight: NodeWeight,
+    ) -> Self {
+        // SAFETY: `AtomicU32` / `AtomicU64` have the bit validity of `u32` / `u64`, and
+        // the size and alignment of `BlockId` / `NodeWeight` (asserted above), so the
+        // casts keep every element in bounds and aligned; the exclusive borrows guarantee
+        // that nothing reads or writes the arrays non-atomically while the view lives.
+        unsafe {
+            Self {
+                assignment: &*(assignment as *mut [BlockId] as *const [AtomicU32]),
+                block_weights: &*(block_weights as *mut [NodeWeight] as *const [AtomicU64]),
+                max_block_weight,
+            }
         }
     }
 
@@ -84,28 +98,6 @@ impl AtomicPartition {
         self.block_weights[source as usize].fetch_sub(node_weight, Ordering::Relaxed);
         self.assignment[u as usize].store(target, Ordering::Relaxed);
         true
-    }
-
-    /// Writes the atomic state back into `partition`, block weights included, together
-    /// with the cut and the boundary superset the refiner ends on.
-    pub fn commit_to(
-        self,
-        partition: &mut Partition,
-        cut: Option<EdgeWeight>,
-        boundary: Option<BoundarySet>,
-    ) {
-        partition.commit(
-            self.assignment
-                .into_iter()
-                .map(AtomicU32::into_inner)
-                .collect(),
-            self.block_weights
-                .into_iter()
-                .map(AtomicU64::into_inner)
-                .collect(),
-            cut,
-            boundary,
-        );
     }
 }
 
@@ -152,11 +144,13 @@ pub fn lp_refine_with_scratch(
     if n == 0 || partition.k() <= 1 || rounds == 0 {
         return LpRefineStats::default();
     }
-    let state = AtomicPartition::from_partition(partition);
-    let k = state.k;
+    let k = partition.k();
+    let max_block_weight = partition.max_block_weight();
+    let (assignment, block_weights, boundary_slot) = partition.refiner_state();
+    let state = AtomicPartition::new(assignment, block_weights, max_block_weight);
     // Round 0 starts from the incoming superset; the outgoing one is collected apart
     // from it, so that it shrinks to what this level still finds on the boundary.
-    let start = partition.take_boundary();
+    let start = boundary_slot.take();
     let boundary = BoundarySet::empty(n);
     // Account the per-worker rating maps (one per thread, reused via the arena's worker
     // pool) for the duration of the refinement, mirroring the clustering stage's
@@ -171,7 +165,7 @@ pub fn lp_refine_with_scratch(
     /// stop only on a move-free round whose next active set is empty.
     struct RefinementRounds<'a, G: Graph> {
         graph: &'a G,
-        state: &'a AtomicPartition,
+        state: &'a AtomicPartition<'a>,
         /// The outgoing boundary superset (set-only).
         boundary: &'a AtomicBitset,
         k: usize,
@@ -262,7 +256,7 @@ pub fn lp_refine_with_scratch(
         obs::Counter::LpRefineVisited,
         driven.visited_per_round.iter().sum::<usize>() as u64,
     );
-    state.commit_to(partition, None, Some(boundary));
+    *boundary_slot = Some(boundary);
     partition.recount_cut(graph);
     LpRefineStats {
         moves: driven.moves,
@@ -282,7 +276,7 @@ pub fn lp_refine_with_scratch(
 /// every mover with its neighbourhood.
 fn run_round(
     graph: &impl Graph,
-    state: &AtomicPartition,
+    state: &AtomicPartition<'_>,
     k: usize,
     order: &VisitOrder<'_>,
     frontier: &AtomicBitset,

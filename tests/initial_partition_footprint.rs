@@ -11,67 +11,18 @@
 //! root — a second copy of the coarsest graph at 4-byte ids and 8-byte weights, grown by
 //! doubling — put them at 3.60x and 3.96x.
 //!
-//! The bytes are counted by this binary's own allocator rather than the memory
-//! accounting, which sees only what is charged: the workspace pools are not. It is the
-//! only `#[test]` of its binary, so no sibling test allocates during the reading.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The bytes are counted by this binary's own allocator (`common/counting_alloc.rs`)
+//! rather than the memory accounting, which sees only what is charged: the workspace
+//! pools are not. It is the only `#[test]` of its binary, so no sibling test allocates
+//! during the reading.
 
 use graph::traits::Graph;
 use graph::{gen, CsrGraph};
 use memtrack::PhaseTracker;
 use terapart::{coarsening, initial_partition, PartitionerConfig, Preset};
 
-/// Live heap bytes, and their high-water mark since the last reset.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` unchanged; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new = System.realloc(ptr, layout, new_size);
-        if !new.is_null() {
-            if new_size >= layout.size() {
-                grew(new_size - layout.size());
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Coarsens `input` as the `fast` preset does at `k` blocks and one thread, then returns
 /// what `initial_partition` allocated beyond its entry, over the coarsest graph's bytes.
@@ -84,11 +35,9 @@ fn peak_over_the_coarsest_graph(input: &CsrGraph, k: usize) -> f64 {
     pool.install(|| {
         let hierarchy = coarsening::coarsen(input, &config, &PhaseTracker::new());
         let coarsest = hierarchy.coarsest().unwrap_or(input);
-        let entry = LIVE.load(Ordering::Relaxed);
-        PEAK.store(entry, Ordering::Relaxed);
-        let partition =
-            initial_partition(coarsest, k, config.epsilon, &config.initial, config.seed);
-        let peak = PEAK.load(Ordering::Relaxed) - entry;
+        let (partition, peak) = counting_alloc::peak_beyond_entry(|| {
+            initial_partition(coarsest, k, config.epsilon, &config.initial, config.seed)
+        });
         assert!(partition.is_complete());
         let csr_bytes = coarsest.size_in_bytes();
         let factor = peak as f64 / csr_bytes as f64;
