@@ -288,6 +288,8 @@ pub struct SectionEncoder {
     pub(crate) edge_weighted: bool,
     /// The neighbourhoods encoded so far; read or moved out as is by the committer.
     pub(crate) section: EncodedSection,
+    /// The intervals of the chunk being encoded, kept between chunks for its buffer.
+    intervals: Vec<(usize, usize)>,
 }
 
 impl SectionEncoder {
@@ -304,6 +306,7 @@ impl SectionEncoder {
             config: config.clone(),
             edge_weighted,
             section: EncodedSection::with_capacity(first_vertex as usize, base_first_edge, 0),
+            intervals: Vec::new(),
         }
     }
 
@@ -313,6 +316,7 @@ impl SectionEncoder {
             config: config.clone(),
             edge_weighted,
             section: EncodedSection::with_capacity(0, 0, n),
+            intervals: Vec::new(),
         }
     }
 
@@ -338,6 +342,7 @@ impl SectionEncoder {
             neighbors,
             self.edge_weighted,
             &self.config,
+            &mut self.intervals,
             &mut section.bytes,
         );
         section.offsets.push(section.bytes.len() as u64);
@@ -385,6 +390,7 @@ fn encode_neighborhood(
     neighbors: &[(NodeId, EdgeWeight)],
     weighted: bool,
     config: &CompressionConfig,
+    intervals: &mut Vec<(usize, usize)>,
     out: &mut Vec<u8>,
 ) {
     debug_assert!(
@@ -398,7 +404,7 @@ fn encode_neighborhood(
     }
     let chunked = neighbors.len() > config.high_degree_threshold;
     if !chunked {
-        encode_chunk(u, neighbors, weighted, config, out);
+        encode_chunk(u, neighbors, weighted, config, intervals, out);
         return;
     }
     let chunks: Vec<&[(NodeId, EdgeWeight)]> = neighbors.chunks(config.chunk_len).collect();
@@ -409,7 +415,7 @@ fn encode_neighborhood(
     let mut encoded_chunks: Vec<Vec<u8>> = Vec::with_capacity(chunks.len());
     for chunk in &chunks {
         let mut buf = Vec::new();
-        encode_chunk(u, chunk, weighted, config, &mut buf);
+        encode_chunk(u, chunk, weighted, config, intervals, &mut buf);
         encoded_chunks.push(buf);
     }
     for buf in &encoded_chunks {
@@ -420,53 +426,37 @@ fn encode_neighborhood(
     }
 }
 
-/// Calls `f(start, end)` for every maximal run `neighbors[start..end]` of consecutive
-/// ids, in order; with `split` off the whole chunk is one run.
-#[inline(always)]
-fn for_each_run(neighbors: &[(NodeId, EdgeWeight)], split: bool, mut f: impl FnMut(usize, usize)) {
-    let len = neighbors.len();
-    if !split {
-        f(0, len);
-        return;
-    }
-    let mut start = 0;
-    for i in 1..=len {
-        if i == len || neighbors[i].0 != neighbors[i - 1].0 + 1 {
-            f(start, i);
-            start = i;
-        }
-    }
-}
-
 /// Encodes a single chunk of a neighbourhood (gap + interval + optional weights).
 ///
 /// The chunk is written in decode order — the intervals, then the residual gaps, then
-/// (weighted) the weights of the interval members followed by those of the residuals —
-/// by walking its runs of consecutive ids once per section; nothing is allocated.
+/// (weighted) the weights of the interval members followed by those of the residuals.
+/// One walk over the ids finds the intervals, the maximal runs of at least
+/// `min_interval_len` consecutive ids, as `(start, end)` index pairs into `intervals`
+/// (the encoder's reusable buffer); every section is written from that list, and the
+/// residuals are the ids between the intervals.
 fn encode_chunk(
     u: NodeId,
     neighbors: &[(NodeId, EdgeWeight)],
     weighted: bool,
     config: &CompressionConfig,
+    intervals: &mut Vec<(usize, usize)>,
     out: &mut Vec<u8>,
 ) {
     let min_len = config.min_interval_len;
-    let mut intervals = 0u64;
+    intervals.clear();
     if config.enable_intervals {
-        for_each_run(neighbors, true, |start, end| {
-            intervals += u64::from(end - start >= min_len);
-        });
-        encode_varint(intervals, out);
-    }
-    // A chunk without intervals is one run of residuals, in id order.
-    let split = intervals > 0;
-    let is_interval = |start: usize, end: usize| split && end - start >= min_len;
-    if split {
-        let mut prev_end: Option<i64> = None;
-        for_each_run(neighbors, split, |start, end| {
-            if !is_interval(start, end) {
-                return;
+        let mut start = 0;
+        for i in 1..=neighbors.len() {
+            if i == neighbors.len() || neighbors[i].0 != neighbors[i - 1].0 + 1 {
+                if i - start >= min_len {
+                    intervals.push((start, i));
+                }
+                start = i;
             }
+        }
+        encode_varint(intervals.len() as u64, out);
+        let mut prev_end: Option<i64> = None;
+        for &(start, end) in intervals.iter() {
             let left = sid(neighbors[start].0);
             match prev_end {
                 None => encode_signed_varint(left - sid(u), out),
@@ -474,17 +464,13 @@ fn encode_chunk(
             };
             encode_varint((end - start - min_len) as u64, out);
             prev_end = Some(left + (end - start) as i64);
-        });
+        }
     }
-
     // Residual gaps: first gap is signed relative to u, later gaps are strictly positive
     // (stored minus one).
     let mut prev: Option<i64> = None;
-    for_each_run(neighbors, split, |start, end| {
-        if is_interval(start, end) {
-            return;
-        }
-        for &(v, _) in &neighbors[start..end] {
+    for_each_residual_slice(neighbors, intervals, |residuals| {
+        for &(v, _) in residuals {
             match prev {
                 None => encode_signed_varint(sid(v) - sid(u), out),
                 Some(prev) => encode_varint((sid(v) - prev - 1) as u64, out),
@@ -495,18 +481,33 @@ fn encode_chunk(
 
     if weighted {
         let mut prev_weight: i64 = 0;
-        for members in [true, false] {
-            for_each_run(neighbors, split, |start, end| {
-                if is_interval(start, end) != members {
-                    return;
-                }
-                for &(_, w) in &neighbors[start..end] {
-                    encode_signed_varint(w as i64 - prev_weight, out);
-                    prev_weight = w as i64;
-                }
-            });
+        let mut encode_weights = |slice: &[(NodeId, EdgeWeight)]| {
+            for &(_, w) in slice {
+                encode_signed_varint(w as i64 - prev_weight, out);
+                prev_weight = w as i64;
+            }
+        };
+        for &(start, end) in intervals.iter() {
+            encode_weights(&neighbors[start..end]);
         }
+        for_each_residual_slice(neighbors, intervals, encode_weights);
     }
+}
+
+/// Calls `f` on the residual slices of a chunk in id order: what lies before, between
+/// and after its `intervals`.
+#[inline(always)]
+fn for_each_residual_slice(
+    neighbors: &[(NodeId, EdgeWeight)],
+    intervals: &[(usize, usize)],
+    mut f: impl FnMut(&[(NodeId, EdgeWeight)]),
+) {
+    let mut begin = 0;
+    for &(start, end) in intervals {
+        f(&neighbors[begin..start]);
+        begin = end;
+    }
+    f(&neighbors[begin..]);
 }
 
 /// Decodes the id section of a chunk of `count` neighbours starting at `data[pos]`,

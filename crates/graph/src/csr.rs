@@ -220,31 +220,6 @@ impl CsrGraph {
             .map_or(0, PackedArray::size_in_bytes)
     }
 
-    /// Returns a copy of this graph with every neighbourhood sorted by neighbour ID.
-    /// Sorted neighbourhoods maximise the effect of gap/interval encoding.
-    pub fn sorted(&self) -> CsrGraph {
-        let n = self.n();
-        let weighted = self.is_edge_weighted();
-        let mut adjacency = Vec::with_capacity(self.adjacency.len());
-        let mut edge_weights = Vec::with_capacity(if weighted { self.adjacency.len() } else { 0 });
-        for u in 0..n as NodeId {
-            let mut nbrs = self.neighbors_vec(u);
-            nbrs.sort_unstable_by_key(|&(v, _)| v);
-            for (v, w) in nbrs {
-                adjacency.push(v);
-                if weighted {
-                    edge_weights.push(w);
-                }
-            }
-        }
-        CsrGraph::from_parts(
-            self.xadj.clone(),
-            adjacency,
-            edge_weights,
-            self.node_weights.clone(),
-        )
-    }
-
     /// Checks the symmetry invariant: every half-edge `(u, v)` has a reverse `(v, u)` with
     /// the same weight. Intended for tests and debug assertions; runs in `O(m log d)`.
     pub fn is_symmetric(&self) -> bool {
@@ -385,57 +360,131 @@ impl CsrGraphBuilder {
         self.node_weights[u as usize] = weight;
     }
 
-    /// Finalises the builder into a CSR graph with sorted neighbourhoods.
+    /// Finalises the builder into a CSR graph with sorted neighbourhoods: a counting
+    /// sort of both orientations of every edge added, by source, then one sort and
+    /// duplicate merge per neighbourhood (see `aggregate_half_edges`).
     pub fn build(self) -> CsrGraph {
-        let n = self.n;
-        // Deduplicate undirected edges, merging parallel edges by weight.
-        let mut canonical: std::collections::HashMap<(NodeId, NodeId), EdgeWeight> =
-            std::collections::HashMap::with_capacity(self.edges.len());
-        for e in &self.edges {
-            let key = if e.u < e.v { (e.u, e.v) } else { (e.v, e.u) };
-            *canonical.entry(key).or_insert(0) += e.weight;
-        }
-        let weighted = canonical.values().any(|&w| w != 1);
-
-        let mut degrees = vec![0u64; n];
-        for &(u, v) in canonical.keys() {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
-        }
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        xadj.push(0);
-        for &d in &degrees {
-            acc += d;
-            xadj.push(acc);
-        }
-        let total_half_edges = acc as usize;
-        let mut adjacency = vec![0 as NodeId; total_half_edges];
-        let mut edge_weights = if weighted {
-            vec![0 as EdgeWeight; total_half_edges]
+        let Self {
+            n,
+            edges,
+            node_weights,
+        } = self;
+        let mut aggregated = FlatAdjacency::default();
+        let Ok(()) = aggregate_half_edges(0, n, edges.as_slice(), &mut aggregated);
+        drop(edges);
+        let FlatAdjacency { starts, entries } = aggregated;
+        let adjacency = entries.iter().map(|&(v, _)| v).collect();
+        let edge_weights = if entries.iter().any(|&(_, w)| w != 1) {
+            entries.iter().map(|&(_, w)| w).collect()
         } else {
             Vec::new()
         };
-        let mut cursor: Vec<u64> = xadj[..n].to_vec();
-        let mut sorted_edges: Vec<((NodeId, NodeId), EdgeWeight)> = canonical.into_iter().collect();
-        sorted_edges.sort_unstable_by_key(|&((u, v), _)| (u, v));
-        for ((u, v), w) in sorted_edges {
-            let pu = cursor[u as usize] as usize;
-            adjacency[pu] = v;
-            if weighted {
-                edge_weights[pu] = w;
-            }
-            cursor[u as usize] += 1;
-            let pv = cursor[v as usize] as usize;
-            adjacency[pv] = u;
-            if weighted {
-                edge_weights[pv] = w;
-            }
-            cursor[v as usize] += 1;
-        }
-        let graph = CsrGraph::from_parts(xadj, adjacency, edge_weights, self.node_weights);
-        graph.sorted()
+        CsrGraph::from_parts(starts, adjacency, edge_weights, node_weights)
     }
+}
+
+/// The aggregated adjacency of a vertex range in flat form:
+/// `entries[starts[i]..starts[i + 1]]` is the neighbourhood of the range's `i`-th vertex,
+/// sorted by neighbour id and free of duplicates.
+#[derive(Default)]
+pub(crate) struct FlatAdjacency {
+    pub(crate) starts: Vec<EdgeId>,
+    pub(crate) entries: Vec<(NodeId, EdgeWeight)>,
+}
+
+impl FlatAdjacency {
+    /// Number of vertices in the range.
+    pub(crate) fn vertex_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The neighbourhood of the range's `i`-th vertex.
+    pub(crate) fn neighbors(&self, i: usize) -> &[(NodeId, EdgeWeight)] {
+        &self.entries[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
+/// Half-edges `(source, target, weight)` that [`aggregate_half_edges`] walks twice:
+/// once to count each source's half-edges, once to scatter them.
+pub(crate) trait HalfEdges {
+    /// What a walk can fail with.
+    type Error;
+
+    /// Calls `f` on every half-edge.
+    fn for_each(&self, f: impl FnMut(NodeId, NodeId, EdgeWeight)) -> Result<(), Self::Error>;
+}
+
+/// An undirected edge list is both orientations of every edge.
+impl HalfEdges for [Edge] {
+    type Error = std::convert::Infallible;
+
+    fn for_each(&self, mut f: impl FnMut(NodeId, NodeId, EdgeWeight)) -> Result<(), Self::Error> {
+        for e in self {
+            f(e.u, e.v, e.weight);
+            f(e.v, e.u, e.weight);
+        }
+        Ok(())
+    }
+}
+
+/// Aggregates the half-edges whose sources lie in `lo..lo + span` into sorted,
+/// duplicate-merged neighbourhoods, written over `into`'s buffers: the one aggregation
+/// of [`CsrGraphBuilder::build`] (one range over every vertex) and of the streaming
+/// builder's spill buckets (one buffer for all of them).
+///
+/// A counting sort by source scatters the half-edges into one flat array. Each
+/// neighbourhood is then sorted by target, and repeated targets are merged by summing
+/// their weights while the array is compacted in place: `O(B + Σ d log d)` time for `B`
+/// half-edges, and nothing held beyond the `B` entries and `span + 1` offsets.
+pub(crate) fn aggregate_half_edges<H: HalfEdges + ?Sized>(
+    lo: usize,
+    span: usize,
+    half_edges: &H,
+    into: &mut FlatAdjacency,
+) -> Result<(), H::Error> {
+    let FlatAdjacency { starts, entries } = into;
+    // Count each source's half-edges one slot to the right, then turn the counts into
+    // starts shifted by one: `starts[i + 1]` is the first slot of vertex `i`, and the
+    // scatter advances it to the vertex's end, which is where vertex `i + 1` starts.
+    starts.clear();
+    starts.resize(span + 1, 0);
+    half_edges.for_each(|src, _, _| {
+        debug_assert!((lo..lo + span).contains(&(src as usize)));
+        starts[src as usize - lo + 1] += 1;
+    })?;
+    let mut total = 0;
+    for start in &mut starts[1..] {
+        let count = *start;
+        *start = total;
+        total += count;
+    }
+    entries.clear();
+    entries.resize(total as usize, (0, 0));
+    half_edges.for_each(|src, dst, weight| {
+        let slot = &mut starts[src as usize - lo + 1];
+        entries[*slot as usize] = (dst, weight);
+        *slot += 1;
+    })?;
+    // Sort and merge each neighbourhood, writing it behind the previous merged one.
+    let (mut begin, mut write) = (0usize, 0usize);
+    for i in 0..span {
+        let end = starts[i + 1] as usize;
+        entries[begin..end].sort_unstable_by_key(|&(v, _)| v);
+        let first = write;
+        for read in begin..end {
+            let (v, weight) = entries[read];
+            if write > first && entries[write - 1].0 == v {
+                entries[write - 1].1 += weight;
+            } else {
+                entries[write] = (v, weight);
+                write += 1;
+            }
+        }
+        starts[i + 1] = write as EdgeId;
+        begin = end;
+    }
+    entries.truncate(write);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -561,6 +610,105 @@ mod tests {
         assert_eq!(g.first_edge(0), 0);
         assert_eq!(g.first_edge(1), 2);
         assert_eq!(g.edge_weight(0), 1);
+    }
+
+    /// The hash-map build `CsrGraphBuilder::build` replaced, kept as its oracle: merge
+    /// the canonical `(min, max)` pairs in a `HashMap`, scatter them into CSR in key
+    /// order, then sort every neighbourhood.
+    fn hash_map_build(builder: CsrGraphBuilder) -> CsrGraph {
+        let n = builder.n;
+        let mut canonical: std::collections::HashMap<(NodeId, NodeId), EdgeWeight> =
+            std::collections::HashMap::with_capacity(builder.edges.len());
+        for e in &builder.edges {
+            let key = if e.u < e.v { (e.u, e.v) } else { (e.v, e.u) };
+            *canonical.entry(key).or_insert(0) += e.weight;
+        }
+        let weighted = canonical.values().any(|&w| w != 1);
+        let mut degrees = vec![0u64; n];
+        for &(u, v) in canonical.keys() {
+            degrees[u as usize] += 1;
+            degrees[v as usize] += 1;
+        }
+        let mut xadj = vec![0u64];
+        for &d in &degrees {
+            xadj.push(xadj.last().unwrap() + d);
+        }
+        let total_half_edges = xadj[n] as usize;
+        let mut adjacency = vec![0 as NodeId; total_half_edges];
+        let mut edge_weights = vec![0 as EdgeWeight; if weighted { total_half_edges } else { 0 }];
+        let mut cursor: Vec<u64> = xadj[..n].to_vec();
+        let mut sorted_edges: Vec<((NodeId, NodeId), EdgeWeight)> = canonical.into_iter().collect();
+        sorted_edges.sort_unstable_by_key(|&((u, v), _)| (u, v));
+        for ((u, v), w) in sorted_edges {
+            for (from, to) in [(u, v), (v, u)] {
+                let slot = cursor[from as usize] as usize;
+                adjacency[slot] = to;
+                if weighted {
+                    edge_weights[slot] = w;
+                }
+                cursor[from as usize] += 1;
+            }
+        }
+        let unsorted = CsrGraph::from_parts(xadj, adjacency, edge_weights, builder.node_weights);
+        let (mut adjacency, mut edge_weights) = (Vec::new(), Vec::new());
+        for u in 0..n as NodeId {
+            let mut nbrs = unsorted.neighbors_vec(u);
+            nbrs.sort_unstable_by_key(|&(v, _)| v);
+            for (v, w) in nbrs {
+                adjacency.push(v);
+                if weighted {
+                    edge_weights.push(w);
+                }
+            }
+        }
+        CsrGraph::from_parts(
+            unsorted.xadj.clone(),
+            adjacency,
+            edge_weights,
+            unsorted.node_weights.clone(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn prop_build_equals_the_hash_map_build(
+            n in 0usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40, 0u64..4), 0..200),
+            weights in 0u32..3,
+            node_weights in proptest::collection::vec(0u64..5, 0..40),
+            node_weighted in proptest::bool::ANY,
+        ) {
+            // `weights`: 0 = unit and simple (an unweighted graph), 1 = unit with
+            // repeats (merged weights > 1), 2 = explicit weights 0..=3 with repeats.
+            // Both orientations, repeats and self-loops all occur among 200 draws.
+            let mut b = if node_weighted {
+                CsrGraphBuilder::with_node_weights(
+                    (0..n).map(|i| node_weights.get(i).copied().unwrap_or(1)).collect(),
+                )
+            } else {
+                CsrGraphBuilder::new(n)
+            };
+            let mut seen = std::collections::HashSet::new();
+            for &(u, v, w) in edges.iter().filter(|_| n > 0) {
+                let (u, v) = (NodeId::from(u) % n as NodeId, NodeId::from(v) % n as NodeId);
+                match weights {
+                    0 if seen.insert((u.min(v), u.max(v))) => b.add_edge(u, v, 1),
+                    0 => {}
+                    1 => b.add_edge(u, v, 1),
+                    _ => b.add_edge(u, v, w),
+                }
+            }
+            let (built, oracle) = (b.clone().build(), hash_map_build(b));
+            proptest::prop_assert_eq!(built.xadj(), oracle.xadj());
+            proptest::prop_assert_eq!(built.adjacency(), oracle.adjacency());
+            proptest::prop_assert_eq!(built.is_edge_weighted(), oracle.is_edge_weighted());
+            for e in 0..built.adjacency().len() as EdgeId {
+                proptest::prop_assert_eq!(built.edge_weight(e), oracle.edge_weight(e));
+            }
+            proptest::prop_assert_eq!(built.raw_node_weights(), oracle.raw_node_weights());
+            proptest::prop_assert_eq!(built, oracle);
+        }
     }
 
     #[test]

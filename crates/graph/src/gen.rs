@@ -160,8 +160,9 @@ pub fn rgg2d(n: usize, avg_deg: usize, seed: u64) -> CsrGraph {
 }
 
 /// Invokes `f(u, v)` for every edge of the random geometric graph [`rgg2d`] would build
-/// from the same parameters. Point generation needs `O(n)` memory (positions plus the
-/// cell grid) but no adjacency is ever materialised, so the streaming `.tpg` generator
+/// from the same parameters. Point generation holds 16 bytes a vertex of positions and
+/// one offset array over the cells (about π / `avg_deg` ids a vertex), but no
+/// adjacency is ever materialised, so the streaming `.tpg` generator
 /// ([`crate::store::stream_rgg2d_to_tpg`]) can emit edges straight into spill buckets
 /// and still produce the *identical* graph for a fixed seed.
 pub fn for_each_rgg2d_edge(n: usize, avg_deg: usize, seed: u64, f: &mut dyn FnMut(NodeId, NodeId)) {
@@ -183,57 +184,10 @@ pub fn try_for_each_rgg2d_edge(
 ) -> bool {
     assert!(n >= 2);
     ids::assert_node_count(n, "rgg2d");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     // Expected degree of a point is n * pi * r^2 (ignoring boundary effects).
     let radius = ((avg_deg as f64) / (n as f64 * std::f64::consts::PI)).sqrt();
     let cells = ((1.0 / radius).floor() as usize).clamp(1, 4096);
-    let cell_size = 1.0 / cells as f64;
-    // Generate points, then sort them into row-major cell order so that nearby points get
-    // nearby IDs.
-    let mut points: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    points.sort_by(|a, b| {
-        let ca = ((a.1 / cell_size) as usize, (a.0 / cell_size) as usize);
-        let cb = ((b.1 / cell_size) as usize, (b.0 / cell_size) as usize);
-        ca.cmp(&cb)
-            .then(a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    });
-    // Bucket points by cell for neighbourhood queries.
-    let mut grid: Vec<Vec<NodeId>> = vec![Vec::new(); cells * cells];
-    let cell_of = |p: (f64, f64)| {
-        let cx = ((p.0 / cell_size) as usize).min(cells - 1);
-        let cy = ((p.1 / cell_size) as usize).min(cells - 1);
-        cy * cells + cx
-    };
-    for (i, &p) in points.iter().enumerate() {
-        grid[cell_of(p)].push(ids::nid(i));
-    }
-    let r2 = radius * radius;
-    for (i, &p) in points.iter().enumerate() {
-        let cx = ((p.0 / cell_size) as usize).min(cells - 1);
-        let cy = ((p.1 / cell_size) as usize).min(cells - 1);
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= cells as i64 || ny >= cells as i64 {
-                    continue;
-                }
-                for &j in &grid[ny as usize * cells + nx as usize] {
-                    if (j as usize) <= i {
-                        continue;
-                    }
-                    let q = points[j as usize];
-                    let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2);
-                    if d2 <= r2 && !f(ids::nid(i), j) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
+    CellIndex::<2>::sample(n, cells, seed).try_for_each_pair_within(radius, f)
 }
 
 /// Random geometric graph on the unit cube with expected average degree `avg_deg` —
@@ -247,9 +201,11 @@ pub fn rgg3d(n: usize, avg_deg: usize, seed: u64) -> CsrGraph {
 }
 
 /// Invokes `f(u, v)` for every edge of the graph [`rgg3d`] would build from the same
-/// parameters. Point generation needs `O(n)` memory but no adjacency is materialised,
-/// so the streaming `.tpg` generator ([`crate::store::stream_rgg3d_to_tpg`]) can emit
-/// edges straight into spill buckets and still produce the *identical* graph.
+/// parameters. Point generation holds 24 bytes a vertex of positions and one offset
+/// array over the cells (about 4π / (3 · `avg_deg`) ids a vertex), but no adjacency is
+/// materialised, so the streaming `.tpg` generator
+/// ([`crate::store::stream_rgg3d_to_tpg`]) can emit edges straight into spill buckets
+/// and still produce the *identical* graph.
 pub fn for_each_rgg3d_edge(n: usize, avg_deg: usize, seed: u64, f: &mut dyn FnMut(NodeId, NodeId)) {
     try_for_each_rgg3d_edge(n, avg_deg, seed, &mut |u, v| {
         f(u, v);
@@ -267,65 +223,131 @@ pub fn try_for_each_rgg3d_edge(
 ) -> bool {
     assert!(n >= 2);
     ids::assert_node_count(n, "rgg3d");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     // Expected degree of a point is n * (4/3)π r³ (ignoring boundary effects).
     let radius = ((avg_deg as f64) * 3.0 / (n as f64 * 4.0 * std::f64::consts::PI)).cbrt();
     let cells = ((1.0 / radius).floor() as usize).clamp(1, 256);
-    let cell_size = 1.0 / cells as f64;
-    let mut points: Vec<(f64, f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    // Sort into row-major cell order (z, then y, then x) so nearby points get nearby IDs.
-    points.sort_by(|a, b| {
-        let ca = (
-            (a.2 / cell_size) as usize,
-            (a.1 / cell_size) as usize,
-            (a.0 / cell_size) as usize,
-        );
-        let cb = (
-            (b.2 / cell_size) as usize,
-            (b.1 / cell_size) as usize,
-            (b.0 / cell_size) as usize,
-        );
-        ca.cmp(&cb)
-            .then(a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    });
-    let cell_coord = |x: f64| ((x / cell_size) as usize).min(cells - 1);
-    let cell_of =
-        |p: (f64, f64, f64)| (cell_coord(p.2) * cells + cell_coord(p.1)) * cells + cell_coord(p.0);
-    let mut grid: Vec<Vec<NodeId>> = vec![Vec::new(); cells * cells * cells];
-    for (i, &p) in points.iter().enumerate() {
-        grid[cell_of(p)].push(ids::nid(i));
+    CellIndex::<3>::sample(n, cells, seed).try_for_each_pair_within(radius, f)
+}
+
+/// The random points of [`rgg2d`] (`D = 2`) and [`rgg3d`] (`D = 3`), numbered in
+/// row-major cell order, with a flat index of the cells.
+///
+/// A point's cell *key* is row-major over `cells + 1` slots per axis, the last
+/// coordinate most significant: a coordinate within an ulp of 1.0 can divide to
+/// `cells`, and the ids order such a point after the last cell of its row. Its *cell*
+/// for the neighbourhood query clamps the coordinate at `cells - 1`, so the points of
+/// the query's cells still form one contiguous id range per row of keys.
+struct CellIndex<const D: usize> {
+    /// Cells per axis.
+    cells: usize,
+    cell_size: f64,
+    /// The points in id order: by cell key, within a cell by coordinates, and ties in
+    /// stream order.
+    points: Vec<[f64; D]>,
+    /// `offsets[k]..offsets[k + 1]` are the ids of the points with cell key `k`.
+    offsets: Vec<NodeId>,
+}
+
+impl<const D: usize> CellIndex<D> {
+    /// Samples `n` points from the seeded stream and numbers them.
+    fn sample(n: usize, cells: usize, seed: u64) -> Self {
+        Self::number(cells, || {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            (0..n).map(move |_| std::array::from_fn(|_| rng.gen()))
+        })
     }
-    let r2 = radius * radius;
-    for (i, &p) in points.iter().enumerate() {
-        let (cx, cy, cz) = (cell_coord(p.0), cell_coord(p.1), cell_coord(p.2));
-        for dz in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    let (nx, ny, nz) = (cx as i64 + dx, cy as i64 + dy, cz as i64 + dz);
-                    if nx < 0 || ny < 0 || nz < 0 {
-                        continue;
-                    }
-                    let (nx, ny, nz) = (nx as usize, ny as usize, nz as usize);
-                    if nx >= cells || ny >= cells || nz >= cells {
-                        continue;
-                    }
-                    for &j in &grid[(nz * cells + ny) * cells + nx] {
-                        if (j as usize) <= i {
-                            continue;
-                        }
-                        let q = points[j as usize];
-                        let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2) + (p.2 - q.2).powi(2);
-                        if d2 <= r2 && !f(ids::nid(i), j) {
-                            return false;
-                        }
-                    }
-                }
-            }
+
+    /// Numbers the points `stream()` yields (the same points on every call). One pass
+    /// over the stream counts the points per cell key, a second pass scatters each
+    /// point into its key's next slot (so a cell keeps stream order), and each cell's
+    /// few points are then stable-sorted by their coordinates.
+    fn number<I: Iterator<Item = [f64; D]>>(cells: usize, stream: impl Fn() -> I) -> Self {
+        let cell_size = 1.0 / cells as f64;
+        let width = cells + 1;
+        let key_of = |p: &[f64; D]| {
+            p.iter()
+                .rev()
+                .fold(0, |key, &x| key * width + (x / cell_size) as usize)
+        };
+        let keys = width.pow(D as u32);
+        let mut offsets: Vec<NodeId> = vec![0; keys + 1];
+        for p in stream() {
+            offsets[key_of(&p) + 1] += 1;
+        }
+        // Shift the counts into starts: `offsets[k + 1]` is the first slot of key `k`,
+        // and the scatter advances it to where key `k + 1` starts.
+        let mut total = 0;
+        for offset in &mut offsets[1..] {
+            let count = *offset;
+            *offset = total;
+            total += count;
+        }
+        let mut points = vec![[0.0; D]; total as usize];
+        for p in stream() {
+            let slot = &mut offsets[key_of(&p) + 1];
+            points[*slot as usize] = p;
+            *slot += 1;
+        }
+        for key in 0..keys {
+            points[offsets[key] as usize..offsets[key + 1] as usize]
+                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        }
+        Self {
+            cells,
+            cell_size,
+            points,
+            offsets,
         }
     }
-    true
+
+    /// Calls `f(i, j)` for every pair of points `i < j` at distance at most `radius`
+    /// (at most the cell size), each pair once, looking only into the cells around
+    /// `i`'s. Returns `false` iff `f` stopped the stream.
+    fn try_for_each_pair_within(
+        &self,
+        radius: f64,
+        f: &mut dyn FnMut(NodeId, NodeId) -> bool,
+    ) -> bool {
+        let (cells, width) = (self.cells, self.cells + 1);
+        let r2 = radius * radius;
+        for (i, p) in self.points.iter().enumerate() {
+            // Per axis, the keys of the cells next to `i`'s (clamped) cell; a range that
+            // reaches the last cell takes in key `cells`, which the last cell holds.
+            let ranges: [(usize, usize); D] = std::array::from_fn(|d| {
+                let c = ((p[d] / self.cell_size) as usize).min(cells - 1);
+                let hi = (c + 1).min(cells - 1);
+                (
+                    c.saturating_sub(1),
+                    if hi == cells - 1 { cells } else { hi },
+                )
+            });
+            // Walk the rows of keys (every axis but the first) like an odometer; each
+            // row's keys are one contiguous id range.
+            let lows = ranges.map(|(lo, _)| lo);
+            let mut row = lows;
+            loop {
+                let base = (1..D).rev().fold(0, |key, d| key * width + row[d]) * width;
+                let first = self.offsets[base + ranges[0].0] as usize;
+                let end = self.offsets[base + ranges[0].1 + 1] as usize;
+                for j in first.max(i + 1)..end {
+                    let q = &self.points[j];
+                    let mut d2 = 0.0;
+                    for d in 0..D {
+                        d2 += (p[d] - q[d]).powi(2);
+                    }
+                    if d2 <= r2 && !f(ids::nid(i), ids::nid(j)) {
+                        return false;
+                    }
+                }
+                let Some(d) = (1..D).find(|&d| row[d] < ranges[d].1) else {
+                    break;
+                };
+                row[d] += 1;
+                row[1..d].copy_from_slice(&lows[1..d]);
+            }
+        }
+        true
+    }
 }
 
 /// Power-law *clustered* graph (Holme–Kim preferential attachment with triad
@@ -615,6 +637,82 @@ mod tests {
         );
         // No high-degree hubs in a geometric graph.
         assert!(g.max_degree() < 100);
+    }
+
+    /// The numbering and edge set of the sampler before its flat cell index, on explicit
+    /// points: a comparator sort on the unclamped cell key, then a `Vec` of ids per
+    /// clamped cell and a scan of the 3 × 3 cells around each point.
+    fn grid_oracle(
+        points: &[[f64; 2]],
+        cells: usize,
+        radius: f64,
+    ) -> (Vec<[f64; 2]>, Vec<(usize, usize)>) {
+        let cell_size = 1.0 / cells as f64;
+        let mut points = points.to_vec();
+        points.sort_by(|a, b| {
+            let ca = ((a[1] / cell_size) as usize, (a[0] / cell_size) as usize);
+            let cb = ((b[1] / cell_size) as usize, (b[0] / cell_size) as usize);
+            ca.cmp(&cb)
+                .then(a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+        });
+        let cell = |x: f64| ((x / cell_size) as usize).min(cells - 1);
+        let mut grid: Vec<Vec<usize>> = vec![Vec::new(); cells * cells];
+        for (i, p) in points.iter().enumerate() {
+            grid[cell(p[1]) * cells + cell(p[0])].push(i);
+        }
+        let mut edges = Vec::new();
+        for (i, p) in points.iter().enumerate() {
+            let (cx, cy) = (cell(p[0]) as i64, cell(p[1]) as i64);
+            for ny in (cy - 1).max(0)..=(cy + 1).min(cells as i64 - 1) {
+                for nx in (cx - 1).max(0)..=(cx + 1).min(cells as i64 - 1) {
+                    for &j in &grid[ny as usize * cells + nx as usize] {
+                        let q = points[j];
+                        let d2 = (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2);
+                        if j > i && d2 <= radius * radius {
+                            edges.push((i, j));
+                        }
+                    }
+                }
+            }
+        }
+        edges.sort_unstable();
+        (points, edges)
+    }
+
+    #[test]
+    fn the_flat_cell_index_numbers_and_joins_like_the_grid() {
+        // A coordinate within an ulp of 1.0 divides to `cells` at 3 and 7 cells, not at
+        // 1 or 10: the unclamped key sorts it after the last cell of its row, the query
+        // clamps it into that cell. Repeated points tie on their coordinates.
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for (cells, past_the_last_cell) in [(1usize, false), (3, true), (7, true), (10, false)] {
+            assert_eq!(
+                (below_one / (1.0 / cells as f64)) as usize == cells,
+                past_the_last_cell
+            );
+            let mut points: Vec<[f64; 2]> = (0..400).map(|_| [rng.gen(), rng.gen()]).collect();
+            for k in 0..12 {
+                let x: f64 = rng.gen();
+                points.push(match k % 4 {
+                    0 => [below_one, x],
+                    1 => [x, below_one],
+                    2 => [below_one, below_one],
+                    _ => points[k],
+                });
+            }
+            let radius = 1.0 / cells as f64;
+            let index = CellIndex::<2>::number(cells, || points.iter().copied());
+            let mut edges = Vec::new();
+            assert!(index.try_for_each_pair_within(radius, &mut |i, j| {
+                edges.push((i as usize, j as usize));
+                true
+            }));
+            edges.sort_unstable();
+            let (numbered, oracle_edges) = grid_oracle(&points, cells, radius);
+            assert_eq!(index.points, numbered, "{cells} cells");
+            assert_eq!(edges, oracle_edges, "{cells} cells");
+        }
     }
 
     #[test]

@@ -4,11 +4,18 @@
 //! a `.tpg` container without ever materialising the full adjacency in memory. It is an
 //! external counting/bucket sort: every edge is written as two directed half-edge
 //! records into spill files bucketed by source-vertex range; [`finish`] then processes
-//! the buckets — aggregate, sort, merge duplicates (summing weights, exactly like
-//! [`CsrGraphBuilder`](crate::csr::CsrGraphBuilder)) — and feeds the neighbourhoods to
-//! the streaming [`TpgWriter`] in vertex order.
+//! the buckets — aggregate, sort, merge duplicates (summing weights, with the
+//! aggregation of [`CsrGraphBuilder`](crate::csr::CsrGraphBuilder)) — and feeds the
+//! neighbourhoods to the streaming [`TpgWriter`] in vertex order.
 //!
-//! [`finish`] takes one bucket at a time, so its peak memory is one aggregated bucket.
+//! [`finish`] takes one bucket at a time into one reusable buffer and reads a bucket's
+//! spill files twice (count, then scatter) instead of holding its records. It holds the
+//! largest bucket's entries (16 bytes a half-edge) beside the writer's offsets (8 bytes
+//! a vertex). That is about what the edge sampler ahead of it holds: `rgg2d`'s points
+//! (16 bytes a vertex) and its cell index (about 0.4 ids a vertex). With 16 buckets,
+//! [`stream_rgg2d_to_tpg`] at 2^22 vertices (a 61.5 MB container) peaks at a VmHWM of
+//! 79 MB, in `finish`, and its sampler alone at 74 MB; at 2^24 (247 MB) at 307 and
+//! 290 MB.
 //! The container is **byte-identical** for any bucket count (tested against a
 //! neighbourhood-by-neighbourhood oracle) and to the one written from the in-memory graph.
 //!
@@ -31,6 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::compressed::CompressionConfig;
+use crate::csr::{aggregate_half_edges, FlatAdjacency, HalfEdges};
 use crate::gen::{try_for_each_rgg2d_edge, try_for_each_rgg3d_edge, try_for_each_rmat_edge};
 use crate::ids;
 use crate::io::IoError;
@@ -122,27 +130,6 @@ pub struct StreamingTpgBuilder {
     saw_explicit_weight: bool,
     unit_records: u64,
     weighted_records: u64,
-}
-
-/// One bucket's aggregated adjacency in flat form: `entries[starts[i]..starts[i + 1]]`
-/// is the sorted, duplicate-merged neighbourhood of vertex `lo + i`. Built from the
-/// spill records with a counting sort by source plus per-vertex target sorts instead
-/// of a `Vec<Vec<_>>` per vertex, which keeps the aggregation allocation-light and
-/// cache-friendly.
-struct BucketAdjacency {
-    lo: usize,
-    starts: Vec<usize>,
-    entries: Vec<(NodeId, EdgeWeight)>,
-}
-
-impl BucketAdjacency {
-    fn vertex_count(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    fn neighbors(&self, i: usize) -> &[(NodeId, EdgeWeight)] {
-        &self.entries[self.starts[i]..self.starts[i + 1]]
-    }
 }
 
 impl StreamingTpgBuilder {
@@ -276,138 +263,21 @@ impl StreamingTpgBuilder {
         (lo, hi)
     }
 
-    /// Reads every spilled half-edge record of `bucket` — unit records first, then the
-    /// weighted file if the bucket has one — into a flat vector. The relative order of
-    /// the two files is immaterial: downstream aggregation sorts by target and merges
-    /// duplicates by summing, which is order-independent.
-    fn read_bucket_records(
-        &self,
-        bucket: usize,
-    ) -> Result<Vec<(NodeId, NodeId, EdgeWeight)>, IoError> {
-        let file = File::open(&self.bucket_paths[bucket])?;
-        let expected = file.metadata()?.len() as usize / UNIT_RECORD_BYTES;
-        let mut records = Vec::with_capacity(expected);
-        let mut r = BufReader::new(file);
-        let mut record = [0u8; UNIT_RECORD_BYTES];
-        loop {
-            match r.read_exact(&mut record) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e.into()),
-            }
-            records.push((
-                le_node_id(&record[0..ID_BYTES]),
-                le_node_id(&record[ID_BYTES..]),
-                1,
-            ));
+    /// The spill files of `bucket`.
+    fn spilled(&self, bucket: usize) -> SpilledBucket<'_> {
+        SpilledBucket {
+            unit: &self.bucket_paths[bucket],
+            weighted: &self.weighted_paths[bucket],
         }
-        let weighted_path = &self.weighted_paths[bucket];
-        if weighted_path.exists() {
-            let file = File::open(weighted_path)?;
-            let expected = file.metadata()?.len() as usize / RECORD_BYTES;
-            records.reserve(expected);
-            let mut r = BufReader::new(file);
-            let mut record = [0u8; RECORD_BYTES];
-            loop {
-                match r.read_exact(&mut record) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                    Err(e) => return Err(e.into()),
-                }
-                records.push(decode_record(&record));
-            }
-        }
-        Ok(records)
     }
 
-    /// Aggregates `bucket` into its flat sorted, duplicate-merged adjacency: a
-    /// counting sort by local source vertex (one scatter pass), then a per-vertex sort
-    /// by target and a linear duplicate merge — `O(B + Σ d log d)` for a bucket of `B`
-    /// records, with two flat arrays instead of a `Vec<Vec<_>>` per vertex. Duplicate
-    /// semantics (weights sum) are identical to the reference path, so the encoded
-    /// output is byte-identical.
-    fn aggregate_bucket(&self, bucket: usize) -> Result<BucketAdjacency, IoError> {
+    /// Aggregates `bucket` into its flat sorted, duplicate-merged adjacency, over
+    /// `into`'s buffers, with [`aggregate_half_edges`], the aggregation of
+    /// [`CsrGraphBuilder`](crate::csr::CsrGraphBuilder): duplicate semantics (weights
+    /// sum) are identical, so the encoded output is byte-identical.
+    fn aggregate_bucket(&self, bucket: usize, into: &mut FlatAdjacency) -> Result<(), IoError> {
         let (lo, hi) = self.bucket_range(bucket);
-        let span = hi - lo;
-        let records = self.read_bucket_records(bucket)?;
-        // `bounds[i]` = first slot of local vertex `i` after the prefix sum.
-        let mut bounds = vec![0usize; span + 1];
-        for &(src, _, _) in &records {
-            debug_assert!((lo..hi).contains(&(src as usize)));
-            bounds[src as usize - lo + 1] += 1;
-        }
-        for i in 0..span {
-            bounds[i + 1] += bounds[i];
-        }
-        let mut cursor = bounds[..span].to_vec();
-        let mut slots: Vec<(NodeId, EdgeWeight)> = vec![(0, 0); records.len()];
-        for &(src, dst, weight) in &records {
-            let slot = &mut cursor[src as usize - lo];
-            slots[*slot] = (dst, weight);
-            *slot += 1;
-        }
-        drop(records);
-        drop(cursor);
-        let mut entries: Vec<(NodeId, EdgeWeight)> = Vec::with_capacity(slots.len());
-        let mut starts = Vec::with_capacity(span + 1);
-        starts.push(0usize);
-        for i in 0..span {
-            let range = &mut slots[bounds[i]..bounds[i + 1]];
-            range.sort_unstable_by_key(|&(v, _)| v);
-            let begin = entries.len();
-            for &(v, weight) in range.iter() {
-                let last = entries.len();
-                if last > begin && entries[last - 1].0 == v {
-                    entries[last - 1].1 += weight;
-                } else {
-                    entries.push((v, weight));
-                }
-            }
-            starts.push(entries.len());
-        }
-        Ok(BucketAdjacency {
-            lo,
-            starts,
-            entries,
-        })
-    }
-
-    /// Whether `bucket` aggregates to any non-unit weight: an explicitly non-unit
-    /// record, or duplicate unit-weight records merging past 1. Returns at the first
-    /// finding — on duplicate-heavy streams the scan ends after a handful of vertices.
-    fn bucket_has_merged_weights(&self, bucket: usize) -> Result<bool, IoError> {
-        let (lo, hi) = self.bucket_range(bucket);
-        let span = hi - lo;
-        let records = self.read_bucket_records(bucket)?;
-        if records.iter().any(|&(_, _, w)| w != 1) {
-            return Ok(true);
-        }
-        // All weights are unit: a merged weight exists iff some (source, target) pair
-        // repeats. Counting-sort the targets by source, then scan vertex by vertex so
-        // the first duplicate ends the pass.
-        let mut bounds = vec![0usize; span + 1];
-        for &(src, _, _) in &records {
-            bounds[src as usize - lo + 1] += 1;
-        }
-        for i in 0..span {
-            bounds[i + 1] += bounds[i];
-        }
-        let mut cursor = bounds[..span].to_vec();
-        let mut targets: Vec<NodeId> = vec![0; records.len()];
-        for &(src, dst, _) in &records {
-            let slot = &mut cursor[src as usize - lo];
-            targets[*slot] = dst;
-            *slot += 1;
-        }
-        drop(records);
-        for i in 0..span {
-            let range = &mut targets[bounds[i]..bounds[i + 1]];
-            range.sort_unstable();
-            if range.windows(2).any(|w| w[0] == w[1]) {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        aggregate_half_edges(lo, hi - lo, &self.spilled(bucket), into)
     }
 
     /// Flushes and closes the spill writers (the prologue of `finish`).
@@ -441,26 +311,74 @@ impl StreamingTpgBuilder {
         let num_buckets = self.bucket_paths.len();
         // Pass 1: edge weights are a global property of the container (the encoding of
         // *every* neighbourhood depends on it), so the scan must complete before any
-        // neighbourhood is encoded. Skipped when an explicit non-unit weight already
-        // entered the stream.
+        // neighbourhood is encoded. It stops at the first bucket that aggregates to a
+        // weight other than 1 (duplicate unit records merge past 1), and is skipped
+        // when an explicit non-unit weight already entered the stream.
+        // Both passes aggregate into one buffer, which grows to the largest bucket.
+        let mut adjacency = FlatAdjacency::default();
         let mut edge_weighted = self.saw_explicit_weight;
         for bucket in 0..num_buckets {
             if edge_weighted {
                 break;
             }
-            edge_weighted = self.bucket_has_merged_weights(bucket)?;
+            self.aggregate_bucket(bucket, &mut adjacency)?;
+            edge_weighted = adjacency.entries.iter().any(|&(_, w)| w != 1);
         }
         // Pass 2: aggregate each bucket and push its neighbourhoods in vertex order.
         let mut writer = TpgWriter::create(&path, self.n, edge_weighted, config)?;
         for bucket in 0..num_buckets {
-            let adjacency = self.aggregate_bucket(bucket)?;
+            let (lo, _) = self.bucket_range(bucket);
+            self.aggregate_bucket(bucket, &mut adjacency)?;
             for i in 0..adjacency.vertex_count() {
-                writer.push_neighborhood(ids::nid(adjacency.lo + i), adjacency.neighbors(i), 1)?;
+                writer.push_neighborhood(ids::nid(lo + i), adjacency.neighbors(i), 1)?;
             }
         }
         let summary = writer.finish()?;
         self.remove_spill_files();
         Ok(summary)
+    }
+}
+
+/// The spill files of one bucket as half-edges: the unit records, then the weighted
+/// file if the bucket has one. Every walk reads the files again, so aggregation never
+/// holds a bucket's records, only its entries. The relative order of the two files is
+/// immaterial: aggregation sorts by target and merges duplicates by summing, which is
+/// order-independent.
+struct SpilledBucket<'a> {
+    unit: &'a Path,
+    weighted: &'a Path,
+}
+
+impl HalfEdges for SpilledBucket<'_> {
+    type Error = IoError;
+
+    fn for_each(&self, mut f: impl FnMut(NodeId, NodeId, EdgeWeight)) -> Result<(), IoError> {
+        for_each_record(self.unit, |r: &[u8; UNIT_RECORD_BYTES]| {
+            f(le_node_id(&r[..ID_BYTES]), le_node_id(&r[ID_BYTES..]), 1)
+        })?;
+        if self.weighted.exists() {
+            for_each_record(self.weighted, |r: &[u8; RECORD_BYTES]| {
+                let (src, dst, weight) = decode_record(r);
+                f(src, dst, weight)
+            })?;
+        }
+        Ok(())
+    }
+}
+
+/// Calls `f` on every whole `B`-byte record of the file at `path`.
+fn for_each_record<const B: usize>(
+    path: &Path,
+    mut f: impl FnMut(&[u8; B]),
+) -> Result<(), IoError> {
+    let mut r = BufReader::new(File::open(path)?);
+    let mut record = [0u8; B];
+    loop {
+        match r.read_exact(&mut record) {
+            Ok(()) => f(&record),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(()),
+            Err(e) => return Err(e.into()),
+        }
     }
 }
 
@@ -612,9 +530,9 @@ mod tests {
         ) -> Result<bool, IoError> {
             let (lo, hi) = self.bucket_range(bucket);
             let mut adjacency: Vec<Vec<(NodeId, EdgeWeight)>> = vec![Vec::new(); hi - lo];
-            for (src, dst, weight) in self.read_bucket_records(bucket)? {
+            self.spilled(bucket).for_each(|src, dst, weight| {
                 adjacency[src as usize - lo].push((dst, weight));
-            }
+            })?;
             for (i, nbrs) in adjacency.iter_mut().enumerate() {
                 nbrs.sort_unstable_by_key(|&(v, _)| v);
                 merge_sorted_duplicates(nbrs);
