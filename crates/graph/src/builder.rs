@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use memtrack::ReservedVec;
 use parking_lot::Mutex;
 
-use crate::compressed::{CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder};
+use crate::compressed::{
+    CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder, CHUNK_LEN,
+};
 use crate::csr::CsrGraph;
 use crate::traits::Graph;
 use crate::varint::MAX_VARINT_LEN;
@@ -59,7 +61,7 @@ pub fn make_packets(graph: &impl Graph, target_edges_per_packet: usize) -> Vec<P
 /// has a fixed-size header (first edge ID + degree), and chunked neighbourhoods add one
 /// length VarInt per chunk. This is the "requested" (reserved) size; only the bytes that
 /// are actually written end up committed.
-pub fn compressed_size_upper_bound(graph: &impl Graph, config: &CompressionConfig) -> usize {
+pub fn compressed_size_upper_bound(graph: &impl Graph) -> usize {
     let n = graph.n();
     let half_edges = 2 * graph.m();
     let per_edge = if graph.is_edge_weighted() {
@@ -68,7 +70,7 @@ pub fn compressed_size_upper_bound(graph: &impl Graph, config: &CompressionConfi
         MAX_VARINT_LEN
     };
     // Header: first edge ID + degree + interval count (+ chunk table in the worst case).
-    let chunks_bound = half_edges / config.chunk_len.max(1) + n;
+    let chunks_bound = half_edges / CHUNK_LEN + n;
     n * 3 * MAX_VARINT_LEN + half_edges * per_edge + chunks_bound * MAX_VARINT_LEN
 }
 
@@ -87,7 +89,7 @@ pub fn compress_csr_parallel(
     let packets = make_packets(csr, target);
     let num_packets = packets.len();
 
-    let upper_bound = compressed_size_upper_bound(csr, config);
+    let upper_bound = compressed_size_upper_bound(csr);
     let output = Mutex::new((
         ReservedVec::with_reservation(upper_bound),
         EncodedSection::with_capacity(0, 0, n),
@@ -180,13 +182,16 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_with_chunking() {
-        let config = CompressionConfig {
-            high_degree_threshold: 32,
-            chunk_len: 8,
-            ..CompressionConfig::default()
-        };
-        let g = gen::star(500);
-        assert_equal_compression(&g, &config, 4);
+        let degree = crate::compressed::HIGH_DEGREE_THRESHOLD + 2_345;
+        for weighted in [false, true] {
+            let g = crate::compressed::tests::hub_graph(
+                degree,
+                &crate::compressed::tests::HUB_RUNS,
+                1,
+                weighted,
+            );
+            assert_equal_compression(&g, &CompressionConfig::default(), 4);
+        }
     }
 
     #[test]
@@ -224,7 +229,7 @@ mod tests {
         for seed in 0..3 {
             let g = gen::erdos_renyi(300, 1500, seed);
             let config = CompressionConfig::default();
-            let bound = compressed_size_upper_bound(&g, &config);
+            let bound = compressed_size_upper_bound(&g);
             let actual = CompressedGraph::from_csr(&g, &config).encoded_data_bytes();
             assert!(actual <= bound, "{} > {}", actual, bound);
         }

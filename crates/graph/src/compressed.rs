@@ -2,14 +2,16 @@
 //!
 //! The encoding follows the paper: neighbourhoods are sorted by neighbour ID and stored as
 //! *gaps* (differences between consecutive IDs) encoded as VarInts; runs of at least
-//! [`CompressionConfig::min_interval_len`] consecutive IDs are stored as *intervals*
-//! `(left, length)` instead of individual gaps; the first gap of a neighbourhood is taken
-//! relative to the vertex's own ID and may be negative, so it uses zigzag encoding. Edge
-//! weights, when present, are stored as signed deltas interleaved with each chunk. To
-//! allow parallel iteration over very large neighbourhoods, the neighbour list of a vertex
-//! whose degree exceeds [`CompressionConfig::high_degree_threshold`] is split into chunks
-//! of [`CompressionConfig::chunk_len`] neighbours that are encoded and decoded
-//! independently.
+//! [`MIN_INTERVAL_LEN`] consecutive IDs are stored as *intervals* `(left, length)` instead
+//! of individual gaps; the first gap of a neighbourhood is taken relative to the vertex's
+//! own ID and may be negative, so it uses zigzag encoding. Edge weights, when present, are
+//! stored as signed deltas, each right behind its id (an interval's behind its header), so
+//! a chunk is decoded in one walk over its bytes. To allow parallel iteration over very
+//! large neighbourhoods, the neighbour list of a vertex whose degree exceeds
+//! [`HIGH_DEGREE_THRESHOLD`] is split into chunks of [`CHUNK_LEN`] neighbours that are
+//! encoded and decoded independently. The three are constants of the format, as in
+//! KaMinPar's compressed graph; the one choice left to a caller is
+//! [`CompressionConfig::enable_intervals`].
 //!
 //! Every neighbourhood additionally starts with the ID of its first half-edge, so edge IDs
 //! can be recovered during iteration (several KaMinPar components index per-edge arrays).
@@ -29,29 +31,28 @@ use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
 
-/// Tuning knobs of the compression scheme. The edge weights of a weighted graph are
-/// always stored (signed-delta VarInts behind each chunk's ids).
+/// Degree above which a neighbourhood is split into independently decodable chunks (the
+/// paper's 10 000).
+pub const HIGH_DEGREE_THRESHOLD: usize = 10_000;
+/// Neighbours per chunk of a neighbourhood above [`HIGH_DEGREE_THRESHOLD`] (the paper's
+/// 1 000); the last chunk holds the rest.
+pub const CHUNK_LEN: usize = 1_000;
+/// Fewest consecutive ids stored as an interval (the paper's 3).
+pub const MIN_INTERVAL_LEN: usize = 3;
+
+/// The one choice of the compression scheme. The edge weights of a weighted graph are
+/// always stored (a signed-delta VarInt behind each id).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressionConfig {
     /// Enables interval encoding of consecutive-ID runs. Disabling it yields the
     /// "gap encoding only" configuration of Figure 6 (right) / Figure 10.
     pub enable_intervals: bool,
-    /// Degree above which a neighbourhood is split into independently decodable chunks.
-    /// The paper uses 10 000.
-    pub high_degree_threshold: usize,
-    /// Number of neighbours per chunk for high-degree vertices. The paper uses 1 000.
-    pub chunk_len: usize,
-    /// Minimum length of a consecutive run to be stored as an interval. The paper uses 3.
-    pub min_interval_len: usize,
 }
 
 impl Default for CompressionConfig {
     fn default() -> Self {
         Self {
             enable_intervals: true,
-            high_degree_threshold: 10_000,
-            chunk_len: 1_000,
-            min_interval_len: 3,
         }
     }
 }
@@ -61,7 +62,6 @@ impl CompressionConfig {
     pub fn gap_only() -> Self {
         Self {
             enable_intervals: false,
-            ..Self::default()
         }
     }
 }
@@ -288,8 +288,17 @@ pub struct SectionEncoder {
     pub(crate) edge_weighted: bool,
     /// The neighbourhoods encoded so far; read or moved out as is by the committer.
     pub(crate) section: EncodedSection,
-    /// The intervals of the chunk being encoded, kept between chunks for its buffer.
+    /// Buffers kept between neighbourhoods.
+    scratch: EncodeScratch,
+}
+
+/// The encoder's reusable buffers: the intervals of the chunk being encoded, and the
+/// encoded chunks of a neighbourhood above [`HIGH_DEGREE_THRESHOLD`], held until the
+/// table of their lengths, which precedes them, is complete.
+#[derive(Default)]
+struct EncodeScratch {
     intervals: Vec<(usize, usize)>,
+    chunks: Vec<u8>,
 }
 
 impl SectionEncoder {
@@ -306,7 +315,7 @@ impl SectionEncoder {
             config: config.clone(),
             edge_weighted,
             section: EncodedSection::with_capacity(first_vertex as usize, base_first_edge, 0),
-            intervals: Vec::new(),
+            scratch: EncodeScratch::default(),
         }
     }
 
@@ -316,7 +325,7 @@ impl SectionEncoder {
             config: config.clone(),
             edge_weighted,
             section: EncodedSection::with_capacity(0, 0, n),
-            intervals: Vec::new(),
+            scratch: EncodeScratch::default(),
         }
     }
 
@@ -341,8 +350,8 @@ impl SectionEncoder {
             section.next_first_edge(),
             neighbors,
             self.edge_weighted,
-            &self.config,
-            &mut self.intervals,
+            self.config.enable_intervals,
+            &mut self.scratch,
             &mut section.bytes,
         );
         section.offsets.push(section.bytes.len() as u64);
@@ -383,14 +392,15 @@ impl SectionEncoder {
 ///
 /// `first_edge` is the ID of the first half-edge of the neighbourhood, `u` the vertex the
 /// neighbourhood belongs to, and `neighbors` its `(neighbor, weight)` pairs sorted by
-/// neighbour ID. `weighted` selects whether weights are stored.
+/// neighbour ID. `weighted` selects whether weights are stored, `intervals` whether runs
+/// become intervals.
 fn encode_neighborhood(
     u: NodeId,
     first_edge: EdgeId,
     neighbors: &[(NodeId, EdgeWeight)],
     weighted: bool,
-    config: &CompressionConfig,
-    intervals: &mut Vec<(usize, usize)>,
+    intervals: bool,
+    scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
 ) {
     debug_assert!(
@@ -402,53 +412,68 @@ fn encode_neighborhood(
     if neighbors.is_empty() {
         return;
     }
-    let chunked = neighbors.len() > config.high_degree_threshold;
-    if !chunked {
-        encode_chunk(u, neighbors, weighted, config, intervals, out);
+    if neighbors.len() <= HIGH_DEGREE_THRESHOLD {
+        encode_chunk(
+            u,
+            neighbors,
+            weighted,
+            intervals,
+            &mut scratch.intervals,
+            out,
+        );
         return;
     }
-    let chunks: Vec<&[(NodeId, EdgeWeight)]> = neighbors.chunks(config.chunk_len).collect();
-    encode_varint(chunks.len() as u64, out);
-    // Encode each chunk into a scratch buffer first so the chunk byte lengths can be
-    // written as a header, allowing chunks to be located (and decoded in parallel)
-    // without decoding their predecessors.
-    let mut encoded_chunks: Vec<Vec<u8>> = Vec::with_capacity(chunks.len());
-    for chunk in &chunks {
-        let mut buf = Vec::new();
-        encode_chunk(u, chunk, weighted, config, intervals, &mut buf);
-        encoded_chunks.push(buf);
+    // The chunk lengths are written as a table in front of the chunks, so a chunk can be
+    // located (and decoded in parallel) without decoding its predecessors: each chunk is
+    // encoded into the scratch buffer, its length into `out`, then the chunks follow.
+    encode_varint(neighbors.len().div_ceil(CHUNK_LEN) as u64, out);
+    let chunks = &mut scratch.chunks;
+    chunks.clear();
+    for chunk in neighbors.chunks(CHUNK_LEN) {
+        let start = chunks.len();
+        encode_chunk(
+            u,
+            chunk,
+            weighted,
+            intervals,
+            &mut scratch.intervals,
+            chunks,
+        );
+        encode_varint((chunks.len() - start) as u64, out);
     }
-    for buf in &encoded_chunks {
-        encode_varint(buf.len() as u64, out);
-    }
-    for buf in &encoded_chunks {
-        out.extend_from_slice(buf);
-    }
+    out.extend_from_slice(chunks);
 }
 
-/// Encodes a single chunk of a neighbourhood (gap + interval + optional weights).
+/// Encodes a single chunk of a neighbourhood in decode order: the intervals, each
+/// header followed (weighted) by the weights of its members, then the residual gaps,
+/// each followed by its weight.
 ///
-/// The chunk is written in decode order — the intervals, then the residual gaps, then
-/// (weighted) the weights of the interval members followed by those of the residuals.
 /// One walk over the ids finds the intervals, the maximal runs of at least
-/// `min_interval_len` consecutive ids, as `(start, end)` index pairs into `intervals`
-/// (the encoder's reusable buffer); every section is written from that list, and the
-/// residuals are the ids between the intervals.
+/// [`MIN_INTERVAL_LEN`] consecutive ids, as `(start, end)` index pairs into `intervals`
+/// (the encoder's reusable buffer); both sections are written from that list, and the
+/// residuals are the ids between the intervals. Weights are signed deltas, each from the
+/// weight written before it.
 fn encode_chunk(
     u: NodeId,
     neighbors: &[(NodeId, EdgeWeight)],
     weighted: bool,
-    config: &CompressionConfig,
+    enable_intervals: bool,
     intervals: &mut Vec<(usize, usize)>,
     out: &mut Vec<u8>,
 ) {
-    let min_len = config.min_interval_len;
+    let mut prev_weight: i64 = 0;
+    let mut encode_weight = |w: EdgeWeight, out: &mut Vec<u8>| {
+        if weighted {
+            encode_signed_varint(w as i64 - prev_weight, out);
+            prev_weight = w as i64;
+        }
+    };
     intervals.clear();
-    if config.enable_intervals {
+    if enable_intervals {
         let mut start = 0;
         for i in 1..=neighbors.len() {
             if i == neighbors.len() || neighbors[i].0 != neighbors[i - 1].0 + 1 {
-                if i - start >= min_len {
+                if i - start >= MIN_INTERVAL_LEN {
                     intervals.push((start, i));
                 }
                 start = i;
@@ -462,68 +487,61 @@ fn encode_chunk(
                 None => encode_signed_varint(left - sid(u), out),
                 Some(prev_end) => encode_varint((left - prev_end) as u64, out),
             };
-            encode_varint((end - start - min_len) as u64, out);
+            encode_varint((end - start - MIN_INTERVAL_LEN) as u64, out);
+            for &(_, w) in &neighbors[start..end] {
+                encode_weight(w, out);
+            }
             prev_end = Some(left + (end - start) as i64);
         }
     }
-    // Residual gaps: first gap is signed relative to u, later gaps are strictly positive
-    // (stored minus one).
+    // Residual gaps, what lies before, between and after the intervals: the first gap
+    // is signed relative to u, later gaps are strictly positive (stored minus one).
     let mut prev: Option<i64> = None;
-    for_each_residual_slice(neighbors, intervals, |residuals| {
-        for &(v, _) in residuals {
+    let mut begin = 0;
+    let past_the_end = (neighbors.len(), neighbors.len());
+    for &(start, end) in intervals.iter().chain([&past_the_end]) {
+        for &(v, w) in &neighbors[begin..start] {
             match prev {
                 None => encode_signed_varint(sid(v) - sid(u), out),
                 Some(prev) => encode_varint((sid(v) - prev - 1) as u64, out),
             };
+            encode_weight(w, out);
             prev = Some(sid(v));
         }
-    });
-
-    if weighted {
-        let mut prev_weight: i64 = 0;
-        let mut encode_weights = |slice: &[(NodeId, EdgeWeight)]| {
-            for &(_, w) in slice {
-                encode_signed_varint(w as i64 - prev_weight, out);
-                prev_weight = w as i64;
-            }
-        };
-        for &(start, end) in intervals.iter() {
-            encode_weights(&neighbors[start..end]);
-        }
-        for_each_residual_slice(neighbors, intervals, encode_weights);
-    }
-}
-
-/// Calls `f` on the residual slices of a chunk in id order: what lies before, between
-/// and after its `intervals`.
-#[inline(always)]
-fn for_each_residual_slice(
-    neighbors: &[(NodeId, EdgeWeight)],
-    intervals: &[(usize, usize)],
-    mut f: impl FnMut(&[(NodeId, EdgeWeight)]),
-) {
-    let mut begin = 0;
-    for &(start, end) in intervals {
-        f(&neighbors[begin..start]);
         begin = end;
     }
-    f(&neighbors[begin..]);
 }
 
-/// Decodes the id section of a chunk of `count` neighbours starting at `data[pos]`,
-/// streaming every neighbour id into `emit` as it is decoded: the members of the
-/// intervals first, then the residuals. Returns the position right after the section.
+/// Decodes a single chunk of `count` neighbours starting at `data[pos]`, invoking
+/// `f(neighbor, weight)` for every neighbour — the members of the intervals first, then
+/// the residuals, the order the weights were written in — and returns the position right
+/// after the chunk.
+///
+/// Every byte is read once, nothing is buffered and nothing is allocated. The loop is
+/// monomorphic in `WEIGHTED`: a weighted chunk reads the delta behind each id, an
+/// unweighted one reports weight 1 without a branch per id.
 #[inline]
-fn decode_ids(
+fn decode_chunk<const WEIGHTED: bool>(
     data: &[u8],
     mut pos: usize,
     u: NodeId,
     count: usize,
-    config: &CompressionConfig,
-    mut emit: impl FnMut(NodeId),
+    intervals: bool,
+    f: &mut dyn FnMut(NodeId, EdgeWeight),
 ) -> usize {
+    let mut prev_weight: i64 = 0;
+    let mut next_weight = |pos: &mut usize| -> EdgeWeight {
+        if WEIGHTED {
+            let (delta, p) = decode_signed_varint(data, *pos);
+            *pos = p;
+            prev_weight += delta;
+            prev_weight as EdgeWeight
+        } else {
+            1
+        }
+    };
     let mut in_intervals = 0usize;
-    if config.enable_intervals {
+    if intervals {
         let (interval_count, p) = decode_varint(data, pos);
         pos = p;
         let mut prev_end: i64 = sid(u);
@@ -539,9 +557,10 @@ fn decode_ids(
             };
             let (len_raw, p) = decode_varint(data, pos);
             pos = p;
-            let len = len_raw as usize + config.min_interval_len;
+            let len = len_raw as usize + MIN_INTERVAL_LEN;
             for offset in 0..len as i64 {
-                emit((left + offset) as NodeId);
+                let w = next_weight(&mut pos);
+                f((left + offset) as NodeId, w);
             }
             in_intervals += len;
             prev_end = left + len as i64;
@@ -558,39 +577,11 @@ fn decode_ids(
             pos = p;
             prev + gap as i64 + 1
         };
-        emit(v as NodeId);
+        let w = next_weight(&mut pos);
+        f(v as NodeId, w);
         prev = v;
     }
     pos
-}
-
-/// Decodes a single chunk, invoking `f(neighbor, weight)` for every neighbour in the
-/// order of [`decode_ids`], which is the order the weights were written in.
-///
-/// Nothing is buffered and nothing is allocated. A weighted chunk stores its weight
-/// deltas *after* the id section, so it is decoded with two cursors: one walk over the
-/// id section finds where the deltas begin, then ids and weights advance in lockstep.
-fn decode_chunk(
-    data: &[u8],
-    pos: usize,
-    u: NodeId,
-    count: usize,
-    weighted: bool,
-    config: &CompressionConfig,
-    f: &mut dyn FnMut(NodeId, EdgeWeight),
-) {
-    if !weighted {
-        decode_ids(data, pos, u, count, config, |v| f(v, 1));
-        return;
-    }
-    let mut weight_pos = decode_ids(data, pos, u, count, config, |_| {});
-    let mut prev_weight: i64 = 0;
-    decode_ids(data, pos, u, count, config, |v| {
-        let (delta, p) = decode_signed_varint(data, weight_pos);
-        weight_pos = p;
-        prev_weight += delta;
-        f(v, prev_weight as EdgeWeight);
-    });
 }
 
 /// Fewest bytes an encoded neighbourhood takes: the two header varints (first edge,
@@ -621,29 +612,40 @@ pub(crate) fn decode_neighborhood(
     config: &CompressionConfig,
     f: &mut dyn FnMut(NodeId, EdgeWeight),
 ) {
+    if weighted {
+        decode_chunks::<true>(data, pos, u, config.enable_intervals, f);
+    } else {
+        decode_chunks::<false>(data, pos, u, config.enable_intervals, f);
+    }
+}
+
+/// [`decode_neighborhood`] at a fixed weightedness. A chunked neighbourhood is read in
+/// one walk too: it steps over the table of chunk lengths, which only a reader locating
+/// a chunk without its predecessors needs, and decodes the chunks back to back.
+fn decode_chunks<const WEIGHTED: bool>(
+    data: &[u8],
+    pos: usize,
+    u: NodeId,
+    intervals: bool,
+    f: &mut dyn FnMut(NodeId, EdgeWeight),
+) {
     let (_, degree, mut pos) = decode_neighborhood_header(data, pos);
     if degree == 0 {
         return;
     }
-    if degree <= config.high_degree_threshold {
-        decode_chunk(data, pos, u, degree, weighted, config, f);
+    if degree <= HIGH_DEGREE_THRESHOLD {
+        decode_chunk::<WEIGHTED>(data, pos, u, degree, intervals, f);
         return;
     }
-    // Two cursors again: `pos` walks the chunk-length header while `chunk_pos` walks the
-    // chunks behind it.
     let (num_chunks, p) = decode_varint(data, pos);
     pos = p;
-    let mut chunk_pos = pos;
     for _ in 0..num_chunks {
-        chunk_pos = decode_varint(data, chunk_pos).1;
+        pos = decode_varint(data, pos).1;
     }
     let mut remaining = degree;
-    for _ in 0..num_chunks {
-        let (len, p) = decode_varint(data, pos);
-        pos = p;
-        let count = remaining.min(config.chunk_len);
-        decode_chunk(data, chunk_pos, u, count, weighted, config, f);
-        chunk_pos += len as usize;
+    while remaining > 0 {
+        let count = remaining.min(CHUNK_LEN);
+        pos = decode_chunk::<WEIGHTED>(data, pos, u, count, intervals, f);
         remaining -= count;
     }
 }
@@ -814,11 +816,67 @@ impl Graph for CompressedGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::csr::CsrGraphBuilder;
     use crate::gen;
     use proptest::prelude::*;
+
+    /// A graph on which one vertex, the hub, has `degree` neighbours laid out by
+    /// `runs`: cycling through the `(run, skip)` pairs (every `run` at least 1), the hub
+    /// takes `run` consecutive ids, then leaves `skip` out, so its neighbourhood mixes
+    /// intervals of every length with residual gaps, and chunk boundaries fall inside
+    /// both. `slot` in `0..=4` puts the hub first, at a quarter, the middle, three
+    /// quarters or last, so chunks start with positive and negative gaps. Every other
+    /// vertex is a leaf of the hub. Returns the builder, for more edges, and the hub.
+    /// The chunking threshold is a constant, so only a hub above it reaches chunking.
+    pub(crate) fn hub_graph_builder(
+        degree: usize,
+        runs: &[(usize, usize)],
+        slot: usize,
+    ) -> (CsrGraphBuilder, NodeId) {
+        let mut compact = Vec::with_capacity(degree);
+        let mut next = 0usize;
+        for &(run, skip) in runs.iter().cycle() {
+            if compact.len() == degree {
+                break;
+            }
+            for _ in 0..run.min(degree - compact.len()) {
+                compact.push(next);
+                next += 1;
+            }
+            next += skip;
+        }
+        let n = next + 1;
+        let hub = slot * (n - 1) / 4;
+        let mut builder = CsrGraphBuilder::new(n);
+        for c in compact {
+            let v = if c < hub { c } else { c + 1 };
+            builder.add_edge(crate::ids::nid(hub), crate::ids::nid(v), 1);
+        }
+        (builder, crate::ids::nid(hub))
+    }
+
+    /// [`hub_graph_builder`]'s graph, built, with random edge weights in `1..=1000` when
+    /// `weighted`.
+    pub(crate) fn hub_graph(
+        degree: usize,
+        runs: &[(usize, usize)],
+        slot: usize,
+        weighted: bool,
+    ) -> CsrGraph {
+        let csr = hub_graph_builder(degree, runs, slot).0.build();
+        if weighted {
+            gen::with_random_edge_weights(&csr, 1_000, degree as u64)
+        } else {
+            csr
+        }
+    }
+
+    /// Hub layouts of the tests: single ids, short and long intervals, a whole chunk's
+    /// worth of consecutive ids.
+    pub(crate) const HUB_RUNS: [(usize, usize); 6] =
+        [(1, 1), (5, 0), (2, 3), (1_700, 1), (3, 2), (1, 40)];
 
     fn assert_same_graph(csr: &CsrGraph, compressed: &CompressedGraph) {
         assert_eq!(csr.n(), compressed.n());
@@ -894,6 +952,30 @@ mod tests {
     }
 
     #[test]
+    fn a_weighted_chunk_writes_each_weight_behind_its_id() {
+        // Vertex 0's neighbours 5, 6, 7 form an interval and 10 is a residual: the
+        // interval's header is followed by its three weight deltas, the residual's gap
+        // by its own. Signed values are zigzag-coded (5 -> 10, -5 -> 9).
+        let mut b = CsrGraphBuilder::new(11);
+        for (v, w) in [(5, 7), (6, 9), (7, 4), (10, 4)] {
+            b.add_edge(0, v, w);
+        }
+        let compressed = CompressedGraph::from_csr(&b.build(), &CompressionConfig::default());
+        let (start, end) = (compressed.offsets.get(0), compressed.offsets.get(1));
+        let header = [0, 4];
+        let interval = [1, 10, 0, 14, 4, 9];
+        let residual = [20, 0];
+        assert_eq!(
+            &compressed.data.as_slice()[start as usize..end as usize],
+            [&header[..], &interval, &residual].concat()
+        );
+        assert_eq!(
+            compressed.neighbors_vec(0),
+            vec![(5, 7), (6, 9), (7, 4), (10, 4)]
+        );
+    }
+
+    #[test]
     fn round_trip_grid_and_powerlaw() {
         let grid = gen::grid2d(20, 20);
         let compressed = CompressedGraph::from_csr(&grid, &CompressionConfig::default());
@@ -923,16 +1005,39 @@ mod tests {
 
     #[test]
     fn high_degree_vertices_are_chunked() {
-        // A star graph with a hub whose degree exceeds the (lowered) threshold.
-        let config = CompressionConfig {
-            high_degree_threshold: 50,
-            chunk_len: 16,
-            ..CompressionConfig::default()
-        };
-        let g = gen::star(201);
-        let compressed = CompressedGraph::from_csr(&g, &config);
-        assert_same_graph(&g, &compressed);
-        assert_eq!(compressed.degree(0), 200);
+        // At the threshold a hub is one chunk; one neighbour more makes a short last
+        // chunk, a multiple of the chunk length none. The reference locates every chunk
+        // through the chunk-length table; the streaming decoder must read the same
+        // sequence walking the chunks back to back.
+        let degrees = [
+            HIGH_DEGREE_THRESHOLD,
+            HIGH_DEGREE_THRESHOLD + 1,
+            HIGH_DEGREE_THRESHOLD + CHUNK_LEN,
+            HIGH_DEGREE_THRESHOLD + 2 * CHUNK_LEN + 7,
+        ];
+        for (i, degree) in degrees.into_iter().enumerate() {
+            for (weighted, config) in [
+                (false, CompressionConfig::default()),
+                (true, CompressionConfig::default()),
+                (true, CompressionConfig::gap_only()),
+            ] {
+                let g = hub_graph(degree, &HUB_RUNS, i, weighted);
+                let compressed = CompressedGraph::from_csr(&g, &config);
+                assert_same_graph(&g, &compressed);
+                let hub = (0..g.n() as NodeId)
+                    .find(|&u| g.degree(u) == degree)
+                    .unwrap();
+                let (_, _, pos) = compressed.decode_header(hub);
+                let table = decode_varint(compressed.data.as_slice(), pos).0 as usize;
+                if degree > HIGH_DEGREE_THRESHOLD {
+                    assert_eq!(table, degree.div_ceil(CHUNK_LEN));
+                }
+                assert_eq!(
+                    compressed.neighbors_vec(hub),
+                    reference_neighbors(&compressed, hub)
+                );
+            }
+        }
     }
 
     #[test]
@@ -966,129 +1071,117 @@ mod tests {
 
     #[test]
     fn chunked_high_degree_weighted_round_trip() {
-        // A weighted hub graph whose hub degree far exceeds `high_degree_threshold`, so
-        // the hub neighbourhood is split into independently decodable chunks; edge
-        // weights must survive the chunked encode/decode path exactly.
-        let star = gen::star(600);
+        // A weighted star whose hub degree exceeds `HIGH_DEGREE_THRESHOLD`, so the hub
+        // neighbourhood is split into independently decodable chunks; edge weights must
+        // survive the chunked encode/decode path exactly.
+        let star = gen::star(HIGH_DEGREE_THRESHOLD + 2_500);
         let csr = gen::with_random_edge_weights(&star, 1_000, 7);
-        let config = CompressionConfig {
-            high_degree_threshold: 128,
-            chunk_len: 50,
-            ..CompressionConfig::default()
-        };
-        assert!(
-            csr.max_degree() > config.high_degree_threshold,
-            "hub degree {} does not cross the threshold",
-            csr.max_degree()
-        );
-        let compressed = CompressedGraph::from_csr(&csr, &config);
+        assert!(csr.max_degree() > HIGH_DEGREE_THRESHOLD);
+        let compressed = CompressedGraph::from_csr(&csr, &CompressionConfig::default());
         assert_same_graph(&csr, &compressed);
 
         // Same but with interval encoding off (gap-only) and node weights on top: the
         // chunk framing must be independent of the inner encoding.
         let weighted = gen::with_random_node_weights(&csr, 9, 11);
-        let gap_only = CompressionConfig {
-            enable_intervals: false,
-            high_degree_threshold: 100,
-            chunk_len: 33,
-            ..CompressionConfig::default()
-        };
-        let compressed = CompressedGraph::from_csr(&weighted, &gap_only);
+        let compressed = CompressedGraph::from_csr(&weighted, &CompressionConfig::gap_only());
         assert_same_graph(&weighted, &compressed);
     }
 
-    /// The decoder this module used before the streaming one: collects the ids of a
-    /// chunk into a `Vec`, then pairs them with the weights. Kept as the reference the
-    /// streaming decoder must equal in *sequence*, not just as a set.
+    /// A decoder written apart from the streaming one, against the layout as documented:
+    /// weightedness at run time, and a chunk's pairs collected into `out`. Returns the
+    /// position right after the chunk. The streaming decoder must equal it in
+    /// *sequence*, not just as a set.
     fn reference_decode_chunk(
         data: &[u8],
         mut pos: usize,
         u: NodeId,
         count: usize,
         weighted: bool,
-        config: &CompressionConfig,
+        intervals: bool,
         out: &mut Vec<(NodeId, EdgeWeight)>,
-    ) {
-        let mut ids: Vec<NodeId> = Vec::with_capacity(count);
-        if config.enable_intervals {
+    ) -> usize {
+        let mut prev_weight: i64 = 0;
+        let mut read_weight = |pos: &mut usize| {
+            if !weighted {
+                return 1;
+            }
+            let (delta, p) = decode_signed_varint(data, *pos);
+            *pos = p;
+            prev_weight += delta;
+            prev_weight as EdgeWeight
+        };
+        let first = out.len();
+        if intervals {
             let (interval_count, p) = decode_varint(data, pos);
             pos = p;
             let mut prev_end: i64 = sid(u);
             for k in 0..interval_count {
-                let left = if k == 0 {
+                let (left, p) = if k == 0 {
                     let (delta, p) = decode_signed_varint(data, pos);
-                    pos = p;
-                    sid(u) + delta
+                    (sid(u) + delta, p)
                 } else {
                     let (delta, p) = decode_varint(data, pos);
-                    pos = p;
-                    prev_end + delta as i64
+                    (prev_end + delta as i64, p)
                 };
-                let (len_raw, p) = decode_varint(data, pos);
+                let (len_raw, p) = decode_varint(data, p);
                 pos = p;
-                let len = len_raw as usize + config.min_interval_len;
-                for offset in 0..len {
-                    ids.push((left + offset as i64) as NodeId);
+                let len = len_raw as i64 + MIN_INTERVAL_LEN as i64;
+                for v in left..left + len {
+                    let w = read_weight(&mut pos);
+                    out.push((v as NodeId, w));
                 }
-                prev_end = left + len as i64;
+                prev_end = left + len;
             }
         }
-        let residual_count = count - ids.len();
+        let residual_count = count - (out.len() - first);
         let mut prev: i64 = sid(u);
         for k in 0..residual_count {
-            let v = if k == 0 {
+            let (v, p) = if k == 0 {
                 let (delta, p) = decode_signed_varint(data, pos);
-                pos = p;
-                prev + delta
+                (prev + delta, p)
             } else {
                 let (gap, p) = decode_varint(data, pos);
-                pos = p;
-                prev + gap as i64 + 1
+                (prev + gap as i64 + 1, p)
             };
-            ids.push(v as NodeId);
+            pos = p;
+            let w = read_weight(&mut pos);
+            out.push((v as NodeId, w));
             prev = v;
         }
-        let mut prev_weight: i64 = 0;
-        for &v in &ids {
-            if weighted {
-                let (delta, p) = decode_signed_varint(data, pos);
-                pos = p;
-                prev_weight += delta;
-                out.push((v, prev_weight as EdgeWeight));
-            } else {
-                out.push((v, 1));
-            }
-        }
+        pos
     }
 
-    /// Reference decode of `u`'s whole neighbourhood (chunk framing included).
+    /// Reference decode of `u`'s whole neighbourhood: a chunked one is located through
+    /// its table of chunk lengths, and each chunk must end where the table says.
     fn reference_neighbors(g: &CompressedGraph, u: NodeId) -> Vec<(NodeId, EdgeWeight)> {
-        let weighted = g.edge_weighted;
+        let (weighted, intervals) = (g.edge_weighted, g.config.enable_intervals);
         let (_, degree, mut pos) = g.decode_header(u);
         let data = g.data.as_slice();
         let mut out = Vec::new();
         if degree == 0 {
             return out;
         }
-        if degree <= g.config.high_degree_threshold {
-            reference_decode_chunk(data, pos, u, degree, weighted, &g.config, &mut out);
+        if degree <= HIGH_DEGREE_THRESHOLD {
+            reference_decode_chunk(data, pos, u, degree, weighted, intervals, &mut out);
             return out;
         }
         let (num_chunks, p) = decode_varint(data, pos);
         pos = p;
-        let mut chunk_lens = Vec::new();
+        let mut lengths = Vec::new();
         for _ in 0..num_chunks {
             let (len, p) = decode_varint(data, pos);
             pos = p;
-            chunk_lens.push(len as usize);
+            lengths.push(len as usize);
         }
         let mut remaining = degree;
-        for len in chunk_lens {
-            let count = remaining.min(g.config.chunk_len);
-            reference_decode_chunk(data, pos, u, count, weighted, &g.config, &mut out);
-            pos += len;
+        for len in lengths {
+            let count = remaining.min(CHUNK_LEN);
+            let end = reference_decode_chunk(data, pos, u, count, weighted, intervals, &mut out);
+            assert_eq!(end, pos + len, "chunk of vertex {} ends off its table", u);
+            pos = end;
             remaining -= count;
         }
+        assert_eq!(remaining, 0);
         out
     }
 
@@ -1096,37 +1189,45 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_compressed_equals_csr(
-            n in 2usize..60,
-            edges in proptest::collection::vec((0u32..60, 0u32..60, 1u64..20), 0..400),
+            hub in (
+                HIGH_DEGREE_THRESHOLD - 2..HIGH_DEGREE_THRESHOLD + 2 * CHUNK_LEN + 2,
+                0usize..5,
+                proptest::collection::vec((0usize..64, 0usize..4), 1..16),
+            ),
+            edges in proptest::collection::vec((0u32..60, 0u32..60), 0..400),
             intervals in proptest::bool::ANY,
             weighted in proptest::bool::ANY,
         ) {
-            // Degrees land on both sides of `high_degree_threshold` (8): up to 400 edges
-            // over fewer than 60 vertices. An unweighted case needs every merged weight to
-            // stay 1, so it drops parallel edges.
-            let mut b = CsrGraphBuilder::new(n);
+            // A hub on either side of `HIGH_DEGREE_THRESHOLD`, laid out by random runs
+            // (mostly 1-8 ids, sometimes 500-2 000, so a chunk can be one interval), next
+            // to random edges among the first 60 vertices. Edges at the hub are left out:
+            // every hub edge already exists, and the weights are drawn once built.
+            let (degree, slot, codes) = hub;
+            let runs: Vec<(usize, usize)> = codes
+                .into_iter()
+                .map(|(code, skip)| {
+                    let run = if code < 60 { 1 + code % 8 } else { 500 * (code - 59) };
+                    (run, skip)
+                })
+                .collect();
+            let (mut b, hub) = hub_graph_builder(degree, &runs, slot);
             let mut seen = std::collections::HashSet::new();
-            for (u, v, w) in edges {
-                let (u, v) = (NodeId::from(u % n as u32), NodeId::from(v % n as u32));
-                if u == v {
-                    continue;
-                }
-                if weighted {
-                    b.add_edge(u, v, w);
-                } else if seen.insert((u.min(v), u.max(v))) {
+            for (u, v) in edges {
+                let (u, v) = (NodeId::from(u), NodeId::from(v));
+                if u != v && u != hub && v != hub && seen.insert((u.min(v), u.max(v))) {
                     b.add_edge(u, v, 1);
                 }
             }
-            let csr = b.build();
+            let mut csr = b.build();
+            if weighted {
+                csr = gen::with_random_edge_weights(&csr, 1_000, degree as u64);
+            }
             let config = CompressionConfig {
                 enable_intervals: intervals,
-                high_degree_threshold: 8,
-                chunk_len: 4,
-                ..CompressionConfig::default()
             };
             let compressed = CompressedGraph::from_csr(&csr, &config);
             assert_same_graph(&csr, &compressed);
-            for u in 0..n as NodeId {
+            for u in 0..csr.n() as NodeId {
                 prop_assert_eq!(
                     compressed.neighbors_vec(u),
                     reference_neighbors(&compressed, u),

@@ -5,10 +5,9 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "TPGS"
-//! 4       4     version (u32, always 5 — the reader accepts nothing else)
+//! 4       4     version (u32, always 6 — the reader accepts nothing else)
 //! 8       4     flags   (bit 0: edge weighted, bit 1: node weighted,
-//!                        bit 2: interval encoding, bit 3: compressed edge weights,
-//!                        always set)
+//!                        bit 2: interval encoding; every other bit must be zero)
 //! 12      1     id width in bytes the writer was built with (4 or 8)
 //! 13      1     log2 of the checksum block length B
 //! 14      2     reserved (zero)
@@ -17,13 +16,11 @@
 //! 32      8     total node weight
 //! 40      8     total edge weight
 //! 48      8     max degree
-//! 56      8     high-degree threshold of the compression config
-//! 64      8     chunk length of the compression config
-//! 72      8     minimum interval length of the compression config
-//! 80      8     data section length in bytes
-//! 88      8     offset index length in bytes, within [n, 10·n]
-//! 96      —     data section: concatenated encoded neighbourhoods (identical byte
-//!               format to the in-memory CompressedGraph)
+//! 56      8     data section length in bytes
+//! 64      8     offset index length in bytes, within [n, 10·n]
+//! 72      —     data section: concatenated encoded neighbourhoods (identical byte
+//!               format to the in-memory CompressedGraph, whose chunk and interval
+//!               parameters are constants of the format and not recorded here)
 //! …       —     offset index: the byte length of each of the n neighbourhoods, in
 //!               vertex order, as a VarInt (`crate::varint`); their prefix sums are the
 //!               offsets into the data section every store looks neighbourhoods up in
@@ -34,7 +31,7 @@
 //!                 crc32 of the offset index (4 bytes)
 //!                 crc32 of the node-weight section (4 bytes; crc of zero bytes when
 //!                   the section is absent)
-//!                 crc32 of the final 96-byte header (4 bytes)
+//!                 crc32 of the final 72-byte header (4 bytes)
 //! ```
 //!
 //! The offset index, node weights and checksum footer sit *after* the data section so
@@ -84,9 +81,9 @@ pub const TPG_MAGIC: &[u8; 4] = b"TPGS";
 /// Container format version: the only one the writer emits and the reader accepts.
 /// Every container in this repository is regenerable, so files stamped with an
 /// earlier version are rejected rather than upgraded.
-pub const TPG_VERSION: u32 = 5;
+pub const TPG_VERSION: u32 = 6;
 /// Size of the fixed header in bytes.
-pub const TPG_HEADER_LEN: u64 = 96;
+pub const TPG_HEADER_LEN: u64 = 72;
 /// Magic bytes of the checksum footer.
 pub const TPG_FOOTER_MAGIC: &[u8; 4] = b"TPGC";
 /// Default checksum block length of the data section: 4 KiB, the OS page and the
@@ -101,9 +98,8 @@ const TPG_BLOCK_LOG2_RANGE: std::ops::RangeInclusive<u32> = 6..=30;
 const FLAG_EDGE_WEIGHTED: u32 = 1 << 0;
 const FLAG_NODE_WEIGHTED: u32 = 1 << 1;
 const FLAG_INTERVALS: u32 = 1 << 2;
-/// The edge weights of a weighted graph are stored. Always set; a header without it
-/// is rejected.
-const FLAG_COMPRESS_EDGE_WEIGHTS: u32 = 1 << 3;
+/// Every flag bit the format defines; a header with any other bit set is rejected.
+const KNOWN_FLAGS: u32 = FLAG_EDGE_WEIGHTED | FLAG_NODE_WEIGHTED | FLAG_INTERVALS;
 
 /// Parsed `.tpg` header plus derived section positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,7 +123,8 @@ pub struct TpgMeta {
     pub total_edge_weight: EdgeWeight,
     /// Maximum vertex degree.
     pub max_degree: usize,
-    /// Compression configuration the data section was encoded with.
+    /// Compression configuration the data section was encoded with (whether it holds
+    /// intervals).
     pub config: CompressionConfig,
     /// Length of the encoded data section in bytes.
     pub data_len: u64,
@@ -448,16 +445,14 @@ impl TpgWriter {
             weights_crc.update(&bytes);
             file.write(&bytes)?;
         }
-        let config = &self.encoder.config;
-        // Bit 3 (compressed edge weights) is always set: weights are always stored.
-        let mut flags = FLAG_COMPRESS_EDGE_WEIGHTS;
+        let mut flags = 0;
         if self.encoder.edge_weighted {
             flags |= FLAG_EDGE_WEIGHTED;
         }
         if node_weighted {
             flags |= FLAG_NODE_WEIGHTED;
         }
-        if config.enable_intervals {
+        if self.encoder.config.enable_intervals {
             flags |= FLAG_INTERVALS;
         }
         let mut header = Vec::with_capacity(TPG_HEADER_LEN as usize);
@@ -473,9 +468,6 @@ impl TpgWriter {
         header.extend_from_slice(&totals.total_node_weight.to_le_bytes());
         header.extend_from_slice(&(totals.total_edge_weight / 2).to_le_bytes());
         header.extend_from_slice(&(totals.max_degree as u64).to_le_bytes());
-        header.extend_from_slice(&(config.high_degree_threshold as u64).to_le_bytes());
-        header.extend_from_slice(&(config.chunk_len as u64).to_le_bytes());
-        header.extend_from_slice(&(config.min_interval_len as u64).to_le_bytes());
         header.extend_from_slice(&data_len.to_le_bytes());
         header.extend_from_slice(&(index.len() as u64).to_le_bytes());
         debug_assert_eq!(header.len() as u64, TPG_HEADER_LEN);
@@ -562,12 +554,11 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
         )));
     }
     let flags = read_exact_u32(r)?;
-    if flags & FLAG_COMPRESS_EDGE_WEIGHTS == 0 {
-        return Err(IoError::Format(
-            ".tpg header lacks the compressed-edge-weight flag (this build always stores \
-             the weights of a weighted graph; regenerate the container)"
-                .into(),
-        ));
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(IoError::Format(format!(
+            "unknown .tpg flag bits {:#x} (this build defines bits 0-2 only)",
+            flags & !KNOWN_FLAGS
+        )));
     }
     // Byte 0: the writer's id width; byte 1: log2 of the checksum block length; the
     // remaining two bytes are reserved and must be zero.
@@ -602,9 +593,6 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
     let total_node_weight = read_exact_u64(r)?;
     let total_edge_weight = read_exact_u64(r)?;
     let max_degree = read_exact_u64(r)? as usize;
-    let high_degree_threshold = read_exact_u64(r)? as usize;
-    let chunk_len = read_exact_u64(r)? as usize;
-    let min_interval_len = read_exact_u64(r)? as usize;
     let data_len = read_exact_u64(r)?;
     let index_len = read_exact_u64(r)?;
     let max_index_len = (n as u64).saturating_mul(MAX_VARINT_LEN as u64);
@@ -625,9 +613,6 @@ fn read_meta_from(r: &mut impl Read) -> Result<TpgMeta, IoError> {
         max_degree,
         config: CompressionConfig {
             enable_intervals: flags & FLAG_INTERVALS != 0,
-            high_degree_threshold,
-            chunk_len,
-            min_interval_len,
         },
         data_len,
         index_len,
@@ -940,7 +925,7 @@ pub(crate) fn verify_or_load_data(
     sink: Option<&mut Vec<u8>>,
 ) -> Result<(), IoError> {
     let block_len = u64::from(checksums.block_len);
-    let chunk_len = block_len * (DATA_VERIFY_CHUNK as u64 / block_len).max(1);
+    let step = block_len * (DATA_VERIFY_CHUNK as u64 / block_len).max(1);
     let loading = sink.is_some();
     let mut scratch = Vec::new();
     let buf = match sink {
@@ -949,13 +934,13 @@ pub(crate) fn verify_or_load_data(
             out
         }
         None => {
-            scratch.resize(chunk_len.min(meta.data_len) as usize, 0);
+            scratch.resize(step.min(meta.data_len) as usize, 0);
             &mut scratch
         }
     };
     let mut pos = 0u64;
     while pos < meta.data_len {
-        let take = chunk_len.min(meta.data_len - pos) as usize;
+        let take = step.min(meta.data_len - pos) as usize;
         let at = if loading { pos as usize } else { 0 };
         retry_section(retry, retries, || {
             let bytes = &mut buf[at..at + take];
@@ -1202,10 +1187,12 @@ mod tests {
         // Pins the writer's output — header, data, offset index, node weights and every
         // crc of the footer — against an FNV-1a digest: a checksum kernel that computed
         // different checksums would still round-trip against itself, but not produce
-        // these bytes. First recorded before CRC-32 was rewritten to slice by 8, and
-        // re-recorded at container version 5 (VarInt offset index, 96-byte header) with
-        // the checksum kernel unchanged. The digest is taken at 64 KiB checksum blocks,
-        // so the container is written at that length.
+        // these bytes. First recorded before CRC-32 was rewritten to slice by 8,
+        // re-recorded at container version 5 (VarInt offset index, 96-byte header) and at
+        // version 6 (72-byte header, each weight behind its id: the data section and
+        // index keep their lengths, the file is 24 bytes shorter), the checksum kernel
+        // unchanged. The digest is taken at 64 KiB checksum blocks, so the container is
+        // written at that length.
         let g = gen::with_random_node_weights(
             &gen::with_random_edge_weights(&gen::rgg2d(20_000, 12, 21), 30, 8),
             6,
@@ -1225,12 +1212,12 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
         let recorded = match crate::ids::NODE_ID_BYTES {
-            4 => 0x9ac7_4735_d4e9_6dd6u64,
-            _ => 0x4959_3639_9cb5_4dd8u64,
+            4 => 0x77b5_252b_d0ea_f938u64,
+            _ => 0xc4a4_c021_29d4_6972u64,
         };
         assert_eq!(
             (bytes.len(), digest),
-            (707_386usize, recorded),
+            (707_362usize, recorded),
             "digest {:#018x}",
             digest
         );
@@ -1252,6 +1239,52 @@ mod tests {
         for u in 0..g.n() as NodeId {
             assert_eq!(loaded.neighbors_vec(u), reference.neighbors_vec(u));
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_weighted_hub_reads_back_alike_through_every_store() {
+        // A hub above the chunking threshold, with intervals and edge weights: every
+        // open of one container decodes each neighbourhood to the in-memory encoding's
+        // sequence, the paged store through a cache of a few small pages.
+        let g = crate::compressed::tests::hub_graph(
+            crate::compressed::HIGH_DEGREE_THRESHOLD + 2_345,
+            &crate::compressed::tests::HUB_RUNS,
+            2,
+            true,
+        );
+        let config = CompressionConfig::default();
+        let path = tmp("weighted_hub.tpg");
+        TpgWriter::create(&path, g.n(), true, &config)
+            .unwrap()
+            .with_checksum_block_len(256)
+            .write_graph(&g)
+            .unwrap();
+        let reference = CompressedGraph::from_csr(&g, &config);
+        let loaded = read_tpg_compressed(&path).unwrap();
+        let mmap = crate::store::MmapGraph::open(&path).unwrap();
+        let paged = crate::store::PagedGraph::open_with_options(
+            &path,
+            &crate::store::PagedGraphOptions {
+                page_size: 256,
+                budget_bytes: 4 * 256,
+                ..crate::store::PagedGraphOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(reference.max_degree() > crate::compressed::HIGH_DEGREE_THRESHOLD);
+        for u in 0..g.n() as NodeId {
+            let expected = reference.neighbors_vec(u);
+            assert_eq!(
+                loaded.neighbors_vec(u),
+                expected,
+                "read_tpg_compressed {}",
+                u
+            );
+            assert_eq!(mmap.neighbors_vec(u), expected, "mmap {}", u);
+            assert_eq!(paged.neighbors_vec(u), expected, "paged {}", u);
+        }
+        assert!(paged.cache_stats().evictions > 0);
         std::fs::remove_file(path).ok();
     }
 
@@ -1351,11 +1384,12 @@ mod tests {
 
     #[test]
     fn retired_versions_and_plain_offset_headers_are_format_errors() {
-        // Versions 1-4 and a version 5 whose weighted neighbourhoods would carry no
-        // weights have no reader any more. Every entry point must say so with a
-        // structured `Format` error (crc re-stamped, so it is the version/flag check
-        // that decides) — never a panic, and never an attempt to interpret the sections
-        // under the wrong layout.
+        // Versions 1-5 (v5: a 96-byte header recording the chunk parameters, and the
+        // weights of a chunk behind its ids) and a header with a flag bit v6 does not
+        // define have no reader. Every entry point must say so with a structured
+        // `Format` error (crc re-stamped, so it is the version/flag check that decides)
+        // — never a panic, and never an attempt to interpret the sections under the
+        // wrong layout.
         let g = gen::grid2d(6, 5);
         let path = tmp("retired_headers.tpg");
         write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
@@ -1365,15 +1399,18 @@ mod tests {
         for version in 1u32..TPG_VERSION {
             let mut bytes = clean.clone();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
-            stale.push((format!("v{}", version), bytes, "version"));
+            stale.push((format!("v{}", version), bytes, "regenerate the container"));
         }
-        let mut unweighted_codec = clean.clone();
-        unweighted_codec[8] &= !(FLAG_COMPRESS_EDGE_WEIGHTS as u8);
-        stale.push((
-            "v5 without the compressed-edge-weight flag".into(),
-            unweighted_codec,
-            "compressed-edge-weight",
-        ));
+        for bit in [3, 7, 31] {
+            let mut bytes = clean.clone();
+            let flags = le_u32(&bytes[8..]) | 1 << bit;
+            bytes[8..12].copy_from_slice(&flags.to_le_bytes());
+            stale.push((
+                format!("v6 with flag bit {}", bit),
+                bytes,
+                "unknown .tpg flag",
+            ));
+        }
         for (label, mut bytes, needle) in stale {
             restamp_header_crc(&mut bytes, &meta);
             std::fs::write(&path, &bytes).unwrap();
@@ -1423,7 +1460,7 @@ mod tests {
             let mut bytes = clean[..start].to_vec();
             bytes.extend_from_slice(index);
             bytes.extend_from_slice(&clean[start + section.len()..]);
-            bytes[88..96].copy_from_slice(&(index.len() as u64).to_le_bytes());
+            bytes[64..72].copy_from_slice(&(index.len() as u64).to_le_bytes());
             let tampered = read_meta_from(&mut &bytes[..TPG_HEADER_LEN as usize]).unwrap();
             let crc_pos =
                 tampered.footer_start() as usize + 4 + 4 * meta.checksum_block_count() as usize;
@@ -1452,7 +1489,7 @@ mod tests {
         eleven_bytes.push(0);
         let header_len = |index_len: u64| {
             let mut bytes = clean.clone();
-            bytes[88..96].copy_from_slice(&index_len.to_le_bytes());
+            bytes[64..72].copy_from_slice(&index_len.to_le_bytes());
             restamp_header_crc(&mut bytes, &meta);
             bytes
         };

@@ -768,8 +768,8 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::compressed::CompressedGraph;
-    use crate::csr::CsrGraphBuilder;
+    use crate::compressed::tests::{hub_graph, hub_graph_builder, HUB_RUNS};
+    use crate::compressed::{CompressedGraph, CHUNK_LEN, HIGH_DEGREE_THRESHOLD};
     use crate::gen;
     use crate::store::backend::{FaultPlan, FaultyBackend};
     use crate::store::container::{write_tpg_from_graph, TpgSummary, TpgWriter};
@@ -917,12 +917,9 @@ mod tests {
 
     #[test]
     fn high_degree_chunked_neighbourhoods_span_pages() {
-        let csr = gen::star(3000);
-        let config = CompressionConfig {
-            high_degree_threshold: 100,
-            chunk_len: 64,
-            ..CompressionConfig::default()
-        };
+        let degree = HIGH_DEGREE_THRESHOLD + 1_500;
+        let csr = hub_graph(degree, &HUB_RUNS, 4, true);
+        let config = CompressionConfig::default();
         let compressed = CompressedGraph::from_csr(&csr, &config);
         let path = tmp("chunked.tpg");
         write_with_blocks(&csr, &path, &config, 128);
@@ -938,7 +935,7 @@ mod tests {
         )
         .unwrap();
         assert_matches_graph(&paged, &compressed);
-        assert_eq!(paged.degree(0), 2999);
+        assert_eq!(paged.degree(csr.n() as NodeId - 1), degree);
         std::fs::remove_file(path).ok();
     }
 
@@ -1141,14 +1138,18 @@ mod tests {
     /// Body of the backend equivalence property below, out of the macro so the shim's
     /// token-muncher stays shallow.
     fn check_three_way_equivalence(
-        n: usize,
+        hub: (usize, usize),
         edges: Vec<(u32, u32, u64)>,
         intervals: bool,
         page_size: usize,
     ) {
-        let mut b = CsrGraphBuilder::new(n);
+        // A hub on either side of the chunking threshold, its other vertices leaves,
+        // plus random weighted edges among the first 400 vertices.
+        let (degree, slot) = hub;
+        let (mut b, _) = hub_graph_builder(degree, &HUB_RUNS, slot);
+        let n = b.n();
         for (u, v, w) in edges {
-            let (u, v) = (NodeId::from(u % n as u32), NodeId::from(v % n as u32));
+            let (u, v) = (NodeId::from(u), NodeId::from(v));
             if u != v {
                 b.add_edge(u, v, w);
             }
@@ -1156,12 +1157,9 @@ mod tests {
         let csr = b.build();
         let config = CompressionConfig {
             enable_intervals: intervals,
-            high_degree_threshold: 8,
-            chunk_len: 4,
-            ..CompressionConfig::default()
         };
         let compressed = CompressedGraph::from_csr(&csr, &config);
-        let path = tmp(&format!("prop_{}_{}", n, page_size));
+        let path = tmp(&format!("prop_{}_{}", degree, page_size));
         write_with_blocks(&csr, &path, &config, 64);
         let paged = PagedGraph::open_with_options(
             &path,
@@ -1202,17 +1200,20 @@ mod tests {
 
     // Paged and mmap neighbour iteration ≡ in-memory compressed ≡ CSR, on random
     // graphs, under a pathologically small page cache: one frame in each of the 8
-    // shards, over graphs of up to a few dozen pages, so a sweep evicts.
+    // shards, over graphs of hundreds of pages, so a sweep evicts.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn prop_paged_equals_compressed_equals_csr(
-            n in 2usize..400,
+            hub in (
+                HIGH_DEGREE_THRESHOLD - 2..HIGH_DEGREE_THRESHOLD + 2 * CHUNK_LEN + 2,
+                0usize..5,
+            ),
             edges in proptest::collection::vec((0u32..400, 0u32..400, 1u64..9), 0..2000),
             intervals in proptest::bool::ANY,
             page_size in 64usize..192,
         ) {
-            check_three_way_equivalence(n, edges, intervals, page_size);
+            check_three_way_equivalence(hub, edges, intervals, page_size);
         }
     }
 }

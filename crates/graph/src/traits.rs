@@ -38,19 +38,6 @@ pub trait Graph: Sync {
     /// Invokes `f(v, w)` for every neighbour `v` of `u` with edge weight `w`.
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight));
 
-    /// Invokes `f(edge_index_within_neighborhood, v, w)` for every neighbour of `u`.
-    ///
-    /// The index is the position of the half-edge inside `u`'s neighbourhood, i.e. it
-    /// runs from `0` to `degree(u) - 1`. Some algorithms (e.g. chunked parallel decoding
-    /// and FM gain tables) need stable per-edge indices.
-    fn for_each_neighbor_indexed(&self, u: NodeId, f: &mut dyn FnMut(usize, NodeId, EdgeWeight)) {
-        let mut idx = 0usize;
-        self.for_each_neighbor(u, &mut |v, w| {
-            f(idx, v, w);
-            idx += 1;
-        });
-    }
-
     /// Returns `true` if the graph stores non-uniform edge weights.
     fn is_edge_weighted(&self) -> bool {
         false
@@ -127,9 +114,6 @@ impl<G: Graph + ?Sized> Graph for &G {
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
         (**self).record_obs_metrics(metrics)
     }
-    fn for_each_neighbor_indexed(&self, u: NodeId, f: &mut dyn FnMut(usize, NodeId, EdgeWeight)) {
-        (**self).for_each_neighbor_indexed(u, f)
-    }
     fn is_edge_weighted(&self) -> bool {
         (**self).is_edge_weighted()
     }
@@ -168,17 +152,5 @@ mod tests {
         assert_eq!(by_ref.weighted_degree(1), 5);
         assert_eq!(by_ref.total_capped_degree(1), 3);
         assert_eq!(by_ref.neighbors_vec(0), vec![(1, 2)]);
-    }
-
-    #[test]
-    fn indexed_iteration_counts_edges() {
-        let mut b = CsrGraphBuilder::new(4);
-        b.add_edge(0, 1, 1);
-        b.add_edge(0, 2, 1);
-        b.add_edge(0, 3, 1);
-        let g = b.build();
-        let mut seen = Vec::new();
-        g.for_each_neighbor_indexed(0, &mut |i, v, _| seen.push((i, v)));
-        assert_eq!(seen, vec![(0, 1), (1, 2), (2, 3)]);
     }
 }
