@@ -3,8 +3,10 @@
 //!
 //! Measured: interval encoding pays only on the geometric graphs (`rgg2d-4k`,
 //! `rgg2d-8k`, `uk-like`); on 13 of the 17 instances gap + interval compresses slightly
-//! *less* than gap encoding alone, and `star-5k` sits at 2.00 either way. Asserts, after
-//! printing, that every instance compresses at least 2x with gap + interval encoding.
+//! *less* than gap encoding alone, and `star-5k` sits at 2.67 either way. The lowest
+//! gap + interval ratio is `grid3d-12`'s 2.45 (2.11, and `star-5k` 2.00, while every
+//! neighbourhood also stored the id of its first half-edge). Asserts, after printing,
+//! that every instance compresses at least 2.4x with gap + interval encoding.
 use bench::{benchmark_set_a, benchmark_set_b};
 use graph::{CompressedGraph, CompressionConfig};
 
@@ -32,6 +34,6 @@ fn main() {
         }
     }
     for (name, ratio) in ratios {
-        assert!(ratio >= 2.0, "{name} compresses only {ratio:.3}x");
+        assert!(ratio >= 2.4, "{name} compresses only {ratio:.3}x");
     }
 }

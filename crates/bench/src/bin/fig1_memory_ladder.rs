@@ -7,8 +7,8 @@
 //! offset index, node weights and a fixed page budget are resident.
 //!
 //! The paper's decrease shows at run level for every rung but one. On a 2-vCPU VM Graph
-//! Compression lowers the peak from KaMinPar's 5.7 MiB to 4.9 MiB, One-Pass
-//! Contraction to 2.9 MiB and the on-disk rung to 2.4 MiB. One-Pass Contraction's rung
+//! Compression lowers the peak from KaMinPar's 5.6 MiB to 4.7 MiB, One-Pass
+//! Contraction to 2.7 MiB and the on-disk rung to 2.4 MiB. One-Pass Contraction's rung
 //! holds because a coarse CSR stores its edge weights at the width of its heaviest edge
 //! (one byte here): the level-1 CSR live during its refinement no longer sets the peak.
 //! Two-Phase LP (5.7 MiB) still does not lower the peak: the rungs without compression

@@ -1,15 +1,15 @@
 //! Figure 6: relative running time, peak memory and compression ratios on the huge
 //! web-like graphs of Benchmark Set B. The instances are generated in memory.
 //!
-//! Measured on a 2-vCPU VM: Graph Compression cuts the peak to 0.37 of KaMinPar's on the
-//! geometric `uk-like` and to 0.83–0.87 on the four R-MAT-like graphs, and One-Pass
-//! Contraction to 0.30 and 0.48–0.51, the paper's "roughly half"; Two-Phase LP moves it
+//! Measured on a 2-vCPU VM: Graph Compression cuts the peak to 0.34 of KaMinPar's on the
+//! geometric `uk-like` and to 0.82–0.86 on the four R-MAT-like graphs, and One-Pass
+//! Contraction to 0.27 and 0.48–0.49, the paper's "roughly half"; Two-Phase LP moves it
 //! by at most 0.03. Graph Compression gains little on the R-MAT-like graphs: they merge
 //! duplicate edges into weights, which KaMinPar's CSR input stores packed, at one or two
 //! bytes, while Graph Compression's peak is the compressed input plus the buffered
-//! contraction of level 0. Interval encoding pays only on `uk-like` (gap + interval 4.69
-//! vs gap only 3.10); on the other four graphs it compresses slightly *less* than gap
-//! encoding alone (e.g. 4.09 vs 4.15 on `gsh-like`). Asserts, after printing, that on
+//! contraction of level 0. Interval encoding pays only on `uk-like` (gap + interval 5.43
+//! vs gap only 3.40); on the other four graphs it compresses slightly *less* than gap
+//! encoding alone (e.g. 4.49 vs 4.57 on `gsh-like`). Asserts, after printing, that on
 //! every graph Graph Compression's relative memory is at most 0.9 and One-Pass
 //! Contraction's at most 0.55.
 use bench::{benchmark_set_b, config_ladder, measure_run};

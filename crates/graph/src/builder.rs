@@ -16,9 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use memtrack::ReservedVec;
 use parking_lot::Mutex;
 
-use crate::compressed::{
-    CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder, CHUNK_LEN,
-};
+use crate::compressed::{CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder};
 use crate::csr::CsrGraph;
 use crate::traits::Graph;
 use crate::varint::MAX_VARINT_LEN;
@@ -57,10 +55,9 @@ pub fn make_packets(graph: &impl Graph, target_edges_per_packet: usize) -> Vec<P
 
 /// Upper bound on the number of bytes the compressed form of `graph` can occupy.
 ///
-/// Every gap/interval/weight entry occupies at most [`MAX_VARINT_LEN`] bytes, every vertex
-/// has a fixed-size header (first edge ID + degree), and chunked neighbourhoods add one
-/// length VarInt per chunk. This is the "requested" (reserved) size; only the bytes that
-/// are actually written end up committed.
+/// Every gap/interval/weight entry occupies at most [`MAX_VARINT_LEN`] bytes, and every
+/// vertex has its degree and interval count in front. This is the "requested"
+/// (reserved) size; only the bytes that are actually written end up committed.
 pub fn compressed_size_upper_bound(graph: &impl Graph) -> usize {
     let n = graph.n();
     let half_edges = 2 * graph.m();
@@ -69,9 +66,7 @@ pub fn compressed_size_upper_bound(graph: &impl Graph) -> usize {
     } else {
         MAX_VARINT_LEN
     };
-    // Header: first edge ID + degree + interval count (+ chunk table in the worst case).
-    let chunks_bound = half_edges / CHUNK_LEN + n;
-    n * 3 * MAX_VARINT_LEN + half_edges * per_edge + chunks_bound * MAX_VARINT_LEN
+    n * 2 * MAX_VARINT_LEN + half_edges * per_edge
 }
 
 /// Compresses `csr` into a [`CompressedGraph`] using `num_threads` worker threads and the
@@ -92,7 +87,7 @@ pub fn compress_csr_parallel(
     let upper_bound = compressed_size_upper_bound(csr);
     let output = Mutex::new((
         ReservedVec::with_reservation(upper_bound),
-        EncodedSection::with_capacity(0, 0, n),
+        EncodedSection::with_capacity(0, n),
     ));
     let next_packet = AtomicUsize::new(0);
     let next_commit = AtomicUsize::new(0);
@@ -106,14 +101,9 @@ pub fn compress_csr_parallel(
                         break;
                     }
                     let packet = packets[packet_idx];
-                    // Compress the packet into a thread-local section. A CSR half-edge's
-                    // ID is its position, so the packet's base is its first offset.
-                    let mut encoder = SectionEncoder::new(
-                        packet.begin,
-                        csr.first_edge(packet.begin),
-                        csr.is_edge_weighted(),
-                        config,
-                    );
+                    // Compress the packet into a thread-local section.
+                    let mut encoder =
+                        SectionEncoder::new(packet.begin, csr.is_edge_weighted(), config);
                     for u in packet.begin..packet.end {
                         let mut nbrs = csr.neighbors_vec(u);
                         nbrs.sort_unstable_by_key(|&(v, _)| v);
@@ -162,7 +152,6 @@ mod tests {
         for u in 0..csr.n() as NodeId {
             assert_eq!(sequential.degree(u), parallel.degree(u));
             assert_eq!(sequential.neighbors_vec(u), parallel.neighbors_vec(u));
-            assert_eq!(sequential.first_edge(u), parallel.first_edge(u));
         }
     }
 
@@ -181,8 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_with_chunking() {
-        let degree = crate::compressed::HIGH_DEGREE_THRESHOLD + 2_345;
+    fn parallel_matches_sequential_on_a_hub() {
+        let degree = 12_345;
         for weighted in [false, true] {
             let g = crate::compressed::tests::hub_graph(
                 degree,

@@ -5,38 +5,34 @@
 //! [`MIN_INTERVAL_LEN`] consecutive IDs are stored as *intervals* `(left, length)` instead
 //! of individual gaps; the first gap of a neighbourhood is taken relative to the vertex's
 //! own ID and may be negative, so it uses zigzag encoding. Edge weights, when present, are
-//! stored as signed deltas, each right behind its id (an interval's behind its header), so
-//! a chunk is decoded in one walk over its bytes. To allow parallel iteration over very
-//! large neighbourhoods, the neighbour list of a vertex whose degree exceeds
-//! [`HIGH_DEGREE_THRESHOLD`] is split into chunks of [`CHUNK_LEN`] neighbours that are
-//! encoded and decoded independently. The three are constants of the format, as in
-//! KaMinPar's compressed graph; the one choice left to a caller is
-//! [`CompressionConfig::enable_intervals`].
+//! stored as signed deltas, each right behind its id (an interval's behind its header).
+//! A neighbourhood is its degree followed by that one interval/residual walk, whatever
+//! the degree, so it is decoded in one pass over its bytes. The interval length is a
+//! constant of the format, as in KaMinPar's compressed graph; the one choice left to a
+//! caller is [`CompressionConfig::enable_intervals`].
 //!
-//! Every neighbourhood additionally starts with the ID of its first half-edge, so edge IDs
-//! can be recovered during iteration (several KaMinPar components index per-edge arrays).
+//! The paper's layout writes two more things into a neighbourhood, for KaMinPar
+//! components this reproduction does not have: the ID of its first half-edge (for
+//! per-edge arrays) and, above 10 000 neighbours, a table of chunk lengths (for decoding
+//! one hub in parallel). Nothing here reads either, so neither is written, and a
+//! neighbourhood's bytes do not depend on how many half-edges precede it.
 //!
 //! [`SectionEncoder`] is the one writer of this format: every path that produces
 //! encoded neighbourhoods — [`CompressedGraph::from_csr`], the streaming readers of
 //! [`crate::io`], the packets of [`compress_csr_parallel`](crate::builder::compress_csr_parallel)
 //! and the `.tpg` writer — appends through it, and its [`EncodedSection`] is the one
-//! place that counts first edges, offsets, half-edges, the maximum degree and the
+//! place that counts neighbourhood lengths, half-edges, the maximum degree and the
 //! weight totals.
 
 use crate::csr::CsrGraph;
 use crate::packed::PackedArray;
+use crate::store::container::decode_offset_index;
 #[cfg(all(unix, target_pointer_width = "64"))]
 use crate::store::mmap::MappedFile;
 use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
-use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
+use crate::{EdgeWeight, NodeId, NodeWeight};
 
-/// Degree above which a neighbourhood is split into independently decodable chunks (the
-/// paper's 10 000).
-pub const HIGH_DEGREE_THRESHOLD: usize = 10_000;
-/// Neighbours per chunk of a neighbourhood above [`HIGH_DEGREE_THRESHOLD`] (the paper's
-/// 1 000); the last chunk holds the rest.
-pub const CHUNK_LEN: usize = 1_000;
 /// Fewest consecutive ids stored as an interval (the paper's 3).
 pub const MIN_INTERVAL_LEN: usize = 3;
 
@@ -150,7 +146,7 @@ fn sid(v: NodeId) -> i64 {
 }
 
 /// One encoded run of consecutive vertex neighbourhoods and everything a graph header
-/// counts about it: the bytes, each neighbourhood's offset, the half-edges, the maximum
+/// counts about it: the bytes, each neighbourhood's length, the half-edges, the maximum
 /// degree, the edge- and node-weight totals and the node weights.
 ///
 /// A [`SectionEncoder`] fills it. A section that starts at vertex 0 and covers every
@@ -162,15 +158,15 @@ fn sid(v: NodeId) -> i64 {
 pub struct EncodedSection {
     /// First vertex of the section.
     pub(crate) first_vertex: usize,
-    /// The half-edge ID the section's first neighbourhood was encoded against (the
-    /// neighbourhood header embeds the absolute first-edge ID, so a section encoded
-    /// against the wrong prefix cannot be patched after the fact).
-    pub(crate) base_first_edge: EdgeId,
     /// Concatenated encoded neighbourhoods.
     pub(crate) bytes: Vec<u8>,
-    /// Start of each neighbourhood relative to the section start, then its end:
-    /// one entry more than the section has vertices.
-    pub(crate) offsets: Vec<u64>,
+    /// The byte length of each neighbourhood as a VarInt, in vertex order: the offset
+    /// index as the `.tpg` container stores it, one byte or more a vertex.
+    pub(crate) lengths: Vec<u8>,
+    /// Number of neighbourhoods in the section.
+    pub(crate) vertices: usize,
+    /// Byte length of the encoded neighbourhoods, committed or not.
+    pub(crate) data_len: u64,
     /// Node weight of each vertex; empty while every weight so far is 1.
     pub(crate) node_weights: Vec<NodeWeight>,
     /// Sum of the node weights.
@@ -184,43 +180,21 @@ pub struct EncodedSection {
 }
 
 impl EncodedSection {
-    /// An empty section starting at `first_vertex` / half-edge `base_first_edge`, with
-    /// room for the offsets of `vertices` neighbourhoods.
-    pub(crate) fn with_capacity(
-        first_vertex: usize,
-        base_first_edge: EdgeId,
-        vertices: usize,
-    ) -> Self {
-        let mut offsets = Vec::with_capacity(vertices + 1);
-        offsets.push(0);
+    /// An empty section starting at `first_vertex`, with room for the lengths of
+    /// `vertices` neighbourhoods at one byte each.
+    pub(crate) fn with_capacity(first_vertex: usize, vertices: usize) -> Self {
         Self {
             first_vertex,
-            base_first_edge,
-            offsets,
+            lengths: Vec::with_capacity(vertices),
             ..Self::default()
         }
     }
 
-    /// Number of vertices encoded into the section.
-    pub(crate) fn vertex_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The first half-edge ID of the next neighbourhood.
-    pub(crate) fn next_first_edge(&self) -> EdgeId {
-        self.base_first_edge + self.half_edges as EdgeId
-    }
-
-    /// Byte length of the encoded neighbourhoods, committed or not.
-    pub(crate) fn data_len(&self) -> u64 {
-        self.offsets[self.vertex_count()]
-    }
-
     /// Appends `node_weight` for the next vertex, materialising the all-ones prefix
     /// the first time a weight differs from 1.
-    fn push_node_weight(&mut self, node_weight: NodeWeight, vertices: usize) {
+    fn push_node_weight(&mut self, node_weight: NodeWeight) {
         if node_weight != 1 || !self.node_weights.is_empty() {
-            self.node_weights.resize(vertices, 1);
+            self.node_weights.resize(self.vertices, 1);
             self.node_weights.push(node_weight);
         }
         self.total_node_weight += node_weight;
@@ -229,16 +203,16 @@ impl EncodedSection {
     /// Adds the counts of `next` — the section that follows this one — to this one's.
     /// Its bytes are the committer's to place: they belong right behind this section's.
     pub(crate) fn absorb(&mut self, next: &EncodedSection) {
-        debug_assert_eq!(next.first_vertex, self.first_vertex + self.vertex_count());
-        debug_assert_eq!(next.base_first_edge, self.next_first_edge());
-        let (vertices, end) = (self.vertex_count(), self.data_len());
+        debug_assert_eq!(next.first_vertex, self.first_vertex + self.vertices);
+        let vertices = self.vertices;
         if !next.node_weights.is_empty() || !self.node_weights.is_empty() {
             self.node_weights.resize(vertices, 1);
             self.node_weights.extend_from_slice(&next.node_weights);
-            self.node_weights.resize(vertices + next.vertex_count(), 1);
+            self.node_weights.resize(vertices + next.vertices, 1);
         }
-        self.offsets
-            .extend(next.offsets[1..].iter().map(|&offset| end + offset));
+        self.lengths.extend_from_slice(&next.lengths);
+        self.vertices += next.vertices;
+        self.data_len += next.data_len;
         self.total_node_weight += next.total_node_weight;
         self.half_edges += next.half_edges;
         self.total_edge_weight += next.total_edge_weight;
@@ -246,8 +220,9 @@ impl EncodedSection {
     }
 
     /// The graph whose neighbourhoods `data` holds and this section (starting at vertex
-    /// 0) counted, its offsets packed once into a [`PackedArray`]. `node_weighted`
-    /// keeps a weight array even when every weight is 1.
+    /// 0) counted, its lengths prefix-summed once into a [`PackedArray`] of offsets by
+    /// the decoder every `.tpg` open runs.
+    /// `node_weighted` keeps a weight array even when every weight is 1.
     pub(crate) fn into_graph(
         self,
         data: Vec<u8>,
@@ -256,7 +231,9 @@ impl EncodedSection {
         config: CompressionConfig,
     ) -> CompressedGraph {
         debug_assert_eq!(self.first_vertex, 0);
-        let (n, data_len) = (self.vertex_count(), self.data_len());
+        let n = self.vertices;
+        let offsets = decode_offset_index(&self.lengths, n, self.data_len)
+            .expect("an encoder's own lengths form a valid offset index");
         let node_weights = match (node_weighted, self.node_weights.is_empty()) {
             (true, true) => vec![1; n],
             _ => self.node_weights,
@@ -265,7 +242,7 @@ impl EncodedSection {
         CompressedGraph::from_encoded_parts(
             n,
             self.half_edges / 2,
-            PackedArray::pack(data_len, self.offsets.into_iter()),
+            offsets,
             Bytes::Heap(data),
             node_weights,
             edge_weighted,
@@ -278,54 +255,39 @@ impl EncodedSection {
 }
 
 /// Appends neighbourhoods, in vertex order, to an [`EncodedSection`] — the one caller
-/// of the neighbourhood codec's encoder.
-///
-/// `base_first_edge` must equal the number of half-edges of all vertices preceding
-/// `first_vertex` in the final graph: a packet reads it off the CSR offsets, the
-/// `.tpg` writer off its running totals. Edge weights are stored iff `edge_weighted`.
+/// of the neighbourhood codec's encoder. Edge weights are stored iff `edge_weighted`.
 pub struct SectionEncoder {
     pub(crate) config: CompressionConfig,
     pub(crate) edge_weighted: bool,
     /// The neighbourhoods encoded so far; read or moved out as is by the committer.
     pub(crate) section: EncodedSection,
-    /// Buffers kept between neighbourhoods.
-    scratch: EncodeScratch,
-}
-
-/// The encoder's reusable buffers: the intervals of the chunk being encoded, and the
-/// encoded chunks of a neighbourhood above [`HIGH_DEGREE_THRESHOLD`], held until the
-/// table of their lengths, which precedes them, is complete.
-#[derive(Default)]
-struct EncodeScratch {
+    /// The intervals of the neighbourhood being encoded, kept between neighbourhoods.
     intervals: Vec<(usize, usize)>,
-    chunks: Vec<u8>,
 }
 
 impl SectionEncoder {
-    /// Creates an encoder for the vertex run starting at `first_vertex`, whose first
-    /// neighbourhood begins at half-edge `base_first_edge`. `edge_weighted` and
-    /// `config` must match whatever the section is committed to.
-    pub fn new(
-        first_vertex: NodeId,
-        base_first_edge: EdgeId,
+    /// Creates an encoder for the vertex run starting at `first_vertex`. `edge_weighted`
+    /// and `config` must match whatever the section is committed to.
+    pub fn new(first_vertex: NodeId, edge_weighted: bool, config: &CompressionConfig) -> Self {
+        Self::with_capacity(first_vertex as usize, 0, edge_weighted, config)
+    }
+
+    /// An encoder for a whole graph of `n` vertices, its lengths reserved up front.
+    pub(crate) fn for_graph(n: usize, edge_weighted: bool, config: &CompressionConfig) -> Self {
+        Self::with_capacity(0, n, edge_weighted, config)
+    }
+
+    fn with_capacity(
+        first_vertex: usize,
+        vertices: usize,
         edge_weighted: bool,
         config: &CompressionConfig,
     ) -> Self {
         Self {
             config: config.clone(),
             edge_weighted,
-            section: EncodedSection::with_capacity(first_vertex as usize, base_first_edge, 0),
-            scratch: EncodeScratch::default(),
-        }
-    }
-
-    /// An encoder for a whole graph of `n` vertices, offsets reserved up front.
-    pub(crate) fn for_graph(n: usize, edge_weighted: bool, config: &CompressionConfig) -> Self {
-        Self {
-            config: config.clone(),
-            edge_weighted,
-            section: EncodedSection::with_capacity(0, 0, n),
-            scratch: EncodeScratch::default(),
+            section: EncodedSection::with_capacity(first_vertex, vertices),
+            intervals: Vec::new(),
         }
     }
 
@@ -339,41 +301,41 @@ impl SectionEncoder {
         node_weight: NodeWeight,
     ) {
         let section = &mut self.section;
-        let vertices = section.vertex_count();
         assert_eq!(
             u as usize,
-            section.first_vertex + vertices,
+            section.first_vertex + section.vertices,
             "section neighbourhoods must be pushed in vertex order"
         );
+        let start = section.bytes.len();
         encode_neighborhood(
             u,
-            section.next_first_edge(),
             neighbors,
             self.edge_weighted,
             self.config.enable_intervals,
-            &mut self.scratch,
+            &mut self.intervals,
             &mut section.bytes,
         );
-        section.offsets.push(section.bytes.len() as u64);
-        section.push_node_weight(node_weight, vertices);
+        let len = (section.bytes.len() - start) as u64;
+        encode_varint(len, &mut section.lengths);
+        section.push_node_weight(node_weight);
+        section.vertices += 1;
+        section.data_len += len;
         section.half_edges += neighbors.len();
         section.max_degree = section.max_degree.max(neighbors.len());
         section.total_edge_weight += neighbors.iter().map(|&(_, w)| w).sum::<EdgeWeight>();
     }
 
-    /// Empties the encoder for a run starting at `first_vertex` / `base_first_edge`,
-    /// keeping its buffers.
-    pub(crate) fn restart(&mut self, first_vertex: usize, base_first_edge: EdgeId) {
+    /// Empties the encoder for a run starting at `first_vertex`, keeping its buffers.
+    pub(crate) fn restart(&mut self, first_vertex: usize) {
         let old = std::mem::take(&mut self.section);
-        let (mut bytes, mut offsets, mut node_weights) = (old.bytes, old.offsets, old.node_weights);
+        let (mut bytes, mut lengths, mut node_weights) = (old.bytes, old.lengths, old.node_weights);
         bytes.clear();
-        offsets.truncate(1);
+        lengths.clear();
         node_weights.clear();
         self.section = EncodedSection {
             first_vertex,
-            base_first_edge,
             bytes,
-            offsets,
+            lengths,
             node_weights,
             ..EncodedSection::default()
         };
@@ -388,72 +350,18 @@ impl SectionEncoder {
     }
 }
 
-/// Encodes one neighbourhood into `out`.
-///
-/// `first_edge` is the ID of the first half-edge of the neighbourhood, `u` the vertex the
-/// neighbourhood belongs to, and `neighbors` its `(neighbor, weight)` pairs sorted by
-/// neighbour ID. `weighted` selects whether weights are stored, `intervals` whether runs
-/// become intervals.
-fn encode_neighborhood(
-    u: NodeId,
-    first_edge: EdgeId,
-    neighbors: &[(NodeId, EdgeWeight)],
-    weighted: bool,
-    intervals: bool,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-) {
-    debug_assert!(
-        neighbors.windows(2).all(|w| w[0].0 < w[1].0),
-        "neighbors must be sorted"
-    );
-    encode_varint(first_edge, out);
-    encode_varint(neighbors.len() as u64, out);
-    if neighbors.is_empty() {
-        return;
-    }
-    if neighbors.len() <= HIGH_DEGREE_THRESHOLD {
-        encode_chunk(
-            u,
-            neighbors,
-            weighted,
-            intervals,
-            &mut scratch.intervals,
-            out,
-        );
-        return;
-    }
-    // The chunk lengths are written as a table in front of the chunks, so a chunk can be
-    // located (and decoded in parallel) without decoding its predecessors: each chunk is
-    // encoded into the scratch buffer, its length into `out`, then the chunks follow.
-    encode_varint(neighbors.len().div_ceil(CHUNK_LEN) as u64, out);
-    let chunks = &mut scratch.chunks;
-    chunks.clear();
-    for chunk in neighbors.chunks(CHUNK_LEN) {
-        let start = chunks.len();
-        encode_chunk(
-            u,
-            chunk,
-            weighted,
-            intervals,
-            &mut scratch.intervals,
-            chunks,
-        );
-        encode_varint((chunks.len() - start) as u64, out);
-    }
-    out.extend_from_slice(chunks);
-}
-
-/// Encodes a single chunk of a neighbourhood in decode order: the intervals, each
-/// header followed (weighted) by the weights of its members, then the residual gaps,
-/// each followed by its weight.
+/// Encodes the neighbourhood of `u` into `out` in decode order: its degree, then the
+/// intervals, each header followed (weighted) by the weights of its members, then the
+/// residual gaps, each followed by its weight. `neighbors` are `u`'s `(neighbor, weight)`
+/// pairs sorted by neighbour ID; `weighted` selects whether weights are stored,
+/// `enable_intervals` whether runs become intervals.
 ///
 /// One walk over the ids finds the intervals, the maximal runs of at least
 /// [`MIN_INTERVAL_LEN`] consecutive ids, as `(start, end)` index pairs into `intervals`
 /// (the encoder's reusable buffer); both sections are written from that list, and the
 /// residuals are the ids between the intervals. Weights are signed deltas, each from the
 /// weight written before it.
-fn encode_chunk(
+fn encode_neighborhood(
     u: NodeId,
     neighbors: &[(NodeId, EdgeWeight)],
     weighted: bool,
@@ -461,6 +369,14 @@ fn encode_chunk(
     intervals: &mut Vec<(usize, usize)>,
     out: &mut Vec<u8>,
 ) {
+    debug_assert!(
+        neighbors.windows(2).all(|w| w[0].0 < w[1].0),
+        "neighbors must be sorted"
+    );
+    encode_varint(neighbors.len() as u64, out);
+    if neighbors.is_empty() {
+        return;
+    }
     let mut prev_weight: i64 = 0;
     let mut encode_weight = |w: EdgeWeight, out: &mut Vec<u8>| {
         if weighted {
@@ -512,23 +428,58 @@ fn encode_chunk(
     }
 }
 
-/// Decodes a single chunk of `count` neighbours starting at `data[pos]`, invoking
-/// `f(neighbor, weight)` for every neighbour — the members of the intervals first, then
-/// the residuals, the order the weights were written in — and returns the position right
-/// after the chunk.
+/// Fewest bytes an encoded neighbourhood takes: its degree VarInt, the whole encoding
+/// of an isolated vertex. A valid offset index therefore climbs by at least this much
+/// per vertex.
+pub(crate) const MIN_NEIGHBORHOOD_BYTES: u64 = 1;
+
+/// Decodes the degree of the neighbourhood encoded at `data[pos]`, its whole header:
+/// `(degree, pos)` where `pos` is the byte position right after it.
+#[inline]
+pub(crate) fn decode_degree(data: &[u8], pos: usize) -> (usize, usize) {
+    let (degree, pos) = decode_varint(data, pos);
+    (degree as usize, pos)
+}
+
+/// Decodes one encoded neighbourhood of vertex `u` starting at `data[pos]`, invoking
+/// `f(neighbor, weight)` for every neighbour.
+///
+/// This is the single decoding routine shared by the in-memory [`CompressedGraph`] and
+/// the on-disk [`PagedGraph`](crate::store::PagedGraph): both store neighbourhoods in
+/// the identical byte format, so neighbour iteration order — and therefore every
+/// downstream partitioning decision — is bit-identical across the two representations.
+pub(crate) fn decode_neighborhood(
+    data: &[u8],
+    pos: usize,
+    u: NodeId,
+    weighted: bool,
+    config: &CompressionConfig,
+    f: &mut dyn FnMut(NodeId, EdgeWeight),
+) {
+    if weighted {
+        decode_walk::<true>(data, pos, u, config.enable_intervals, f);
+    } else {
+        decode_walk::<false>(data, pos, u, config.enable_intervals, f);
+    }
+}
+
+/// [`decode_neighborhood`] at a fixed weightedness: reports the members of the intervals
+/// first, then the residuals, the order the weights were written in.
 ///
 /// Every byte is read once, nothing is buffered and nothing is allocated. The loop is
-/// monomorphic in `WEIGHTED`: a weighted chunk reads the delta behind each id, an
-/// unweighted one reports weight 1 without a branch per id.
-#[inline]
-fn decode_chunk<const WEIGHTED: bool>(
+/// monomorphic in `WEIGHTED`: a weighted neighbourhood reads the delta behind each id,
+/// an unweighted one reports weight 1 without a branch per id.
+fn decode_walk<const WEIGHTED: bool>(
     data: &[u8],
-    mut pos: usize,
+    pos: usize,
     u: NodeId,
-    count: usize,
     intervals: bool,
     f: &mut dyn FnMut(NodeId, EdgeWeight),
-) -> usize {
+) {
+    let (degree, mut pos) = decode_degree(data, pos);
+    if degree == 0 {
+        return;
+    }
     let mut prev_weight: i64 = 0;
     let mut next_weight = |pos: &mut usize| -> EdgeWeight {
         if WEIGHTED {
@@ -567,7 +518,7 @@ fn decode_chunk<const WEIGHTED: bool>(
         }
     }
     let mut prev: i64 = sid(u);
-    for k in 0..count - in_intervals {
+    for k in 0..degree - in_intervals {
         let v = if k == 0 {
             let (delta, p) = decode_signed_varint(data, pos);
             pos = p;
@@ -580,73 +531,6 @@ fn decode_chunk<const WEIGHTED: bool>(
         let w = next_weight(&mut pos);
         f(v as NodeId, w);
         prev = v;
-    }
-    pos
-}
-
-/// Fewest bytes an encoded neighbourhood takes: the two header varints (first edge,
-/// degree). A valid offset index therefore climbs by at least this much per vertex.
-pub(crate) const MIN_NEIGHBORHOOD_BYTES: u64 = 2;
-
-/// Decodes the fixed header of an encoded neighbourhood: `(first_edge, degree, pos)`
-/// where `pos` is the byte position right after the header.
-#[inline]
-pub(crate) fn decode_neighborhood_header(data: &[u8], pos: usize) -> (EdgeId, usize, usize) {
-    let (first_edge, pos) = decode_varint(data, pos);
-    let (degree, pos) = decode_varint(data, pos);
-    (first_edge, degree as usize, pos)
-}
-
-/// Decodes one encoded neighbourhood of vertex `u` starting at `data[pos]`, invoking
-/// `f(neighbor, weight)` for every neighbour.
-///
-/// This is the single decoding routine shared by the in-memory [`CompressedGraph`] and
-/// the on-disk [`PagedGraph`](crate::store::PagedGraph): both store neighbourhoods in
-/// the identical byte format, so neighbour iteration order — and therefore every
-/// downstream partitioning decision — is bit-identical across the two representations.
-pub(crate) fn decode_neighborhood(
-    data: &[u8],
-    pos: usize,
-    u: NodeId,
-    weighted: bool,
-    config: &CompressionConfig,
-    f: &mut dyn FnMut(NodeId, EdgeWeight),
-) {
-    if weighted {
-        decode_chunks::<true>(data, pos, u, config.enable_intervals, f);
-    } else {
-        decode_chunks::<false>(data, pos, u, config.enable_intervals, f);
-    }
-}
-
-/// [`decode_neighborhood`] at a fixed weightedness. A chunked neighbourhood is read in
-/// one walk too: it steps over the table of chunk lengths, which only a reader locating
-/// a chunk without its predecessors needs, and decodes the chunks back to back.
-fn decode_chunks<const WEIGHTED: bool>(
-    data: &[u8],
-    pos: usize,
-    u: NodeId,
-    intervals: bool,
-    f: &mut dyn FnMut(NodeId, EdgeWeight),
-) {
-    let (_, degree, mut pos) = decode_neighborhood_header(data, pos);
-    if degree == 0 {
-        return;
-    }
-    if degree <= HIGH_DEGREE_THRESHOLD {
-        decode_chunk::<WEIGHTED>(data, pos, u, degree, intervals, f);
-        return;
-    }
-    let (num_chunks, p) = decode_varint(data, pos);
-    pos = p;
-    for _ in 0..num_chunks {
-        pos = decode_varint(data, pos).1;
-    }
-    let mut remaining = degree;
-    while remaining > 0 {
-        let count = remaining.min(CHUNK_LEN);
-        pos = decode_chunk::<WEIGHTED>(data, pos, u, count, intervals, f);
-        remaining -= count;
     }
 }
 
@@ -740,15 +624,9 @@ impl CompressedGraph {
         &self.config
     }
 
-    /// ID of the first half-edge of `u`'s neighbourhood.
-    pub fn first_edge(&self, u: NodeId) -> EdgeId {
-        self.decode_header(u).0
-    }
-
-    /// `(first_edge, degree, pos)` of `u`'s neighbourhood (see
-    /// [`decode_neighborhood_header`]).
-    fn decode_header(&self, u: NodeId) -> (EdgeId, usize, usize) {
-        decode_neighborhood_header(self.data.as_slice(), self.offsets.get(u as usize) as usize)
+    /// `(degree, pos)` of `u`'s neighbourhood (see [`decode_degree`]).
+    fn decode_header(&self, u: NodeId) -> (usize, usize) {
+        decode_degree(self.data.as_slice(), self.offsets.get(u as usize) as usize)
     }
 
     /// The bytes behind the graph: heap or mapping.
@@ -772,7 +650,7 @@ impl Graph for CompressedGraph {
     }
 
     fn degree(&self, u: NodeId) -> usize {
-        self.decode_header(u).1
+        self.decode_header(u).0
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
@@ -825,11 +703,10 @@ pub(crate) mod tests {
     /// A graph on which one vertex, the hub, has `degree` neighbours laid out by
     /// `runs`: cycling through the `(run, skip)` pairs (every `run` at least 1), the hub
     /// takes `run` consecutive ids, then leaves `skip` out, so its neighbourhood mixes
-    /// intervals of every length with residual gaps, and chunk boundaries fall inside
-    /// both. `slot` in `0..=4` puts the hub first, at a quarter, the middle, three
-    /// quarters or last, so chunks start with positive and negative gaps. Every other
-    /// vertex is a leaf of the hub. Returns the builder, for more edges, and the hub.
-    /// The chunking threshold is a constant, so only a hub above it reaches chunking.
+    /// intervals of every length with residual gaps. `slot` in `0..=4` puts the hub
+    /// first, at a quarter, the middle, three quarters or last, so its first gap is
+    /// positive or negative. Every other vertex is a leaf of the hub. Returns the
+    /// builder, for more edges, and the hub.
     pub(crate) fn hub_graph_builder(
         degree: usize,
         runs: &[(usize, usize)],
@@ -873,8 +750,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Hub layouts of the tests: single ids, short and long intervals, a whole chunk's
-    /// worth of consecutive ids.
+    /// Hub layouts of the tests: single ids, short and long intervals, a run of 1 700
+    /// consecutive ids.
     pub(crate) const HUB_RUNS: [(usize, usize); 6] =
         [(1, 1), (5, 0), (2, 3), (1_700, 1), (3, 2), (1, 40)];
 
@@ -952,7 +829,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_weighted_chunk_writes_each_weight_behind_its_id() {
+    fn a_weighted_neighbourhood_writes_each_weight_behind_its_id() {
         // Vertex 0's neighbours 5, 6, 7 form an interval and 10 is a residual: the
         // interval's header is followed by its three weight deltas, the residual's gap
         // by its own. Signed values are zigzag-coded (5 -> 10, -5 -> 9).
@@ -962,12 +839,12 @@ pub(crate) mod tests {
         }
         let compressed = CompressedGraph::from_csr(&b.build(), &CompressionConfig::default());
         let (start, end) = (compressed.offsets.get(0), compressed.offsets.get(1));
-        let header = [0, 4];
+        let degree = [4];
         let interval = [1, 10, 0, 14, 4, 9];
         let residual = [20, 0];
         assert_eq!(
             &compressed.data.as_slice()[start as usize..end as usize],
-            [&header[..], &interval, &residual].concat()
+            [&degree[..], &interval, &residual].concat()
         );
         assert_eq!(
             compressed.neighbors_vec(0),
@@ -1004,59 +881,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn high_degree_vertices_are_chunked() {
-        // At the threshold a hub is one chunk; one neighbour more makes a short last
-        // chunk, a multiple of the chunk length none. The reference locates every chunk
-        // through the chunk-length table; the streaming decoder must read the same
-        // sequence walking the chunks back to back.
-        let degrees = [
-            HIGH_DEGREE_THRESHOLD,
-            HIGH_DEGREE_THRESHOLD + 1,
-            HIGH_DEGREE_THRESHOLD + CHUNK_LEN,
-            HIGH_DEGREE_THRESHOLD + 2 * CHUNK_LEN + 7,
-        ];
-        for (i, degree) in degrees.into_iter().enumerate() {
-            for (weighted, config) in [
-                (false, CompressionConfig::default()),
-                (true, CompressionConfig::default()),
-                (true, CompressionConfig::gap_only()),
-            ] {
-                let g = hub_graph(degree, &HUB_RUNS, i, weighted);
-                let compressed = CompressedGraph::from_csr(&g, &config);
-                assert_same_graph(&g, &compressed);
-                let hub = (0..g.n() as NodeId)
-                    .find(|&u| g.degree(u) == degree)
-                    .unwrap();
-                let (_, _, pos) = compressed.decode_header(hub);
-                let table = decode_varint(compressed.data.as_slice(), pos).0 as usize;
-                if degree > HIGH_DEGREE_THRESHOLD {
-                    assert_eq!(table, degree.div_ceil(CHUNK_LEN));
-                }
-                assert_eq!(
-                    compressed.neighbors_vec(hub),
-                    reference_neighbors(&compressed, hub)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn compression_ratio_exceeds_one_on_structured_graphs() {
         let g = gen::grid2d(50, 50);
         let compressed = CompressedGraph::from_csr(&g, &CompressionConfig::default());
         assert!(compressed.compression_ratio(&g) > 1.0);
         assert!(compressed.bytes_per_edge() < 8.0);
-    }
-
-    #[test]
-    fn edge_ids_are_consecutive() {
-        let g = gen::grid2d(8, 8);
-        let compressed = CompressedGraph::from_csr(&g, &CompressionConfig::default());
-        let mut expected: EdgeId = 0;
-        for u in 0..g.n() as NodeId {
-            assert_eq!(compressed.first_edge(u), expected);
-            expected += g.degree(u) as EdgeId;
-        }
     }
 
     #[test]
@@ -1070,36 +899,33 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn chunked_high_degree_weighted_round_trip() {
-        // A weighted star whose hub degree exceeds `HIGH_DEGREE_THRESHOLD`, so the hub
-        // neighbourhood is split into independently decodable chunks; edge weights must
-        // survive the chunked encode/decode path exactly.
-        let star = gen::star(HIGH_DEGREE_THRESHOLD + 2_500);
+    fn weighted_star_round_trip() {
+        // A weighted star whose hub has 12 500 neighbours, one walk of one interval:
+        // edge weights must survive the encode/decode path exactly.
+        let star = gen::star(12_501);
         let csr = gen::with_random_edge_weights(&star, 1_000, 7);
-        assert!(csr.max_degree() > HIGH_DEGREE_THRESHOLD);
+        assert_eq!(csr.max_degree(), 12_500);
         let compressed = CompressedGraph::from_csr(&csr, &CompressionConfig::default());
         assert_same_graph(&csr, &compressed);
 
-        // Same but with interval encoding off (gap-only) and node weights on top: the
-        // chunk framing must be independent of the inner encoding.
+        // Same but with interval encoding off (gap-only) and node weights on top.
         let weighted = gen::with_random_node_weights(&csr, 9, 11);
         let compressed = CompressedGraph::from_csr(&weighted, &CompressionConfig::gap_only());
         assert_same_graph(&weighted, &compressed);
     }
 
-    /// A decoder written apart from the streaming one, against the layout as documented:
-    /// weightedness at run time, and a chunk's pairs collected into `out`. Returns the
-    /// position right after the chunk. The streaming decoder must equal it in
-    /// *sequence*, not just as a set.
-    fn reference_decode_chunk(
-        data: &[u8],
-        mut pos: usize,
-        u: NodeId,
-        count: usize,
-        weighted: bool,
-        intervals: bool,
-        out: &mut Vec<(NodeId, EdgeWeight)>,
-    ) -> usize {
+    /// A decoder of `u`'s neighbourhood written apart from the streaming one, against
+    /// the layout as documented: weightedness at run time, and the pairs collected into a
+    /// vector. The streaming decoder must equal it in *sequence*, not just as a set, and
+    /// it must end where the offset index says the neighbourhood ends.
+    pub(crate) fn reference_neighbors(g: &CompressedGraph, u: NodeId) -> Vec<(NodeId, EdgeWeight)> {
+        let (weighted, intervals) = (g.edge_weighted, g.config.enable_intervals);
+        let data = g.data.as_slice();
+        let (degree, mut pos) = g.decode_header(u);
+        let mut out = Vec::with_capacity(degree);
+        if degree == 0 {
+            return out;
+        }
         let mut prev_weight: i64 = 0;
         let mut read_weight = |pos: &mut usize| {
             if !weighted {
@@ -1110,7 +936,6 @@ pub(crate) mod tests {
             prev_weight += delta;
             prev_weight as EdgeWeight
         };
-        let first = out.len();
         if intervals {
             let (interval_count, p) = decode_varint(data, pos);
             pos = p;
@@ -1133,9 +958,8 @@ pub(crate) mod tests {
                 prev_end = left + len;
             }
         }
-        let residual_count = count - (out.len() - first);
         let mut prev: i64 = sid(u);
-        for k in 0..residual_count {
+        for k in 0..degree - out.len() {
             let (v, p) = if k == 0 {
                 let (delta, p) = decode_signed_varint(data, pos);
                 (prev + delta, p)
@@ -1148,40 +972,12 @@ pub(crate) mod tests {
             out.push((v as NodeId, w));
             prev = v;
         }
-        pos
-    }
-
-    /// Reference decode of `u`'s whole neighbourhood: a chunked one is located through
-    /// its table of chunk lengths, and each chunk must end where the table says.
-    fn reference_neighbors(g: &CompressedGraph, u: NodeId) -> Vec<(NodeId, EdgeWeight)> {
-        let (weighted, intervals) = (g.edge_weighted, g.config.enable_intervals);
-        let (_, degree, mut pos) = g.decode_header(u);
-        let data = g.data.as_slice();
-        let mut out = Vec::new();
-        if degree == 0 {
-            return out;
-        }
-        if degree <= HIGH_DEGREE_THRESHOLD {
-            reference_decode_chunk(data, pos, u, degree, weighted, intervals, &mut out);
-            return out;
-        }
-        let (num_chunks, p) = decode_varint(data, pos);
-        pos = p;
-        let mut lengths = Vec::new();
-        for _ in 0..num_chunks {
-            let (len, p) = decode_varint(data, pos);
-            pos = p;
-            lengths.push(len as usize);
-        }
-        let mut remaining = degree;
-        for len in lengths {
-            let count = remaining.min(CHUNK_LEN);
-            let end = reference_decode_chunk(data, pos, u, count, weighted, intervals, &mut out);
-            assert_eq!(end, pos + len, "chunk of vertex {} ends off its table", u);
-            pos = end;
-            remaining -= count;
-        }
-        assert_eq!(remaining, 0);
+        assert_eq!(
+            pos as u64,
+            g.offsets.get(u as usize + 1),
+            "neighbourhood of vertex {} ends off its offset",
+            u
+        );
         out
     }
 
@@ -1190,7 +986,7 @@ pub(crate) mod tests {
         #[test]
         fn prop_compressed_equals_csr(
             hub in (
-                HIGH_DEGREE_THRESHOLD - 2..HIGH_DEGREE_THRESHOLD + 2 * CHUNK_LEN + 2,
+                60usize..3_000,
                 0usize..5,
                 proptest::collection::vec((0usize..64, 0usize..4), 1..16),
             ),
@@ -1198,9 +994,9 @@ pub(crate) mod tests {
             intervals in proptest::bool::ANY,
             weighted in proptest::bool::ANY,
         ) {
-            // A hub on either side of `HIGH_DEGREE_THRESHOLD`, laid out by random runs
-            // (mostly 1-8 ids, sometimes 500-2 000, so a chunk can be one interval), next
-            // to random edges among the first 60 vertices. Edges at the hub are left out:
+            // A hub laid out by random runs (mostly 1-8 ids, sometimes 500-2 000, so most
+            // of it can be one interval), next to random edges among the first 60
+            // vertices. Edges at the hub are left out:
             // every hub edge already exists, and the weights are drawn once built.
             let (degree, slot, codes) = hub;
             let runs: Vec<(usize, usize)> = codes

@@ -95,7 +95,7 @@ pub fn complete(n: usize) -> CsrGraph {
 }
 
 /// Star graph: vertex 0 is connected to all other `n - 1` vertices. Used to exercise the
-/// high-degree (chunked / two-phase) code paths.
+/// high-degree (two-phase) code paths.
 pub fn star(n: usize) -> CsrGraph {
     ids::assert_node_count(n, "star");
     let mut b = CsrGraphBuilder::new(n);

@@ -7,7 +7,7 @@
 //! * [`varint`] — the VarInt / zigzag byte codecs used by the compressed representation
 //!   (paper §III-A).
 //! * [`compressed`] — the gap + interval + VarInt encoded [`CompressedGraph`] with
-//!   on-the-fly neighbourhood decoding and high-degree chunking (paper §III-A).
+//!   on-the-fly neighbourhood decoding (paper §III-A).
 //! * [`builder`] — parallel single-pass compression with ordered packet commit
 //!   (paper §III-B).
 //! * [`traits`] — the [`Graph`] accessor trait that lets every algorithm run unchanged on

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "TPGS"
-//! 4       4     version (u32, always 6 — the reader accepts nothing else)
+//! 4       4     version (u32, always 7 — the reader accepts nothing else)
 //! 8       4     flags   (bit 0: edge weighted, bit 1: node weighted,
 //!                        bit 2: interval encoding; every other bit must be zero)
 //! 12      1     id width in bytes the writer was built with (4 or 8)
@@ -18,9 +18,10 @@
 //! 48      8     max degree
 //! 56      8     data section length in bytes
 //! 64      8     offset index length in bytes, within [n, 10·n]
-//! 72      —     data section: concatenated encoded neighbourhoods (identical byte
-//!               format to the in-memory CompressedGraph, whose chunk and interval
-//!               parameters are constants of the format and not recorded here)
+//! 72      —     data section: concatenated encoded neighbourhoods, each its degree
+//!               and one interval/residual walk (identical byte format to the
+//!               in-memory CompressedGraph, whose interval length is a constant of
+//!               the format and not recorded here)
 //! …       —     offset index: the byte length of each of the n neighbourhoods, in
 //!               vertex order, as a VarInt (`crate::varint`); their prefix sums are the
 //!               offsets into the data section every store looks neighbourhoods up in
@@ -38,9 +39,15 @@
 //! [`TpgWriter`] can stream neighbourhoods straight to disk behind a fixed-size header
 //! placeholder and only write the header once, at [`TpgWriter::finish`], when the
 //! totals (and the header checksum) are known. The writer's live memory is the offset
-//! index under construction plus one encode buffer and one crc per data block —
-//! `O(n + max_degree + data_len / B)` bytes, never `O(m)` — which is what lets
-//! instances larger than RAM be produced and consumed on this machine.
+//! index under construction, in the VarInt bytes it is written as, plus one encode
+//! buffer and one crc per data block — `O(n + max_degree + data_len / B)` bytes, never
+//! `O(m)` — which is what lets instances larger than the memory be produced and
+//! consumed.
+//!
+//! Version 7 dropped two fields of every neighbourhood that no reader used: the ID of
+//! its first half-edge, and the table of chunk lengths in front of a neighbourhood of
+//! more than 10 000 neighbours, which was split into chunks of 1 000. Version 6 and
+//! older files are refused with a request to regenerate them.
 //!
 //! # Fault tolerance
 //!
@@ -73,7 +80,7 @@ use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
 use crate::store::mmap::try_map;
 use crate::store::paged::RetryPolicy;
 use crate::traits::Graph;
-use crate::varint::{encode_varint, try_decode_varint, MAX_VARINT_LEN};
+use crate::varint::{try_decode_varint, MAX_VARINT_LEN};
 use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
 
 /// Magic bytes of the `.tpg` container.
@@ -81,7 +88,7 @@ pub const TPG_MAGIC: &[u8; 4] = b"TPGS";
 /// Container format version: the only one the writer emits and the reader accepts.
 /// Every container in this repository is regenerable, so files stamped with an
 /// earlier version are rejected rather than upgraded.
-pub const TPG_VERSION: u32 = 6;
+pub const TPG_VERSION: u32 = 7;
 /// Size of the fixed header in bytes.
 pub const TPG_HEADER_LEN: u64 = 72;
 /// Magic bytes of the checksum footer.
@@ -275,7 +282,8 @@ impl FileSink {
 ///
 /// Each neighbourhood arrives through [`push_neighborhood`], is encoded here, streams
 /// its bytes to the data section and is committed to the running totals through
-/// `EncodedSection::absorb`.
+/// `EncodedSection::absorb`, which appends its length to the offset index as the
+/// VarInt [`finish`] writes.
 ///
 /// The path-based constructor is crash-safe: bytes stream into a hidden temp file next
 /// to the destination and the destination only comes into existence through an atomic
@@ -291,7 +299,8 @@ pub struct TpgWriter {
     paths: Option<(PathBuf, PathBuf)>,
     committed: bool,
     n: usize,
-    /// What the committed neighbourhoods add up to; their bytes are already on disk.
+    /// What the committed neighbourhoods add up to, and their lengths; their bytes are
+    /// already on disk.
     totals: EncodedSection,
     /// Encodes each pushed neighbourhood (and holds the config and the edge-weight
     /// flag).
@@ -351,8 +360,8 @@ impl TpgWriter {
             paths,
             committed: false,
             n,
-            totals: EncodedSection::with_capacity(0, 0, n),
-            encoder: SectionEncoder::new(0, 0, edge_weighted, config),
+            totals: EncodedSection::with_capacity(0, n),
+            encoder: SectionEncoder::new(0, edge_weighted, config),
         })
     }
 
@@ -369,8 +378,7 @@ impl TpgWriter {
             TPG_BLOCK_LOG2_RANGE.end(),
         );
         assert_eq!(
-            self.totals.vertex_count(),
-            0,
+            self.totals.vertices, 0,
             "checksum block length must be set before pushing neighbourhoods"
         );
         self.file.block_len = block_len;
@@ -386,13 +394,13 @@ impl TpgWriter {
         neighbors: &[(NodeId, EdgeWeight)],
         node_weight: NodeWeight,
     ) -> Result<(), IoError> {
-        let next = self.totals.vertex_count();
+        let next = self.totals.vertices;
         assert_eq!(
             u as usize, next,
             "neighbourhoods must be pushed in vertex order"
         );
         assert!(next < self.n, "vertex {} out of range", u);
-        self.encoder.restart(next, self.totals.next_first_edge());
+        self.encoder.restart(next);
         self.encoder.push_neighborhood(u, neighbors, node_weight);
         self.file.write_data(&self.encoder.section.bytes)?;
         self.totals.absorb(&self.encoder.section);
@@ -419,24 +427,19 @@ impl TpgWriter {
     pub fn finish(mut self) -> Result<TpgSummary, IoError> {
         let totals = std::mem::take(&mut self.totals);
         assert_eq!(
-            totals.vertex_count(),
-            self.n,
+            totals.vertices, self.n,
             "expected {} vertices, got {}",
-            self.n,
-            totals.vertex_count()
+            self.n, totals.vertices
         );
-        let data_len = totals.data_len();
+        let data_len = totals.data_len;
         let file = &mut self.file;
         // Seal the final partial data block.
         if file.block_fill > 0 {
             file.block_crcs.push(file.block_crc.take());
             file.block_fill = 0;
         }
-        let mut index = Vec::with_capacity(self.n);
-        for range in totals.offsets.windows(2) {
-            encode_varint(range[1] - range[0], &mut index);
-        }
-        file.write(&index)?;
+        let index = &totals.lengths;
+        file.write(index)?;
         // The node weights are empty iff every weight is 1.
         let node_weighted = !totals.node_weights.is_empty();
         let mut weights_crc = Crc32::new();
@@ -478,7 +481,7 @@ impl TpgWriter {
         for &c in &block_crcs {
             file.write(&c.to_le_bytes())?;
         }
-        file.write(&crc32(&index).to_le_bytes())?;
+        file.write(&crc32(index).to_le_bytes())?;
         file.write(&weights_crc.finalize().to_le_bytes())?;
         file.write(&crc32(&header).to_le_bytes())?;
         file.flush()?;
@@ -741,10 +744,14 @@ pub(crate) fn retry_section<T>(
 /// Decodes the offset-index section — one VarInt byte length per vertex — into the
 /// `n + 1` packed offsets every store looks neighbourhoods up in, proving what the stores
 /// then read without a range check: every length is a well-formed VarInt of at least the
-/// [`MIN_NEIGHBORHOOD_BYTES`] of a neighbourhood header, and the lengths use up the
+/// [`MIN_NEIGHBORHOOD_BYTES`] of a neighbourhood's degree, and the lengths use up the
 /// section exactly and sum to `data_len`. A length of zero would let a vertex start at
 /// `data_len`, which the stores would read as degree 0 or past the data section.
-fn decode_offset_index(section: &[u8], n: usize, data_len: u64) -> Result<PackedArray, IoError> {
+pub(crate) fn decode_offset_index(
+    section: &[u8],
+    n: usize,
+    data_len: u64,
+) -> Result<PackedArray, IoError> {
     let width = width_for(data_len);
     let mut offsets = Vec::with_capacity((n + 1) * width + TAIL_PADDING);
     offsets.resize((n + 1) * width, 0);
@@ -758,7 +765,7 @@ fn decode_offset_index(section: &[u8], n: usize, data_len: u64) -> Result<Packed
         })?;
         if len < MIN_NEIGHBORHOOD_BYTES || len > data_len - end {
             return Err(IoError::Format(format!(
-                "offset index gives vertex {} {} bytes, fewer than a neighbourhood header \
+                "offset index gives vertex {} {} bytes, fewer than a degree \
                  or more than the data section has left",
                 u, len
             )));
@@ -1108,6 +1115,7 @@ mod tests {
     use crate::compressed::CompressionConfig;
     use crate::gen;
     use crate::io::{write_binary, write_metis};
+    use crate::varint::encode_varint;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -1188,11 +1196,12 @@ mod tests {
         // crc of the footer — against an FNV-1a digest: a checksum kernel that computed
         // different checksums would still round-trip against itself, but not produce
         // these bytes. First recorded before CRC-32 was rewritten to slice by 8,
-        // re-recorded at container version 5 (VarInt offset index, 96-byte header) and at
+        // re-recorded at container version 5 (VarInt offset index, 96-byte header), at
         // version 6 (72-byte header, each weight behind its id: the data section and
-        // index keep their lengths, the file is 24 bytes shorter), the checksum kernel
-        // unchanged. The digest is taken at 64 KiB checksum blocks, so the container is
-        // written at that length.
+        // index keep their lengths, the file is 24 bytes shorter) and at version 7 (no
+        // first-edge id in front of a neighbourhood: 707 362 -> 648 856 bytes), the
+        // checksum kernel unchanged. The digest is taken at 64 KiB checksum blocks, so
+        // the container is written at that length.
         let g = gen::with_random_node_weights(
             &gen::with_random_edge_weights(&gen::rgg2d(20_000, 12, 21), 30, 8),
             6,
@@ -1212,12 +1221,12 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
         let recorded = match crate::ids::NODE_ID_BYTES {
-            4 => 0x77b5_252b_d0ea_f938u64,
-            _ => 0xc4a4_c021_29d4_6972u64,
+            4 => 0x0aba_5843_1e8a_20f1u64,
+            _ => 0xcd20_624f_11e5_a83fu64,
         };
         assert_eq!(
             (bytes.len(), digest),
-            (707_362usize, recorded),
+            (648_856usize, recorded),
             "digest {:#018x}",
             digest
         );
@@ -1243,48 +1252,64 @@ mod tests {
     }
 
     #[test]
-    fn a_weighted_hub_reads_back_alike_through_every_store() {
-        // A hub above the chunking threshold, with intervals and edge weights: every
-        // open of one container decodes each neighbourhood to the in-memory encoding's
-        // sequence, the paged store through a cache of a few small pages.
-        let g = crate::compressed::tests::hub_graph(
-            crate::compressed::HIGH_DEGREE_THRESHOLD + 2_345,
-            &crate::compressed::tests::HUB_RUNS,
-            2,
-            true,
-        );
-        let config = CompressionConfig::default();
-        let path = tmp("weighted_hub.tpg");
-        TpgWriter::create(&path, g.n(), true, &config)
-            .unwrap()
-            .with_checksum_block_len(256)
-            .write_graph(&g)
-            .unwrap();
-        let reference = CompressedGraph::from_csr(&g, &config);
-        let loaded = read_tpg_compressed(&path).unwrap();
-        let mmap = crate::store::MmapGraph::open(&path).unwrap();
-        let paged = crate::store::PagedGraph::open_with_options(
-            &path,
-            &crate::store::PagedGraphOptions {
-                page_size: 256,
-                budget_bytes: 4 * 256,
-                ..crate::store::PagedGraphOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(reference.max_degree() > crate::compressed::HIGH_DEGREE_THRESHOLD);
-        for u in 0..g.n() as NodeId {
-            let expected = reference.neighbors_vec(u);
-            assert_eq!(
-                loaded.neighbors_vec(u),
-                expected,
-                "read_tpg_compressed {}",
-                u
+    fn hubs_across_the_old_chunk_boundaries_read_back_alike_through_every_store() {
+        // Hubs of 9 998-12 007 neighbours, on both sides of the 10 000 above which
+        // version 6 split a neighbourhood into chunks of 1 000, laid out so that runs
+        // cross the old chunk edges: each is one walk now. With and without intervals
+        // and edge weights, every open of one container decodes each neighbourhood to
+        // the sequence a reference decoder reads from the in-memory encoding, the paged
+        // store through a cache of a few small pages.
+        let path = tmp("hubs.tpg");
+        let cases = [
+            (9_998, 0, true, CompressionConfig::default()),
+            (10_000, 1, false, CompressionConfig::default()),
+            (10_001, 2, true, CompressionConfig::gap_only()),
+            (11_000, 3, true, CompressionConfig::default()),
+            (12_007, 4, false, CompressionConfig::gap_only()),
+        ];
+        for (degree, slot, weighted, config) in cases {
+            let g = crate::compressed::tests::hub_graph(
+                degree,
+                &crate::compressed::tests::HUB_RUNS,
+                slot,
+                weighted,
             );
-            assert_eq!(mmap.neighbors_vec(u), expected, "mmap {}", u);
-            assert_eq!(paged.neighbors_vec(u), expected, "paged {}", u);
+            TpgWriter::create(&path, g.n(), weighted, &config)
+                .unwrap()
+                .with_checksum_block_len(256)
+                .write_graph(&g)
+                .unwrap();
+            let compressed = CompressedGraph::from_csr(&g, &config);
+            let loaded = read_tpg_compressed(&path).unwrap();
+            let mmap = crate::store::MmapGraph::open(&path).unwrap();
+            let paged = crate::store::PagedGraph::open_with_options(
+                &path,
+                &crate::store::PagedGraphOptions {
+                    page_size: 256,
+                    budget_bytes: 4 * 256,
+                    ..crate::store::PagedGraphOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(compressed.max_degree(), degree);
+            for u in 0..g.n() as NodeId {
+                let expected = crate::compressed::tests::reference_neighbors(&compressed, u);
+                let mut sorted = expected.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, g.neighbors_vec(u), "reference {}", u);
+                assert_eq!(compressed.neighbors_vec(u), expected, "in memory {}", u);
+                assert_eq!(
+                    loaded.neighbors_vec(u),
+                    expected,
+                    "read_tpg_compressed {}",
+                    u
+                );
+                assert_eq!(mmap.neighbors_vec(u), expected, "mmap {}", u);
+                assert_eq!(paged.neighbors_vec(u), expected, "paged {}", u);
+                assert_eq!(paged.degree(u), g.degree(u), "paged degree {}", u);
+            }
+            assert!(paged.cache_stats().evictions > 0);
         }
-        assert!(paged.cache_stats().evictions > 0);
         std::fs::remove_file(path).ok();
     }
 
@@ -1384,18 +1409,19 @@ mod tests {
 
     #[test]
     fn retired_versions_and_plain_offset_headers_are_format_errors() {
-        // Versions 1-5 (v5: a 96-byte header recording the chunk parameters, and the
-        // weights of a chunk behind its ids) and a header with a flag bit v6 does not
-        // define have no reader. Every entry point must say so with a structured
-        // `Format` error (crc re-stamped, so it is the version/flag check that decides)
-        // — never a panic, and never an attempt to interpret the sections under the
-        // wrong layout.
+        // Versions 1-6 (v6: a first-edge id in front of every neighbourhood and a chunk
+        // table in front of every hub; v5: a 96-byte header recording the chunk
+        // parameters) and a header with a flag bit v7 does not define have no reader.
+        // Every entry point must say so with a structured `Format` error (crc
+        // re-stamped, so it is the version/flag check that decides) — never a panic,
+        // and never an attempt to interpret the sections under the wrong layout.
         let g = gen::grid2d(6, 5);
         let path = tmp("retired_headers.tpg");
         write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
         let meta = read_tpg_meta(&path).unwrap();
         let clean = std::fs::read(&path).unwrap();
         let mut stale = Vec::new();
+        assert_eq!(TPG_VERSION, 7);
         for version in 1u32..TPG_VERSION {
             let mut bytes = clean.clone();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -1406,7 +1432,7 @@ mod tests {
             let flags = le_u32(&bytes[8..]) | 1 << bit;
             bytes[8..12].copy_from_slice(&flags.to_le_bytes());
             stale.push((
-                format!("v6 with flag bit {}", bit),
+                format!("v{} with flag bit {}", TPG_VERSION, bit),
                 bytes,
                 "unknown .tpg flag",
             ));
@@ -1495,10 +1521,10 @@ mod tests {
         };
         let tampers = [
             (
-                "a length below the header",
+                "a length below the degree's byte",
                 retold(&|l| {
-                    l[1] += l[0] - 1;
-                    l[0] = 1;
+                    l[1] += l[0];
+                    l[0] = 0;
                 }),
             ),
             ("lengths past data_len", retold(&|l| l[n - 1] += 1)),
@@ -1546,6 +1572,38 @@ mod tests {
         let h = read_tpg(&path).unwrap();
         assert_graph_eq(&g, &h);
         assert_eq!(h.degree(1), 0);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn an_all_isolated_graph_opens_at_every_path() {
+        // Every neighbourhood is one byte, its degree 0: the offset index holds n
+        // lengths of 1 and the data section n zero bytes, the least the index check
+        // admits.
+        let n = 37;
+        let g = crate::csr::CsrGraphBuilder::new(n).build();
+        let path = tmp("all_isolated.tpg");
+        let summary = write_tpg_from_graph(&g, &path, &CompressionConfig::default()).unwrap();
+        let meta = read_tpg_meta(&path).unwrap();
+        assert_eq!(
+            (summary.data_bytes, meta.data_len, meta.index_len),
+            (37, 37, 37)
+        );
+        let bytes = std::fs::read(&path).unwrap();
+        let data = &bytes[meta.data_start() as usize..meta.offsets_start() as usize];
+        let index = &bytes[meta.offsets_start() as usize..meta.node_weights_start() as usize];
+        assert!(data.iter().all(|&b| b == 0) && index.iter().all(|&b| b == 1));
+        let compressed = read_tpg_compressed(&path).unwrap();
+        let paged = crate::store::PagedGraph::open(&path).unwrap();
+        let mmap = crate::store::MmapGraph::open(&path).unwrap();
+        let stores: [&dyn Graph; 3] = [&compressed, &paged, &mmap];
+        for store in stores {
+            assert_eq!((store.n(), store.m()), (n, 0));
+            for u in 0..n as NodeId {
+                assert_eq!(store.degree(u), 0);
+                assert!(store.neighbors_vec(u).is_empty());
+            }
+        }
         std::fs::remove_file(path).ok();
     }
 

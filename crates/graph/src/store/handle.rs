@@ -166,7 +166,7 @@ impl Graph for StoreSession<'_> {
     fn degree(&self, u: NodeId) -> usize {
         match &self.store {
             StoreRef::Infallible(g) => g.degree(u),
-            StoreRef::Paged(g) => self.poison.read(|| g.try_header(u)).1,
+            StoreRef::Paged(g) => self.poison.read(|| g.try_header(u)),
         }
     }
 

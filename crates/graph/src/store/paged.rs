@@ -30,7 +30,7 @@ use std::time::Duration;
 use memtrack::MemoryScope;
 use parking_lot::Mutex;
 
-use crate::compressed::{decode_neighborhood, decode_neighborhood_header, CompressionConfig};
+use crate::compressed::{decode_degree, decode_neighborhood, CompressionConfig};
 use crate::io::{io_error_is_transient, IoError};
 use crate::packed::PackedArray;
 use crate::store::backend::{read_full_at, FileBackend, StorageBackend};
@@ -41,7 +41,7 @@ use crate::store::container::{
 use crate::store::poison::{FatalIoError, Poison};
 use crate::traits::Graph;
 use crate::varint::MAX_VARINT_LEN;
-use crate::{EdgeId, EdgeWeight, NodeId, NodeWeight};
+use crate::{EdgeWeight, NodeId, NodeWeight};
 
 /// Bounded retry with exponential backoff for transient read failures (`EIO`,
 /// interrupted syscalls, checksum mismatches that heal on a clean re-read).
@@ -671,17 +671,16 @@ impl PagedGraph {
         (self.offsets.get(u), self.offsets.get(u + 1))
     }
 
-    /// Decoded header `(first_edge, degree)` of `u`'s neighbourhood, surfacing read
-    /// failures as `Err` instead of engaging the built-in poison protocol. This is the
-    /// seam per-session views ([`StoreSession`](crate::store::StoreSession)) read
-    /// through, so one session's unrecoverable fault stays confined to that session.
-    pub fn try_header(&self, u: NodeId) -> io::Result<(EdgeId, usize)> {
+    /// Decoded header of `u`'s neighbourhood, its degree, surfacing read failures as
+    /// `Err` instead of engaging the built-in poison protocol. This is the seam
+    /// per-session views ([`StoreSession`](crate::store::StoreSession)) read through, so
+    /// one session's unrecoverable fault stays confined to that session.
+    pub fn try_header(&self, u: NodeId) -> io::Result<usize> {
         let (start, end) = self.range(u);
-        let end = end.min(start + 2 * MAX_VARINT_LEN as u64);
+        let end = end.min(start + MAX_VARINT_LEN as u64);
         with_decode_buf(|buf| {
             self.cache.read_range(start, end, buf)?;
-            let (first_edge, degree, _) = decode_neighborhood_header(buf, 0);
-            Ok((first_edge, degree))
+            Ok(decode_degree(buf, 0).0)
         })
     }
 
@@ -700,17 +699,6 @@ impl PagedGraph {
             Ok(())
         })
     }
-
-    /// Decoded header `(first_edge, degree)` of `u`'s neighbourhood. Only the first few
-    /// bytes of the encoding are fetched. Returns `(0, 0)` on a poisoned graph.
-    fn header(&self, u: NodeId) -> (EdgeId, usize) {
-        self.poison.read(|| self.try_header(u))
-    }
-
-    /// ID of the first half-edge of `u`'s neighbourhood.
-    pub fn first_edge(&self, u: NodeId) -> EdgeId {
-        self.header(u).0
-    }
 }
 
 impl Graph for PagedGraph {
@@ -723,7 +711,8 @@ impl Graph for PagedGraph {
     }
 
     fn degree(&self, u: NodeId) -> usize {
-        self.header(u).1
+        // Only the degree's bytes are fetched; a poisoned graph reads 0.
+        self.poison.read(|| self.try_header(u))
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
@@ -769,7 +758,7 @@ mod tests {
 
     use super::*;
     use crate::compressed::tests::{hub_graph, hub_graph_builder, HUB_RUNS};
-    use crate::compressed::{CompressedGraph, CHUNK_LEN, HIGH_DEGREE_THRESHOLD};
+    use crate::compressed::CompressedGraph;
     use crate::gen;
     use crate::store::backend::{FaultPlan, FaultyBackend};
     use crate::store::container::{write_tpg_from_graph, TpgSummary, TpgWriter};
@@ -916,12 +905,12 @@ mod tests {
     }
 
     #[test]
-    fn high_degree_chunked_neighbourhoods_span_pages() {
-        let degree = HIGH_DEGREE_THRESHOLD + 1_500;
+    fn a_hub_neighbourhood_spans_pages() {
+        let degree = 11_500;
         let csr = hub_graph(degree, &HUB_RUNS, 4, true);
         let config = CompressionConfig::default();
         let compressed = CompressedGraph::from_csr(&csr, &config);
-        let path = tmp("chunked.tpg");
+        let path = tmp("hub.tpg");
         write_with_blocks(&csr, &path, &config, 128);
         // Page size far below the hub neighbourhood size: the decode buffer must be
         // assembled from many pages.
@@ -936,20 +925,6 @@ mod tests {
         .unwrap();
         assert_matches_graph(&paged, &compressed);
         assert_eq!(paged.degree(csr.n() as NodeId - 1), degree);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn first_edge_ids_match_compressed() {
-        let csr = gen::grid2d(9, 9);
-        let config = CompressionConfig::default();
-        let compressed = CompressedGraph::from_csr(&csr, &config);
-        let path = tmp("first_edge.tpg");
-        write_with_blocks(&csr, &path, &config, 64);
-        let paged = PagedGraph::open_with_options(&path, &tiny_options()).unwrap();
-        for u in 0..csr.n() as NodeId {
-            assert_eq!(paged.first_edge(u), compressed.first_edge(u));
-        }
         std::fs::remove_file(path).ok();
     }
 
@@ -1049,7 +1024,7 @@ mod tests {
     fn a_container_with_64_kib_blocks_decodes_identically_under_4_kib_pages() {
         // Readers accept any block length: 4 KiB pages over a 64 KiB-block container
         // are rounded up to 64 KiB, evict, and decode what the in-memory graph decodes.
-        let csr = gen::rgg2d(40_000, 12, 21);
+        let csr = gen::rgg2d(48_000, 12, 21);
         let config = CompressionConfig::default();
         let path = tmp("old_geometry.tpg");
         write_with_blocks(&csr, &path, &config, 64 * 1024);
@@ -1143,7 +1118,7 @@ mod tests {
         intervals: bool,
         page_size: usize,
     ) {
-        // A hub on either side of the chunking threshold, its other vertices leaves,
+        // A hub of 9 998-12 007 neighbours, its other vertices leaves,
         // plus random weighted edges among the first 400 vertices.
         let (degree, slot) = hub;
         let (mut b, _) = hub_graph_builder(degree, &HUB_RUNS, slot);
@@ -1206,7 +1181,7 @@ mod tests {
         #[test]
         fn prop_paged_equals_compressed_equals_csr(
             hub in (
-                HIGH_DEGREE_THRESHOLD - 2..HIGH_DEGREE_THRESHOLD + 2 * CHUNK_LEN + 2,
+                9_998usize..12_008,
                 0usize..5,
             ),
             edges in proptest::collection::vec((0u32..400, 0u32..400, 1u64..9), 0..2000),

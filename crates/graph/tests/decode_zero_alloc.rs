@@ -3,7 +3,6 @@
 //! bytes above their value before the sweep. The one `#[test]` of this binary, because
 //! it reads `memtrack::global()` (see `store_memory_accounting.rs`).
 
-use graph::compressed::HIGH_DEGREE_THRESHOLD;
 use graph::traits::Graph;
 use graph::{gen, CompressedGraph, CompressionConfig, NodeId};
 
@@ -13,13 +12,11 @@ static ALLOC: memtrack::TrackingAllocator = memtrack::TrackingAllocator::system(
 #[test]
 fn for_each_neighbor_allocates_nothing() {
     let config = CompressionConfig::default();
-    // rgg2d has interval runs and residuals, each neighbourhood one chunk; the star's hub
-    // lies above the threshold, so it is decoded chunk by chunk. The weighted copies read
-    // a weight behind every id.
+    // rgg2d has interval runs and residuals; the star's hub is one walk of 12 500
+    // neighbours. The weighted copies read a weight behind every id.
     let mesh = gen::rgg2d(4_000, 12, 5);
-    let star = gen::star(HIGH_DEGREE_THRESHOLD + 2_500);
-    assert!(mesh.max_degree() <= HIGH_DEGREE_THRESHOLD);
-    assert!(star.max_degree() > HIGH_DEGREE_THRESHOLD);
+    let star = gen::star(12_501);
+    assert_eq!(star.max_degree(), 12_500);
     let weighted_mesh = gen::with_random_edge_weights(&mesh, 1_000, 7);
     let weighted_star = gen::with_random_edge_weights(&star, 1_000, 7);
     for csr in [&mesh, &weighted_mesh, &star, &weighted_star] {

@@ -4,7 +4,9 @@
 //! that used to follow removed a few percent of the edges each and held two near-copies
 //! of the core. The one coarse level left sets the run peak, and it stores its edge
 //! weights packed at the width of its heaviest edge (one byte here) rather than eight, so
-//! at the default id width the peak stays within 1.5x the compressed input. This reads
+//! at the default id width the peak stays within 1.6x the compressed input (1.5x while
+//! every encoded neighbourhood also stored its first half-edge id and the input was 13 %
+//! larger: 1.6x the smaller input admits fewer bytes than 1.5x the larger). This reads
 //! the memory accounting's peak, so it is the only `#[test]` of its binary: a sibling test
 //! allocating concurrently would move the reading.
 
@@ -42,8 +44,8 @@ fn a_stalled_r_mat_core_is_not_coarsened_again() {
     // At `wide-ids` the coarse adjacency doubles, so only the CSR-relative bound holds.
     #[cfg(not(feature = "wide-ids"))]
     assert!(
-        2 * peak <= 3 * input_bytes,
-        "peak {peak} B is more than 1.5 x the compressed input ({input_bytes} B): is the \
+        5 * peak <= 8 * input_bytes,
+        "peak {peak} B is more than 1.6 x the compressed input ({input_bytes} B): is the \
          coarse level's edge-weight array wider than its heaviest edge needs?"
     );
 }
