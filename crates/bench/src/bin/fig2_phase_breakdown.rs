@@ -2,12 +2,12 @@
 //!
 //! Paper setting: webbase2001, p = 96, k = 64 with the baseline KaMinPar configuration.
 //! Here: a web-like synthetic graph, k = 64. The paper's shape, clustering on the top
-//! level setting the peak, does not show: on a 2-vCPU VM `cluster@0` peaks at 3.1 MB, and
-//! the run peak is set once the top level is contracted. `contract@0` (4.65 MB), initial
-//! partitioning and `refine@1` (4.67 MB) all sit within 1 % of it, while the level-0
-//! graph and the level-1 coarse CSR are both live. Asserts, after printing, that
-//! `cluster@0` peaks below `contract@0` and that `contract@0` reaches 95 % of the run
-//! peak.
+//! level setting the peak, does not show: on a 2-vCPU VM `cluster@0` peaks at 1.5 MB, and
+//! the run peak, 3.6 MB, is `contract@0`, where the level-0 graph, the buffered coarse
+//! neighbourhoods and the level-1 graph they are written into are all live (initial
+//! partitioning and `refine@1` then sit at 1.6 MB, with level 1 held compressed).
+//! Asserts, after printing, that `cluster@0` peaks below `contract@0` and that
+//! `contract@0` reaches 95 % of the run peak.
 //!
 //! The breakdown is the observability layer's own [`obs::RunReport::summary_table`]:
 //! the span tree (pipeline → level → phase) with durations and share of the total

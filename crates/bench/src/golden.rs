@@ -124,15 +124,15 @@ pub fn golden_entries() -> Vec<GoldenEntry> {
     vec![
         entry(Fast, "grid3d-16", 1156, 1156),
         entry(Fast, "rgg2d-6k", 885, 885),
-        entry(Fast, "plc-6k", 21719, 21719),
-        entry(Fast, "rmat-14", 37901, 37901),
+        entry(Fast, "plc-6k", 22038, 22038),
+        entry(Fast, "rmat-14", 37838, 37838),
         entry(Default, "grid3d-16", 1115, 1115),
         entry(Default, "rgg2d-6k", 857, 857),
-        entry(Default, "plc-6k", 20921, 20921),
-        entry(Default, "rmat-14", 29069, 29069),
+        entry(Default, "plc-6k", 21174, 21174),
+        entry(Default, "rmat-14", 31396, 31396),
         entry(Strong, "grid3d-16", 1112, 1112),
         entry(Strong, "rgg2d-6k", 910, 910),
-        entry(Strong, "plc-6k", 20811, 20811),
-        entry(Strong, "rmat-14", 26833, 26833),
+        entry(Strong, "plc-6k", 20960, 20960),
+        entry(Strong, "rmat-14", 26575, 26575),
     ]
 }

@@ -8,15 +8,15 @@
 //! buffers to the shared output array in packet order, so the data is compressed exactly
 //! once and written exactly once. The output array is over-reserved with a worst-case
 //! bound and only committed bytes are charged to the memory accounting
-//! ([`memtrack::ReservedVec`]), mirroring the paper's use of virtual-memory
-//! overcommitment.
+//! ([`GraphWriter`], over a [`memtrack::ReservedVec`]), mirroring the paper's use of
+//! virtual-memory overcommitment. [`commit_in_packet_order`] is the protocol on its own:
+//! one-pass contraction writes each coarse graph through it too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use memtrack::ReservedVec;
 use parking_lot::Mutex;
 
-use crate::compressed::{CompressedGraph, CompressionConfig, EncodedSection, SectionEncoder};
+use crate::compressed::{CompressedGraph, CompressionConfig, GraphWriter, SectionEncoder};
 use crate::csr::CsrGraph;
 use crate::traits::Graph;
 use crate::varint::MAX_VARINT_LEN;
@@ -79,60 +79,150 @@ pub fn compress_csr_parallel(
     config: &CompressionConfig,
     num_threads: usize,
 ) -> CompressedGraph {
-    let n = csr.n();
     let target = (2 * csr.m() / (num_threads.max(1) * 8)).max(1024);
-    let packets = make_packets(csr, target);
-    let num_packets = packets.len();
-
-    let upper_bound = compressed_size_upper_bound(csr);
-    let output = Mutex::new((
-        ReservedVec::with_reservation(upper_bound),
-        EncodedSection::with_capacity(0, n),
-    ));
-    let next_packet = AtomicUsize::new(0);
-    let next_commit = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..num_threads.max(1) {
-            scope.spawn(|| {
-                loop {
-                    let packet_idx = next_packet.fetch_add(1, Ordering::Relaxed);
-                    if packet_idx >= num_packets {
-                        break;
-                    }
-                    let packet = packets[packet_idx];
-                    // Compress the packet into a thread-local section.
-                    let mut encoder =
-                        SectionEncoder::new(packet.begin, csr.is_edge_weighted(), config);
-                    for u in packet.begin..packet.end {
-                        let mut nbrs = csr.neighbors_vec(u);
-                        nbrs.sort_unstable_by_key(|&(v, _)| v);
-                        encoder.push_neighborhood(u, &nbrs, csr.node_weight(u));
-                    }
-                    let section = encoder.section;
-                    // Wait until all preceding packets have committed, then append.
-                    while next_commit.load(Ordering::Acquire) != packet_idx {
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
-                    {
-                        let (data, totals) = &mut *output.lock();
-                        data.extend_from_slice(&section.bytes);
-                        totals.absorb(&section);
-                    }
-                    next_commit.store(packet_idx + 1, Ordering::Release);
-                }
-            });
-        }
-    });
-
-    let (data, totals) = output.into_inner();
-    totals.into_graph(
-        data.into_vec(),
+    let writer = GraphWriter::new(
+        csr.n(),
+        compressed_size_upper_bound(csr),
         csr.is_edge_weighted(),
         csr.is_node_weighted(),
-        config.clone(),
-    )
+        config,
+    );
+    let writer = commit_in_packet_order(
+        writer,
+        &make_packets(csr, target),
+        num_threads,
+        Vec::new,
+        |packet, nbrs, encoder| {
+            for u in packet.begin..packet.end {
+                nbrs.clear();
+                csr.for_each_neighbor(u, &mut |v, w| nbrs.push((v, w)));
+                nbrs.sort_unstable_by_key(|&(v, _)| v);
+                encoder.push_neighborhood(u, nbrs, csr.node_weight(u));
+            }
+        },
+    );
+    writer.finish().0
+}
+
+/// The committing end of [`commit_in_packet_order`], behind its lock.
+struct Committer {
+    writer: GraphWriter,
+    /// The packet to commit next.
+    next: usize,
+    /// Encoded packets that finished before their turn, with their indices.
+    parked: Vec<(usize, SectionEncoder)>,
+    /// Encoders of committed parked packets, for the next worker that parks one.
+    spare: Vec<SectionEncoder>,
+    /// A worker panicked: the others stop.
+    aborted: bool,
+}
+
+impl Committer {
+    /// Commits `encoder`, packet `next`, then every parked packet whose turn follows.
+    fn commit(&mut self, encoder: &SectionEncoder) {
+        self.writer.commit(encoder);
+        self.next += 1;
+        while let Some(i) = self
+            .parked
+            .iter()
+            .position(|&(index, _)| index == self.next)
+        {
+            let (_, parked) = self.parked.swap_remove(i);
+            self.writer.commit(&parked);
+            self.next += 1;
+            self.spare.push(parked);
+        }
+    }
+}
+
+/// Marks the run aborted when its worker unwinds.
+struct AbortOnPanic<'a>(&'a Mutex<Committer>);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+        }
+    }
+}
+
+/// The ordered packet commit (paper §III-B): `threads` workers claim `packets` one at a
+/// time, each encodes its packet with `encode` into an encoder of its own (restarted at
+/// the packet's first vertex; `state` is the worker's, built once by `worker_state`), and
+/// the packets are committed to `writer` in packet order. A packet finished before its
+/// turn is parked, and its worker goes on with the next one, while fewer than `2 ·
+/// threads` are parked; whoever commits a packet commits the parked ones that follow it.
+/// The packets must cover the vertices in order; the committed bytes are those of one
+/// sequential pass, whatever the number of threads. At one thread the caller runs
+/// everything; a panicking worker makes the others stop and the panic propagates.
+pub fn commit_in_packet_order<S>(
+    writer: GraphWriter,
+    packets: &[Packet],
+    threads: usize,
+    worker_state: impl Fn() -> S + Sync,
+    encode: impl Fn(Packet, &mut S, &mut SectionEncoder) + Sync,
+) -> GraphWriter {
+    let parked_limit = 2 * threads.max(1);
+    let committer = Mutex::new(Committer {
+        writer,
+        next: 0,
+        parked: Vec::new(),
+        spare: Vec::new(),
+        aborted: false,
+    });
+    let next_packet = AtomicUsize::new(0);
+    let work = || {
+        let _abort = AbortOnPanic(&committer);
+        let mut state = worker_state();
+        let mut encoder = committer.lock().writer.encoder();
+        loop {
+            let index = next_packet.fetch_add(1, Ordering::Relaxed);
+            let Some(&packet) = packets.get(index) else {
+                return;
+            };
+            encoder.restart(packet.begin as usize);
+            encode(packet, &mut state, &mut encoder);
+            loop {
+                let mut committer = committer.lock();
+                if committer.aborted {
+                    return;
+                }
+                if committer.next == index {
+                    committer.commit(&encoder);
+                    break;
+                }
+                if committer.parked.len() < parked_limit {
+                    let spare = match committer.spare.pop() {
+                        Some(spare) => spare,
+                        None => committer.writer.encoder(),
+                    };
+                    committer
+                        .parked
+                        .push((index, std::mem::replace(&mut encoder, spare)));
+                    break;
+                }
+                drop(committer);
+                std::thread::yield_now();
+            }
+        }
+    };
+    if threads <= 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            work();
+            // Joined here, a worker's panic propagates with its own payload.
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+    }
+    let committer = committer.into_inner();
+    debug_assert!(committer.parked.is_empty());
+    committer.writer
 }
 
 #[cfg(test)]
@@ -181,6 +271,35 @@ mod tests {
             );
             assert_equal_compression(&g, &CompressionConfig::default(), 4);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "packet 5 fails")]
+    fn a_panicking_worker_stops_the_others_and_the_panic_propagates() {
+        let g = gen::grid2d(40, 40);
+        let writer = GraphWriter::new(
+            g.n(),
+            compressed_size_upper_bound(&g),
+            false,
+            false,
+            &CompressionConfig::default(),
+        );
+        let packets = make_packets(&g, 16);
+        assert!(packets.len() > 20);
+        commit_in_packet_order(
+            writer,
+            &packets,
+            3,
+            || (),
+            |packet, _, encoder| {
+                if packet == packets[5] {
+                    panic!("packet 5 fails");
+                }
+                for u in packet.begin..packet.end {
+                    encoder.push_neighborhood(u, &g.neighbors_vec(u), 1);
+                }
+            },
+        );
     }
 
     #[test]

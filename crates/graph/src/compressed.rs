@@ -32,6 +32,7 @@ use crate::store::mmap::MappedFile;
 use crate::traits::Graph;
 use crate::varint::{decode_signed_varint, decode_varint, encode_signed_varint, encode_varint};
 use crate::{EdgeWeight, NodeId, NodeWeight};
+use memtrack::{MemoryScope, ReservedVec};
 
 /// Fewest consecutive ids stored as an interval (the paper's 3).
 pub const MIN_INTERVAL_LEN: usize = 3;
@@ -326,7 +327,7 @@ impl SectionEncoder {
     }
 
     /// Empties the encoder for a run starting at `first_vertex`, keeping its buffers.
-    pub(crate) fn restart(&mut self, first_vertex: usize) {
+    pub fn restart(&mut self, first_vertex: usize) {
         let old = std::mem::take(&mut self.section);
         let (mut bytes, mut lengths, mut node_weights) = (old.bytes, old.lengths, old.node_weights);
         bytes.clear();
@@ -347,6 +348,110 @@ impl SectionEncoder {
         let data = std::mem::take(&mut self.section.bytes);
         self.section
             .into_graph(data, self.edge_weighted, node_weighted, self.config)
+    }
+}
+
+/// Commits the sections of [`SectionEncoder`]s, in vertex order, into one
+/// [`CompressedGraph`] that is charged to the memory accounting while it is written: the
+/// committer of the ordered packet commit
+/// ([`commit_in_packet_order`](crate::builder::commit_in_packet_order)).
+///
+/// The neighbourhood bytes go into a [`ReservedVec`] of the caller's upper bound, which
+/// charges the pages the bytes reach as they are written; the offset index (one VarInt
+/// length a vertex until [`Self::finish`]) and the node weights are charged at their
+/// capacity. [`Self::finish`] hands the graph on with one charge of exactly its
+/// [`CompressedGraph::size_in_bytes`].
+pub struct GraphWriter {
+    data: ReservedVec<u8>,
+    totals: EncodedSection,
+    edge_weighted: bool,
+    node_weighted: bool,
+    config: CompressionConfig,
+    /// The lengths' and node weights' capacity.
+    charge: MemoryScope<'static>,
+}
+
+impl GraphWriter {
+    /// A writer of an `n`-vertex graph whose encoded neighbourhoods take at most
+    /// `reserved_bytes` (a commit past them panics). `node_weighted` reserves a weight
+    /// for every vertex and keeps the array even when every weight is 1; sections must
+    /// be encoded with `edge_weighted` and `config` ([`Self::encoder`]).
+    pub fn new(
+        n: usize,
+        reserved_bytes: usize,
+        edge_weighted: bool,
+        node_weighted: bool,
+        config: &CompressionConfig,
+    ) -> Self {
+        let mut totals = EncodedSection::with_capacity(0, n);
+        if node_weighted {
+            totals.node_weights.reserve_exact(n);
+        }
+        let mut writer = Self {
+            data: ReservedVec::with_reservation(reserved_bytes),
+            totals,
+            edge_weighted,
+            node_weighted,
+            config: config.clone(),
+            charge: MemoryScope::charge_global(0),
+        };
+        writer.recharge();
+        writer
+    }
+
+    /// An encoder of sections this writer commits, starting at vertex 0.
+    pub fn encoder(&self) -> SectionEncoder {
+        SectionEncoder::new(0, self.edge_weighted, &self.config)
+    }
+
+    /// Appends the section `encoder` holds, which must start right behind the last one
+    /// committed.
+    pub fn commit(&mut self, encoder: &SectionEncoder) {
+        let section = &encoder.section;
+        assert_eq!(
+            section.first_vertex, self.totals.vertices,
+            "sections must be committed in vertex order"
+        );
+        debug_assert_eq!(encoder.edge_weighted, self.edge_weighted);
+        self.data.extend_from_slice(&section.bytes);
+        self.totals.absorb(section);
+        self.recharge();
+    }
+
+    /// Fits the charge to the lengths' and node weights' capacity.
+    fn recharge(&mut self) {
+        let bytes = self.totals.lengths.capacity()
+            + self.totals.node_weights.capacity() * std::mem::size_of::<NodeWeight>();
+        match bytes.checked_sub(self.charge.bytes()) {
+            Some(more) => self.charge.grow(more),
+            None => self.charge.shrink(self.charge.bytes() - bytes),
+        }
+    }
+
+    /// The graph committed so far (it must cover every vertex), with its charge. The
+    /// offset index is built from the lengths while both are charged, so the handover
+    /// never under-counts.
+    pub fn finish(self) -> (CompressedGraph, MemoryScope<'static>) {
+        let Self {
+            data,
+            totals,
+            edge_weighted,
+            node_weighted,
+            config,
+            mut charge,
+        } = self;
+        let (data, data_charge) = data.into_charged_vec();
+        charge.merge(data_charge);
+        charge.grow((totals.vertices + 1) * crate::packed::width_for(totals.data_len));
+        let graph = totals.into_graph(data, edge_weighted, node_weighted, config);
+        let held = charge.bytes();
+        let size = graph.size_in_bytes();
+        if held > size {
+            charge.shrink(held - size);
+        } else {
+            charge.grow(size - held);
+        }
+        (graph, charge)
     }
 }
 
@@ -547,18 +652,6 @@ impl CompressedGraph {
             encoder.push_neighborhood(u, &nbrs, csr.node_weight(u));
         }
         encoder.into_graph(csr.is_node_weighted())
-    }
-
-    /// [`Self::from_csr`] for a CSR graph about to be dropped: its node weights move
-    /// into the compressed graph instead of being copied, so the two never hold them
-    /// twice. `csr` is left with every vertex weighing 1.
-    pub fn from_csr_taking_node_weights(csr: &mut CsrGraph, config: &CompressionConfig) -> Self {
-        let total_node_weight = csr.total_node_weight();
-        let node_weights = csr.take_node_weights();
-        let mut graph = Self::from_csr(csr, config);
-        graph.node_weights = node_weights;
-        graph.total_node_weight = total_node_weight;
-        graph
     }
 
     /// Assembles a compressed graph from pre-encoded parts.
@@ -792,25 +885,40 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn taking_the_node_weights_compresses_like_copying_them() {
+    fn a_writer_commits_sections_into_the_graph_from_csr_encodes() {
         let weighted = gen::with_random_node_weights(
             &gen::with_random_edge_weights(&gen::rhg_like(500, 8, 3.0, 42), 30, 8),
             6,
             9,
         );
         for csr in [weighted, gen::grid2d(12, 12)] {
-            let copied = CompressedGraph::from_csr(&csr, &CompressionConfig::default());
-            let mut taken_from = csr.clone();
-            let taken = CompressedGraph::from_csr_taking_node_weights(
-                &mut taken_from,
-                &CompressionConfig::default(),
-            );
-            assert_same_graph(&csr, &taken);
-            assert_eq!(taken.data.as_slice(), copied.data.as_slice());
-            assert_eq!(taken.size_in_bytes(), copied.size_in_bytes());
-            assert_eq!(taken.is_node_weighted(), csr.is_node_weighted());
-            assert!(!taken_from.is_node_weighted());
-            assert_eq!(taken_from.total_node_weight(), csr.n() as NodeWeight);
+            let config = CompressionConfig::gap_only();
+            let reference = CompressedGraph::from_csr(&csr, &config);
+            let bound = crate::builder::compressed_size_upper_bound(&csr);
+            for split in [0, 1, 77, csr.n()] {
+                let mut writer = GraphWriter::new(
+                    csr.n(),
+                    bound,
+                    csr.is_edge_weighted(),
+                    csr.is_node_weighted(),
+                    &config,
+                );
+                let mut encoder = writer.encoder();
+                for range in [0..split, split..csr.n()] {
+                    encoder.restart(range.start);
+                    for u in range {
+                        let nbrs = csr.neighbors_vec(u as NodeId);
+                        encoder.push_neighborhood(u as NodeId, &nbrs, csr.node_weight(u as NodeId));
+                    }
+                    writer.commit(&encoder);
+                }
+                let (written, charge) = writer.finish();
+                assert_same_graph(&csr, &written);
+                assert_eq!(written.data.as_slice(), reference.data.as_slice());
+                assert_eq!(written.is_node_weighted(), csr.is_node_weighted());
+                assert_eq!(charge.bytes(), written.size_in_bytes());
+                assert_eq!(written.size_in_bytes(), reference.size_in_bytes());
+            }
         }
     }
 

@@ -242,8 +242,14 @@ struct FileSink {
 }
 
 impl FileSink {
-    /// Buffers `bytes` for appending; flushes to the backend past the threshold.
+    /// Buffers `bytes` for appending; flushes to the backend past the threshold. A slice
+    /// of at least the threshold (the offset index) goes to the backend as it is, behind
+    /// what the buffer held, instead of being copied into the buffer.
     fn write(&mut self, bytes: &[u8]) -> Result<(), IoError> {
+        if bytes.len() >= WRITER_FLUSH_LEN {
+            self.flush()?;
+            return Ok(self.out.append(bytes)?);
+        }
         self.buf.extend_from_slice(bytes);
         if self.buf.len() >= WRITER_FLUSH_LEN {
             self.flush()?;

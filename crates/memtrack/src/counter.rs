@@ -124,6 +124,21 @@ impl<'a> MemoryScope<'a> {
         Self { counter, bytes }
     }
 
+    /// A scope for `bytes` already charged to `counter`, released when it drops.
+    pub(crate) fn adopt(counter: &'a MemoryCounter, bytes: usize) -> Self {
+        Self { counter, bytes }
+    }
+
+    /// Takes over the charge of `other`, a scope on the same counter, without touching
+    /// the counter.
+    pub fn merge(&mut self, mut other: MemoryScope<'a>) {
+        assert!(
+            std::ptr::eq(self.counter, other.counter),
+            "merged scopes charge different counters"
+        );
+        self.bytes += std::mem::take(&mut other.bytes);
+    }
+
     /// Charges `bytes` to the process-global counter.
     pub fn charge_global(bytes: usize) -> MemoryScope<'static> {
         MemoryScope::charge(global(), bytes)
@@ -216,6 +231,16 @@ mod tests {
         }
         assert_eq!(c.current(), 0);
         assert_eq!(c.peak(), 1500);
+    }
+
+    #[test]
+    fn a_merged_scope_moves_its_charge_without_touching_the_counter() {
+        let c = MemoryCounter::new();
+        let mut scope = MemoryScope::charge(&c, 100);
+        scope.merge(MemoryScope::charge(&c, 30));
+        assert_eq!((scope.bytes(), c.current()), (130, 130));
+        drop(scope);
+        assert_eq!((c.current(), c.peak()), (0, 130));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! for *committed* bytes, in page-sized granules, exactly as the OS would back pages on
 //! first touch.
 
-use crate::counter::{global, MemoryCounter};
+use crate::counter::{global, MemoryCounter, MemoryScope};
 
 /// Size of one accounting granule ("page") in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -109,6 +109,18 @@ impl<T> ReservedVec<T> {
         data
     }
 
+    /// [`Self::into_vec`] for data that stays charged: the committed pages' charge moves
+    /// into the returned scope, cut down to the bytes the elements take, so the counter
+    /// never drops between the reservation and the plain `Vec` that outlives it.
+    pub fn into_charged_vec(mut self) -> (Vec<T>, MemoryScope<'static>) {
+        let mut data = std::mem::take(&mut self.data);
+        data.shrink_to_fit();
+        let mut charge =
+            MemoryScope::adopt(self.counter, std::mem::take(&mut self.committed_bytes));
+        charge.shrink(charge.bytes() - std::mem::size_of_val(data.as_slice()));
+        (data, charge)
+    }
+
     fn recommit(&mut self) {
         let used = self.data.len() * std::mem::size_of::<T>();
         let committed = used.div_ceil(PAGE_SIZE) * PAGE_SIZE;
@@ -191,6 +203,21 @@ mod tests {
         let plain = v.into_vec();
         assert_eq!(plain, vec![5, 6, 7]);
         assert!(plain.capacity() < 1_000_000);
+    }
+
+    #[test]
+    fn into_charged_vec_keeps_exactly_the_element_bytes_charged() {
+        let _global = crate::lock_global();
+        let before = global().current();
+        let mut v: ReservedVec<u32> = ReservedVec::with_reservation(100_000);
+        v.extend_from_slice(&[1; 1_500]);
+        assert_eq!(global().current(), before + 2 * PAGE_SIZE);
+        let (plain, charge) = v.into_charged_vec();
+        assert_eq!(plain.len(), 1_500);
+        assert_eq!(charge.bytes(), 6_000);
+        assert_eq!(global().current(), before + 6_000);
+        drop(charge);
+        assert_eq!(global().current(), before);
     }
 
     #[test]

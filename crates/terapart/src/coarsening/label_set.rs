@@ -12,7 +12,7 @@ use graph::NodeId;
 use memtrack::MemoryScope;
 use rayon::prelude::*;
 
-use crate::scratch::{AtomicBitset, SharedSlice};
+use crate::scratch::AtomicBitset;
 use crate::ClusterId;
 
 /// Labels per task of the parallel passes.
@@ -104,9 +104,10 @@ impl LabelSet {
     }
 
     /// The populated labels in increasing order: entry `r` is the label of rank `r`.
+    #[cfg(test)]
     pub(crate) fn labels(&self) -> Vec<ClusterId> {
         let mut labels: Vec<ClusterId> = vec![0; self.len];
-        let out = SharedSlice::new(&mut labels);
+        let out = crate::scratch::SharedSlice::new(&mut labels);
         self.prefix
             .par_chunks(WORDS_PER_TASK)
             .enumerate()

@@ -8,7 +8,9 @@
 //! ([`MIN_CONTRACTIBLE_SHARE`]) or it stops shrinking ([`MIN_SHRINK_FACTOR`]). The
 //! resulting [`Hierarchy`] records every coarse graph together with the fine-to-coarse vertex mapping needed to
 //! project partitions back up during uncoarsening, which pops each level once it has
-//! projected past it.
+//! projected past it. Contraction writes every coarse graph compressed ([`CoarseGraph`]),
+//! so every level, the coarsest included, is clustered, partitioned, projected onto and
+//! refined in the form it was born in.
 
 pub mod contract;
 mod label_set;
@@ -16,165 +18,91 @@ pub mod lp_clustering;
 pub mod rating_map;
 pub mod two_hop;
 
-pub use contract::{contract, contract_with_scratch, reserved_weight_width, ContractionResult};
+pub use contract::{contract, contract_with_scratch, reserved_bytes, ContractionResult};
 pub use lp_clustering::{cluster, cluster_with_scratch, Clustering};
 pub use two_hop::{pack_isolated_vertices, two_hop_clustering};
 
+use std::sync::OnceLock;
+
 use graph::csr::CsrGraph;
 use graph::traits::Graph;
-use graph::{CompressedGraph, CompressionConfig, EdgeWeight, NodeId, NodeWeight};
+use graph::{CompressedGraph, EdgeWeight, NodeId, NodeWeight};
 use memtrack::{MemoryScope, PhaseTracker};
 
 use obs::{Counter, SpanKind};
 
-use crate::context::{ContractionAlgorithm, PartitionerConfig};
-use crate::partitioner::{obs_phase, obs_phase_with, RunContext};
+use crate::context::PartitionerConfig;
+use crate::partitioner::{obs_phase_with, RunContext};
 use crate::scratch::HierarchyScratch;
 
-/// The graph of one hierarchy level, in one of two representations behind one
-/// [`Graph`] type: the CSR contraction built while it is the newest level, which its
-/// label propagation clustering reads, and from the moment coarsening decides to contract
-/// it on the same graph re-encoded compressed (the `compress_level` phase), which
-/// contraction, projection and the level's refinement read. Every level but the coarsest
-/// is therefore held compressed. The graph's memory charge follows its representation
-/// and is released when it drops.
+/// The graph of one hierarchy level: the compressed graph contraction wrote, charged to
+/// the memory accounting from the moment its bytes were written until it drops.
+/// Clustering, contraction, initial partitioning, projection and refinement all read it
+/// as it is.
 #[derive(Debug)]
 pub struct CoarseGraph {
-    repr: Repr,
+    graph: CompressedGraph,
     charge: MemoryScope<'static>,
 }
 
-#[derive(Debug)]
-enum Repr {
-    Csr(CsrGraph),
-    Compressed(CompressedGraph),
-}
-
 impl CoarseGraph {
-    /// `csr` as contraction built it, charged until it drops or is compressed.
-    pub(crate) fn charged(csr: CsrGraph) -> Self {
-        Self {
-            charge: MemoryScope::charge_global(csr.size_in_bytes()),
-            repr: Repr::Csr(csr),
-        }
+    /// A graph and the charge of its bytes, as [`graph::compressed::GraphWriter::finish`]
+    /// returns them.
+    pub(crate) fn new((graph, charge): (CompressedGraph, MemoryScope<'static>)) -> Self {
+        Self { graph, charge }
     }
 
-    /// The CSR graph, or `None` once the level is held compressed.
-    pub fn as_csr(&self) -> Option<&CsrGraph> {
-        match &self.repr {
-            Repr::Csr(csr) => Some(csr),
-            Repr::Compressed(_) => None,
-        }
+    /// Bytes the level holds and is charged for: its
+    /// [`CompressedGraph::size_in_bytes`].
+    pub fn size_in_bytes(&self) -> usize {
+        self.charge.bytes()
     }
 
-    /// Re-encodes a CSR level compressed (gap encoding only), as the `compress_level`
-    /// phase of `level`. The node weights move from the CSR into the compressed graph;
-    /// its other bytes are charged while the CSR still is, so the phase's peak counts
-    /// both graphs, then the CSR and its charge are freed. The phase's span carries
-    /// `csr_bytes` and `compressed_bytes`. A level already compressed is left as it is.
-    pub(crate) fn compress(&mut self, level: usize, run: &RunContext) {
-        let Repr::Csr(csr) = &mut self.repr else {
-            return;
-        };
-        let csr_bytes = csr.size_in_bytes();
-        let node_weight_bytes = std::mem::size_of_val(csr.raw_node_weights());
-        let (compressed, charge) = obs_phase_with(
-            &run.scratch.obs,
-            run.tracker,
-            "compress_level",
-            level,
-            || {
-                // A coarse level's ids are cluster ranks: runs of consecutive ids are rare,
-                // and interval encoding tripled the re-encode time of `weblike(14, 8)`'s
-                // level 1 to save 2.4 % of its bytes.
-                let config = CompressionConfig::gap_only();
-                let compressed = CompressedGraph::from_csr_taking_node_weights(csr, &config);
-                let charge =
-                    MemoryScope::charge_global(compressed.size_in_bytes() - node_weight_bytes);
-                (compressed, charge)
-            },
-            |(compressed, _), span| {
-                span.attr("csr_bytes", csr_bytes as u64);
-                span.attr("compressed_bytes", compressed.size_in_bytes() as u64);
-            },
-        );
-        // The CSR and its charge go; the node weights are charged with the graph that
-        // now holds them.
-        self.repr = Repr::Compressed(compressed);
-        self.charge = charge;
-        self.charge.grow(node_weight_bytes);
+    /// The compressed graph.
+    pub fn compressed(&self) -> &CompressedGraph {
+        &self.graph
     }
 }
 
 impl Graph for CoarseGraph {
     fn n(&self) -> usize {
-        match &self.repr {
-            Repr::Csr(g) => g.n(),
-            Repr::Compressed(g) => g.n(),
-        }
+        self.graph.n()
     }
 
     fn m(&self) -> usize {
-        match &self.repr {
-            Repr::Csr(g) => g.m(),
-            Repr::Compressed(g) => g.m(),
-        }
+        self.graph.m()
     }
 
     fn degree(&self, u: NodeId) -> usize {
-        match &self.repr {
-            Repr::Csr(g) => g.degree(u),
-            Repr::Compressed(g) => g.degree(u),
-        }
+        self.graph.degree(u)
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
-        match &self.repr {
-            Repr::Csr(g) => g.node_weight(u),
-            Repr::Compressed(g) => g.node_weight(u),
-        }
+        self.graph.node_weight(u)
     }
 
     fn total_node_weight(&self) -> NodeWeight {
-        match &self.repr {
-            Repr::Csr(g) => g.total_node_weight(),
-            Repr::Compressed(g) => g.total_node_weight(),
-        }
+        self.graph.total_node_weight()
     }
 
     fn total_edge_weight(&self) -> EdgeWeight {
-        match &self.repr {
-            Repr::Csr(g) => g.total_edge_weight(),
-            Repr::Compressed(g) => g.total_edge_weight(),
-        }
+        self.graph.total_edge_weight()
     }
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
-        match &self.repr {
-            Repr::Csr(g) => g.for_each_neighbor(u, f),
-            Repr::Compressed(g) => g.for_each_neighbor(u, f),
-        }
+        self.graph.for_each_neighbor(u, f)
     }
 
     fn is_edge_weighted(&self) -> bool {
-        match &self.repr {
-            Repr::Csr(g) => g.is_edge_weighted(),
-            Repr::Compressed(g) => g.is_edge_weighted(),
-        }
+        self.graph.is_edge_weighted()
     }
 
     fn is_node_weighted(&self) -> bool {
-        match &self.repr {
-            Repr::Csr(g) => g.is_node_weighted(),
-            Repr::Compressed(g) => g.is_node_weighted(),
-        }
+        self.graph.is_node_weighted()
     }
 
     fn max_degree(&self) -> usize {
-        match &self.repr {
-            Repr::Csr(g) => g.max_degree(),
-            Repr::Compressed(g) => g.max_degree(),
-        }
+        self.graph.max_degree()
     }
 }
 
@@ -186,16 +114,41 @@ pub struct Level {
     /// Maps each vertex of the *finer* graph (the input graph for the first level) to
     /// its coarse vertex in [`Level::coarse`].
     pub mapping: Vec<NodeId>,
+    /// [`Level::coarse`] decoded into a CSR graph, charged, once
+    /// [`Hierarchy::coarsest`] has asked for it.
+    decoded: OnceLock<(CsrGraph, MemoryScope<'static>)>,
 }
 
-impl Level {
-    /// The level `result` contracted, its coarse graph charged until the level drops.
-    pub(crate) fn charged(result: ContractionResult) -> Self {
+impl From<ContractionResult> for Level {
+    fn from(result: ContractionResult) -> Self {
         Self {
-            coarse: CoarseGraph::charged(result.coarse),
+            coarse: result.coarse,
             mapping: result.mapping,
+            decoded: OnceLock::new(),
         }
     }
+}
+
+/// `graph` decoded into a CSR graph in its own neighbour order, so anything that reads
+/// one reads the other alike.
+pub(crate) fn decode_csr(graph: &impl Graph) -> CsrGraph {
+    let n = graph.n();
+    let mut xadj = Vec::with_capacity(n + 1);
+    let mut adjacency = Vec::with_capacity(2 * graph.m());
+    let mut weights = Vec::with_capacity(2 * graph.m());
+    xadj.push(0);
+    for u in 0..n as NodeId {
+        graph.for_each_neighbor(u, &mut |v, w| {
+            adjacency.push(v);
+            weights.push(w);
+        });
+        xadj.push(adjacency.len() as graph::EdgeId);
+    }
+    let node_weights = match graph.is_node_weighted() {
+        true => (0..n as NodeId).map(|u| graph.node_weight(u)).collect(),
+        false => Vec::new(),
+    };
+    CsrGraph::from_parts(xadj, adjacency, weights, node_weights)
 }
 
 /// The full coarsening hierarchy, from the first coarse graph down to the coarsest one.
@@ -206,22 +159,26 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Returns the coarsest graph, or `None` if no coarsening step was performed. The
-    /// coarsest level is never contracted, so it is CSR; once uncoarsening has popped
-    /// it, the last level held is compressed and this panics — walk the levels with
-    /// [`Hierarchy::deepest`].
+    /// The coarsest graph as a CSR graph, or `None` if no coarsening step was performed:
+    /// the deepest level held, decoded on the first call into a copy that is cached (and
+    /// charged) with the level. For callers that need a [`CsrGraph`]; the pipeline reads
+    /// every level compressed, through [`Hierarchy::deepest`].
     pub fn coarsest(&self) -> Option<&CsrGraph> {
-        self.levels.last().map(|l| {
-            l.coarse
-                .as_csr()
-                .expect("the last level held is compressed: the coarsest one was popped")
+        self.levels.last().map(|level| {
+            &level
+                .decoded
+                .get_or_init(|| {
+                    let csr = decode_csr(&level.coarse);
+                    let charge = MemoryScope::charge_global(csr.size_in_bytes());
+                    (csr, charge)
+                })
+                .0
         })
     }
 
-    /// The graph of the deepest level the hierarchy still holds, in whichever
-    /// representation it is held: the coarsest graph before uncoarsening pops a level,
-    /// then every finer one in turn. `None` once every level is popped (or none was
-    /// built): the walk has reached the input.
+    /// The graph of the deepest level the hierarchy still holds: the coarsest graph
+    /// before uncoarsening pops a level, then every finer one in turn. `None` once every
+    /// level is popped (or none was built): the walk has reached the input.
     pub fn deepest(&self) -> Option<&CoarseGraph> {
         self.levels.last().map(|l| &l.coarse)
     }
@@ -279,52 +236,15 @@ pub fn coarsen(
     .coarsen(graph)
 }
 
-/// The graph a coarsening step clusters and contracts: the input, read in place, or the
-/// deepest level of the hierarchy, which [`Finer::hold`] re-encodes compressed once it
-/// is certain to be contracted.
-pub(crate) trait Finer {
-    /// The graph's representation.
-    type Graph: Graph;
-
-    /// The graph as it is held now.
-    fn graph(&self) -> &Self::Graph;
-
-    /// Called once the graph of `level` is certain to be contracted, before contraction.
-    fn hold(&mut self, _level: usize, _run: &RunContext) {}
-}
-
-impl<G: Graph> Finer for &G {
-    type Graph = G;
-
-    fn graph(&self) -> &G {
-        self
-    }
-}
-
-impl Finer for &mut CoarseGraph {
-    type Graph = CoarseGraph;
-
-    fn graph(&self) -> &CoarseGraph {
-        self
-    }
-
-    fn hold(&mut self, level: usize, run: &RunContext) {
-        self.compress(level, run);
-    }
-}
-
-/// Clusters and contracts one level of `finer`'s graph, the graph of `level`; `None`
-/// once it is small enough, too few of its half-edges are contractible or its
-/// clustering no longer shrinks it. Clustering reads the graph as it is held; once the
-/// level is certain to be contracted, [`Finer::hold`] gets it (a hierarchy level is
-/// re-encoded compressed there, [`CoarseGraph::compress`]), and contraction reads it as
-/// it is held then.
+/// Clusters and contracts `graph`, the graph of `level` (the input, or the deepest level
+/// of the hierarchy); `None` once it is small enough, too few of its half-edges are
+/// contractible or its clustering no longer shrinks it. The `contract` span carries the
+/// bytes the coarse graph was reserved (`reserved_bytes`) and holds (`coarse_bytes`).
 pub(crate) fn coarsen_level(
-    mut finer: impl Finer,
+    graph: &impl Graph,
     level: usize,
     run: &mut RunContext,
 ) -> Option<ContractionResult> {
-    let graph = finer.graph();
     let (config, tracker) = (run.config, run.tracker);
     let coarsening = &config.coarsening;
     let n = graph.n();
@@ -372,28 +292,28 @@ pub(crate) fn coarsen_level(
     };
     let (clustering, _) = obs_phase_with(&obs, tracker, "cluster", level, cluster, annotate);
     let clustering = clustering.filter(shrinks)?;
-    let fine_m = graph.m();
-    finer.hold(level, run);
-    let result = obs_phase(&obs, tracker, "contract", level, || {
-        contract::contract_with_scratch(
-            finer.graph(),
-            &clustering,
-            coarsening.contraction,
-            coarsening.bump_threshold,
-            run.scratch,
-        )
-    });
+    let reserved = reserved_bytes(graph, clustering.num_clusters);
+    let result = obs_phase_with(
+        &obs,
+        tracker,
+        "contract",
+        level,
+        || {
+            contract::contract_with_scratch(
+                graph,
+                &clustering,
+                coarsening.contraction,
+                coarsening.bump_threshold,
+                run.scratch,
+            )
+        },
+        |result, span| {
+            span.attr("reserved_bytes", reserved as u64);
+            span.attr("coarse_bytes", result.coarse.size_in_bytes() as u64);
+        },
+    );
     level_span.attr("coarse_nodes", result.coarse.n() as u64);
     level_span.attr("coarse_edges", result.coarse.m() as u64);
-    // Edge-array slots contraction reserved against those it wrote (and kept resident):
-    // one-pass reserves the upper bound 2m, buffered allocates what it has counted.
-    let committed = 2 * result.coarse.m() as u64;
-    let reserved = match coarsening.contraction {
-        ContractionAlgorithm::OnePass => 2 * fine_m as u64,
-        ContractionAlgorithm::Buffered => committed,
-    };
-    level_span.attr("reserved_half_edges", reserved);
-    level_span.attr("committed_half_edges", committed);
     drop(level_span);
     obs.add(Counter::CoarseningLevels, 1);
     Some(result)
@@ -499,6 +419,23 @@ mod tests {
         let (coarse_n, rounds) = run(9);
         assert!(coarse_n.is_some_and(|n| n < 64), "the level was contracted");
         assert!(rounds > 0);
+    }
+
+    #[test]
+    fn the_coarsest_csr_is_the_deepest_level_decoded_once() {
+        let g = gen::with_random_edge_weights(&gen::rhg_like(2000, 8, 3.0, 5), 9, 2);
+        let hierarchy = coarsen(&g, &PartitionerConfig::terapart(4), &PhaseTracker::new());
+        let deepest = hierarchy.deepest().expect("a coarsened graph");
+        let csr = hierarchy.coarsest().unwrap();
+        assert!(
+            std::ptr::eq(csr, hierarchy.coarsest().unwrap()),
+            "decoded twice"
+        );
+        assert_eq!((csr.n(), csr.m()), (deepest.n(), deepest.m()));
+        for u in 0..csr.n() as NodeId {
+            assert_eq!(csr.node_weight(u), deepest.node_weight(u));
+            assert_eq!(csr.neighbors_vec(u), deepest.neighbors_vec(u));
+        }
     }
 
     #[test]

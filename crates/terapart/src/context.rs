@@ -36,13 +36,13 @@ pub enum LabelPropagationMode {
 /// Which contraction algorithm builds the coarse graph (paper §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContractionAlgorithm {
-    /// Aggregate coarse edges into per-cluster buffers, then copy them into the CSR
-    /// arrays once all degrees are known (the original KaMinPar scheme; stores the
-    /// coarse graph twice at its peak).
+    /// Aggregate coarse edges into per-cluster buffers, then encode the buffers into the
+    /// coarse graph (the original KaMinPar scheme; stores the coarse graph twice at its
+    /// peak).
     Buffered,
-    /// One-pass contraction: append coarse neighbourhoods directly to the coarse graph's
-    /// edge arrays — reserved for `2m` entries, backed only where written — using the
-    /// atomic dual counter, then remap vertex IDs in place.
+    /// One-pass contraction: encode each coarse neighbourhood into the coarse graph's
+    /// bytes as soon as it is aggregated — reserved for an upper bound, backed and
+    /// charged only where written — committing packets in order.
     OnePass,
 }
 

@@ -320,12 +320,12 @@ mod tests {
         {
             // A worker's chunk grows a buffer, and the arena parks it with its lease.
             let lease = pool.checkout();
-            lease.workers.checkout().sort_keys.reserve(4096);
+            lease.workers.checkout().neighbor_ids(4096);
         }
         assert_eq!(pool.parked_arenas(), 1);
         assert_eq!(pool.high_water(), 1);
         let first_bytes = pool.parked_bytes();
-        assert!(first_bytes >= 4096 * 8);
+        assert!(first_bytes >= 4096 * std::mem::size_of::<graph::NodeId>());
         {
             let lease = pool.checkout();
             // The parked (already sized) arena came back.

@@ -9,9 +9,9 @@
 //!    replaces the per-thread `O(n)` rating maps with small fixed-capacity hash tables and
 //!    a single shared sparse array for "bumped" high-fanout vertices — `O(n + p·T_bump)`
 //!    auxiliary memory instead of `O(n·p)` (paper §IV-A).
-//! 2. **One-pass contraction** ([`mod@coarsening::contract`]), which writes the coarse graph's
-//!    CSR arrays directly using an atomically updated dual counter instead of buffering
-//!    the coarse edges twice (paper §IV-B).
+//! 2. **One-pass contraction** ([`mod@coarsening::contract`]), which encodes each coarse
+//!    neighbourhood straight into the coarse graph's compressed bytes, committed in
+//!    packet order, instead of buffering the coarse edges twice (paper §IV-B).
 //! 3. **Space-efficient gain tables** for parallel FM refinement
 //!    ([`refinement::gain_table`]), using `O(m)` instead of `O(nk)` memory (paper §V).
 //!
@@ -34,22 +34,15 @@
 //!   it; and initial partitioning's membership map and tree permutation, which every
 //!   node of the bisection tree reuses. The first coarsening level therefore sets the
 //!   peak. What outlives a phase is one [`HierarchyScratch`] per run: the pooled
-//!   per-worker hot-loop buffers. The coarse edge arrays are reserved for `2m` slots per level without being
-//!   filled; one-pass contraction writes the `2m′` it needs and hands exactly those to
-//!   the coarse graph.
-//! * **Edge weights at the width of the heaviest.** A coarse level's CSR stores its edge
-//!   weights packed ([`graph::packed::PackedArray`]): one-pass contraction reserves them
-//!   at the width of the fine graph's total edge weight
-//!   ([`coarsening::reserved_weight_width`]), writes exactly that many bytes per weight,
-//!   and narrows them in place to the width of the heaviest coarse edge. No 8-byte
-//!   weight array is built; on R-MAT, where the level-1 CSR sets the run peak, that
-//!   halves the peak.
-//! * **The hierarchy is held compressed.** A coarse level is CSR while it is the newest
-//!   level, for its clustering; once coarsening contracts it, it is re-encoded as a
-//!   [`CompressedGraph`](graph::CompressedGraph) in its own `compress_level` phase
-//!   ([`coarsening::CoarseGraph`]). Every held level but the coarsest is compressed, so
-//!   on R-MAT, where the hierarchy barely shrinks, the held levels cost about half their
-//!   CSR bytes.
+//!   per-worker hot-loop buffers.
+//! * **Coarse levels are born compressed.** Contraction numbers each coarse vertex by
+//!   the rank of its cluster's label, so it encodes every coarse neighbourhood gap-only
+//!   the moment it has aggregated it, into a byte reservation that charges only the
+//!   pages the bytes reach ([`coarsening::reserved_bytes`]). Every level, the coarsest
+//!   included, is a [`CompressedGraph`](graph::CompressedGraph) from its first byte on
+//!   ([`coarsening::CoarseGraph`]): no level is ever held as CSR, and each `contract`
+//!   phase's peak counts the level it writes. On R-MAT, where the hierarchy barely
+//!   shrinks, a level costs about half its CSR bytes.
 //! * **Frontier-driven label propagation.** After the full first round, clustering and
 //!   refinement revisit only vertices whose neighbourhood changed.
 //! * **Deterministic parallel initial partitioning.** The recursive-bisection portfolio
@@ -74,7 +67,6 @@
 
 pub mod coarsening;
 pub mod context;
-pub mod dual_counter;
 pub mod engine;
 pub mod error;
 pub(crate) mod heap;

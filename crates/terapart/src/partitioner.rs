@@ -172,22 +172,21 @@ pub struct RunContext<'a> {
 impl RunContext<'_> {
     /// Coarsens `graph` level by level: clustering and contraction are reported
     /// separately per level, and every level-sized buffer is freed when its phase
-    /// returns, so what stays behind is the hierarchy. A level is re-encoded compressed
-    /// (the `compress_level` phase) once coarsening contracts it, so only the coarsest
-    /// level is held as CSR.
+    /// returns, so what stays behind is the hierarchy. Contraction writes each level
+    /// compressed, so no level is ever held as CSR.
     pub fn coarsen(&mut self, graph: &impl Graph) -> Hierarchy {
         let mut hierarchy = Hierarchy::default();
         // Safety valve: the hierarchy can never be deeper than log2(n) levels on sane
         // inputs; stop after a generous bound to guarantee termination.
         for level in 0..=64usize {
-            let next = match hierarchy.levels.last_mut() {
+            let next = match hierarchy.deepest() {
                 None => coarsening::coarsen_level(graph, level, self),
-                Some(finer) => coarsening::coarsen_level(&mut finer.coarse, level, self),
+                Some(finer) => coarsening::coarsen_level(finer, level, self),
             };
             let Some(next) = next else {
                 break;
             };
-            hierarchy.levels.push(Level::charged(next));
+            hierarchy.levels.push(Level::from(next));
         }
         hierarchy
     }

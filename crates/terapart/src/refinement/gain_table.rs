@@ -12,11 +12,13 @@
 //! * [`GainTableKind::Dense`] — the standard table: a row of `k` affinities per boundary
 //!   vertex (`O(nk)` memory).
 //! * [`GainTableKind::Sparse`] — the space-efficient table: a vertex whose hash row
-//!   would need `k` or more slots (in particular every `deg(v) > k`) keeps the dense row;
-//!   every other vertex keeps a fixed-capacity linear-probing row of `deg(v) + 1` slots
-//!   rounded up to a power of two, each slot one word packing block id and affinity.
-//!   Entries whose value drops to zero are removed by backward-shift deletion, keeping
-//!   probe sequences intact (`O(m)` memory in total).
+//!   would need `k` or more slots keeps the dense row; every other vertex keeps a
+//!   linear-probing row, each slot one word packing block id and affinity, of a power of
+//!   two slots: room for the blocks it touches when the row is built and one empty slot,
+//!   never more than `deg(v) + 1` rounded up (it can hold no more than `deg(v)` blocks).
+//!   A move that would fill a row's last empty slot moves the row to one of twice the
+//!   slots first. Entries whose value drops to zero are removed by backward-shift
+//!   deletion, keeping probe sequences intact (`O(m)` memory in total).
 //!
 //! Both tables are one [`GainTable`] in the paper's flat layout (a per-vertex row handle
 //! and a slot arena carved into rows), and [`GainCache::best_move`] — the one query FM
@@ -37,14 +39,17 @@
 //! * a vertex without a row has no move: [`GainCache::best_move`] returns `None`, and
 //!   [`GainCache::affinity`] (tests and the debug check) answers by a scan.
 //!
-//! Rows are never freed, so the arena only grows; its capacity grows by an eighth at a
-//! time and the table's memory charge follows it. The table's size at the end of FM is
+//! Rows are never freed, so the arena only grows (a grown row leaves its old slots
+//! behind); its capacity grows by an eighth at a time and the table's memory charge
+//! follows it. The table's size at the end of FM is
 //! therefore its peak.
 //!
 //! # Slot width
 //!
-//! An affinity never exceeds the graph's total edge weight. When that bound fits beside
-//! a block id in 32 bits, every slot is 4 bytes wide, otherwise 8 — chosen once per
+//! An affinity never exceeds the graph's total edge weight, nor, on a graph without edge
+//! weights, its maximum degree. When that bound fits beside a block id in 16 bits, every
+//! slot is 2 bytes wide (an unweighted input level of modest degree), in 32 bits 4 bytes,
+//! otherwise 8 — chosen once per
 //! table, for dense and hash rows alike (`Slots`). A row's handle packs its arena offset
 //! above its length class (dense, or a hash row of `2^c` slots) in a [`PackedArray`]
 //! sized by the most slots the arena could ever hold, so a query decodes nothing but the
@@ -243,8 +248,8 @@ impl GainCache {
 #[derive(Debug)]
 pub struct GainTable {
     layout: RowLayout,
-    /// Hash rows of `deg + 1` slots (rounded up) where they are below `k`; dense rows
-    /// only otherwise.
+    /// Hash rows, sized by the blocks a vertex touches, where they are below `k`; dense
+    /// rows only otherwise.
     sparse: bool,
     /// Row handles, one per vertex: 0 for "no row", otherwise the row's arena offset
     /// shifted above `class_bits` bits of length class. Class `dense_class` is a dense row
@@ -265,10 +270,11 @@ pub struct GainTable {
     charge: MemoryScope<'static>,
 }
 
-/// The slot arena at the width chosen for the table: 4-byte slots while the total edge
-/// weight fits beside a block id in 32 bits, 8-byte ones otherwise.
+/// The slot arena at the width chosen for the table: the narrowest of 2, 4 and 8 bytes
+/// whose slot holds the table's affinity bound beside a block id.
 #[derive(Debug)]
 enum Slots {
+    Half(Vec<u16>),
     Narrow(Vec<u32>),
     Wide(Vec<u64>),
 }
@@ -278,6 +284,7 @@ enum Slots {
 macro_rules! with_slots {
     ($slots:expr, |$s:ident| $body:expr) => {
         match $slots {
+            Slots::Half($s) => $body,
             Slots::Narrow($s) => $body,
             Slots::Wide($s) => $body,
         }
@@ -288,6 +295,13 @@ macro_rules! with_slots {
 trait Slot: Copy + Into<u64> {
     /// The slot holding `word`, which fits its width.
     fn from_word(word: u64) -> Self;
+}
+
+impl Slot for u16 {
+    #[inline]
+    fn from_word(word: u64) -> Self {
+        word as u16
+    }
 }
 
 impl Slot for u32 {
@@ -358,6 +372,20 @@ impl RowLayout {
         let (slot, word) = self.probe(row, block);
         let affinity = self.fitting(self.unpack(word).1 + weight);
         row[slot] = W::from_word((block as u64) << self.value_bits | affinity);
+    }
+
+    /// [`Self::add`], unless `block` is absent from the hash `row` and taking it would
+    /// leave no empty slot to end a probe sequence: then the row is left as it is and
+    /// this returns `false`.
+    fn try_add<W: Slot>(self, row: &mut [W], block: BlockId, weight: EdgeWeight) -> bool {
+        if row.len() != self.k && self.probe(row, block).1 == 0 {
+            let occupied = row.iter().filter(|&&word| word.into() != 0).count();
+            if occupied + 2 > row.len() {
+                return false;
+            }
+        }
+        self.add(row, block, weight);
+        true
     }
 
     fn fitting(self, affinity: EdgeWeight) -> EdgeWeight {
@@ -434,18 +462,27 @@ impl GainTable {
     ) -> Self {
         let n = graph.n();
         let key_bits = (usize::BITS - k.saturating_sub(1).leading_zeros()).max(1);
-        let narrow = graph.total_edge_weight() >> (u32::BITS - key_bits) == 0;
-        let (slots, slot_bits) = if narrow {
+        let most_affinity = match graph.is_edge_weighted() {
+            true => graph.total_edge_weight(),
+            false => graph.max_degree() as EdgeWeight,
+        };
+        let fits =
+            |slot_bits: u32| slot_bits > key_bits && most_affinity >> (slot_bits - key_bits) == 0;
+        let (slots, slot_bits) = if fits(u16::BITS) {
+            (Slots::Half(Vec::new()), u16::BITS)
+        } else if fits(u32::BITS) {
             (Slots::Narrow(Vec::new()), u32::BITS)
         } else {
             (Slots::Wide(Vec::new()), u64::BITS)
         };
         let dense_class = k.next_power_of_two().trailing_zeros().max(1);
         let class_bits = u32::BITS - dense_class.leading_zeros();
-        // A vertex holds at most one row, of at most k slots; a hash row of a vertex of
-        // degree d ≥ 1 holds at most 2d. No row starts beyond that many slots.
+        // A vertex holds one row at a time. A dense table's is k slots; a sparse table's
+        // hash rows double from at least 2 slots up to at most 2d + 2 (degree d) or k,
+        // so the rows a vertex ever held sum to under 2k and under 4d + 4. No row starts
+        // beyond that many slots.
         let most_slots = if sparse {
-            (n * k).min(4 * graph.m())
+            (2 * n * k).min(8 * graph.m() + 4 * n)
         } else {
             n * k
         };
@@ -525,36 +562,71 @@ impl GainTable {
         let own = assignment[u as usize];
         let boundary = touched.iter().any(|&block| block != own);
         if boundary {
-            let k = self.layout.k;
+            // A hash row starts with room for the blocks `u` touches and one empty slot,
+            // and never needs more than `deg + 1` slots: it holds at most `deg` blocks.
             let len = if self.sparse {
-                (degree + 1).next_power_of_two().min(k)
+                (touched.len() + 1)
+                    .next_power_of_two()
+                    .min((degree + 1).next_power_of_two())
             } else {
-                k
+                self.k()
             };
-            let class = if len == k {
-                self.dense_class
-            } else {
-                len.trailing_zeros()
-            };
-            let layout = self.layout;
-            with_slots!(&mut self.slots, |slots| {
-                let start = slots.len();
-                if slots.capacity() - start < len {
-                    slots.reserve_exact(len.max(slots.capacity() / 8));
-                }
-                slots.resize(start + len, 0);
-                let handle = (start as u64) << self.class_bits | u64::from(class);
-                self.handles.set(u as usize, handle);
-                let row = &mut slots[start..];
-                for &block in touched.iter() {
-                    layout.add(row, block, sums[block as usize]);
-                }
-            });
+            self.fill_new_row(u, len);
         }
-        for block in touched.drain(..) {
-            sums[block as usize] = 0;
-        }
+        self.clear_sums();
         boundary
+    }
+
+    /// Appends a row of `len` slots (dense from `k` on) for `u` to the arena, filled with
+    /// the affinities `sums` holds for the `touched` blocks, and points `u`'s handle at it.
+    fn fill_new_row(&mut self, u: NodeId, len: usize) {
+        let k = self.k();
+        let (len, class) = if len >= k {
+            (k, self.dense_class)
+        } else {
+            (len, len.trailing_zeros())
+        };
+        let layout = self.layout;
+        let (sums, touched) = (&self.sums, &self.touched);
+        with_slots!(&mut self.slots, |slots| {
+            let start = slots.len();
+            if slots.capacity() - start < len {
+                slots.reserve_exact(len.max(slots.capacity() / 8));
+            }
+            slots.resize(start + len, 0);
+            let handle = (start as u64) << self.class_bits | u64::from(class);
+            self.handles.set(u as usize, handle);
+            let row = &mut slots[start..];
+            for &block in touched.iter() {
+                layout.add(row, block, sums[block as usize]);
+            }
+        });
+    }
+
+    /// Empties the counting buffers of one row fill.
+    fn clear_sums(&mut self) {
+        for block in self.touched.drain(..) {
+            self.sums[block as usize] = 0;
+        }
+    }
+
+    /// Moves `v`'s full hash row at `(start, len)` to a new one of twice the slots (dense
+    /// from `k` on) at the end of the arena. The old slots are abandoned, like every row
+    /// of the arena they are never reused.
+    fn grow_row(&mut self, v: NodeId, (start, len): (usize, usize)) {
+        let layout = self.layout;
+        let (sums, touched) = (&mut self.sums, &mut self.touched);
+        with_slots!(&self.slots, |slots| layout.scan(
+            &slots[start..start + len],
+            &mut |block, affinity| {
+                if affinity != 0 {
+                    sums[block as usize] = affinity;
+                    touched.push(block);
+                }
+            }
+        ));
+        self.fill_new_row(v, 2 * len);
+        self.clear_sums();
     }
 
     /// Grows the memory charge to the table's current footprint.
@@ -585,7 +657,7 @@ impl GainTable {
     ) {
         self.pending.push(u);
         graph.for_each_neighbor(u, &mut |v, w| match self.row(v) {
-            Some(row) => self.update(row, from, to, w),
+            Some(row) => self.update(v, row, from, to, w),
             None => self.pending.push(v),
         });
         let mut pending = std::mem::take(&mut self.pending);
@@ -594,28 +666,37 @@ impl GainTable {
             .map(|v| usize::from(self.push_row(graph, assignment, v)))
             .sum();
         self.pending = pending;
-        if added > 0 {
-            self.rows_added += added;
-            self.recharge();
-        }
+        self.rows_added += added;
+        self.recharge();
     }
 
-    /// Applies the affinity delta of a move `from → to` over an edge of `weight` to the
-    /// row at `(start, len)`. Decrementing first keeps a hash row within the `deg(v)`
-    /// entries its capacity is sized for.
+    /// Applies the affinity delta of a move `from → to` over an edge of `weight` to
+    /// `v`'s row at `(start, len)`. Decrementing first keeps a hash row within the
+    /// `deg(v)` entries its largest size is sized for; a hash row that `to` would leave
+    /// without an empty slot grows first ([`Self::grow_row`]).
     fn update(
         &mut self,
+        v: NodeId,
         (start, len): (usize, usize),
         from: BlockId,
         to: BlockId,
         weight: EdgeWeight,
     ) {
         let layout = self.layout;
-        with_slots!(&mut self.slots, |slots| {
+        let added = with_slots!(&mut self.slots, |slots| {
             let row = &mut slots[start..start + len];
             layout.sub(row, from, weight);
-            layout.add(row, to, weight);
+            layout.try_add(row, to, weight)
         });
+        if !added {
+            self.grow_row(v, (start, len));
+            let (start, len) = self.row(v).expect("a grown row");
+            with_slots!(&mut self.slots, |slots| layout.add(
+                &mut slots[start..start + len],
+                to,
+                weight
+            ));
+        }
     }
 
     /// Hands every slot of `u`'s row to `f` as `(block, affinity)`; empty slots and
@@ -628,10 +709,11 @@ impl GainTable {
         }
     }
 
-    /// Bytes of one slot: 4, or 8 where the total edge weight needs them.
+    /// Bytes of one slot: 2, 4 or 8, by the table's affinity bound.
     #[cfg(test)]
     pub(crate) fn slot_bytes(&self) -> usize {
         match self.slots {
+            Slots::Half(_) => 2,
             Slots::Narrow(_) => 4,
             Slots::Wide(_) => 8,
         }
@@ -641,6 +723,7 @@ impl GainTable {
     /// buffers.
     pub fn memory_bytes(&self) -> usize {
         let arena = match &self.slots {
+            Slots::Half(slots) => slots.capacity() * std::mem::size_of::<u16>(),
             Slots::Narrow(slots) => slots.capacity() * std::mem::size_of::<u32>(),
             Slots::Wide(slots) => slots.capacity() * std::mem::size_of::<u64>(),
         };
@@ -781,8 +864,8 @@ mod tests {
         let assignment: Vec<BlockId> = (0..g.n() as u32).map(|u| u % k as u32).collect();
         let dense = GainCache::new(GainTableKind::Dense, &g, &assignment, k, None);
         let sparse = GainCache::new(GainTableKind::Sparse, &g, &assignment, k, None);
-        // Every vertex is on the boundary, and unit weights take 4-byte slots.
-        assert!(dense.memory_bytes() >= g.n() * k * 4);
+        // Every vertex is on the boundary, and unit weights of degree 4 take 2-byte slots.
+        assert!(dense.memory_bytes() >= g.n() * k * 2);
         assert!(
             sparse.memory_bytes() * 4 < dense.memory_bytes(),
             "sparse table not substantially smaller: {} vs {}",
@@ -827,7 +910,7 @@ mod tests {
                 continue;
             }
             assignment[leaf as usize] = to;
-            table.update(hub, from, to, 1);
+            table.update(0, hub, from, to, 1);
             for b in 0..16 as BlockId {
                 assert_eq!(
                     table.affinity(0, b),
@@ -843,7 +926,42 @@ mod tests {
     #[should_panic(expected = "decrement of absent block")]
     fn decrementing_an_absent_entry_is_a_hard_failure_under_test() {
         let (_, _, mut table) = star_hub_row();
-        table.update(table.row(0).unwrap(), 9, 3, 1);
+        table.update(0, table.row(0).unwrap(), 9, 3, 1);
+    }
+
+    #[test]
+    fn a_row_grows_when_a_move_would_fill_it() {
+        // A star of 12 leaves, k = 32: the hub (block 0) touches blocks 0 and 1, so its
+        // hash row starts at 4 slots, and can grow to 16 (deg + 1 = 13, rounded up).
+        let g = gen::star(13);
+        let mut assignment = vec![0; 13];
+        assignment[1] = 1;
+        let k = 32;
+        let mut cache = GainCache::new(GainTableKind::Sparse, &g, &assignment, k, None);
+        let row_len = |cache: &GainCache| match cache {
+            GainCache::Table(table) => table.row(0).map(|(_, len)| len),
+            GainCache::None { .. } => unreachable!("a sparse table"),
+        };
+        assert_eq!(row_len(&cache), Some(4));
+        // Leaves 2, 3, ... join blocks 2, 3, ...: the third block fills the last empty
+        // slot of 4, the seventh that of 8.
+        let mut lengths = Vec::new();
+        for leaf in 2..13 {
+            assignment[leaf] = leaf as BlockId;
+            cache.apply_move(&g, &assignment, leaf as NodeId, 0, leaf as BlockId);
+            lengths.push(row_len(&cache).unwrap());
+            check_all_affinities(&g, &assignment, &cache, k);
+        }
+        assert_eq!(lengths, [4, 8, 8, 8, 8, 16, 16, 16, 16, 16, 16]);
+        // Moving them all back drains the row, which keeps its size.
+        for leaf in 2..13 {
+            let from = assignment[leaf];
+            assignment[leaf] = 0;
+            cache.apply_move(&g, &assignment, leaf as NodeId, from, 0);
+        }
+        check_all_affinities(&g, &assignment, &cache, k);
+        assert_eq!(row_len(&cache), Some(16));
+        cache.debug_check_sample(&g, &assignment);
     }
 
     /// Path 0-1-2-3 plus the isolated vertex 4.
@@ -859,14 +977,14 @@ mod tests {
     fn rows_are_sized_by_degree_and_built_for_the_boundary_only() {
         // Every connected vertex on the boundary, k = 8: the ends (deg 1) get 2 slots,
         // the inner vertices (deg 2) 4, the isolated vertex none; the arena holds
-        // exactly those 12 slots of 4 bytes.
+        // exactly those 12 slots of 2 bytes (unit weights, degree 2).
         let g = path_and_a_point(1);
         let table = GainTable::new(&g, &[0, 1, 2, 3, 4], 8, true, None);
         let rows: Vec<Option<usize>> = (0..5).map(|u| table.row(u).map(|(_, len)| len)).collect();
         assert_eq!(rows, [Some(2), Some(4), Some(4), Some(2), None]);
-        assert_eq!((table.slot_bytes(), table.rows_built), (4, 4));
+        assert_eq!((table.slot_bytes(), table.rows_built), (2, 4));
         assert_eq!(table.memory_bytes() - table.handles.size_in_bytes(), {
-            12 * 4
+            12 * 2
                 + table.sums.capacity() * std::mem::size_of::<EdgeWeight>()
                 + table.touched.capacity() * std::mem::size_of::<BlockId>()
         });
@@ -918,9 +1036,15 @@ mod tests {
 
     #[test]
     fn slots_widen_only_when_the_total_edge_weight_needs_it() {
-        // k = 8 leaves 29 value bits beside a 3-bit block id: a total edge weight of
-        // 3 · (2^29 / 3) fits, 3 · 2^29 does not.
-        for (weight, bytes) in [((1 << 29) / 3, 4), (1 << 29, 8)] {
+        // k = 8 leaves 13 / 29 value bits beside a 3-bit block id in 2 / 4 bytes: a total
+        // edge weight of 3 · (2^13 / 3) fits 2, 3 · 2^13 and 3 · (2^29 / 3) fit 4, 3 · 2^29
+        // needs 8.
+        for (weight, bytes) in [
+            ((1 << 13) / 3, 2),
+            (1 << 13, 4),
+            ((1 << 29) / 3, 4),
+            (1 << 29, 8),
+        ] {
             let g = path_and_a_point(weight);
             let assignment = [0, 1, 2, 3, 4];
             for kind in [GainTableKind::Dense, GainTableKind::Sparse] {
@@ -930,6 +1054,24 @@ mod tests {
                 assert_eq!(table.slot_bytes(), bytes, "{kind:?}, edge weight {weight}");
                 assert_eq!(table.affinity(1, 2), Some(weight));
             }
+        }
+    }
+
+    #[test]
+    fn without_edge_weights_the_maximum_degree_sets_the_slot_width() {
+        // k = 8: a unit-weight affinity is at most the degree, and 13 value bits hold a
+        // degree below 2^13. A star's hub of degree 2^13 - 1 fits 2-byte slots, one of
+        // degree 2^13 needs 4, though its total edge weight is the same order.
+        for (leaves, bytes) in [((1 << 13) - 1, 2), (1 << 13, 4)] {
+            let g = gen::star(leaves + 1);
+            assert!(!g.is_edge_weighted());
+            let assignment: Vec<BlockId> = (0..g.n() as BlockId).map(|u| u % 8).collect();
+            let table = GainTable::new(&g, &assignment, 8, true, None);
+            assert_eq!(table.slot_bytes(), bytes, "{leaves} leaves");
+            assert_eq!(
+                table.affinity(0, 1),
+                Some(reference_affinity(&g, &assignment, 0, 1))
+            );
         }
     }
 }

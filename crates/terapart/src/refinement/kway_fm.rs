@@ -379,14 +379,14 @@ mod tests {
             seed in any::<u64>(),
             k in 2usize..20,
             slack in 0u64..6,
-            wide in proptest::bool::ANY,
+            width in 0usize..3,
         ) {
             // Sparse random graph under a hub adjacent to everyone: vertices on both
             // sides of deg > k (and of the hash-row / dense-row split) for every k drawn.
-            // Scaled by 2^30, the total edge weight is beyond what fits beside a block id
-            // in a 4-byte slot, so the table takes 8-byte slots.
+            // Unscaled, the total edge weight fits beside a block id in a 2-byte slot;
+            // scaled by 2^14 only in a 4-byte one, by 2^30 only in an 8-byte one.
             let n = 48;
-            let scale: EdgeWeight = if wide { 1 << 30 } else { 1 };
+            let scale: EdgeWeight = [1, 1 << 14, 1 << 30][width];
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut builder = graph::CsrGraphBuilder::with_node_weights(
                 (0..n).map(|_| rng.gen_range(1..=3)).collect(),
@@ -424,7 +424,7 @@ mod tests {
                 KINDS.map(|kind| GainCache::new(kind, &g, &assignment, k, Some(&candidates)));
             for cache in &caches[1..] {
                 let GainCache::Table(table) = cache else { unreachable!("a table kind") };
-                prop_assert_eq!(table.slot_bytes(), if wide { 8 } else { 4 });
+                prop_assert_eq!(table.slot_bytes(), [2, 4, 8][width]);
             }
             let agree = |caches: &[GainCache], assignment: &[BlockId], bw: &[NodeWeight], u| {
                 let expected = best_feasible_move_by_scan(

@@ -21,11 +21,10 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use graph::NodeId;
+use graph::{EdgeWeight, NodeId};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-use crate::coarsening::contract::Batch;
 use crate::coarsening::rating_map::FixedCapacityHashMap;
 
 /// A fixed-capacity concurrent bitset with relaxed atomics.
@@ -199,24 +198,16 @@ impl AtomicBitset {
 /// request, and co-tenant requests never see (or pay for) each other's.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
-    /// Packed `(target << 32) | position` sort keys of the contraction neighbourhood
-    /// sort (narrow-id fast path).
-    pub(crate) sort_keys: Vec<u64>,
-    /// `(target, position)` sort pairs — the wide-id fallback of the same sort.
-    pub(crate) sort_pairs: Vec<(NodeId, u64)>,
-    /// Copy of the packed edge-weight bytes backing the permutation gather of the
-    /// neighbourhood sort.
-    pub(crate) sort_wts: Vec<u8>,
-    /// The rating table of LP clustering (capacity `bump_threshold`) and LP refinement
-    /// (capacity from `(k, max_degree)`), handed out by [`Self::rating_table`].
+    /// The rating table of LP clustering and contraction (capacity `bump_threshold`) and
+    /// LP refinement (capacity from `(k, max_degree)`), handed out by
+    /// [`Self::rating_table`].
     ratings: Option<FixedCapacityHashMap>,
     /// The neighbour ids an LP clustering visit decoded, kept so a move marks them
     /// without decoding the neighbourhood again (`bump_threshold` of them), handed out
     /// by [`Self::neighbor_ids`].
     neighbor_ids: Vec<NodeId>,
-    /// Contraction phase 1 aggregation state: rating table plus the vertex/edge batch
-    /// flushed into the shared coarse arrays.
-    pub(crate) agg: Option<(FixedCapacityHashMap, Batch)>,
+    /// The coarse neighbourhood contraction aggregated, sorted and encodes.
+    coarse_neighbors: Vec<(NodeId, EdgeWeight)>,
 }
 
 impl WorkerScratch {
@@ -246,18 +237,26 @@ impl WorkerScratch {
         )
     }
 
+    /// [`Self::rating_table`] and the coarse-neighbourhood buffer, emptied, for
+    /// contraction.
+    pub(crate) fn contraction_buffers(
+        &mut self,
+        limit: usize,
+    ) -> (&mut FixedCapacityHashMap, &mut Vec<(NodeId, EdgeWeight)>) {
+        self.coarse_neighbors.clear();
+        (
+            emptied_table(&mut self.ratings, limit),
+            &mut self.coarse_neighbors,
+        )
+    }
+
     /// Heap bytes held by the worker's buffers.
     pub(crate) fn memory_bytes(&self) -> usize {
-        let table = |t: &FixedCapacityHashMap| t.memory_bytes();
-        self.sort_keys.capacity() * std::mem::size_of::<u64>()
-            + self.sort_pairs.capacity() * std::mem::size_of::<(NodeId, u64)>()
-            + self.sort_wts.capacity()
-            + self.ratings.as_ref().map_or(0, table)
+        self.ratings
+            .as_ref()
+            .map_or(0, FixedCapacityHashMap::memory_bytes)
             + self.neighbor_ids.capacity() * std::mem::size_of::<NodeId>()
-            + self
-                .agg
-                .as_ref()
-                .map_or(0, |(t, batch)| table(t) + batch.memory_bytes())
+            + self.coarse_neighbors.capacity() * std::mem::size_of::<(NodeId, EdgeWeight)>()
     }
 }
 
@@ -443,19 +442,6 @@ impl<'a, T> SharedSlice<'a, T> {
         debug_assert!(i < self.len);
         unsafe { self.ptr.add(i).write(value) };
     }
-
-    /// Reborrows the subrange `[start, end)` as a mutable slice.
-    ///
-    /// # Safety
-    /// The range must be in bounds and disjoint from every range accessed concurrently
-    /// (which also justifies handing out `&mut` through `&self`: disjointness makes the
-    /// aliasing impossible that the lint guards against).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, end: usize) -> &mut [T] {
-        debug_assert!(start <= end && end <= self.len);
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), end - start) }
-    }
 }
 
 #[cfg(test)]
@@ -553,7 +539,7 @@ mod tests {
         let pool: Pool<WorkerScratch> = Pool::new();
         {
             let mut a = pool.checkout();
-            a.sort_keys.reserve(128);
+            a.neighbor_ids(128);
             let _b = pool.checkout();
             assert_eq!(pool.parked_count(), 0, "leases are live, nothing parked");
         }
@@ -568,7 +554,7 @@ mod tests {
         assert_eq!(pool.parked_count(), 2, "an unwinding lease parks as well");
         assert_eq!(pool.high_water(), 2);
         assert!(
-            pool.parked_sum(WorkerScratch::memory_bytes) >= 128 * 8,
+            pool.parked_sum(WorkerScratch::memory_bytes) >= 128 * std::mem::size_of::<NodeId>(),
             "a reused buffer keeps its grown capacity"
         );
     }
@@ -605,8 +591,7 @@ mod tests {
             let shared = SharedSlice::new(&mut data);
             unsafe {
                 shared.write(3, 7);
-                let sub = shared.slice_mut(5, 8);
-                sub[0] = 9;
+                shared.write(5, 9);
             }
         }
         assert_eq!(data[3], 7);

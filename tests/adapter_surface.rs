@@ -67,6 +67,14 @@ fn the_adapter_compiles_against_these<'g>(_: &'g dyn Graph, mut config: Partitio
     let _: fn(&&'g dyn Graph, &Clustering, ContractionAlgorithm, usize) -> ContractionResult =
         coarsening::contract;
     let _: fn(&&'g dyn Graph, &PartitionerConfig, &PhaseTracker) -> Hierarchy = coarsening::coarsen;
+    // The frozen walk (`benchmark/src/child.rs`): the contracted input level's size, the
+    // coarsest graph as a CSR graph, and every level's graph and mapping.
+    let _: fn(&ContractionResult) -> usize = |contracted| contracted.coarse.m();
+    let _: fn(&Hierarchy) -> Option<&CsrGraph> = Hierarchy::coarsest;
+    let _: for<'h> fn(&'h Hierarchy, usize) -> &'h dyn Graph =
+        |hierarchy, i| &hierarchy.levels[i].coarse;
+    let _: for<'h> fn(&'h Hierarchy, usize) -> &'h [NodeId] =
+        |hierarchy, i| &hierarchy.levels[i].mapping;
     let _: fn(&CsrGraph, usize, f64, &InitialPartitioningConfig, u64) -> Partition =
         terapart::initial_partition;
     let _: fn(&&'g dyn Graph, &mut Partition, &RefinementConfig, u64) -> RefinementStats =

@@ -1,6 +1,7 @@
-//! One-pass contraction reserves its coarse edge arrays for the upper bound of `2m`
-//! entries — a target id and a weight of `reserved_weight_width` bytes each — and must
-//! leave the part it never writes non-resident (paper §IV-B2). This
+//! One-pass contraction reserves the bytes of its coarse graph for the upper bound of `2m`
+//! encoded half-edges — a gap and a weight delta of at most `reserved_bytes`' VarInt
+//! lengths each — and must leave the part it never writes non-resident (paper §IV-B2).
+//! This
 //! reads the process's resident set around one contraction, so it is the only `#[test]`
 //! of its binary: a sibling test allocating concurrently would move the reading.
 
@@ -22,9 +23,9 @@ fn resident_bytes() -> usize {
 #[test]
 #[cfg(target_os = "linux")]
 fn one_pass_contraction_backs_only_the_edges_it_writes() {
+    use graph::gen;
     use graph::traits::Graph;
-    use graph::{gen, NodeId};
-    use terapart::coarsening::{cluster, contract_with_scratch, reserved_weight_width};
+    use terapart::coarsening::{cluster, contract_with_scratch, reserved_bytes};
     use terapart::context::{CoarseningConfig, ContractionAlgorithm};
     use terapart::HierarchyScratch;
 
@@ -47,14 +48,14 @@ fn one_pass_contraction_backs_only_the_edges_it_writes() {
     );
     let after = resident_bytes();
 
-    let reservation =
-        2 * graph.m() * (std::mem::size_of::<NodeId>() + reserved_weight_width(&graph));
+    let reservation = reserved_bytes(&graph, clustering.num_clusters);
     let growth = after.saturating_sub(before);
     println!(
-        "reserved {reservation} B for 2m = {} half-edges, committed {} half-edges, \
+        "reserved {reservation} B for 2m = {} half-edges, wrote {} half-edges in {} B, \
          resident set grew by {growth} B",
         2 * graph.m(),
-        2 * result.coarse.m()
+        2 * result.coarse.m(),
+        result.coarse.size_in_bytes()
     );
     assert!(
         growth < reservation / 4,

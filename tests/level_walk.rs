@@ -1,7 +1,7 @@
 //! The multilevel walk is the library's: `RunContext::coarsen`, `initial_step` on the
 //! coarsest graph and `uncoarsen_step` on every level back to the input, each level read
-//! through `Hierarchy::deepest` as the hierarchy holds it (compressed but for the
-//! coarsest), walked by hand, give what `partition` gives, bit for bit; and
+//! through `Hierarchy::deepest` as the hierarchy holds it (compressed, as contraction
+//! wrote it), walked by hand, give what `partition` gives, bit for bit; and
 //! `PartitionResult::refinement` is what the levels' refinements report, merged. (A
 //! binary of its own: it runs pipelines.)
 use graph::traits::Graph;
@@ -69,9 +69,6 @@ fn assert_walk_is_partition(name: &str, graph: &impl Graph, k: usize, depth_zero
             .map(|r| (r.name.clone(), r.level))
             .collect();
         assert_eq!(phases, reported, "{run}");
-        // Every level but the coarsest was walked compressed.
-        let compressed = phases.iter().filter(|(name, _)| name == "compress_level");
-        assert_eq!(compressed.count(), depth.saturating_sub(1), "{run}");
     }
 }
 

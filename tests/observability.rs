@@ -65,34 +65,44 @@ fn observability_does_not_perturb_the_single_threaded_pipeline() {
     );
 }
 
-/// Every level re-encoded for the hierarchy has a `compress_level` span with the bytes it
-/// held as CSR and holds compressed; on a web graph the compressed form is smaller.
+/// Every contraction's span carries the bytes of the level it wrote, which is smaller
+/// than the level would be as CSR, and the bytes it reserved for them.
 #[test]
-fn every_compress_level_span_carries_both_sizes() {
+fn every_contract_span_carries_coarse_bytes() {
     let graph = gen::weblike(14, 8, 3);
     let config = PartitionerConfig::terapart_fm(16)
         .with_threads(1)
         .with_run_report(true);
     let result = partition(&graph, &config);
     let report = result.run_report.as_ref().unwrap();
-    let spans: Vec<_> = report
-        .all_spans()
-        .into_iter()
-        .filter(|span| span.name == "compress_level")
+    let spans = report.all_spans();
+    let contractions: Vec<_> = spans
+        .iter()
+        .filter(|span| span.name == "contract")
         .collect();
     assert!(
         result.hierarchy_depth >= 2,
         "{} levels",
         result.hierarchy_depth
     );
-    assert_eq!(spans.len(), result.hierarchy_depth - 1);
-    for span in spans {
-        let csr = span.attr("csr_bytes").expect("csr_bytes");
-        let compressed = span.attr("compressed_bytes").expect("compressed_bytes");
+    assert_eq!(contractions.len(), result.hierarchy_depth);
+    assert!(spans.iter().all(|span| span.name != "compress_level"));
+    for span in contractions {
+        let level = span.level.unwrap();
+        let coarse = span.attr("coarse_bytes").expect("coarse_bytes");
+        let reserved = span.attr("reserved_bytes").expect("reserved_bytes");
+        let built = spans
+            .iter()
+            .find(|s| s.name == "coarsen_level" && s.level == Some(level))
+            .unwrap();
+        let (n, m) = (
+            built.attr("coarse_nodes").unwrap(),
+            built.attr("coarse_edges").unwrap(),
+        );
+        let csr = graph::csr::plain_csr_bytes(n as usize, m as usize, true, true) as u64;
         assert!(
-            compressed < csr,
-            "level {:?}: {compressed} B compressed, {csr} B as CSR",
-            span.level
+            coarse < csr && coarse <= reserved,
+            "contract@{level}: {coarse} B written, {reserved} B reserved, {csr} B as CSR"
         );
         assert!(span.attr("peak_bytes").is_some());
     }

@@ -6,8 +6,9 @@
 //! per-vertex queue state (target, lock flag and heap position).
 //!
 //! Measured on `rgg2d(60 000, 8)` at k = 16, one thread, from `fast`'s partition:
-//! `fast` allocates 0.42 B per vertex (0.46 with 8-byte ids) and `default` 16.09 B
-//! (20.85). While LP worked on an atomic copy of the assignment and FM on a `Vec` copy,
+//! `fast` allocates 0.42 B per vertex (0.46 with 8-byte ids) and `default` 14.80 B
+//! (19.56; 16.09 and 20.85 while the gain table sized a hash row by degree, at 4-byte
+//! slots). While LP worked on an atomic copy of the assignment and FM on a `Vec` copy,
 //! both committed back, they read 4.42 (4.46) and 20.09 (24.85).
 //!
 //! The bytes are counted by this binary's own allocator (`common/counting_alloc.rs`):

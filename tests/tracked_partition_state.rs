@@ -36,7 +36,7 @@ fn random_graph(rng: &mut ChaCha8Rng) -> CsrGraph {
     builder.build()
 }
 
-fn random_partition(graph: &CsrGraph, k: usize, epsilon: f64, rng: &mut ChaCha8Rng) -> Partition {
+fn random_partition(graph: &impl Graph, k: usize, epsilon: f64, rng: &mut ChaCha8Rng) -> Partition {
     let assignment = (0..graph.n())
         .map(|_| rng.gen_range(0..k as BlockId))
         .collect();
@@ -44,7 +44,7 @@ fn random_partition(graph: &CsrGraph, k: usize, epsilon: f64, rng: &mut ChaCha8R
 }
 
 #[track_caller]
-fn check(partition: &Partition, graph: &CsrGraph, stage: &str) {
+fn check(partition: &Partition, graph: &impl Graph, stage: &str) {
     if let Err(violation) = partition.check_tracked_state(graph) {
         panic!("after {stage}: {violation}");
     }
