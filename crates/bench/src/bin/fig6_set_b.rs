@@ -1,11 +1,13 @@
 //! Figure 6: relative running time, peak memory and compression ratios on the huge
 //! web-like graphs of Benchmark Set B. The instances are generated in memory.
 //!
-//! Measured on a 2-vCPU VM: Graph Compression cuts the peak to 0.40 of KaMinPar's on the
-//! geometric `uk-like` and to 0.87–0.90 on the four R-MAT-like graphs, and One-Pass
-//! Contraction to 0.22 and 0.25–0.28, below the paper's "roughly half" (0.34 / 0.82–0.86
-//! and 0.27 / 0.48–0.49 while a coarse level was built as CSR and charged after its
-//! contraction; both buffered rungs now count the level they write); Two-Phase LP moves it
+//! Measured on a 2-vCPU VM: Graph Compression cuts the peak to 0.36 of KaMinPar's on the
+//! geometric `uk-like` and to 0.84–0.88 on the four R-MAT-like graphs, and One-Pass
+//! Contraction to 0.22 and 0.30–0.32, below the paper's "roughly half" (every rung's
+//! cluster weights at 2 bytes and coarse node weights packed: 0.37 / 0.84–0.88 and
+//! 0.23 / 0.30–0.32 at 4 and 8 bytes; 0.34 / 0.82–0.86 and 0.27 / 0.48–0.49 while a coarse
+//! level was built as CSR and charged after its contraction; both buffered rungs now count
+//! the level they write); Two-Phase LP moves it
 //! by at most 0.03. Graph Compression gains little on the R-MAT-like graphs: they merge
 //! duplicate edges into weights, which KaMinPar's CSR input stores packed, at one or two
 //! bytes, while Graph Compression's peak is the compressed input plus the buffered

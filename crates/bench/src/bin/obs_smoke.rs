@@ -270,9 +270,10 @@ fn span_coverage_floor() -> f64 {
         }
     }
     // The portfolio's work in half-edges, and how many attempts its budget let it run.
-    let (grow_half_edges, fm_half_edges) = (
+    let (grow_half_edges, fm_half_edges, extract_half_edges) = (
         report.counter(Counter::InitialGrowHalfEdges),
         report.counter(Counter::InitialFmHalfEdges),
+        report.counter(Counter::InitialExtractHalfEdges),
     );
     let (bisections, attempts) = (
         report.counter(Counter::InitialBisections),
@@ -280,7 +281,8 @@ fn span_coverage_floor() -> f64 {
     );
     println!(
         "initial: {attempts} attempts in {bisections} bisections (at most {} each); growing \
-         decoded {grow_half_edges} half-edges, fm flipped {fm_half_edges} (rollbacks included)",
+         decoded {grow_half_edges} half-edges, fm flipped {fm_half_edges} (rollbacks included), \
+         the extractions below the root decoded {extract_half_edges}",
         config.initial.attempts
     );
     assert!(grow_half_edges > 0 && fm_half_edges > 0);

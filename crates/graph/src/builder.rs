@@ -84,7 +84,7 @@ pub fn compress_csr_parallel(
         csr.n(),
         compressed_size_upper_bound(csr),
         csr.is_edge_weighted(),
-        csr.is_node_weighted(),
+        csr.heaviest_node(),
         config,
     );
     let writer = commit_in_packet_order(
@@ -281,7 +281,7 @@ mod tests {
             g.n(),
             compressed_size_upper_bound(&g),
             false,
-            false,
+            None,
             &CompressionConfig::default(),
         );
         let packets = make_packets(&g, 16);

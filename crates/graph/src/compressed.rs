@@ -21,8 +21,15 @@
 //! encoded neighbourhoods — [`CompressedGraph::from_csr`], the streaming readers of
 //! [`crate::io`], the packets of [`compress_csr_parallel`](crate::builder::compress_csr_parallel)
 //! and the `.tpg` writer — appends through it, and its [`EncodedSection`] is the one
-//! place that counts neighbourhood lengths, half-edges, the maximum degree and the
-//! weight totals.
+//! place that counts neighbourhood lengths, half-edges, the maximum degree, the heaviest
+//! weighted degree and the weight totals.
+//!
+//! A graph's node weights are a [`PackedArray`] at the width of its heaviest vertex, or
+//! of the bound a [`GraphWriter`] was given for it: a coarse level whose cluster-weight
+//! limit is 391 stores two bytes a vertex. The heaviest weighted degree the encoder
+//! counted bounds every affinity the FM gain table stores, which sizes its slots; a
+//! graph opened from a `.tpg` container, whose header does not store it, bounds it by
+//! its total edge weight ([`Graph::max_weighted_degree`]).
 
 use crate::csr::CsrGraph;
 use crate::packed::PackedArray;
@@ -129,12 +136,15 @@ pub struct CompressedGraph {
     /// and for `read_tpg_compressed`, the container's mapped data section in an
     /// [`MmapGraph`](crate::store::MmapGraph).
     data: Bytes,
-    /// Node weights, empty when uniform.
-    node_weights: Vec<NodeWeight>,
+    /// Node weights, packed; `None` when uniform.
+    node_weights: Option<PackedArray>,
     edge_weighted: bool,
     total_node_weight: NodeWeight,
     total_edge_weight: EdgeWeight,
     max_degree: usize,
+    /// [`Graph::max_weighted_degree`]: the heaviest weighted degree where the encoder
+    /// counted it, else its bound.
+    max_weighted_degree: EdgeWeight,
     config: CompressionConfig,
 }
 
@@ -148,7 +158,7 @@ fn sid(v: NodeId) -> i64 {
 
 /// One encoded run of consecutive vertex neighbourhoods and everything a graph header
 /// counts about it: the bytes, each neighbourhood's length, the half-edges, the maximum
-/// degree, the edge- and node-weight totals and the node weights.
+/// degree and weighted degree, the edge- and node-weight totals and the node weights.
 ///
 /// A [`SectionEncoder`] fills it. A section that starts at vertex 0 and covers every
 /// vertex is a whole graph; shorter ones are the packets of the one ordered-commit
@@ -178,6 +188,8 @@ pub struct EncodedSection {
     pub(crate) total_edge_weight: EdgeWeight,
     /// Maximum degree within the section.
     pub(crate) max_degree: usize,
+    /// Heaviest weighted degree within the section.
+    pub(crate) max_weighted_degree: EdgeWeight,
 }
 
 impl EncodedSection {
@@ -201,16 +213,22 @@ impl EncodedSection {
         self.total_node_weight += node_weight;
     }
 
-    /// Adds the counts of `next` — the section that follows this one — to this one's.
-    /// Its bytes are the committer's to place: they belong right behind this section's.
+    /// Adds the counts and node weights of `next` — the section that follows this one —
+    /// to this one's. Its bytes are the committer's to place: they belong right behind
+    /// this section's.
     pub(crate) fn absorb(&mut self, next: &EncodedSection) {
-        debug_assert_eq!(next.first_vertex, self.first_vertex + self.vertices);
         let vertices = self.vertices;
         if !next.node_weights.is_empty() || !self.node_weights.is_empty() {
             self.node_weights.resize(vertices, 1);
             self.node_weights.extend_from_slice(&next.node_weights);
             self.node_weights.resize(vertices + next.vertices, 1);
         }
+        self.absorb_counts(next);
+    }
+
+    /// [`Self::absorb`] without the node weights, which a [`GraphWriter`] packs itself.
+    fn absorb_counts(&mut self, next: &EncodedSection) {
+        debug_assert_eq!(next.first_vertex, self.first_vertex + self.vertices);
         self.lengths.extend_from_slice(&next.lengths);
         self.vertices += next.vertices;
         self.data_len += next.data_len;
@@ -218,28 +236,24 @@ impl EncodedSection {
         self.half_edges += next.half_edges;
         self.total_edge_weight += next.total_edge_weight;
         self.max_degree = self.max_degree.max(next.max_degree);
+        self.max_weighted_degree = self.max_weighted_degree.max(next.max_weighted_degree);
     }
 
     /// The graph whose neighbourhoods `data` holds and this section (starting at vertex
-    /// 0) counted, its lengths prefix-summed once into a [`PackedArray`] of offsets by
-    /// the decoder every `.tpg` open runs.
-    /// `node_weighted` keeps a weight array even when every weight is 1.
+    /// 0) counted, with `node_weights` (`None`: every vertex weighs 1), its lengths
+    /// prefix-summed once into a [`PackedArray`] of offsets by the decoder every `.tpg`
+    /// open runs.
     pub(crate) fn into_graph(
         self,
         data: Vec<u8>,
         edge_weighted: bool,
-        node_weighted: bool,
+        node_weights: Option<PackedArray>,
         config: CompressionConfig,
     ) -> CompressedGraph {
         debug_assert_eq!(self.first_vertex, 0);
         let n = self.vertices;
         let offsets = decode_offset_index(&self.lengths, n, self.data_len)
             .expect("an encoder's own lengths form a valid offset index");
-        let node_weights = match (node_weighted, self.node_weights.is_empty()) {
-            (true, true) => vec![1; n],
-            _ => self.node_weights,
-        };
-        debug_assert!(node_weighted || node_weights.is_empty());
         CompressedGraph::from_encoded_parts(
             n,
             self.half_edges / 2,
@@ -250,6 +264,7 @@ impl EncodedSection {
             self.total_node_weight,
             self.total_edge_weight / 2,
             self.max_degree,
+            Some(self.max_weighted_degree),
             config,
         )
     }
@@ -323,7 +338,9 @@ impl SectionEncoder {
         section.data_len += len;
         section.half_edges += neighbors.len();
         section.max_degree = section.max_degree.max(neighbors.len());
-        section.total_edge_weight += neighbors.iter().map(|&(_, w)| w).sum::<EdgeWeight>();
+        let weighted_degree: EdgeWeight = neighbors.iter().map(|&(_, w)| w).sum();
+        section.total_edge_weight += weighted_degree;
+        section.max_weighted_degree = section.max_weighted_degree.max(weighted_degree);
     }
 
     /// Empties the encoder for a run starting at `first_vertex`, keeping its buffers.
@@ -342,12 +359,19 @@ impl SectionEncoder {
         };
     }
 
-    /// The graph encoded so far (it must start at vertex 0 and cover every vertex).
-    /// `node_weighted` keeps a weight array even when every weight is 1.
+    /// The graph encoded so far (it must start at vertex 0 and cover every vertex), its
+    /// node weights packed at the width of the heaviest. `node_weighted` keeps a weight
+    /// array even when every weight is 1.
     pub(crate) fn into_graph(mut self, node_weighted: bool) -> CompressedGraph {
         let data = std::mem::take(&mut self.section.bytes);
+        let weights = std::mem::take(&mut self.section.node_weights);
+        let n = self.section.vertices;
+        let node_weights = match weights.iter().max() {
+            Some(&max) => Some(PackedArray::pack(max, weights.into_iter())),
+            None => node_weighted.then(|| PackedArray::pack(1, (0..n).map(|_| 1))),
+        };
         self.section
-            .into_graph(data, self.edge_weighted, node_weighted, self.config)
+            .into_graph(data, self.edge_weighted, node_weights, self.config)
     }
 }
 
@@ -358,40 +382,40 @@ impl SectionEncoder {
 ///
 /// The neighbourhood bytes go into a [`ReservedVec`] of the caller's upper bound, which
 /// charges the pages the bytes reach as they are written; the offset index (one VarInt
-/// length a vertex until [`Self::finish`]) and the node weights are charged at their
-/// capacity. [`Self::finish`] hands the graph on with one charge of exactly its
-/// [`CompressedGraph::size_in_bytes`].
+/// length a vertex until [`Self::finish`]) is charged at its capacity, the node weights
+/// at their packed size from the start. [`Self::finish`] hands the graph on with one
+/// charge of exactly its [`CompressedGraph::size_in_bytes`].
 pub struct GraphWriter {
     data: ReservedVec<u8>,
+    /// The committed sections' counts; their node weights go to `node_weights`.
     totals: EncodedSection,
+    /// One entry per vertex at the width of the bound the writer was given.
+    node_weights: Option<PackedArray>,
     edge_weighted: bool,
-    node_weighted: bool,
     config: CompressionConfig,
-    /// The lengths' and node weights' capacity.
+    /// The lengths' capacity and the node weights' bytes.
     charge: MemoryScope<'static>,
 }
 
 impl GraphWriter {
     /// A writer of an `n`-vertex graph whose encoded neighbourhoods take at most
-    /// `reserved_bytes` (a commit past them panics). `node_weighted` reserves a weight
-    /// for every vertex and keeps the array even when every weight is 1; sections must
-    /// be encoded with `edge_weighted` and `config` ([`Self::encoder`]).
+    /// `reserved_bytes` (a commit past them panics). `heaviest_node` bounds every node
+    /// weight the sections carry and fixes the width of the packed weight array, one
+    /// entry per vertex, kept even when every weight is 1; `None` writes a graph without
+    /// node weights, whose every vertex must weigh 1. Sections must be encoded with
+    /// `edge_weighted` and `config` ([`Self::encoder`]).
     pub fn new(
         n: usize,
         reserved_bytes: usize,
         edge_weighted: bool,
-        node_weighted: bool,
+        heaviest_node: Option<NodeWeight>,
         config: &CompressionConfig,
     ) -> Self {
-        let mut totals = EncodedSection::with_capacity(0, n);
-        if node_weighted {
-            totals.node_weights.reserve_exact(n);
-        }
         let mut writer = Self {
             data: ReservedVec::with_reservation(reserved_bytes),
-            totals,
+            totals: EncodedSection::with_capacity(0, n),
+            node_weights: heaviest_node.map(|bound| PackedArray::zeroed(n, bound)),
             edge_weighted,
-            node_weighted,
             config: config.clone(),
             charge: MemoryScope::charge_global(0),
         };
@@ -413,15 +437,34 @@ impl GraphWriter {
             "sections must be committed in vertex order"
         );
         debug_assert_eq!(encoder.edge_weighted, self.edge_weighted);
+        match &mut self.node_weights {
+            Some(weights) => {
+                let first = section.first_vertex;
+                for (i, &w) in section.node_weights.iter().enumerate() {
+                    weights.set(first + i, w);
+                }
+                // A section whose every weight is 1 stores none.
+                for i in section.node_weights.len()..section.vertices {
+                    weights.set(first + i, 1);
+                }
+            }
+            None => assert!(
+                section.node_weights.is_empty(),
+                "a node weight other than 1 in a graph written without node weights"
+            ),
+        }
         self.data.extend_from_slice(&section.bytes);
-        self.totals.absorb(section);
+        self.totals.absorb_counts(section);
         self.recharge();
     }
 
-    /// Fits the charge to the lengths' and node weights' capacity.
+    /// Fits the charge to the lengths' capacity and the node weights' bytes.
     fn recharge(&mut self) {
         let bytes = self.totals.lengths.capacity()
-            + self.totals.node_weights.capacity() * std::mem::size_of::<NodeWeight>();
+            + self
+                .node_weights
+                .as_ref()
+                .map_or(0, PackedArray::size_in_bytes);
         match bytes.checked_sub(self.charge.bytes()) {
             Some(more) => self.charge.grow(more),
             None => self.charge.shrink(self.charge.bytes() - bytes),
@@ -435,15 +478,15 @@ impl GraphWriter {
         let Self {
             data,
             totals,
+            node_weights,
             edge_weighted,
-            node_weighted,
             config,
             mut charge,
         } = self;
         let (data, data_charge) = data.into_charged_vec();
         charge.merge(data_charge);
         charge.grow((totals.vertices + 1) * crate::packed::width_for(totals.data_len));
-        let graph = totals.into_graph(data, edge_weighted, node_weighted, config);
+        let graph = totals.into_graph(data, edge_weighted, node_weights, config);
         let held = charge.bytes();
         let size = graph.size_in_bytes();
         if held > size {
@@ -661,14 +704,21 @@ impl CompressedGraph {
         m: usize,
         offsets: PackedArray,
         data: Bytes,
-        node_weights: Vec<NodeWeight>,
+        node_weights: Option<PackedArray>,
         edge_weighted: bool,
         total_node_weight: NodeWeight,
         total_edge_weight: EdgeWeight,
         max_degree: usize,
+        max_weighted_degree: Option<EdgeWeight>,
         config: CompressionConfig,
     ) -> Self {
         assert_eq!(offsets.len(), n + 1);
+        assert!(node_weights.as_ref().is_none_or(|w| w.len() == n));
+        let max_weighted_degree = match (edge_weighted, max_weighted_degree) {
+            (false, _) => max_degree as EdgeWeight,
+            (true, Some(counted)) => counted,
+            (true, None) => total_edge_weight,
+        };
         Self {
             n,
             m,
@@ -679,6 +729,7 @@ impl CompressedGraph {
             total_node_weight,
             total_edge_weight,
             max_degree,
+            max_weighted_degree,
             config,
         }
     }
@@ -686,9 +737,19 @@ impl CompressedGraph {
     /// Number of bytes used by the encoded adjacency data (with the container header
     /// in front when it is mapped), the offset index and the node weights.
     pub fn size_in_bytes(&self) -> usize {
-        self.data.size_in_bytes()
-            + self.offsets.size_in_bytes()
-            + self.node_weights.len() * std::mem::size_of::<NodeWeight>()
+        self.data.size_in_bytes() + self.offsets.size_in_bytes() + self.node_weight_bytes()
+    }
+
+    /// Bytes of the packed node weights (0 when uniform).
+    pub fn node_weight_bytes(&self) -> usize {
+        self.node_weights
+            .as_ref()
+            .map_or(0, PackedArray::size_in_bytes)
+    }
+
+    /// The packed node weights, `None` when every vertex weighs 1.
+    pub fn node_weights(&self) -> Option<&PackedArray> {
+        self.node_weights.as_ref()
     }
 
     /// Number of bytes used by the encoded adjacency data alone.
@@ -747,10 +808,9 @@ impl Graph for CompressedGraph {
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
-        if self.node_weights.is_empty() {
-            1
-        } else {
-            self.node_weights[u as usize]
+        match &self.node_weights {
+            Some(weights) => weights.get(u as usize),
+            None => 1,
         }
     }
 
@@ -778,11 +838,15 @@ impl Graph for CompressedGraph {
     }
 
     fn is_node_weighted(&self) -> bool {
-        !self.node_weights.is_empty()
+        self.node_weights.is_some()
     }
 
     fn max_degree(&self) -> usize {
         self.max_degree
+    }
+
+    fn max_weighted_degree(&self) -> EdgeWeight {
+        self.max_weighted_degree
     }
 }
 
@@ -900,7 +964,7 @@ pub(crate) mod tests {
                     csr.n(),
                     bound,
                     csr.is_edge_weighted(),
-                    csr.is_node_weighted(),
+                    csr.heaviest_node(),
                     &config,
                 );
                 let mut encoder = writer.encoder();

@@ -35,6 +35,8 @@ pub struct CsrGraph {
     total_node_weight: NodeWeight,
     total_edge_weight: EdgeWeight,
     max_degree: usize,
+    /// The heaviest weighted degree, counted with the total edge weight.
+    max_weighted_degree: EdgeWeight,
 }
 
 /// Bytes of a plain CSR with `n` vertices and `m` edges: `n + 1` offsets, `2m` neighbour
@@ -109,25 +111,24 @@ impl CsrGraph {
             node_weights.is_empty() || node_weights.len() == n,
             "node weight array length mismatch"
         );
-        let mut max_degree = 0usize;
+        let (mut max_degree, mut max_weighted_degree) = (0usize, 0);
+        let mut half_edge_weight: EdgeWeight = 0;
         for u in 0..n {
             assert!(xadj[u] <= xadj[u + 1], "offsets must be non-decreasing");
-            let deg = (xadj[u + 1] - xadj[u]) as usize;
-            max_degree = max_degree.max(deg);
-            for &v in &adjacency[xadj[u] as usize..xadj[u + 1] as usize] {
+            let edges = xadj[u] as usize..xadj[u + 1] as usize;
+            max_degree = max_degree.max(edges.len());
+            for &v in &adjacency[edges.clone()] {
                 assert!((v as usize) < n, "neighbor id {} out of range", v);
                 assert_ne!(v as usize, u, "self-loop at vertex {}", u);
             }
+            let weighted_degree = match &edge_weights {
+                None => edges.len() as EdgeWeight,
+                Some(weights) => edges.map(|e| weights.get(e)).sum(),
+            };
+            half_edge_weight += weighted_degree;
+            max_weighted_degree = max_weighted_degree.max(weighted_degree);
         }
-        let total_edge_weight = match &edge_weights {
-            None => (adjacency.len() / 2) as EdgeWeight,
-            Some(weights) => {
-                (0..weights.len())
-                    .map(|e| weights.get(e))
-                    .sum::<EdgeWeight>()
-                    / 2
-            }
-        };
+        let total_edge_weight = half_edge_weight / 2;
         let total_node_weight = if node_weights.is_empty() {
             n as NodeWeight
         } else {
@@ -141,7 +142,14 @@ impl CsrGraph {
             total_node_weight,
             total_edge_weight,
             max_degree,
+            max_weighted_degree,
         }
+    }
+
+    /// The heaviest node weight, `None` when every vertex weighs 1 implicitly.
+    pub(crate) fn heaviest_node(&self) -> Option<NodeWeight> {
+        (!self.node_weights.is_empty())
+            .then(|| self.node_weights.iter().copied().max().unwrap_or(0))
     }
 
     /// Returns the offset array `P` (length `n + 1`).
@@ -291,6 +299,10 @@ impl Graph for CsrGraph {
 
     fn max_degree(&self) -> usize {
         self.max_degree
+    }
+
+    fn max_weighted_degree(&self) -> EdgeWeight {
+        self.max_weighted_degree
     }
 }
 

@@ -1,7 +1,7 @@
 //! [`PackedArray`]: the crate's one array of unsigned integers packed at a fixed byte
 //! width — the fewest whole bytes that hold its largest entry.
 //!
-//! It backs four things:
+//! It backs five things:
 //!
 //! * the per-vertex byte offsets of a [`CompressedGraph`](crate::CompressedGraph) — the
 //!   one resident compressed store, whether its bytes are on the heap or mapped by an
@@ -13,6 +13,12 @@
 //!   instead (about one byte), and its reader prefix-sums them into this array;
 //! * the edge weights of a [`CsrGraph`](crate::CsrGraph), where a coarse level whose
 //!   heaviest edge weighs 31 stores one byte per half-edge instead of eight;
+//! * the node weights of a [`CompressedGraph`](crate::CompressedGraph) and of a
+//!   [`PagedGraph`](crate::store::PagedGraph): a coarse level whose clusters weigh at
+//!   most 391 stores two bytes a vertex instead of eight. Contraction fixes the width
+//!   from the cluster-weight limit before it writes a vertex
+//!   ([`GraphWriter`](crate::compressed::GraphWriter)); a container's `u64` section is
+//!   narrowed on load ([`PackedArray::narrowed`]);
 //! * the per-vertex row handles of the FM gain table, sized by the most slots its arena
 //!   could ever hold and written as rows are appended ([`PackedArray::zeroed`],
 //!   [`PackedArray::set`]);
@@ -242,6 +248,11 @@ impl PackedArray {
         let mut word = [0u8; 8];
         word.copy_from_slice(&self.bytes[pos..pos + 8]);
         u64::from_le_bytes(word) & self.mask
+    }
+
+    /// Bytes per entry, 1–8.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// Number of entries.

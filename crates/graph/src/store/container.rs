@@ -657,30 +657,29 @@ fn le_u64(bytes: &[u8]) -> u64 {
 /// to keep the transient buffer out of the accounted budget's way.
 const SECTION_READ_CHUNK: usize = 64 * 1024;
 
-/// Reads `count` little-endian u64 values starting at `start`, folding the raw bytes
-/// into `crc`.
-fn read_u64_section(
+/// Reads the `count` little-endian u64 node weights starting at `start`, folding the raw
+/// bytes into `crc`, and packs them at the width of the heaviest: the section is read
+/// as 8-byte entries and narrowed in place ([`PackedArray::narrowed`]).
+fn read_node_weight_section(
     backend: &dyn StorageBackend,
     start: u64,
     count: usize,
     crc: &mut Crc32,
-) -> Result<Vec<u64>, IoError> {
-    let mut out = Vec::with_capacity(count);
-    let mut chunk = vec![0u8; SECTION_READ_CHUNK.min(count.max(1) * 8)];
+) -> Result<PackedArray, IoError> {
+    let len = count * 8;
+    let mut bytes = Vec::with_capacity(len + crate::packed::TAIL_PADDING);
+    let mut heaviest = 0;
     let mut offset = start;
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(chunk.len() / 8);
-        let bytes = &mut chunk[..take * 8];
-        read_full_at(backend, bytes, offset)?;
-        crc.update(bytes);
-        for i in 0..take {
-            out.push(le_u64(&bytes[i * 8..]));
-        }
-        offset += (take * 8) as u64;
-        remaining -= take;
+    while bytes.len() < len {
+        let begin = bytes.len();
+        bytes.resize(len.min(begin + SECTION_READ_CHUNK), 0);
+        let chunk = &mut bytes[begin..];
+        read_full_at(backend, chunk, offset)?;
+        crc.update(chunk);
+        heaviest = chunk.chunks_exact(8).map(le_u64).fold(heaviest, u64::max);
+        offset += chunk.len() as u64;
     }
-    Ok(out)
+    Ok(PackedArray::narrowed(bytes, 8, heaviest))
 }
 
 /// Reads `count` little-endian u32 values starting at `start`.
@@ -706,8 +705,9 @@ fn read_u32_section(
     Ok(out)
 }
 
-/// Offset index, node weights and checksum footer of an open container.
-pub(crate) type TpgIndexParts = (PackedArray, Vec<NodeWeight>, TpgChecksums);
+/// Offset index, node weights (packed, `None` when uniform) and checksum footer of an
+/// open container.
+pub(crate) type TpgIndexParts = (PackedArray, Option<PackedArray>, TpgChecksums);
 
 /// Runs `op` under `retry`: a failure `is_transient` admits is re-attempted after an
 /// exponential backoff, up to `retry.max_retries` times, calling `on_retry` before
@@ -848,10 +848,14 @@ pub(crate) fn read_tpg_index_backend(
 
     let node_weights = retry_section(retry, retries, || {
         let mut crc = Crc32::new();
-        let weights = if meta.node_weighted {
-            read_u64_section(backend, meta.node_weights_start(), meta.n, &mut crc)?
-        } else {
-            Vec::new()
+        let weights = match meta.node_weighted {
+            true => Some(read_node_weight_section(
+                backend,
+                meta.node_weights_start(),
+                meta.n,
+                &mut crc,
+            )?),
+            false => None,
         };
         let computed = crc.finalize();
         if computed != stored_weights {
@@ -1109,6 +1113,7 @@ pub(crate) fn read_resident(
         meta.total_node_weight,
         meta.total_edge_weight,
         meta.max_degree,
+        None,
         meta.config,
     ))
 }
@@ -1253,6 +1258,52 @@ mod tests {
         assert_eq!(loaded.encoded_data_bytes(), reference.encoded_data_bytes());
         for u in 0..g.n() as NodeId {
             assert_eq!(loaded.neighbors_vec(u), reference.neighbors_vec(u));
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn packed_node_weights_read_back_alike_through_every_store() {
+        // The container stores 8 bytes a node weight; every open packs them at the width
+        // of the heaviest: one byte below 256, five for a vertex of 2^32 + 7.
+        let base = gen::grid2d(23, 17);
+        let path = tmp("packed_node_weights.tpg");
+        for (heaviest, width) in [(255, 1), ((1 << 32) + 7, 5)] {
+            let mut weights: Vec<NodeWeight> = (0..base.n() as NodeWeight)
+                .map(|u| 1 + u * 37 % 200)
+                .collect();
+            weights[base.n() / 3] = heaviest;
+            let mut builder = crate::CsrGraphBuilder::with_node_weights(weights);
+            for u in 0..base.n() as NodeId {
+                for v in base.neighbors_vec(u).into_iter().map(|(v, _)| v) {
+                    if u < v {
+                        builder.add_edge(u, v, 1);
+                    }
+                }
+            }
+            let g = builder.build();
+            let config = CompressionConfig::default();
+            write_tpg_from_graph(&g, &path, &config).unwrap();
+            let in_memory = CompressedGraph::from_csr(&g, &config);
+            let loaded = read_tpg_compressed(&path).unwrap();
+            let mmap = crate::store::MmapGraph::open(&path).unwrap();
+            let paged = crate::store::PagedGraph::open(&path).unwrap();
+            for graph in [&in_memory as &dyn Graph, &loaded, &mmap, &paged] {
+                assert!(graph.is_node_weighted());
+                assert_eq!(graph.total_node_weight(), g.total_node_weight());
+                for u in 0..g.n() as NodeId {
+                    assert_eq!(graph.node_weight(u), g.node_weight(u), "vertex {u}");
+                }
+            }
+            let packed = g.n() * width + crate::packed::TAIL_PADDING;
+            for graph in [&in_memory, &loaded] {
+                assert_eq!(graph.node_weights().unwrap().width(), width);
+                assert_eq!(graph.node_weight_bytes(), packed);
+            }
+            let meta = paged.meta();
+            let index = (meta.n + 1) * crate::packed::width_for(meta.data_len) + 8;
+            let blocks = 4 * meta.checksum_block_count() as usize;
+            assert_eq!(paged.accounted_bytes(), index + packed + blocks);
         }
         std::fs::remove_file(path).ok();
     }

@@ -196,6 +196,9 @@ impl Graph for StoreSession<'_> {
     fn max_degree(&self) -> usize {
         self.as_graph().max_degree()
     }
+    fn max_weighted_degree(&self) -> EdgeWeight {
+        self.as_graph().max_weighted_degree()
+    }
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
         self.as_graph().record_obs_metrics(metrics)
     }

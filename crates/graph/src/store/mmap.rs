@@ -278,6 +278,10 @@ impl Graph for MmapGraph {
         self.graph.max_degree()
     }
 
+    fn max_weighted_degree(&self) -> EdgeWeight {
+        self.graph.max_weighted_degree()
+    }
+
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
         use obs::Counter;
         metrics.add(Counter::MmapOpens, 1);
@@ -335,7 +339,7 @@ mod tests {
     /// The three resident opens — loaded, mapped, and the heap fallback of a backend
     /// without a file — decode the same bytes identically, and each charges exactly its
     /// data (with the header in front when mapped) plus the offset index and node
-    /// weights.
+    /// weights, packed at one byte a vertex (the heaviest weighs at most 6).
     #[test]
     fn mmap_iteration_is_identical_to_compressed() {
         let csr = gen::with_random_node_weights(
@@ -358,8 +362,9 @@ mod tests {
         assert!(!fallback.is_mmap());
 
         let data_len = compressed.encoded_data_bytes();
-        let index_and_weights =
-            compressed.offset_index_bytes() + csr.n() * std::mem::size_of::<NodeWeight>();
+        let weights = csr.n() + crate::packed::TAIL_PADDING;
+        assert_eq!(compressed.node_weight_bytes(), weights);
+        let index_and_weights = compressed.offset_index_bytes() + weights;
         for graph in [&loaded as &dyn Graph, &mapped, &fallback] {
             assert_matches(graph, &compressed);
         }

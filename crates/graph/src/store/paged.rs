@@ -2,7 +2,9 @@
 //! sharded page cache.
 //!
 //! The semi-external layout keeps the `O(n)` arrays (offset index, node weights) in
-//! memory and leaves the `O(m)` encoded neighbourhood bytes on disk. Neighbourhood
+//! memory and leaves the `O(m)` encoded neighbourhood bytes on disk. The container
+//! stores a node weight in 8 bytes; the open packs them at the width of the heaviest
+//! ([`PackedArray`]), one byte a vertex where every weight is below 256. Neighbourhood
 //! accesses copy the needed byte range out of cached pages into a thread-local buffer
 //! and decode with the same routine the in-memory [`CompressedGraph`] uses, so
 //! iteration order — and therefore a fixed-seed partitioning run — is bit-identical
@@ -518,8 +520,8 @@ pub struct PagedGraph {
     /// Byte offset of each vertex's encoded neighbourhood within the data section,
     /// then its end: `n + 1` entries, packed.
     offsets: PackedArray,
-    /// Node weights, empty when uniform.
-    node_weights: Vec<NodeWeight>,
+    /// Node weights packed at the width of the heaviest, `None` when uniform.
+    node_weights: Option<PackedArray>,
     /// Boxed: the cache is by far the largest member, and `PagedGraph` is a variant
     /// of the by-value `StoreHandle` enum.
     cache: Box<PageCache>,
@@ -590,7 +592,7 @@ impl PagedGraph {
             read_tpg_index_backend(backend.as_ref(), &meta, &options.retry, &mut open_retries)?;
         let resident_charge = MemoryScope::charge_global(
             offsets.size_in_bytes()
-                + node_weights.len() * std::mem::size_of::<NodeWeight>()
+                + node_weights.as_ref().map_or(0, PackedArray::size_in_bytes)
                 + checksums.blocks.len() * std::mem::size_of::<u32>(),
         );
         let cache = Box::new(PageCache::new(
@@ -716,10 +718,9 @@ impl Graph for PagedGraph {
     }
 
     fn node_weight(&self, u: NodeId) -> NodeWeight {
-        if self.node_weights.is_empty() {
-            1
-        } else {
-            self.node_weights[u as usize]
+        match &self.node_weights {
+            Some(weights) => weights.get(u as usize),
+            None => 1,
         }
     }
 
@@ -740,7 +741,7 @@ impl Graph for PagedGraph {
     }
 
     fn is_node_weighted(&self) -> bool {
-        !self.node_weights.is_empty()
+        self.node_weights.is_some()
     }
 
     fn record_obs_metrics(&self, metrics: &obs::MetricsRegistry) {
@@ -820,8 +821,9 @@ mod tests {
 
     /// Right after open, before any page is faulted, a paged store charges exactly its
     /// resident arrays: the packed offset index (`n + 1` entries of the data section's
-    /// width plus 8 bytes of tail padding), 8 bytes per node weight and 4 per
-    /// data-block crc — the sum the resident stores pin in `store::mmap`.
+    /// width plus 8 bytes of tail padding), the node weights packed at the width of the
+    /// heaviest (one byte here, plus the padding) and 4 bytes per data-block crc — the
+    /// sum the resident stores pin in `store::mmap`.
     #[test]
     fn an_open_paged_store_charges_exactly_its_resident_arrays() {
         let csr = gen::with_random_node_weights(&gen::weblike(10, 8, 2), 6, 9);
@@ -832,7 +834,8 @@ mod tests {
         assert!(meta.node_weighted && meta.checksum_block_count() > 1);
         let index = (meta.n + 1) * crate::packed::width_for(meta.data_len) + 8;
         let blocks = meta.checksum_block_count() as usize;
-        assert_eq!(paged.accounted_bytes(), index + 8 * meta.n + 4 * blocks);
+        let weights = meta.n + 8;
+        assert_eq!(paged.accounted_bytes(), index + weights + 4 * blocks);
         drop(paged);
         std::fs::remove_file(path).ok();
     }

@@ -56,6 +56,19 @@ pub trait Graph: Sync {
             .unwrap_or(0)
     }
 
+    /// The heaviest weighted degree, or an upper bound on it where the representation did
+    /// not count it: no vertex's affinity to any set of its neighbours exceeds it. The
+    /// default is exact without edge weights (the maximum degree) and falls back to the
+    /// total edge weight with them. In-memory graphs count it as they are built; a graph
+    /// opened from a `.tpg` container, whose header does not store it, falls back.
+    fn max_weighted_degree(&self) -> EdgeWeight {
+        if self.is_edge_weighted() {
+            self.total_edge_weight()
+        } else {
+            self.max_degree() as EdgeWeight
+        }
+    }
+
     /// Sum of `min(degree(u), cap)` over all vertices — the memory bound of the sparse
     /// gain table (paper §V).
     fn total_capped_degree(&self, cap: usize) -> usize {
@@ -122,6 +135,9 @@ impl<G: Graph + ?Sized> Graph for &G {
     }
     fn max_degree(&self) -> usize {
         (**self).max_degree()
+    }
+    fn max_weighted_degree(&self) -> EdgeWeight {
+        (**self).max_weighted_degree()
     }
     fn total_capped_degree(&self, cap: usize) -> usize {
         (**self).total_capped_degree(cap)

@@ -65,6 +65,7 @@ counters! {
     (InitialFmMovesTried, "initial_fm_moves_tried", Sum),
     (InitialFmMovesKept, "initial_fm_moves_kept", Sum),
     (InitialFmHalfEdges, "initial_fm_half_edges", Sum),
+    (InitialExtractHalfEdges, "initial_extract_half_edges", Sum),
     // Paged store cache.
     (CacheHits, "cache_hits", Sum),
     (CacheMisses, "cache_misses", Sum),

@@ -14,7 +14,11 @@
 //! charges the pages they reach as they are written ([`GraphWriter`], the paper's
 //! overcommit), so the `contract` phase's peak includes the level it builds, and the
 //! level keeps that charge ([`CoarseGraph`]) until it drops. No coarse level is ever held
-//! as CSR, and the numbering does not depend on the number of threads.
+//! as CSR, and the numbering does not depend on the number of threads. The coarse node
+//! weights are packed at a width fixed before the first packet is written: that of the
+//! heavier of the cluster-weight limit and the heaviest fine vertex (a cluster of two or
+//! more members is within the limit, a singleton weighs its vertex), 2 bytes a coarse
+//! vertex on a mesh at k = 16 where 8 bytes were.
 //!
 //! * [`ContractionAlgorithm::Buffered`] aggregates every coarse neighbourhood into a
 //!   buffer of its own first, then encodes the buffers — the coarse graph is held twice
@@ -73,7 +77,8 @@ const LABEL_BLOCK: usize = 8192;
 
 /// Contracts `clustering` on `graph` using the selected algorithm, with a fresh worker
 /// pool. Prefer [`contract_with_scratch`] inside the multilevel pipeline, where one pool
-/// serves every level.
+/// serves every level. Without the clustering's weight limit, the coarse node weights
+/// are packed at the width of the graph's total node weight.
 pub fn contract(
     graph: &impl Graph,
     clustering: &Clustering,
@@ -81,21 +86,64 @@ pub fn contract(
     bump_threshold: usize,
 ) -> ContractionResult {
     let mut scratch = HierarchyScratch::new();
-    contract_with_scratch(graph, clustering, algorithm, bump_threshold, &mut scratch)
+    let heaviest = graph.total_node_weight();
+    contract_at(
+        graph,
+        clustering,
+        algorithm,
+        bump_threshold,
+        heaviest,
+        &mut scratch,
+    )
 }
 
 /// Contracts `clustering` on `graph`, leasing per-worker buffers from `scratch`.
+/// `max_cluster_weight` bounds every cluster of more than one vertex (the clustering's
+/// weight limit); the coarse node weights are packed at the width of it or of the
+/// heaviest vertex of `graph`, whichever is heavier.
 pub fn contract_with_scratch(
     graph: &impl Graph,
     clustering: &Clustering,
     algorithm: ContractionAlgorithm,
     bump_threshold: usize,
+    max_cluster_weight: NodeWeight,
+    scratch: &mut HierarchyScratch,
+) -> ContractionResult {
+    let heaviest = max_cluster_weight.max(heaviest_node(graph));
+    contract_at(
+        graph,
+        clustering,
+        algorithm,
+        bump_threshold,
+        heaviest,
+        scratch,
+    )
+}
+
+/// The weight of the heaviest vertex of `graph`.
+fn heaviest_node(graph: &impl Graph) -> NodeWeight {
+    match graph.is_node_weighted() {
+        true => (0..graph.n() as NodeId)
+            .map(|u| graph.node_weight(u))
+            .max()
+            .unwrap_or(0),
+        false => 1,
+    }
+}
+
+/// Contraction whose coarse vertices weigh at most `heaviest`.
+fn contract_at(
+    graph: &impl Graph,
+    clustering: &Clustering,
+    algorithm: ContractionAlgorithm,
+    bump_threshold: usize,
+    heaviest: NodeWeight,
     scratch: &mut HierarchyScratch,
 ) -> ContractionResult {
     match algorithm {
-        ContractionAlgorithm::Buffered => contract_buffered(graph, clustering, scratch),
+        ContractionAlgorithm::Buffered => contract_buffered(graph, clustering, heaviest, scratch),
         ContractionAlgorithm::OnePass => {
-            contract_one_pass(graph, clustering, bump_threshold, scratch)
+            contract_one_pass(graph, clustering, bump_threshold, heaviest, scratch)
         }
     }
 }
@@ -258,13 +306,15 @@ impl ClusterBuckets {
 /// Writes the coarse graph of `buckets`, whose neighbourhoods `aggregate` yields: given
 /// coarse vertex `b`, a worker's rating table (`bump_threshold` keys) and its emptied
 /// neighbourhood buffer, it fills the buffer with `b`'s `(coarse neighbour, weight)`
-/// pairs, each neighbour once, and returns `b`'s node weight. The neighbourhoods are
-/// sorted and encoded gap-only in packets of [`PACKET_LEN`], committed in order
-/// ([`commit_in_packet_order`]) into a reservation of [`reserved_bytes`].
+/// pairs, each neighbour once, and returns `b`'s node weight, at most `heaviest`. The
+/// neighbourhoods are sorted and encoded gap-only in packets of [`PACKET_LEN`],
+/// committed in order ([`commit_in_packet_order`]) into a reservation of
+/// [`reserved_bytes`].
 fn write_coarse_graph(
     graph: &impl Graph,
     buckets: &ClusterBuckets,
     bump_threshold: usize,
+    heaviest: NodeWeight,
     scratch: &HierarchyScratch,
     aggregate: impl Fn(usize, &mut FixedCapacityHashMap, &mut Vec<(NodeId, EdgeWeight)>) -> NodeWeight
         + Sync,
@@ -277,7 +327,7 @@ fn write_coarse_graph(
         n_coarse,
         reserved_bytes(graph, n_coarse),
         true,
-        true,
+        Some(heaviest),
         &CompressionConfig::gap_only(),
     );
     let packets: Vec<Packet> = (0..n_coarse)
@@ -317,6 +367,7 @@ fn write_coarse_graph(
 fn contract_buffered(
     graph: &impl Graph,
     clustering: &Clustering,
+    heaviest: NodeWeight,
     scratch: &HierarchyScratch,
 ) -> ContractionResult {
     let mut buckets = ClusterBuckets::build(clustering);
@@ -349,7 +400,7 @@ fn contract_buffered(
         })
         .sum();
     let _scope = MemoryScope::charge_global(buffer_bytes);
-    let coarse = write_coarse_graph(graph, &buckets, 0, scratch, |b, _, neighbors| {
+    let coarse = write_coarse_graph(graph, &buckets, 0, heaviest, scratch, |b, _, neighbors| {
         let (weight, edges) = &buffers[b];
         neighbors.extend_from_slice(edges);
         *weight
@@ -365,6 +416,7 @@ fn contract_one_pass(
     graph: &impl Graph,
     clustering: &Clustering,
     bump_threshold: usize,
+    heaviest: NodeWeight,
     scratch: &HierarchyScratch,
 ) -> ContractionResult {
     let mut buckets = ClusterBuckets::build(clustering);
@@ -376,6 +428,7 @@ fn contract_one_pass(
         graph,
         &buckets,
         bump_threshold,
+        heaviest,
         scratch,
         |b, table, neighbors| {
             let coarse = b as NodeId;
@@ -780,6 +833,7 @@ mod tests {
                 &clustering,
                 ContractionAlgorithm::OnePass,
                 16,
+                8,
                 &mut scratch,
             );
             check_contraction(&current, &clustering, &result);

@@ -45,14 +45,14 @@
 //! The unit-weight input graph is "all movable" without a decode.
 //!
 //! A run's auxiliary state is a label and a cluster weight per vertex. The weights are
-//! stored at the width the level's `max_cluster_weight` needs: 4-byte atomics while the
-//! limit is below `u32::MAX` (it is a small fraction of a block's weight), 8-byte ones
-//! otherwise. The width is derived from the limit once per run; one code path serves
-//! both.
+//! stored at the width the level's `max_cluster_weight` needs: 2-byte atomics while the
+//! limit is below `u16::MAX` (it is a small fraction of a block's weight: 391 on
+//! `rgg2d(250 000, 8)` at k = 16), 4-byte ones below `u32::MAX`, 8-byte ones otherwise.
+//! The width is derived from the limit once per run; one code path serves all three.
 //!
 //! [`MIN_CONTRACTIBLE_SHARE`]: super::MIN_CONTRACTIBLE_SHARE
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
 
 use graph::traits::Graph;
 use graph::{AtomicNodeId, EdgeWeight, NodeId, NodeWeight};
@@ -111,14 +111,71 @@ impl Clustering {
 
 /// The cluster weights of one clustering run, stored at the width its
 /// `max_cluster_weight` needs. No stored weight exceeds `max_cluster_weight + 1` (see
-/// [`Self::singletons`]), so below a limit of `u32::MAX` a weight takes 4 bytes. Sums and
-/// comparisons are made in `u64`. One enum rather than a type parameter keeps a
-/// single instance of the clustering code; every access branches on the width, the same
-/// way for the whole run.
+/// [`Self::singletons`]), so below a limit of `u16::MAX` a weight takes 2 bytes, below
+/// `u32::MAX` 4. Sums and comparisons are made in `u64`. One enum rather than a type
+/// parameter keeps a single instance of the clustering code; every access branches on
+/// the width, the same way for the whole run.
 enum ClusterWeights {
+    Short(Vec<AtomicU16>),
     Narrow(Vec<AtomicU32>),
     Wide(Vec<AtomicU64>),
 }
+
+/// Evaluates `$body` with `$cells` bound to the weight cells at their width.
+macro_rules! with_cells {
+    ($weights:expr, |$cells:ident| $body:expr) => {
+        match $weights {
+            ClusterWeights::Short($cells) => $body,
+            ClusterWeights::Narrow($cells) => $body,
+            ClusterWeights::Wide($cells) => $body,
+        }
+    };
+}
+
+/// An atomic cluster-weight cell, read and written in `u64`. A value stored is at most
+/// `max_cluster_weight + 1`, which the cell's width holds.
+trait WeightCell: Sized {
+    fn of(weight: NodeWeight) -> Self;
+    fn weight(&self) -> NodeWeight;
+    /// Adds `w` unless the sum would exceed `limit`; returns whether it did.
+    fn try_add(&self, w: NodeWeight, limit: NodeWeight) -> bool;
+    fn subtract(&self, w: NodeWeight);
+}
+
+macro_rules! weight_cell {
+    ($atomic:ty, $int:ty) => {
+        impl WeightCell for $atomic {
+            #[inline]
+            fn of(weight: NodeWeight) -> Self {
+                Self::new(weight as $int)
+            }
+
+            #[inline]
+            fn weight(&self) -> NodeWeight {
+                NodeWeight::from(self.load(Ordering::Relaxed))
+            }
+
+            #[inline]
+            fn try_add(&self, w: NodeWeight, limit: NodeWeight) -> bool {
+                let relaxed = Ordering::Relaxed;
+                self.fetch_update(relaxed, relaxed, |weight| {
+                    let sum = NodeWeight::from(weight) + w;
+                    (sum <= limit).then_some(sum as $int)
+                })
+                .is_ok()
+            }
+
+            #[inline]
+            fn subtract(&self, w: NodeWeight) {
+                self.fetch_sub(w as $int, Ordering::Relaxed);
+            }
+        }
+    };
+}
+
+weight_cell!(AtomicU16, u16);
+weight_cell!(AtomicU32, u32);
+weight_cell!(AtomicU64, u64);
 
 impl ClusterWeights {
     /// The singleton clusters of `graph`. A vertex heavier than `max_cluster_weight`
@@ -126,58 +183,40 @@ impl ClusterWeights {
     /// cluster as over the limit, as its own weight would, so nothing joins it, and it
     /// cannot move either, so nothing is ever subtracted from it.
     fn singletons(graph: &impl Graph, max_cluster_weight: NodeWeight) -> Self {
+        fn cells<C: WeightCell>(graph: &impl Graph, saturated: NodeWeight) -> Vec<C> {
+            (0..graph.n() as NodeId)
+                .map(|u| C::of(graph.node_weight(u).min(saturated)))
+                .collect()
+        }
         let saturated = max_cluster_weight.saturating_add(1);
-        let weights = (0..graph.n() as NodeId).map(|u| graph.node_weight(u).min(saturated));
-        if max_cluster_weight < NodeWeight::from(u32::MAX) {
-            Self::Narrow(weights.map(|w| AtomicU32::new(w as u32)).collect())
+        if max_cluster_weight < NodeWeight::from(u16::MAX) {
+            Self::Short(cells(graph, saturated))
+        } else if max_cluster_weight < NodeWeight::from(u32::MAX) {
+            Self::Narrow(cells(graph, saturated))
         } else {
-            Self::Wide(weights.map(AtomicU64::new).collect())
+            Self::Wide(cells(graph, saturated))
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        match self {
-            Self::Narrow(cells) => std::mem::size_of_val(cells.as_slice()),
-            Self::Wide(cells) => std::mem::size_of_val(cells.as_slice()),
-        }
+        with_cells!(self, |cells| std::mem::size_of_val(cells.as_slice()))
     }
 
     #[inline]
     fn get(&self, c: ClusterId) -> NodeWeight {
-        match self {
-            Self::Narrow(cells) => NodeWeight::from(cells[c as usize].load(Ordering::Relaxed)),
-            Self::Wide(cells) => cells[c as usize].load(Ordering::Relaxed),
-        }
+        with_cells!(self, |cells| cells[c as usize].weight())
     }
 
     /// Adds `w` to cluster `c` unless the sum would exceed `limit` (a CAS loop, so the
     /// limit is never exceeded); returns whether it did.
     #[inline]
     fn try_add(&self, c: ClusterId, w: NodeWeight, limit: NodeWeight) -> bool {
-        let add = |weight: NodeWeight| Some(weight + w).filter(|&sum| sum <= limit);
-        let relaxed = Ordering::Relaxed;
-        match self {
-            Self::Narrow(cells) => cells[c as usize]
-                .fetch_update(relaxed, relaxed, |weight| {
-                    add(weight.into()).map(|sum| sum as u32)
-                })
-                .is_ok(),
-            Self::Wide(cells) => cells[c as usize]
-                .fetch_update(relaxed, relaxed, add)
-                .is_ok(),
-        }
+        with_cells!(self, |cells| cells[c as usize].try_add(w, limit))
     }
 
     #[inline]
     fn subtract(&self, c: ClusterId, w: NodeWeight) {
-        match self {
-            Self::Narrow(cells) => {
-                cells[c as usize].fetch_sub(w as u32, Ordering::Relaxed);
-            }
-            Self::Wide(cells) => {
-                cells[c as usize].fetch_sub(w, Ordering::Relaxed);
-            }
-        }
+        with_cells!(self, |cells| cells[c as usize].subtract(w))
     }
 }
 
@@ -1200,21 +1239,37 @@ mod tests {
         builder.build()
     }
 
+    /// The width of the cells, in bytes.
+    fn cell_bytes(weights: &ClusterWeights) -> usize {
+        match weights {
+            ClusterWeights::Short(_) => 2,
+            ClusterWeights::Narrow(_) => 4,
+            ClusterWeights::Wide(_) => 8,
+        }
+    }
+
     #[test]
-    fn eight_byte_cluster_weights_find_the_clustering_of_four_byte_ones() {
-        // Scaling every node weight and the limit by 2^32 answers every feasibility test
-        // as before but forces 8-byte cells: in 4-byte ones every scaled weight would
-        // truncate to 0. Vertex 17 is heavier than the limit: it starts saturated at 13
-        // in the 4-byte cells and at its own weight in the 8-byte ones.
+    fn two_four_and_eight_byte_cluster_weights_find_one_clustering() {
+        // Scaling every node weight and the limit by 2^16 or 2^32 answers every
+        // feasibility test as before but forces 4- or 8-byte cells: in narrower ones every
+        // scaled weight would truncate to 0. Vertex 17 is heavier than the limit: at
+        // every width it starts saturated at the scaled limit + 1.
         let base = gen::with_random_node_weights(&gen::rgg2d(3_000, 8, 5), 3, 9);
         let mut weights: Vec<NodeWeight> = (0..base.n() as NodeId)
             .map(|u| base.node_weight(u))
             .collect();
         weights[17] = 40;
         let limit: NodeWeight = 12;
-        let unit = reweighted(&base, weights.clone());
-        let scaled = reweighted(&base, weights.iter().map(|&w| w << 32).collect());
-        assert!(limit << 32 >= NodeWeight::from(u32::MAX));
+        let scaled: Vec<(usize, graph::CsrGraph, NodeWeight)> = [(0, 2), (16, 4), (32, 8)]
+            .into_iter()
+            .map(|(shift, bytes)| {
+                let graph = reweighted(&base, weights.iter().map(|&w| w << shift).collect());
+                let state = ClusteringState::new(&graph, limit << shift);
+                assert_eq!(cell_bytes(&state.cluster_weights), bytes);
+                assert_eq!(state.cluster_weights.get(17), (limit << shift) + 1);
+                (bytes, graph, limit << shift)
+            })
+            .collect();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
@@ -1228,16 +1283,19 @@ mod tests {
                 bump_threshold: 8,
                 ..Default::default()
             };
-            let (narrow, wide) = pool.install(|| {
-                (
-                    cluster(&unit, &config, limit, 11),
-                    cluster(&scaled, &config, limit << 32, 11),
-                )
-            });
-            assert_eq!(narrow, wide, "{lp_mode:?}");
-            check_invariants(&unit, &narrow, limit);
-            assert!(narrow.num_clusters < unit.n() / 2, "{lp_mode:?}");
-            let joined_17: Vec<usize> = (0..unit.n()).filter(|&u| narrow.label[u] == 17).collect();
+            let clusterings: Vec<Clustering> = scaled
+                .iter()
+                .map(|(_, graph, limit)| pool.install(|| cluster(graph, &config, *limit, 11)))
+                .collect();
+            let (two_bytes, unit) = (&clusterings[0], &scaled[0].1);
+            for (clustering, (bytes, ..)) in clusterings.iter().zip(&scaled) {
+                assert_eq!(clustering, two_bytes, "{lp_mode:?}, {bytes}-byte cells");
+            }
+            check_invariants(unit, two_bytes, limit);
+            assert!(two_bytes.num_clusters < unit.n() / 2, "{lp_mode:?}");
+            let joined_17: Vec<usize> = (0..unit.n())
+                .filter(|&u| two_bytes.label[u] == 17)
+                .collect();
             assert_eq!(joined_17, vec![17], "the heavy vertex stays a singleton");
         }
     }
@@ -1246,21 +1304,27 @@ mod tests {
     fn the_state_charges_the_cell_width_it_uses() {
         let g = gen::rgg2d(600, 8, 5);
         let (n, id) = (g.n(), std::mem::size_of::<NodeId>());
-        // The largest limit whose saturation mark, `limit + 1`, fits in 4 bytes.
-        let narrow = ClusteringState::new(&g, NodeWeight::from(u32::MAX) - 1);
-        assert!(matches!(narrow.cluster_weights, ClusterWeights::Narrow(_)));
-        assert_eq!(narrow.memory_bytes(), n * (id + 4));
-        let wide = ClusteringState::new(&g, NodeWeight::from(u32::MAX));
-        assert!(matches!(wide.cluster_weights, ClusterWeights::Wide(_)));
-        assert_eq!(wide.memory_bytes(), n * (id + 8));
+        // Around the largest limits whose saturation mark, `limit + 1`, fits in 2 and in
+        // 4 bytes.
+        for (limit, bytes) in [
+            (1, 2),
+            (NodeWeight::from(u16::MAX) - 1, 2),
+            (NodeWeight::from(u16::MAX), 4),
+            (NodeWeight::from(u32::MAX) - 1, 4),
+            (NodeWeight::from(u32::MAX), 8),
+        ] {
+            let state = ClusteringState::new(&g, limit);
+            assert_eq!(cell_bytes(&state.cluster_weights), bytes, "limit {limit}");
+            assert_eq!(state.memory_bytes(), n * (id + bytes), "limit {limit}");
+        }
     }
 
     #[test]
     fn a_vertex_heavier_than_the_limit_starts_saturated_and_never_moves() {
-        // Vertex 1 weighs 2^32, which 4 bytes would store as 0.
+        // Vertex 1 weighs 2^32, which 2 or 4 bytes would store as 0.
         let g = reweighted(&gen::path(3), vec![1, 1 << 32, 1]);
         let state = ClusteringState::new(&g, 3);
-        assert!(matches!(state.cluster_weights, ClusterWeights::Narrow(_)));
+        assert!(matches!(state.cluster_weights, ClusterWeights::Short(_)));
         assert_eq!(state.cluster_weights.get(1), 4);
         assert!(!state.try_move(1, g.node_weight(1), 0));
         assert!(!state.try_move(0, 1, 1));

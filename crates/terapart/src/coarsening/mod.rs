@@ -104,6 +104,10 @@ impl Graph for CoarseGraph {
     fn max_degree(&self) -> usize {
         self.graph.max_degree()
     }
+
+    fn max_weighted_degree(&self) -> EdgeWeight {
+        self.graph.max_weighted_degree()
+    }
 }
 
 /// One level of the multilevel hierarchy.
@@ -304,6 +308,7 @@ pub(crate) fn coarsen_level(
                 &clustering,
                 coarsening.contraction,
                 coarsening.bump_threshold,
+                limit,
                 run.scratch,
             )
         },

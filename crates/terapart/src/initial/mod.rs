@@ -185,7 +185,9 @@ impl BisectionTree<'_> {
             return;
         }
         let mut ws = self.scratch.bisections.checkout();
-        ws.extract(self.graph, vertices, self.scratch, self.heaviest_edge);
+        let decoded = ws.extract(self.graph, vertices, self.scratch, self.heaviest_edge);
+        self.obs
+            .add(obs::Counter::InitialExtractHalfEdges, decoded as u64);
         let split = self.bisect(&ws.view(), vertices, k, lmax, seed);
         // Parked before the recursion, so the children lease it again.
         drop(ws);

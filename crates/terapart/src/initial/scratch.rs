@@ -185,13 +185,14 @@ impl BisectionWorkspace {
     /// The buffers are sized once, before anything is written: the edge arrays by the
     /// summed degree of `vertices`, which bounds the internal half-edges. A buffer already
     /// large enough is reused, so deeper bisections of the same tree allocate nothing.
+    /// Returns the half-edges of `graph` it decoded: that summed degree.
     pub(crate) fn extract(
         &mut self,
         graph: &dyn Graph,
         vertices: &[NodeId],
         scratch: &InitialPartitioningScratch,
         heaviest_edge: EdgeWeight,
-    ) {
+    ) -> usize {
         let n_sub = vertices.len();
         let epoch = scratch.next_epoch();
         scratch.tag_members(epoch, vertices);
@@ -232,6 +233,7 @@ impl BisectionWorkspace {
         }
         self.total_node_weight = total_node_weight;
         self.total_edge_weight = total_edge_weight / 2;
+        half_edge_bound
     }
 
     /// A [`Graph`] view of the extracted subgraph.

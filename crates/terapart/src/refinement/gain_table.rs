@@ -46,11 +46,16 @@
 //!
 //! # Slot width
 //!
-//! An affinity never exceeds the graph's total edge weight, nor, on a graph without edge
-//! weights, its maximum degree. When that bound fits beside a block id in 16 bits, every
-//! slot is 2 bytes wide (an unweighted input level of modest degree), in 32 bits 4 bytes,
-//! otherwise 8 — chosen once per
-//! table, for dense and hash rows alike (`Slots`). A row's handle packs its arena offset
+//! An affinity never exceeds its vertex's weighted degree, so never the graph's heaviest
+//! weighted degree ([`Graph::max_weighted_degree`]): the encoder counts it as it writes
+//! every neighbourhood (a CSR graph as it is built), so the bound costs no scan here, and
+//! on a graph without edge weights it is the maximum degree. When that bound fits beside
+//! a block id in 16 bits, every slot is 2 bytes wide, in 32 bits 4 bytes, otherwise 8 —
+//! chosen once per table, for dense and hash rows alike (`Slots`). Every coarse level is
+//! edge-weighted, and its heaviest weighted degree is far below its total edge weight:
+//! `rhg_like(6 000, 8)`'s levels take 2-byte slots at k = 16 where a bound by the total
+//! edge weight gave them 4. A graph opened from a `.tpg` container bounds it by its total
+//! edge weight (the header does not store it). A row's handle packs its arena offset
 //! above its length class (dense, or a hash row of `2^c` slots) in a [`PackedArray`]
 //! sized by the most slots the arena could ever hold, so a query decodes nothing but the
 //! handle.
@@ -462,10 +467,7 @@ impl GainTable {
     ) -> Self {
         let n = graph.n();
         let key_bits = (usize::BITS - k.saturating_sub(1).leading_zeros()).max(1);
-        let most_affinity = match graph.is_edge_weighted() {
-            true => graph.total_edge_weight(),
-            false => graph.max_degree() as EdgeWeight,
-        };
+        let most_affinity = graph.max_weighted_degree();
         let fits =
             |slot_bits: u32| slot_bits > key_bits && most_affinity >> (slot_bits - key_bits) == 0;
         let (slots, slot_bits) = if fits(u16::BITS) {

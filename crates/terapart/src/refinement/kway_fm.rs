@@ -502,6 +502,87 @@ mod tests {
         assert_eq!(refined[0], refined[2], "none vs sparse");
     }
 
+    /// A graph that does not report its heaviest weighted degree, so a gain table bounds
+    /// its affinities by the total edge weight, as on a graph opened from a container.
+    struct TotalWeightBound<'g>(&'g graph::CsrGraph);
+
+    impl Graph for TotalWeightBound<'_> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn m(&self) -> usize {
+            self.0.m()
+        }
+        fn degree(&self, u: NodeId) -> usize {
+            self.0.degree(u)
+        }
+        fn node_weight(&self, u: NodeId) -> NodeWeight {
+            self.0.node_weight(u)
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.0.total_node_weight()
+        }
+        fn total_edge_weight(&self) -> EdgeWeight {
+            self.0.total_edge_weight()
+        }
+        fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId, EdgeWeight)) {
+            self.0.for_each_neighbor(u, f)
+        }
+        fn is_edge_weighted(&self) -> bool {
+            self.0.is_edge_weighted()
+        }
+        fn max_degree(&self) -> usize {
+            self.0.max_degree()
+        }
+    }
+
+    #[test]
+    fn slots_sized_by_the_heaviest_weighted_degree_make_the_moves_of_wider_ones() {
+        // k = 16 leaves 12 value bits beside the block id in a 2-byte slot. The total
+        // edge weight needs more, the heaviest weighted degree does not: the tables take
+        // 2-byte slots, and 4-byte ones where only the total bounds an affinity.
+        let g = gen::with_random_edge_weights(&gen::rgg2d(800, 10, 5), 9, 3);
+        let k = 16;
+        assert!(
+            g.total_edge_weight() >= 1 << 12,
+            "{}",
+            g.total_edge_weight()
+        );
+        assert!(g.max_weighted_degree() < 1 << 12);
+        let by_total = TotalWeightBound(&g);
+        for kind in [GainTableKind::Dense, GainTableKind::Sparse] {
+            let start = scrambled(&g, k, 0.25);
+            let slots = |graph: &dyn Graph| {
+                let GainCache::Table(table) =
+                    GainCache::new(kind, &graph, start.assignment(), k, None)
+                else {
+                    unreachable!("a table kind");
+                };
+                table.slot_bytes()
+            };
+            assert_eq!(slots(&g), 2, "{kind:?}");
+            assert_eq!(slots(&by_total), 4, "{kind:?}");
+            // The same moves, kept and rolled back alike, from a table half the size.
+            let refined = |graph: &dyn Graph| {
+                let mut p = start.clone();
+                let stats = kway_fm_refine(&graph, &mut p, kind, 6, 64);
+                let bytes = stats.gain_table_bytes;
+                let stats = FmStats {
+                    gain_table_bytes: 0,
+                    ..stats
+                };
+                ((p.assignment().to_vec(), stats), bytes)
+            };
+            let ((narrow, narrow_bytes), (wide, wide_bytes)) = (refined(&g), refined(&by_total));
+            assert!(narrow.1.moves > 0, "{kind:?}");
+            assert_eq!(narrow, wide, "{kind:?}");
+            assert!(
+                narrow_bytes < wide_bytes,
+                "{kind:?}: {narrow_bytes} B, {wide_bytes} B"
+            );
+        }
+    }
+
     #[test]
     fn gain_table_memory_ordering_matches_the_paper() {
         // Figure 7 (middle): no table < sparse `O(m)` < dense `O(nk)`.

@@ -111,9 +111,10 @@ fn every_level_is_born_compressed() {
         "peak {} B = {ratio:.3}x the input CSR ({csr_bytes} B), in {}@{}",
         result.peak_memory_bytes, peak.name, peak.level
     );
-    // 0.767x in compress_level@1 (0.694x with 8-byte ids) while each level was re-encoded
-    // from CSR; 1.036x in refine@2 (1.043x in initial_partition@2) while every level was
-    // held as CSR.
+    // 0.462x in contract@1 (0.297x with 8-byte ids); 0.508x (0.325x) while coarse node
+    // weights took 8 bytes each; 0.767x in compress_level@1 (0.694x with 8-byte ids)
+    // while each level was re-encoded from CSR; 1.036x in refine@2 (1.043x in
+    // initial_partition@2) while every level was held as CSR.
     assert!(
         ratio <= 0.85,
         "peak {ratio:.3}x the input CSR, in {}@{}",

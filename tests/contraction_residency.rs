@@ -44,6 +44,7 @@ fn one_pass_contraction_backs_only_the_edges_it_writes() {
         &clustering,
         ContractionAlgorithm::OnePass,
         config.bump_threshold,
+        64,
         &mut scratch,
     );
     let after = resident_bytes();

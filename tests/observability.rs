@@ -175,6 +175,7 @@ fn recording_is_bitwise_deterministic_across_thread_counts() {
         initial_half_edges.push([
             report.counter(Counter::InitialGrowHalfEdges),
             report.counter(Counter::InitialFmHalfEdges),
+            report.counter(Counter::InitialExtractHalfEdges),
         ]);
     }
     // A counter is a sum over the bisection tree's tasks, whoever ran them.
@@ -183,6 +184,7 @@ fn recording_is_bitwise_deterministic_across_thread_counts() {
         initial_half_edges
             .iter()
             .all(|sums| *sums == initial_half_edges[0]),
-        "initial growing / fm half-edges depend on the schedule: {initial_half_edges:?}"
+        "initial growing / fm / extraction half-edges depend on the schedule: \
+         {initial_half_edges:?}"
     );
 }

@@ -4,7 +4,7 @@
 //! projected past it. The first coarsening level then sets the tracked peak, not the
 //! refinement of level 0 on top of everything the earlier phases left behind. That level
 //! is held to its bytes per vertex too: clustering keeps its cluster weights at the width
-//! of the weight limit (4 bytes on a mesh) and generates its visit order range by range
+//! of the weight limit (2 bytes on a mesh) and generates its visit order range by range
 //! instead of holding n ids, and contraction's bucket build indexes its per-cluster
 //! arrays by label rank (n′ entries), so only its members array is n ids long. Level 0's
 //! LP refinement holds no n-id order either, and level 0's k-way FM keeps gain-table rows
@@ -33,13 +33,14 @@ fn run(csr: CsrGraph, preset: Preset, k: usize) -> (PartitionResult, f64) {
 #[test]
 fn the_first_coarsening_level_sets_the_peak() {
     // A mesh: level 0's coarsening is the peak at both id widths, within 0.25x the CSR:
-    // 0.211x in cluster@0 (labels, 4-byte cluster weights, bitsets); 0.174x in cluster@0
-    // with 8-byte ids (0.186x in contract@0 while contraction built a CSR level). With an n-id visit order and label-indexed contraction
-    // arrays it was 0.312x in cluster@0 (0.286x with 8-byte ids); before cluster weights
-    // took the width of the weight limit and contraction's count array became its
-    // remap, 0.413x (0.357x in contract@0 with 8-byte ids). Refinement of level 0 used to
-    // be the peak, at ~0.7x, with level 0's buckets and visit order and every coarse
-    // graph still held.
+    // 0.161x in cluster@0 (labels, 2-byte cluster weights, bitsets); 0.147x in contract@0
+    // with 8-byte ids. With 4-byte cluster weights and 8-byte coarse node weights it was
+    // 0.211x and 0.174x in cluster@0 (0.186x in contract@0 while contraction built a CSR
+    // level). With an n-id visit order and label-indexed contraction arrays it was
+    // 0.312x in cluster@0 (0.286x with 8-byte ids); before cluster weights took the
+    // width of the weight limit and contraction's count array became its remap, 0.413x
+    // (0.357x in contract@0 with 8-byte ids). Refinement of level 0 used to be the peak,
+    // at ~0.7x, with level 0's buckets and visit order and every coarse graph still held.
     let n = 60_000;
     let (mesh, ratio) = run(gen::rgg2d(n, 8, 3), Preset::Fast, 16);
     let peak = mesh
@@ -58,9 +59,10 @@ fn the_first_coarsening_level_sets_the_peak() {
         .expect("level 0 is contracted");
     let contract_per_vertex = contract.peak_bytes as f64 / n as f64;
     println!("contract@0 peaks at {contract_per_vertex:.2} B per vertex");
-    // Measured 6.71 B (4-byte ids) and 11.18 B (8-byte ids), the compressed level it
-    // writes included; 8.04 B and 13.27 B while it built a CSR level, charged after the
-    // phase, with n′ starts and node weights beside it; 11.48 B and 20.27 B while
+    // Measured 6.05 B (4-byte ids) and 10.52 B (8-byte ids), the compressed level it
+    // writes included, its node weights at 1 byte each; 6.71 B and 11.18 B at 8 bytes;
+    // 8.04 B and 13.27 B while it built a CSR level, charged after the phase, with n′
+    // starts and node weights beside it; 11.48 B and 20.27 B while
     // the bucket build indexed its count array / remap by label (n entries), 12.76 B and
     // 25.51 B while it held a label remap beside that count array.
     let contract_bound = if std::mem::size_of::<NodeId>() == 4 {
@@ -100,7 +102,8 @@ fn the_first_coarsening_level_sets_the_peak() {
 
     // The same mesh refined with the k-way FM. Its gain table has rows for the boundary
     // only, sized by the blocks each touches, at 2 bytes a slot, behind a 3-byte row
-    // handle per vertex: `default` peaks at 1.015x `fast` and its refine@0 holds 3.28 B
+    // handle per vertex: `default` peaks at 1.020x `fast` (1.015x while `fast` held 4-byte
+    // cluster weights) and its refine@0 holds 3.28 B
     // per vertex beyond its entry (4.38 B with rows sized by degree at 4 bytes a slot;
     // 12.5x and 104.8 B while the table had an 8-byte row and an 8-byte offset for every
     // vertex).
@@ -124,9 +127,10 @@ fn the_first_coarsening_level_sets_the_peak() {
         fm_refine_per_vertex <= 5.0,
         "FM's refine@0 holds {fm_refine_per_vertex:.2} B per vertex beyond its entry, over 5"
     );
-    // A grid, where 4.9 % of the vertices end on the boundary: 0.631x the CSR with every
-    // level born compressed (0.862x in compress_level@1 while levels were re-encoded,
-    // 0.915x while every level was held as CSR; 3.00x with a row for every vertex).
+    // A grid, where 4.9 % of the vertices end on the boundary: 0.519x the CSR with every
+    // level born compressed and its node weights packed (0.631x at 8 bytes a weight,
+    // 0.862x in compress_level@1 while levels were re-encoded, 0.915x while every level
+    // was held as CSR; 3.00x with a row for every vertex).
     let (grid, ratio) = run(gen::grid2d(300, 300), Preset::Default, 16);
     println!(
         "grid2d(300, 300) default, k = 16: peak {} B = {ratio:.3} x the uncompressed CSR",
@@ -139,7 +143,8 @@ fn the_first_coarsening_level_sets_the_peak() {
 
     // A power-law graph refined with the k-way FM: without popping the levels it has
     // projected past, uncoarsening held every coarse graph under level 0's gain table.
-    // 0.543x with every level born compressed (0.804x while each was re-encoded from
+    // 0.498x with every level born compressed and its node weights packed (0.543x at 8
+    // bytes a weight, 0.804x while each was re-encoded from
     // CSR and the coarsest stayed CSR, 1.073x while they were all CSR; 1.157x while the gain table had 8-byte slots and a row for every vertex and
     // initial partitioning's workspace stayed charged through uncoarsening).
     let (web, ratio) = run(gen::weblike(14, 8, 3), Preset::Default, 16);

@@ -3,7 +3,8 @@
 //! The dense core of an R-MAT graph reaches that limit after one contraction; the levels
 //! that used to follow removed a few percent of the edges each and held two near-copies
 //! of the core. The one coarse level left is born compressed, so at both id widths the
-//! peak stays within 1.6x the compressed input: 0.96x (1.17x with 8-byte ids). While
+//! peak stays within 1.6x the compressed input: 0.90x (1.11x with 8-byte ids; 0.96x and
+//! 1.17x while coarse node weights took 8 bytes each). While
 //! the level was a CSR graph it read 1.52x, and only
 //! the default width was bounded; 1.5x was the bound while every encoded neighbourhood
 //! also stored its first half-edge id and the input was 13 % larger. This reads
@@ -29,7 +30,8 @@ fn a_stalled_r_mat_core_is_not_coarsened_again() {
         "only the unit-weight input level contracts"
     );
     let peak = result.peak_memory_bytes;
-    // 0.50x the CSR (0.79x while the coarse level was CSR).
+    // 0.47x the CSR (0.50x with 8-byte coarse node weights, 0.79x while the coarse level
+    // was CSR).
     println!(
         "peak {peak} B = {:.2} x the uncompressed CSR ({csr_bytes} B, weights packed) = \
          {:.2} x the compressed input ({input_bytes} B)",
@@ -40,7 +42,7 @@ fn a_stalled_r_mat_core_is_not_coarsened_again() {
         4 * peak <= 5 * csr_bytes,
         "peak {peak} B is more than 1.25 x the uncompressed CSR ({csr_bytes} B, weights packed)"
     );
-    // Both id widths: a compressed level's bytes do not depend on the width (1.17x with
+    // Both id widths: a compressed level's bytes do not depend on the width (1.11x with
     // 8-byte ids).
     assert!(
         5 * peak <= 8 * input_bytes,
